@@ -40,6 +40,7 @@ import (
 	"doubleplay/internal/asm"
 	"doubleplay/internal/core"
 	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/profile"
 	"doubleplay/internal/race"
 	"doubleplay/internal/replay"
@@ -244,7 +245,8 @@ func main() {
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		rep, err := replay.SequentialProfiled(nil, bt.Prog, rec, nil, sink, gprof)
+		rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(rec),
+			replay.Options{Trace: sink, Profile: gprof})
 		check(err)
 		fmt.Printf("replayed %d epochs in %d simulated cycles; final hash %016x verified\n",
 			rep.Epochs, rep.Cycles, rep.FinalHash)
@@ -260,46 +262,34 @@ func main() {
 		res := mustRecord(bt, *workers, *spares, *epochLen, *seed, *growth, *detect, *adaptive, *minSpares, *maxSpares, policy, sink, reg, recProf)
 		printStats(*wlName, res)
 		printRaces(res)
-		// Each replay strategy regenerates the guest profile independently;
+		// Each replay plan regenerates the guest profile independently;
 		// all of them must byte-match what the recorder gathered.
 		var recProfBytes []byte
 		if recProf != nil {
 			recProfBytes = recProf.MarshalPprof()
 		}
-		checkProf := func(strategy string, p *profile.Profile) {
-			if p == nil {
-				return
+		replayFrom := func(plan string, bs []*epoch.Boundary) *replay.Result {
+			var p *profile.Profile
+			if recProf != nil {
+				p = profile.NewProfile("")
 			}
-			if !bytes.Equal(recProfBytes, p.MarshalPprof()) {
-				fatal(fmt.Sprintf("guest profile: %s replay profile differs from record profile", strategy))
-			}
-		}
-		newProf := func() *profile.Profile {
-			if recProf == nil {
-				return nil
-			}
-			return profile.NewProfile("")
-		}
-		seqProf := newProf()
-		seq, err := replay.SequentialProfiled(nil, bt.Prog, res.Recording, nil, sink, seqProf)
-		check(err)
-		checkProf("sequential", seqProf)
-		fmt.Printf("sequential replay: OK (%d cycles)\n", seq.Cycles)
-		if *parallel {
-			parProf := newProf()
-			par, err := replay.ParallelProfiled(nil, bt.Prog, res.Recording, res.Boundaries, *workers, nil, sink, parProf)
+			rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
+				replay.Options{Boundaries: bs, CPUs: *workers, Trace: sink, Profile: p})
 			check(err)
-			checkProf("parallel", parProf)
-			fmt.Printf("parallel replay:   OK (%d cycles on %d cores)\n", par.Cycles, *workers)
+			if p != nil && !bytes.Equal(recProfBytes, p.MarshalPprof()) {
+				fatal(fmt.Sprintf("guest profile: %s replay profile differs from record profile", plan))
+			}
+			return rep
+		}
+		fmt.Printf("sequential replay: OK (%d cycles)\n", replayFrom("sequential", nil).Cycles)
+		if *parallel {
+			fmt.Printf("parallel replay:   OK (%d cycles on %d cores)\n",
+				replayFrom("parallel", res.Boundaries).Cycles, *workers)
 		}
 		if *stride > 1 {
 			sparse := res.ThinBoundaries(*stride)
-			spProf := newProf()
-			sp, err := replay.ParallelSparseProfiled(nil, bt.Prog, res.Recording, sparse, *workers, nil, sink, spProf)
-			check(err)
-			checkProf("sparse", spProf)
 			fmt.Printf("sparse replay:     OK (stride %d, %d of %d checkpoints kept, %d cycles)\n",
-				*stride, len(sparse), len(res.Recording.Epochs)+1, sp.Cycles)
+				*stride, len(sparse), len(res.Recording.Epochs)+1, replayFrom("sparse", sparse).Cycles)
 		}
 		if recProf != nil {
 			fmt.Printf("guest profile:     OK (replay regenerates the record profile bit-identically, %d stacks)\n",

@@ -23,7 +23,8 @@
 //
 // [ReplaySequential] reproduces the recording on one simulated CPU;
 // [ReplayParallel] replays all epochs concurrently from the retained
-// checkpoints on real host goroutines.
+// checkpoints on real host goroutines. Both are [Replay] under different
+// [ReplayOptions], which also carry the trace sink and guest profile.
 //
 // # Quickstart
 //
@@ -100,7 +101,7 @@ type Boundary = epoch.Boundary
 type CostModel = vm.CostModel
 
 // TraceSink collects timeline events from recordings and replays; set
-// RecordOptions.Trace (or use [ReplaySequentialTraced]) and export with
+// RecordOptions.Trace (or ReplayOptions.Trace) and export with
 // its WriteJSON method. Events use the Chrome trace_event format,
 // viewable at https://ui.perfetto.dev; see docs/OBSERVABILITY.md for the
 // event schema. A nil *TraceSink is valid everywhere and disables tracing
@@ -126,8 +127,8 @@ func NewStreamSink(w io.Writer, window int) *StreamSink { return trace.NewStream
 
 // GuestProfile is the deterministic guest cycle profile: retired cycles
 // attributed to guest call stacks, gathered while recording
-// (RecordOptions.Profile) or while replaying ([ReplaySequentialProfiled],
-// [ReplayParallelProfiled]). For the same recording the two are
+// (RecordOptions.Profile) or while replaying (ReplayOptions.Profile, under
+// any replay plan). For the same recording the two are
 // byte-identical — production profiles can be regenerated offline,
 // exactly, from the log. Export with WritePprof (pprof profile.proto) or
 // WriteFolded (flamegraph input); render with `dptrace flame`. See
@@ -140,20 +141,6 @@ func NewGuestProfile() *GuestProfile { return profile.NewProfile("") }
 // ParseGuestProfile decodes a pprof-encoded guest profile (the bytes
 // WritePprof produced, or any spec-conforming profile.proto message).
 func ParseGuestProfile(data []byte) (*GuestProfile, error) { return profile.ParsePprof(data) }
-
-// ReplaySequentialProfiled is ReplaySequential gathering the guest profile
-// of the replayed execution into prof (nil disables profiling).
-func ReplaySequentialProfiled(prog *Program, rec *Recording, prof *GuestProfile) (*ReplayResult, error) {
-	return replay.SequentialProfiled(nil, prog, rec, nil, nil, prof)
-}
-
-// ReplayParallelProfiled is ReplayParallel gathering the guest profile of
-// the replayed execution into prof (nil disables profiling). The profile
-// is byte-identical to the sequential strategy's regardless of how the
-// epochs interleave across workers.
-func ReplayParallelProfiled(prog *Program, rec *Recording, boundaries []*Boundary, cpus int, prof *GuestProfile) (*ReplayResult, error) {
-	return replay.ParallelProfiled(nil, prog, rec, boundaries, cpus, nil, nil, prof)
-}
 
 // MetricsRegistry aggregates counters, gauges, and latency histograms
 // across recordings; set RecordOptions.Metrics and print with Render.
@@ -193,36 +180,41 @@ func RunNative(prog *Program, world *World, cpus int, seed int64) (*NativeResult
 	return core.RunNative(prog, world, cpus, seed, nil)
 }
 
+// ReplayOptions select how [Replay] replays a recording: which retained
+// checkpoints to start from and on how many cores, the cost model, and
+// the optional trace sink and guest profile. See replay.Options for field
+// docs; the zero value is plain sequential replay.
+type ReplayOptions = replay.Options
+
+// Replay reproduces a recording under the plan opt describes, verifying
+// every epoch boundary hash and the final hash. With no Boundaries it
+// replays epoch by epoch on one simulated CPU from program reset; with a
+// checkpoint set it replays the segments they anchor concurrently across
+// opt.CPUs host workers. An enabled opt.Trace receives the replay's
+// epochs and timeslices as "replay.epoch" spans; a non-nil opt.Profile
+// gathers the replayed execution's guest profile, byte-identical under
+// every plan. The context is checked at epoch boundaries.
+func Replay(ctx context.Context, prog *Program, rec *Recording, opt ReplayOptions) (*ReplayResult, error) {
+	return replay.Run(ctx, prog, replay.FromRecording(rec), opt)
+}
+
 // ReplaySequential reproduces a recording epoch by epoch on one simulated
 // CPU, verifying every boundary hash.
 func ReplaySequential(prog *Program, rec *Recording) (*ReplayResult, error) {
-	return replay.Sequential(prog, rec, nil, nil)
+	return Replay(context.Background(), prog, rec, ReplayOptions{})
 }
 
 // ReplayParallel replays all epochs concurrently from the retained
 // checkpoints across cpus host workers.
 func ReplayParallel(prog *Program, rec *Recording, boundaries []*Boundary, cpus int) (*ReplayResult, error) {
-	return replay.Parallel(prog, rec, boundaries, cpus, nil, nil)
+	return Replay(context.Background(), prog, rec, ReplayOptions{Boundaries: boundaries, CPUs: cpus})
 }
 
 // ReplayParallelSparse replays segments of consecutive epochs concurrently
 // from a thinned checkpoint set (see RecordResult.ThinBoundaries), trading
 // replay parallelism for checkpoint memory.
 func ReplayParallelSparse(prog *Program, rec *Recording, sparse []*Boundary, cpus int) (*ReplayResult, error) {
-	return replay.ParallelSparse(prog, rec, sparse, cpus, nil, nil)
-}
-
-// ReplaySequentialTraced is ReplaySequential with a timeline sink: the
-// replay's epochs and timeslices are appended to sink as "replay.epoch"
-// spans. A nil sink makes it identical to ReplaySequential.
-func ReplaySequentialTraced(prog *Program, rec *Recording, sink TraceRecorder) (*ReplayResult, error) {
-	return replay.Sequential(prog, rec, nil, sink)
-}
-
-// ReplayParallelTraced is ReplayParallel with a timeline sink: each epoch
-// appears at its packed position on a per-core track.
-func ReplayParallelTraced(prog *Program, rec *Recording, boundaries []*Boundary, cpus int, sink TraceRecorder) (*ReplayResult, error) {
-	return replay.Parallel(prog, rec, boundaries, cpus, nil, sink)
+	return Replay(context.Background(), prog, rec, ReplayOptions{Boundaries: sparse, CPUs: cpus})
 }
 
 // SaveRecording writes a recording in the binary log format.
@@ -371,7 +363,7 @@ func RecordContext(ctx context.Context, prog *Program, world *World, opt RecordO
 // returned boundaries feed [ReplayParallel] or, thinned with
 // [ThinCheckpoints], [ReplayParallelSparse].
 func RecordingCheckpoints(ctx context.Context, prog *Program, rec *Recording) ([]*Boundary, error) {
-	return replay.Checkpoints(ctx, prog, rec, nil)
+	return replay.CheckpointsFrom(ctx, prog, replay.FromRecording(rec), nil)
 }
 
 // ThinCheckpoints keeps every stride-th boundary (always including the

@@ -85,7 +85,7 @@ func TestCertifiedRecordSkipsVerification(t *testing.T) {
 	if seq.FinalHash != always.FinalHash {
 		t.Fatal("certified replay diverged from the verified recording")
 	}
-	par, err := replay.Parallel(prog, cert.Recording, cert.Boundaries, 4, nil, nil)
+	par, err := replayFrom(prog, cert.Recording, cert.Boundaries, 4)
 	if err != nil {
 		t.Fatalf("Parallel replay of certified recording: %v", err)
 	}

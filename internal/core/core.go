@@ -277,8 +277,9 @@ func (r *Result) ReleaseCheckpoints() {
 }
 
 // ThinBoundaries returns every stride-th boundary (always including the
-// first and last), for memory-bounded segment-parallel replay via
-// replay.ParallelSparse. The returned boundaries keep their epoch indices.
+// first and last), for memory-bounded segment-parallel replay: hand them
+// to replay.Run as Options.Boundaries. The returned boundaries keep their
+// epoch indices.
 func (r *Result) ThinBoundaries(stride int) []*epoch.Boundary {
 	if stride <= 1 {
 		return r.Boundaries

@@ -184,7 +184,7 @@ func TestQuickRecordReplayRandomPrograms(t *testing.T) {
 			t.Logf("seq replay: %v", err)
 			return false
 		}
-		if _, err := replay.Parallel(prog, res.Recording, res.Boundaries, workers, nil, nil); err != nil {
+		if _, err := replayFrom(prog, res.Recording, res.Boundaries, workers); err != nil {
 			t.Logf("par replay: %v", err)
 			return false
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/workloads"
@@ -84,7 +85,7 @@ func TestThinBoundariesAndSparseReplay(t *testing.T) {
 		if stride > 1 && len(sparse) >= full {
 			t.Fatalf("stride %d did not thin (%d of %d)", stride, len(sparse), full)
 		}
-		rep, err := replay.ParallelSparse(bt.Prog, res.Recording, sparse, 4, nil, nil)
+		rep, err := replayFrom(bt.Prog, res.Recording, sparse, 4)
 		if err != nil {
 			t.Fatalf("stride %d: %v", stride, err)
 		}
@@ -93,8 +94,8 @@ func TestThinBoundariesAndSparseReplay(t *testing.T) {
 		}
 	}
 	// Coarser thinning means longer (less parallel) modelled replay.
-	fine, _ := replay.ParallelSparse(bt.Prog, res.Recording, res.ThinBoundaries(1), 4, nil, nil)
-	coarse, _ := replay.ParallelSparse(bt.Prog, res.Recording, res.ThinBoundaries(full), 4, nil, nil)
+	fine, _ := replayFrom(bt.Prog, res.Recording, res.ThinBoundaries(1), 4)
+	coarse, _ := replayFrom(bt.Prog, res.Recording, res.ThinBoundaries(full), 4)
 	if coarse.Cycles < fine.Cycles {
 		t.Fatalf("single-segment replay (%d) faster than fully parallel (%d)", coarse.Cycles, fine.Cycles)
 	}
@@ -108,12 +109,18 @@ func TestSparseReplayRejectsBadBoundarySets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Missing epoch 0.
-	if _, err := replay.ParallelSparse(bt.Prog, res.Recording, res.Boundaries[1:], 2, nil, nil); err == nil {
+	if _, err := replayFrom(bt.Prog, res.Recording, res.Boundaries[1:], 2); err == nil {
 		t.Fatal("sparse set without epoch 0 accepted")
 	}
-	// Empty set.
-	if _, err := replay.ParallelSparse(bt.Prog, res.Recording, nil, 2, nil, nil); err == nil {
-		t.Fatal("empty sparse set accepted")
+	// A boundary past the end of the recording.
+	far := *res.Boundaries[1]
+	far.Index = len(res.Recording.Epochs) + 1
+	if _, err := replayFrom(bt.Prog, res.Recording, []*epoch.Boundary{res.Boundaries[0], &far}, 2); err == nil {
+		t.Fatal("out-of-range boundary accepted")
+	}
+	// No boundaries at all is not an error: it is sequential replay.
+	if _, err := replayFrom(bt.Prog, res.Recording, nil, 2); err != nil {
+		t.Fatalf("boundary-less replay: %v", err)
 	}
 }
 

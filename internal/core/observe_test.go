@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"doubleplay/internal/replay"
@@ -234,7 +235,8 @@ func TestReplayTraceMatchesEpochs(t *testing.T) {
 
 	// Parallel replay: one span per epoch, makespan equals the last span end.
 	psink := trace.NewSink()
-	par, err := replay.Parallel(bt.Prog, res.Recording, res.Boundaries, g.workers, nil, psink)
+	par, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
+		replay.Options{Boundaries: res.Boundaries, CPUs: g.workers, Trace: psink})
 	if err != nil {
 		t.Fatal(err)
 	}

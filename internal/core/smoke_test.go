@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/asm"
+	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
@@ -173,6 +176,12 @@ func recordAndCheck(t *testing.T, prog *vm.Program, okCell vm.Word, opt Options)
 	return res
 }
 
+// replayFrom replays rec from the given retained checkpoints on cpus
+// cores; no checkpoints is sequential replay from reset.
+func replayFrom(prog *vm.Program, rec *dplog.Recording, bs []*epoch.Boundary, cpus int) (*replay.Result, error) {
+	return replay.Run(context.Background(), prog, replay.FromRecording(rec), replay.Options{Boundaries: bs, CPUs: cpus})
+}
+
 func TestRecordReplayLockedCounter(t *testing.T) {
 	prog, ok := lockedCounterProg(3, 300)
 	res := recordAndCheck(t, prog, ok, Options{Workers: 3, SpareCPUs: 4, EpochCycles: 3000, Seed: 42})
@@ -188,7 +197,7 @@ func TestRecordReplayLockedCounter(t *testing.T) {
 		t.Fatalf("sequential replay hash mismatch")
 	}
 
-	par, err := replay.Parallel(prog, res.Recording, res.Boundaries, 4, nil, nil)
+	par, err := replayFrom(prog, res.Recording, res.Boundaries, 4)
 	if err != nil {
 		t.Fatalf("Parallel replay: %v", err)
 	}
@@ -226,7 +235,7 @@ func TestRacyProgramRecoversAndReplays(t *testing.T) {
 			t.Fatalf("seed %d: Sequential replay after %d divergences: %v",
 				seed, res.Stats.Divergences, err)
 		}
-		if _, err := replay.Parallel(prog, res.Recording, res.Boundaries, 4, nil, nil); err != nil {
+		if _, err := replayFrom(prog, res.Recording, res.Boundaries, 4); err != nil {
 			t.Fatalf("seed %d: Parallel replay after %d divergences: %v",
 				seed, res.Stats.Divergences, err)
 		}

@@ -265,7 +265,8 @@ func (s *Session) attachWatch(m *vm.Machine) {
 
 // materialize grows the boundary prefix through index upTo by restoring
 // the last known boundary and replaying whole epochs at full speed —
-// the same runEpoch pass replay.CheckpointsFrom makes, done
+// the same Stepper the session steps with, drained instead of stepped,
+// which is also the pass replay.CheckpointsFrom makes; done
 // incrementally and cached for the life of the session.
 func (s *Session) materialize(upTo int) error {
 	if upTo > s.n {
@@ -285,7 +286,11 @@ func (s *Session) materialize(upTo int) error {
 				e, s.bounds[e].Hash, ep.StartHash)
 		}
 		m := s.bounds[e].CP.Restore(s.prog, nil, s.costs)
-		c, err := replay.RunOneEpoch(m, ep, s.quantum, s.costs)
+		st, err := replay.NewStepper(m, ep, s.quantum, s.costs)
+		if err != nil {
+			return err
+		}
+		c, err := st.Run()
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 
@@ -265,7 +266,8 @@ func ReplaySpeed(cfg Config, workers int) []ReplayRow {
 		if err != nil {
 			panic(fmt.Sprintf("exp: seq replay %s: %v", name, err))
 		}
-		par, err := replay.Parallel(bt.Prog, res.Recording, res.Boundaries, workers, cfg.Costs, cfg.Trace)
+		par, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
+			replay.Options{Boundaries: res.Boundaries, CPUs: workers, Costs: cfg.Costs, Trace: cfg.Trace})
 		if err != nil {
 			panic(fmt.Sprintf("exp: par replay %s: %v", name, err))
 		}
@@ -705,7 +707,8 @@ func SparseReplay(cfg Config) []SparseReplayRow {
 		res, bt := record(name, workers, workers, cfg)
 		for _, stride := range []int{1, 2, 4, 8, 1 << 20} {
 			sparse := res.ThinBoundaries(stride)
-			rep, err := replay.ParallelSparse(bt.Prog, res.Recording, sparse, workers, cfg.Costs, cfg.Trace)
+			rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
+				replay.Options{Boundaries: sparse, CPUs: workers, Costs: cfg.Costs, Trace: cfg.Trace})
 			if err != nil {
 				panic(fmt.Sprintf("exp: sparse replay %s stride %d: %v", name, stride, err))
 			}

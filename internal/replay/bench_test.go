@@ -1,0 +1,48 @@
+package replay_test
+
+import (
+	"context"
+	"testing"
+
+	"doubleplay/internal/core"
+	"doubleplay/internal/replay"
+	"doubleplay/internal/workloads"
+)
+
+// BenchmarkRun measures the replay layer where every caller enters it:
+// the three plan shapes of Run, and a recording stepped one instruction
+// at a time (the debugger's path), each over one compute kernel and one
+// I/O-heavy server. Throughput is guest instructions retired per second
+// of host time.
+func BenchmarkRun(b *testing.B) {
+	for _, name := range []string{"fft", "kvdb"} {
+		bt := workloads.Get(name).Build(workloads.Params{Workers: 4, Seed: 17})
+		res, err := core.Record(bt.Prog, bt.World, core.Options{Workers: 4, SpareCPUs: 4, Seed: 17})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := res.Recording
+		var instrs uint64 // retired by one replay of rec
+		for _, n := range rec.Epochs[len(rec.Epochs)-1].Targets {
+			instrs += n
+		}
+		bench := func(how string, replayOnce func() error) {
+			b.Run(how+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if err := replayOnce(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(instrs)*float64(b.N)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+			})
+		}
+		for _, p := range plans(res) {
+			bench(p.name, func() error {
+				_, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(rec),
+					replay.Options{Boundaries: p.boundaries, CPUs: 2})
+				return err
+			})
+		}
+		bench("stepped", func() error { return steppedReplay(bt.Prog, rec) })
+	}
+}

@@ -1,6 +1,8 @@
 package replay_test
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +10,7 @@ import (
 	"doubleplay/internal/core"
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/replay"
+	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
 )
 
@@ -63,18 +66,45 @@ func mutate(rng *rand.Rand, rec *dplog.Recording) (string, bool) {
 	return "", false
 }
 
+// steppedReplay replays rec from reset one instruction at a time — every
+// epoch a Stepper drained by Step calls — and checks the final hash.
+func steppedReplay(prog *vm.Program, rec *dplog.Recording) error {
+	m := vm.NewMachine(prog, nil, nil)
+	for _, ep := range rec.Epochs {
+		st, err := replay.NewStepper(m, ep, rec.Quantum, nil)
+		if err != nil {
+			return err
+		}
+		for !st.Done() {
+			if _, err := st.Step(); err != nil {
+				return err
+			}
+		}
+	}
+	if h := m.StateHash(); h != rec.FinalHash {
+		return fmt.Errorf("stepped final hash %016x != recorded %016x", h, rec.FinalHash)
+	}
+	return nil
+}
+
 // TestQuickMutatedLogsNeverReplayWrong is the failure-injection property:
-// after a random corruption, sequential replay must either reject the log
-// or — when the mutation happens to be behaviourally neutral — reproduce
-// the recorded final hash. It must never silently produce a different
+// after a random corruption, replay must either reject the log or — when
+// the mutation happens to be behaviourally neutral — reproduce the
+// recorded final hash. It must never silently produce a different
 // execution that passes verification (verification includes per-epoch and
 // final hashes, so this is really testing that those checks are airtight).
+// The oracle is pointed at every path an epoch can be replayed by —
+// sequential, epoch-parallel and sparse plans from the recorder's own
+// checkpoints, and a recording stepped instruction by instruction — and
+// they must all give the same verdict.
 func TestQuickMutatedLogsNeverReplayWrong(t *testing.T) {
 	workloadNames := []string{"kvdb", "sigping", "pfscan"}
-	base := make(map[string]struct {
-		prog *dplogProg
+	type recorded struct {
+		prog *vm.Program
+		res  *core.Result
 		data []byte
-	})
+	}
+	base := make(map[string]recorded)
 	for _, name := range workloadNames {
 		wl := workloads.Get(name)
 		bt := wl.Build(workloads.Params{Workers: 3, Seed: 29})
@@ -84,10 +114,7 @@ func TestQuickMutatedLogsNeverReplayWrong(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base[name] = struct {
-			prog *dplogProg
-			data []byte
-		}{&dplogProg{prog: bt}, dplog.MarshalBytes(res.Recording)}
+		base[name] = recorded{bt.Prog, res, dplog.MarshalBytes(res.Recording)}
 	}
 
 	f := func(seed int64, pick uint8) bool {
@@ -103,15 +130,27 @@ func TestQuickMutatedLogsNeverReplayWrong(t *testing.T) {
 		if !ok {
 			return true // nothing mutated; vacuous
 		}
-		rep, err := replay.Sequential(b.prog.prog.Prog, rec, nil, nil)
-		if err != nil {
-			return true // corruption detected: the desired common case
+		// One verdict per path: rejected (the desired common case), or
+		// accepted with the recorded hash (a behaviourally neutral
+		// mutation).
+		rejected := make(map[string]bool)
+		for _, p := range plans(b.res) {
+			rep, err := replay.Run(context.Background(), b.prog, replay.FromRecording(rec),
+				replay.Options{Boundaries: p.boundaries, CPUs: 2})
+			if err == nil && rep.FinalHash != rec.FinalHash {
+				t.Logf("%s mutation %q: %s replay 'succeeded' with a different hash", name, kind, p.name)
+				return false
+			}
+			rejected[p.name] = err != nil
 		}
-		if rep.FinalHash != rec.FinalHash {
-			t.Logf("%s mutation %q: replay 'succeeded' with a different hash", name, kind)
-			return false
+		rejected["stepped"] = steppedReplay(b.prog, rec) != nil
+		for path, r := range rejected {
+			if r != rejected["sequential"] {
+				t.Logf("%s mutation %q: %s rejected=%v but sequential rejected=%v", name, kind, path, r, !r)
+				return false
+			}
 		}
-		return true // behaviourally neutral mutation
+		return true
 	}
 	cfg := &quick.Config{MaxCount: 60}
 	if testing.Short() {
@@ -121,6 +160,3 @@ func TestQuickMutatedLogsNeverReplayWrong(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// dplogProg pairs a built workload for reuse across mutations.
-type dplogProg struct{ prog *workloads.Built }

@@ -2,10 +2,12 @@ package replay_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"doubleplay/internal/core"
 	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/vm"
@@ -31,6 +33,12 @@ func recordWorkloadProfiled(t *testing.T, name string, workers int) (*vm.Program
 	return bt.Prog, res, prof
 }
 
+// replayProfiled replays src from the given checkpoints on 4 cores,
+// gathering the guest profile into p.
+func replayProfiled(prog *vm.Program, src replay.Source, bs []*epoch.Boundary, p *profile.Profile) (*replay.Result, error) {
+	return replay.Run(context.Background(), prog, src, replay.Options{Boundaries: bs, CPUs: 4, Profile: p})
+}
+
 // TestGuestProfileRecordReplayIdentity is the headline determinism claim:
 // for every builtin workload, sequential replay of the recording regenerates
 // the record-time guest profile byte for byte.
@@ -45,7 +53,7 @@ func TestGuestProfileRecordReplayIdentity(t *testing.T) {
 					t.Fatal("record profile is empty")
 				}
 				repProf := profile.NewProfile("")
-				if _, err := replay.SequentialProfiled(nil, prog, res.Recording, nil, nil, repProf); err != nil {
+				if _, err := replayProfiled(prog, replay.FromRecording(res.Recording), nil, repProf); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(recProf.MarshalPprof(), repProf.MarshalPprof()) {
@@ -69,34 +77,21 @@ func TestGuestProfileStrategyIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec, viaReader := replay.FromRecording(res.Recording), replay.FromReader(rd)
 	runs := []struct {
-		name string
-		run  func(p *profile.Profile) error
+		name       string
+		src        replay.Source
+		boundaries []*epoch.Boundary
 	}{
-		{"sequential", func(p *profile.Profile) error {
-			_, err := replay.SequentialProfiled(nil, prog, res.Recording, nil, nil, p)
-			return err
-		}},
-		{"parallel", func(p *profile.Profile) error {
-			_, err := replay.ParallelProfiled(nil, prog, res.Recording, res.Boundaries, 4, nil, nil, p)
-			return err
-		}},
-		{"sparse", func(p *profile.Profile) error {
-			_, err := replay.ParallelSparseProfiled(nil, prog, res.Recording, res.ThinBoundaries(2), 4, nil, nil, p)
-			return err
-		}},
-		{"reader-sequential", func(p *profile.Profile) error {
-			_, err := replay.SequentialReaderProfiled(nil, prog, rd, nil, nil, p)
-			return err
-		}},
-		{"reader-sparse", func(p *profile.Profile) error {
-			_, err := replay.ParallelSparseReaderProfiled(nil, prog, rd, res.ThinBoundaries(2), 4, nil, nil, p)
-			return err
-		}},
+		{"sequential", rec, nil},
+		{"parallel", rec, res.Boundaries},
+		{"sparse", rec, res.ThinBoundaries(2)},
+		{"reader-sequential", viaReader, nil},
+		{"reader-sparse", viaReader, res.ThinBoundaries(2)},
 	}
 	for _, r := range runs {
 		p := profile.NewProfile("")
-		if err := r.run(p); err != nil {
+		if _, err := replayProfiled(prog, r.src, r.boundaries, p); err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
 		if !bytes.Equal(want, p.MarshalPprof()) {
@@ -121,7 +116,7 @@ func TestGuestProfileCertifiedRecording(t *testing.T) {
 			t.Fatal(err)
 		}
 		repProf := profile.NewProfile("")
-		if _, err := replay.SequentialProfiled(nil, bt.Prog, res.Recording, nil, nil, repProf); err != nil {
+		if _, err := replayProfiled(bt.Prog, replay.FromRecording(res.Recording), nil, repProf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(recProf.MarshalPprof(), repProf.MarshalPprof()) {
@@ -135,7 +130,7 @@ func TestGuestProfileCertifiedRecording(t *testing.T) {
 func TestGuestProfileTotalsMatchReplay(t *testing.T) {
 	prog, res, recProf := recordWorkloadProfiled(t, "fft", 2)
 	repProf := profile.NewProfile("")
-	if _, err := replay.SequentialProfiled(nil, prog, res.Recording, nil, nil, repProf); err != nil {
+	if _, err := replayProfiled(prog, replay.FromRecording(res.Recording), nil, repProf); err != nil {
 		t.Fatal(err)
 	}
 	if recProf.TotalCycles() != repProf.TotalCycles() {

@@ -1,8 +1,5 @@
-// Reader-based replay: the same strategies as replay.go, but fed by a
-// seekable dplog.Reader instead of a fully decoded recording. Each epoch's
-// section is decoded on demand, which is what the sectioned v6 log format
-// exists for — a segment-parallel replay decodes its own sections
-// concurrently, and a single-epoch replay touches exactly one section.
+// Where a replay reads its log from, and the entry points kept for the
+// frozen benchmark.
 
 package replay
 
@@ -12,18 +9,19 @@ import (
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
-	"doubleplay/internal/profile"
 	"doubleplay/internal/trace"
 	"doubleplay/internal/vm"
 )
 
-// Source abstracts where a replay strategy reads its per-epoch logs
-// from: a decoded *dplog.Recording (free access) or a *dplog.Reader
-// (per-section decode on demand). Epochs are addressed by position in
-// recording order; for a full log, position and epoch id coincide.
-// Every strategy in this package — and the debug session built on top of
-// it — runs against this one interface, so "which bytes back the log"
-// can never change what a replay computes.
+// Source abstracts where a replay reads its per-epoch logs from: a
+// decoded *dplog.Recording (free access) or a *dplog.Reader (per-section
+// decode on demand, which is what the sectioned v6 log format exists
+// for — concurrent segments decode their own sections concurrently, and
+// a single-epoch replay touches exactly one). Epochs are addressed by
+// position in recording order; for a full log, position and epoch id
+// coincide. Every replay plan — and the debug session built on top of
+// this package — runs against this one interface, so "which bytes back
+// the log" can never change what a replay computes.
 type Source interface {
 	NumEpochs() int
 	EpochAt(i int) (*dplog.EpochLog, error)
@@ -58,37 +56,31 @@ func (s readerSource) Program() string                        { return s.rd.Head
 func (s readerSource) Quantum() int64                         { return s.rd.Header().Quantum }
 func (s readerSource) FinalHash() uint64                      { return s.rd.Header().FinalHash }
 
-// SequentialReader is SequentialCtx reading epochs straight from a
-// seekable log: each section is decoded right before it is replayed, so
-// peak memory holds one epoch's log instead of the whole recording.
+// The functions below — with FromRecording, FromReader, CheckpointsFrom
+// and Thin — are the names benchmark/ calls. That directory is frozen so
+// that parent and change are measured by the same program, so they keep
+// their signatures as adapters; new code calls Run, CheckpointsFrom and
+// NewStepper directly.
+
+// Sequential is Run with no boundaries over a decoded recording.
+func Sequential(prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
+	return Run(context.TODO(), prog, recSource{rec}, Options{Costs: costs, Trace: sink})
+}
+
+// SequentialReader is Run with no boundaries over a seekable log.
 func SequentialReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return sequentialSrc(ctx, prog, readerSource{rd}, costs, sink, nil)
+	return Run(ctx, prog, readerSource{rd}, Options{Costs: costs, Trace: sink})
 }
 
-// SequentialReaderProfiled is SequentialReader with a guest profile (see
-// SequentialProfiled). A nil prof disables profiling.
-func SequentialReaderProfiled(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return sequentialSrc(ctx, prog, readerSource{rd}, costs, sink, prof)
+// ParallelSparseReader is Run from a thinned boundary set over a
+// seekable log.
+func ParallelSparseReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
+	return Run(ctx, prog, readerSource{rd}, Options{Boundaries: sparse, CPUs: cpus, Costs: costs, Trace: sink})
 }
 
-// CheckpointsReader is Checkpoints reading epochs straight from a
-// seekable log, decoding each section as its epoch is reached.
+// CheckpointsReader is CheckpointsFrom over a seekable log.
 func CheckpointsReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel) ([]*epoch.Boundary, error) {
 	return CheckpointsFrom(ctx, prog, readerSource{rd}, costs)
-}
-
-// ParallelSparseReader is ParallelSparseCtx reading epochs straight from
-// a seekable log: every segment decodes only its own sections, and the
-// segments do so concurrently instead of waiting for one sequential
-// decode of the entire file.
-func ParallelSparseReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, readerSource{rd}, sparse, cpus, costs, sink, nil)
-}
-
-// ParallelSparseReaderProfiled is ParallelSparseReader with a guest
-// profile (see ParallelSparseProfiled). A nil prof disables profiling.
-func ParallelSparseReaderProfiled(ctx context.Context, prog *vm.Program, rd *dplog.Reader, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, readerSource{rd}, sparse, cpus, costs, sink, prof)
 }
 
 // OneEpoch replays a single epoch from its start boundary and verifies
@@ -104,7 +96,7 @@ func OneEpoch(prog *vm.Program, b *epoch.Boundary, ep *dplog.EpochLog, quantum i
 			ep.Index, b.Hash, ep.StartHash)
 	}
 	m := b.CP.Restore(prog, nil, costs)
-	c, err := runEpoch(m, ep, costs, quantum, nil)
+	c, err := runEpoch(m, ep, quantum, costs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,17 @@
 // concurrently on real host cores (epoch-parallel replay), which is how
 // DoublePlay makes replay as scalable as recording.
 //
-// This package owns replay scheduling and verification: the sequential,
-// epoch-parallel, and sparse segment-parallel strategies, the greedy
-// makespan model that prices the parallel ones, and the boundary-hash
-// checks that prove a replay reproduced the recording. Each entry point
-// accepts an optional trace.Sink and narrates its timeline as
+// There is one engine. A [Stepper] replays one epoch — at batch speed or
+// an instruction at a time, the same scheduler either way — and verifies
+// it against the log. [Run] replays a whole [Source] as a plan of
+// segments: each retained checkpoint in [Options.Boundaries] anchors a run
+// of consecutive epochs replayed back to back on one machine, and the
+// segments run concurrently. No boundaries is sequential replay from
+// program reset; every boundary is epoch-parallel replay; a thinned set
+// (see [Thin]) is sparse segment-parallel replay, trading parallelism for
+// checkpoint memory. Every plan checks each epoch's start and end hash
+// and the recording's final hash, prices itself with the greedy makespan
+// model, and narrates its timeline to an optional trace sink as
 // "replay.epoch"/"replay.segment" spans with nested per-timeslice detail
 // (see docs/OBSERVABILITY.md).
 package replay
@@ -23,7 +29,6 @@ import (
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
 	"doubleplay/internal/profile"
-	"doubleplay/internal/sched"
 	"doubleplay/internal/trace"
 	"doubleplay/internal/vm"
 )
@@ -37,276 +42,236 @@ var ErrCertViolated = errors.New("replay: certified epoch violated its race-free
 
 // Result reports a completed replay.
 type Result struct {
-	// Cycles is the modelled completion time: total serialized cycles for
-	// sequential replay, pipeline makespan for parallel replay.
+	// Cycles is the modelled completion time: the makespan of packing the
+	// plan's segments onto the available cores, which for sequential
+	// replay is the total serialized cycles.
 	Cycles    int64
 	FinalHash uint64
 	Epochs    int
 }
 
-// epochCost returns the modelled duration of replaying one epoch.
-func epochCost(uniCycles int64, injected int, costs *vm.CostModel) int64 {
-	return uniCycles + int64(injected)*costs.InjectSysEvent
+// Options selects how [Run] replays a source. The zero value is untraced,
+// unprofiled sequential replay from program reset at default costs.
+type Options struct {
+	// Boundaries are the retained epoch-start checkpoints to replay from,
+	// ordered by Index and starting at epoch 0; each must be an epoch
+	// boundary of the source (core.Result.Boundaries, ThinBoundaries and
+	// [CheckpointsFrom] produce valid sets; a trailing final-state
+	// boundary is ignored). Empty means one segment from program reset.
+	Boundaries []*epoch.Boundary
+	// CPUs bounds how many segments run at once and is the core count
+	// the makespan is packed onto; values below 1 mean 1.
+	CPUs int
+	// Costs is the cycle cost model; nil selects vm.DefaultCosts.
+	Costs *vm.CostModel
+	// Trace, when enabled, receives the replay's timeline. Sequential
+	// replay streams one "replay.epoch" span per epoch onto a single
+	// track as it goes; plans with boundaries place each segment at its
+	// packed position on a track per modelled core — bare "replay.epoch"
+	// spans when every segment is one epoch, "replay.segment" spans
+	// wrapping them otherwise.
+	Trace trace.Recorder
+	// Profile, when non-nil, accumulates the guest profile of the
+	// replayed execution. Each segment profiles its own machine and the
+	// profiles merge after the fan-out; merging is commutative over
+	// canonical stack keys, so every plan yields the bytes the recorder
+	// gathered for the same log (see internal/profile).
+	Profile *profile.Profile
 }
 
-// runEpoch replays one epoch on machine m (already positioned at the
-// epoch's start state) and verifies its end hash. When buf is non-nil the
-// uniprocessor scheduler traces each followed timeslice into it with
-// epoch-local timestamps. Certified epochs carry no timeslice schedule
-// and dispatch to the sync-order free run instead; quantum is the
-// recording's scheduling quantum for that path (zero = default).
-func runEpoch(m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (int64, error) {
-	if ep.Certified {
-		return runCertifiedEpoch(m, ep, costs, quantum, buf)
-	}
-	inj := epoch.NewInjectOS(ep.Syscalls)
-	m.OS = inj
-	sigs := epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = sigs.Pending
-	uni := sched.NewUni(m)
-	uni.Follow = ep.Schedule
-	uni.Targets = ep.Targets
-	uni.Trace = buf
-	if err := uni.Run(); err != nil {
-		return 0, fmt.Errorf("replay: epoch %d: %w", ep.Index, err)
-	}
-	if r := inj.Remaining(); r != 0 {
-		return 0, fmt.Errorf("replay: epoch %d: %d recorded syscalls never issued", ep.Index, r)
-	}
-	if r := sigs.Remaining(); r != 0 {
-		return 0, fmt.Errorf("replay: epoch %d: %d recorded signals never delivered", ep.Index, r)
-	}
-	if h := m.StateHash(); h != ep.EndHash {
-		return 0, fmt.Errorf("replay: epoch %d: end state hash %016x != recorded %016x",
-			ep.Index, h, ep.EndHash)
-	}
-	return epochCost(uni.Cycles, inj.Injected, costs), nil
+// segment is a run of consecutive epochs [lo, hi) replayed on one machine
+// from start's checkpoint (nil: program reset).
+type segment struct {
+	start  *epoch.Boundary
+	lo, hi int
 }
 
-// runCertifiedEpoch replays a certified epoch: no timeslice schedule was
-// ever produced, so the threads free-run timesliced under the recorded
-// sync-order gate, exactly like the epoch-parallel logging run the
-// recorder skipped. The certificate asserts any sync-order-respecting
-// execution reaches the recorded end state, so every cross-check failure
-// wraps ErrCertViolated rather than reporting a divergence.
-func runCertifiedEpoch(m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (int64, error) {
-	fail := func(format string, args ...any) error {
-		return fmt.Errorf("%w: epoch %d: %s", ErrCertViolated, ep.Index, fmt.Sprintf(format, args...))
+// plan cuts the n epochs into the segments the boundaries anchor.
+func plan(bs []*epoch.Boundary, n int) ([]segment, error) {
+	if len(bs) == 0 {
+		return []segment{{hi: n}}, nil
 	}
-	inj := epoch.NewInjectOS(ep.Syscalls)
-	m.OS = inj
-	sigs := epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = sigs.Pending
-	gate := epoch.NewGate(ep.SyncOrder)
-	m.Hooks.MayAcquire = gate.MayAcquire
-	m.Hooks.OnSync = gate.OnSync
-	// Sequential and segment replay reuse the machine for the following
-	// epochs, which must not run against this epoch's gate.
-	defer func() {
-		m.Hooks.MayAcquire = nil
-		m.Hooks.OnSync = nil
-	}()
-	uni := sched.NewUni(m)
-	if quantum > 0 {
-		uni.Quantum = quantum
+	if bs[0].Index != 0 {
+		return nil, fmt.Errorf("replay: boundaries must start at epoch 0, not %d", bs[0].Index)
 	}
-	uni.Targets = ep.Targets
-	uni.Trace = buf
-	if err := uni.Run(); err != nil {
-		return 0, fail("%v", err)
+	var segs []segment
+	for k, b := range bs {
+		end := n
+		if k+1 < len(bs) {
+			end = bs[k+1].Index
+		}
+		if b.Index > end || end > n {
+			return nil, fmt.Errorf("replay: boundary %d covers invalid range [%d,%d) of %d epochs", k, b.Index, end, n)
+		}
+		if b.Index < end {
+			segs = append(segs, segment{start: b, lo: b.Index, hi: end})
+		}
 	}
-	if r := gate.Remaining(); r != 0 {
-		return 0, fail("%d recorded sync ops never performed", r)
-	}
-	if gateErr := gate.Err(); gateErr != "" {
-		return 0, fail("%s", gateErr)
-	}
-	if r := inj.Remaining(); r != 0 {
-		return 0, fail("%d recorded syscalls never issued", r)
-	}
-	if r := sigs.Remaining(); r != 0 {
-		return 0, fail("%d recorded signals never delivered", r)
-	}
-	if h := m.StateHash(); h != ep.EndHash {
-		return 0, fail("end state hash %016x != recorded %016x", h, ep.EndHash)
-	}
-	return epochCost(uni.Cycles, inj.Injected, costs) + int64(gate.Used())*costs.EnforceSyncEvent, nil
+	return segs, nil
 }
 
-// runEpochPhase is runEpoch under the dp.phase=replay pprof label, so host
-// CPU profiles of a replaying process attribute the work to the replay
-// phase (the label is free when no host profile is active).
-func runEpochPhase(ctx context.Context, m *vm.Machine, ep *dplog.EpochLog, costs *vm.CostModel, quantum int64, buf *trace.Sink) (c int64, err error) {
-	profile.WithPhase(ctx, "replay", func() { c, err = runEpoch(m, ep, costs, quantum, buf) })
-	return c, err
+// replayer holds what every segment of one replay shares.
+type replayer struct {
+	ctx   context.Context
+	prog  *vm.Program
+	src   Source
+	costs *vm.CostModel
+	// sequential marks the boundary-less plan, whose epoch spans also
+	// report the epoch's syscall count.
+	sequential bool
 }
 
-// ctxErr reports a context's error once it is done; a nil context never
-// cancels. Replay checks it at epoch boundaries, mirroring the recorder's
-// cancellation points (core.Options.Context).
-func ctxErr(ctx context.Context, epoch int) error {
-	if ctx == nil {
+func newReplayer(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel) *replayer {
+	if costs == nil {
+		costs = vm.DefaultCosts()
+	}
+	return &replayer{ctx: ctx, prog: prog, src: src, costs: costs}
+}
+
+// canceled reports the context's error once it is done; a nil context
+// never cancels. Replay checks it before restoring a segment's checkpoint
+// and before each epoch, mirroring the recorder's cancellation points
+// (core.Options.Context).
+func (r *replayer) canceled(pos int) error {
+	if r.ctx == nil {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("replay: canceled at epoch %d: %w", epoch, err)
+	if err := r.ctx.Err(); err != nil {
+		return fmt.Errorf("replay: canceled at epoch %d: %w", pos, err)
 	}
 	return nil
 }
 
-// Sequential replays the recording epoch by epoch on one simulated CPU,
-// starting from program reset. It verifies every epoch boundary hash and
-// the final hash. A non-nil sink receives one "replay.epoch" span per
-// epoch with the followed timeslices nested inside.
-func Sequential(prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return SequentialCtx(nil, prog, rec, costs, sink)
-}
-
-// SequentialCtx is Sequential with cooperative cancellation: the context
-// is checked before each epoch, so a canceled or deadline-expired context
-// ends the replay with the context's error wrapped. A nil context never
-// cancels.
-func SequentialCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return sequentialSrc(ctx, prog, recSource{rec}, costs, sink, nil)
-}
-
-// SequentialProfiled is SequentialCtx with a guest profile: every retired
-// instruction of the replayed execution is attributed into prof, which ends
-// up bit-identical to the profile the recorder gathered for the same log
-// (see internal/profile). A nil prof disables profiling.
-func SequentialProfiled(ctx context.Context, prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return sequentialSrc(ctx, prog, recSource{rec}, costs, sink, prof)
-}
-
-// sequentialSrc is the sequential strategy over any epoch source: a fully
-// decoded recording or a seekable log reader.
-func sequentialSrc(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
+// segment replays sg's epochs back to back on one machine, verifying each
+// epoch's recorded start hash on the way in (its Stepper verifies the end)
+// and, when sg reaches the end of the source, the recording's final hash.
+// It returns the summed epoch costs and the machine in sg's end state.
+// gp, when non-nil, profiles the machine; an enabled out receives one
+// "replay.epoch" span per epoch, timestamped from the segment's start on
+// (pid, 0), with the epoch's timeslices nested inside; atStart, when
+// non-nil, sees the machine at each verified epoch start.
+func (r *replayer) segment(sg segment, gp *profile.Profiler, out trace.Recorder, pid int64,
+	atStart func(m *vm.Machine, ep *dplog.EpochLog, cycles int64)) (cycles int64, m *vm.Machine, err error) {
+	if err := r.canceled(sg.lo); err != nil {
+		return 0, nil, err
 	}
+	if sg.start != nil {
+		m = sg.start.CP.Restore(r.prog, nil, r.costs)
+	} else {
+		m = vm.NewMachine(r.prog, nil, r.costs)
+	}
+	if gp != nil {
+		gp.Attach(m)
+	}
+	tracing := trace.Enabled(out)
+	for pos := sg.lo; pos < sg.hi; pos++ {
+		if err := r.canceled(pos); err != nil {
+			return 0, nil, err
+		}
+		ep, err := r.src.EpochAt(pos)
+		if err != nil {
+			return 0, nil, err
+		}
+		if h := m.StateHash(); h != ep.StartHash {
+			return 0, nil, fmt.Errorf("replay: epoch %d: start state hash %016x != recorded %016x",
+				ep.Index, h, ep.StartHash)
+		}
+		if atStart != nil {
+			atStart(m, ep, cycles)
+		}
+		var slices *trace.Sink
+		if tracing {
+			slices = trace.NewSink()
+		}
+		c, err := runEpoch(m, ep, r.src.Quantum(), r.costs, slices)
+		if err != nil {
+			return 0, nil, err
+		}
+		if tracing {
+			args := map[string]any{"epoch": ep.Index, "slices": len(ep.Schedule)}
+			if r.sequential {
+				args["syscalls"] = len(ep.Syscalls)
+			}
+			out.Span("replay.epoch", cycles, c, pid, 0, args)
+			out.Splice(slices, cycles, pid, 0)
+		}
+		cycles += c
+	}
+	if sg.hi == r.src.NumEpochs() {
+		if h, want := m.StateHash(), r.src.FinalHash(); h != want {
+			return 0, nil, fmt.Errorf("replay: final hash %016x != recorded %016x", h, want)
+		}
+	}
+	return cycles, m, nil
+}
+
+// runEpoch replays one epoch on m, which must hold its start state, at
+// batch speed and returns its modelled cost. A non-nil buf receives the
+// epoch's timeslices with epoch-local timestamps.
+func runEpoch(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel, buf *trace.Sink) (int64, error) {
+	st, err := NewStepper(m, ep, quantum, costs)
+	if err != nil {
+		return 0, err
+	}
+	st.uni.Trace = buf
+	return st.Run()
+}
+
+// Run replays src against prog under the plan opt describes and verifies
+// every epoch boundary hash and the recording's final hash. Segments
+// fetch their epochs one at a time, so over a seekable log reader each
+// decodes only its own sections, concurrently with the others. The
+// context is checked before each segment's checkpoint restore and before
+// each epoch; a canceled or expired one ends the replay with its error
+// wrapped. A nil context never cancels.
+func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Result, error) {
+	r := newReplayer(ctx, prog, src, opt.Costs)
+	r.sequential = len(opt.Boundaries) == 0
+	n := src.NumEpochs()
+	segs, err := plan(opt.Boundaries, n)
+	if err != nil {
+		return nil, err
+	}
+	cpus := max(opt.CPUs, 1)
+	sink, tracing := opt.Trace, trace.Enabled(opt.Trace)
 	var pid int64
-	if trace.Enabled(sink) {
+	if tracing && r.sequential {
 		pid = sink.AllocPid("replay " + src.Program() + " (sequential)")
 		sink.NameThread(pid, 0, "epochs")
 	}
-	m := vm.NewMachine(prog, nil, costs)
-	var gp *profile.Profiler
-	if prof != nil {
-		gp = profile.New(prog)
-		gp.Attach(m)
-	}
-	res := &Result{}
-	for i, n := 0, src.NumEpochs(); i < n; i++ {
-		ep, err := src.EpochAt(i)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctxErr(ctx, ep.Index); err != nil {
-			return nil, err
-		}
-		if h := m.StateHash(); h != ep.StartHash {
-			return nil, fmt.Errorf("replay: epoch %d: start state hash %016x != recorded %016x",
-				ep.Index, h, ep.StartHash)
-		}
-		var buf *trace.Sink
-		if trace.Enabled(sink) {
-			buf = trace.NewSink()
-		}
-		c, err := runEpochPhase(ctx, m, ep, costs, src.Quantum(), buf)
-		if err != nil {
-			return nil, err
-		}
-		if trace.Enabled(sink) {
-			sink.Span("replay.epoch", res.Cycles, c, pid, 0, map[string]any{
-				"epoch": ep.Index, "slices": len(ep.Schedule), "syscalls": len(ep.Syscalls),
-			})
-			sink.Splice(buf, res.Cycles, pid, 0)
-		}
-		res.Cycles += c
-		res.Epochs++
-	}
-	res.FinalHash = m.StateHash()
-	if want := src.FinalHash(); res.FinalHash != want {
-		return nil, fmt.Errorf("replay: final hash %016x != recorded %016x", res.FinalHash, want)
-	}
-	if gp != nil {
-		prof.Merge(gp.Snapshot())
-	}
-	return res, nil
-}
 
-// Parallel replays every epoch concurrently from the retained epoch-start
-// checkpoints, using real host goroutines — the epochs are independent
-// machines sharing pages copy-on-write. The modelled wall time is the
-// makespan of packing epoch durations onto cpus cores. A non-nil sink
-// receives one "replay.epoch" span per epoch at its packed position, on a
-// track per modelled core.
-func Parallel(prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return ParallelCtx(nil, prog, rec, boundaries, cpus, costs, sink)
-}
-
-// ParallelCtx is Parallel with cooperative cancellation: each epoch's
-// worker checks the context before restoring its checkpoint, so a
-// canceled context stops the fan-out promptly. A nil context never
-// cancels.
-func ParallelCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return parallelCtx(ctx, prog, rec, boundaries, cpus, costs, sink, nil)
-}
-
-// ParallelProfiled is ParallelCtx with a guest profile: each epoch worker
-// profiles its own machine and the per-epoch profiles are merged into prof
-// after the fan-out completes. Merging is commutative over canonical stack
-// keys, so the result is byte-identical to the sequential strategy's
-// profile no matter how the epochs interleave. A nil prof disables
-// profiling.
-func ParallelProfiled(ctx context.Context, prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return parallelCtx(ctx, prog, rec, boundaries, cpus, costs, sink, prof)
-}
-
-func parallelCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, boundaries []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
-	}
-	if cpus < 1 {
-		cpus = 1
-	}
-	if len(boundaries) != len(rec.Epochs)+1 {
-		return nil, fmt.Errorf("replay: %d boundaries for %d epochs", len(boundaries), len(rec.Epochs))
-	}
-
-	durs := make([]int64, len(rec.Epochs))
-	errs := make([]error, len(rec.Epochs))
-	bufs := make([]*trace.Sink, len(rec.Epochs))
-	profs := make([]*profile.Profile, len(rec.Epochs))
+	durs := make([]int64, len(segs))
+	errs := make([]error, len(segs))
+	bufs := make([]*trace.Sink, len(segs))
+	profs := make([]*profile.Profile, len(segs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, cpus)
-	for i, ep := range rec.Epochs {
-		if boundaries[i].Hash != ep.StartHash {
-			return nil, fmt.Errorf("replay: epoch %d: checkpoint hash %016x != recorded start %016x",
-				ep.Index, boundaries[i].Hash, ep.StartHash)
-		}
-		if trace.Enabled(sink) {
+	for i, sg := range segs {
+		// The single sequential segment streams straight into the sink;
+		// a packed segment's position is only known after the fan-out.
+		out := sink
+		if tracing && !r.sequential {
 			bufs[i] = trace.NewSink()
+			out = bufs[i]
 		}
 		wg.Add(1)
-		go func(i int, ep *dplog.EpochLog) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if errs[i] = ctxErr(ctx, ep.Index); errs[i] != nil {
-				return
-			}
-			m := boundaries[i].CP.Restore(prog, nil, costs)
 			var gp *profile.Profiler
-			if prof != nil {
+			if opt.Profile != nil {
 				gp = profile.New(prog)
-				gp.Attach(m)
 			}
-			durs[i], errs[i] = runEpochPhase(ctx, m, ep, costs, rec.Quantum, bufs[i])
+			// The dp.phase=replay pprof label attributes the work in host
+			// CPU profiles; it is free when none is active.
+			profile.WithPhase(ctx, "replay", func() {
+				durs[i], _, errs[i] = r.segment(sg, gp, out, pid, nil)
+			})
 			if gp != nil && errs[i] == nil {
 				profs[i] = gp.Snapshot()
 			}
-		}(i, ep)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -314,27 +279,34 @@ func parallelCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, bo
 			return nil, err
 		}
 	}
-	if prof != nil {
-		for _, p := range profs {
-			prof.Merge(p)
-		}
+	for _, p := range profs {
+		opt.Profile.Merge(p)
 	}
 
 	slots, wall := pack(durs, cpus)
-	if trace.Enabled(sink) {
-		pid := sink.AllocPid("replay " + rec.Program + " (epoch-parallel)")
+	if tracing && !r.sequential {
+		// The vocabulary follows the plan's shape, not a caller-set mode:
+		// one epoch per segment is epoch-parallel replay.
+		label, wrap := " (epoch-parallel)", false
+		for _, sg := range segs {
+			if sg.hi-sg.lo != 1 {
+				label, wrap = " (sparse segments)", true
+			}
+		}
+		pid := sink.AllocPid("replay " + src.Program() + label)
 		for c := 0; c < cpus; c++ {
 			sink.NameThread(pid, int64(c), fmt.Sprintf("core %d", c))
 		}
-		for i, ep := range rec.Epochs {
+		for i, sg := range segs {
 			s := slots[i]
-			sink.Span("replay.epoch", s.start, s.fin-s.start, pid, int64(s.core),
-				map[string]any{"epoch": ep.Index, "slices": len(ep.Schedule)})
+			if wrap {
+				sink.Span("replay.segment", s.start, s.fin-s.start, pid, int64(s.core),
+					map[string]any{"start_epoch": sg.start.Index, "epochs": sg.hi - sg.lo})
+			}
 			sink.Splice(bufs[i], s.start, pid, int64(s.core))
 		}
 	}
-
-	return &Result{Cycles: wall, FinalHash: rec.FinalHash, Epochs: len(rec.Epochs)}, nil
+	return &Result{Cycles: wall, FinalHash: src.FinalHash(), Epochs: n}, nil
 }
 
 // packSlot is one duration's placement in the greedy packing.
@@ -365,248 +337,37 @@ func pack(durs []int64, cpus int) ([]packSlot, int64) {
 	return slots, wall
 }
 
-// ParallelSparse replays from a thinned set of retained checkpoints:
-// each retained boundary anchors a segment of consecutive epochs replayed
-// sequentially, and segments run concurrently. This trades replay
-// parallelism for checkpoint memory — with stride k, only 1/k of the
-// epoch-start checkpoints need to be kept.
-//
-// The sparse slice must be ordered by Boundary.Index, start at epoch 0, and
-// its boundaries must be epoch boundaries of rec (core.Result.ThinBoundaries
-// produces a valid set). A non-nil sink receives one "replay.segment" span
-// per segment at its packed position, with the segment's "replay.epoch"
-// spans and timeslices nested inside.
-func ParallelSparse(prog *vm.Program, rec *dplog.Recording, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return ParallelSparseCtx(nil, prog, rec, sparse, cpus, costs, sink)
-}
-
-// ParallelSparseCtx is ParallelSparse with cooperative cancellation,
-// checked before each epoch within every segment. A nil context never
-// cancels.
-func ParallelSparseCtx(ctx context.Context, prog *vm.Program, rec *dplog.Recording, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, recSource{rec}, sparse, cpus, costs, sink, nil)
-}
-
-// ParallelSparseProfiled is ParallelSparseCtx with a guest profile: each
-// segment worker profiles its own machine and the per-segment profiles are
-// merged into prof after the fan-out completes. A nil prof disables
-// profiling.
-func ParallelSparseProfiled(ctx context.Context, prog *vm.Program, rec *dplog.Recording, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	return parallelSparseSrc(ctx, prog, recSource{rec}, sparse, cpus, costs, sink, prof)
-}
-
-// parallelSparseSrc is the sparse segment-parallel strategy over any
-// epoch source. Segments fetch their epochs one at a time, so over a
-// seekable log reader each segment decodes only its own sections — and
-// does so concurrently with the other segments, instead of one up-front
-// sequential decode of the whole file.
-func parallelSparseSrc(ctx context.Context, prog *vm.Program, src Source, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder, prof *profile.Profile) (*Result, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
-	}
-	if cpus < 1 {
-		cpus = 1
-	}
-	if len(sparse) == 0 || sparse[0].Index != 0 {
-		return nil, fmt.Errorf("replay: sparse boundaries must start at epoch 0")
-	}
-
-	n := src.NumEpochs()
-	// Segment k covers epochs [sparse[k].Index, end_k) where end_k is the
-	// next boundary's index (or the end of the recording).
-	type segment struct {
-		start  *epoch.Boundary
-		lo, hi int // epoch positions [lo, hi)
-	}
-	var segs []segment
-	for k, b := range sparse {
-		end := n
-		if k+1 < len(sparse) {
-			end = sparse[k+1].Index
-		}
-		if b.Index > end || end > n {
-			return nil, fmt.Errorf("replay: sparse boundary %d covers invalid range [%d,%d)", k, b.Index, end)
-		}
-		if b.Index == end {
-			continue // trailing boundary
-		}
-		first, err := src.EpochAt(b.Index)
-		if err != nil {
-			return nil, err
-		}
-		if b.Hash != first.StartHash {
-			return nil, fmt.Errorf("replay: boundary for epoch %d has hash %016x, recording says %016x",
-				b.Index, b.Hash, first.StartHash)
-		}
-		segs = append(segs, segment{start: b, lo: b.Index, hi: end})
-	}
-
-	durs := make([]int64, len(segs))
-	errs := make([]error, len(segs))
-	bufs := make([]*trace.Sink, len(segs))
-	profs := make([]*profile.Profile, len(segs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cpus)
-	for i, sg := range segs {
-		if trace.Enabled(sink) {
-			bufs[i] = trace.NewSink()
-		}
-		wg.Add(1)
-		go func(i int, sg segment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			segbuf := bufs[i]
-			m := sg.start.CP.Restore(prog, nil, costs)
-			var gp *profile.Profiler
-			if prof != nil {
-				gp = profile.New(prog)
-				gp.Attach(m)
-			}
-			for pos := sg.lo; pos < sg.hi; pos++ {
-				ep, err := src.EpochAt(pos)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if errs[i] = ctxErr(ctx, ep.Index); errs[i] != nil {
-					return
-				}
-				if h := m.StateHash(); h != ep.StartHash {
-					errs[i] = fmt.Errorf("replay: epoch %d: segment state %016x != recorded start %016x",
-						ep.Index, h, ep.StartHash)
-					return
-				}
-				var epb *trace.Sink
-				if segbuf.Enabled() {
-					epb = trace.NewSink()
-				}
-				c, err := runEpochPhase(ctx, m, ep, costs, src.Quantum(), epb)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if segbuf.Enabled() {
-					segbuf.Span("replay.epoch", durs[i], c, 0, 0,
-						map[string]any{"epoch": ep.Index, "slices": len(ep.Schedule)})
-					segbuf.Splice(epb, durs[i], 0, 0)
-				}
-				durs[i] += c
-			}
-			if gp != nil {
-				profs[i] = gp.Snapshot()
-			}
-		}(i, sg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if prof != nil {
-		for _, p := range profs {
-			prof.Merge(p)
-		}
-	}
-
-	slots, wall := pack(durs, cpus)
-	if trace.Enabled(sink) {
-		pid := sink.AllocPid("replay " + src.Program() + " (sparse segments)")
-		for c := 0; c < cpus; c++ {
-			sink.NameThread(pid, int64(c), fmt.Sprintf("core %d", c))
-		}
-		for i, sg := range segs {
-			s := slots[i]
-			sink.Span("replay.segment", s.start, s.fin-s.start, pid, int64(s.core),
-				map[string]any{"start_epoch": sg.start.Index, "epochs": sg.hi - sg.lo})
-			sink.Splice(bufs[i], s.start, pid, int64(s.core))
-		}
-	}
-	return &Result{Cycles: wall, FinalHash: src.FinalHash(), Epochs: n}, nil
-}
-
-// Checkpoints reconstructs the epoch-start boundaries of a recording by
-// replaying it sequentially and capturing a machine checkpoint at each
-// epoch start. It returns len(rec.Epochs)+1 boundaries (one per epoch
-// start plus the final state), verifying every start hash along the way,
-// so the result is valid input for [Parallel] and — thinned with [Thin] —
-// [ParallelSparse].
+// CheckpointsFrom reconstructs the epoch-start boundaries of a recording
+// by replaying it as one sequential segment and capturing a machine
+// checkpoint at each verified epoch start. It returns NumEpochs+1
+// boundaries (one per epoch start plus the final state), valid input for
+// [Options.Boundaries] whole or thinned with [Thin].
 //
 // This is what lets a recording artifact loaded from disk be replayed in
 // parallel: the original recording process held the checkpoints in
 // memory, but a stored dplog carries only the logs, and one sequential
-// pass rebuilds the rest. The boundaries' World is nil — parallel replay
-// injects recorded syscall results and never consults a simulated OS.
-func Checkpoints(ctx context.Context, prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel) ([]*epoch.Boundary, error) {
-	return CheckpointsFrom(ctx, prog, recSource{rec}, costs)
-}
-
-// CheckpointsFrom is the boundary-reconstruction pass over any epoch
-// source — the single implementation behind Checkpoints and
-// CheckpointsReader, and the one the debug session uses to materialize
-// its seek targets.
+// pass rebuilds the rest. The boundaries' World is nil — replay injects
+// recorded syscall results and never consults a simulated OS.
 func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel) ([]*epoch.Boundary, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
-	}
-	m := vm.NewMachine(prog, nil, costs)
 	n := src.NumEpochs()
 	out := make([]*epoch.Boundary, 0, n+1)
-	var cycles int64
-	for i := 0; i < n; i++ {
-		ep, err := src.EpochAt(i)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctxErr(ctx, ep.Index); err != nil {
-			return nil, err
-		}
-		if h := m.StateHash(); h != ep.StartHash {
-			return nil, fmt.Errorf("replay: checkpoints: epoch %d start hash %016x != recorded %016x",
-				ep.Index, h, ep.StartHash)
-		}
+	capture := func(m *vm.Machine, index int, hash uint64, cycles int64) {
 		out = append(out, &epoch.Boundary{
-			Index:       ep.Index,
-			Cycle:       cycles,
-			CP:          m.Checkpoint(),
-			Hash:        ep.StartHash,
-			MappedPages: m.Mem.PageCount(),
+			Index: index, Cycle: cycles, CP: m.Checkpoint(), Hash: hash, MappedPages: m.Mem.PageCount(),
 		})
-		c, err := runEpoch(m, ep, costs, src.Quantum(), nil)
-		if err != nil {
-			return nil, err
-		}
-		cycles += c
 	}
-	if h, want := m.StateHash(), src.FinalHash(); h != want {
-		return nil, fmt.Errorf("replay: checkpoints: final hash %016x != recorded %016x", h, want)
+	cycles, m, err := newReplayer(ctx, prog, src, costs).segment(segment{hi: n}, nil, nil, 0,
+		func(m *vm.Machine, ep *dplog.EpochLog, cycles int64) { capture(m, ep.Index, ep.StartHash, cycles) })
+	if err != nil {
+		return nil, err
 	}
-	out = append(out, &epoch.Boundary{
-		Index:       n,
-		Cycle:       cycles,
-		CP:          m.Checkpoint(),
-		Hash:        src.FinalHash(),
-		MappedPages: m.Mem.PageCount(),
-	})
+	capture(m, n, src.FinalHash(), cycles)
 	return out, nil
-}
-
-// RunOneEpoch replays one epoch on m, which must hold the epoch's start
-// state, and verifies the recorded end hash. It is runEpoch exported for
-// the debug session's checkpoint materialization: restore a boundary,
-// run whole epochs at full speed, and only fall back to instruction
-// stepping (the Stepper) inside the epoch of interest.
-func RunOneEpoch(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel) (int64, error) {
-	if costs == nil {
-		costs = vm.DefaultCosts()
-	}
-	return runEpoch(m, ep, costs, quantum, nil)
 }
 
 // Thin returns every stride-th boundary, always keeping the first and
 // last — the same thinning core.Result.ThinBoundaries applies to live
-// checkpoints, usable on the reconstructed set from [Checkpoints].
+// checkpoints, usable on the reconstructed set from [CheckpointsFrom].
 func Thin(bs []*epoch.Boundary, stride int) []*epoch.Boundary {
 	if stride <= 1 {
 		return bs

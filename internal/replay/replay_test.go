@@ -1,11 +1,14 @@
 package replay_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"doubleplay/internal/core"
 	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
@@ -29,6 +32,33 @@ func recordWorkload(t *testing.T, name string, workers int) (*vm.Program, *core.
 	return bt.Prog, res
 }
 
+// plan is one way of cutting a recording into concurrently replayed
+// segments: the checkpoints handed to replay.Run.
+type plan struct {
+	name       string
+	boundaries []*epoch.Boundary
+}
+
+// plans returns the three plan shapes over a recording's retained
+// checkpoints: sequential, epoch-parallel, and sparse segments.
+func plans(res *core.Result) []plan {
+	return []plan{
+		{"sequential", nil},
+		{"epoch-parallel", res.Boundaries},
+		{"sparse", res.ThinBoundaries(2)},
+	}
+}
+
+// sources returns rec behind both Source implementations.
+func sources(t *testing.T, rec *dplog.Recording) map[string]replay.Source {
+	t.Helper()
+	rd, err := dplog.OpenReaderBytes(dplog.MarshalBytes(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]replay.Source{"recording": replay.FromRecording(rec), "reader": replay.FromReader(rd)}
+}
+
 func TestSequentialVerifiesEveryBoundary(t *testing.T) {
 	prog, res := recordWorkload(t, "kvdb", 2)
 	rep, err := replay.Sequential(prog, res.Recording, nil, nil)
@@ -49,7 +79,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := replay.Parallel(prog, res.Recording, res.Boundaries, 4, nil, nil)
+	src := replay.FromRecording(res.Recording)
+	par, err := replay.Run(context.Background(), prog, src, replay.Options{Boundaries: res.Boundaries, CPUs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,20 +138,63 @@ func TestCorruptedSyscallResultRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptedFinalHashRejected: a recording whose header FinalHash does
+// not match its last epoch is rejected under every plan and from both
+// sources — Result.FinalHash is never a header value nobody compared to
+// the replayed state.
 func TestCorruptedFinalHashRejected(t *testing.T) {
 	prog, res := recordWorkload(t, "kvdb", 2)
 	res.Recording.FinalHash ^= 1
-	_, err := replay.Sequential(prog, res.Recording, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "final hash") {
-		t.Fatalf("err = %v", err)
+	for srcName, src := range sources(t, res.Recording) {
+		for _, p := range plans(res) {
+			_, err := replay.Run(context.Background(), prog, src, replay.Options{Boundaries: p.boundaries, CPUs: 2})
+			if err == nil || !strings.Contains(err.Error(), "final hash") {
+				t.Errorf("%s/%s: err = %v", srcName, p.name, err)
+			}
+		}
 	}
 }
 
-func TestParallelBoundaryCountMismatch(t *testing.T) {
+// TestCanceledContextStopsEveryPlan: a context canceled before the replay
+// starts ends every plan with an error wrapping context.Canceled (checked
+// before any checkpoint is restored).
+func TestCanceledContextStopsEveryPlan(t *testing.T) {
 	prog, res := recordWorkload(t, "kvdb", 2)
-	_, err := replay.Parallel(prog, res.Recording, res.Boundaries[:1], 2, nil, nil)
-	if err == nil {
-		t.Fatal("boundary count mismatch accepted")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range plans(res) {
+		_, err := replay.Run(ctx, prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: p.boundaries, CPUs: 2})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", p.name, err)
+		}
+	}
+}
+
+// TestBadBoundarySetsRejected covers what is illegal in a boundary set;
+// any subset of a recording's boundaries that keeps epoch 0 is a plan.
+func TestBadBoundarySetsRejected(t *testing.T) {
+	prog, res := recordWorkload(t, "kvdb", 2)
+	src := replay.FromRecording(res.Recording)
+	bs := res.Boundaries
+	if len(bs) < 3 {
+		t.Skip("workload produced fewer than 2 epochs")
+	}
+	// One boundary is a legal plan: a single segment from epoch 0.
+	if _, err := replay.Run(context.Background(), prog, src, replay.Options{Boundaries: bs[:1], CPUs: 2}); err != nil {
+		t.Fatalf("one-boundary plan: %v", err)
+	}
+	outOfRange := *bs[1]
+	outOfRange.Index = len(res.Recording.Epochs) + 1
+	wrongState := *bs[1]
+	wrongState.CP, wrongState.Hash = bs[2].CP, bs[2].Hash
+	for name, bad := range map[string][]*epoch.Boundary{
+		"not starting at epoch 0": bs[1:],
+		"out-of-range index":      {bs[0], &outOfRange},
+		"start-hash mismatch":     {bs[0], &wrongState},
+	} {
+		if _, err := replay.Run(context.Background(), prog, src, replay.Options{Boundaries: bad, CPUs: 2}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

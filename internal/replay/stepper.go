@@ -1,17 +1,21 @@
-// Resumable single-epoch execution: the Stepper replays one epoch one
-// retired guest instruction at a time, pausing between instructions with
-// the machine in a fully inspectable state. It is runEpoch unrolled into
-// an iterator — same injectors, same scheduler decisions, same cycle
-// accounting — so a fully stepped epoch lands on exactly the state and
-// cost runEpoch computes. The debug session (internal/debug) is built on
-// it: every stop point a debugger can reach is "boundary checkpoint +
-// k Stepper.Step calls", which is what makes positions comparable across
-// replay strategies.
+// Single-epoch execution, the one place an epoch is replayed: a Stepper
+// wires an epoch's injectors into a machine and drives a sched.Uni over
+// it, either to completion at batch speed (Run — what every replay plan
+// and checkpoint reconstruction does per epoch) or one retired guest
+// instruction at a time (Step), pausing between instructions with the
+// machine in a fully inspectable state. Both are the same scheduler
+// advanced by different amounts, so a stepped epoch lands on exactly the
+// state and cost a batch replay computes. The debug session
+// (internal/debug) is built on it: every stop point a debugger can reach
+// is "boundary checkpoint + k Stepper.Step calls", which is what makes
+// positions comparable across replay plans.
 
 package replay
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
@@ -28,45 +32,36 @@ type StepEvent struct {
 	// Signal marks the event as a signal delivery rather than the
 	// instruction at PC executing.
 	Signal bool
-	// Cost is the instruction's modelled cycle charge.
-	Cost int64
 }
 
-// Stepper executes one epoch instruction by instruction. Scheduled
-// (non-certified) epochs follow the recorded timeslice schedule exactly
-// as sched.Uni.runFollow does; certified epochs free-run round-robin
-// under the recorded sync-order gate exactly as the certified replay
-// path does. The epoch's end-state verification (remaining injections,
-// end hash, certificate checks) runs inside the Step call that retires
-// the final instruction, so a Stepper that reports Done has proved the
-// epoch reproduced the recording.
+// Stepper executes one epoch on a sched.Uni it can pause: scheduled
+// (non-certified) epochs follow the recorded timeslice schedule, certified
+// epochs carry no schedule and free-run round-robin under the recorded
+// sync-order gate, exactly like the epoch-parallel logging run the
+// recorder skipped. The Stepper owns what is replay's own — the syscall
+// and signal injectors, the gate, the cost formula and the end-of-epoch
+// verification, which runs inside the call that retires the final
+// instruction, so a Stepper that reports Done has proved the epoch
+// reproduced the recording.
 type Stepper struct {
-	m       *vm.Machine
-	ep      *dplog.EpochLog
-	costs   *vm.CostModel
-	inj     *epoch.InjectOS
-	sigs    *epoch.InjectSignals
-	gate    *epoch.Gate // non-nil iff the epoch is certified
-	quantum int64
+	m     *vm.Machine
+	ep    *dplog.EpochLog
+	costs *vm.CostModel
+	uni   *sched.Uni
+	inj   *epoch.InjectOS
+	sigs  *epoch.InjectSignals
+	gate  *epoch.Gate // non-nil iff the epoch is certified
 
-	// follow-mode cursor: position in ep.Schedule and retirements within
-	// the current slice.
-	si        int
-	sliceDone uint64
+	// Step's retire hook (built once), the hook it stands in front of,
+	// and the event it caught.
+	hook, outer func(t *vm.Thread, pc int, cost int64)
+	ev          StepEvent
 
-	// free-mode cursor: round-robin position, current thread (-1 between
-	// slices), and retirements within the current slice.
-	cursor       int
-	curTid       int
-	sliceRetired int64
-
-	steps  uint64
-	cycles int64
-	done   bool
-	err    error
+	done bool
+	err  error
 }
 
-// NewStepper prepares m — which must hold ep's start state — for stepped
+// NewStepper prepares m — which must hold ep's start state — for
 // execution of ep. It wires the epoch's syscall and signal injectors
 // (and, for certified epochs, the sync-order gate) into the machine,
 // replacing whatever a previous epoch's Stepper installed. quantum is
@@ -78,33 +73,29 @@ func NewStepper(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.Cost
 	if costs == nil {
 		costs = vm.DefaultCosts()
 	}
-	s := &Stepper{m: m, ep: ep, costs: costs, quantum: quantum, curTid: -1}
+	s := &Stepper{m: m, ep: ep, costs: costs, uni: sched.NewUni(m)}
 	s.inj = epoch.NewInjectOS(ep.Syscalls)
 	m.OS = s.inj
 	s.sigs = epoch.NewInjectSignals(ep.Signals)
 	m.Hooks.PendingSignal = s.sigs.Pending
 	m.Hooks.MayAcquire = nil
 	m.Hooks.OnSync = nil
+	s.uni.Targets = ep.Targets
 	if ep.Certified {
 		s.gate = epoch.NewGate(ep.SyncOrder)
 		m.Hooks.MayAcquire = s.gate.MayAcquire
 		m.Hooks.OnSync = s.gate.OnSync
-		if s.quantum <= 0 {
-			s.quantum = sched.DefaultQuantum
+		if quantum > 0 {
+			s.uni.Quantum = quantum
 		}
-		// The epoch may hold no work at all; detect it the way runFree
-		// would, before the first Step call.
-		if met, err := s.targetsMet(); err != nil {
-			return nil, s.fail(err)
-		} else if met {
-			if err := s.finish(); err != nil {
-				return nil, err
-			}
+	} else {
+		s.uni.Follow = ep.Schedule
+		if s.uni.Follow == nil {
+			s.uni.Follow = []dplog.Slice{} // an empty schedule is still a schedule
 		}
-	} else if len(ep.Schedule) == 0 {
-		if err := s.finish(); err != nil {
-			return nil, err
-		}
+	}
+	if err := s.advance(0); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -117,17 +108,16 @@ func (s *Stepper) Err() error { return s.err }
 
 // Steps returns the number of instructions retired so far. Signal
 // deliveries count: they retire, exactly as in the recorded schedule.
-func (s *Stepper) Steps() uint64 { return s.steps }
+func (s *Stepper) Steps() uint64 { return s.uni.Retired() }
 
 // Epoch returns the epoch log being stepped.
 func (s *Stepper) Epoch() *dplog.EpochLog { return s.ep }
 
-// Cycles returns the epoch cost consumed so far, on the same scale as
-// runEpoch's return: scheduler cycles plus the per-injection and (for
-// certified epochs) per-gate-op surcharges. When Done, this equals what
-// runEpoch would have returned for the whole epoch.
+// Cycles returns the modelled epoch cost consumed so far: scheduler
+// cycles plus the per-injection and (for certified epochs) per-gate-op
+// surcharges. When Done, it is the cost of replaying the whole epoch.
 func (s *Stepper) Cycles() int64 {
-	c := s.cycles + int64(s.inj.Injected)*s.costs.InjectSysEvent
+	c := s.uni.Cycles + int64(s.inj.Injected)*s.costs.InjectSysEvent
 	if s.gate != nil {
 		c += int64(s.gate.Used()) * s.costs.EnforceSyncEvent
 	}
@@ -139,47 +129,66 @@ func (s *Stepper) NextTid() (int, bool) {
 	if s.done || s.err != nil {
 		return 0, false
 	}
-	if s.gate == nil {
-		if s.si >= len(s.ep.Schedule) {
-			return 0, false
-		}
-		return s.ep.Schedule[s.si].Tid, true
+	return s.uni.Next()
+}
+
+// Run drains the rest of the epoch at batch speed and returns its cost.
+func (s *Stepper) Run() (int64, error) {
+	if err := s.advance(math.MaxUint64); err != nil {
+		return 0, err
 	}
-	if s.curTid >= 0 {
-		t := s.m.Threads[s.curTid]
-		if s.sliceRetired < s.quantum && t.Status.Live() && !t.Status.Blocked() && s.belowTarget(t) {
-			return s.curTid, true
-		}
-	}
-	// Peek the round-robin pick without consuming the cursor.
-	threads := s.m.Threads
-	n := len(threads)
-	for k := 0; k < n; k++ {
-		t := threads[(s.cursor+k)%n]
-		if t.Status == vm.Runnable && s.belowTarget(t) {
-			return t.ID, true
-		}
-	}
-	return 0, false
+	return s.Cycles(), nil
 }
 
 // Step retires exactly one guest instruction and returns what retired.
 // Calling Step on a Done or failed Stepper returns an error.
 func (s *Stepper) Step() (StepEvent, error) {
-	if s.err != nil {
-		return StepEvent{}, s.err
-	}
 	if s.done {
 		return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.ep.Index)
 	}
-	if s.gate != nil {
-		return s.stepFree()
+	// The event is read off the machine's own retire hook, installed for
+	// this one call, so the scheduler's loop carries nothing for the
+	// debugger's sake.
+	if s.hook == nil {
+		s.hook = s.onRetire
 	}
-	return s.stepFollow()
+	sigs := s.sigs.Injected
+	s.ev, s.outer, s.m.Hooks.OnRetire = StepEvent{}, s.m.Hooks.OnRetire, s.hook
+	err := s.advance(1)
+	s.m.Hooks.OnRetire = s.outer
+	s.ev.Signal = s.sigs.Injected != sigs
+	return s.ev, err
 }
 
-// fail records a sticky error, wrapped the way runEpoch or
-// runCertifiedEpoch would report it.
+// onRetire notes what Step's one instruction was and passes the
+// retirement on to whoever else was listening (a guest profiler).
+func (s *Stepper) onRetire(t *vm.Thread, pc int, cost int64) {
+	s.ev.Tid, s.ev.PC = t.ID, pc
+	if s.outer != nil {
+		s.outer(t, pc, cost)
+	}
+}
+
+// advance retires up to n instructions and, when that completes the
+// epoch, verifies it.
+func (s *Stepper) advance(n uint64) error {
+	if s.err != nil || s.done {
+		return s.err
+	}
+	done, err := s.uni.Advance(n)
+	if err != nil {
+		return s.fail(err)
+	}
+	if done {
+		return s.finish()
+	}
+	return nil
+}
+
+// fail records a sticky error. A certified epoch was committed on the
+// strength of a race-freedom certificate that says any sync-order-
+// respecting execution reaches the recorded end state, so every failure
+// of one wraps ErrCertViolated rather than reporting a divergence.
 func (s *Stepper) fail(err error) error {
 	if s.gate != nil {
 		s.err = fmt.Errorf("%w: epoch %d: %v", ErrCertViolated, s.ep.Index, err)
@@ -189,204 +198,15 @@ func (s *Stepper) fail(err error) error {
 	return s.err
 }
 
-// stepFollow advances replay mode by one retirement, mirroring
-// sched.Uni.runFollow: within a slice the named thread must retire; a
-// completed slice charges the context switch; exhausting the schedule
-// triggers end-of-epoch verification.
-func (s *Stepper) stepFollow() (StepEvent, error) {
-	sl := s.ep.Schedule[s.si]
-	if sl.Tid < 0 || sl.Tid >= len(s.m.Threads) {
-		return StepEvent{}, s.fail(fmt.Errorf("%w: slice %d names unknown thread %d", sched.ErrDiverged, s.si, sl.Tid))
-	}
-	t := s.m.Threads[sl.Tid]
-	for {
-		if !t.Status.Live() {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: slice %d: thread %d dead after %d/%d",
-				sched.ErrDiverged, s.si, sl.Tid, s.sliceDone, sl.N))
-		}
-		if t.Status.Blocked() {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: slice %d: thread %d blocked (%s) after %d/%d",
-				sched.ErrDiverged, s.si, sl.Tid, t.Status, s.sliceDone, sl.N))
-		}
-		before := t.Retired
-		sig0 := t.SigRetired
-		pc0 := t.PC
-		s.m.Now = s.cycles
-		res := s.m.Step(t)
-		if s.m.Diverged != "" {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: %s", sched.ErrDiverged, s.m.Diverged))
-		}
-		if !res.Retired {
-			continue // re-attempt resolved by barrier/lock side effects
-		}
-		s.cycles += res.Cost
-		s.sliceDone += t.Retired - before
-		s.steps++
-		ev := StepEvent{Tid: t.ID, PC: pc0, Signal: t.SigRetired != sig0, Cost: res.Cost}
-		if s.sliceDone >= sl.N {
-			if s.sliceDone != sl.N {
-				return ev, s.fail(fmt.Errorf("%w: slice %d: thread %d retired %d, slice says %d",
-					sched.ErrDiverged, s.si, sl.Tid, s.sliceDone, sl.N))
-			}
-			s.si++
-			s.sliceDone = 0
-			s.cycles += s.m.Cost.TimesliceSwitch
-			if s.si == len(s.ep.Schedule) {
-				if err := s.finish(); err != nil {
-					return ev, err
-				}
-			}
-		}
-		return ev, nil
-	}
-}
-
-// stepFree advances a certified epoch by one retirement, mirroring
-// sched.Uni.runFree/runSlice: round-robin slices bounded by the quantum,
-// with the context switch charged when a slice starts.
-func (s *Stepper) stepFree() (StepEvent, error) {
-	for {
-		if s.curTid < 0 {
-			t := s.pickNext()
-			if t == nil {
-				// Injected syscalls never block, so there is no blocked-sys
-				// state to poll out of: a stuck free run diverged.
-				return StepEvent{}, s.fail(fmt.Errorf("%w: no runnable thread before targets met\n%s",
-					sched.ErrDiverged, s.m.DescribeState()))
-			}
-			s.curTid = t.ID
-			s.sliceRetired = 0
-			s.cycles += s.m.Cost.TimesliceSwitch
-		}
-		t := s.m.Threads[s.curTid]
-		if s.sliceRetired >= s.quantum || !t.Status.Live() || t.Status.Blocked() ||
-			!s.belowTarget(t) {
-			if err := s.endSlice(); err != nil {
-				return StepEvent{}, err
-			}
-			if s.done {
-				return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.ep.Index)
-			}
-			continue
-		}
-		sig0 := t.SigRetired
-		pc0 := t.PC
-		s.m.Now = s.cycles
-		res := s.m.Step(t)
-		if s.m.Diverged != "" {
-			return StepEvent{}, s.fail(fmt.Errorf("%w: %s", sched.ErrDiverged, s.m.Diverged))
-		}
-		if !res.Retired {
-			// A failed attempt (lock contention, gate hold) ends the slice,
-			// exactly as runSlice breaks out.
-			if err := s.endSlice(); err != nil {
-				return StepEvent{}, err
-			}
-			continue
-		}
-		s.cycles += res.Cost
-		s.sliceRetired++
-		s.steps++
-		ev := StepEvent{Tid: t.ID, PC: pc0, Signal: t.SigRetired != sig0, Cost: res.Cost}
-		// If that retirement completed the epoch, verify now so Done flips
-		// inside this call — the caller must not need a failing extra Step
-		// to learn the epoch ended.
-		if !s.belowTarget(t) {
-			if met, err := s.targetsMet(); err != nil {
-				return ev, s.fail(err)
-			} else if met {
-				if err := s.finish(); err != nil {
-					return ev, err
-				}
-			}
-		}
-		return ev, nil
-	}
-}
-
-// endSlice closes the current free-run slice and, when all targets are
-// met, completes the epoch.
-func (s *Stepper) endSlice() error {
-	s.curTid = -1
-	met, err := s.targetsMet()
-	if err != nil {
-		return s.fail(err)
-	}
-	if met && !s.done {
-		return s.finish()
-	}
-	return nil
-}
-
-// belowTarget mirrors sched.Uni.belowTarget over the epoch's targets.
-func (s *Stepper) belowTarget(t *vm.Thread) bool {
-	if !t.Status.Live() {
-		return false
-	}
-	if t.ID >= len(s.ep.Targets) {
-		return false
-	}
-	return t.Retired < s.ep.Targets[t.ID]
-}
-
-// targetsMet mirrors sched.Uni.targetsMet over the epoch's targets.
-func (s *Stepper) targetsMet() (bool, error) {
-	for _, t := range s.m.Threads {
-		if t.ID >= len(s.ep.Targets) {
-			return false, fmt.Errorf("%w: thread %d not present in recording", sched.ErrDiverged, t.ID)
-		}
-		want := s.ep.Targets[t.ID]
-		switch {
-		case t.Retired == want:
-		case t.Retired < want:
-			if !t.Status.Live() {
-				return false, fmt.Errorf("%w: thread %d died at %d retired, target %d",
-					sched.ErrDiverged, t.ID, t.Retired, want)
-			}
-			return false, nil
-		default:
-			return false, fmt.Errorf("%w: thread %d overshot target %d (retired %d)",
-				sched.ErrDiverged, t.ID, want, t.Retired)
-		}
-	}
-	return true, nil
-}
-
-// pickNext mirrors sched.Uni.pickNext: round-robin scan for a runnable
-// thread below target, advancing the cursor past the pick.
-func (s *Stepper) pickNext() *vm.Thread {
-	threads := s.m.Threads
-	n := len(threads)
-	for k := 0; k < n; k++ {
-		t := threads[(s.cursor+k)%n]
-		if t.Status == vm.Runnable && s.belowTarget(t) {
-			s.cursor = (s.cursor + k + 1) % n
-			return t
-		}
-	}
-	return nil
-}
-
-// finish runs runEpoch's end-of-epoch cross-checks (plus the certified
-// path's gate checks) and detaches the gate hooks, leaving the machine
-// ready for the next epoch's Stepper.
+// finish runs the end-of-epoch cross-checks and detaches the gate hooks,
+// leaving the machine ready for the next epoch's Stepper.
 func (s *Stepper) finish() error {
-	if s.gate == nil {
-		// Follow mode reaches finish only after the schedule is consumed;
-		// the recorded targets must be met exactly.
-		met, err := s.targetsMet()
-		if err != nil {
-			return s.fail(err)
-		}
-		if !met {
-			return s.fail(sched.ErrLogExhausted)
-		}
-	} else {
+	if s.gate != nil {
 		if r := s.gate.Remaining(); r != 0 {
 			return s.fail(fmt.Errorf("%d recorded sync ops never performed", r))
 		}
 		if gateErr := s.gate.Err(); gateErr != "" {
-			return s.fail(fmt.Errorf("%s", gateErr))
+			return s.fail(errors.New(gateErr))
 		}
 		s.m.Hooks.MayAcquire = nil
 		s.m.Hooks.OnSync = nil

@@ -58,7 +58,7 @@ func TestStepperMatchesSequential(t *testing.T) {
 func TestStepperMatchesOneEpoch(t *testing.T) {
 	prog, res := recordWorkload(t, "radix", 2)
 	rec := res.Recording
-	bs, err := replay.Checkpoints(nil, prog, rec, nil)
+	bs, err := replay.CheckpointsFrom(nil, prog, replay.FromRecording(rec), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,83 @@
+package sched_test
+
+import (
+	"testing"
+
+	"doubleplay/internal/core"
+	"doubleplay/internal/epoch"
+	"doubleplay/internal/sched"
+	"doubleplay/internal/simos"
+	"doubleplay/internal/vm"
+	"doubleplay/internal/workloads"
+)
+
+// benchGuests are the layer benchmark's two guests: one compute kernel
+// and one I/O-heavy server, so a scheduler change that only costs on the
+// syscall path (injection, blocked-sys polling) still shows.
+var benchGuests = []string{"fft", "kvdb"}
+
+func buildGuest(b *testing.B, name string) *workloads.Built {
+	b.Helper()
+	wl := workloads.Get(name)
+	if wl == nil {
+		b.Fatalf("no workload %s", name)
+	}
+	return wl.Build(workloads.Params{Workers: 4, Seed: 17})
+}
+
+// BenchmarkUniFree is logging mode: round-robin timeslicing of the whole
+// guest against the live simulated OS, appending the schedule.
+func BenchmarkUniFree(b *testing.B) {
+	for _, name := range benchGuests {
+		b.Run(name, func(b *testing.B) {
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bt := buildGuest(b, name)
+				m := vm.NewMachine(bt.Prog, simos.NewOS(bt.World), nil)
+				u := sched.NewUni(m)
+				u.LogSchedule = true
+				b.StartTimer()
+				if err := u.Run(); err != nil {
+					b.Fatal(err)
+				}
+				instrs += u.Retired()
+			}
+			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+		})
+	}
+}
+
+// BenchmarkUniFollow is replay mode: every epoch of a recording followed
+// from its checkpoint with syscall results and signals injected — the
+// loop sequential replay, epoch-parallel replay and the recorder's
+// epoch-parallel run all sit on.
+func BenchmarkUniFollow(b *testing.B) {
+	for _, name := range benchGuests {
+		b.Run(name, func(b *testing.B) {
+			bt := buildGuest(b, name)
+			res, err := core.Record(bt.Prog, bt.World, core.Options{Workers: 4, SpareCPUs: 4, Seed: 17})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var instrs uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, ep := range res.Recording.Epochs {
+					b.StopTimer()
+					m := res.Boundaries[k].CP.Restore(bt.Prog, nil, nil)
+					m.OS = epoch.NewInjectOS(ep.Syscalls)
+					m.Hooks.PendingSignal = epoch.NewInjectSignals(ep.Signals).Pending
+					u := sched.NewUni(m)
+					u.Follow, u.Targets = ep.Schedule, ep.Targets
+					b.StartTimer()
+					if err := u.Run(); err != nil {
+						b.Fatal(err)
+					}
+					instrs += u.Retired()
+				}
+			}
+			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+		})
+	}
+}

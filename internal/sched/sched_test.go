@@ -324,3 +324,79 @@ func TestUniGuestDeadlockReported(t *testing.T) {
 		t.Fatal("expected a fault")
 	}
 }
+
+// TestUniAdvanceMatchesRun pins the resumable entry: a run paused every n
+// retirements makes the scheduling decisions, logs the schedule and
+// charges the cycles of one uninterrupted Run — in logging mode (quantum
+// expiry, lock hand-offs, budget) and when following the logged schedule.
+func TestUniAdvanceMatchesRun(t *testing.T) {
+	prog := counterProg(3, 400, true)
+	drain := func(u *sched.Uni, n uint64) {
+		t.Helper()
+		for {
+			before := u.Retired()
+			done, err := u.Advance(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := u.Retired() - before; got > n {
+				t.Fatalf("Advance(%d) retired %d", n, got)
+			}
+			if done {
+				return
+			}
+		}
+	}
+	same := func(mode string, n uint64, m, mRef *vm.Machine, u, ref *sched.Uni) {
+		t.Helper()
+		if m.StateHash() != mRef.StateHash() || u.Cycles != ref.Cycles || u.Switches != ref.Switches {
+			t.Fatalf("%s, Advance(%d): hash/cycles/switches %016x/%d/%d, Run gives %016x/%d/%d", mode, n,
+				m.StateHash(), u.Cycles, u.Switches, mRef.StateHash(), ref.Cycles, ref.Switches)
+		}
+		if len(u.Log) != len(ref.Log) {
+			t.Fatalf("%s, Advance(%d): logged %d slices, Run logs %d", mode, n, len(u.Log), len(ref.Log))
+		}
+		for i := range ref.Log {
+			if u.Log[i] != ref.Log[i] {
+				t.Fatalf("%s, Advance(%d): slice %d = %+v, Run logs %+v", mode, n, i, u.Log[i], ref.Log[i])
+			}
+		}
+	}
+	newFree := func() (*vm.Machine, *sched.Uni) {
+		m := vm.NewMachine(prog, nil, nil)
+		u := sched.NewUni(m)
+		u.Quantum = 64
+		u.LogSchedule = true
+		u.TotalBudget = 3000
+		return m, u
+	}
+	mRef, ref := newFree()
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if mRef.Done() || len(ref.Log) < 10 {
+		t.Fatalf("reference run: done=%v, %d slices; want a budget stop after many slices", mRef.Done(), len(ref.Log))
+	}
+	targets := make([]uint64, len(mRef.Threads))
+	for i, th := range mRef.Threads {
+		targets[i] = th.Retired
+	}
+	newFollow := func() (*vm.Machine, *sched.Uni) {
+		m := vm.NewMachine(prog, nil, nil)
+		u := sched.NewUni(m)
+		u.Follow, u.Targets = ref.Log, targets
+		return m, u
+	}
+	mFol, fol := newFollow()
+	if err := fol.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{1, 7, 64, 1000} {
+		m, u := newFree()
+		drain(u, n)
+		same("free", n, m, mRef, u, ref)
+		m, u = newFollow()
+		drain(u, n)
+		same("follow", n, m, mFol, u, fol)
+	}
+}

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/trace"
@@ -27,6 +28,11 @@ var ErrLogExhausted = errors.New("sched: schedule log exhausted before targets m
 //
 // Targets, when set, give each thread's retired-instruction count at the
 // epoch boundary; threads stop there and the run ends when all reach them.
+//
+// A run is resumable: Advance retires a bounded number of instructions and
+// pauses, and Run is Advance without a bound. Recording, batch replay and
+// the debugger's single-stepping are therefore the same loop, not copies
+// of it. Configure the exported fields before the first Advance.
 type Uni struct {
 	M       *vm.Machine
 	Quantum int64
@@ -64,7 +70,22 @@ type Uni struct {
 	// Switches counts context switches (slices executed).
 	Switches int64
 
-	cursor int // round-robin position for logging mode
+	// Loop cursors. They live here rather than in Run's locals so that
+	// Advance can pause between any two retirements and resume exactly
+	// where it stopped.
+	started      bool
+	startRetired uint64 // machine-wide retired count at the first Advance
+	sliceStart   int64  // Cycles when the current slice began
+
+	// Follow mode: position in Follow and retirements within that slice.
+	si        int
+	sliceDone uint64
+
+	// Free mode: round-robin position, the thread whose slice is open
+	// (nil between slices) and retirements within that slice.
+	cursor       int
+	cur          *vm.Thread
+	sliceRetired int64
 }
 
 // NewUni builds a uniprocessor scheduler over m.
@@ -124,10 +145,54 @@ func (u *Uni) targetsMet() (bool, error) {
 // Run executes until targets are met (or the machine terminates, when
 // Targets is nil).
 func (u *Uni) Run() error {
-	if u.Follow != nil {
-		return u.runFollow()
+	_, err := u.Advance(math.MaxUint64)
+	return err
+}
+
+// Advance retires at most n more instructions and pauses, leaving the
+// machine between two instructions in a fully inspectable state; done
+// reports that the run is complete (it is detected inside the call that
+// retires the final instruction). A later call resumes exactly where this
+// one stopped, so any sequence of Advance calls makes the scheduling
+// decisions, and charges the cycles, of one uninterrupted Run. (Blocked
+// syscalls that complete while the CPU idles — live-OS runs only — retire
+// outside the count.)
+func (u *Uni) Advance(n uint64) (done bool, err error) {
+	if !u.started {
+		u.started = true
+		u.startRetired = u.totalRetired()
 	}
-	return u.runFree()
+	if u.Follow != nil {
+		return u.advanceFollow(n)
+	}
+	return u.advanceFree(n)
+}
+
+// Retired returns the instructions retired since the first Advance.
+func (u *Uni) Retired() uint64 {
+	if !u.started {
+		return 0
+	}
+	return u.totalRetired() - u.startRetired
+}
+
+// Next reports which thread the next retirement is scheduled on, when
+// known. It consumes nothing: in free mode it peeks the round-robin pick.
+func (u *Uni) Next() (tid int, ok bool) {
+	if u.Follow != nil {
+		if u.si >= len(u.Follow) {
+			return 0, false
+		}
+		return u.Follow[u.si].Tid, true
+	}
+	t := u.cur
+	if t == nil || u.sliceRetired >= u.Quantum || !u.canRun(t) {
+		_, t = u.scan()
+	}
+	if t == nil {
+		return 0, false
+	}
+	return t.ID, true
 }
 
 // totalRetired sums retired instructions across all threads.
@@ -139,34 +204,47 @@ func (u *Uni) totalRetired() uint64 {
 	return n
 }
 
-// runFree is logging mode: round-robin with quantum, appending slices.
-func (u *Uni) runFree() error {
-	startRetired := u.totalRetired()
+// advanceFree is logging mode: round-robin with quantum, appending slices.
+func (u *Uni) advanceFree(n uint64) (bool, error) {
 	for {
-		if u.TotalBudget > 0 && u.totalRetired()-startRetired >= u.TotalBudget {
-			return nil
-		}
-		done, err := u.targetsMet()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		t := u.pickNext()
-		if t == nil {
-			if u.pollBlockedSys() {
-				continue
+		if u.cur == nil {
+			if u.TotalBudget > 0 && u.totalRetired()-u.startRetired >= u.TotalBudget {
+				return true, nil
 			}
-			return fmt.Errorf("%w\n%s", u.stuckErr(), u.M.DescribeState())
+			done, err := u.targetsMet()
+			if err != nil || done {
+				return done, err
+			}
+			if n == 0 {
+				return false, nil
+			}
+			t := u.pickNext()
+			if t == nil {
+				if u.pollBlockedSys() {
+					continue
+				}
+				return false, fmt.Errorf("%w\n%s", u.stuckErr(), u.M.DescribeState())
+			}
+			u.cur = t
+			u.sliceRetired = 0
+			u.Switches++
+			u.Cycles += u.M.Cost.TimesliceSwitch
+			u.sliceStart = u.Cycles
 		}
-		retired, err := u.runSlice(t, u.Quantum)
-		if err != nil {
-			return err
+		retired, paused, err := u.runSlice(u.cur, n)
+		n -= uint64(retired - u.sliceRetired)
+		u.sliceRetired = retired
+		if err != nil || paused {
+			return false, err
 		}
 		if retired > 0 {
-			u.appendSlice(t.ID, retired)
+			if trace.Enabled(u.Trace) {
+				u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, u.TraceTid,
+					map[string]any{"tid": u.cur.ID, "retired": uint64(retired)})
+			}
+			u.appendSlice(u.cur.ID, uint64(retired))
 		}
+		u.cur = nil
 	}
 }
 
@@ -179,18 +257,27 @@ func (u *Uni) stuckErr() error {
 	return ErrDeadlock
 }
 
-// pickNext scans round-robin for a runnable thread below target.
-func (u *Uni) pickNext() *vm.Thread {
+// scan finds the next runnable thread below target in round-robin order
+// and its distance from the cursor, without moving the cursor.
+func (u *Uni) scan() (int, *vm.Thread) {
 	threads := u.M.Threads
 	n := len(threads)
 	for k := 0; k < n; k++ {
 		t := threads[(u.cursor+k)%n]
 		if t.Status == vm.Runnable && u.belowTarget(t) {
-			u.cursor = (u.cursor + k + 1) % n
-			return t
+			return k, t
 		}
 	}
-	return nil
+	return 0, nil
+}
+
+// pickNext takes scan's pick and moves the cursor past it.
+func (u *Uni) pickNext() *vm.Thread {
+	k, t := u.scan()
+	if t != nil {
+		u.cursor = (u.cursor + k + 1) % len(u.M.Threads)
+	}
+	return t
 }
 
 // pollBlockedSys advances time and re-attempts syscall-blocked threads; it
@@ -209,60 +296,55 @@ func (u *Uni) pollBlockedSys() bool {
 	}
 	u.Cycles += sysPollInterval
 	u.M.Now = u.Cycles
-	progressed := false
 	for _, t := range u.M.Threads {
 		if t.Status != vm.BlockedSys || !u.belowTarget(t) {
 			continue
 		}
-		res := u.M.Step(t)
-		if res.Retired {
+		// A thread that retires here and turns runnable is scheduled
+		// normally by the round-robin loop from then on.
+		if res := u.M.Step(t); res.Retired {
 			u.Cycles += res.Cost
-			progressed = true
-			if t.Status == vm.Runnable {
-				// Let the round-robin loop schedule it normally from here.
-				continue
-			}
 		}
 	}
 	// Even with no retirement, time moved forward; the caller loops and the
 	// livelock guard is the simulated clock itself (world events are finite).
-	_ = progressed
 	return true
 }
 
-// runSlice runs t until quantum retirements, a block, its target, or
-// machine/thread termination. It returns the number retired.
-func (u *Uni) runSlice(t *vm.Thread, quantum int64) (uint64, error) {
-	u.Switches++
-	u.Cycles += u.M.Cost.TimesliceSwitch
-	sliceStart := u.Cycles
-	var retired uint64
-	for int64(retired) < quantum {
-		if !t.Status.Live() || t.Status.Blocked() {
-			break
-		}
-		if u.Targets != nil && !u.belowTarget(t) {
-			break
+// canRun reports whether t can retire further inside its open slice.
+func (u *Uni) canRun(t *vm.Thread) bool {
+	return !t.Status.Blocked() && u.belowTarget(t)
+}
+
+// runSlice continues t's open slice until the quantum, n further
+// retirements, a block, its target, or machine/thread termination. It
+// returns the slice's retirement count so far, and paused when only the n
+// bound stopped a slice that can still continue.
+func (u *Uni) runSlice(t *vm.Thread, n uint64) (retired int64, paused bool, err error) {
+	retired = u.sliceRetired
+	stop := u.Quantum
+	if n < uint64(stop-retired) {
+		stop = retired + int64(n)
+	}
+	for retired < stop {
+		if !u.canRun(t) {
+			return retired, false, nil
 		}
 		u.M.Now = u.Cycles
 		res := u.M.Step(t)
 		if u.M.Diverged != "" {
-			return retired, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
+			return retired, false, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
 		}
 		if !res.Retired {
-			break
+			return retired, false, nil
 		}
 		u.Cycles += res.Cost
 		retired++
 	}
-	if trace.Enabled(u.Trace) && retired > 0 {
-		u.Trace.Span(u.sliceSpan(), sliceStart, u.Cycles-sliceStart, u.TracePid, u.TraceTid,
-			map[string]any{"tid": t.ID, "retired": retired})
-	}
 	// A guest fault ends the thread like an exit; whether that is a guest
 	// bug (native/baseline runs) or a divergence (target runs, where the
 	// dead thread stops short of its target) is the caller's judgement.
-	return retired, nil
+	return retired, stop < u.Quantum && u.canRun(t), nil
 }
 
 // appendSlice records a timeslice, merging with the previous entry when the
@@ -279,29 +361,36 @@ func (u *Uni) appendSlice(tid int, n uint64) {
 	u.Cycles += u.M.Cost.SchedLogEvent
 }
 
-// runFollow is replay mode: reproduce the logged schedule exactly.
-func (u *Uni) runFollow() error {
-	for i, s := range u.Follow {
+// advanceFollow is replay mode: reproduce the logged schedule exactly.
+func (u *Uni) advanceFollow(n uint64) (bool, error) {
+	for ; u.si < len(u.Follow); u.si++ {
+		i, s := u.si, u.Follow[u.si]
 		if s.Tid < 0 || s.Tid >= len(u.M.Threads) {
-			return fmt.Errorf("%w: slice %d names unknown thread %d", ErrDiverged, i, s.Tid)
+			return false, fmt.Errorf("%w: slice %d names unknown thread %d", ErrDiverged, i, s.Tid)
 		}
 		t := u.M.Threads[s.Tid]
-		sliceStart := u.Cycles
-		var retired uint64
-		for retired < s.N {
+		retired := u.sliceDone
+		if retired == 0 {
+			u.sliceStart = u.Cycles
+		}
+		stop := s.N
+		if n < stop-retired {
+			stop = retired + n
+		}
+		for retired < stop {
 			if !t.Status.Live() {
-				return fmt.Errorf("%w: slice %d: thread %d dead after %d/%d",
+				return false, fmt.Errorf("%w: slice %d: thread %d dead after %d/%d",
 					ErrDiverged, i, s.Tid, retired, s.N)
 			}
 			if t.Status.Blocked() {
-				return fmt.Errorf("%w: slice %d: thread %d blocked (%s) after %d/%d",
+				return false, fmt.Errorf("%w: slice %d: thread %d blocked (%s) after %d/%d",
 					ErrDiverged, i, s.Tid, t.Status, retired, s.N)
 			}
 			before := t.Retired
 			u.M.Now = u.Cycles
 			res := u.M.Step(t)
 			if u.M.Diverged != "" {
-				return fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
+				return false, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
 			}
 			if !res.Retired {
 				continue // re-attempt resolved by barrier/lock side effects
@@ -309,23 +398,29 @@ func (u *Uni) runFollow() error {
 			u.Cycles += res.Cost
 			retired += t.Retired - before
 		}
+		n -= retired - u.sliceDone
+		u.sliceDone = retired
+		if retired < s.N {
+			return false, nil // paused inside the slice
+		}
 		if retired != s.N {
-			return fmt.Errorf("%w: slice %d: thread %d retired %d, slice says %d",
+			return false, fmt.Errorf("%w: slice %d: thread %d retired %d, slice says %d",
 				ErrDiverged, i, s.Tid, retired, s.N)
 		}
 		if trace.Enabled(u.Trace) {
-			u.Trace.Span(u.sliceSpan(), sliceStart, u.Cycles-sliceStart, u.TracePid, u.TraceTid,
+			u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, u.TraceTid,
 				map[string]any{"tid": s.Tid, "retired": retired})
 		}
 		u.Switches++
 		u.Cycles += u.M.Cost.TimesliceSwitch
+		u.sliceDone = 0
 	}
 	done, err := u.targetsMet()
 	if err != nil {
-		return err
+		return false, err
 	}
 	if !done {
-		return ErrLogExhausted
+		return false, ErrLogExhausted
 	}
-	return nil
+	return true, nil
 }

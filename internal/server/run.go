@@ -11,7 +11,6 @@ import (
 	"doubleplay/internal/core"
 	"doubleplay/internal/debug"
 	"doubleplay/internal/dplog"
-	"doubleplay/internal/epoch"
 	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/trace"
@@ -200,7 +199,8 @@ func (s *Server) loadRecording(sp *Spec) (*dplog.Reader, io.Closer, error) {
 // replayJob replays a stored recording in the requested mode, seeking
 // epoch sections straight out of the artifact. Parallel and sparse modes
 // first rebuild the epoch-start checkpoints from the log
-// (replay.CheckpointsReader) — the artifact carries only the logs.
+// (replay.CheckpointsFrom) — the artifact carries only the logs — and
+// replay from all of them or from every Stride-th.
 func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink trace.Recorder, sum *ResultSummary) error {
 	rd, closer, err := s.loadRecording(sp)
 	if err != nil {
@@ -211,38 +211,30 @@ func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink trace.
 	if err != nil {
 		return err
 	}
-	var gprof *profile.Profile
+	src := replay.FromReader(rd)
+	opt := replay.Options{CPUs: sp.Workers, Trace: sink}
 	if sp.GuestProfile {
-		gprof = profile.NewProfile("")
+		opt.Profile = profile.NewProfile("")
 	}
-	var rep *replay.Result
 	switch sp.Mode {
 	case ModeSequential:
-		rep, err = replay.SequentialReaderProfiled(ctx, bt.Prog, rd, nil, sink, gprof)
 	case ModeParallel, ModeSparse:
-		var bs []*epoch.Boundary
-		bs, err = replay.CheckpointsReader(ctx, bt.Prog, rd, nil)
+		bs, err := replay.CheckpointsFrom(ctx, bt.Prog, src, nil)
 		if err != nil {
-			break
+			return err
 		}
 		if sp.Mode == ModeSparse {
-			rep, err = replay.ParallelSparseReaderProfiled(ctx, bt.Prog, rd, replay.Thin(bs, sp.Stride), sp.Workers, nil, sink, gprof)
-		} else {
-			// Full epoch-parallel replay touches every epoch at once
-			// anyway, so decode the whole log for it.
-			var rec *dplog.Recording
-			if rec, err = rd.Recording(); err != nil {
-				break
-			}
-			rep, err = replay.ParallelProfiled(ctx, bt.Prog, rec, bs, sp.Workers, nil, sink, gprof)
+			bs = replay.Thin(bs, sp.Stride)
 		}
+		opt.Boundaries = bs
 	default:
 		return fmt.Errorf("unknown replay mode %q", sp.Mode)
 	}
+	rep, err := replay.Run(ctx, bt.Prog, src, opt)
 	if err != nil {
 		return err
 	}
-	if err := s.writeProfile(id, gprof, sum); err != nil {
+	if err := s.writeProfile(id, opt.Profile, sum); err != nil {
 		return err
 	}
 	sum.Epochs = rep.Epochs
@@ -338,14 +330,16 @@ func (s *Server) verifyJob(ctx context.Context, id string, sp Spec, sink trace.R
 	if gprof != nil {
 		repProf = profile.NewProfile("")
 	}
-	if _, err := replay.SequentialProfiled(ctx, bt.Prog, res.Recording, nil, sink, repProf); err != nil {
+	src := replay.FromRecording(res.Recording)
+	if _, err := replay.Run(ctx, bt.Prog, src, replay.Options{Trace: sink, Profile: repProf}); err != nil {
 		return fmt.Errorf("sequential replay: %w", err)
 	}
 	if gprof != nil && !bytes.Equal(gprof.MarshalPprof(), repProf.MarshalPprof()) {
 		return fmt.Errorf("guest profile: replay profile differs from record profile")
 	}
 	if sp.Mode == ModeParallel {
-		if _, err := replay.ParallelCtx(ctx, bt.Prog, res.Recording, res.Boundaries, sp.Workers, nil, sink); err != nil {
+		opt := replay.Options{Boundaries: res.Boundaries, CPUs: sp.Workers, Trace: sink}
+		if _, err := replay.Run(ctx, bt.Prog, src, opt); err != nil {
 			return fmt.Errorf("parallel replay: %w", err)
 		}
 	}

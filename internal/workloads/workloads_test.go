@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/core"
@@ -73,7 +74,8 @@ func TestRecordReplayFidelity(t *testing.T) {
 				if seq.FinalHash != res.FinalHash {
 					t.Fatal("sequential replay final hash mismatch")
 				}
-				if _, err := replay.Parallel(bt.Prog, res.Recording, res.Boundaries, workers, nil, nil); err != nil {
+				par := replay.Options{Boundaries: res.Boundaries, CPUs: workers}
+				if _, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording), par); err != nil {
 					t.Fatalf("parallel replay: %v", err)
 				}
 			})
