@@ -207,12 +207,14 @@ func RunUniprocessor(prog *vm.Program, world *simos.World, costs *vm.CostModel, 
 	ros := &uniRecordOS{inner: simos.NewOS(world)}
 	m := vm.NewMachine(prog, ros, costs)
 	var sigs []dplog.SignalRecord
-	m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
-		sig, ok := world.NextSignal(t.ID, m.Now)
-		if ok {
-			sigs = append(sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
+	if world.SignalCount() > 0 {
+		m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
+			sig, ok := world.NextSignal(t.ID, m.Now)
+			if ok {
+				sigs = append(sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
+			}
+			return sig, ok
 		}
-		return sig, ok
 	}
 	uni := sched.NewUni(m)
 	uni.LogSchedule = true

@@ -556,6 +556,12 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		}
 		return sig, ok
 	}
+	if world.SignalCount() == 0 {
+		// The script is fixed before the run and shared by every clone of
+		// the world, so nothing can ever be pending: leave this machine, and
+		// every one forward recovery resumes on, unpolled.
+		sigHook = nil
+	}
 	m.Hooks.PendingSignal = sigHook
 	// Certified recordings log the thread-parallel execution itself, so the
 	// guest profile is gathered there; otherwise it comes from the
@@ -1042,15 +1048,17 @@ func rerunEpoch(prog *vm.Program, start *epoch.Boundary, quota uint64,
 		prof = profile.New(prog)
 		prof.Attach(m)
 	}
-	m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
-		sig, ok := w.NextSignal(t.ID, m.Now)
-		if ok {
-			rr.sigs = append(rr.sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-			if buf.Enabled() {
-				buf.Instant("signal", m.Now, 0, int64(t.ID), map[string]any{"sig": sig, "retired": t.Retired})
+	if w.SignalCount() > 0 {
+		m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
+			sig, ok := w.NextSignal(t.ID, m.Now)
+			if ok {
+				rr.sigs = append(rr.sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
+				if buf.Enabled() {
+					buf.Instant("signal", m.Now, 0, int64(t.ID), map[string]any{"sig": sig, "retired": t.Retired})
+				}
 			}
+			return sig, ok
 		}
-		return sig, ok
 	}
 	uni := sched.NewUni(m)
 	uni.Quantum = opt.Quantum

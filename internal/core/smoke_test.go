@@ -259,3 +259,57 @@ func TestNativeMatchesSelfCheck(t *testing.T) {
 		t.Fatal("no cycles simulated")
 	}
 }
+
+// TestForwardRecoveryKeepsSignalPolling records a racy guest under a world
+// that scripts signals across the whole run. Forward recovery rebuilds the
+// thread-parallel machine from the adopted state; if the rebuilt machine
+// were not polled like the first one, every signal due after the first
+// divergence would silently never arrive. A guest with no script at all is
+// the other half: its machines are never polled, the rebuilt ones included.
+func TestForwardRecoveryKeepsSignalPolling(t *testing.T) {
+	prog := racyProg(3, 2000)
+	recovered := false
+	for seed := int64(0); seed < 6; seed++ {
+		world := simos.NewWorld(seed)
+		for tid := 1; tid <= 3; tid++ {
+			for k := 1; k <= 8; k++ {
+				world.AddSignal(int64(1500*k), tid, vm.Word(k))
+			}
+		}
+		res, err := Record(prog, world, Options{Workers: 3, SpareCPUs: 4, EpochCycles: 1500, Seed: seed})
+		if err != nil {
+			t.Fatalf("seed %d: Record: %v", seed, err)
+		}
+		if res.Stats.Divergences == 0 {
+			continue
+		}
+		recovered = true
+		first, late := res.Divergences[0].Epoch, 0
+		for _, ep := range res.Recording.Epochs[first+1:] {
+			late += len(ep.Signals)
+		}
+		if late == 0 {
+			t.Fatalf("seed %d: no signal delivered after the recovery at epoch %d (%d logged in all)",
+				seed, first, res.Stats.Signals)
+		}
+		rep, err := replay.Sequential(prog, res.Recording, nil, nil)
+		if err != nil {
+			t.Fatalf("seed %d: replay after %d divergences: %v", seed, res.Stats.Divergences, err)
+		}
+		if rep.FinalHash != res.FinalHash {
+			t.Fatalf("seed %d: replay final hash %016x != recorded %016x", seed, rep.FinalHash, res.FinalHash)
+		}
+	}
+	if !recovered {
+		t.Fatal("no seed diverged: forward recovery was never exercised")
+	}
+
+	world := simos.NewWorld(1)
+	var sys []dplog.SyscallRecord
+	ros := &recordOS{inner: simos.NewOS(world), cur: &sys}
+	b := epoch.Capture(0, 0, vm.NewMachine(prog, ros, nil), world)
+	m, _ := resumeFrom(prog, b, ros, nil, nil, vm.DefaultCosts(), Options{RecordCPUs: 3}, 0, 1, 0)
+	if m.Hooks.PendingSignal != nil {
+		t.Fatal("machine resumed for a guest without signals is polled for them")
+	}
+}

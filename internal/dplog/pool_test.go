@@ -1,0 +1,109 @@
+package dplog
+
+import (
+	"bytes"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// TestPooledCodecConcurrent marshals and unmarshals different recordings
+// from several goroutines at once, so compressors and decompressors are
+// handed from one to another through the pools mid-stream, and requires
+// every goroutine's bytes to equal a serial run's. Under -race it is also
+// the check that a pooled codec is never shared.
+func TestPooledCodecConcurrent(t *testing.T) {
+	const workers, rounds = 8, 4
+	recs := make([]*Recording, workers)
+	want := make([][]byte, workers)
+	for i := range recs {
+		recs[i] = bigRecording(t, 4+3*i)
+		recs[i].Seed = int64(i)
+		want[i] = MarshalBytes(recs[i])
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				got := MarshalBytes(recs[i])
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("goroutine %d round %d: marshalled bytes differ from the serial run", i, r)
+					return
+				}
+				back, err := UnmarshalBytes(got)
+				if err != nil {
+					t.Errorf("goroutine %d round %d: unmarshal: %v", i, r, err)
+					return
+				}
+				if again := MarshalBytes(back); !bytes.Equal(again, want[i]) {
+					t.Errorf("goroutine %d round %d: round trip changed the bytes", i, r)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
+// TestInflateRecoversAfterCorruptStream feeds the pooled decompressor a
+// damaged stream and an over-long one, then a good one: a reader that
+// failed goes back to the pool, and whoever draws it next must not see
+// the failure.
+func TestInflateRecoversAfterCorruptStream(t *testing.T) {
+	raw := bytes.Repeat([]byte("doubleplay epoch section "), 400)
+	z := Deflate(raw)
+	if z == nil {
+		t.Fatal("compressible input was not compressed")
+	}
+	bad := append([]byte(nil), z...)
+	for i := len(bad) / 2; i < len(bad)/2+8; i++ {
+		bad[i] ^= 0xff
+	}
+	for round := 0; round < 4; round++ {
+		if out, err := Inflate(bad, int64(len(raw))); err == nil && bytes.Equal(out, raw) {
+			t.Fatal("corrupt stream inflated to the original bytes")
+		}
+		if _, err := Inflate(z[:len(z)/2], int64(len(raw))); err == nil {
+			t.Fatal("truncated stream inflated without error")
+		}
+		if _, err := Inflate(z, int64(len(raw))-1); err == nil {
+			t.Fatal("stream longer than its bound inflated without error")
+		}
+		out, err := Inflate(z, int64(len(raw)))
+		if err != nil {
+			t.Fatalf("round %d: good stream after a failed one: %v", round, err)
+		}
+		if !bytes.Equal(out, raw) {
+			t.Fatalf("round %d: good stream after a failed one inflated to different bytes", round)
+		}
+	}
+
+	// The same through the decoder: one flipped payload byte fails that
+	// section's CRC or inflate, and the intact file still decodes after.
+	data := MarshalBytes(bigRecording(t, 6))
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 16; i++ {
+		hurt := append([]byte(nil), data...)
+		hurt[len(hurt)/4+rng.Intn(len(hurt)/2)] ^= 0x40
+		UnmarshalBytes(hurt) // may or may not fail; must not poison the pool
+		if _, err := UnmarshalBytes(data); err != nil {
+			t.Fatalf("intact recording failed to decode after a corrupt one: %v", err)
+		}
+	}
+}
+
+// BenchmarkMarshal encodes one many-epoch recording in the compressed
+// on-disk format, the call core.Record makes to size its log and the
+// store makes per put. Allocation is reported because the compressor's
+// state used to dominate it.
+func BenchmarkMarshal(b *testing.B) {
+	rec := bigRecording(b, 64)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(MarshalBytes(rec))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MarshalBytes(rec)
+	}
+}

@@ -265,7 +265,7 @@ func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // bigRecording synthesises a recording with many non-trivial epochs.
-func bigRecording(t *testing.T, epochs int) *Recording {
+func bigRecording(t testing.TB, epochs int) *Recording {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	rec := randomRecording(rng)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 const (
@@ -81,14 +82,29 @@ func readN(r io.Reader, n int64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// deflate compresses b at the default level, returning nil when
+// One DEFLATE codec serves section payloads here and chunk files in
+// internal/store. A compressor's state is over a megabyte and a
+// decompressor's tens of kilobytes, so both are pooled and Reset per call
+// rather than built per call; compress/flate defines a Reset codec as
+// equivalent to a new one, so the bytes are the same either way.
+var (
+	deflaters = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil {
+			panic(err) // only an invalid level fails
+		}
+		return zw
+	}}
+	inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+)
+
+// Deflate compresses b at the default level, returning nil when
 // compression would not shrink it.
-func deflate(b []byte) []byte {
+func Deflate(b []byte) []byte {
+	zw := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(zw)
 	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil
-	}
+	zw.Reset(&buf)
 	if _, err := zw.Write(b); err != nil {
 		return nil
 	}
@@ -101,17 +117,21 @@ func deflate(b []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflate decompresses a section payload, enforcing the frame's declared
-// raw length exactly.
-func inflate(b []byte, rawLen int64) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(b))
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, rawLen+1))
+// Inflate decompresses a DEFLATE stream that may legitimately expand to
+// at most max bytes, and fails — without reading further — on one that
+// expands to more.
+func Inflate(b []byte, max int64) ([]byte, error) {
+	zr := inflaters.Get().(io.ReadCloser)
+	defer inflaters.Put(zr)
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(b), nil); err != nil {
+		return nil, fmt.Errorf("inflate: %w", err)
+	}
+	out, err := io.ReadAll(io.LimitReader(zr, max+1))
 	if err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)
 	}
-	if int64(len(out)) != rawLen {
-		return nil, fmt.Errorf("inflate: raw length %d, frame declared %d", len(out), rawLen)
+	if int64(len(out)) > max {
+		return nil, fmt.Errorf("inflate: stream expands past %d bytes", max)
 	}
 	return out, nil
 }
@@ -126,7 +146,7 @@ func (e *encoder) section(ep *EpochLog, off int64, compress bool) SectionInfo {
 		flags |= SectionCertified
 	}
 	if compress {
-		if z := deflate(body); z != nil {
+		if z := Deflate(body); z != nil {
 			stored = z
 			flags |= SectionCompressed
 		}
@@ -261,8 +281,11 @@ func decodeSectionPayload(info SectionInfo, payload []byte) (*EpochLog, error) {
 	body := payload
 	if info.Compressed() {
 		var err error
-		if body, err = inflate(payload, info.Raw); err != nil {
+		if body, err = Inflate(payload, info.Raw); err != nil {
 			return nil, err
+		}
+		if int64(len(body)) != info.Raw {
+			return nil, fmt.Errorf("inflate: raw length %d, frame declared %d", len(body), info.Raw)
 		}
 	}
 	sub := &decoder{r: bufio.NewReader(bytes.NewReader(body))}

@@ -106,7 +106,9 @@ func Run(spec RunSpec) (*RunResult, error) {
 	inj := NewInjectOS(spec.Syscalls)
 	m := spec.Start.CP.Restore(spec.Prog, inj, spec.Costs)
 	sigs := NewInjectSignals(spec.Signals)
-	m.Hooks.PendingSignal = sigs.Pending
+	if len(spec.Signals) > 0 {
+		m.Hooks.PendingSignal = sigs.Pending
+	}
 
 	gate := NewGate(spec.SyncOrder)
 	if !spec.DisableEnforcement {

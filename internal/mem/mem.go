@@ -102,12 +102,32 @@ type Memory struct {
 	pages map[Word]*page
 	stats Stats
 
-	// lastIdx/lastPage cache the most recently touched page: guest access
-	// streams are heavily page-local, so most Load/Store calls skip the map
-	// lookup. The cache always equals m.pages[lastIdx] — writablePage
-	// refreshes it whenever a copy-on-write clone replaces the mapping.
-	lastIdx  Word
-	lastPage *page
+	// cache is a direct-mapped table of recently touched pages, slotted by
+	// the low bits of the page index: each guest thread's access stream is
+	// page-local, and with one slot per stream most Load/Store calls skip
+	// the map lookup even when several threads interleave. A filled slot
+	// always equals m.pages[slot.idx] — writablePage, the one place a
+	// mapping is created or replaced, refreshes the slot as it does so.
+	cache [cacheSlots]cacheSlot
+}
+
+// cacheSlots is the size of the page cache; a power of two.
+const cacheSlots = 64
+
+// cacheSlot caches one m.pages entry; page is nil while the slot is empty.
+type cacheSlot struct {
+	idx  Word
+	page *page
+}
+
+// slot returns the cache slot page index idx maps to, and the page mapped
+// at idx if that is what the slot holds (else nil).
+func (m *Memory) slot(idx Word) (*cacheSlot, *page) {
+	s := &m.cache[idx&(cacheSlots-1)]
+	if s.idx == idx {
+		return s, s.page
+	}
+	return s, nil
 }
 
 // New returns an empty memory in which every address reads zero.
@@ -119,14 +139,14 @@ func New() *Memory {
 func (m *Memory) Load(addr Word) Word {
 	m.stats.Loads++
 	idx := addr >> PageShift
-	if p := m.lastPage; p != nil && m.lastIdx == idx {
-		return p.data[addr&pageMask]
+	s, p := m.slot(idx)
+	if p == nil {
+		var ok bool
+		if p, ok = m.pages[idx]; !ok {
+			return 0
+		}
+		s.idx, s.page = idx, p
 	}
-	p, ok := m.pages[idx]
-	if !ok {
-		return 0
-	}
-	m.lastIdx, m.lastPage = idx, p
 	return p.data[addr&pageMask]
 }
 
@@ -143,8 +163,8 @@ func (m *Memory) Peek(addr Word) Word {
 // writablePage returns the page containing addr, materialising or privatising
 // it as needed so the caller may write to it.
 func (m *Memory) writablePage(idx Word) *page {
-	p := m.lastPage
-	if p == nil || m.lastIdx != idx {
+	s, p := m.slot(idx)
+	if p == nil {
 		var ok bool
 		p, ok = m.pages[idx]
 		if !ok {
@@ -160,7 +180,7 @@ func (m *Memory) writablePage(idx Word) *page {
 		m.stats.PagesCopied++
 		p = c
 	}
-	m.lastIdx, m.lastPage = idx, p
+	s.idx, s.page = idx, p
 	return p
 }
 
@@ -170,12 +190,15 @@ func (m *Memory) writablePage(idx Word) *page {
 func (m *Memory) Store(addr Word, val Word) {
 	m.stats.Stores++
 	idx := addr >> PageShift
-	if m.lastPage == nil || m.lastIdx != idx {
-		if _, ok := m.pages[idx]; !ok && val == 0 {
-			return
+	_, p := m.slot(idx)
+	if p == nil || p.refs.Load() > 1 {
+		if p == nil && val == 0 {
+			if _, ok := m.pages[idx]; !ok {
+				return
+			}
 		}
+		p = m.writablePage(idx)
 	}
-	p := m.writablePage(idx)
 	off := addr & pageMask
 	if p.data[off] == val {
 		return

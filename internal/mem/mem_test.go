@@ -240,6 +240,126 @@ func TestQuickMemoryVsModel(t *testing.T) {
 	}
 }
 
+// TestPageCacheCoherence is a seeded differential test of the page cache:
+// a family of memories and snapshots sharing pages copy-on-write, driven
+// through Store/Load/Peek/Snapshot/Restore/Clone/Release with every page
+// index drawn from a few that collide in the cache (equal modulo its
+// size), so slots are evicted and refilled constantly and a slot left
+// pointing at a page its memory has since replaced would be read. The
+// model is a plain word map per holder plus a reference count per page
+// identity, which predicts PagesNew and PagesCopied exactly: the cache
+// may change how a page is found, never which pages are copied.
+func TestPageCacheCoherence(t *testing.T) {
+	type holder struct {
+		words map[Word]Word // model contents
+		pages map[Word]int  // page index -> page identity
+	}
+	cloneHolder := func(h *holder, refs map[int]int) *holder {
+		c := &holder{words: make(map[Word]Word, len(h.words)), pages: make(map[Word]int, len(h.pages))}
+		for k, v := range h.words {
+			c.words[k] = v
+		}
+		for k, id := range h.pages {
+			c.pages[k] = id
+			refs[id]++
+		}
+		return c
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		refs := map[int]int{} // page identity -> holders mapping it
+		nextID := 0
+		type live struct {
+			m                *Memory
+			h                *holder
+			wantNew, wantCow int64
+		}
+		type frozen struct {
+			s *Snapshot
+			h *holder
+		}
+		mems := []*live{{m: New(), h: &holder{words: map[Word]Word{}, pages: map[Word]int{}}}}
+		var snaps []frozen
+		addr := func() Word {
+			idx := Word(rng.Intn(2)) + cacheSlots*Word(rng.Intn(5))
+			return idx<<PageShift + Word(rng.Intn(3))
+		}
+		store := func(l *live, a, v Word) {
+			l.m.Store(a, v)
+			idx := a >> PageShift
+			id, ok := l.h.pages[idx]
+			switch {
+			case !ok && v == 0:
+				return // stays sparse
+			case !ok:
+				l.wantNew++
+			case refs[id] > 1:
+				refs[id]--
+				l.wantCow++
+			default:
+				l.h.words[a] = v
+				return
+			}
+			nextID++
+			l.h.pages[idx], refs[nextID] = nextID, 1
+			l.h.words[a] = v
+		}
+		for op := 0; op < 4000; op++ {
+			l := mems[rng.Intn(len(mems))]
+			a := addr()
+			switch r := rng.Intn(20); {
+			case r < 9:
+				store(l, a, Word(rng.Intn(7)-1))
+			case r < 13:
+				if got := l.m.Load(a); got != l.h.words[a] {
+					t.Fatalf("seed %d op %d: Load(%d) = %d, model %d", seed, op, a, got, l.h.words[a])
+				}
+			case r < 15:
+				if got := l.m.Peek(a); got != l.h.words[a] {
+					t.Fatalf("seed %d op %d: Peek(%d) = %d, model %d", seed, op, a, got, l.h.words[a])
+				}
+			case r < 17 && len(snaps) < 6:
+				snaps = append(snaps, frozen{l.m.Snapshot(), cloneHolder(l.h, refs)})
+				// A write right behind the snapshot must copy, not leak
+				// through a cached pointer to the now-shared page.
+				store(l, a, Word(op))
+			case r < 18 && len(mems) < 5:
+				mems = append(mems, &live{m: l.m.Clone(), h: cloneHolder(l.h, refs)})
+				store(l, a, Word(-op))
+			case r < 19 && len(snaps) > 0 && len(mems) < 5:
+				f := snaps[rng.Intn(len(snaps))]
+				mems = append(mems, &live{m: f.s.Restore(), h: cloneHolder(f.h, refs)})
+			case len(snaps) > 0:
+				k := rng.Intn(len(snaps))
+				for _, id := range snaps[k].h.pages {
+					refs[id]--
+				}
+				snaps[k].s.Release()
+				snaps = append(snaps[:k], snaps[k+1:]...)
+			}
+			for _, f := range snaps {
+				if got := f.s.Peek(a); got != f.h.words[a] {
+					t.Fatalf("seed %d op %d: snapshot Peek(%d) = %d, model %d", seed, op, a, got, f.h.words[a])
+				}
+			}
+		}
+		for i, l := range mems {
+			for a, v := range l.h.words {
+				if got := l.m.Load(a); got != v {
+					t.Fatalf("seed %d: memory %d Load(%d) = %d, model %d", seed, i, a, got, v)
+				}
+			}
+			if st := l.m.Stats(); st.PagesNew != l.wantNew || st.PagesCopied != l.wantCow {
+				t.Fatalf("seed %d: memory %d materialised %d and copied %d pages, model %d and %d",
+					seed, i, st.PagesNew, st.PagesCopied, l.wantNew, l.wantCow)
+			}
+			if l.m.PageCount() != len(l.h.pages) {
+				t.Fatalf("seed %d: memory %d maps %d pages, model %d", seed, i, l.m.PageCount(), len(l.h.pages))
+			}
+		}
+	}
+}
+
 // TestQuickHashAgreement builds the same contents along two different write
 // paths and requires equal hashes.
 func TestQuickHashAgreement(t *testing.T) {
@@ -275,6 +395,23 @@ func BenchmarkStore(b *testing.B) {
 	m := New()
 	for i := 0; i < b.N; i++ {
 		m.Store(Word(i&0xffff), Word(i))
+	}
+}
+
+// BenchmarkLoadStoreInterleaved is the access pattern of a thread-parallel
+// run: four streams, each local to its own page of a few hundred mapped,
+// taking turns one access at a time.
+func BenchmarkLoadStoreInterleaved(b *testing.B) {
+	m := New()
+	for pg := Word(0); pg < 300; pg++ {
+		m.Store(pg*PageWords, 1)
+	}
+	var sum Word
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := Word(i&3)*5*PageWords + Word(i>>2)&pageMask
+		sum += m.Load(addr)
+		m.Store(addr, sum|1)
 	}
 }
 

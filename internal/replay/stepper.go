@@ -77,7 +77,10 @@ func NewStepper(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.Cost
 	s.inj = epoch.NewInjectOS(ep.Syscalls)
 	m.OS = s.inj
 	s.sigs = epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = s.sigs.Pending
+	m.Hooks.PendingSignal = nil // an epoch without signals is not polled
+	if len(ep.Signals) > 0 {
+		m.Hooks.PendingSignal = s.sigs.Pending
+	}
 	m.Hooks.MayAcquire = nil
 	m.Hooks.OnSync = nil
 	s.uni.Targets = ep.Targets

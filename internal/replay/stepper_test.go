@@ -1,9 +1,11 @@
 package replay_test
 
 import (
+	"bytes"
 	"testing"
 
 	"doubleplay/internal/core"
+	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
@@ -135,5 +137,80 @@ func TestStepperCertified(t *testing.T) {
 	}
 	if cycles != seq.Cycles {
 		t.Fatalf("stepped cycles %d != sequential replay %d", cycles, seq.Cycles)
+	}
+}
+
+// TestSignalHookIsPerEpoch replays a recording in which epochs that carry
+// signal deliveries alternate with epochs that carry none. A machine is
+// polled for signals only while it runs an epoch that has some, and one
+// machine runs many epochs in a row, so the hook must be installed and
+// cleared epoch by epoch: an epoch with signals after one without must
+// still deliver them, and one without after one with must not keep
+// consulting the previous epoch's injector.
+func TestSignalHookIsPerEpoch(t *testing.T) {
+	bt := workloads.Get("sigping").Build(workloads.Params{Workers: 2, Seed: 17})
+	recProf := profile.NewProfile("")
+	// Epochs shorter than the gap between two signals, so some are empty.
+	res, err := core.Record(bt.Prog, bt.World, core.Options{
+		Workers: 2, SpareCPUs: 2, Seed: 17, EpochCycles: 600, Profile: recProf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := res.Recording
+	var quietThenLoud, loudThenQuiet bool
+	for i := 1; i < len(rec.Epochs); i++ {
+		before, now := len(rec.Epochs[i-1].Signals) > 0, len(rec.Epochs[i].Signals) > 0
+		quietThenLoud = quietThenLoud || (!before && now)
+		loudThenQuiet = loudThenQuiet || (before && !now)
+	}
+	if !quietThenLoud || !loudThenQuiet {
+		t.Fatalf("recording does not alternate epochs with and without signals (%d epochs, %d signals)",
+			len(rec.Epochs), res.Stats.Signals)
+	}
+
+	// One machine, one Stepper per epoch, as sequential replay and the
+	// debugger drive it.
+	m := vm.NewMachine(bt.Prog, nil, nil)
+	delivered := 0
+	for _, ep := range rec.Epochs {
+		st, err := replay.NewStepper(m, ep, rec.Quantum, nil)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", ep.Index, err)
+		}
+		if polled, want := m.Hooks.PendingSignal != nil, len(ep.Signals) > 0; polled != want {
+			t.Fatalf("epoch %d carries %d signals but machine polled = %v", ep.Index, len(ep.Signals), polled)
+		}
+		if _, err := st.Run(); err != nil {
+			t.Fatalf("epoch %d: %v", ep.Index, err)
+		}
+		delivered += len(ep.Signals)
+	}
+	if h := m.StateHash(); h != rec.FinalHash {
+		t.Fatalf("final hash %016x != recorded %016x", h, rec.FinalHash)
+	}
+	if delivered != res.Stats.Signals || delivered == 0 {
+		t.Fatalf("replayed %d signal deliveries, recorded %d", delivered, res.Stats.Signals)
+	}
+	if err := bt.CheckOK(m.Mem.Peek); err != nil {
+		t.Fatalf("guest self-check after replay: %v", err)
+	}
+
+	// Every plan over both sources: same final state, same guest profile.
+	want := recProf.MarshalPprof()
+	for srcName, src := range sources(t, rec) {
+		for _, p := range plans(res) {
+			prof := profile.NewProfile("")
+			out, err := replayProfiled(bt.Prog, src, p.boundaries, prof)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", srcName, p.name, err)
+			}
+			if out.FinalHash != res.FinalHash {
+				t.Fatalf("%s/%s: final hash %016x != recorded %016x", srcName, p.name, out.FinalHash, res.FinalHash)
+			}
+			if !bytes.Equal(prof.MarshalPprof(), want) {
+				t.Fatalf("%s/%s: guest profile differs from the record profile", srcName, p.name)
+			}
+		}
 	}
 }

@@ -48,6 +48,30 @@ func BenchmarkUniFree(b *testing.B) {
 	}
 }
 
+// BenchmarkParallel is the thread-parallel execution: four simulated CPUs
+// stepped in clock order against the live simulated OS, the loop every
+// recording and every native baseline run spends most of its time in. One
+// compute kernel and one racy program whose threads share pages.
+func BenchmarkParallel(b *testing.B) {
+	for _, name := range []string{"fft", "racey"} {
+		b.Run(name, func(b *testing.B) {
+			var instrs int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				bt := buildGuest(b, name)
+				m := vm.NewMachine(bt.Prog, simos.NewOS(bt.World), nil)
+				p := sched.NewParallel(m, 4, 17)
+				b.StartTimer()
+				if err := p.Run(); err != nil {
+					b.Fatal(err)
+				}
+				instrs += p.Retired()
+			}
+			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+		})
+	}
+}
+
 // BenchmarkUniFollow is replay mode: every epoch of a recording followed
 // from its checkpoint with syscall results and signals injected — the
 // loop sequential replay, epoch-parallel replay and the recorder's

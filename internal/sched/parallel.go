@@ -3,7 +3,7 @@
 // thread-parallel execution) and a deterministic uniprocessor timeslicing
 // scheduler (the epoch-parallel execution and replay).
 //
-// Both schedulers expose an optional trace.Sink: Parallel emits one "run"
+// Both schedulers take an optional trace.Recorder: Parallel emits one "run"
 // span per thread↔CPU binding and Uni one "slice" span per timeslice.
 // Tracing reads the schedulers' clocks but never advances them, so traced
 // and untraced runs retire identical schedules and cycle counts.
@@ -12,6 +12,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"doubleplay/internal/dplog"
@@ -52,14 +53,20 @@ type Parallel struct {
 
 	cpus     []pcpu
 	rng      *rand.Rand
-	scanFrom int // round-robin cursor for dispatch fairness
-	sysPoll  map[int]int64
+	scanFrom int     // round-robin cursor for dispatch fairness
+	sysPoll  []int64 // by thread id: earliest clock of its next syscall retry
 	retired  int64
+
+	// Timing jitter, drawn ahead: the next jitterGap retirements cost what
+	// the machine charged, the one after them jitterExtra cycles more. See
+	// drawJitter.
+	jitterGap   int
+	jitterExtra int64
 }
 
 type pcpu struct {
 	clock  int64
-	tid    int // bound thread, or -1
+	th     *vm.Thread // bound thread, or nil
 	sliceN int64
 	bindTs int64 // clock at bind time, for the "run" trace span
 }
@@ -75,12 +82,25 @@ func NewParallel(m *vm.Machine, cpus int, seed int64) *Parallel {
 		Quantum: DefaultQuantum,
 		cpus:    make([]pcpu, cpus),
 		rng:     rand.New(rand.NewSource(seed)),
-		sysPoll: make(map[int]int64),
 	}
-	for i := range p.cpus {
-		p.cpus[i].tid = -1
-	}
+	p.drawJitter()
 	return p
+}
+
+// drawJitter draws the distance to the next jittered retirement and its
+// size. Each retirement is slow with probability 1/64 — one Intn(64) draw
+// per retirement, and an Intn(24) for the size right after a hit — and the
+// generator is private to this scheduler, so drawing a whole gap at once
+// consumes it in exactly the order per-retirement draws would; only the
+// loop around Step is spared the calls.
+func (p *Parallel) drawJitter() {
+	p.jitterGap = 0
+	// Intn(64), spelled out: for a power of two math/rand takes the low
+	// bits of Int31, which is the high half of Int63.
+	for p.rng.Int63()>>32&63 != 0 {
+		p.jitterGap++
+	}
+	p.jitterExtra = int64(p.rng.Intn(24))
 }
 
 // Now returns the frontier of simulated time: the smallest CPU clock, which
@@ -109,25 +129,23 @@ func (p *Parallel) WallTime() int64 {
 // Retired returns the total instructions retired under this scheduler.
 func (p *Parallel) Retired() int64 { return p.retired }
 
-// minCPU returns the index of the CPU with the smallest clock.
-func (p *Parallel) minCPU() int {
-	best := 0
-	for i := 1; i < len(p.cpus); i++ {
-		if p.cpus[i].clock < p.cpus[best].clock {
-			best = i
-		}
-	}
-	return best
-}
-
-// boundElsewhere reports whether tid is bound to any CPU.
-func (p *Parallel) boundElsewhere(tid int) bool {
+// bound reports whether t is bound to any CPU.
+func (p *Parallel) bound(t *vm.Thread) bool {
 	for i := range p.cpus {
-		if p.cpus[i].tid == tid {
+		if p.cpus[i].th == t {
 			return true
 		}
 	}
 	return false
+}
+
+// pollAt returns the clock at which blocked thread tid may next retry its
+// syscall; a thread that never blocked may retry at once.
+func (p *Parallel) pollAt(tid int) int64 {
+	if tid < len(p.sysPoll) {
+		return p.sysPoll[tid]
+	}
+	return 0
 }
 
 // dispatch finds work for CPU ci: an unbound runnable thread, or an unbound
@@ -140,39 +158,44 @@ func (p *Parallel) dispatch(ci int) *vm.Thread {
 	}
 	for k := 0; k < n; k++ {
 		t := threads[(p.scanFrom+k)%n]
-		if t.Status == vm.Runnable && !p.boundElsewhere(t.ID) {
+		if t.Status == vm.Runnable && !p.bound(t) {
 			p.scanFrom = (p.scanFrom + k + 1) % n
-			p.cpus[ci].tid = t.ID
-			p.cpus[ci].sliceN = 0
-			p.cpus[ci].bindTs = p.cpus[ci].clock
+			p.bind(ci, t)
 			return t
 		}
 	}
 	clock := p.cpus[ci].clock
 	for k := 0; k < n; k++ {
 		t := threads[(p.scanFrom+k)%n]
-		if t.Status == vm.BlockedSys && !p.boundElsewhere(t.ID) && p.sysPoll[t.ID] <= clock {
-			p.cpus[ci].tid = t.ID
-			p.cpus[ci].sliceN = 0
-			p.cpus[ci].bindTs = p.cpus[ci].clock
+		if t.Status == vm.BlockedSys && !p.bound(t) && p.pollAt(t.ID) <= clock {
+			p.bind(ci, t)
 			return t
 		}
 	}
 	return nil
 }
 
+// bind gives CPU ci's next timeslice to t.
+func (p *Parallel) bind(ci int, t *vm.Thread) {
+	cpu := &p.cpus[ci]
+	cpu.th = t
+	cpu.sliceN = 0
+	cpu.bindTs = cpu.clock
+}
+
 // unbind releases CPU ci's thread.
 func (p *Parallel) unbind(ci int) {
-	if trace.Enabled(p.Trace) && p.cpus[ci].tid >= 0 && p.cpus[ci].clock > p.cpus[ci].bindTs {
+	cpu := &p.cpus[ci]
+	if trace.Enabled(p.Trace) && cpu.th != nil && cpu.clock > cpu.bindTs {
 		name := p.TraceSpan
 		if name == "" {
 			name = "run"
 		}
-		p.Trace.Span(name, p.cpus[ci].bindTs, p.cpus[ci].clock-p.cpus[ci].bindTs,
-			p.TracePid, int64(p.cpus[ci].tid), map[string]any{"cpu": ci})
+		p.Trace.Span(name, cpu.bindTs, cpu.clock-cpu.bindTs,
+			p.TracePid, int64(cpu.th.ID), map[string]any{"cpu": ci})
 	}
-	p.cpus[ci].tid = -1
-	p.cpus[ci].sliceN = 0
+	cpu.th = nil
+	cpu.sliceN = 0
 }
 
 // RunUntil executes until every CPU's clock reaches limit, the machine
@@ -180,72 +203,94 @@ func (p *Parallel) unbind(ci int) {
 // with machine state) when live threads exist but none can ever run.
 func (p *Parallel) RunUntil(limit int64) error {
 	idleStreak := 0
-	for !p.M.Done() {
-		ci := p.minCPU()
-		cpu := &p.cpus[ci]
-		if cpu.clock >= limit {
+	m, cpus := p.M, p.cpus
+	// One pass per distinct value of the frontier: the CPUs whose clocks
+	// equal it execute in index order, each until its clock moves on, and
+	// the smallest clock seen on the way is the next frontier. No clock
+	// ever moves backwards or below the frontier, so this is the order
+	// "smallest clock next, lowest index on ties" produces one instruction
+	// at a time.
+	for now := p.Now(); !m.Done(); {
+		if now >= limit {
 			return nil
 		}
-		t := p.threadOf(ci)
-		if t == nil {
-			t = p.dispatch(ci)
-		}
-		if t == nil {
-			// Nothing for this CPU. If some thread is blocked in a syscall,
-			// time itself will unblock it: hop the clock to the next poll.
-			if next, ok := p.nextSysPoll(); ok {
-				if next <= cpu.clock {
-					next = cpu.clock + 1
+		m.Now = now
+		next := int64(math.MaxInt64)
+		for ci := range cpus {
+			cpu := &cpus[ci]
+			for cpu.clock == now && !m.Done() {
+				t := cpu.th
+				if t == nil || t.Status != vm.Runnable {
+					// Unbound, or the bound thread blocked or died between
+					// steps (e.g. barrier side effects): find other work.
+					p.unbind(ci)
+					t = p.dispatch(ci)
 				}
-				cpu.clock = next
-				idleStreak++
-				if idleStreak > 1<<20 {
-					return fmt.Errorf("sched: livelock polling syscalls\n%s", p.M.DescribeState())
+				if t == nil {
+					// Nothing for this CPU. If some thread is blocked in a syscall,
+					// time itself will unblock it: hop the clock to the next poll.
+					if at, ok := p.nextSysPoll(); ok {
+						if at <= cpu.clock {
+							at = cpu.clock + 1
+						}
+						cpu.clock = at
+						idleStreak++
+						if idleStreak > 1<<20 {
+							return fmt.Errorf("sched: livelock polling syscalls\n%s", m.DescribeState())
+						}
+						continue
+					}
+					if p.anyRunnable() {
+						// Runnable work exists but is bound to busier CPUs; idle
+						// briefly and retry (models an idle core waiting for work).
+						cpu.clock += 10
+						idleStreak++
+						if idleStreak > 1<<20 {
+							return fmt.Errorf("sched: livelock waiting for work\n%s", m.DescribeState())
+						}
+						continue
+					}
+					return fmt.Errorf("%w\n%s", ErrDeadlock, m.DescribeState())
 				}
-				continue
-			}
-			if p.anyRunnable() {
-				// Runnable work exists but is bound to busier CPUs; idle
-				// briefly and retry (models an idle core waiting for work).
-				cpu.clock += 10
-				idleStreak++
-				if idleStreak > 1<<20 {
-					return fmt.Errorf("sched: livelock waiting for work\n%s", p.M.DescribeState())
+				idleStreak = 0
+				res := m.Step(t)
+				if res.Retired {
+					p.retired++
+					cost := res.Cost
+					// Timing jitter: occasional slow memory access. This is the
+					// hardware nondeterminism that makes racy programs produce
+					// different interleavings under different seeds.
+					if p.jitterGap == 0 {
+						cost += p.jitterExtra
+						p.drawJitter()
+					} else {
+						p.jitterGap--
+					}
+					cpu.clock += cost
+					cpu.sliceN++
+					if !t.Status.Live() || cpu.sliceN >= p.Quantum {
+						p.unbind(ci)
+					}
+					continue
 				}
-				continue
-			}
-			return fmt.Errorf("%w\n%s", ErrDeadlock, p.M.DescribeState())
-		}
-		idleStreak = 0
-		p.M.Now = cpu.clock
-		res := p.M.Step(t)
-		if res.Retired {
-			p.retired++
-			cost := res.Cost
-			// Timing jitter: occasional slow memory access. This is the
-			// hardware nondeterminism that makes racy programs produce
-			// different interleavings under different seeds.
-			if p.rng.Intn(64) == 0 {
-				cost += int64(p.rng.Intn(24))
-			}
-			cpu.clock += cost
-			cpu.sliceN++
-			if !t.Status.Live() || cpu.sliceN >= p.Quantum {
+				// The step did not retire: the thread blocked (or re-blocked).
+				if t.Status == vm.BlockedSys {
+					for len(p.sysPoll) <= t.ID {
+						p.sysPoll = append(p.sysPoll, 0)
+					}
+					p.sysPoll[t.ID] = cpu.clock + sysPollInterval
+				}
+				if t.Status == vm.Faulted {
+					p.unbind(ci)
+					continue
+				}
+				// Release the CPU; a tiny charge models the failed attempt.
+				cpu.clock += 1
 				p.unbind(ci)
 			}
-			continue
+			next = min(next, cpu.clock)
 		}
-		// The step did not retire: the thread blocked (or re-blocked).
-		if t.Status == vm.BlockedSys {
-			p.sysPoll[t.ID] = cpu.clock + sysPollInterval
-		}
-		if t.Status == vm.Faulted {
-			p.unbind(ci)
-			continue
-		}
-		// Release the CPU; a tiny charge models the failed attempt.
-		cpu.clock += 1
-		p.unbind(ci)
+		now = next
 	}
 	return nil
 }
@@ -275,29 +320,14 @@ func (p *Parallel) SetBaseClock(c int64) {
 	}
 }
 
-func (p *Parallel) threadOf(ci int) *vm.Thread {
-	tid := p.cpus[ci].tid
-	if tid < 0 {
-		return nil
-	}
-	t := p.M.Threads[tid]
-	if t.Status == vm.Runnable {
-		return t
-	}
-	// Bound thread blocked or died between steps (e.g. barrier side
-	// effects); release the CPU.
-	p.unbind(ci)
-	return nil
-}
-
 func (p *Parallel) nextSysPoll() (int64, bool) {
 	var best int64
 	found := false
 	for _, t := range p.M.Threads {
-		if t.Status != vm.BlockedSys || p.boundElsewhere(t.ID) {
+		if t.Status != vm.BlockedSys || p.bound(t) {
 			continue
 		}
-		at := p.sysPoll[t.ID]
+		at := p.pollAt(t.ID)
 		if !found || at < best {
 			best = at
 			found = true

@@ -139,6 +139,9 @@ func (w *World) AddSignal(at int64, tid int, sig Word) {
 // the signals the adopted execution had not yet consumed.
 func (w *World) NextSignal(tid int, now int64) (Word, bool) {
 	q := w.sigScript[tid]
+	if len(q) == 0 {
+		return 0, false
+	}
 	c := w.sigCursor[tid]
 	if c < len(q) && q[c].At <= now {
 		w.sigCursor[tid] = c + 1

@@ -180,6 +180,10 @@ func TestPinDuringSweep(t *testing.T) {
 	if err := <-pinned; err != nil {
 		t.Fatalf("Pin during sweep: %v", err)
 	}
+	// One racing pin is the test; left installed, the hook would start
+	// another during the second GC below that nothing waits for, still
+	// writing into the temp dir while the test tears it down.
+	s.SetSweepHook(nil)
 	if rep.ManifestsRemoved != 1 {
 		t.Fatalf("aged recording not collected: %+v", rep)
 	}

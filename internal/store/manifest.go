@@ -16,13 +16,14 @@ package store
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"doubleplay/internal/dplog"
 )
 
 const (
@@ -158,7 +159,7 @@ const (
 
 // encodeChunk renders a chunk file, compressing at rest when it shrinks.
 func encodeChunk(raw []byte) []byte {
-	if z := deflateBytes(raw); z != nil {
+	if z := dplog.Deflate(raw); z != nil {
 		return append([]byte{chunkDeflate}, z...)
 	}
 	return append([]byte{chunkRaw}, raw...)
@@ -173,42 +174,11 @@ func decodeChunk(data []byte) ([]byte, error) {
 	case chunkRaw:
 		return data[1:], nil
 	case chunkDeflate:
-		return inflateBytes(data[1:])
+		raw, err := dplog.Inflate(data[1:], maxChunkLen)
+		if err != nil {
+			return nil, fmt.Errorf("store: chunk: %w", err)
+		}
+		return raw, nil
 	}
 	return nil, fmt.Errorf("store: unknown chunk encoding %d", data[0])
-}
-
-// deflateBytes compresses b at the default level, returning nil when
-// compression would not shrink it.
-func deflateBytes(b []byte) []byte {
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil
-	}
-	if _, err := zw.Write(b); err != nil {
-		return nil
-	}
-	if err := zw.Close(); err != nil {
-		return nil
-	}
-	if buf.Len() >= len(b) {
-		return nil
-	}
-	return buf.Bytes()
-}
-
-// inflateBytes decompresses a chunk payload, bounded by the maximum
-// chunk length.
-func inflateBytes(b []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(b))
-	defer zr.Close()
-	out, err := io.ReadAll(io.LimitReader(zr, maxChunkLen+1))
-	if err != nil {
-		return nil, fmt.Errorf("store: inflate chunk: %w", err)
-	}
-	if len(out) > maxChunkLen {
-		return nil, fmt.Errorf("store: inflated chunk too large")
-	}
-	return out, nil
 }
