@@ -4,7 +4,7 @@ package main
 //
 //	doubleplay log inspect -log pbzip.dplog            # header, section table, index health
 //	doubleplay log inspect -log pbzip.dplog -epoch 3   # one section's frame + boundary info
-//	doubleplay log upgrade -log old.dplog [-o new]     # migrate v4/v5 (or repair v6) in place
+//	doubleplay log upgrade -log old.dplog [-o new]     # rewrite v4/v5 (or repair v6) in place; the only reader of v4/v5
 //	doubleplay log extract -log a.dplog -epochs 3..5 -o sub.dplog
 //
 // Unlike `doubleplay inspect` (which decodes every epoch and needs the
@@ -22,6 +22,7 @@ import (
 
 // openLog opens path as a random-access log reader. The file stays open
 // for the life of the process — the reader fetches section bytes lazily.
+// A retired v4/v5 file does not open: the error names `log upgrade`.
 func openLog(path string) *dplog.Reader {
 	f, err := os.Open(path)
 	check(err)
@@ -44,24 +45,16 @@ func logInspect(path string, epoch int) {
 	rd := openLog(path)
 	h := rd.Header()
 
-	format := fmt.Sprintf("dplog v%d (sectioned, seekable)", h.Version)
-	if rd.Legacy() {
-		format = fmt.Sprintf("dplog v%d (legacy flat stream)", h.Version)
-	}
 	fmt.Printf("file:      %s (%d bytes)\n", path, st.Size())
-	fmt.Printf("format:    %s\n", format)
+	fmt.Printf("format:    dplog v%d (sectioned, seekable)\n", h.Version)
 	fmt.Printf("program:   %s  workers: %d  seed: %d  quantum: %d\n", h.Program, h.Workers, h.Seed, h.Quantum)
 	fmt.Printf("hashes:    final %016x  output %016x\n", h.FinalHash, h.OutputHash)
 	fmt.Printf("sections:  %d\n", rd.NumSections())
 
-	switch {
-	case rd.Legacy():
-		fmt.Printf("index:     none (pre-v6 logs decode sequentially)\n")
-		fmt.Printf("hint:      'doubleplay log upgrade -log %s' migrates to the seekable v6 format\n", path)
-	case rd.Recovered():
+	if rd.Recovered() {
 		fmt.Printf("index:     RECOVERED — trailer missing or damaged; %d sections salvaged by scan\n", rd.NumSections())
 		fmt.Printf("hint:      'doubleplay log upgrade -log %s' rewrites the salvaged sections with a fresh index\n", path)
-	default:
+	} else {
 		fmt.Printf("index:     ok (%d entries, crc verified)\n", rd.NumSections())
 	}
 
@@ -146,8 +139,8 @@ func logInspectEpoch(rd *dplog.Reader, epoch int) {
 		len(ep.Syscalls), len(ep.Signals), len(ep.SyncOrder))
 }
 
-// logUpgrade migrates a legacy log (or repairs a damaged v6 one) to the
-// current sectioned format. With -o it writes there; otherwise it
+// logUpgrade rewrites a retired v4/v5 log (or repairs a damaged v6 one)
+// as the current sectioned format. With -o it writes there; otherwise it
 // replaces the input atomically via a temp file in the same directory.
 func logUpgrade(path, out string) {
 	data, err := os.ReadFile(path)

@@ -236,11 +236,10 @@ func main() {
 			usageErr("replay requires -log (or use 'verify' for an in-memory round trip)")
 		}
 		bt := mustBuild(*wlName, *workers, *scale, *seed)
-		f, err := os.Open(*logPath)
+		data, err := os.ReadFile(*logPath)
 		check(err)
-		rec, err := dplog.Unmarshal(f)
+		rec, err := dplog.UnmarshalBytes(data)
 		check(err)
-		check(f.Close())
 		var gprof *profile.Profile
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
@@ -308,11 +307,10 @@ func main() {
 		if *logPath == "" {
 			usageErr("inspect requires -log")
 		}
-		f, err := os.Open(*logPath)
+		data, err := os.ReadFile(*logPath)
 		check(err)
-		rec, err := dplog.Unmarshal(f)
+		rec, err := dplog.UnmarshalBytes(data)
 		check(err)
-		check(f.Close())
 		fmt.Println(rec)
 		for _, ep := range rec.Epochs {
 			fmt.Printf("  epoch %3d: %4d slices, %4d syscalls, %2d signals, %4d sync ops, %d threads, end %016x commit %016x\n",

@@ -220,15 +220,16 @@ func ReplayParallelSparse(prog *Program, rec *Recording, sparse []*Boundary, cpu
 // SaveRecording writes a recording in the binary log format.
 func SaveRecording(w io.Writer, rec *Recording) error { return dplog.Marshal(w, rec) }
 
-// LoadRecording reads a recording written by SaveRecording. All on-disk
-// format versions decode; see docs/FORMAT.md.
+// LoadRecording reads r to its end and decodes the recording
+// SaveRecording wrote there. Only the current format (docs/FORMAT.md)
+// loads; a retired v4/v5 file fails with an error wrapping
+// dplog.ErrBadVersion and goes through UpgradeRecording first.
 func LoadRecording(r io.Reader) (*Recording, error) { return dplog.Unmarshal(r) }
 
 // LogReader is a random-access view of a stored recording: the v6 log
 // format keeps one self-contained section per epoch behind a trailing
 // offset index, so a reader can seek straight to epoch N without
-// decoding — or even touching — the epochs before it. Legacy v4/v5 logs
-// open through the same API (fully decoded up front). Readers are safe
+// decoding — or even touching — the epochs before it. Readers are safe
 // for concurrent use. See docs/FORMAT.md for the byte layout.
 type LogReader = dplog.Reader
 
@@ -240,7 +241,9 @@ type LogHeader = dplog.Header
 type LogSection = dplog.SectionInfo
 
 // OpenRecording opens an encoded recording for random access without
-// decoding its epochs.
+// decoding its epochs. A damaged file opens Recovered, holding the
+// sections that survive; a retired v4/v5 file does not open (see
+// UpgradeRecording).
 func OpenRecording(data []byte) (*LogReader, error) { return dplog.OpenReaderBytes(data) }
 
 // OpenRecordingAt is OpenRecording over an io.ReaderAt (e.g. an *os.File),
@@ -250,8 +253,9 @@ func OpenRecordingAt(r io.ReaderAt, size int64) (*LogReader, error) {
 }
 
 // UpgradeRecording migrates an encoded recording to the current sectioned
-// format: legacy v4/v5 logs are re-encoded, and v6 logs with a damaged
-// index are repaired from their recoverable sections. It returns the
+// format: retired v4/v5 logs — which nothing else reads any more — are
+// re-encoded, and v6 logs with a damaged index are repaired from their
+// recoverable sections. It returns the
 // (possibly unchanged) bytes and whether a rewrite happened.
 func UpgradeRecording(data []byte) ([]byte, bool, error) { return dplog.Upgrade(data) }
 

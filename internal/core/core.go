@@ -605,7 +605,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 			}
 		}
 		if len(boundaries) > opt.MaxEpochs {
-			return nil, fmt.Errorf("core: exceeded %d epochs; runaway guest?", opt.MaxEpochs)
+			return nil, fmt.Errorf("%w: exceeded %d; runaway guest?", ErrTooManyEpochs, opt.MaxEpochs)
 		}
 		// Thread-parallel execution of one epoch.
 		next := boundaries[len(boundaries)-1].Cycle + epochLen

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +137,22 @@ func TestMaxEpochsGuards(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("MaxEpochs not enforced")
+	}
+}
+
+// TestTooManyEpochsIsTheSentinel pins that running past MaxEpochs is
+// reported as the exported, documented error, so a caller can tell a
+// runaway guest from any other recording failure.
+func TestTooManyEpochsIsTheSentinel(t *testing.T) {
+	prog, _ := lockedCounterProg(2, 5000)
+	res, err := Record(prog, simos.NewWorld(1), Options{
+		Workers: 2, SpareCPUs: 2, EpochCycles: 1000, Seed: 1, MaxEpochs: 2,
+	})
+	if !errors.Is(err, ErrTooManyEpochs) {
+		t.Fatalf("Record with MaxEpochs 2 on a longer guest = (%v, %v), want ErrTooManyEpochs", res, err)
+	}
+	if !strings.Contains(err.Error(), "exceeded 2") {
+		t.Fatalf("error %q does not name the bound", err)
 	}
 }
 

@@ -17,7 +17,6 @@ package dplog
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ChunkKind classifies a chunk span for stats and fsck narration; the
@@ -70,8 +69,7 @@ type Chunk struct {
 }
 
 // ErrNoChunks reports a file whose layout cannot be enumerated as
-// verbatim chunk spans (legacy v4/v5 streams and recovered logs, which
-// have no intact index).
+// verbatim chunk spans (recovered logs, which have no intact index).
 var ErrNoChunks = errors.New("dplog: no chunkable section layout")
 
 // minSubChunk folds sub-section groups smaller than this into the
@@ -83,211 +81,47 @@ const minSubChunk = 16
 // Chunks enumerates the file as contiguous verbatim spans covering it
 // exactly: the header, per-section spans (split at the epoch-metadata /
 // syscall / sync group boundaries when the section is stored
-// uncompressed, whole otherwise), and the trailing index + footer.
+// uncompressed, whole otherwise), and the trailing index + footer. The
+// reader's index already tiles the file, so the spans do.
 func (r *Reader) Chunks() ([]Chunk, error) {
-	if r.legacy != nil || r.recovered || r.idxOff == 0 {
+	if r.Recovered() {
 		return nil, ErrNoChunks
 	}
-	secs := make([]SectionInfo, len(r.index))
-	copy(secs, r.index)
-	sort.Slice(secs, func(i, j int) bool { return secs[i].Offset < secs[j].Offset })
-
-	chunks := make([]Chunk, 0, 3*len(secs)+2)
+	chunks := make([]Chunk, 0, 3*len(r.index)+2)
 	chunks = append(chunks, Chunk{Kind: ChunkHeader, Epoch: -1, Offset: 0, Len: r.bodyOff})
-	next := r.bodyOff
-	for _, info := range secs {
-		if info.Offset != next {
-			return nil, fmt.Errorf("dplog: section for epoch %d at offset %d, expected %d", info.Epoch, info.Offset, next)
+	// push adds a section's next group as a span after the last one, or
+	// folds a small group into that one.
+	push := func(kind ChunkKind, n int) {
+		last := &chunks[len(chunks)-1]
+		switch {
+		case n == 0:
+		case n < minSubChunk:
+			last.Len += int64(n)
+		default:
+			chunks = append(chunks, Chunk{Kind: kind, Epoch: last.Epoch, Offset: last.Offset + last.Len, Len: int64(n)})
 		}
-		sub, err := r.sectionChunks(info)
+	}
+	var ep EpochLog // decoded into over and over; only the offsets are kept
+	for i, info := range r.index {
+		frame, payload, err := r.section(i)
 		if err != nil {
 			return nil, err
 		}
-		chunks = append(chunks, sub...)
-		next = sub[len(sub)-1].Offset + sub[len(sub)-1].Len
-	}
-	if next != r.idxOff {
-		return nil, fmt.Errorf("dplog: sections end at offset %d, index starts at %d", next, r.idxOff)
+		if info.Compressed() {
+			chunks = append(chunks, Chunk{Kind: ChunkSection, Epoch: info.Epoch, Offset: info.Offset, Len: int64(len(frame))})
+			continue
+		}
+		// The body is decoded in full, so a payload that would not decode
+		// is rejected here rather than split wrong.
+		metaEnd, sysEnd, err := decodePayload(&ep, info, payload)
+		if err != nil {
+			return nil, fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
+		}
+		head := len(frame) - len(payload)
+		chunks = append(chunks, Chunk{Kind: ChunkEpochMeta, Epoch: info.Epoch, Offset: info.Offset, Len: int64(head + metaEnd)})
+		push(ChunkSyscalls, sysEnd-metaEnd)
+		push(ChunkSync, len(payload)-sysEnd)
 	}
 	chunks = append(chunks, Chunk{Kind: ChunkIndex, Epoch: -1, Offset: r.idxOff, Len: r.size - r.idxOff})
 	return chunks, nil
 }
-
-// sectionChunks splits one section frame into verbatim spans. The frame
-// head is re-parsed from the file (rather than re-encoded) so the split
-// is correct even for non-canonical varints.
-func (r *Reader) sectionChunks(info SectionInfo) ([]Chunk, error) {
-	br := newBreader(r.src, r.size, info.Offset)
-	marker, err := br.ReadByte()
-	if err != nil || marker != sectionMarker {
-		return nil, fmt.Errorf("dplog: epoch %d: no section frame at offset %d", info.Epoch, info.Offset)
-	}
-	d := &decoder{r: br}
-	got, payload, err := d.sectionHead(info.Offset)
-	if err != nil {
-		return nil, fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
-	}
-	if got != info {
-		return nil, fmt.Errorf("dplog: epoch %d: section frame disagrees with index", info.Epoch)
-	}
-	end := br.pos
-	payloadStart := end - info.Stored
-	whole := Chunk{Kind: ChunkSection, Epoch: info.Epoch, Offset: info.Offset, Len: end - info.Offset}
-	if info.Compressed() {
-		return []Chunk{whole}, nil
-	}
-	metaLen, sysLen, err := epochGroupBounds(payload)
-	if err != nil {
-		return nil, fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
-	}
-	out := []Chunk{{Kind: ChunkEpochMeta, Epoch: info.Epoch, Offset: info.Offset, Len: payloadStart - info.Offset + int64(metaLen)}}
-	push := func(kind ChunkKind, n int64) {
-		if n == 0 {
-			return
-		}
-		if n < minSubChunk {
-			out[len(out)-1].Len += n
-			return
-		}
-		last := out[len(out)-1]
-		out = append(out, Chunk{Kind: kind, Epoch: info.Epoch, Offset: last.Offset + last.Len, Len: n})
-	}
-	push(ChunkSyscalls, int64(sysLen-metaLen))
-	push(ChunkSync, int64(len(payload)-sysLen))
-	return out, nil
-}
-
-// epochGroupBounds parses an uncompressed section payload (the v6 epoch
-// body layout) and returns the byte offsets at which the epoch-metadata
-// group ends (after the schedule) and the syscall group ends (before
-// signals). The whole body is decoded, so a payload that would not
-// decode is rejected here rather than split wrong.
-func epochGroupBounds(body []byte) (metaEnd, sysEnd int, err error) {
-	sc := newPayloadScanner(body)
-	d := &decoder{r: sc}
-	if _, err = d.u(); err != nil { // index
-		return 0, 0, err
-	}
-	if _, err = d.u(); err != nil { // flags
-		return 0, 0, err
-	}
-	for i := 0; i < 3; i++ { // start/end/commit hashes
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-	}
-	nt, err := d.u()
-	if err != nil {
-		return 0, 0, err
-	}
-	if nt > 1<<20 {
-		return 0, 0, fmt.Errorf("target count %d too large", nt)
-	}
-	for i := uint64(0); i < nt; i++ {
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-	}
-	ns, err := d.u()
-	if err != nil {
-		return 0, 0, err
-	}
-	if ns > 1<<28 {
-		return 0, 0, fmt.Errorf("slice count %d too large", ns)
-	}
-	for i := uint64(0); i < ns; i++ {
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-	}
-	metaEnd = sc.pos()
-	nsys, err := d.u()
-	if err != nil {
-		return 0, 0, err
-	}
-	if nsys > 1<<28 {
-		return 0, 0, fmt.Errorf("syscall count %d too large", nsys)
-	}
-	var sr SyscallRecord
-	for i := uint64(0); i < nsys; i++ {
-		if err = d.syscall(&sr); err != nil {
-			return 0, 0, err
-		}
-	}
-	sysEnd = sc.pos()
-	// Parse the remainder (signals + sync order) too, so a payload that
-	// would not decode never gets split.
-	nsig, err := d.u()
-	if err != nil {
-		return 0, 0, err
-	}
-	if nsig > 1<<28 {
-		return 0, 0, fmt.Errorf("signal count %d too large", nsig)
-	}
-	for i := uint64(0); i < nsig; i++ {
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-		if _, err = d.i(); err != nil {
-			return 0, 0, err
-		}
-	}
-	nsync, err := d.u()
-	if err != nil {
-		return 0, 0, err
-	}
-	if nsync > 1<<28 {
-		return 0, 0, fmt.Errorf("sync count %d too large", nsync)
-	}
-	for i := uint64(0); i < nsync; i++ {
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-		if _, err = d.u(); err != nil {
-			return 0, 0, err
-		}
-		if _, err = d.i(); err != nil {
-			return 0, 0, err
-		}
-	}
-	if sc.pos() != len(body) {
-		return 0, 0, fmt.Errorf("trailing bytes after epoch body")
-	}
-	return metaEnd, sysEnd, nil
-}
-
-// payloadScanner is a byteScanner over a slice that exposes its position.
-type payloadScanner struct {
-	b []byte
-	n int
-}
-
-func newPayloadScanner(b []byte) *payloadScanner { return &payloadScanner{b: b} }
-
-func (s *payloadScanner) pos() int { return s.n }
-
-func (s *payloadScanner) ReadByte() (byte, error) {
-	if s.n >= len(s.b) {
-		return 0, errTruncatedPayload
-	}
-	c := s.b[s.n]
-	s.n++
-	return c, nil
-}
-
-func (s *payloadScanner) Read(p []byte) (int, error) {
-	if s.n >= len(s.b) {
-		return 0, errTruncatedPayload
-	}
-	n := copy(p, s.b[s.n:])
-	s.n += n
-	return n, nil
-}
-
-var errTruncatedPayload = errors.New("dplog: truncated section payload")

@@ -113,20 +113,16 @@ func TestChunksSplitUncompressedSections(t *testing.T) {
 }
 
 func TestChunksRefusesLegacyAndRecovered(t *testing.T) {
-	legacy := encodeLegacy(legacyFixture(5), 5)
-	rd, err := OpenReaderBytes(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rd.Chunks(); !errors.Is(err, ErrNoChunks) {
-		t.Fatalf("legacy Chunks() err = %v, want ErrNoChunks", err)
+	// A retired flat stream never gets as far as a reader to chunk.
+	if _, err := OpenReaderBytes(encodeLegacy(legacyFixture(5), 5)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("legacy open err = %v, want ErrBadVersion", err)
 	}
 
 	// Truncate a v6 log mid-index: the reader recovers, but chunk
 	// enumeration must refuse (no intact index span to reproduce).
 	data := MarshalBytes(fixtureRecording())
 	trunc := data[:len(data)-footerLen-2]
-	rd, err = OpenReaderBytes(trunc)
+	rd, err := OpenReaderBytes(trunc)
 	if err != nil {
 		t.Fatal(err)
 	}

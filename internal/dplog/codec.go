@@ -5,10 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-
-	"doubleplay/internal/vm"
 )
 
 // The on-disk format is a fixed header followed by format-version-specific
@@ -23,9 +20,10 @@ import (
 // Version history: v4 is the pre-certification format; v5 adds the
 // recording's scheduling quantum to the header and a per-epoch flags
 // varint (bit 0: certified); v6 wraps each epoch in a framed, optionally
-// DEFLATE-compressed section behind an offset index. The decoder accepts
-// v4..v6 (version-sniffed); the encoder always writes v6. The appendix of
-// docs/FORMAT.md specifies the retired layouts.
+// DEFLATE-compressed section behind an offset index. The encoder writes
+// v6 and the readers (Unmarshal, OpenReader) accept only v6; the retired
+// flat layouts are decoded by Upgrade alone (legacy.go), and the appendix
+// of docs/FORMAT.md specifies them.
 
 // FormatVersion is the log format version the encoder writes.
 const FormatVersion = formatVersion
@@ -37,8 +35,8 @@ const (
 
 	epochFlagCertified = 1 << 0
 
-	// maxEpochs bounds the per-file section count (and the legacy epoch
-	// count) against hostile headers.
+	// maxEpochs bounds the per-file section count (and the retired
+	// layouts' epoch count) against hostile headers.
 	maxEpochs = 1 << 24
 )
 
@@ -52,8 +50,7 @@ var (
 	ErrNoEpoch = errors.New("dplog: no such epoch")
 )
 
-// Header is the decoded fixed header of a dplog file. It is identical
-// across v4..v6 except that v4 has no Quantum field (decoded as zero).
+// Header is the decoded fixed header of a dplog file.
 type Header struct {
 	Version    int
 	Program    string
@@ -248,331 +245,21 @@ func MarshalBytesWith(r *Recording, opt EncodeOptions) []byte {
 }
 
 // offsetWriter tracks the file offset of everything written through it,
-// so the encoder can build the section index as it goes.
+// so the encoder can build the section index as it goes. The encoder does
+// not look at write results, so the first failure sticks here: nothing
+// more is written and whoever owns the writer returns err.
 type offsetWriter struct {
-	w io.Writer
-	n int64
+	w   io.Writer
+	n   int64
+	err error
 }
 
 func (ow *offsetWriter) Write(p []byte) (int, error) {
+	if ow.err != nil {
+		return 0, ow.err
+	}
 	n, err := ow.w.Write(p)
 	ow.n += int64(n)
+	ow.err = err
 	return n, err
-}
-
-// byteScanner is the reader surface the decoder needs: sequential reads
-// plus single bytes (for varints). Both bufio.Reader and the positioned
-// breader satisfy it.
-type byteScanner interface {
-	io.Reader
-	io.ByteReader
-}
-
-type decoder struct {
-	r byteScanner
-}
-
-func (d *decoder) u() (uint64, error) { return binary.ReadUvarint(d.r) }
-func (d *decoder) i() (int64, error)  { return binary.ReadVarint(d.r) }
-
-func (d *decoder) str() (string, error) {
-	n, err := d.u()
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("dplog: string length %d too large", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// header decodes the magic, version, and fixed header fields.
-func (d *decoder) header() (Header, error) {
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(d.r, head); err != nil {
-		return Header{}, err
-	}
-	if string(head) != magic {
-		return Header{}, ErrBadMagic
-	}
-	ver, err := d.u()
-	if err != nil {
-		return Header{}, err
-	}
-	if ver < minVersion || ver > formatVersion {
-		return Header{}, fmt.Errorf("%w: %d", ErrBadVersion, ver)
-	}
-	h := Header{Version: int(ver)}
-	if h.Program, err = d.str(); err != nil {
-		return Header{}, err
-	}
-	workers, err := d.u()
-	if err != nil {
-		return Header{}, err
-	}
-	h.Workers = int(workers)
-	if h.Seed, err = d.i(); err != nil {
-		return Header{}, err
-	}
-	nsec, err := d.u()
-	if err != nil {
-		return Header{}, err
-	}
-	if nsec > maxEpochs {
-		return Header{}, fmt.Errorf("dplog: epoch count %d too large", nsec)
-	}
-	h.Sections = int(nsec)
-	if h.FinalHash, err = d.u(); err != nil {
-		return Header{}, err
-	}
-	if h.OutputHash, err = d.u(); err != nil {
-		return Header{}, err
-	}
-	if ver >= 5 {
-		if h.Quantum, err = d.i(); err != nil {
-			return Header{}, err
-		}
-	}
-	return h, nil
-}
-
-// Unmarshal decodes a recording from r, sniffing the format version:
-// current v6 sectioned streams and legacy v4/v5 flat streams both load.
-func Unmarshal(rd io.Reader) (*Recording, error) {
-	cr := &countReader{r: rd}
-	br := bufio.NewReader(cr)
-	d := &decoder{r: br}
-	h, err := d.header()
-	if err != nil {
-		return nil, err
-	}
-	rec := recordingOf(h)
-	if h.Version < 6 {
-		rec.Epochs = make([]*EpochLog, 0, capHint(uint64(h.Sections)))
-		for i := 0; i < h.Sections; i++ {
-			ep, err := d.epoch(uint64(h.Version))
-			if err != nil {
-				return nil, fmt.Errorf("dplog: epoch %d: %w", i, err)
-			}
-			rec.Epochs = append(rec.Epochs, ep)
-		}
-		return rec, nil
-	}
-	// v6: sections, index, footer. The exact stream position (bytes
-	// consumed from the source minus what bufio still buffers) lets the
-	// sequential decoder cross-check the index offsets it streams past.
-	pos := func() int64 { return cr.n - int64(br.Buffered()) }
-	if err := d.sectioned(rec, h.Sections, pos); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
-// UnmarshalBytes decodes a recording from a byte slice.
-func UnmarshalBytes(b []byte) (*Recording, error) {
-	return Unmarshal(bytes.NewReader(b))
-}
-
-// capHint bounds eager slice preallocation for attacker-controlled
-// counts: decode loops append, so a hostile length prefix can only cost
-// memory proportional to the bytes its stream actually delivers.
-func capHint(n uint64) int {
-	const max = 1 << 12
-	if n > max {
-		return max
-	}
-	return int(n)
-}
-
-// countReader counts the bytes its underlying reader delivered.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// epoch decodes one epoch body: the layout shared by the legacy flat
-// formats (ver 4/5) and the v6 section payload (ver 6, identical to 5).
-func (d *decoder) epoch(ver uint64) (*EpochLog, error) {
-	ep := &EpochLog{}
-	idx, err := d.u()
-	if err != nil {
-		return nil, err
-	}
-	ep.Index = int(idx)
-	if ver >= 5 {
-		flags, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		ep.Certified = flags&epochFlagCertified != 0
-	}
-	if ep.StartHash, err = d.u(); err != nil {
-		return nil, err
-	}
-	if ep.EndHash, err = d.u(); err != nil {
-		return nil, err
-	}
-	if ep.CommitHash, err = d.u(); err != nil {
-		return nil, err
-	}
-	nt, err := d.u()
-	if err != nil {
-		return nil, err
-	}
-	if nt > 1<<20 {
-		return nil, fmt.Errorf("target count %d too large", nt)
-	}
-	ep.Targets = make([]uint64, 0, capHint(nt))
-	for i := uint64(0); i < nt; i++ {
-		t, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		ep.Targets = append(ep.Targets, t)
-	}
-	ns, err := d.u()
-	if err != nil {
-		return nil, err
-	}
-	if ns > 1<<28 {
-		return nil, fmt.Errorf("slice count %d too large", ns)
-	}
-	ep.Schedule = make([]Slice, 0, capHint(ns))
-	for i := uint64(0); i < ns; i++ {
-		tid, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		n, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		ep.Schedule = append(ep.Schedule, Slice{Tid: int(tid), N: n})
-	}
-	nsys, err := d.u()
-	if err != nil {
-		return nil, err
-	}
-	if nsys > 1<<28 {
-		return nil, fmt.Errorf("syscall count %d too large", nsys)
-	}
-	ep.Syscalls = make([]SyscallRecord, 0, capHint(nsys))
-	for i := uint64(0); i < nsys; i++ {
-		var sr SyscallRecord
-		if err := d.syscall(&sr); err != nil {
-			return nil, err
-		}
-		ep.Syscalls = append(ep.Syscalls, sr)
-	}
-	nsig, err := d.u()
-	if err != nil {
-		return nil, err
-	}
-	if nsig > 1<<28 {
-		return nil, fmt.Errorf("signal count %d too large", nsig)
-	}
-	if nsig > 0 {
-		ep.Signals = make([]SignalRecord, 0, capHint(nsig))
-	}
-	for i := uint64(0); i < nsig; i++ {
-		tid, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		ret, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		sig, err := d.i()
-		if err != nil {
-			return nil, err
-		}
-		ep.Signals = append(ep.Signals, SignalRecord{Tid: int(tid), Retired: ret, Sig: sig})
-	}
-	nsync, err := d.u()
-	if err != nil {
-		return nil, err
-	}
-	if nsync > 1<<28 {
-		return nil, fmt.Errorf("sync count %d too large", nsync)
-	}
-	ep.SyncOrder = make([]SyncRecord, 0, capHint(nsync))
-	for i := uint64(0); i < nsync; i++ {
-		tid, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		kind, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		id, err := d.i()
-		if err != nil {
-			return nil, err
-		}
-		ep.SyncOrder = append(ep.SyncOrder, SyncRecord{Tid: int(tid), Kind: vm.ObjKind(kind), ID: id})
-	}
-	return ep, nil
-}
-
-func (d *decoder) syscall(r *SyscallRecord) error {
-	tid, err := d.u()
-	if err != nil {
-		return err
-	}
-	r.Tid = int(tid)
-	if r.Num, err = d.i(); err != nil {
-		return err
-	}
-	for i := range r.Args {
-		if r.Args[i], err = d.i(); err != nil {
-			return err
-		}
-	}
-	if r.Ret, err = d.i(); err != nil {
-		return err
-	}
-	nw, err := d.u()
-	if err != nil {
-		return err
-	}
-	if nw > 1<<20 {
-		return fmt.Errorf("write count %d too large", nw)
-	}
-	if nw > 0 {
-		r.Writes = make([]vm.MemWrite, 0, capHint(nw))
-	}
-	for i := uint64(0); i < nw; i++ {
-		addr, err := d.i()
-		if err != nil {
-			return err
-		}
-		nd, err := d.u()
-		if err != nil {
-			return err
-		}
-		if nd > 1<<24 {
-			return fmt.Errorf("write data length %d too large", nd)
-		}
-		data := make([]vm.Word, 0, capHint(nd))
-		for j := uint64(0); j < nd; j++ {
-			w, err := d.i()
-			if err != nil {
-				return err
-			}
-			data = append(data, w)
-		}
-		r.Writes = append(r.Writes, vm.MemWrite{Addr: addr, Data: data})
-	}
-	return nil
 }

@@ -201,8 +201,9 @@ func TestSizesAndCounts(t *testing.T) {
 }
 
 // TestV4StreamDecodes pins backward compatibility: a pre-certification
-// v4 stream (no header quantum, no per-epoch flags) must still load,
-// with Quantum zero and no epoch certified.
+// v4 stream (no header quantum, no per-epoch flags) must still load
+// through Upgrade — and only through it — with Quantum zero and no epoch
+// certified.
 func TestV4StreamDecodes(t *testing.T) {
 	var buf bytes.Buffer
 	e := newEncoder(&buf)
@@ -229,7 +230,14 @@ func TestV4StreamDecodes(t *testing.T) {
 	e.u(1)     //   tid
 	e.u(0)     //   kind
 	e.i(9)     //   id
-	rec, err := UnmarshalBytes(buf.Bytes())
+	if _, err := UnmarshalBytes(buf.Bytes()); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("v4 stream straight into the reader: %v, want ErrBadVersion", err)
+	}
+	up, changed, err := Upgrade(buf.Bytes())
+	if err != nil || !changed {
+		t.Fatalf("Upgrade(v4): changed=%v err=%v", changed, err)
+	}
+	rec, err := UnmarshalBytes(up)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,6 +253,9 @@ func TestV4StreamDecodes(t *testing.T) {
 	old[4] = 3
 	if _, err := UnmarshalBytes(old); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("v3 accepted: %v", err)
+	}
+	if _, _, err := Upgrade(old); !errors.Is(err, ErrBadVersion) || strings.Contains(err.Error(), "log upgrade") {
+		t.Fatalf("Upgrade(v3) = %v, want a plain ErrBadVersion", err)
 	}
 }
 

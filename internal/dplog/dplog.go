@@ -7,8 +7,9 @@
 // container (format v6): one self-contained section per epoch behind a
 // trailing offset index, so Reader.Seek(epoch) decodes epoch N without
 // touching epochs 0..N-1, and a truncated log recovers every intact
-// section. docs/FORMAT.md is the normative byte-level specification;
-// legacy v4/v5 flat streams still decode (version-sniffed).
+// section. docs/FORMAT.md is the normative byte-level specification. The
+// read side is one decoder (decode.go) under one file-level reader
+// (reader.go); the retired v4/v5 flat streams load through Upgrade only.
 //
 // The central point of the paper is visible in these types: because every
 // epoch executes on a single processor, the information needed to replay it

@@ -1,0 +1,6 @@
+package dplog
+
+// UpdateGolden exposes the -update flag to the external test package
+// (golden_test.go), which records real workloads and so cannot live in
+// package dplog itself: internal/core imports it.
+var UpdateGolden = update

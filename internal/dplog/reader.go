@@ -1,202 +1,150 @@
 package dplog
 
-// Reader gives random access to a recording on storage: it loads only the
-// fixed header and the trailing section index, then decodes individual
-// epoch sections on demand. Legacy v4/v5 flat streams open through the
-// same API (fully decoded up front, since they have no index), so callers
-// never need to version-sniff themselves.
+// Reader is the file-level decoder: it loads the fixed header and the
+// trailing section index, then fetches and decodes individual epoch
+// sections on demand. Decoding a whole file (Unmarshal) is the same thing
+// over a buffer that holds all of it. Only the current format opens; a
+// retired v4/v5 flat stream is refused with ErrBadVersion and goes
+// through Upgrade first.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 )
 
-// breader is a positioned sequential reader over an io.ReaderAt with a
-// small internal buffer, so varint-by-varint frame parsing does not issue
-// one ReadAt per byte. Its position is exact: pos is always the file
-// offset of the next byte it will deliver.
-type breader struct {
-	src    io.ReaderAt
-	size   int64
-	pos    int64
-	buf    [512]byte
-	bufOff int64 // file offset of buf[0]; -1 when the buffer is empty
-	bufLen int
-}
-
-func newBreader(src io.ReaderAt, size, off int64) *breader {
-	return &breader{src: src, size: size, pos: off, bufOff: -1}
-}
-
-func (b *breader) fill() error {
-	n := int64(len(b.buf))
-	if rest := b.size - b.pos; rest < n {
-		n = rest
-	}
-	if n <= 0 {
-		return io.EOF
-	}
-	m, err := b.src.ReadAt(b.buf[:n], b.pos)
-	if m == 0 {
-		if err == nil || err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	b.bufOff, b.bufLen = b.pos, m
-	return nil
-}
-
-func (b *breader) buffered() []byte {
-	if b.bufOff < 0 || b.pos < b.bufOff || b.pos >= b.bufOff+int64(b.bufLen) {
-		return nil
-	}
-	return b.buf[b.pos-b.bufOff : b.bufLen]
-}
-
-func (b *breader) ReadByte() (byte, error) {
-	w := b.buffered()
-	if w == nil {
-		if err := b.fill(); err != nil {
-			return 0, err
-		}
-		w = b.buffered()
-	}
-	b.pos++
-	return w[0], nil
-}
-
-func (b *breader) Read(p []byte) (int, error) {
-	if w := b.buffered(); w != nil {
-		n := copy(p, w)
-		b.pos += int64(n)
-		return n, nil
-	}
-	if b.pos >= b.size {
-		return 0, io.EOF
-	}
-	if rest := b.size - b.pos; int64(len(p)) > rest {
-		p = p[:rest]
-	}
-	n, err := b.src.ReadAt(p, b.pos)
-	b.pos += int64(n)
-	if err == io.EOF && n > 0 {
-		err = nil
-	}
-	return n, err
-}
-
 // Reader is a seekable view of an encoded recording.
 type Reader struct {
 	src  io.ReaderAt
+	mem  []byte // the whole file, when opened from memory: fetches are sub-slices
 	size int64
 	hdr  Header
 	// bodyOff is the file offset of the first section: where the fixed
 	// header ends, and where an index-recovery scan starts.
 	bodyOff int64
 	// idxOff is the file offset of the section index (the first byte of
-	// the DPIX magic); zero for legacy and recovered files, where no
-	// intact index was located.
-	idxOff    int64
-	index     []SectionInfo
-	byID      map[int]int // epoch id -> position in index
-	recovered bool
-	legacy    []*EpochLog // decoded epochs when the file is v4/v5
+	// the DPIX magic); zero for recovered files, where no intact index was
+	// located.
+	idxOff int64
+	index  []SectionInfo
+	byID   map[int]int // epoch id -> position in index
+	// damage is why the footer or index was refused; non-nil exactly for
+	// a recovered reader.
+	damage error
 }
 
 // OpenReader opens an encoded recording of the given size for random
-// access. For v6 files it reads the header, footer, and section index;
-// if the footer or index is unreadable (a truncated or corrupted log) it
-// falls back to a forward recovery scan over intact sections and marks
-// the reader Recovered. Legacy v4/v5 files are decoded in full.
+// access: it reads the header, footer, and section index; if the footer
+// or index is unreadable or does not describe the file exactly (a
+// truncated or corrupted log) it falls back to a forward recovery scan
+// over intact sections and marks the reader Recovered.
 //
 // The returned Reader is safe for concurrent use as long as src's ReadAt
 // is (bytes.Reader and os.File both qualify).
 func OpenReader(src io.ReaderAt, size int64) (*Reader, error) {
-	br := newBreader(src, size, 0)
-	d := &decoder{r: br}
-	h, err := d.header()
-	if err != nil {
-		return nil, err
-	}
-	r := &Reader{src: src, size: size, hdr: h, bodyOff: br.pos}
-	if h.Version < 6 {
-		r.legacy = make([]*EpochLog, h.Sections)
-		for i := range r.legacy {
-			ep, err := d.epoch(uint64(h.Version))
-			if err != nil {
-				return nil, fmt.Errorf("dplog: epoch %d: %w", i, err)
-			}
-			r.legacy[i] = ep
+	return open(&Reader{src: src, size: size})
+}
+
+// OpenReaderBytes opens an in-memory encoded recording for random access.
+// The reader keeps b and reads sections straight out of it.
+func OpenReaderBytes(b []byte) (*Reader, error) {
+	return open(&Reader{mem: b, size: int64(len(b))})
+}
+
+func open(r *Reader) (*Reader, error) {
+	// The header's length is known only once it is parsed: fetch a prefix,
+	// and a wider one while the parse runs off its end.
+	for n := int64(256); ; n *= 8 {
+		b, err := r.fetch(0, min(n, r.size))
+		if err != nil {
+			return nil, err
 		}
-		return r, nil
+		c := cursor{b: b}
+		r.hdr = c.header(formatVersion)
+		if c.err == nil {
+			r.bodyOff = int64(c.pos)
+			break
+		}
+		if c.err != io.ErrUnexpectedEOF || n >= r.size {
+			return nil, c.err
+		}
 	}
-	if err := r.loadIndex(); err != nil {
+	if r.damage = r.loadIndex(); r.damage != nil {
 		r.recoverScan()
-		r.recovered = true
-	}
-	r.byID = make(map[int]int, len(r.index))
-	for i, s := range r.index {
-		r.byID[s.Epoch] = i
 	}
 	return r, nil
 }
 
-// OpenReaderBytes opens an in-memory encoded recording for random access.
-func OpenReaderBytes(b []byte) (*Reader, error) {
-	return OpenReader(bytes.NewReader(b), int64(len(b)))
+// fetch returns file bytes [off, off+n), which the caller has checked to
+// lie inside the file.
+func (r *Reader) fetch(off, n int64) ([]byte, error) {
+	if r.src == nil {
+		return r.mem[off : off+n], nil
+	}
+	b := make([]byte, n)
+	if m, err := r.src.ReadAt(b, off); m < len(b) {
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return b, nil
 }
 
 // loadIndex reads the footer and section index from the tail of the file
-// and validates both.
+// and validates both, including that the index describes the file
+// exactly: entries in file order, the first section starting where the
+// header ends, each next one where the previous frame ends, the last one
+// ending where the index starts (docs/FORMAT.md §4).
 func (r *Reader) loadIndex() error {
 	if r.size < r.bodyOff+footerLen {
-		return fmt.Errorf("dplog: file too short for a footer")
+		return errors.New("file too short for a footer")
 	}
-	var foot [footerLen]byte
-	if _, err := r.src.ReadAt(foot[:], r.size-footerLen); err != nil {
-		return err
-	}
-	if string(foot[12:16]) != trailerMagic {
-		return fmt.Errorf("dplog: bad trailer magic")
-	}
-	idxOff := int64(binary.LittleEndian.Uint64(foot[0:8]))
-	if idxOff < r.bodyOff || idxOff > r.size-footerLen {
-		return fmt.Errorf("dplog: footer index offset %d out of range", idxOff)
-	}
-	idx := make([]byte, r.size-footerLen-idxOff)
-	if _, err := r.src.ReadAt(idx, idxOff); err != nil {
-		return err
-	}
-	if got := crc32.ChecksumIEEE(idx); got != binary.LittleEndian.Uint32(foot[8:12]) {
-		return fmt.Errorf("dplog: index CRC mismatch")
-	}
-	if len(idx) < len(indexMagic) || string(idx[:len(indexMagic)]) != indexMagic {
-		return fmt.Errorf("dplog: bad index magic")
-	}
-	d := &decoder{r: newBytesScanner(idx[len(indexMagic):])}
-	entries, err := d.indexEntries()
+	foot, err := r.fetch(r.size-footerLen, footerLen)
 	if err != nil {
 		return err
 	}
+	if string(foot[12:16]) != trailerMagic {
+		return errors.New("bad trailer magic")
+	}
+	idxOff := int64(binary.LittleEndian.Uint64(foot[0:8]))
+	if idxOff < r.bodyOff || idxOff > r.size-footerLen {
+		return fmt.Errorf("footer index offset %d out of range", idxOff)
+	}
+	idx, err := r.fetch(idxOff, r.size-footerLen-idxOff)
+	if err != nil {
+		return err
+	}
+	if got := crc32.ChecksumIEEE(idx); got != binary.LittleEndian.Uint32(foot[8:12]) {
+		return errors.New("index CRC mismatch")
+	}
+	c := cursor{b: idx}
+	entries := c.indexEntries()
+	if c.err != nil {
+		return fmt.Errorf("section index: %w", c.err)
+	}
 	if len(entries) != r.hdr.Sections {
-		return fmt.Errorf("dplog: index has %d entries, header declares %d", len(entries), r.hdr.Sections)
+		return fmt.Errorf("index has %d entries, header declares %d", len(entries), r.hdr.Sections)
 	}
-	seen := make(map[int]bool, len(entries))
+	byID := make(map[int]int, len(entries))
+	next := r.bodyOff
 	for i, s := range entries {
-		if s.Offset < r.bodyOff || s.Offset >= idxOff {
-			return fmt.Errorf("dplog: index entry %d offset %d out of range", i, s.Offset)
+		if s.Offset != next {
+			return fmt.Errorf("index entry %d at offset %d, previous frame ends at %d", i, s.Offset, next)
 		}
-		if seen[s.Epoch] {
-			return fmt.Errorf("dplog: index lists epoch %d twice", s.Epoch)
+		if _, dup := byID[s.Epoch]; dup {
+			return fmt.Errorf("index lists epoch %d twice", s.Epoch)
 		}
-		seen[s.Epoch] = true
+		byID[s.Epoch] = i
+		next += frameLen(s)
 	}
-	r.index = entries
-	r.idxOff = idxOff
+	if next != idxOff {
+		return fmt.Errorf("sections end at offset %d, index starts at %d", next, idxOff)
+	}
+	r.index, r.byID, r.idxOff = entries, byID, idxOff
 	return nil
 }
 
@@ -205,25 +153,69 @@ func (r *Reader) loadIndex() error {
 // whose payload CRC checks, and stopping at the first damage. This is
 // the truncated-log path: everything up to the cut survives.
 func (r *Reader) recoverScan() {
-	r.index = r.index[:0]
-	br := newBreader(r.src, r.size, r.bodyOff)
-	d := &decoder{r: br}
-	for {
-		off := br.pos
-		marker, err := br.ReadByte()
-		if err != nil || marker != sectionMarker {
-			return
-		}
-		info, _, err := d.sectionHead(off)
+	r.byID = make(map[int]int)
+	for off := r.bodyOff; ; {
+		info, frame, _, err := r.frame(off, nil)
 		if err != nil {
 			return
 		}
+		r.byID[info.Epoch] = len(r.index)
 		r.index = append(r.index, info)
+		off += int64(len(frame))
 	}
 }
 
-// newBytesScanner adapts a byte slice to the decoder's reader surface.
-func newBytesScanner(b []byte) byteScanner { return bytes.NewReader(b) }
+// frame fetches the section frame at file offset off and validates it
+// down to the payload CRC; payload is the tail of frame. It is the one
+// way a section leaves the file — epoch fetches, WriteRange, Chunks and
+// the recovery scan all come through here. With the frame's index entry
+// in hand (want) its length is known before the read, because sections
+// tile the file, and the frame must then agree with the entry field for
+// field. The recovery scan has no entry: it reads the head first, and the
+// length the head declares is checked against the file before a buffer
+// of that size exists.
+func (r *Reader) frame(off int64, want *SectionInfo) (info SectionInfo, frame, payload []byte, err error) {
+	n := min(maxFrameHead, r.size-off)
+	if want != nil {
+		n = frameLen(*want)
+	}
+	if frame, err = r.fetch(off, n); err != nil {
+		return info, nil, nil, err
+	}
+	c := cursor{b: frame}
+	info = c.frameHead()
+	info.Offset = off
+	total := frameLen(info)
+	switch {
+	case c.err != nil:
+		return info, nil, nil, c.err
+	case want != nil && info != *want:
+		return info, nil, nil, errors.New("section frame disagrees with index")
+	case total != int64(c.pos)+info.Stored:
+		return info, nil, nil, errors.New("section frame head is not minimally encoded")
+	case total > r.size-off:
+		return info, nil, nil, io.ErrUnexpectedEOF
+	}
+	if want == nil {
+		if frame, err = r.fetch(off, total); err != nil {
+			return info, nil, nil, err
+		}
+	}
+	payload = frame[c.pos:]
+	if got := crc32.ChecksumIEEE(payload); got != info.CRC {
+		return info, nil, nil, fmt.Errorf("section payload CRC %#08x, frame declared %#08x", got, info.CRC)
+	}
+	return info, frame, payload, nil
+}
+
+// section is frame for the index entry at position pos.
+func (r *Reader) section(pos int) (frame, payload []byte, err error) {
+	info := &r.index[pos]
+	if _, frame, payload, err = r.frame(info.Offset, info); err != nil {
+		err = fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
+	}
+	return frame, payload, err
+}
 
 // Header returns the file's decoded fixed header.
 func (r *Reader) Header() Header { return r.hdr }
@@ -231,199 +223,143 @@ func (r *Reader) Header() Header { return r.hdr }
 // Size returns the encoded recording's byte length.
 func (r *Reader) Size() int64 { return r.size }
 
-// Legacy reports whether the file predates the sectioned format (v4/v5).
-func (r *Reader) Legacy() bool { return r.legacy != nil }
-
 // Recovered reports whether the section index was rebuilt by a recovery
 // scan because the footer or index was unreadable. A recovered reader
 // may expose fewer sections than the header declares.
-func (r *Reader) Recovered() bool { return r.recovered }
+func (r *Reader) Recovered() bool { return r.damage != nil }
 
 // NumSections returns the number of readable epoch sections.
-func (r *Reader) NumSections() int {
-	if r.legacy != nil {
-		return len(r.legacy)
-	}
-	return len(r.index)
-}
+func (r *Reader) NumSections() int { return len(r.index) }
 
-// Sections returns the section index in file order. It is empty for
-// legacy files, which have no index. The returned slice is shared; treat
-// it as read-only.
+// Sections returns the section index in file order. The returned slice
+// is shared; treat it as read-only.
 func (r *Reader) Sections() []SectionInfo { return r.index }
 
 // EpochAt decodes the section at position pos in file order, reading
 // only that section's bytes.
 func (r *Reader) EpochAt(pos int) (*EpochLog, error) {
-	if pos < 0 || pos >= r.NumSections() {
-		return nil, fmt.Errorf("%w: section position %d of %d", ErrNoEpoch, pos, r.NumSections())
+	if pos < 0 || pos >= len(r.index) {
+		return nil, fmt.Errorf("%w: section position %d of %d", ErrNoEpoch, pos, len(r.index))
 	}
-	if r.legacy != nil {
-		return r.legacy[pos], nil
+	_, payload, err := r.section(pos)
+	if err != nil {
+		return nil, err
 	}
-	return r.decodeSection(r.index[pos])
+	ep := new(EpochLog)
+	if _, _, err := decodePayload(ep, r.index[pos], payload); err != nil {
+		return nil, fmt.Errorf("dplog: epoch %d: %w", r.index[pos].Epoch, err)
+	}
+	return ep, nil
 }
 
 // Seek decodes the section for the given epoch id without touching any
 // other section, returning ErrNoEpoch if the log does not contain it.
 func (r *Reader) Seek(epoch int) (*EpochLog, error) {
-	if r.legacy != nil {
-		for _, ep := range r.legacy {
-			if ep.Index == epoch {
-				return ep, nil
-			}
-		}
-		return nil, fmt.Errorf("%w: epoch %d", ErrNoEpoch, epoch)
-	}
 	pos, ok := r.byID[epoch]
 	if !ok {
 		return nil, fmt.Errorf("%w: epoch %d", ErrNoEpoch, epoch)
 	}
-	return r.decodeSection(r.index[pos])
-}
-
-// decodeSection reads and decodes exactly one section frame, verifying
-// that the frame on disk matches the index entry.
-func (r *Reader) decodeSection(info SectionInfo) (*EpochLog, error) {
-	br := newBreader(r.src, r.size, info.Offset)
-	marker, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
-	}
-	if marker != sectionMarker {
-		return nil, fmt.Errorf("dplog: epoch %d: no section frame at offset %d", info.Epoch, info.Offset)
-	}
-	d := &decoder{r: br}
-	got, ep, err := d.sectionFrame(info.Offset)
-	if err != nil {
-		return nil, fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
-	}
-	if got != info {
-		return nil, fmt.Errorf("dplog: epoch %d: section frame disagrees with index", info.Epoch)
-	}
-	return ep, nil
-}
-
-// sectionBytes returns the complete encoded frame (marker, frame fields,
-// stored payload) for an index entry, verbatim from the file.
-func (r *Reader) sectionBytes(info SectionInfo) ([]byte, SectionInfo, error) {
-	br := newBreader(r.src, r.size, info.Offset)
-	marker, err := br.ReadByte()
-	if err != nil || marker != sectionMarker {
-		return nil, info, fmt.Errorf("dplog: epoch %d: no section frame at offset %d", info.Epoch, info.Offset)
-	}
-	d := &decoder{r: br}
-	got, _, err := d.sectionHead(info.Offset)
-	if err != nil {
-		return nil, info, fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
-	}
-	if got != info {
-		return nil, info, fmt.Errorf("dplog: epoch %d: section frame disagrees with index", info.Epoch)
-	}
-	frame := make([]byte, br.pos-info.Offset)
-	if _, err := r.src.ReadAt(frame, info.Offset); err != nil {
-		return nil, info, err
-	}
-	return frame, got, nil
-}
-
-// Range decodes epochs lo..hi inclusive by id, seeking to each.
-func (r *Reader) Range(lo, hi int) ([]*EpochLog, error) {
-	if lo > hi {
-		return nil, fmt.Errorf("dplog: bad epoch range %d..%d", lo, hi)
-	}
-	eps := make([]*EpochLog, 0, hi-lo+1)
-	for id := lo; id <= hi; id++ {
-		ep, err := r.Seek(id)
-		if err != nil {
-			return nil, err
-		}
-		eps = append(eps, ep)
-	}
-	return eps, nil
+	return r.EpochAt(pos)
 }
 
 // Recording decodes every readable section and returns the full
-// recording. For an intact v6 file this is identical to UnmarshalBytes
-// on the same data; for a recovered file it returns the surviving
-// prefix.
+// recording; for a recovered file that is the surviving prefix.
 func (r *Reader) Recording() (*Recording, error) {
 	rec := recordingOf(r.hdr)
-	n := r.NumSections()
-	rec.Epochs = make([]*EpochLog, 0, n)
-	for pos := 0; pos < n; pos++ {
+	rec.Epochs = make([]*EpochLog, len(r.index))
+	for pos := range rec.Epochs {
 		ep, err := r.EpochAt(pos)
 		if err != nil {
 			return nil, err
 		}
-		rec.Epochs = append(rec.Epochs, ep)
+		rec.Epochs[pos] = ep
 	}
 	return rec, nil
 }
 
-// WriteRange writes a standalone v6 log containing exactly epochs lo..hi
-// inclusive (by id), reusing the source header's metadata. Sections of a
-// v6 source are copied verbatim — same bytes, same flags, same CRC —
-// so a remote replayer gets exactly what the recorder wrote; legacy
-// epochs are re-encoded as fresh sections.
+// UnmarshalBytes decodes a whole recording from a byte slice: a reader
+// over it, every section in file order. Where OpenReader salvages what it
+// can of a damaged file, this refuses one.
+func UnmarshalBytes(b []byte) (*Recording, error) {
+	rd, err := OpenReaderBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	if rd.damage != nil {
+		return nil, fmt.Errorf("dplog: truncated or corrupt log: %w", rd.damage)
+	}
+	return rd.Recording()
+}
+
+// Unmarshal reads rd to its end and decodes the recording it holds.
+func Unmarshal(rd io.Reader) (*Recording, error) {
+	var buf bytes.Buffer
+	if l, ok := rd.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(rd); err != nil {
+		return nil, err
+	}
+	return UnmarshalBytes(buf.Bytes())
+}
+
+// WriteRange writes a standalone log containing exactly epochs lo..hi
+// inclusive (by id), reusing the source header's metadata. Sections are
+// copied verbatim — same bytes, same flags, same CRC — so a remote
+// replayer gets exactly what the recorder wrote.
 func (r *Reader) WriteRange(w io.Writer, lo, hi int) error {
 	if lo > hi {
 		return fmt.Errorf("dplog: bad epoch range %d..%d", lo, hi)
 	}
-	type part struct {
-		frame []byte // verbatim v6 frame, nil for legacy epochs
-		info  SectionInfo
-		ep    *EpochLog
-	}
-	parts := make([]part, 0, hi-lo+1)
+	frames := make([][]byte, 0, hi-lo+1)
+	entries := make([]SectionInfo, 0, hi-lo+1)
 	for id := lo; id <= hi; id++ {
-		if r.legacy != nil {
-			ep, err := r.Seek(id)
-			if err != nil {
-				return err
-			}
-			parts = append(parts, part{ep: ep})
-			continue
-		}
 		pos, ok := r.byID[id]
 		if !ok {
 			return fmt.Errorf("%w: epoch %d", ErrNoEpoch, id)
 		}
-		frame, info, err := r.sectionBytes(r.index[pos])
+		frame, _, err := r.section(pos)
 		if err != nil {
 			return err
 		}
-		parts = append(parts, part{frame: frame, info: info})
+		frames = append(frames, frame)
+		entries = append(entries, r.index[pos])
 	}
 	ow := &offsetWriter{w: w}
 	enc := newEncoder(ow)
-	enc.header(r.hdr, len(parts))
-	entries := make([]SectionInfo, 0, len(parts))
-	for _, p := range parts {
-		if p.frame != nil {
-			entries = append(entries, enc.copySection(p.frame, p.info, ow.n))
-		} else {
-			entries = append(entries, enc.section(p.ep, ow.n, true))
-		}
+	enc.header(r.hdr, len(frames))
+	for i, frame := range frames {
+		entries[i].Offset = ow.n
+		ow.Write(frame)
 	}
 	enc.indexAndFooter(ow.n, entries)
-	return nil
+	return ow.err
 }
 
 // Upgrade rewrites any decodable log as the current sectioned format.
 // It returns the (possibly unchanged) encoding and whether a rewrite
-// happened: current-format intact logs pass through verbatim, legacy
-// logs are re-encoded, and recovered logs are rewritten with only their
-// surviving sections (repairing the index).
+// happened: current-format intact logs pass through verbatim, retired
+// v4/v5 flat streams are re-encoded, and recovered logs are rewritten
+// with only their surviving sections (repairing the index).
 func Upgrade(data []byte) ([]byte, bool, error) {
-	rd, err := OpenReaderBytes(data)
-	if err != nil {
-		return nil, false, err
+	c := cursor{b: data}
+	h := c.header(minVersion)
+	if c.err != nil {
+		return nil, false, c.err
 	}
-	if !rd.Legacy() && !rd.Recovered() {
-		return data, false, nil
+	var rec *Recording
+	var err error
+	if h.Version < formatVersion {
+		rec, err = c.flatEpochs(h)
+	} else {
+		var rd *Reader
+		if rd, err = OpenReaderBytes(data); err == nil {
+			if !rd.Recovered() {
+				return data, false, nil
+			}
+			rec, err = rd.Recording()
+		}
 	}
-	rec, err := rd.Recording()
 	if err != nil {
 		return nil, false, err
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"doubleplay/internal/vm"
@@ -196,8 +197,8 @@ func TestGoldenV6Compressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.Legacy() || rd.Recovered() {
-		t.Fatalf("compressed fixture: legacy=%v recovered=%v", rd.Legacy(), rd.Recovered())
+	if rd.Recovered() {
+		t.Fatal("compressed fixture opened recovered")
 	}
 	compressed := 0
 	for _, s := range rd.Sections() {
@@ -210,9 +211,10 @@ func TestGoldenV6Compressed(t *testing.T) {
 	}
 }
 
-// TestLegacyFixturesDecode pins that committed v4/v5 files decode
-// bit-identically to their expected recordings, through both Unmarshal
-// and the Reader.
+// TestLegacyFixturesDecode pins what becomes of the committed v4/v5
+// files: every reader refuses them with ErrBadVersion and says how to
+// convert them, Upgrade decodes them bit-identically to their expected
+// recordings, and upgrading the result again changes nothing.
 func TestLegacyFixturesDecode(t *testing.T) {
 	for _, ver := range []int{4, 5} {
 		name := map[int]string{4: "v4.dplog", 5: "v5.dplog"}[ver]
@@ -223,30 +225,35 @@ func TestLegacyFixturesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := normalize(legacyFixture(ver))
-		got, err := UnmarshalBytes(data)
-		if err != nil {
-			t.Fatalf("v%d: %v", ver, err)
+		for how, open := range map[string]func() error{
+			"UnmarshalBytes":  func() error { _, err := UnmarshalBytes(data); return err },
+			"Unmarshal":       func() error { _, err := Unmarshal(bytes.NewReader(data)); return err },
+			"OpenReaderBytes": func() error { _, err := OpenReaderBytes(data); return err },
+			"OpenReader":      func() error { _, err := OpenReader(bytes.NewReader(data), int64(len(data))); return err },
+		} {
+			err := open()
+			if !errors.Is(err, ErrBadVersion) || !strings.Contains(err.Error(), "log upgrade") {
+				t.Fatalf("v%d %s: err = %v, want ErrBadVersion naming `log upgrade`", ver, how, err)
+			}
 		}
-		if !reflect.DeepEqual(normalize(got), want) {
+		up, changed, err := Upgrade(data)
+		if err != nil || !changed {
+			t.Fatalf("v%d Upgrade: changed=%v err=%v", ver, changed, err)
+		}
+		rd, err := OpenReaderBytes(up)
+		if err != nil || rd.Recovered() || rd.Header().Version != FormatVersion {
+			t.Fatalf("v%d upgraded: err=%v reader=%+v", ver, err, rd)
+		}
+		got, err := UnmarshalBytes(up)
+		if err != nil {
+			t.Fatalf("v%d upgraded: %v", ver, err)
+		}
+		if !reflect.DeepEqual(normalize(got), normalize(legacyFixture(ver))) {
 			t.Fatalf("v%d fixture decode mismatch", ver)
 		}
-		rd, err := OpenReaderBytes(data)
-		if err != nil {
-			t.Fatalf("v%d: %v", ver, err)
-		}
-		if !rd.Legacy() || rd.Header().Version != ver {
-			t.Fatalf("v%d reader: legacy=%v version=%d", ver, rd.Legacy(), rd.Header().Version)
-		}
-		full, err := rd.Recording()
-		if err != nil {
-			t.Fatalf("v%d: %v", ver, err)
-		}
-		if !reflect.DeepEqual(normalize(full), want) {
-			t.Fatalf("v%d reader decode mismatch", ver)
-		}
-		if ep, err := rd.Seek(1); err != nil || ep.Index != 1 {
-			t.Fatalf("v%d Seek(1): %v %v", ver, ep, err)
+		again, changed, err := Upgrade(up)
+		if err != nil || changed || !bytes.Equal(again, up) {
+			t.Fatalf("v%d second Upgrade: changed=%v err=%v", ver, changed, err)
 		}
 	}
 }
@@ -292,7 +299,7 @@ func TestSeekReadsOnlyOneSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.Legacy() || rd.Recovered() {
+	if rd.Recovered() {
 		t.Fatal("expected an intact v6 reader")
 	}
 	openCost := src.n
@@ -412,7 +419,7 @@ func TestWriteRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.Legacy() || sub.Recovered() {
+	if sub.Recovered() {
 		t.Fatal("subset log should be an intact v6 file")
 	}
 	if got := sub.NumSections(); got != 3 {

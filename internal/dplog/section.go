@@ -9,7 +9,6 @@ package dplog
 // delimiters. docs/FORMAT.md is the normative byte-level spec.
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -22,8 +21,7 @@ import (
 const (
 	// sectionMarker opens every section frame.
 	sectionMarker = 'S'
-	// indexMagic opens the section index; its first byte ('D') is what
-	// tells a sequential decoder the sections have ended.
+	// indexMagic opens the section index.
 	indexMagic = "DPIX"
 	// trailerMagic closes the file.
 	trailerMagic = "DPLX"
@@ -64,23 +62,6 @@ func (s SectionInfo) Compressed() bool { return s.Flags&SectionCompressed != 0 }
 
 // Certified reports whether the section's epoch was certified.
 func (s SectionInfo) Certified() bool { return s.Flags&SectionCertified != 0 }
-
-// readN reads exactly n bytes, growing the buffer only as the stream
-// actually delivers data, so a hostile length prefix cannot force a huge
-// up-front allocation.
-func readN(r io.Reader, n int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if n < 1<<16 {
-		buf.Grow(int(n))
-	}
-	if _, err := io.CopyN(&buf, r, n); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
 
 // One DEFLATE codec serves section payloads here and chunk files in
 // internal/store. A compressor's state is over a megabyte and a
@@ -169,14 +150,6 @@ func (e *encoder) section(ep *EpochLog, off int64, compress bool) SectionInfo {
 	}
 }
 
-// copySection writes a previously encoded section frame verbatim at file
-// offset off, returning the entry for the new index.
-func (e *encoder) copySection(frame []byte, info SectionInfo, off int64) SectionInfo {
-	e.w.Write(frame)
-	info.Offset = off
-	return info
-}
-
 // encodeIndex renders the section index (magic, count, entries).
 func encodeIndex(entries []SectionInfo) []byte {
 	var buf bytes.Buffer
@@ -204,206 +177,4 @@ func (e *encoder) indexAndFooter(indexOff int64, entries []SectionInfo) {
 	binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(idx))
 	copy(foot[12:16], trailerMagic)
 	e.w.Write(foot[:])
-}
-
-// sectionFrame decodes one section frame (the marker byte already
-// consumed) whose frame starts at file offset off, returning its index
-// entry and decoded epoch.
-func (d *decoder) sectionFrame(off int64) (SectionInfo, *EpochLog, error) {
-	info, payload, err := d.sectionHead(off)
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	ep, err := decodeSectionPayload(info, payload)
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	return info, ep, nil
-}
-
-// sectionHead decodes a section frame's fields and stored payload (the
-// marker byte already consumed) and validates the payload CRC, without
-// decompressing or decoding the epoch body.
-func (d *decoder) sectionHead(off int64) (SectionInfo, []byte, error) {
-	epochID, err := d.u()
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	flags, err := d.u()
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	rawLen, err := d.u()
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	storedLen, err := d.u()
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	crc, err := d.u()
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	if epochID > maxEpochs {
-		return SectionInfo{}, nil, fmt.Errorf("epoch id %d too large", epochID)
-	}
-	if rawLen > maxSectionLen || storedLen > maxSectionLen {
-		return SectionInfo{}, nil, fmt.Errorf("section length %d/%d too large", storedLen, rawLen)
-	}
-	if crc > 1<<32-1 {
-		return SectionInfo{}, nil, fmt.Errorf("section CRC %#x does not fit 32 bits", crc)
-	}
-	if flags&SectionCompressed == 0 && rawLen != storedLen {
-		return SectionInfo{}, nil, fmt.Errorf("raw section with stored length %d != raw length %d", storedLen, rawLen)
-	}
-	payload, err := readN(d.r, int64(storedLen))
-	if err != nil {
-		return SectionInfo{}, nil, err
-	}
-	if got := crc32.ChecksumIEEE(payload); got != uint32(crc) {
-		return SectionInfo{}, nil, fmt.Errorf("section payload CRC %#08x, frame declared %#08x", got, uint32(crc))
-	}
-	return SectionInfo{
-		Epoch:  int(epochID),
-		Offset: off,
-		Stored: int64(storedLen),
-		Raw:    int64(rawLen),
-		Flags:  flags,
-		CRC:    uint32(crc),
-	}, payload, nil
-}
-
-// decodeSectionPayload turns a CRC-validated stored payload into its
-// epoch, inflating if the section is compressed and cross-checking the
-// frame fields against the body.
-func decodeSectionPayload(info SectionInfo, payload []byte) (*EpochLog, error) {
-	body := payload
-	if info.Compressed() {
-		var err error
-		if body, err = Inflate(payload, info.Raw); err != nil {
-			return nil, err
-		}
-		if int64(len(body)) != info.Raw {
-			return nil, fmt.Errorf("inflate: raw length %d, frame declared %d", len(body), info.Raw)
-		}
-	}
-	sub := &decoder{r: bufio.NewReader(bytes.NewReader(body))}
-	ep, err := sub.epoch(formatVersion)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := sub.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("trailing bytes after epoch body")
-	}
-	if ep.Index != info.Epoch {
-		return nil, fmt.Errorf("section carries epoch %d, frame declared %d", ep.Index, info.Epoch)
-	}
-	if ep.Certified != info.Certified() {
-		return nil, fmt.Errorf("section certified flag disagrees with epoch body")
-	}
-	return ep, nil
-}
-
-// indexEntries decodes the index body (magic already consumed).
-func (d *decoder) indexEntries() ([]SectionInfo, error) {
-	count, err := d.u()
-	if err != nil {
-		return nil, err
-	}
-	if count > maxEpochs {
-		return nil, fmt.Errorf("index entry count %d too large", count)
-	}
-	entries := make([]SectionInfo, 0, capHint(count))
-	for i := uint64(0); i < count; i++ {
-		epoch, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		off, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		stored, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		crc, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, SectionInfo{
-			Epoch:  int(epoch),
-			Offset: int64(off),
-			Stored: int64(stored),
-			Raw:    int64(raw),
-			Flags:  flags,
-			CRC:    uint32(crc),
-		})
-	}
-	return entries, nil
-}
-
-// sectioned decodes the v6 body sequentially: sections until the index
-// magic, then the index (cross-checked against the sections streamed
-// past) and the footer.
-func (d *decoder) sectioned(rec *Recording, nsec int, pos func() int64) error {
-	var got []SectionInfo
-	var indexOff int64
-	for {
-		off := pos()
-		marker, err := d.r.ReadByte()
-		if err != nil {
-			return fmt.Errorf("dplog: truncated before section index: %w", err)
-		}
-		if marker == sectionMarker {
-			info, ep, err := d.sectionFrame(off)
-			if err != nil {
-				return fmt.Errorf("dplog: section %d: %w", len(got), err)
-			}
-			rec.Epochs = append(rec.Epochs, ep)
-			got = append(got, info)
-			continue
-		}
-		rest := make([]byte, len(indexMagic)-1)
-		if _, err := io.ReadFull(d.r, rest); err != nil || string(marker)+string(rest) != indexMagic {
-			return fmt.Errorf("dplog: expected section or index at offset %d", off)
-		}
-		indexOff = off
-		break
-	}
-	if len(got) != nsec {
-		return fmt.Errorf("dplog: header declares %d sections, stream has %d", nsec, len(got))
-	}
-	entries, err := d.indexEntries()
-	if err != nil {
-		return fmt.Errorf("dplog: section index: %w", err)
-	}
-	if len(entries) != len(got) {
-		return fmt.Errorf("dplog: index has %d entries for %d sections", len(entries), len(got))
-	}
-	for i := range entries {
-		if entries[i] != got[i] {
-			return fmt.Errorf("dplog: index entry %d disagrees with its section", i)
-		}
-	}
-	var foot [footerLen]byte
-	if _, err := io.ReadFull(d.r, foot[:]); err != nil {
-		return fmt.Errorf("dplog: truncated footer: %w", err)
-	}
-	if string(foot[12:16]) != trailerMagic {
-		return fmt.Errorf("dplog: bad trailer magic")
-	}
-	if off := int64(binary.LittleEndian.Uint64(foot[0:8])); off != indexOff {
-		return fmt.Errorf("dplog: footer index offset %d, index found at %d", off, indexOff)
-	}
-	return nil
 }

@@ -3,9 +3,9 @@ package server
 // The epoch-range endpoint: a remote replayer that wants epochs n..m of a
 // stored recording should not have to download — or decode — the whole
 // log. Because dplog v6 is sectioned behind an offset index, the server
-// extracts exactly the requested sections (verbatim bytes for v6 logs)
-// into a small standalone dplog and ships that. Legacy v4/v5 artifacts
-// are upgraded transparently through the same path.
+// extracts exactly the requested sections, verbatim, into a small
+// standalone dplog and ships that. (The store only ever holds logs this
+// daemon marshalled itself, so they are always the current format.)
 
 import (
 	"bytes"

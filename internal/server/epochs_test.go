@@ -55,8 +55,8 @@ func TestEpochRangeEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("epoch-range response is not a readable dplog: %v", err)
 	}
-	if sub.Legacy() || sub.Recovered() || sub.NumSections() != 2 {
-		t.Fatalf("subset: legacy=%v recovered=%v sections=%d", sub.Legacy(), sub.Recovered(), sub.NumSections())
+	if sub.Recovered() || sub.NumSections() != 2 {
+		t.Fatalf("subset: recovered=%v sections=%d", sub.Recovered(), sub.NumSections())
 	}
 	for i := 0; i < 2; i++ {
 		want, got := src.Sections()[i], sub.Sections()[i]

@@ -56,8 +56,7 @@ type Store struct {
 	sweepHook func()
 }
 
-// Open creates (if needed) and opens the artifact layout under root,
-// migrating any flat pre-sharding blobs into their shard directories.
+// Open creates (if needed) and opens the artifact layout under root.
 // reg, when non-nil, receives the store.* gauges.
 func Open(root string, reg *trace.Registry) (*Store, error) {
 	for _, dir := range []string{root, filepath.Join(root, "blobs"), filepath.Join(root, "chunks"),
@@ -67,39 +66,12 @@ func Open(root string, reg *trace.Registry) (*Store, error) {
 		}
 	}
 	s := &Store{root: root, reg: reg}
-	if err := s.migrateFlat(); err != nil {
-		return nil, err
-	}
 	s.publishStats()
 	return s, nil
 }
 
 // Root returns the store's base directory.
 func (s *Store) Root() string { return s.root }
-
-// migrateFlat moves pre-sharding `blobs/sha256-<hex>` files into their
-// shard directories. Idempotent; a partially migrated store finishes on
-// the next Open.
-func (s *Store) migrateFlat() error {
-	dir := filepath.Join(s.root, "blobs")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, e := range ents {
-		if e.IsDir() || !validDigest(e.Name()) {
-			continue
-		}
-		dst := s.shardPath("blobs", e.Name())
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			return fmt.Errorf("store: migrate: %w", err)
-		}
-		if err := os.Rename(filepath.Join(dir, e.Name()), dst); err != nil {
-			return fmt.Errorf("store: migrate: %w", err)
-		}
-	}
-	return nil
-}
 
 // Digest computes the content address of a byte string.
 func Digest(data []byte) string {
@@ -211,8 +183,8 @@ func (s *Store) readChunk(digest string) ([]byte, error) {
 // PutRecording stores an encoded recording with chunk-level dedup: the
 // artifact is split on its dplog section and group boundaries, each span
 // stored content-addressed, and a manifest written under the recording's
-// own digest. Artifacts that expose no chunkable layout (legacy formats)
-// fall back to one whole blob under the same digest, so RecordingRef
+// own digest. Artifacts that expose no chunkable layout (not a dplog, or
+// a damaged one) fall back to one whole blob under the same digest, so RecordingRef
 // resolution is uniform. Chunks land before the manifest that references
 // them — a crash strands orphan chunks, never a dangling manifest.
 func (s *Store) PutRecording(data []byte) (digest string, err error) {

@@ -84,30 +84,6 @@ func TestBlobRoundTripSharded(t *testing.T) {
 	}
 }
 
-func TestFlatLayoutMigration(t *testing.T) {
-	root := t.TempDir()
-	// Seed a pre-sharding layout by hand: blobs/sha256-<hex> at top level.
-	data := []byte("legacy layout blob")
-	d := store.Digest(data)
-	if err := os.MkdirAll(filepath.Join(root, "blobs"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "blobs", d), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := store.Open(root, nil)
-	if err != nil {
-		t.Fatalf("Open over flat layout: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "blobs", d)); !os.IsNotExist(err) {
-		t.Fatalf("flat blob still present after migration (err=%v)", err)
-	}
-	got, err := s.ReadBlob(d)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("migrated blob unreadable: %q, %v", got, err)
-	}
-}
-
 // TestParallelPutBlob exercises the Stat-then-write race: many
 // goroutines putting the same content must all succeed and leave one
 // intact blob (rename-over semantics).
@@ -251,8 +227,8 @@ func TestOpenRecordingReassemblesExactly(t *testing.T) {
 
 func TestOpenRecordingWholeBlobFallback(t *testing.T) {
 	s := open(t)
-	// A legacy (v5) artifact exposes no chunk layout; PutRecording must
-	// fall back to one whole blob, and OpenRecording must serve it.
+	// A damaged artifact exposes no chunk layout; PutRecording must fall
+	// back to one whole blob, and OpenRecording must serve it.
 	rec := testRecording(3, 2)
 	data := dplog.MarshalBytes(rec)
 	trunc := data[:len(data)-3] // corrupt: not even a readable v6 log

@@ -156,8 +156,14 @@ fi
 go run ./cmd/doubleplay log extract -log "$obs/full.dplog" -epochs 1..2 -o "$obs/sub.dplog" >/dev/null
 go run ./cmd/doubleplay log inspect -log "$obs/sub.dplog" | grep -Eq "sections: +2" || {
     echo "log extract: subset does not hold exactly 2 sections" >&2; exit 1; }
-# A legacy v5 fixture must upgrade in place to v6.
+# A retired-format (v5) fixture is refused by every reader — the error
+# must say how to convert it — and upgrades in place to v6.
 cp internal/dplog/testdata/v5.dplog "$obs/legacy.dplog"
+if go run ./cmd/doubleplay log inspect -log "$obs/legacy.dplog" >"$obs/lv5.out" 2>&1; then
+    echo "log inspect: opened a v5 file; only log upgrade may decode one" >&2; exit 1
+fi
+grep -q "log upgrade" "$obs/lv5.out" || {
+    echo "log inspect: refusing a v5 file without naming log upgrade" >&2; cat "$obs/lv5.out" >&2; exit 1; }
 go run ./cmd/doubleplay log upgrade -log "$obs/legacy.dplog" >/dev/null
 go run ./cmd/doubleplay log inspect -log "$obs/legacy.dplog" | grep -q "dplog v6" || {
     echo "log upgrade: legacy log did not migrate to v6" >&2; exit 1; }
