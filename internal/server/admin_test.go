@@ -6,8 +6,14 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"doubleplay/internal/server"
@@ -111,4 +117,123 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/jobs/nope/pin", nil); code != http.StatusNotFound {
 		t.Fatalf("pin of unknown job: %d", code)
 	}
+}
+
+// gcLoop posts unbounded-policy collections back to back until stop is
+// closed or until(report) says enough, and returns when the loop has ended.
+func gcLoop(t *testing.T, ts *httptest.Server, stop <-chan struct{}, until func(rep map[string]any) bool) (wait func()) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Post(ts.URL+"/admin/gc", "application/json", nil)
+			if err != nil {
+				t.Errorf("POST /admin/gc: %v", err)
+				return
+			}
+			var rep map[string]any
+			err = json.NewDecoder(resp.Body).Decode(&rep)
+			resp.Body.Close()
+			if err != nil {
+				t.Errorf("POST /admin/gc: %v", err)
+				return
+			}
+			if until(rep) {
+				return
+			}
+		}
+	}()
+	return wg.Wait
+}
+
+// recordBatch submits n record jobs at distinct seeds and waits for all of
+// them to end, returning the ids of the done ones and the other infos.
+func recordBatch(t *testing.T, ts *httptest.Server, firstSeed, n int) (done []string, notDone []map[string]any) {
+	t.Helper()
+	var ids []string
+	for i := 0; i < n; i++ {
+		spec := fastSpec()
+		spec["seed"] = firstSeed + i
+		ids = append(ids, submit(t, ts, spec))
+	}
+	for _, id := range ids {
+		if v := waitState(t, ts, id, terminal); v["state"] == "done" {
+			done = append(done, id)
+		} else {
+			notDone = append(notDone, v)
+		}
+	}
+	return done, notDone
+}
+
+// replayAll checks the store is intact and that every given record job
+// serves its recording and replays by id.
+func replayAll(t *testing.T, s *server.Server, ts *httptest.Server, ids []string) {
+	t.Helper()
+	if rep, err := s.Store().Fsck(); err != nil || !rep.OK() {
+		t.Fatalf("fsck: %+v, %v", rep, err)
+	}
+	for _, id := range ids {
+		if code, _, _ := getRecording(t, ts.URL+"/jobs/"+id+"/recording"); code != http.StatusOK {
+			t.Fatalf("done job %s: GET recording: %d", id, code)
+		}
+		waitDone(t, ts, submit(t, ts, map[string]any{"kind": "replay", "recording_job": id, "mode": "sequential"}))
+	}
+}
+
+// TestGCLoopNeverDanglesARef collects without pause while record jobs store
+// their recordings. A GC that lands between a job's put and its ref sweeps
+// the recording; under a collector this eager the second put is swept too
+// and the job fails — what it must never do is finish done with a ref to
+// nothing. Every done job replays by id, every other one says why.
+func TestGCLoopNeverDanglesARef(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 32})
+	stop := make(chan struct{})
+	wait := gcLoop(t, ts, stop, func(map[string]any) bool { return false })
+	done, notDone := recordBatch(t, ts, 20, 12)
+	close(stop)
+	wait()
+	for _, v := range notDone {
+		if !strings.Contains(fmt.Sprint(v["error"]), "no recording stored") {
+			t.Errorf("job %v: state %v, error %v", v["id"], v["state"], v["error"])
+		}
+	}
+	replayAll(t, s, ts, done)
+}
+
+// TestRecordJobPutsAgainAfterGC lets exactly one collection land between a
+// put and its ref — the loop stops at the first report that swept a
+// manifest, which can only have been one not yet referenced — and then
+// every job must still finish done: the one that lost its recording stores
+// it a second time.
+func TestRecordJobPutsAgainAfterGC(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 32})
+	var hit atomic.Bool
+	stop := make(chan struct{})
+	wait := gcLoop(t, ts, stop, func(rep map[string]any) bool {
+		if rep["manifests_removed"].(float64) > 0 {
+			hit.Store(true)
+		}
+		return hit.Load()
+	})
+	var all []string
+	for batch := 0; batch < 10 && !hit.Load(); batch++ {
+		done, notDone := recordBatch(t, ts, 100+6*batch, 6)
+		for _, v := range notDone {
+			t.Errorf("job %v: state %v, error %v", v["id"], v["state"], v["error"])
+		}
+		all = append(all, done...)
+	}
+	close(stop)
+	wait()
+	if !hit.Load() {
+		t.Skip("no collection landed between a put and its ref in 60 jobs")
+	}
+	replayAll(t, s, ts, all)
 }

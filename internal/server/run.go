@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
+	"doubleplay/internal/store"
 	"doubleplay/internal/trace"
 	"doubleplay/internal/workloads"
 )
@@ -136,11 +138,14 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink trace.Reco
 	// order), which only line up byte-for-byte in the uncompressed form.
 	// Chunks are compressed at rest instead, so the dedup wins stack
 	// with, rather than fight, the compression wins.
-	digest, err := s.store.PutRecording(dplog.MarshalBytesWith(res.Recording, dplog.EncodeOptions{Compress: false}))
-	if err != nil {
-		return nil, nil, nil, err
+	data := dplog.MarshalBytesWith(res.Recording, dplog.EncodeOptions{Compress: false})
+	digest, err := s.putRecording(id, data)
+	if errors.Is(err, store.ErrNoRecording) {
+		// A GC ran between the put and the ref and collected the still
+		// unreferenced recording; store it again.
+		digest, err = s.putRecording(id, data)
 	}
-	if err := s.store.SetRecordingRef(id, digest); err != nil {
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	sum.Recording = digest
@@ -153,6 +158,15 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink trace.Reco
 	sum.CertStatus = res.Stats.CertStatus
 	sum.VerifySkipped = res.Stats.VerifySkipped
 	return res, bt, gprof, nil
+}
+
+// putRecording stores a job's recording and publishes its ref.
+func (s *Server) putRecording(id string, data []byte) (string, error) {
+	digest, err := s.store.PutRecording(data)
+	if err != nil {
+		return "", err
+	}
+	return digest, s.store.SetRecordingRef(id, digest)
 }
 
 // loadRecording resolves a replay job's source recording as a seekable

@@ -78,7 +78,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []*Job // submission order, for GET /jobs
+	byState  map[State]int // jobs per state, adjusted at each transition
+	order    []*Job        // submission order, for GET /jobs
 	seq      int
 	busy     int
 	draining bool
@@ -94,11 +95,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		store: st,
-		queue: NewQueue(cfg.QueueDepth),
-		reg:   cfg.Registry,
-		jobs:  make(map[string]*Job),
+		cfg:     cfg,
+		store:   st,
+		queue:   NewQueue(cfg.QueueDepth),
+		reg:     cfg.Registry,
+		jobs:    make(map[string]*Job),
+		byState: make(map[State]int),
 	}
 	s.publishQueueGauges()
 	s.reg.Set("serve.workers_busy", 0)
@@ -165,6 +167,7 @@ func (s *Server) Submit(sp Spec) (Info, error) {
 		return Info{}, err
 	}
 	s.jobs[j.ID] = j
+	s.byState[StateQueued]++
 	s.order = append(s.order, j)
 	s.reg.Add("serve.jobs_submitted", 1, trace.Label("kind", string(sp.Kind)))
 	s.publishQueueGauges()
@@ -202,15 +205,20 @@ func (s *Server) jobState(j *Job) State {
 	return j.State
 }
 
+// setStateLocked moves a registered job to st and keeps the per-state
+// counts in step — the jobs map only grows, so the gauges are published
+// from counts rather than from a scan of it. The caller holds s.mu.
+func (s *Server) setStateLocked(j *Job, st State) {
+	s.byState[j.State]--
+	s.byState[st]++
+	j.State = st
+}
+
 // stateGaugesLocked republishes the jobs-by-state gauges; the caller
 // holds s.mu.
 func (s *Server) stateGaugesLocked() {
-	counts := map[State]int{}
-	for _, j := range s.jobs {
-		counts[j.State]++
-	}
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
-		s.reg.Set("serve.jobs", float64(counts[st]), trace.Label("state", string(st)))
+		s.reg.Set("serve.jobs", float64(s.byState[st]), trace.Label("state", string(st)))
 	}
 }
 
@@ -229,7 +237,7 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 			continue
 		}
-		j.State = StateRunning
+		s.setStateLocked(j, StateRunning)
 		j.Started = time.Now()
 		sp := j.Spec
 		timeout := time.Duration(sp.TimeoutMS) * time.Millisecond
@@ -263,15 +271,15 @@ func (s *Server) finish(j *Job, sp Spec, sum *ResultSummary, err error, ctx cont
 	j.Result = sum
 	switch {
 	case err == nil:
-		j.State = StateDone
+		s.setStateLocked(j, StateDone)
 	case j.cancelRequested:
-		j.State = StateCanceled
+		s.setStateLocked(j, StateCanceled)
 		j.Error = shortErr(err)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
-		j.State = StateFailed
+		s.setStateLocked(j, StateFailed)
 		j.Error = fmt.Sprintf("timed out: %s", shortErr(err))
 	default:
-		j.State = StateFailed
+		s.setStateLocked(j, StateFailed)
 		j.Error = shortErr(err)
 	}
 	s.busy--
@@ -304,7 +312,7 @@ func (s *Server) Cancel(id string) (Info, bool) {
 	switch j.State {
 	case StateQueued:
 		if s.queue.Remove(id) {
-			j.State = StateCanceled
+			s.setStateLocked(j, StateCanceled)
 			j.Finished = time.Now()
 			j.Error = "canceled before start"
 			s.publishQueueGauges()
@@ -350,7 +358,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	for _, j := range dropped {
 		if j.State == StateQueued {
-			j.State = StateCanceled
+			s.setStateLocked(j, StateCanceled)
 			j.Finished = time.Now()
 			j.Error = "server draining"
 			s.reg.Add("serve.jobs_completed", 1, trace.Label("outcome", string(StateCanceled)))

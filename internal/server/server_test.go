@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -524,6 +525,75 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %s", want)
+		}
+	}
+}
+
+// TestStateGaugesMatchScan drives a seeded mix of submit, cancel-queued,
+// cancel-running, finish and drain, and after every action compares the
+// serve.jobs{state} gauges — published from per-state counts adjusted at
+// each transition — with a fresh scan of the job table.
+func TestStateGaugesMatchScan(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 64, DrainTimeout: 50 * time.Millisecond})
+	check := func(after string) {
+		t.Helper()
+		if d := s.StateGaugeDrift(); d != "" {
+			t.Fatalf("after %s: %s", after, d)
+		}
+	}
+	check("start")
+	rng := rand.New(rand.NewSource(7))
+	var ids, slow []string
+	cancelJob := func(id string) {
+		t.Helper()
+		if code, v := doJSON(t, "DELETE", ts.URL+"/jobs/"+id, nil); code != http.StatusOK && code != http.StatusAccepted {
+			t.Fatalf("cancel %s: %d %v", id, code, v)
+		}
+		check("cancel")
+	}
+	for i := 0; i < 40; i++ {
+		switch op := rng.Intn(6); {
+		case op <= 1 || len(ids) == 0:
+			spec := fastSpec()
+			spec["seed"] = 11 + i
+			ids = append(ids, submit(t, ts, spec))
+			check("submit")
+		case op == 2:
+			id := submit(t, ts, slowSpec())
+			ids, slow = append(ids, id), append(slow, id)
+			check("submit slow")
+		case op <= 4: // queued, running or already terminal, as the dice fall
+			cancelJob(ids[rng.Intn(len(ids))])
+		default:
+			// The slow jobs exist to be canceled, queued or running; nothing
+			// waits out their seconds of run time.
+			for _, id := range slow {
+				cancelJob(id)
+			}
+			slow = nil
+			waitState(t, ts, ids[rng.Intn(len(ids))], terminal)
+			check("finish")
+		}
+	}
+	// Drain with work still queued and running.
+	for i := 0; i < 4; i++ {
+		ids = append(ids, submit(t, ts, slowSpec()))
+	}
+	check("submit before drain")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_ = s.Shutdown(ctx) // a drain that had to cancel stragglers reports it; the gauges are the test
+	check("drain")
+	var total float64
+	for _, st := range []string{"queued", "running", "done", "failed", "canceled"} {
+		total += s.Registry().Gauge("serve.jobs", trace.Label("state", st))
+	}
+	if int(total) != len(ids) {
+		t.Fatalf("gauges sum to %v jobs, %d were submitted", total, len(ids))
+	}
+	for _, st := range []string{"queued", "running"} {
+		if n := s.Registry().Gauge("serve.jobs", trace.Label("state", st)); n != 0 {
+			t.Fatalf("%v jobs still %s after drain", n, st)
 		}
 	}
 }

@@ -61,7 +61,9 @@ type refState struct {
 func (s *Store) GC(pol Policy) (GCReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.publishStats()
+	if !pol.DryRun {
+		defer s.recount()
+	}
 	rep := GCReport{DryRun: pol.DryRun}
 
 	ids, err := s.jobIDs()
@@ -387,10 +389,15 @@ func (s *Store) Stats() (*StatsReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: stats: %w", err)
 	}
-	rep.DedupSavedBytes = rep.LogicalBytes - rep.UniqueRawBytes
-	rep.DedupRatio = 1
-	if rep.UniqueRawBytes > 0 {
-		rep.DedupRatio = float64(rep.LogicalBytes) / float64(rep.UniqueRawBytes)
-	}
+	rep.derive()
 	return rep, nil
+}
+
+// derive fills the two fields computed from the byte counts.
+func (r *StatsReport) derive() {
+	r.DedupSavedBytes = r.LogicalBytes - r.UniqueRawBytes
+	r.DedupRatio = 1
+	if r.UniqueRawBytes > 0 {
+		r.DedupRatio = float64(r.LogicalBytes) / float64(r.UniqueRawBytes)
+	}
 }

@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,6 +137,52 @@ func TestGCSizeBudgetKeepsNewest(t *testing.T) {
 }
 
 func jobName(i int) string { return string(rune('a'+i)) + "-job" }
+
+// TestGCSizeBudgetOrdersRefsPublishedInOneTick publishes refs faster than
+// the filesystem's timestamp tick (a present put costs microseconds, a tick
+// is milliseconds). Retention must still see them in publication order;
+// jobs are listed oldest first, so refs that tie on mtime keep the oldest.
+func TestGCSizeBudgetOrdersRefsPublishedInOneTick(t *testing.T) {
+	s := open(t)
+	const n = 8
+	var digests []string
+	var sizes []int64
+	for i := 0; i < n; i++ {
+		data := encode(testRecording(uint64(1+i), 3))
+		d, err := s.PutRecording(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests, sizes = append(digests, d), append(sizes, int64(len(data)))
+	}
+	job := func(i int) string { return fmt.Sprintf("job%d", i) } // earlier refs list first
+	// The job directories exist already, as for a job that has written
+	// other artifacts: creating one would itself pull a fine-grained
+	// timestamp and hide the tie.
+	for i := range digests {
+		if _, err := s.JobDir(job(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, d := range digests {
+		if err := s.SetRecordingRef(job(i), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := n / 2
+	var budget int64
+	for _, sz := range sizes[n-keep:] {
+		budget += sz
+	}
+	if _, err := s.GC(store.Policy{MaxBytes: budget}); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range digests {
+		if got, want := s.HasRecording(d), i >= n-keep; got != want {
+			t.Errorf("recording %d (published %d of %d): kept=%v, want %v", i, i+1, n, got, want)
+		}
+	}
+}
 
 func TestGCDryRunRemovesNothing(t *testing.T) {
 	s := open(t)

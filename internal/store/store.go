@@ -15,8 +15,7 @@
 //	<root>/jobs/<id>/pinned            pin marker (protects from GC)
 //
 // The two-hex-character shard directory (the first byte of the digest)
-// keeps any single directory from accumulating millions of entries; a
-// flat pre-sharding layout migrates transparently at Open.
+// keeps any single directory from accumulating millions of entries.
 //
 // PutRecording splits a v6 recording on its section and intra-section
 // group boundaries (dplog.Reader.Chunks), stores each span
@@ -26,30 +25,55 @@
 // that names them, and GC removes refs before manifests before chunks,
 // so an interrupted operation can strand an orphan (reclaimed by the
 // next GC) but never a dangling reference.
+//
+// Ref publication is the third leg of that rule. A recording is an
+// orphan until a job's recording.ref names it, and a GC that runs between
+// PutRecording and SetRecordingRef sweeps it. SetRecordingRef therefore
+// takes the store mutex and refuses (ErrNoRecording) a digest that no
+// longer resolves, instead of writing a ref to nothing; the caller puts
+// the recording again and retries.
+//
+// The store.* gauges are running totals: every put adds what it wrote,
+// and Open and every real GC recount them with the Stats walk. A put
+// costs what it writes, not what the store holds.
 package store
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"time"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/trace"
 )
 
-// Store is the artifact store handle. All mutating operations and GC
-// serialize on an internal mutex, so a sweep never races a concurrent
-// put or pin.
+// ErrNoRecording is SetRecordingRef's refusal: the digest resolves to no
+// stored recording, because it was never put or because a GC collected it
+// before any ref named it. Put the recording again and retry.
+var ErrNoRecording = errors.New("store: no recording stored under digest")
+
+// Store is the artifact store handle. All mutating operations — puts,
+// ref publication, pins — and GC serialize on an internal mutex, so a
+// sweep never races a concurrent put or pin, and a ref is only ever
+// written for a recording that is present at that moment.
 type Store struct {
 	root string
 	reg  *trace.Registry
 
 	mu sync.Mutex
+
+	// totals backs the store.* gauges. Puts advance it by what they
+	// created; recount reseeds it from the Stats walk at Open and after
+	// every real GC. Guarded by mu.
+	totals StatsReport
 
 	// sweepHook, when set by tests, runs between the mark and sweep
 	// phases of GC (with the store mutex held).
@@ -66,7 +90,7 @@ func Open(root string, reg *trace.Registry) (*Store, error) {
 		}
 	}
 	s := &Store{root: root, reg: reg}
-	s.publishStats()
+	s.recount()
 	return s, nil
 }
 
@@ -112,29 +136,45 @@ func (s *Store) BlobPath(digest string) string { return s.shardPath("blobs", dig
 // wins, and both wrote identical bytes.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		// First write into this shard: a namespace creates at most 256
+		// directories in its life, so only this path pays for the mkdir.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		tmp, err = os.CreateTemp(dir, ".tmp-*")
+	}
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		os.Remove(tmp.Name()) // best effort; the write already failed
+	}
+	return err
 }
 
 // PutBlob stores data as one whole content-addressed blob. Existing
-// blobs short-circuit (content addressing makes the write a no-op), and
-// the slow path renames over the destination, so concurrent puts of the
-// same digest are safe: they race only on which identical file lands.
+// blobs short-circuit (content addressing makes the write a no-op). Like
+// every mutation it holds the store mutex, so whether it created the file
+// — what the totals need to know — is decided once, not raced.
 func (s *Store) PutBlob(data []byte) (digest string, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.publishStats()
+	return s.putBlobLocked(data)
+}
+
+// putBlobLocked is PutBlob for callers that hold s.mu (PutRecording's
+// whole-blob fallback).
+func (s *Store) putBlobLocked(data []byte) (digest string, err error) {
 	digest = Digest(data)
 	path := s.BlobPath(digest)
 	if _, err := os.Stat(path); err == nil {
@@ -143,6 +183,11 @@ func (s *Store) PutBlob(data []byte) (digest string, err error) {
 	if err := writeFileAtomic(path, data); err != nil {
 		return "", fmt.Errorf("store: %w", err)
 	}
+	n := int64(len(data))
+	s.totals.Blobs++
+	s.totals.StoredBytes += n
+	s.totals.LogicalBytes += n
+	s.totals.UniqueRawBytes += n
 	return digest, nil
 }
 
@@ -155,17 +200,22 @@ func (s *Store) ReadBlob(digest string) ([]byte, error) {
 }
 
 // putChunk stores one raw chunk content-addressed, DEFLATE-compressed at
-// rest when that shrinks it. It reports whether a new file was created.
-func (s *Store) putChunk(raw []byte) (digest string, created bool, err error) {
+// rest when that shrinks it. Only a chunk whose file it created enters the
+// totals; the caller holds s.mu.
+func (s *Store) putChunk(raw []byte) (digest string, err error) {
 	digest = Digest(raw)
 	path := s.shardPath("chunks", digest)
 	if _, err := os.Stat(path); err == nil {
-		return digest, false, nil
+		return digest, nil
 	}
-	if err := writeFileAtomic(path, encodeChunk(raw)); err != nil {
-		return "", false, fmt.Errorf("store: chunk: %w", err)
+	enc := encodeChunk(raw)
+	if err := writeFileAtomic(path, enc); err != nil {
+		return "", fmt.Errorf("store: chunk: %w", err)
 	}
-	return digest, true, nil
+	s.totals.Chunks++
+	s.totals.StoredBytes += int64(len(enc))
+	s.totals.UniqueRawBytes += int64(len(raw))
+	return digest, nil
 }
 
 // readChunk loads and decodes one chunk's raw bytes.
@@ -197,23 +247,27 @@ func (s *Store) PutRecording(data []byte) (digest string, err error) {
 	}
 	rd, err := dplog.OpenReaderBytes(data)
 	if err != nil {
-		return s.PutBlob(data)
+		return s.putBlobLocked(data)
 	}
 	chunks, err := rd.Chunks()
 	if err != nil {
-		return s.PutBlob(data)
+		return s.putBlobLocked(data)
 	}
 	man := &Manifest{Total: int64(len(data))}
 	for _, c := range chunks {
-		cd, _, err := s.putChunk(data[c.Offset : c.Offset+c.Len])
+		cd, err := s.putChunk(data[c.Offset : c.Offset+c.Len])
 		if err != nil {
 			return "", err
 		}
 		man.Chunks = append(man.Chunks, ManifestChunk{Digest: cd, Len: c.Len, Kind: uint8(c.Kind)})
 	}
-	if err := writeFileAtomic(s.shardPath("manifests", digest), man.Encode()); err != nil {
+	enc := man.Encode()
+	if err := writeFileAtomic(s.shardPath("manifests", digest), enc); err != nil {
 		return "", fmt.Errorf("store: manifest: %w", err)
 	}
+	s.totals.Manifests++
+	s.totals.StoredBytes += int64(len(enc))
+	s.totals.LogicalBytes += man.Total
 	return digest, nil
 }
 
@@ -269,9 +323,25 @@ func (s *Store) WriteJobArtifact(id, name string, data []byte) error {
 	return os.WriteFile(filepath.Join(dir, name), data, 0o644)
 }
 
-// SetRecordingRef records which stored recording a job produced.
+// SetRecordingRef records which stored recording a job produced. It
+// serializes with GC and fails with ErrNoRecording when digest resolves to
+// no stored recording — a collection may have run since the put — so a ref
+// never dangles.
 func (s *Store) SetRecordingRef(id, digest string) error {
-	return s.WriteJobArtifact(id, "recording.ref", []byte(digest+"\n"))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.HasRecording(digest) {
+		return fmt.Errorf("%w %s", ErrNoRecording, digest)
+	}
+	if err := s.WriteJobArtifact(id, "recording.ref", []byte(digest+"\n")); err != nil {
+		return err
+	}
+	// Retention evicts oldest-first by the ref's mtime, which the kernel
+	// stamps from its tick clock (4 ms at HZ=250): two refs published
+	// within one tick would tie and be evicted in no particular order.
+	// Stamp the ref from the full-resolution clock instead.
+	now := time.Now()
+	return os.Chtimes(s.JobArtifact(id, "recording.ref"), now, now)
 }
 
 // RecordingRef resolves a job's recording digest, or "" when the job has
@@ -388,16 +458,30 @@ func (s *Store) walkDigests(ns string, fn func(digest, path string, size int64) 
 	return nil
 }
 
-// publishStats recomputes the store gauges and reports them into the
-// registry. Callers hold s.mu or are single-threaded (Open).
+// recount reseeds the running totals from the Stats walk — the truth the
+// totals are an incremental copy of — and publishes them. It runs where
+// the walk is already paid for: once at Open and after every real GC.
+// Callers hold s.mu or are single-threaded (Open).
+func (s *Store) recount() {
+	if s.reg == nil {
+		return
+	}
+	// A walk that fails leaves the totals as they were: the gauges are
+	// advisory, and the next collection recounts.
+	if st, err := s.Stats(); err == nil {
+		s.totals = *st
+	}
+	s.publishStats()
+}
+
+// publishStats reports the running totals into the registry. Callers hold
+// s.mu or are single-threaded (Open).
 func (s *Store) publishStats() {
 	if s.reg == nil {
 		return
 	}
-	st, err := s.Stats()
-	if err != nil {
-		return
-	}
+	st := &s.totals
+	st.derive()
 	s.reg.Set("store.chunks", float64(st.Chunks))
 	s.reg.Set("store.manifests", float64(st.Manifests))
 	s.reg.Set("store.blobs", float64(st.Blobs))

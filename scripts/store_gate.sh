@@ -14,6 +14,8 @@
 #      still references them.
 #   5. After SIGTERM drain, offline `doubleplay store fsck` walks the
 #      swept store clean and `store stats` still shows the dedup.
+#   6. The doubleplay_store_* gauges, which puts advance and GC recounts,
+#      equal the `GET /admin/store` walk after the puts and after the GC.
 #
 # Run from the repo root (verify.sh and the CI serve-store job do).
 set -e
@@ -35,6 +37,22 @@ addr=$(cat "$tmp/addr")
 # JSON field extraction without jq: string fields and bare numbers.
 field() { grep -o "\"$1\": \"[^\"]*\"" | head -1 | cut -d'"' -f4; }
 nfield() { grep -o "\"$1\": [0-9][0-9.]*" | head -1 | awk '{print $2}'; }
+
+# The store gauges are running totals, /admin/store is the walk over the
+# directories: they must agree whenever nothing is in flight.
+gauges_match_walk() { # gauges_match_walk <when>
+    curl -fsS "http://$addr/metrics" -o "$tmp/metrics.txt"
+    curl -fsS "http://$addr/admin/store" -o "$tmp/walk.json"
+    for f in chunks manifests blobs logical_bytes stored_bytes; do
+        # %.0f: the exposition prints large gauges as 1.234567e+06.
+        g=$(awk -v m="doubleplay_store_$f" '$1==m{printf "%.0f", $2}' "$tmp/metrics.txt")
+        w=$(nfield "$f" <"$tmp/walk.json")
+        if [ -z "$g" ] || [ "$g" != "$w" ]; then
+            echo "store gate: $1: gauge doubleplay_store_$f='$g', /admin/store says $f=$w" >&2
+            exit 1
+        fi
+    done
+}
 
 wait_done() { # wait_done <job-id>
     st=queued
@@ -61,6 +79,8 @@ idb=$(curl -fsS -X POST "http://$addr/jobs" \
 [ -n "$ida" ] && [ -n "$idb" ] || { echo "store gate: submission failed" >&2; exit 1; }
 wait_done "$ida"
 wait_done "$idb"
+
+gauges_match_walk "after two recordings"
 
 # Recordings fetch byte-exactly: the body reassembled from chunks must
 # hash to the digest the daemon advertises.
@@ -112,6 +132,7 @@ curl -fsS -X POST "http://$addr/admin/gc" -d '{"max_age_ms": 1}' -o "$tmp/gc.jso
 [ "$(nfield manifests_removed <"$tmp/gc.json")" = 1 ] || {
     echo "store gate: gc did not reclaim exactly the unpinned recording" >&2
     cat "$tmp/gc.json" >&2; exit 1; }
+gauges_match_walk "after the retention gc"
 code_b=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/jobs/$idb/recording")
 [ "$code_b" = 404 ] || {
     echo "store gate: collected recording still served ($code_b)" >&2; exit 1; }
