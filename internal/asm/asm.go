@@ -197,6 +197,7 @@ func (f *Func) NewLabel() string {
 
 // --- data movement and arithmetic -----------------------------------------
 
+func (f *Func) Nop()               { f.emit(vm.Instr{Op: vm.OpNop}) }
 func (f *Func) Movi(d Reg, v Word) { f.emit(vm.Instr{Op: vm.OpMovi, A: uint8(d), Imm: v}) }
 func (f *Func) Mov(d, s Reg)       { f.emit(vm.Instr{Op: vm.OpMov, A: uint8(d), B: uint8(s)}) }
 

@@ -735,6 +735,9 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		compareCost := costs.ComparePage * mapped
 		dur := res.Cycles + compareCost
 		stats.EpochSerialCycles += dur
+		if reg != nil {
+			reg.Add("record.loop_instrs", int64(res.LoopRetired), wl)
+		}
 
 		ep.CommitHash = b.World.OutputHash()
 

@@ -93,7 +93,10 @@ type RunResult struct {
 	Cycles   int64         // serialized execution time on the single CPU
 	Injected int           // syscalls injected
 	Enforced int           // gated sync ops consumed
-	EndHash  uint64
+	// LoopRetired is how many of the epoch's instructions retired inside
+	// the scheduler's slice loop (sched.Uni.LoopRetired).
+	LoopRetired uint64
+	EndHash     uint64
 }
 
 // Run executes one epoch. A nil error means the epoch ran to its targets
@@ -138,6 +141,7 @@ func Run(spec RunSpec) (*RunResult, error) {
 		Injected: inj.Injected,
 		Enforced: gate.Used(),
 	}
+	res.LoopRetired = uni.LoopRetired
 	res.Cycles = uni.Cycles +
 		int64(inj.Injected)*spec.Costs.InjectSysEvent +
 		int64(gate.Used())*spec.Costs.EnforceSyncEvent

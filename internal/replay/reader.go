@@ -96,9 +96,9 @@ func OneEpoch(prog *vm.Program, b *epoch.Boundary, ep *dplog.EpochLog, quantum i
 			ep.Index, b.Hash, ep.StartHash)
 	}
 	m := b.CP.Restore(prog, nil, costs)
-	c, err := runEpoch(m, ep, quantum, costs, nil)
+	c, loop, err := runEpoch(m, ep, quantum, costs, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cycles: c, FinalHash: m.StateHash(), Epochs: 1}, nil
+	return &Result{Cycles: c, FinalHash: m.StateHash(), Epochs: 1, LoopInstrs: loop}, nil
 }

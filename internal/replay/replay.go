@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
@@ -48,6 +49,10 @@ type Result struct {
 	Cycles    int64
 	FinalHash uint64
 	Epochs    int
+	// LoopInstrs is how many of the replayed instructions retired inside
+	// the scheduler's hook-free slice loop (sched.Uni.LoopRetired), summed
+	// over all segments; the rest took the per-instruction path.
+	LoopInstrs uint64
 }
 
 // Options selects how [Run] replays a source. The zero value is untraced,
@@ -119,6 +124,8 @@ type replayer struct {
 	// sequential marks the boundary-less plan, whose epoch spans also
 	// report the epoch's syscall count.
 	sequential bool
+	// loopInstrs sums Stepper.LoopRetired over every epoch of every segment.
+	loopInstrs atomic.Uint64
 }
 
 func newReplayer(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel) *replayer {
@@ -183,10 +190,11 @@ func (r *replayer) segment(sg segment, gp *profile.Profiler, out trace.Recorder,
 		if tracing {
 			slices = trace.NewSink()
 		}
-		c, err := runEpoch(m, ep, r.src.Quantum(), r.costs, slices)
+		c, loop, err := runEpoch(m, ep, r.src.Quantum(), r.costs, slices)
 		if err != nil {
 			return 0, nil, err
 		}
+		r.loopInstrs.Add(loop)
 		if tracing {
 			args := map[string]any{"epoch": ep.Index, "slices": len(ep.Schedule)}
 			if r.sequential {
@@ -206,15 +214,17 @@ func (r *replayer) segment(sg segment, gp *profile.Profiler, out trace.Recorder,
 }
 
 // runEpoch replays one epoch on m, which must hold its start state, at
-// batch speed and returns its modelled cost. A non-nil buf receives the
-// epoch's timeslices with epoch-local timestamps.
-func runEpoch(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel, buf *trace.Sink) (int64, error) {
+// batch speed and returns its modelled cost and how many of its
+// instructions retired in the scheduler's slice loop. A non-nil buf
+// receives the epoch's timeslices with epoch-local timestamps.
+func runEpoch(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostModel, buf *trace.Sink) (cycles int64, loop uint64, err error) {
 	st, err := NewStepper(m, ep, quantum, costs)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	st.uni.Trace = buf
-	return st.Run()
+	cycles, err = st.Run()
+	return cycles, st.LoopRetired(), err
 }
 
 // Run replays src against prog under the plan opt describes and verifies
@@ -306,7 +316,7 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 			sink.Splice(bufs[i], s.start, pid, int64(s.core))
 		}
 	}
-	return &Result{Cycles: wall, FinalHash: src.FinalHash(), Epochs: n}, nil
+	return &Result{Cycles: wall, FinalHash: src.FinalHash(), Epochs: n, LoopInstrs: r.loopInstrs.Load()}, nil
 }
 
 // packSlot is one duration's placement in the greedy packing.

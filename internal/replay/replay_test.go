@@ -18,11 +18,17 @@ import (
 // recordWorkload produces a recording of a builtin workload.
 func recordWorkload(t *testing.T, name string, workers int) (*vm.Program, *core.Result) {
 	t.Helper()
+	return recordScaled(t, name, workers, 1)
+}
+
+// recordScaled is recordWorkload at a chosen problem scale.
+func recordScaled(t *testing.T, name string, workers, scale int) (*vm.Program, *core.Result) {
+	t.Helper()
 	wl := workloads.Get(name)
 	if wl == nil {
 		t.Fatalf("no workload %s", name)
 	}
-	bt := wl.Build(workloads.Params{Workers: workers, Seed: 17})
+	bt := wl.Build(workloads.Params{Workers: workers, Scale: scale, Seed: 17})
 	res, err := core.Record(bt.Prog, bt.World, core.Options{
 		Workers: workers, SpareCPUs: workers, Seed: 17,
 	})

@@ -113,6 +113,10 @@ func (s *Stepper) Err() error { return s.err }
 // deliveries count: they retire, exactly as in the recorded schedule.
 func (s *Stepper) Steps() uint64 { return s.uni.Retired() }
 
+// LoopRetired returns how many of those instructions retired inside the
+// scheduler's slice loop rather than by individual machine steps.
+func (s *Stepper) LoopRetired() uint64 { return s.uni.LoopRetired }
+
 // Epoch returns the epoch log being stepped.
 func (s *Stepper) Epoch() *dplog.EpochLog { return s.ep }
 

@@ -75,9 +75,11 @@ func BenchmarkParallel(b *testing.B) {
 // BenchmarkUniFollow is replay mode: every epoch of a recording followed
 // from its checkpoint with syscall results and signals injected — the
 // loop sequential replay, epoch-parallel replay and the recorder's
-// epoch-parallel run all sit on.
+// epoch-parallel run all sit on. Signals are polled as replay.NewStepper
+// polls them, only in epochs that carry one; sigping is the guest whose
+// epochs do, so the polled path keeps a number.
 func BenchmarkUniFollow(b *testing.B) {
-	for _, name := range benchGuests {
+	for _, name := range append(benchGuests, "sigping") {
 		b.Run(name, func(b *testing.B) {
 			bt := buildGuest(b, name)
 			res, err := core.Record(bt.Prog, bt.World, core.Options{Workers: 4, SpareCPUs: 4, Seed: 17})
@@ -91,7 +93,9 @@ func BenchmarkUniFollow(b *testing.B) {
 					b.StopTimer()
 					m := res.Boundaries[k].CP.Restore(bt.Prog, nil, nil)
 					m.OS = epoch.NewInjectOS(ep.Syscalls)
-					m.Hooks.PendingSignal = epoch.NewInjectSignals(ep.Signals).Pending
+					if len(ep.Signals) > 0 {
+						m.Hooks.PendingSignal = epoch.NewInjectSignals(ep.Signals).Pending
+					}
 					u := sched.NewUni(m)
 					u.Follow, u.Targets = ep.Schedule, ep.Targets
 					b.StartTimer()

@@ -268,6 +268,44 @@ func TestUniTargetsStopExactly(t *testing.T) {
 	}
 }
 
+// TestUniTargetsStopMidSlice: a target that falls inside what would be
+// one long timeslice still stops the thread on the instruction. The
+// targets come from a run with a small quantum; the run held to them has
+// the default one, so each worker reaches its target mid-slice — through
+// the slice loop, and through the per-instruction path alike.
+func TestUniTargetsStopMidSlice(t *testing.T) {
+	prog := counterProg(2, 300, false) // no locks: any cut is reachable
+	mHalf := vm.NewMachine(prog, nil, nil)
+	uHalf := sched.NewUni(mHalf)
+	uHalf.Quantum, uHalf.TotalBudget = 37, 1500
+	if err := uHalf.Run(); err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]uint64, len(mHalf.Threads))
+	for i, th := range mHalf.Threads {
+		targets[i] = th.Retired
+	}
+	for _, reference := range []bool{false, true} {
+		m := vm.NewMachine(prog, nil, nil)
+		if reference {
+			m.Hooks.OnRetire = func(*vm.Thread, int, int64) {}
+		}
+		u := sched.NewUni(m)
+		u.Targets = targets
+		if err := u.Run(); err != nil {
+			t.Fatalf("reference=%v: %v", reference, err)
+		}
+		for i, th := range m.Threads {
+			if th.Retired != targets[i] || !th.Status.Live() {
+				t.Fatalf("reference=%v: thread %d retired %d (%s), target %d", reference, i, th.Retired, th.Status, targets[i])
+			}
+		}
+		if (u.LoopRetired == 0) != reference {
+			t.Fatalf("reference=%v: %d instructions in the slice loop", reference, u.LoopRetired)
+		}
+	}
+}
+
 func TestUniCorruptLogDetected(t *testing.T) {
 	prog := counterProg(2, 200, true)
 	m1 := vm.NewMachine(prog, nil, nil)

@@ -70,6 +70,11 @@ type Uni struct {
 	// Switches counts context switches (slices executed).
 	Switches int64
 
+	// LoopRetired counts the instructions retired inside vm.RunSlice rather
+	// than by individual Steps; Retired() includes them. It is zero whenever
+	// a hook that observes plain instructions is armed.
+	LoopRetired uint64
+
 	// Loop cursors. They live here rather than in Run's locals so that
 	// Advance can pause between any two retirements and resume exactly
 	// where it stopped.
@@ -311,6 +316,19 @@ func (u *Uni) pollBlockedSys() bool {
 	return true
 }
 
+// runLoop retires up to lim plain instructions of t in vm.RunSlice and
+// charges their cycles. The caller has established that no armed hook
+// observes plain instructions; whatever the loop leaves — it stops before
+// anything but a plain, non-faulting instruction — is for the caller's next
+// Step. M.Now is not maintained across the loop (nothing inside it reads
+// the clock); every Step is still preceded by M.Now = Cycles.
+func (u *Uni) runLoop(t *vm.Thread, lim uint64) uint64 {
+	k, cycles := u.M.RunSlice(t, lim)
+	u.Cycles += cycles
+	u.LoopRetired += k
+	return k
+}
+
 // canRun reports whether t can retire further inside its open slice.
 func (u *Uni) canRun(t *vm.Thread) bool {
 	return !t.Status.Blocked() && u.belowTarget(t)
@@ -326,9 +344,23 @@ func (u *Uni) runSlice(t *vm.Thread, n uint64) (retired int64, paused bool, err 
 	if n < uint64(stop-retired) {
 		stop = retired + int64(n)
 	}
+	loop := !u.M.Hooks.ObservesPlain()
 	for retired < stop {
 		if !u.canRun(t) {
 			return retired, false, nil
+		}
+		if loop {
+			// Quantum and pause bounds are already one number; the
+			// thread's target, which canRun just found ahead, is the third.
+			lim := uint64(stop - retired)
+			if u.Targets != nil && u.Targets[t.ID]-t.Retired < lim {
+				lim = u.Targets[t.ID] - t.Retired
+			}
+			k := u.runLoop(t, lim)
+			retired += int64(k)
+			if k == lim {
+				continue
+			}
 		}
 		u.M.Now = u.Cycles
 		res := u.M.Step(t)
@@ -377,6 +409,7 @@ func (u *Uni) advanceFollow(n uint64) (bool, error) {
 		if n < stop-retired {
 			stop = retired + n
 		}
+		loop := !u.M.Hooks.ObservesPlain()
 		for retired < stop {
 			if !t.Status.Live() {
 				return false, fmt.Errorf("%w: slice %d: thread %d dead after %d/%d",
@@ -385,6 +418,13 @@ func (u *Uni) advanceFollow(n uint64) (bool, error) {
 			if t.Status.Blocked() {
 				return false, fmt.Errorf("%w: slice %d: thread %d blocked (%s) after %d/%d",
 					ErrDiverged, i, s.Tid, t.Status, retired, s.N)
+			}
+			if loop {
+				k := u.runLoop(t, stop-retired)
+				retired += k
+				if retired == stop {
+					break
+				}
 			}
 			before := t.Retired
 			u.M.Now = u.Cycles

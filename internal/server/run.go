@@ -254,6 +254,7 @@ func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink trace.
 	sum.Epochs = rep.Epochs
 	sum.Cycles = rep.Cycles
 	sum.FinalHash = fmt.Sprintf("%016x", rep.FinalHash)
+	s.reg.Add("replay.loop_instrs", int64(rep.LoopInstrs), trace.Label("workload", sp.Workload))
 	return s.writeStats(id, rep)
 }
 

@@ -432,22 +432,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // /debug/pprof for host-side profiling of the daemon itself.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("GET /jobs", s.handleList)
-	mux.HandleFunc("GET /jobs/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /jobs/{id}/stats", s.handleStats)
-	mux.HandleFunc("GET /jobs/{id}/recording", s.handleRecording)
-	mux.HandleFunc("GET /jobs/{id}/profile", s.handleProfile)
-	mux.HandleFunc("GET /jobs/{id}/diff", s.handleDiff)
-	mux.HandleFunc("POST /jobs/{id}/pin", s.handlePin)
-	mux.HandleFunc("DELETE /jobs/{id}/pin", s.handleUnpin)
-	mux.HandleFunc("GET /recordings/{id}/epochs/{range}", s.handleEpochRange)
-	mux.HandleFunc("GET /admin/store", s.handleStoreStats)
-	mux.HandleFunc("POST /admin/gc", s.handleGC)
-	mux.Handle("GET /metrics", s.reg.Handler())
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	handle := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, s.metered(pattern, h)) }
+	handle("POST /jobs", s.handleSubmit)
+	handle("GET /jobs", s.handleList)
+	handle("GET /jobs/{id}", s.handleGet)
+	handle("DELETE /jobs/{id}", s.handleCancel)
+	handle("GET /jobs/{id}/trace", s.handleTrace)
+	handle("GET /jobs/{id}/stats", s.handleStats)
+	handle("GET /jobs/{id}/recording", s.handleRecording)
+	handle("GET /jobs/{id}/profile", s.handleProfile)
+	handle("GET /jobs/{id}/diff", s.handleDiff)
+	handle("POST /jobs/{id}/pin", s.handlePin)
+	handle("DELETE /jobs/{id}/pin", s.handleUnpin)
+	handle("GET /recordings/{id}/epochs/{range}", s.handleEpochRange)
+	handle("GET /admin/store", s.handleStoreStats)
+	handle("POST /admin/gc", s.handleGC)
+	handle("GET /metrics", s.reg.Handler().ServeHTTP)
+	handle("GET /healthz", s.handleHealthz)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", httppprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", httppprof.Cmdline)
@@ -456,6 +457,48 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("GET /debug/pprof/trace", httppprof.Trace)
 	}
 	return mux
+}
+
+// statusWriter remembers the status code a handler sent.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code = code
+	}
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+// Unwrap lets http.ResponseController reach the underlying writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// metered wraps one route's handler so that every request counts in
+// http.requests{route,code} and its wall-clock time lands in
+// http.duration_ms{route}. The route label is the registration pattern —
+// bounded cardinality, whatever ids the paths carry. Requests no pattern
+// matches (the mux's own 404/405) are not counted.
+func (s *Server) metered(pattern string, h http.HandlerFunc) http.Handler {
+	route := trace.Label("route", pattern)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		sw := &statusWriter{ResponseWriter: w}
+		h(sw, r)
+		if sw.code == 0 {
+			sw.code = http.StatusOK // a handler that wrote nothing
+		}
+		s.reg.Add("http.requests", 1, route, trace.Label("code", sw.code))
+		s.reg.Observe("http.duration_ms", time.Since(start).Milliseconds(), route)
+	})
 }
 
 // writeJSON emits one JSON response.

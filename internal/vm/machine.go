@@ -180,6 +180,10 @@ type Machine struct {
 	costTab [256]int64
 }
 
+// maxFrames bounds a thread's call stack; a call or signal delivery that
+// would exceed it faults the thread.
+const maxFrames = 512
+
 // BarrierState is one barrier's architectural state.
 type BarrierState struct {
 	Gen     Word // completed release generations
@@ -503,14 +507,11 @@ func (m *Machine) step(t *Thread) StepResult {
 			m.fault(t, fmt.Sprintf("call to bad function %d", fn))
 			return StepResult{}
 		}
-		if len(t.Frames) >= 512 {
+		if len(t.Frames) >= maxFrames {
 			m.fault(t, "call stack overflow")
 			return StepResult{}
 		}
-		t.Frames = append(t.Frames, Frame{RetPC: t.PC + 1, Regs: t.Regs})
-		var fresh [NumRegs]Word
-		copy(fresh[1:1+MaxArgs], t.Regs[ArgStageBase:ArgStageBase+MaxArgs])
-		t.Regs = fresh
+		t.pushCall(t.PC + 1)
 		t.PC = m.Prog.Funcs[fn].Entry
 		t.Retired++
 		return StepResult{Retired: true, Cost: cost}
@@ -519,14 +520,7 @@ func (m *Machine) step(t *Thread) StepResult {
 			m.fault(t, "return with empty call stack")
 			return StepResult{}
 		}
-		ret := r[in.A]
-		f := t.Frames[len(t.Frames)-1]
-		t.Frames = t.Frames[:len(t.Frames)-1]
-		t.Regs = f.Regs
-		if !f.Signal {
-			t.Regs[0] = ret // a signal return restores r0 untouched
-		}
-		t.PC = f.RetPC
+		t.PC = t.popFrame(r[in.A])
 		t.Retired++
 		return StepResult{Retired: true, Cost: cost}
 
@@ -730,7 +724,7 @@ func (m *Machine) deliverSignal(t *Thread, sig Word) StepResult {
 	if t.SigHandler < 0 {
 		return StepResult{Retired: true, Cost: m.Cost.Sync}
 	}
-	if len(t.Frames) >= 512 {
+	if len(t.Frames) >= maxFrames {
 		m.fault(t, "signal delivery overflowed the call stack")
 		return StepResult{}
 	}

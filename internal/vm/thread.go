@@ -94,6 +94,33 @@ type Thread struct {
 	waitObj Word
 }
 
+// pushCall saves the caller's context with return address retPC and gives
+// the callee a fresh register file holding only its staged arguments. Out
+// of line so that its two register-file temporaries are not part of the
+// interpreter loops' own stack frames.
+//
+//go:noinline
+func (t *Thread) pushCall(retPC int) {
+	t.Frames = append(t.Frames, Frame{RetPC: retPC, Regs: t.Regs})
+	var fresh [NumRegs]Word
+	copy(fresh[1:1+MaxArgs], t.Regs[ArgStageBase:ArgStageBase+MaxArgs])
+	t.Regs = fresh
+}
+
+// popFrame returns from the innermost frame, which must exist: the saved
+// register file is restored, ret lands in r0 unless the frame is a signal
+// frame (a signal return restores r0 untouched), and the pc to resume at
+// is returned.
+func (t *Thread) popFrame(ret Word) int {
+	f := &t.Frames[len(t.Frames)-1]
+	t.Regs = f.Regs
+	if !f.Signal {
+		t.Regs[0] = ret
+	}
+	t.Frames = t.Frames[:len(t.Frames)-1]
+	return f.RetPC
+}
+
 // clone returns an independent deep copy of the thread.
 func (t *Thread) clone() *Thread {
 	c := *t

@@ -12,11 +12,14 @@ var ErrInvalidProgram = errors.New("vm: invalid program")
 
 // Validate performs the cheap structural checks a program must pass before
 // it can run at all: a non-empty code segment, an entry function, every
-// function entry inside the code segment, sane arities, and a sane data
-// segment. It is called by NewMachine so malformed images are rejected
-// up front with a named error instead of surfacing later as a runtime
-// guest fault at some unrelated pc. Deeper checks (branch targets, lock
-// balance, dataflow) live in internal/analyze.
+// function entry inside the code segment, sane arities, every register
+// operand inside the register file, and a sane data segment. It is called
+// by NewMachine so malformed images are rejected up front with a named
+// error instead of surfacing later as a runtime guest fault at some
+// unrelated pc — or, for a register operand, as a host index panic; the
+// interpreter indexes the register file on the strength of this check.
+// Deeper checks (branch targets, lock balance, dataflow) live in
+// internal/analyze; a branch out of the code segment stays a guest fault.
 func (p *Program) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrInvalidProgram, fmt.Sprintf(format, args...))
@@ -39,6 +42,11 @@ func (p *Program) Validate() error {
 		}
 		if f.NArgs < 0 || f.NArgs > MaxArgs {
 			return fail("program %q function %d (%q) declares %d args; max %d", p.Name, i, f.Name, f.NArgs, MaxArgs)
+		}
+	}
+	for pc, in := range p.Code {
+		if in.A >= NumRegs || in.B >= NumRegs || in.C >= NumRegs || in.D >= NumRegs {
+			return fail("program %q instruction %d (%s) names a register outside r0..r%d", p.Name, pc, in, NumRegs-1)
 		}
 	}
 	if p.DataBase < 0 {

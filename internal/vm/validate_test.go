@@ -42,11 +42,18 @@ func TestValidateRejections(t *testing.T) {
 		{"too many args", func(p *vm.Program) { p.Funcs[0].NArgs = vm.MaxArgs + 1 }},
 		{"negative args", func(p *vm.Program) { p.Funcs[0].NArgs = -1 }},
 		{"negative data base", func(p *vm.Program) { p.DataBase = -5; p.Data = []vm.Word{1} }},
+		// The ISSUE 17 reproducer: before the operand check this image
+		// passed NewMachine and the first Step died on a Go index panic.
+		{"operand A outside the register file", func(p *vm.Program) { p.Code[0] = vm.Instr{Op: vm.OpMovi, A: 200} }},
+		{"operand B outside the register file", func(p *vm.Program) { p.Code[0] = vm.Instr{Op: vm.OpMov, B: vm.NumRegs} }},
+		{"operand C outside the register file", func(p *vm.Program) { p.Code[0] = vm.Instr{Op: vm.OpAdd, C: vm.NumRegs} }},
+		{"operand D outside the register file", func(p *vm.Program) { p.Code[0] = vm.Instr{Op: vm.OpCas, D: 255} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := *good
 			p.Funcs = append([]vm.FuncInfo(nil), good.Funcs...)
+			p.Code = append([]vm.Instr(nil), good.Code...)
 			tc.mut(&p)
 			err := p.Validate()
 			if err == nil {
@@ -60,6 +67,19 @@ func TestValidateRejections(t *testing.T) {
 	var nilProg *vm.Program
 	if err := nilProg.Validate(); !errors.Is(err, vm.ErrInvalidProgram) {
 		t.Fatalf("nil program: got %v", err)
+	}
+}
+
+// The operand bound is exactly the register file, and a branch out of the
+// code segment is still the guest's fault to take at run time, not a
+// load-time rejection.
+func TestValidateOperandBoundary(t *testing.T) {
+	p := buildTwoFuncs(t)
+	top := uint8(vm.NumRegs - 1)
+	p.Code[0] = vm.Instr{Op: vm.OpCas, A: top, B: top, C: top, D: top}
+	p.Code[1] = vm.Instr{Op: vm.OpJmp, Imm: 1 << 40}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
