@@ -818,7 +818,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 				tr.Instant("checkpoint.restore", detect, pidRec, 0,
 					map[string]any{"epoch": nb.Index, "reason": "recovery.adopt"})
 			}
-			m, par = resumeFrom(prog, nb, ros, syncHook, sigHook, costs, opt, detect, len(boundaries), pidGuest)
+			m = resumeFrom(par, prog, nb, ros, syncHook, sigHook, costs, opt.Seed, len(boundaries), detect)
 			liveWorld = currentWorld(ros)
 			epochLen = opt.EpochCycles // divergence: back to short epochs
 
@@ -872,7 +872,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 				tr.Instant("checkpoint.restore", detect, pidRec, 0,
 					map[string]any{"epoch": reb.Index, "reason": "resume"})
 			}
-			m, par = resumeFrom(prog, reb, ros, syncHook, sigHook, costs, opt, detect, len(boundaries), pidGuest)
+			m = resumeFrom(par, prog, reb, ros, syncHook, sigHook, costs, opt.Seed, len(boundaries), detect)
 			liveWorld = currentWorld(ros)
 			epochLen = opt.EpochCycles // divergence: back to short epochs
 
@@ -960,6 +960,12 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		reg.Add("record.syscalls", int64(stats.Syscalls), wl)
 		reg.Add("record.syncops", int64(stats.SyncEvents), wl)
 		reg.Add("record.signals", int64(stats.Signals), wl)
+		// How much of the thread-parallel run sched.Parallel carried in
+		// windows, squashed stretches included; zero when a hook on this
+		// machine watches plain instructions (signals, a live profile).
+		reg.Add("record.window_instrs", par.WindowRetired, wl)
+		reg.Add("record.window_aborts", par.WindowEventAborts, wl, trace.Label("reason", "event"))
+		reg.Add("record.window_aborts", par.WindowConflictAborts, wl, trace.Label("reason", "conflict"))
 		reg.Set("record.completion_cycles", float64(stats.CompletionCycles), wl)
 		reg.Set("record.thread_parallel_cycles", float64(stats.ThreadParallelCycles), wl)
 		reg.Set("record.replay_bytes", float64(stats.ReplayBytes), wl)
@@ -1001,21 +1007,20 @@ func traceVerify(tr trace.Recorder, pidRec int64, pm placement, epbuf *trace.Sin
 	}
 }
 
-// resumeFrom rebuilds the thread-parallel machine and scheduler from an
-// adopted boundary; the live world becomes a clone of the boundary's.
-func resumeFrom(prog *vm.Program, b *epoch.Boundary, ros *recordOS,
+// resumeFrom rebuilds the thread-parallel machine from an adopted boundary
+// and restarts the scheduler on it at the given clock, with a jitter stream
+// of its own (the recording's seed salted by the boundary count); the live
+// world becomes a clone of the boundary's.
+func resumeFrom(par *sched.Parallel, prog *vm.Program, b *epoch.Boundary, ros *recordOS,
 	syncHook func(vm.SyncEvent), sigHook func(*vm.Thread) (vm.Word, bool),
-	costs *vm.CostModel, opt Options, clock int64, salt int, tracePid int64) (*vm.Machine, *sched.Parallel) {
+	costs *vm.CostModel, seed int64, salt int, clock int64) *vm.Machine {
 	w := b.World.Clone()
 	ros.inner = simos.NewOS(w)
 	m := b.CP.Restore(prog, ros, costs)
 	m.Hooks.OnSync = syncHook
 	m.Hooks.PendingSignal = sigHook
-	par := sched.NewParallel(m, opt.RecordCPUs, opt.Seed+int64(salt)*7919)
-	par.Trace = opt.Trace
-	par.TracePid = tracePid
-	par.SetBaseClock(clock)
-	return m, par
+	par.Resume(m, seed+int64(salt)*7919, clock)
+	return m
 }
 
 // currentWorld digs the live world back out of the record wrapper.

@@ -258,3 +258,34 @@ func TestReplayTraceMatchesEpochs(t *testing.T) {
 		t.Errorf("parallel spans end at %d, makespan %d", maxEnd, par.Cycles)
 	}
 }
+
+// TestRecordWindowCounters: the recorder publishes how much of the
+// thread-parallel run sched.Parallel carried in windows. A compute kernel
+// runs mostly inside them and never conflicts; a racy guest's windows are
+// abandoned on conflicts; a guest with signals is polled per instruction
+// and opens none.
+func TestRecordWindowCounters(t *testing.T) {
+	for _, name := range []string{"fft", "racey", "sigping"} {
+		reg := trace.NewRegistry()
+		res := goldenRecord(t, goldenRun{name: name, workers: 4}, nil, reg)
+		wl := trace.Label("workload", name)
+		instrs := reg.Counter("record.window_instrs", wl)
+		event := reg.Counter("record.window_aborts", wl, trace.Label("reason", "event"))
+		conflict := reg.Counter("record.window_aborts", wl, trace.Label("reason", "conflict"))
+		t.Logf("%s: %d of %d instructions in windows, %d event aborts, %d conflict aborts", name, instrs, res.Stats.Retired, event, conflict)
+		switch name {
+		case "fft":
+			if instrs*2 < res.Stats.Retired || instrs > res.Stats.Retired || conflict != 0 {
+				t.Errorf("fft: %d of %d instructions in windows, %d conflict aborts", instrs, res.Stats.Retired, conflict)
+			}
+		case "racey":
+			if conflict == 0 {
+				t.Error("racey recorded without a window abandoned on a conflict")
+			}
+		case "sigping":
+			if instrs != 0 || event != 0 || conflict != 0 {
+				t.Errorf("sigping: %d instructions in windows, %d + %d aborts, with signals polled", instrs, event, conflict)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
 	"doubleplay/internal/replay"
+	"doubleplay/internal/sched"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
 )
@@ -307,8 +308,9 @@ func TestForwardRecoveryKeepsSignalPolling(t *testing.T) {
 	world := simos.NewWorld(1)
 	var sys []dplog.SyscallRecord
 	ros := &recordOS{inner: simos.NewOS(world), cur: &sys}
-	b := epoch.Capture(0, 0, vm.NewMachine(prog, ros, nil), world)
-	m, _ := resumeFrom(prog, b, ros, nil, nil, vm.DefaultCosts(), Options{RecordCPUs: 3}, 0, 1, 0)
+	boot := vm.NewMachine(prog, ros, nil)
+	b := epoch.Capture(0, 0, boot, world)
+	m := resumeFrom(sched.NewParallel(boot, 3, 1), prog, b, ros, nil, nil, vm.DefaultCosts(), 1, 1, 0)
 	if m.Hooks.PendingSignal != nil {
 		t.Fatal("machine resumed for a guest without signals is polled for them")
 	}

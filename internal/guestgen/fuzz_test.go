@@ -93,15 +93,21 @@ func diff(t *testing.T, what string, got, want outcome) {
 	t.Errorf("%s: err %q/%q cycles %d/%d switches %d/%d slices %d/%d hash %016x/%016x", what,
 		got.Err, want.Err, got.Cycles, want.Cycles, got.Switches, want.Switches,
 		len(got.Log), len(want.Log), got.Hash, want.Hash)
-	for i := range want.Threads {
-		if i < len(got.Threads) && !reflect.DeepEqual(got.Threads[i], want.Threads[i]) {
-			g, w := got.Threads[i], want.Threads[i]
+	diffThreads(t, got.Threads, want.Threads)
+	t.FailNow()
+}
+
+// diffThreads reports the threads two executions left in different states.
+func diffThreads(t *testing.T, got, want []*vm.Thread) {
+	t.Helper()
+	for i := range want {
+		if i < len(got) && !reflect.DeepEqual(got[i], want[i]) {
+			g, w := got[i], want[i]
 			t.Errorf("  thread %d: pc %d/%d retired %d/%d status %s/%s fault %q/%q frames %d/%d regs equal %v",
 				i, g.PC, w.PC, g.Retired, w.Retired, g.Status, w.Status, g.Fault, w.Fault,
 				len(g.Frames), len(w.Frames), g.Regs == w.Regs)
 		}
 	}
-	t.FailNow()
 }
 
 // check is the differential oracle over one generated guest. It returns

@@ -159,12 +159,21 @@ type gen struct {
 	weight []int    // weight[i] is leaf i's estimated cost
 
 	locked, atoms, racy, out Word
+
+	racePercent int // how many of the would-be races are emitted as such
 }
 
 // Generate builds the guest that data describes.
-func Generate(data []byte) *Guest {
+func Generate(data []byte) *Guest { return generate(data, 15) }
+
+// GenerateRacy builds the guest Generate builds, except that most of the
+// places where Generate rarely puts an unlocked read-modify-write of the
+// shared word get one: the same shapes, racing much more often.
+func GenerateRacy(data []byte) *Guest { return generate(data, 85) }
+
+func generate(data []byte, racePercent int) *Guest {
 	d := newDice(data)
-	g := &gen{d: d, b: asm.NewBuilder("guestgen"), g: &Guest{Disciplined: true}}
+	g := &gen{d: d, b: asm.NewBuilder("guestgen"), g: &Guest{Disciplined: true}, racePercent: racePercent}
 	g.g.Workers = 1 + d.n(4)
 	g.g.worldSeed = int64(d.n(256))
 	g.locked = g.b.Zeros(numLocked)
@@ -573,10 +582,11 @@ func (f *fn) syscall() {
 	f.Mov(dst, asm.RetReg)
 }
 
-// race emits, rarely, an unlocked read-modify-write of a shared word —
-// the one construct that makes a program undisciplined.
+// race emits, rarely unless the generator was asked otherwise, an unlocked
+// read-modify-write of a shared word — the one construct that makes a
+// program undisciplined.
 func (f *fn) race() {
-	if !f.racy || !f.g.d.chance(15) {
+	if !f.racy || !f.g.d.chance(f.g.racePercent) {
 		f.atomic()
 		return
 	}

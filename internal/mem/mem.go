@@ -88,8 +88,6 @@ var zeroPageHash = func() uint64 {
 type Stats struct {
 	PagesCopied int64 // pages duplicated by copy-on-write
 	PagesNew    int64 // pages materialised by a first write
-	Loads       int64
-	Stores      int64
 }
 
 // Memory is a writable guest address space.
@@ -137,7 +135,6 @@ func New() *Memory {
 
 // Load returns the word at addr.
 func (m *Memory) Load(addr Word) Word {
-	m.stats.Loads++
 	idx := addr >> PageShift
 	s, p := m.slot(idx)
 	if p == nil {
@@ -150,8 +147,8 @@ func (m *Memory) Load(addr Word) Word {
 	return p.data[addr&pageMask]
 }
 
-// Peek returns the word at addr without counting a load; used by inspection
-// and comparison code paths that should not perturb statistics.
+// Peek returns the word at addr without going through (or refilling) the
+// page cache; used by inspection and comparison code paths.
 func (m *Memory) Peek(addr Word) Word {
 	p, ok := m.pages[addr>>PageShift]
 	if !ok {
@@ -188,7 +185,6 @@ func (m *Memory) writablePage(idx Word) *page {
 // shared with a snapshot. Writing zero to an unmaterialised page is a no-op,
 // so zero-filled data segments stay sparse.
 func (m *Memory) Store(addr Word, val Word) {
-	m.stats.Stores++
 	idx := addr >> PageShift
 	_, p := m.slot(idx)
 	if p == nil || p.refs.Load() > 1 {
@@ -223,7 +219,7 @@ func (m *Memory) LoadRange(addr Word, n int) []Word {
 	return out
 }
 
-// Stats returns accumulated access and copy-on-write counters.
+// Stats returns the accumulated copy-on-write counters.
 func (m *Memory) Stats() Stats { return m.stats }
 
 // ResetStats zeroes the counters; the cost model does this at epoch

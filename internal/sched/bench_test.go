@@ -49,13 +49,15 @@ func BenchmarkUniFree(b *testing.B) {
 }
 
 // BenchmarkParallel is the thread-parallel execution: four simulated CPUs
-// stepped in clock order against the live simulated OS, the loop every
-// recording and every native baseline run spends most of its time in. One
-// compute kernel and one racy program whose threads share pages.
+// run in clock order against the live simulated OS, the loop every
+// recording and every native baseline run spends most of its time in. Two
+// compute kernels, a racy program whose threads share words (windows abort
+// and back off), and a syscall-heavy server (windows cut short by events).
+// window% is the share of instructions retired inside windows.
 func BenchmarkParallel(b *testing.B) {
-	for _, name := range []string{"fft", "racey"} {
+	for _, name := range []string{"fft", "water", "racey", "kvdb"} {
 		b.Run(name, func(b *testing.B) {
-			var instrs int64
+			var instrs, inWindows int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				bt := buildGuest(b, name)
@@ -66,8 +68,10 @@ func BenchmarkParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 				instrs += p.Retired()
+				inWindows += p.WindowRetired
 			}
 			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+			b.ReportMetric(100*float64(inWindows)/float64(instrs), "window%")
 		})
 	}
 }

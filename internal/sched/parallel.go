@@ -31,6 +31,10 @@ const DefaultQuantum = 2000
 // re-attempts it.
 const sysPollInterval = 200
 
+// idleHop is how far, in cycles, an idle CPU's clock moves when runnable
+// work exists but is all bound to other CPUs.
+const idleHop = 10
+
 // Parallel is a discrete-event simulation of an SMP running the guest
 // machine: each CPU has its own clock, the CPU with the smallest clock
 // executes the next instruction of its bound thread, and unbound runnable
@@ -52,6 +56,7 @@ type Parallel struct {
 	TraceSpan string
 
 	cpus     []pcpu
+	nBound   int // CPUs with a bound thread
 	rng      *rand.Rand
 	scanFrom int     // round-robin cursor for dispatch fairness
 	sysPoll  []int64 // by thread id: earliest clock of its next syscall retry
@@ -62,6 +67,28 @@ type Parallel struct {
 	// drawJitter.
 	jitterGap   int
 	jitterExtra int64
+
+	// Windows (window.go). The counters say how much of the run they
+	// carried: instructions retired inside committed windows, windows
+	// committed, windows an event cut short after some CPU had run past it
+	// (that CPU ran again, shorter), and windows abandoned to the strict
+	// loop because two CPUs touched an address one of them wrote.
+	WindowRetired        int64
+	Windows              int64
+	WindowEventAborts    int64
+	WindowConflictAborts int64
+
+	canWindow      bool // see NewParallel
+	win            []winCPU
+	conf           []confEntry
+	confGen        uint16
+	backoff        int64
+	noWindowBefore int64 // no window before this cycle: back-off after a conflict
+	// windowAt is the one thing RunUntil's loop compares per pass: the cycle
+	// from which a window is worth attempting. It is noWindowBefore, or
+	// never while the jitter gap is too short to share out (drawJitter
+	// puts it back).
+	windowAt int64
 }
 
 type pcpu struct {
@@ -77,14 +104,39 @@ func NewParallel(m *vm.Machine, cpus int, seed int64) *Parallel {
 		cpus = 1
 	}
 	p := &Parallel{
-		M:       m,
 		CPUs:    cpus,
 		Quantum: DefaultQuantum,
 		cpus:    make([]pcpu, cpus),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	p.drawJitter()
+	p.start(m)
 	return p
+}
+
+// Resume restarts p on machine m — the guest restored from a checkpoint —
+// as NewParallel(m, p.CPUs, seed) would start it, with every clock at c:
+// all CPUs idle, the jitter stream begun afresh from seed. This is forward
+// recovery's hand-over. The scheduler keeps its settings, its buffers, and
+// its counts of work done (Retired and the Window counters), which go on
+// accumulating over the squashed and the adopted execution alike.
+func (p *Parallel) Resume(m *vm.Machine, seed, c int64) {
+	p.rng.Seed(seed)
+	for i := range p.cpus {
+		p.cpus[i] = pcpu{clock: c}
+	}
+	p.nBound, p.scanFrom, p.sysPoll = 0, 0, p.sysPoll[:0]
+	p.backoff, p.noWindowBefore = 0, 0
+	p.start(m)
+}
+
+// start points the scheduler at m and draws the first jitter gap.
+func (p *Parallel) start(m *vm.Machine) {
+	p.M = m
+	// A window bounds its retirements by the cycles it spans, so every
+	// plain instruction must cost one at least; and the conflict check
+	// names CPUs in 16 bits.
+	p.canWindow = m.PlainCostFloor() >= 1 && len(p.cpus) <= 1<<16
+	p.drawJitter()
 }
 
 // drawJitter draws the distance to the next jittered retirement and its
@@ -101,6 +153,7 @@ func (p *Parallel) drawJitter() {
 		p.jitterGap++
 	}
 	p.jitterExtra = int64(p.rng.Intn(24))
+	p.windowAt = p.noWindowBefore
 }
 
 // Now returns the frontier of simulated time: the smallest CPU clock, which
@@ -181,6 +234,7 @@ func (p *Parallel) bind(ci int, t *vm.Thread) {
 	cpu.th = t
 	cpu.sliceN = 0
 	cpu.bindTs = cpu.clock
+	p.nBound++
 }
 
 // unbind releases CPU ci's thread.
@@ -194,6 +248,9 @@ func (p *Parallel) unbind(ci int) {
 		p.Trace.Span(name, cpu.bindTs, cpu.clock-cpu.bindTs,
 			p.TracePid, int64(cpu.th.ID), map[string]any{"cpu": ci})
 	}
+	if cpu.th != nil {
+		p.nBound--
+	}
 	cpu.th = nil
 	cpu.sliceN = 0
 }
@@ -201,6 +258,10 @@ func (p *Parallel) unbind(ci int) {
 // RunUntil executes until every CPU's clock reaches limit, the machine
 // terminates, or no progress is possible. It returns ErrDeadlock (wrapped
 // with machine state) when live threads exist but none can ever run.
+//
+// The loop below is the definition of the schedule. While no hook observes
+// plain instructions, stretches of it are executed a window at a time
+// instead (window.go) — to the same effect, bit for bit.
 func (p *Parallel) RunUntil(limit int64) error {
 	idleStreak := 0
 	m, cpus := p.M, p.cpus
@@ -213,6 +274,17 @@ func (p *Parallel) RunUntil(limit int64) error {
 	for now := p.Now(); !m.Done(); {
 		if now >= limit {
 			return nil
+		}
+		if now >= p.windowAt && !m.Hooks.ObservesPlain() {
+			if committed, ranOut := p.window(limit); committed {
+				// Every clock is now at or past the window's end. If every
+				// CPU ran it out the next one can open right there; if
+				// not, the pass below executes what cut it short.
+				idleStreak = 0
+				if now = p.Now(); ranOut || now >= limit {
+					continue
+				}
+			}
 		}
 		m.Now = now
 		next := int64(math.MaxInt64)
@@ -243,7 +315,7 @@ func (p *Parallel) RunUntil(limit int64) error {
 					if p.anyRunnable() {
 						// Runnable work exists but is bound to busier CPUs; idle
 						// briefly and retry (models an idle core waiting for work).
-						cpu.clock += 10
+						cpu.clock += idleHop
 						idleStreak++
 						if idleStreak > 1<<20 {
 							return fmt.Errorf("sched: livelock waiting for work\n%s", m.DescribeState())
@@ -306,17 +378,6 @@ func (p *Parallel) Run() error {
 func (p *Parallel) AddCost(c int64) {
 	for i := range p.cpus {
 		p.cpus[i].clock += c
-	}
-}
-
-// SetBaseClock moves every CPU clock to at least c; used when the
-// thread-parallel run resumes after a forward recovery, whose detection and
-// repair happened at simulated time c.
-func (p *Parallel) SetBaseClock(c int64) {
-	for i := range p.cpus {
-		if p.cpus[i].clock < c {
-			p.cpus[i].clock = c
-		}
 	}
 }
 

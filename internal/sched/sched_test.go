@@ -176,20 +176,41 @@ func TestParallelRunUntilStopsAtLimit(t *testing.T) {
 }
 
 func TestParallelAddCostAndBaseClock(t *testing.T) {
-	prog := counterProg(2, 100, true)
+	prog := counterProg(3, 300, false) // racy: the outcome depends on the jitter stream
 	m := vm.NewMachine(prog, nil, nil)
 	p := sched.NewParallel(m, 2, 1)
 	p.AddCost(10_000)
 	if p.Now() < 10_000 {
 		t.Fatal("AddCost did not advance clocks")
 	}
-	p.SetBaseClock(50_000)
-	if p.Now() < 50_000 {
-		t.Fatal("SetBaseClock did not advance clocks")
+	if err := p.RunUntil(12_000); err != nil {
+		t.Fatal(err)
 	}
-	p.SetBaseClock(1) // must never move clocks backwards
-	if p.Now() < 50_000 {
-		t.Fatal("SetBaseClock moved clocks backwards")
+
+	// Resume on a fresh machine at clock c is a new scheduler whose clocks
+	// all stand at c: nothing of the run so far may show, except in the
+	// counts of work done.
+	before := p.Retired()
+	m = vm.NewMachine(prog, nil, nil)
+	p.Resume(m, 9, 50_000)
+	if p.Now() != 50_000 || p.WallTime() != 50_000 {
+		t.Fatalf("resumed at [%d, %d], want 50000", p.Now(), p.WallTime())
+	}
+	ref := vm.NewMachine(prog, nil, nil)
+	fresh := sched.NewParallel(ref, 2, 9)
+	fresh.AddCost(50_000)
+	if err := fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if p.WallTime() != fresh.WallTime() || m.StateHash() != ref.StateHash() {
+		t.Fatalf("resumed run ended at %d in state %016x, a new scheduler at %d in %016x",
+			p.WallTime(), m.StateHash(), fresh.WallTime(), ref.StateHash())
+	}
+	if p.Retired() != before+fresh.Retired() {
+		t.Fatalf("retired %d, want %d before Resume + %d after", p.Retired(), before, fresh.Retired())
 	}
 }
 

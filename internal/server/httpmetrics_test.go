@@ -89,6 +89,12 @@ func TestHTTPRequestMetrics(t *testing.T) {
 	if got := value(`doubleplay_record_loop_instrs{workload="pbzip"}`); got <= 0 {
 		t.Errorf("record.loop_instrs = %d after a recording", got)
 	}
+	if got := value(`doubleplay_record_window_instrs{workload="pbzip"}`); got <= 0 {
+		t.Errorf("record.window_instrs = %d after a recording", got)
+	}
+	if got := value(`doubleplay_record_window_aborts{workload="pbzip",reason="conflict"}`); got != 0 {
+		t.Errorf("record.window_aborts{reason=conflict} = %d for a race-free guest", got)
+	}
 	if t.Failed() {
 		t.Log(text)
 	}

@@ -1,10 +1,9 @@
 #!/bin/sh
-# scripts/bench.sh — run the benchmark suite and publish its results.
+# scripts/bench.sh — run the paper-figure benchmarks and publish the
+# deterministic metrics they report.
 #
 #   scripts/bench.sh              # bench once, refresh BENCH_*.json
-#   COUNT=5 scripts/bench.sh      # more samples for benchstat
 #   BENCH=VerifySkip scripts/bench.sh   # subset by benchmark name regexp
-#   scripts/bench.sh baseline     # also refresh bench/baseline.txt
 #   scripts/bench.sh check        # also fail if BENCH_*.json drifted
 #
 # Artifacts:
@@ -13,22 +12,20 @@
 #                       each benchmark reports (cycle-derived, so the
 #                       values are bit-identical on any host; only ns/op
 #                       varies with the machine, and it is excluded)
-#   bench/baseline.txt  committed — raw `go test -bench` text from a
-#                       reference run, the benchstat comparison base
 #   bench/current.txt   this run's raw text (not committed)
 #
-# benchstat is optional: when it is on PATH the script compares
-# bench/baseline.txt against the fresh run, otherwise it prints how to
-# get it. Nothing is installed automatically — CI installs benchstat
-# itself; a developer machine runs fine without it.
+# Wall-clock time is not this script's business: ns/op of one iteration
+# of a paper figure swings by a third from run to run. Host time is
+# measured by benchmark/ (end to end) and the layer benchmarks under
+# internal/ (paired parent/change binaries; EXPERIMENTS.md).
 set -e
 cd "$(dirname "$0")/.."
 
 mode="${1:-run}"
 case "$mode" in
-run | baseline | check) ;;
+run | check) ;;
 *)
-	echo "usage: scripts/bench.sh [baseline|check]" >&2
+	echo "usage: scripts/bench.sh [check]" >&2
 	exit 2
 	;;
 esac
@@ -40,8 +37,8 @@ mkdir -p bench
 echo "== go test -bench=$PATTERN -count=$COUNT (benchtime=1x)"
 go test -run='^$' -bench="$PATTERN" -benchtime=1x -count="$COUNT" -timeout 60m . | tee bench/current.txt
 
-# Fold each benchmark's reported metrics (averaged over -count runs,
-# though the simulator makes every run identical) into BENCH_<name>.json.
+# Fold each benchmark's reported metrics (averaged over -count runs; the
+# simulator makes every run identical) into BENCH_<name>.json.
 awk '
 /^Benchmark/ {
     name = $1
@@ -70,19 +67,6 @@ END {
         print "  -> " f
     }
 }' bench/current.txt
-
-if [ "$mode" = baseline ]; then
-	cp bench/current.txt bench/baseline.txt
-	echo "refreshed bench/baseline.txt"
-fi
-
-if command -v benchstat >/dev/null 2>&1; then
-	echo "== benchstat (committed baseline vs this run)"
-	benchstat bench/baseline.txt bench/current.txt
-else
-	echo "benchstat not found; skipping the timing comparison" >&2
-	echo "(go install golang.org/x/perf/cmd/benchstat@latest)" >&2
-fi
 
 if [ "$mode" = check ]; then
 	echo "== deterministic metric gate (BENCH_*.json must match the committed values)"
