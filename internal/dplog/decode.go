@@ -269,9 +269,6 @@ func decodePayload(ep *EpochLog, info SectionInfo, payload []byte) (metaEnd, sys
 		if body, err = Inflate(payload, info.Raw); err != nil {
 			return 0, 0, err
 		}
-		if int64(len(body)) != info.Raw {
-			return 0, 0, fmt.Errorf("inflate: raw length %d, frame declared %d", len(body), info.Raw)
-		}
 	}
 	c := cursor{b: body}
 	metaEnd, sysEnd = c.epochBody(ep, true)

@@ -48,7 +48,7 @@ func TestPooledCodecConcurrent(t *testing.T) {
 }
 
 // TestInflateRecoversAfterCorruptStream feeds the pooled decompressor a
-// damaged stream and an over-long one, then a good one: a reader that
+// damaged stream, a short one and an over-long one, then a good one: a reader that
 // failed goes back to the pool, and whoever draws it next must not see
 // the failure.
 func TestInflateRecoversAfterCorruptStream(t *testing.T) {
@@ -70,6 +70,10 @@ func TestInflateRecoversAfterCorruptStream(t *testing.T) {
 		}
 		if _, err := Inflate(z, int64(len(raw))-1); err == nil {
 			t.Fatal("stream longer than its bound inflated without error")
+		}
+		// Refused before the buffer is made: making it would end the test.
+		if _, err := Inflate(z, 1<<40); err == nil {
+			t.Fatal("a length no stream of this size can reach inflated without error")
 		}
 		out, err := Inflate(z, int64(len(raw)))
 		if err != nil {

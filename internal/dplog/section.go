@@ -79,6 +79,10 @@ var (
 	inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
 )
 
+// maxDeflateRatio is DEFLATE's expansion limit: its longest match copies
+// 258 bytes and costs at least two bits.
+const maxDeflateRatio = 1032
+
 // Deflate compresses b at the default level, returning nil when
 // compression would not shrink it.
 func Deflate(b []byte) []byte {
@@ -98,21 +102,30 @@ func Deflate(b []byte) []byte {
 	return buf.Bytes()
 }
 
-// Inflate decompresses a DEFLATE stream that may legitimately expand to
-// at most max bytes, and fails — without reading further — on one that
-// expands to more.
-func Inflate(b []byte, max int64) ([]byte, error) {
+// Inflate decompresses a DEFLATE stream whose raw length the caller
+// already knows (a section's Raw, a chunk's manifest length) into one
+// buffer of exactly that size. A stream that ends short of n bytes fails,
+// and one that holds more fails after a single further byte is asked for —
+// what lies past n is never decompressed, let alone allocated. Nor is a
+// length the stream cannot reach: a declared n is hostile input too.
+func Inflate(b []byte, n int64) ([]byte, error) {
+	if n < 0 || n > maxDeflateRatio*int64(len(b)) {
+		return nil, fmt.Errorf("inflate: a %d-byte stream cannot hold the declared %d bytes", len(b), n)
+	}
 	zr := inflaters.Get().(io.ReadCloser)
 	defer inflaters.Put(zr)
 	if err := zr.(flate.Resetter).Reset(bytes.NewReader(b), nil); err != nil {
 		return nil, fmt.Errorf("inflate: %w", err)
 	}
-	out, err := io.ReadAll(io.LimitReader(zr, max+1))
-	if err != nil {
-		return nil, fmt.Errorf("inflate: %w", err)
+	out := make([]byte, n)
+	if _, err := io.ReadFull(zr, out); err != nil {
+		return nil, fmt.Errorf("inflate: raw length falls short of the declared %d bytes: %w", n, err)
 	}
-	if int64(len(out)) > max {
-		return nil, fmt.Errorf("inflate: stream expands past %d bytes", max)
+	var past [1]byte
+	if m, err := zr.Read(past[:]); m != 0 {
+		return nil, fmt.Errorf("inflate: stream expands past its declared %d bytes", n)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("inflate: %w", err)
 	}
 	return out, nil
 }

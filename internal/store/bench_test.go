@@ -13,9 +13,22 @@ import (
 // preload is how many referenced recordings (distinct seeds of one program,
 // sharing their syscall and sync-order chunks) the store holds before the
 // timer starts: what a put, a present put and a GC cost must be read
-// against how much is already stored.
+// against how much is already stored. files/op is the chunk files an
+// operation creates (a put), opens (a cold read) or visits to decide whether
+// to unlink them (a GC): each is a system call or three, which is what the
+// time is spent on.
 
 var sinkDigest string
+
+// chunkFiles counts the chunk files in the store.
+func chunkFiles(b *testing.B, s *store.Store) int {
+	b.Helper()
+	st, err := s.Stats()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st.Chunks
+}
 
 // benchStore opens a store in a fresh directory holding preload recordings.
 func benchStore(b *testing.B, preload int) *store.Store {
@@ -46,6 +59,7 @@ func BenchmarkPutRecording(b *testing.B) {
 			for i := range fresh {
 				fresh[i] = encode(testRecording(uint64(1_000_000+i), 6))
 			}
+			before := chunkFiles(b, s)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for _, data := range fresh {
@@ -55,6 +69,8 @@ func BenchmarkPutRecording(b *testing.B) {
 				}
 				sinkDigest = d
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(chunkFiles(b, s)-before)/float64(b.N), "files/op")
 		})
 	}
 }
@@ -99,6 +115,9 @@ func BenchmarkHandleRead(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
+		// One recording in the store: every chunk file is its own, and a
+		// cold read opens each once.
+		b.ReportMetric(float64(chunkFiles(b, s)), "files/op")
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -136,6 +155,7 @@ func BenchmarkGC(b *testing.B) {
 	const preload = 512
 	b.Run(fmt.Sprintf("preload=%d", preload), func(b *testing.B) {
 		s := benchStore(b, preload)
+		files := chunkFiles(b, s)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -147,5 +167,6 @@ func BenchmarkGC(b *testing.B) {
 				b.Fatalf("gc report: %+v", rep)
 			}
 		}
+		b.ReportMetric(float64(files), "files/op")
 	})
 }

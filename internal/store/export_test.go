@@ -1,5 +1,8 @@
 package store
 
+// InlineSpanMax is the raw length from which a span gets a chunk file.
+const InlineSpanMax = inlineSpanMax
+
 // SetSweepHook installs a test hook that runs between GC's mark and
 // sweep phases, with the store mutex held.
 func (s *Store) SetSweepHook(f func()) { s.sweepHook = f }

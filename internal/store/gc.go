@@ -6,18 +6,24 @@ package store
 // live; unpinned jobs die by age (ref older than Policy.MaxAge) and by
 // size budget (newest first until Policy.MaxBytes of logical recording
 // bytes are retained). Live refs mark their manifest (or whole blob) and
-// every chunk the manifest names.
+// every chunk the manifest names; the spans a manifest carries inline live
+// and die with it.
 //
 // Sweep deletes in reference order — refs, then manifests, then chunks,
 // then blobs — the mirror image of PutRecording's chunks-before-manifest
 // ordering. A crash mid-GC can therefore strand an orphan (collected by
 // the next cycle) but never leave a ref or manifest pointing at deleted
 // data.
+//
+// The sweep also unlinks the temp files of writes that a crash cut off
+// before their rename: GC holds the store mutex, so no write of this
+// process is in flight, and nothing else would ever remove them.
 
 import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -44,6 +50,7 @@ type GCReport struct {
 	ManifestsRemoved int   `json:"manifests_removed"`
 	ChunksRemoved    int   `json:"chunks_removed"`
 	BlobsRemoved     int   `json:"blobs_removed"`
+	TempsRemoved     int   `json:"temps_removed"`
 	BytesReclaimed   int64 `json:"bytes_reclaimed"`
 }
 
@@ -53,7 +60,8 @@ type refState struct {
 	digest  string
 	pinned  bool
 	modTime time.Time
-	logical int64 // reassembled recording size
+	logical int64     // reassembled recording size
+	man     *Manifest // nil for a whole blob (or a ref to nothing)
 }
 
 // GC runs one mark-and-sweep cycle under the store mutex, so no
@@ -85,7 +93,7 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 			st.modTime = info.ModTime()
 		}
 		if man, err := s.loadManifest(d); err == nil {
-			st.logical = man.Total
+			st.man, st.logical = man, man.Total
 		} else if info, err := os.Stat(s.BlobPath(d)); err == nil {
 			st.logical = info.Size()
 		}
@@ -131,13 +139,15 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 	liveChunks := map[string]bool{}
 	liveBlobs := map[string]bool{}
 	for _, r := range live {
-		if man, err := s.loadManifest(r.digest); err == nil {
-			liveManifests[r.digest] = true
-			for _, c := range man.Chunks {
+		if r.man == nil {
+			liveBlobs[r.digest] = true
+			continue
+		}
+		liveManifests[r.digest] = true
+		for _, c := range r.man.Chunks {
+			if c.Digest != "" {
 				liveChunks[c.Digest] = true
 			}
-		} else {
-			liveBlobs[r.digest] = true
 		}
 	}
 	rep.LiveRecordings = len(live)
@@ -164,32 +174,27 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 			remove(path, info.Size(), &rep.RefsRemoved)
 		}
 	}
-	err = s.walkDigests("manifests", func(digest, path string, size int64) error {
-		if !liveManifests[digest] {
-			remove(path, size, &rep.ManifestsRemoved)
+	for _, ns := range []struct {
+		name    string
+		live    map[string]bool
+		removed *int
+	}{
+		{"manifests", liveManifests, &rep.ManifestsRemoved},
+		{"chunks", liveChunks, &rep.ChunksRemoved},
+		{"blobs", liveBlobs, &rep.BlobsRemoved},
+	} {
+		err := s.walkShards(ns.name, func(name, path string, size int64) error {
+			switch {
+			case strings.HasPrefix(name, tempPrefix):
+				remove(path, size, &rep.TempsRemoved)
+			case validDigest(name) && !ns.live[name]:
+				remove(path, size, ns.removed)
+			}
+			return nil
+		})
+		if err != nil {
+			return rep, fmt.Errorf("store: gc: %w", err)
 		}
-		return nil
-	})
-	if err != nil {
-		return rep, fmt.Errorf("store: gc: %w", err)
-	}
-	err = s.walkDigests("chunks", func(digest, path string, size int64) error {
-		if !liveChunks[digest] {
-			remove(path, size, &rep.ChunksRemoved)
-		}
-		return nil
-	})
-	if err != nil {
-		return rep, fmt.Errorf("store: gc: %w", err)
-	}
-	err = s.walkDigests("blobs", func(digest, path string, size int64) error {
-		if !liveBlobs[digest] {
-			remove(path, size, &rep.BlobsRemoved)
-		}
-		return nil
-	})
-	if err != nil {
-		return rep, fmt.Errorf("store: gc: %w", err)
 	}
 	return rep, nil
 }
@@ -198,7 +203,8 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 
 // FsckReport is the integrity check's verdict. Errors are real damage
 // (missing chunks, digest mismatches, undecodable manifests, dangling
-// refs); orphans are unreferenced-but-intact files a GC cycle reclaims.
+// refs); orphans are unreferenced-but-intact files, and stale temps the
+// leavings of writes a crash cut off: a GC cycle reclaims both.
 type FsckReport struct {
 	Manifests       int      `json:"manifests"`
 	Chunks          int      `json:"chunks"`
@@ -207,6 +213,7 @@ type FsckReport struct {
 	OrphanManifests int      `json:"orphan_manifests"`
 	OrphanChunks    int      `json:"orphan_chunks"`
 	OrphanBlobs     int      `json:"orphan_blobs"`
+	StaleTemps      int      `json:"stale_temps"`
 	Errors          []string `json:"errors,omitempty"`
 }
 
@@ -222,10 +229,11 @@ func (r *FsckReport) errorf(format string, args ...any) {
 }
 
 // Fsck verifies the store exhaustively: every manifest decodes, names
-// only existing chunks whose content matches their digest, and
-// reassembles to the recording digest it is stored under; every blob
-// matches its digest; every job ref resolves. Damage is reported, never
-// panicked on. Orphans are counted but are not errors.
+// only existing chunks whose content matches their digest, and — those
+// chunks and its own inline spans together — reassembles to the recording
+// digest it is stored under; every blob matches its digest; every job ref
+// resolves. Damage is reported, never panicked on. Orphans and stale temp
+// files are counted but are not errors.
 func (s *Store) Fsck() (*FsckReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,7 +261,23 @@ func (s *Store) Fsck() (*FsckReport, error) {
 		}
 	}
 
-	err = s.walkDigests("manifests", func(digest, path string, size int64) error {
+	// walk is walkDigests that also counts the temp files it passes.
+	walk := func(ns string, fn func(digest, path string)) error {
+		err := s.walkShards(ns, func(name, path string, size int64) error {
+			if strings.HasPrefix(name, tempPrefix) {
+				rep.StaleTemps++
+			} else if validDigest(name) {
+				fn(name, path)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("store: fsck: %w", err)
+		}
+		return nil
+	}
+
+	err = walk("manifests", func(digest, path string) {
 		rep.Manifests++
 		if !refdManifests[digest] {
 			rep.OrphanManifests++
@@ -261,23 +285,24 @@ func (s *Store) Fsck() (*FsckReport, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			rep.errorf("manifest %s: %v", digest, err)
-			return nil
+			return
 		}
 		man, err := DecodeManifest(data)
 		if err != nil {
 			rep.errorf("manifest %s: %v", digest, err)
-			return nil
+			return
 		}
 		sum := newDigester()
+		inline := man.inlineSpans()
 		for i, c := range man.Chunks {
-			refdChunks[c.Digest] = true
-			raw, err := s.readChunk(c.Digest)
-			if err != nil {
-				rep.errorf("manifest %s: chunk %d: missing or unreadable %s", digest, i, c.Digest)
+			if c.Digest == "" {
+				sum.Write(inline[i])
 				continue
 			}
-			if int64(len(raw)) != c.Len {
-				rep.errorf("manifest %s: chunk %d (%s): %d bytes, manifest declares %d", digest, i, c.Digest, len(raw), c.Len)
+			refdChunks[c.Digest] = true
+			raw, err := s.readChunk(c)
+			if err != nil {
+				rep.errorf("manifest %s: chunk %d (%s) missing or unreadable: %v", digest, i, c.Digest, err)
 				continue
 			}
 			if Digest(raw) != c.Digest {
@@ -289,24 +314,22 @@ func (s *Store) Fsck() (*FsckReport, error) {
 		if got := sum.digest(); got != digest {
 			rep.errorf("manifest %s: reassembles to %s", digest, got)
 		}
-		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("store: fsck: %w", err)
+		return nil, err
 	}
 
-	err = s.walkDigests("chunks", func(digest, path string, size int64) error {
+	err = walk("chunks", func(digest, path string) {
 		rep.Chunks++
 		if !refdChunks[digest] {
 			rep.OrphanChunks++
 		}
-		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("store: fsck: %w", err)
+		return nil, err
 	}
 
-	err = s.walkDigests("blobs", func(digest, path string, size int64) error {
+	err = walk("blobs", func(digest, path string) {
 		rep.Blobs++
 		if !refdBlobs[digest] {
 			rep.OrphanBlobs++
@@ -314,15 +337,14 @@ func (s *Store) Fsck() (*FsckReport, error) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			rep.errorf("blob %s: %v", digest, err)
-			return nil
+			return
 		}
 		if Digest(data) != digest {
 			rep.errorf("blob %s: content does not match its digest", digest)
 		}
-		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("store: fsck: %w", err)
+		return nil, err
 	}
 	return rep, nil
 }
@@ -331,8 +353,10 @@ func (s *Store) Fsck() (*FsckReport, error) {
 
 // StatsReport is the store's dedup accounting. LogicalBytes is what the
 // stored recordings would occupy reassembled; UniqueRawBytes is the raw
-// size of the distinct chunks actually referenced; StoredBytes is the
-// bytes on disk (chunks at rest may additionally be compressed).
+// size of the distinct chunks actually referenced plus the spans each
+// manifest carries inline (unique to it by construction); StoredBytes is
+// the bytes on disk (chunks and inline spans at rest may additionally be
+// compressed). Chunks counts chunk files, so inline spans are not in it.
 type StatsReport struct {
 	Chunks          int     `json:"chunks"`
 	Manifests       int     `json:"manifests"`
@@ -360,8 +384,11 @@ func (s *Store) Stats() (*StatsReport, error) {
 			return nil
 		}
 		rep.LogicalBytes += man.Total
+		rep.UniqueRawBytes += int64(len(man.Inline))
 		for _, c := range man.Chunks {
-			uniq[c.Digest] = c.Len
+			if c.Digest != "" {
+				uniq[c.Digest] = c.Len
+			}
 		}
 		return nil
 	})

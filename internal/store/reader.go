@@ -16,7 +16,9 @@ import (
 
 // handleCacheBytes bounds the decoded chunks a Handle keeps in memory.
 // Sequential reads touch each chunk once; seeky readers (the dplog
-// section index, epoch-range extraction) revisit a few hot chunks.
+// section index, epoch-range extraction) revisit a few hot chunks. Inline
+// spans are not chunks and not in the budget: they arrived with the
+// manifest and stay as long as it does.
 const handleCacheBytes = 4 << 20
 
 // Handle reads a stored recording lazily. It is safe for concurrent use.
@@ -26,11 +28,12 @@ type Handle struct {
 	// Whole-blob path: pread straight from the file, no cache.
 	f *os.File
 
-	// Chunked path: spans resolved through the manifest, decoded chunks
-	// cached under a byte budget.
+	// Chunked path: spans resolved through the manifest — inline ones are
+	// in it, the others are chunks, decoded and cached under a byte budget.
 	st     *Store
 	chunks []ManifestChunk
-	starts []int64 // cumulative start offset of each chunk
+	inline [][]byte // the bytes of each inline span, nil for a ref
+	starts []int64  // cumulative start offset of each span
 
 	mu         sync.Mutex
 	cache      map[int][]byte
@@ -46,7 +49,7 @@ func (s *Store) OpenRecording(digest string) (*Handle, error) {
 		return nil, fmt.Errorf("store: invalid digest %q", digest)
 	}
 	if man, err := s.loadManifest(digest); err == nil {
-		h := &Handle{size: man.Total, st: s, chunks: man.Chunks, cache: map[int][]byte{}}
+		h := &Handle{size: man.Total, st: s, chunks: man.Chunks, inline: man.inlineSpans(), cache: map[int][]byte{}}
 		h.starts = make([]int64, len(man.Chunks))
 		var off int64
 		for i, c := range man.Chunks {
@@ -132,9 +135,12 @@ func (h *Handle) readAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// chunk returns chunk i's decoded bytes, consulting and maintaining the
-// handle cache.
+// chunk returns span i's raw bytes: from the manifest when it is inline,
+// else from its chunk file, consulting and maintaining the handle cache.
 func (h *Handle) chunk(i int) ([]byte, error) {
+	if raw := h.inline[i]; raw != nil {
+		return raw, nil
+	}
 	h.mu.Lock()
 	if raw, ok := h.cache[i]; ok {
 		h.mu.Unlock()
@@ -142,12 +148,9 @@ func (h *Handle) chunk(i int) ([]byte, error) {
 	}
 	h.mu.Unlock()
 	c := h.chunks[i]
-	raw, err := h.st.readChunk(c.Digest)
+	raw, err := h.st.readChunk(c)
 	if err != nil {
 		return nil, fmt.Errorf("store: chunk %d (%s): %w", i, c.Digest, err)
-	}
-	if int64(len(raw)) != c.Len {
-		return nil, fmt.Errorf("store: chunk %d (%s) has %d bytes, manifest declares %d", i, c.Digest, len(raw), c.Len)
 	}
 	h.mu.Lock()
 	if _, ok := h.cache[i]; h.cache != nil && !ok {

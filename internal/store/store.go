@@ -9,7 +9,9 @@
 //	                                   optionally DEFLATE at rest; the
 //	                                   digest addresses the *raw* bytes)
 //	<root>/manifests/<aa>/sha256-<hex> chunk manifests, named by the digest
-//	                                   of the recording they reassemble
+//	                                   of the recording they reassemble;
+//	                                   they carry the spans too small to
+//	                                   be worth a chunk file
 //	<root>/jobs/<id>/...               per-job artifacts
 //	<root>/jobs/<id>/recording.ref     digest of the job's recording
 //	<root>/jobs/<id>/pinned            pin marker (protects from GC)
@@ -18,10 +20,11 @@
 // keeps any single directory from accumulating millions of entries.
 //
 // PutRecording splits a v6 recording on its section and intra-section
-// group boundaries (dplog.Reader.Chunks), stores each span
-// content-addressed, and writes a manifest — so same-program/
-// different-seed runs share their program-driven syscall and sync-order
-// bytes. Crash-safe ordering: chunks are durable before the manifest
+// group boundaries (dplog.Reader.Chunks), stores each span of
+// inlineSpanMax bytes or more content-addressed, and writes a manifest
+// that names those and holds the rest — so same-program/different-seed
+// runs share their program-driven syscall and sync-order bytes, and a put
+// creates only the files that can be shared. Crash-safe ordering: chunks are durable before the manifest
 // that names them, and GC removes refs before manifests before chunks,
 // so an interrupted operation can strand an orphan (reclaimed by the
 // next GC) but never a dangling reference.
@@ -130,20 +133,25 @@ func (s *Store) shardPath(ns, digest string) string {
 // BlobPath maps a digest to its (sharded) whole-blob path.
 func (s *Store) BlobPath(digest string) string { return s.shardPath("blobs", digest) }
 
+// tempPrefix starts the name of a write in flight. A crash between
+// writeFileAtomic's create and its rename strands such a file; GC unlinks
+// the ones it finds and fsck counts them.
+const tempPrefix = ".tmp-"
+
 // writeFileAtomic lands data at path via a temp file in the same
 // directory and a rename. Rename-over semantics make concurrent writers
 // of the same content-addressed path safe: whichever rename lands last
 // wins, and both wrote identical bytes.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if errors.Is(err, fs.ErrNotExist) {
 		// First write into this shard: a namespace creates at most 256
 		// directories in its life, so only this path pays for the mkdir.
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		tmp, err = os.CreateTemp(dir, ".tmp-*")
+		tmp, err = os.CreateTemp(dir, tempPrefix+"*")
 	}
 	if err != nil {
 		return err
@@ -218,22 +226,23 @@ func (s *Store) putChunk(raw []byte) (digest string, err error) {
 	return digest, nil
 }
 
-// readChunk loads and decodes one chunk's raw bytes.
-func (s *Store) readChunk(digest string) ([]byte, error) {
-	if !validDigest(digest) {
-		return nil, fmt.Errorf("store: invalid chunk digest %q", digest)
+// readChunk loads and decodes the raw bytes of one ref entry's chunk,
+// held to the length the entry declares.
+func (s *Store) readChunk(c ManifestChunk) ([]byte, error) {
+	if !validDigest(c.Digest) {
+		return nil, fmt.Errorf("store: invalid chunk digest %q", c.Digest)
 	}
-	data, err := os.ReadFile(s.shardPath("chunks", digest))
+	data, err := os.ReadFile(s.shardPath("chunks", c.Digest))
 	if err != nil {
 		return nil, err
 	}
-	return decodeChunk(data)
+	return decodeChunk(data, c.Len)
 }
 
 // PutRecording stores an encoded recording with chunk-level dedup: the
 // artifact is split on its dplog section and group boundaries, each span
-// stored content-addressed, and a manifest written under the recording's
-// own digest. Artifacts that expose no chunkable layout (not a dplog, or
+// stored content-addressed — or, under inlineSpanMax bytes, in the
+// manifest — and the manifest written under the recording's own digest. Artifacts that expose no chunkable layout (not a dplog, or
 // a damaged one) fall back to one whole blob under the same digest, so RecordingRef
 // resolution is uniform. Chunks land before the manifest that references
 // them — a crash strands orphan chunks, never a dangling manifest.
@@ -255,11 +264,14 @@ func (s *Store) PutRecording(data []byte) (digest string, err error) {
 	}
 	man := &Manifest{Total: int64(len(data))}
 	for _, c := range chunks {
-		cd, err := s.putChunk(data[c.Offset : c.Offset+c.Len])
-		if err != nil {
+		span := data[c.Offset : c.Offset+c.Len]
+		mc := ManifestChunk{Len: c.Len, Kind: uint8(c.Kind)}
+		if c.Len < inlineSpanMax {
+			man.Inline = append(man.Inline, span...)
+		} else if mc.Digest, err = s.putChunk(span); err != nil {
 			return "", err
 		}
-		man.Chunks = append(man.Chunks, ManifestChunk{Digest: cd, Len: c.Len, Kind: uint8(c.Kind)})
+		man.Chunks = append(man.Chunks, mc)
 	}
 	enc := man.Encode()
 	if err := writeFileAtomic(s.shardPath("manifests", digest), enc); err != nil {
@@ -268,6 +280,7 @@ func (s *Store) PutRecording(data []byte) (digest string, err error) {
 	s.totals.Manifests++
 	s.totals.StoredBytes += int64(len(enc))
 	s.totals.LogicalBytes += man.Total
+	s.totals.UniqueRawBytes += int64(len(man.Inline))
 	return digest, nil
 }
 
@@ -414,48 +427,49 @@ func (s *Store) jobIDs() ([]string, error) {
 	return ids, nil
 }
 
-// walkDigests visits every content-addressed file under a namespace,
-// tolerating both sharded and flat layouts.
-func (s *Store) walkDigests(ns string, fn func(digest, path string, size int64) error) error {
+// walkShards visits every file in a namespace's shard directories.
+func (s *Store) walkShards(ns string, fn func(name, path string, size int64) error) error {
 	base := filepath.Join(s.root, ns)
-	ents, err := os.ReadDir(base)
+	shards, err := os.ReadDir(base)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
 		return err
 	}
-	visit := func(dir string, e os.DirEntry) error {
-		if !validDigest(e.Name()) {
-			return nil
-		}
-		info, err := e.Info()
-		if err != nil {
-			return err
-		}
-		return fn(e.Name(), filepath.Join(dir, e.Name()), info.Size())
-	}
-	for _, e := range ents {
-		if !e.IsDir() {
-			if err := visit(base, e); err != nil {
-				return err
-			}
+	for _, shard := range shards {
+		if !shard.IsDir() {
 			continue
 		}
-		sub, err := os.ReadDir(filepath.Join(base, e.Name()))
+		dir := filepath.Join(base, shard.Name())
+		ents, err := os.ReadDir(dir)
 		if err != nil {
 			return err
 		}
-		for _, se := range sub {
-			if se.IsDir() {
+		for _, e := range ents {
+			if e.IsDir() {
 				continue
 			}
-			if err := visit(filepath.Join(base, e.Name()), se); err != nil {
+			info, err := e.Info()
+			if err != nil {
+				return err
+			}
+			if err := fn(e.Name(), filepath.Join(dir, e.Name()), info.Size()); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// walkDigests visits every content-addressed file under a namespace.
+func (s *Store) walkDigests(ns string, fn func(digest, path string, size int64) error) error {
+	return s.walkShards(ns, func(name, path string, size int64) error {
+		if !validDigest(name) {
+			return nil
+		}
+		return fn(name, path, size)
+	})
 }
 
 // recount reseeds the running totals from the Stats walk — the truth the

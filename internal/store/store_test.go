@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -25,7 +26,12 @@ func open(t *testing.T) *store.Store {
 
 // testRecording builds a deterministic recording whose syscall groups
 // are sizeable and identical across "seeds" while the boundary hashes
-// and schedules differ — the shape chunk dedup exists for.
+// and schedules differ — the shape chunk dedup exists for. A syscall
+// group is ~390 bytes, above the store's inline bound, so it is a chunk
+// file two seeds share; even epochs carry a long schedule, so their
+// seed-entangled epoch-meta span is a chunk file nothing shares; the
+// header, the other epoch-meta spans, sync and index are below the bound
+// and travel in the manifest.
 func testRecording(seed uint64, epochs int) *dplog.Recording {
 	rec := &dplog.Recording{
 		Program: "storetest", Workers: 2, Seed: int64(seed),
@@ -40,7 +46,12 @@ func testRecording(seed uint64, epochs int) *dplog.Recording {
 			Targets:    []uint64{uint64(250 * (i + 1))},
 			Schedule:   []dplog.Slice{{Tid: int(seed) % 2, N: 100 + uint64(i)}, {Tid: 1, N: 150}},
 		}
-		for k := 0; k < 8; k++ {
+		if i%2 == 0 {
+			for k := 0; k < 120; k++ {
+				ep.Schedule = append(ep.Schedule, dplog.Slice{Tid: k % 2, N: 10*seed + uint64(k)})
+			}
+		}
+		for k := 0; k < 24; k++ {
 			sys := dplog.SyscallRecord{Tid: k % 2, Num: int64(7 + i), Ret: int64(k)}
 			sys.Args = [6]vm.Word{1, 2, 3, int64(i), int64(k), 6}
 			sys.Writes = []vm.MemWrite{{Addr: int64(4096 + 8*k), Data: []vm.Word{int64(i), int64(k), 3}}}
@@ -283,10 +294,12 @@ func TestRecordingRefRoundTrip(t *testing.T) {
 }
 
 func TestManifestRoundTrip(t *testing.T) {
-	m := &store.Manifest{Total: 100}
+	m := &store.Manifest{Total: 130, Inline: []byte("ten bytes!twenty bytes of span")}
 	m.Chunks = []store.ManifestChunk{
+		{Len: 10, Kind: 0}, // inline: no digest
 		{Digest: store.Digest([]byte("a")), Len: 30, Kind: 1},
 		{Digest: store.Digest([]byte("b")), Len: 50, Kind: 2},
+		{Len: 20, Kind: 255},
 		{Digest: store.Digest([]byte("a")), Len: 20, Kind: 3},
 	}
 	enc := m.Encode()
@@ -294,13 +307,19 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeManifest: %v", err)
 	}
-	if got.Total != m.Total || len(got.Chunks) != len(m.Chunks) {
-		t.Fatalf("round trip: %+v", got)
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("round trip: %+v, want %+v", got, m)
 	}
-	for i := range m.Chunks {
-		if got.Chunks[i] != m.Chunks[i] {
-			t.Fatalf("chunk %d: %+v != %+v", i, got.Chunks[i], m.Chunks[i])
-		}
+	// An inline tail big enough to compress goes through DEFLATE and back.
+	big := &store.Manifest{Total: 200 * 64}
+	for i := 0; i < 64; i++ {
+		big.Chunks = append(big.Chunks, store.ManifestChunk{Len: 200, Kind: 1})
+		big.Inline = append(big.Inline, bytes.Repeat([]byte{byte(i)}, 200)...)
+	}
+	if benc := big.Encode(); len(benc) >= len(big.Inline) {
+		t.Fatalf("a %d-byte compressible tail made a %d-byte manifest", len(big.Inline), len(benc))
+	} else if got, err := store.DecodeManifest(benc); err != nil || !reflect.DeepEqual(got, big) {
+		t.Fatalf("deflated tail round trip: %v", err)
 	}
 	// Corruptions must fail cleanly, never panic.
 	for _, mut := range []struct {
@@ -311,11 +330,37 @@ func TestManifestRoundTrip(t *testing.T) {
 		{"magic", append([]byte("XXXX"), enc[4:]...)},
 		{"truncated", enc[:len(enc)-6]},
 		{"bitflip", flip(enc, len(enc)/2)},
+		{"inline byte", flip(enc, len(enc)-8)},
 		{"crc", flip(enc, len(enc)-1)},
 	} {
 		if _, err := store.DecodeManifest(mut.data); err == nil {
 			t.Fatalf("%s: corrupt manifest decoded", mut.name)
 		}
+	}
+}
+
+// TestManifestV1StillDecodes reads a manifest the parent of the inline
+// form wrote (version 1: ref entries only). It decodes to the same three
+// entries, and encoding it again writes the current version.
+func TestManifestV1StillDecodes(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.dpmf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[4] != 1 {
+		t.Fatalf("testdata/v1.dpmf declares version %d", v1[4])
+	}
+	want := &store.Manifest{Total: 100, Chunks: []store.ManifestChunk{
+		{Digest: store.Digest([]byte("a")), Len: 30, Kind: 1},
+		{Digest: store.Digest([]byte("b")), Len: 50, Kind: 2},
+		{Digest: store.Digest([]byte("a")), Len: 20, Kind: 3},
+	}}
+	got, err := store.DecodeManifest(v1)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("v1 manifest: %+v, %v", got, err)
+	}
+	if re := got.Encode(); re[4] != 2 {
+		t.Fatalf("re-encoded as version %d, want 2", re[4])
 	}
 }
 

@@ -16,6 +16,9 @@
 #      swept store clean and `store stats` still shows the dedup.
 #   6. The doubleplay_store_* gauges, which puts advance and GC recounts,
 #      equal the `GET /admin/store` walk after the puts and after the GC.
+#   7. A put creates files only for spans that can be shared: the store
+#      holds fewer chunk files than the two manifests declare spans, and
+#      the drained store has no stale temp file.
 #
 # Run from the repo root (verify.sh and the CI serve-store job do).
 set -e
@@ -107,6 +110,32 @@ raw_sum=$(( $(wc -c <"$tmp/a.dplog") + $(wc -c <"$tmp/b.dplog") ))
 [ "$unique" -lt "$logical" ] || {
     echo "store gate: unique bytes $unique not below logical $logical" >&2; exit 1; }
 
+# Small spans travel in the manifest, so the chunk files are fewer than the
+# spans — by at least one per section, since every epoch's metadata span
+# (boundary hashes and schedule, ~120 bytes on kvdb) is below the inline
+# bound; sharing alone, which saves three files here, does not pass. The
+# span count is read off the manifests themselves: the third varint after
+# the "DPMF" magic (version, total, count).
+spans_of() {
+    od -An -v -tu1 -j4 -N30 "$1" | awk 'BEGIN { m = 1 }
+        { for (i = 1; i <= NF; i++) {
+            v += ($i % 128) * m; m *= 128
+            if ($i < 128) { if (++n == 3) { print v; exit }; v = 0; m = 1 } } }'
+}
+spans=0
+for man in "$tmp"/dpdata/manifests/*/sha256-*; do
+    spans=$((spans + $(spans_of "$man")))
+done
+sections=0
+for log in "$tmp/a.dplog" "$tmp/b.dplog"; do
+    n=$("$tmp/doubleplay" log inspect -log "$log" | awk '$1 == "sections:" { print $2 }')
+    sections=$((sections + n))
+done
+chunks=$(nfield chunks <"$tmp/stats.json")
+[ "$sections" -gt 0 ] && [ $((chunks + sections)) -le "$spans" ] || {
+    echo "store gate: $chunks chunk files for $spans spans in $sections sections: small spans have files again" >&2
+    exit 1; }
+
 # Epoch-range extraction through the chunked reader must match offline
 # extraction from the downloaded artifact, byte for byte.
 curl -fsS "http://$addr/recordings/$ida/epochs/1..2" -o "$tmp/sub_http.dplog"
@@ -158,6 +187,10 @@ srv_pid=""
     cat "$tmp/fsck.out" >&2; exit 1; }
 grep -q "fsck: ok" "$tmp/fsck.out" || {
     echo "store gate: fsck did not report ok" >&2; cat "$tmp/fsck.out" >&2; exit 1; }
+"$tmp/doubleplay" store fsck -data "$tmp/dpdata" -json >"$tmp/fsck.json"
+[ "$(nfield stale_temps <"$tmp/fsck.json")" = 0 ] || {
+    echo "store gate: the drained store holds stale temp files" >&2
+    cat "$tmp/fsck.json" >&2; exit 1; }
 "$tmp/doubleplay" store stats -data "$tmp/dpdata" -json >"$tmp/offline.json"
 [ "$(nfield manifests <"$tmp/offline.json")" = 1 ] || {
     echo "store gate: offline stats disagree about survivors" >&2
