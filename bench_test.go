@@ -1,266 +1,129 @@
-// Benchmarks that regenerate the paper's tables and figures, one per
-// artifact (see DESIGN.md's per-experiment index). Each benchmark runs the
-// corresponding experiment over the full evaluation suite and reports the
-// figure's headline quantity as a custom metric, so
+// Benchmarks that regenerate the paper's tables and figures, one per entry
+// of exp.Experiments (see DESIGN.md's per-experiment index). Each runs its
+// experiment over the full evaluation suite and reports the entry's
+// headline metrics, so
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the entire evaluation. cmd/dpbench prints the same results as
-// human-readable tables.
+// reproduces the entire evaluation; scripts/bench.sh folds the metrics into
+// BENCH_<name>.json. cmd/dpbench prints the same runs as tables. What each
+// experiment measures and which numbers it is gated on is declared in
+// internal/exp; TestEvaluationListedOnce keeps this file in step with it.
 package doubleplay_test
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"doubleplay/internal/exp"
 )
 
-func benchCfg() exp.Config { return exp.Config{Seed: 11} }
-
-// BenchmarkTable1Characteristics regenerates T1: per-workload instruction,
-// sync-op, syscall, and page counts.
-func BenchmarkTable1Characteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.Table1(benchCfg())
-		if len(rows) == 0 {
-			b.Fatal("no rows")
+// benchExperiment runs the registry entry the calling benchmark is named
+// after (Benchmark<Bench>) and reports its headline metrics. The entry's
+// own sanity checks (replay fidelity, no divergence under the gate,
+// something certified) fail the benchmark.
+func benchExperiment(b *testing.B) {
+	bench := strings.TrimPrefix(b.Name(), "Benchmark")
+	for _, e := range exp.Experiments {
+		if e.Bench != bench {
+			continue
 		}
-		var instrs int64
-		for _, r := range rows {
-			instrs += r.Retired
-		}
-		b.ReportMetric(float64(instrs)/float64(len(rows)), "instrs/workload")
-	}
-}
-
-// BenchmarkFigOverheadSpare2 regenerates F1 — the paper's headline: with
-// spare cores and 2 worker threads, logging overhead averages ~15%.
-func BenchmarkFigOverheadSpare2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.Overhead(benchCfg(), 2, 2)
-		b.ReportMetric(exp.MeanOverhead(rows)*100, "overhead_%")
-	}
-}
-
-// BenchmarkFigOverheadSpare4 regenerates F2 — with 4 worker threads the
-// paper reports ~28% average logging overhead.
-func BenchmarkFigOverheadSpare4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.Overhead(benchCfg(), 4, 4)
-		b.ReportMetric(exp.MeanOverhead(rows)*100, "overhead_%")
-	}
-}
-
-// BenchmarkFigOverheadUtilized regenerates F3: with no spare cores both
-// executions share the worker cores and overhead approaches 2x.
-func BenchmarkFigOverheadUtilized(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows2 := exp.Overhead(benchCfg(), 2, 0)
-		rows4 := exp.Overhead(benchCfg(), 4, 0)
-		b.ReportMetric(exp.MeanOverhead(rows2)*100, "overhead2_%")
-		b.ReportMetric(exp.MeanOverhead(rows4)*100, "overhead4_%")
-	}
-}
-
-// BenchmarkTableLogSize regenerates T2: replay-log bytes per million guest
-// instructions, DoublePlay vs CREW page-ownership logging, plus the v6
-// on-disk container: compressed file bytes per million instructions and
-// the read locality of the section index (bytes touched seeking the last
-// epoch vs decoding every epoch).
-func BenchmarkTableLogSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.LogSize(benchCfg())
-		var dp, crew, comp float64
-		var seek, scan int64
-		for _, r := range rows {
-			dp += r.DPPerM
-			crew += r.CrewPerM
-			comp += float64(r.CompBytes) / (float64(r.Retired) / 1e6)
-			seek += r.SeekBytes
-			scan += r.ScanBytes
-		}
-		b.ReportMetric(dp/float64(len(rows)), "dp_B/Minstr")
-		b.ReportMetric(crew/float64(len(rows)), "crew_B/Minstr")
-		b.ReportMetric(comp/float64(len(rows)), "file_B/Minstr")
-		b.ReportMetric(float64(seek)/float64(len(rows)), "seek_B")
-		b.ReportMetric(float64(scan)/float64(len(rows)), "scan_B")
-	}
-}
-
-// BenchmarkFigReplaySpeed regenerates F4: sequential replay costs ~W× while
-// epoch-parallel replay is near-native.
-func BenchmarkFigReplaySpeed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.ReplaySpeed(benchCfg(), 4)
-		var seq, par float64
-		for _, r := range rows {
-			seq += r.SeqRatio
-			par += r.ParRatio
-		}
-		b.ReportMetric(seq/float64(len(rows)), "seq_x")
-		b.ReportMetric(par/float64(len(rows)), "par_x")
-	}
-}
-
-// BenchmarkFigEpochSweep regenerates F5: overhead against epoch length —
-// the U-shaped trade-off between checkpoint cost and pipeline drain.
-func BenchmarkFigEpochSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.EpochSweep(benchCfg())
-		best, worst := rows[0].Overhead, rows[0].Overhead
-		for _, r := range rows {
-			if r.Overhead < best {
-				best = r.Overhead
+		for i := 0; i < b.N; i++ {
+			rep, err := e.Run(exp.Config{Seed: 11, Seeds: 6})
+			if err != nil {
+				b.Fatal(err)
 			}
-			if r.Overhead > worst {
-				worst = r.Overhead
+			for _, m := range rep.Metrics {
+				b.ReportMetric(m.Value, m.Unit)
 			}
 		}
-		b.ReportMetric(best*100, "best_%")
-		b.ReportMetric(worst*100, "worst_%")
+		return
 	}
+	b.Fatalf("no experiment with Bench %q in exp.Experiments", bench)
 }
 
-// BenchmarkTableDivergence regenerates T3: divergence rates, forward
-// recoveries, and replay fidelity on racy programs.
-func BenchmarkTableDivergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.Divergence(benchCfg(), 6)
-		var div, epochs, replays, seeds int
-		for _, r := range rows {
-			div += r.Divergences
-			epochs += r.Epochs
-			replays += r.ReplaysOK
-			seeds += r.Seeds
-		}
-		if replays != seeds {
-			b.Fatalf("replay fidelity broken: %d/%d", replays, seeds)
-		}
-		b.ReportMetric(float64(div), "divergences")
-		b.ReportMetric(float64(div)/float64(epochs)*100, "diverged_epochs_%")
-	}
-}
+func BenchmarkTable1Characteristics(b *testing.B)     { benchExperiment(b) }
+func BenchmarkFigOverheadSpare2(b *testing.B)         { benchExperiment(b) }
+func BenchmarkFigOverheadSpare4(b *testing.B)         { benchExperiment(b) }
+func BenchmarkFigOverheadUtilized(b *testing.B)       { benchExperiment(b) }
+func BenchmarkTableLogSize(b *testing.B)              { benchExperiment(b) }
+func BenchmarkFigReplaySpeed(b *testing.B)            { benchExperiment(b) }
+func BenchmarkFigEpochSweep(b *testing.B)             { benchExperiment(b) }
+func BenchmarkTableDivergence(b *testing.B)           { benchExperiment(b) }
+func BenchmarkFigSpareCores(b *testing.B)             { benchExperiment(b) }
+func BenchmarkTableUniprocessorBaseline(b *testing.B) { benchExperiment(b) }
+func BenchmarkAblationSyncEnforcement(b *testing.B)   { benchExperiment(b) }
+func BenchmarkAblationAdaptiveEpochs(b *testing.B)    { benchExperiment(b) }
+func BenchmarkExtensionAdaptiveSpares(b *testing.B)   { benchExperiment(b) }
+func BenchmarkExtensionSparseReplay(b *testing.B)     { benchExperiment(b) }
+func BenchmarkExtensionVerifySkip(b *testing.B)       { benchExperiment(b) }
 
-// BenchmarkFigSpareCores regenerates F6: overhead as spare cores vary —
-// sharp improvement until spares reach the worker count, flat beyond.
-func BenchmarkFigSpareCores(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.SpareSweep(benchCfg())
-		var at4, at8 float64
-		n4, n8 := 0, 0
-		for _, r := range rows {
-			switch r.Spares {
-			case 4:
-				at4 += r.Overhead
-				n4++
-			case 8:
-				at8 += r.Overhead
-				n8++
+// TestEvaluationListedOnce holds the three hand-kept lists to the registry:
+// every exp.Experiments entry has its Benchmark<Bench> one-liner in this
+// file, a committed BENCH_<bench>.json and a DESIGN.md index row naming
+// `dpbench -exp <Name>` and the benchmark — and none of the three lists has
+// an item the registry lacks.
+func TestEvaluationListedOnce(t *testing.T) {
+	read := func(name string) string {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	benches := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^func Benchmark(\w+)\(b \*testing\.B\)`).FindAllStringSubmatch(read("bench_test.go"), -1) {
+		benches[m[1]] = true
+	}
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsons := map[string]bool{}
+	for _, f := range files {
+		jsons[f] = true
+	}
+	rows := map[string]string{} // index row by ID
+	for _, m := range regexp.MustCompile("(?m)^\\| (\\w+) \\|.*`dpbench -exp \\w+`.*$").FindAllStringSubmatch(read("DESIGN.md"), -1) {
+		rows[m[1]] = m[0]
+	}
+
+	for _, e := range exp.Experiments {
+		if !benches[e.Bench] {
+			t.Errorf("%s: no func Benchmark%s in bench_test.go", e.Name, e.Bench)
+		}
+		delete(benches, e.Bench)
+
+		file := "BENCH_" + strings.ToLower(e.Bench) + ".json"
+		if !jsons[file] {
+			t.Errorf("%s: no committed %s (run scripts/bench.sh)", e.Name, file)
+		} else {
+			var got struct{ Benchmark string }
+			if err := json.Unmarshal([]byte(read(file)), &got); err != nil || got.Benchmark != e.Bench {
+				t.Errorf("%s: %s names benchmark %q (%v), want %q", e.Name, file, got.Benchmark, err, e.Bench)
 			}
 		}
-		b.ReportMetric(at4/float64(n4)*100, "spares4_%")
-		b.ReportMetric(at8/float64(n8)*100, "spares8_%")
-	}
-}
+		delete(jsons, file)
 
-// BenchmarkTableUniprocessorBaseline regenerates T4: classic uniprocessor
-// record/replay slows W-thread programs ~W×; DoublePlay does not.
-func BenchmarkTableUniprocessorBaseline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.UniBaseline(benchCfg(), 4)
-		var uni, dp float64
-		for _, r := range rows {
-			uni += r.UniSlowdown
-			dp += r.DPOverhead
-		}
-		b.ReportMetric(uni/float64(len(rows)), "uni_slowdown_x")
-		b.ReportMetric(dp/float64(len(rows))*100, "dp_overhead_%")
-	}
-}
-
-// BenchmarkAblationAdaptiveEpochs contrasts fixed against growing epoch
-// lengths: early divergence-detection latency shrinks 4x while steady-state
-// overhead stays close to the fixed configuration.
-func BenchmarkAblationAdaptiveEpochs(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.Adaptive(benchCfg())
-		var fixed, grown float64
-		for _, r := range rows {
-			fixed += r.FixedOverhead
-			grown += r.GrownOverhead
-		}
-		b.ReportMetric(fixed/float64(len(rows))*100, "fixed_%")
-		b.ReportMetric(grown/float64(len(rows))*100, "adaptive_%")
-	}
-}
-
-// BenchmarkExtensionSparseReplay studies the checkpoint-memory vs
-// replay-parallelism trade-off of segment-parallel replay.
-func BenchmarkExtensionSparseReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.SparseReplay(benchCfg())
-		var fullPages, thinPages int64
-		for _, r := range rows {
-			switch r.Stride {
-			case 1:
-				fullPages += r.KeptPages
-			case 8:
-				thinPages += r.KeptPages
+		row := rows[e.ID]
+		for _, want := range []string{"`dpbench -exp " + e.Name + "`", "`Benchmark" + e.Bench + "`"} {
+			if !strings.Contains(row, want) {
+				t.Errorf("%s: DESIGN.md index row %s does not name %s: %q", e.Name, e.ID, want, row)
 			}
 		}
-		b.ReportMetric(float64(fullPages), "pages_stride1")
-		b.ReportMetric(float64(thinPages), "pages_stride8")
+		delete(rows, e.ID)
 	}
-}
-
-// BenchmarkAblationSyncEnforcement regenerates the DESIGN.md ablation:
-// divergence counts with the sync-order gate disabled.
-func BenchmarkAblationSyncEnforcement(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.Ablation(benchCfg())
-		withGate, noGate := 0, 0
-		for _, r := range rows {
-			withGate += r.DivWithGate
-			noGate += r.DivNoGate
-		}
-		if withGate != 0 {
-			b.Fatalf("race-free suite diverged with the gate: %d", withGate)
-		}
-		b.ReportMetric(float64(noGate), "divergences_without_gate")
+	for b := range benches {
+		t.Errorf("Benchmark%s has no exp.Experiments entry", b)
 	}
-}
-
-// BenchmarkExtensionVerifySkip regenerates the certified verify-skip
-// study: with 2 worker threads and 2 spares, workloads whose static
-// certificate proves race-freedom skip the epoch-parallel verification
-// pass entirely. The metrics report the mean recording overhead across
-// the suite under each policy, plus the overhead of the certified
-// workload set alone — the population the optimisation actually helps.
-func BenchmarkExtensionVerifySkip(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := exp.VerifySkip(benchCfg(), 2, 2)
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-		var alwaysSum, certSum float64
-		var skipAlways, skipCert float64
-		skipped := 0
-		for _, r := range rows {
-			alwaysSum += r.AlwaysOver
-			certSum += r.CertOver
-			if r.Skipped > 0 {
-				skipAlways += r.AlwaysOver
-				skipCert += r.CertOver
-				skipped++
-			}
-		}
-		n := float64(len(rows))
-		b.ReportMetric(alwaysSum/n*100, "always_%")
-		b.ReportMetric(certSum/n*100, "certified_%")
-		if skipped == 0 {
-			b.Fatal("no workload certified race-free — the verify-skip path never ran")
-		}
-		b.ReportMetric(skipAlways/float64(skipped)*100, "skip_always_%")
-		b.ReportMetric(skipCert/float64(skipped)*100, "skip_certified_%")
+	for f := range jsons {
+		t.Errorf("%s has no exp.Experiments entry", f)
+	}
+	for id, row := range rows {
+		t.Errorf("DESIGN.md index row %s has no exp.Experiments entry: %q", id, row)
 	}
 }

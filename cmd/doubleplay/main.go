@@ -105,7 +105,7 @@ func main() {
 
 		// serve-only flags.
 		pprofFlag    = fs.Bool("pprof", false, "serve: expose net/http/pprof under /debug/pprof on the API address")
-		dataDir      = fs.String("data", "dpdata", "serve: artifact store directory (blobs + per-job artifacts)")
+		dataDir      = fs.String("data", "dpdata", "serve: artifact store directory (recordings + per-job artifacts)")
 		pool         = fs.Int("pool", 2, "serve: worker pool size (concurrent jobs)")
 		queueDepth   = fs.Int("queue", 16, "serve: queued-job limit before submissions get 429")
 		jobTimeout   = fs.Duration("job-timeout", 2*time.Minute, "serve: default per-job timeout (0 disables; specs may override)")

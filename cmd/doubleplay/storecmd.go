@@ -46,7 +46,7 @@ func storeStats(dir string, jsonOut bool) {
 		return
 	}
 	fmt.Printf("store:    %s\n", dir)
-	fmt.Printf("objects:  %d manifests, %d chunks, %d whole blobs\n", rep.Manifests, rep.Chunks, rep.Blobs)
+	fmt.Printf("objects:  %d manifests, %d chunks\n", rep.Manifests, rep.Chunks)
 	fmt.Printf("logical:  %d bytes across all recordings\n", rep.LogicalBytes)
 	fmt.Printf("unique:   %d bytes after chunk dedup (saved %d)\n", rep.UniqueRawBytes, rep.DedupSavedBytes)
 	fmt.Printf("on disk:  %d bytes (chunks and the spans inline in manifests compressed at rest)\n", rep.StoredBytes)
@@ -68,8 +68,8 @@ func storeGC(dir string, maxAge time.Duration, maxBytes int64, dryRun, jsonOut b
 		verb = "would reclaim"
 	}
 	fmt.Printf("gc: %d jobs (%d pinned), %d recordings live\n", rep.Jobs, rep.Pinned, rep.LiveRecordings)
-	fmt.Printf("gc: %s %d refs, %d manifests, %d chunks, %d blobs, %d stale temp files — %d bytes\n",
-		verb, rep.RefsRemoved, rep.ManifestsRemoved, rep.ChunksRemoved, rep.BlobsRemoved, rep.TempsRemoved, rep.BytesReclaimed)
+	fmt.Printf("gc: %s %d refs, %d manifests, %d chunks, %d stale temp files — %d bytes\n",
+		verb, rep.RefsRemoved, rep.ManifestsRemoved, rep.ChunksRemoved, rep.TempsRemoved, rep.BytesReclaimed)
 }
 
 func storeFsck(dir string, jsonOut bool) {
@@ -78,11 +78,10 @@ func storeFsck(dir string, jsonOut bool) {
 	if jsonOut {
 		printJSON(rep)
 	} else {
-		fmt.Printf("fsck: %d refs, %d manifests, %d chunks, %d blobs checked\n",
-			rep.Refs, rep.Manifests, rep.Chunks, rep.Blobs)
-		if rep.OrphanManifests+rep.OrphanChunks+rep.OrphanBlobs > 0 {
-			fmt.Printf("fsck: %d orphan manifests, %d orphan chunks, %d orphan blobs (unreferenced; gc reclaims them)\n",
-				rep.OrphanManifests, rep.OrphanChunks, rep.OrphanBlobs)
+		fmt.Printf("fsck: %d refs, %d manifests, %d chunks checked\n", rep.Refs, rep.Manifests, rep.Chunks)
+		if rep.OrphanManifests+rep.OrphanChunks > 0 {
+			fmt.Printf("fsck: %d orphan manifests, %d orphan chunks (unreferenced; gc reclaims them)\n",
+				rep.OrphanManifests, rep.OrphanChunks)
 		}
 		if rep.StaleTemps > 0 {
 			fmt.Printf("fsck: %d stale temp files (writes a crash cut off; gc removes them)\n", rep.StaleTemps)

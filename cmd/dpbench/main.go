@@ -1,18 +1,13 @@
 // Command dpbench regenerates the paper's tables and figures from the
-// simulator. Each experiment prints the rows the corresponding table or
-// figure in the DoublePlay evaluation reports; EXPERIMENTS.md records a
-// reference run.
+// simulator: it prints the tables of the experiments exp.Experiments lists
+// and nothing else. EXPERIMENTS.md records a reference run. Traces,
+// metrics and profiles of a recording are `doubleplay record`'s business.
 //
 // Usage:
 //
 //	dpbench -exp all
 //	dpbench -exp overhead2          # F1: overhead with spare cores, 2 threads
 //	dpbench -exp overhead4 -seed 7  # F2 with a different seed
-//	dpbench -exp overhead2 -trace out.json   # timeline of every run, streamed, Perfetto-viewable
-//	dpbench -exp overhead2 -metrics          # aggregate counters after the tables
-//	dpbench -exp all -listen :9090           # live /metrics + /healthz while running
-//	dpbench -exp all -prom metrics.prom      # dump Prometheus text format at exit
-//	dpbench -exp overhead2 -guest-profile p.pb -cpuprofile cpu.pb  # guest + host profiles
 //	dpbench -list                   # show available experiments
 package main
 
@@ -21,199 +16,44 @@ import (
 	"fmt"
 	"os"
 
-	"doubleplay/internal/core"
 	"doubleplay/internal/exp"
-	"doubleplay/internal/profile"
-	"doubleplay/internal/trace"
 )
 
 func main() {
 	var (
-		expName     = flag.String("exp", "all", "experiment to run (see -list)")
-		seed        = flag.Int64("seed", 11, "input/timing seed")
-		scale       = flag.Int("scale", 1, "problem size multiplier")
-		seeds       = flag.Int("seeds", 12, "seed count for the divergence experiment")
-		adaptive    = flag.Bool("adaptive", false, "run every recording with the adaptive spare-slot controller")
-		verifyPol   = flag.String("verify-policy", "always", "epoch verification policy for every recording: always or certified")
-		minSpares   = flag.Int("min-spares", 0, "adaptive: lower bound on active spare slots (default 1)")
-		maxSpares   = flag.Int("max-spares", 0, "adaptive: upper bound on active spare slots (default: the run's spares)")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		traceOut    = flag.String("trace", "", "stream a Chrome trace_event JSON timeline of every run to this file")
-		traceWin    = flag.Int("trace-window", 0, "streaming reorder window in events (0 = default)")
-		traceSpan   = flag.Int64("trace-min-span", 0, "downsample: drop trace spans shorter than this many cycles")
-		traceStride = flag.Int("trace-counter-stride", 0, "downsample: keep every Nth counter sample per series")
-		metricsOn   = flag.Bool("metrics", false, "print the aggregate metrics registry after the experiments")
-		promOut     = flag.String("prom", "", "write the metrics registry in Prometheus text format to this file")
-		listen      = flag.String("listen", "", "serve /metrics and /healthz on this address while experiments run")
-		guestProf   = flag.String("guest-profile", "", "write the merged deterministic guest profile of every recording (pprof format) to this file")
-		cpuProf     = flag.String("cpuprofile", "", "write a host CPU profile of this process to this file")
-		memProf     = flag.String("memprofile", "", "write a host heap profile of this process to this file on exit")
+		expName = flag.String("exp", "all", "experiment to run (see -list)")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		seed    = flag.Int64("seed", 11, "input/timing seed")
+		scale   = flag.Int("scale", 1, "problem size multiplier")
+		seeds   = flag.Int("seeds", 12, "seed count for the divergence experiment")
 	)
 	flag.Parse()
 
-	// Host profiling brackets every experiment; the deferred Stop flushes
-	// both files and a failed flush exits 1 like any other I/O error.
-	hostProf, err := profile.StartHostProfiles(*cpuProf, *memProf)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-		os.Exit(1)
-	}
-	defer func() {
-		if err := hostProf.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: writing host profile: %v\n", err)
-			os.Exit(1)
-		}
-	}()
-
-	type runner struct {
-		name, desc string
-		run        func(cfg exp.Config)
-	}
-	w := os.Stdout
-	runners := []runner{
-		{"table1", "T1: benchmark characteristics", func(c exp.Config) { exp.RenderTable1(w, c) }},
-		{"overhead2", "F1: logging overhead with spare cores, 2 worker threads", func(c exp.Config) {
-			exp.RenderOverhead(w, c, 2, 2, "F1: logging overhead with spare cores (2 threads)")
-		}},
-		{"overhead4", "F2: logging overhead with spare cores, 4 worker threads", func(c exp.Config) {
-			exp.RenderOverhead(w, c, 4, 4, "F2: logging overhead with spare cores (4 threads)")
-		}},
-		{"utilized", "F3: overhead with no spare cores (both runs share the cores)", func(c exp.Config) {
-			exp.RenderOverhead(w, c, 2, 0, "F3a: overhead, utilized machine (2 threads)")
-			exp.RenderOverhead(w, c, 4, 0, "F3b: overhead, utilized machine (4 threads)")
-		}},
-		{"logsize", "T2: log sizes vs CREW order logging", func(c exp.Config) { exp.RenderLogSize(w, c) }},
-		{"replay", "F4: replay speed, sequential vs epoch-parallel", func(c exp.Config) {
-			exp.RenderReplaySpeed(w, c, 2)
-			exp.RenderReplaySpeed(w, c, 4)
-		}},
-		{"epochsweep", "F5: overhead vs epoch length", func(c exp.Config) { exp.RenderEpochSweep(w, c) }},
-		{"divergence", "T3: divergences and forward recovery on racy programs", func(c exp.Config) {
-			exp.RenderDivergence(w, c, *seeds)
-		}},
-		{"sparesweep", "F6: overhead vs spare cores", func(c exp.Config) { exp.RenderSpareSweep(w, c) }},
-		{"unibase", "T4: uniprocessor record/replay baseline", func(c exp.Config) {
-			exp.RenderUniBaseline(w, c, 2)
-			exp.RenderUniBaseline(w, c, 4)
-		}},
-		{"ablation", "Ablation: sync-order enforcement on/off", func(c exp.Config) { exp.RenderAblation(w, c) }},
-		{"adaptive", "Ablation: fixed vs adaptive epoch length", func(c exp.Config) { exp.RenderAdaptive(w, c) }},
-		{"adaptivespares", "Extension: adaptive spare-slot controller vs fixed pins", func(c exp.Config) { exp.RenderAdaptiveSpares(w, c) }},
-		{"sparse", "Extension: checkpoint retention vs segment-parallel replay speed", func(c exp.Config) { exp.RenderSparseReplay(w, c) }},
-		{"verifyskip", "Extension: certified verify-skip vs full verification", func(c exp.Config) {
-			exp.RenderVerifySkip(w, c, 2, 2)
-		}},
-	}
-
 	if *list {
-		for _, r := range runners {
-			fmt.Printf("%-12s %s\n", r.name, r.desc)
+		for _, e := range exp.Experiments {
+			fmt.Printf("%-14s %s: %s\n", e.Name, e.ID, e.Desc)
 		}
 		return
 	}
 
-	cfg := exp.Config{
-		Seed: *seed, Scale: *scale,
-		Adaptive: *adaptive, AdaptiveMinSpares: *minSpares, AdaptiveMaxSpares: *maxSpares,
-	}
-	if (*minSpares != 0 || *maxSpares != 0) && !*adaptive {
-		fmt.Fprintln(os.Stderr, "dpbench: -min-spares/-max-spares require -adaptive")
-		os.Exit(2)
-	}
-	policy, err := core.ParseVerifyPolicy(*verifyPol)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.VerifyPolicy = policy
-	var stream *trace.StreamSink
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		stream = trace.NewStreamSink(f, *traceWin)
-		if *traceSpan > 0 || *traceStride > 1 {
-			stream.Downsample(*traceSpan, *traceStride)
-		}
-		cfg.Trace = stream
-	}
-	if *metricsOn || *promOut != "" || *listen != "" {
-		cfg.Metrics = trace.NewRegistry()
-	}
-	if *guestProf != "" {
-		cfg.Profile = profile.NewProfile("")
-	}
-	if *listen != "" {
-		srv, err := trace.ServeMetrics(*listen, cfg.Metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "dpbench: serving /metrics and /healthz on %s\n", srv.Addr)
-	}
+	cfg := exp.Config{Seed: *seed, Scale: *scale, Seeds: *seeds}
 	ran := false
-	for _, r := range runners {
-		if *expName == "all" || *expName == r.name {
-			r.run(cfg)
-			ran = true
+	for _, e := range exp.Experiments {
+		if *expName != "all" && *expName != e.Name {
+			continue
+		}
+		ran = true
+		rep, err := e.Run(cfg)
+		for _, t := range rep.Tables {
+			t.Write(os.Stdout)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dpbench: %s: %v\n", e.Name, err)
+			os.Exit(1)
 		}
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "dpbench: unknown experiment %q (try -list)\n", *expName)
 		os.Exit(2)
-	}
-	if stream != nil {
-		if err := stream.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: writing trace: %v\n", err)
-			os.Exit(1)
-		}
-		extra := ""
-		if n := stream.Dropped(); n > 0 {
-			extra = fmt.Sprintf(", %d downsampled away", n)
-		}
-		fmt.Printf("\ntrace: %d events streamed -> %s (max %d buffered%s; open with https://ui.perfetto.dev)\n",
-			stream.Written(), *traceOut, stream.MaxBuffered(), extra)
-	}
-	if *guestProf != "" {
-		f, err := os.Create(*guestProf)
-		if err == nil {
-			if err = cfg.Profile.WritePprof(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: writing guest profile: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("guest profile: %d stacks, %d cycles -> %s (render with 'dptrace flame')\n",
-			cfg.Profile.NumSamples(), cfg.Profile.TotalCycles(), *guestProf)
-	}
-	if *promOut != "" {
-		f, err := os.Create(*promOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := cfg.Metrics.WritePrometheus(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: writing prometheus metrics: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("prometheus metrics -> %s\n", *promOut)
-	}
-	if *metricsOn {
-		fmt.Println("\nmetrics")
-		fmt.Println("=======")
-		cfg.Metrics.Render(os.Stdout)
 	}
 }

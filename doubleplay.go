@@ -21,10 +21,10 @@
 // commit-lag signal, within [AdaptiveMinSpares, AdaptiveMaxSpares];
 // recordings stay deterministic and bit-identically replayable either way.
 //
-// [ReplaySequential] reproduces the recording on one simulated CPU;
-// [ReplayParallel] replays all epochs concurrently from the retained
-// checkpoints on real host goroutines. Both are [Replay] under different
-// [ReplayOptions], which also carry the trace sink and guest profile.
+// [Replay] reproduces the recording: with zero [ReplayOptions] on one
+// simulated CPU; given the recording's retained checkpoints (Boundaries)
+// and a core count, all epochs concurrently on real host goroutines. The
+// options also carry the trace sink and guest profile.
 //
 // # Quickstart
 //
@@ -34,7 +34,7 @@
 //	res, err := doubleplay.Record(prog, doubleplay.NewWorld(1), doubleplay.RecordOptions{
 //		Workers: 2, SpareCPUs: 2,
 //	})
-//	rep, err := doubleplay.ReplaySequential(prog, res.Recording)
+//	rep, err := doubleplay.Replay(ctx, prog, res.Recording, doubleplay.ReplayOptions{})
 //
 // The builtin benchmark suite mirroring the paper's evaluation is exposed
 // through [Workloads] and [BuildWorkload].
@@ -190,31 +190,14 @@ type ReplayOptions = replay.Options
 // every epoch boundary hash and the final hash. With no Boundaries it
 // replays epoch by epoch on one simulated CPU from program reset; with a
 // checkpoint set it replays the segments they anchor concurrently across
-// opt.CPUs host workers. An enabled opt.Trace receives the replay's
+// opt.CPUs host workers — every retained boundary is epoch-parallel
+// replay, a thinned set (RecordResult.ThinBoundaries, [ThinCheckpoints])
+// trades parallelism for checkpoint memory. An enabled opt.Trace receives the replay's
 // epochs and timeslices as "replay.epoch" spans; a non-nil opt.Profile
 // gathers the replayed execution's guest profile, byte-identical under
 // every plan. The context is checked at epoch boundaries.
 func Replay(ctx context.Context, prog *Program, rec *Recording, opt ReplayOptions) (*ReplayResult, error) {
 	return replay.Run(ctx, prog, replay.FromRecording(rec), opt)
-}
-
-// ReplaySequential reproduces a recording epoch by epoch on one simulated
-// CPU, verifying every boundary hash.
-func ReplaySequential(prog *Program, rec *Recording) (*ReplayResult, error) {
-	return Replay(context.Background(), prog, rec, ReplayOptions{})
-}
-
-// ReplayParallel replays all epochs concurrently from the retained
-// checkpoints across cpus host workers.
-func ReplayParallel(prog *Program, rec *Recording, boundaries []*Boundary, cpus int) (*ReplayResult, error) {
-	return Replay(context.Background(), prog, rec, ReplayOptions{Boundaries: boundaries, CPUs: cpus})
-}
-
-// ReplayParallelSparse replays segments of consecutive epochs concurrently
-// from a thinned checkpoint set (see RecordResult.ThinBoundaries), trading
-// replay parallelism for checkpoint memory.
-func ReplayParallelSparse(prog *Program, rec *Recording, sparse []*Boundary, cpus int) (*ReplayResult, error) {
-	return Replay(context.Background(), prog, rec, ReplayOptions{Boundaries: sparse, CPUs: cpus})
 }
 
 // SaveRecording writes a recording in the binary log format.
@@ -364,8 +347,8 @@ func RecordContext(ctx context.Context, prog *Program, world *World, opt RecordO
 // RecordingCheckpoints rebuilds the epoch-start checkpoints of a stored
 // recording by replaying it once sequentially — recordings persist only
 // the logs, and parallel replay needs a starting state per epoch. The
-// returned boundaries feed [ReplayParallel] or, thinned with
-// [ThinCheckpoints], [ReplayParallelSparse].
+// returned boundaries are [ReplayOptions].Boundaries, whole or thinned
+// with [ThinCheckpoints].
 func RecordingCheckpoints(ctx context.Context, prog *Program, rec *Recording) ([]*Boundary, error) {
 	return replay.CheckpointsFrom(ctx, prog, replay.FromRecording(rec), nil)
 }

@@ -2,6 +2,7 @@ package doubleplay_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"doubleplay"
@@ -50,14 +51,15 @@ func TestPublicRecordReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seq, err := doubleplay.ReplaySequential(bt.Prog, rec)
+	seq, err := doubleplay.Replay(context.Background(), bt.Prog, rec, doubleplay.ReplayOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.FinalHash != res.FinalHash {
 		t.Fatal("round-tripped recording replays differently")
 	}
-	par, err := doubleplay.ReplayParallel(bt.Prog, res.Recording, res.Boundaries, 2)
+	par, err := doubleplay.Replay(context.Background(), bt.Prog, res.Recording,
+		doubleplay.ReplayOptions{Boundaries: res.Boundaries, CPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestBuildOwnProgramThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := doubleplay.ReplaySequential(prog, res.Recording); err != nil {
+	if _, err := doubleplay.Replay(context.Background(), prog, res.Recording, doubleplay.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	last := res.Boundaries[len(res.Boundaries)-1]

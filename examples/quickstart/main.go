@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -120,13 +121,14 @@ func main() {
 		last.CP.MemSnap.Peek(okCell) == 1, last.CP.MemSnap.Peek(okCell))
 
 	// Replay the log both ways.
-	seq, err := doubleplay.ReplaySequential(prog, res.Recording)
+	seq, err := doubleplay.Replay(context.Background(), prog, res.Recording, doubleplay.ReplayOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("sequential replay:     %8d cycles, final hash %016x\n", seq.Cycles, seq.FinalHash)
 
-	par, err := doubleplay.ReplayParallel(prog, res.Recording, res.Boundaries, workers)
+	par, err := doubleplay.Replay(context.Background(), prog, res.Recording,
+		doubleplay.ReplayOptions{Boundaries: res.Boundaries, CPUs: workers})
 	if err != nil {
 		log.Fatal(err)
 	}

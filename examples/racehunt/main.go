@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 
 		// The acid test: even after divergences and recoveries, the log
 		// must replay to exactly the recorded final state.
-		if _, err := doubleplay.ReplaySequential(bt.Prog, res.Recording); err != nil {
+		if _, err := doubleplay.Replay(context.Background(), bt.Prog, res.Recording, doubleplay.ReplayOptions{}); err != nil {
 			log.Fatalf("seed %d: replay failed: %v", seed, err)
 		}
 		fmt.Printf("seed %d: %2d epochs, %d divergences (%d adopted, %d re-run), "+

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -54,7 +55,7 @@ func main() {
 
 	// Replay the reloaded log against a freshly built program image. No
 	// simulated OS, no clients — every input comes from the log.
-	rep, err := doubleplay.ReplaySequential(bt.Prog, rec)
+	rep, err := doubleplay.Replay(context.Background(), bt.Prog, rec, doubleplay.ReplayOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,8 @@ func main() {
 		rep.Epochs, rep.FinalHash)
 
 	// And the fast path: all epochs replayed concurrently on host cores.
-	par, err := doubleplay.ReplayParallel(bt.Prog, res.Recording, res.Boundaries, workers)
+	par, err := doubleplay.Replay(context.Background(), bt.Prog, res.Recording,
+		doubleplay.ReplayOptions{Boundaries: res.Boundaries, CPUs: workers})
 	if err != nil {
 		log.Fatal(err)
 	}

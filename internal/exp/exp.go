@@ -1,7 +1,10 @@
-// Package exp implements the evaluation harness: one runner per table or
-// figure in the paper, each returning structured rows and able to render
-// itself as a text table. cmd/dpbench and the repository benchmarks are
-// thin wrappers over this package; EXPERIMENTS.md records its output.
+// Package exp implements the evaluation harness. Experiments lists the
+// paper's tables and figures once, in the order they are printed; each
+// entry runs its experiment and returns the tables cmd/dpbench prints and
+// the headline metrics the repository benchmarks gate (BENCH_*.json).
+// Experiments whose shape a test asserts (Overhead, LogSize, ReplaySpeed,
+// Divergence, SpareSweep, Ablation, VerifySkip) also export their rows.
+// EXPERIMENTS.md records a reference run.
 package exp
 
 import (
@@ -10,9 +13,7 @@ import (
 	"strings"
 
 	"doubleplay/internal/core"
-	"doubleplay/internal/profile"
 	"doubleplay/internal/simos"
-	"doubleplay/internal/trace"
 	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
 )
@@ -24,45 +25,54 @@ type Config struct {
 	EpochCycles int64
 	Costs       *vm.CostModel
 
-	// Adaptive enables the in-recorder spare-slot controller for every
-	// recording an experiment performs (dpbench -adaptive), bounded to
-	// [AdaptiveMinSpares, AdaptiveMaxSpares] active slots (core defaults
-	// apply when zero).
-	Adaptive          bool
-	AdaptiveMinSpares int
-	AdaptiveMaxSpares int
-
-	// VerifyPolicy selects the recorder's epoch verification policy for
-	// every recording an experiment performs (dpbench -verify-policy).
-	// The VerifySkip experiment ignores it and compares both policies.
-	VerifyPolicy core.VerifyPolicy
-
 	// Workloads, when non-empty, overrides the default benchmark list
 	// (EvalSet) for every experiment — used by quick runs and tests.
 	Workloads []string
 
-	// Trace, when non-nil, receives the full timeline of every recording
-	// and replay an experiment performs (dpbench -trace). Tracing is purely
-	// observational: experiment numbers are identical with or without it.
-	// Both the buffered Sink and the streaming StreamSink work here.
-	Trace trace.Recorder
-
-	// Metrics, when non-nil, aggregates per-run counters and distributions
-	// across every recording an experiment performs (dpbench -metrics).
-	Metrics *trace.Registry
-
-	// Profile, when non-nil, accumulates the deterministic guest profile
-	// of every recording an experiment performs (dpbench -guest-profile).
-	// Profiling is observational: experiment numbers are unchanged.
-	Profile *profile.Profile
+	// Seeds is how many seeds the divergence experiment records each racy
+	// workload under (default 12).
+	Seeds int
 }
 
-// evalSet returns the benchmark list this configuration selects.
-func (c Config) evalSet() []string {
+// Experiment is one table or figure of the evaluation.
+type Experiment struct {
+	ID    string // index key in DESIGN.md ("F1")
+	Name  string // dpbench -exp <Name>
+	Bench string // Benchmark<Bench> in the root package, BENCH_<bench>.json
+	Desc  string
+	// Run performs the experiment. A non-nil error means a sanity check on
+	// the result failed; the report is still returned for inspection.
+	Run func(Config) (Report, error)
+}
+
+// Report is what an experiment produces: the tables it prints and the
+// headline metrics it is gated on.
+type Report struct {
+	Tables  []Table
+	Metrics []Metric
+}
+
+// Metric is one headline number, named by its unit as `go test -bench`
+// reports it.
+type Metric struct {
+	Unit  string
+	Value float64
+}
+
+// Table is one printed table.
+type Table struct {
+	Title   string
+	Headers []string
+	Rows    [][]string
+}
+
+// subset is the experiment's own workload list unless the configuration
+// overrides it.
+func (c Config) subset(own []string) []string {
 	if len(c.Workloads) > 0 {
 		return c.Workloads
 	}
-	return EvalSet
+	return own
 }
 
 func (c Config) norm() Config {
@@ -74,6 +84,9 @@ func (c Config) norm() Config {
 	}
 	if c.EpochCycles <= 0 {
 		c.EpochCycles = core.DefaultEpochCycles
+	}
+	if c.Seeds <= 0 {
+		c.Seeds = 12
 	}
 	return c
 }
@@ -104,24 +117,22 @@ func native(name string, workers int, cfg Config) *core.NativeResult {
 	return res
 }
 
-// record runs DoublePlay recording on a fresh instance.
-func record(name string, workers, spares int, cfg Config) (*core.Result, *workloads.Built) {
+// record runs DoublePlay recording on a fresh instance. tweak, when
+// non-nil, adjusts the options an experiment studies itself.
+func record(name string, workers, spares int, cfg Config, tweak func(*core.Options)) (*core.Result, *workloads.Built) {
 	_, bt := build(name, workers, cfg)
-	res, err := core.Record(bt.Prog, bt.World, core.Options{
-		Workers:           workers,
-		RecordCPUs:        workers,
-		SpareCPUs:         spares,
-		EpochCycles:       cfg.EpochCycles,
-		Seed:              cfg.Seed,
-		Costs:             cfg.Costs,
-		Adaptive:          cfg.Adaptive,
-		AdaptiveMinSpares: cfg.AdaptiveMinSpares,
-		AdaptiveMaxSpares: cfg.AdaptiveMaxSpares,
-		VerifyPolicy:      cfg.VerifyPolicy,
-		Trace:             cfg.Trace,
-		Metrics:           cfg.Metrics,
-		Profile:           cfg.Profile,
-	})
+	opt := core.Options{
+		Workers:     workers,
+		RecordCPUs:  workers,
+		SpareCPUs:   spares,
+		EpochCycles: cfg.EpochCycles,
+		Seed:        cfg.Seed,
+		Costs:       cfg.Costs,
+	}
+	if tweak != nil {
+		tweak(&opt)
+	}
+	res, err := core.Record(bt.Prog, bt.World, opt)
 	if err != nil {
 		panic(fmt.Sprintf("exp: record %s: %v", name, err))
 	}
@@ -131,38 +142,25 @@ func record(name string, workers, spares int, cfg Config) (*core.Result, *worklo
 // osFor wraps a built workload's world in the syscall handler.
 func osFor(bt *workloads.Built) vm.SyscallHandler { return simos.NewOS(bt.World) }
 
-// coreRecordNoGate records with sync-order enforcement disabled and returns
-// the divergence count (the ablation configuration).
-func coreRecordNoGate(bt *workloads.Built, workers int, cfg Config) (int, error) {
-	res, err := core.Record(bt.Prog, bt.World, core.Options{
-		Workers:                workers,
-		RecordCPUs:             workers,
-		SpareCPUs:              workers,
-		EpochCycles:            cfg.EpochCycles,
-		Seed:                   cfg.Seed,
-		Costs:                  cfg.Costs,
-		DisableSyncEnforcement: true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.Stats.Divergences, nil
+// over is the overhead of a recording against the native run.
+func over(res *core.Result, nat *core.NativeResult) float64 {
+	return float64(res.Stats.CompletionCycles)/float64(nat.Cycles) - 1
 }
 
 // pct formats a ratio-1 as a percentage.
-func pct(over float64) string { return fmt.Sprintf("%.1f%%", over*100) }
+func pct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
 
 // ratio formats a ratio with two decimals and an x suffix.
 func ratio(r float64) string { return fmt.Sprintf("%.2fx", r) }
 
-// Table renders rows as an aligned text table.
-func Table(w io.Writer, title string, headers []string, rows [][]string) {
-	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
-	widths := make([]int, len(headers))
-	for i, h := range headers {
+// Write renders the table as aligned text.
+func (t Table) Write(w io.Writer) {
+	fmt.Fprintf(w, "\n%s\n%s\n", t.Title, strings.Repeat("=", len(t.Title)))
+	widths := make([]int, len(t.Headers))
+	for i, h := range t.Headers {
 		widths[i] = len(h)
 	}
-	for _, r := range rows {
+	for _, r := range t.Rows {
 		for i, c := range r {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
@@ -178,25 +176,34 @@ func Table(w io.Writer, title string, headers []string, rows [][]string) {
 		}
 		fmt.Fprintln(w)
 	}
-	line(headers)
-	sep := make([]string, len(headers))
+	line(t.Headers)
+	sep := make([]string, len(t.Headers))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, r := range rows {
+	for _, r := range t.Rows {
 		line(r)
 	}
 }
 
-// mean returns the arithmetic mean.
-func mean(vals []float64) float64 {
-	if len(vals) == 0 {
+// table renders rows through cells, one line each.
+func table[R any](title string, headers []string, rows []R, cells func(R) []string) Table {
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		out[i] = cells(r)
+	}
+	return Table{Title: title, Headers: headers, Rows: out}
+}
+
+// avg is the arithmetic mean of f over rows.
+func avg[R any](rows []R, f func(R) float64) float64 {
+	if len(rows) == 0 {
 		return 0
 	}
 	var s float64
-	for _, v := range vals {
-		s += v
+	for _, r := range rows {
+		s += f(r)
 	}
-	return s / float64(len(vals))
+	return s / float64(len(rows))
 }

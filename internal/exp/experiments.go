@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"doubleplay/internal/baseline"
 	"doubleplay/internal/core"
@@ -16,58 +17,56 @@ import (
 	"doubleplay/internal/workloads"
 )
 
-// --- T1: benchmark characteristics -------------------------------------------
-
-// CharRow describes one workload's execution profile (Table 1).
-type CharRow struct {
-	Workload  string
-	Kind      string
-	Workers   int
-	Retired   int64
-	SyncOps   int
-	Syscalls  int
-	Pages     int
-	Epochs    int
-	NativeCyc int64
+// Experiments is the evaluation, in the order `dpbench -exp all` prints it.
+// cmd/dpbench, the root package's Benchmark* functions, the committed
+// BENCH_*.json and DESIGN.md's per-experiment index are all this list; a
+// test in the root package fails when one of them disagrees with it.
+var Experiments = []Experiment{
+	{"T1", "table1", "Table1Characteristics", "benchmark characteristics", runTable1},
+	{"F1", "overhead2", "FigOverheadSpare2", "logging overhead with spare cores, 2 worker threads",
+		runOverhead("F1: logging overhead with spare cores (2 threads)", 2, 2)},
+	{"F2", "overhead4", "FigOverheadSpare4", "logging overhead with spare cores, 4 worker threads",
+		runOverhead("F2: logging overhead with spare cores (4 threads)", 4, 4)},
+	{"F3", "utilized", "FigOverheadUtilized", "overhead with no spare cores (both runs share the cores)", runUtilized},
+	{"T2", "logsize", "TableLogSize", "log sizes vs CREW order logging", runLogSize},
+	{"F4", "replay", "FigReplaySpeed", "replay speed, sequential vs epoch-parallel", runReplaySpeed},
+	{"F5", "epochsweep", "FigEpochSweep", "overhead vs epoch length", runEpochSweep},
+	{"T3", "divergence", "TableDivergence", "divergences and forward recovery on racy programs", runDivergence},
+	{"F6", "sparesweep", "FigSpareCores", "overhead vs spare cores", runSpareSweep},
+	{"T4", "unibase", "TableUniprocessorBaseline", "uniprocessor record/replay baseline", runUniBaseline},
+	{"A1", "ablation", "AblationSyncEnforcement", "ablation: sync-order enforcement on/off", runAblation},
+	{"A2", "adaptive", "AblationAdaptiveEpochs", "ablation: fixed vs adaptive epoch length", runAdaptive},
+	{"E3", "adaptivespares", "ExtensionAdaptiveSpares", "extension: adaptive spare-slot controller vs fixed pins", runAdaptiveSpares},
+	{"E1", "sparse", "ExtensionSparseReplay", "extension: checkpoint retention vs segment-parallel replay speed", runSparseReplay},
+	{"E2", "verifyskip", "ExtensionVerifySkip", "extension: certified verify-skip vs full verification", runVerifySkip},
 }
 
-// Table1 profiles every evaluation workload.
-func Table1(cfg Config) []CharRow {
+// replaySeq replays a recording sequentially from program reset.
+func replaySeq(prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel) (*replay.Result, error) {
+	return replay.Run(context.Background(), prog, replay.FromRecording(rec), replay.Options{Costs: costs})
+}
+
+// --- T1: benchmark characteristics -------------------------------------------
+
+// runTable1 profiles every evaluation workload at 2 and 4 threads.
+func runTable1(cfg Config) (Report, error) {
 	cfg = cfg.norm()
-	var rows []CharRow
-	for _, name := range cfg.evalSet() {
+	t := Table{Title: "T1: benchmark characteristics",
+		Headers: []string{"workload", "kind", "threads", "instrs", "sync ops", "syscalls", "pages", "epochs", "native cyc"}}
+	var instrs float64
+	for _, name := range cfg.subset(EvalSet) {
 		wl := workloads.Get(name)
 		for _, workers := range []int{2, 4} {
 			nat := native(name, workers, cfg)
-			res, _ := record(name, workers, workers, cfg)
-			last := res.Boundaries[len(res.Boundaries)-1]
-			rows = append(rows, CharRow{
-				Workload:  name,
-				Kind:      wl.Kind,
-				Workers:   workers,
-				Retired:   res.Stats.Retired,
-				SyncOps:   res.Stats.SyncEvents,
-				Syscalls:  res.Stats.Syscalls,
-				Pages:     last.MappedPages,
-				Epochs:    res.Stats.Epochs,
-				NativeCyc: nat.Cycles,
-			})
+			res, _ := record(name, workers, workers, cfg, nil)
+			st, last := res.Stats, res.Boundaries[len(res.Boundaries)-1]
+			t.Rows = append(t.Rows, []string{name, wl.Kind, fmt.Sprint(workers), fmt.Sprint(st.Retired),
+				fmt.Sprint(st.SyncEvents), fmt.Sprint(st.Syscalls), fmt.Sprint(last.MappedPages),
+				fmt.Sprint(st.Epochs), fmt.Sprint(nat.Cycles)})
+			instrs += float64(st.Retired)
 		}
 	}
-	return rows
-}
-
-// RenderTable1 runs and prints T1.
-func RenderTable1(w io.Writer, cfg Config) {
-	rows := Table1(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, r.Kind, fmt.Sprint(r.Workers), fmt.Sprint(r.Retired),
-			fmt.Sprint(r.SyncOps), fmt.Sprint(r.Syscalls), fmt.Sprint(r.Pages),
-			fmt.Sprint(r.Epochs), fmt.Sprint(r.NativeCyc)}
-	}
-	Table(w, "T1: benchmark characteristics",
-		[]string{"workload", "kind", "threads", "instrs", "sync ops", "syscalls", "pages", "epochs", "native cyc"}, out)
+	return Report{Tables: []Table{t}, Metrics: []Metric{{"instrs/workload", instrs / float64(len(t.Rows))}}}, nil
 }
 
 // --- F1/F2/F3: logging overhead ----------------------------------------------
@@ -89,16 +88,16 @@ type OverheadRow struct {
 func Overhead(cfg Config, workers, spares int) []OverheadRow {
 	cfg = cfg.norm()
 	var rows []OverheadRow
-	for _, name := range cfg.evalSet() {
+	for _, name := range cfg.subset(EvalSet) {
 		nat := native(name, workers, cfg)
-		res, _ := record(name, workers, spares, cfg)
+		res, _ := record(name, workers, spares, cfg, nil)
 		rows = append(rows, OverheadRow{
 			Workload:    name,
 			Workers:     workers,
 			Spares:      spares,
 			NativeCyc:   nat.Cycles,
 			RecordCyc:   res.Stats.CompletionCycles,
-			Overhead:    float64(res.Stats.CompletionCycles)/float64(nat.Cycles) - 1,
+			Overhead:    over(res, nat),
 			Divergences: res.Stats.Divergences,
 		})
 	}
@@ -107,24 +106,34 @@ func Overhead(cfg Config, workers, spares int) []OverheadRow {
 
 // MeanOverhead averages the overhead column.
 func MeanOverhead(rows []OverheadRow) float64 {
-	vals := make([]float64, len(rows))
-	for i, r := range rows {
-		vals[i] = r.Overhead
-	}
-	return mean(vals)
+	return avg(rows, func(r OverheadRow) float64 { return r.Overhead })
 }
 
-// RenderOverhead prints an overhead figure.
-func RenderOverhead(w io.Writer, cfg Config, workers, spares int, title string) {
+// overheadTable runs one overhead figure and returns it with its mean, in
+// percent.
+func overheadTable(cfg Config, title string, workers, spares int) (Table, float64) {
 	rows := Overhead(cfg, workers, spares)
-	out := make([][]string, 0, len(rows)+1)
-	for _, r := range rows {
-		out = append(out, []string{r.Workload, fmt.Sprint(r.Workers), fmt.Sprint(r.Spares),
-			fmt.Sprint(r.NativeCyc), fmt.Sprint(r.RecordCyc), pct(r.Overhead), fmt.Sprint(r.Divergences)})
+	t := table(title, []string{"workload", "threads", "spares", "native cyc", "record cyc", "overhead", "divergences"},
+		rows, func(r OverheadRow) []string {
+			return []string{r.Workload, fmt.Sprint(r.Workers), fmt.Sprint(r.Spares),
+				fmt.Sprint(r.NativeCyc), fmt.Sprint(r.RecordCyc), pct(r.Overhead), fmt.Sprint(r.Divergences)}
+		})
+	mean := MeanOverhead(rows)
+	t.Rows = append(t.Rows, []string{"AVERAGE", "", "", "", "", pct(mean), ""})
+	return t, mean * 100
+}
+
+func runOverhead(title string, workers, spares int) func(Config) (Report, error) {
+	return func(cfg Config) (Report, error) {
+		t, mean := overheadTable(cfg, title, workers, spares)
+		return Report{Tables: []Table{t}, Metrics: []Metric{{"overhead_%", mean}}}, nil
 	}
-	out = append(out, []string{"AVERAGE", "", "", "", "", pct(MeanOverhead(rows)), ""})
-	Table(w, title,
-		[]string{"workload", "threads", "spares", "native cyc", "record cyc", "overhead", "divergences"}, out)
+}
+
+func runUtilized(cfg Config) (Report, error) {
+	t2, m2 := overheadTable(cfg, "F3a: overhead, utilized machine (2 threads)", 2, 0)
+	t4, m4 := overheadTable(cfg, "F3b: overhead, utilized machine (4 threads)", 4, 0)
+	return Report{Tables: []Table{t2, t4}, Metrics: []Metric{{"overhead2_%", m2}, {"overhead4_%", m4}}}, nil
 }
 
 // --- T2: log sizes -------------------------------------------------------------
@@ -192,15 +201,15 @@ func LogSize(cfg Config) []LogSizeRow {
 	cfg = cfg.norm()
 	const workers = 4
 	var rows []LogSizeRow
-	for _, name := range cfg.evalSet() {
-		res, _ := record(name, workers, workers, cfg)
+	for _, name := range cfg.subset(EvalSet) {
+		res, _ := record(name, workers, workers, cfg, nil)
 		_, bt := build(name, workers, cfg)
-		crew, err := baseline.RunCREW(bt.Prog, bt.World, workers, cfg.Seed, cfg.Costs, cfg.Trace)
+		crew, err := baseline.RunCREW(bt.Prog, bt.World, workers, cfg.Seed, cfg.Costs, nil)
 		if err != nil {
 			panic(fmt.Sprintf("exp: crew %s: %v", name, err))
 		}
 		_, bt2 := build(name, workers, cfg)
-		uni, err := baseline.RunUniprocessor(bt2.Prog, bt2.World, cfg.Costs, cfg.Trace)
+		uni, err := baseline.RunUniprocessor(bt2.Prog, bt2.World, cfg.Costs, nil)
 		if err != nil {
 			panic(fmt.Sprintf("exp: uni %s: %v", name, err))
 		}
@@ -226,20 +235,27 @@ func LogSize(cfg Config) []LogSizeRow {
 	return rows
 }
 
-// RenderLogSize prints T2.
-func RenderLogSize(w io.Writer, cfg Config) {
+func runLogSize(cfg Config) (Report, error) {
 	rows := LogSize(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.Retired), fmt.Sprint(r.DPBytes),
-			fmt.Sprintf("%.0f", r.DPPerM), fmt.Sprint(r.CrewBytes), fmt.Sprintf("%.0f", r.CrewPerM),
-			fmt.Sprint(r.CrewTrans), fmt.Sprint(r.UniBytes),
-			fmt.Sprint(r.SectBytes), fmt.Sprint(r.CompBytes),
-			fmt.Sprint(r.SeekBytes), fmt.Sprint(r.ScanBytes)}
-	}
-	Table(w, "T2: log size, DoublePlay vs CREW order logging (4 threads)",
-		[]string{"workload", "instrs", "dp bytes", "dp B/Minstr", "crew bytes", "crew B/Minstr",
-			"crew faults", "uni bytes", "v6 raw", "v6 file", "seek B", "scan B"}, out)
+	return Report{
+		Tables: []Table{table("T2: log size, DoublePlay vs CREW order logging (4 threads)",
+			[]string{"workload", "instrs", "dp bytes", "dp B/Minstr", "crew bytes", "crew B/Minstr",
+				"crew faults", "uni bytes", "v6 raw", "v6 file", "seek B", "scan B"},
+			rows, func(r LogSizeRow) []string {
+				return []string{r.Workload, fmt.Sprint(r.Retired), fmt.Sprint(r.DPBytes),
+					fmt.Sprintf("%.0f", r.DPPerM), fmt.Sprint(r.CrewBytes), fmt.Sprintf("%.0f", r.CrewPerM),
+					fmt.Sprint(r.CrewTrans), fmt.Sprint(r.UniBytes),
+					fmt.Sprint(r.SectBytes), fmt.Sprint(r.CompBytes),
+					fmt.Sprint(r.SeekBytes), fmt.Sprint(r.ScanBytes)}
+			})},
+		Metrics: []Metric{
+			{"dp_B/Minstr", avg(rows, func(r LogSizeRow) float64 { return r.DPPerM })},
+			{"crew_B/Minstr", avg(rows, func(r LogSizeRow) float64 { return r.CrewPerM })},
+			{"file_B/Minstr", avg(rows, func(r LogSizeRow) float64 { return float64(r.CompBytes) / (float64(r.Retired) / 1e6) })},
+			{"seek_B", avg(rows, func(r LogSizeRow) float64 { return float64(r.SeekBytes) })},
+			{"scan_B", avg(rows, func(r LogSizeRow) float64 { return float64(r.ScanBytes) })},
+		},
+	}, nil
 }
 
 // --- F4: replay speed -----------------------------------------------------------
@@ -259,15 +275,15 @@ type ReplayRow struct {
 func ReplaySpeed(cfg Config, workers int) []ReplayRow {
 	cfg = cfg.norm()
 	var rows []ReplayRow
-	for _, name := range cfg.evalSet() {
+	for _, name := range cfg.subset(EvalSet) {
 		nat := native(name, workers, cfg)
-		res, bt := record(name, workers, workers, cfg)
-		seq, err := replay.Sequential(bt.Prog, res.Recording, cfg.Costs, cfg.Trace)
+		res, bt := record(name, workers, workers, cfg, nil)
+		seq, err := replaySeq(bt.Prog, res.Recording, cfg.Costs)
 		if err != nil {
 			panic(fmt.Sprintf("exp: seq replay %s: %v", name, err))
 		}
 		par, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
-			replay.Options{Boundaries: res.Boundaries, CPUs: workers, Costs: cfg.Costs, Trace: cfg.Trace})
+			replay.Options{Boundaries: res.Boundaries, CPUs: workers, Costs: cfg.Costs})
 		if err != nil {
 			panic(fmt.Sprintf("exp: par replay %s: %v", name, err))
 		}
@@ -284,28 +300,26 @@ func ReplaySpeed(cfg Config, workers int) []ReplayRow {
 	return rows
 }
 
-// RenderReplaySpeed prints F4.
-func RenderReplaySpeed(w io.Writer, cfg Config, workers int) {
-	rows := ReplaySpeed(cfg, workers)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.Workers), fmt.Sprint(r.NativeCyc),
-			fmt.Sprint(r.SeqCyc), ratio(r.SeqRatio), fmt.Sprint(r.ParCyc), ratio(r.ParRatio)}
+// runReplaySpeed prints F4 at 2 and 4 threads; the 4-thread means are the
+// headline.
+func runReplaySpeed(cfg Config) (rep Report, err error) {
+	for _, workers := range []int{2, 4} {
+		rows := ReplaySpeed(cfg, workers)
+		rep.Tables = append(rep.Tables, table(fmt.Sprintf("F4: replay time normalized to native (%d threads)", workers),
+			[]string{"workload", "threads", "native cyc", "seq cyc", "seq/native", "par cyc", "par/native"},
+			rows, func(r ReplayRow) []string {
+				return []string{r.Workload, fmt.Sprint(r.Workers), fmt.Sprint(r.NativeCyc),
+					fmt.Sprint(r.SeqCyc), ratio(r.SeqRatio), fmt.Sprint(r.ParCyc), ratio(r.ParRatio)}
+			}))
+		rep.Metrics = []Metric{
+			{"seq_x", avg(rows, func(r ReplayRow) float64 { return r.SeqRatio })},
+			{"par_x", avg(rows, func(r ReplayRow) float64 { return r.ParRatio })},
+		}
 	}
-	Table(w, fmt.Sprintf("F4: replay time normalized to native (%d threads)", workers),
-		[]string{"workload", "threads", "native cyc", "seq cyc", "seq/native", "par cyc", "par/native"}, out)
+	return rep, nil
 }
 
 // --- F5: epoch-length sensitivity -----------------------------------------------
-
-// EpochSweepRow is one point of the epoch-length sweep.
-type EpochSweepRow struct {
-	Workload    string
-	EpochCycles int64
-	Overhead    float64
-	Epochs      int
-	Divergences int
-}
 
 // EpochSweepLens are the swept epoch lengths.
 var EpochSweepLens = []int64{12_500, 25_000, 50_000, 100_000, 200_000, 400_000}
@@ -313,39 +327,27 @@ var EpochSweepLens = []int64{12_500, 25_000, 50_000, 100_000, 200_000, 400_000}
 // EpochSweepSet is the workload subset used for the sweep.
 var EpochSweepSet = []string{"pbzip", "ocean", "webserve"}
 
-// EpochSweep measures overhead as a function of epoch length (4 threads).
-func EpochSweep(cfg Config) []EpochSweepRow {
+// runEpochSweep measures overhead as a function of epoch length (4
+// threads); the headline is the best and the worst point of the U.
+func runEpochSweep(cfg Config) (Report, error) {
 	cfg = cfg.norm()
 	const workers = 4
-	var rows []EpochSweepRow
+	t := Table{Title: "F5: overhead vs epoch length (4 threads)",
+		Headers: []string{"workload", "epoch cycles", "epochs", "overhead", "divergences"}}
+	best, worst := math.Inf(1), math.Inf(-1)
 	for _, name := range EpochSweepSet {
 		nat := native(name, workers, cfg)
 		for _, el := range EpochSweepLens {
 			c := cfg
 			c.EpochCycles = el
-			res, _ := record(name, workers, workers, c)
-			rows = append(rows, EpochSweepRow{
-				Workload:    name,
-				EpochCycles: el,
-				Overhead:    float64(res.Stats.CompletionCycles)/float64(nat.Cycles) - 1,
-				Epochs:      res.Stats.Epochs,
-				Divergences: res.Stats.Divergences,
-			})
+			res, _ := record(name, workers, workers, c, nil)
+			o := over(res, nat)
+			t.Rows = append(t.Rows, []string{name, fmt.Sprint(el), fmt.Sprint(res.Stats.Epochs),
+				pct(o), fmt.Sprint(res.Stats.Divergences)})
+			best, worst = min(best, o), max(worst, o)
 		}
 	}
-	return rows
-}
-
-// RenderEpochSweep prints F5.
-func RenderEpochSweep(w io.Writer, cfg Config) {
-	rows := EpochSweep(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.EpochCycles), fmt.Sprint(r.Epochs),
-			pct(r.Overhead), fmt.Sprint(r.Divergences)}
-	}
-	Table(w, "F5: overhead vs epoch length (4 threads)",
-		[]string{"workload", "epoch cycles", "epochs", "overhead", "divergences"}, out)
+	return Report{Tables: []Table{t}, Metrics: []Metric{{"best_%", best * 100}, {"worst_%", worst * 100}}}, nil
 }
 
 // --- T3: divergence and forward recovery ----------------------------------------
@@ -363,34 +365,30 @@ type DivergenceRow struct {
 	SquashedCyc     int64
 }
 
-// Divergence records each racy workload under many seeds, verifying that
-// every recovered log still replays, and runs the happens-before detector
-// to attribute the divergences to data races.
-func Divergence(cfg Config, seeds int) []DivergenceRow {
+// Divergence records each racy workload under cfg.Seeds seeds, verifying
+// that every recovered log still replays, and runs the happens-before
+// detector to attribute the divergences to data races.
+func Divergence(cfg Config) []DivergenceRow {
 	cfg = cfg.norm()
-	if seeds <= 0 {
-		seeds = 12
-	}
 	const workers = 4
 	var rows []DivergenceRow
 	for _, name := range RacySet {
-		row := DivergenceRow{Workload: name, Seeds: seeds}
-		for s := 0; s < seeds; s++ {
+		row := DivergenceRow{Workload: name, Seeds: cfg.Seeds}
+		for s := 0; s < cfg.Seeds; s++ {
 			c := cfg
 			c.Seed = cfg.Seed + int64(s)*101
-			res, bt := record(name, workers, workers, c)
+			res, bt := record(name, workers, workers, c, nil)
 			row.Epochs += res.Stats.Epochs
 			row.Divergences += res.Stats.Divergences
 			row.HashRecoveries += res.Stats.HashRecoveries
 			row.RerunRecoveries += res.Stats.RerunRecoveries
 			row.SquashedCyc += res.Stats.SquashedCycles
-			if _, err := replay.Sequential(bt.Prog, res.Recording, cfg.Costs, cfg.Trace); err == nil {
+			if _, err := replaySeq(bt.Prog, res.Recording, cfg.Costs); err == nil {
 				row.ReplaysOK++
 			}
 		}
 		// Race attribution: one uniprocessor run under the detector.
-		wl := workloads.Get(name)
-		bt := wl.Build(workloads.Params{Workers: workers, Scale: cfg.Scale, Seed: cfg.Seed})
+		_, bt := build(name, workers, cfg)
 		det := race.NewDetector(0)
 		m := vm.NewMachine(bt.Prog, osFor(bt), cfg.Costs)
 		m.Hooks.OnSync = det.OnSync
@@ -404,17 +402,29 @@ func Divergence(cfg Config, seeds int) []DivergenceRow {
 	return rows
 }
 
-// RenderDivergence prints T3.
-func RenderDivergence(w io.Writer, cfg Config, seeds int) {
-	rows := Divergence(cfg, seeds)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.Seeds), fmt.Sprint(r.Epochs),
-			fmt.Sprint(r.Divergences), fmt.Sprint(r.HashRecoveries), fmt.Sprint(r.RerunRecoveries),
-			fmt.Sprintf("%d/%d", r.ReplaysOK, r.Seeds), fmt.Sprint(r.RacyAddrs), fmt.Sprint(r.SquashedCyc)}
+func runDivergence(cfg Config) (Report, error) {
+	rows := Divergence(cfg)
+	var div, epochs, replays, seeds int
+	for _, r := range rows {
+		div += r.Divergences
+		epochs += r.Epochs
+		replays += r.ReplaysOK
+		seeds += r.Seeds
 	}
-	Table(w, "T3: divergence and forward recovery on racy programs (4 threads)",
-		[]string{"workload", "seeds", "epochs", "divergences", "adopt-recov", "rerun-recov", "replays ok", "racy addrs", "squashed cyc"}, out)
+	rep := Report{
+		Tables: []Table{table("T3: divergence and forward recovery on racy programs (4 threads)",
+			[]string{"workload", "seeds", "epochs", "divergences", "adopt-recov", "rerun-recov", "replays ok", "racy addrs", "squashed cyc"},
+			rows, func(r DivergenceRow) []string {
+				return []string{r.Workload, fmt.Sprint(r.Seeds), fmt.Sprint(r.Epochs),
+					fmt.Sprint(r.Divergences), fmt.Sprint(r.HashRecoveries), fmt.Sprint(r.RerunRecoveries),
+					fmt.Sprintf("%d/%d", r.ReplaysOK, r.Seeds), fmt.Sprint(r.RacyAddrs), fmt.Sprint(r.SquashedCyc)}
+			})},
+		Metrics: []Metric{{"divergences", float64(div)}, {"diverged_epochs_%", float64(div) / float64(epochs) * 100}},
+	}
+	if replays != seeds {
+		return rep, fmt.Errorf("replay fidelity broken: %d/%d recovered recordings replay", replays, seeds)
+	}
+	return rep, nil
 }
 
 // --- F6: spare-core sweep ---------------------------------------------------------
@@ -437,76 +447,63 @@ func SpareSweep(cfg Config) []SpareRow {
 	for _, name := range SpareSweepSet {
 		nat := native(name, workers, cfg)
 		for _, spares := range []int{0, 1, 2, 3, 4, 6, 8} {
-			res, _ := record(name, workers, spares, cfg)
-			rows = append(rows, SpareRow{
-				Workload: name,
-				Spares:   spares,
-				Overhead: float64(res.Stats.CompletionCycles)/float64(nat.Cycles) - 1,
-			})
+			res, _ := record(name, workers, spares, cfg, nil)
+			rows = append(rows, SpareRow{Workload: name, Spares: spares, Overhead: over(res, nat)})
 		}
 	}
 	return rows
 }
 
-// RenderSpareSweep prints F6.
-func RenderSpareSweep(w io.Writer, cfg Config) {
+// runSpareSweep prints F6. The headline is the shape below saturation —
+// the mean overhead at 0, 1, 2 and W (= 4) spares; beyond W the curve is
+// flat (EXPERIMENTS.md note 3).
+func runSpareSweep(cfg Config) (Report, error) {
 	rows := SpareSweep(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.Spares), pct(r.Overhead)}
+	rep := Report{Tables: []Table{table("F6: overhead vs spare cores (4 threads)",
+		[]string{"workload", "spares", "overhead"},
+		rows, func(r SpareRow) []string { return []string{r.Workload, fmt.Sprint(r.Spares), pct(r.Overhead)} })}}
+	for _, spares := range []int{0, 1, 2, 4} {
+		var at []SpareRow
+		for _, r := range rows {
+			if r.Spares == spares {
+				at = append(at, r)
+			}
+		}
+		rep.Metrics = append(rep.Metrics, Metric{fmt.Sprintf("spares%d_%%", spares),
+			avg(at, func(r SpareRow) float64 { return r.Overhead }) * 100})
 	}
-	Table(w, "F6: overhead vs spare cores (4 threads)",
-		[]string{"workload", "spares", "overhead"}, out)
+	return rep, nil
 }
 
 // --- T4: uniprocessor baseline ------------------------------------------------------
 
-// UniRow compares DoublePlay against classic uniprocessor record/replay.
-type UniRow struct {
-	Workload    string
-	Workers     int
-	NativeCyc   int64
-	UniCyc      int64
-	UniSlowdown float64
-	DPCyc       int64
-	DPOverhead  float64
-}
-
-// UniBaseline measures the uniprocessor baseline slowdown (T4).
-func UniBaseline(cfg Config, workers int) []UniRow {
+// runUniBaseline compares classic uniprocessor record/replay with
+// DoublePlay at 2 and 4 threads; the 4-thread means are the headline.
+func runUniBaseline(cfg Config) (rep Report, err error) {
 	cfg = cfg.norm()
-	var rows []UniRow
-	for _, name := range cfg.evalSet() {
-		nat := native(name, workers, cfg)
-		_, bt := build(name, workers, cfg)
-		uni, err := baseline.RunUniprocessor(bt.Prog, bt.World, cfg.Costs, cfg.Trace)
-		if err != nil {
-			panic(fmt.Sprintf("exp: uni %s: %v", name, err))
+	for _, workers := range []int{2, 4} {
+		t := Table{Title: fmt.Sprintf("T4: uniprocessor R/R baseline vs DoublePlay (%d threads)", workers),
+			Headers: []string{"workload", "threads", "native cyc", "uni cyc", "uni slowdown", "dp cyc", "dp overhead"}}
+		var slow, dp float64
+		for _, name := range cfg.subset(EvalSet) {
+			nat := native(name, workers, cfg)
+			_, bt := build(name, workers, cfg)
+			uni, err := baseline.RunUniprocessor(bt.Prog, bt.World, cfg.Costs, nil)
+			if err != nil {
+				panic(fmt.Sprintf("exp: uni %s: %v", name, err))
+			}
+			res, _ := record(name, workers, workers, cfg, nil)
+			s := float64(uni.Cycles) / float64(nat.Cycles)
+			t.Rows = append(t.Rows, []string{name, fmt.Sprint(workers), fmt.Sprint(nat.Cycles),
+				fmt.Sprint(uni.Cycles), ratio(s), fmt.Sprint(res.Stats.CompletionCycles), pct(over(res, nat))})
+			slow += s
+			dp += over(res, nat)
 		}
-		res, _ := record(name, workers, workers, cfg)
-		rows = append(rows, UniRow{
-			Workload:    name,
-			Workers:     workers,
-			NativeCyc:   nat.Cycles,
-			UniCyc:      uni.Cycles,
-			UniSlowdown: float64(uni.Cycles) / float64(nat.Cycles),
-			DPCyc:       res.Stats.CompletionCycles,
-			DPOverhead:  float64(res.Stats.CompletionCycles)/float64(nat.Cycles) - 1,
-		})
+		n := float64(len(t.Rows))
+		rep.Tables = append(rep.Tables, t)
+		rep.Metrics = []Metric{{"uni_slowdown_x", slow / n}, {"dp_overhead_%", dp / n * 100}}
 	}
-	return rows
-}
-
-// RenderUniBaseline prints T4.
-func RenderUniBaseline(w io.Writer, cfg Config, workers int) {
-	rows := UniBaseline(cfg, workers)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.Workers), fmt.Sprint(r.NativeCyc),
-			fmt.Sprint(r.UniCyc), ratio(r.UniSlowdown), fmt.Sprint(r.DPCyc), pct(r.DPOverhead)}
-	}
-	Table(w, fmt.Sprintf("T4: uniprocessor R/R baseline vs DoublePlay (%d threads)", workers),
-		[]string{"workload", "threads", "native cyc", "uni cyc", "uni slowdown", "dp cyc", "dp overhead"}, out)
+	return rep, nil
 }
 
 // --- Ablation: sync-order enforcement ------------------------------------------------
@@ -525,190 +522,124 @@ func Ablation(cfg Config) []AblationRow {
 	cfg = cfg.norm()
 	const workers = 4
 	var rows []AblationRow
-	for _, name := range cfg.evalSet() {
-		res, _ := record(name, workers, workers, cfg)
-		_, bt := build(name, workers, cfg)
-		noGate, err := coreRecordNoGate(bt, workers, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("exp: ablation %s: %v", name, err))
-		}
+	for _, name := range cfg.subset(EvalSet) {
+		res, _ := record(name, workers, workers, cfg, nil)
+		noGate, _ := record(name, workers, workers, cfg, func(o *core.Options) { o.DisableSyncEnforcement = true })
 		rows = append(rows, AblationRow{
 			Workload:    name,
 			DivWithGate: res.Stats.Divergences,
-			DivNoGate:   noGate,
+			DivNoGate:   noGate.Stats.Divergences,
 		})
 	}
 	return rows
+}
+
+func runAblation(cfg Config) (Report, error) {
+	rows := Ablation(cfg)
+	withGate, noGate := 0, 0
+	for _, r := range rows {
+		withGate += r.DivWithGate
+		noGate += r.DivNoGate
+	}
+	rep := Report{
+		Tables: []Table{table("Ablation: divergences with vs without sync-order enforcement (4 threads)",
+			[]string{"workload", "with gate", "without gate"},
+			rows, func(r AblationRow) []string {
+				return []string{r.Workload, fmt.Sprint(r.DivWithGate), fmt.Sprint(r.DivNoGate)}
+			})},
+		Metrics: []Metric{{"divergences_without_gate", float64(noGate)}},
+	}
+	if withGate != 0 {
+		return rep, fmt.Errorf("race-free suite diverged with the gate: %d", withGate)
+	}
+	return rep, nil
 }
 
 // --- Ablation: adaptive epoch growth -------------------------------------------
 
-// AdaptiveRow compares fixed against growing epoch lengths.
-type AdaptiveRow struct {
-	Workload      string
-	FixedEpochs   int
-	FixedOverhead float64
-	GrownEpochs   int
-	GrownOverhead float64
-	FirstEpochCyc int64 // divergence-detection latency bound early in the run
-}
-
 // AdaptiveSet is the workload subset for the adaptive-epoch ablation.
 var AdaptiveSet = []string{"pbzip", "ocean", "webserve"}
 
-// Adaptive contrasts fixed 25k-cycle epochs against epochs that start at
-// 6.25k cycles and grow 1.5x per verified epoch: early divergences are
+// runAdaptive contrasts fixed 25k-cycle epochs against epochs that start
+// at 6.25k cycles and grow 1.5x per verified epoch: early divergences are
 // caught fast, while steady-state overhead stays close to the fixed
 // configuration (DESIGN.md decision follow-up).
-func Adaptive(cfg Config) []AdaptiveRow {
+func runAdaptive(cfg Config) (Report, error) {
 	cfg = cfg.norm()
 	const workers = 4
-	set := AdaptiveSet
-	if len(cfg.Workloads) > 0 {
-		set = cfg.Workloads
-	}
-	var rows []AdaptiveRow
-	for _, name := range set {
+	t := Table{Title: "Ablation: fixed vs adaptive (growing) epoch length (4 threads)",
+		Headers: []string{"workload", "fixed epochs", "fixed overhead", "grown epochs", "grown overhead", "first epoch cyc"}}
+	var fixedSum, grownSum float64
+	for _, name := range cfg.subset(AdaptiveSet) {
 		nat := native(name, workers, cfg)
-		fixed, _ := record(name, workers, workers, cfg)
-
+		fixed, _ := record(name, workers, workers, cfg, nil)
 		// Start at a quarter of the steady-state epoch length and grow back
 		// up to it: early epochs bound divergence-detection latency 4x
 		// tighter, while the pipeline drain (set by the final epoch's
 		// length) matches the fixed configuration.
-		_, bt := build(name, workers, cfg)
-		grown, err := core.Record(bt.Prog, bt.World, core.Options{
-			Workers:        workers,
-			RecordCPUs:     workers,
-			SpareCPUs:      workers,
-			EpochCycles:    cfg.EpochCycles / 4,
-			EpochGrowth:    1.5,
-			EpochCyclesMax: cfg.EpochCycles,
-			Seed:           cfg.Seed,
-			Costs:          cfg.Costs,
+		grown, _ := record(name, workers, workers, cfg, func(o *core.Options) {
+			o.EpochCycles = cfg.EpochCycles / 4
+			o.EpochGrowth = 1.5
+			o.EpochCyclesMax = cfg.EpochCycles
 		})
-		if err != nil {
-			panic(fmt.Sprintf("exp: adaptive %s: %v", name, err))
-		}
-		rows = append(rows, AdaptiveRow{
-			Workload:      name,
-			FixedEpochs:   fixed.Stats.Epochs,
-			FixedOverhead: float64(fixed.Stats.CompletionCycles)/float64(nat.Cycles) - 1,
-			GrownEpochs:   grown.Stats.Epochs,
-			GrownOverhead: float64(grown.Stats.CompletionCycles)/float64(nat.Cycles) - 1,
-			FirstEpochCyc: cfg.EpochCycles / 4,
-		})
+		t.Rows = append(t.Rows, []string{name, fmt.Sprint(fixed.Stats.Epochs), pct(over(fixed, nat)),
+			fmt.Sprint(grown.Stats.Epochs), pct(over(grown, nat)), fmt.Sprint(cfg.EpochCycles / 4)})
+		fixedSum += over(fixed, nat)
+		grownSum += over(grown, nat)
 	}
-	return rows
-}
-
-// RenderAdaptive prints the adaptive-epoch ablation.
-func RenderAdaptive(w io.Writer, cfg Config) {
-	rows := Adaptive(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.FixedEpochs), pct(r.FixedOverhead),
-			fmt.Sprint(r.GrownEpochs), pct(r.GrownOverhead), fmt.Sprint(r.FirstEpochCyc)}
-	}
-	Table(w, "Ablation: fixed vs adaptive (growing) epoch length (4 threads)",
-		[]string{"workload", "fixed epochs", "fixed overhead", "grown epochs", "grown overhead", "first epoch cyc"}, out)
+	n := float64(len(t.Rows))
+	return Report{Tables: []Table{t}, Metrics: []Metric{{"fixed_%", fixedSum / n * 100}, {"adaptive_%", grownSum / n * 100}}}, nil
 }
 
 // --- Extension study: adaptive spare-slot controller ---------------------------
 
-// AdaptiveSpareRow compares a fixed spare count against the feedback
-// controller for one workload: the controller starts at one active slot,
-// bounded [1, workers], and should land between the two pins.
-type AdaptiveSpareRow struct {
-	Workload     string
-	FixedLowOver float64 // pinned at 1 spare
-	AdaptOver    float64 // controller, starting at 1
-	FixedHiOver  float64 // pinned at workers spares
-	Grows        int
-	Shrinks      int
-	FinalActive  int
-}
-
-// AdaptiveSpares measures the controller against the two pins it moves
-// between (4 threads).
-func AdaptiveSpares(cfg Config) []AdaptiveSpareRow {
+// runAdaptiveSpares measures the spare-slot feedback controller against
+// the two pins it moves between (4 threads): it starts at one active slot,
+// bounded [1, workers], and should land between them.
+func runAdaptiveSpares(cfg Config) (Report, error) {
 	cfg = cfg.norm()
 	const workers = 4
-	set := SpareSweepSet
-	if len(cfg.Workloads) > 0 {
-		set = cfg.Workloads
-	}
-	fixed := cfg
-	fixed.Adaptive = false
-	adapt := cfg
-	adapt.Adaptive = true
-	adapt.AdaptiveMinSpares = 1
-	adapt.AdaptiveMaxSpares = workers
-	var rows []AdaptiveSpareRow
-	for _, name := range set {
+	t := Table{Title: "Extension: adaptive spare-slot controller (4 threads, start 1, bounds [1,4])",
+		Headers: []string{"workload", "pinned@1", "adaptive", "pinned@4", "grows", "shrinks", "final"}}
+	var lo, ad, hi float64
+	for _, name := range cfg.subset(SpareSweepSet) {
 		nat := native(name, workers, cfg)
-		over := func(res *core.Result) float64 {
-			return float64(res.Stats.CompletionCycles)/float64(nat.Cycles) - 1
-		}
-		lo, _ := record(name, workers, 1, fixed)
-		hi, _ := record(name, workers, workers, fixed)
-		ad, _ := record(name, workers, 1, adapt)
-		rows = append(rows, AdaptiveSpareRow{
-			Workload:     name,
-			FixedLowOver: over(lo),
-			AdaptOver:    over(ad),
-			FixedHiOver:  over(hi),
-			Grows:        ad.Stats.SpareGrows,
-			Shrinks:      ad.Stats.SpareShrinks,
-			FinalActive:  ad.Stats.ActiveSpares,
+		pin1, _ := record(name, workers, 1, cfg, nil)
+		pinW, _ := record(name, workers, workers, cfg, nil)
+		ctl, _ := record(name, workers, 1, cfg, func(o *core.Options) {
+			o.Adaptive, o.AdaptiveMinSpares, o.AdaptiveMaxSpares = true, 1, workers
 		})
+		t.Rows = append(t.Rows, []string{name, pct(over(pin1, nat)), pct(over(ctl, nat)), pct(over(pinW, nat)),
+			fmt.Sprint(ctl.Stats.SpareGrows), fmt.Sprint(ctl.Stats.SpareShrinks), fmt.Sprint(ctl.Stats.ActiveSpares)})
+		lo += over(pin1, nat)
+		ad += over(ctl, nat)
+		hi += over(pinW, nat)
 	}
-	return rows
-}
-
-// RenderAdaptiveSpares prints the controller study.
-func RenderAdaptiveSpares(w io.Writer, cfg Config) {
-	rows := AdaptiveSpares(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, pct(r.FixedLowOver), pct(r.AdaptOver), pct(r.FixedHiOver),
-			fmt.Sprint(r.Grows), fmt.Sprint(r.Shrinks), fmt.Sprint(r.FinalActive)}
-	}
-	Table(w, "Extension: adaptive spare-slot controller (4 threads, start 1, bounds [1,4])",
-		[]string{"workload", "pinned@1", "adaptive", "pinned@4", "grows", "shrinks", "final"}, out)
+	n := float64(len(t.Rows))
+	return Report{Tables: []Table{t},
+		Metrics: []Metric{{"pinned1_%", lo / n * 100}, {"adaptive_%", ad / n * 100}, {"pinned4_%", hi / n * 100}}}, nil
 }
 
 // --- Extension study: sparse checkpoints vs replay speed ------------------------
 
-// SparseReplayRow is one point of the checkpoint-memory/replay-speed
-// trade-off study.
-type SparseReplayRow struct {
-	Workload  string
-	Stride    int
-	Kept      int   // checkpoints retained
-	KeptPages int64 // Σ mapped pages across retained checkpoints
-	ReplayCyc int64 // modelled segment-parallel replay time on 4 cores
-}
-
 // SparseReplaySet is the workload subset for the sparse-replay study.
 var SparseReplaySet = []string{"ocean", "pbzip"}
 
-// SparseReplay measures, for several thinning strides, how much checkpoint
-// state must be retained and how long segment-parallel replay takes.
-func SparseReplay(cfg Config) []SparseReplayRow {
+// runSparseReplay measures, for several thinning strides, how much
+// checkpoint state must be retained and how long segment-parallel replay
+// takes on 4 cores.
+func runSparseReplay(cfg Config) (Report, error) {
 	cfg = cfg.norm()
 	const workers = 4
-	set := SparseReplaySet
-	if len(cfg.Workloads) > 0 {
-		set = cfg.Workloads
-	}
-	var rows []SparseReplayRow
-	for _, name := range set {
-		res, bt := record(name, workers, workers, cfg)
+	t := Table{Title: "Extension: checkpoint retention vs segment-parallel replay speed (4 cores)",
+		Headers: []string{"workload", "stride", "checkpoints", "retained pages", "replay cyc"}}
+	kept := map[int]int64{} // Σ retained pages by stride label
+	for _, name := range cfg.subset(SparseReplaySet) {
+		res, bt := record(name, workers, workers, cfg, nil)
 		for _, stride := range []int{1, 2, 4, 8, 1 << 20} {
 			sparse := res.ThinBoundaries(stride)
 			rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
-				replay.Options{Boundaries: sparse, CPUs: workers, Costs: cfg.Costs, Trace: cfg.Trace})
+				replay.Options{Boundaries: sparse, CPUs: workers, Costs: cfg.Costs})
 			if err != nil {
 				panic(fmt.Sprintf("exp: sparse replay %s stride %d: %v", name, stride, err))
 			}
@@ -716,43 +647,16 @@ func SparseReplay(cfg Config) []SparseReplayRow {
 			for _, b := range sparse {
 				pages += int64(b.MappedPages)
 			}
-			label := stride
 			if stride > len(res.Boundaries) {
-				label = len(res.Boundaries) // "keep only endpoints"
+				stride = len(res.Boundaries) // "keep only endpoints"
 			}
-			rows = append(rows, SparseReplayRow{
-				Workload:  name,
-				Stride:    label,
-				Kept:      len(sparse),
-				KeptPages: pages,
-				ReplayCyc: rep.Cycles,
-			})
+			t.Rows = append(t.Rows, []string{name, fmt.Sprint(stride), fmt.Sprint(len(sparse)),
+				fmt.Sprint(pages), fmt.Sprint(rep.Cycles)})
+			kept[stride] += pages
 		}
 	}
-	return rows
-}
-
-// RenderSparseReplay prints the sparse-replay study.
-func RenderSparseReplay(w io.Writer, cfg Config) {
-	rows := SparseReplay(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.Stride), fmt.Sprint(r.Kept),
-			fmt.Sprint(r.KeptPages), fmt.Sprint(r.ReplayCyc)}
-	}
-	Table(w, "Extension: checkpoint retention vs segment-parallel replay speed (4 cores)",
-		[]string{"workload", "stride", "checkpoints", "retained pages", "replay cyc"}, out)
-}
-
-// RenderAblation prints the ablation table.
-func RenderAblation(w io.Writer, cfg Config) {
-	rows := Ablation(cfg)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, fmt.Sprint(r.DivWithGate), fmt.Sprint(r.DivNoGate)}
-	}
-	Table(w, "Ablation: divergences with vs without sync-order enforcement (4 threads)",
-		[]string{"workload", "with gate", "without gate"}, out)
+	return Report{Tables: []Table{t},
+		Metrics: []Metric{{"pages_stride1", float64(kept[1])}, {"pages_stride8", float64(kept[8])}}}, nil
 }
 
 // --- Extension: certified verify-skip ----------------------------------------
@@ -779,25 +683,19 @@ type VerifySkipRow struct {
 // sequentially to the same final state as its fully verified twin.
 func VerifySkip(cfg Config, workers, spares int) []VerifySkipRow {
 	cfg = cfg.norm()
-	cfg.VerifyPolicy = core.VerifyAlways
-	names := cfg.Workloads
-	if len(names) == 0 {
-		names = append(append(append([]string{}, EvalSet...), RacySet...), "sigping")
-	}
+	names := cfg.subset(append(append(append([]string{}, EvalSet...), RacySet...), "sigping"))
 	var rows []VerifySkipRow
 	for _, name := range names {
 		wl, _ := build(name, workers, cfg)
 		nat := native(name, workers, cfg)
-		always, _ := record(name, workers, spares, cfg)
-		ccfg := cfg
-		ccfg.VerifyPolicy = core.VerifyCertified
-		cert, cbt := record(name, workers, spares, ccfg)
+		always, _ := record(name, workers, spares, cfg, nil)
+		cert, cbt := record(name, workers, spares, cfg, func(o *core.Options) { o.VerifyPolicy = core.VerifyCertified })
 		st := cert.Stats
 		if wl.Racy && workers >= 2 && st.VerifySkipped > 0 {
 			panic(fmt.Sprintf("exp: %s is marked racy but skipped verification — soundness bug", name))
 		}
 		if st.VerifySkipped > 0 {
-			seq, err := replay.Sequential(cbt.Prog, cert.Recording, nil, nil)
+			seq, err := replaySeq(cbt.Prog, cert.Recording, nil)
 			if err != nil {
 				panic(fmt.Sprintf("exp: replaying certified %s: %v", name, err))
 			}
@@ -813,24 +711,44 @@ func VerifySkip(cfg Config, workers, spares int) []VerifySkipRow {
 			NativeCyc:  nat.Cycles,
 			AlwaysCyc:  always.Stats.CompletionCycles,
 			CertCyc:    st.CompletionCycles,
-			AlwaysOver: float64(always.Stats.CompletionCycles)/float64(nat.Cycles) - 1,
-			CertOver:   float64(st.CompletionCycles)/float64(nat.Cycles) - 1,
+			AlwaysOver: over(always, nat),
+			CertOver:   over(cert, nat),
 		})
 	}
 	return rows
 }
 
-// RenderVerifySkip prints the certified verify-skip study.
-func RenderVerifySkip(w io.Writer, cfg Config, workers, spares int) {
+// runVerifySkip prints the study at 2 threads and 2 spares. The metrics are
+// the mean overhead across the suite under each policy, and over the
+// certified workloads alone — the population the optimisation helps.
+func runVerifySkip(cfg Config) (Report, error) {
+	const workers, spares = 2, 2
 	rows := VerifySkip(cfg, workers, spares)
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{r.Workload, r.CertStatus,
-			fmt.Sprintf("%d/%d", r.Skipped, r.Epochs),
-			fmt.Sprint(r.NativeCyc), fmt.Sprint(r.AlwaysCyc), fmt.Sprint(r.CertCyc),
-			pct(r.AlwaysOver), pct(r.CertOver)}
+	var skipped []VerifySkipRow
+	for _, r := range rows {
+		if r.Skipped > 0 {
+			skipped = append(skipped, r)
+		}
 	}
-	Table(w, fmt.Sprintf("Extension: certified verify-skip (%d threads, %d spares)", workers, spares),
-		[]string{"workload", "certificate", "skipped", "native cyc", "always cyc", "certified cyc",
-			"overhead always", "overhead certified"}, out)
+	always := func(r VerifySkipRow) float64 { return r.AlwaysOver }
+	cert := func(r VerifySkipRow) float64 { return r.CertOver }
+	rep := Report{
+		Tables: []Table{table(fmt.Sprintf("Extension: certified verify-skip (%d threads, %d spares)", workers, spares),
+			[]string{"workload", "certificate", "skipped", "native cyc", "always cyc", "certified cyc",
+				"overhead always", "overhead certified"},
+			rows, func(r VerifySkipRow) []string {
+				return []string{r.Workload, r.CertStatus,
+					fmt.Sprintf("%d/%d", r.Skipped, r.Epochs),
+					fmt.Sprint(r.NativeCyc), fmt.Sprint(r.AlwaysCyc), fmt.Sprint(r.CertCyc),
+					pct(r.AlwaysOver), pct(r.CertOver)}
+			})},
+		Metrics: []Metric{
+			{"always_%", avg(rows, always) * 100}, {"certified_%", avg(rows, cert) * 100},
+			{"skip_always_%", avg(skipped, always) * 100}, {"skip_certified_%", avg(skipped, cert) * 100},
+		},
+	}
+	if len(skipped) == 0 {
+		return rep, fmt.Errorf("no workload certified race-free — the verify-skip path never ran")
+	}
+	return rep, nil
 }

@@ -52,11 +52,6 @@ type Stepper struct {
 	sigs  *epoch.InjectSignals
 	gate  *epoch.Gate // non-nil iff the epoch is certified
 
-	// Step's retire hook (built once), the hook it stands in front of,
-	// and the event it caught.
-	hook, outer func(t *vm.Thread, pc int, cost int64)
-	ev          StepEvent
-
 	done bool
 	err  error
 }
@@ -148,32 +143,49 @@ func (s *Stepper) Run() (int64, error) {
 }
 
 // Step retires exactly one guest instruction and returns what retired.
-// Calling Step on a Done or failed Stepper returns an error.
-func (s *Stepper) Step() (StepEvent, error) {
+// Calling Step on a Done or failed Stepper returns an error. Nothing
+// listens to the machine for the event's sake, so the instruction runs as
+// it would in a batch replay and a profiler's OnRetire is left alone.
+func (s *Stepper) Step() (ev StepEvent, err error) {
 	if s.done {
 		return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.ep.Index)
 	}
-	// The event is read off the machine's own retire hook, installed for
-	// this one call, so the scheduler's loop carries nothing for the
-	// debugger's sake.
-	if s.hook == nil {
-		s.hook = s.onRetire
-	}
 	sigs := s.sigs.Injected
-	s.ev, s.outer, s.m.Hooks.OnRetire = StepEvent{}, s.m.Hooks.OnRetire, s.hook
-	err := s.advance(1)
-	s.m.Hooks.OnRetire = s.outer
-	s.ev.Signal = s.sigs.Injected != sigs
-	return s.ev, err
+	if s.gate != nil {
+		ev, err = s.stepFree()
+	} else {
+		// Under a schedule, what retires is known before it does: the
+		// slice names the thread, and the thread's pc is where it retires
+		// (or what a signal interrupts).
+		if tid, ok := s.uni.Next(); ok {
+			ev = StepEvent{Tid: tid, PC: s.m.Threads[tid].PC}
+		}
+		err = s.advance(1)
+	}
+	ev.Signal = s.sigs.Injected != sigs
+	return ev, err
 }
 
-// onRetire notes what Step's one instruction was and passes the
-// retirement on to whoever else was listening (a guest profiler).
-func (s *Stepper) onRetire(t *vm.Thread, pc int, cost int64) {
-	s.ev.Tid, s.ev.PC = t.ID, pc
-	if s.outer != nil {
-		s.outer(t, pc, cost)
+// stepFree is Step for a certified epoch. It free-runs, and the thread the
+// scheduler would pick may block at its attempt (a held lock, the
+// sync-order gate) and leave the retirement to the next in line, so the
+// event is read off the threads' retired counts afterwards.
+func (s *Stepper) stepFree() (ev StepEvent, err error) {
+	type at struct {
+		pc      int
+		retired uint64
 	}
+	was := make([]at, len(s.m.Threads))
+	for i, t := range s.m.Threads {
+		was[i] = at{t.PC, t.Retired}
+	}
+	err = s.advance(1)
+	for i, w := range was {
+		if t := s.m.Threads[i]; t.Retired != w.retired {
+			ev = StepEvent{Tid: t.ID, PC: w.pc}
+		}
+	}
+	return ev, err
 }
 
 // advance retires up to n instructions and, when that completes the

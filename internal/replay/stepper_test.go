@@ -11,6 +11,26 @@ import (
 	"doubleplay/internal/workloads"
 )
 
+// stepAll steps st to the end of its epoch and holds every event Step
+// reports — which it reads off the scheduler, not off the machine — to what
+// the machine's own retire hook saw.
+func stepAll(t *testing.T, m *vm.Machine, st *replay.Stepper) {
+	t.Helper()
+	var tid, pc int
+	m.Hooks.OnRetire = func(th *vm.Thread, p int, _ int64) { tid, pc = th.ID, p }
+	defer func() { m.Hooks.OnRetire = nil }()
+	for !st.Done() {
+		ev, err := st.Step()
+		if err != nil {
+			t.Fatalf("epoch %d step %d: %v", st.Epoch().Index, st.Steps(), err)
+		}
+		if ev.Tid != tid || ev.PC != pc {
+			t.Fatalf("epoch %d step %d: Step reports thread %d at pc %d, thread %d retired at pc %d",
+				st.Epoch().Index, st.Steps(), ev.Tid, ev.PC, tid, pc)
+		}
+	}
+}
+
 // TestStepperMatchesSequential steps entire recordings one instruction
 // at a time and checks the unrolled execution lands on exactly the
 // state and cost the batch replay computes.
@@ -34,11 +54,7 @@ func TestStepperMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("epoch %d: %v", ep.Index, err)
 				}
-				for !st.Done() {
-					if _, err := st.Step(); err != nil {
-						t.Fatalf("epoch %d step %d: %v", ep.Index, st.Steps(), err)
-					}
-				}
+				stepAll(t, m, st)
 				cycles += st.Cycles()
 				steps += st.Steps()
 			}
@@ -125,11 +141,7 @@ func TestStepperCertified(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: %v", ep.Index, err)
 		}
-		for !st.Done() {
-			if _, err := st.Step(); err != nil {
-				t.Fatalf("epoch %d step %d: %v", ep.Index, st.Steps(), err)
-			}
-		}
+		stepAll(t, m, st)
 		cycles += st.Cycles()
 	}
 	if h := m.StateHash(); h != rec.FinalHash {

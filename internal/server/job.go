@@ -4,7 +4,7 @@
 // bounded FIFO queue, run on a fixed worker pool with per-job timeouts
 // and cancellation threaded into core.Record and the replay strategies,
 // and leave durable artifacts — the dplog-marshalled recording in a
-// content-addressed blob store, a streamed Chrome trace, and a stats
+// content-addressed chunk store, a streamed Chrome trace, and a stats
 // JSON — that later jobs can reference by id (replay-by-id). The daemon
 // exposes queue, pool, and per-job metrics on a shared trace.Registry at
 // /metrics and drains gracefully on shutdown.
@@ -264,7 +264,7 @@ type ResultSummary struct {
 	Divergences int    `json:"divergences,omitempty"`
 	ReplayBytes int    `json:"replay_bytes,omitempty"`
 	Races       int    `json:"races,omitempty"`
-	Recording   string `json:"recording,omitempty"` // blob digest
+	Recording   string `json:"recording,omitempty"` // store digest
 	TraceEvents int    `json:"trace_events,omitempty"`
 	TraceDrops  int    `json:"trace_dropped,omitempty"`
 

@@ -96,7 +96,7 @@ func (s *Server) writeProfile(id string, prof *profile.Profile, sum *ResultSumma
 }
 
 // record runs the recording half shared by record and verify jobs,
-// stores the recording blob, and fills the summary. When the spec asks for
+// stores the recording, and fills the summary. When the spec asks for
 // a guest profile, the recording's profile is returned for the caller to
 // store (verify jobs first compare it against the replay's).
 func (s *Server) record(ctx context.Context, id string, sp Spec, sink trace.Recorder, sum *ResultSummary) (*core.Result, *workloads.Built, *profile.Profile, error) {

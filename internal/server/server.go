@@ -23,7 +23,7 @@ var ErrDraining = errors.New("server: draining, not accepting jobs")
 
 // Config tunes the daemon.
 type Config struct {
-	// DataDir roots the artifact store (blobs + per-job directories).
+	// DataDir roots the artifact store (recordings + per-job directories).
 	DataDir string
 
 	// Workers is the worker-pool size — how many jobs run concurrently.

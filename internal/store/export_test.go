@@ -18,3 +18,7 @@ func (s *Store) Totals() StatsReport {
 
 // WriteFileAtomic exposes the temp+rename write.
 var WriteFileAtomic = writeFileAtomic
+
+// Root returns the store's base directory, for tests that plant or damage
+// files under it.
+func (s *Store) Root() string { return s.root }

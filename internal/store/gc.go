@@ -5,15 +5,13 @@ package store
 // Mark starts from jobs' recording.ref files. A pinned job is always
 // live; unpinned jobs die by age (ref older than Policy.MaxAge) and by
 // size budget (newest first until Policy.MaxBytes of logical recording
-// bytes are retained). Live refs mark their manifest (or whole blob) and
-// every chunk the manifest names; the spans a manifest carries inline live
-// and die with it.
+// bytes are retained). Live refs mark their manifest and every chunk the
+// manifest names; the spans a manifest carries inline live and die with it.
 //
-// Sweep deletes in reference order — refs, then manifests, then chunks,
-// then blobs — the mirror image of PutRecording's chunks-before-manifest
-// ordering. A crash mid-GC can therefore strand an orphan (collected by
-// the next cycle) but never leave a ref or manifest pointing at deleted
-// data.
+// Sweep deletes in reference order — refs, then manifests, then chunks —
+// the mirror image of PutRecording's chunks-before-manifest ordering. A
+// crash mid-GC can therefore strand an orphan (collected by the next
+// cycle) but never leave a ref or manifest pointing at deleted data.
 //
 // The sweep also unlinks the temp files of writes that a crash cut off
 // before their rename: GC holds the store mutex, so no write of this
@@ -28,7 +26,7 @@ import (
 )
 
 // Policy tunes a GC cycle. The zero value collects only unreferenced
-// data (orphaned manifests, chunks, and blobs).
+// data (orphaned manifests and chunks).
 type Policy struct {
 	// MaxAge expires unpinned recordings whose ref is older; zero keeps
 	// every referenced recording regardless of age.
@@ -49,7 +47,6 @@ type GCReport struct {
 	RefsRemoved      int   `json:"refs_removed"`
 	ManifestsRemoved int   `json:"manifests_removed"`
 	ChunksRemoved    int   `json:"chunks_removed"`
-	BlobsRemoved     int   `json:"blobs_removed"`
 	TempsRemoved     int   `json:"temps_removed"`
 	BytesReclaimed   int64 `json:"bytes_reclaimed"`
 }
@@ -61,7 +58,7 @@ type refState struct {
 	pinned  bool
 	modTime time.Time
 	logical int64     // reassembled recording size
-	man     *Manifest // nil for a whole blob (or a ref to nothing)
+	man     *Manifest // nil for a ref to nothing
 }
 
 // GC runs one mark-and-sweep cycle under the store mutex, so no
@@ -94,8 +91,6 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 		}
 		if man, err := s.loadManifest(d); err == nil {
 			st.man, st.logical = man, man.Total
-		} else if info, err := os.Stat(s.BlobPath(d)); err == nil {
-			st.logical = info.Size()
 		}
 		refs = append(refs, st)
 	}
@@ -134,13 +129,11 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 		live = append(live, unpinned...)
 	}
 
-	// Mark live manifests, chunks, and blobs.
+	// Mark live manifests and chunks.
 	liveManifests := map[string]bool{}
 	liveChunks := map[string]bool{}
-	liveBlobs := map[string]bool{}
 	for _, r := range live {
 		if r.man == nil {
-			liveBlobs[r.digest] = true
 			continue
 		}
 		liveManifests[r.digest] = true
@@ -156,7 +149,7 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 		s.sweepHook()
 	}
 
-	// Sweep: refs first, then manifests, then chunks, then blobs.
+	// Sweep: refs first, then manifests, then chunks.
 	remove := func(path string, size int64, n *int) {
 		if pol.DryRun {
 			*n++
@@ -181,7 +174,6 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 	}{
 		{"manifests", liveManifests, &rep.ManifestsRemoved},
 		{"chunks", liveChunks, &rep.ChunksRemoved},
-		{"blobs", liveBlobs, &rep.BlobsRemoved},
 	} {
 		err := s.walkShards(ns.name, func(name, path string, size int64) error {
 			switch {
@@ -208,11 +200,9 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 type FsckReport struct {
 	Manifests       int      `json:"manifests"`
 	Chunks          int      `json:"chunks"`
-	Blobs           int      `json:"blobs"`
 	Refs            int      `json:"refs"`
 	OrphanManifests int      `json:"orphan_manifests"`
 	OrphanChunks    int      `json:"orphan_chunks"`
-	OrphanBlobs     int      `json:"orphan_blobs"`
 	StaleTemps      int      `json:"stale_temps"`
 	Errors          []string `json:"errors,omitempty"`
 }
@@ -231,9 +221,9 @@ func (r *FsckReport) errorf(format string, args ...any) {
 // Fsck verifies the store exhaustively: every manifest decodes, names
 // only existing chunks whose content matches their digest, and — those
 // chunks and its own inline spans together — reassembles to the recording
-// digest it is stored under; every blob matches its digest; every job ref
-// resolves. Damage is reported, never panicked on. Orphans and stale temp
-// files are counted but are not errors.
+// digest it is stored under; every job ref resolves. Damage is reported,
+// never panicked on. Orphans and stale temp files are counted but are not
+// errors.
 func (s *Store) Fsck() (*FsckReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,7 +231,6 @@ func (s *Store) Fsck() (*FsckReport, error) {
 
 	refdManifests := map[string]bool{}
 	refdChunks := map[string]bool{}
-	refdBlobs := map[string]bool{}
 	ids, err := s.jobIDs()
 	if err != nil {
 		return nil, err
@@ -254,10 +243,8 @@ func (s *Store) Fsck() (*FsckReport, error) {
 		rep.Refs++
 		if _, err := os.Stat(s.shardPath("manifests", d)); err == nil {
 			refdManifests[d] = true
-		} else if _, err := os.Stat(s.BlobPath(d)); err == nil {
-			refdBlobs[d] = true
 		} else {
-			rep.errorf("job %s: ref %s resolves to no manifest or blob", id, d)
+			rep.errorf("job %s: ref %s resolves to no manifest", id, d)
 		}
 	}
 
@@ -329,23 +316,6 @@ func (s *Store) Fsck() (*FsckReport, error) {
 		return nil, err
 	}
 
-	err = walk("blobs", func(digest, path string) {
-		rep.Blobs++
-		if !refdBlobs[digest] {
-			rep.OrphanBlobs++
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			rep.errorf("blob %s: %v", digest, err)
-			return
-		}
-		if Digest(data) != digest {
-			rep.errorf("blob %s: content does not match its digest", digest)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
 	return rep, nil
 }
 
@@ -360,7 +330,6 @@ func (s *Store) Fsck() (*FsckReport, error) {
 type StatsReport struct {
 	Chunks          int     `json:"chunks"`
 	Manifests       int     `json:"manifests"`
-	Blobs           int     `json:"blobs"`
 	LogicalBytes    int64   `json:"logical_bytes"`
 	UniqueRawBytes  int64   `json:"unique_raw_bytes"`
 	StoredBytes     int64   `json:"stored_bytes"`
@@ -401,16 +370,6 @@ func (s *Store) Stats() (*StatsReport, error) {
 	err = s.walkDigests("chunks", func(digest, path string, size int64) error {
 		rep.Chunks++
 		rep.StoredBytes += size
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: stats: %w", err)
-	}
-	err = s.walkDigests("blobs", func(digest, path string, size int64) error {
-		rep.Blobs++
-		rep.StoredBytes += size
-		rep.LogicalBytes += size
-		rep.UniqueRawBytes += size
 		return nil
 	})
 	if err != nil {

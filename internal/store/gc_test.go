@@ -51,7 +51,7 @@ func TestGCKeepsLiveSharedChunksReclaimsOrphans(t *testing.T) {
 		t.Fatalf("BytesReclaimed = %d", rep.BytesReclaimed)
 	}
 	// jobA fully intact; jobB gone.
-	back, err := s.ReadRecording("jobA")
+	back, err := readRecording(s, "jobA")
 	if err != nil || !bytes.Equal(back, a) {
 		t.Fatalf("jobA recording damaged by GC: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestGCPinnedSurvivesAgePolicy(t *testing.T) {
 	if rep.Pinned != 1 || rep.LiveRecordings != 1 || rep.ManifestsRemoved != 0 {
 		t.Fatalf("pinned recording was collected: %+v", rep)
 	}
-	back, err := s.ReadRecording("jobA")
+	back, err := readRecording(s, "jobA")
 	if err != nil || !bytes.Equal(back, a) {
 		t.Fatalf("pinned recording unreadable: %v", err)
 	}
@@ -128,10 +128,10 @@ func TestGCSizeBudgetKeepsNewest(t *testing.T) {
 	if rep.LiveRecordings != 1 || rep.ManifestsRemoved != 2 {
 		t.Fatalf("size budget: %+v", rep)
 	}
-	if back, err := s.ReadRecording(jobName(2)); err != nil || !bytes.Equal(back, data[2]) {
+	if back, err := readRecording(s, jobName(2)); err != nil || !bytes.Equal(back, data[2]) {
 		t.Fatalf("newest recording lost: %v", err)
 	}
-	if _, err := s.ReadRecording(jobName(0)); err == nil {
+	if _, err := readRecording(s, jobName(0)); err == nil {
 		t.Fatal("oldest recording survived size budget")
 	}
 }
@@ -199,7 +199,7 @@ func TestGCDryRunRemovesNothing(t *testing.T) {
 	if !rep.DryRun || rep.ManifestsRemoved != 1 {
 		t.Fatalf("dry run report: %+v", rep)
 	}
-	if back, err := s.ReadRecording("jobA"); err != nil || !bytes.Equal(back, a) {
+	if back, err := readRecording(s, "jobA"); err != nil || !bytes.Equal(back, a) {
 		t.Fatalf("dry run deleted data: %v", err)
 	}
 }
@@ -282,7 +282,7 @@ func TestFsckReportsMissingChunk(t *testing.T) {
 		t.Fatalf("fsck errors name no digest: %v", fsck.Errors)
 	}
 	// Reading through the damaged manifest fails cleanly, no panic.
-	if _, err := s.ReadRecording("jobA"); err == nil {
+	if _, err := readRecording(s, "jobA"); err == nil {
 		t.Fatal("read through missing chunk succeeded")
 	}
 	_ = d

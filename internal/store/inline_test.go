@@ -201,7 +201,7 @@ func TestStoreWrittenBeforeInlineSpans(t *testing.T) {
 	clean("as found")
 	// The manifest's name is the digest of the recording: reading back
 	// bytes that hash to it is reading back the bytes that were put.
-	oldData, err := s.ReadRecording("v1job")
+	oldData, err := readRecording(s, "v1job")
 	if err != nil || store.Digest(oldData) != old {
 		t.Fatalf("v1 recording read back wrong: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestStoreWrittenBeforeInlineSpans(t *testing.T) {
 		t.Fatalf("gc with everything live: %+v, %v", rep, err)
 	}
 	for job, want := range map[string][]byte{"v1job": oldData, "v2job": newData} {
-		if got, err := s.ReadRecording(job); err != nil || !bytes.Equal(got, want) {
+		if got, err := readRecording(s, job); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s after gc: %v", job, err)
 		}
 	}
@@ -259,7 +259,7 @@ func TestStoreWrittenBeforeInlineSpans(t *testing.T) {
 	if s.HasRecording(old) {
 		t.Fatal("aged v1 recording survived")
 	}
-	if got, err := s.ReadRecording("v2job"); err != nil || !bytes.Equal(got, newData) {
+	if got, err := readRecording(s, "v2job"); err != nil || !bytes.Equal(got, newData) {
 		t.Fatalf("v2 recording after the v1 one was collected: %v", err)
 	}
 	clean("after collecting the v1 recording")
@@ -298,7 +298,7 @@ func TestFsckDetectsDamagedInlineSpan(t *testing.T) {
 		if len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0], want) || !strings.Contains(rep.Errors[0], d) {
 			t.Fatalf("fix CRC = %v: fsck errors %q, want one naming %s and %q", fixCRC, rep.Errors, d, want)
 		}
-		if _, err := s.ReadRecording("jobA"); fixCRC == (err != nil) {
+		if _, err := readRecording(s, "jobA"); fixCRC == (err != nil) {
 			// Only fsck pays for the whole-recording digest: a read trusts
 			// a manifest whose CRC holds.
 			t.Fatalf("fix CRC = %v: read through the damaged manifest: %v", fixCRC, err)
@@ -307,7 +307,7 @@ func TestFsckDetectsDamagedInlineSpan(t *testing.T) {
 }
 
 // TestStaleTempFiles plants what a crash between writeFileAtomic's create
-// and its rename leaves behind, in all three namespaces: fsck counts the
+// and its rename leaves behind, in both namespaces: fsck counts the
 // files without calling them damage, a dry run reports them, and a
 // collection removes them.
 func TestStaleTempFiles(t *testing.T) {
@@ -315,7 +315,7 @@ func TestStaleTempFiles(t *testing.T) {
 	d := put(t, s, "jobA", encode(testRecording(1, 4)))
 	var planted []string
 	var plantedBytes int64
-	for i, ns := range []string{"blobs", "chunks", "manifests"} {
+	for i, ns := range []string{"chunks", "manifests"} {
 		// One beside live files, in a shard that exists; one in a shard of
 		// its own.
 		shard := filepath.Join(s.Root(), ns, "zz")
@@ -363,13 +363,13 @@ func TestStaleTempFiles(t *testing.T) {
 		t.Fatalf("gc: %+v, %d temp files left", rep, present())
 	}
 	// Nothing but the temp files went.
-	if rep.ManifestsRemoved+rep.ChunksRemoved+rep.BlobsRemoved != 0 {
+	if rep.ManifestsRemoved+rep.ChunksRemoved != 0 {
 		t.Fatalf("gc removed more than the temp files: %+v", rep)
 	}
 	if fsck, err = s.Fsck(); err != nil || !fsck.OK() || fsck.StaleTemps != 0 {
 		t.Fatalf("fsck after gc: %+v, %v", fsck, err)
 	}
-	if _, err := s.ReadRecording("jobA"); err != nil {
+	if _, err := readRecording(s, "jobA"); err != nil {
 		t.Fatalf("recording after gc: %v", err)
 	}
 }

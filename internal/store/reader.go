@@ -1,15 +1,13 @@
 package store
 
 // Handle is the lazy, strided read path over a stored recording: an
-// io.ReaderAt that reassembles bytes on demand from the chunk store (or
-// serves them straight from a whole-blob file), so replay-by-id and
-// epoch-range extraction never materialize a whole recording in the
-// heap. dplog.OpenReader composes directly on top of it.
+// io.ReaderAt that reassembles bytes on demand from the chunk store, so
+// replay-by-id and epoch-range extraction never materialize a whole
+// recording in the heap. dplog.OpenReader composes directly on top of it.
 
 import (
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 )
@@ -25,11 +23,8 @@ const handleCacheBytes = 4 << 20
 type Handle struct {
 	size int64
 
-	// Whole-blob path: pread straight from the file, no cache.
-	f *os.File
-
-	// Chunked path: spans resolved through the manifest — inline ones are
-	// in it, the others are chunks, decoded and cached under a byte budget.
+	// Spans resolved through the manifest — inline ones are in it, the
+	// others are chunks, decoded and cached under a byte budget.
 	st     *Store
 	chunks []ManifestChunk
 	inline [][]byte // the bytes of each inline span, nil for a ref
@@ -42,32 +37,23 @@ type Handle struct {
 }
 
 // OpenRecording opens the recording stored under digest for random
-// access, resolving a chunk manifest when one exists and falling back to
-// the whole-blob layout otherwise. Close the handle when done.
+// access through its chunk manifest. Close the handle when done.
 func (s *Store) OpenRecording(digest string) (*Handle, error) {
 	if !validDigest(digest) {
 		return nil, fmt.Errorf("store: invalid digest %q", digest)
 	}
-	if man, err := s.loadManifest(digest); err == nil {
-		h := &Handle{size: man.Total, st: s, chunks: man.Chunks, inline: man.inlineSpans(), cache: map[int][]byte{}}
-		h.starts = make([]int64, len(man.Chunks))
-		var off int64
-		for i, c := range man.Chunks {
-			h.starts[i] = off
-			off += c.Len
-		}
-		return h, nil
-	}
-	f, err := os.Open(s.BlobPath(digest))
+	man, err := s.loadManifest(digest)
 	if err != nil {
 		return nil, fmt.Errorf("store: no recording stored under %s", digest)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
+	h := &Handle{size: man.Total, st: s, chunks: man.Chunks, inline: man.inlineSpans(), cache: map[int][]byte{}}
+	h.starts = make([]int64, len(man.Chunks))
+	var off int64
+	for i, c := range man.Chunks {
+		h.starts[i] = off
+		off += c.Len
 	}
-	return &Handle{size: info.Size(), f: f}, nil
+	return h, nil
 }
 
 // OpenRecordingByJob opens the recording a job produced.
@@ -84,9 +70,6 @@ func (h *Handle) Size() int64 { return h.size }
 
 // Close releases the handle's resources.
 func (h *Handle) Close() error {
-	if h.f != nil {
-		return h.f.Close()
-	}
 	h.mu.Lock()
 	h.cache, h.cacheOrder, h.cacheSize = nil, nil, 0
 	h.mu.Unlock()
@@ -113,9 +96,6 @@ func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (h *Handle) readAt(p []byte, off int64) (int, error) {
-	if h.f != nil {
-		return h.f.ReadAt(p, off)
-	}
 	total := 0
 	// First chunk whose span contains off.
 	i := sort.Search(len(h.starts), func(i int) bool { return h.starts[i] > off }) - 1

@@ -4,7 +4,6 @@
 //
 // Layout on disk:
 //
-//	<root>/blobs/<aa>/sha256-<hex>     whole artifacts, content-addressed
 //	<root>/chunks/<aa>/sha256-<hex>    dedup chunks (1 flag byte + payload,
 //	                                   optionally DEFLATE at rest; the
 //	                                   digest addresses the *raw* bytes)
@@ -24,10 +23,12 @@
 // inlineSpanMax bytes or more content-addressed, and writes a manifest
 // that names those and holds the rest — so same-program/different-seed
 // runs share their program-driven syscall and sync-order bytes, and a put
-// creates only the files that can be shared. Crash-safe ordering: chunks are durable before the manifest
-// that names them, and GC removes refs before manifests before chunks,
-// so an interrupted operation can strand an orphan (reclaimed by the
-// next GC) but never a dangling reference.
+// creates only the files that can be shared. A recording is stored this
+// one way: bytes that are not an intact v6 log are refused. Crash-safe
+// ordering: chunks are durable before the manifest that names them, and GC
+// removes refs before manifests before chunks, so an interrupted operation
+// can strand an orphan (reclaimed by the next GC) but never a dangling
+// reference.
 //
 // Ref publication is the third leg of that rule. A recording is an
 // orphan until a job's recording.ref names it, and a GC that runs between
@@ -86,7 +87,7 @@ type Store struct {
 // Open creates (if needed) and opens the artifact layout under root.
 // reg, when non-nil, receives the store.* gauges.
 func Open(root string, reg *trace.Registry) (*Store, error) {
-	for _, dir := range []string{root, filepath.Join(root, "blobs"), filepath.Join(root, "chunks"),
+	for _, dir := range []string{root, filepath.Join(root, "chunks"),
 		filepath.Join(root, "manifests"), filepath.Join(root, "jobs")} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
@@ -96,9 +97,6 @@ func Open(root string, reg *trace.Registry) (*Store, error) {
 	s.recount()
 	return s, nil
 }
-
-// Root returns the store's base directory.
-func (s *Store) Root() string { return s.root }
 
 // Digest computes the content address of a byte string.
 func Digest(data []byte) string {
@@ -124,14 +122,11 @@ func validDigest(d string) bool {
 	return err == nil
 }
 
-// shardPath maps a digest into a namespace ("blobs", "chunks",
-// "manifests"): <root>/<ns>/<first hex byte>/<digest>.
+// shardPath maps a digest into a namespace ("chunks", "manifests"):
+// <root>/<ns>/<first hex byte>/<digest>.
 func (s *Store) shardPath(ns, digest string) string {
 	return filepath.Join(s.root, ns, digest[len("sha256-"):len("sha256-")+2], digest)
 }
-
-// BlobPath maps a digest to its (sharded) whole-blob path.
-func (s *Store) BlobPath(digest string) string { return s.shardPath("blobs", digest) }
 
 // tempPrefix starts the name of a write in flight. A crash between
 // writeFileAtomic's create and its rename strands such a file; GC unlinks
@@ -169,44 +164,6 @@ func writeFileAtomic(path string, data []byte) error {
 	return err
 }
 
-// PutBlob stores data as one whole content-addressed blob. Existing
-// blobs short-circuit (content addressing makes the write a no-op). Like
-// every mutation it holds the store mutex, so whether it created the file
-// — what the totals need to know — is decided once, not raced.
-func (s *Store) PutBlob(data []byte) (digest string, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.publishStats()
-	return s.putBlobLocked(data)
-}
-
-// putBlobLocked is PutBlob for callers that hold s.mu (PutRecording's
-// whole-blob fallback).
-func (s *Store) putBlobLocked(data []byte) (digest string, err error) {
-	digest = Digest(data)
-	path := s.BlobPath(digest)
-	if _, err := os.Stat(path); err == nil {
-		return digest, nil
-	}
-	if err := writeFileAtomic(path, data); err != nil {
-		return "", fmt.Errorf("store: %w", err)
-	}
-	n := int64(len(data))
-	s.totals.Blobs++
-	s.totals.StoredBytes += n
-	s.totals.LogicalBytes += n
-	s.totals.UniqueRawBytes += n
-	return digest, nil
-}
-
-// ReadBlob loads a whole blob by digest.
-func (s *Store) ReadBlob(digest string) ([]byte, error) {
-	if !validDigest(digest) {
-		return nil, fmt.Errorf("store: invalid digest %q", digest)
-	}
-	return os.ReadFile(s.BlobPath(digest))
-}
-
 // putChunk stores one raw chunk content-addressed, DEFLATE-compressed at
 // rest when that shrinks it. Only a chunk whose file it created enters the
 // totals; the caller holds s.mu.
@@ -242,10 +199,11 @@ func (s *Store) readChunk(c ManifestChunk) ([]byte, error) {
 // PutRecording stores an encoded recording with chunk-level dedup: the
 // artifact is split on its dplog section and group boundaries, each span
 // stored content-addressed — or, under inlineSpanMax bytes, in the
-// manifest — and the manifest written under the recording's own digest. Artifacts that expose no chunkable layout (not a dplog, or
-// a damaged one) fall back to one whole blob under the same digest, so RecordingRef
-// resolution is uniform. Chunks land before the manifest that references
-// them — a crash strands orphan chunks, never a dangling manifest.
+// manifest — and the manifest written under the recording's own digest.
+// Bytes that expose no chunkable layout (not a dplog, or a damaged one) are
+// refused before anything is written. Chunks land before the manifest that
+// references them — a crash strands orphan chunks, never a dangling
+// manifest.
 func (s *Store) PutRecording(data []byte) (digest string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -254,13 +212,13 @@ func (s *Store) PutRecording(data []byte) (digest string, err error) {
 	if _, err := os.Stat(s.shardPath("manifests", digest)); err == nil {
 		return digest, nil
 	}
+	var chunks []dplog.Chunk
 	rd, err := dplog.OpenReaderBytes(data)
-	if err != nil {
-		return s.putBlobLocked(data)
+	if err == nil {
+		chunks, err = rd.Chunks()
 	}
-	chunks, err := rd.Chunks()
 	if err != nil {
-		return s.putBlobLocked(data)
+		return "", fmt.Errorf("store: not a recording: %w", err)
 	}
 	man := &Manifest{Total: int64(len(data))}
 	for _, c := range chunks {
@@ -297,16 +255,12 @@ func (s *Store) loadManifest(digest string) (*Manifest, error) {
 	return man, nil
 }
 
-// HasRecording reports whether digest resolves to a stored recording
-// (chunked or whole-blob).
+// HasRecording reports whether digest resolves to a stored recording.
 func (s *Store) HasRecording(digest string) bool {
 	if !validDigest(digest) {
 		return false
 	}
-	if _, err := os.Stat(s.shardPath("manifests", digest)); err == nil {
-		return true
-	}
-	_, err := os.Stat(s.BlobPath(digest))
+	_, err := os.Stat(s.shardPath("manifests", digest))
 	return err == nil
 }
 
@@ -369,22 +323,6 @@ func (s *Store) RecordingRef(id string) string {
 		return ""
 	}
 	return d
-}
-
-// ReadRecording loads the complete recording bytes a job produced.
-// Prefer OpenRecordingByJob for large artifacts — this materializes the
-// whole recording in memory.
-func (s *Store) ReadRecording(id string) ([]byte, error) {
-	h, err := s.OpenRecordingByJob(id)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Close()
-	data := make([]byte, h.Size())
-	if _, err := h.ReadAt(data, 0); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // Pin protects a job's recording (and every chunk it references) from
@@ -498,7 +436,6 @@ func (s *Store) publishStats() {
 	st.derive()
 	s.reg.Set("store.chunks", float64(st.Chunks))
 	s.reg.Set("store.manifests", float64(st.Manifests))
-	s.reg.Set("store.blobs", float64(st.Blobs))
 	s.reg.Set("store.logical_bytes", float64(st.LogicalBytes))
 	s.reg.Set("store.stored_bytes", float64(st.StoredBytes))
 	s.reg.Set("store.dedup_ratio", st.DedupRatio)

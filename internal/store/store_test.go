@@ -69,38 +69,26 @@ func encode(rec *dplog.Recording) []byte {
 	return dplog.MarshalBytesWith(rec, dplog.EncodeOptions{Compress: false})
 }
 
-func TestBlobRoundTripSharded(t *testing.T) {
-	s := open(t)
-	data := []byte("hello artifact store")
-	d, err := s.PutBlob(data)
+// readRecording loads the complete recording bytes a job produced.
+func readRecording(s *store.Store, job string) ([]byte, error) {
+	h, err := s.OpenRecordingByJob(job)
 	if err != nil {
-		t.Fatalf("PutBlob: %v", err)
+		return nil, err
 	}
-	got, err := s.ReadBlob(d)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("ReadBlob: %q, %v", got, err)
+	defer h.Close()
+	data := make([]byte, h.Size())
+	if _, err := h.ReadAt(data, 0); err != nil {
+		return nil, err
 	}
-	// The blob must live in its shard directory: blobs/<aa>/sha256-aa...
-	shard := d[len("sha256-") : len("sha256-")+2]
-	want := filepath.Join(s.Root(), "blobs", shard, d)
-	if _, err := os.Stat(want); err != nil {
-		t.Fatalf("blob not at sharded path %s: %v", want, err)
-	}
-	// Idempotent re-put.
-	if d2, err := s.PutBlob(data); err != nil || d2 != d {
-		t.Fatalf("re-put: %s, %v", d2, err)
-	}
-	if _, err := s.ReadBlob("sha256-zz"); err == nil {
-		t.Fatal("ReadBlob accepted an invalid digest")
-	}
+	return data, nil
 }
 
-// TestParallelPutBlob exercises the Stat-then-write race: many
-// goroutines putting the same content must all succeed and leave one
-// intact blob (rename-over semantics).
-func TestParallelPutBlob(t *testing.T) {
+// TestParallelPutRecording has many goroutines put the same recording:
+// all must succeed with the one digest and leave one intact recording and
+// totals that counted it once.
+func TestParallelPutRecording(t *testing.T) {
 	s := open(t)
-	data := bytes.Repeat([]byte("same content every writer "), 64)
+	data := encode(testRecording(2, 4))
 	want := store.Digest(data)
 	const writers = 16
 	var wg sync.WaitGroup
@@ -109,7 +97,7 @@ func TestParallelPutBlob(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d, err := s.PutBlob(data)
+			d, err := s.PutRecording(data)
 			if err != nil {
 				errs <- err
 				return
@@ -122,11 +110,16 @@ func TestParallelPutBlob(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("parallel PutBlob: %v", err)
+		t.Fatalf("parallel PutRecording: %v", err)
 	}
-	got, err := s.ReadBlob(want)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("blob damaged after parallel puts: %v", err)
+	if err := s.SetRecordingRef("job", want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readRecording(s, "job"); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("recording damaged after parallel puts: %v", err)
+	}
+	if st, err := s.Stats(); err != nil || st.Manifests != 1 || !reflect.DeepEqual(*st, s.Totals()) {
+		t.Fatalf("stats %+v (%v), totals %+v", st, err, s.Totals())
 	}
 }
 
@@ -236,35 +229,73 @@ func TestOpenRecordingReassemblesExactly(t *testing.T) {
 	}
 }
 
-func TestOpenRecordingWholeBlobFallback(t *testing.T) {
+// tree lists every file and directory under root with its size.
+func tree(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(path string, de os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		info, err := de.Info()
+		if err != nil {
+			return err
+		}
+		size := int64(-1)
+		if !de.IsDir() {
+			size = info.Size()
+		}
+		out = append(out, fmt.Sprintf("%s %d", path, size))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPutRecordingRefusesNonRecordings: a recording is stored one way, as
+// a manifest over the chunks of an intact v6 log. Anything else is refused
+// with an error and leaves the store — the accounting, the gauges' totals
+// and the directory tree — exactly as it was.
+func TestPutRecordingRefusesNonRecordings(t *testing.T) {
 	s := open(t)
-	// A damaged artifact exposes no chunk layout; PutRecording must fall
-	// back to one whole blob, and OpenRecording must serve it.
-	rec := testRecording(3, 2)
-	data := dplog.MarshalBytes(rec)
-	trunc := data[:len(data)-3] // corrupt: not even a readable v6 log
-	d, err := s.PutRecording(trunc)
-	if err != nil {
-		t.Fatalf("PutRecording fallback: %v", err)
-	}
-	h, err := s.OpenRecording(d)
+	put(t, s, "jobA", encode(testRecording(3, 3)))
+	before, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	got := make([]byte, h.Size())
-	if _, err := h.ReadAt(got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
+	files := tree(t, s.Root())
+	whole := dplog.MarshalBytes(testRecording(3, 2))
+	for name, data := range map[string][]byte{
+		"junk":      []byte("hello artifact store"),
+		"empty":     {},
+		"truncated": whole[:len(whole)-3],
+		"half":      whole[:len(whole)/2],
+	} {
+		d, err := s.PutRecording(data)
+		if err == nil || d != "" {
+			t.Fatalf("%s: PutRecording = %q, %v; want a refusal", name, d, err)
+		}
+		if s.HasRecording(store.Digest(data)) {
+			t.Fatalf("%s: refused bytes resolve to a recording", name)
+		}
+		if _, err := s.OpenRecording(store.Digest(data)); err == nil {
+			t.Fatalf("%s: refused bytes open", name)
+		}
+		after, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, after) || !reflect.DeepEqual(*before, s.Totals()) {
+			t.Fatalf("%s: a refused put moved the accounting: before %+v, after %+v, totals %+v", name, before, after, s.Totals())
+		}
+		if got := tree(t, s.Root()); !reflect.DeepEqual(files, got) {
+			t.Fatalf("%s: a refused put touched the directory tree:\nbefore %v\nafter  %v", name, files, got)
+		}
 	}
-	if !bytes.Equal(got, trunc) {
-		t.Fatal("whole-blob handle returned wrong bytes")
-	}
-	st, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Blobs != 1 || st.Manifests != 0 {
-		t.Fatalf("fallback stored blobs=%d manifests=%d, want 1/0", st.Blobs, st.Manifests)
+	if rep, err := s.Fsck(); err != nil || !rep.OK() {
+		t.Fatalf("fsck after refused puts: %+v, %v", rep, err)
 	}
 }
 
@@ -281,7 +312,7 @@ func TestRecordingRefRoundTrip(t *testing.T) {
 	if got := s.RecordingRef("job1"); got != d {
 		t.Fatalf("RecordingRef = %q, want %q", got, d)
 	}
-	back, err := s.ReadRecording("job1")
+	back, err := readRecording(s, "job1")
 	if err != nil || !bytes.Equal(back, data) {
 		t.Fatalf("ReadRecording: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 	"doubleplay/internal/trace"
 )
 
-// gaugesEqualStats asserts that the six published store.* gauges equal
+// gaugesEqualStats asserts that the five published store.* gauges equal
 // what the Stats walk finds on disk at this moment.
 func gaugesEqualStats(t *testing.T, s *store.Store, reg *trace.Registry, step string) {
 	t.Helper()
@@ -25,7 +25,6 @@ func gaugesEqualStats(t *testing.T, s *store.Store, reg *trace.Registry, step st
 	got := store.StatsReport{
 		Chunks:       int(reg.Gauge("store.chunks")),
 		Manifests:    int(reg.Gauge("store.manifests")),
-		Blobs:        int(reg.Gauge("store.blobs")),
 		LogicalBytes: int64(reg.Gauge("store.logical_bytes")),
 		StoredBytes:  int64(reg.Gauge("store.stored_bytes")),
 		DedupRatio:   reg.Gauge("store.dedup_ratio"),
@@ -84,22 +83,15 @@ func TestTotalsEqualStatsAfterEveryStep(t *testing.T) {
 					if len(stored) > 0 {
 						putRef(stored[rng.Intn(len(stored))])
 					}
-				case 4: // whole-blob fallback: not a dplog, or half of one
-					what = "put fallback"
-					if rng.Intn(2) == 0 {
-						putRef(junk())
-					} else {
-						full := encode(testRecording(uint64(1+rng.Intn(8)), 2))
-						putRef(full[:len(full)/2])
-					}
-				case 5:
-					what = "PutBlob"
+				case 4, 5: // not a dplog, or half of one: refused, and nothing moves
+					what = "refused put"
 					data := junk()
-					if len(stored) > 0 && rng.Intn(3) == 0 {
-						data = stored[rng.Intn(len(stored))]
+					if rng.Intn(2) == 0 {
+						full := encode(testRecording(uint64(1+rng.Intn(8)), 2))
+						data = full[:len(full)/2]
 					}
-					if _, err := s.PutBlob(data); err != nil {
-						t.Fatalf("PutBlob: %v", err)
+					if _, err := s.PutRecording(data); err == nil {
+						t.Fatal("PutRecording stored bytes that are not a recording")
 					}
 				case 6, 7:
 					what = "pin/unpin"
@@ -230,7 +222,7 @@ func TestRefRefusedOnceRecordingCollected(t *testing.T) {
 	}
 	// The caller's remedy: put again, then the ref lands.
 	put(t, s, "jobA", data)
-	if back, err := s.ReadRecording("jobA"); err != nil || string(back) != string(data) {
+	if back, err := readRecording(s, "jobA"); err != nil || string(back) != string(data) {
 		t.Fatalf("recording after re-put: %v", err)
 	}
 }

@@ -46,7 +46,7 @@ nfield() { grep -o "\"$1\": [0-9][0-9.]*" | head -1 | awk '{print $2}'; }
 gauges_match_walk() { # gauges_match_walk <when>
     curl -fsS "http://$addr/metrics" -o "$tmp/metrics.txt"
     curl -fsS "http://$addr/admin/store" -o "$tmp/walk.json"
-    for f in chunks manifests blobs logical_bytes stored_bytes; do
+    for f in chunks manifests logical_bytes stored_bytes; do
         # %.0f: the exposition prints large gauges as 1.234567e+06.
         g=$(awk -v m="doubleplay_store_$f" '$1==m{printf "%.0f", $2}' "$tmp/metrics.txt")
         w=$(nfield "$f" <"$tmp/walk.json")
