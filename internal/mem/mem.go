@@ -16,6 +16,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -53,7 +54,21 @@ func (p *page) clone() *page {
 	return c
 }
 
-// contentHash returns the FNV-1a hash of the page body, caching the result.
+const fnvPrime = 1099511628211
+
+// fnvPow[k] is fnvPrime to the power k: what k zero bytes in a row do to an
+// FNV-1a hash, since xoring in a zero leaves only the multiply.
+var fnvPow = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime
+	}
+	return pow
+}()
+
+// contentHash returns the FNV-1a hash of the page body, bytes in
+// little-endian order, caching the result. Guest words are mostly small, so
+// each word's zero high bytes are folded into one multiply.
 // Only the owner of a writable memory calls this, so the cache fields need
 // no synchronisation beyond the sharing discipline (shared pages are
 // immutable, and their cached hash was computed before they became shared or
@@ -65,11 +80,13 @@ func (p *page) contentHash() uint64 {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for _, w := range p.data {
 		x := uint64(w)
-		for i := 0; i < 8; i++ {
+		n := 8 - bits.LeadingZeros64(x)>>3 // bytes up to the highest non-zero one
+		for i := 0; i < n; i++ {
 			h ^= x & 0xff
-			h *= 1099511628211
+			h *= fnvPrime
 			x >>= 8
 		}
+		h *= fnvPow[8-n]
 	}
 	p.hash = h
 	p.hashOK = true

@@ -391,6 +391,63 @@ func TestQuickHashAgreement(t *testing.T) {
 	}
 }
 
+// bytewiseHash is FNV-1a over the page's bytes, one multiply per byte: the
+// definition contentHash takes its shortcut against.
+func bytewiseHash(p *page) uint64 {
+	h := uint64(14695981039346656037)
+	for _, w := range p.data {
+		x := uint64(w)
+		for i := 0; i < 8; i++ {
+			h ^= x & 0xff
+			h *= 1099511628211
+			x >>= 8
+		}
+	}
+	return h
+}
+
+// TestContentHashMatchesBytewise holds the page hash — and with it every
+// state hash in every recording — to byte-serial FNV-1a, whatever the
+// words' widths.
+func TestContentHashMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	fill := func(f func(i int) Word) *page {
+		p := newPage()
+		for i := range p.data {
+			p.data[i] = f(i)
+		}
+		return p
+	}
+	for name, p := range map[string]*page{
+		"zero":       newPage(),
+		"small":      fill(func(i int) Word { return Word(i % 300) }),
+		"negative":   fill(func(i int) Word { return -Word(i) - 1 }),
+		"full-width": fill(func(int) Word { return Word(rng.Uint64()) }),
+		"one byte of each width": fill(func(i int) Word {
+			return Word(uint64(1+rng.Intn(255)) << (8 * (i % 8)))
+		}),
+		"mixed": fill(func(i int) Word {
+			if rng.Intn(3) == 0 {
+				return 0
+			}
+			return Word(rng.Uint64() >> (8 * rng.Intn(8)))
+		}),
+		"sparse": fill(func(i int) Word {
+			if i%97 == 0 {
+				return Word(rng.Uint64())
+			}
+			return 0
+		}),
+	} {
+		if got, want := p.contentHash(), bytewiseHash(p); got != want {
+			t.Errorf("%s page: contentHash %016x, byte-serial FNV-1a %016x", name, got, want)
+		}
+	}
+	if zeroPageHash != bytewiseHash(newPage()) {
+		t.Errorf("zeroPageHash %016x is not the hash of a zero page", zeroPageHash)
+	}
+}
+
 func BenchmarkStore(b *testing.B) {
 	m := New()
 	for i := 0; i < b.N; i++ {
@@ -426,6 +483,41 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		r := s.Restore()
 		r.Store(0, Word(i))
 		s.Release()
+	}
+}
+
+// BenchmarkHashDirty hashes pages whose cached hashes are all stale: what
+// a state hash costs per page written since the last one. Guest data is
+// mostly small integers; "wide" is the worst case, eight bytes a word.
+func BenchmarkHashDirty(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		word func(i int) Word
+	}{
+		{"small", func(i int) Word { return Word(i % 1000) }},
+		{"sparse", func(i int) Word {
+			if i%16 == 0 {
+				return Word(i)
+			}
+			return 0
+		}},
+		{"wide", func(i int) Word { return -Word(i) - 1 }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const pages = 16
+			m := New()
+			for i := 0; i < pages*PageWords; i++ {
+				m.Store(Word(i), tc.word(i))
+			}
+			b.SetBytes(pages * PageWords * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range m.pages {
+					p.hashOK = false
+				}
+				_ = m.Hash()
+			}
+		})
 	}
 }
 

@@ -1,0 +1,104 @@
+package sched
+
+import (
+	"math/rand"
+	"sync"
+)
+
+// The jitter stream is math/rand's seeded stream, continued by hand.
+// rand.NewSource is an additive lagged-Fibonacci generator: output n is the
+// sum of outputs n-607 and n-273, and nothing else. Its 607-word state
+// vector is therefore, after 607 draws, exactly its last 607 outputs, so a
+// ring holding outputs [k·607, (k+1)·607) in order is the whole generator,
+// and the next 607 outputs overwrite it in place:
+//
+//	x[n] = x[n-607] + x[n-273]
+//	ring[i] += ring[i+334]   for i <  273   (n-273 is still last round's)
+//	ring[i] += ring[i-273]   for i >= 273   (n-273 is already this round's)
+//
+// Owning the ring is what lets the scheduler look for the next slow
+// retirement by scanning a slice instead of drawing through an interface
+// once per retired instruction. TestJitterStreamIsMathRand holds the stream
+// to math/rand's, draw for draw, on every toolchain CI runs.
+
+const (
+	jitterLen = 607 // math/rand's rngLen
+	jitterTap = 273 // math/rand's rngTap
+
+	// One retirement in 64 is slow: Intn(64) == 0. For a power of two
+	// math/rand masks Int31, the high half of Int63, so the draw is bits
+	// 32–37 of the source's word.
+	jitterHitMask = 63 << 32
+	// A slow retirement costs Intn(24) cycles more. Int31n rejects draws
+	// above the largest multiple of 24 that fits 31 bits: 1<<31 % 24 == 8.
+	jitterExtraN   = 24
+	jitterExtraMax = 1<<31 - 1 - 8
+)
+
+type jitterStream struct {
+	ring [jitterLen]uint64
+	pos  int // next unread word; jitterLen when the ring is spent
+}
+
+// primers are the math/rand sources the rings are primed from: seeding one
+// is the only part of the generator not reproduced here (it needs
+// math/rand's table of 607 additive constants).
+var primers = sync.Pool{New: func() any { return rand.NewSource(0) }}
+
+// seed starts the stream rand.NewSource(seed) produces.
+func (j *jitterStream) seed(seed int64) {
+	src := primers.Get().(rand.Source64)
+	src.Seed(seed)
+	for i := range j.ring {
+		j.ring[i] = src.Uint64()
+	}
+	primers.Put(src)
+	j.pos = 0
+}
+
+// refill replaces the ring's 607 outputs with the next 607.
+func (j *jitterStream) refill() {
+	r := &j.ring
+	for i := 0; i < jitterTap; i++ {
+		r[i] += r[i+jitterLen-jitterTap]
+	}
+	for i := jitterTap; i < jitterLen; i++ {
+		r[i] += r[i-jitterTap]
+	}
+	j.pos = 0
+}
+
+// next draws one word.
+func (j *jitterStream) next() uint64 {
+	if j.pos == jitterLen {
+		j.refill()
+	}
+	x := j.ring[j.pos]
+	j.pos++
+	return x
+}
+
+// gap consumes draws up to and including the next one for which Intn(64)
+// would return zero, and returns how many it passed over before that one.
+func (j *jitterStream) gap() int {
+	n := 0
+	for {
+		for i, x := range j.ring[j.pos:] {
+			if x&jitterHitMask == 0 {
+				j.pos += i + 1
+				return n + i
+			}
+		}
+		n += jitterLen - j.pos
+		j.refill()
+	}
+}
+
+// intn24 is Rand.Intn(24).
+func (j *jitterStream) intn24() int64 {
+	v := j.next() << 1 >> 33 // Int31: the top 31 bits of Int63
+	for v > jitterExtraMax {
+		v = j.next() << 1 >> 33
+	}
+	return int64(v % jitterExtraN)
+}

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/trace"
@@ -56,15 +55,15 @@ type Parallel struct {
 	TraceSpan string
 
 	cpus     []pcpu
-	nBound   int // CPUs with a bound thread
-	rng      *rand.Rand
+	nBound   int     // CPUs with a bound thread
 	scanFrom int     // round-robin cursor for dispatch fairness
 	sysPoll  []int64 // by thread id: earliest clock of its next syscall retry
 	retired  int64
 
-	// Timing jitter, drawn ahead: the next jitterGap retirements cost what
+	// Timing jitter, found ahead: the next jitterGap retirements cost what
 	// the machine charged, the one after them jitterExtra cycles more. See
 	// drawJitter.
+	jitter      jitterStream
 	jitterGap   int
 	jitterExtra int64
 
@@ -107,8 +106,8 @@ func NewParallel(m *vm.Machine, cpus int, seed int64) *Parallel {
 		CPUs:    cpus,
 		Quantum: DefaultQuantum,
 		cpus:    make([]pcpu, cpus),
-		rng:     rand.New(rand.NewSource(seed)),
 	}
+	p.jitter.seed(seed)
 	p.start(m)
 	return p
 }
@@ -120,7 +119,7 @@ func NewParallel(m *vm.Machine, cpus int, seed int64) *Parallel {
 // its counts of work done (Retired and the Window counters), which go on
 // accumulating over the squashed and the adopted execution alike.
 func (p *Parallel) Resume(m *vm.Machine, seed, c int64) {
-	p.rng.Seed(seed)
+	p.jitter.seed(seed)
 	for i := range p.cpus {
 		p.cpus[i] = pcpu{clock: c}
 	}
@@ -139,20 +138,16 @@ func (p *Parallel) start(m *vm.Machine) {
 	p.drawJitter()
 }
 
-// drawJitter draws the distance to the next jittered retirement and its
-// size. Each retirement is slow with probability 1/64 — one Intn(64) draw
-// per retirement, and an Intn(24) for the size right after a hit — and the
-// generator is private to this scheduler, so drawing a whole gap at once
-// consumes it in exactly the order per-retirement draws would; only the
-// loop around Step is spared the calls.
+// drawJitter finds the distance to the next jittered retirement and draws
+// its size. Each retirement is slow with probability 1/64 and a slow one
+// costs up to 23 cycles more: the stream is the one a per-retirement
+// Intn(64), with an Intn(24) right after each hit, would draw from
+// rand.NewSource(seed), but the scheduler owns the generator's ring
+// (jitter.go), so the gap is one scan over it and the loop around Step
+// makes no draw at all.
 func (p *Parallel) drawJitter() {
-	p.jitterGap = 0
-	// Intn(64), spelled out: for a power of two math/rand takes the low
-	// bits of Int31, which is the high half of Int63.
-	for p.rng.Int63()>>32&63 != 0 {
-		p.jitterGap++
-	}
-	p.jitterExtra = int64(p.rng.Intn(24))
+	p.jitterGap = p.jitter.gap()
+	p.jitterExtra = p.jitter.intn24()
 	p.windowAt = p.noWindowBefore
 }
 

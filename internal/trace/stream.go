@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -43,6 +42,7 @@ type StreamSink struct {
 	written int
 	maxLive int
 	err     error
+	enc     []byte // writeLocked's encoding buffer
 
 	// Downsampling state; zero values mean lossless (see Downsample).
 	minSpanDur    int64
@@ -240,9 +240,9 @@ func (s *StreamSink) writeLocked(ev Event) {
 			return
 		}
 	}
-	b, err := json.Marshal(toJSONEvent(ev))
-	if err == nil {
-		_, err = s.w.Write(b)
+	var err error
+	if s.enc, err = appendEvent(s.enc[:0], ev); err == nil {
+		_, err = s.w.Write(s.enc)
 	}
 	if err != nil {
 		s.err = err

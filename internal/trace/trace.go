@@ -23,9 +23,12 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -243,6 +246,101 @@ func toJSONEvent(ev Event) jsonEvent {
 	return je
 }
 
+// appendEvent appends ev's wire form to dst: byte for byte what
+// json.Marshal(toJSONEvent(ev)) returns, which is also what it falls back
+// to for any event the direct encoder does not cover. The buffered and the
+// streamed sink both write events through here.
+func appendEvent(dst []byte, ev Event) ([]byte, error) {
+	if out, ok := appendPlainEvent(dst, ev); ok {
+		return out, nil
+	}
+	b, err := json.Marshal(toJSONEvent(ev))
+	return append(dst, b...), err
+}
+
+// appendPlainEvent encodes the events the emitters actually produce —
+// names, keys and string values that JSON copies through unescaped, args
+// of type int, int64, uint64, bool or string — without reflection or a
+// per-event allocation. It reports false, with dst's contents unchanged,
+// for anything else.
+func appendPlainEvent(dst []byte, ev Event) ([]byte, bool) {
+	if !plain(ev.Name) || !plainByte(ev.Ph) {
+		return dst, false
+	}
+	out := append(dst, `{"name":"`...)
+	out = append(out, ev.Name...)
+	out = append(out, `","ph":"`...)
+	out = append(out, ev.Ph)
+	out = append(out, `","ts":`...)
+	out = strconv.AppendInt(out, ev.Ts, 10)
+	if ev.Ph == PhaseComplete {
+		out = append(out, `,"dur":`...)
+		out = strconv.AppendInt(out, ev.Dur, 10)
+	}
+	out = append(out, `,"pid":`...)
+	out = strconv.AppendInt(out, ev.Pid, 10)
+	out = append(out, `,"tid":`...)
+	out = strconv.AppendInt(out, ev.Tid, 10)
+	if ev.Ph == PhaseInstant {
+		out = append(out, `,"s":"t"`...)
+	}
+	if len(ev.Args) > 0 {
+		var buf [8]string
+		keys := buf[:0]
+		for k := range ev.Args {
+			if !plain(k) {
+				return dst, false
+			}
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		sep := `,"args":{"`
+		for _, k := range keys {
+			out = append(out, sep...)
+			out = append(out, k...)
+			out = append(out, `":`...)
+			switch v := ev.Args[k].(type) {
+			case int:
+				out = strconv.AppendInt(out, int64(v), 10)
+			case int64:
+				out = strconv.AppendInt(out, v, 10)
+			case uint64:
+				out = strconv.AppendUint(out, v, 10)
+			case bool:
+				out = strconv.AppendBool(out, v)
+			case string:
+				if !plain(v) {
+					return dst, false
+				}
+				out = append(out, '"')
+				out = append(out, v...)
+				out = append(out, '"')
+			default:
+				return dst, false
+			}
+			sep = `,"`
+		}
+		out = append(out, '}')
+	}
+	return append(out, '}'), true
+}
+
+// plain reports whether encoding/json writes s between quotes as it is.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainByte(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// plainByte: printable ASCII, less what JSON escapes and what
+// encoding/json escapes for HTML's sake.
+func plainByte(c byte) bool {
+	return 0x20 <= c && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
 // WriteJSON writes the trace in Chrome trace_event JSON object format.
 // Event order is emission order; the format does not require sorting.
 func (s *Sink) WriteJSON(w io.Writer) error {
@@ -250,14 +348,21 @@ func (s *Sink) WriteJSON(w io.Writer) error {
 		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`)
 		return err
 	}
-	s.mu.Lock()
-	evs := make([]jsonEvent, len(s.events))
-	for i, ev := range s.events {
-		evs[i] = toJSONEvent(ev)
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"traceEvents":[`)
+	var buf []byte
+	for i, ev := range s.Events() {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		var err error
+		if buf, err = appendEvent(buf[:0], ev); err != nil {
+			return err
+		}
+		bw.Write(buf)
 	}
-	s.mu.Unlock()
-	enc := json.NewEncoder(w)
-	return enc.Encode(jsonTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	bw.WriteString(`],"displayTimeUnit":"ms"}` + "\n")
+	return bw.Flush()
 }
 
 // ParseJSON reads a trace written by WriteJSON back into events, preserving
