@@ -12,6 +12,7 @@ var (
 	sinkRec    *dplog.Recording
 	sinkEpoch  *dplog.EpochLog
 	sinkChunks []dplog.Chunk
+	sinkBytes  []byte
 )
 
 // The read-side layer benchmarks: whole-file decode from a stream and
@@ -98,4 +99,73 @@ func BenchmarkChunks(b *testing.B) {
 			}
 		}
 	})
+}
+
+// deflated is one input of BenchmarkInflate: a stream and its raw length.
+type deflated struct {
+	z   []byte
+	raw int64
+}
+
+// BenchmarkInflate decodes what the read side hands Inflate — "section":
+// every compressed section payload of the three logs as written;
+// "chunk": every chunk file the store keeps compressed for the three raw
+// encodings — through the one-shot decoder and, under /flate, through the
+// compress/flate reference the tests hold it to. MB/s is of raw bytes.
+func BenchmarkInflate(b *testing.B) {
+	var sections, chunks []deflated
+	for _, name := range []string{"pfscan", "webserve", "kvdb"} {
+		rec := recordOne(b, name)
+		for _, compress := range []bool{true, false} {
+			data := dplog.MarshalBytesWith(rec, dplog.EncodeOptions{Compress: compress})
+			rd, err := dplog.OpenReaderBytes(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			spans, err := rd.Chunks()
+			if err != nil {
+				b.Fatal(err)
+			}
+			byEpoch := map[int]dplog.SectionInfo{}
+			for _, s := range rd.Sections() {
+				byEpoch[s.Epoch] = s
+			}
+			for _, c := range spans {
+				span := data[c.Offset : c.Offset+c.Len]
+				if c.Kind == dplog.ChunkSection { // the payload is the tail of its frame
+					s := byEpoch[c.Epoch]
+					sections = append(sections, deflated{span[c.Len-s.Stored:], s.Raw})
+				} else if z := dplog.Deflate(nil, span); !compress && z != nil {
+					chunks = append(chunks, deflated{z, c.Len})
+				}
+			}
+		}
+	}
+	for _, in := range []struct {
+		name string
+		set  []deflated
+	}{{"section", sections}, {"chunk", chunks}} {
+		for _, impl := range []struct {
+			name    string
+			inflate func([]byte, int64) ([]byte, error)
+		}{{in.name, dplog.Inflate}, {in.name + "/flate", dplog.FlateInflate}} {
+			b.Run(impl.name, func(b *testing.B) {
+				var total int64
+				for _, d := range in.set {
+					total += d.raw
+				}
+				b.SetBytes(total)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, d := range in.set {
+						out, err := impl.inflate(d.z, d.raw)
+						if err != nil {
+							b.Fatal(err)
+						}
+						sinkBytes = out
+					}
+				}
+			})
+		}
+	}
 }

@@ -1,8 +1,6 @@
 package dplog
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -88,38 +86,28 @@ func recordingOf(h Header) *Recording {
 	}
 }
 
+// encoder appends varint-coded fields to b: the cursor's mirror image.
 type encoder struct {
-	w   io.Writer
-	buf [binary.MaxVarintLen64]byte
+	b       []byte
+	body, z []byte // section's scratch: an epoch body and its DEFLATE stream
 }
 
-func newEncoder(w io.Writer) *encoder { return &encoder{w: w} }
+func (e *encoder) u(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
-func (e *encoder) u(v uint64) {
-	n := binary.PutUvarint(e.buf[:], v)
-	e.w.Write(e.buf[:n])
-}
-
-func (e *encoder) i(v int64) {
-	n := binary.PutVarint(e.buf[:], v)
-	e.w.Write(e.buf[:n])
-}
+func (e *encoder) i(v int64) { e.b = binary.AppendVarint(e.b, v) }
 
 func (e *encoder) str(s string) {
 	e.u(uint64(len(s)))
-	io.WriteString(e.w, s)
+	e.b = append(e.b, s...)
 }
 
-func (e *encoder) byte(b byte) {
-	e.buf[0] = b
-	e.w.Write(e.buf[:1])
-}
+func (e *encoder) byte(b byte) { e.b = append(e.b, b) }
 
 // header writes the fixed header. The section count is passed separately
 // so a range extraction (Reader.WriteRange) can write a subset file that
 // reuses the original recording's metadata.
 func (e *encoder) header(h Header, sections int) {
-	io.WriteString(e.w, magic)
+	e.b = append(e.b, magic...)
 	e.u(formatVersion)
 	e.str(h.Program)
 	e.u(uint64(h.Workers))
@@ -189,15 +177,14 @@ func (e *encoder) syscall(r *SyscallRecord) {
 	}
 }
 
-// encodeEpochBody encodes one epoch's complete section payload: the
+// encodeEpochBody appends one epoch's complete section payload to dst: the
 // replay part followed by the sync-order part, exactly the v5 per-epoch
 // layout.
-func encodeEpochBody(ep *EpochLog) []byte {
-	var buf bytes.Buffer
-	e := newEncoder(&buf)
+func encodeEpochBody(dst []byte, ep *EpochLog) []byte {
+	e := encoder{b: dst}
 	e.epochReplayPart(ep)
 	e.epochSyncPart(ep)
-	return buf.Bytes()
+	return e.b
 }
 
 // EncodeOptions tune the v6 encoder.
@@ -217,37 +204,32 @@ func Marshal(w io.Writer, r *Recording) error {
 
 // MarshalWith is Marshal with explicit encoding options.
 func MarshalWith(w io.Writer, r *Recording, opt EncodeOptions) error {
-	bw := bufio.NewWriter(w)
-	ow := &offsetWriter{w: bw}
-	enc := newEncoder(ow)
-	enc.header(headerOf(r), len(r.Epochs))
-	entries := make([]SectionInfo, 0, len(r.Epochs))
-	for _, ep := range r.Epochs {
-		entries = append(entries, enc.section(ep, ow.n, opt.Compress))
-	}
-	enc.indexAndFooter(ow.n, entries)
-	return bw.Flush()
+	_, err := w.Write(MarshalBytesWith(r, opt))
+	return err
 }
 
 // MarshalBytes encodes the recording into a byte slice.
 func MarshalBytes(r *Recording) []byte {
-	var buf bytes.Buffer
-	Marshal(&buf, r)
-	return buf.Bytes()
+	return MarshalBytesWith(r, EncodeOptions{Compress: true})
 }
 
 // MarshalBytesWith encodes the recording into a byte slice with explicit
 // encoding options.
 func MarshalBytesWith(r *Recording, opt EncodeOptions) []byte {
-	var buf bytes.Buffer
-	MarshalWith(&buf, r, opt)
-	return buf.Bytes()
+	var enc encoder
+	enc.header(headerOf(r), len(r.Epochs))
+	entries := make([]SectionInfo, 0, len(r.Epochs))
+	for _, ep := range r.Epochs {
+		entries = append(entries, enc.section(ep, opt.Compress))
+	}
+	enc.indexAndFooter(int64(len(enc.b)), entries)
+	return enc.b
 }
 
 // offsetWriter tracks the file offset of everything written through it,
-// so the encoder can build the section index as it goes. The encoder does
+// so WriteRange can build the section index as it goes. WriteRange does
 // not look at write results, so the first failure sticks here: nothing
-// more is written and whoever owns the writer returns err.
+// more is written and it returns err.
 type offsetWriter struct {
 	w   io.Writer
 	n   int64

@@ -205,9 +205,7 @@ func TestSizesAndCounts(t *testing.T) {
 // through Upgrade — and only through it — with Quantum zero and no epoch
 // certified.
 func TestV4StreamDecodes(t *testing.T) {
-	var buf bytes.Buffer
-	e := newEncoder(&buf)
-	buf.WriteString(magic)
+	e := encoder{b: []byte(magic)}
 	e.u(4)
 	e.str("legacy")
 	e.u(2)     // workers
@@ -230,10 +228,10 @@ func TestV4StreamDecodes(t *testing.T) {
 	e.u(1)     //   tid
 	e.u(0)     //   kind
 	e.i(9)     //   id
-	if _, err := UnmarshalBytes(buf.Bytes()); !errors.Is(err, ErrBadVersion) {
+	if _, err := UnmarshalBytes(e.b); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("v4 stream straight into the reader: %v, want ErrBadVersion", err)
 	}
-	up, changed, err := Upgrade(buf.Bytes())
+	up, changed, err := Upgrade(e.b)
 	if err != nil || !changed {
 		t.Fatalf("Upgrade(v4): changed=%v err=%v", changed, err)
 	}

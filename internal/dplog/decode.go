@@ -54,13 +54,39 @@ func (c *cursor) u() uint64 {
 	return v
 }
 
-func (c *cursor) i() int64 {
-	ux := c.u()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
+func (c *cursor) i() int64 { return unzigzag(c.u()) }
+
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
+
+// words decodes len(dst) signed varints, a syscall write's data, in one
+// loop with the cursor in locals and the one- to four-byte cases unrolled
+// (recorded data words are file bytes, small counts, guest addresses);
+// anything longer or cut short goes through u.
+func (c *cursor) words(dst []int64) {
+	b, pos := c.b, c.pos
+	for j := range dst {
+		var ux uint64
+		switch {
+		case pos < len(b) && b[pos] < 0x80:
+			ux = uint64(b[pos])
+			pos++
+		case pos+1 < len(b) && b[pos+1] < 0x80:
+			ux = uint64(b[pos]&0x7f) | uint64(b[pos+1])<<7
+			pos += 2
+		case pos+2 < len(b) && b[pos+2] < 0x80:
+			ux = uint64(b[pos]&0x7f) | uint64(b[pos+1]&0x7f)<<7 | uint64(b[pos+2])<<14
+			pos += 3
+		case pos+3 < len(b) && b[pos+3] < 0x80:
+			ux = uint64(b[pos]&0x7f) | uint64(b[pos+1]&0x7f)<<7 | uint64(b[pos+2]&0x7f)<<14 | uint64(b[pos+3])<<21
+			pos += 4
+		default:
+			c.pos = pos
+			ux = c.u()
+			pos = c.pos
+		}
+		dst[j] = unzigzag(ux)
 	}
-	return x
+	c.pos = pos
 }
 
 // take returns the next n bytes as a sub-slice of b.
@@ -252,23 +278,25 @@ func (c *cursor) syscall(r *SyscallRecord) {
 		w := &r.Writes[i]
 		w.Addr = c.i()
 		w.Data = resize(w.Data, c.count("write data", 1<<24, 1))
-		for j := range w.Data {
-			w.Data[j] = c.i()
-		}
+		c.words(w.Data)
 	}
 }
 
 // decodePayload decodes a frame's CRC-checked stored payload into ep —
-// inflating a compressed one under the frame's declared raw length — and
-// holds the body to what the frame says about it: exact raw length, no
-// trailing bytes, same epoch id, same certified flag. The two offsets are
-// epochBody's, meaningful for a raw section.
+// inflating a compressed one under the frame's declared raw length, into
+// the pooled inflater's scratch: nothing epochBody produces aliases the
+// body — and holds the body to what the frame says about it: exact raw
+// length, no trailing bytes, same epoch id, same certified flag. The two
+// offsets are epochBody's, meaningful for a raw section.
 func decodePayload(ep *EpochLog, info SectionInfo, payload []byte) (metaEnd, sysEnd int, err error) {
 	body := payload
 	if info.Compressed() {
-		if body, err = Inflate(payload, info.Raw); err != nil {
+		z := inflaters.Get().(*inflater)
+		defer inflaters.Put(z)
+		if body, err = z.inflate(z.body, payload, info.Raw); err != nil {
 			return 0, 0, err
 		}
+		z.body = body
 	}
 	c := cursor{b: body}
 	metaEnd, sysEnd = c.epochBody(ep, true)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
@@ -17,8 +18,7 @@ import (
 // rawFrame hand-encodes a section frame around payload with whatever the
 // caller wants the head to claim; the CRC is the payload's real one.
 func rawFrame(epoch, flags, raw uint64, payload []byte) ([]byte, SectionInfo) {
-	var buf bytes.Buffer
-	e := newEncoder(&buf)
+	var e encoder
 	crc := crc32.ChecksumIEEE(payload)
 	e.byte(sectionMarker)
 	e.u(epoch)
@@ -26,8 +26,7 @@ func rawFrame(epoch, flags, raw uint64, payload []byte) ([]byte, SectionInfo) {
 	e.u(raw)
 	e.u(uint64(len(payload)))
 	e.u(uint64(crc))
-	buf.Write(payload)
-	return buf.Bytes(), SectionInfo{Epoch: int(epoch), Stored: int64(len(payload)), Raw: int64(raw), Flags: flags, CRC: crc}
+	return append(e.b, payload...), SectionInfo{Epoch: int(epoch), Stored: int64(len(payload)), Raw: int64(raw), Flags: flags, CRC: crc}
 }
 
 // layout assembles a file by hand: header h (section count and all,
@@ -35,18 +34,16 @@ func rawFrame(epoch, flags, raw uint64, payload []byte) ([]byte, SectionInfo) {
 // listing the frames' true offsets in the order perm gives (nil = file
 // order), and a footer with a correct index CRC.
 func layout(h Header, frames [][]byte, infos []SectionInfo, pad []int, perm []int) []byte {
-	var buf bytes.Buffer
-	ow := &offsetWriter{w: &buf}
-	enc := newEncoder(ow)
+	var enc encoder
 	enc.header(h, h.Sections)
 	placed := make([]SectionInfo, len(frames))
 	for i, f := range frames {
 		if pad != nil {
-			ow.Write(bytes.Repeat([]byte{0xEE}, pad[i]))
+			enc.b = append(enc.b, bytes.Repeat([]byte{0xEE}, pad[i])...)
 		}
 		placed[i] = infos[i]
-		placed[i].Offset = ow.n
-		ow.Write(f)
+		placed[i].Offset = int64(len(enc.b))
+		enc.b = append(enc.b, f...)
 	}
 	entries := placed
 	if perm != nil {
@@ -55,8 +52,8 @@ func layout(h Header, frames [][]byte, infos []SectionInfo, pad []int, perm []in
 			entries[i] = placed[p]
 		}
 	}
-	enc.indexAndFooter(ow.n, entries)
-	return buf.Bytes()
+	enc.indexAndFooter(int64(len(enc.b)), entries)
+	return enc.b
 }
 
 // framesOf lifts the verbatim frames and index entries out of an intact
@@ -163,10 +160,10 @@ func TestUnmarshalIsTheReader(t *testing.T) {
 // epoch bodies disagree with one another in each way the format forbids.
 func TestFrameCrossChecks(t *testing.T) {
 	rec := fixtureRecording()
-	body := func(i int) []byte { return encodeEpochBody(rec.Epochs[i]) }
+	body := func(i int) []byte { return encodeEpochBody(nil, rec.Epochs[i]) }
 	h := headerOf(rec)
 	h.Sections = 1
-	deflated := Deflate(body(0))
+	deflated := Deflate(nil, body(0))
 	if deflated == nil {
 		t.Fatal("fixture epoch 0 does not compress")
 	}
@@ -201,6 +198,10 @@ func TestFrameCrossChecks(t *testing.T) {
 			f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))-1), deflated)
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "expands past"},
+		{"compressed payload followed by a byte the CRC covers", func() []byte {
+			f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))), append(deflated[:len(deflated):len(deflated)], 0))
+			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
+		}, "after the final DEFLATE block"},
 		{"payload byte flipped under an unchanged CRC", func() []byte {
 			f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))), deflated)
 			f[len(f)-2] ^= 0x40
@@ -283,12 +284,11 @@ func TestFrameCrossChecks(t *testing.T) {
 // bytes.
 func TestFormatLimits(t *testing.T) {
 	uv := func(vs ...uint64) []byte {
-		var buf bytes.Buffer
-		e := newEncoder(&buf)
+		var e encoder
 		for _, v := range vs {
 			e.u(v)
 		}
-		return buf.Bytes()
+		return e.b
 	}
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	pad := bytes.Repeat([]byte{0}, 64) // so no count is refused for want of bytes
@@ -367,8 +367,7 @@ func TestFormatLimits(t *testing.T) {
 func TestDeclaredLengthsAllocateNothing(t *testing.T) {
 	// A 100-byte file: a valid header, then a frame claiming a 1 GiB
 	// compressed payload. No footer, so the reader goes to recovery.
-	var buf bytes.Buffer
-	e := newEncoder(&buf)
+	var e encoder
 	e.header(Header{Program: "hostile", Workers: 2}, 1)
 	e.byte(sectionMarker)
 	e.u(0)                 // epoch id
@@ -376,8 +375,7 @@ func TestDeclaredLengthsAllocateNothing(t *testing.T) {
 	e.u(1 << 30)           // raw length
 	e.u(1 << 30)           // stored length
 	e.u(0)                 // crc
-	buf.Write(bytes.Repeat([]byte{0}, 100-buf.Len()))
-	data := buf.Bytes()
+	data := append(e.b, make([]byte, 100-len(e.b))...)
 
 	open := func() {
 		rd, err := OpenReaderBytes(data)
@@ -394,12 +392,11 @@ func TestDeclaredLengthsAllocateNothing(t *testing.T) {
 	}
 
 	// A raw section whose body declares 2^28 sync records in a few bytes.
-	var body bytes.Buffer
-	be := newEncoder(&body)
+	var body encoder
 	for _, v := range []uint64{0, 0, 1, 2, 3, 0, 0, 0, 0, 1 << 28} {
-		be.u(v)
+		body.u(v)
 	}
-	f, info := rawFrame(0, 0, uint64(body.Len()), body.Bytes())
+	f, info := rawFrame(0, 0, uint64(len(body.b)), body.b)
 	hostile := layout(Header{Sections: 1}, [][]byte{f}, []SectionInfo{info}, nil, nil)
 	decode := func() {
 		rd, err := OpenReaderBytes(hostile)
@@ -507,5 +504,32 @@ func TestWriteErrorsSurface(t *testing.T) {
 		if w.calls != at+1 || !bytes.Equal(w.buf.Bytes(), data[:w.buf.Len()]) {
 			t.Fatalf("WriteRange kept writing after call %d failed (%d calls, %d bytes)", at, w.calls, w.buf.Len())
 		}
+	}
+}
+
+// BenchmarkWords decodes a syscall write's data words, the bulk of an
+// I/O-heavy log: one byte each as pfscan records file bytes, three as
+// aget and webserve record packed payload words. MB/s is of encoded bytes.
+func BenchmarkWords(b *testing.B) {
+	for _, width := range []int{1, 3} {
+		var e encoder
+		rng := rand.New(rand.NewSource(int64(width)))
+		dst := make([]int64, 4096)
+		lo := int64(1) << (7 * (width - 1)) // zig-zagged values of exactly width bytes, both signs
+		for range dst {
+			e.i(unzigzag(uint64(lo + rng.Int63n(lo<<7-lo))))
+		}
+		b.Run(fmt.Sprintf("%dbyte", width), func(b *testing.B) {
+			if len(e.b) != width*len(dst) {
+				b.Fatalf("%d words encoded to %d bytes", len(dst), len(e.b))
+			}
+			b.SetBytes(int64(len(e.b)))
+			for i := 0; i < b.N; i++ {
+				c := cursor{b: e.b}
+				if c.words(dst); c.err != nil || c.pos != len(e.b) {
+					b.Fatal(c.err)
+				}
+			}
+		})
 	}
 }

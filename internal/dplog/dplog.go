@@ -187,42 +187,31 @@ func (r *Recording) SignalCount() int {
 // no section framing, index, or compression — so it is the stable
 // apples-to-apples metric the paper's log-size experiment reports,
 // independent of how the v6 container lays the bytes out on disk.
-func (r *Recording) ReplaySize() int {
-	var w countWriter
-	enc := newEncoder(&w)
-	enc.header(headerOf(r), len(r.Epochs))
-	for _, e := range r.Epochs {
-		enc.epochReplayPart(e)
-		if e.Certified {
-			enc.epochSyncPart(e)
-		}
-	}
-	return w.n
-}
+func (r *Recording) ReplaySize() int { return r.flatSize(false) }
 
 // FullSize reports the encoded size including the transient sync-order
 // log, under the same flat framing-free accounting as ReplaySize.
-func (r *Recording) FullSize() int {
-	var w countWriter
-	enc := newEncoder(&w)
-	enc.header(headerOf(r), len(r.Epochs))
-	for _, e := range r.Epochs {
-		enc.epochReplayPart(e)
-		enc.epochSyncPart(e)
+func (r *Recording) FullSize() int { return r.flatSize(true) }
+
+// flatSize is the length of the header plus every epoch's replay part
+// and, with sync or for a certified epoch, its sync-order part.
+func (r *Recording) flatSize(sync bool) int {
+	var e encoder
+	e.header(headerOf(r), len(r.Epochs))
+	n := 0
+	for _, ep := range r.Epochs {
+		n += len(e.b)
+		e.b = e.b[:0] // one epoch's worth of buffer, not the file's
+		e.epochReplayPart(ep)
+		if sync || ep.Certified {
+			e.epochSyncPart(ep)
+		}
 	}
-	return w.n
+	return n + len(e.b)
 }
 
 // String summarises the recording.
 func (r *Recording) String() string {
 	return fmt.Sprintf("Recording(%s, %d epochs, %d slices, %d syscalls, %d sync ops, %d replay bytes)",
 		r.Program, len(r.Epochs), r.Slices(), r.SyscallCount(), r.SyncOps(), r.ReplaySize())
-}
-
-// countWriter counts bytes without storing them; used for size accounting.
-type countWriter struct{ n int }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
 }

@@ -4,3 +4,6 @@ package dplog
 // (golden_test.go), which records real workloads and so cannot live in
 // package dplog itself: internal/core imports it.
 var UpdateGolden = update
+
+// FlateInflate exposes the compress/flate reference to BenchmarkInflate.
+var FlateInflate = flateInflate

@@ -47,13 +47,13 @@ func TestPooledCodecConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInflateRecoversAfterCorruptStream feeds the pooled decompressor a
-// damaged stream, a short one and an over-long one, then a good one: a reader that
-// failed goes back to the pool, and whoever draws it next must not see
-// the failure.
+// TestInflateRecoversAfterCorruptStream feeds the pooled decoder a damaged
+// stream, a short one, an over-long one and one with a byte after its final
+// block, then a good one: a decoder that failed goes back to the pool, and
+// whoever draws it next must not see the failure.
 func TestInflateRecoversAfterCorruptStream(t *testing.T) {
 	raw := bytes.Repeat([]byte("doubleplay epoch section "), 400)
-	z := Deflate(raw)
+	z := Deflate(nil, raw)
 	if z == nil {
 		t.Fatal("compressible input was not compressed")
 	}
@@ -70,6 +70,9 @@ func TestInflateRecoversAfterCorruptStream(t *testing.T) {
 		}
 		if _, err := Inflate(z, int64(len(raw))-1); err == nil {
 			t.Fatal("stream longer than its bound inflated without error")
+		}
+		if _, err := Inflate(append(z[:len(z):len(z)], 0), int64(len(raw))); err == nil {
+			t.Fatal("stream with a byte after its final block inflated without error")
 		}
 		// Refused before the buffer is made: making it would end the test.
 		if _, err := Inflate(z, 1<<40); err == nil {

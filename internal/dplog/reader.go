@@ -326,13 +326,16 @@ func (r *Reader) WriteRange(w io.Writer, lo, hi int) error {
 		entries = append(entries, r.index[pos])
 	}
 	ow := &offsetWriter{w: w}
-	enc := newEncoder(ow)
+	var enc encoder
 	enc.header(r.hdr, len(frames))
+	ow.Write(enc.b)
 	for i, frame := range frames {
 		entries[i].Offset = ow.n
 		ow.Write(frame)
 	}
+	enc.b = enc.b[:0]
 	enc.indexAndFooter(ow.n, entries)
+	ow.Write(enc.b)
 	return ow.err
 }
 

@@ -75,9 +75,7 @@ func fixtureRecording() *Recording {
 // encodeLegacy renders rec in one of the retired flat layouts (v4 or v5),
 // exactly as the old encoders wrote them, for backward-decode fixtures.
 func encodeLegacy(rec *Recording, ver int) []byte {
-	var buf bytes.Buffer
-	e := newEncoder(&buf)
-	buf.WriteString(magic)
+	e := encoder{b: []byte(magic)}
 	e.u(uint64(ver))
 	e.str(rec.Program)
 	e.u(uint64(rec.Workers))
@@ -119,7 +117,7 @@ func encodeLegacy(rec *Recording, ver int) []byte {
 		}
 		e.epochSyncPart(ep)
 	}
-	return buf.Bytes()
+	return e.b
 }
 
 // legacyFixture is fixtureRecording as a v4 or v5 stream would have

@@ -12,9 +12,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"io"
 	"sync"
 )
 
@@ -64,10 +62,10 @@ func (s SectionInfo) Compressed() bool { return s.Flags&SectionCompressed != 0 }
 func (s SectionInfo) Certified() bool { return s.Flags&SectionCertified != 0 }
 
 // One DEFLATE codec serves section payloads here and chunk files in
-// internal/store. A compressor's state is over a megabyte and a
-// decompressor's tens of kilobytes, so both are pooled and Reset per call
-// rather than built per call; compress/flate defines a Reset codec as
-// equivalent to a new one, so the bytes are the same either way.
+// internal/store: compress/flate's compressor and the decoder in
+// inflate.go. A compressor's state is over a megabyte, so it is pooled and
+// Reset per call rather than built per call; compress/flate defines a Reset
+// compressor as equivalent to a new one, so the bytes are the same either way.
 var (
 	deflaters = sync.Pool{New: func() any {
 		zw, err := flate.NewWriter(nil, flate.DefaultCompression)
@@ -76,72 +74,51 @@ var (
 		}
 		return zw
 	}}
-	inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
 )
 
 // maxDeflateRatio is DEFLATE's expansion limit: its longest match copies
 // 258 bytes and costs at least two bits.
 const maxDeflateRatio = 1032
 
-// Deflate compresses b at the default level, returning nil when
-// compression would not shrink it.
-func Deflate(b []byte) []byte {
+// Deflate appends b's DEFLATE stream at the default level to dst and
+// returns the extended slice, or nil when compression would not shrink b.
+func Deflate(dst, b []byte) []byte {
 	zw := deflaters.Get().(*flate.Writer)
 	defer deflaters.Put(zw)
-	var buf bytes.Buffer
-	zw.Reset(&buf)
+	buf := bytes.NewBuffer(dst)
+	zw.Reset(buf)
 	if _, err := zw.Write(b); err != nil {
 		return nil
 	}
 	if err := zw.Close(); err != nil {
 		return nil
 	}
-	if buf.Len() >= len(b) {
+	if buf.Len()-len(dst) >= len(b) {
 		return nil
 	}
 	return buf.Bytes()
 }
 
 // Inflate decompresses a DEFLATE stream whose raw length the caller
-// already knows (a section's Raw, a chunk's manifest length) into one
-// buffer of exactly that size. A stream that ends short of n bytes fails,
-// and one that holds more fails after a single further byte is asked for —
-// what lies past n is never decompressed, let alone allocated. Nor is a
-// length the stream cannot reach: a declared n is hostile input too.
+// already knows (a section's Raw, a chunk's manifest length) into a new
+// buffer of exactly that size; inflater.inflate has the rules.
 func Inflate(b []byte, n int64) ([]byte, error) {
-	if n < 0 || n > maxDeflateRatio*int64(len(b)) {
-		return nil, fmt.Errorf("inflate: a %d-byte stream cannot hold the declared %d bytes", len(b), n)
-	}
-	zr := inflaters.Get().(io.ReadCloser)
-	defer inflaters.Put(zr)
-	if err := zr.(flate.Resetter).Reset(bytes.NewReader(b), nil); err != nil {
-		return nil, fmt.Errorf("inflate: %w", err)
-	}
-	out := make([]byte, n)
-	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("inflate: raw length falls short of the declared %d bytes: %w", n, err)
-	}
-	var past [1]byte
-	if m, err := zr.Read(past[:]); m != 0 {
-		return nil, fmt.Errorf("inflate: stream expands past its declared %d bytes", n)
-	} else if err != io.EOF {
-		return nil, fmt.Errorf("inflate: %w", err)
-	}
-	return out, nil
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	return z.inflate(nil, b, n)
 }
 
-// section writes ep as one section frame starting at file offset off and
-// returns its index entry.
-func (e *encoder) section(ep *EpochLog, off int64, compress bool) SectionInfo {
-	body := encodeEpochBody(ep)
-	stored := body
+// section appends ep as one section frame and returns its index entry.
+func (e *encoder) section(ep *EpochLog, compress bool) SectionInfo {
+	e.body = encodeEpochBody(e.body[:0], ep)
+	body, stored, off := e.body, e.body, int64(len(e.b))
 	var flags uint64
 	if ep.Certified {
 		flags |= SectionCertified
 	}
 	if compress {
-		if z := Deflate(body); z != nil {
-			stored = z
+		if z := Deflate(e.z[:0], body); z != nil {
+			stored, e.z = z, z
 			flags |= SectionCompressed
 		}
 	}
@@ -152,7 +129,7 @@ func (e *encoder) section(ep *EpochLog, off int64, compress bool) SectionInfo {
 	e.u(uint64(len(body)))
 	e.u(uint64(len(stored)))
 	e.u(uint64(crc))
-	e.w.Write(stored)
+	e.b = append(e.b, stored...)
 	return SectionInfo{
 		Epoch:  ep.Index,
 		Offset: off,
@@ -165,9 +142,7 @@ func (e *encoder) section(ep *EpochLog, off int64, compress bool) SectionInfo {
 
 // encodeIndex renders the section index (magic, count, entries).
 func encodeIndex(entries []SectionInfo) []byte {
-	var buf bytes.Buffer
-	ie := newEncoder(&buf)
-	buf.WriteString(indexMagic)
+	ie := encoder{b: []byte(indexMagic)}
 	ie.u(uint64(len(entries)))
 	for _, s := range entries {
 		ie.u(uint64(s.Epoch))
@@ -177,17 +152,17 @@ func encodeIndex(entries []SectionInfo) []byte {
 		ie.u(s.Flags)
 		ie.u(uint64(s.CRC))
 	}
-	return buf.Bytes()
+	return ie.b
 }
 
-// indexAndFooter writes the section index (which starts at file offset
+// indexAndFooter appends the section index (which starts at file offset
 // indexOff) and the fixed footer locating it.
 func (e *encoder) indexAndFooter(indexOff int64, entries []SectionInfo) {
 	idx := encodeIndex(entries)
-	e.w.Write(idx)
+	e.b = append(e.b, idx...)
 	var foot [footerLen]byte
 	binary.LittleEndian.PutUint64(foot[0:8], uint64(indexOff))
 	binary.LittleEndian.PutUint32(foot[8:12], crc32.ChecksumIEEE(idx))
 	copy(foot[12:16], trailerMagic)
-	e.w.Write(foot[:])
+	e.b = append(e.b, foot[:]...)
 }

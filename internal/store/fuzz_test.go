@@ -48,7 +48,7 @@ func rawManifest(version, total uint64, entries []rawEntry, tail []byte) []byte 
 
 // deflated is a DEFLATE tail (flag byte 1) holding raw, which must shrink.
 func deflated(raw []byte) []byte {
-	return append([]byte{1}, dplog.Deflate(raw)...)
+	return append([]byte{1}, dplog.Deflate(nil, raw)...)
 }
 
 // badInlineManifests are well-formed in every way but what they say about

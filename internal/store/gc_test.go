@@ -292,29 +292,34 @@ func TestFsckDetectsCorruptChunk(t *testing.T) {
 	s := open(t)
 	put(t, s, "jobA", encode(testRecording(1, 4)))
 	var victim string
+	var raw []byte
 	err := filepath.WalkDir(filepath.Join(s.Root(), "chunks"), func(path string, de os.DirEntry, err error) error {
 		if err == nil && !de.IsDir() && victim == "" {
-			victim = path
+			if b, _ := os.ReadFile(path); len(b) > 0 && b[0] == 1 { // at-rest flag: DEFLATE
+				victim, raw = path, b
+			}
 		}
 		return err
 	})
 	if err != nil || victim == "" {
-		t.Fatal("no chunk files")
+		t.Fatal("no deflated chunk file")
 	}
-	raw, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(victim, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fsck, err := s.Fsck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fsck.OK() {
-		t.Fatal("fsck passed with a corrupt chunk")
+	// A flipped bit, and a byte after the chunk's last: a deflated chunk is
+	// its DEFLATE stream and nothing else, a raw one its declared length.
+	for _, hurt := range [][]byte{
+		append(append([]byte(nil), raw[:len(raw)-1]...), raw[len(raw)-1]^0x01),
+		append(append([]byte(nil), raw...), 0),
+	} {
+		if err := os.WriteFile(victim, hurt, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fsck, err := s.Fsck()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fsck.OK() {
+			t.Fatalf("fsck passed with a corrupt chunk (%d bytes for %d)", len(hurt), len(raw))
+		}
 	}
 }
 

@@ -214,10 +214,12 @@ const (
 
 // encodeChunk renders a chunk file, compressing at rest when it shrinks.
 func encodeChunk(raw []byte) []byte {
-	if z := dplog.Deflate(raw); z != nil {
-		return append([]byte{chunkDeflate}, z...)
+	buf := make([]byte, 1, 1+len(raw)) // room for either encoding
+	if z := dplog.Deflate(buf, raw); z != nil {
+		z[0] = chunkDeflate
+		return z
 	}
-	return append([]byte{chunkRaw}, raw...)
+	return append(buf, raw...) // buf[0] is chunkRaw
 }
 
 // decodeChunk recovers the n raw bytes the manifest declares from their
