@@ -283,17 +283,3 @@ func meetInto(dst, src *absState) bool {
 	}
 	return changed
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/sched"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/trace"
@@ -69,9 +70,12 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 	if traced {
 		pid = tr.AllocPid(fmt.Sprintf("baseline crew %s cpus=%d", prog.Name, cpus))
 	}
-	// Like any replay system, CREW must also log external inputs.
-	ros := &uniRecordOS{inner: simos.NewOS(world)}
-	m := vm.NewMachine(prog, ros, costs)
+	// Like any replay system, CREW must also log external inputs. Its own
+	// OnSync hook below replaces the log's: page ownership, not sync
+	// order, is what CREW records.
+	live := epoch.NewLiveLog(nil, 0)
+	m := vm.NewMachine(prog, nil, costs)
+	live.Attach(m, world)
 
 	pages := make(map[vm.Word]*crewPage)
 	var transitions int64
@@ -133,11 +137,7 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 	}
 
 	par := sched.NewParallel(m, cpus, seed)
-	if traced {
-		par.Trace = tr
-		par.TracePid = pid
-		par.TraceSpan = "baseline.crew.run"
-	}
+	par.Trace, par.TracePid, par.TraceSpan = tr, pid, "baseline.crew.run"
 	if err := par.Run(); err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 		tr.Instant("baseline.crew.done", par.WallTime(), pid, 0,
 			map[string]any{"transitions": transitions, "retired": par.Retired()})
 	}
-	inputBytes := (&dplog.Recording{Epochs: []*dplog.EpochLog{{Syscalls: ros.log}}}).ReplaySize()
+	inputBytes := (&dplog.Recording{Epochs: []*dplog.EpochLog{live.Take()}}).ReplaySize()
 	return &CrewResult{
 		Cycles:      par.WallTime() + transitions*CrewFaultCost/int64(cpus),
 		BaseCycles:  par.WallTime(),
@@ -170,25 +170,16 @@ type UniResult struct {
 	LogBytes  int // replay log: schedule + syscalls
 	FinalHash uint64
 	Faults    []string
-}
 
-// uniRecordOS logs syscalls for the uniprocessor baseline.
-type uniRecordOS struct {
-	inner vm.SyscallHandler
-	log   []dplog.SyscallRecord
-}
-
-func (r *uniRecordOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
-	res := r.inner.Syscall(m, t, num, args)
-	if !res.Block && res.Fault == "" {
-		r.log = append(r.log, dplog.SyscallRecord{Tid: t.ID, Num: num, Args: args, Ret: res.Ret, Writes: res.Writes})
-	}
-	return res
+	// Recording is the log itself — one epoch from program reset to
+	// FinalHash — which replay.Run reproduces like any other.
+	Recording *dplog.Recording
 }
 
 // RunUniprocessor records prog with classic single-CPU timeslicing for the
 // whole execution — the paper's "what everyone did before multiprocessors"
-// baseline. Its log is one giant epoch.
+// baseline. Its log is one giant epoch, produced by the same
+// epoch.LiveLog.RunUni forward recovery re-runs one epoch with.
 //
 // tr, when enabled, receives one "baseline.uni.slice" span per executed
 // timeslice on a single "cpu0" track plus a closing "baseline.uni.done"
@@ -204,57 +195,33 @@ func RunUniprocessor(prog *vm.Program, world *simos.World, costs *vm.CostModel, 
 		pid = tr.AllocPid("baseline uni " + prog.Name)
 		tr.NameThread(pid, 0, "cpu0")
 	}
-	ros := &uniRecordOS{inner: simos.NewOS(world)}
-	m := vm.NewMachine(prog, ros, costs)
-	var sigs []dplog.SignalRecord
-	if world.SignalCount() > 0 {
-		m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
-			sig, ok := world.NextSignal(t.ID, m.Now)
-			if ok {
-				sigs = append(sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-			}
-			return sig, ok
-		}
-	}
+	m := vm.NewMachine(prog, nil, costs)
+	startHash := m.StateHash()
 	uni := sched.NewUni(m)
-	uni.LogSchedule = true
-	if traced {
-		uni.Trace = tr
-		uni.TracePid = pid
-		uni.TraceSpan = "baseline.uni.slice"
-	}
-	if err := uni.Run(); err != nil {
+	uni.Trace, uni.TracePid, uni.TraceSpan = tr, pid, "baseline.uni.slice"
+	ep, err := epoch.NewLiveLog(nil, 0).RunUni(uni, world)
+	if err != nil {
 		return nil, err
 	}
 	if traced {
 		tr.Instant("baseline.uni.done", uni.Cycles, pid, 0,
-			map[string]any{"slices": len(uni.Log), "syscalls": len(ros.log)})
+			map[string]any{"slices": len(ep.Schedule), "syscalls": len(ep.Syscalls)})
 	}
 
-	var total uint64
-	for _, t := range m.Threads {
-		total += t.Retired
-	}
-	targets := make([]uint64, len(m.Threads))
-	for i, t := range m.Threads {
-		targets[i] = t.Retired
-	}
-	rec := &dplog.Recording{
-		Program: prog.Name,
-		Epochs: []*dplog.EpochLog{{
-			Targets:  targets,
-			Schedule: uni.Log,
-			Syscalls: ros.log,
-			Signals:  sigs,
-		}},
-	}
+	rec := &dplog.Recording{Program: prog.Name, Epochs: []*dplog.EpochLog{ep}}
+	// Sized before the hashes go in: LogBytes is what a uniprocessor
+	// recorder has to log, and the hashes only let replay check itself.
+	logBytes := rec.ReplaySize()
+	ep.StartHash, ep.EndHash = startHash, m.StateHash()
+	rec.FinalHash, rec.OutputHash = ep.EndHash, world.OutputHash()
 	return &UniResult{
 		Cycles:    uni.Cycles,
-		Retired:   int64(total),
-		Slices:    len(uni.Log),
-		Syscalls:  len(ros.log),
-		LogBytes:  rec.ReplaySize(),
-		FinalHash: m.StateHash(),
+		Retired:   int64(uni.Retired()),
+		Slices:    len(ep.Schedule),
+		Syscalls:  len(ep.Syscalls),
+		LogBytes:  logBytes,
+		FinalHash: ep.EndHash,
 		Faults:    m.Faults(),
+		Recording: rec,
 	}, nil
 }

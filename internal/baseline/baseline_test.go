@@ -1,10 +1,12 @@
 package baseline_test
 
 import (
+	"context"
 	"testing"
 
 	"doubleplay/internal/baseline"
 	"doubleplay/internal/core"
+	"doubleplay/internal/replay"
 	"doubleplay/internal/workloads"
 )
 
@@ -103,5 +105,32 @@ func TestUniprocessorLogSmallerThanCrewOnSharingHeavy(t *testing.T) {
 	}
 	if uni.LogBytes*10 > crew.LogBytes {
 		t.Fatalf("expected order-of-magnitude gap: uni %d vs crew %d", uni.LogBytes, crew.LogBytes)
+	}
+}
+
+// TestUniprocessorLogReplays drives the uniprocessor baseline's recording
+// through the replayer: the log is one epoch from program reset, and
+// following its schedule with its syscalls (kvdb) and signals (sigping)
+// injected must land on the state the recorder ended in.
+func TestUniprocessorLogReplays(t *testing.T) {
+	for _, name := range []string{"kvdb", "sigping"} {
+		t.Run(name, func(t *testing.T) {
+			bt := build(t, name, 4)
+			uni, err := baseline.RunUniprocessor(bt.Prog, bt.World, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep := uni.Recording.Epochs[0]
+			if (name == "kvdb" && len(ep.Syscalls) == 0) || (name == "sigping" && len(ep.Signals) == 0) {
+				t.Fatalf("log holds %d syscalls, %d signals: nothing to inject", len(ep.Syscalls), len(ep.Signals))
+			}
+			rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(uni.Recording), replay.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FinalHash != uni.FinalHash || rep.Epochs != 1 {
+				t.Fatalf("replayed %d epochs to %016x, recorded one to %016x", rep.Epochs, rep.FinalHash, uni.FinalHash)
+			}
+		})
 	}
 }

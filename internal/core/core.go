@@ -293,29 +293,6 @@ func (r *Result) ThinBoundaries(stride int) []*epoch.Boundary {
 	return out
 }
 
-// recordOS wraps the simulated OS and appends every retired syscall to the
-// current epoch's log, emitting a "syscall" trace instant per append when a
-// sink is attached.
-type recordOS struct {
-	inner vm.SyscallHandler
-	cur   *[]dplog.SyscallRecord
-	tr    trace.Recorder
-	trPid int64
-}
-
-func (r *recordOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
-	res := r.inner.Syscall(m, t, num, args)
-	if !res.Block && res.Fault == "" {
-		*r.cur = append(*r.cur, dplog.SyscallRecord{
-			Tid: t.ID, Num: num, Args: args, Ret: res.Ret, Writes: res.Writes,
-		})
-		if trace.Enabled(r.tr) {
-			r.tr.Instant("syscall", m.Now, r.trPid, int64(t.ID), map[string]any{"num": num})
-		}
-	}
-	return res
-}
-
 // sysLogCost prices recording a batch of syscall records: a flat append
 // plus a fraction of the input data copied into the log buffer.
 func sysLogCost(recs []dplog.SyscallRecord, c *vm.CostModel) int64 {
@@ -348,39 +325,20 @@ type pipeline struct {
 	lastFinish int64
 }
 
-func newPipeline(spare, recordCPUs int) *pipeline {
-	p := &pipeline{recordCPUs: recordCPUs}
-	if spare > 0 {
-		p.spares = make([]int64, spare)
-		p.active = spare
-	}
-	return p
-}
-
-// newAdaptivePipeline allocates maxSlots slots with only the first active
-// ones initially unparked.
-func newAdaptivePipeline(maxSlots, active, recordCPUs int) *pipeline {
-	return &pipeline{
-		spares:     make([]int64, maxSlots),
-		active:     active,
-		recordCPUs: recordCPUs,
-	}
+// newPipeline allocates slots spare cores, of which the first active take
+// work; a fixed-spares pipeline has them all active, and none at all is
+// the utilized configuration.
+func newPipeline(slots, active, recordCPUs int) *pipeline {
+	return &pipeline{spares: make([]int64, slots), active: active, recordCPUs: recordCPUs}
 }
 
 // setActive parks or unparks slots at simulated cycle now. An unparked
 // slot models a core acquired at the decision point: it cannot have been
 // free before now, so its free-time is raised to now.
 func (p *pipeline) setActive(n int, now int64) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(p.spares) {
-		n = len(p.spares)
-	}
+	n = min(max(n, 1), len(p.spares))
 	for i := p.active; i < n; i++ {
-		if p.spares[i] < now {
-			p.spares[i] = now
-		}
+		p.spares[i] = max(p.spares[i], now)
 	}
 	p.active = n
 }
@@ -404,27 +362,17 @@ func (p *pipeline) schedule(startReady, checkReady, dur int64) placement {
 				c = i
 			}
 		}
-		start := p.spares[c]
-		waited := start > startReady
-		if start < startReady {
-			start = startReady
-		}
-		fin := start + dur
-		if fin < checkReady {
-			fin = checkReady
-		}
+		waited := p.spares[c] > startReady
+		start := max(p.spares[c], startReady)
+		fin := max(start+dur, checkReady)
 		p.spares[c] = fin
-		if fin > p.lastFinish {
-			p.lastFinish = fin
-		}
+		p.lastFinish = max(p.lastFinish, fin)
 		return placement{slot: c, start: start, finish: fin, waited: waited}
 	}
 	start := checkReady + p.busy/int64(p.recordCPUs)
 	p.busy += dur
 	fin := checkReady + p.busy/int64(p.recordCPUs)
-	if fin > p.lastFinish {
-		p.lastFinish = fin
-	}
+	p.lastFinish = max(p.lastFinish, fin)
 	return placement{slot: -1, start: start, finish: fin}
 }
 
@@ -443,10 +391,7 @@ func (p *pipeline) completion(tpFinish int64) int64 {
 	if len(p.spares) == 0 {
 		fin += p.busy / int64(p.recordCPUs)
 	}
-	if p.lastFinish > fin {
-		fin = p.lastFinish
-	}
-	return fin
+	return max(fin, p.lastFinish)
 }
 
 // Record performs a uniparallel recording of prog against world. The world
@@ -493,10 +438,10 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 	// which only the controller's active count take work. A certified run
 	// has no verification pipeline to pace, so the controller stays off.
 	var ctl *Controller
-	slots := opt.SpareCPUs
+	slots, active := opt.SpareCPUs, opt.SpareCPUs
 	if opt.Adaptive && !certified {
 		ctl = NewController(opt.AdaptiveMinSpares, opt.AdaptiveMaxSpares, opt.SpareCPUs)
-		slots = opt.AdaptiveMaxSpares
+		slots, active = opt.AdaptiveMaxSpares, ctl.Active()
 	}
 	var pidRec, pidGuest int64
 	if tr.Enabled() {
@@ -523,46 +468,11 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		}
 	}
 
-	var curSys []dplog.SyscallRecord
-	var curSync []dplog.SyncRecord
-	var curSigs []dplog.SignalRecord
-
-	liveWorld := world
-	ros := &recordOS{inner: simos.NewOS(liveWorld), cur: &curSys, tr: tr, trPid: pidGuest}
-
-	var m *vm.Machine
-	syncHook := func(ev vm.SyncEvent) {
-		if ev.Gated() {
-			curSync = append(curSync, dplog.SyncRecord{Tid: ev.Tid, Kind: ev.Obj.Kind, ID: ev.Obj.ID})
-			if tr.Enabled() {
-				tr.Instant("sync", m.Now, pidGuest, int64(ev.Tid),
-					map[string]any{"kind": ev.Obj.Kind.String(), "id": ev.Obj.ID})
-			}
-		}
-	}
-
-	m = vm.NewMachine(prog, ros, costs)
-	m.Hooks.OnSync = syncHook
-	// Signal deliveries come from the world's script and are logged with
-	// the exact retired-instruction position they interrupted.
-	sigHook := func(t *vm.Thread) (vm.Word, bool) {
-		sig, ok := liveWorld.NextSignal(t.ID, m.Now)
-		if ok {
-			curSigs = append(curSigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-			if tr.Enabled() {
-				tr.Instant("signal", m.Now, pidGuest, int64(t.ID),
-					map[string]any{"sig": sig, "retired": t.Retired})
-			}
-		}
-		return sig, ok
-	}
-	if world.SignalCount() == 0 {
-		// The script is fixed before the run and shared by every clone of
-		// the world, so nothing can ever be pending: leave this machine, and
-		// every one forward recovery resumes on, unpolled.
-		sigHook = nil
-	}
-	m.Hooks.PendingSignal = sigHook
+	// The thread-parallel machine is the one that logs: syscall results,
+	// sync order and signal positions come from its live world.
+	live := epoch.NewLiveLog(tr, pidGuest)
+	m := vm.NewMachine(prog, nil, costs)
+	live.Attach(m, world)
 	// Certified recordings log the thread-parallel execution itself, so the
 	// guest profile is gathered there; otherwise it comes from the
 	// epoch-parallel runs below — the execution the log actually describes
@@ -576,16 +486,13 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 	par.Trace = tr
 	par.TracePid = pidGuest
 
-	boundaries := []*epoch.Boundary{epoch.Capture(0, 0, m, liveWorld)}
+	boundaries := []*epoch.Boundary{epoch.Capture(0, 0, m, world)}
 	if tr.Enabled() {
 		tr.Instant("checkpoint.create", 0, pidRec, 0,
 			map[string]any{"epoch": 0, "pages": boundaries[0].MappedPages})
 	}
 	rec := &dplog.Recording{Program: prog.Name, Workers: opt.Workers, Seed: opt.Seed, Quantum: opt.Quantum}
-	pl := newPipeline(opt.SpareCPUs, opt.RecordCPUs)
-	if ctl != nil {
-		pl = newAdaptivePipeline(slots, ctl.Active(), opt.RecordCPUs)
-	}
+	pl := newPipeline(slots, active, opt.RecordCPUs)
 	var stats Stats
 	if cert != nil {
 		stats.CertStatus = string(cert.Status)
@@ -618,35 +525,27 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		// Charge the record-time costs this epoch accrued: log appends,
 		// copy-on-write traffic behind the last checkpoint, and the
 		// checkpoint we are about to take.
+		ep := live.Take()
 		cow := m.Mem.Stats().PagesCopied
 		m.Mem.ResetStats()
 		mapped := int64(m.Mem.PageCount())
-		par.AddCost(int64(len(curSync)+len(curSigs))*costs.SyncLogEvent +
-			sysLogCost(curSys, costs) +
+		par.AddCost(int64(len(ep.SyncOrder)+len(ep.Signals))*costs.SyncLogEvent +
+			sysLogCost(ep.Syscalls, costs) +
 			costs.CheckpointBase + costs.CheckpointPage*mapped +
 			cow*costs.CowCopyPage)
 		stats.CheckpointPages += mapped
 		stats.CowPages += cow
 
-		b := epoch.Capture(len(boundaries), par.Now(), m, liveWorld)
+		b := epoch.Capture(len(boundaries), par.Now(), m, live.World())
 		boundaries = append(boundaries, b)
 		i := len(boundaries) - 2
 		start := boundaries[i]
 
-		ep := &dplog.EpochLog{
-			Index:     i,
-			Targets:   b.Targets(),
-			SyncOrder: curSync,
-			Syscalls:  curSys,
-			Signals:   curSigs,
-			StartHash: start.Hash,
-		}
-		stats.SyncEvents += len(curSync)
-		stats.Syscalls += len(curSys)
-		stats.Signals += len(curSigs)
-		curSync = nil
-		curSys = nil
-		curSigs = nil
+		ep.Index, ep.Targets, ep.StartHash = i, b.Targets(), start.Hash
+		ep.CommitHash = b.World.OutputHash()
+		stats.SyncEvents += len(ep.SyncOrder)
+		stats.Syscalls += len(ep.Syscalls)
+		stats.Signals += len(ep.Signals)
 
 		if tr.Enabled() {
 			// The thread-parallel execution of epoch i, and the log-append
@@ -674,7 +573,6 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 			// bug, surfaced as replay.ErrCertViolated, never a divergence).
 			ep.EndHash = b.Hash
 			ep.Certified = true
-			ep.CommitHash = b.World.OutputHash()
 			rec.Epochs = append(rec.Epochs, ep)
 			stats.VerifySkipped++
 			if tr.Enabled() {
@@ -685,18 +583,9 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 			}
 			if reg != nil {
 				reg.Add("record.verify_skipped", 1, wl)
-				reg.Observe("epoch.syscalls", int64(len(ep.Syscalls)), wl)
-				reg.Observe("epoch.syncops", int64(len(ep.SyncOrder)), wl)
-				reg.Observe("checkpoint.pages", mapped, wl)
-				reg.Add("record.cow_pages", cow, wl)
+				observeEpoch(reg, wl, ep, mapped, cow)
 			}
-			if opt.EpochGrowth > 1 {
-				grown := int64(float64(epochLen) * opt.EpochGrowth)
-				if grown > opt.EpochCyclesMax {
-					grown = opt.EpochCyclesMax
-				}
-				epochLen = grown
-			}
+			epochLen = opt.grown(epochLen)
 			continue
 		}
 
@@ -732,14 +621,22 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		var res *epoch.RunResult
 		var err error
 		profile.WithPhase(opt.Context, "verify", func() { res, err = epoch.Run(spec) })
-		compareCost := costs.ComparePage * mapped
-		dur := res.Cycles + compareCost
+		dur := res.Cycles + costs.ComparePage*mapped // run, then compare the end states
 		stats.EpochSerialCycles += dur
 		if reg != nil {
 			reg.Add("record.loop_instrs", int64(res.LoopRetired), wl)
 		}
 
-		ep.CommitHash = b.World.OutputHash()
+		if err == nil {
+			// An epoch-parallel run that met its targets is the execution
+			// the log describes, and the one the guest profile stands for,
+			// whether or not it ended in the thread-parallel state.
+			ep.EndHash = res.EndHash
+			ep.Schedule = res.Schedule
+			if epProf != nil {
+				opt.Profile.Merge(epProf.Snapshot())
+			}
+		}
 
 		// pm and commitCyc survive the switch for the adaptive controller:
 		// every path schedules the epoch through the pipeline and commits
@@ -749,12 +646,6 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		switch {
 		case err == nil && res.EndHash == b.Hash:
 			// Verified: the epoch-parallel execution reached the same state.
-			ep.EndHash = b.Hash
-			ep.Schedule = res.Schedule
-			rec.Epochs = append(rec.Epochs, ep)
-			if epProf != nil {
-				opt.Profile.Merge(epProf.Snapshot())
-			}
 			pm = pl.schedule(start.Cycle, b.Cycle, dur)
 			commitCyc = pm.finish
 			traceVerify(tr, pidRec, pm, epbuf, i, dur, true)
@@ -762,54 +653,65 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 				tr.Instant("epoch.commit", pm.finish, pidRec, slotTid(pm.slot),
 					map[string]any{"epoch": i, "lag": pm.finish - b.Cycle})
 			}
-			if opt.EpochGrowth > 1 {
-				grown := int64(float64(epochLen) * opt.EpochGrowth)
-				if grown > opt.EpochCyclesMax {
-					grown = opt.EpochCyclesMax
-				}
-				epochLen = grown
-			}
+			epochLen = opt.grown(epochLen)
 
-		case err == nil:
-			// A data race made the epoch-parallel run reach a different —
-			// but equally valid — state. Both runs consumed identical
-			// inputs (injection verified that), so the world snapshot at
-			// the boundary is still correct; only the architectural state
-			// is replaced. Forward recovery: adopt, squash, resume.
+		case err == nil || epoch.IsDivergence(err):
+			// Forward recovery. The two kinds of divergence differ in where
+			// the epoch's log and end state come from; what follows — place
+			// the failed verification on the pipeline, squash the
+			// thread-parallel work past the boundary, and resume it from the
+			// state the log actually describes — is the same.
+			adopt := err == nil
+			info := DivergenceInfo{Epoch: i}
+			var nb *epoch.Boundary // replaces b; its Cycle is set below
+			var rrbuf *trace.Sink
+			var rcycles int64
+			if adopt {
+				// A data race made the epoch-parallel run reach a different —
+				// but equally valid — state. Both runs consumed identical
+				// inputs (injection verified that), so the world snapshot at
+				// the boundary is still correct; only the architectural state
+				// is replaced.
+				stats.HashRecoveries++
+				info.Kind = "state"
+				info.Pages = res.M.Mem.DiffPages(b.CP.MemSnap.Restore())
+				nb = epoch.Snapshot(b.Index, 0, res.M, res.EndHash)
+				nb.World = b.World
+			} else {
+				// The epoch-parallel run departed before the boundary (syscall
+				// or sync-order mismatch). Roll the world back to the epoch
+				// start — the simulator analogue of the paper's buffered-input
+				// redelivery — and re-execute the epoch uniprocessor against
+				// the real OS. That free run becomes the epoch's log and its
+				// end state becomes the truth.
+				stats.RerunRecoveries++
+				info.Kind = "input"
+				info.Reason = err.Error()
+				if tr.Enabled() {
+					rrbuf = trace.NewSink()
+				}
+				quota := sum(ep.Targets) - sum(start.Targets())
+				var rerr error
+				nb, ep, rcycles, rerr = rerunEpoch(prog, start, quota, costs, opt, rrbuf)
+				if rerr != nil {
+					return nil, fmt.Errorf("core: forward recovery of epoch %d failed: %w", i, rerr)
+				}
+				stats.EpochSerialCycles += rcycles
+			}
 			stats.Divergences++
-			stats.HashRecoveries++
-			pages := res.M.Mem.DiffPages(b.CP.MemSnap.Restore())
-			divInfo = append(divInfo, DivergenceInfo{
-				Epoch: i,
-				Kind:  "state",
-				Pages: pages,
-			})
-			ep.EndHash = res.EndHash
-			ep.Schedule = res.Schedule
-			rec.Epochs = append(rec.Epochs, ep)
-			if epProf != nil {
-				// The epoch-parallel run is the one the log describes, so
-				// its profile stands even though it diverged from the
-				// thread-parallel states.
-				opt.Profile.Merge(epProf.Snapshot())
-			}
+			divInfo = append(divInfo, info)
 			pm = pl.schedule(start.Cycle, b.Cycle, dur)
-			detect := pm.finish
-			commitCyc = detect
-			stats.SquashedCycles += maxi64(0, detect-b.Cycle)
-			nb := &epoch.Boundary{
-				Index:       b.Index,
-				Cycle:       detect,
-				CP:          res.M.Checkpoint(),
-				World:       b.World,
-				Hash:        res.EndHash,
-				MappedPages: res.M.Mem.PageCount(),
-			}
+			detect := pm.finish // the failed verification's end
+			commitCyc = detect + rcycles
+			stats.SquashedCycles += max(0, commitCyc-b.Cycle)
+			nb.Cycle = commitCyc
 			boundaries[len(boundaries)-1] = nb
 			traceVerify(tr, pidRec, pm, epbuf, i, dur, false)
-			if tr.Enabled() {
+			switch {
+			case !tr.Enabled():
+			case adopt:
 				tr.Instant("divergence", detect, pidRec, 0,
-					map[string]any{"epoch": i, "kind": "state", "pages": len(pages)})
+					map[string]any{"epoch": i, "kind": "state", "pages": len(info.Pages)})
 				tr.Instant("recovery.adopt", detect, pidRec, 0, map[string]any{"epoch": i})
 				tr.Instant("epoch.commit", detect, pidRec, slotTid(pm.slot),
 					map[string]any{"epoch": i, "lag": detect - b.Cycle})
@@ -817,68 +719,27 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 					map[string]any{"epoch": nb.Index, "pages": nb.MappedPages, "reason": "recovery.adopt"})
 				tr.Instant("checkpoint.restore", detect, pidRec, 0,
 					map[string]any{"epoch": nb.Index, "reason": "recovery.adopt"})
-			}
-			m = resumeFrom(par, prog, nb, ros, syncHook, sigHook, costs, opt.Seed, len(boundaries), detect)
-			liveWorld = currentWorld(ros)
-			epochLen = opt.EpochCycles // divergence: back to short epochs
-
-		case epoch.IsDivergence(err):
-			// The epoch-parallel run departed before the boundary (syscall
-			// or sync-order mismatch). Roll the world back to the epoch
-			// start — the simulator analogue of the paper's buffered-input
-			// redelivery — and re-execute the epoch uniprocessor against
-			// the real OS. That free run becomes the epoch's log and its
-			// end state becomes the truth.
-			stats.Divergences++
-			stats.RerunRecoveries++
-			divInfo = append(divInfo, DivergenceInfo{Epoch: i, Kind: "input", Reason: err.Error()})
-			quota := sumTargets(ep.Targets) - sumRetired(start.CP)
-			var rrbuf *trace.Sink
-			if tr.Enabled() {
-				rrbuf = trace.NewSink()
-			}
-			reb, rr, rerr := rerunEpoch(prog, start, quota, costs, opt, rrbuf)
-			if rerr != nil {
-				return nil, fmt.Errorf("core: forward recovery of epoch %d failed: %w", i, rerr)
-			}
-			rcycles := rr.cycles
-			ep.Targets = reb.Targets()
-			ep.SyncOrder = nil
-			ep.Syscalls = rr.sys
-			ep.Signals = rr.sigs
-			ep.Schedule = rr.sched
-			ep.EndHash = reb.Hash
-			ep.CommitHash = reb.World.OutputHash()
-			rec.Epochs = append(rec.Epochs, ep)
-			pm = pl.schedule(start.Cycle, b.Cycle, dur)
-			detect := pm.finish + rcycles
-			commitCyc = detect
-			stats.SquashedCycles += maxi64(0, detect-b.Cycle)
-			stats.EpochSerialCycles += rcycles
-			reb.Cycle = detect
-			boundaries[len(boundaries)-1] = reb
-			traceVerify(tr, pidRec, pm, epbuf, i, dur, false)
-			if tr.Enabled() {
-				tr.Instant("divergence", pm.finish, pidRec, 0,
-					map[string]any{"epoch": i, "kind": "input", "reason": err.Error()})
-				tr.Instant("checkpoint.restore", pm.finish, pidRec, 0,
-					map[string]any{"epoch": i, "reason": "recovery.rerun"})
-				tr.Span("recovery.rerun", pm.finish, rcycles, pidRec, 0, map[string]any{"epoch": i})
-				tr.Splice(rrbuf, pm.finish, pidRec, 0)
-				tr.Instant("checkpoint.create", detect, pidRec, 0,
-					map[string]any{"epoch": reb.Index, "pages": reb.MappedPages, "reason": "recovery.rerun"})
-				tr.Instant("epoch.commit", detect, pidRec, 0,
-					map[string]any{"epoch": i, "lag": detect - b.Cycle})
+			default:
+				tr.Instant("divergence", detect, pidRec, 0,
+					map[string]any{"epoch": i, "kind": "input", "reason": info.Reason})
 				tr.Instant("checkpoint.restore", detect, pidRec, 0,
-					map[string]any{"epoch": reb.Index, "reason": "resume"})
+					map[string]any{"epoch": i, "reason": "recovery.rerun"})
+				tr.Span("recovery.rerun", detect, rcycles, pidRec, 0, map[string]any{"epoch": i})
+				tr.Splice(rrbuf, detect, pidRec, 0)
+				tr.Instant("checkpoint.create", commitCyc, pidRec, 0,
+					map[string]any{"epoch": nb.Index, "pages": nb.MappedPages, "reason": "recovery.rerun"})
+				tr.Instant("epoch.commit", commitCyc, pidRec, 0,
+					map[string]any{"epoch": i, "lag": commitCyc - b.Cycle})
+				tr.Instant("checkpoint.restore", commitCyc, pidRec, 0,
+					map[string]any{"epoch": nb.Index, "reason": "resume"})
 			}
-			m = resumeFrom(par, prog, reb, ros, syncHook, sigHook, costs, opt.Seed, len(boundaries), detect)
-			liveWorld = currentWorld(ros)
+			m = resumeFrom(par, live, prog, nb, costs, opt.Seed, len(boundaries))
 			epochLen = opt.EpochCycles // divergence: back to short epochs
 
 		default:
 			return nil, fmt.Errorf("core: epoch %d verification failed: %w", i, err)
 		}
+		rec.Epochs = append(rec.Epochs, ep)
 
 		if ctl != nil {
 			// One sample per epoch boundary: the commit lag the pipeline
@@ -911,10 +772,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 
 		if reg != nil {
 			reg.Observe("epoch.cycles", dur, wl)
-			reg.Observe("epoch.syscalls", int64(len(ep.Syscalls)), wl)
-			reg.Observe("epoch.syncops", int64(len(ep.SyncOrder)), wl)
-			reg.Observe("checkpoint.pages", mapped, wl)
-			reg.Add("record.cow_pages", cow, wl)
+			observeEpoch(reg, wl, ep, mapped, cow)
 			reg.Set("epoch.duration_cycles", float64(dur), wl, trace.Label("epoch", i))
 		}
 	}
@@ -927,7 +785,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 	rec.OutputHash = last.World.OutputHash()
 
 	stats.Epochs = len(rec.Epochs)
-	stats.Retired = totalRetired(last.CP)
+	stats.Retired = int64(sum(last.Targets()))
 	stats.Slices = rec.Slices()
 	stats.Syscalls = rec.SyscallCount()
 	stats.SyncEvents = rec.SyncOps()
@@ -976,17 +834,17 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 	}
 
 	out := &Result{
-		Recording:  rec,
-		Boundaries: boundaries,
-		Stats:      stats,
-		FinalHash:  rec.FinalHash,
-		OutputHash: rec.OutputHash,
+		Recording:   rec,
+		Boundaries:  boundaries,
+		Stats:       stats,
+		FinalHash:   rec.FinalHash,
+		OutputHash:  rec.OutputHash,
+		Divergences: divInfo,
+		Certificate: cert,
 	}
 	if det != nil {
 		out.Races = det.Races()
 	}
-	out.Divergences = divInfo
-	out.Certificate = cert
 	return out, nil
 }
 
@@ -1008,46 +866,29 @@ func traceVerify(tr trace.Recorder, pidRec int64, pm placement, epbuf *trace.Sin
 }
 
 // resumeFrom rebuilds the thread-parallel machine from an adopted boundary
-// and restarts the scheduler on it at the given clock, with a jitter stream
-// of its own (the recording's seed salted by the boundary count); the live
-// world becomes a clone of the boundary's.
-func resumeFrom(par *sched.Parallel, prog *vm.Program, b *epoch.Boundary, ros *recordOS,
-	syncHook func(vm.SyncEvent), sigHook func(*vm.Thread) (vm.Word, bool),
-	costs *vm.CostModel, seed int64, salt int, clock int64) *vm.Machine {
-	w := b.World.Clone()
-	ros.inner = simos.NewOS(w)
-	m := b.CP.Restore(prog, ros, costs)
-	m.Hooks.OnSync = syncHook
-	m.Hooks.PendingSignal = sigHook
-	par.Resume(m, seed+int64(salt)*7919, clock)
+// and restarts the scheduler on it at the boundary's clock, with a jitter
+// stream of its own (the recording's seed salted by the boundary count);
+// the live log moves to the new machine and a clone of the boundary's world.
+func resumeFrom(par *sched.Parallel, live *epoch.LiveLog, prog *vm.Program, b *epoch.Boundary,
+	costs *vm.CostModel, seed int64, salt int) *vm.Machine {
+	m := b.CP.Restore(prog, nil, costs)
+	live.Attach(m, b.World.Clone())
+	par.Resume(m, seed+int64(salt)*7919, b.Cycle)
 	return m
-}
-
-// currentWorld digs the live world back out of the record wrapper.
-func currentWorld(ros *recordOS) *simos.World {
-	return ros.inner.(*simos.OS).W
-}
-
-// rerunResult bundles the logs a recovery re-execution produced.
-type rerunResult struct {
-	sched  []dplog.Slice
-	sys    []dplog.SyscallRecord
-	sigs   []dplog.SignalRecord
-	cycles int64
 }
 
 // rerunEpoch performs the re-execution half of forward recovery: a free
 // uniprocessor run of roughly one epoch's worth of instructions from the
-// boundary, against a rolled-back world, with its schedule, syscalls, and
-// signal deliveries recorded. When buf is non-nil the re-execution's
-// timeslices and log appends are traced into it with run-local timestamps;
-// the caller splices them under the "recovery.rerun" span.
+// boundary, against a rolled-back world, logged by the same
+// epoch.LiveLog.RunUni a uniprocessor recorder is. It returns the boundary
+// the run stopped at (Cycle unset), the epoch's replacement log and the
+// run's cost. When buf is non-nil the re-execution's timeslices and log
+// appends are traced into it with run-local timestamps; the caller splices
+// them under the "recovery.rerun" span.
 func rerunEpoch(prog *vm.Program, start *epoch.Boundary, quota uint64,
-	costs *vm.CostModel, opt Options, buf *trace.Sink) (*epoch.Boundary, *rerunResult, error) {
+	costs *vm.CostModel, opt Options, buf *trace.Sink) (*epoch.Boundary, *dplog.EpochLog, int64, error) {
 	w := start.World.Clone()
-	rr := &rerunResult{}
-	ros := &recordOS{inner: simos.NewOS(w), cur: &rr.sys, tr: buf}
-	m := start.CP.Restore(prog, ros, costs)
+	m := start.CP.Restore(prog, nil, costs)
 	// The re-execution replaces the squashed epoch in the log, so it is the
 	// run the guest profile must describe (the squashed epoch-parallel
 	// attempt's profile is discarded by the caller).
@@ -1056,63 +897,47 @@ func rerunEpoch(prog *vm.Program, start *epoch.Boundary, quota uint64,
 		prof = profile.New(prog)
 		prof.Attach(m)
 	}
-	if w.SignalCount() > 0 {
-		m.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
-			sig, ok := w.NextSignal(t.ID, m.Now)
-			if ok {
-				rr.sigs = append(rr.sigs, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-				if buf.Enabled() {
-					buf.Instant("signal", m.Now, 0, int64(t.ID), map[string]any{"sig": sig, "retired": t.Retired})
-				}
-			}
-			return sig, ok
-		}
-	}
 	uni := sched.NewUni(m)
 	uni.Quantum = opt.Quantum
-	uni.LogSchedule = true
 	uni.Trace = buf
-	if quota == 0 {
-		quota = 1
+	uni.TotalBudget = max(quota, 1)
+	relog, err := epoch.NewLiveLog(buf, 0).RunUni(uni, w)
+	if err != nil && !m.Done() {
+		return nil, nil, 0, err
 	}
-	uni.TotalBudget = quota
-	if err := uni.Run(); err != nil && !m.Done() {
-		return nil, nil, err
-	}
-	rr.sched = uni.Log
-	rr.cycles = uni.Cycles
 	if prof != nil {
 		opt.Profile.Merge(prof.Snapshot())
 	}
 	b := epoch.Capture(start.Index+1, 0, m, w)
-	return b, rr, nil
+	relog.Index, relog.StartHash = start.Index, start.Hash
+	relog.EndHash, relog.CommitHash = b.Hash, w.OutputHash()
+	return b, relog, uni.Cycles, nil
 }
 
-func sumTargets(ts []uint64) uint64 {
+// sum adds up per-thread retired-instruction counts.
+func sum(retired []uint64) uint64 {
 	var n uint64
-	for _, t := range ts {
-		n += t
+	for _, r := range retired {
+		n += r
 	}
 	return n
 }
 
-func sumRetired(cp *vm.Checkpoint) uint64 {
-	var n uint64
-	for _, t := range cp.Threads {
-		n += t.Retired
+// grown is the epoch length after a clean epoch of length epochLen.
+func (o Options) grown(epochLen int64) int64 {
+	if o.EpochGrowth <= 1 {
+		return epochLen
 	}
-	return n
+	return min(int64(float64(epochLen)*o.EpochGrowth), o.EpochCyclesMax)
 }
 
-func totalRetired(cp *vm.Checkpoint) int64 {
-	return int64(sumRetired(cp))
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+// observeEpoch feeds the per-epoch series every committed epoch reports,
+// verified or not.
+func observeEpoch(reg *trace.Registry, wl string, ep *dplog.EpochLog, mapped, cow int64) {
+	reg.Observe("epoch.syscalls", int64(len(ep.Syscalls)), wl)
+	reg.Observe("epoch.syncops", int64(len(ep.SyncOrder)), wl)
+	reg.Observe("checkpoint.pages", mapped, wl)
+	reg.Add("record.cow_pages", cow, wl)
 }
 
 // NativeResult reports a plain parallel execution with no recording.

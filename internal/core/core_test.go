@@ -22,7 +22,7 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestPipelineSpareScheduling(t *testing.T) {
-	p := newPipeline(2, 4)
+	p := newPipeline(2, 2, 4)
 	// Epoch 0: checkpoint 0 at t=0, checkpoint 1 at t=100, runs 300 cycles.
 	f0 := p.schedule(0, 100, 300)
 	if f0.finish != 300 || f0.slot != 0 || f0.start != 0 {
@@ -49,7 +49,7 @@ func TestPipelineSpareScheduling(t *testing.T) {
 }
 
 func TestPipelineUtilizedDisplacement(t *testing.T) {
-	p := newPipeline(0, 4)
+	p := newPipeline(0, 0, 4)
 	p.schedule(0, 100, 400)
 	p.schedule(100, 200, 400)
 	// Total epoch work 800 over 4 cores displaces 200 cycles.

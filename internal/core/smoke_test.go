@@ -306,12 +306,12 @@ func TestForwardRecoveryKeepsSignalPolling(t *testing.T) {
 	}
 
 	world := simos.NewWorld(1)
-	var sys []dplog.SyscallRecord
-	ros := &recordOS{inner: simos.NewOS(world), cur: &sys}
-	boot := vm.NewMachine(prog, ros, nil)
+	live := epoch.NewLiveLog(nil, 0)
+	boot := vm.NewMachine(prog, nil, nil)
+	live.Attach(boot, world)
 	b := epoch.Capture(0, 0, boot, world)
-	m := resumeFrom(sched.NewParallel(boot, 3, 1), prog, b, ros, nil, nil, vm.DefaultCosts(), 1, 1, 0)
-	if m.Hooks.PendingSignal != nil {
+	m := resumeFrom(sched.NewParallel(boot, 3, 1), live, prog, b, vm.DefaultCosts(), 1, 1)
+	if boot.Hooks.PendingSignal != nil || m.Hooks.PendingSignal != nil {
 		t.Fatal("machine resumed for a guest without signals is polled for them")
 	}
 }

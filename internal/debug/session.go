@@ -115,12 +115,7 @@ func New(prog *vm.Program, src replay.Source, costs *vm.CostModel) (*Session, er
 			return nil, fmt.Errorf("debug: program state %016x does not match recording's first epoch start %016x — wrong program or parameters", h, ep.StartHash)
 		}
 	}
-	s.bounds = []*epoch.Boundary{{
-		Index:       0,
-		CP:          m.Checkpoint(),
-		Hash:        h,
-		MappedPages: m.Mem.PageCount(),
-	}}
+	s.bounds = []*epoch.Boundary{epoch.Snapshot(0, 0, m, h)}
 	return s, s.restoreAt(0)
 }
 
@@ -251,15 +246,14 @@ func (s *Session) Watches() []vm.Word {
 func (s *Session) LastHits() []Hit { return s.hits }
 
 // attachWatch installs the watchpoint hook on m. The hook observes
-// every guest memory write (data, atomic, and syscall) and records a
-// hit when an armed word actually changes.
-func (s *Session) attachWatch(m *vm.Machine) {
+// every guest memory write (data, atomic, and syscall) and hands hit a
+// Hit (Pos unset) when an armed word actually changes.
+func (s *Session) attachWatch(m *vm.Machine, hit func(Hit)) {
 	m.Hooks.OnMemWrite = func(tid int, addr, old, val vm.Word) {
-		if !s.recording || old == val || !s.watches[addr] {
+		if old == val || !s.watches[addr] {
 			return
 		}
-		t := m.Threads[tid]
-		s.hits = append(s.hits, Hit{Tid: tid, PC: t.PC, Addr: addr, Old: old, New: val})
+		hit(Hit{Tid: tid, PC: m.Threads[tid].PC, Addr: addr, Old: old, New: val})
 	}
 }
 
@@ -294,13 +288,7 @@ func (s *Session) materialize(upTo int) error {
 		if err != nil {
 			return err
 		}
-		s.bounds = append(s.bounds, &epoch.Boundary{
-			Index:       e + 1,
-			Cycle:       s.bounds[e].Cycle + c,
-			CP:          m.Checkpoint(),
-			Hash:        ep.EndHash,
-			MappedPages: m.Mem.PageCount(),
-		})
+		s.bounds = append(s.bounds, epoch.Snapshot(e+1, s.bounds[e].Cycle+c, m, ep.EndHash))
 	}
 	return nil
 }
@@ -309,21 +297,14 @@ func (s *Session) materialize(upTo int) error {
 // materialized) and arms it for stepping through epoch e.
 func (s *Session) restoreAt(e int) error {
 	s.m = s.bounds[e].CP.Restore(s.prog, nil, s.costs)
-	s.attachWatch(s.m)
-	s.pos = Position{Epoch: e}
-	s.stepper = nil
-	if e == s.n {
-		return nil
-	}
-	ep, err := s.src.EpochAt(e)
-	if err != nil {
+	s.attachWatch(s.m, func(h Hit) {
+		if s.recording {
+			s.hits = append(s.hits, h)
+		}
+	})
+	if err := s.enter(e); err != nil {
 		return err
 	}
-	st, err := replay.NewStepper(s.m, ep, s.quantum, s.costs)
-	if err != nil {
-		return err
-	}
-	s.stepper = st
 	// An epoch with nothing to retire is already complete; normalize
 	// forward so the position stays canonical.
 	for s.stepper != nil && s.stepper.Done() {
@@ -334,35 +315,33 @@ func (s *Session) restoreAt(e int) error {
 	return nil
 }
 
+// enter puts the session at the start of epoch e — the state the live
+// machine must already hold — with a Stepper for it, or none at the
+// recording's end.
+func (s *Session) enter(e int) error {
+	s.pos = Position{Epoch: e}
+	s.stepper = nil
+	if e == s.n {
+		return nil
+	}
+	ep, err := s.src.EpochAt(e)
+	if err != nil {
+		return err
+	}
+	s.stepper, err = replay.NewStepper(s.m, ep, s.quantum, s.costs)
+	return err
+}
+
 // advanceEpoch moves the session from the end of epoch pos.Epoch to the
 // start of the next one, capturing the boundary checkpoint from the
 // live machine if this is the first time the session has reached it.
 func (s *Session) advanceEpoch() error {
 	e := s.pos.Epoch
 	if len(s.bounds) == e+1 {
-		s.bounds = append(s.bounds, &epoch.Boundary{
-			Index:       e + 1,
-			Cycle:       s.bounds[e].Cycle + s.stepper.Cycles(),
-			CP:          s.m.Checkpoint(),
-			Hash:        s.stepper.Epoch().EndHash,
-			MappedPages: s.m.Mem.PageCount(),
-		})
+		s.bounds = append(s.bounds,
+			epoch.Snapshot(e+1, s.bounds[e].Cycle+s.stepper.Cycles(), s.m, s.stepper.Epoch().EndHash))
 	}
-	s.pos = Position{Epoch: e + 1}
-	s.stepper = nil
-	if e+1 == s.n {
-		return nil
-	}
-	ep, err := s.src.EpochAt(e + 1)
-	if err != nil {
-		return err
-	}
-	st, err := replay.NewStepper(s.m, ep, s.quantum, s.costs)
-	if err != nil {
-		return err
-	}
-	s.stepper = st
-	return nil
+	return s.enter(e + 1)
 }
 
 // Step retires exactly one guest instruction and returns what retired.
@@ -558,14 +537,10 @@ func (s *Session) ScanEpoch(e int) ([]Hit, error) {
 	mm := s.bounds[e].CP.Restore(s.prog, nil, s.costs)
 	var hits []Hit
 	var pending int
-	mm.Hooks.OnMemWrite = func(tid int, addr, old, val vm.Word) {
-		if old == val || !s.watches[addr] {
-			return
-		}
-		t := mm.Threads[tid]
-		hits = append(hits, Hit{Tid: tid, PC: t.PC, Addr: addr, Old: old, New: val})
+	s.attachWatch(mm, func(h Hit) {
+		hits = append(hits, h)
 		pending++
-	}
+	})
 	st, err := replay.NewStepper(mm, ep, s.quantum, s.costs)
 	if err != nil {
 		return nil, err

@@ -1,0 +1,49 @@
+package epoch_test
+
+import (
+	"testing"
+
+	"doubleplay/internal/core"
+	"doubleplay/internal/epoch"
+	"doubleplay/internal/vm"
+	"doubleplay/internal/workloads"
+)
+
+// BenchmarkRun is the recorder's epoch-parallel pass on its own: every
+// epoch of one recording run again by Run from its retained start
+// boundary — checkpoint restore, gate and injector set-up, the gated
+// free run that logs the schedule, the leftover proof and the end-state
+// hash — over one I/O-heavy server and one compute kernel. ns/instr is
+// host time per guest instruction of the epochs run.
+func BenchmarkRun(b *testing.B) {
+	costs := vm.DefaultCosts()
+	for _, name := range []string{"kvdb", "fft"} {
+		b.Run(name, func(b *testing.B) {
+			bt := workloads.Get(name).Build(workloads.Params{Workers: 4, Seed: 17})
+			res, err := core.Record(bt.Prog, bt.World, core.Options{Workers: 4, SpareCPUs: 4, Seed: 17})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := res.Recording
+			var instrs uint64 // retired by one pass over rec
+			for _, n := range rec.Epochs[len(rec.Epochs)-1].Targets {
+				instrs += n
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k, ep := range rec.Epochs {
+					run, err := epoch.Run(epoch.RunSpec{
+						Prog: bt.Prog, Start: res.Boundaries[k], Targets: ep.Targets,
+						SyncOrder: ep.SyncOrder, Syscalls: ep.Syscalls, Signals: ep.Signals,
+						Quantum: rec.Quantum, Costs: costs,
+					})
+					if err != nil || run.EndHash != ep.EndHash {
+						b.Fatalf("epoch %d: %016x, %v; logged end %016x", k, run.EndHash, err, ep.EndHash)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(instrs)*float64(b.N)), "ns/instr")
+		})
+	}
+}

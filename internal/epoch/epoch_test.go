@@ -133,35 +133,17 @@ func buildEpochProgram(iters int) *vm.Program {
 func recordOneEpoch(t *testing.T, prog *vm.Program, until int64) (*epoch.Boundary, *epoch.Boundary, []dplog.SyncRecord, []dplog.SyscallRecord) {
 	t.Helper()
 	world := simos.NewWorld(1)
-	var sync []dplog.SyncRecord
-	var sys []dplog.SyscallRecord
-	os := simos.NewOS(world)
-	m := vm.NewMachine(prog, sysRecorder{os, &sys}, nil)
-	m.Hooks.OnSync = func(ev vm.SyncEvent) {
-		if ev.Gated() {
-			sync = append(sync, dplog.SyncRecord{Tid: ev.Tid, Kind: ev.Obj.Kind, ID: ev.Obj.ID})
-		}
-	}
+	live := epoch.NewLiveLog(nil, 0)
+	m := vm.NewMachine(prog, nil, nil)
+	live.Attach(m, world)
 	par := sched.NewParallel(m, 2, 1)
 	start := epoch.Capture(0, 0, m, world)
 	if err := par.RunUntil(until); err != nil {
 		t.Fatal(err)
 	}
 	end := epoch.Capture(1, par.Now(), m, world)
-	return start, end, sync, sys
-}
-
-type sysRecorder struct {
-	inner vm.SyscallHandler
-	out   *[]dplog.SyscallRecord
-}
-
-func (r sysRecorder) Syscall(m *vm.Machine, th *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
-	res := r.inner.Syscall(m, th, num, args)
-	if !res.Block && res.Fault == "" {
-		*r.out = append(*r.out, dplog.SyscallRecord{Tid: th.ID, Num: num, Args: args, Ret: res.Ret, Writes: res.Writes})
-	}
-	return res
+	ep := live.Take()
+	return start, end, ep.SyncOrder, ep.Syscalls
 }
 
 func TestRunEpochMatchesThreadParallelState(t *testing.T) {
@@ -232,5 +214,46 @@ func TestBoundaryTargets(t *testing.T) {
 	}
 	if start.Hash == end.Hash {
 		t.Fatal("progress did not change the state hash")
+	}
+}
+
+// TestLeftoverIsADivergence feeds Run an epoch whose log holds one thing
+// more than the execution consumes — in each of the three streams, and a
+// thread more than ran — and checks the end-of-epoch proof reports each as
+// a divergence. (internal/replay's TestLeftoverIsACertViolation holds the
+// certified replay side to the same four.)
+func TestLeftoverIsADivergence(t *testing.T) {
+	prog := buildEpochProgram(300)
+	start, end, sync, sys := recordOneEpoch(t, prog, 8000)
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(*epoch.RunSpec)
+	}{
+		{"clean", "", func(*epoch.RunSpec) {}},
+		{"sync op", "1 recorded sync ops never performed", func(s *epoch.RunSpec) {
+			s.SyncOrder = append(s.SyncOrder[:len(sync):len(sync)], dplog.SyncRecord{Tid: 1, Kind: vm.ObjLock, ID: 999})
+		}},
+		{"syscall", "1 recorded syscalls never issued", func(s *epoch.RunSpec) {
+			s.Syscalls = append(s.Syscalls[:len(sys):len(sys)], dplog.SyscallRecord{Tid: 9, Num: simos.SysTime})
+		}},
+		{"signal", "1 recorded signals never delivered", func(s *epoch.RunSpec) {
+			s.Signals = []dplog.SignalRecord{{Tid: 1, Retired: 1 << 40, Sig: 9}}
+		}},
+		{"thread", "thread count 3 differs from recorded 4", func(s *epoch.RunSpec) {
+			s.Targets = append(s.Targets, 0)
+		}},
+	} {
+		spec := epoch.RunSpec{
+			Prog: prog, Start: start, Targets: end.Targets(),
+			SyncOrder: sync, Syscalls: sys, Costs: vm.DefaultCosts(),
+		}
+		tc.corrupt(&spec)
+		_, err := epoch.Run(spec)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Fatalf("clean epoch: %v", err)
+		case tc.want != "" && (!epoch.IsDivergence(err) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("leftover %s: err = %v, want a divergence saying %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package epoch implements DoublePlay's epoch machinery: boundary capture
-// (checkpoint + world snapshot), sync-order enforcement, syscall injection,
-// and the epoch-parallel runner that executes one epoch of the program with
-// all threads timesliced on a single simulated CPU.
+// (checkpoint + world snapshot) and the two roles a machine can play in an
+// epoch, each wired in one place — LiveLog, which runs a machine against a
+// live world and logs syscall results, sync order and signal positions,
+// and Exec, which feeds one epoch's log back into a machine on a single
+// simulated CPU. Run, the recorder's epoch-parallel pass, is an Exec.
 //
 // The runner optionally narrates its timeslices into a trace.Sink
 // (RunSpec.Trace) with epoch-local timestamps; the recorder splices that
@@ -64,9 +66,12 @@ func (g *Gate) OnSync(ev vm.SyncEvent) {
 }
 
 // Remaining returns the number of recorded operations not yet performed.
-func (g *Gate) Remaining() int {
+func (g *Gate) Remaining() int { return queued(g.queues) }
+
+// queued counts what is left in a set of per-thread or per-object queues.
+func queued[K comparable, V any](queues map[K][]V) int {
 	n := 0
-	for _, q := range g.queues {
+	for _, q := range queues {
 		n += len(q)
 	}
 	return n
@@ -117,13 +122,7 @@ func (o *InjectOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.
 }
 
 // Remaining returns the number of recorded syscalls not yet injected.
-func (o *InjectOS) Remaining() int {
-	n := 0
-	for _, q := range o.queues {
-		n += len(q)
-	}
-	return n
-}
+func (o *InjectOS) Remaining() int { return queued(o.queues) }
 
 // InjectSignals re-delivers recorded asynchronous signals at the exact
 // retired-instruction counts the recording pinned them to.
@@ -153,10 +152,4 @@ func (s *InjectSignals) Pending(t *vm.Thread) (vm.Word, bool) {
 }
 
 // Remaining returns the number of recorded signals not yet delivered.
-func (s *InjectSignals) Remaining() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}
+func (s *InjectSignals) Remaining() int { return queued(s.queues) }

@@ -40,17 +40,25 @@ func (b *Boundary) Targets() []uint64 {
 	return out
 }
 
-// Capture snapshots a running machine and its world into a boundary.
-func Capture(index int, cycle int64, m *vm.Machine, w *simos.World) *Boundary {
-	cp := m.Checkpoint()
+// Snapshot checkpoints m as the boundary before epoch index, reached at
+// cycle, whose state hash the caller already holds — the end hash an Exec
+// just proved, or a log's recorded one. World stays nil: a follower never
+// consults one.
+func Snapshot(index int, cycle int64, m *vm.Machine, hash uint64) *Boundary {
 	return &Boundary{
 		Index:       index,
 		Cycle:       cycle,
-		CP:          cp,
-		World:       w.Clone(),
-		Hash:        cp.Hash(),
+		CP:          m.Checkpoint(),
+		Hash:        hash,
 		MappedPages: m.Mem.PageCount(),
 	}
+}
+
+// Capture snapshots a running machine and its world into a boundary.
+func Capture(index int, cycle int64, m *vm.Machine, w *simos.World) *Boundary {
+	b := Snapshot(index, cycle, m, 0)
+	b.World, b.Hash = w.Clone(), b.CP.Hash()
+	return b
 }
 
 // RunSpec describes one epoch-parallel execution: start from Start, run all
@@ -103,23 +111,20 @@ type RunResult struct {
 // under the recorded constraints; the caller still must compare EndHash
 // against the next boundary to detect data-race divergence.
 func Run(spec RunSpec) (*RunResult, error) {
-	if spec.Quantum <= 0 {
-		spec.Quantum = sched.DefaultQuantum
+	m := spec.Start.CP.Restore(spec.Prog, nil, spec.Costs)
+	x := Follow(m, &dplog.EpochLog{
+		Targets:   spec.Targets,
+		SyncOrder: spec.SyncOrder,
+		Syscalls:  spec.Syscalls,
+		Signals:   spec.Signals,
+	}, true, spec.Quantum, spec.Costs)
+	if spec.DisableEnforcement {
+		m.Hooks.MayAcquire = nil // the gate still watches the order, see Gate.OnSync
 	}
-	inj := NewInjectOS(spec.Syscalls)
-	m := spec.Start.CP.Restore(spec.Prog, inj, spec.Costs)
-	sigs := NewInjectSignals(spec.Signals)
-	if len(spec.Signals) > 0 {
-		m.Hooks.PendingSignal = sigs.Pending
-	}
-
-	gate := NewGate(spec.SyncOrder)
-	if !spec.DisableEnforcement {
-		m.Hooks.MayAcquire = gate.MayAcquire
-	}
-	m.Hooks.OnSync = func(ev vm.SyncEvent) {
-		gate.OnSync(ev)
-		if spec.OnSync != nil {
+	if spec.OnSync != nil {
+		gate := m.Hooks.OnSync
+		m.Hooks.OnSync = func(ev vm.SyncEvent) {
+			gate(ev)
 			spec.OnSync(ev)
 		}
 	}
@@ -127,48 +132,29 @@ func Run(spec RunSpec) (*RunResult, error) {
 	if spec.Profile != nil {
 		spec.Profile.Attach(m)
 	}
+	x.Uni.LogSchedule = true
+	x.Uni.Trace = spec.Trace
 
-	uni := sched.NewUni(m)
-	uni.Quantum = spec.Quantum
-	uni.Targets = spec.Targets
-	uni.LogSchedule = true
-	uni.Trace = spec.Trace
-
-	err := uni.Run()
+	err := x.Uni.Run()
+	if err == nil {
+		// The run reached its targets; it must also have consumed exactly
+		// the recorded constraint streams.
+		if left := x.Leftover(); left != nil {
+			err = fmt.Errorf("%w: %v", ErrDiverged, left)
+		}
+	}
 	res := &RunResult{
-		M:        m,
-		Schedule: uni.Log,
-		Injected: inj.Injected,
-		Enforced: gate.Used(),
+		M:           m,
+		Schedule:    x.Uni.Log,
+		Cycles:      x.Cycles(),
+		Injected:    x.Injected(),
+		Enforced:    x.Enforced(),
+		LoopRetired: x.Uni.LoopRetired,
 	}
-	res.LoopRetired = uni.LoopRetired
-	res.Cycles = uni.Cycles +
-		int64(inj.Injected)*spec.Costs.InjectSysEvent +
-		int64(gate.Used())*spec.Costs.EnforceSyncEvent
-	if err != nil {
-		return res, err
+	if err == nil {
+		res.EndHash = m.StateHash()
 	}
-	// The run reached its targets; cross-check that it consumed exactly the
-	// recorded constraint streams. Leftovers mean the execution took a
-	// different path even though per-thread retirement counts lined up.
-	if r := gate.Remaining(); r != 0 {
-		return res, fmt.Errorf("%w: %d recorded sync ops never performed", ErrDiverged, r)
-	}
-	if gateErr := gate.Err(); gateErr != "" {
-		return res, fmt.Errorf("%w: %s", ErrDiverged, gateErr)
-	}
-	if r := inj.Remaining(); r != 0 {
-		return res, fmt.Errorf("%w: %d recorded syscalls never issued", ErrDiverged, r)
-	}
-	if r := sigs.Remaining(); r != 0 {
-		return res, fmt.Errorf("%w: %d recorded signals never delivered", ErrDiverged, r)
-	}
-	if len(m.Threads) != len(spec.Targets) {
-		return res, fmt.Errorf("%w: thread count %d differs from recorded %d",
-			ErrDiverged, len(m.Threads), len(spec.Targets))
-	}
-	res.EndHash = m.StateHash()
-	return res, nil
+	return res, err
 }
 
 // IsDivergence reports whether err indicates the execution departed from

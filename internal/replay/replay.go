@@ -361,18 +361,14 @@ func pack(durs []int64, cpus int) ([]packSlot, int64) {
 func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel) ([]*epoch.Boundary, error) {
 	n := src.NumEpochs()
 	out := make([]*epoch.Boundary, 0, n+1)
-	capture := func(m *vm.Machine, index int, hash uint64, cycles int64) {
-		out = append(out, &epoch.Boundary{
-			Index: index, Cycle: cycles, CP: m.Checkpoint(), Hash: hash, MappedPages: m.Mem.PageCount(),
-		})
-	}
 	cycles, m, err := newReplayer(ctx, prog, src, costs).segment(segment{hi: n}, nil, nil, 0,
-		func(m *vm.Machine, ep *dplog.EpochLog, cycles int64) { capture(m, ep.Index, ep.StartHash, cycles) })
+		func(m *vm.Machine, ep *dplog.EpochLog, cycles int64) {
+			out = append(out, epoch.Snapshot(ep.Index, cycles, m, ep.StartHash))
+		})
 	if err != nil {
 		return nil, err
 	}
-	capture(m, n, src.FinalHash(), cycles)
-	return out, nil
+	return append(out, epoch.Snapshot(n, cycles, m, src.FinalHash())), nil
 }
 
 // Thin returns every stride-th boundary, always keeping the first and

@@ -1,6 +1,6 @@
 // Single-epoch execution, the one place an epoch is replayed: a Stepper
-// wires an epoch's injectors into a machine and drives a sched.Uni over
-// it, either to completion at batch speed (Run — what every replay plan
+// makes a machine a follower of one epoch's log (epoch.Follow) and drives
+// it either to completion at batch speed (Run — what every replay plan
 // and checkpoint reconstruction does per epoch) or one retired guest
 // instruction at a time (Step), pausing between instructions with the
 // machine in a fully inspectable state. Both are the same scheduler
@@ -13,7 +13,6 @@
 package replay
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -34,33 +33,28 @@ type StepEvent struct {
 	Signal bool
 }
 
-// Stepper executes one epoch on a sched.Uni it can pause: scheduled
-// (non-certified) epochs follow the recorded timeslice schedule, certified
-// epochs carry no schedule and free-run round-robin under the recorded
-// sync-order gate, exactly like the epoch-parallel logging run the
-// recorder skipped. The Stepper owns what is replay's own — the syscall
-// and signal injectors, the gate, the cost formula and the end-of-epoch
-// verification, which runs inside the call that retires the final
-// instruction, so a Stepper that reports Done has proved the epoch
-// reproduced the recording.
+// Stepper is an epoch.Exec it can pause: scheduled (non-certified) epochs
+// follow the recorded timeslice schedule, certified epochs carry no
+// schedule and free-run under the recorded sync-order gate, exactly the
+// epoch-parallel logging run the recorder skipped. What the Stepper adds
+// is replay's own: pausing between any two instructions, and the verdict —
+// the Exec's end-of-epoch proof and the recorded end hash are checked
+// inside the call that retires the final instruction, so a Stepper that
+// reports Done has proved the epoch reproduced the recording.
 type Stepper struct {
-	m     *vm.Machine
-	ep    *dplog.EpochLog
-	costs *vm.CostModel
-	uni   *sched.Uni
-	inj   *epoch.InjectOS
-	sigs  *epoch.InjectSignals
-	gate  *epoch.Gate // non-nil iff the epoch is certified
+	m   *vm.Machine
+	ep  *dplog.EpochLog
+	x   *epoch.Exec
+	uni *sched.Uni // x.Uni, a hop nearer for Step
 
 	done bool
 	err  error
 }
 
 // NewStepper prepares m — which must hold ep's start state — for
-// execution of ep. It wires the epoch's syscall and signal injectors
-// (and, for certified epochs, the sync-order gate) into the machine,
-// replacing whatever a previous epoch's Stepper installed. quantum is
-// the recording's scheduling quantum (zero = default), used only by the
+// execution of ep (see epoch.Follow for what that installs on the
+// machine and replaces from a previous epoch's Stepper). quantum is the
+// recording's scheduling quantum (zero = default), used only by the
 // certified free-run path. An epoch that is already complete (empty
 // schedule, all targets met at entry) is verified immediately; the error
 // is that verification's outcome.
@@ -68,30 +62,8 @@ func NewStepper(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.Cost
 	if costs == nil {
 		costs = vm.DefaultCosts()
 	}
-	s := &Stepper{m: m, ep: ep, costs: costs, uni: sched.NewUni(m)}
-	s.inj = epoch.NewInjectOS(ep.Syscalls)
-	m.OS = s.inj
-	s.sigs = epoch.NewInjectSignals(ep.Signals)
-	m.Hooks.PendingSignal = nil // an epoch without signals is not polled
-	if len(ep.Signals) > 0 {
-		m.Hooks.PendingSignal = s.sigs.Pending
-	}
-	m.Hooks.MayAcquire = nil
-	m.Hooks.OnSync = nil
-	s.uni.Targets = ep.Targets
-	if ep.Certified {
-		s.gate = epoch.NewGate(ep.SyncOrder)
-		m.Hooks.MayAcquire = s.gate.MayAcquire
-		m.Hooks.OnSync = s.gate.OnSync
-		if quantum > 0 {
-			s.uni.Quantum = quantum
-		}
-	} else {
-		s.uni.Follow = ep.Schedule
-		if s.uni.Follow == nil {
-			s.uni.Follow = []dplog.Slice{} // an empty schedule is still a schedule
-		}
-	}
+	x := epoch.Follow(m, ep, ep.Certified, quantum, costs)
+	s := &Stepper{m: m, ep: ep, x: x, uni: x.Uni}
 	if err := s.advance(0); err != nil {
 		return nil, err
 	}
@@ -100,9 +72,6 @@ func NewStepper(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.Cost
 
 // Done reports whether the epoch has fully (and verifiably) replayed.
 func (s *Stepper) Done() bool { return s.done }
-
-// Err returns the sticky failure, if any.
-func (s *Stepper) Err() error { return s.err }
 
 // Steps returns the number of instructions retired so far. Signal
 // deliveries count: they retire, exactly as in the recorded schedule.
@@ -115,16 +84,9 @@ func (s *Stepper) LoopRetired() uint64 { return s.uni.LoopRetired }
 // Epoch returns the epoch log being stepped.
 func (s *Stepper) Epoch() *dplog.EpochLog { return s.ep }
 
-// Cycles returns the modelled epoch cost consumed so far: scheduler
-// cycles plus the per-injection and (for certified epochs) per-gate-op
-// surcharges. When Done, it is the cost of replaying the whole epoch.
-func (s *Stepper) Cycles() int64 {
-	c := s.uni.Cycles + int64(s.inj.Injected)*s.costs.InjectSysEvent
-	if s.gate != nil {
-		c += int64(s.gate.Used()) * s.costs.EnforceSyncEvent
-	}
-	return c
-}
+// Cycles returns the modelled epoch cost consumed so far (epoch.Exec's
+// formula). When Done, it is the cost of replaying the whole epoch.
+func (s *Stepper) Cycles() int64 { return s.x.Cycles() }
 
 // NextTid reports which thread the scheduler will run next, when known.
 func (s *Stepper) NextTid() (int, bool) {
@@ -150,8 +112,8 @@ func (s *Stepper) Step() (ev StepEvent, err error) {
 	if s.done {
 		return StepEvent{}, fmt.Errorf("replay: epoch %d already complete", s.ep.Index)
 	}
-	sigs := s.sigs.Injected
-	if s.gate != nil {
+	sigs := s.x.Delivered()
+	if s.ep.Certified {
 		ev, err = s.stepFree()
 	} else {
 		// Under a schedule, what retires is known before it does: the
@@ -162,7 +124,7 @@ func (s *Stepper) Step() (ev StepEvent, err error) {
 		}
 		err = s.advance(1)
 	}
-	ev.Signal = s.sigs.Injected != sigs
+	ev.Signal = s.x.Delivered() != sigs
 	return ev, err
 }
 
@@ -209,7 +171,7 @@ func (s *Stepper) advance(n uint64) error {
 // respecting execution reaches the recorded end state, so every failure
 // of one wraps ErrCertViolated rather than reporting a divergence.
 func (s *Stepper) fail(err error) error {
-	if s.gate != nil {
+	if s.ep.Certified {
 		s.err = fmt.Errorf("%w: epoch %d: %v", ErrCertViolated, s.ep.Index, err)
 	} else {
 		s.err = fmt.Errorf("replay: epoch %d: %w", s.ep.Index, err)
@@ -217,24 +179,10 @@ func (s *Stepper) fail(err error) error {
 	return s.err
 }
 
-// finish runs the end-of-epoch cross-checks and detaches the gate hooks,
-// leaving the machine ready for the next epoch's Stepper.
+// finish gives the verdict on an epoch that met its targets.
 func (s *Stepper) finish() error {
-	if s.gate != nil {
-		if r := s.gate.Remaining(); r != 0 {
-			return s.fail(fmt.Errorf("%d recorded sync ops never performed", r))
-		}
-		if gateErr := s.gate.Err(); gateErr != "" {
-			return s.fail(errors.New(gateErr))
-		}
-		s.m.Hooks.MayAcquire = nil
-		s.m.Hooks.OnSync = nil
-	}
-	if r := s.inj.Remaining(); r != 0 {
-		return s.fail(fmt.Errorf("%d recorded syscalls never issued", r))
-	}
-	if r := s.sigs.Remaining(); r != 0 {
-		return s.fail(fmt.Errorf("%d recorded signals never delivered", r))
+	if err := s.x.Leftover(); err != nil {
+		return s.fail(err)
 	}
 	if h := s.m.StateHash(); h != s.ep.EndHash {
 		return s.fail(fmt.Errorf("end state hash %016x != recorded %016x", h, s.ep.EndHash))

@@ -16,12 +16,7 @@ import (
 	"doubleplay/internal/dplog"
 )
 
-func (s *Server) handleEpochRange(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleEpochRange(w http.ResponseWriter, r *http.Request, j *Job) {
 	lo, hi, err := dplog.ParseEpochRange(r.PathValue("range"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad epoch range %q: %v", r.PathValue("range"), err)

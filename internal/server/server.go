@@ -435,16 +435,15 @@ func (s *Server) Handler() http.Handler {
 	handle := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, s.metered(pattern, h)) }
 	handle("POST /jobs", s.handleSubmit)
 	handle("GET /jobs", s.handleList)
-	handle("GET /jobs/{id}", s.handleGet)
+	handle("GET /jobs/{id}", s.withJob(s.handleGet))
 	handle("DELETE /jobs/{id}", s.handleCancel)
-	handle("GET /jobs/{id}/trace", s.handleTrace)
-	handle("GET /jobs/{id}/stats", s.handleStats)
-	handle("GET /jobs/{id}/recording", s.handleRecording)
-	handle("GET /jobs/{id}/profile", s.handleProfile)
-	handle("GET /jobs/{id}/diff", s.handleDiff)
-	handle("POST /jobs/{id}/pin", s.handlePin)
-	handle("DELETE /jobs/{id}/pin", s.handleUnpin)
-	handle("GET /recordings/{id}/epochs/{range}", s.handleEpochRange)
+	for name, a := range artifacts {
+		handle("GET /jobs/{id}/"+name, s.withJob(a.serve(s)))
+	}
+	handle("GET /jobs/{id}/recording", s.withJob(s.handleRecording))
+	handle("POST /jobs/{id}/pin", s.withJob(s.handlePin))
+	handle("DELETE /jobs/{id}/pin", s.withJob(s.handleUnpin))
+	handle("GET /recordings/{id}/epochs/{range}", s.withJob(s.handleEpochRange))
 	handle("GET /admin/store", s.handleStoreStats)
 	handle("POST /admin/gc", s.handleGC)
 	handle("GET /metrics", s.reg.Handler().ServeHTTP)
@@ -551,12 +550,20 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": infos})
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
+// withJob resolves the route's {id} for h and answers 404 itself when no
+// such job is registered.
+func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *Job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.getJob(r.PathValue("id"))
+		if !ok {
+			writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+			return
+		}
+		h(w, r, j)
 	}
+}
+
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, j *Job) {
 	writeJSON(w, http.StatusOK, s.jobInfo(j))
 }
 
@@ -573,72 +580,60 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, info)
 }
 
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	if st := s.jobState(j); !st.Terminal() {
-		writeErr(w, http.StatusConflict, "job %s is %s; the trace streams until the job finishes", j.ID, st)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	http.ServeFile(w, r, s.store.JobArtifact(j.ID, "trace.json"))
+// artifact is one file of a job's directory served verbatim at
+// GET /jobs/{id}/<name>.
+type artifact struct {
+	file, ctype string
+	// absent, when set, returns why a job with this spec never has the
+	// file (404), or "" when it does or will.
+	absent func(j *Job) string
+	// pending, when set, is what becomes of the file while the job is
+	// not terminal; the request is refused with 409 until then.
+	pending string
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	http.ServeFile(w, r, s.store.JobArtifact(j.ID, "stats.json"))
+var artifacts = map[string]artifact{
+	"trace": {file: "trace.json", ctype: "application/json",
+		pending: "the trace streams until the job finishes"},
+	"stats": {file: "stats.json", ctype: "application/json"},
+	"profile": {file: "profile.pb", ctype: "application/octet-stream",
+		absent: func(j *Job) string {
+			if j.Spec.GuestProfile {
+				return ""
+			}
+			return fmt.Sprintf("job %s was not submitted with guest_profile", j.ID)
+		},
+		pending: "the profile is written when the job finishes"},
+	"diff": {file: "diff.json", ctype: "application/json",
+		absent: func(j *Job) string {
+			if j.Spec.Kind == KindDebugDiff {
+				return ""
+			}
+			return fmt.Sprintf("job %s is a %s job, not debug_diff", j.ID, j.Spec.Kind)
+		},
+		pending: "the diff is written when the job finishes"},
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
+func (a artifact) serve(s *Server) func(http.ResponseWriter, *http.Request, *Job) {
+	return func(w http.ResponseWriter, r *http.Request, j *Job) {
+		if a.absent != nil {
+			if why := a.absent(j); why != "" {
+				writeErr(w, http.StatusNotFound, "%s", why)
+				return
+			}
+		}
+		if a.pending != "" {
+			if st := s.jobState(j); !st.Terminal() {
+				writeErr(w, http.StatusConflict, "job %s is %s; %s", j.ID, st, a.pending)
+				return
+			}
+		}
+		w.Header().Set("Content-Type", a.ctype)
+		http.ServeFile(w, r, s.store.JobArtifact(j.ID, a.file))
 	}
-	if st := s.jobState(j); !st.Terminal() {
-		writeErr(w, http.StatusConflict, "job %s is %s; the profile is written when the job finishes", j.ID, st)
-		return
-	}
-	if !j.Spec.GuestProfile {
-		writeErr(w, http.StatusNotFound, "job %s was not submitted with guest_profile", j.ID)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	http.ServeFile(w, r, s.store.JobArtifact(j.ID, "profile.pb"))
 }
 
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	if j.Spec.Kind != KindDebugDiff {
-		writeErr(w, http.StatusNotFound, "job %s is a %s job, not debug_diff", j.ID, j.Spec.Kind)
-		return
-	}
-	if st := s.jobState(j); !st.Terminal() {
-		writeErr(w, http.StatusConflict, "job %s is %s; the diff is written when the job finishes", j.ID, st)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	http.ServeFile(w, r, s.store.JobArtifact(j.ID, "diff.json"))
-}
-
-func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request, j *Job) {
 	// Stream through the store's lazy handle: chunked recordings
 	// reassemble on the fly instead of materializing in the heap.
 	h, err := s.store.OpenRecordingByJob(j.ID)
@@ -656,12 +651,7 @@ func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request) {
 // handlePin marks a job's recording as protected from retention GC.
 // Pinning is durable (a marker in the job's artifact directory) and
 // idempotent.
-func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handlePin(w http.ResponseWriter, r *http.Request, j *Job) {
 	if err := s.store.Pin(j.ID); err != nil {
 		writeErr(w, http.StatusInternalServerError, "pinning job %s: %v", j.ID, err)
 		return
@@ -669,12 +659,7 @@ func (s *Server) handlePin(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "pinned": true})
 }
 
-func (s *Server) handleUnpin(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.getJob(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
+func (s *Server) handleUnpin(w http.ResponseWriter, r *http.Request, j *Job) {
 	if err := s.store.Unpin(j.ID); err != nil {
 		writeErr(w, http.StatusInternalServerError, "unpinning job %s: %v", j.ID, err)
 		return
