@@ -547,7 +547,7 @@ commands:
   races    run the happens-before detector over a workload
   serve    run the record/replay job daemon (see docs/SERVER.md)
   store    daemon artifact-store tooling (offline; -data selects the store):
-             store stats -data ./dpdata [-json]   chunk/dedup/space accounting
+             store stats -data ./dpdata [-json]   recordings and space accounting
              store gc -data ./dpdata [-max-age 720h] [-max-bytes N] [-dry-run]
              store fsck -data ./dpdata [-json]    full integrity walk (exit 1 on damage)`)
 }

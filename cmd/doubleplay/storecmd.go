@@ -4,7 +4,7 @@ package main
 // artifact store (-data, the same directory `doubleplay serve -data`
 // writes).
 //
-//	doubleplay store stats -data ./dpdata [-json]     # chunk/dedup/space accounting
+//	doubleplay store stats -data ./dpdata [-json]     # recordings and space accounting
 //	doubleplay store gc -data ./dpdata -max-age 720h  # retention sweep (honours pins)
 //	doubleplay store fsck -data ./dpdata              # full integrity walk
 //
@@ -45,12 +45,10 @@ func storeStats(dir string, jsonOut bool) {
 		printJSON(rep)
 		return
 	}
-	fmt.Printf("store:    %s\n", dir)
-	fmt.Printf("objects:  %d manifests, %d chunks\n", rep.Manifests, rep.Chunks)
-	fmt.Printf("logical:  %d bytes across all recordings\n", rep.LogicalBytes)
-	fmt.Printf("unique:   %d bytes after chunk dedup (saved %d)\n", rep.UniqueRawBytes, rep.DedupSavedBytes)
-	fmt.Printf("on disk:  %d bytes (chunks and the spans inline in manifests compressed at rest)\n", rep.StoredBytes)
-	fmt.Printf("dedup:    %.3fx\n", rep.DedupRatio)
+	fmt.Printf("store:      %s\n", dir)
+	fmt.Printf("recordings: %d, one object each\n", rep.Recordings)
+	fmt.Printf("logical:    %d bytes across all recordings\n", rep.LogicalBytes)
+	fmt.Printf("on disk:    %d bytes (objects compressed at rest in 64 KiB blocks)\n", rep.StoredBytes)
 }
 
 func storeGC(dir string, maxAge time.Duration, maxBytes int64, dryRun, jsonOut bool) {
@@ -68,8 +66,8 @@ func storeGC(dir string, maxAge time.Duration, maxBytes int64, dryRun, jsonOut b
 		verb = "would reclaim"
 	}
 	fmt.Printf("gc: %d jobs (%d pinned), %d recordings live\n", rep.Jobs, rep.Pinned, rep.LiveRecordings)
-	fmt.Printf("gc: %s %d refs, %d manifests, %d chunks, %d stale temp files — %d bytes\n",
-		verb, rep.RefsRemoved, rep.ManifestsRemoved, rep.ChunksRemoved, rep.TempsRemoved, rep.BytesReclaimed)
+	fmt.Printf("gc: %s %d refs, %d recording objects, %d stale temp files — %d bytes\n",
+		verb, rep.RefsRemoved, rep.ChunksRemoved, rep.TempsRemoved, rep.BytesReclaimed)
 }
 
 func storeFsck(dir string, jsonOut bool) {
@@ -78,10 +76,9 @@ func storeFsck(dir string, jsonOut bool) {
 	if jsonOut {
 		printJSON(rep)
 	} else {
-		fmt.Printf("fsck: %d refs, %d manifests, %d chunks checked\n", rep.Refs, rep.Manifests, rep.Chunks)
-		if rep.OrphanManifests+rep.OrphanChunks > 0 {
-			fmt.Printf("fsck: %d orphan manifests, %d orphan chunks (unreferenced; gc reclaims them)\n",
-				rep.OrphanManifests, rep.OrphanChunks)
+		fmt.Printf("fsck: %d refs, %d recording objects checked\n", rep.Refs, rep.Recordings)
+		if rep.OrphanRecordings > 0 {
+			fmt.Printf("fsck: %d orphan recordings (unreferenced; gc reclaims them)\n", rep.OrphanRecordings)
 		}
 		if rep.StaleTemps > 0 {
 			fmt.Printf("fsck: %d stale temp files (writes a crash cut off; gc removes them)\n", rep.StaleTemps)

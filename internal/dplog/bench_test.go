@@ -109,11 +109,11 @@ type deflated struct {
 
 // BenchmarkInflate decodes what the read side hands Inflate — "section":
 // every compressed section payload of the three logs as written;
-// "chunk": every chunk file the store keeps compressed for the three raw
+// "block": every 64 KiB block the store keeps compressed for the three raw
 // encodings — through the one-shot decoder and, under /flate, through the
 // compress/flate reference the tests hold it to. MB/s is of raw bytes.
 func BenchmarkInflate(b *testing.B) {
-	var sections, chunks []deflated
+	var sections, blocks []deflated
 	for _, name := range []string{"pfscan", "webserve", "kvdb"} {
 		rec := recordOne(b, name)
 		for _, compress := range []bool{true, false} {
@@ -135,8 +135,12 @@ func BenchmarkInflate(b *testing.B) {
 				if c.Kind == dplog.ChunkSection { // the payload is the tail of its frame
 					s := byEpoch[c.Epoch]
 					sections = append(sections, deflated{span[c.Len-s.Stored:], s.Raw})
-				} else if z := dplog.Deflate(nil, span); !compress && z != nil {
-					chunks = append(chunks, deflated{z, c.Len})
+				}
+			}
+			for off := 0; !compress && off < len(data); off += 64 << 10 {
+				raw := data[off:min(off+64<<10, len(data))]
+				if z := dplog.Deflate(nil, raw); z != nil {
+					blocks = append(blocks, deflated{z, int64(len(raw))})
 				}
 			}
 		}
@@ -144,7 +148,7 @@ func BenchmarkInflate(b *testing.B) {
 	for _, in := range []struct {
 		name string
 		set  []deflated
-	}{{"section", sections}, {"chunk", chunks}} {
+	}{{"section", sections}, {"block", blocks}} {
 		for _, impl := range []struct {
 			name    string
 			inflate func([]byte, int64) ([]byte, error)

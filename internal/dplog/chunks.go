@@ -1,18 +1,11 @@
 package dplog
 
-// Chunk enumeration: the store's dedup layer splits a v6 recording on
-// section boundaries, and — for uncompressed sections — on the encoded
-// group boundaries *inside* each section payload. Epoch boundary hashes
-// and schedules entangle the seed into every epoch, so whole sections of
-// same-program/different-seed runs almost never match byte for byte; the
-// syscall and sync-order groups, in contrast, are driven by the program
-// and frequently do. Splitting the payload at those group boundaries is
-// what lets a content-addressed chunk store share them.
-//
-// The enumeration is a pure function of the file bytes: every chunk is a
-// verbatim [Offset, Offset+Len) span, the spans are contiguous, and they
-// cover the file exactly, so concatenating chunk contents reproduces the
-// recording bit for bit.
+// Chunk enumeration splits a v6 recording on section boundaries and, for
+// uncompressed sections, on the group boundaries inside each payload: the
+// spans same-program runs could share. It is a pure function of the file
+// bytes, and the spans are contiguous, verbatim and cover the file exactly.
+// The store once split recordings this way; the benchmark harness still
+// counts spans with it.
 
 import (
 	"errors"

@@ -128,8 +128,8 @@ func (c *cursor) count(what string, limit uint64, min int) int {
 
 // resize returns s with length n, reusing its array when that is big
 // enough: decoding into a fresh EpochLog allocates each group exactly
-// once (an empty group stays nil), decoding into a used one — Chunks
-// walks every body for its offsets and keeps none — allocates nothing.
+// once (an empty group stays nil), decoding into a used one — Chunks and
+// Verify walk every body and keep none — allocates nothing.
 func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]

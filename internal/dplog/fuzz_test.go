@@ -10,7 +10,7 @@ import (
 
 // FuzzUnmarshal drives the reader with arbitrary bytes. It must never
 // panic; whole-file decode must be the reader's own decode and must fail
-// exactly when the reader fell back to recovery; and whatever decodes
+// exactly when the reader fell back to recovery or Verify fails; and whatever decodes
 // must survive a re-encode round trip and a one-epoch extraction.
 func FuzzUnmarshal(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
@@ -41,6 +41,8 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("intact reader: UnmarshalBytes err %v, Recording err %v", uerr, rerr)
 		case uerr == nil && !reflect.DeepEqual(rec, full):
 			t.Fatal("UnmarshalBytes is not the reader's Recording")
+		case (rd.Verify() == nil) != (uerr == nil):
+			t.Fatalf("Verify disagrees with UnmarshalBytes (%v)", uerr)
 		}
 		if streamed, serr := Unmarshal(io.MultiReader(bytes.NewReader(data))); (serr == nil) != (uerr == nil) ||
 			(serr == nil && !reflect.DeepEqual(streamed, rec)) {

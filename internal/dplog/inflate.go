@@ -1,7 +1,7 @@
 package dplog
 
 // The one-shot RFC 1951 decoder behind Inflate. A section payload or a
-// chunk file is in hand in full, and so is the length it inflates to, so
+// store block is in hand in full, and so is the length it inflates to, so
 // there is no stream to serve: the input is one slice, the output one slice
 // of the declared length that doubles as the match window, the bit buffer a
 // register refilled eight bytes at a time. It accepts what compress/flate
@@ -65,7 +65,7 @@ func (h *huffman) init(lens []uint8) bool {
 	}
 	// A code whose longest member is shorter than fastBits fills a table of
 	// that width, which is then doubled up to size: most of what a small
-	// section or chunk costs is building its tables.
+	// section or block costs is building its tables.
 	clear(h.fast[:1<<width])
 	slot, next := h.slot, h.first
 	for s, l := range lens {

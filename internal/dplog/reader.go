@@ -277,6 +277,27 @@ func (r *Reader) Recording() (*Recording, error) {
 	return rec, nil
 }
 
+// Verify succeeds exactly when UnmarshalBytes would: the index is the
+// file's own, not a recovery scan's, and every section's frame, CRC and
+// body decode. It keeps none of the epochs, so a caller that only needs to
+// know the log is intact pays for one reused EpochLog, not the recording.
+func (r *Reader) Verify() error {
+	if r.damage != nil {
+		return fmt.Errorf("dplog: truncated or corrupt log: %w", r.damage)
+	}
+	var ep EpochLog
+	for pos, info := range r.index {
+		_, payload, err := r.section(pos)
+		if err != nil {
+			return err
+		}
+		if _, _, err := decodePayload(&ep, info, payload); err != nil {
+			return fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
+		}
+	}
+	return nil
+}
+
 // UnmarshalBytes decodes a whole recording from a byte slice: a reader
 // over it, every section in file order. Where OpenReader salvages what it
 // can of a damaged file, this refuses one.

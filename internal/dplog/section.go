@@ -61,8 +61,8 @@ func (s SectionInfo) Compressed() bool { return s.Flags&SectionCompressed != 0 }
 // Certified reports whether the section's epoch was certified.
 func (s SectionInfo) Certified() bool { return s.Flags&SectionCertified != 0 }
 
-// One DEFLATE codec serves section payloads here and chunk files in
-// internal/store: compress/flate's compressor and the decoder in
+// One DEFLATE codec serves section payloads here and recording-object
+// blocks in internal/store: compress/flate's compressor and the decoder in
 // inflate.go. A compressor's state is over a megabyte, so it is pooled and
 // Reset per call rather than built per call; compress/flate defines a Reset
 // compressor as equivalent to a new one, so the bytes are the same either way.
@@ -100,7 +100,7 @@ func Deflate(dst, b []byte) []byte {
 }
 
 // Inflate decompresses a DEFLATE stream whose raw length the caller
-// already knows (a section's Raw, a chunk's manifest length) into a new
+// already knows (a section's Raw, an object block's raw size) into a new
 // buffer of exactly that size; inflater.inflate has the rules.
 func Inflate(b []byte, n int64) ([]byte, error) {
 	z := inflaters.Get().(*inflater)

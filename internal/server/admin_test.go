@@ -1,8 +1,7 @@
 package server_test
 
-// End-to-end coverage of the storage-tier API surface: chunk dedup
-// across same-workload recordings, pinning, retention GC, and the
-// store-stats endpoint.
+// End-to-end coverage of the storage-tier API surface: recordings
+// compressed at rest, pinning, retention GC, and the store-stats endpoint.
 
 import (
 	"bytes"
@@ -37,11 +36,8 @@ func getRecording(t *testing.T, url string) (int, []byte, string) {
 func TestStorageTierPinGCAndStats(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
 
-	// Two recordings of the same workload at different seeds share
-	// chunks in the store. kvdb, because what two of its seeds share is
-	// big enough for a chunk file (~340-byte syscall groups); pbzip's
-	// shared groups are under the store's inline bound and travel in each
-	// manifest.
+	// Two recordings of the same workload at different seeds: two objects,
+	// each smaller on disk than its raw bytes.
 	spec := func(seed int) map[string]any {
 		return map[string]any{"kind": "record", "workload": "kvdb", "workers": 2, "seed": seed}
 	}
@@ -64,12 +60,12 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 		t.Fatalf("GET /admin/store: %d %v", code, stats)
 	}
 	logical := int64(stats["logical_bytes"].(float64))
-	unique := int64(stats["unique_raw_bytes"].(float64))
-	if logical != int64(len(dataA)+len(dataB)) {
-		t.Fatalf("logical_bytes = %d, want %d", logical, len(dataA)+len(dataB))
+	stored := int64(stats["stored_bytes"].(float64))
+	if logical != int64(len(dataA)+len(dataB)) || stats["recordings"].(float64) != 2 {
+		t.Fatalf("stats %v, want 2 recordings of %d logical bytes", stats, len(dataA)+len(dataB))
 	}
-	if unique >= logical {
-		t.Fatalf("no dedup across seeds: unique %d >= logical %d", unique, logical)
+	if stored >= logical {
+		t.Fatalf("nothing compressed at rest: stored %d >= logical %d", stored, logical)
 	}
 
 	// Pin A, then age everything out: A survives, B is collected.
@@ -80,7 +76,7 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("POST /admin/gc: %d %v", code, rep)
 	}
-	if rep["pinned"].(float64) != 1 || rep["manifests_removed"].(float64) != 1 {
+	if rep["pinned"].(float64) != 1 || rep["recordings_removed"].(float64) != 1 {
 		t.Fatalf("gc report: %v", rep)
 	}
 	codeA, againA, _ := getRecording(t, ts.URL+"/jobs/"+idA+"/recording")
@@ -95,7 +91,7 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 	repID := submit(t, ts, map[string]any{"kind": "replay", "recording_job": idA, "mode": "sequential"})
 	waitDone(t, ts, repID)
 
-	// Epoch-range extraction reads through the chunked handle.
+	// Epoch-range extraction reads through the store's handle.
 	resp, err := http.Get(ts.URL + "/recordings/" + idA + "/epochs/0..1")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET epochs after GC: %v (status %v)", err, resp.Status)
@@ -110,7 +106,7 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 		t.Fatalf("second gc: %d %v", code, rep)
 	}
 	code, stats = doJSON(t, "GET", ts.URL+"/admin/store", nil)
-	if code != http.StatusOK || stats["chunks"].(float64) != 0 || stats["manifests"].(float64) != 0 {
+	if code != http.StatusOK || stats["recordings"].(float64) != 0 || stats["stored_bytes"].(float64) != 0 {
 		t.Fatalf("store not empty after full GC: %v", stats)
 	}
 
@@ -211,23 +207,26 @@ func TestGCLoopNeverDanglesARef(t *testing.T) {
 	replayAll(t, s, ts, done)
 }
 
-// TestRecordJobPutsAgainAfterGC lets exactly one collection land between a
-// put and its ref — the loop stops at the first report that swept a
-// manifest, which can only have been one not yet referenced — and then
-// every job must still finish done: the one that lost its recording stores
-// it a second time.
+// TestRecordJobPutsAgainAfterGC lets a collection land between a put and
+// its ref — the loops stop at the first report that swept a recording,
+// which can only have been one not yet referenced — and then every job must
+// still finish done: the one that lost its recording stores it a second
+// time. Two loops keep a collection queued on the store mutex, so that one
+// is first in line when a put releases it.
 func TestRecordJobPutsAgainAfterGC(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 32})
 	var hit atomic.Bool
 	stop := make(chan struct{})
-	wait := gcLoop(t, ts, stop, func(rep map[string]any) bool {
-		if rep["manifests_removed"].(float64) > 0 {
+	until := func(rep map[string]any) bool {
+		if rep["recordings_removed"].(float64) > 0 {
 			hit.Store(true)
 		}
 		return hit.Load()
-	})
+	}
+	wait1, wait2 := gcLoop(t, ts, stop, until), gcLoop(t, ts, stop, until)
+	wait := func() { wait1(); wait2() }
 	var all []string
-	for batch := 0; batch < 10 && !hit.Load(); batch++ {
+	for batch := 0; batch < 30 && !hit.Load(); batch++ {
 		done, notDone := recordBatch(t, ts, 100+6*batch, 6)
 		for _, v := range notDone {
 			t.Errorf("job %v: state %v, error %v", v["id"], v["state"], v["error"])
@@ -237,7 +236,7 @@ func TestRecordJobPutsAgainAfterGC(t *testing.T) {
 	close(stop)
 	wait()
 	if !hit.Load() {
-		t.Skip("no collection landed between a put and its ref in 60 jobs")
+		t.Skip("no collection landed between a put and its ref in 180 jobs")
 	}
 	replayAll(t, s, ts, all)
 }

@@ -22,8 +22,8 @@ func (s *Server) handleEpochRange(w http.ResponseWriter, r *http.Request, j *Job
 		writeErr(w, http.StatusBadRequest, "bad epoch range %q: %v", r.PathValue("range"), err)
 		return
 	}
-	// Open through the store's lazy handle: only the requested sections'
-	// chunks are read and reassembled, never the whole artifact.
+	// Open through the store's lazy handle: only the blocks holding the
+	// requested sections are read and inflated, never the whole artifact.
 	h, err := s.store.OpenRecordingByJob(j.ID)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "job %s has no stored recording (state %s)", j.ID, s.jobState(j))

@@ -132,12 +132,9 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink trace.Reco
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Marshal without whole-section compression: the chunk store splits
-	// recordings on section-group boundaries and deduplicates the groups
-	// that repeat across same-workload runs (syscall results, sync
-	// order), which only line up byte-for-byte in the uncompressed form.
-	// Chunks are compressed at rest instead, so the dedup wins stack
-	// with, rather than fight, the compression wins.
+	// Marshal without whole-section compression: the store compresses each
+	// recording at rest in 64 KiB blocks, which shrinks it further than
+	// per-section DEFLATE does (DESIGN.md, "A recording is one object").
 	data := dplog.MarshalBytesWith(res.Recording, dplog.EncodeOptions{Compress: false})
 	digest, err := s.putRecording(id, data)
 	if errors.Is(err, store.ErrNoRecording) {
@@ -170,9 +167,9 @@ func (s *Server) putRecording(id string, data []byte) (string, error) {
 }
 
 // loadRecording resolves a replay job's source recording as a seekable
-// log reader over the store's lazy handle — chunked artifacts
-// reassemble strided reads on demand rather than materializing the
-// whole log — and defaults the spec's workload parameters from its
+// log reader over the store's lazy handle — strided reads inflate only
+// the blocks they touch rather than materializing the whole log — and
+// defaults the spec's workload parameters from its
 // header so a minimal {"kind":"replay","recording_job":...} body
 // replays faithfully. The returned closer releases the handle; callers
 // must keep it open for as long as the reader is in use.

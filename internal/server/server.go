@@ -421,7 +421,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //	                            standalone dplog holding epochs n or n..m
 //	                            (400 bad range, 404 no job/recording,
 //	                            416 epochs outside the log)
-//	GET    /admin/store         storage-tier stats (chunks, dedup ratio)
+//	GET    /admin/store         storage-tier stats (recordings, bytes)
 //	POST   /admin/gc            run retention GC; body {"max_age_ms":..,
 //	                            "max_bytes":.., "dry_run":..}, returns the
 //	                            GC report
@@ -634,8 +634,8 @@ func (a artifact) serve(s *Server) func(http.ResponseWriter, *http.Request, *Job
 }
 
 func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request, j *Job) {
-	// Stream through the store's lazy handle: chunked recordings
-	// reassemble on the fly instead of materializing in the heap.
+	// Stream through the store's lazy handle: the recording inflates block
+	// by block instead of materializing in the heap.
 	h, err := s.store.OpenRecordingByJob(j.ID)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "job %s has no stored recording (state %s)", j.ID, s.jobState(j))

@@ -10,24 +10,28 @@ import (
 
 // The store layer benchmarks. Stores are opened with a registry, as the
 // daemon opens its own, so a put pays for publishing the store.* gauges.
-// preload is how many referenced recordings (distinct seeds of one program,
-// sharing their syscall and sync-order chunks) the store holds before the
-// timer starts: what a put, a present put and a GC cost must be read
-// against how much is already stored. files/op is the chunk files an
-// operation creates (a put), opens (a cold read) or visits to decide whether
-// to unlink them (a GC): each is a system call or three, which is what the
-// time is spent on.
+// preload is how many referenced recordings (distinct seeds of one program)
+// the store holds before the timer starts: what a put, a present put and a
+// GC cost must be read against how much is already stored. files/op is the
+// object files an operation creates (a put), opens (a cold read) or visits
+// to decide whether to unlink them (a GC): each is a system call or three,
+// which is what the time is spent on. stored/logical is the store's bytes
+// on disk over its recordings' raw bytes.
 
 var sinkDigest string
 
-// chunkFiles counts the chunk files in the store.
-func chunkFiles(b *testing.B, s *store.Store) int {
+// objects counts the store's recording objects and reports its
+// stored/logical ratio.
+func objects(b *testing.B, s *store.Store) int {
 	b.Helper()
 	st, err := s.Stats()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return st.Chunks
+	if st.LogicalBytes > 0 {
+		b.ReportMetric(float64(st.StoredBytes)/float64(st.LogicalBytes), "stored/logical")
+	}
+	return st.Recordings
 }
 
 // benchStore opens a store in a fresh directory holding preload recordings.
@@ -59,7 +63,7 @@ func BenchmarkPutRecording(b *testing.B) {
 			for i := range fresh {
 				fresh[i] = encode(testRecording(uint64(1_000_000+i), 6))
 			}
-			before := chunkFiles(b, s)
+			before := objects(b, s)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for _, data := range fresh {
@@ -70,7 +74,7 @@ func BenchmarkPutRecording(b *testing.B) {
 				sinkDigest = d
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(chunkFiles(b, s)-before)/float64(b.N), "files/op")
+			b.ReportMetric(float64(objects(b, s)-before)/float64(b.N), "files/op")
 		})
 	}
 }
@@ -99,8 +103,8 @@ func BenchmarkPutPresent(b *testing.B) {
 }
 
 // BenchmarkHandleRead reads a whole recording back through the lazy handle:
-// cold opens a handle per iteration, so every chunk is read and inflated;
-// warm re-reads through one handle whose decoded-chunk cache is full.
+// cold opens a handle per iteration, so every block is read and inflated;
+// warm re-reads through one handle whose inflated-block cache is full.
 func BenchmarkHandleRead(b *testing.B) {
 	s := benchStore(b, 0)
 	data := encode(testRecording(1, 64))
@@ -115,9 +119,8 @@ func BenchmarkHandleRead(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		// One recording in the store: every chunk file is its own, and a
-		// cold read opens each once.
-		b.ReportMetric(float64(chunkFiles(b, s)), "files/op")
+		// One recording in the store: a cold read opens its one object.
+		b.ReportMetric(float64(objects(b, s)), "files/op")
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -149,13 +152,13 @@ func BenchmarkHandleRead(b *testing.B) {
 }
 
 // BenchmarkGC is one collection over a store where everything is live:
-// the mark over every ref and manifest, the sweep's walk of every
-// namespace, and the recount of the gauges.
+// the mark over every ref and object header, the sweep's walk of the
+// objects and the job directories, and the recount of the gauges.
 func BenchmarkGC(b *testing.B) {
 	const preload = 512
 	b.Run(fmt.Sprintf("preload=%d", preload), func(b *testing.B) {
 		s := benchStore(b, preload)
-		files := chunkFiles(b, s)
+		files := objects(b, s)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -5,17 +5,12 @@ package store
 // Mark starts from jobs' recording.ref files. A pinned job is always
 // live; unpinned jobs die by age (ref older than Policy.MaxAge) and by
 // size budget (newest first until Policy.MaxBytes of logical recording
-// bytes are retained). Live refs mark their manifest and every chunk the
-// manifest names; the spans a manifest carries inline live and die with it.
+// bytes are retained). A live ref marks the object it names.
 //
-// Sweep deletes in reference order — refs, then manifests, then chunks —
-// the mirror image of PutRecording's chunks-before-manifest ordering. A
-// crash mid-GC can therefore strand an orphan (collected by the next
-// cycle) but never leave a ref or manifest pointing at deleted data.
-//
-// The sweep also unlinks the temp files of writes that a crash cut off
-// before their rename: GC holds the store mutex, so no write of this
-// process is in flight, and nothing else would ever remove them.
+// Sweep deletes refs, then objects, so a crash mid-GC strands at most an
+// orphan object, never a ref to a deleted one; a Handle keeps reading an
+// object the sweep unlinks. It also unlinks the temp files of writes a
+// crash cut off: GC holds the store mutex, so none is in flight.
 
 import (
 	"fmt"
@@ -26,7 +21,7 @@ import (
 )
 
 // Policy tunes a GC cycle. The zero value collects only unreferenced
-// data (orphaned manifests and chunks).
+// recordings.
 type Policy struct {
 	// MaxAge expires unpinned recordings whose ref is older; zero keeps
 	// every referenced recording regardless of age.
@@ -40,25 +35,16 @@ type Policy struct {
 
 // GCReport summarizes one collection cycle.
 type GCReport struct {
-	DryRun           bool  `json:"dry_run,omitempty"`
-	Jobs             int   `json:"jobs"`
-	Pinned           int   `json:"pinned"`
-	LiveRecordings   int   `json:"live_recordings"`
-	RefsRemoved      int   `json:"refs_removed"`
-	ManifestsRemoved int   `json:"manifests_removed"`
-	ChunksRemoved    int   `json:"chunks_removed"`
-	TempsRemoved     int   `json:"temps_removed"`
-	BytesReclaimed   int64 `json:"bytes_reclaimed"`
-}
-
-// refState is one job's retention input.
-type refState struct {
-	job     string
-	digest  string
-	pinned  bool
-	modTime time.Time
-	logical int64     // reassembled recording size
-	man     *Manifest // nil for a ref to nothing
+	DryRun         bool `json:"dry_run,omitempty"`
+	Jobs           int  `json:"jobs"`
+	Pinned         int  `json:"pinned"`
+	LiveRecordings int  `json:"live_recordings"`
+	RefsRemoved    int  `json:"refs_removed"`
+	// ChunksRemoved counts the recording objects the sweep unlinked, under
+	// the name the benchmark harness reads.
+	ChunksRemoved  int   `json:"recordings_removed"`
+	TempsRemoved   int   `json:"temps_removed"`
+	BytesReclaimed int64 `json:"bytes_reclaimed"`
 }
 
 // GC runs one mark-and-sweep cycle under the store mutex, so no
@@ -70,141 +56,96 @@ func (s *Store) GC(pol Policy) (GCReport, error) {
 		defer s.recount()
 	}
 	rep := GCReport{DryRun: pol.DryRun}
-
-	ids, err := s.jobIDs()
+	jobs, err := s.jobs()
 	if err != nil {
 		return rep, err
 	}
-	var refs []refState
-	for _, id := range ids {
+	files, err := s.shardFiles(objects)
+	if err != nil {
+		return rep, fmt.Errorf("store: gc: %w", err)
+	}
+
+	// Retention decisions: pins always live and count against the size
+	// budget first; then unpinned refs, newest first, die by age or when
+	// they no longer fit.
+	var refs []jobFiles
+	logical := map[string]int64{} // 0 for a ref to nothing
+	var budget int64
+	for _, j := range jobs {
 		rep.Jobs++
-		d := s.RecordingRef(id)
-		if d == "" {
+		if j.digest == "" {
 			continue
 		}
-		st := refState{job: id, digest: d, pinned: s.Pinned(id)}
-		if st.pinned {
-			rep.Pinned++
+		if f, h, err := openObject(s.objectPath(j.digest)); err == nil {
+			f.Close()
+			logical[j.digest] = h.raw
 		}
-		if info, err := os.Stat(s.JobArtifact(id, "recording.ref")); err == nil {
-			st.modTime = info.ModTime()
+		if j.pinned {
+			budget += logical[j.digest]
 		}
-		if man, err := s.loadManifest(d); err == nil {
-			st.man, st.logical = man, man.Total
-		}
-		refs = append(refs, st)
+		refs = append(refs, j)
 	}
-
-	// Retention decisions: pins always live, then age, then size budget
-	// (newest unpinned recordings first).
-	now := time.Now()
-	live := make([]refState, 0, len(refs))
-	var dead []refState
-	var unpinned []refState
+	sort.SliceStable(refs, func(a, b int) bool { return refs[a].refTime.After(refs[b].refTime) })
+	now, marked := time.Now(), map[string]bool{}
+	var dead []jobFiles
 	for _, r := range refs {
-		switch {
+		switch n := logical[r.digest]; {
 		case r.pinned:
-			live = append(live, r)
-		case pol.MaxAge > 0 && now.Sub(r.modTime) > pol.MaxAge:
+			rep.Pinned++
+		case pol.MaxAge > 0 && now.Sub(r.refTime) > pol.MaxAge, pol.MaxBytes > 0 && budget+n > pol.MaxBytes:
 			dead = append(dead, r)
-		default:
-			unpinned = append(unpinned, r)
-		}
-	}
-	if pol.MaxBytes > 0 {
-		sort.Slice(unpinned, func(i, j int) bool { return unpinned[i].modTime.After(unpinned[j].modTime) })
-		var budget int64
-		for _, r := range live {
-			budget += r.logical
-		}
-		for _, r := range unpinned {
-			if budget+r.logical > pol.MaxBytes {
-				dead = append(dead, r)
-				continue
-			}
-			budget += r.logical
-			live = append(live, r)
-		}
-	} else {
-		live = append(live, unpinned...)
-	}
-
-	// Mark live manifests and chunks.
-	liveManifests := map[string]bool{}
-	liveChunks := map[string]bool{}
-	for _, r := range live {
-		if r.man == nil {
 			continue
+		default:
+			budget += n
 		}
-		liveManifests[r.digest] = true
-		for _, c := range r.man.Chunks {
-			if c.Digest != "" {
-				liveChunks[c.Digest] = true
-			}
-		}
+		marked[r.digest] = true
+		rep.LiveRecordings++
 	}
-	rep.LiveRecordings = len(live)
 
 	if s.sweepHook != nil {
 		s.sweepHook()
 	}
 
-	// Sweep: refs first, then manifests, then chunks.
+	// Sweep: refs first, then objects; temp files wherever they are.
 	remove := func(path string, size int64, n *int) {
-		if pol.DryRun {
+		if pol.DryRun || s.fs.Remove(path) == nil {
 			*n++
 			rep.BytesReclaimed += size
-			return
 		}
-		if err := os.Remove(path); err == nil {
-			*n++
-			rep.BytesReclaimed += size
+	}
+	removeStat := func(path string, n *int) {
+		if info, err := os.Stat(path); err == nil {
+			remove(path, info.Size(), n)
 		}
 	}
 	for _, r := range dead {
-		path := s.JobArtifact(r.job, "recording.ref")
-		if info, err := os.Stat(path); err == nil {
-			remove(path, info.Size(), &rep.RefsRemoved)
+		removeStat(s.JobArtifact(r.id, "recording.ref"), &rep.RefsRemoved)
+	}
+	for _, f := range files {
+		switch {
+		case strings.HasPrefix(f.name, tempPrefix):
+			remove(f.path, f.size, &rep.TempsRemoved)
+		case validDigest(f.name) && !marked[f.name]:
+			remove(f.path, f.size, &rep.ChunksRemoved)
 		}
 	}
-	for _, ns := range []struct {
-		name    string
-		live    map[string]bool
-		removed *int
-	}{
-		{"manifests", liveManifests, &rep.ManifestsRemoved},
-		{"chunks", liveChunks, &rep.ChunksRemoved},
-	} {
-		err := s.walkShards(ns.name, func(name, path string, size int64) error {
-			switch {
-			case strings.HasPrefix(name, tempPrefix):
-				remove(path, size, &rep.TempsRemoved)
-			case validDigest(name) && !ns.live[name]:
-				remove(path, size, ns.removed)
-			}
-			return nil
-		})
-		if err != nil {
-			return rep, fmt.Errorf("store: gc: %w", err)
+	for _, j := range jobs {
+		for _, path := range j.temps {
+			removeStat(path, &rep.TempsRemoved)
 		}
 	}
 	return rep, nil
 }
 
-// ---- fsck ----
-
-// FsckReport is the integrity check's verdict. Errors are real damage
-// (missing chunks, digest mismatches, undecodable manifests, dangling
-// refs); orphans are unreferenced-but-intact files, and stale temps the
-// leavings of writes a crash cut off: a GC cycle reclaims both.
+// FsckReport is the integrity check's verdict. Errors are real damage;
+// orphan recordings (unreferenced but intact) and stale temps (writes a
+// crash cut off) are not, and a GC cycle reclaims both.
 type FsckReport struct {
-	Manifests       int      `json:"manifests"`
-	Chunks          int      `json:"chunks"`
-	Refs            int      `json:"refs"`
-	OrphanManifests int      `json:"orphan_manifests"`
-	OrphanChunks    int      `json:"orphan_chunks"`
-	StaleTemps      int      `json:"stale_temps"`
-	Errors          []string `json:"errors,omitempty"`
+	Recordings       int      `json:"recordings"`
+	Refs             int      `json:"refs"`
+	OrphanRecordings int      `json:"orphan_recordings"`
+	StaleTemps       int      `json:"stale_temps"`
+	Errors           []string `json:"errors,omitempty"`
 }
 
 // OK reports whether the store is intact.
@@ -218,172 +159,84 @@ func (r *FsckReport) errorf(format string, args ...any) {
 	}
 }
 
-// Fsck verifies the store exhaustively: every manifest decodes, names
-// only existing chunks whose content matches their digest, and — those
-// chunks and its own inline spans together — reassembles to the recording
-// digest it is stored under; every job ref resolves. Damage is reported,
-// never panicked on. Orphans and stale temp files are counted but are not
-// errors.
+// Fsck verifies the store exhaustively: every object decodes and inflates
+// back to the recording digest it is stored under, and every job ref
+// resolves. Damage is reported, never panicked on. Orphans and stale temp
+// files are counted but are not errors.
 func (s *Store) Fsck() (*FsckReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep := &FsckReport{}
-
-	refdManifests := map[string]bool{}
-	refdChunks := map[string]bool{}
-	ids, err := s.jobIDs()
+	jobs, err := s.jobs()
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range ids {
-		d := s.RecordingRef(id)
-		if d == "" {
+	files, err := s.shardFiles(objects)
+	if err != nil {
+		return nil, fmt.Errorf("store: fsck: %w", err)
+	}
+	rep := &FsckReport{}
+	refd := map[string]bool{}
+	for _, j := range jobs {
+		rep.StaleTemps += len(j.temps)
+		if j.digest == "" {
 			continue
 		}
 		rep.Refs++
-		if _, err := os.Stat(s.shardPath("manifests", d)); err == nil {
-			refdManifests[d] = true
-		} else {
-			rep.errorf("job %s: ref %s resolves to no manifest", id, d)
+		refd[j.digest] = true
+		if !s.HasRecording(j.digest) {
+			rep.errorf("job %s: ref %s resolves to no recording", j.id, j.digest)
 		}
 	}
-
-	// walk is walkDigests that also counts the temp files it passes.
-	walk := func(ns string, fn func(digest, path string)) error {
-		err := s.walkShards(ns, func(name, path string, size int64) error {
-			if strings.HasPrefix(name, tempPrefix) {
-				rep.StaleTemps++
-			} else if validDigest(name) {
-				fn(name, path)
-			}
-			return nil
-		})
+	for _, f := range files {
+		if strings.HasPrefix(f.name, tempPrefix) {
+			rep.StaleTemps++
+		}
+		if !validDigest(f.name) {
+			continue
+		}
+		rep.Recordings++
+		if !refd[f.name] {
+			rep.OrphanRecordings++
+		}
+		raw, err := os.ReadFile(f.path)
+		if err == nil {
+			raw, err = decodeObject(raw)
+		}
 		if err != nil {
-			return fmt.Errorf("store: fsck: %w", err)
+			rep.errorf("recording %s: %v", f.name, err)
+		} else if got := Digest(raw); got != f.name {
+			rep.errorf("recording %s: inflates to %s", f.name, got)
 		}
-		return nil
 	}
-
-	err = walk("manifests", func(digest, path string) {
-		rep.Manifests++
-		if !refdManifests[digest] {
-			rep.OrphanManifests++
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			rep.errorf("manifest %s: %v", digest, err)
-			return
-		}
-		man, err := DecodeManifest(data)
-		if err != nil {
-			rep.errorf("manifest %s: %v", digest, err)
-			return
-		}
-		sum := newDigester()
-		inline := man.inlineSpans()
-		for i, c := range man.Chunks {
-			if c.Digest == "" {
-				sum.Write(inline[i])
-				continue
-			}
-			refdChunks[c.Digest] = true
-			raw, err := s.readChunk(c)
-			if err != nil {
-				rep.errorf("manifest %s: chunk %d (%s) missing or unreadable: %v", digest, i, c.Digest, err)
-				continue
-			}
-			if Digest(raw) != c.Digest {
-				rep.errorf("chunk %s: content does not match its digest", c.Digest)
-				continue
-			}
-			sum.Write(raw)
-		}
-		if got := sum.digest(); got != digest {
-			rep.errorf("manifest %s: reassembles to %s", digest, got)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	err = walk("chunks", func(digest, path string) {
-		rep.Chunks++
-		if !refdChunks[digest] {
-			rep.OrphanChunks++
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	return rep, nil
 }
 
-// ---- stats ----
-
-// StatsReport is the store's dedup accounting. LogicalBytes is what the
-// stored recordings would occupy reassembled; UniqueRawBytes is the raw
-// size of the distinct chunks actually referenced plus the spans each
-// manifest carries inline (unique to it by construction); StoredBytes is
-// the bytes on disk (chunks and inline spans at rest may additionally be
-// compressed). Chunks counts chunk files, so inline spans are not in it.
+// StatsReport is the store's space accounting. LogicalBytes is what the
+// stored recordings occupy raw; StoredBytes is the bytes of their objects
+// on disk, compressed at rest.
 type StatsReport struct {
-	Chunks          int     `json:"chunks"`
-	Manifests       int     `json:"manifests"`
-	LogicalBytes    int64   `json:"logical_bytes"`
-	UniqueRawBytes  int64   `json:"unique_raw_bytes"`
-	StoredBytes     int64   `json:"stored_bytes"`
-	DedupSavedBytes int64   `json:"dedup_saved_bytes"`
-	DedupRatio      float64 `json:"dedup_ratio"`
+	Recordings   int   `json:"recordings"`
+	LogicalBytes int64 `json:"logical_bytes"`
+	StoredBytes  int64 `json:"stored_bytes"`
 }
 
-// Stats walks the store and computes the dedup accounting.
+// Stats walks the objects and computes the space accounting.
 func (s *Store) Stats() (*StatsReport, error) {
+	files, err := s.shardFiles(objects)
+	if err != nil {
+		return nil, fmt.Errorf("store: stats: %w", err)
+	}
 	rep := &StatsReport{}
-	uniq := map[string]int64{}
-	err := s.walkDigests("manifests", func(digest, path string, size int64) error {
-		rep.Manifests++
-		rep.StoredBytes += size
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil
+	for _, file := range files {
+		if !validDigest(file.name) {
+			continue
 		}
-		man, err := DecodeManifest(data)
-		if err != nil {
-			return nil
+		rep.Recordings++
+		rep.StoredBytes += file.size
+		if f, h, err := openObject(file.path); err == nil {
+			f.Close()
+			rep.LogicalBytes += h.raw
 		}
-		rep.LogicalBytes += man.Total
-		rep.UniqueRawBytes += int64(len(man.Inline))
-		for _, c := range man.Chunks {
-			if c.Digest != "" {
-				uniq[c.Digest] = c.Len
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: stats: %w", err)
 	}
-	for _, n := range uniq {
-		rep.UniqueRawBytes += n
-	}
-	err = s.walkDigests("chunks", func(digest, path string, size int64) error {
-		rep.Chunks++
-		rep.StoredBytes += size
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: stats: %w", err)
-	}
-	rep.derive()
 	return rep, nil
-}
-
-// derive fills the two fields computed from the byte counts.
-func (r *StatsReport) derive() {
-	r.DedupSavedBytes = r.LogicalBytes - r.UniqueRawBytes
-	r.DedupRatio = 1
-	if r.UniqueRawBytes > 0 {
-		r.DedupRatio = float64(r.LogicalBytes) / float64(r.UniqueRawBytes)
-	}
 }

@@ -25,38 +25,49 @@ func put(t *testing.T, s *store.Store, job string, data []byte) string {
 	return d
 }
 
+// age backdates a job's ref by two days.
+func age(t *testing.T, s *store.Store, job string) {
+	t.Helper()
+	old := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(s.JobArtifact(job, "recording.ref"), old, old); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGCKeepsLiveSharedChunksReclaimsOrphans: a recording two jobs share
+// lives while either ref does; the aged job's ref goes, an object no live
+// ref names goes, and so does one no ref ever named.
 func TestGCKeepsLiveSharedChunksReclaimsOrphans(t *testing.T) {
 	s := open(t)
 	a := encode(testRecording(1, 6))
 	b := encode(testRecording(2, 6))
 	da := put(t, s, "jobA", a)
-	db := put(t, s, "jobB", b)
-
-	// Age out jobB only.
-	old := time.Now().Add(-48 * time.Hour)
-	if err := os.Chtimes(s.JobArtifact("jobB", "recording.ref"), old, old); err != nil {
+	if err := s.SetRecordingRef("jobC", da); err != nil {
 		t.Fatal(err)
 	}
+	db := put(t, s, "jobB", b)
+	orphan, err := s.PutRecording(encode(testRecording(3, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Age out jobB and one of the two refs to a.
+	age(t, s, "jobB")
+	age(t, s, "jobC")
 	rep, err := s.GC(store.Policy{MaxAge: time.Hour})
 	if err != nil {
 		t.Fatalf("GC: %v", err)
 	}
-	if rep.LiveRecordings != 1 || rep.ManifestsRemoved != 1 {
+	if rep.LiveRecordings != 1 || rep.RefsRemoved != 2 || rep.ChunksRemoved != 2 || rep.BytesReclaimed <= 0 {
 		t.Fatalf("report: %+v", rep)
 	}
-	if rep.ChunksRemoved == 0 {
-		t.Fatal("expected jobB's unshared chunks to be reclaimed")
-	}
-	if rep.BytesReclaimed <= 0 {
-		t.Fatalf("BytesReclaimed = %d", rep.BytesReclaimed)
-	}
-	// jobA fully intact; jobB gone.
+	// jobA fully intact; jobB's recording and the orphan gone.
 	back, err := readRecording(s, "jobA")
 	if err != nil || !bytes.Equal(back, a) {
 		t.Fatalf("jobA recording damaged by GC: %v", err)
 	}
-	if s.HasRecording(db) {
-		t.Fatal("jobB recording survived GC")
+	if s.HasRecording(db) || s.HasRecording(orphan) {
+		t.Fatal("an unreferenced recording survived GC")
 	}
 	if !s.HasRecording(da) {
 		t.Fatal("jobA recording missing")
@@ -65,11 +76,37 @@ func TestGCKeepsLiveSharedChunksReclaimsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fsck.OK() {
+	if !fsck.OK() || fsck.OrphanRecordings != 0 || fsck.Recordings != 1 {
 		t.Fatalf("fsck after GC: %+v", fsck)
 	}
-	if fsck.OrphanChunks != 0 {
-		t.Fatalf("fsck found %d orphan chunks after sweep", fsck.OrphanChunks)
+}
+
+// TestHandleOutlivesGC opens a recording, lets a GC collect it mid-read,
+// and reads the rest: the handle's open file outlives the object's name.
+func TestHandleOutlivesGC(t *testing.T) {
+	s := open(t)
+	data := encode(testRecording(3, 120))
+	d, err := s.PutRecording(data) // unreferenced: the next GC collects it
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.OpenRecording(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	got := make([]byte, h.Size())
+	if _, err := h.ReadAt(got[:100], 0); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := s.GC(store.Policy{}); err != nil || rep.ChunksRemoved != 1 || s.HasRecording(d) {
+		t.Fatalf("gc of the open recording: %+v, %v", rep, err)
+	}
+	if _, err := h.ReadAt(got[100:], 100); err != nil {
+		t.Fatalf("read after the recording was collected: %v", err)
+	}
+	if store.Digest(got) != d {
+		t.Fatal("read after the recording was collected returned other bytes")
 	}
 }
 
@@ -80,15 +117,12 @@ func TestGCPinnedSurvivesAgePolicy(t *testing.T) {
 	if err := s.Pin("jobA"); err != nil {
 		t.Fatalf("Pin: %v", err)
 	}
-	old := time.Now().Add(-48 * time.Hour)
-	if err := os.Chtimes(s.JobArtifact("jobA", "recording.ref"), old, old); err != nil {
-		t.Fatal(err)
-	}
+	age(t, s, "jobA")
 	rep, err := s.GC(store.Policy{MaxAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Pinned != 1 || rep.LiveRecordings != 1 || rep.ManifestsRemoved != 0 {
+	if rep.Pinned != 1 || rep.LiveRecordings != 1 || rep.ChunksRemoved != 0 {
 		t.Fatalf("pinned recording was collected: %+v", rep)
 	}
 	back, err := readRecording(s, "jobA")
@@ -103,7 +137,7 @@ func TestGCPinnedSurvivesAgePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ManifestsRemoved != 1 {
+	if rep.ChunksRemoved != 1 {
 		t.Fatalf("unpinned aged recording not collected: %+v", rep)
 	}
 }
@@ -125,7 +159,7 @@ func TestGCSizeBudgetKeepsNewest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.LiveRecordings != 1 || rep.ManifestsRemoved != 2 {
+	if rep.LiveRecordings != 1 || rep.ChunksRemoved != 2 {
 		t.Fatalf("size budget: %+v", rep)
 	}
 	if back, err := readRecording(s, jobName(2)); err != nil || !bytes.Equal(back, data[2]) {
@@ -188,15 +222,12 @@ func TestGCDryRunRemovesNothing(t *testing.T) {
 	s := open(t)
 	a := encode(testRecording(1, 4))
 	put(t, s, "jobA", a)
-	old := time.Now().Add(-48 * time.Hour)
-	if err := os.Chtimes(s.JobArtifact("jobA", "recording.ref"), old, old); err != nil {
-		t.Fatal(err)
-	}
+	age(t, s, "jobA")
 	rep, err := s.GC(store.Policy{MaxAge: time.Hour, DryRun: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.DryRun || rep.ManifestsRemoved != 1 {
+	if !rep.DryRun || rep.ChunksRemoved != 1 || rep.RefsRemoved != 1 {
 		t.Fatalf("dry run report: %+v", rep)
 	}
 	if back, err := readRecording(s, "jobA"); err != nil || !bytes.Equal(back, a) {
@@ -210,10 +241,7 @@ func TestGCDryRunRemovesNothing(t *testing.T) {
 func TestPinDuringSweep(t *testing.T) {
 	s := open(t)
 	put(t, s, "jobA", encode(testRecording(1, 4)))
-	old := time.Now().Add(-48 * time.Hour)
-	if err := os.Chtimes(s.JobArtifact("jobA", "recording.ref"), old, old); err != nil {
-		t.Fatal(err)
-	}
+	age(t, s, "jobA")
 	pinned := make(chan error, 1)
 	s.SetSweepHook(func() {
 		go func() { pinned <- s.Pin("jobA") }()
@@ -231,7 +259,7 @@ func TestPinDuringSweep(t *testing.T) {
 	// another during the second GC below that nothing waits for, still
 	// writing into the temp dir while the test tears it down.
 	s.SetSweepHook(nil)
-	if rep.ManifestsRemoved != 1 {
+	if rep.ChunksRemoved != 1 {
 		t.Fatalf("aged recording not collected: %+v", rep)
 	}
 	// The late pin landed on a now-recording-less job. That is harmless:
@@ -248,78 +276,120 @@ func TestPinDuringSweep(t *testing.T) {
 	}
 }
 
+// TestFsckReportsMissingChunk deletes a referenced recording's object — a
+// file under chunks/, as the benchmark's own fsck check does — out from
+// under its ref.
 func TestFsckReportsMissingChunk(t *testing.T) {
 	s := open(t)
 	d := put(t, s, "jobA", encode(testRecording(1, 4)))
-	// Delete one chunk file out from under the manifest.
-	var victim string
-	err := filepath.WalkDir(filepath.Join(s.Root(), "chunks"), func(path string, de os.DirEntry, err error) error {
-		if err == nil && !de.IsDir() && victim == "" {
-			victim = path
-		}
-		return err
-	})
-	if err != nil || victim == "" {
-		t.Fatalf("no chunk files found: %v", err)
-	}
-	if err := os.Remove(victim); err != nil {
+	if err := os.Remove(objectPath(s, d)); err != nil {
 		t.Fatal(err)
 	}
 	fsck, err := s.Fsck()
 	if err != nil {
 		t.Fatalf("Fsck returned hard error: %v", err)
 	}
-	if fsck.OK() {
-		t.Fatal("fsck passed with a missing chunk")
+	if len(fsck.Errors) != 1 || !strings.Contains(fsck.Errors[0], d) || !strings.Contains(fsck.Errors[0], "jobA") {
+		t.Fatalf("fsck errors %q, want one naming jobA and %s", fsck.Errors, d)
 	}
-	found := false
-	for _, e := range fsck.Errors {
-		if strings.Contains(e, "sha256-") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("fsck errors name no digest: %v", fsck.Errors)
-	}
-	// Reading through the damaged manifest fails cleanly, no panic.
+	// Reading through the dangling ref fails cleanly, no panic.
 	if _, err := readRecording(s, "jobA"); err == nil {
-		t.Fatal("read through missing chunk succeeded")
+		t.Fatal("read through a missing object succeeded")
 	}
-	_ = d
 }
 
+// TestFsckDetectsCorruptChunk damages a recording's object on disk: a
+// flipped bit in its last, DEFLATE block, a byte after its last block, and
+// a flipped bit in its header.
 func TestFsckDetectsCorruptChunk(t *testing.T) {
 	s := open(t)
-	put(t, s, "jobA", encode(testRecording(1, 4)))
-	var victim string
-	var raw []byte
-	err := filepath.WalkDir(filepath.Join(s.Root(), "chunks"), func(path string, de os.DirEntry, err error) error {
-		if err == nil && !de.IsDir() && victim == "" {
-			if b, _ := os.ReadFile(path); len(b) > 0 && b[0] == 1 { // at-rest flag: DEFLATE
-				victim, raw = path, b
-			}
-		}
-		return err
-	})
-	if err != nil || victim == "" {
-		t.Fatal("no deflated chunk file")
+	d := put(t, s, "jobA", encode(testRecording(1, 4)))
+	path := objectPath(s, d)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A flipped bit, and a byte after the chunk's last: a deflated chunk is
-	// its DEFLATE stream and nothing else, a raw one its declared length.
 	for _, hurt := range [][]byte{
-		append(append([]byte(nil), raw[:len(raw)-1]...), raw[len(raw)-1]^0x01),
-		append(append([]byte(nil), raw...), 0),
+		flip(raw, len(raw)-1),
+		append(bytes.Clone(raw), 0),
+		flip(raw, 10), // the raw length: the header CRC fails
 	} {
-		if err := os.WriteFile(victim, hurt, 0o644); err != nil {
+		if err := os.WriteFile(path, hurt, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		fsck, err := s.Fsck()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fsck.OK() {
-			t.Fatalf("fsck passed with a corrupt chunk (%d bytes for %d)", len(hurt), len(raw))
+		if len(fsck.Errors) != 1 || !strings.Contains(fsck.Errors[0], d) {
+			t.Fatalf("fsck errors %q over a corrupt object (%d bytes for %d), want one naming %s", fsck.Errors, len(hurt), len(raw), d)
 		}
+	}
+}
+
+// TestStaleTempFiles plants what a crash between writeFileAtomic's create
+// and its rename leaves behind — among the objects and in a job directory:
+// fsck counts the files without calling them damage, a dry run reports
+// them, and a collection removes them.
+func TestStaleTempFiles(t *testing.T) {
+	s := open(t)
+	d := put(t, s, "jobA", encode(testRecording(1, 4)))
+	var planted []string
+	var plantedBytes int64
+	for i, dir := range []string{
+		filepath.Join(s.Root(), "chunks", "zz"),              // a shard of its own
+		filepath.Dir(objectPath(s, d)),                       // beside a live object
+		filepath.Dir(s.JobArtifact("jobA", "recording.ref")), // a ref or pin write
+	} {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, ".tmp-123456"+string(rune('0'+i)))
+		if err := os.WriteFile(path, bytes.Repeat([]byte{0xee}, 100+i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		planted = append(planted, path)
+		plantedBytes += int64(100 + i)
+	}
+	present := func() (n int) {
+		for _, p := range planted {
+			if _, err := os.Stat(p); err == nil {
+				n++
+			}
+		}
+		return n
+	}
+
+	fsck, err := s.Fsck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fsck.OK() || fsck.StaleTemps != len(planted) {
+		t.Fatalf("fsck over planted temp files: %+v", fsck)
+	}
+	dry, err := s.GC(store.Policy{DryRun: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dry.TempsRemoved != len(planted) || dry.BytesReclaimed != plantedBytes || present() != len(planted) {
+		t.Fatalf("dry run: %+v, %d of %d temp files left", dry, present(), len(planted))
+	}
+	rep, err := s.GC(store.Policy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TempsRemoved != len(planted) || rep.BytesReclaimed != plantedBytes || present() != 0 {
+		t.Fatalf("gc: %+v, %d temp files left", rep, present())
+	}
+	// Nothing but the temp files went.
+	if rep.ChunksRemoved+rep.RefsRemoved != 0 {
+		t.Fatalf("gc removed more than the temp files: %+v", rep)
+	}
+	if fsck, err = s.Fsck(); err != nil || !fsck.OK() || fsck.StaleTemps != 0 {
+		t.Fatalf("fsck after gc: %+v, %v", fsck, err)
+	}
+	if _, err := readRecording(s, "jobA"); err != nil {
+		t.Fatalf("recording after gc: %v", err)
 	}
 }
 
@@ -329,7 +399,7 @@ func TestStatsCleanStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Chunks != 0 || st.LogicalBytes != 0 || st.DedupRatio != 1 {
+	if *st != (store.StatsReport{}) {
 		t.Fatalf("empty store stats: %+v", st)
 	}
 }

@@ -24,14 +24,9 @@ func open(t *testing.T) *store.Store {
 	return s
 }
 
-// testRecording builds a deterministic recording whose syscall groups
-// are sizeable and identical across "seeds" while the boundary hashes
-// and schedules differ — the shape chunk dedup exists for. A syscall
-// group is ~390 bytes, above the store's inline bound, so it is a chunk
-// file two seeds share; even epochs carry a long schedule, so their
-// seed-entangled epoch-meta span is a chunk file nothing shares; the
-// header, the other epoch-meta spans, sync and index are below the bound
-// and travel in the manifest.
+// testRecording builds a deterministic recording; the seed changes its
+// boundary hashes and schedules. An epoch encodes to about 620 bytes, so a
+// recording of 106 epochs or more spans object blocks.
 func testRecording(seed uint64, epochs int) *dplog.Recording {
 	rec := &dplog.Recording{
 		Program: "storetest", Workers: 2, Seed: int64(seed),
@@ -83,6 +78,21 @@ func readRecording(s *store.Store, job string) ([]byte, error) {
 	return data, nil
 }
 
+// objectPath is where the store keeps the object of the recording digest.
+func objectPath(s *store.Store, digest string) string {
+	return filepath.Join(s.Root(), "chunks", digest[len("sha256-"):len("sha256-")+2], digest)
+}
+
+// objectFiles lists every file among the objects, temp files included.
+func objectFiles(t *testing.T, root string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(root, "chunks", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestParallelPutRecording has many goroutines put the same recording:
 // all must succeed with the one digest and leave one intact recording and
 // totals that counted it once.
@@ -118,12 +128,14 @@ func TestParallelPutRecording(t *testing.T) {
 	if got, err := readRecording(s, "job"); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("recording damaged after parallel puts: %v", err)
 	}
-	if st, err := s.Stats(); err != nil || st.Manifests != 1 || !reflect.DeepEqual(*st, s.Totals()) {
+	if st, err := s.Stats(); err != nil || st.Recordings != 1 || !reflect.DeepEqual(*st, s.Totals()) {
 		t.Fatalf("stats %+v (%v), totals %+v", st, err, s.Totals())
 	}
 }
 
-func TestPutRecordingDedupsAcrossSeeds(t *testing.T) {
+// TestPutRecordingDedupsByDigest: two seeds are two objects, each smaller
+// than its recording, and a put of bytes already stored writes nothing.
+func TestPutRecordingDedupsByDigest(t *testing.T) {
 	s := open(t)
 	a := encode(testRecording(1, 6))
 	b := encode(testRecording(2, 6))
@@ -142,28 +154,52 @@ func TestPutRecordingDedupsAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stats: %v", err)
 	}
-	if st.Manifests != 2 {
-		t.Fatalf("manifests = %d, want 2", st.Manifests)
+	if st.Recordings != 2 || st.LogicalBytes != int64(len(a)+len(b)) {
+		t.Fatalf("stats %+v, want 2 recordings of %d logical bytes", st, len(a)+len(b))
 	}
-	if st.LogicalBytes != int64(len(a)+len(b)) {
-		t.Fatalf("logical bytes = %d, want %d", st.LogicalBytes, len(a)+len(b))
+	if st.StoredBytes >= st.LogicalBytes {
+		t.Fatalf("nothing compressed at rest: %+v", st)
 	}
-	if st.DedupSavedBytes <= 0 {
-		t.Fatalf("same-workload different-seed recordings shared nothing (saved=%d, unique=%d)",
-			st.DedupSavedBytes, st.UniqueRawBytes)
-	}
-	if st.DedupRatio <= 1 {
-		t.Fatalf("dedup ratio %v, want > 1", st.DedupRatio)
-	}
-	// Idempotent re-put takes the manifest fast path.
+	before := objectFiles(t, s.Root())
 	if d2, err := s.PutRecording(a); err != nil || d2 != da {
 		t.Fatalf("re-put: %s, %v", d2, err)
+	}
+	if after := objectFiles(t, s.Root()); !reflect.DeepEqual(before, after) || s.Totals() != *st {
+		t.Fatalf("a present put wrote: files %v -> %v, totals %+v", before, after, s.Totals())
+	}
+}
+
+// TestPutCreatesOneFile is what the object layout is for: a put of any
+// size lands as exactly one file, named by the recording's digest, and it
+// decodes back to the recording.
+func TestPutCreatesOneFile(t *testing.T) {
+	s := open(t)
+	for i, epochs := range []int{1, 6, 250} {
+		data := encode(testRecording(uint64(1+i), epochs))
+		before := len(objectFiles(t, s.Root()))
+		d, err := s.PutRecording(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(objectFiles(t, s.Root())) - before; n != 1 {
+			t.Fatalf("%d-byte recording: %d new files", len(data), n)
+		}
+		obj, err := os.ReadFile(objectPath(s, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw, err := store.DecodeObject(obj); err != nil || !bytes.Equal(raw, data) {
+			t.Fatalf("%d-byte recording: object does not decode back: %v", len(data), err)
+		}
+		if epochs == 250 && len(data) <= 2*store.ObjectBlock {
+			t.Fatalf("fixture is %d bytes, want more than two blocks", len(data))
+		}
 	}
 }
 
 func TestOpenRecordingReassemblesExactly(t *testing.T) {
 	s := open(t)
-	data := encode(testRecording(7, 5))
+	data := encode(testRecording(7, 150))
 	d, err := s.PutRecording(data)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +220,7 @@ func TestOpenRecordingReassemblesExactly(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("reassembled recording differs from the original")
 	}
-	// Strided reads at awkward offsets, spanning chunk boundaries.
+	// Strided reads at awkward offsets, spanning block boundaries.
 	for _, tc := range []struct{ off, n int }{
 		{0, 1}, {1, 7}, {len(data) / 3, 1000}, {len(data) - 5, 5}, {len(data) / 2, len(data) / 2},
 	} {
@@ -204,8 +240,8 @@ func TestOpenRecordingReassemblesExactly(t *testing.T) {
 	if _, err := h.ReadAt(make([]byte, 4), int64(len(data))); err != io.EOF {
 		t.Fatalf("read past end: err = %v, want EOF", err)
 	}
-	// The chunked handle composes with the dplog reader: every epoch
-	// decodes identically to the in-memory path.
+	// The handle composes with the dplog reader: every epoch decodes
+	// identically to the in-memory path.
 	rd, err := dplog.OpenReader(h, h.Size())
 	if err != nil {
 		t.Fatalf("OpenReader over handle: %v", err)
@@ -218,15 +254,64 @@ func TestOpenRecordingReassemblesExactly(t *testing.T) {
 		t.Fatalf("sections %d vs %d", rd.NumSections(), mem.NumSections())
 	}
 	var a, b bytes.Buffer
-	if err := rd.WriteRange(&a, 1, 3); err != nil {
+	if err := rd.WriteRange(&a, 1, 50); err != nil {
 		t.Fatalf("WriteRange over handle: %v", err)
 	}
-	if err := mem.WriteRange(&b, 1, 3); err != nil {
+	if err := mem.WriteRange(&b, 1, 50); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("epoch-range extraction through the chunked handle differs from the in-memory path")
+		t.Fatal("epoch-range extraction through the handle differs from the in-memory path")
 	}
+}
+
+// TestHandleReadsAcrossBlocks reads every window that straddles a block
+// boundary — alone, and reaching over the blocks on either side — through
+// one handle from several goroutines.
+func TestHandleReadsAcrossBlocks(t *testing.T) {
+	s := open(t)
+	data := encode(testRecording(3, 450))
+	d, err := s.PutRecording(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bounds []int
+	for b := store.ObjectBlock; b < len(data); b += store.ObjectBlock {
+		bounds = append(bounds, b)
+	}
+	if len(bounds) < 3 {
+		t.Fatalf("fixture of %d bytes crosses %d block boundaries", len(data), len(bounds))
+	}
+	h, err := s.OpenRecording(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	const readers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, len(data))
+			for _, b := range bounds {
+				for _, before := range []int{1, 2, 19, 4096, store.ObjectBlock, store.ObjectBlock + 7} {
+					lo, hi := max(b-before, 0), min(b+1+g*700, len(data))
+					got := buf[:hi-lo]
+					if _, err := h.ReadAt(got, int64(lo)); err != nil {
+						t.Errorf("ReadAt [%d,%d) across the boundary at %d: %v", lo, hi, b, err)
+						return
+					}
+					if !bytes.Equal(got, data[lo:hi]) {
+						t.Errorf("ReadAt [%d,%d) across the boundary at %d returned wrong bytes", lo, hi, b)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // tree lists every file and directory under root with its size.
@@ -255,9 +340,9 @@ func tree(t *testing.T, root string) []string {
 }
 
 // TestPutRecordingRefusesNonRecordings: a recording is stored one way, as
-// a manifest over the chunks of an intact v6 log. Anything else is refused
-// with an error and leaves the store — the accounting, the gauges' totals
-// and the directory tree — exactly as it was.
+// the object of an intact v6 log. Anything else is refused with an error
+// and leaves the store — the accounting, the gauges' totals and the
+// directory tree — exactly as it was.
 func TestPutRecordingRefusesNonRecordings(t *testing.T) {
 	s := open(t)
 	put(t, s, "jobA", encode(testRecording(3, 3)))
@@ -267,11 +352,14 @@ func TestPutRecordingRefusesNonRecordings(t *testing.T) {
 	}
 	files := tree(t, s.Root())
 	whole := dplog.MarshalBytes(testRecording(3, 2))
+	damaged := bytes.Clone(whole)
+	damaged[len(damaged)/2] ^= 0x40 // inside a section: its CRC fails
 	for name, data := range map[string][]byte{
 		"junk":      []byte("hello artifact store"),
 		"empty":     {},
 		"truncated": whole[:len(whole)-3],
 		"half":      whole[:len(whole)/2],
+		"damaged":   damaged,
 	} {
 		d, err := s.PutRecording(data)
 		if err == nil || d != "" {
@@ -321,77 +409,6 @@ func TestRecordingRefRoundTrip(t *testing.T) {
 	}
 	if !s.HasRecording(d) {
 		t.Fatal("HasRecording(d) = false")
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	m := &store.Manifest{Total: 130, Inline: []byte("ten bytes!twenty bytes of span")}
-	m.Chunks = []store.ManifestChunk{
-		{Len: 10, Kind: 0}, // inline: no digest
-		{Digest: store.Digest([]byte("a")), Len: 30, Kind: 1},
-		{Digest: store.Digest([]byte("b")), Len: 50, Kind: 2},
-		{Len: 20, Kind: 255},
-		{Digest: store.Digest([]byte("a")), Len: 20, Kind: 3},
-	}
-	enc := m.Encode()
-	got, err := store.DecodeManifest(enc)
-	if err != nil {
-		t.Fatalf("DecodeManifest: %v", err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("round trip: %+v, want %+v", got, m)
-	}
-	// An inline tail big enough to compress goes through DEFLATE and back.
-	big := &store.Manifest{Total: 200 * 64}
-	for i := 0; i < 64; i++ {
-		big.Chunks = append(big.Chunks, store.ManifestChunk{Len: 200, Kind: 1})
-		big.Inline = append(big.Inline, bytes.Repeat([]byte{byte(i)}, 200)...)
-	}
-	if benc := big.Encode(); len(benc) >= len(big.Inline) {
-		t.Fatalf("a %d-byte compressible tail made a %d-byte manifest", len(big.Inline), len(benc))
-	} else if got, err := store.DecodeManifest(benc); err != nil || !reflect.DeepEqual(got, big) {
-		t.Fatalf("deflated tail round trip: %v", err)
-	}
-	// Corruptions must fail cleanly, never panic.
-	for _, mut := range []struct {
-		name string
-		data []byte
-	}{
-		{"empty", nil},
-		{"magic", append([]byte("XXXX"), enc[4:]...)},
-		{"truncated", enc[:len(enc)-6]},
-		{"bitflip", flip(enc, len(enc)/2)},
-		{"inline byte", flip(enc, len(enc)-8)},
-		{"crc", flip(enc, len(enc)-1)},
-	} {
-		if _, err := store.DecodeManifest(mut.data); err == nil {
-			t.Fatalf("%s: corrupt manifest decoded", mut.name)
-		}
-	}
-}
-
-// TestManifestV1StillDecodes reads a manifest the parent of the inline
-// form wrote (version 1: ref entries only). It decodes to the same three
-// entries, and encoding it again writes the current version.
-func TestManifestV1StillDecodes(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1.dpmf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1[4] != 1 {
-		t.Fatalf("testdata/v1.dpmf declares version %d", v1[4])
-	}
-	want := &store.Manifest{Total: 100, Chunks: []store.ManifestChunk{
-		{Digest: store.Digest([]byte("a")), Len: 30, Kind: 1},
-		{Digest: store.Digest([]byte("b")), Len: 50, Kind: 2},
-		{Digest: store.Digest([]byte("a")), Len: 20, Kind: 3},
-	}}
-	got, err := store.DecodeManifest(v1)
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 manifest: %+v, %v", got, err)
-	}
-	if re := got.Encode(); re[4] != 2 {
-		t.Fatalf("re-encoded as version %d, want 2", re[4])
 	}
 }
 

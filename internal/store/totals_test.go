@@ -14,8 +14,9 @@ import (
 	"doubleplay/internal/trace"
 )
 
-// gaugesEqualStats asserts that the five published store.* gauges equal
-// what the Stats walk finds on disk at this moment.
+// gaugesEqualStats asserts that the three published store.* gauges equal
+// what the Stats walk finds on disk at this moment, as do the totals behind
+// them.
 func gaugesEqualStats(t *testing.T, s *store.Store, reg *trace.Registry, step string) {
 	t.Helper()
 	want, err := s.Stats()
@@ -23,17 +24,12 @@ func gaugesEqualStats(t *testing.T, s *store.Store, reg *trace.Registry, step st
 		t.Fatalf("%s: Stats: %v", step, err)
 	}
 	got := store.StatsReport{
-		Chunks:       int(reg.Gauge("store.chunks")),
-		Manifests:    int(reg.Gauge("store.manifests")),
+		Recordings:   int(reg.Gauge("store.recordings")),
 		LogicalBytes: int64(reg.Gauge("store.logical_bytes")),
 		StoredBytes:  int64(reg.Gauge("store.stored_bytes")),
-		DedupRatio:   reg.Gauge("store.dedup_ratio"),
 	}
-	// The two unpublished fields come from the totals themselves.
-	tot := s.Totals()
-	got.UniqueRawBytes, got.DedupSavedBytes = tot.UniqueRawBytes, tot.DedupSavedBytes
-	if got != *want {
-		t.Fatalf("%s: gauges drifted from the walk\n gauges %+v\n  stats %+v", step, got, *want)
+	if got != *want || s.Totals() != *want {
+		t.Fatalf("%s: gauges drifted from the walk\n gauges %+v\n totals %+v\n  stats %+v", step, got, s.Totals(), *want)
 	}
 }
 
@@ -75,7 +71,7 @@ func TestTotalsEqualStatsAfterEveryStep(t *testing.T) {
 			for step := 0; step < 150; step++ {
 				var what string
 				switch op := rng.Intn(12); op {
-				case 0, 1, 2: // new (or, by collision, present) recording; seeds share chunks
+				case 0, 1, 2: // new (or, by collision, present) recording
 					what = "put"
 					putRef(encode(testRecording(uint64(1+rng.Intn(8)), 1+rng.Intn(5))))
 				case 3: // present put, or a re-put of something GC collected
@@ -141,52 +137,30 @@ func TestTotalsEqualStatsAfterEveryStep(t *testing.T) {
 	}
 }
 
-// TestTotalsLagOnlyOnAdoptedOrphan pins the one case where the totals may
-// trail the walk: a chunk that was already on disk as an orphan when the
-// totals were last recounted, and that a later put references without
-// creating it. Only unique_raw_bytes and the ratio derived from it lag, and
-// the next GC recounts them.
-func TestTotalsLagOnlyOnAdoptedOrphan(t *testing.T) {
+// TestTotalsExactOnAdoptedOrphan: a put that finds its recording already
+// on disk as an orphan — a crash between put and ref, then a restart —
+// creates nothing and counts nothing, because the walk at Open counted the
+// object already. The totals never trail the walk.
+func TestTotalsExactOnAdoptedOrphan(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir, trace.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := encode(testRecording(1, 4))
-	d, err := s.PutRecording(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A crash between the last chunk and the manifest: chunks, no manifest.
-	if err := os.Remove(filepath.Join(dir, "manifests", d[len("sha256-"):len("sha256-")+2], d)); err != nil {
+	if _, err := s.PutRecording(data); err != nil {
 		t.Fatal(err)
 	}
 	reg := trace.NewRegistry()
 	if s, err = store.Open(dir, reg); err != nil {
 		t.Fatal(err)
 	}
-	gaugesEqualStats(t, s, reg, "reopened over stranded chunks")
-	if tot := s.Totals(); tot.Chunks == 0 || tot.UniqueRawBytes != 0 {
-		t.Fatalf("stranded chunks not counted as unreferenced: %+v", tot)
+	gaugesEqualStats(t, s, reg, "reopened over an orphan")
+	if tot := s.Totals(); tot.Recordings != 1 || tot.LogicalBytes != int64(len(data)) {
+		t.Fatalf("orphan not counted: %+v", tot)
 	}
-
-	put(t, s, "jobA", data) // adopts every stranded chunk, creates none
-	want, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The put counted what it wrote — the manifest and the spans inline in
-	// it — and none of the chunks it found.
-	got := s.Totals()
-	if got.UniqueRawBytes == 0 || got.UniqueRawBytes >= want.UniqueRawBytes {
-		t.Fatalf("expected unique_raw_bytes to lag by the adopted chunks: totals %d, walk %d", got.UniqueRawBytes, want.UniqueRawBytes)
-	}
-	// Everything that does not derive from unique_raw_bytes is exact.
-	got.UniqueRawBytes, got.DedupSavedBytes, got.DedupRatio = want.UniqueRawBytes, want.DedupSavedBytes, want.DedupRatio
-	if got != *want {
-		t.Fatalf("lag not confined to unique_raw_bytes and dedup_ratio\n totals %+v\n  stats %+v", got, *want)
-	}
-
+	put(t, s, "jobA", data) // adopts the orphan, creates nothing
+	gaugesEqualStats(t, s, reg, "after adopting the orphan")
 	if _, err := s.GC(store.Policy{}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +182,7 @@ func TestRefRefusedOnceRecordingCollected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ManifestsRemoved != 1 || rep.ChunksRemoved == 0 {
+	if rep.ChunksRemoved != 1 {
 		t.Fatalf("unreferenced recording not swept: %+v", rep)
 	}
 	if err := s.SetRecordingRef("jobA", d); !errors.Is(err, store.ErrNoRecording) {
@@ -250,7 +224,7 @@ func TestRefDuringSweepWaitsAndIsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ManifestsRemoved != 1 {
+	if rep.ChunksRemoved != 1 {
 		t.Fatalf("gc report: %+v", rep)
 	}
 	if err := <-refErr; !errors.Is(err, store.ErrNoRecording) {

@@ -258,7 +258,7 @@ kill -TERM "$srv_pid"
 wait "$srv_pid"
 srv_pid=""
 
-echo "== store gate (chunk dedup, pinning, retention gc, offline fsck)"
+echo "== store gate (one object per recording, pinning, retention gc, offline fsck)"
 ./scripts/store_gate.sh
 
 echo "verify.sh: all checks passed"
