@@ -822,6 +822,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 		// windows, squashed stretches included; zero when a hook on this
 		// machine watches plain instructions (signals, a live profile).
 		reg.Add("record.window_instrs", par.WindowRetired, wl)
+		reg.Add("record.windows", par.Windows, wl)
 		reg.Add("record.window_aborts", par.WindowEventAborts, wl, trace.Label("reason", "event"))
 		reg.Add("record.window_aborts", par.WindowConflictAborts, wl, trace.Label("reason", "conflict"))
 		reg.Set("record.completion_cycles", float64(stats.CompletionCycles), wl)

@@ -52,12 +52,13 @@ func BenchmarkUniFree(b *testing.B) {
 // run in clock order against the live simulated OS, the loop every
 // recording and every native baseline run spends most of its time in. Two
 // compute kernels, a racy program whose threads share words (windows abort
-// and back off), and a syscall-heavy server (windows cut short by events).
-// window% is the share of instructions retired inside windows.
+// and back off), and two syscall-heavy servers (windows cut short by
+// events; webserve's are the shortest). window% is the share of
+// instructions retired inside windows, instrs/window their mean number.
 func BenchmarkParallel(b *testing.B) {
-	for _, name := range []string{"fft", "water", "racey", "kvdb"} {
+	for _, name := range []string{"fft", "water", "racey", "kvdb", "webserve"} {
 		b.Run(name, func(b *testing.B) {
-			var instrs, inWindows int64
+			var instrs, inWindows, windows int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				bt := buildGuest(b, name)
@@ -69,9 +70,11 @@ func BenchmarkParallel(b *testing.B) {
 				}
 				instrs += p.Retired()
 				inWindows += p.WindowRetired
+				windows += p.Windows
 			}
 			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
 			b.ReportMetric(100*float64(inWindows)/float64(instrs), "window%")
+			b.ReportMetric(float64(inWindows)/float64(max(windows, 1)), "instrs/window")
 		})
 	}
 }

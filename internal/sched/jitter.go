@@ -16,10 +16,11 @@ import (
 //	ring[i] += ring[i+334]   for i <  273   (n-273 is still last round's)
 //	ring[i] += ring[i-273]   for i >= 273   (n-273 is already this round's)
 //
-// Owning the ring is what lets the scheduler look for the next slow
-// retirement by scanning a slice instead of drawing through an interface
-// once per retired instruction. TestJitterStreamIsMathRand holds the stream
-// to math/rand's, draw for draw, on every toolchain CI runs.
+// Owning the ring is what lets the scheduler find the next slow retirement
+// without drawing through an interface once per retired instruction: the
+// loops that write the ring also list where its hits are.
+// TestJitterStreamIsMathRand holds the stream to math/rand's, draw for
+// draw, on every toolchain CI runs.
 
 const (
 	jitterLen = 607 // math/rand's rngLen
@@ -38,6 +39,11 @@ const (
 type jitterStream struct {
 	ring [jitterLen]uint64
 	pos  int // next unread word; jitterLen when the ring is spent
+	// hits lists the ring positions of the words that make a retirement
+	// slow, in order and followed by jitterLen; hit indexes the first of
+	// them gap has not passed. (A hit intn24 consumed is passed over.)
+	hits [jitterLen + 1]uint16
+	hit  int
 }
 
 // primers are the math/rand sources the rings are primed from: seeding one
@@ -49,23 +55,42 @@ var primers = sync.Pool{New: func() any { return rand.NewSource(0) }}
 func (j *jitterStream) seed(seed int64) {
 	src := primers.Get().(rand.Source64)
 	src.Seed(seed)
+	k := 0
 	for i := range j.ring {
-		j.ring[i] = src.Uint64()
+		x := src.Uint64()
+		j.ring[i] = x
+		k = j.index(k, i, x)
 	}
 	primers.Put(src)
-	j.pos = 0
+	j.rewind(k)
 }
 
 // refill replaces the ring's 607 outputs with the next 607.
 func (j *jitterStream) refill() {
-	r := &j.ring
+	r, k := &j.ring, 0
 	for i := 0; i < jitterTap; i++ {
 		r[i] += r[i+jitterLen-jitterTap]
+		k = j.index(k, i, r[i])
 	}
 	for i := jitterTap; i < jitterLen; i++ {
 		r[i] += r[i-jitterTap]
+		k = j.index(k, i, r[i])
 	}
-	j.pos = 0
+	j.rewind(k)
+}
+
+// index lists ring position i as hit number k if its word x is a hit, and
+// returns the number of hits listed. It does not branch on x.
+func (j *jitterStream) index(k, i int, x uint64) int {
+	j.hits[k] = uint16(i)
+	return k + int((x&jitterHitMask-1)>>63)
+}
+
+// rewind ends the list of the k hits just indexed and starts reading the
+// ring from its first word.
+func (j *jitterStream) rewind(k int) {
+	j.hits[k] = jitterLen
+	j.pos, j.hit = 0, 0
 }
 
 // next draws one word.
@@ -83,11 +108,13 @@ func (j *jitterStream) next() uint64 {
 func (j *jitterStream) gap() int {
 	n := 0
 	for {
-		for i, x := range j.ring[j.pos:] {
-			if x&jitterHitMask == 0 {
-				j.pos += i + 1
-				return n + i
-			}
+		for int(j.hits[j.hit]) < j.pos {
+			j.hit++
+		}
+		if h := int(j.hits[j.hit]); h < jitterLen {
+			n += h - j.pos
+			j.pos, j.hit = h+1, j.hit+1
+			return n
 		}
 		n += jitterLen - j.pos
 		j.refill()

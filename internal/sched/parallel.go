@@ -77,17 +77,14 @@ type Parallel struct {
 	WindowEventAborts    int64
 	WindowConflictAborts int64
 
-	canWindow      bool // see NewParallel
-	win            []winCPU
-	conf           []confEntry
-	confGen        uint16
-	backoff        int64
-	noWindowBefore int64 // no window before this cycle: back-off after a conflict
-	// windowAt is the one thing RunUntil's loop compares per pass: the cycle
-	// from which a window is worth attempting. It is noWindowBefore, or
-	// never while the jitter gap is too short to share out (drawJitter
-	// puts it back).
-	windowAt int64
+	win     []winCPU
+	conf    []confEntry
+	confGen uint16
+	backoff int64
+	// noWindowBefore is the one thing RunUntil's loop compares per pass: no
+	// window opens before this cycle — the back-off after a conflict, or
+	// never on a machine whose costs cannot bound one (see start).
+	noWindowBefore int64
 }
 
 type pcpu struct {
@@ -131,10 +128,12 @@ func (p *Parallel) Resume(m *vm.Machine, seed, c int64) {
 // start points the scheduler at m and draws the first jitter gap.
 func (p *Parallel) start(m *vm.Machine) {
 	p.M = m
-	// A window bounds its retirements by the cycles it spans, so every
-	// plain instruction must cost one at least; and the conflict check
+	// A window tells its retirements apart by the cycle they start at, so
+	// every plain instruction must cost one at least; and the conflict check
 	// names CPUs in 16 bits.
-	p.canWindow = m.PlainCostFloor() >= 1 && len(p.cpus) <= 1<<16
+	if m.PlainCostFloor() < 1 || len(p.cpus) > 1<<16 {
+		p.noWindowBefore = math.MaxInt64
+	}
 	p.drawJitter()
 }
 
@@ -143,12 +142,11 @@ func (p *Parallel) start(m *vm.Machine) {
 // costs up to 23 cycles more: the stream is the one a per-retirement
 // Intn(64), with an Intn(24) right after each hit, would draw from
 // rand.NewSource(seed), but the scheduler owns the generator's ring
-// (jitter.go), so the gap is one scan over it and the loop around Step
-// makes no draw at all.
+// (jitter.go), so the gap is a lookup and the loop around Step makes no
+// draw at all.
 func (p *Parallel) drawJitter() {
 	p.jitterGap = p.jitter.gap()
 	p.jitterExtra = p.jitter.intn24()
-	p.windowAt = p.noWindowBefore
 }
 
 // Now returns the frontier of simulated time: the smallest CPU clock, which
@@ -270,7 +268,7 @@ func (p *Parallel) RunUntil(limit int64) error {
 		if now >= limit {
 			return nil
 		}
-		if now >= p.windowAt && !m.Hooks.ObservesPlain() {
+		if now >= p.noWindowBefore && !m.Hooks.ObservesPlain() {
 			if committed, ranOut := p.window(limit); committed {
 				// Every clock is now at or past the window's end. If every
 				// CPU ran it out the next one can open right there; if

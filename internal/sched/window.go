@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/bits"
 
 	"doubleplay/internal/vm"
 )
@@ -16,12 +17,15 @@ import (
 // strict order would have given it and each address has one writer, so the
 // buffers commit to exactly the strict result; if not, every thread is put
 // back, memory was never touched, and the strict loop runs the stretch.
+// The timing jitter is charged afterwards, by place, to the retirements the
+// strict loop would have charged it to.
 // DESIGN.md key decision 8 has the invariants and the tests that pin them.
 
 const (
 	// maxWindowSpan caps a window's length in cycles, which caps what each
 	// CPU buffers: at the default two cycles per memory access a window
-	// cannot reach vm.WindowCap accesses on one CPU.
+	// cannot reach vm.WindowCap accesses on one CPU. A window's start
+	// cycles are one uint64, so it is at most 64.
 	maxWindowSpan = 2 * vm.WindowCap
 	// minWindowSpan is the shortest stretch worth a window's fixed cost
 	// (a register-file snapshot per CPU and the conflict check).
@@ -41,6 +45,11 @@ type winCPU struct {
 	retired uint64
 	cycles  int64
 	last    int64 // cost of the last instruction retired
+	// Set by place: bit k for each retirement kept that starts k cycles
+	// after the window's earliest clock, jitter included, and the jitter
+	// the CPU's clock takes on top of cycles.
+	at    uint64
+	delay int64
 }
 
 // confEntry is one slot of the conflict check's address table: an address
@@ -74,16 +83,7 @@ func (p *Parallel) window(limit int64) (committed, ranOut bool) {
 			lo = min(lo, cpus[ci].clock)
 		}
 	}
-	// Every plain instruction costs a cycle or more, so each CPU retires at
-	// most jitterGap/bound instructions that start in [lo, lo+jitterGap/bound)
-	// and all of them together at most jitterGap: the window ends before the
-	// next jittered retirement, whichever CPU that will fall to.
-	span := min(int64(p.jitterGap/bound), maxWindowSpan)
-	if span < minWindowSpan || !p.canWindow {
-		p.windowAt = math.MaxInt64 // not before the next jitter draw
-		return false, false
-	}
-	end := min(lo+span, limit)
+	end := min(lo+maxWindowSpan, limit)
 	if end-lo < minWindowSpan {
 		return false, false
 	}
@@ -96,14 +96,15 @@ func (p *Parallel) window(limit int64) (committed, ranOut bool) {
 		p.conf = make([]confEntry, n)
 	}
 
-	// Run. Guest memory is not written here, so the order the CPUs run in
-	// does not matter. A CPU that stops short of end met something the
-	// window cannot contain — a sync op, sys, spawn, join, halt, a fault,
-	// the end of its quantum — at cycle s. Nothing that starts at or after
-	// s may be in the window with it: the strict loop has to execute that
-	// instruction at its own clock, before the later ones of every CPU and
-	// against their effects on none. So the window ends at s for everyone,
-	// and CPUs that already ran past s go back and run again, shorter.
+	// Run, as if no retirement were slow. Guest memory is not written here,
+	// so the order the CPUs run in does not matter. A CPU that stops short
+	// of end met something the window cannot contain — a sync op, sys,
+	// spawn, join, halt, a fault, the end of its quantum — at cycle s.
+	// Nothing that starts at or after s may be in the window with it: the
+	// strict loop has to execute that instruction at its own clock, before
+	// the later ones of every CPU and against their effects on none. So the
+	// window ends at s for everyone, and CPUs that already ran past s go
+	// back and run again, shorter.
 	cut, shortened := false, false
 	for ci := range cpus {
 		if cpus[ci].th == nil {
@@ -127,8 +128,11 @@ func (p *Parallel) window(limit int64) (committed, ranOut bool) {
 	}
 	var total uint64
 	for ci := range cpus {
+		w := &p.win[ci]
+		w.at = 0
 		if cpus[ci].th != nil {
-			total += p.win[ci].retired
+			w.at = w.Starts << uint64(cpus[ci].clock-lo)
+			total += w.retired
 		}
 	}
 	if total == 0 {
@@ -143,8 +147,18 @@ func (p *Parallel) window(limit int64) (committed, ranOut bool) {
 		p.WindowConflictAborts++
 		p.backoff = min(max(2*p.backoff, minBackoff), maxBackoff)
 		p.noWindowBefore = end + p.backoff
-		p.windowAt = p.noWindowBefore
 		return false, false
+	}
+
+	// Jitter. A CPU that place delays past end runs again, shorter; what it
+	// keeps is a prefix of what it ran, so the check above still holds.
+	total = p.place(end - lo)
+	for ci := range cpus {
+		w, cpu := &p.win[ci], &cpus[ci]
+		if keep := uint64(bits.OnesCount64(w.at)); cpu.th != nil && keep < w.retired {
+			w.Undo(cpu.th)
+			w.retired, w.cycles, w.last = p.M.RunWindow(cpu.th, &w.Window, keep, end-cpu.clock)
+		}
 	}
 
 	// Commit: the stores, then in bulk what the strict loop does per
@@ -160,11 +174,10 @@ func (p *Parallel) window(limit int64) (committed, ranOut bool) {
 		}
 		w := &p.win[ci]
 		w.Commit(p.M)
-		cpu.clock += w.cycles
+		cpu.clock += w.cycles + w.delay
 		cpu.sliceN += int64(w.retired)
 	}
 	p.retired += int64(total)
-	p.jitterGap -= int(total)
 	p.WindowRetired += int64(total)
 	p.Windows++
 	p.backoff >>= 1
@@ -184,6 +197,68 @@ func (p *Parallel) runCPU(ci int, end int64) (s int64, stopped bool) {
 	n := max(p.Quantum-cpu.sliceN-1, 0)
 	w.retired, w.cycles, w.last = p.M.RunWindow(cpu.th, &w.Window, uint64(n), budget)
 	return cpu.clock + w.cycles, w.cycles < budget
+}
+
+// place charges the timing jitter to the window's retirements as RunUntil's
+// loop would. Their start cycles, counted from the window's earliest clock,
+// are the bits of each win[ci].at; span is the window's length. Counting
+// them in (start cycle, CPU index) order, place calls drawJitter at every
+// slow one, and that CPU starts everything after it jitterExtra cycles
+// later — which can push some of it to span or beyond, out of the window.
+// Since no retirement moves before one already counted, the count stays in
+// order. place returns how many retirements the window keeps.
+func (p *Parallel) place(span int64) (total uint64) {
+	for ci := range p.win {
+		p.win[ci].delay = 0
+		total += uint64(bits.OnesCount64(p.win[ci].at))
+	}
+	inSpan := uint64(1)<<span - 1
+	for pos := uint64(0); ; { // pos retirements counted
+		slow := pos + uint64(p.jitterGap)
+		if slow >= total {
+			p.jitterGap -= int(total - pos)
+			return total
+		}
+		t, w := p.nth(slow)
+		after := w.at &^ (2<<t - 1)
+		moved := after << p.jitterExtra & inSpan
+		w.at = w.at&^after | moved
+		w.delay += p.jitterExtra
+		total -= uint64(bits.OnesCount64(after) - bits.OnesCount64(moved))
+		pos = slow + 1
+		p.drawJitter()
+	}
+}
+
+// nth returns the start cycle of retirement k, counted from zero in (start
+// cycle, CPU index) order, and the CPU it falls to.
+func (p *Parallel) nth(k uint64) (uint, *winCPU) {
+	var t uint        // the last cycle before which no more than k start…
+	var before uint64 // …and how many do
+	for step := uint(maxWindowSpan / 2); step > 0; step >>= 1 {
+		if n := p.startsBefore(t + step); n <= k {
+			t, before = t+step, n
+		}
+	}
+	k -= before
+	for ci := range p.win {
+		if w := &p.win[ci]; w.at>>t&1 != 0 {
+			if k == 0 {
+				return t, w
+			}
+			k--
+		}
+	}
+	panic("sched: window retirement out of range")
+}
+
+// startsBefore counts the window's retirements that start before cycle t.
+func (p *Parallel) startsBefore(t uint) (n uint64) {
+	below := uint64(1)<<t - 1
+	for ci := range p.win {
+		n += uint64(bits.OnesCount64(p.win[ci].at & below))
+	}
+	return n
 }
 
 // conflict reports whether any CPU in the window loaded or stored an

@@ -11,16 +11,15 @@ import (
 
 // minWindowShare is the least share of a thread-parallel run's
 // instructions that must retire inside windows, four workers on four
-// CPUs. What stays outside is the tail of every jitter gap — the last few
-// retirements before a jittered one cannot be shared out among the CPUs —
-// and whatever ends a window: sync ops, syscalls, the instruction after a
-// quantum. The racy guests are not held to anything; their windows abort.
+// CPUs. What stays outside is whatever ends a window: sync ops, syscalls,
+// the instruction after a quantum. The racy guests are not held to
+// anything; their windows abort.
 func minWindowShare(workload string) float64 {
 	switch workload {
 	case "fft", "lu", "radix", "ocean", "water":
-		return 0.80
+		return 0.97
 	case "kvdb":
-		return 0.50
+		return 0.90
 	}
 	return 0
 }

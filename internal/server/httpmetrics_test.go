@@ -89,8 +89,9 @@ func TestHTTPRequestMetrics(t *testing.T) {
 	if got := value(`doubleplay_record_loop_instrs{workload="pbzip"}`); got <= 0 {
 		t.Errorf("record.loop_instrs = %d after a recording", got)
 	}
-	if got := value(`doubleplay_record_window_instrs{workload="pbzip"}`); got <= 0 {
-		t.Errorf("record.window_instrs = %d after a recording", got)
+	instrs, windows := value(`doubleplay_record_window_instrs{workload="pbzip"}`), value(`doubleplay_record_windows{workload="pbzip"}`)
+	if instrs <= 0 || windows <= 0 || windows > instrs {
+		t.Errorf("record.window_instrs = %d in record.windows = %d after a recording", instrs, windows)
 	}
 	if got := value(`doubleplay_record_window_aborts{workload="pbzip",reason="conflict"}`); got != 0 {
 		t.Errorf("record.window_aborts{reason=conflict} = %d for a race-free guest", got)

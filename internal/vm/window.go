@@ -28,6 +28,11 @@ type Window struct {
 	// Loads is every address read from guest memory. Loads satisfied from
 	// Stores are not listed; their address is in Stores already.
 	Loads []Word
+	// Starts has bit k set when one of the last RunWindow's retirements
+	// started k cycles into it, for k < 64. Every plain instruction a
+	// scheduler bounds windows by cycles for costs a cycle at least, so
+	// each retirement has a bit of its own.
+	Starts uint64
 
 	// sig has bit (addr & 63) set for every address in Stores, so a load
 	// scans the buffer only when it might hit.
@@ -56,7 +61,7 @@ func (w *Window) Open(t *Thread) {
 }
 
 func (w *Window) reset() {
-	w.Stores, w.Loads, w.sig = w.Stores[:0], w.Loads[:0], 0
+	w.Stores, w.Loads, w.sig, w.Starts = w.Stores[:0], w.Loads[:0], 0, 0
 	w.low, w.popped = w.depth, w.popped[:0]
 }
 
@@ -130,12 +135,13 @@ func (m *Machine) PlainCostFloor() int64 {
 // it retires consecutive plain instructions of t, at most n of them, for as
 // long as the next one starts fewer than budget cycles in — an instruction
 // whose predecessors cost budget or more is not started — and returns how
-// many retired, what they cost, and the cost of the last one. Stores go to
-// w's buffer and loads see them; everything else is RunSlice's contract: it
-// returns before any instruction that is not plain, before anything that
-// would fault, before touching a thread that is not Runnable (and before an
-// access w has no room for), leaving that instruction to Step; the caller
-// must hold !m.Hooks.ObservesPlain(), and w must be open on t.
+// many retired, what they cost, and the cost of the last one; w.Starts says
+// at which cycles they started. Stores go to w's buffer and loads see them;
+// everything else is RunSlice's contract: it returns before any instruction
+// that is not plain, before anything that would fault, before touching a
+// thread that is not Runnable (and before an access w has no room for),
+// leaving that instruction to Step; the caller must hold
+// !m.Hooks.ObservesPlain(), and w must be open on t.
 //
 // cycles < budget on return therefore means the thread met something the
 // window cannot contain cycles into it; cycles >= budget means it ran the
@@ -147,12 +153,14 @@ func (m *Machine) PlainCostFloor() int64 {
 // runs; EXPERIMENTS.md), and replay is where RunSlice earns its keep.
 func (m *Machine) RunWindow(t *Thread, w *Window, n uint64, budget int64) (retired uint64, cycles, last int64) {
 	if t.Status != Runnable {
+		w.Starts = 0
 		return 0, 0, 0
 	}
 	const rm = NumRegs - 1 // operands are < NumRegs (Validate); the mask only tells the compiler so
 	code, tab := m.Prog.Code, &m.costTab
 	r := &t.Regs
 	pc := t.PC
+	var starts uint64
 loop:
 	for retired < n && cycles < budget {
 		if uint(pc) >= uint(len(code)) {
@@ -294,6 +302,7 @@ loop:
 		default:
 			break loop
 		}
+		starts |= 1 << uint64(cycles)
 		last = tab[in.Op]
 		cycles += last
 		pc = next
@@ -301,5 +310,6 @@ loop:
 	}
 	t.PC = pc
 	t.Retired += retired
+	w.Starts = starts
 	return retired, cycles, last
 }

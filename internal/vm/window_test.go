@@ -137,8 +137,9 @@ func TestRunWindowOpcodes(t *testing.T) {
 
 // TestRunWindowBounds: the cycle budget stops the loop before the first
 // instruction that would start at or after it — not before the first that
-// would end after it — the instruction budget is exact, stores stay out of
-// guest memory until Commit, and loads see the window's own stores.
+// would end after it — the instruction budget is exact, Starts marks the
+// cycle each retirement began at, stores stay out of guest memory until
+// Commit, and loads see the window's own stores.
 func TestRunWindowBounds(t *testing.T) {
 	const base = asm.DefaultDataBase
 	b := asm.NewBuilder("bounds")
@@ -155,6 +156,7 @@ func TestRunWindowBounds(t *testing.T) {
 	f.HaltImm(0)
 	b.Words(3, 4)
 	prog := b.MustBuild()
+	starts := []int{0, 1, 2, 4, 5, 7, 9, 11}
 
 	for _, tc := range []struct {
 		n       uint64
@@ -182,6 +184,13 @@ func TestRunWindowBounds(t *testing.T) {
 		if n != tc.retired || c != tc.cycles || th.Retired != tc.retired {
 			t.Errorf("RunWindow(n=%d, budget=%d) retired %d (thread %d) for %d cycles, want %d for %d",
 				tc.n, tc.budget, n, th.Retired, c, tc.retired, tc.cycles)
+		}
+		var want uint64
+		for _, s := range starts[:tc.retired] {
+			want |= 1 << s
+		}
+		if w.Starts != want {
+			t.Errorf("RunWindow(n=%d, budget=%d) marked starts %b, want %b", tc.n, tc.budget, w.Starts, want)
 		}
 		if got := m.Mem.Peek(base); got != 3 {
 			t.Errorf("budget %d: guest memory holds %d before Commit", tc.budget, got)
