@@ -75,33 +75,30 @@ func main() {
 
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
-		wlName      = fs.String("w", "", "workload name (see 'doubleplay list')")
-		workers     = fs.Int("workers", 2, "guest worker threads")
-		spares      = fs.Int("spares", 0, "spare cores for the epoch pipeline (default: workers)")
-		scale       = fs.Int("scale", 1, "problem size multiplier")
-		seed        = fs.Int64("seed", 11, "input/timing seed")
-		epochLen    = fs.Int64("epoch", core.DefaultEpochCycles, "epoch length in cycles")
-		logPath     = fs.String("log", "", "recording file to read")
-		outPath     = fs.String("o", "", "recording file to write")
-		epochRange  = fs.String("epochs", "", "log extract: epoch range, n or n..m")
-		parallel    = fs.Bool("parallel", false, "replay epochs in parallel (verify-time only)")
-		stride      = fs.Int("stride", 0, "also verify sparse segment-parallel replay with this checkpoint stride")
-		detect      = fs.Bool("detect-races", false, "run the happens-before detector during recording")
-		verifyPol   = fs.String("verify-policy", "always", "epoch verification policy: always, or certified (skip the epoch-parallel pass when the static certificate proves the guest race-free)")
-		growth      = fs.Float64("growth", 1, "adaptive epoch growth factor (>1 enables)")
-		adaptive    = fs.Bool("adaptive", false, "grow/shrink active spare slots at run time from the commit-lag signal")
-		minSpares   = fs.Int("min-spares", 0, "adaptive: lower bound on active spare slots (default 1)")
-		maxSpares   = fs.Int("max-spares", 0, "adaptive: upper bound on active spare slots (default -spares)")
-		traceOut    = fs.String("trace", "", "stream a Chrome trace_event JSON timeline to this file (record/verify/replay)")
-		traceWin    = fs.Int("trace-window", 0, "streaming reorder window in events (0 = default)")
-		traceSpan   = fs.Int64("trace-min-span", 0, "downsample: drop trace spans shorter than this many cycles")
-		traceStride = fs.Int("trace-counter-stride", 0, "downsample: keep every Nth counter sample per series")
-		metrics     = fs.Bool("metrics", false, "print the metrics registry after the run (record/verify)")
-		promOut     = fs.String("prom", "", "write the metrics registry in Prometheus text format to this file (record/verify)")
-		listen      = fs.String("listen", "", "serve /metrics and /healthz on this address while the run executes (serve: the API address)")
-		guestProf   = fs.String("guest-profile", "", "write the deterministic guest cycle profile (pprof format) to this file (record/replay/verify; render with 'dptrace flame')")
-		cpuProf     = fs.String("cpuprofile", "", "write a host CPU profile of this process to this file")
-		memProf     = fs.String("memprofile", "", "write a host heap profile of this process to this file on exit")
+		wlName     = fs.String("w", "", "workload name (see 'doubleplay list')")
+		workers    = fs.Int("workers", 2, "guest worker threads")
+		spares     = fs.Int("spares", 0, "spare cores for the epoch pipeline (default: workers)")
+		scale      = fs.Int("scale", 1, "problem size multiplier")
+		seed       = fs.Int64("seed", 11, "input/timing seed")
+		epochLen   = fs.Int64("epoch", core.DefaultEpochCycles, "epoch length in cycles")
+		logPath    = fs.String("log", "", "recording file to read")
+		outPath    = fs.String("o", "", "recording file to write")
+		epochRange = fs.String("epochs", "", "log extract: epoch range, n or n..m")
+		parallel   = fs.Bool("parallel", false, "replay epochs in parallel (verify-time only)")
+		stride     = fs.Int("stride", 0, "also verify sparse segment-parallel replay with this checkpoint stride")
+		detect     = fs.Bool("detect-races", false, "run the happens-before detector during recording")
+		verifyPol  = fs.String("verify-policy", "always", "epoch verification policy: always, or certified (skip the epoch-parallel pass when the static certificate proves the guest race-free)")
+		growth     = fs.Float64("growth", 1, "adaptive epoch growth factor (>1 enables)")
+		adaptive   = fs.Bool("adaptive", false, "grow/shrink active spare slots at run time from the commit-lag signal")
+		minSpares  = fs.Int("min-spares", 0, "adaptive: lower bound on active spare slots (default 1)")
+		maxSpares  = fs.Int("max-spares", 0, "adaptive: upper bound on active spare slots (default -spares)")
+		traceOut   = fs.String("trace", "", "stream a Chrome trace_event JSON timeline to this file (record/verify/replay)")
+		metrics    = fs.Bool("metrics", false, "print the metrics registry after the run (record/verify)")
+		promOut    = fs.String("prom", "", "write the metrics registry in Prometheus text format to this file (record/verify)")
+		listen     = fs.String("listen", "", "serve /metrics and /healthz on this address while the run executes (serve: the API address)")
+		guestProf  = fs.String("guest-profile", "", "write the deterministic guest cycle profile (pprof format) to this file (record/replay/verify; render with 'dptrace flame')")
+		cpuProf    = fs.String("cpuprofile", "", "write a host CPU profile of this process to this file")
+		memProf    = fs.String("memprofile", "", "write a host heap profile of this process to this file on exit")
 
 		// serve-only flags.
 		pprofFlag    = fs.Bool("pprof", false, "serve: expose net/http/pprof under /debug/pprof on the API address")
@@ -135,18 +132,13 @@ func main() {
 	hostProf, err := profile.StartHostProfiles(*cpuProf, *memProf)
 	check(err)
 	defer func() { check(hostProf.Stop()) }()
-	// The trace streams to disk as the run executes, holding only a bounded
-	// reorder window in memory; Close finishes the JSON document.
-	var sink trace.Recorder
-	var stream *trace.StreamSink
+	// The trace streams to disk as the run executes, each event written as
+	// it is emitted; Close finishes the JSON document.
+	var sink *trace.Sink
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		check(err)
-		stream = trace.NewStreamSink(f, *traceWin)
-		if *traceSpan > 0 || *traceStride > 1 {
-			stream.Downsample(*traceSpan, *traceStride)
-		}
-		sink = stream
+		sink = trace.NewStreamSink(f, 0)
 		defer f.Close()
 	}
 	var reg *trace.Registry
@@ -161,16 +153,12 @@ func main() {
 	}
 	// Written at the end of record/verify/replay when -trace was given.
 	flushTrace := func() {
-		if stream == nil {
+		if sink == nil {
 			return
 		}
-		check(stream.Close())
-		extra := ""
-		if n := stream.Dropped(); n > 0 {
-			extra = fmt.Sprintf(", %d downsampled away", n)
-		}
-		fmt.Printf("trace: %d events streamed -> %s (max %d buffered%s; open with https://ui.perfetto.dev)\n",
-			stream.Written(), *traceOut, stream.MaxBuffered(), extra)
+		check(sink.Close())
+		fmt.Printf("trace: %d events streamed -> %s (open with https://ui.perfetto.dev)\n",
+			sink.Len(), *traceOut)
 	}
 	// Written at the end of record/replay/verify when -guest-profile was
 	// given; nil prof (flag unset) is a no-op.
@@ -442,7 +430,7 @@ func mustBuild(name string, workers, scale int, seed int64) *workloads.Built {
 	return wl.Build(workloads.Params{Workers: workers, Scale: scale, Seed: seed})
 }
 
-func mustRecord(bt *workloads.Built, workers, spares int, epochLen, seed int64, growth float64, detect bool, adaptive bool, minSpares, maxSpares int, policy core.VerifyPolicy, sink trace.Recorder, reg *trace.Registry, gprof *profile.Profile) *core.Result {
+func mustRecord(bt *workloads.Built, workers, spares int, epochLen, seed int64, growth float64, detect bool, adaptive bool, minSpares, maxSpares int, policy core.VerifyPolicy, sink *trace.Sink, reg *trace.Registry, gprof *profile.Profile) *core.Result {
 	res, err := core.Record(bt.Prog, bt.World, core.Options{
 		Workers:           workers,
 		RecordCPUs:        workers,

@@ -100,30 +100,21 @@ type Boundary = epoch.Boundary
 // calibration used by the evaluation.
 type CostModel = vm.CostModel
 
-// TraceSink collects timeline events from recordings and replays; set
-// RecordOptions.Trace (or ReplayOptions.Trace) and export with
-// its WriteJSON method. Events use the Chrome trace_event format,
-// viewable at https://ui.perfetto.dev; see docs/OBSERVABILITY.md for the
-// event schema. A nil *TraceSink is valid everywhere and disables tracing
-// at zero cost.
+// TraceSink collects timeline events from recordings and replays, in
+// emission order; set RecordOptions.Trace (or ReplayOptions.Trace). A sink
+// from [NewTraceSink] keeps its events for its WriteJSON method; one from
+// [NewStreamSink] writes them as they happen. Either way the file is the
+// same Chrome trace_event JSON, viewable at https://ui.perfetto.dev; see
+// docs/OBSERVABILITY.md for the event schema. A nil *TraceSink is valid
+// everywhere and disables tracing at zero cost.
 type TraceSink = trace.Sink
 
-// NewTraceSink returns an empty, enabled trace sink.
+// NewTraceSink returns an empty, enabled trace sink that keeps its events.
 func NewTraceSink() *TraceSink { return trace.NewSink() }
 
-// TraceRecorder is the event-collection interface shared by the buffered
-// [TraceSink] and the incremental [StreamSink]; everything traced accepts
-// either.
-type TraceRecorder = trace.Recorder
-
-// StreamSink writes trace events to an io.Writer incrementally with a
-// bounded in-memory reorder window instead of buffering the whole run;
-// see trace.NewStreamSink. Close it to finish the JSON document.
-type StreamSink = trace.StreamSink
-
-// NewStreamSink returns a streaming trace sink over w. A window of 0
-// selects trace.DefaultStreamWindow.
-func NewStreamSink(w io.Writer, window int) *StreamSink { return trace.NewStreamSink(w, window) }
+// NewStreamSink returns a trace sink that writes each event to w as it is
+// emitted and keeps none. Close it to finish the JSON document.
+func NewStreamSink(w io.Writer) *TraceSink { return trace.NewStreamSink(w, 0) }
 
 // GuestProfile is the deterministic guest cycle profile: retired cycles
 // attributed to guest call stacks, gathered while recording

@@ -120,8 +120,8 @@ type Options struct {
 	// Trace, when set, receives the recording's event timeline:
 	// epoch/verify/commit spans, checkpoint create/restore, divergences and
 	// recoveries, per-append syscall/sync/signal instants, and pipeline
-	// slot occupancy. Both the buffered trace.Sink and the incremental
-	// trace.StreamSink satisfy the interface. Tracing is observational
+	// slot occupancy, kept or streamed as the trace.Sink behind it was
+	// made to (trace.NewSink, trace.NewStreamSink). Tracing is observational
 	// only — it never changes any simulated clock, so all Stats are
 	// bit-identical with and without it. docs/OBSERVABILITY.md documents
 	// every event.

@@ -5,103 +5,44 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"doubleplay/internal/trace"
-	"doubleplay/internal/workloads"
 )
 
-// canonicalize renders parsed events as sorted strings for multiset
-// comparison (arg numerics normalized to their JSON float64 form).
-func canonicalize(evs []trace.Event) []string {
-	out := make([]string, len(evs))
-	for i, ev := range evs {
-		keys := make([]string, 0, len(ev.Args))
-		for k := range ev.Args {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s|%c|%d|%d|%d|%d", ev.Name, ev.Ph, ev.Ts, ev.Dur, ev.Pid, ev.Tid)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "|%s=%v", k, ev.Args[k])
-		}
-		out[i] = b.String()
-	}
-	sort.Strings(out)
-	return out
-}
-
-func recordStreamed(t *testing.T, g goldenRun, window int) (*Result, []trace.Event, *trace.StreamSink) {
-	t.Helper()
-	wl := workloads.Get(g.name)
-	if wl == nil {
-		t.Fatalf("unknown workload %s", g.name)
-	}
-	bt := wl.Build(workloads.Params{Workers: g.workers, Scale: 1, Seed: 11})
-	var out bytes.Buffer
-	stream := trace.NewStreamSink(&out, window)
-	res, err := Record(bt.Prog, bt.World, Options{
-		Workers: g.workers, RecordCPUs: g.workers, SpareCPUs: g.workers,
-		Seed: 11, Trace: stream,
-	})
-	if err != nil {
-		t.Fatalf("record %s/%d: %v", g.name, g.workers, err)
-	}
-	if err := stream.Close(); err != nil {
-		t.Fatalf("close stream: %v", err)
-	}
-	evs, err := trace.ParseJSON(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatalf("streamed trace does not parse: %v", err)
-	}
-	return res, evs, stream
-}
-
-// TestStreamedRecordingMatchesBuffered is the tentpole acceptance test:
-// recording through a StreamSink with a small reorder window (a) keeps the
-// live buffer within the window, (b) leaves the recording's Stats
-// bit-identical to a buffered-sink run, and (c) streams a file that parses
-// into exactly the event multiset the buffered Sink collected.
+// TestStreamedRecordingMatchesBuffered: for every golden recording, the
+// file a streaming sink writes as the recording runs is byte for byte
+// WriteJSON of a sink that kept the same recording's events, and streaming
+// leaves Stats bit-identical.
 func TestStreamedRecordingMatchesBuffered(t *testing.T) {
-	const window = 64
-	for _, g := range []goldenRun{{"pbzip", 2, 1150271, 40}, {"racey", 2, 212463, 3}} {
-		sink := trace.NewSink()
-		bufRes := goldenRecord(t, g, sink, nil)
-		strRes, streamed, stream := recordStreamed(t, g, window)
-
-		if got := stream.MaxBuffered(); got > window {
-			t.Errorf("%s/%d: live buffer reached %d events, window %d", g.name, g.workers, got, window)
-		}
-		if bufRes.Stats != strRes.Stats {
-			t.Errorf("%s/%d: streamed recording perturbed Stats:\nbuffered %+v\nstreamed %+v",
-				g.name, g.workers, bufRes.Stats, strRes.Stats)
-		}
-		if stream.Written() != sink.Len() {
-			t.Errorf("%s/%d: streamed %d events, buffered %d", g.name, g.workers, stream.Written(), sink.Len())
-		}
-
-		// Normalize the buffered side through the same JSON round trip.
-		var buf bytes.Buffer
-		if err := sink.WriteJSON(&buf); err != nil {
+	runs := goldenRuns
+	if testing.Short() {
+		runs = runs[:4]
+	}
+	for _, g := range runs {
+		kept := trace.NewSink()
+		keptRes := goldenRecord(t, g, kept, nil)
+		var want bytes.Buffer
+		if err := kept.WriteJSON(&want); err != nil {
 			t.Fatal(err)
 		}
-		buffered, err := trace.ParseJSON(&buf)
-		if err != nil {
-			t.Fatal(err)
+
+		var streamed bytes.Buffer
+		stream := trace.NewStreamSink(&streamed, 0)
+		res := goldenRecord(t, g, stream, nil)
+		if err := stream.Close(); err != nil {
+			t.Fatalf("%s/%d: close stream: %v", g.name, g.workers, err)
 		}
-		got, want := canonicalize(streamed), canonicalize(buffered)
-		if len(got) != len(want) {
-			t.Fatalf("%s/%d: %d streamed vs %d buffered events", g.name, g.workers, len(got), len(want))
+
+		if keptRes.Stats != res.Stats {
+			t.Errorf("%s/%d: streaming perturbed Stats:\nkept     %+v\nstreamed %+v",
+				g.name, g.workers, keptRes.Stats, res.Stats)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s/%d: event multiset diverges:\n  stream: %s\n  buffer: %s",
-					g.name, g.workers, got[i], want[i])
-			}
+		if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+			t.Errorf("%s/%d: streamed file (%d bytes, %d events) differs from WriteJSON (%d bytes, %d events)",
+				g.name, g.workers, streamed.Len(), stream.Len(), want.Len(), kept.Len())
 		}
 	}
 }

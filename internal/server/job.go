@@ -3,8 +3,8 @@
 // record, replay, and verify jobs over a JSON HTTP API; jobs wait in a
 // bounded FIFO queue, run on a fixed worker pool with per-job timeouts
 // and cancellation threaded into core.Record and the replay strategies,
-// and leave durable artifacts — the dplog-marshalled recording in a
-// content-addressed chunk store, a streamed Chrome trace, and a stats
+// and leave durable artifacts — the dplog-marshalled recording as one
+// content-addressed object in the store, a streamed Chrome trace, and a stats
 // JSON — that later jobs can reference by id (replay-by-id). The daemon
 // exposes queue, pool, and per-job metrics on a shared trace.Registry at
 // /metrics and drains gracefully on shutdown.
@@ -130,13 +130,6 @@ type Spec struct {
 	// default. The timeout cancels the job cooperatively at the next
 	// epoch boundary.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-
-	// TraceWindow overrides the streamed trace's reorder window;
-	// TraceMinSpan/TraceCounterStride enable downsampling (see
-	// trace.StreamSink.Downsample).
-	TraceWindow        int   `json:"trace_window,omitempty"`
-	TraceMinSpan       int64 `json:"trace_min_span,omitempty"`
-	TraceCounterStride int   `json:"trace_counter_stride,omitempty"`
 
 	// Priority selects the queue lane: "interactive" jobs overtake
 	// "batch" jobs at the queue head (starvation-bounded; see
@@ -266,7 +259,6 @@ type ResultSummary struct {
 	Races       int    `json:"races,omitempty"`
 	Recording   string `json:"recording,omitempty"` // store digest
 	TraceEvents int    `json:"trace_events,omitempty"`
-	TraceDrops  int    `json:"trace_dropped,omitempty"`
 
 	// CertStatus and VerifySkipped report the certified verify-skip
 	// decision for jobs submitted with verify_policy "certified".

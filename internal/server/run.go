@@ -20,16 +20,15 @@ import (
 )
 
 // jobTrace is the per-job streamed trace: every job narrates its timeline
-// into trace.json in its artifact directory through a bounded-window
-// StreamSink, exactly the file `doubleplay record -trace` would produce.
+// into trace.json in its artifact directory as it runs, exactly the file
+// `doubleplay record -trace` would produce.
 type jobTrace struct {
 	f    *os.File
-	sink *trace.StreamSink
+	sink *trace.Sink
 }
 
-// openJobTrace creates a job's trace stream, honouring the spec's window
-// and downsampling settings.
-func (s *Server) openJobTrace(id string, sp Spec) (*jobTrace, error) {
+// openJobTrace creates a job's trace stream.
+func (s *Server) openJobTrace(id string) (*jobTrace, error) {
 	dir, err := s.store.JobDir(id)
 	if err != nil {
 		return nil, err
@@ -38,14 +37,10 @@ func (s *Server) openJobTrace(id string, sp Spec) (*jobTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink := trace.NewStreamSink(f, sp.TraceWindow)
-	if sp.TraceMinSpan > 0 || sp.TraceCounterStride > 1 {
-		sink.Downsample(sp.TraceMinSpan, sp.TraceCounterStride)
-	}
-	return &jobTrace{f: f, sink: sink}, nil
+	return &jobTrace{f: f, sink: trace.NewStreamSink(f, 0)}, nil
 }
 
-// close finishes the trace document and reports stream totals into the
+// close finishes the trace document and reports its event count into the
 // summary. Artifacts must be complete before the job turns terminal, so
 // runJob calls this on every path.
 func (t *jobTrace) close(sum *ResultSummary) error {
@@ -54,8 +49,7 @@ func (t *jobTrace) close(sum *ResultSummary) error {
 	}
 	err := t.sink.Close()
 	if sum != nil {
-		sum.TraceEvents = t.sink.Written()
-		sum.TraceDrops = t.sink.Dropped()
+		sum.TraceEvents = t.sink.Len()
 	}
 	if cerr := t.f.Close(); err == nil {
 		err = cerr
@@ -371,7 +365,7 @@ func (s *Server) verifyJob(ctx context.Context, id string, sp Spec, sink trace.R
 // (nil for done). Artifact flushing happens on every path, so even failed
 // and canceled jobs leave a parseable trace behind.
 func (s *Server) runJob(ctx context.Context, id string, sp Spec, sum *ResultSummary) (Spec, error) {
-	jt, err := s.openJobTrace(id, sp)
+	jt, err := s.openJobTrace(id)
 	if err != nil {
 		return sp, err
 	}

@@ -320,6 +320,16 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("submit %v: got %d, want 400", spec, code)
 		}
 	}
+	// The trace is written in emission order, with nothing to tune: the
+	// window and downsampling fields are refused by name.
+	for _, field := range []string{"trace_window", "trace_min_span", "trace_counter_stride"} {
+		spec := fastSpec()
+		spec[field] = 8
+		code, v := doJSON(t, "POST", ts.URL+"/jobs", spec)
+		if msg, _ := v["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, field) {
+			t.Errorf("submit with %s: got %d %q, want 400 naming the field", field, code, msg)
+		}
+	}
 	if code, _ := doJSON(t, "GET", ts.URL+"/jobs/absent", nil); code != http.StatusNotFound {
 		t.Errorf("GET unknown job: got %d, want 404", code)
 	}

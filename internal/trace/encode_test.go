@@ -121,8 +121,8 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 }
 
 // BenchmarkEmit is what one event costs its emitter, by destination: the
-// disabled sink (the guard every hot path takes), the in-memory buffer,
-// and the stream a daemon job writes, encoding included. The events are
+// disabled sink (the guard every hot path takes), a sink that keeps its
+// events, and the stream a daemon job writes, encoding included. The events are
 // the recorder's commonest: a timeslice span, a counter sample, an instant
 // with a string.
 func BenchmarkEmit(b *testing.B) {

@@ -2,50 +2,26 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
-
-// canonEvents renders events as sorted canonical strings for multiset
-// comparison, normalizing arg numeric types through the JSON round trip.
-func canonEvents(t *testing.T, evs []Event) []string {
-	t.Helper()
-	var buf bytes.Buffer
-	s := NewSink()
-	for _, ev := range evs {
-		s.Emit(ev)
-	}
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]string, len(parsed))
-	for i, ev := range parsed {
-		keys := make([]string, 0, len(ev.Args))
-		for k := range ev.Args {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s|%c|%d|%d|%d|%d", ev.Name, ev.Ph, ev.Ts, ev.Dur, ev.Pid, ev.Tid)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "|%s=%v", k, ev.Args[k])
-		}
-		out[i] = b.String()
-	}
-	sort.Strings(out)
-	return out
-}
 
 // lcg is a tiny deterministic generator for shuffled timestamps.
 func lcg(state *uint64) uint64 {
 	*state = *state*6364136223846793005 + 1442695040888963407
 	return *state >> 33
+}
+
+// writeJSON is s.WriteJSON into a fresh buffer.
+func writeJSON(t *testing.T, s *Sink) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestStreamSinkNilSafe(t *testing.T) {
@@ -62,98 +38,57 @@ func TestStreamSinkNilSafe(t *testing.T) {
 	if pid := s.AllocPid("p"); pid != 0 {
 		t.Fatalf("nil AllocPid = %d", pid)
 	}
-	if s.Written() != 0 || s.MaxBuffered() != 0 || s.Err() != nil {
-		t.Fatal("nil accessors not zero")
+	if s.Len() != 0 {
+		t.Fatal("nil Len not zero")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStreamSinkBoundedAndMultisetEqual is the tentpole guarantee: with a
-// small reorder window and heavily out-of-order emission, the live buffer
-// never exceeds the window and the streamed file parses back into exactly
-// the event multiset a buffered Sink collects for the same emission.
+// TestStreamSinkBoundedAndMultisetEqual: with heavily out-of-order
+// emission, a streaming sink holds no event in memory, and what it writes
+// is byte for byte what WriteJSON writes for a sink that kept the same
+// emission.
 func TestStreamSinkBoundedAndMultisetEqual(t *testing.T) {
-	const window = 8
 	const n = 500
 	var out bytes.Buffer
-	stream := NewStreamSink(&out, window)
-	buffered := NewSink()
+	stream := NewStreamSink(&out, 0)
+	kept := NewSink()
 
 	state := uint64(42)
-	var evs []Event
 	for i := 0; i < n; i++ {
 		ts := int64(lcg(&state) % 10000) // wildly out of order
+		var ev Event
 		switch i % 3 {
 		case 0:
-			evs = append(evs, Event{Name: "span", Ph: PhaseComplete, Ts: ts, Dur: 5,
-				Pid: 1, Tid: int64(i % 4), Args: map[string]any{"i": i}})
+			ev = Event{Name: "span", Ph: PhaseComplete, Ts: ts, Dur: 5,
+				Pid: 1, Tid: int64(i % 4), Args: map[string]any{"i": i}}
 		case 1:
-			evs = append(evs, Event{Name: "inst", Ph: PhaseInstant, Ts: ts, Pid: 1, Tid: 0})
+			ev = Event{Name: "inst", Ph: PhaseInstant, Ts: ts, Pid: 1, Tid: 0}
 		case 2:
-			evs = append(evs, Event{Name: "ctr", Ph: PhaseCounter, Ts: ts, Pid: 1,
-				Args: map[string]any{"value": int64(i)}})
+			ev = Event{Name: "ctr", Ph: PhaseCounter, Ts: ts, Pid: 1,
+				Args: map[string]any{"value": int64(i)}}
 		}
-	}
-	for _, ev := range evs {
 		stream.Emit(ev)
-		buffered.Emit(ev)
+		kept.Emit(ev)
 	}
-	if got := stream.MaxBuffered(); got > window {
-		t.Fatalf("live buffer reached %d events, window is %d", got, window)
-	}
-	if err := stream.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if stream.Written() != n {
-		t.Fatalf("written %d of %d events", stream.Written(), n)
-	}
-
-	parsed, err := ParseJSON(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatalf("streamed output does not parse: %v", err)
-	}
-	got := canonEvents(t, parsed)
-	want := canonEvents(t, buffered.Events())
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d events, buffered %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("event multiset mismatch at %d:\n  stream: %s\n  buffer: %s", i, got[i], want[i])
-		}
-	}
-}
-
-// TestStreamSinkSortsWithinWindow checks the reorder window does its job:
-// emission that is out of order by less than the window streams out fully
-// time-sorted.
-func TestStreamSinkSortsWithinWindow(t *testing.T) {
-	var out bytes.Buffer
-	stream := NewStreamSink(&out, 16)
-	// Pairs arrive swapped: (10, 0), (30, 20), ... — disorder distance 1.
-	for i := 0; i < 50; i++ {
-		base := int64(i * 20)
-		stream.Instant("b", base+10, 1, 0, nil)
-		stream.Instant("a", base, 1, 0, nil)
+	if got := len(stream.Events()); got != 0 {
+		t.Fatalf("streaming sink kept %d events", got)
 	}
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseJSON(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	if stream.Len() != n || kept.Len() != n {
+		t.Fatalf("Len: streamed %d, kept %d, emitted %d", stream.Len(), kept.Len(), n)
 	}
-	for i := 1; i < len(parsed); i++ {
-		if parsed[i].Ts < parsed[i-1].Ts {
-			t.Fatalf("event %d at ts %d precedes predecessor at %d", i, parsed[i].Ts, parsed[i-1].Ts)
-		}
+	if want := writeJSON(t, kept); !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("stream differs from WriteJSON:\nstream    %.300s\nWriteJSON %.300s", out.Bytes(), want)
 	}
 }
 
-// TestStreamSinkSpliceMatchesSink pins Splice semantics against the
-// buffered implementation: identical shift, re-homing, and counter/meta
+// TestStreamSinkSpliceMatchesSink pins Splice semantics on a streaming
+// sink against a keeping one: identical shift, re-homing, and counter/meta
 // exemption.
 func TestStreamSinkSpliceMatchesSink(t *testing.T) {
 	child := NewSink()
@@ -163,34 +98,21 @@ func TestStreamSinkSpliceMatchesSink(t *testing.T) {
 	child.NameThread(0, 0, "w")
 
 	var out bytes.Buffer
-	stream := NewStreamSink(&out, 4)
+	stream := NewStreamSink(&out, 0)
 	stream.Splice(child, 1000, 7, 9)
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseJSON(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	buffered := NewSink()
-	buffered.Splice(child, 1000, 7, 9)
-
-	got := canonEvents(t, parsed)
-	want := canonEvents(t, buffered.Events())
-	if len(got) != len(want) {
-		t.Fatalf("stream spliced %d events, sink %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("splice mismatch:\n  stream: %s\n  buffer: %s", got[i], want[i])
-		}
+	kept := NewSink()
+	kept.Splice(child, 1000, 7, 9)
+	if want := writeJSON(t, kept); !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("splice mismatch:\nstream %s\nkept   %s", out.Bytes(), want)
 	}
 }
 
 func TestStreamSinkCloseIdempotentAndRejects(t *testing.T) {
 	var out bytes.Buffer
-	stream := NewStreamSink(&out, 4)
+	stream := NewStreamSink(&out, 0)
 	stream.Instant("x", 1, 1, 0, nil)
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
@@ -203,17 +125,70 @@ func TestStreamSinkCloseIdempotentAndRejects(t *testing.T) {
 		t.Fatal("second Close wrote more output")
 	}
 	stream.Instant("y", 2, 1, 0, nil)
-	if stream.Err() == nil {
+	if stream.Close() == nil {
 		t.Fatal("emit after Close not reported")
+	}
+	if out.String() != first {
+		t.Fatal("emit after Close wrote output")
 	}
 	if _, err := ParseJSON(strings.NewReader(first)); err != nil {
 		t.Fatalf("closed output does not parse: %v", err)
 	}
 }
 
+// TestStreamSinkConcurrentEmit: emitters on several goroutines share one
+// stream, and every event lands in the file whole.
+func TestStreamSinkConcurrentEmit(t *testing.T) {
+	const goroutines, each = 4, 200
+	var out bytes.Buffer
+	stream := NewStreamSink(&out, 0)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pid := stream.AllocPid("g")
+			for i := 0; i < each; i++ {
+				stream.Span("slice", int64(i), 1, pid, 0, map[string]any{"i": i})
+			}
+		}()
+	}
+	wg.Wait()
+	if err := stream.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ParseJSON(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := goroutines * (each + 1); len(evs) != want || stream.Len() != want {
+		t.Fatalf("parsed %d events, Len %d, want %d", len(evs), stream.Len(), want)
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestStreamSinkWriteErrorIsSticky: once the writer fails, later events
+// are counted but not written, and Close reports the first error.
+func TestStreamSinkWriteErrorIsSticky(t *testing.T) {
+	stream := NewStreamSink(failWriter{}, 0)
+	const n = 1000 // several bufio buffers' worth
+	for i := 0; i < n; i++ {
+		stream.Span("slice", int64(i), 2, 1, 0, nil)
+	}
+	if err := stream.Close(); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Close = %v, want the write error", err)
+	}
+	if stream.Len() != n {
+		t.Fatalf("Len = %d, want %d", stream.Len(), n)
+	}
+}
+
 func TestStreamSinkEmptyCloseParses(t *testing.T) {
 	var out bytes.Buffer
-	stream := NewStreamSink(&out, 4)
+	stream := NewStreamSink(&out, 0)
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +203,7 @@ func TestStreamSinkEmptyCloseParses(t *testing.T) {
 
 func TestStreamSinkAllocPid(t *testing.T) {
 	var out bytes.Buffer
-	stream := NewStreamSink(&out, 4)
+	stream := NewStreamSink(&out, 0)
 	p1 := stream.AllocPid("first")
 	p2 := stream.AllocPid("second")
 	if p1 == p2 || p1 == 0 || p2 == 0 {
@@ -249,102 +224,5 @@ func TestStreamSinkAllocPid(t *testing.T) {
 	}
 	if names[p1] != "first" || names[p2] != "second" {
 		t.Fatalf("process names %v", names)
-	}
-}
-
-func TestStreamSinkDownsampleSpans(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStreamSink(&buf, 4)
-	s.Downsample(100, 0)
-	s.Span("short", 0, 10, 1, 0, nil)  // dropped
-	s.Span("long", 0, 100, 1, 0, nil)  // kept (>= threshold)
-	s.Span("short2", 5, 99, 1, 0, nil) // dropped
-	s.Instant("mark", 7, 1, 0, nil)    // instants always pass
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Dropped(); got != 2 {
-		t.Fatalf("Dropped() = %d, want 2", got)
-	}
-	evs, err := ParseJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make(map[string]int)
-	for _, ev := range evs {
-		names[ev.Name]++
-	}
-	if names["short"] != 0 || names["short2"] != 0 {
-		t.Fatalf("dropped spans present: %v", names)
-	}
-	if names["long"] != 1 || names["mark"] != 1 {
-		t.Fatalf("kept events missing: %v", names)
-	}
-	if got := s.Written(); got != len(evs) {
-		t.Fatalf("Written() = %d, parsed %d", got, len(evs))
-	}
-}
-
-func TestStreamSinkDownsampleCounters(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewStreamSink(&buf, 4)
-	s.Downsample(0, 3)
-	for i := 0; i < 10; i++ {
-		s.Counter("log.syscalls", int64(i), 1, int64(i))
-	}
-	for i := 0; i < 2; i++ {
-		s.Counter("mem.pages", int64(i), 1, int64(i))
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := ParseJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sys, mem []int64
-	for _, ev := range evs {
-		switch ev.Name {
-		case "log.syscalls":
-			sys = append(sys, ev.Ts)
-		case "mem.pages":
-			mem = append(mem, ev.Ts)
-		}
-	}
-	// Stride 3 keeps samples 0, 3, 6, 9 of the first series and sample 0
-	// of the second — every series keeps its first sample.
-	if want := []int64{0, 3, 6, 9}; fmt.Sprint(sys) != fmt.Sprint(want) {
-		t.Fatalf("log.syscalls samples = %v, want %v", sys, want)
-	}
-	if want := []int64{0}; fmt.Sprint(mem) != fmt.Sprint(want) {
-		t.Fatalf("mem.pages samples = %v, want %v", mem, want)
-	}
-	if got := s.Dropped(); got != 6+1 {
-		t.Fatalf("Dropped() = %d, want 7", got)
-	}
-}
-
-func TestStreamSinkDownsampleOffIsLossless(t *testing.T) {
-	var a, b bytes.Buffer
-	plain := NewStreamSink(&a, 8)
-	ds := NewStreamSink(&b, 8)
-	ds.Downsample(0, 0) // thresholds off: must be byte-identical
-	for i := 0; i < 50; i++ {
-		plain.Span("s", int64(i), int64(i%5), 1, 0, nil)
-		ds.Span("s", int64(i), int64(i%5), 1, 0, nil)
-		plain.Counter("c", int64(i), 1, int64(i))
-		ds.Counter("c", int64(i), 1, int64(i))
-	}
-	if err := plain.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("disabled downsampling changed the stream")
-	}
-	if ds.Dropped() != 0 {
-		t.Fatalf("Dropped() = %d, want 0", ds.Dropped())
 	}
 }

@@ -11,20 +11,21 @@
 // method is a nil-safe no-op, and hot paths guard argument construction
 // behind Enabled() so the disabled path allocates nothing.
 //
-// Traces export as Chrome trace_event JSON — buffered ([Sink.WriteJSON])
-// or incrementally with a bounded reorder window ([StreamSink]) — and load
-// directly into Perfetto (https://ui.perfetto.dev) or chrome://tracing; one
-// trace microsecond equals one simulated cycle. Both sinks implement
-// [Recorder], the interface the instrumented subsystems accept. The
-// metrics [Registry] renders as aligned text ([Registry.Render]) or the
-// Prometheus text format ([Registry.WritePrometheus], servable over HTTP
-// via [Registry.Handler]/[ServeMetrics]). The full event schema is
-// documented in docs/OBSERVABILITY.md.
+// Traces are Chrome trace_event JSON, written in emission order either as
+// the run goes ([NewStreamSink]) or afterwards from kept events
+// ([Sink.WriteJSON]), byte for byte the same document. They load directly
+// into Perfetto (https://ui.perfetto.dev) or chrome://tracing; one trace
+// microsecond equals one simulated cycle. The metrics [Registry] renders
+// as aligned text ([Registry.Render]) or the Prometheus text format
+// ([Registry.WritePrometheus], servable over HTTP via
+// [Registry.Handler]/[ServeMetrics]). The full event schema is documented
+// in docs/OBSERVABILITY.md.
 package trace
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -53,15 +54,10 @@ type Event struct {
 	Args map[string]any
 }
 
-// Recorder is the event-collection interface shared by the buffered [Sink]
-// and the incremental [StreamSink]. Everything that narrates a timeline —
-// the recorder, the schedulers, replay, the baselines — takes a Recorder,
-// so a run can either accumulate its trace in memory or stream it to disk
-// with a bounded buffer.
-//
-// Splice deliberately takes a concrete *Sink: child buffers are always
-// small epoch-local accumulators, and only the top-level destination
-// varies.
+// Recorder is what everything that narrates a timeline — the recorder,
+// the schedulers, replay, the baselines — takes. [*Sink] is its only
+// implementation; the interface stays because the benchmark harness
+// type-asserts an interface-typed core.Options.Trace back to a sink.
 type Recorder interface {
 	// Enabled reports whether events are being collected; hot paths check
 	// it before building argument maps.
@@ -89,19 +85,47 @@ type Recorder interface {
 // been set can guard hot paths safely.
 func Enabled(r Recorder) bool { return r != nil && r.Enabled() }
 
-// Sink collects events. The zero value is NOT ready to use; call NewSink.
-// A nil *Sink is the disabled sink: every method no-ops and Enabled
+// Sink collects events in emission order. A sink made by [NewSink] keeps
+// them in memory; one made by [NewStreamSink] writes each through to its
+// writer as it is emitted and keeps none. The zero value is NOT ready to
+// use. A nil *Sink is the disabled sink: every method no-ops and Enabled
 // reports false. Sinks are safe for concurrent use.
 type Sink struct {
 	mu      sync.Mutex
-	events  []Event
 	nextPid int64
+	n       int           // events emitted
+	events  []Event       // kept events; nil on a streaming sink
+	w       *bufio.Writer // a streaming sink's destination; nil on a keeping one
+	enc     []byte        // a streaming sink's encoding buffer
+	closed  bool
+	err     error // a streaming sink's first write or usage error; sticky
 }
 
-// NewSink returns an empty, enabled sink. NewSink is also how buffers for
-// [Sink.Splice] are made: a child sink accumulates events with local
-// timestamps, and Splice re-stamps them onto a parent track.
+// StreamSink is another name for [Sink], kept because the benchmark
+// harness type-asserts to *trace.StreamSink.
+type StreamSink = Sink
+
+// The Chrome trace_event JSON document around the events.
+const (
+	jsonHead = `{"traceEvents":[`
+	jsonTail = `],"displayTimeUnit":"ms"}` + "\n"
+)
+
+// NewSink returns an empty, enabled sink that keeps its events. NewSink is
+// also how buffers for [Sink.Splice] are made: a child sink accumulates
+// events with local timestamps, and Splice re-stamps them onto a parent
+// track.
 func NewSink() *Sink { return &Sink{nextPid: 1} }
+
+// NewStreamSink returns a sink that writes each event to w as Chrome
+// trace_event JSON as it is emitted, through a bufio.Writer; Close
+// finishes the document. The second argument is ignored: the benchmark
+// harness still passes a window size.
+func NewStreamSink(w io.Writer, _ int) *Sink {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(jsonHead) // into an empty buffer: cannot fail
+	return &Sink{nextPid: 1, w: bw}
+}
 
 // Enabled reports whether events are being collected. Hot paths must check
 // it before building argument maps, so the nil sink costs no allocation.
@@ -113,8 +137,34 @@ func (s *Sink) Emit(ev Event) {
 		return
 	}
 	s.mu.Lock()
-	s.events = append(s.events, ev)
+	s.addLocked(ev)
 	s.mu.Unlock()
+}
+
+// addLocked keeps ev, or writes it to the stream after the events before
+// it. Once a write has failed, events are counted but not written.
+func (s *Sink) addLocked(ev Event) {
+	if s.closed {
+		if s.err == nil {
+			s.err = errors.New("trace: emit on closed sink")
+		}
+		return
+	}
+	s.n++
+	if s.w == nil {
+		s.events = append(s.events, ev)
+		return
+	}
+	if s.err != nil {
+		return
+	}
+	s.enc = s.enc[:0]
+	if s.n > 1 {
+		s.enc = append(s.enc, ',')
+	}
+	if s.enc, s.err = appendEvent(s.enc, ev); s.err == nil {
+		_, s.err = s.w.Write(s.enc)
+	}
 }
 
 // Span emits a complete event covering [ts, ts+dur).
@@ -152,9 +202,7 @@ func (s *Sink) AllocPid(name string) int64 {
 	s.mu.Lock()
 	pid := s.nextPid
 	s.nextPid++
-	s.events = append(s.events, Event{
-		Name: "process_name", Ph: PhaseMeta, Pid: pid, Args: map[string]any{"name": name},
-	})
+	s.addLocked(Event{Name: "process_name", Ph: PhaseMeta, Pid: pid, Args: map[string]any{"name": name}})
 	s.mu.Unlock()
 	return pid
 }
@@ -177,10 +225,7 @@ func (s *Sink) Splice(child *Sink, shift, pid, tid int64) {
 	if s == nil || child == nil {
 		return
 	}
-	child.mu.Lock()
-	evs := make([]Event, len(child.events))
-	copy(evs, child.events)
-	child.mu.Unlock()
+	evs := child.Events()
 	s.mu.Lock()
 	for _, ev := range evs {
 		ev.Ts += shift
@@ -188,22 +233,24 @@ func (s *Sink) Splice(child *Sink, shift, pid, tid int64) {
 		if ev.Ph != PhaseCounter && ev.Ph != PhaseMeta {
 			ev.Tid = tid
 		}
-		s.events = append(s.events, ev)
+		s.addLocked(ev)
 	}
 	s.mu.Unlock()
 }
 
-// Len returns the number of collected events.
+// Len returns the number of events emitted: kept, or written to the
+// stream.
 func (s *Sink) Len() int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.events)
+	return s.n
 }
 
-// Events returns a snapshot of the collected events in emission order.
+// Events returns a snapshot of the kept events in emission order; a
+// streaming sink keeps none.
 func (s *Sink) Events() []Event {
 	if s == nil {
 		return nil
@@ -248,8 +295,8 @@ func toJSONEvent(ev Event) jsonEvent {
 
 // appendEvent appends ev's wire form to dst: byte for byte what
 // json.Marshal(toJSONEvent(ev)) returns, which is also what it falls back
-// to for any event the direct encoder does not cover. The buffered and the
-// streamed sink both write events through here.
+// to for any event the direct encoder does not cover. Every trace document
+// is written through here.
 func appendEvent(dst []byte, ev Event) ([]byte, error) {
 	if out, ok := appendPlainEvent(dst, ev); ok {
 		return out, nil
@@ -341,31 +388,41 @@ func plainByte(c byte) bool {
 	return 0x20 <= c && c < 0x7f && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-// WriteJSON writes the trace in Chrome trace_event JSON object format.
-// Event order is emission order; the format does not require sorting.
-func (s *Sink) WriteJSON(w io.Writer) error {
-	if s == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`)
-		return err
+// Close finishes a streaming sink's document and flushes it to the writer,
+// which is left open. It returns the first write error, or the refusal of
+// an event emitted after Close. Close is idempotent, and a no-op on a sink
+// that keeps its events.
+func (s *Sink) Close() error {
+	if s == nil || s.w == nil {
+		return nil
 	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"traceEvents":[`)
-	var buf []byte
-	for i, ev := range s.Events() {
-		if i > 0 {
-			bw.WriteByte(',')
-		}
-		var err error
-		if buf, err = appendEvent(buf[:0], ev); err != nil {
-			return err
-		}
-		bw.Write(buf)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return s.err
 	}
-	bw.WriteString(`],"displayTimeUnit":"ms"}` + "\n")
-	return bw.Flush()
+	s.closed = true
+	if s.err == nil {
+		_, s.err = s.w.WriteString(jsonTail)
+	}
+	if err := s.w.Flush(); s.err == nil {
+		s.err = err
+	}
+	return s.err
 }
 
-// ParseJSON reads a trace written by WriteJSON back into events, preserving
+// WriteJSON writes the kept events to w the way a streaming sink would
+// have written them as they were emitted: the same document, byte for
+// byte. The trace_event format does not require sorting.
+func (s *Sink) WriteJSON(w io.Writer) error {
+	out := NewStreamSink(w, 0)
+	for _, ev := range s.Events() {
+		out.Emit(ev)
+	}
+	return out.Close()
+}
+
+// ParseJSON reads a trace document back into events, preserving
 // order. It exists for tests and offline tooling; numeric args come back as
 // float64 per encoding/json.
 func ParseJSON(r io.Reader) ([]Event, error) {
