@@ -40,6 +40,10 @@ func TestCLI(t *testing.T) {
 	}
 	traceLine := regexp.MustCompile(`(?m)^trace: (\d+) events streamed -> `)
 	record := []string{"record", "-w", "racey", "-workers", "2", "-seed", "11"}
+	list, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name   string
@@ -48,6 +52,12 @@ func TestCLI(t *testing.T) {
 		stderr string // substring
 		check  func(t *testing.T, stdout string)
 	}{
+		{"list prints the suite in presentation order", []string{"list"}, 0, "",
+			func(t *testing.T, stdout string) {
+				if stdout != string(list) {
+					t.Fatalf("stdout:\n%s\nwant:\n%s", stdout, list)
+				}
+			}},
 		{"record counts what it streams", append(record, "-trace", path("a.json"), "-o", path("a.dplog")), 0, "",
 			func(t *testing.T, stdout string) {
 				m := traceLine.FindStringSubmatch(stdout)
