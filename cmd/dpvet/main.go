@@ -55,7 +55,7 @@ func run() int {
 			"screen. The certify subcommand prints race-freedom certificates instead.\n"+
 			"Exits non-zero on error findings or Racy-metadata mismatches.\n\nflags:\n")
 		flag.PrintDefaults()
-		fmt.Fprintf(os.Stderr, "\nworkloads: %v\n", workloadNames())
+		fmt.Fprintf(os.Stderr, "\nworkloads: %v\n", workloads.Names())
 	}
 	flag.Parse()
 
@@ -70,7 +70,7 @@ func run() int {
 		names = flag.Args()
 	}
 	if len(names) == 0 {
-		names = workloadNames()
+		names = workloads.Names()
 	}
 	params := workloads.Params{Workers: *workers, Scale: *scale, Seed: *seed}
 	if certify {
@@ -82,7 +82,7 @@ func run() int {
 	for _, name := range names {
 		w := workloads.Get(name)
 		if w == nil {
-			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloadNames())
+			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloads.Names())
 			return 2
 		}
 		bt := w.Build(params)
@@ -163,7 +163,7 @@ func runCertify(names []string, params workloads.Params, jsonOut bool) int {
 	for _, name := range names {
 		w := workloads.Get(name)
 		if w == nil {
-			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloadNames())
+			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloads.Names())
 			return 2
 		}
 		bt := w.Build(params)
@@ -205,13 +205,4 @@ func emitJSON(v any) {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-func workloadNames() []string {
-	all := workloads.All()
-	names := make([]string, len(all))
-	for i, w := range all {
-		names[i] = w.Name
-	}
-	return names
 }

@@ -234,14 +234,7 @@ func OpenRecordingAt(r io.ReaderAt, size int64) (*LogReader, error) {
 func UpgradeRecording(data []byte) ([]byte, bool, error) { return dplog.Upgrade(data) }
 
 // Workloads lists the builtin benchmark names in presentation order.
-func Workloads() []string {
-	all := workloads.All()
-	names := make([]string, len(all))
-	for i, w := range all {
-		names[i] = w.Name
-	}
-	return names
-}
+func Workloads() []string { return workloads.Names() }
 
 // WorkloadInfo describes a builtin benchmark.
 type WorkloadInfo struct {

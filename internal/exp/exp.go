@@ -93,10 +93,22 @@ func (c Config) norm() Config {
 
 // EvalSet is the benchmark list used by the overhead/log/replay
 // experiments: the paper's client, server, and scientific programs.
-var EvalSet = []string{"pbzip", "pfscan", "aget", "webserve", "kvdb", "fft", "lu", "radix", "ocean", "water"}
+var EvalSet = suiteWhere(func(w *workloads.Workload) bool { return w.Kind != "micro" })
 
 // RacySet is the list used by the divergence experiments.
-var RacySet = []string{"racey", "webserve-racy"}
+var RacySet = suiteWhere(func(w *workloads.Workload) bool { return w.Racy })
+
+// suiteWhere names the suite's workloads that keep accepts, in
+// presentation order.
+func suiteWhere(keep func(*workloads.Workload) bool) []string {
+	var out []string
+	for _, w := range workloads.All() {
+		if keep(w) {
+			out = append(out, w.Name)
+		}
+	}
+	return out
+}
 
 // build constructs a fresh instance of a named workload.
 func build(name string, workers int, cfg Config) (*workloads.Workload, *workloads.Built) {

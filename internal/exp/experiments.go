@@ -675,15 +675,15 @@ type VerifySkipRow struct {
 	CertOver   float64
 }
 
-// VerifySkip runs every workload — the evaluation set, the racy set, and
-// sigping — under both verification policies and reports the certificate
-// decision and the overhead each policy pays. It also enforces the
-// soundness cross-checks end to end: a workload with known races must
-// never skip verification, and a certified recording must replay
-// sequentially to the same final state as its fully verified twin.
+// VerifySkip runs every workload of the suite under both verification
+// policies and reports the certificate decision and the overhead each
+// policy pays. It also enforces the soundness cross-checks end to end: a
+// workload with known races must never skip verification, and a certified
+// recording must replay sequentially to the same final state as its fully
+// verified twin.
 func VerifySkip(cfg Config, workers, spares int) []VerifySkipRow {
 	cfg = cfg.norm()
-	names := cfg.subset(append(append(append([]string{}, EvalSet...), RacySet...), "sigping"))
+	names := cfg.subset(workloads.Names())
 	var rows []VerifySkipRow
 	for _, name := range names {
 		wl, _ := build(name, workers, cfg)

@@ -261,40 +261,55 @@ func (s *Server) worker() {
 	}
 }
 
-// finish moves a job to its terminal state, publishes the (possibly
-// defaulted) spec and result, writes the job.json manifest, and updates
-// the pool metrics.
+// endLocked is the one place a job turns terminal: it moves j to st with
+// msg as its error, stamps Finished, counts the outcome, refreshes the state
+// gauges and returns the job.json manifest. The caller holds s.mu and
+// writes the manifest with writeManifest once it has released it.
+func (s *Server) endLocked(j *Job, st State, msg string) []byte {
+	s.setStateLocked(j, st)
+	j.Finished = time.Now()
+	j.Error = msg
+	s.reg.Add("serve.jobs_completed", 1, trace.Label("outcome", string(st)))
+	s.stateGaugesLocked()
+	b, err := json.MarshalIndent(j.info(), "", "  ")
+	if err != nil {
+		return nil
+	}
+	return b
+}
+
+// writeManifest stores a manifest endLocked returned.
+func (s *Server) writeManifest(id string, manifest []byte) {
+	if manifest != nil {
+		_ = s.store.WriteJobArtifact(id, "job.json", manifest)
+	}
+}
+
+// finish moves a job that ran to its terminal state, publishes the
+// (possibly defaulted) spec and result, writes the job.json manifest, and
+// updates the pool metrics.
 func (s *Server) finish(j *Job, sp Spec, sum *ResultSummary, err error, ctx context.Context) {
 	s.mu.Lock()
 	j.Spec = sp
-	j.Finished = time.Now()
 	j.Result = sum
+	st, msg := StateDone, ""
 	switch {
 	case err == nil:
-		s.setStateLocked(j, StateDone)
 	case j.cancelRequested:
-		s.setStateLocked(j, StateCanceled)
-		j.Error = shortErr(err)
+		st, msg = StateCanceled, shortErr(err)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
-		s.setStateLocked(j, StateFailed)
-		j.Error = fmt.Sprintf("timed out: %s", shortErr(err))
+		st, msg = StateFailed, fmt.Sprintf("timed out: %s", shortErr(err))
 	default:
-		s.setStateLocked(j, StateFailed)
-		j.Error = shortErr(err)
+		st, msg = StateFailed, shortErr(err)
 	}
 	s.busy--
 	s.reg.Set("serve.workers_busy", float64(s.busy))
-	s.stateGaugesLocked()
+	manifest := s.endLocked(j, st, msg)
 	kind := trace.Label("kind", string(j.Spec.Kind))
-	s.reg.Add("serve.jobs_completed", 1, trace.Label("outcome", string(j.State)))
 	s.reg.Observe("serve.job_queue_ms", j.Started.Sub(j.Created).Milliseconds(), kind)
 	s.reg.Observe("serve.job_run_ms", j.Finished.Sub(j.Started).Milliseconds(), kind)
-	info := j.info()
 	s.mu.Unlock()
-
-	if b, merr := json.MarshalIndent(info, "", "  "); merr == nil {
-		_ = s.store.WriteJobArtifact(j.ID, "job.json", b)
-	}
+	s.writeManifest(j.ID, manifest)
 }
 
 // Cancel cancels a job: a queued job is removed from the queue and turns
@@ -312,17 +327,11 @@ func (s *Server) Cancel(id string) (Info, bool) {
 	switch j.State {
 	case StateQueued:
 		if s.queue.Remove(id) {
-			s.setStateLocked(j, StateCanceled)
-			j.Finished = time.Now()
-			j.Error = "canceled before start"
 			s.publishQueueGauges()
-			s.reg.Add("serve.jobs_completed", 1, trace.Label("outcome", string(StateCanceled)))
-			s.stateGaugesLocked()
+			manifest := s.endLocked(j, StateCanceled, "canceled before start")
 			info := j.info()
 			s.mu.Unlock()
-			if b, err := json.MarshalIndent(info, "", "  "); err == nil {
-				_ = s.store.WriteJobArtifact(j.ID, "job.json", b)
-			}
+			s.writeManifest(j.ID, manifest)
 			return info, true
 		}
 		// A worker grabbed it between our state read and the Remove; fall
@@ -343,7 +352,8 @@ func (s *Server) Cancel(id string) (Info, bool) {
 // everything still queued, let running jobs finish within
 // Config.DrainTimeout (or ctx, whichever ends first), then cancel
 // stragglers and wait for the pool to exit. Artifacts of every started
-// job are flushed before Shutdown returns.
+// job, and the job.json of every job dropped from the queue, are flushed
+// before Shutdown returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -355,18 +365,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	s.queue.Close()
 	dropped := s.queue.Drain()
+	manifests := make([][]byte, len(dropped))
 	s.mu.Lock()
-	for _, j := range dropped {
+	for i, j := range dropped {
 		if j.State == StateQueued {
-			s.setStateLocked(j, StateCanceled)
-			j.Finished = time.Now()
-			j.Error = "server draining"
-			s.reg.Add("serve.jobs_completed", 1, trace.Label("outcome", string(StateCanceled)))
+			manifests[i] = s.endLocked(j, StateCanceled, "server draining")
 		}
 	}
 	s.publishQueueGauges()
-	s.stateGaugesLocked()
 	s.mu.Unlock()
+	for i, j := range dropped {
+		s.writeManifest(j.ID, manifests[i])
+	}
 
 	done := make(chan struct{})
 	go func() {

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -477,6 +479,37 @@ func TestDrainCancelsStragglers(t *testing.T) {
 		t.Fatalf("straggler after short drain: %v, want canceled", v["state"])
 	}
 	fetchTrace(t, ts, id)
+}
+
+// TestDrainLeavesJobManifests: every job the daemon acknowledged ends with
+// a job.json on disk that names its terminal state — the one that ran
+// (canceled as a straggler), the one canceled while queued, and the one
+// the drain dropped from the queue.
+func TestDrainLeavesJobManifests(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, server.Config{
+		DataDir: dir, Workers: 1, QueueDepth: 4, DrainTimeout: 50 * time.Millisecond,
+	})
+	running := submit(t, ts, slowSpec())
+	waitState(t, ts, running, func(st string) bool { return st == "running" })
+	canceled := submit(t, ts, fastSpec())
+	drained := submit(t, ts, fastSpec())
+	doJSON(t, "DELETE", ts.URL+"/jobs/"+canceled, nil)
+
+	_ = s.Shutdown(context.Background()) // the straggler's cancel is reported; the manifests are the test
+	for id, want := range map[string]string{running: "canceled", canceled: "canceled", drained: "canceled"} {
+		b, err := os.ReadFile(filepath.Join(dir, "jobs", id, "job.json"))
+		if err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
+		var m struct{ State, Error string }
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatalf("job %s: %v", id, err)
+		}
+		if m.State != want || m.Error == "" {
+			t.Errorf("job %s manifest: state %q error %q, want %s with a reason", id, m.State, m.Error, want)
+		}
+	}
 }
 
 func TestMetricsConcurrentScrapes(t *testing.T) {

@@ -7,27 +7,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "pbzip",
-		Kind:  "client",
-		Desc:  "parallel block compressor: work-queue of blocks, RLE compress, verify by decompression, commit output",
-		Build: buildPbzip,
-	})
-	register(&Workload{
-		Name:  "pfscan",
-		Kind:  "client",
-		Desc:  "parallel file scanner: work-queue of files read through the VFS, counting pattern occurrences",
-		Build: buildPfscan,
-	})
-	register(&Workload{
-		Name:  "aget",
-		Kind:  "client",
-		Desc:  "parallel range downloader: workers fetch disjoint ranges of a remote resource over a latency-bound link",
-		Build: buildAget,
-	})
-}
-
 // --- pbzip -------------------------------------------------------------------
 
 func buildPbzip(p Params) *Built {
@@ -151,13 +130,8 @@ func buildPbzip(p Params) *Built {
 			m.Slti(c, ln, 2)
 			m.IfNz(c, func() { m.Movi(allok, 0) })
 		})
-		okA := m.Const(okCell)
-		m.St(okA, 0, allok)
-		m.HaltImm(0)
+		return finish(b, m, allok, okCell, simos.NewWorld(p.Seed))
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: simos.NewWorld(p.Seed), OK: okCell}
 }
 
 // --- pfscan ------------------------------------------------------------------
@@ -260,13 +234,8 @@ func buildPfscan(p Params) *Built {
 		m.Seqi(c, got, Word(expected))
 		m.Ld(f, failA, 0)
 		m.IfNz(f, func() { m.Movi(c, 0) })
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
+		return finish(b, m, c, okCell, world)
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: world, OK: okCell}
 }
 
 // --- aget --------------------------------------------------------------------
@@ -350,15 +319,7 @@ func buildAget(p Params) *Built {
 		})
 		ok := m.Reg()
 		m.Seqi(ok, sum, expect)
-		f := m.Reg()
-		failA := m.Const(fail)
-		m.Ld(f, failA, 0)
-		m.IfNz(f, func() { m.Movi(ok, 0) })
-		okA := m.Const(okCell)
-		m.St(okA, 0, ok)
-		m.HaltImm(0)
+		failed(m, m.Reg(), ok, fail)
+		return finish(b, m, ok, okCell, world)
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: world, OK: okCell}
 }

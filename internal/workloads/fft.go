@@ -5,15 +5,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "fft",
-		Kind:  "scientific",
-		Desc:  "SPLASH-style FFT: parallel iterative number-theoretic transform with a barrier per stage; exact self-inverse check",
-		Build: buildFFT,
-	})
-}
-
 // NTT parameters: p = 998244353 = 119*2^23 + 1, primitive root 3.
 const (
 	nttMod  = 998244353
@@ -102,20 +93,10 @@ func buildFFT(p Params) *Built {
 		u, v, wreg, i1, i2, half, block := w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg()
 		base, stage := w.Reg(), w.Reg()
 
-		// Range helper: this worker owns indices [lo, hi) of a total-sized
-		// iteration space.
-		span := func(total Word) {
-			w.Muli(t, k, total)
-			w.Divi(lo, t, W)
-			w.Addi(t, k, 1)
-			w.Muli(t, t, total)
-			w.Divi(hi, t, W)
-		}
-
 		pass := func() {
 			// Bit-reversal permutation: swap i <-> rev[i] for i < rev[i],
 			// split by index range.
-			span(Word(n))
+			split(w, k, lo, hi, t, Word(n), W, 0)
 			w.Mov(i, lo)
 			w.While(func() asm.Reg { w.Slt(c, i, hi); return c }, func() {
 				w.Ldx(j, revA, i)
@@ -137,7 +118,7 @@ func buildFFT(p Params) *Built {
 				w.Movi(half, 1)
 				w.Shl(half, half, stage)
 				w.Ldx(base, twOffA, stage)
-				span(Word(n / 2))
+				split(w, k, lo, hi, t, Word(n/2), W, 0)
 				w.Mov(i, lo)
 				w.While(func() asm.Reg { w.Slt(c, i, hi); return c }, func() {
 					// block = i / half ; j = i % half
@@ -172,7 +153,7 @@ func buildFFT(p Params) *Built {
 		pass()
 
 		// Verify: work[m] * ninv == orig[(n-m) mod n] over this worker's range.
-		span(Word(n))
+		split(w, k, lo, hi, t, Word(n), W, 0)
 		w.Mov(i, lo)
 		w.While(func() asm.Reg { w.Slt(c, i, hi); return c }, func() {
 			w.Ldx(u, workA, i)
@@ -197,11 +178,6 @@ func buildFFT(p Params) *Built {
 		failA := m.Const(failCell)
 		m.Ld(f, failA, 0)
 		m.Seqi(ok, f, 0)
-		okA := m.Const(okCell)
-		m.St(okA, 0, ok)
-		m.HaltImm(0)
+		return finish(b, m, ok, okCell, simos.NewWorld(p.Seed))
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: simos.NewWorld(p.Seed), OK: okCell}
 }

@@ -5,15 +5,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "lu",
-		Kind:  "scientific",
-		Desc:  "SPLASH-style LU: in-place factorisation over GF(p) with row-interleaved workers, a barrier per pivot, and exact L*U reconstruction check",
-		Build: buildLU,
-	})
-}
-
 // buildLU factors an n x n matrix mod p in place (no pivoting — a random
 // matrix over a large prime field is nonsingular with overwhelming
 // probability) and verifies by reconstructing A = L*U exactly.
@@ -184,11 +175,6 @@ func buildLU(p Params) *Built {
 		failA := m.Const(failCell)
 		m.Ld(f, failA, 0)
 		m.Seqi(ok, f, 0)
-		okA := m.Const(okCell)
-		m.St(okA, 0, ok)
-		m.HaltImm(0)
+		return finish(b, m, ok, okCell, simos.NewWorld(p.Seed))
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: simos.NewWorld(p.Seed), OK: okCell}
 }

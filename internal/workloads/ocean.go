@@ -5,15 +5,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "ocean",
-		Kind:  "scientific",
-		Desc:  "SPLASH-style ocean: Jacobi relaxation over a 2-D grid, rows split across workers, one barrier per sweep; checked against a host-mirrored result",
-		Build: buildOcean,
-	})
-}
-
 // buildOcean iterates new[i][j] = (up + down + left + right) / 4 over the
 // grid interior with double buffering. Integer division makes the
 // computation exact, so the host mirrors it and embeds the expected
@@ -66,14 +57,7 @@ func buildOcean(p Params) *Built {
 		it := w.Reg()
 
 		// Interior rows [1, g-1) split across workers.
-		interior := Word(g - 2)
-		w.Muli(t, k, interior)
-		w.Divi(lo, t, W)
-		w.Addi(lo, lo, 1)
-		w.Addi(t, k, 1)
-		w.Muli(t, t, interior)
-		w.Divi(hi, t, W)
-		w.Addi(hi, hi, 1)
+		split(w, k, lo, hi, t, Word(g-2), W, 1)
 
 		w.Mov(src, aA)
 		w.Mov(dst, bA)
@@ -135,15 +119,7 @@ func buildOcean(p Params) *Built {
 			m.Add(sum, sum, v)
 		})
 		m.Seqi(c, sum, expect)
-		f := m.Reg()
-		failA := m.Const(failCell)
-		m.Ld(f, failA, 0)
-		m.IfNz(f, func() { m.Movi(c, 0) })
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
+		failed(m, m.Reg(), c, failCell)
+		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: simos.NewWorld(p.Seed), OK: okCell}
 }

@@ -5,16 +5,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "racey",
-		Kind:  "micro",
-		Racy:  true,
-		Desc:  "intentional data races: unlocked read-modify-write on hot counters and scattered array cells, mixed with locked work",
-		Build: buildRacey,
-	})
-}
-
 // buildRacey hammers shared state without synchronisation so that the
 // thread-parallel and epoch-parallel executions frequently disagree —
 // the workload behind the divergence/forward-recovery experiments. It has
@@ -85,16 +75,8 @@ func buildRacey(p Params) *Built {
 		doneA := m.Const(doneCtr)
 		m.Ld(got, doneA, 0)
 		m.Seqi(c, got, Word(p.Workers))
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
-	}
-	b.SetEntry("main")
-
-	return &Built{
-		Prog:      b.MustBuild(),
-		World:     simos.NewWorld(p.Seed),
-		OK:        okCell,
-		RacyAddrs: []Word{counter, arr, arr + cells - 1},
+		bt := finish(b, m, c, okCell, simos.NewWorld(p.Seed))
+		bt.RacyAddrs = []Word{counter, arr, arr + cells - 1}
+		return bt
 	}
 }

@@ -5,15 +5,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "radix",
-		Kind:  "scientific",
-		Desc:  "SPLASH-style radix sort: per-worker histograms, serial prefix phase, parallel scatter, barrier-synchronised passes",
-		Build: buildRadix,
-	})
-}
-
 // buildRadix sorts nElems 24-bit keys with three 8-bit passes. Each pass:
 // per-worker histogram over its input segment; worker 0 computes global
 // (digit, worker) offsets; workers scatter their segments stably. The guest
@@ -59,12 +50,7 @@ func buildRadix(p Params) *Built {
 		myHist, myOff, pass, shift := w.Reg(), w.Reg(), w.Reg(), w.Reg()
 		wi, di, run := w.Reg(), w.Reg(), w.Reg()
 
-		// lo/hi = this worker's element range.
-		w.Muli(t, k, Word(nElems))
-		w.Divi(lo, t, W)
-		w.Addi(t, k, 1)
-		w.Muli(t, t, Word(nElems))
-		w.Divi(hi, t, W)
+		split(w, k, lo, hi, t, Word(nElems), W, 0)
 		w.Muli(myHist, k, radix)
 		w.Add(myHist, myHist, histA)
 		w.Muli(myOff, k, radix)
@@ -175,14 +161,7 @@ func buildRadix(p Params) *Built {
 		})
 		m.Movi(c, 0)
 		m.Seqi(c, sum, checksum)
-		failA := m.Const(failCell)
-		m.Ld(f, failA, 0)
-		m.IfNz(f, func() { m.Movi(c, 0) })
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
+		failed(m, f, c, failCell)
+		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: simos.NewWorld(p.Seed), OK: okCell}
 }

@@ -7,28 +7,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "webserve",
-		Kind:  "server",
-		Desc:  "threaded web server: worker pool accepts scripted connections, serves files from the VFS, lock-protected stats",
-		Build: func(p Params) *Built { return buildWebserve(p, false) },
-	})
-	register(&Workload{
-		Name:  "webserve-racy",
-		Kind:  "micro",
-		Racy:  true,
-		Desc:  "webserve with an unsynchronised hit counter: a low-rate data race on a hot cell",
-		Build: func(p Params) *Built { return buildWebserve(p, true) },
-	})
-	register(&Workload{
-		Name:  "kvdb",
-		Kind:  "server",
-		Desc:  "transactional KV store: lock-striped hash table, per-thread transaction mix, batched WAL commits",
-		Build: buildKvdb,
-	})
-}
-
 // --- webserve ----------------------------------------------------------------
 
 func buildWebserve(p Params, racy bool) *Built {
@@ -190,17 +168,12 @@ func buildWebserve(p Params, racy bool) *Built {
 		m.Seqi(c, got, Word(totalReqs))
 		m.Ld(f, failA, 0)
 		m.IfNz(f, func() { m.Movi(c, 0) })
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
+		bt := finish(b, m, c, okCell, world)
+		if racy {
+			bt.RacyAddrs = []Word{racyHits}
+		}
+		return bt
 	}
-	b.SetEntry("main")
-
-	bt := &Built{Prog: b.MustBuild(), World: world, OK: okCell}
-	if racy {
-		bt.RacyAddrs = []Word{racyHits}
-	}
-	return bt
 }
 
 // --- kvdb --------------------------------------------------------------------
@@ -342,14 +315,7 @@ func buildKvdb(p Params) *Built {
 		expA := m.Const(expectedSum)
 		m.Ld(want, expA, 0)
 		m.Seq(c, sum, want)
-		failA := m.Const(fail)
-		m.Ld(f, failA, 0)
-		m.IfNz(f, func() { m.Movi(c, 0) })
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
+		failed(m, f, c, fail)
+		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: simos.NewWorld(p.Seed), OK: okCell}
 }

@@ -5,15 +5,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "sigping",
-		Kind:  "micro",
-		Desc:  "asynchronous signals interrupt compute workers: handlers bill per-signal work against a known script; exercises signal logging and exact-point redelivery",
-		Build: buildSigping,
-	})
-}
-
 // buildSigping runs compute workers that are periodically interrupted by
 // scripted signals. Each delivery runs a handler that adds the signal
 // number into a per-thread tally (lock-free: one cell per thread). The
@@ -86,11 +77,6 @@ func buildSigping(p Params) *Built {
 			m.Add(sum, sum, v)
 		})
 		m.Seqi(c, sum, expect)
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
+		return finish(b, m, c, okCell, world)
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: world, OK: okCell}
 }

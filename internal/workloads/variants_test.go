@@ -8,33 +8,31 @@ import (
 	"doubleplay/internal/dplog"
 )
 
+// TestRegistryMetadata: every row of the table is complete, Names and Get
+// read the same rows in the same order, and the paper's mix is present.
 func TestRegistryMetadata(t *testing.T) {
-	if len(All()) < 12 {
-		t.Fatalf("suite too small: %d", len(All()))
+	all, names := All(), Names()
+	if len(all) != 13 || len(names) != len(all) {
+		t.Fatalf("suite has %d workloads and %d names, want 13", len(all), len(names))
 	}
 	kinds := map[string]int{}
-	for _, w := range All() {
+	for i, w := range all {
 		if w.Desc == "" || w.Kind == "" || w.Build == nil {
 			t.Fatalf("incomplete workload %q", w.Name)
 		}
 		kinds[w.Kind]++
+		if names[i] != w.Name {
+			t.Fatalf("Names()[%d] = %q, All()[%d] is %q", i, names[i], i, w.Name)
+		}
 		if Get(w.Name) != w {
-			t.Fatalf("Get(%q) broken", w.Name)
+			t.Fatalf("Get(%q) is not All()'s row", w.Name)
 		}
 	}
 	if kinds["client"] < 3 || kinds["server"] < 2 || kinds["scientific"] < 5 {
 		t.Fatalf("paper mix missing: %v", kinds)
 	}
-	for _, w := range RaceFree() {
-		if w.Racy {
-			t.Fatalf("RaceFree returned racy %q", w.Name)
-		}
-	}
-	names := Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatal("Names not sorted")
-		}
+	if Get("nope") != nil {
+		t.Fatal("Get of an unknown name is not nil")
 	}
 }
 

@@ -5,15 +5,6 @@ import (
 	"doubleplay/internal/simos"
 )
 
-func init() {
-	register(&Workload{
-		Name:  "water",
-		Kind:  "scientific",
-		Desc:  "SPLASH-style water: O(n^2) pairwise force evaluation and integration over particles, two barriers per timestep; checked against a host-mirrored result",
-		Build: buildWater,
-	})
-}
-
 // buildWater simulates n particles on a 1-D ring with integer linear
 // "spring" forces. Positions and velocities stay exact integers (shifts and
 // masks only), so the host mirrors the computation and embeds the expected
@@ -75,11 +66,7 @@ func buildWater(p Params) *Built {
 		forA := w.Const(forceBase)
 		lo, hi, i, j, c, t, f, xi, xj, v, st := w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg(), w.Reg()
 
-		w.Muli(t, k, Word(n))
-		w.Divi(lo, t, W)
-		w.Addi(t, k, 1)
-		w.Muli(t, t, Word(n))
-		w.Divi(hi, t, W)
+		split(w, k, lo, hi, t, Word(n), W, 0)
 
 		w.Movi(st, 0)
 		w.ForLtImm(st, Word(steps), func() {
@@ -140,11 +127,6 @@ func buildWater(p Params) *Built {
 			m.Add(sum, sum, v)
 		})
 		m.Seqi(c, sum, expect)
-		okA := m.Const(okCell)
-		m.St(okA, 0, c)
-		m.HaltImm(0)
+		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
 	}
-	b.SetEntry("main")
-
-	return &Built{Prog: b.MustBuild(), World: simos.NewWorld(p.Seed), OK: okCell}
 }

@@ -10,7 +10,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"doubleplay/internal/asm"
 	"doubleplay/internal/simos"
@@ -64,7 +63,7 @@ func (bt *Built) CheckOK(peek func(Word) Word) error {
 	return nil
 }
 
-// Workload is one registered benchmark.
+// Workload is one guest of the suite.
 type Workload struct {
 	Name  string
 	Kind  string // "client", "server", "scientific", "micro"
@@ -73,63 +72,85 @@ type Workload struct {
 	Build func(p Params) *Built
 }
 
-var registry = map[string]*Workload{}
-
-func register(w *Workload) {
-	if _, dup := registry[w.Name]; dup {
-		panic("workloads: duplicate " + w.Name)
-	}
-	registry[w.Name] = w
+// suite lists every guest once, in the paper's presentation order: clients,
+// servers, scientific kernels, then micros.
+var suite = []Workload{
+	{"pbzip", "client", "parallel block compressor: work-queue of blocks, RLE compress, verify by decompression, commit output", false, buildPbzip},
+	{"pfscan", "client", "parallel file scanner: work-queue of files read through the VFS, counting pattern occurrences", false, buildPfscan},
+	{"aget", "client", "parallel range downloader: workers fetch disjoint ranges of a remote resource over a latency-bound link", false, buildAget},
+	{"webserve", "server", "threaded web server: worker pool accepts scripted connections, serves files from the VFS, lock-protected stats", false,
+		func(p Params) *Built { return buildWebserve(p, false) }},
+	{"kvdb", "server", "transactional KV store: lock-striped hash table, per-thread transaction mix, batched WAL commits", false, buildKvdb},
+	{"fft", "scientific", "SPLASH-style FFT: parallel iterative number-theoretic transform with a barrier per stage; exact self-inverse check", false, buildFFT},
+	{"lu", "scientific", "SPLASH-style LU: in-place factorisation over GF(p) with row-interleaved workers, a barrier per pivot, and exact L*U reconstruction check", false, buildLU},
+	{"radix", "scientific", "SPLASH-style radix sort: per-worker histograms, serial prefix phase, parallel scatter, barrier-synchronised passes", false, buildRadix},
+	{"ocean", "scientific", "SPLASH-style ocean: Jacobi relaxation over a 2-D grid, rows split across workers, one barrier per sweep; checked against a host-mirrored result", false, buildOcean},
+	{"water", "scientific", "SPLASH-style water: O(n^2) pairwise force evaluation and integration over particles, two barriers per timestep; checked against a host-mirrored result", false, buildWater},
+	{"racey", "micro", "intentional data races: unlocked read-modify-write on hot counters and scattered array cells, mixed with locked work", true, buildRacey},
+	{"webserve-racy", "micro", "webserve with an unsynchronised hit counter: a low-rate data race on a hot cell", true,
+		func(p Params) *Built { return buildWebserve(p, true) }},
+	{"sigping", "micro", "asynchronous signals interrupt compute workers: handlers bill per-signal work against a known script; exercises signal logging and exact-point redelivery", false, buildSigping},
 }
 
 // Get returns the named workload, or nil.
-func Get(name string) *Workload { return registry[name] }
-
-// Names returns all workload names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+func Get(name string) *Workload {
+	for i := range suite {
+		if suite[i].Name == name {
+			return &suite[i]
+		}
 	}
-	sort.Strings(out)
-	return out
+	return nil
 }
 
-// All returns all workloads in a stable order: the paper's presentation
-// order (clients, servers, scientific), then micros.
+// All returns every workload in presentation order, in a fresh slice.
 func All() []*Workload {
-	order := []string{"pbzip", "pfscan", "aget", "webserve", "kvdb", "fft", "lu", "radix", "ocean", "water", "racey", "webserve-racy"}
-	var out []*Workload
-	for _, n := range order {
-		if w := registry[n]; w != nil {
-			out = append(out, w)
-		}
-	}
-	for _, n := range Names() {
-		found := false
-		for _, o := range order {
-			if o == n {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, registry[n])
-		}
+	out := make([]*Workload, len(suite))
+	for i := range suite {
+		out[i] = &suite[i]
 	}
 	return out
 }
 
-// RaceFree returns the workloads with no intentional races — the set every
-// fidelity test must pass without divergence.
-func RaceFree() []*Workload {
-	var out []*Workload
-	for _, w := range All() {
-		if !w.Racy {
-			out = append(out, w)
-		}
+// Names returns every workload name in presentation order.
+func Names() []string {
+	out := make([]string, len(suite))
+	for i, w := range suite {
+		out[i] = w.Name
 	}
 	return out
+}
+
+// split sets [lo, hi) to worker k's share of total iterations divided
+// among workers, shifted by off.
+func split(w *asm.Func, k, lo, hi, t asm.Reg, total, workers, off Word) {
+	w.Muli(t, k, total)
+	w.Divi(lo, t, workers)
+	if off != 0 {
+		w.Addi(lo, lo, off)
+	}
+	w.Addi(t, k, 1)
+	w.Muli(t, t, total)
+	w.Divi(hi, t, workers)
+	if off != 0 {
+		w.Addi(hi, hi, off)
+	}
+}
+
+// failed clears the verdict ok when the fail cell is set, loading the cell
+// into f.
+func failed(m *asm.Func, f, ok asm.Reg, cell Word) {
+	failA := m.Const(cell)
+	m.Ld(f, failA, 0)
+	m.IfNz(f, func() { m.Movi(ok, 0) })
+}
+
+// finish stores the verdict ok into okCell, halts main and builds the
+// program with main as its entry.
+func finish(b *asm.Builder, m *asm.Func, ok asm.Reg, okCell Word, world *simos.World) *Built {
+	m.St(m.Const(okCell), 0, ok)
+	m.HaltImm(0)
+	b.SetEntry("main")
+	return &Built{Prog: b.MustBuild(), World: world, OK: okCell}
 }
 
 // spawnJoin emits the standard fork/join skeleton: spawn workers threads
