@@ -44,11 +44,8 @@ import (
 	"doubleplay/internal/profile"
 	"doubleplay/internal/race"
 	"doubleplay/internal/replay"
-	"doubleplay/internal/sched"
 	"doubleplay/internal/server"
-	"doubleplay/internal/simos"
 	"doubleplay/internal/trace"
-	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
 )
 
@@ -337,13 +334,8 @@ func main() {
 
 	case "races":
 		bt := mustBuild(*wlName, *workers, *scale, *seed)
-		det := race.NewDetector(0)
-		m := vm.NewMachine(bt.Prog, simos.NewOS(bt.World), nil)
-		m.Hooks.OnSync = det.OnSync
-		m.Hooks.OnMemAccess = det.OnMemAccess
-		uni := sched.NewUni(m)
-		check(uni.Run())
-		reports := det.Races()
+		reports, err := race.Find(bt.Prog, bt.World)
+		check(err)
 		if len(reports) == 0 {
 			fmt.Println("no data races detected")
 			return

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"doubleplay/internal/clitest"
+	"doubleplay/internal/dptrace"
 	"doubleplay/internal/trace"
 )
 
@@ -19,11 +20,8 @@ import (
 // in order in one directory, so a later row may read an earlier row's
 // files.
 func TestCLI(t *testing.T) {
+	bin := clitest.Build(t, ".")
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "doubleplay")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	path := func(name string) string { return filepath.Join(dir, name) }
 	parse := func(t *testing.T, name string) []trace.Event {
 		t.Helper()
@@ -38,10 +36,41 @@ func TestCLI(t *testing.T) {
 		}
 		return evs
 	}
+	// match requires stdout to match every pattern.
+	match := func(patterns ...string) func(*testing.T, string) {
+		return func(t *testing.T, stdout string) {
+			for _, p := range patterns {
+				if !regexp.MustCompile(p).MatchString(stdout) {
+					t.Errorf("stdout does not match %q:\n%s", p, stdout)
+				}
+			}
+		}
+	}
+	// sameFile requires two files the command wrote to hold the same bytes.
+	sameFile := func(t *testing.T, a, b string) {
+		t.Helper()
+		da, _ := os.ReadFile(path(a))
+		db, _ := os.ReadFile(path(b))
+		if len(da) == 0 || !bytes.Equal(da, db) {
+			t.Fatalf("%s and %s differ (%d and %d bytes)", a, b, len(da), len(db))
+		}
+	}
 	traceLine := regexp.MustCompile(`(?m)^trace: (\d+) events streamed -> `)
+	finalHash := regexp.MustCompile(`final hash ([0-9a-f]{16}) verified`)
+	var certHash string // the final hash the certified sigping log replays to
 	record := []string{"record", "-w", "racey", "-workers", "2", "-seed", "11"}
+	sigping := []string{"-w", "sigping", "-workers", "2", "-seed", "11"}
+	adaptive := []string{"-w", "pbzip", "-workers", "4", "-seed", "11"}
 	list, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	// log upgrade rewrites its input in place: work on a copy.
+	v5, err := os.ReadFile(filepath.Join("..", "..", "internal", "dplog", "testdata", "v5.dplog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path("legacy.dplog"), v5, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,13 +99,7 @@ func TestCLI(t *testing.T) {
 				}
 			}},
 		{"record again writes the same bytes", append(record, "-trace", path("a2.json")), 0, "",
-			func(t *testing.T, _ string) {
-				a, _ := os.ReadFile(path("a.json"))
-				a2, _ := os.ReadFile(path("a2.json"))
-				if len(a) == 0 || !bytes.Equal(a, a2) {
-					t.Fatalf("two same-seed traces differ (%d and %d bytes)", len(a), len(a2))
-				}
-			}},
+			func(t *testing.T, _ string) { sameFile(t, "a.json", "a2.json") }},
 		{"replay streams a trace",
 			[]string{"replay", "-w", "racey", "-workers", "2", "-log", path("a.dplog"), "-trace", path("r.json")}, 0, "",
 			func(t *testing.T, stdout string) {
@@ -84,28 +107,91 @@ func TestCLI(t *testing.T) {
 					t.Fatalf("%d events in the file; stdout:\n%s", len(evs), stdout)
 				}
 			}},
-		{"removed flag", append(record, "-trace-window", "8"), 2, "flag provided but not defined: -trace-window", nil},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(bin, tc.argv...)
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			code := 0
-			if err := cmd.Run(); err != nil {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
+		{"record -prom writes metrics that lint clean", append(record, "-prom", path("m.prom")), 0, "",
+			func(t *testing.T, _ string) {
+				prom, err := os.ReadFile(path("m.prom"))
+				if err != nil {
 					t.Fatal(err)
 				}
-				code = ee.ExitCode()
-			}
+				if problems := dptrace.Promlint(string(prom)); len(problems) > 0 || len(prom) == 0 {
+					t.Fatalf("%d bytes, problems: %v", len(prom), problems)
+				}
+			}},
+		{"record -guest-profile", append(record, "-guest-profile", path("rec.pb"), "-o", path("p.dplog")), 0, "",
+			match(`(?m)^guest profile: \d+ stacks`)},
+		{"replay regenerates the record profile byte for byte",
+			[]string{"replay", "-w", "racey", "-workers", "2", "-log", path("p.dplog"), "-guest-profile", path("rep.pb")}, 0, "",
+			func(t *testing.T, _ string) { sameFile(t, "rec.pb", "rep.pb") }},
+		{"an adaptive recording grows its controller",
+			append([]string{"record", "-spares", "1", "-adaptive", "-min-spares", "1", "-max-spares", "4", "-o", path("ad.dplog")}, adaptive...), 0, "",
+			match(`(?m)^  controller: [1-9]\d* grows, \d+ shrinks, [2-4] active spares`)},
+		{"the adaptive log replays with every hash verified", append([]string{"replay", "-log", path("ad.dplog")}, adaptive...), 0, "",
+			match(finalHash.String())},
+		{"certified race-free sigping skips verification",
+			append([]string{"record", "-verify-policy", "certified", "-guest-profile", path("certrec.pb"), "-o", path("cert.dplog")}, sigping...), 0, "",
+			match(`(?m)^  certificate: race-free; verification skipped for all \d+ epochs`)},
+		{"the certified log replays its profile byte for byte",
+			append([]string{"replay", "-log", path("cert.dplog"), "-guest-profile", path("certrep.pb")}, sigping...), 0, "",
+			func(t *testing.T, stdout string) {
+				sameFile(t, "certrec.pb", "certrep.pb")
+				if m := finalHash.FindStringSubmatch(stdout); m != nil {
+					certHash = m[1]
+				}
+			}},
+		{"a fully verified sigping recording", append([]string{"record", "-o", path("full.dplog")}, sigping...), 0, "",
+			func(t *testing.T, stdout string) {
+				if strings.Contains(stdout, "certificate:") {
+					t.Fatalf("the default policy consulted the certificate:\n%s", stdout)
+				}
+			}},
+		{"replays to the certified log's final hash", append([]string{"replay", "-log", path("full.dplog")}, sigping...), 0, "",
+			func(t *testing.T, stdout string) {
+				if m := finalHash.FindStringSubmatch(stdout); m == nil || certHash == "" || m[1] != certHash {
+					t.Fatalf("certified log replayed to %q; stdout:\n%s", certHash, stdout)
+				}
+			}},
+		{"certified racey keeps full verification", append(record, "-verify-policy", "certified"), 0, "",
+			match(`(?m)^  certificate: possibly-racy; full verification kept`)},
+		{"removed flag", append(record, "-trace-window", "8"), 2, "flag provided but not defined: -trace-window", nil},
+		{"log inspect reads the section table", []string{"log", "inspect", "-log", path("a.dplog")}, 0, "",
+			func(t *testing.T, stdout string) {
+				match(`dplog v6`, `(?m)^sections: +[1-9]`, `(?m)^index: +ok`, `(?m)^ +total +\d+ +\d+ +\d+\.\d+$`)(t, stdout)
+				if strings.Contains(stdout, "ERROR") {
+					t.Errorf("damaged section bodies:\n%s", stdout)
+				}
+			}},
+		{"log inspect -epoch prints one section", []string{"log", "inspect", "-log", path("a.dplog"), "-epoch", "1"}, 0, "",
+			func(t *testing.T, stdout string) {
+				match(`(?m)^epoch 1: offset `, `boundary: start [0-9a-f]{16} -> end [0-9a-f]{16}`)(t, stdout)
+				if strings.Contains(stdout, "total") {
+					t.Errorf("-epoch still prints the totals row:\n%s", stdout)
+				}
+			}},
+		{"log extract writes a range", []string{"log", "extract", "-log", path("a.dplog"), "-epochs", "1..2", "-o", path("sub.dplog")}, 0, "",
+			match(`epochs 1\.\.2 .* \(2 sections\)`)},
+		{"the range is a standalone log", []string{"log", "inspect", "-log", path("sub.dplog")}, 0, "",
+			match(`(?m)^sections: +2$`, `(?m)^index: +ok`)},
+		{"log inspect refuses a v5 log", []string{"log", "inspect", "-log", path("legacy.dplog")}, 1, "doubleplay log upgrade", nil},
+		{"log upgrade rewrites it in place", []string{"log", "upgrade", "-log", path("legacy.dplog")}, 0, "",
+			match(`dplog v6`)},
+		{"the upgraded log inspects as v6", []string{"log", "inspect", "-log", path("legacy.dplog")}, 0, "",
+			match(`dplog v6`, `(?m)^index: +ok`)},
+		{"verify checks the guest profile under every plan",
+			[]string{"verify", "-w", "fft", "-workers", "2", "-parallel", "-guest-profile", path("v.pb")}, 0, "",
+			match(`(?m)^parallel replay: +OK`, `(?m)^guest profile: +OK`, `(?m)^guest self-check: +OK`)},
+		{"races names the racy address", []string{"races", "-w", "webserve-racy"}, 0, "",
+			match(`(?m)^1 racy addresses:\n  race on \d+: `)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := clitest.Run(t, bin, "", tc.argv...)
 			if code != tc.code {
-				t.Fatalf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr.String())
+				t.Fatalf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
-			if !strings.Contains(stderr.String(), tc.stderr) {
-				t.Errorf("stderr %q lacks %q", stderr.String(), tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr %q lacks %q", stderr, tc.stderr)
 			}
 			if tc.check != nil {
-				tc.check(t, stdout.String())
+				tc.check(t, stdout)
 			}
 		})
 	}

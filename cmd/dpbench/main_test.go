@@ -1,14 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"doubleplay/internal/clitest"
 	"doubleplay/internal/exp"
 )
 
@@ -16,10 +15,7 @@ import (
 // argv → exit code and stdout. Every table cell is a function of (seed,
 // scale) alone, so testdata/table1.golden holds on any host.
 func TestCLI(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "dpbench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := clitest.Build(t, ".")
 	var list strings.Builder
 	for _, e := range exp.Experiments {
 		fmt.Fprintf(&list, "%-14s %s: %s\n", e.Name, e.ID, e.Desc)
@@ -41,25 +37,15 @@ func TestCLI(t *testing.T) {
 		{"table1", []string{"-exp", "table1", "-scale", "1"}, 0, string(golden), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(bin, tc.argv...)
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			code := 0
-			if err := cmd.Run(); err != nil {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatal(err)
-				}
-				code = ee.ExitCode()
-			}
+			code, stdout, stderr := clitest.Run(t, bin, "", tc.argv...)
 			if code != tc.code {
-				t.Errorf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr.String())
+				t.Errorf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
-			if stdout.String() != tc.stdout {
-				t.Errorf("stdout:\n%s\nwant:\n%s", stdout.String(), tc.stdout)
+			if stdout != tc.stdout {
+				t.Errorf("stdout:\n%s\nwant:\n%s", stdout, tc.stdout)
 			}
-			if !strings.Contains(stderr.String(), tc.stderr) {
-				t.Errorf("stderr %q lacks %q", stderr.String(), tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr %q lacks %q", stderr, tc.stderr)
 			}
 		})
 	}

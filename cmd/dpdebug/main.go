@@ -7,14 +7,14 @@
 // Usage:
 //
 //	dpdebug repl   -log a.dplog [-w name] [-workers N] [-scale N] [-seed S] [-watch addr]...
-//	dpdebug bisect -a a.dplog -b b.dplog [-json]
-//	dpdebug diff   -a a.dplog -b b.dplog -epoch N [-json]
+//	dpdebug bisect -a a.dplog -b b.dplog [-w name] [-workers N] [-scale N] [-seed S] [-json]
+//	dpdebug diff   -a a.dplog -b b.dplog -epoch N [-w name] [-workers N] [-scale N] [-seed S] [-json]
 //
 // The workload is rebuilt from the log header (program, workers, seed);
 // pass -w/-workers/-seed only to override, -scale when the recording
 // was made with a non-default problem size. -decode loads the fully
 // decoded recording instead of seeking sections out of the log — the
-// two byte paths produce byte-identical output, which verify.sh checks.
+// two byte paths produce byte-identical output, which TestCLI checks.
 //
 // Exit codes follow the doubleplay/dptrace convention:
 //
@@ -44,8 +44,8 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   dpdebug repl   -log a.dplog [-w name] [-workers N] [-scale N] [-seed S] [-decode] [-watch addr]...
-  dpdebug bisect -a a.dplog -b b.dplog [-json] [-decode] [-scale N]
-  dpdebug diff   -a a.dplog -b b.dplog -epoch N [-json] [-decode] [-scale N]
+  dpdebug bisect -a a.dplog -b b.dplog [-w name] [-workers N] [-scale N] [-seed S] [-json] [-decode]
+  dpdebug diff   -a a.dplog -b b.dplog -epoch N [-w name] [-workers N] [-scale N] [-seed S] [-json] [-decode]
 `)
 	os.Exit(1)
 }
@@ -89,10 +89,10 @@ func openSession(path, wlName string, workers, scale int, seed int64, decode boo
 	if wlName == "" {
 		wlName = h.Program
 	}
-	if h.Workers > 0 {
+	if workers == 0 {
 		workers = h.Workers
 	}
-	if h.Seed != 0 {
+	if seed == 0 {
 		seed = h.Seed
 	}
 	wl := workloads.Get(wlName)
@@ -167,15 +167,7 @@ func main() {
 		if cmd == "bisect" {
 			res, err = debug.Bisect(sa, sb)
 		} else {
-			var d *debug.StateDiff
-			d, err = debug.DiffAt(sa, sb, *epochN)
-			if err == nil {
-				res = &debug.BisectResult{
-					Diverged: !d.Equal, Epoch: d.Epoch,
-					EpochsA: sa.NumEpochs(), EpochsB: sb.NumEpochs(),
-					HashA: d.HashA, HashB: d.HashB, Diff: d,
-				}
-			}
+			res, err = debug.CompareAt(sa, sb, *epochN)
 		}
 		if err != nil {
 			fatalAssert("%v", err)

@@ -11,8 +11,16 @@
 //	dptrace flame profile.pb           # top-function table of a guest profile
 //	dptrace flame -folded profile.pb   # folded stacks for flamegraph renderers
 //
-// diff exits 0 when the timelines agree, 3 when they diverge (the first
-// divergent epoch and per-epoch cycle deltas are printed either way).
+// Exit codes:
+//
+//	0  ok (diff: the timelines agree)
+//	1  unreadable or malformed input, a promlint problem, or a lag input
+//	   without a recording
+//	2  usage error
+//	3  diff: the timelines diverge
+//
+// diff prints the first divergent epoch and per-epoch cycle deltas either
+// way.
 // lag replaces the by-eye Perfetto read-off of docs/OBSERVABILITY.md's F6
 // worked example: per pipeline track it reports verify occupancy and the
 // least-squares slope of commit lag over epoch index, plus the drain tail

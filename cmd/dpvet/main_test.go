@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"os/exec"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"doubleplay/internal/clitest"
 	"doubleplay/internal/workloads"
 )
 
@@ -16,10 +14,7 @@ import (
 // argv → exit code, stderr and a check on stdout: the screen over the whole
 // suite, its certificates, the one-worker note and the usage errors.
 func TestCLI(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "dpvet")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := clitest.Build(t, ".")
 	names := workloads.Names()
 	for _, tc := range []struct {
 		name   string
@@ -75,25 +70,15 @@ func TestCLI(t *testing.T) {
 		{"undefined flag", []string{"-nosuch"}, 2, "flag provided but not defined: -nosuch", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(bin, tc.argv...)
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			code := 0
-			if err := cmd.Run(); err != nil {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatal(err)
-				}
-				code = ee.ExitCode()
-			}
+			code, stdout, stderr := clitest.Run(t, bin, "", tc.argv...)
 			if code != tc.code {
-				t.Fatalf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr.String())
+				t.Fatalf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
-			if !strings.Contains(stderr.String(), tc.stderr) {
-				t.Errorf("stderr %q lacks %q", stderr.String(), tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr %q lacks %q", stderr, tc.stderr)
 			}
 			if tc.check != nil {
-				tc.check(t, stdout.String())
+				tc.check(t, stdout)
 			}
 		})
 	}

@@ -52,7 +52,6 @@ import (
 	"doubleplay/internal/profile"
 	"doubleplay/internal/race"
 	"doubleplay/internal/replay"
-	"doubleplay/internal/sched"
 	"doubleplay/internal/server"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/trace"
@@ -368,13 +367,5 @@ type RaceReport = race.Report
 // DoublePlay's replay enables: once an execution replays deterministically,
 // the race that caused a divergence can be located offline.
 func FindRaces(prog *Program, world *World) ([]RaceReport, error) {
-	det := race.NewDetector(0)
-	m := vm.NewMachine(prog, simos.NewOS(world), nil)
-	m.Hooks.OnSync = det.OnSync
-	m.Hooks.OnMemAccess = det.OnMemAccess
-	uni := sched.NewUni(m)
-	if err := uni.Run(); err != nil {
-		return nil, err
-	}
-	return det.Races(), nil
+	return race.Find(prog, world)
 }

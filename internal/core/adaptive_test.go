@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"doubleplay/internal/replay"
@@ -127,14 +128,27 @@ func adaptiveRecord(t *testing.T, name string, workers, spares, min, max int, si
 	return res, bt
 }
 
+// withoutController drops the controller's own ctl.* events from a trace.
+func withoutController(evs []trace.Event) []trace.Event {
+	var out []trace.Event
+	for _, ev := range evs {
+		if !strings.HasPrefix(ev.Name, "ctl.") {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // TestAdaptivePinnedMatchesFixed is the satellite guard: with Min == Max ==
 // SpareCPUs the controller can never fire, and the recording — stats,
-// hashes, and replay — must be bit-identical to the fixed-spares run of
-// the same seed.
+// hashes, the trace event for event apart from the controller's own ctl.*
+// events, and replay — must be bit-identical to the fixed-spares run of the
+// same seed.
 func TestAdaptivePinnedMatchesFixed(t *testing.T) {
 	for _, name := range []string{"pbzip", "racey"} {
-		fixed := goldenRecord(t, goldenRun{name: name, workers: 2}, nil, nil)
-		pinned, bt := adaptiveRecord(t, name, 2, 2, 2, 2, nil)
+		fixedSink, pinnedSink := trace.NewSink(), trace.NewSink()
+		fixed := goldenRecord(t, goldenRun{name: name, workers: 2}, fixedSink, nil)
+		pinned, bt := adaptiveRecord(t, name, 2, 2, 2, 2, pinnedSink)
 		if pinned.Stats.SpareGrows != 0 || pinned.Stats.SpareShrinks != 0 {
 			t.Fatalf("%s: pinned controller fired (%d grows, %d shrinks)",
 				name, pinned.Stats.SpareGrows, pinned.Stats.SpareShrinks)
@@ -145,6 +159,9 @@ func TestAdaptivePinnedMatchesFixed(t *testing.T) {
 		}
 		if fixed.FinalHash != pinned.FinalHash || fixed.OutputHash != pinned.OutputHash {
 			t.Errorf("%s: pinned adaptive hashes differ from fixed", name)
+		}
+		if f, p := fixedSink.Events(), withoutController(pinnedSink.Events()); len(f) == 0 || !reflect.DeepEqual(f, p) {
+			t.Errorf("%s: pinned adaptive trace differs from fixed (%d and %d events)", name, len(f), len(p))
 		}
 		rep, err := replay.Sequential(bt.Prog, pinned.Recording, nil, nil)
 		if err != nil {
@@ -230,15 +247,21 @@ func TestAdaptiveRecordingReplaysBitIdentically(t *testing.T) {
 }
 
 // TestAdaptiveRecordingIsDeterministic re-records the same workload, seed,
-// and bounds and requires bit-identical stats and hashes — the property
-// the verify.sh adaptive gate checks end to end through dptrace diff.
+// and bounds and requires bit-identical stats, hashes and trace.
 func TestAdaptiveRecordingIsDeterministic(t *testing.T) {
-	a, _ := adaptiveRecord(t, "pbzip", 4, 1, 1, 4, nil)
-	b, _ := adaptiveRecord(t, "pbzip", 4, 1, 1, 4, nil)
+	sa, sb := trace.NewSink(), trace.NewSink()
+	a, _ := adaptiveRecord(t, "pbzip", 4, 1, 1, 4, sa)
+	b, _ := adaptiveRecord(t, "pbzip", 4, 1, 1, 4, sb)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
 		t.Errorf("adaptive stats differ across identical runs:\n%+v\n%+v", a.Stats, b.Stats)
 	}
 	if a.FinalHash != b.FinalHash || a.OutputHash != b.OutputHash {
 		t.Error("adaptive hashes differ across identical runs")
+	}
+	if a.Stats.SpareGrows == 0 {
+		t.Error("the controller never fired, so the runs test nothing")
+	}
+	if ea, eb := sa.Events(), sb.Events(); len(ea) == 0 || !reflect.DeepEqual(ea, eb) {
+		t.Errorf("adaptive traces differ across identical runs (%d and %d events)", len(ea), len(eb))
 	}
 }

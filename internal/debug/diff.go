@@ -184,21 +184,14 @@ func Bisect(a, b *Session) (*BisectResult, error) {
 		return ha != hb, ha, hb, err
 	}
 
-	d0, ha, hb, err := differs(0)
+	d0, _, _, err := differs(0)
 	if err != nil {
 		return nil, err
 	}
 	if d0 {
 		// Different initial states: not two recordings of the same
 		// program build, so "first divergent epoch" is the very start.
-		res.Diverged, res.Epoch = true, 0
-		res.HashA, res.HashB = fmt.Sprintf("%016x", ha), fmt.Sprintf("%016x", hb)
-		diff, err := DiffAt(a, b, 0)
-		if err != nil {
-			return nil, err
-		}
-		res.Diff = diff
-		return res, nil
+		return CompareAt(a, b, 0)
 	}
 
 	hi := min(res.EpochsA, res.EpochsB)
@@ -229,12 +222,20 @@ func Bisect(a, b *Session) (*BisectResult, error) {
 			lo = mid
 		}
 	}
-	res.Diverged, res.Epoch = true, hi
-	diff, err := DiffAt(a, b, hi)
+	return CompareAt(a, b, hi)
+}
+
+// CompareAt diffs boundary e of both sessions and reports it as a
+// BisectResult, so a boundary the caller names reads like one Bisect
+// found.
+func CompareAt(a, b *Session, e int) (*BisectResult, error) {
+	d, err := DiffAt(a, b, e)
 	if err != nil {
 		return nil, err
 	}
-	res.HashA, res.HashB = diff.HashA, diff.HashB
-	res.Diff = diff
-	return res, nil
+	return &BisectResult{
+		Diverged: !d.Equal, Epoch: d.Epoch,
+		EpochsA: a.NumEpochs(), EpochsB: b.NumEpochs(),
+		HashA: d.HashA, HashB: d.HashB, Diff: d,
+	}, nil
 }

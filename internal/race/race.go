@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"sort"
 
+	"doubleplay/internal/sched"
+	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
 )
 
@@ -197,3 +199,17 @@ func (d *Detector) Races() []Report {
 
 // Count returns the number of distinct racy addresses found.
 func (d *Detector) Count() int { return len(d.races) }
+
+// Find executes prog uniprocessor against world under a fresh detector and
+// returns the races found, sorted by address. One total order of events is
+// exactly what the detector assumes.
+func Find(prog *vm.Program, world *simos.World) ([]Report, error) {
+	d := NewDetector(0)
+	m := vm.NewMachine(prog, simos.NewOS(world), nil)
+	m.Hooks.OnSync = d.OnSync
+	m.Hooks.OnMemAccess = d.OnMemAccess
+	if err := sched.NewUni(m).Run(); err != nil {
+		return nil, err
+	}
+	return d.Races(), nil
+}

@@ -55,12 +55,11 @@ type Uni struct {
 
 	// Trace, when set, receives one span per executed timeslice (named
 	// TraceSpan, default "slice"), stamped with this scheduler's local
-	// Cycles clock and homed on (TracePid, TraceTid). Callers that know
+	// Cycles clock and homed on tid 0 of TracePid. Callers that know
 	// the run's global position splice a buffer instead (see
 	// trace.Sink.Splice). Tracing never alters Cycles.
 	Trace     trace.Recorder
 	TracePid  int64
-	TraceTid  int64
 	TraceSpan string
 
 	// Cycles is the simulated time consumed on this CPU, including
@@ -244,7 +243,7 @@ func (u *Uni) advanceFree(n uint64) (bool, error) {
 		}
 		if retired > 0 {
 			if trace.Enabled(u.Trace) {
-				u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, u.TraceTid,
+				u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, 0,
 					map[string]any{"tid": u.cur.ID, "retired": uint64(retired)})
 			}
 			u.appendSlice(u.cur.ID, uint64(retired))
@@ -448,7 +447,7 @@ func (u *Uni) advanceFollow(n uint64) (bool, error) {
 				ErrDiverged, i, s.Tid, retired, s.N)
 		}
 		if trace.Enabled(u.Trace) {
-			u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, u.TraceTid,
+			u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, 0,
 				map[string]any{"tid": s.Tid, "retired": retired})
 		}
 		u.Switches++

@@ -291,16 +291,11 @@ func (s *Server) debugDiffJob(ctx context.Context, id string, sp *Spec, sum *Res
 	defer cb.Close()
 	var res *debug.BisectResult
 	if sp.Epoch > 0 {
-		d, derr := debug.DiffAt(sa, sb, sp.Epoch)
-		if derr != nil {
-			return derr
-		}
-		res = &debug.BisectResult{
-			Diverged: !d.Equal, Epoch: d.Epoch,
-			EpochsA: sa.NumEpochs(), EpochsB: sb.NumEpochs(),
-			HashA: d.HashA, HashB: d.HashB, Diff: d,
-		}
-	} else if res, err = debug.Bisect(sa, sb); err != nil {
+		res, err = debug.CompareAt(sa, sb, sp.Epoch)
+	} else {
+		res, err = debug.Bisect(sa, sb)
+	}
+	if err != nil {
 		return err
 	}
 	var buf bytes.Buffer
