@@ -65,7 +65,7 @@ func main() {
 	// The `store` group nests the same way.
 	if cmd == "store" {
 		if len(args) == 0 {
-			usageErr("store requires a subcommand: stats, gc, fsck")
+			usageErr("store requires a subcommand: stats, gc, fsck, upgrade")
 		}
 		cmd, args = "store "+args[0], args[1:]
 	}
@@ -79,7 +79,7 @@ func main() {
 		seed       = fs.Int64("seed", 11, "input/timing seed")
 		epochLen   = fs.Int64("epoch", core.DefaultEpochCycles, "epoch length in cycles")
 		logPath    = fs.String("log", "", "recording file to read")
-		outPath    = fs.String("o", "", "recording file to write")
+		outPath    = fs.String("o", "", "recording file to write (store upgrade: the new store root)")
 		epochRange = fs.String("epochs", "", "log extract: epoch range, n or n..m")
 		parallel   = fs.Bool("parallel", false, "replay epochs in parallel (verify-time only)")
 		stride     = fs.Int("stride", 0, "also verify sparse segment-parallel replay with this checkpoint stride")
@@ -271,7 +271,7 @@ func main() {
 				replayFrom("parallel", res.Boundaries).Cycles, *workers)
 		}
 		if *stride > 1 {
-			sparse := res.ThinBoundaries(*stride)
+			sparse := replay.Thin(res.Boundaries, *stride)
 			fmt.Printf("sparse replay:     OK (stride %d, %d of %d checkpoints kept, %d cycles)\n",
 				*stride, len(sparse), len(res.Recording.Epochs)+1, replayFrom("sparse", sparse).Cycles)
 		}
@@ -356,6 +356,9 @@ func main() {
 
 	case "store fsck":
 		storeFsck(*dataDir, *jsonOut)
+
+	case "store upgrade":
+		storeUpgrade(*dataDir, *outPath)
 
 	default:
 		usageErr(fmt.Sprintf("unknown command %q", cmd))
@@ -529,5 +532,6 @@ commands:
   store    daemon artifact-store tooling (offline; -data selects the store):
              store stats -data ./dpdata [-json]   recordings and space accounting
              store gc -data ./dpdata [-max-age 720h] [-max-bytes N] [-dry-run]
-             store fsck -data ./dpdata [-json]    full integrity walk (exit 1 on damage)`)
+             store fsck -data ./dpdata [-json]    full integrity walk (exit 1 on damage)
+             store upgrade -data ./old -o ./new   convert a chunk-layout store into a new root`)
 }

@@ -73,6 +73,10 @@ func TestCLI(t *testing.T) {
 	if err := os.WriteFile(path("legacy.dplog"), v5, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A store in the retired chunk layout, which only store upgrade reads.
+	chunkStore := path("chunkstore")
+	copyTree(t, filepath.Join("..", "..", "internal", "upgrade", "testdata", "v2store"), chunkStore)
+	refusal := "doubleplay store upgrade -data " + chunkStore
 
 	for _, tc := range []struct {
 		name   string
@@ -176,6 +180,14 @@ func TestCLI(t *testing.T) {
 			match(`dplog v6`)},
 		{"the upgraded log inspects as v6", []string{"log", "inspect", "-log", path("legacy.dplog")}, 0, "",
 			match(`dplog v6`, `(?m)^index: +ok`)},
+		{"store fsck refuses a chunk-layout store", []string{"store", "fsck", "-data", chunkStore}, 1, refusal, nil},
+		{"store stats refuses it", []string{"store", "stats", "-data", chunkStore}, 1, refusal, nil},
+		{"store gc refuses it", []string{"store", "gc", "-data", chunkStore}, 1, refusal, nil},
+		{"serve refuses it", []string{"serve", "-listen", "127.0.0.1:0", "-data", chunkStore}, 1, refusal, nil},
+		{"store upgrade converts it into a new root", []string{"store", "upgrade", "-data", chunkStore, "-o", path("upstore")}, 0, "",
+			match(`(?m)^upgrade: 2 recordings put, 2 job files copied -> `)},
+		{"the new root fscks clean", []string{"store", "fsck", "-data", path("upstore")}, 0, "",
+			match(`(?m)^fsck: 1 refs, 2 recording objects checked$`, `(?m)^fsck: ok$`)},
 		{"verify checks the guest profile under every plan",
 			[]string{"verify", "-w", "fft", "-workers", "2", "-parallel", "-guest-profile", path("v.pb")}, 0, "",
 			match(`(?m)^parallel replay: +OK`, `(?m)^guest profile: +OK`, `(?m)^guest self-check: +OK`)},
@@ -194,5 +206,27 @@ func TestCLI(t *testing.T) {
 				tc.check(t, stdout)
 			}
 		})
+	}
+}
+
+// copyTree copies a testdata directory somewhere a test may write.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, de os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if de.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

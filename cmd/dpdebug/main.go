@@ -12,9 +12,8 @@
 //
 // The workload is rebuilt from the log header (program, workers, seed);
 // pass -w/-workers/-seed only to override, -scale when the recording
-// was made with a non-default problem size. -decode loads the fully
-// decoded recording instead of seeking sections out of the log — the
-// two byte paths produce byte-identical output, which TestCLI checks.
+// was made with a non-default problem size. Sessions seek sections out of
+// the log; internal/debug's tests hold them to the fully decoded recording.
 //
 // Exit codes follow the doubleplay/dptrace convention:
 //
@@ -43,9 +42,9 @@ import (
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  dpdebug repl   -log a.dplog [-w name] [-workers N] [-scale N] [-seed S] [-decode] [-watch addr]...
-  dpdebug bisect -a a.dplog -b b.dplog [-w name] [-workers N] [-scale N] [-seed S] [-json] [-decode]
-  dpdebug diff   -a a.dplog -b b.dplog -epoch N [-w name] [-workers N] [-scale N] [-seed S] [-json] [-decode]
+  dpdebug repl   -log a.dplog [-w name] [-workers N] [-scale N] [-seed S] [-watch addr]...
+  dpdebug bisect -a a.dplog -b b.dplog [-w name] [-workers N] [-scale N] [-seed S] [-json]
+  dpdebug diff   -a a.dplog -b b.dplog -epoch N [-w name] [-workers N] [-scale N] [-seed S] [-json]
 `)
 	os.Exit(1)
 }
@@ -74,9 +73,8 @@ func (w *watchList) Set(s string) error {
 }
 
 // openSession opens path as a debug session, rebuilding the workload
-// from the log header with flag overrides. decode selects the decoded
-// recording over the seekable reader as the session's byte source.
-func openSession(path, wlName string, workers, scale int, seed int64, decode bool) *debug.Session {
+// from the log header with flag overrides.
+func openSession(path, wlName string, workers, scale int, seed int64) *debug.Session {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalIO("%v", err)
@@ -100,17 +98,7 @@ func openSession(path, wlName string, workers, scale int, seed int64, decode boo
 		fatalIO("%s: unknown workload %q (override with -w)", path, wlName)
 	}
 	bt := wl.Build(workloads.Params{Workers: workers, Scale: scale, Seed: seed})
-	src := replay.Source(nil)
-	if decode {
-		rec, err := rd.Recording()
-		if err != nil {
-			fatalIO("%s: %v", path, err)
-		}
-		src = replay.FromRecording(rec)
-	} else {
-		src = replay.FromReader(rd)
-	}
-	s, err := debug.New(bt.Prog, src, nil)
+	s, err := debug.New(bt.Prog, replay.FromReader(rd), nil)
 	if err != nil {
 		fatalAssert("%s: %v", path, err)
 	}
@@ -132,7 +120,6 @@ func main() {
 		workers = fs.Int("workers", 0, "worker override (default: log header)")
 		scale   = fs.Int("scale", 1, "problem size multiplier the recording was made with")
 		seed    = fs.Int64("seed", 0, "seed override (default: log header)")
-		decode  = fs.Bool("decode", false, "decode the whole recording instead of seeking the log")
 		asJSON  = fs.Bool("json", false, "machine-readable output (bisect/diff)")
 		epochN  = fs.Int("epoch", -1, "boundary to diff (diff)")
 		watches watchList
@@ -148,7 +135,7 @@ func main() {
 		if *logPath == "" {
 			usage()
 		}
-		s := openSession(*logPath, *wlName, *workers, *scale, *seed, *decode)
+		s := openSession(*logPath, *wlName, *workers, *scale, *seed)
 		for _, a := range watches {
 			s.AddWatch(a)
 		}
@@ -160,8 +147,8 @@ func main() {
 		if cmd == "diff" && *epochN < 0 {
 			usage()
 		}
-		sa := openSession(*pathA, *wlName, *workers, *scale, *seed, *decode)
-		sb := openSession(*pathB, *wlName, *workers, *scale, *seed, *decode)
+		sa := openSession(*pathA, *wlName, *workers, *scale, *seed)
+		sb := openSession(*pathB, *wlName, *workers, *scale, *seed)
 		var res *debug.BisectResult
 		var err error
 		if cmd == "bisect" {

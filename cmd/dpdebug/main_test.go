@@ -32,7 +32,6 @@ func TestCLI(t *testing.T) {
 			}
 		}
 	}
-	var bisectJSON string // what the reader-backed -json row printed
 
 	for _, tc := range []struct {
 		name   string
@@ -45,16 +44,7 @@ func TestCLI(t *testing.T) {
 		{"bisect pins the divergent epoch", []string{"bisect", "-a", ra, "-b", rb}, "", 3, "",
 			has("first divergent boundary: epoch 1 ", "boundary 0 agrees")},
 		{"bisect as JSON", []string{"bisect", "-a", ra, "-b", rb, "-json"}, "", 3, "",
-			func(t *testing.T, stdout string) {
-				bisectJSON = stdout
-				has(`"diverged": true`, `"epoch": 1,`)(t, stdout)
-			}},
-		{"decoded sessions bisect byte-identically", []string{"bisect", "-a", ra, "-b", rb, "-json", "-decode"}, "", 3, "",
-			func(t *testing.T, stdout string) {
-				if bisectJSON == "" || stdout != bisectJSON {
-					t.Errorf("-decode printed:\n%s\nthe reader printed:\n%s", stdout, bisectJSON)
-				}
-			}},
+			has(`"diverged": true`, `"epoch": 1,`)},
 		{"a recording never diverges from itself", []string{"bisect", "-a", ra, "-b", ra}, "", 0, "",
 			has("no divergence")},
 		{"diff at the divergent boundary", []string{"diff", "-a", ra, "-b", rb, "-epoch", "1"}, "", 3, "",

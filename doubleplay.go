@@ -181,7 +181,7 @@ type ReplayOptions = replay.Options
 // replays epoch by epoch on one simulated CPU from program reset; with a
 // checkpoint set it replays the segments they anchor concurrently across
 // opt.CPUs host workers — every retained boundary is epoch-parallel
-// replay, a thinned set (RecordResult.ThinBoundaries, [ThinCheckpoints])
+// replay, a thinned set ([ThinCheckpoints] of RecordResult.Boundaries)
 // trades parallelism for checkpoint memory. An enabled opt.Trace receives the replay's
 // epochs and timeslices as "replay.epoch" spans; a non-nil opt.Profile
 // gathers the replayed execution's guest profile, byte-identical under

@@ -109,11 +109,13 @@ func TestUniprocessorLogSmallerThanCrewOnSharingHeavy(t *testing.T) {
 }
 
 // TestUniprocessorLogReplays drives the uniprocessor baseline's recording
-// through the replayer: the log is one epoch from program reset, and
-// following its schedule with its syscalls (kvdb) and signals (sigping)
-// injected must land on the state the recorder ended in.
+// of every workload through the replayer: the log is one epoch from program
+// reset, and following its schedule with its syscalls (kvdb) and signals
+// (sigping) injected must land on the state the recorder ended in. aget's
+// log holds syscalls that complete while the CPU idles, which the schedule
+// must name too.
 func TestUniprocessorLogReplays(t *testing.T) {
-	for _, name := range []string{"kvdb", "sigping"} {
+	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
 			bt := build(t, name, 4)
 			uni, err := baseline.RunUniprocessor(bt.Prog, bt.World, nil, nil)

@@ -276,23 +276,6 @@ func (r *Result) ReleaseCheckpoints() {
 	r.Boundaries = nil
 }
 
-// ThinBoundaries returns every stride-th boundary (always including the
-// first and last), for memory-bounded segment-parallel replay: hand them
-// to replay.Run as Options.Boundaries. The returned boundaries keep their
-// epoch indices.
-func (r *Result) ThinBoundaries(stride int) []*epoch.Boundary {
-	if stride <= 1 {
-		return r.Boundaries
-	}
-	var out []*epoch.Boundary
-	for i, b := range r.Boundaries {
-		if i%stride == 0 || i == len(r.Boundaries)-1 {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // sysLogCost prices recording a batch of syscall records: a flat append
 // plus a fraction of the input data copied into the log buffer.
 func sysLogCost(recs []dplog.SyscallRecord, c *vm.CostModel) int64 {

@@ -69,6 +69,36 @@ func TestCommitHashChainsMonotonically(t *testing.T) {
 	}
 }
 
+// TestRerunEpochsReplay records the I/O guests without the sync gate, so
+// that epochs diverge and some are re-run on one CPU against the live world,
+// where a syscall can complete while the CPU idles. Every recording must
+// replay to its final hash, sequentially and from every boundary.
+func TestRerunEpochsReplay(t *testing.T) {
+	reruns := 0
+	for _, name := range []string{"webserve", "webserve-racy"} {
+		for _, seed := range []int64{3, 17} {
+			bt := workloads.Get(name).Build(workloads.Params{Workers: 3, Seed: seed})
+			res, err := Record(bt.Prog, bt.World, Options{
+				Workers: 3, SpareCPUs: 3, EpochCycles: 6000, Seed: seed,
+				DisableSyncEnforcement: true,
+			})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			reruns += res.Stats.RerunRecoveries
+			for _, bs := range [][]*epoch.Boundary{nil, res.Boundaries} {
+				rep, err := replayFrom(bt.Prog, res.Recording, bs, 3)
+				if err != nil || rep.FinalHash != res.FinalHash {
+					t.Fatalf("%s seed %d (%d re-run epochs), %d boundaries: replay %v", name, seed, res.Stats.RerunRecoveries, len(bs), err)
+				}
+			}
+		}
+	}
+	if reruns == 0 {
+		t.Fatal("no epoch was re-run: the test exercises nothing")
+	}
+}
+
 func TestThinBoundariesAndSparseReplay(t *testing.T) {
 	wl := workloads.Get("ocean")
 	bt := wl.Build(workloads.Params{Workers: 2, Seed: 6})
@@ -81,7 +111,7 @@ func TestThinBoundariesAndSparseReplay(t *testing.T) {
 		t.Fatalf("too few epochs (%d) for a meaningful thinning test", full-1)
 	}
 	for _, stride := range []int{1, 2, 4, full} {
-		sparse := res.ThinBoundaries(stride)
+		sparse := replay.Thin(res.Boundaries, stride)
 		if stride > 1 && len(sparse) >= full {
 			t.Fatalf("stride %d did not thin (%d of %d)", stride, len(sparse), full)
 		}
@@ -94,8 +124,8 @@ func TestThinBoundariesAndSparseReplay(t *testing.T) {
 		}
 	}
 	// Coarser thinning means longer (less parallel) modelled replay.
-	fine, _ := replayFrom(bt.Prog, res.Recording, res.ThinBoundaries(1), 4)
-	coarse, _ := replayFrom(bt.Prog, res.Recording, res.ThinBoundaries(full), 4)
+	fine, _ := replayFrom(bt.Prog, res.Recording, replay.Thin(res.Boundaries, 1), 4)
+	coarse, _ := replayFrom(bt.Prog, res.Recording, replay.Thin(res.Boundaries, full), 4)
 	if coarse.Cycles < fine.Cycles {
 		t.Fatalf("single-segment replay (%d) faster than fully parallel (%d)", coarse.Cycles, fine.Cycles)
 	}

@@ -297,7 +297,8 @@ func TestBisectDeterministic(t *testing.T) {
 	bta, reca := record(t, "racey", 2, 11)
 	btb, recb := record(t, "racey", 2, 12)
 
-	var want int
+	// The two byte sources must give the same answer, diff included.
+	var want *debug.BisectResult
 	for round, viaReader := range []bool{false, true} {
 		sa := open(t, bta, reca, viaReader)
 		sb := open(t, btb, recb, viaReader)
@@ -312,9 +313,9 @@ func TestBisectDeterministic(t *testing.T) {
 			t.Fatal("racy recordings must share their initial state")
 		}
 		if round == 0 {
-			want = res.Epoch
-		} else if res.Epoch != want {
-			t.Fatalf("bisect over reader found epoch %d, over recording %d", res.Epoch, want)
+			want = res
+		} else if !reflect.DeepEqual(res, want) {
+			t.Fatalf("bisect over reader: %+v\nover recording: %+v", res, want)
 		}
 		ha, err := sa.BoundaryHash(res.Epoch - 1)
 		if err != nil {

@@ -637,7 +637,7 @@ func runSparseReplay(cfg Config) (Report, error) {
 	for _, name := range cfg.subset(SparseReplaySet) {
 		res, bt := record(name, workers, workers, cfg, nil)
 		for _, stride := range []int{1, 2, 4, 8, 1 << 20} {
-			sparse := res.ThinBoundaries(stride)
+			sparse := replay.Thin(res.Boundaries, stride)
 			rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
 				replay.Options{Boundaries: sparse, CPUs: workers, Costs: cfg.Costs})
 			if err != nil {

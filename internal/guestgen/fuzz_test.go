@@ -180,7 +180,7 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 		t.Fatal(err)
 	}
 	for sname, src := range map[string]replay.Source{"recording": replay.FromRecording(res.Recording), "reader": replay.FromReader(rd)} {
-		for pname, bs := range map[string][]*epoch.Boundary{"sequential": nil, "epoch-parallel": res.Boundaries, "sparse": res.ThinBoundaries(2)} {
+		for pname, bs := range map[string][]*epoch.Boundary{"sequential": nil, "epoch-parallel": res.Boundaries, "sparse": replay.Thin(res.Boundaries, 2)} {
 			rep, err := replay.Run(context.Background(), g.Prog, src, replay.Options{Boundaries: bs, CPUs: 2})
 			if err != nil {
 				t.Fatalf("%s replay of %s: %v", pname, sname, err)

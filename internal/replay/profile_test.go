@@ -85,9 +85,9 @@ func TestGuestProfileStrategyIndependence(t *testing.T) {
 	}{
 		{"sequential", rec, nil},
 		{"parallel", rec, res.Boundaries},
-		{"sparse", rec, res.ThinBoundaries(2)},
+		{"sparse", rec, replay.Thin(res.Boundaries, 2)},
 		{"reader-sequential", viaReader, nil},
-		{"reader-sparse", viaReader, res.ThinBoundaries(2)},
+		{"reader-sparse", viaReader, replay.Thin(res.Boundaries, 2)},
 	}
 	for _, r := range runs {
 		p := profile.NewProfile("")

@@ -60,7 +60,7 @@ type Result struct {
 type Options struct {
 	// Boundaries are the retained epoch-start checkpoints to replay from,
 	// ordered by Index and starting at epoch 0; each must be an epoch
-	// boundary of the source (core.Result.Boundaries, ThinBoundaries and
+	// boundary of the source (core.Result.Boundaries, [Thin] and
 	// [CheckpointsFrom] produce valid sets; a trailing final-state
 	// boundary is ignored). Empty means one segment from program reset.
 	Boundaries []*epoch.Boundary
@@ -372,8 +372,8 @@ func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *v
 }
 
 // Thin returns every stride-th boundary, always keeping the first and
-// last — the same thinning core.Result.ThinBoundaries applies to live
-// checkpoints, usable on the reconstructed set from [CheckpointsFrom].
+// last, of the live checkpoints (core.Result.Boundaries) or of the set
+// [CheckpointsFrom] reconstructs, for memory-bounded sparse replay.
 func Thin(bs []*epoch.Boundary, stride int) []*epoch.Boundary {
 	if stride <= 1 {
 		return bs

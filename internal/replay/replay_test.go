@@ -51,7 +51,7 @@ func plans(res *core.Result) []plan {
 	return []plan{
 		{"sequential", nil},
 		{"epoch-parallel", res.Boundaries},
-		{"sparse", res.ThinBoundaries(2)},
+		{"sparse", replay.Thin(res.Boundaries, 2)},
 	}
 }
 

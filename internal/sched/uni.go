@@ -304,10 +304,11 @@ func (u *Uni) pollBlockedSys() bool {
 		if t.Status != vm.BlockedSys || !u.belowTarget(t) {
 			continue
 		}
-		// A thread that retires here and turns runnable is scheduled
-		// normally by the round-robin loop from then on.
+		// A thread that retires here is logged as a one-instruction slice
+		// and, once runnable, scheduled by the round-robin loop.
 		if res := u.M.Step(t); res.Retired {
 			u.Cycles += res.Cost
+			u.appendSlice(t.ID, 1)
 		}
 	}
 	// Even with no retirement, time moved forward; the caller loops and the

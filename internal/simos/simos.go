@@ -164,11 +164,6 @@ func (w *World) AddFile(name string, data []Word) {
 	w.files[name] = &File{Name: name, Data: data}
 }
 
-// FileNames returns the registered file names in insertion-independent
-// sorted-free form; intended for tests. (Callers needing order should track
-// names themselves.)
-func (w *World) FileCount() int { return len(w.files) }
-
 // AddConn schedules an inbound connection for the listener.
 func (w *World) AddConn(arriveAt int64, reqs []Request) {
 	w.scripts = append(w.scripts, &ConnScript{ArriveAt: arriveAt, Requests: reqs})

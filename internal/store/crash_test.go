@@ -9,9 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -65,13 +62,6 @@ func (f *faultFS) Remove(name string) error {
 	return f.FS.Remove(name)
 }
 
-func (f *faultFS) RemoveAll(path string) error {
-	if f.dead() {
-		return errKilled
-	}
-	return f.FS.RemoveAll(path)
-}
-
 // faultFile is a file written through a faultFS.
 type faultFile struct {
 	store.File
@@ -100,17 +90,16 @@ func (w faultFile) Close() error {
 	return err
 }
 
-// killAtEveryCall runs run over a store opened on a fresh copy of what
-// setup lays out, once per call the run makes to the file system, killing
-// it at that call (and, for a write, once more with the write cut short),
-// and hands each directory it leaves to check. It returns how many calls an
-// unkilled run makes.
-func killAtEveryCall(t *testing.T, setup func(dir string), run func(*store.Store) error, check func(dir, what string)) int {
+// killAtEveryCall runs run over a store opened in a fresh directory, once
+// per call the run makes to the file system, killing it at that call (and,
+// for a write, once more with the write cut short), and hands each
+// directory it leaves to check. It returns how many calls an unkilled run
+// makes.
+func killAtEveryCall(t *testing.T, run func(*store.Store) error, check func(dir, what string)) int {
 	t.Helper()
 	for k := 1; ; k++ {
 		for _, short := range []bool{false, true} {
 			dir := t.TempDir()
-			setup(dir)
 			ffs := &faultFS{FS: store.OSFS, k: k, short: short}
 			s, err := store.OpenFS(dir, nil, ffs)
 			if err == nil {
@@ -188,58 +177,9 @@ func TestCrashAtEveryStep(t *testing.T) {
 		}
 		return nil
 	}
-	calls := killAtEveryCall(t, func(string) {}, run, func(dir, what string) { checkReopens(t, dir, what) })
+	calls := killAtEveryCall(t, run, func(dir, what string) { checkReopens(t, dir, what) })
 	if calls < 30 {
 		t.Fatalf("the run made %d calls to the file system; the matrix covers too little", calls)
 	}
 	t.Logf("killed at each of %d file-system calls", calls)
-}
-
-// objectsIn maps every object file under root to its bytes.
-func objectsIn(t *testing.T, root string) map[string][]byte {
-	t.Helper()
-	out := map[string][]byte{}
-	for _, p := range objectFiles(t, root) {
-		out[filepath.Base(p)] = mustRead(t, p)
-	}
-	return out
-}
-
-// TestCrashDuringMigration kills the conversion of each chunk-layout
-// fixture at each of its calls to the file system. The next Open must
-// finish it, ending in exactly the objects an uninterrupted conversion
-// makes, and leave a store that holds the crash invariant.
-func TestCrashDuringMigration(t *testing.T) {
-	for _, fixture := range []string{"v1store", "v2store"} {
-		setup := func(dir string) { copyTree(t, filepath.Join("testdata", fixture), dir) }
-		clean := t.TempDir()
-		setup(clean)
-		if _, err := store.Open(clean, nil); err != nil {
-			t.Fatal(err)
-		}
-		want := objectsIn(t, clean)
-		calls := killAtEveryCall(t, setup, func(*store.Store) error { return nil }, func(dir, what string) {
-			what = fixture + ": " + what
-			if _, err := store.Open(dir, nil); err != nil {
-				t.Fatalf("%s: reopen: %v", what, err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, "manifests")); !os.IsNotExist(err) {
-				t.Fatalf("%s: manifests/ survived the re-run conversion", what)
-			}
-			got := objectsIn(t, dir)
-			for name := range got {
-				if strings.HasPrefix(name, ".tmp-") {
-					delete(got, name) // a stale temp file: allowed, and GC's to reclaim
-				}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: the re-run conversion ended in other objects", what)
-			}
-			checkReopens(t, dir, what)
-		})
-		if calls == 0 {
-			t.Fatalf("%s: the conversion made no calls to the file system", fixture)
-		}
-		t.Logf("%s: killed at each of %d file-system calls", fixture, calls)
-	}
 }

@@ -11,20 +11,6 @@ var (
 	DecodeObject = decodeObject
 )
 
-// InlineSpanMax is the raw length from which a span of the retired chunk
-// layout had a chunk file of its own.
-const InlineSpanMax = inlineSpanMax
-
-// Manifest and ManifestChunk are the retired chunk manifest, which only
-// the migration decodes.
-type (
-	Manifest      = manifest
-	ManifestChunk = manifestChunk
-)
-
-// DecodeManifest exposes the retired manifest's decoder.
-var DecodeManifest = decodeManifest
-
 // FS and File are the store's file-system seam.
 type (
 	FS   = fsys
@@ -34,8 +20,7 @@ type (
 // OSFS is the seam onto the real file system.
 var OSFS FS = osFS{}
 
-// OpenFS is Open with every change to the file system made through fsys,
-// the migration's included.
+// OpenFS is Open with every change to the file system made through fsys.
 func OpenFS(root string, reg *trace.Registry, fsys FS) (*Store, error) {
 	return open(root, reg, fsys)
 }

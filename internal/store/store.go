@@ -24,8 +24,8 @@
 //
 // The store.* gauges are running totals: every put adds what it wrote, and
 // Open and every real GC recount them with the Stats walk, so a put costs
-// what it writes, not what the store holds. Open also converts a store
-// written in the older chunk layout (legacy.go).
+// what it writes, not what the store holds. Open refuses a root in the
+// retired chunk layout (a manifests/ directory): see internal/upgrade.
 package store
 
 import (
@@ -66,22 +66,22 @@ type Store struct {
 	sweepHook func()      // tests: runs between GC's mark and sweep
 }
 
-// Open creates (if needed) and opens the artifact layout under root,
-// converting a store in the older chunk layout first. reg, when non-nil,
-// receives the store.* gauges.
+// Open creates (if needed) and opens the artifact layout under root. A root
+// in the retired chunk layout is refused before anything is created. reg,
+// when non-nil, receives the store.* gauges.
 func Open(root string, reg *trace.Registry) (*Store, error) {
 	return open(root, reg, osFS{})
 }
 
 func open(root string, reg *trace.Registry, fsys fsys) (*Store, error) {
+	if _, err := os.Stat(filepath.Join(root, "manifests")); err == nil {
+		return nil, fmt.Errorf("store: %s is in the retired chunk layout; convert it into a new root with `doubleplay store upgrade -data %s -o <new root>`", root, root)
+	}
 	s := &Store{root: root, reg: reg, fs: fsys}
 	for _, dir := range []string{filepath.Join(root, objects), filepath.Join(root, "jobs")} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-	}
-	if err := s.migrate(); err != nil {
-		return nil, fmt.Errorf("store: converting the chunk layout: %w", err)
 	}
 	s.recount()
 	return s, nil
@@ -117,7 +117,6 @@ type fsys interface {
 	CreateTemp(dir, pattern string) (file, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
-	RemoveAll(path string) error
 }
 
 // file is a file being written.
@@ -139,7 +138,6 @@ func (osFS) CreateTemp(dir, pattern string) (file, error) {
 }
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error             { return os.Remove(name) }
-func (osFS) RemoveAll(path string) error          { return os.RemoveAll(path) }
 
 // tempPrefix starts the name of a write in flight, which a crash strands.
 const tempPrefix = ".tmp-"

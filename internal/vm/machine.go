@@ -219,10 +219,6 @@ func NewMachine(prog *Program, os SyscallHandler, cost *CostModel) *Machine {
 	return m
 }
 
-// LiveCount reports the number of threads that are neither exited nor
-// faulted.
-func (m *Machine) LiveCount() int { return m.liveCount }
-
 // FaultCount reports the number of faulted threads.
 func (m *Machine) FaultCount() int { return m.faultCount }
 
@@ -794,17 +790,6 @@ func (cp *Checkpoint) Release() { cp.MemSnap.Release() }
 // executions are considered identical at a boundary iff their hashes match.
 func (cp *Checkpoint) Hash() uint64 {
 	return stateHash(cp.MemSnap.Hash(), cp.Threads, cp.Locks, cp.Barriers, cp.NextTID)
-}
-
-// LiveThreads reports how many checkpointed threads are live.
-func (cp *Checkpoint) LiveThreads() int {
-	n := 0
-	for _, t := range cp.Threads {
-		if t.Status.Live() {
-			n++
-		}
-	}
-	return n
 }
 
 // Restore builds a fresh machine from the checkpoint. The new machine
