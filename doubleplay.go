@@ -182,7 +182,10 @@ type ReplayOptions = replay.Options
 // checkpoint set it replays the segments they anchor concurrently across
 // opt.CPUs host workers — every retained boundary is epoch-parallel
 // replay, a thinned set ([ThinCheckpoints] of RecordResult.Boundaries)
-// trades parallelism for checkpoint memory. An enabled opt.Trace receives the replay's
+// trades parallelism for checkpoint memory. With no checkpoints, such as
+// for a loaded recording, opt.Stride prices and narrates the plan that
+// every Stride-th rebuilt checkpoint would anchor from one sequential
+// pass. An enabled opt.Trace receives the replay's
 // epochs and timeslices as "replay.epoch" spans; a non-nil opt.Profile
 // gathers the replayed execution's guest profile, byte-identical under
 // every plan. The context is checked at epoch boundaries.
@@ -331,7 +334,9 @@ func RecordContext(ctx context.Context, prog *Program, world *World, opt RecordO
 // recording by replaying it once sequentially — recordings persist only
 // the logs, and parallel replay needs a starting state per epoch. The
 // returned boundaries are [ReplayOptions].Boundaries, whole or thinned
-// with [ThinCheckpoints].
+// with [ThinCheckpoints]. To learn what a parallel or sparse replay of a
+// stored recording costs, set [ReplayOptions].Stride instead: that prices
+// the same plan from the one pass, as the daemon's replay-by-id does.
 func RecordingCheckpoints(ctx context.Context, prog *Program, rec *Recording) ([]*Boundary, error) {
 	return replay.CheckpointsFrom(ctx, prog, replay.FromRecording(rec), nil)
 }

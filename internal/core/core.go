@@ -777,8 +777,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 	stats.ThreadParallelCycles = par.WallTime()
 	stats.CompletionCycles = pl.completion(par.WallTime())
 	profile.WithPhase(opt.Context, "commit", func() {
-		stats.ReplayBytes = rec.ReplaySize()
-		stats.FullBytes = rec.FullSize()
+		stats.ReplayBytes, stats.FullBytes = rec.Sizes()
 		stats.FileBytes = len(dplog.MarshalBytes(rec))
 	})
 	stats.ActiveSpares = opt.SpareCPUs

@@ -178,25 +178,25 @@ func TestSizesAndCounts(t *testing.T) {
 	if rec.Slices() != 3 || rec.SyscallCount() != 1 || rec.SyncOps() != 1 {
 		t.Fatalf("counts: %d %d %d", rec.Slices(), rec.SyscallCount(), rec.SyncOps())
 	}
-	replaySize := rec.ReplaySize()
-	fullSize := rec.FullSize()
+	replaySize, fullSize := rec.Sizes()
 	if replaySize <= 0 || fullSize <= replaySize {
 		t.Fatalf("sizes: replay=%d full=%d", replaySize, fullSize)
 	}
-	// FullSize is flat framing-free accounting; the v6 container adds
+	// The full size is flat framing-free accounting; the v6 container adds
 	// section frames, the index, and the footer on top of it. An
-	// uncompressed encoding is therefore strictly larger than FullSize,
+	// uncompressed encoding is therefore strictly larger than the full size,
 	// and never by less than the fixed footer.
 	if got := len(MarshalBytesWith(rec, EncodeOptions{})); got <= fullSize+footerLen {
-		t.Fatalf("raw v6 encoding = %d bytes, want > FullSize %d + footer", got, fullSize)
+		t.Fatalf("raw v6 encoding = %d bytes, want > full size %d + footer", got, fullSize)
 	}
 	// Certifying an epoch moves its sync order into the replay state.
 	rec.Epochs[0].Certified = true
-	if grown := rec.ReplaySize(); grown <= replaySize {
-		t.Fatalf("certified ReplaySize=%d, want > uncertified %d", grown, replaySize)
+	grown, full := rec.Sizes()
+	if grown <= replaySize || grown != rec.ReplaySize() {
+		t.Fatalf("certified replay size %d (ReplaySize %d), want > uncertified %d", grown, rec.ReplaySize(), replaySize)
 	}
-	if rec.FullSize() != fullSize {
-		t.Fatalf("FullSize changed with certification: %d vs %d", rec.FullSize(), fullSize)
+	if full != fullSize {
+		t.Fatalf("full size changed with certification: %d vs %d", full, fullSize)
 	}
 }
 

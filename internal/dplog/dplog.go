@@ -187,27 +187,30 @@ func (r *Recording) SignalCount() int {
 // no section framing, index, or compression — so it is the stable
 // apples-to-apples metric the paper's log-size experiment reports,
 // independent of how the v6 container lays the bytes out on disk.
-func (r *Recording) ReplaySize() int { return r.flatSize(false) }
+func (r *Recording) ReplaySize() int {
+	replay, _ := r.Sizes()
+	return replay
+}
 
-// FullSize reports the encoded size including the transient sync-order
-// log, under the same flat framing-free accounting as ReplaySize.
-func (r *Recording) FullSize() int { return r.flatSize(true) }
-
-// flatSize is the length of the header plus every epoch's replay part
-// and, with sync or for a certified epoch, its sync-order part.
-func (r *Recording) flatSize(sync bool) int {
+// Sizes reports ReplaySize and the full size, which also counts every
+// epoch's transient sync-order log, under the same flat framing-free
+// accounting, from one walk of the encoder.
+func (r *Recording) Sizes() (replay, full int) {
 	var e encoder
 	e.header(headerOf(r), len(r.Epochs))
-	n := 0
+	replay, full = len(e.b), len(e.b)
 	for _, ep := range r.Epochs {
-		n += len(e.b)
 		e.b = e.b[:0] // one epoch's worth of buffer, not the file's
 		e.epochReplayPart(ep)
-		if sync || ep.Certified {
-			e.epochSyncPart(ep)
+		n := len(e.b)
+		e.epochSyncPart(ep)
+		if ep.Certified {
+			n = len(e.b)
 		}
+		replay += n
+		full += len(e.b)
 	}
-	return n + len(e.b)
+	return replay, full
 }
 
 // String summarises the recording.

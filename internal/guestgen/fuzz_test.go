@@ -1,6 +1,7 @@
 package guestgen_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -13,9 +14,11 @@ import (
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
 	"doubleplay/internal/guestgen"
+	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/sched"
 	"doubleplay/internal/simos"
+	"doubleplay/internal/trace"
 	"doubleplay/internal/vm"
 )
 
@@ -189,6 +192,20 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 				t.Fatalf("%s replay of %s: final hash %016x, recorded %016x", pname, sname, rep.FinalHash, res.FinalHash)
 			}
 		}
+		// A stored log carries no checkpoints: the plan a stride prices
+		// from one pass must be the plan replayed from the checkpoints a
+		// first pass rebuilds, result, trace and profile alike.
+		stride := 1 + int(seed%4)
+		all, err := replay.CheckpointsFrom(context.Background(), g.Prog, src, nil)
+		if err != nil {
+			t.Fatalf("checkpoints of %s: %v", sname, err)
+		}
+		want, wantTr, wantProf := replayTraced(t, g.Prog, src, replay.Options{Boundaries: replay.Thin(all, stride), CPUs: 2})
+		got, gotTr, gotProf := replayTraced(t, g.Prog, src, replay.Options{Stride: stride, CPUs: 2})
+		if *got != *want || !bytes.Equal(gotTr, wantTr) || !bytes.Equal(gotProf, wantProf) {
+			t.Fatalf("stride-%d plan of %s: result %+v, trace equal %v, profile equal %v; from checkpoints %+v",
+				stride, sname, *got, bytes.Equal(gotTr, wantTr), bytes.Equal(gotProf, wantProf), *want)
+		}
 	}
 	m := vm.NewMachine(g.Prog, nil, nil)
 	for _, ep := range res.Recording.Epochs {
@@ -206,6 +223,23 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 		t.Fatalf("stepped replay: final hash %016x, recorded %016x", h, res.FinalHash)
 	}
 	return g, false
+}
+
+// replayTraced replays src under opt with a trace and a guest profile and
+// returns the result with the trace and profile bytes.
+func replayTraced(t *testing.T, prog *vm.Program, src replay.Source, opt replay.Options) (*replay.Result, []byte, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := trace.NewStreamSink(&buf, 0)
+	opt.Trace, opt.Profile = sink, profile.NewProfile("")
+	rep, err := replay.Run(context.Background(), prog, src, opt)
+	if err == nil {
+		err = sink.Close()
+	}
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return rep, buf.Bytes(), opt.Profile.MarshalPprof()
 }
 
 // FuzzSliceLoop points the determinism oracle at generated programs: the

@@ -95,8 +95,9 @@ func steppedReplay(prog *vm.Program, rec *dplog.Recording) error {
 // final hashes, so this is really testing that those checks are airtight).
 // The oracle is pointed at every path an epoch can be replayed by —
 // sequential, epoch-parallel and sparse plans from the recorder's own
-// checkpoints, and a recording stepped instruction by instruction — and
-// they must all give the same verdict.
+// checkpoints, the sparse plan of a stored log priced from one pass, and
+// a recording stepped instruction by instruction — and they must all give
+// the same verdict.
 func TestQuickMutatedLogsNeverReplayWrong(t *testing.T) {
 	workloadNames := []string{"kvdb", "sigping", "pfscan"}
 	type recorded struct {
@@ -135,8 +136,7 @@ func TestQuickMutatedLogsNeverReplayWrong(t *testing.T) {
 		// mutation).
 		rejected := make(map[string]bool)
 		for _, p := range plans(b.res) {
-			rep, err := replay.Run(context.Background(), b.prog, replay.FromRecording(rec),
-				replay.Options{Boundaries: p.boundaries, CPUs: 2})
+			rep, err := replay.Run(context.Background(), b.prog, replay.FromRecording(rec), p.options(2))
 			if err == nil && rep.FinalHash != rec.FinalHash {
 				t.Logf("%s mutation %q: %s replay 'succeeded' with a different hash", name, kind, p.name)
 				return false

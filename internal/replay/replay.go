@@ -13,9 +13,11 @@
 // segments run concurrently. No boundaries is sequential replay from
 // program reset; every boundary is epoch-parallel replay; a thinned set
 // (see [Thin]) is sparse segment-parallel replay, trading parallelism for
-// checkpoint memory. Every plan checks each epoch's start and end hash
-// and the recording's final hash, prices itself with the greedy makespan
-// model, and narrates its timeline to an optional trace sink as
+// checkpoint memory. A stored log carries no checkpoints, so with
+// [Options.Stride] the plan is priced from the one sequential pass that
+// would otherwise rebuild them. Every plan checks each epoch's start and
+// end hash and the recording's final hash, prices itself with the greedy
+// makespan model, and narrates its timeline to an optional trace sink as
 // "replay.epoch"/"replay.segment" spans with nested per-timeslice detail
 // (see docs/OBSERVABILITY.md).
 package replay
@@ -64,6 +66,14 @@ type Options struct {
 	// [CheckpointsFrom] produce valid sets; a trailing final-state
 	// boundary is ignored). Empty means one segment from program reset.
 	Boundaries []*epoch.Boundary
+	// Stride, with no Boundaries, selects the plan that
+	// Thin(CheckpointsFrom(src), Stride) anchors — segments of Stride
+	// consecutive epochs — without rebuilding a checkpoint: one pass from
+	// program reset replays and verifies every epoch, and the plan is
+	// priced and narrated from the epochs' costs, which do not depend on
+	// the machine an epoch starts on. Result, trace and profile are those
+	// of the two-pass replay. Zero is sequential replay.
+	Stride int
 	// CPUs bounds how many segments run at once and is the core count
 	// the makespan is packed onto; values below 1 mean 1.
 	CPUs int
@@ -71,7 +81,7 @@ type Options struct {
 	Costs *vm.CostModel
 	// Trace, when enabled, receives the replay's timeline. Sequential
 	// replay streams one "replay.epoch" span per epoch onto a single
-	// track as it goes; plans with boundaries place each segment at its
+	// track as it goes; other plans place each segment at its
 	// packed position on a track per modelled core — bare "replay.epoch"
 	// spans when every segment is one epoch, "replay.segment" spans
 	// wrapping them otherwise.
@@ -85,16 +95,29 @@ type Options struct {
 }
 
 // segment is a run of consecutive epochs [lo, hi) replayed on one machine
-// from start's checkpoint (nil: program reset).
+// from start's checkpoint; with none, it continues the machine the
+// previous segment ended on, or starts the first from program reset.
 type segment struct {
 	start  *epoch.Boundary
 	lo, hi int
 }
 
-// plan cuts the n epochs into the segments the boundaries anchor.
-func plan(bs []*epoch.Boundary, n int) ([]segment, error) {
+// plan cuts the n epochs into the segments the boundaries anchor or, with
+// none, into runs of stride epochs (stride 0: one run) — at least one, so
+// that a recording of no epochs still has its final hash checked.
+func plan(bs []*epoch.Boundary, stride, n int) ([]segment, error) {
 	if len(bs) == 0 {
-		return []segment{{hi: n}}, nil
+		if stride < 1 {
+			stride = max(n, 1)
+		}
+		var segs []segment
+		for lo := 0; lo == 0 || lo < n; lo += stride {
+			segs = append(segs, segment{lo: lo, hi: min(lo+stride, n)})
+		}
+		return segs, nil
+	}
+	if stride > 0 {
+		return nil, errors.New("replay: Stride is for plans without Boundaries")
 	}
 	if bs[0].Index != 0 {
 		return nil, fmt.Errorf("replay: boundaries must start at epoch 0, not %d", bs[0].Index)
@@ -149,23 +172,28 @@ func (r *replayer) canceled(pos int) error {
 	return nil
 }
 
-// segment replays sg's epochs back to back on one machine, verifying each
-// epoch's recorded start hash on the way in (its Stepper verifies the end)
-// and, when sg reaches the end of the source, the recording's final hash.
-// It returns the summed epoch costs and the machine in sg's end state.
-// gp, when non-nil, profiles the machine; an enabled out receives one
-// "replay.epoch" span per epoch, timestamped from the segment's start on
-// (pid, 0), with the epoch's timeslices nested inside; atStart, when
-// non-nil, sees the machine at each verified epoch start.
-func (r *replayer) segment(sg segment, gp *profile.Profiler, out trace.Recorder, pid int64,
-	atStart func(m *vm.Machine, ep *dplog.EpochLog, cycles int64)) (cycles int64, m *vm.Machine, err error) {
+// segment replays sg's epochs back to back on one machine — m, the
+// previous segment's, when sg has no checkpoint and m is non-nil —
+// verifying each epoch's recorded start hash on the way in (its Stepper
+// verifies the end) and, when sg reaches the end of the source, the
+// recording's final hash. It returns the summed epoch costs and the
+// machine in sg's end state. gp, when non-nil, profiles a machine the
+// segment starts; an enabled out receives one "replay.epoch" span per
+// epoch, timestamped from the segment's start on (pid, 0), with the
+// epoch's timeslices nested inside; atStart, when non-nil, sees the
+// machine at each verified epoch start.
+func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out trace.Recorder, pid int64,
+	atStart func(m *vm.Machine, ep *dplog.EpochLog, cycles int64)) (cycles int64, _ *vm.Machine, err error) {
 	if err := r.canceled(sg.lo); err != nil {
 		return 0, nil, err
 	}
-	if sg.start != nil {
+	switch {
+	case sg.start != nil:
 		m = sg.start.CP.Restore(r.prog, nil, r.costs)
-	} else {
+	case m == nil:
 		m = vm.NewMachine(r.prog, nil, r.costs)
+	default:
+		gp = nil // m continues, and gp already follows it
 	}
 	if gp != nil {
 		gp.Attach(m)
@@ -236,9 +264,9 @@ func runEpoch(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.CostMo
 // wrapped. A nil context never cancels.
 func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Result, error) {
 	r := newReplayer(ctx, prog, src, opt.Costs)
-	r.sequential = len(opt.Boundaries) == 0
+	r.sequential = len(opt.Boundaries) == 0 && opt.Stride < 1
 	n := src.NumEpochs()
-	segs, err := plan(opt.Boundaries, n)
+	segs, err := plan(opt.Boundaries, opt.Stride, n)
 	if err != nil {
 		return nil, err
 	}
@@ -256,16 +284,15 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 	profs := make([]*profile.Profile, len(segs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, cpus)
-	for i, sg := range segs {
-		// The single sequential segment streams straight into the sink;
-		// a packed segment's position is only known after the fan-out.
-		out := sink
-		if tracing && !r.sequential {
-			bufs[i] = trace.NewSink()
-			out = bufs[i]
+	// Each goroutine replays one chain: a segment and the checkpoint-less
+	// segments after it, which continue on its machine under its profiler.
+	for lo := 0; lo < len(segs); {
+		hi := lo + 1
+		for hi < len(segs) && segs[hi].start == nil {
+			hi++
 		}
 		wg.Add(1)
-		go func() {
+		go func(lo, hi int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -276,12 +303,26 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 			// The dp.phase=replay pprof label attributes the work in host
 			// CPU profiles; it is free when none is active.
 			profile.WithPhase(ctx, "replay", func() {
-				durs[i], _, errs[i] = r.segment(sg, gp, out, pid, nil)
+				var m *vm.Machine
+				for i := lo; i < hi; i++ {
+					// The single sequential segment streams straight into
+					// the sink; a packed segment's position is only known
+					// after the fan-out.
+					out := sink
+					if tracing && !r.sequential {
+						bufs[i] = trace.NewSink()
+						out = bufs[i]
+					}
+					if durs[i], m, errs[i] = r.segment(segs[i], m, gp, out, pid, nil); errs[i] != nil {
+						return
+					}
+				}
+				if gp != nil {
+					profs[lo] = gp.Snapshot()
+				}
 			})
-			if gp != nil && errs[i] == nil {
-				profs[i] = gp.Snapshot()
-			}
-		}()
+		}(lo, hi)
+		lo = hi
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -299,7 +340,7 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 		// one epoch per segment is epoch-parallel replay.
 		label, wrap := " (epoch-parallel)", false
 		for _, sg := range segs {
-			if sg.hi-sg.lo != 1 {
+			if sg.hi-sg.lo > 1 {
 				label, wrap = " (sparse segments)", true
 			}
 		}
@@ -311,7 +352,7 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 			s := slots[i]
 			if wrap {
 				sink.Span("replay.segment", s.start, s.fin-s.start, pid, int64(s.core),
-					map[string]any{"start_epoch": sg.start.Index, "epochs": sg.hi - sg.lo})
+					map[string]any{"start_epoch": sg.lo, "epochs": sg.hi - sg.lo})
 			}
 			sink.Splice(bufs[i], s.start, pid, int64(s.core))
 		}
@@ -361,7 +402,7 @@ func pack(durs []int64, cpus int) ([]packSlot, int64) {
 func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *vm.CostModel) ([]*epoch.Boundary, error) {
 	n := src.NumEpochs()
 	out := make([]*epoch.Boundary, 0, n+1)
-	cycles, m, err := newReplayer(ctx, prog, src, costs).segment(segment{hi: n}, nil, nil, 0,
+	cycles, m, err := newReplayer(ctx, prog, src, costs).segment(segment{hi: n}, nil, nil, nil, 0,
 		func(m *vm.Machine, ep *dplog.EpochLog, cycles int64) {
 			out = append(out, epoch.Snapshot(ep.Index, cycles, m, ep.StartHash))
 		})

@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -9,8 +10,10 @@ import (
 	"doubleplay/internal/core"
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
+	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/simos"
+	"doubleplay/internal/trace"
 	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
 )
@@ -39,19 +42,27 @@ func recordScaled(t *testing.T, name string, workers, scale int) (*vm.Program, *
 }
 
 // plan is one way of cutting a recording into concurrently replayed
-// segments: the checkpoints handed to replay.Run.
+// segments: the checkpoints handed to replay.Run, or a stride with none.
 type plan struct {
 	name       string
 	boundaries []*epoch.Boundary
+	stride     int
+}
+
+// options is the replay.Options that run p on cpus cores.
+func (p plan) options(cpus int) replay.Options {
+	return replay.Options{Boundaries: p.boundaries, Stride: p.stride, CPUs: cpus}
 }
 
 // plans returns the three plan shapes over a recording's retained
-// checkpoints: sequential, epoch-parallel, and sparse segments.
+// checkpoints — sequential, epoch-parallel, and sparse segments — and the
+// sparse plan a stored log with no checkpoints is replayed by.
 func plans(res *core.Result) []plan {
 	return []plan{
-		{"sequential", nil},
-		{"epoch-parallel", res.Boundaries},
-		{"sparse", replay.Thin(res.Boundaries, 2)},
+		{"sequential", nil, 0},
+		{"epoch-parallel", res.Boundaries, 0},
+		{"sparse", replay.Thin(res.Boundaries, 2), 0},
+		{"stored-sparse", nil, 4},
 	}
 }
 
@@ -153,7 +164,7 @@ func TestCorruptedFinalHashRejected(t *testing.T) {
 	res.Recording.FinalHash ^= 1
 	for srcName, src := range sources(t, res.Recording) {
 		for _, p := range plans(res) {
-			_, err := replay.Run(context.Background(), prog, src, replay.Options{Boundaries: p.boundaries, CPUs: 2})
+			_, err := replay.Run(context.Background(), prog, src, p.options(2))
 			if err == nil || !strings.Contains(err.Error(), "final hash") {
 				t.Errorf("%s/%s: err = %v", srcName, p.name, err)
 			}
@@ -169,7 +180,7 @@ func TestCanceledContextStopsEveryPlan(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, p := range plans(res) {
-		_, err := replay.Run(ctx, prog, replay.FromRecording(res.Recording), replay.Options{Boundaries: p.boundaries, CPUs: 2})
+		_, err := replay.Run(ctx, prog, replay.FromRecording(res.Recording), p.options(2))
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", p.name, err)
 		}
@@ -202,6 +213,10 @@ func TestBadBoundarySetsRejected(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// A stride cuts a plan only where no boundaries do.
+	if _, err := replay.Run(context.Background(), prog, src, replay.Options{Boundaries: bs, Stride: 2, CPUs: 2}); err == nil {
+		t.Errorf("boundaries with a stride: accepted")
+	}
 }
 
 func TestReplayRoundTripsThroughCodec(t *testing.T) {
@@ -227,4 +242,69 @@ func TestWrongProgramRejected(t *testing.T) {
 		t.Fatal("recording replayed against the wrong program")
 	}
 	_ = simos.NewWorld // keep import for symmetry with other tests
+}
+
+// replayTraced runs one plan over src with a trace and returns the result
+// with the trace bytes and, when opt gathers one, the guest profile's.
+func replayTraced(t *testing.T, prog *vm.Program, src replay.Source, opt replay.Options) (*replay.Result, []byte, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := trace.NewStreamSink(&buf, 0)
+	opt.Trace = sink
+	rep, err := replay.Run(context.Background(), prog, src, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var prof []byte
+	if opt.Profile != nil {
+		prof = opt.Profile.MarshalPprof()
+	}
+	return rep, buf.Bytes(), prof
+}
+
+// TestStridePlanMatchesCheckpointPlan: over a stored log, a plan priced by
+// Stride from one pass gives the Result, trace and guest profile of
+// replaying it from rebuilt checkpoints, Thin(CheckpointsFrom(src),
+// Stride), for every workload, stride and core count.
+func TestStridePlanMatchesCheckpointPlan(t *testing.T) {
+	for _, name := range workloads.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			prog, res := recordWorkload(t, name, 2)
+			rd, err := dplog.OpenReaderBytes(dplog.MarshalBytes(res.Recording))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := replay.FromReader(rd)
+			all, err := replay.CheckpointsFrom(context.Background(), prog, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, stride := range []int{1, 2, 4, src.NumEpochs() + 1} {
+				for _, cpus := range []int{1, 2, 4} {
+					// The profile does not depend on the core count, and the
+					// profiler's hook keeps epochs out of the slice loop: one
+					// core profiles, the others replay at batch speed.
+					var wantP, gotP *profile.Profile
+					if cpus == 1 {
+						wantP, gotP = profile.NewProfile(""), profile.NewProfile("")
+					}
+					want, wantTr, wantProf := replayTraced(t, prog, src, replay.Options{Boundaries: replay.Thin(all, stride), CPUs: cpus, Profile: wantP})
+					got, gotTr, gotProf := replayTraced(t, prog, src, replay.Options{Stride: stride, CPUs: cpus, Profile: gotP})
+					if *got != *want {
+						t.Errorf("stride %d, %d cpus: result %+v, from checkpoints %+v", stride, cpus, *got, *want)
+					}
+					if !bytes.Equal(gotTr, wantTr) {
+						t.Errorf("stride %d, %d cpus: trace differs from the checkpoint plan's", stride, cpus)
+					}
+					if !bytes.Equal(gotProf, wantProf) {
+						t.Errorf("stride %d, %d cpus: guest profile differs from the checkpoint plan's", stride, cpus)
+					}
+				}
+			}
+		})
+	}
 }

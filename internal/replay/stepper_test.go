@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"doubleplay/internal/core"
@@ -213,7 +214,9 @@ func TestSignalHookIsPerEpoch(t *testing.T) {
 	for srcName, src := range sources(t, rec) {
 		for _, p := range plans(res) {
 			prof := profile.NewProfile("")
-			out, err := replayProfiled(bt.Prog, src, p.boundaries, prof)
+			opt := p.options(4)
+			opt.Profile = prof
+			out, err := replay.Run(context.Background(), bt.Prog, src, opt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", srcName, p.name, err)
 			}

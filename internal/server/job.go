@@ -248,6 +248,18 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 	return nil
 }
 
+// planStride is the replay.Options.Stride of the plan Mode selects: 0
+// sequential, 1 every epoch start (parallel), Stride for sparse.
+func (sp *Spec) planStride() int {
+	switch sp.Mode {
+	case ModeParallel:
+		return 1
+	case ModeSparse:
+		return sp.Stride
+	}
+	return 0
+}
+
 // ResultSummary is the outcome a finished job reports inline (the full
 // stats live in the stats.json artifact).
 type ResultSummary struct {

@@ -202,10 +202,11 @@ func (s *Server) loadRecording(sp *Spec) (*dplog.Reader, io.Closer, error) {
 }
 
 // replayJob replays a stored recording in the requested mode, seeking
-// epoch sections straight out of the artifact. Parallel and sparse modes
-// first rebuild the epoch-start checkpoints from the log
-// (replay.CheckpointsFrom) — the artifact carries only the logs — and
-// replay from all of them or from every Stride-th.
+// epoch sections straight out of the artifact. The artifact carries only
+// the logs, so every mode is one sequential pass: parallel and sparse
+// modes price and narrate the plan of every epoch start or every
+// Stride-th from it (replay.Options.Stride) without rebuilding a
+// checkpoint.
 func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink trace.Recorder, sum *ResultSummary) error {
 	rd, closer, err := s.loadRecording(sp)
 	if err != nil {
@@ -217,23 +218,9 @@ func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink trace.
 		return err
 	}
 	src := replay.FromReader(rd)
-	opt := replay.Options{CPUs: sp.Workers, Trace: sink}
+	opt := replay.Options{Stride: sp.planStride(), CPUs: sp.Workers, Trace: sink}
 	if sp.GuestProfile {
 		opt.Profile = profile.NewProfile("")
-	}
-	switch sp.Mode {
-	case ModeSequential:
-	case ModeParallel, ModeSparse:
-		bs, err := replay.CheckpointsFrom(ctx, bt.Prog, src, nil)
-		if err != nil {
-			return err
-		}
-		if sp.Mode == ModeSparse {
-			bs = replay.Thin(bs, sp.Stride)
-		}
-		opt.Boundaries = bs
-	default:
-		return fmt.Errorf("unknown replay mode %q", sp.Mode)
 	}
 	rep, err := replay.Run(ctx, bt.Prog, src, opt)
 	if err != nil {
@@ -320,7 +307,8 @@ func (s *Server) debugDiffJob(ctx context.Context, id string, sp *Spec, sum *Res
 }
 
 // verifyJob is the in-memory round trip: record, replay sequentially
-// (and in parallel when mode asks), and run the guest self-check.
+// (and from the recorder's checkpoints, all of them or every Stride-th,
+// when mode asks), and run the guest self-check.
 func (s *Server) verifyJob(ctx context.Context, id string, sp Spec, sink trace.Recorder, sum *ResultSummary) error {
 	res, bt, gprof, err := s.record(ctx, id, sp, sink, sum)
 	if err != nil {
@@ -338,10 +326,10 @@ func (s *Server) verifyJob(ctx context.Context, id string, sp Spec, sink trace.R
 	if gprof != nil && !bytes.Equal(gprof.MarshalPprof(), repProf.MarshalPprof()) {
 		return fmt.Errorf("guest profile: replay profile differs from record profile")
 	}
-	if sp.Mode == ModeParallel {
-		opt := replay.Options{Boundaries: res.Boundaries, CPUs: sp.Workers, Trace: sink}
+	if stride := sp.planStride(); stride > 0 {
+		opt := replay.Options{Boundaries: replay.Thin(res.Boundaries, stride), CPUs: sp.Workers, Trace: sink}
 		if _, err := replay.Run(ctx, bt.Prog, src, opt); err != nil {
-			return fmt.Errorf("parallel replay: %w", err)
+			return fmt.Errorf("%s replay: %w", sp.Mode, err)
 		}
 	}
 	last := res.Boundaries[len(res.Boundaries)-1]

@@ -257,15 +257,30 @@ func TestEndToEndRecordThenReplayByID(t *testing.T) {
 	}
 }
 
+// TestVerifyJob: a verify job replays from the recorder's checkpoints in
+// the mode it names, so its trace holds that plan's track.
 func TestVerifyJob(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
-	id := submit(t, ts, map[string]any{
-		"kind": "verify", "workload": "fft", "workers": 2, "mode": "parallel",
-	})
-	v := waitDone(t, ts, id)
-	finalHash(t, v)
-	if code, _ := doJSON(t, "GET", ts.URL+"/jobs/"+id+"/stats", nil); code != http.StatusOK {
-		t.Fatalf("GET stats: %d", code)
+	for _, tc := range []struct {
+		spec  map[string]any
+		track string
+	}{
+		{map[string]any{"kind": "verify", "workload": "fft", "workers": 2, "mode": "parallel"}, "replay fft (epoch-parallel)"},
+		{map[string]any{"kind": "verify", "workload": "kvdb", "workers": 2, "mode": "sparse", "stride": 2}, "replay kvdb (sparse segments)"},
+	} {
+		id := submit(t, ts, tc.spec)
+		v := waitDone(t, ts, id)
+		finalHash(t, v)
+		if code, _ := doJSON(t, "GET", ts.URL+"/jobs/"+id+"/stats", nil); code != http.StatusOK {
+			t.Fatalf("GET stats: %d", code)
+		}
+		found := false
+		for _, ev := range fetchTrace(t, ts, id) {
+			found = found || ev.Name == "process_name" && ev.Args["name"] == tc.track
+		}
+		if !found {
+			t.Errorf("%v: trace has no %q track", tc.spec["mode"], tc.track)
+		}
 	}
 }
 
