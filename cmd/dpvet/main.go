@@ -1,7 +1,7 @@
 // Command dpvet statically checks guest programs — the builtin workloads
 // by default — without executing a single instruction: CFG and dataflow
-// verification (branch targets, lock balance, uninitialized registers,
-// dead code) plus the lockset race screen.
+// verification (branch targets, lock balance, dead stores, dead code)
+// plus the lockset race screen.
 //
 // The certify subcommand prints each workload's race-freedom certificate
 // (race-free / possibly-racy / incomplete) — the decision input the

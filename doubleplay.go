@@ -272,11 +272,11 @@ type VetReport = analyze.Findings
 type VetFinding = analyze.Finding
 
 // Vet statically screens a guest program without executing it: CFG and
-// dataflow checks (branch targets, lock balance, uninitialized and dead
-// registers) plus a lockset race screen whose candidates cover every
-// address the dynamic detector can implicate. Use it before Record to
-// know which programs can diverge, and FindRaces afterwards to confirm
-// which candidates are real. See cmd/dpvet for the CLI.
+// dataflow checks (branch targets, lock balance, dead stores) plus a
+// lockset race screen whose candidates cover every address the dynamic
+// detector can implicate. Use it before Record to know which programs
+// can diverge, and FindRaces afterwards to confirm which candidates are
+// real. See cmd/dpvet for the CLI.
 func Vet(prog *Program) *VetReport { return analyze.Run(prog) }
 
 // Certificate is the static race-freedom certificate analyze computes

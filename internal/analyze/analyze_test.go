@@ -1,6 +1,5 @@
-// Tests live in an external package so they can drive the analyzer
-// through internal/asm, which itself imports analyze for its opt-in
-// verify step.
+// Tests drive the analyzer from outside the package, over programs
+// built with internal/asm.
 package analyze_test
 
 import (
@@ -42,17 +41,6 @@ func TestLints(t *testing.T) {
 		want    analyze.Kind
 		wantSev analyze.Severity
 	}{
-		{
-			name: "uninit register",
-			build: func(b *asm.Builder) {
-				f := b.Func("main", 0)
-				d, a := f.Reg(), f.Reg()
-				_ = d
-				f.Addi(a, a, 1) // a read before any write
-				f.HaltImm(0)
-			},
-			want: analyze.UninitRegister, wantSev: analyze.SevWarning,
-		},
 		{
 			name: "unlock never held",
 			build: func(b *asm.Builder) {

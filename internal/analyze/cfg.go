@@ -2,30 +2,6 @@ package analyze
 
 import "doubleplay/internal/vm"
 
-// span is one function's code range [start, end): from its entry to the
-// next distinct function entry, or the end of the code segment.
-type span struct {
-	fn    int // index into Program.Funcs
-	start int
-	end   int
-}
-
-// funcSpans computes every function's body range. Functions sharing an
-// entry (possible in hand-built programs) get identical spans.
-func funcSpans(p *vm.Program) []span {
-	spans := make([]span, len(p.Funcs))
-	for i, f := range p.Funcs {
-		end := len(p.Code)
-		for _, g := range p.Funcs {
-			if g.Entry > f.Entry && g.Entry < end {
-				end = g.Entry
-			}
-		}
-		spans[i] = span{fn: i, start: f.Entry, end: end}
-	}
-	return spans
-}
-
 // block is one basic block: a maximal straight-line instruction run.
 type block struct {
 	start, end int // code range [start, end)
@@ -33,11 +9,12 @@ type block struct {
 	reach      bool // reachable from the function entry
 }
 
-// cfg is one function's control-flow graph. Block 0 is the entry block.
+// cfg is one function's control-flow graph over its body [start, end)
+// (vm.Program.FuncSpan). Block 0 is the entry block.
 type cfg struct {
-	span   span
-	blocks []block
-	blkAt  map[int]int // leader pc -> block index
+	start, end int
+	blocks     []block
+	blkAt      map[int]int // leader pc -> block index
 }
 
 // isBranch reports whether op transfers control within the function.
@@ -50,33 +27,31 @@ func isTerminator(op vm.Opcode) bool {
 	return op == vm.OpJmp || op == vm.OpRet || op == vm.OpHalt
 }
 
-// buildCFG splits a function span into basic blocks and wires successor
-// edges. Branch targets outside the span contribute no edge; the
-// structural checks report them separately.
-func buildCFG(p *vm.Program, sp span) *cfg {
-	g := &cfg{span: sp, blkAt: make(map[int]int)}
-	if sp.start >= sp.end {
-		return g
-	}
+// buildCFG splits function fn's body into basic blocks and wires
+// successor edges. Branch targets outside the body contribute no edge;
+// the structural checks report them separately.
+func buildCFG(p *vm.Program, fn int) *cfg {
+	g := &cfg{blkAt: make(map[int]int)}
+	g.start, g.end = p.FuncSpan(fn)
 	leader := make(map[int]bool, 8)
-	leader[sp.start] = true
-	for pc := sp.start; pc < sp.end; pc++ {
+	leader[g.start] = true
+	for pc := g.start; pc < g.end; pc++ {
 		in := p.Code[pc]
 		if isBranch(in.Op) {
-			if t := int(in.Imm); t >= sp.start && t < sp.end {
+			if t := int(in.Imm); t >= g.start && t < g.end {
 				leader[t] = true
 			}
 		}
-		if (isBranch(in.Op) || isTerminator(in.Op)) && pc+1 < sp.end {
+		if (isBranch(in.Op) || isTerminator(in.Op)) && pc+1 < g.end {
 			leader[pc+1] = true
 		}
 	}
-	for pc := sp.start; pc < sp.end; pc++ {
+	for pc := g.start; pc < g.end; pc++ {
 		if !leader[pc] {
 			continue
 		}
 		end := pc + 1
-		for end < sp.end && !leader[end] {
+		for end < g.end && !leader[end] {
 			end++
 		}
 		g.blkAt[pc] = len(g.blocks)
@@ -95,13 +70,13 @@ func buildCFG(p *vm.Program, sp span) *cfg {
 			addSucc(int(last.Imm))
 		case vm.OpJz, vm.OpJnz:
 			addSucc(int(last.Imm))
-			if b.end < sp.end {
+			if b.end < g.end {
 				addSucc(b.end)
 			}
 		case vm.OpRet, vm.OpHalt:
 			// no successors
 		default:
-			if b.end < sp.end {
+			if b.end < g.end {
 				addSucc(b.end)
 			}
 		}

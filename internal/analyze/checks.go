@@ -6,11 +6,10 @@ import (
 	"doubleplay/internal/vm"
 )
 
-// regUses appends to buf the registers instruction in reads. With
-// liveness set, the implicit staging-window reads of Call and Sys are
-// included (they keep argument-staging moves live); the initialization
-// check excludes them because unstaged slots are defined ABI zeros.
-func regUses(in vm.Instr, liveness bool, buf []uint8) []uint8 {
+// regUses appends to buf the registers instruction in reads, including
+// the implicit staging-window reads of Call and Sys (they keep
+// argument-staging moves live).
+func regUses(in vm.Instr, buf []uint8) []uint8 {
 	switch in.Op {
 	case vm.OpNop, vm.OpMovi, vm.OpJmp, vm.OpTid, vm.OpSigH:
 	case vm.OpMov, vm.OpNeg, vm.OpNot:
@@ -42,10 +41,8 @@ func regUses(in vm.Instr, liveness bool, buf []uint8) []uint8 {
 	case vm.OpSpawn:
 		buf = append(buf, in.B)
 	case vm.OpCall, vm.OpSys:
-		if liveness {
-			for i := 0; i < vm.MaxArgs; i++ {
-				buf = append(buf, uint8(vm.ArgStageBase+i))
-			}
+		for i := 0; i < vm.MaxArgs; i++ {
+			buf = append(buf, uint8(vm.ArgStageBase+i))
 		}
 	}
 	return buf
@@ -88,28 +85,20 @@ func pureDef(op vm.Opcode) bool {
 // blocks.
 func (a *analysis) structural() {
 	for fi := range a.prog.Funcs {
-		sp := a.spans[fi]
+		// Aliases sharing a body would duplicate every report.
+		if a.alias(fi) {
+			continue
+		}
 		name := a.fname(fi)
 		g := a.cfgs[fi]
-		if sp.start >= sp.end {
-			a.report(fmt.Sprintf("empty|%d", fi), Finding{
-				Kind: FallOffEnd, Sev: SevError, Func: name, PC: sp.start,
-				Msg: fmt.Sprintf("function %q has no instructions; executing it runs into the next function", name),
-			})
-			continue
-		}
-		// Span-sharing aliases would duplicate every report.
-		if dup := a.spanOwner(fi); dup != fi {
-			continue
-		}
-		for pc := sp.start; pc < sp.end; pc++ {
+		for pc := g.start; pc < g.end; pc++ {
 			in := a.prog.Code[pc]
 			switch in.Op {
 			case vm.OpJmp, vm.OpJz, vm.OpJnz:
-				if t := int(in.Imm); t < sp.start || t >= sp.end {
+				if t := int(in.Imm); t < g.start || t >= g.end {
 					a.fs.add(Finding{
 						Kind: BadBranch, Sev: SevError, Func: name, PC: pc,
-						Msg: fmt.Sprintf("branch target %d is outside %q [%d, %d)", t, name, sp.start, sp.end),
+						Msg: fmt.Sprintf("branch target %d is outside %q [%d, %d)", t, name, g.start, g.end),
 					})
 				}
 			case vm.OpCall, vm.OpSpawn, vm.OpSigH:
@@ -127,7 +116,7 @@ func (a *analysis) structural() {
 					})
 				}
 			case vm.OpBarArrive:
-				ok := pc+1 < sp.end && a.prog.Code[pc+1].Op == vm.OpBarWait &&
+				ok := pc+1 < g.end && a.prog.Code[pc+1].Op == vm.OpBarWait &&
 					a.prog.Code[pc+1].A == in.A && a.prog.Code[pc+1].B == in.B
 				if !ok {
 					a.fs.add(Finding{
@@ -136,7 +125,7 @@ func (a *analysis) structural() {
 					})
 				}
 			case vm.OpBarWait:
-				ok := pc-1 >= sp.start && a.prog.Code[pc-1].Op == vm.OpBarArrive &&
+				ok := pc-1 >= g.start && a.prog.Code[pc-1].Op == vm.OpBarArrive &&
 					a.prog.Code[pc-1].A == in.A && a.prog.Code[pc-1].B == in.B
 				if !ok {
 					a.fs.add(Finding{
@@ -156,7 +145,7 @@ func (a *analysis) structural() {
 				continue
 			}
 			last := a.prog.Code[b.end-1]
-			fallsOut := b.end == sp.end && !isTerminator(last.Op)
+			fallsOut := b.end == g.end && !isTerminator(last.Op)
 			if fallsOut {
 				a.fs.add(Finding{
 					Kind: FallOffEnd, Sev: SevError, Func: name, PC: b.end - 1,
@@ -167,14 +156,10 @@ func (a *analysis) structural() {
 	}
 }
 
-// spanOwner returns the lowest function index sharing fi's span.
-func (a *analysis) spanOwner(fi int) int {
-	for j := 0; j < fi; j++ {
-		if a.spans[j].start == a.spans[fi].start {
-			return j
-		}
-	}
-	return fi
+// alias reports whether fi shares its body with a lower-indexed function,
+// which FuncAt names as the body's owner.
+func (a *analysis) alias(fi int) bool {
+	return a.prog.FuncAt(a.prog.Funcs[fi].Entry) != &a.prog.Funcs[fi]
 }
 
 func (a *analysis) blockReachable(g *cfg, pc int) bool {
@@ -187,79 +172,11 @@ func (a *analysis) blockReachable(g *cfg, pc int) bool {
 	return false
 }
 
-// checkInit warns about registers read before any write in their
-// function. Architecturally such reads see zero (fresh register files
-// are zeroed), so this is a warning, not an error — but a read of r3 in
-// a 2-argument function is a contract violation the caller can't see.
-// Entry-initialized registers: r0 (the call-result slot) and the
-// declared arguments r1..rN.
-func (a *analysis) checkInit() {
-	for fi, f := range a.prog.Funcs {
-		if a.spanOwner(fi) != fi {
-			continue
-		}
-		g := a.cfgs[fi]
-		if len(g.blocks) == 0 {
-			continue
-		}
-		entry := uint64(1) // r0
-		for i := 1; i <= f.NArgs && i < vm.NumRegs; i++ {
-			entry |= 1 << uint(i)
-		}
-		in := make([]uint64, len(g.blocks))
-		have := make([]bool, len(g.blocks))
-		in[0], have[0] = entry, true
-		work := []int{0}
-		for len(work) > 0 {
-			bi := work[0]
-			work = work[1:]
-			mask := in[bi]
-			for pc := g.blocks[bi].start; pc < g.blocks[bi].end; pc++ {
-				if d, ok := regDef(a.prog.Code[pc]); ok {
-					mask |= 1 << uint(d)
-				}
-			}
-			for _, s := range g.blocks[bi].succs {
-				next := mask
-				if have[s] {
-					next &= in[s] // must-initialized: intersect over predecessors
-				}
-				if !have[s] || next != in[s] {
-					in[s], have[s] = next, true
-					work = append(work, s)
-				}
-			}
-		}
-		var buf []uint8
-		for bi := range g.blocks {
-			if !have[bi] {
-				continue
-			}
-			mask := in[bi]
-			for pc := g.blocks[bi].start; pc < g.blocks[bi].end; pc++ {
-				instr := a.prog.Code[pc]
-				buf = regUses(instr, false, buf[:0])
-				for _, u := range buf {
-					if mask&(1<<uint(u)) == 0 {
-						a.report(fmt.Sprintf("init|%d|%d|%d", fi, pc, u), Finding{
-							Kind: UninitRegister, Sev: SevWarning, Func: f.Name, PC: pc,
-							Msg: fmt.Sprintf("r%d is read before any write in %q (always zero; declared args are r1..r%d)", u, f.Name, f.NArgs),
-						})
-					}
-				}
-				if d, ok := regDef(instr); ok {
-					mask |= 1 << uint(d)
-				}
-			}
-		}
-	}
-}
-
 // checkLiveness runs a backward liveness pass per function and warns
 // about side-effect-free register writes whose value is never read.
 func (a *analysis) checkLiveness() {
 	for fi, f := range a.prog.Funcs {
-		if a.spanOwner(fi) != fi {
+		if a.alias(fi) {
 			continue
 		}
 		g := a.cfgs[fi]
@@ -282,7 +199,7 @@ func (a *analysis) checkLiveness() {
 				if d, ok := regDef(instr); ok {
 					live &^= 1 << uint(d)
 				}
-				buf = regUses(instr, true, buf[:0])
+				buf = regUses(instr, buf[:0])
 				for _, u := range buf {
 					live |= 1 << uint(u)
 				}
@@ -333,7 +250,7 @@ func (a *analysis) checkLiveness() {
 					}
 					live &^= 1 << uint(d)
 				}
-				buf = regUses(instr, true, buf[:0])
+				buf = regUses(instr, buf[:0])
 				for _, u := range buf {
 					live |= 1 << uint(u)
 				}

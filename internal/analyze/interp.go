@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"fmt"
+	"slices"
 
 	"doubleplay/internal/vm"
 )
@@ -81,7 +82,7 @@ func (a *analysis) exec(c *context, st *absState, pc int, rec bool) {
 	case vm.OpCall:
 		fn := int(in.Imm)
 		if fn >= 0 && fn < len(a.prog.Funcs) && rec {
-			if c.class == "main" && a.maySpawn[fn] {
+			if c.class.kind == mainThread && a.maySpawn[fn] {
 				// The initial thread tracks its live children (st.kids) to
 				// prove pre-spawn/post-join accesses non-concurrent, but a
 				// spawn buried inside a callee is invisible to the caller's
@@ -126,7 +127,7 @@ func (a *analysis) exec(c *context, st *absState, pc int, rec bool) {
 	case vm.OpSpawn:
 		fn := int(in.Imm)
 		if fn >= 0 && fn < len(a.prog.Funcs) && rec {
-			child := &context{fn: fn, class: "go:" + a.fname(fn), conc: true}
+			child := &context{fn: fn, class: threadClass{spawned, fn}, conc: true}
 			child.args[0] = st.regs[in.B]
 			for i := 1; i < vm.MaxArgs; i++ {
 				child.args[i] = konst(0)
@@ -139,18 +140,18 @@ func (a *analysis) exec(c *context, st *absState, pc int, rec bool) {
 			a.enqueue(child)
 		}
 		r[in.A] = unknown
-		if c.class == "main" {
+		if c.class.kind == mainThread {
 			st.kids = min(st.kids+1, kidsCap)
 		}
 	case vm.OpJoin:
 		r[in.A] = unknown
-		if c.class == "main" {
+		if c.class.kind == mainThread {
 			st.kids = max(st.kids-1, 0)
 		}
 	case vm.OpSigH:
 		fn := int(in.Imm)
 		if fn >= 0 && fn < len(a.prog.Funcs) && rec {
-			h := &context{fn: fn, class: "sig:" + a.fname(fn), conc: a.anySpawn}
+			h := &context{fn: fn, class: threadClass{handler, fn}, conc: a.anySpawn}
 			h.args[0] = unknown // the signal number
 			for i := 1; i < vm.MaxArgs; i++ {
 				h.args[i] = konst(0)
@@ -169,7 +170,7 @@ func (a *analysis) execRecord(c *context, st *absState, pc int) {
 // thread: spawned threads and (installed-while-threaded) signal handlers
 // always may; the initial thread only while it has un-joined children.
 func (a *analysis) concAt(c *context, st *absState) bool {
-	if c.class == "main" {
+	if c.class.kind == mainThread {
 		return st.kids > 0
 	}
 	return c.conc
@@ -183,7 +184,7 @@ func (a *analysis) execLock(c *context, lk lockset, id aval, pc int, rec bool) l
 		lk.mayUnk = min(lk.mayUnk+1, lockCap)
 		return lk
 	}
-	if containsWord(lk.must, id.c) {
+	if slices.Contains(lk.must, id.c) {
 		if rec {
 			a.report(fmt.Sprintf("reclk|%d|%d", c.fn, pc), Finding{
 				Kind: RecursiveLock, Sev: SevError, Func: a.fname(c.fn), PC: pc,
@@ -192,9 +193,7 @@ func (a *analysis) execLock(c *context, lk lockset, id aval, pc int, rec bool) l
 		}
 		return lk
 	}
-	lk.must = insertWord(lk.must, id.c)
-	lk.may = insertWord(lk.may, id.c)
-	return lk
+	return lk.acquire(id.c)
 }
 
 // execUnlock models OpUnlock. Releasing a known id that is not even
@@ -208,8 +207,7 @@ func (a *analysis) execUnlock(c *context, lk lockset, id aval, pc int, rec bool)
 			lk.mayUnk = max(lk.mayUnk-1, 0)
 		case len(lk.must) == 1 && len(lk.may) == 1 && lk.mayUnk == 0:
 			// The single held lock must be the one being released.
-			lk.may = removeWord(lk.may, lk.must[0])
-			lk.must = nil
+			lk = lk.release(lk.must[0])
 		case lk.empty():
 			if rec {
 				a.report(fmt.Sprintf("unlk|%d|%d", c.fn, pc), Finding{
@@ -226,17 +224,16 @@ func (a *analysis) execUnlock(c *context, lk lockset, id aval, pc int, rec bool)
 		return lk
 	}
 	switch {
-	case containsWord(lk.must, id.c):
-		lk.must = removeWord(lk.must, id.c)
-		lk.may = removeWord(lk.may, id.c)
-	case containsWord(lk.may, id.c):
+	case slices.Contains(lk.must, id.c):
+		lk = lk.release(id.c)
+	case slices.Contains(lk.may, id.c):
 		if rec {
 			a.report(fmt.Sprintf("maylk|%d|%d", c.fn, pc), Finding{
 				Kind: UnbalancedLock, Sev: SevWarning, Func: a.fname(c.fn), PC: pc,
 				Msg: fmt.Sprintf("lock %d is released here but only acquired on some paths; faults the others", id.c),
 			})
 		}
-		lk.may = removeWord(lk.may, id.c)
+		lk = lk.release(id.c)
 	case lk.unk > 0 || lk.mayUnk > 0:
 		// May match a lock acquired under a dynamically-computed id;
 		// nothing provable either way.

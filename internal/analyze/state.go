@@ -2,7 +2,7 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"doubleplay/internal/vm"
@@ -18,8 +18,7 @@ const (
 )
 
 // aval is an abstract register value. Registers are architecturally
-// zeroed, so the bottom of the lattice is Const(0), not "uninitialized";
-// the separate init check reports reads of never-written registers.
+// zeroed, so the bottom of the lattice is Const(0), not "uninitialized".
 type aval struct {
 	k vkind
 	c vm.Word
@@ -148,60 +147,31 @@ type lockset struct {
 	mayUnk int       // unknown-id locks held on some path
 }
 
-func insertWord(s []vm.Word, v vm.Word) []vm.Word {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	out := make([]vm.Word, 0, len(s)+1)
-	out = append(out, s[:i]...)
-	out = append(out, v)
-	return append(out, s[i:]...)
-}
-
-func removeWord(s []vm.Word, v vm.Word) []vm.Word {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i >= len(s) || s[i] != v {
-		return s
-	}
-	out := make([]vm.Word, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	return append(out, s[i+1:]...)
-}
-
-func containsWord(s []vm.Word, v vm.Word) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
+// intersectWords returns the ids in both sorted sets, as a fresh slice.
 func intersectWords(a, b []vm.Word) []vm.Word {
-	var out []vm.Word
-	for _, v := range a {
-		if containsWord(b, v) {
-			out = append(out, v)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(a), func(v vm.Word) bool { return !slices.Contains(b, v) })
 }
 
+// unionWords returns the ids in either sorted set, as a fresh sorted slice.
 func unionWords(a, b []vm.Word) []vm.Word {
-	out := append([]vm.Word(nil), a...)
-	for _, v := range b {
-		out = insertWord(out, v)
-	}
-	return out
+	out := slices.Concat(a, b)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-func wordsEqual(a, b []vm.Word) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// acquire adds known lock id to both sets.
+func (l lockset) acquire(id vm.Word) lockset {
+	l.must = unionWords(l.must, []vm.Word{id})
+	l.may = unionWords(l.may, []vm.Word{id})
+	return l
+}
+
+// release removes known lock id from both sets.
+func (l lockset) release(id vm.Word) lockset {
+	held := func(v vm.Word) bool { return v == id }
+	l.must = slices.DeleteFunc(slices.Clone(l.must), held)
+	l.may = slices.DeleteFunc(slices.Clone(l.may), held)
+	return l
 }
 
 func meetLocks(a, b lockset) lockset {
@@ -215,13 +185,13 @@ func meetLocks(a, b lockset) lockset {
 
 func (l lockset) equal(o lockset) bool {
 	return l.unk == o.unk && l.mayUnk == o.mayUnk &&
-		wordsEqual(l.must, o.must) && wordsEqual(l.may, o.may)
+		slices.Equal(l.must, o.must) && slices.Equal(l.may, o.may)
 }
 
 // sameHeld compares only what is definitely held — the part that matters
 // for entry/exit balance.
 func (l lockset) sameHeld(o lockset) bool {
-	return l.unk == o.unk && wordsEqual(l.must, o.must)
+	return l.unk == o.unk && slices.Equal(l.must, o.must)
 }
 
 func (l lockset) empty() bool {

@@ -8,7 +8,6 @@ package asm
 import (
 	"fmt"
 
-	"doubleplay/internal/analyze"
 	"doubleplay/internal/vm"
 )
 
@@ -42,7 +41,6 @@ type Builder struct {
 	data     []Word
 	dataBase Word
 	entry    string
-	verify   bool
 	errs     []error
 }
 
@@ -54,13 +52,6 @@ func NewBuilder(name string) *Builder {
 // SetEntry selects the main function by name; defaults to the first
 // function defined.
 func (b *Builder) SetEntry(name string) { b.entry = name }
-
-// SetVerify opts the builder into static verification: Build runs the
-// analyzer (internal/analyze) on the laid-out program and fails on any
-// error-severity finding — out-of-function branches, unlock of a lock no
-// path holds, falling off a function end, and the like. Warnings (race
-// candidates, dead stores) never fail a build.
-func (b *Builder) SetVerify(on bool) { b.verify = on }
 
 // errf records a build error; Build reports the first one.
 func (b *Builder) errf(format string, args ...any) {
@@ -489,15 +480,6 @@ func (b *Builder) Build() (*vm.Program, error) {
 		return nil, fmt.Errorf("asm: entry function %q not defined", entryName)
 	}
 	prog.Entry = entry
-
-	if b.verify {
-		fs := analyze.Run(prog)
-		for _, f := range fs.List {
-			if f.Sev == analyze.SevError {
-				return nil, fmt.Errorf("asm: verify %q: %s", b.name, f)
-			}
-		}
-	}
 	return prog, nil
 }
 

@@ -268,3 +268,33 @@ func TestConstAndRegs(t *testing.T) {
 		t.Fatalf("got %d, want 25", got)
 	}
 }
+
+func TestListingAndContext(t *testing.T) {
+	b := asm.NewBuilder("t")
+	f := b.Func("main", 0)
+	i := f.Reg()
+	f.Movi(i, 0)
+	f.ForLtImm(i, 3, func() {})
+	f.HaltImm(0)
+	g := b.Func("helper", 1)
+	g.RetImm(0)
+	prog := b.MustBuild()
+
+	lst := asm.Listing(prog, map[int][]string{1: {"loop head"}})
+	for _, want := range []string{"main(0 args) (entry):", "helper(1 args):", "jmp L", "; ^ loop head", "halt"} {
+		if !strings.Contains(lst, want) {
+			t.Fatalf("listing lacks %q:\n%s", want, lst)
+		}
+	}
+	if lst != asm.Listing(prog, map[int][]string{1: {"loop head"}}) {
+		t.Fatal("listing not deterministic")
+	}
+
+	ctx := asm.Context(prog, 2, 1)
+	if !strings.Contains(ctx, "-> ") {
+		t.Fatalf("context lacks the pc marker:\n%s", ctx)
+	}
+	if got := strings.Count(ctx, "\n"); got > 3 {
+		t.Fatalf("context radius 1 printed %d lines:\n%s", got, ctx)
+	}
+}

@@ -66,28 +66,19 @@ func New(prog *vm.Program) *Profiler {
 	return &Profiler{prog: prog, funcOf: funcTable(prog), root: &node{fn: -2}}
 }
 
-// funcTable flattens Program.FuncAt into a per-pc array: each pc maps to the
-// function with the greatest entry at or below it (first index on shared
-// entries, matching FuncAt's tie-break).
+// funcTable flattens Program.FuncAt into a per-pc array of function
+// indices, -1 outside every body.
 func funcTable(prog *vm.Program) []int32 {
 	tab := make([]int32, len(prog.Code))
-	idxs := make([]int, len(prog.Funcs))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	sort.SliceStable(idxs, func(a, b int) bool {
-		return prog.Funcs[idxs[a]].Entry < prog.Funcs[idxs[b]].Entry
-	})
-	cur, curEntry := int32(-1), -1
-	j := 0
 	for pc := range tab {
-		for j < len(idxs) && prog.Funcs[idxs[j]].Entry == pc {
-			if curEntry != pc {
-				cur, curEntry = int32(idxs[j]), pc
-			}
-			j++
+		tab[pc] = -1
+	}
+	// Highest index first, so the lowest one owns a shared body.
+	for i := len(prog.Funcs) - 1; i >= 0; i-- {
+		start, end := prog.FuncSpan(i)
+		for pc := max(start, 0); pc < end; pc++ {
+			tab[pc] = int32(i)
 		}
-		tab[pc] = cur
 	}
 	return tab
 }

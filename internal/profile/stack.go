@@ -1,54 +1,37 @@
 package profile
 
-import "doubleplay/internal/vm"
+import (
+	"slices"
+
+	"doubleplay/internal/vm"
+)
 
 // StackResolver maps architectural thread state to guest function names:
-// the same shadow-stack reconstruction Profiler.stackNode performs when
+// the shadow-stack reconstruction Profiler.stackNode performs when
 // attaching to a checkpoint-restored machine, exported for consumers
 // that want a readable call stack for an arbitrary stopped thread (the
 // debug session's `stack` command).
 type StackResolver struct {
-	prog   *vm.Program
-	funcOf []int32
+	p *Profiler
 }
 
 // NewStackResolver builds a resolver for prog.
 func NewStackResolver(prog *vm.Program) *StackResolver {
-	return &StackResolver{prog: prog, funcOf: funcTable(prog)}
+	return &StackResolver{p: New(prog)}
 }
 
 // FuncName names the function containing pc, "?" outside every body.
 func (r *StackResolver) FuncName(pc int) string {
-	return r.name(r.at(pc))
+	return r.p.fnName(r.p.funcAt(pc))
 }
 
 // Stack returns t's call stack as function names, outermost caller
-// first. Frame attribution follows the profiler's convention: a normal
-// frame's caller is the function containing the call (RetPC-1), a
-// signal frame belongs to the function at the interrupted pc, and the
-// leaf is the function containing t.PC.
+// first, attributing frames as Profiler.stackNode does.
 func (r *StackResolver) Stack(t *vm.Thread) []string {
-	out := make([]string, 0, len(t.Frames)+1)
-	for _, f := range t.Frames {
-		if f.Signal {
-			out = append(out, r.name(r.at(f.RetPC)))
-		} else {
-			out = append(out, r.name(r.at(f.RetPC-1)))
-		}
+	var out []string
+	for n := r.p.stackNode(t); n != r.p.root; n = n.parent {
+		out = append(out, r.p.fnName(n.fn))
 	}
-	return append(out, r.name(r.at(t.PC)))
-}
-
-func (r *StackResolver) at(pc int) int32 {
-	if pc < 0 || pc >= len(r.funcOf) {
-		return -1
-	}
-	return r.funcOf[pc]
-}
-
-func (r *StackResolver) name(fn int32) string {
-	if fn < 0 || int(fn) >= len(r.prog.Funcs) {
-		return "?"
-	}
-	return r.prog.Funcs[fn].Name
+	slices.Reverse(out)
+	return out
 }

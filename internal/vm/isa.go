@@ -233,32 +233,27 @@ func (p *Program) FuncByName(name string) int {
 	return -1
 }
 
-// FuncAt returns the function whose body contains code index pc, for
-// diagnostics. A function's body extends from its entry up to (but not
-// including) the next function's entry, or the end of the code segment for
-// the last function. Returns nil if pc falls outside every body.
+// FuncSpan returns the body of function i: the code range [start, end)
+// from its entry up to the next greater entry, or the end of the code
+// segment. Functions that share an entry share a body.
+func (p *Program) FuncSpan(i int) (start, end int) {
+	start, end = p.Funcs[i].Entry, len(p.Code)
+	for _, f := range p.Funcs {
+		if f.Entry > start && f.Entry < end {
+			end = f.Entry
+		}
+	}
+	return start, end
+}
+
+// FuncAt returns the function whose body (see FuncSpan) contains code
+// index pc, for diagnostics; the lowest-indexed one owns a shared body.
+// Returns nil if pc falls outside every body.
 func (p *Program) FuncAt(pc int) *FuncInfo {
-	if pc < 0 || pc >= len(p.Code) {
-		return nil
-	}
-	var best *FuncInfo
 	for i := range p.Funcs {
-		f := &p.Funcs[i]
-		if f.Entry <= pc && (best == nil || f.Entry > best.Entry) {
-			best = f
+		if start, end := p.FuncSpan(i); start <= pc && pc < end {
+			return &p.Funcs[i]
 		}
 	}
-	if best == nil {
-		return nil
-	}
-	end := len(p.Code)
-	for i := range p.Funcs {
-		if e := p.Funcs[i].Entry; e > best.Entry && e < end {
-			end = e
-		}
-	}
-	if pc >= end {
-		return nil
-	}
-	return best
+	return nil
 }
