@@ -107,7 +107,7 @@ func New(prog *vm.Program, src replay.Source, costs *vm.CostModel) (*Session, er
 	m := vm.NewMachine(prog, nil, costs)
 	h := m.StateHash()
 	if s.n > 0 {
-		ep, err := src.EpochAt(0)
+		ep, err := src.EpochAt(0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +171,7 @@ func (s *Session) BoundaryHash(i int) (uint64, error) {
 	case i == s.n:
 		return s.src.FinalHash(), nil
 	default:
-		ep, err := s.src.EpochAt(i)
+		ep, err := s.src.EpochAt(i, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -271,7 +271,7 @@ func (s *Session) materialize(upTo int) error {
 			return err
 		}
 		e := len(s.bounds) - 1
-		ep, err := s.src.EpochAt(e)
+		ep, err := s.src.EpochAt(e, nil)
 		if err != nil {
 			return err
 		}
@@ -324,7 +324,7 @@ func (s *Session) enter(e int) error {
 	if e == s.n {
 		return nil
 	}
-	ep, err := s.src.EpochAt(e)
+	ep, err := s.src.EpochAt(e, nil)
 	if err != nil {
 		return err
 	}
@@ -464,7 +464,7 @@ func (s *Session) totalSteps(e int) (uint64, error) {
 	if err := s.materialize(e); err != nil {
 		return 0, err
 	}
-	ep, err := s.src.EpochAt(e)
+	ep, err := s.src.EpochAt(e, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -530,7 +530,7 @@ func (s *Session) ScanEpoch(e int) ([]Hit, error) {
 	if err := s.materialize(e); err != nil {
 		return nil, err
 	}
-	ep, err := s.src.EpochAt(e)
+	ep, err := s.src.EpochAt(e, nil)
 	if err != nil {
 		return nil, err
 	}

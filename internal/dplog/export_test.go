@@ -7,3 +7,6 @@ var UpdateGolden = update
 
 // FlateInflate exposes the compress/flate reference to BenchmarkInflate.
 var FlateInflate = flateInflate
+
+// NormalizeEpoch exposes normalizeEpoch to TestDecodeAtReuse.
+var NormalizeEpoch = normalizeEpoch

@@ -235,21 +235,36 @@ func (r *Reader) NumSections() int { return len(r.index) }
 // is shared; treat it as read-only.
 func (r *Reader) Sections() []SectionInfo { return r.index }
 
-// EpochAt decodes the section at position pos in file order, reading
-// only that section's bytes.
+// EpochAt decodes the section at position pos in file order into a new
+// EpochLog, reading only that section's bytes.
 func (r *Reader) EpochAt(pos int) (*EpochLog, error) {
+	ep := new(EpochLog)
+	if err := r.DecodeAt(pos, ep); err != nil {
+		return nil, err
+	}
+	return ep, nil
+}
+
+// DecodeAt decodes the section at position pos in file order into ep,
+// reusing the arrays ep already holds, so a caller that decodes epoch
+// after epoch into one EpochLog stops allocating once it has seen its
+// largest. Nothing decoded aliases the file's bytes, but everything in ep
+// — its slices, each syscall's writes — is overwritten by the next decode
+// into it: whoever reuses an EpochLog must be done with the last epoch it
+// held, including anything that kept a slice of it. On error ep holds
+// partial data.
+func (r *Reader) DecodeAt(pos int, ep *EpochLog) error {
 	if pos < 0 || pos >= len(r.index) {
-		return nil, fmt.Errorf("%w: section position %d of %d", ErrNoEpoch, pos, len(r.index))
+		return fmt.Errorf("%w: section position %d of %d", ErrNoEpoch, pos, len(r.index))
 	}
 	_, payload, err := r.section(pos)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ep := new(EpochLog)
 	if _, _, err := decodePayload(ep, r.index[pos], payload); err != nil {
-		return nil, fmt.Errorf("dplog: epoch %d: %w", r.index[pos].Epoch, err)
+		return fmt.Errorf("dplog: epoch %d: %w", r.index[pos].Epoch, err)
 	}
-	return ep, nil
+	return nil
 }
 
 // Seek decodes the section for the given epoch id without touching any
@@ -286,13 +301,9 @@ func (r *Reader) Verify() error {
 		return fmt.Errorf("dplog: truncated or corrupt log: %w", r.damage)
 	}
 	var ep EpochLog
-	for pos, info := range r.index {
-		_, payload, err := r.section(pos)
-		if err != nil {
+	for pos := range r.index {
+		if err := r.DecodeAt(pos, &ep); err != nil {
 			return err
-		}
-		if _, _, err := decodePayload(&ep, info, payload); err != nil {
-			return fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
 		}
 	}
 	return nil

@@ -66,12 +66,9 @@ func (g *Gate) OnSync(ev vm.SyncEvent) {
 }
 
 // Remaining returns the number of recorded operations not yet performed.
-func (g *Gate) Remaining() int { return queued(g.queues) }
-
-// queued counts what is left in a set of per-thread or per-object queues.
-func queued[K comparable, V any](queues map[K][]V) int {
+func (g *Gate) Remaining() int {
 	n := 0
-	for _, q := range queues {
+	for _, q := range g.queues {
 		n += len(q)
 	}
 	return n
@@ -84,72 +81,104 @@ func (g *Gate) Used() int { return g.used }
 // recording (possible only when enforcement is disabled).
 func (g *Gate) Err() string { return g.err }
 
+// cursors walk one epoch's records, which are in global retirement
+// order, thread by thread without copying them. Each thread's cursor is
+// the index of its next record, found by scanning forward from the record
+// it last consumed (from the start, the first time the thread asks), so
+// the head a per-instruction hook asks for is one index away. Only
+// threads that ask get a cursor: a record naming a thread that never runs
+// is never consumed, and counts as left over.
+type cursors[R any] struct {
+	recs []R
+	tid  func(*R) int
+	next []int // next[tid]-1 is tid's cursor; 0 until tid first asks
+}
+
+// head returns tid's next record, or nil when it has none left.
+func (c *cursors[R]) head(tid int) *R {
+	for tid >= len(c.next) {
+		c.next = append(c.next, 0)
+	}
+	if c.next[tid] == 0 {
+		c.next[tid] = c.scan(tid, 0) + 1
+	}
+	if i := c.next[tid] - 1; i < len(c.recs) {
+		return &c.recs[i]
+	}
+	return nil
+}
+
+// pop consumes tid's head, which head has just returned.
+func (c *cursors[R]) pop(tid int) { c.next[tid] = c.scan(tid, c.next[tid]) + 1 }
+
+// scan returns the index of tid's first record at or after i, or len(recs).
+func (c *cursors[R]) scan(tid, i int) int {
+	for i < len(c.recs) && c.tid(&c.recs[i]) != tid {
+		i++
+	}
+	return i
+}
+
 // InjectOS replays recorded syscall results instead of executing a
 // simulated OS. Any identity mismatch — wrong thread, number, or arguments
 // — marks the machine diverged.
 type InjectOS struct {
-	queues   map[int][]dplog.SyscallRecord
+	cur      cursors[dplog.SyscallRecord]
 	Injected int
 }
 
-// NewInjectOS builds an injector from an epoch's syscall records. Records
-// arrive in global retirement order; per-thread order, which is what
-// injection requires, is preserved by the per-tid split.
+// NewInjectOS builds an injector over an epoch's syscall records, which
+// it reads in place: they arrive in global retirement order, and each
+// thread's cursor keeps the per-thread order injection requires.
 func NewInjectOS(records []dplog.SyscallRecord) *InjectOS {
-	o := &InjectOS{queues: make(map[int][]dplog.SyscallRecord)}
-	for _, r := range records {
-		o.queues[r.Tid] = append(o.queues[r.Tid], r)
-	}
-	return o
+	tid := func(r *dplog.SyscallRecord) int { return r.Tid }
+	return &InjectOS{cur: cursors[dplog.SyscallRecord]{recs: records, tid: tid}}
 }
 
 // Syscall implements vm.SyscallHandler by injection.
 func (o *InjectOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
-	q := o.queues[t.ID]
-	if len(q) == 0 {
+	rec := o.cur.head(t.ID)
+	if rec == nil {
 		m.Diverged = fmt.Sprintf("tid %d issued syscall %d with no recorded counterpart", t.ID, num)
 		return vm.SysResult{Block: true}
 	}
-	rec := q[0]
 	if !rec.Matches(t.ID, num, args) {
 		m.Diverged = fmt.Sprintf("tid %d syscall mismatch: got num=%d args=%v, recorded num=%d args=%v",
 			t.ID, num, args, rec.Num, rec.Args)
 		return vm.SysResult{Block: true}
 	}
-	o.queues[t.ID] = q[1:]
+	o.cur.pop(t.ID)
 	o.Injected++
 	return vm.SysResult{Ret: rec.Ret, Writes: rec.Writes}
 }
 
 // Remaining returns the number of recorded syscalls not yet injected.
-func (o *InjectOS) Remaining() int { return queued(o.queues) }
+func (o *InjectOS) Remaining() int { return len(o.cur.recs) - o.Injected }
 
 // InjectSignals re-delivers recorded asynchronous signals at the exact
 // retired-instruction counts the recording pinned them to.
 type InjectSignals struct {
-	queues   map[int][]dplog.SignalRecord
+	cur      cursors[dplog.SignalRecord]
 	Injected int
 }
 
-// NewInjectSignals builds an injector from an epoch's signal records.
+// NewInjectSignals builds an injector over an epoch's signal records,
+// read in place like NewInjectOS's.
 func NewInjectSignals(recs []dplog.SignalRecord) *InjectSignals {
-	s := &InjectSignals{queues: make(map[int][]dplog.SignalRecord)}
-	for _, r := range recs {
-		s.queues[r.Tid] = append(s.queues[r.Tid], r)
-	}
-	return s
+	tid := func(r *dplog.SignalRecord) int { return r.Tid }
+	return &InjectSignals{cur: cursors[dplog.SignalRecord]{recs: recs, tid: tid}}
 }
 
 // Pending implements the machine's PendingSignal hook.
 func (s *InjectSignals) Pending(t *vm.Thread) (vm.Word, bool) {
-	q := s.queues[t.ID]
-	if len(q) > 0 && q[0].Retired == t.Retired {
-		s.queues[t.ID] = q[1:]
-		s.Injected++
-		return q[0].Sig, true
+	r := s.cur.head(t.ID)
+	if r == nil || r.Retired != t.Retired {
+		return 0, false
 	}
-	return 0, false
+	s.cur.pop(t.ID)
+	s.Injected++
+	return r.Sig, true
 }
 
 // Remaining returns the number of recorded signals not yet delivered.
-func (s *InjectSignals) Remaining() int { return queued(s.queues) }
+func (s *InjectSignals) Remaining() int { return len(s.cur.recs) - s.Injected }

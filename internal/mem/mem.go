@@ -17,6 +17,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
@@ -220,12 +221,31 @@ func (m *Memory) Store(addr Word, val Word) {
 	p.hashOK = false
 }
 
-// StoreRange writes vals at consecutive addresses starting at addr.
+// StoreRange writes vals at consecutive addresses starting at addr, a page
+// at a time, with exactly the effect of Store on each word in turn: zeros
+// into an unmaterialised page are no-ops, so the page appears at the first
+// non-zero word; a shared page is copied before the first word written to
+// it, even an equal one; a page's cached hash is dropped only when one of
+// its words changes.
 func (m *Memory) StoreRange(addr Word, vals []Word) {
-	for i, v := range vals {
-		m.Store(addr+Word(i), v)
+	for len(vals) > 0 {
+		idx, off := addr>>PageShift, int(addr&pageMask)
+		run := vals[:min(len(vals), PageWords-off)]
+		addr, vals = addr+Word(len(run)), vals[len(run):]
+		if _, p := m.slot(idx); p == nil {
+			if _, ok := m.pages[idx]; !ok && !slices.ContainsFunc(run, nonZero) {
+				continue
+			}
+		}
+		p := m.writablePage(idx)
+		if dst := p.data[off : off+len(run)]; !slices.Equal(dst, run) {
+			copy(dst, run)
+			p.hashOK = false
+		}
 	}
 }
+
+func nonZero(w Word) bool { return w != 0 }
 
 // LoadRange reads n consecutive words starting at addr.
 func (m *Memory) LoadRange(addr Word, n int) []Word {

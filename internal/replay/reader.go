@@ -22,9 +22,15 @@ import (
 // coincide. Every replay plan — and the debug session built on top of
 // this package — runs against this one interface, so "which bytes back
 // the log" can never change what a replay computes.
+//
+// EpochAt returns epoch i. A source that decodes — the reader — decodes
+// into buf when it is non-nil and returns buf, which then holds epoch i
+// only until the next decode into it; a nil buf gets a fresh EpochLog the
+// caller may keep. A decoded recording ignores buf and returns its own
+// epoch, which the caller must not modify.
 type Source interface {
 	NumEpochs() int
-	EpochAt(i int) (*dplog.EpochLog, error)
+	EpochAt(i int, buf *dplog.EpochLog) (*dplog.EpochLog, error)
 	Program() string
 	Quantum() int64
 	FinalHash() uint64
@@ -39,22 +45,29 @@ func FromReader(rd *dplog.Reader) Source { return readerSource{rd} }
 // recSource adapts a fully decoded recording.
 type recSource struct{ rec *dplog.Recording }
 
-func (s recSource) NumEpochs() int                         { return len(s.rec.Epochs) }
-func (s recSource) EpochAt(i int) (*dplog.EpochLog, error) { return s.rec.Epochs[i], nil }
-func (s recSource) Program() string                        { return s.rec.Program }
-func (s recSource) Quantum() int64                         { return s.rec.Quantum }
-func (s recSource) FinalHash() uint64                      { return s.rec.FinalHash }
+func (s recSource) NumEpochs() int { return len(s.rec.Epochs) }
+func (s recSource) EpochAt(i int, _ *dplog.EpochLog) (*dplog.EpochLog, error) {
+	return s.rec.Epochs[i], nil
+}
+func (s recSource) Program() string   { return s.rec.Program }
+func (s recSource) Quantum() int64    { return s.rec.Quantum }
+func (s recSource) FinalHash() uint64 { return s.rec.FinalHash }
 
 // readerSource adapts a seekable log reader. dplog.Reader is safe for
 // concurrent use, so segment workers can decode their sections in
 // parallel.
 type readerSource struct{ rd *dplog.Reader }
 
-func (s readerSource) NumEpochs() int                         { return s.rd.NumSections() }
-func (s readerSource) EpochAt(i int) (*dplog.EpochLog, error) { return s.rd.EpochAt(i) }
-func (s readerSource) Program() string                        { return s.rd.Header().Program }
-func (s readerSource) Quantum() int64                         { return s.rd.Header().Quantum }
-func (s readerSource) FinalHash() uint64                      { return s.rd.Header().FinalHash }
+func (s readerSource) NumEpochs() int { return s.rd.NumSections() }
+func (s readerSource) EpochAt(i int, buf *dplog.EpochLog) (*dplog.EpochLog, error) {
+	if buf == nil {
+		buf = new(dplog.EpochLog)
+	}
+	return buf, s.rd.DecodeAt(i, buf)
+}
+func (s readerSource) Program() string   { return s.rd.Header().Program }
+func (s readerSource) Quantum() int64    { return s.rd.Header().Quantum }
+func (s readerSource) FinalHash() uint64 { return s.rd.Header().FinalHash }
 
 // The functions below — with FromRecording, FromReader, CheckpointsFrom
 // and Thin — are the names benchmark/ calls. That directory is frozen so

@@ -199,11 +199,13 @@ func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out 
 		gp.Attach(m)
 	}
 	tracing := trace.Enabled(out)
+	buf := epochBufs.Get().(*dplog.EpochLog)
+	defer epochBufs.Put(buf)
 	for pos := sg.lo; pos < sg.hi; pos++ {
 		if err := r.canceled(pos); err != nil {
 			return 0, nil, err
 		}
-		ep, err := r.src.EpochAt(pos)
+		ep, err := r.src.EpochAt(pos, buf)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -240,6 +242,15 @@ func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out 
 	}
 	return cycles, m, nil
 }
+
+// epochBufs are the EpochLogs segments decode a reader's sections into.
+// A segment holds one from its first epoch to its last, and the machine's
+// syscall handler and signal hook point into it until the next Follow —
+// no later than the next epoch the machine replays, which a segment
+// starts only after taking a buffer of its own. Pooling across segments,
+// not only across one segment's epochs, is what makes the reuse pay:
+// a stride-4 segment decodes just four epochs.
+var epochBufs = sync.Pool{New: func() any { return new(dplog.EpochLog) }}
 
 // runEpoch replays one epoch on m, which must hold its start state, at
 // batch speed and returns its modelled cost and how many of its

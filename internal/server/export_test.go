@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"doubleplay/internal/trace"
 )
@@ -22,4 +23,14 @@ func (s *Server) StateGaugeDrift() string {
 		}
 	}
 	return ""
+}
+
+// WaitJob polls a job's state every 100µs until it is terminal and
+// returns its view, for callers that submit through Submit, not HTTP.
+func (s *Server) WaitJob(id string) Info {
+	j, _ := s.getJob(id)
+	for !s.jobState(j).Terminal() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return s.jobInfo(j)
 }

@@ -671,8 +671,15 @@ func (m *Machine) step(t *Thread) StepResult {
 			return StepResult{}
 		}
 		cost += res.Cost
+		// With no hook watching single words the writes go in a page at a
+		// time; the race detector and watchpoints see them one by one.
+		unwatched := m.Hooks.OnMemAccess == nil && m.Hooks.OnMemWrite == nil
 		for _, w := range res.Writes {
 			cost += int64(len(w.Data)) // data movement into guest memory
+			if unwatched {
+				m.Mem.StoreRange(w.Addr, w.Data)
+				continue
+			}
 			for i, v := range w.Data {
 				m.memStore(t, w.Addr+Word(i), v)
 			}
