@@ -2,9 +2,11 @@ package analyze_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,8 +16,10 @@ import (
 	"testing"
 
 	"doubleplay/internal/analyze"
+	"doubleplay/internal/core"
 	"doubleplay/internal/guestgen"
 	"doubleplay/internal/race"
+	"doubleplay/internal/replay"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
@@ -184,6 +188,77 @@ func TestCertificateSound(t *testing.T) {
 		t.Fatal("nothing on the corpus certifies; the soundness check checks nothing")
 	}
 	t.Logf("%d of %d programs certify race-free (%d of them generated)", certified, progs, genCertified)
+}
+
+// TestCertifiedReplayClean records every corpus program that certifies
+// race-free under VerifyCertified, so each epoch commits from the logged
+// thread-parallel run with no epoch-parallel pass, and replays the log by
+// every plan: sequential, epoch-parallel and sparse from the recorder's
+// boundaries, from the boundaries one sequential pass rebuilds, and by
+// stride. Every plan checks each epoch's start and end hash and the final
+// hash; a certified epoch that misses its end state fails with
+// replay.ErrCertViolated, which would make the certificate unsound.
+//
+// A recording in which a guest thread faulted is left out and counted: a
+// fault is not a retirement, so no log can yet say where it happened, and
+// such a recording does not replay whatever the certificate says (ROADMAP
+// item 1(a)).
+func TestCertifiedReplayClean(t *testing.T) {
+	var certified, faulted, epochs int
+	for _, p := range corpus() {
+		if !analyze.Run(p.prog).Cert.RaceFree() {
+			continue
+		}
+		certified++
+		res, err := core.Record(p.prog, p.world(), core.Options{
+			SpareCPUs: 2, Seed: 1, EpochCycles: 2000, VerifyPolicy: core.VerifyCertified,
+		})
+		if err != nil {
+			t.Fatalf("%s: record: %v", p.name, err)
+		}
+		if st := res.Stats; st.VerifyFallback != "" || st.VerifySkipped != st.Epochs {
+			t.Fatalf("%s: %d of %d epochs skipped verification (fallback %q)", p.name, st.VerifySkipped, st.Epochs, st.VerifyFallback)
+		}
+		if res.Stats.GuestFaults > 0 {
+			faulted++
+			t.Logf("%s: left out, %d guest faults recorded", p.name, res.Stats.GuestFaults)
+			continue
+		}
+		epochs += res.Stats.Epochs
+		src := replay.FromRecording(res.Recording)
+		rebuilt, err := replay.CheckpointsFrom(context.Background(), p.prog, src, nil)
+		if err != nil {
+			t.Fatalf("%s: rebuilding checkpoints: %v", p.name, err)
+		}
+		for i, b := range rebuilt {
+			if b.Hash != res.Boundaries[i].Hash {
+				t.Fatalf("%s: rebuilt boundary %d hash %016x, recorded %016x", p.name, i, b.Hash, res.Boundaries[i].Hash)
+			}
+		}
+		for name, opt := range map[string]replay.Options{
+			"sequential":             {},
+			"epoch-parallel":         {Boundaries: res.Boundaries, CPUs: 2},
+			"sparse":                 {Boundaries: replay.Thin(res.Boundaries, 3), CPUs: 2},
+			"rebuilt epoch-parallel": {Boundaries: rebuilt, CPUs: 2},
+			"stride":                 {Stride: 2, CPUs: 2},
+		} {
+			rep, err := replay.Run(context.Background(), p.prog, src, opt)
+			if errors.Is(err, replay.ErrCertViolated) {
+				t.Fatalf("%s: %s replay: certificate violated: %v", p.name, name, err)
+			}
+			if err != nil || rep.FinalHash != res.FinalHash {
+				t.Fatalf("%s: %s replay: %v (final hash %016x, recorded %016x)", p.name, name, err, rep.FinalHash, res.FinalHash)
+			}
+		}
+		for _, b := range rebuilt {
+			b.CP.Release()
+		}
+		res.ReleaseCheckpoints()
+	}
+	if certified == faulted {
+		t.Fatal("no certified program records without a fault; no certified recording is replayed")
+	}
+	t.Logf("%d of %d certified programs, %d epochs, recorded and replayed by every plan", certified-faulted, certified, epochs)
 }
 
 // FuzzCertifySound points the soundness and determinism checks at

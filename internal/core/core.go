@@ -267,8 +267,10 @@ type DivergenceInfo struct {
 }
 
 // ReleaseCheckpoints drops the retained epoch-start checkpoints' hold on
-// shared memory pages. Call it when parallel replay is no longer needed;
-// the Recording itself remains valid for sequential replay.
+// shared memory pages and hands every page no other holder maps back for
+// reuse by the next page a memory materialises or copies. Call it when
+// parallel replay is no longer needed; the Recording itself remains valid
+// for sequential replay.
 func (r *Result) ReleaseCheckpoints() {
 	for _, b := range r.Boundaries {
 		b.CP.Release()
@@ -657,7 +659,9 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 				// is replaced.
 				stats.HashRecoveries++
 				info.Kind = "state"
-				info.Pages = res.M.Mem.DiffPages(b.CP.MemSnap.Restore())
+				tp := b.CP.MemSnap.Restore()
+				info.Pages = res.M.Mem.DiffPages(tp)
+				tp.Release()
 				nb = epoch.Snapshot(b.Index, 0, res.M, res.EndHash)
 				nb.World = b.World
 			} else {
@@ -716,12 +720,18 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 				tr.Instant("checkpoint.restore", commitCyc, pidRec, 0,
 					map[string]any{"epoch": nb.Index, "reason": "resume"})
 			}
+			// nb replaced b, and the squashed run past b is dropped.
+			b.CP.Release()
+			m.Mem.Release()
 			m = resumeFrom(par, live, prog, nb, costs, opt.Seed, len(boundaries))
 			epochLen = opt.EpochCycles // divergence: back to short epochs
 
 		default:
 			return nil, fmt.Errorf("core: epoch %d verification failed: %w", i, err)
 		}
+		// The epoch-parallel machine has given its verdict; an adopted
+		// boundary holds its own references to the pages it kept.
+		res.M.Mem.Release()
 		rec.Epochs = append(rec.Epochs, ep)
 
 		if ctl != nil {
@@ -774,6 +784,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 	stats.SyncEvents = rec.SyncOps()
 	stats.Signals = rec.SignalCount()
 	stats.GuestFaults = m.FaultCount()
+	m.Mem.Release()
 	stats.ThreadParallelCycles = par.WallTime()
 	stats.CompletionCycles = pl.completion(par.WallTime())
 	profile.WithPhase(opt.Context, "commit", func() {
@@ -892,6 +903,7 @@ func rerunEpoch(prog *vm.Program, start *epoch.Boundary, quota uint64,
 		opt.Profile.Merge(prof.Snapshot())
 	}
 	b := epoch.Capture(start.Index+1, 0, m, w)
+	m.Mem.Release()
 	relog.Index, relog.StartHash = start.Index, start.Hash
 	relog.EndHash, relog.CommitHash = b.Hash, w.OutputHash()
 	return b, relog, uni.Cycles, nil

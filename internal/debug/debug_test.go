@@ -171,6 +171,75 @@ func TestReverseStepRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReverseStepAcrossEpochs reverse-steps out of every epoch of an
+// I/O-heavy recording, twice over, and holds each state reached to a
+// forward Stepper's: every seek releases the machine it replaces, every
+// materialized epoch and scan its scratch machine, and their pages are
+// recycled into the next, so a page still mapped after its release would
+// show up as a wrong hash here.
+func TestReverseStepAcrossEpochs(t *testing.T) {
+	bt, rec := record(t, "kvdb", 2, 17)
+	n := len(rec.Epochs)
+
+	// want holds the state one instruction before each epoch ends, at
+	// that position, for every epoch that retires any.
+	want := map[debug.Position]uint64{}
+	m := vm.NewMachine(bt.Prog, nil, nil)
+	for e, ep := range rec.Epochs {
+		tot := uint64(0)
+		for i, target := range ep.Targets {
+			tot += target
+			if i < len(m.Threads) {
+				tot -= m.Threads[i].Retired
+			}
+		}
+		st, err := replay.NewStepper(m, ep, rec.Quantum, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tot > 0 {
+			for st.Steps() < tot-1 {
+				if _, err := st.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want[debug.Position{Epoch: e, Step: tot - 1}] = m.StateHash()
+		}
+		if _, err := st.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(want) < 2 {
+		t.Fatalf("only %d of %d epochs retire instructions", len(want), n)
+	}
+
+	s := open(t, bt, rec, true)
+	for pass := 0; pass < 2; pass++ {
+		for e := n; e > 0; e-- {
+			if err := s.RunToEpoch(e); err != nil {
+				t.Fatal(err)
+			}
+			if h, err := s.BoundaryHash(e); err != nil || s.StateHash() != h {
+				t.Fatalf("pass %d: state at boundary %d %016x, recorded %016x (%v)", pass, e, s.StateHash(), h, err)
+			}
+			if _, err := s.ScanEpoch(e - 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ReverseStep(); err != nil {
+				t.Fatalf("pass %d: reverse-step from boundary %d: %v", pass, e, err)
+			}
+			pos := s.Position()
+			h, ok := want[pos]
+			if !ok {
+				t.Fatalf("pass %d: reverse-step from boundary %d stopped at %v, not an epoch's last step", pass, e, pos)
+			}
+			if got := s.StateHash(); got != h {
+				t.Fatalf("pass %d: state at %v %016x, forward %016x", pass, pos, got, h)
+			}
+		}
+	}
+}
+
 // TestReverseContinue: running backwards from the end visits exactly
 // the forward stop points, in reverse order.
 func TestReverseContinue(t *testing.T) {

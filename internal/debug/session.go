@@ -116,6 +116,7 @@ func New(prog *vm.Program, src replay.Source, costs *vm.CostModel) (*Session, er
 		}
 	}
 	s.bounds = []*epoch.Boundary{epoch.Snapshot(0, 0, m, h)}
+	m.Mem.Release()
 	return s, s.restoreAt(0)
 }
 
@@ -289,13 +290,18 @@ func (s *Session) materialize(upTo int) error {
 			return err
 		}
 		s.bounds = append(s.bounds, epoch.Snapshot(e+1, s.bounds[e].Cycle+c, m, ep.EndHash))
+		m.Mem.Release()
 	}
 	return nil
 }
 
 // restoreAt rebuilds the live machine at boundary e (which must be
-// materialized) and arms it for stepping through epoch e.
+// materialized), releasing the one it replaces, and arms it for stepping
+// through epoch e.
 func (s *Session) restoreAt(e int) error {
+	if s.m != nil {
+		s.m.Mem.Release()
+	}
 	s.m = s.bounds[e].CP.Restore(s.prog, nil, s.costs)
 	s.attachWatch(s.m, func(h Hit) {
 		if s.recording {
@@ -535,6 +541,7 @@ func (s *Session) ScanEpoch(e int) ([]Hit, error) {
 		return nil, err
 	}
 	mm := s.bounds[e].CP.Restore(s.prog, nil, s.costs)
+	defer mm.Mem.Release()
 	var hits []Hit
 	var pending int
 	s.attachWatch(mm, func(h Hit) {

@@ -12,9 +12,10 @@ import (
 // BenchmarkRun is the recorder's epoch-parallel pass on its own: every
 // epoch of one recording run again by Run from its retained start
 // boundary — checkpoint restore, gate and injector set-up, the gated
-// free run that logs the schedule, the leftover proof and the end-state
-// hash — over one I/O-heavy server and one compute kernel. ns/instr is
-// host time per guest instruction of the epochs run.
+// free run that logs the schedule, the leftover proof, the end-state
+// hash and the release of the machine's pages — over one I/O-heavy
+// server and one compute kernel. ns/instr is host time per guest
+// instruction of the epochs run.
 func BenchmarkRun(b *testing.B) {
 	costs := vm.DefaultCosts()
 	for _, name := range []string{"kvdb", "fft"} {
@@ -41,6 +42,7 @@ func BenchmarkRun(b *testing.B) {
 					if err != nil || run.EndHash != ep.EndHash {
 						b.Fatalf("epoch %d: %016x, %v; logged end %016x", k, run.EndHash, err, ep.EndHash)
 					}
+					run.M.Mem.Release() // as the recorder does once the verdict is in
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(instrs)*float64(b.N)), "ns/instr")

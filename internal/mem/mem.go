@@ -12,12 +12,24 @@
 // Per-page content hashes are cached so that comparing two memory images —
 // the divergence check DoublePlay performs at every epoch boundary — costs
 // O(pages written since the hash was last computed), not O(address space).
+//
+// Ownership: every Memory and every Snapshot holds one reference on each
+// page it maps, and whoever makes one — New, Restore, Clone, Snapshot —
+// owns it until it calls Release, which drops those references. A page
+// whose last reference goes is recycled for the next page any memory
+// materialises or copies, the way a forked checkpoint's pages go back to
+// the kernel when it exits. A function that returns a memory (or a machine
+// built on one) hands it to its caller; one that drops a memory it made
+// releases it. Forgetting to release costs only the reuse — the garbage
+// collector still reclaims the page — but using a memory or snapshot after
+// releasing it panics rather than read words another execution owns.
 package mem
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -42,17 +54,40 @@ type page struct {
 	hashOK bool
 }
 
+// pagePool holds pages no memory or snapshot maps any more. Whoever drops
+// a page's last reference owns it and puts it here; the pool, not a size
+// setting, decides how many to keep, and the garbage collector empties it.
+var pagePool = sync.Pool{New: func() any { return new(page) }}
+
+// newPage returns an all-zero page with refs == 1.
 func newPage() *page {
-	p := &page{}
+	p := pagePool.Get().(*page)
+	p.data = [PageWords]Word{}
+	p.hash, p.hashOK = 0, false
 	p.refs.Store(1)
 	return p
 }
 
 // clone returns a private copy of p with refs == 1.
 func (p *page) clone() *page {
-	c := &page{data: p.data, hash: p.hash, hashOK: p.hashOK}
+	c := pagePool.Get().(*page)
+	c.data, c.hash, c.hashOK = p.data, p.hash, p.hashOK
 	c.refs.Store(1)
 	return c
+}
+
+// unref drops one reference to p, recycling it if that was the last.
+func (p *page) unref() {
+	if p.refs.Add(-1) == 0 {
+		pagePool.Put(p)
+	}
+}
+
+// unrefAll drops one reference to every page in pages.
+func unrefAll(pages map[Word]*page) {
+	for _, p := range pages {
+		p.unref()
+	}
 }
 
 const fnvPrime = 1099511628211
@@ -115,7 +150,7 @@ type Stats struct {
 // the copy-on-write protocol makes concurrent use of *different* memories
 // that share pages safe (shared pages are read-only by construction).
 type Memory struct {
-	pages map[Word]*page
+	pages map[Word]*page // nil once released
 	stats Stats
 
 	// cache is a direct-mapped table of recently touched pages, slotted by
@@ -158,6 +193,7 @@ func (m *Memory) Load(addr Word) Word {
 	if p == nil {
 		var ok bool
 		if p, ok = m.pages[idx]; !ok {
+			m.checkLive()
 			return 0
 		}
 		s.idx, s.page = idx, p
@@ -170,9 +206,19 @@ func (m *Memory) Load(addr Word) Word {
 func (m *Memory) Peek(addr Word) Word {
 	p, ok := m.pages[addr>>PageShift]
 	if !ok {
+		m.checkLive()
 		return 0
 	}
 	return p.data[addr&pageMask]
+}
+
+// checkLive panics if m has been released. Release empties the page
+// cache, so a read of a released memory always misses the cache and
+// reaches this check.
+func (m *Memory) checkLive() {
+	if m.pages == nil {
+		panic("mem: read of released memory")
+	}
 }
 
 // writablePage returns the page containing addr, materialising or privatising
@@ -190,7 +236,7 @@ func (m *Memory) writablePage(idx Word) *page {
 	}
 	if p.refs.Load() > 1 {
 		c := p.clone()
-		p.refs.Add(-1)
+		p.unref() // the last one if every other holder let go meanwhile
 		m.pages[idx] = c
 		m.stats.PagesCopied++
 		p = c
@@ -315,6 +361,15 @@ func (m *Memory) Clone() *Memory {
 	return &Memory{pages: pages}
 }
 
+// Release drops m's reference on every page it maps, recycling the pages
+// no one else holds. Reading m afterwards panics; releasing it again does
+// nothing.
+func (m *Memory) Release() {
+	unrefAll(m.pages)
+	m.pages = nil
+	m.cache = [cacheSlots]cacheSlot{}
+}
+
 // DiffPages returns the indices of pages whose content differs between m and
 // other, including pages present in only one of them (unless all-zero).
 // Used by divergence diagnostics to report *where* two executions differ.
@@ -349,16 +404,20 @@ func (m *Memory) DiffPages(other *Memory) []Word {
 // Snapshot is an immutable memory image. It can be rehydrated into a
 // writable Memory in O(pages) without copying page bodies.
 type Snapshot struct {
-	pages    map[Word]*page
-	released bool
+	pages map[Word]*page // nil once released
+}
+
+// checkLive panics if s has been released, naming the accessor.
+func (s *Snapshot) checkLive(op string) {
+	if s.pages == nil {
+		panic("mem: " + op + " on released snapshot")
+	}
 }
 
 // Restore returns a writable memory whose initial contents equal the
 // snapshot. Pages are shared copy-on-write.
 func (s *Snapshot) Restore() *Memory {
-	if s.released {
-		panic("mem: Restore on released snapshot")
-	}
+	s.checkLive("Restore")
 	pages := make(map[Word]*page, len(s.pages))
 	for idx, p := range s.pages {
 		p.refs.Add(1)
@@ -369,6 +428,7 @@ func (s *Snapshot) Restore() *Memory {
 
 // Hash returns the order-independent content hash of the snapshot.
 func (s *Snapshot) Hash() uint64 {
+	s.checkLive("Hash")
 	var h uint64
 	for idx, p := range s.pages {
 		ch := p.contentHash()
@@ -382,6 +442,7 @@ func (s *Snapshot) Hash() uint64 {
 
 // Peek reads a word from the snapshot.
 func (s *Snapshot) Peek(addr Word) Word {
+	s.checkLive("Peek")
 	p, ok := s.pages[addr>>PageShift]
 	if !ok {
 		return 0
@@ -390,24 +451,22 @@ func (s *Snapshot) Peek(addr Word) Word {
 }
 
 // PageCount reports the number of pages retained by the snapshot.
-func (s *Snapshot) PageCount() int { return len(s.pages) }
+func (s *Snapshot) PageCount() int {
+	s.checkLive("PageCount")
+	return len(s.pages)
+}
 
 // Release drops the snapshot's page references so future writes by sharers
-// need not copy. Using the snapshot after Release panics.
+// need not copy, recycling the pages no one else holds. Using the snapshot
+// after Release panics; releasing it again does nothing.
 func (s *Snapshot) Release() {
-	if s.released {
-		return
-	}
-	s.released = true
-	for _, p := range s.pages {
-		p.refs.Add(-1)
-	}
+	unrefAll(s.pages)
 	s.pages = nil
 }
 
 // String summarises the snapshot for debugging.
 func (s *Snapshot) String() string {
-	if s.released {
+	if s.pages == nil {
 		return "Snapshot(released)"
 	}
 	return fmt.Sprintf("Snapshot(%d pages, hash=%016x)", len(s.pages), s.Hash())

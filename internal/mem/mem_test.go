@@ -1,7 +1,9 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +166,93 @@ func TestRestoreAfterReleasePanics(t *testing.T) {
 	snap.Restore()
 }
 
+// TestReleasedPanics holds every other read of a released snapshot, and a
+// read of a released memory that misses its (emptied) page cache, to a
+// panic as TestRestoreAfterReleasePanics does Restore: the pages they
+// mapped may already back another execution. Releasing twice is a no-op.
+func TestReleasedPanics(t *testing.T) {
+	released := func() (*Memory, *Snapshot) {
+		m := New()
+		m.Store(0, 1)
+		m.Load(0) // fill the cache slot Release must empty
+		s := m.Snapshot()
+		m.Release()
+		m.Release()
+		s.Release()
+		s.Release()
+		return m, s
+	}
+	for name, read := range map[string]func(*Memory, *Snapshot){
+		"Memory.Load":          func(m *Memory, _ *Snapshot) { m.Load(0) },
+		"Memory.Load unmapped": func(m *Memory, _ *Snapshot) { m.Load(5 * PageWords) },
+		"Memory.Peek":          func(m *Memory, _ *Snapshot) { m.Peek(0) },
+		"Snapshot.Hash":        func(_ *Memory, s *Snapshot) { s.Hash() },
+		"Snapshot.Peek":        func(_ *Memory, s *Snapshot) { s.Peek(0) },
+		"Snapshot.PageCount":   func(_ *Memory, s *Snapshot) { s.PageCount() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, s := released()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s after Release did not panic", name)
+				}
+			}()
+			read(m, s)
+		})
+	}
+}
+
+// TestReleaseRace is replay's sharing pattern under -race: goroutines each
+// restore one snapshot, write some of its pages and release their memory,
+// while the snapshot's owner releases it. Exact reference counts let the
+// last writer of a page keep it in place and hand freed pages across
+// goroutines through the pool; every final hash must still equal that of
+// the same writes made alone.
+func TestReleaseRace(t *testing.T) {
+	const workers, pages = 4, 32
+	write := func(m *Memory, round int) {
+		for pg := Word(0); pg < pages; pg += 2 {
+			m.Store(pg<<PageShift+Word(round), Word(round)+pg)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		m := New()
+		for pg := Word(0); pg < pages; pg++ {
+			m.Store(pg<<PageShift, pg+1)
+		}
+		m.Hash() // sharers read cached page hashes, never write them
+		snap := m.Snapshot()
+		m.Release()
+		want := snap.Restore()
+		write(want, round)
+		wantHash := want.Hash()
+		want.Release()
+
+		var restored, done sync.WaitGroup
+		restored.Add(workers)
+		done.Add(workers)
+		hashes := make([]uint64, workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer done.Done()
+				r := snap.Restore()
+				restored.Done()
+				write(r, round)
+				hashes[w] = r.Hash()
+				r.Release()
+			}()
+		}
+		restored.Wait()
+		snap.Release()
+		done.Wait()
+		for w, h := range hashes {
+			if h != wantHash {
+				t.Fatalf("round %d: worker %d hashes %016x, alone %016x", round, w, h, wantHash)
+			}
+		}
+	}
+}
+
 func TestDiffPages(t *testing.T) {
 	a, b := New(), New()
 	a.Store(0, 1)
@@ -240,21 +329,67 @@ func TestQuickMemoryVsModel(t *testing.T) {
 	}
 }
 
-// TestPageCacheCoherence is a seeded differential test of the page cache:
-// a family of memories and snapshots sharing pages copy-on-write, driven
-// through Store/Load/Peek/Snapshot/Restore/Clone/Release with every page
-// index drawn from a few that collide in the cache (equal modulo its
-// size), so slots are evicted and refilled constantly and a slot left
-// pointing at a page its memory has since replaced would be read. The
-// model is a plain word map per holder plus a reference count per page
-// identity, which predicts PagesNew and PagesCopied exactly: the cache
-// may change how a page is found, never which pages are copied.
+// TestPageCacheCoherence is checkPageRefs over twenty seeds, so the model
+// runs in every `go test`.
 func TestPageCacheCoherence(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			checkPageRefs(t, 4000, rand.New(rand.NewSource(seed)).Intn)
+		})
+	}
+}
+
+// FuzzPageRefs is checkPageRefs with every choice read from the input, one
+// byte a choice.
+func FuzzPageRefs(f *testing.F) {
+	// store, snapshot, clone, release the original, write the clone, release the snapshot
+	f.Add([]byte{0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 15, 0, 1, 2, 0, 17, 1, 0, 0, 1, 19, 0, 0, 0, 0, 1, 0, 6, 0, 0, 0, 0, 20, 0})
+	// two pages, snapshot, restore, release the snapshot, then both memories write both pages
+	f.Add([]byte{0, 0, 0, 0, 0, 6, 0, 0, 1, 0, 0, 6, 0, 0, 0, 0, 16, 0, 0, 0, 0, 18, 0, 0, 0, 0, 0, 20, 0,
+		1, 0, 0, 0, 0, 2, 1, 0, 1, 0, 0, 3, 0, 0, 1, 0, 0, 4})
+	f.Add([]byte("clone a memory, release the original, write through the clone"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPageRefs(t, min(len(data)/4, 4000), func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		})
+	})
+}
+
+// checkPageRefs is a differential test of the page cache and the page
+// reference counts: a family of memories and snapshots sharing pages
+// copy-on-write, driven through ops steps of
+// Store/Load/Peek/Snapshot/Restore/Clone and both Releases, each choice
+// made by pick(n) in [0, n). Every page index is drawn from a few that
+// collide in the cache (equal modulo its size), so slots are evicted and
+// refilled constantly and a slot left pointing at a page its memory has
+// since replaced would be read. The model is a plain word map per holder
+// plus a reference count per page identity. It predicts PagesNew and
+// PagesCopied exactly — the cache may change how a page is found, never
+// which pages are copied, and a write to a page every other holder has
+// released happens in place — and each live page's refs must equal its
+// model count, with no page mapped under two identities. Released pages
+// come back from the pool as the next ones materialised or copied, so
+// every survivor must still read its model after every step: a page
+// recycled while still mapped, or handed out dirty, would show there.
+func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 	type holder struct {
 		words map[Word]Word // model contents
 		pages map[Word]int  // page index -> page identity
 	}
-	cloneHolder := func(h *holder, refs map[int]int) *holder {
+	refs := map[int]int{}   // live page identity -> holders mapping it
+	ptrs := map[int]*page{} // live page identity -> the page itself
+	unref := func(id int) {
+		if refs[id]--; refs[id] == 0 {
+			delete(refs, id)
+			delete(ptrs, id)
+		}
+	}
+	cloneHolder := func(h *holder) *holder {
 		c := &holder{words: make(map[Word]Word, len(h.words)), pages: make(map[Word]int, len(h.pages))}
 		for k, v := range h.words {
 			c.words[k] = v
@@ -265,98 +400,124 @@ func TestPageCacheCoherence(t *testing.T) {
 		}
 		return c
 	}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		refs := map[int]int{} // page identity -> holders mapping it
-		nextID := 0
-		type live struct {
-			m                *Memory
-			h                *holder
-			wantNew, wantCow int64
+	dropHolder := func(h *holder) {
+		for _, id := range h.pages {
+			unref(id)
 		}
-		type frozen struct {
-			s *Snapshot
-			h *holder
-		}
-		mems := []*live{{m: New(), h: &holder{words: map[Word]Word{}, pages: map[Word]int{}}}}
-		var snaps []frozen
-		addr := func() Word {
-			idx := Word(rng.Intn(2)) + cacheSlots*Word(rng.Intn(5))
-			return idx<<PageShift + Word(rng.Intn(3))
-		}
-		store := func(l *live, a, v Word) {
-			l.m.Store(a, v)
-			idx := a >> PageShift
-			id, ok := l.h.pages[idx]
-			switch {
-			case !ok && v == 0:
-				return // stays sparse
-			case !ok:
-				l.wantNew++
-			case refs[id] > 1:
-				refs[id]--
-				l.wantCow++
-			default:
-				l.h.words[a] = v
-				return
-			}
-			nextID++
-			l.h.pages[idx], refs[nextID] = nextID, 1
+	}
+	nextID := 0
+	type live struct {
+		m                *Memory
+		h                *holder
+		wantNew, wantCow int64
+	}
+	type frozen struct {
+		s *Snapshot
+		h *holder
+	}
+	mems := []*live{{m: New(), h: &holder{words: map[Word]Word{}, pages: map[Word]int{}}}}
+	var snaps []frozen
+	addr := func() Word {
+		idx := Word(pick(2)) + cacheSlots*Word(pick(5))
+		return idx<<PageShift + Word(pick(3))
+	}
+	store := func(l *live, a, v Word) {
+		l.m.Store(a, v)
+		idx := a >> PageShift
+		id, ok := l.h.pages[idx]
+		switch {
+		case !ok && v == 0:
+			return // stays sparse
+		case !ok:
+			l.wantNew++
+		case refs[id] > 1:
+			unref(id)
+			l.wantCow++
+		default:
 			l.h.words[a] = v
+			return
 		}
-		for op := 0; op < 4000; op++ {
-			l := mems[rng.Intn(len(mems))]
-			a := addr()
-			switch r := rng.Intn(20); {
-			case r < 9:
-				store(l, a, Word(rng.Intn(7)-1))
-			case r < 13:
-				if got := l.m.Load(a); got != l.h.words[a] {
-					t.Fatalf("seed %d op %d: Load(%d) = %d, model %d", seed, op, a, got, l.h.words[a])
-				}
-			case r < 15:
-				if got := l.m.Peek(a); got != l.h.words[a] {
-					t.Fatalf("seed %d op %d: Peek(%d) = %d, model %d", seed, op, a, got, l.h.words[a])
-				}
-			case r < 17 && len(snaps) < 6:
-				snaps = append(snaps, frozen{l.m.Snapshot(), cloneHolder(l.h, refs)})
-				// A write right behind the snapshot must copy, not leak
-				// through a cached pointer to the now-shared page.
-				store(l, a, Word(op))
-			case r < 18 && len(mems) < 5:
-				mems = append(mems, &live{m: l.m.Clone(), h: cloneHolder(l.h, refs)})
-				store(l, a, Word(-op))
-			case r < 19 && len(snaps) > 0 && len(mems) < 5:
-				f := snaps[rng.Intn(len(snaps))]
-				mems = append(mems, &live{m: f.s.Restore(), h: cloneHolder(f.h, refs)})
-			case len(snaps) > 0:
-				k := rng.Intn(len(snaps))
-				for _, id := range snaps[k].h.pages {
-					refs[id]--
-				}
-				snaps[k].s.Release()
-				snaps = append(snaps[:k], snaps[k+1:]...)
+		nextID++
+		l.h.pages[idx], refs[nextID], ptrs[nextID] = nextID, 1, l.m.pages[idx]
+		l.h.words[a] = v
+	}
+	for op := 0; op < ops; op++ {
+		l := mems[pick(len(mems))]
+		a := addr()
+		switch r := pick(21); {
+		case r < 9:
+			store(l, a, Word(pick(7)-1))
+		case r < 13:
+			if got := l.m.Load(a); got != l.h.words[a] {
+				t.Fatalf("op %d: Load(%d) = %d, model %d", op, a, got, l.h.words[a])
 			}
-			for _, f := range snaps {
-				if got := f.s.Peek(a); got != f.h.words[a] {
-					t.Fatalf("seed %d op %d: snapshot Peek(%d) = %d, model %d", seed, op, a, got, f.h.words[a])
-				}
+		case r < 15:
+			if got := l.m.Peek(a); got != l.h.words[a] {
+				t.Fatalf("op %d: Peek(%d) = %d, model %d", op, a, got, l.h.words[a])
 			}
+		case r < 17 && len(snaps) < 6:
+			snaps = append(snaps, frozen{l.m.Snapshot(), cloneHolder(l.h)})
+			// A write right behind the snapshot must copy, not leak
+			// through a cached pointer to the now-shared page.
+			store(l, a, Word(op))
+		case r < 18 && len(mems) < 5:
+			mems = append(mems, &live{m: l.m.Clone(), h: cloneHolder(l.h)})
+			store(l, a, Word(-op))
+		case r < 19 && len(snaps) > 0 && len(mems) < 5:
+			f := snaps[pick(len(snaps))]
+			mems = append(mems, &live{m: f.s.Restore(), h: cloneHolder(f.h)})
+		case r < 20 && len(mems) > 1:
+			k := pick(len(mems))
+			dropHolder(mems[k].h)
+			mems[k].m.Release()
+			mems = append(mems[:k], mems[k+1:]...)
+		case len(snaps) > 0:
+			k := pick(len(snaps))
+			dropHolder(snaps[k].h)
+			snaps[k].s.Release()
+			snaps = append(snaps[:k], snaps[k+1:]...)
 		}
 		for i, l := range mems {
-			for a, v := range l.h.words {
-				if got := l.m.Load(a); got != v {
-					t.Fatalf("seed %d: memory %d Load(%d) = %d, model %d", seed, i, a, got, v)
-				}
-			}
-			if st := l.m.Stats(); st.PagesNew != l.wantNew || st.PagesCopied != l.wantCow {
-				t.Fatalf("seed %d: memory %d materialised %d and copied %d pages, model %d and %d",
-					seed, i, st.PagesNew, st.PagesCopied, l.wantNew, l.wantCow)
-			}
-			if l.m.PageCount() != len(l.h.pages) {
-				t.Fatalf("seed %d: memory %d maps %d pages, model %d", seed, i, l.m.PageCount(), len(l.h.pages))
+			if got := l.m.Peek(a); got != l.h.words[a] {
+				t.Fatalf("op %d: memory %d Peek(%d) = %d, model %d", op, i, a, got, l.h.words[a])
 			}
 		}
+		for i, f := range snaps {
+			if got := f.s.Peek(a); got != f.h.words[a] {
+				t.Fatalf("op %d: snapshot %d Peek(%d) = %d, model %d", op, i, a, got, f.h.words[a])
+			}
+		}
+		owner := make(map[*page]int, len(ptrs))
+		for id, n := range refs {
+			p := ptrs[id]
+			if got := p.refs.Load(); got != int32(n) {
+				t.Fatalf("op %d: page %d has %d refs, model %d", op, id, got, n)
+			}
+			if other, ok := owner[p]; ok {
+				t.Fatalf("op %d: pages %d and %d are one page", op, other, id)
+			}
+			owner[p] = id
+		}
+	}
+	for i, l := range mems {
+		want := New()
+		for a, v := range l.h.words {
+			if got := l.m.Load(a); got != v {
+				t.Fatalf("memory %d Load(%d) = %d, model %d", i, a, got, v)
+			}
+			want.Store(a, v)
+		}
+		if st := l.m.Stats(); st.PagesNew != l.wantNew || st.PagesCopied != l.wantCow {
+			t.Fatalf("memory %d materialised %d and copied %d pages, model %d and %d",
+				i, st.PagesNew, st.PagesCopied, l.wantNew, l.wantCow)
+		}
+		if l.m.PageCount() != len(l.h.pages) {
+			t.Fatalf("memory %d maps %d pages, model %d", i, l.m.PageCount(), len(l.h.pages))
+		}
+		if got, w := l.m.Hash(), want.Hash(); got != w {
+			t.Fatalf("memory %d hashes %016x, model %016x", i, got, w)
+		}
+		want.Release()
 	}
 }
 
@@ -483,6 +644,28 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		r := s.Restore()
 		r.Store(0, Word(i))
 		s.Release()
+	}
+}
+
+// BenchmarkEpochCycle is one epoch of a verifying execution at the page
+// level: snapshot a 64-page memory, restore a private copy, write a
+// quarter of its pages and release both. With released pages recycled, the
+// copies cost no fresh allocation.
+func BenchmarkEpochCycle(b *testing.B) {
+	m := New()
+	for pg := Word(0); pg < 64; pg++ {
+		m.Store(pg<<PageShift, pg+1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := m.Snapshot()
+		r := s.Restore()
+		for pg := Word(0); pg < 64; pg += 4 {
+			r.Store(pg<<PageShift+1, Word(i))
+		}
+		s.Release()
+		r.Release()
 	}
 }
 

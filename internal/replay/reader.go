@@ -113,5 +113,7 @@ func OneEpoch(prog *vm.Program, b *epoch.Boundary, ep *dplog.EpochLog, quantum i
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cycles: c, FinalHash: m.StateHash(), Epochs: 1, LoopInstrs: loop}, nil
+	h := m.StateHash()
+	m.Mem.Release()
+	return &Result{Cycles: c, FinalHash: h, Epochs: 1, LoopInstrs: loop}, nil
 }

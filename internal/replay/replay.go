@@ -331,6 +331,7 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 				if gp != nil {
 					profs[lo] = gp.Snapshot()
 				}
+				m.Mem.Release()
 			})
 		}(lo, hi)
 		lo = hi
@@ -420,7 +421,9 @@ func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *v
 	if err != nil {
 		return nil, err
 	}
-	return append(out, epoch.Snapshot(n, cycles, m, src.FinalHash())), nil
+	out = append(out, epoch.Snapshot(n, cycles, m, src.FinalHash()))
+	m.Mem.Release()
+	return out, nil
 }
 
 // Thin returns every stride-th boundary, always keeping the first and
