@@ -1,0 +1,131 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"doubleplay/internal/dplog"
+	"doubleplay/internal/profile"
+	"doubleplay/internal/trace"
+	"doubleplay/internal/workloads"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata golden fixtures")
+
+// pinRow is one recording TestRecordPinned fingerprints: a workload build
+// (scale 1) and the options it records under. Workers, RecordCPUs, Seed,
+// Trace and Metrics are filled in from the row.
+type pinRow struct {
+	name    string
+	wl      string
+	workers int
+	seed    int64
+	opt     Options
+	profile bool
+}
+
+func pinRows() []pinRow {
+	var rows []pinRow
+	for _, name := range workloads.Names() {
+		rows = append(rows, pinRow{name: name, wl: name, workers: 2, seed: 11, opt: Options{SpareCPUs: 2}})
+	}
+	rerun := Options{SpareCPUs: 3, EpochCycles: 6000, DisableSyncEnforcement: true}
+	return append(rows,
+		pinRow{name: "sigping/certified", wl: "sigping", workers: 2, seed: 11,
+			opt: Options{SpareCPUs: 2, VerifyPolicy: VerifyCertified}},
+		pinRow{name: "pbzip/adaptive", wl: "pbzip", workers: 4, seed: 11,
+			opt: Options{SpareCPUs: 1, Adaptive: true, AdaptiveMinSpares: 1, AdaptiveMaxSpares: 4}},
+		pinRow{name: "kvdb/utilized", wl: "kvdb", workers: 2, seed: 11, opt: Options{SpareCPUs: 0}},
+		pinRow{name: "webserve/rerun", wl: "webserve", workers: 3, seed: 3, opt: rerun},
+		pinRow{name: "webserve-racy/rerun", wl: "webserve-racy", workers: 3, seed: 3, opt: rerun},
+		pinRow{name: "racey/races", wl: "racey", workers: 2, seed: 11,
+			opt: Options{SpareCPUs: 2, DetectRaces: true}},
+		pinRow{name: "webserve-racy/profile", wl: "webserve-racy", workers: 3, seed: 3, opt: rerun, profile: true},
+	)
+}
+
+// TestRecordPinned fingerprints everything a recording produces — Stats,
+// hashes, the encoded log, every boundary, the divergence forensics, the
+// race reports, the trace, the metrics and the guest profile — over rows
+// that between them take every commit path: verified, certified, adopted
+// and re-run epochs, an adaptive controller decision, the utilized
+// pipeline, race detection and profiling. A change to the recorder's
+// structure must leave every line of testdata/record.golden as it is; only
+// a change meant to move a recording rewrites it, with -update.
+func TestRecordPinned(t *testing.T) {
+	var got bytes.Buffer
+	var adopted, reruns, skipped, decisions int
+	for _, r := range pinRows() {
+		bt := workloads.Get(r.wl).Build(workloads.Params{Workers: r.workers, Scale: 1, Seed: r.seed})
+		sink, reg := trace.NewSink(), trace.NewRegistry()
+		opt := r.opt
+		opt.Workers, opt.RecordCPUs, opt.Seed = r.workers, r.workers, r.seed
+		opt.Trace, opt.Metrics = sink, reg
+		if r.profile {
+			opt.Profile = profile.NewProfile(bt.Prog.Name)
+		}
+		res, err := Record(bt.Prog, bt.World, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		var bounds bytes.Buffer
+		for _, b := range res.Boundaries {
+			binary.Write(&bounds, binary.LittleEndian, [3]int64{int64(b.Index), b.Cycle, int64(b.Hash)})
+		}
+		var js, prom bytes.Buffer
+		if err := sink.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		var pprof []byte
+		if opt.Profile != nil {
+			pprof = opt.Profile.MarshalPprof()
+		}
+		fmt.Fprintf(&got, "%s stats=%+v final=%016x out=%016x log=%x bounds=%x div=%q races=%d trace=%x prom=%x pprof=%x\n",
+			r.name, res.Stats, res.FinalHash, res.OutputHash, sha256.Sum256(dplog.MarshalBytes(res.Recording)),
+			sha256.Sum256(bounds.Bytes()), fmt.Sprintf("%+v", res.Divergences), len(res.Races),
+			sha256.Sum256(js.Bytes()), sha256.Sum256(prom.Bytes()), sha256.Sum256(pprof))
+		adopted += res.Stats.HashRecoveries
+		reruns += res.Stats.RerunRecoveries
+		skipped += res.Stats.VerifySkipped
+		decisions += res.Stats.SpareGrows + res.Stats.SpareShrinks
+		res.ReleaseCheckpoints()
+	}
+	if adopted == 0 || reruns == 0 || skipped == 0 || decisions == 0 {
+		t.Fatalf("the rows miss a commit path: %d adopted, %d re-run, %d certified epochs, %d controller decisions",
+			adopted, reruns, skipped, decisions)
+	}
+
+	path := filepath.Join("testdata", "record.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/core -run TestRecordPinned -update` to create it)", err)
+	}
+	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range gl {
+		if i >= len(wl) || !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("recording changed, first at line %d:\n got  %s\n want %s",
+				i+1, gl[i], bytes.Join(wl[i:min(i+1, len(wl))], nil))
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("record table has %d lines, golden %d", len(gl), len(wl))
+	}
+}
