@@ -15,49 +15,49 @@ import (
 // TestControllerGrowsOnFill feeds a saturated, monotonically filling
 // pipeline: positive lag slope with every epoch waiting for a slot.
 func TestControllerGrowsOnFill(t *testing.T) {
-	c := NewController(1, 4, 1)
+	c := newController(1, 4, 1)
 	for i := 0; i < 40; i++ {
-		c.Observe(i, int64(5000*(i+1)), true, 25000)
+		c.observe(i, int64(5000*(i+1)), true, 25000)
 	}
-	if c.Active() != 4 {
-		t.Errorf("active = %d after a sustained fill, want the Max of 4", c.Active())
+	if c.active != 4 {
+		t.Errorf("active = %d after a sustained fill, want the Max of 4", c.active)
 	}
-	if c.Grows() != 3 || c.Shrinks() != 0 {
-		t.Errorf("decisions = %d grows %d shrinks, want 3 grows 0 shrinks", c.Grows(), c.Shrinks())
+	if c.grows != 3 || c.shrinks != 0 {
+		t.Errorf("decisions = %d grows %d shrinks, want 3 grows 0 shrinks", c.grows, c.shrinks)
 	}
 }
 
 // TestControllerShrinksOnDrain feeds a drained pipeline: every epoch finds
 // a free slot and lag stays within one epoch length.
 func TestControllerShrinksOnDrain(t *testing.T) {
-	c := NewController(1, 4, 4)
+	c := newController(1, 4, 4)
 	for i := 0; i < 40; i++ {
-		c.Observe(i, 1000, false, 25000)
+		c.observe(i, 1000, false, 25000)
 	}
-	if c.Active() != 1 {
-		t.Errorf("active = %d after a sustained drain, want the Min of 1", c.Active())
+	if c.active != 1 {
+		t.Errorf("active = %d after a sustained drain, want the Min of 1", c.active)
 	}
-	if c.Shrinks() != 3 || c.Grows() != 0 {
-		t.Errorf("decisions = %d grows %d shrinks, want 0 grows 3 shrinks", c.Grows(), c.Shrinks())
+	if c.shrinks != 3 || c.grows != 0 {
+		t.Errorf("decisions = %d grows %d shrinks, want 0 grows 3 shrinks", c.grows, c.shrinks)
 	}
 }
 
 // TestControllerClamps pins the [Min, Max] bounds: a controller already at
 // a bound holds there no matter how loud the signal.
 func TestControllerClamps(t *testing.T) {
-	hi := NewController(2, 3, 3)
+	hi := newController(2, 3, 3)
 	for i := 0; i < 40; i++ {
-		hi.Observe(i, int64(5000*(i+1)), true, 25000)
+		hi.observe(i, int64(5000*(i+1)), true, 25000)
 	}
-	if hi.Active() != 3 || hi.Grows() != 0 {
-		t.Errorf("at Max: active = %d grows = %d, want 3 and 0", hi.Active(), hi.Grows())
+	if hi.active != 3 || hi.grows != 0 {
+		t.Errorf("at Max: active = %d grows = %d, want 3 and 0", hi.active, hi.grows)
 	}
-	lo := NewController(2, 3, 2)
+	lo := newController(2, 3, 2)
 	for i := 0; i < 40; i++ {
-		lo.Observe(i, 0, false, 25000)
+		lo.observe(i, 0, false, 25000)
 	}
-	if lo.Active() != 2 || lo.Shrinks() != 0 {
-		t.Errorf("at Min: active = %d shrinks = %d, want 2 and 0", lo.Active(), lo.Shrinks())
+	if lo.active != 2 || lo.shrinks != 0 {
+		t.Errorf("at Min: active = %d shrinks = %d, want 2 and 0", lo.active, lo.shrinks)
 	}
 }
 
@@ -66,23 +66,23 @@ func TestControllerClamps(t *testing.T) {
 // pipeline whose lag is flat must not grow either (it is keeping up at
 // full occupancy — exactly where it should sit).
 func TestControllerHoldsOnMixedSignal(t *testing.T) {
-	c := NewController(1, 4, 2)
+	c := newController(1, 4, 2)
 	for i := 0; i < 40; i++ {
-		c.Observe(i, int64(5000*(i+1)), i%2 == 0, 25000)
+		c.observe(i, int64(5000*(i+1)), i%2 == 0, 25000)
 	}
-	if c.Grows() != 0 {
-		t.Errorf("rising slope without saturation grew %d times", c.Grows())
+	if c.grows != 0 {
+		t.Errorf("rising slope without saturation grew %d times", c.grows)
 	}
-	c = NewController(1, 4, 2)
+	c = newController(1, 4, 2)
 	for i := 0; i < 40; i++ {
-		c.Observe(i, 40000, true, 25000)
+		c.observe(i, 40000, true, 25000)
 	}
-	if c.Grows() != 0 {
-		t.Errorf("flat lag at full occupancy grew %d times", c.Grows())
+	if c.grows != 0 {
+		t.Errorf("flat lag at full occupancy grew %d times", c.grows)
 	}
 	// Saturated with large flat lag must not shrink either.
-	if c.Shrinks() != 0 {
-		t.Errorf("saturated pipeline shrank %d times", c.Shrinks())
+	if c.shrinks != 0 {
+		t.Errorf("saturated pipeline shrank %d times", c.shrinks)
 	}
 }
 
@@ -90,17 +90,17 @@ func TestControllerHoldsOnMixedSignal(t *testing.T) {
 // controller refills a full window before it can act again, so back-to-back
 // boundaries cannot cause back-to-back decisions.
 func TestControllerCooldown(t *testing.T) {
-	c := NewController(1, 8, 1)
+	c := newController(1, 8, 1)
 	decisions := make([]int, 0, 4)
 	for i := 0; i < 20; i++ {
-		if d := c.Observe(i, int64(5000*(i+1)), true, 25000); d != 0 {
+		if d := c.observe(i, int64(5000*(i+1)), true, 25000); d != 0 {
 			decisions = append(decisions, i)
 		}
 	}
 	for j := 1; j < len(decisions); j++ {
-		if gap := decisions[j] - decisions[j-1]; gap < c.Window {
+		if gap := decisions[j] - decisions[j-1]; gap < ctlWindow {
 			t.Errorf("decisions at epochs %d and %d are %d apart, want >= window %d",
-				decisions[j-1], decisions[j], gap, c.Window)
+				decisions[j-1], decisions[j], gap, ctlWindow)
 		}
 	}
 	if len(decisions) == 0 {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"doubleplay/internal/analyze"
-	"doubleplay/internal/vm"
-)
+import "fmt"
 
 // VerifyPolicy selects how Record validates epochs.
 type VerifyPolicy int
@@ -57,11 +52,4 @@ func ParseVerifyPolicy(s string) (VerifyPolicy, error) {
 		return VerifyCertified, nil
 	}
 	return VerifyAlways, fmt.Errorf("core: unknown verify policy %q (want always or certified)", s)
-}
-
-// Certify runs the static analyzer over prog and returns its
-// race-freedom certificate — the exact decision input Record uses under
-// VerifyCertified.
-func Certify(prog *vm.Program) *analyze.Certificate {
-	return analyze.Run(prog).Cert
 }
