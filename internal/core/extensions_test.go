@@ -6,6 +6,7 @@ import (
 	"doubleplay/internal/epoch"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/simos"
+	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
 )
 
@@ -208,6 +209,39 @@ func TestAdaptiveGrowthResetsOnDivergence(t *testing.T) {
 	}
 	if _, err := replay.Sequential(prog, res.Recording, nil, nil); err != nil {
 		t.Fatalf("replay after %d divergences: %v", res.Stats.Divergences, err)
+	}
+
+	// The epoch after a divergence runs at the base length again, even when
+	// the epoch that diverged had grown (it followed a clean one). With no
+	// record-time costs a clean epoch's boundary spacing is its length; a
+	// diverged epoch's is not. webserve-racy diverges now and then.
+	costs := *vm.DefaultCosts()
+	costs.SyncLogEvent, costs.SysLogEvent, costs.CowCopyPage = 0, 0, 0
+	costs.CheckpointBase, costs.CheckpointPage = 0, 0
+	bt := workloads.Get("webserve-racy").Build(workloads.Params{Workers: 4, Seed: 3})
+	res, err = Record(bt.Prog, bt.World, Options{
+		Workers: 4, SpareCPUs: 4, Seed: 3, Costs: &costs,
+		EpochCycles: 2000, EpochGrowth: 2.0, EpochCyclesMax: 64_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diverged := map[int]bool{}
+	for _, d := range res.Divergences {
+		diverged[d.Epoch] = true
+	}
+	bs, reset := res.Boundaries, 0
+	for i := 1; i+2 < len(bs); i++ {
+		if !diverged[i] || diverged[i-1] || diverged[i+1] {
+			continue
+		}
+		reset++
+		if n := bs[i+2].Cycle - bs[i+1].Cycle; n >= 3000 {
+			t.Errorf("epoch %d after the divergence at epoch %d ran %d cycles, want about 2000", i+1, i, n)
+		}
+	}
+	if reset == 0 {
+		t.Fatalf("no grown epoch diverged (%d divergences): the check exercises nothing", res.Stats.Divergences)
 	}
 }
 
