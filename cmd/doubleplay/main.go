@@ -116,6 +116,20 @@ func main() {
 	if *spares == 0 {
 		*spares = *workers
 	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"-workers", *workers, workloads.MaxWorkers},
+		{"-spares", *spares, workloads.MaxWorkers},
+		{"-min-spares", *minSpares, workloads.MaxWorkers},
+		{"-max-spares", *maxSpares, workloads.MaxWorkers},
+		{"-scale", *scale, workloads.MaxScale},
+	} {
+		if f.v > f.max {
+			usageErr(fmt.Sprintf("%s %d is over the limit of %d", f.name, f.v, f.max))
+		}
+	}
 	if (*minSpares != 0 || *maxSpares != 0) && !*adaptive {
 		usageErr("-min-spares/-max-spares require -adaptive")
 	}

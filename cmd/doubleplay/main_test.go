@@ -157,6 +157,7 @@ func TestCLI(t *testing.T) {
 		{"certified racey keeps full verification", append(record, "-verify-policy", "certified"), 0, "",
 			match(`(?m)^  certificate: possibly-racy; full verification kept`)},
 		{"removed flag", append(record, "-trace-window", "8"), 2, "flag provided but not defined: -trace-window", nil},
+		{"workers over the limit", []string{"record", "-w", "aget", "-workers", "37"}, 2, "-workers 37 is over the limit of 32", nil},
 		{"log inspect reads the section table", []string{"log", "inspect", "-log", path("a.dplog")}, 0, "",
 			func(t *testing.T, stdout string) {
 				match(`dplog v6`, `(?m)^sections: +[1-9]`, `(?m)^index: +ok`, `(?m)^ +total +\d+ +\d+ +\d+\.\d+$`)(t, stdout)

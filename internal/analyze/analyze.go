@@ -27,23 +27,23 @@ type Severity uint8
 const (
 	// SevInfo findings are observations (unreachable helper functions).
 	SevInfo Severity = iota
-	// SevWarning findings are likely bugs that cannot fault the machine
+	// sevWarning findings are likely bugs that cannot fault the machine
 	// by themselves (race candidates, dead stores, lock imbalance on
 	// some path).
-	SevWarning
-	// SevError findings fault or corrupt any execution that reaches them
+	sevWarning
+	// sevError findings fault or corrupt any execution that reaches them
 	// (bad branch targets, unlocking a never-held lock, running off the
 	// end of a function).
-	SevError
+	sevError
 )
 
 func (s Severity) String() string {
 	switch s {
 	case SevInfo:
 		return "info"
-	case SevWarning:
+	case sevWarning:
 		return "warning"
-	case SevError:
+	case sevError:
 		return "error"
 	}
 	return fmt.Sprintf("severity(%d)", uint8(s))
@@ -53,26 +53,26 @@ func (s Severity) String() string {
 type Kind string
 
 const (
-	InvalidProgram  Kind = "invalid-program"
-	BadBranch       Kind = "bad-branch"
-	BadCallee       Kind = "bad-callee"
-	FallOffEnd      Kind = "fall-off-end"
-	DivByZeroImm    Kind = "div-by-zero"
-	RecursiveLock   Kind = "recursive-lock"
-	UnbalancedLock  Kind = "unbalanced-lock"
-	LockAtExit      Kind = "lock-at-exit"
-	BarrierPairing  Kind = "barrier-pairing"
-	DeadStore       Kind = "dead-store"
-	DeadBlock       Kind = "dead-block"
-	UnreachableFunc Kind = "unreachable-func"
-	RaceCandidate   Kind = "race-candidate"
-	// Incomplete marks a spot the analysis could not cover soundly: an
+	invalidProgram  Kind = "invalid-program"
+	badBranch       Kind = "bad-branch"
+	badCallee       Kind = "bad-callee"
+	fallOffEnd      Kind = "fall-off-end"
+	divByZeroImm    Kind = "div-by-zero"
+	recursiveLock   Kind = "recursive-lock"
+	unbalancedLock  Kind = "unbalanced-lock"
+	lockAtExit      Kind = "lock-at-exit"
+	barrierPairing  Kind = "barrier-pairing"
+	deadStore       Kind = "dead-store"
+	deadBlock       Kind = "dead-block"
+	unreachableFunc Kind = "unreachable-func"
+	raceCandidate   Kind = "race-candidate"
+	// incomplete marks a spot the analysis could not cover soundly: an
 	// address it cannot bound, an effect it does not model while threads
 	// overlap, or an exhausted analysis budget. Incomplete findings never
 	// indicate a bug by themselves — they indicate the absence of race
 	// candidates proves nothing, so the program's Certificate degrades
 	// from race-free to incomplete.
-	Incomplete Kind = "incomplete"
+	incomplete Kind = "incomplete"
 )
 
 // Finding is one analyzer result.
@@ -123,13 +123,13 @@ func (fs *Findings) ByKind(k Kind) []Finding {
 }
 
 // Races returns the race-candidate findings.
-func (fs *Findings) Races() []Finding { return fs.ByKind(RaceCandidate) }
+func (fs *Findings) Races() []Finding { return fs.ByKind(raceCandidate) }
 
 // Errors counts error-severity findings.
 func (fs *Findings) Errors() int {
 	n := 0
 	for _, f := range fs.List {
-		if f.Sev == SevError {
+		if f.Sev == sevError {
 			n++
 		}
 	}
@@ -140,7 +140,7 @@ func (fs *Findings) Errors() int {
 func (fs *Findings) Warnings() int {
 	n := 0
 	for _, f := range fs.List {
-		if f.Sev == SevWarning {
+		if f.Sev == sevWarning {
 			n++
 		}
 	}
@@ -152,7 +152,7 @@ func (fs *Findings) Warnings() int {
 // dynamic detector's reports.
 func (fs *Findings) Covers(addr vm.Word) bool {
 	for _, f := range fs.List {
-		if f.Kind != RaceCandidate {
+		if f.Kind != raceCandidate {
 			continue
 		}
 		if addr >= f.Addr && addr < f.Addr+f.Size {
@@ -190,25 +190,25 @@ func (fs *Findings) sort() {
 	})
 }
 
-// DefaultBudget bounds the abstract instructions the interprocedural
+// defaultBudget bounds the abstract instructions the interprocedural
 // scan may interpret. It is far above what any suite workload needs; a
 // guest program that exhausts it degrades to an incomplete certificate
 // instead of unbounded analysis time.
-const DefaultBudget = 2_000_000
+const defaultBudget = 2_000_000
 
-// Run analyzes prog under DefaultBudget and returns every finding, most
+// Run analyzes prog under defaultBudget and returns every finding, most
 // severe first, plus the program's race-freedom certificate in
 // Findings.Cert. It never executes guest code and is safe on malformed
 // programs: images that fail vm.Validate yield a single invalid-program
 // error and an incomplete certificate.
-func Run(prog *vm.Program) *Findings { return RunBudget(prog, DefaultBudget) }
+func Run(prog *vm.Program) *Findings { return runBudget(prog, defaultBudget) }
 
-// RunBudget is Run with an explicit abstract-instruction budget.
+// runBudget is Run with an explicit abstract-instruction budget.
 // A budget <= 0 means unlimited.
-func RunBudget(prog *vm.Program, budget int) *Findings {
+func runBudget(prog *vm.Program, budget int) *Findings {
 	fs := &Findings{Prog: prog}
 	if err := prog.Validate(); err != nil {
-		fs.add(Finding{Kind: InvalidProgram, Sev: SevError, PC: -1, Msg: err.Error()})
+		fs.add(Finding{Kind: invalidProgram, Sev: sevError, PC: -1, Msg: err.Error()})
 		fs.Cert = &Certificate{
 			Program: prog.Name,
 			Status:  CertIncomplete,
@@ -466,14 +466,14 @@ func (a *analysis) scanAll() {
 	}
 	if a.budgetHit {
 		a.report("budget", Finding{
-			Kind: Incomplete, Sev: SevInfo, PC: -1,
+			Kind: incomplete, Sev: SevInfo, PC: -1,
 			Msg: fmt.Sprintf("instruction budget exhausted after %d abstract steps; coverage is partial", a.steps),
 		})
 	}
 	for fn, capped := range a.capped {
 		if capped {
 			a.report(fmt.Sprintf("cap|%d", fn), Finding{
-				Kind: Incomplete, Sev: SevInfo, Func: a.fname(fn), PC: a.prog.Funcs[fn].Entry,
+				Kind: incomplete, Sev: SevInfo, Func: a.fname(fn), PC: a.prog.Funcs[fn].Entry,
 				Msg: fmt.Sprintf("context budget exhausted for %q; some call sites analyzed imprecisely", a.fname(fn)),
 			})
 		}
@@ -565,7 +565,7 @@ func (a *analysis) reportUnreachableFuncs() {
 			continue
 		}
 		a.report(fmt.Sprintf("unreach|%d", fn), Finding{
-			Kind: UnreachableFunc, Sev: SevInfo, Func: a.fname(fn), PC: a.prog.Funcs[fn].Entry,
+			Kind: unreachableFunc, Sev: SevInfo, Func: a.fname(fn), PC: a.prog.Funcs[fn].Entry,
 			Msg: fmt.Sprintf("function %q is never called, spawned, or installed as a handler", a.fname(fn)),
 		})
 	}

@@ -48,7 +48,7 @@ type Certificate struct {
 	Funcs      []FuncCert `json:"funcs,omitempty"`
 
 	// Steps counts the abstract instructions the interprocedural scan
-	// interpreted; Budget is the cap it ran under (see RunBudget).
+	// interpreted; Budget is the cap it ran under (see runBudget).
 	Steps  int `json:"steps"`
 	Budget int `json:"budget"`
 }
@@ -82,7 +82,7 @@ func (c *Certificate) String() string {
 func (a *analysis) unsound(fn, pc int, why string) {
 	a.incompleteFns[fn] = true
 	a.report(fmt.Sprintf("inc|%d|%d", fn, pc), Finding{
-		Kind: Incomplete, Sev: SevInfo, Func: a.fname(fn), PC: pc,
+		Kind: incomplete, Sev: SevInfo, Func: a.fname(fn), PC: pc,
 		Msg: why,
 	})
 }
@@ -105,7 +105,7 @@ func (a *analysis) certificate() *Certificate {
 	if a.budgetHit {
 		addReason(fmt.Sprintf("instruction budget exhausted after %d abstract steps; coverage is partial", a.steps))
 	}
-	for _, f := range a.fs.ByKind(Incomplete) {
+	for _, f := range a.fs.ByKind(incomplete) {
 		addReason(f.Msg)
 	}
 

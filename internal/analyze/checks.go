@@ -97,21 +97,21 @@ func (a *analysis) structural() {
 			case vm.OpJmp, vm.OpJz, vm.OpJnz:
 				if t := int(in.Imm); t < g.start || t >= g.end {
 					a.fs.add(Finding{
-						Kind: BadBranch, Sev: SevError, Func: name, PC: pc,
+						Kind: badBranch, Sev: sevError, Func: name, PC: pc,
 						Msg: fmt.Sprintf("branch target %d is outside %q [%d, %d)", t, name, g.start, g.end),
 					})
 				}
 			case vm.OpCall, vm.OpSpawn, vm.OpSigH:
 				if t := int(in.Imm); t < 0 || t >= len(a.prog.Funcs) {
 					a.fs.add(Finding{
-						Kind: BadCallee, Sev: SevError, Func: name, PC: pc,
+						Kind: badCallee, Sev: sevError, Func: name, PC: pc,
 						Msg: fmt.Sprintf("%s of function index %d; the table has %d entries", in.Op, t, len(a.prog.Funcs)),
 					})
 				}
 			case vm.OpDivi, vm.OpModi:
 				if in.Imm == 0 && a.blockReachable(g, pc) {
 					a.fs.add(Finding{
-						Kind: DivByZeroImm, Sev: SevError, Func: name, PC: pc,
+						Kind: divByZeroImm, Sev: sevError, Func: name, PC: pc,
 						Msg: fmt.Sprintf("%s by immediate zero always faults", in.Op),
 					})
 				}
@@ -120,7 +120,7 @@ func (a *analysis) structural() {
 					a.prog.Code[pc+1].A == in.A && a.prog.Code[pc+1].B == in.B
 				if !ok {
 					a.fs.add(Finding{
-						Kind: BarrierPairing, Sev: SevWarning, Func: name, PC: pc,
+						Kind: barrierPairing, Sev: sevWarning, Func: name, PC: pc,
 						Msg: "bar.arrive is not immediately followed by a matching bar.wait; a checkpoint here strands the generation register",
 					})
 				}
@@ -129,7 +129,7 @@ func (a *analysis) structural() {
 					a.prog.Code[pc-1].A == in.A && a.prog.Code[pc-1].B == in.B
 				if !ok {
 					a.fs.add(Finding{
-						Kind: BarrierPairing, Sev: SevWarning, Func: name, PC: pc,
+						Kind: barrierPairing, Sev: sevWarning, Func: name, PC: pc,
 						Msg: "bar.wait is not immediately preceded by a matching bar.arrive",
 					})
 				}
@@ -139,7 +139,7 @@ func (a *analysis) structural() {
 			b := &g.blocks[bi]
 			if !b.reach {
 				a.fs.add(Finding{
-					Kind: DeadBlock, Sev: SevWarning, Func: name, PC: b.start,
+					Kind: deadBlock, Sev: sevWarning, Func: name, PC: b.start,
 					Msg: fmt.Sprintf("unreachable code at [%d, %d)", b.start, b.end),
 				})
 				continue
@@ -148,7 +148,7 @@ func (a *analysis) structural() {
 			fallsOut := b.end == g.end && !isTerminator(last.Op)
 			if fallsOut {
 				a.fs.add(Finding{
-					Kind: FallOffEnd, Sev: SevError, Func: name, PC: b.end - 1,
+					Kind: fallOffEnd, Sev: sevError, Func: name, PC: b.end - 1,
 					Msg: fmt.Sprintf("execution can fall off the end of %q without ret or halt", name),
 				})
 			}
@@ -257,7 +257,7 @@ func (a *analysis) checkLiveness() {
 			}
 			for _, da := range dead {
 				a.report(fmt.Sprintf("dead|%d|%d", fi, da.pc), Finding{
-					Kind: DeadStore, Sev: SevWarning, Func: f.Name, PC: da.pc,
+					Kind: deadStore, Sev: sevWarning, Func: f.Name, PC: da.pc,
 					Msg: fmt.Sprintf("value written to r%d is never read", da.d),
 				})
 			}

@@ -111,7 +111,7 @@ func (a *analysis) exec(c *context, st *absState, pc int, rec bool) {
 	case vm.OpRet:
 		if rec && !st.lk.sameHeld(c.lk) {
 			a.report(fmt.Sprintf("retlk|%d|%d", c.fn, pc), Finding{
-				Kind: LockAtExit, Sev: SevWarning, Func: a.fname(c.fn), PC: pc,
+				Kind: lockAtExit, Sev: sevWarning, Func: a.fname(c.fn), PC: pc,
 				Msg: fmt.Sprintf("%q returns holding locks {%s} but was entered holding {%s}",
 					a.fname(c.fn), st.lk, c.lk),
 			})
@@ -119,7 +119,7 @@ func (a *analysis) exec(c *context, st *absState, pc int, rec bool) {
 	case vm.OpHalt:
 		if rec && (len(st.lk.must) > 0 || st.lk.unk > 0) {
 			a.report(fmt.Sprintf("haltlk|%d|%d", c.fn, pc), Finding{
-				Kind: LockAtExit, Sev: SevWarning, Func: a.fname(c.fn), PC: pc,
+				Kind: lockAtExit, Sev: sevWarning, Func: a.fname(c.fn), PC: pc,
 				Msg: fmt.Sprintf("thread exits holding locks {%s}; waiters block forever", st.lk),
 			})
 		}
@@ -187,7 +187,7 @@ func (a *analysis) execLock(c *context, lk lockset, id aval, pc int, rec bool) l
 	if slices.Contains(lk.must, id.c) {
 		if rec {
 			a.report(fmt.Sprintf("reclk|%d|%d", c.fn, pc), Finding{
-				Kind: RecursiveLock, Sev: SevError, Func: a.fname(c.fn), PC: pc,
+				Kind: recursiveLock, Sev: sevError, Func: a.fname(c.fn), PC: pc,
 				Msg: fmt.Sprintf("lock %d is already held here; re-acquiring faults the thread", id.c),
 			})
 		}
@@ -211,7 +211,7 @@ func (a *analysis) execUnlock(c *context, lk lockset, id aval, pc int, rec bool)
 		case lk.empty():
 			if rec {
 				a.report(fmt.Sprintf("unlk|%d|%d", c.fn, pc), Finding{
-					Kind: UnbalancedLock, Sev: SevError, Func: a.fname(c.fn), PC: pc,
+					Kind: unbalancedLock, Sev: sevError, Func: a.fname(c.fn), PC: pc,
 					Msg: "unlock with no lock held on any path; faults the thread",
 				})
 			}
@@ -229,7 +229,7 @@ func (a *analysis) execUnlock(c *context, lk lockset, id aval, pc int, rec bool)
 	case slices.Contains(lk.may, id.c):
 		if rec {
 			a.report(fmt.Sprintf("maylk|%d|%d", c.fn, pc), Finding{
-				Kind: UnbalancedLock, Sev: SevWarning, Func: a.fname(c.fn), PC: pc,
+				Kind: unbalancedLock, Sev: sevWarning, Func: a.fname(c.fn), PC: pc,
 				Msg: fmt.Sprintf("lock %d is released here but only acquired on some paths; faults the others", id.c),
 			})
 		}
@@ -240,7 +240,7 @@ func (a *analysis) execUnlock(c *context, lk lockset, id aval, pc int, rec bool)
 	default:
 		if rec {
 			a.report(fmt.Sprintf("unlk|%d|%d", c.fn, pc), Finding{
-				Kind: UnbalancedLock, Sev: SevError, Func: a.fname(c.fn), PC: pc,
+				Kind: unbalancedLock, Sev: sevError, Func: a.fname(c.fn), PC: pc,
 				Msg: fmt.Sprintf("lock %d is released here but never acquired on any path; faults the thread", id.c),
 			})
 		}

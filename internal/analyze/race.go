@@ -254,7 +254,7 @@ func (a *analysis) screenRaces() {
 			}
 		}
 		f := Finding{
-			Kind: RaceCandidate, Sev: SevWarning,
+			Kind: raceCandidate, Sev: sevWarning,
 			Func: a.fname(members[0].fn), PC: members[0].pc,
 			Addr: g.addr, Size: size, Msg: msg,
 		}

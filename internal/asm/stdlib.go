@@ -146,15 +146,3 @@ func InstallStdlib(b *Builder) {
 		f.Ret(out)
 	}
 }
-
-// Stdlib function name constants, for Call sites.
-const (
-	StdMemcpy   = "std.memcpy"
-	StdMemset   = "std.memset"
-	StdMemcmp   = "std.memcmp"
-	StdSum      = "std.sum"
-	StdMax      = "std.max"
-	StdFillLCG  = "std.fill_lcg"
-	StdChecksum = "std.checksum"
-	StdBsearch  = "std.bsearch"
-)

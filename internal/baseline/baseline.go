@@ -22,9 +22,9 @@ import (
 	"doubleplay/internal/vm"
 )
 
-// CrewFaultCost is the simulated cost of one CREW ownership fault (a
+// crewFaultCost is the simulated cost of one CREW ownership fault (a
 // hardware page-protection fault plus kernel bookkeeping).
-const CrewFaultCost = 2500
+const crewFaultCost = 2500
 
 // crewMode is a page's sharing mode.
 type crewMode uint8
@@ -150,7 +150,7 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 	}
 	inputBytes := (&dplog.Recording{Epochs: []*dplog.EpochLog{live.Take()}}).ReplaySize()
 	return &CrewResult{
-		Cycles:      par.WallTime() + transitions*CrewFaultCost/int64(cpus),
+		Cycles:      par.WallTime() + transitions*crewFaultCost/int64(cpus),
 		BaseCycles:  par.WallTime(),
 		Transitions: transitions,
 		Retired:     par.Retired(),

@@ -47,6 +47,8 @@ func pinRows() []pinRow {
 		pinRow{name: "racey/races", wl: "racey", workers: 2, seed: 11,
 			opt: Options{SpareCPUs: 2, DetectRaces: true}},
 		pinRow{name: "webserve-racy/profile", wl: "webserve-racy", workers: 3, seed: 3, opt: rerun, profile: true},
+		pinRow{name: "webserve-racy/growth", wl: "webserve-racy", workers: 3, seed: 3,
+			opt: Options{SpareCPUs: 3, EpochGrowth: 1.5}},
 	)
 }
 
@@ -54,13 +56,14 @@ func pinRows() []pinRow {
 // hashes, the encoded log, every boundary, the divergence forensics, the
 // race reports, the trace, the metrics and the guest profile — over rows
 // that between them take every commit path: verified, certified, adopted
-// and re-run epochs, an adaptive controller decision, the utilized
-// pipeline, race detection and profiling. A change to the recorder's
-// structure must leave every line of testdata/record.golden as it is; only
-// a change meant to move a recording rewrites it, with -update.
+// and re-run epochs, an adaptive controller decision, epochs that grow and
+// a divergence that resets them, the utilized pipeline, race detection and
+// profiling. A change to the recorder's structure must leave every line of
+// testdata/record.golden as it is; only a change meant to move a recording
+// rewrites it, with -update.
 func TestRecordPinned(t *testing.T) {
 	var got bytes.Buffer
-	var adopted, reruns, skipped, decisions int
+	var adopted, reruns, skipped, decisions, grown int
 	for _, r := range pinRows() {
 		bt := workloads.Get(r.wl).Build(workloads.Params{Workers: r.workers, Scale: 1, Seed: r.seed})
 		sink, reg := trace.NewSink(), trace.NewRegistry()
@@ -97,11 +100,25 @@ func TestRecordPinned(t *testing.T) {
 		reruns += res.Stats.RerunRecoveries
 		skipped += res.Stats.VerifySkipped
 		decisions += res.Stats.SpareGrows + res.Stats.SpareShrinks
+		if opt.EpochGrowth > 1 && res.Stats.Divergences > 0 {
+			// The same build at a fixed length cuts more epochs, or none grew.
+			fixed := r.opt
+			fixed.Workers, fixed.RecordCPUs, fixed.Seed, fixed.EpochGrowth = r.workers, r.workers, r.seed, 1
+			bt := workloads.Get(r.wl).Build(workloads.Params{Workers: r.workers, Scale: 1, Seed: r.seed})
+			ref, err := Record(bt.Prog, bt.World, fixed)
+			if err != nil {
+				t.Fatalf("%s at a fixed length: %v", r.name, err)
+			}
+			if len(res.Recording.Epochs) < len(ref.Recording.Epochs) {
+				grown++
+			}
+			ref.ReleaseCheckpoints()
+		}
 		res.ReleaseCheckpoints()
 	}
-	if adopted == 0 || reruns == 0 || skipped == 0 || decisions == 0 {
-		t.Fatalf("the rows miss a commit path: %d adopted, %d re-run, %d certified epochs, %d controller decisions",
-			adopted, reruns, skipped, decisions)
+	if adopted == 0 || reruns == 0 || skipped == 0 || decisions == 0 || grown == 0 {
+		t.Fatalf("the rows miss a commit path: %d adopted, %d re-run, %d certified epochs, %d controller decisions, %d grown rows that diverged",
+			adopted, reruns, skipped, decisions, grown)
 	}
 
 	path := filepath.Join("testdata", "record.golden")

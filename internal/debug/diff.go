@@ -75,10 +75,10 @@ type BisectResult struct {
 	Diff    *StateDiff `json:"diff,omitempty"`
 }
 
-// DiffAt replays both sessions to boundary e and diffs their guest
+// diffAt replays both sessions to boundary e and diffs their guest
 // states: threads (pc, retired, status, registers) and memory words.
 // Both sessions must be over recordings of the same program.
-func DiffAt(a, b *Session, e int) (*StateDiff, error) {
+func diffAt(a, b *Session, e int) (*StateDiff, error) {
 	ha, err := a.BoundaryHash(e)
 	if err != nil {
 		return nil, fmt.Errorf("debug: recording A: %w", err)
@@ -229,7 +229,7 @@ func Bisect(a, b *Session) (*BisectResult, error) {
 // BisectResult, so a boundary the caller names reads like one Bisect
 // found.
 func CompareAt(a, b *Session, e int) (*BisectResult, error) {
-	d, err := DiffAt(a, b, e)
+	d, err := diffAt(a, b, e)
 	if err != nil {
 		return nil, err
 	}

@@ -199,11 +199,11 @@ type EncodeOptions struct {
 // sections) to w in the current sectioned format with per-section
 // compression.
 func Marshal(w io.Writer, r *Recording) error {
-	return MarshalWith(w, r, EncodeOptions{Compress: true})
+	return marshalWith(w, r, EncodeOptions{Compress: true})
 }
 
-// MarshalWith is Marshal with explicit encoding options.
-func MarshalWith(w io.Writer, r *Recording, opt EncodeOptions) error {
+// marshalWith is Marshal with explicit encoding options.
+func marshalWith(w io.Writer, r *Recording, opt EncodeOptions) error {
 	_, err := w.Write(MarshalBytesWith(r, opt))
 	return err
 }

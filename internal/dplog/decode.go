@@ -180,7 +180,7 @@ func (c *cursor) sectionFields(epoch, flags, raw, stored, crc uint64) SectionInf
 		c.fail(fmt.Errorf("section length %d/%d too large", stored, raw))
 	case crc > math.MaxUint32:
 		c.fail(fmt.Errorf("section CRC %#x does not fit 32 bits", crc))
-	case flags&SectionCompressed == 0 && raw != stored:
+	case flags&sectionCompressed == 0 && raw != stored:
 		c.fail(fmt.Errorf("raw section with stored length %d != raw length %d", stored, raw))
 	}
 	return SectionInfo{Epoch: int(epoch), Stored: int64(stored), Raw: int64(raw), Flags: flags, CRC: uint32(crc)}

@@ -177,7 +177,7 @@ func TestFrameCrossChecks(t *testing.T) {
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "carries epoch 0, frame declared 7"},
 		{"frame certified flag differs from the body's", func() []byte {
-			f, info := rawFrame(0, SectionCertified, uint64(len(body(0))), body(0))
+			f, info := rawFrame(0, sectionCertified, uint64(len(body(0))), body(0))
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "certified flag disagrees"},
 		{"trailing byte after the body", func() []byte {
@@ -191,19 +191,19 @@ func TestFrameCrossChecks(t *testing.T) {
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "unexpected EOF"},
 		{"compressed payload inflates to less than declared", func() []byte {
-			f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))+1), deflated)
+			f, info := rawFrame(0, sectionCompressed, uint64(len(body(0))+1), deflated)
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "raw length"},
 		{"compressed payload inflates past the declared length", func() []byte {
-			f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))-1), deflated)
+			f, info := rawFrame(0, sectionCompressed, uint64(len(body(0))-1), deflated)
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "expands past"},
 		{"compressed payload followed by a byte the CRC covers", func() []byte {
-			f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))), append(deflated[:len(deflated):len(deflated)], 0))
+			f, info := rawFrame(0, sectionCompressed, uint64(len(body(0))), append(deflated[:len(deflated):len(deflated)], 0))
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "after the final DEFLATE block"},
 		{"payload byte flipped under an unchanged CRC", func() []byte {
-			f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))), deflated)
+			f, info := rawFrame(0, sectionCompressed, uint64(len(body(0))), deflated)
 			f[len(f)-2] ^= 0x40
 			return layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil)
 		}, "payload CRC"},
@@ -241,7 +241,7 @@ func TestFrameCrossChecks(t *testing.T) {
 
 	// CRC before inflate: a corrupt compressed payload must be refused on
 	// its checksum, not by whatever the inflater makes of it.
-	f, info := rawFrame(0, SectionCompressed, uint64(len(body(0))), deflated)
+	f, info := rawFrame(0, sectionCompressed, uint64(len(body(0))), deflated)
 	f[len(f)-2] ^= 0x40
 	rd, _ := OpenReaderBytes(layout(h, [][]byte{f}, []SectionInfo{info}, nil, nil))
 	if _, err := rd.EpochAt(0); err == nil || strings.Contains(err.Error(), "inflate") {
@@ -329,8 +329,8 @@ func TestFormatLimits(t *testing.T) {
 		head []byte
 	}{
 		{"epoch id", uv(1<<24+1, 0, 0, 0, 0)},
-		{"raw section length", uv(0, SectionCompressed, 1<<30+1, 0, 0)},
-		{"stored section length", uv(0, SectionCompressed, 0, 1<<30+1, 0)},
+		{"raw section length", uv(0, sectionCompressed, 1<<30+1, 0, 0)},
+		{"stored section length", uv(0, sectionCompressed, 0, 1<<30+1, 0)},
 	}
 	for _, hd := range heads {
 		c := cursor{b: cat([]byte{sectionMarker}, hd.head, pad)}
@@ -371,7 +371,7 @@ func TestDeclaredLengthsAllocateNothing(t *testing.T) {
 	e.header(Header{Program: "hostile", Workers: 2}, 1)
 	e.byte(sectionMarker)
 	e.u(0)                 // epoch id
-	e.u(SectionCompressed) // flags
+	e.u(sectionCompressed) // flags
 	e.u(1 << 30)           // raw length
 	e.u(1 << 30)           // stored length
 	e.u(0)                 // crc
@@ -459,7 +459,7 @@ func (w *failOnce) Write(p []byte) (int, error) {
 
 // TestWriteErrorsSurface pins that neither encoder entry point can lose a
 // write failure: a writer that runs out of room after N bytes, for every N
-// short of the output, makes WriteRange and MarshalWith return its error,
+// short of the output, makes WriteRange and marshalWith return its error,
 // with nothing written past the failure.
 func TestWriteErrorsSurface(t *testing.T) {
 	rec := fixtureRecording()
@@ -486,7 +486,7 @@ func TestWriteErrorsSurface(t *testing.T) {
 			t.Fatalf("WriteRange wrote %d bytes around a failure at %d, or the wrong ones", w.buf.Len(), n)
 		}
 		w = &failAfter{n: n}
-		if err := MarshalWith(w, rec, EncodeOptions{}); !errors.Is(err, errDiskFull) {
+		if err := marshalWith(w, rec, EncodeOptions{}); !errors.Is(err, errDiskFull) {
 			t.Fatalf("MarshalWith into a writer that fails after %d of %d bytes returned %v", n, len(data), err)
 		}
 	}

@@ -36,12 +36,12 @@ const (
 
 // Section flags, stored in each section frame and echoed in the index.
 const (
-	// SectionCompressed marks a payload stored as a raw DEFLATE stream.
-	SectionCompressed = 1 << 0
-	// SectionCertified marks an epoch that was committed without
+	// sectionCompressed marks a payload stored as a raw DEFLATE stream.
+	sectionCompressed = 1 << 0
+	// sectionCertified marks an epoch that was committed without
 	// verification (mirrors the epoch's certified flag, so tooling can
 	// tell without decompressing).
-	SectionCertified = 1 << 1
+	sectionCertified = 1 << 1
 )
 
 // SectionInfo is one entry of the section index: where an epoch's
@@ -51,15 +51,15 @@ type SectionInfo struct {
 	Offset int64  // file offset of the section's 'S' marker byte
 	Stored int64  // payload length as stored in the file
 	Raw    int64  // payload length after decompression
-	Flags  uint64 // SectionCompressed | SectionCertified
+	Flags  uint64 // sectionCompressed | sectionCertified
 	CRC    uint32 // CRC-32 (IEEE) of the stored payload bytes
 }
 
 // Compressed reports whether the section payload is DEFLATE-compressed.
-func (s SectionInfo) Compressed() bool { return s.Flags&SectionCompressed != 0 }
+func (s SectionInfo) Compressed() bool { return s.Flags&sectionCompressed != 0 }
 
 // Certified reports whether the section's epoch was certified.
-func (s SectionInfo) Certified() bool { return s.Flags&SectionCertified != 0 }
+func (s SectionInfo) Certified() bool { return s.Flags&sectionCertified != 0 }
 
 // One DEFLATE codec serves section payloads here and recording-object
 // blocks in internal/store: compress/flate's compressor and the decoder in
@@ -114,12 +114,12 @@ func (e *encoder) section(ep *EpochLog, compress bool) SectionInfo {
 	body, stored, off := e.body, e.body, int64(len(e.b))
 	var flags uint64
 	if ep.Certified {
-		flags |= SectionCertified
+		flags |= sectionCertified
 	}
 	if compress {
 		if z := Deflate(e.z[:0], body); z != nil {
 			stored, e.z = z, z
-			flags |= SectionCompressed
+			flags |= sectionCompressed
 		}
 	}
 	crc := crc32.ChecksumIEEE(stored)

@@ -147,9 +147,9 @@ func clip(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
-// EpochInfo is one recording epoch extracted from a trace: the "epoch" span
+// epochInfo is one recording epoch extracted from a trace: the "epoch" span
 // plus any divergence instants that name the same epoch index.
-type EpochInfo struct {
+type epochInfo struct {
 	Index       int64
 	Start       int64
 	Cycles      int64 // span duration
@@ -158,11 +158,11 @@ type EpochInfo struct {
 	Divergences int
 }
 
-// Epochs extracts the recording's epoch timeline from a parsed trace, sorted
+// epochs extracts the recording's epoch timeline from a parsed trace, sorted
 // by epoch index. Traces holding several recordings interleave their epochs;
 // pass a single-run trace for a meaningful diff.
-func Epochs(events []trace.Event) []EpochInfo {
-	byIdx := make(map[int64]*EpochInfo)
+func epochs(events []trace.Event) []epochInfo {
+	byIdx := make(map[int64]*epochInfo)
 	for _, ev := range events {
 		idx, ok := argInt(ev.Args, "epoch")
 		if !ok {
@@ -172,7 +172,7 @@ func Epochs(events []trace.Event) []EpochInfo {
 		case ev.Name == "epoch" && ev.Ph == trace.PhaseComplete:
 			e, ok := byIdx[idx]
 			if !ok {
-				e = &EpochInfo{Index: idx}
+				e = &epochInfo{Index: idx}
 				byIdx[idx] = e
 			}
 			e.Start = ev.Ts
@@ -186,13 +186,13 @@ func Epochs(events []trace.Event) []EpochInfo {
 		case ev.Name == "divergence" && ev.Ph == trace.PhaseInstant:
 			e, ok := byIdx[idx]
 			if !ok {
-				e = &EpochInfo{Index: idx, Cycles: -1}
+				e = &epochInfo{Index: idx, Cycles: -1}
 				byIdx[idx] = e
 			}
 			e.Divergences++
 		}
 	}
-	out := make([]EpochInfo, 0, len(byIdx))
+	out := make([]epochInfo, 0, len(byIdx))
 	for _, e := range byIdx {
 		out = append(out, *e)
 	}
@@ -229,12 +229,12 @@ type DiffReport struct {
 // duration, or an epoch present on only one side). Identical runs yield
 // FirstDivergent == -1.
 func Diff(labelA string, a []trace.Event, labelB string, b []trace.Event) *DiffReport {
-	ea, eb := Epochs(a), Epochs(b)
-	byA := make(map[int64]EpochInfo, len(ea))
+	ea, eb := epochs(a), epochs(b)
+	byA := make(map[int64]epochInfo, len(ea))
 	for _, e := range ea {
 		byA[e.Index] = e
 	}
-	byB := make(map[int64]EpochInfo, len(eb))
+	byB := make(map[int64]epochInfo, len(eb))
 	for _, e := range eb {
 		byB[e.Index] = e
 	}

@@ -62,7 +62,7 @@ func TestEpochsExtraction(t *testing.T) {
 			Args: map[string]any{"epoch": float64(1), "kind": "state"}},
 		{Name: "sync", Ph: trace.PhaseInstant, Ts: 1, Pid: 2, Tid: 0}, // no epoch arg: ignored
 	}
-	eps := Epochs(evs)
+	eps := epochs(evs)
 	if len(eps) != 2 {
 		t.Fatalf("epochs = %d", len(eps))
 	}

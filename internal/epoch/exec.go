@@ -25,9 +25,9 @@ type Exec struct {
 	// may set LogSchedule and the Trace fields before the first advance.
 	Uni *sched.Uni
 
-	inj   InjectOS
-	sigs  InjectSignals
-	gate  *Gate // nil when scheduled
+	inj   injectOS
+	sigs  injectSignals
+	gate  *gate // nil when scheduled
 	costs *vm.CostModel
 }
 
@@ -40,8 +40,8 @@ type Exec struct {
 func Follow(m *vm.Machine, ep *dplog.EpochLog, gated bool, quantum int64, costs *vm.CostModel) *Exec {
 	x := &Exec{
 		Uni:   sched.NewUni(m),
-		inj:   *NewInjectOS(ep.Syscalls),
-		sigs:  *NewInjectSignals(ep.Signals),
+		inj:   *newInjectOS(ep.Syscalls),
+		sigs:  *newInjectSignals(ep.Signals),
 		costs: costs,
 	}
 	m.OS = &x.inj
@@ -56,7 +56,7 @@ func Follow(m *vm.Machine, ep *dplog.EpochLog, gated bool, quantum int64, costs 
 		x.Uni.Quantum = quantum
 	}
 	if gated {
-		x.gate = NewGate(ep.SyncOrder)
+		x.gate = newGate(ep.SyncOrder)
 		m.Hooks.MayAcquire, m.Hooks.OnSync = x.gate.MayAcquire, x.gate.OnSync
 	} else {
 		x.Uni.Follow = ep.Schedule

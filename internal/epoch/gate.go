@@ -18,21 +18,21 @@ import (
 	"doubleplay/internal/vm"
 )
 
-// Gate enforces, per synchronisation object, the thread order in which
+// gate enforces, per synchronisation object, the thread order in which
 // gated operations (lock acquires, atomics, spawns) retired during the
 // thread-parallel run. With the gate in place, lock-acquisition races
 // resolve identically in the epoch-parallel execution, so only true data
 // races can make the two executions diverge — the property DoublePlay's
 // divergence rate depends on.
-type Gate struct {
+type gate struct {
 	queues map[vm.SyncObj][]int
 	used   int
 	err    string
 }
 
-// NewGate builds a gate from an epoch's recorded sync order.
-func NewGate(order []dplog.SyncRecord) *Gate {
-	g := &Gate{queues: make(map[vm.SyncObj][]int)}
+// newGate builds a gate from an epoch's recorded sync order.
+func newGate(order []dplog.SyncRecord) *gate {
+	g := &gate{queues: make(map[vm.SyncObj][]int)}
 	for _, r := range order {
 		obj := vm.SyncObj{Kind: r.Kind, ID: r.ID}
 		g.queues[obj] = append(g.queues[obj], r.Tid)
@@ -43,14 +43,14 @@ func NewGate(order []dplog.SyncRecord) *Gate {
 // MayAcquire reports whether tid is next in the recorded order for obj.
 // An operation with no recorded counterpart is refused forever; the runner
 // detects the resulting stall as a divergence.
-func (g *Gate) MayAcquire(obj vm.SyncObj, tid int) bool {
+func (g *gate) MayAcquire(obj vm.SyncObj, tid int) bool {
 	q := g.queues[obj]
 	return len(q) > 0 && q[0] == tid
 }
 
 // OnSync consumes the head of the object's queue when a gated operation
 // retires. It must be installed as the machine's OnSync hook.
-func (g *Gate) OnSync(ev vm.SyncEvent) {
+func (g *gate) OnSync(ev vm.SyncEvent) {
 	if !ev.Gated() {
 		return
 	}
@@ -66,7 +66,7 @@ func (g *Gate) OnSync(ev vm.SyncEvent) {
 }
 
 // Remaining returns the number of recorded operations not yet performed.
-func (g *Gate) Remaining() int {
+func (g *gate) Remaining() int {
 	n := 0
 	for _, q := range g.queues {
 		n += len(q)
@@ -75,11 +75,11 @@ func (g *Gate) Remaining() int {
 }
 
 // Used returns the number of enforced operations consumed.
-func (g *Gate) Used() int { return g.used }
+func (g *gate) Used() int { return g.used }
 
 // Err returns a non-empty string if the observed order contradicted the
 // recording (possible only when enforcement is disabled).
-func (g *Gate) Err() string { return g.err }
+func (g *gate) Err() string { return g.err }
 
 // cursors walk one epoch's records, which are in global retirement
 // order, thread by thread without copying them. Each thread's cursor is
@@ -119,24 +119,24 @@ func (c *cursors[R]) scan(tid, i int) int {
 	return i
 }
 
-// InjectOS replays recorded syscall results instead of executing a
+// injectOS replays recorded syscall results instead of executing a
 // simulated OS. Any identity mismatch — wrong thread, number, or arguments
 // — marks the machine diverged.
-type InjectOS struct {
+type injectOS struct {
 	cur      cursors[dplog.SyscallRecord]
 	Injected int
 }
 
-// NewInjectOS builds an injector over an epoch's syscall records, which
+// newInjectOS builds an injector over an epoch's syscall records, which
 // it reads in place: they arrive in global retirement order, and each
 // thread's cursor keeps the per-thread order injection requires.
-func NewInjectOS(records []dplog.SyscallRecord) *InjectOS {
+func newInjectOS(records []dplog.SyscallRecord) *injectOS {
 	tid := func(r *dplog.SyscallRecord) int { return r.Tid }
-	return &InjectOS{cur: cursors[dplog.SyscallRecord]{recs: records, tid: tid}}
+	return &injectOS{cur: cursors[dplog.SyscallRecord]{recs: records, tid: tid}}
 }
 
 // Syscall implements vm.SyscallHandler by injection.
-func (o *InjectOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
+func (o *injectOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
 	rec := o.cur.head(t.ID)
 	if rec == nil {
 		m.Diverged = fmt.Sprintf("tid %d issued syscall %d with no recorded counterpart", t.ID, num)
@@ -153,24 +153,24 @@ func (o *InjectOS) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.
 }
 
 // Remaining returns the number of recorded syscalls not yet injected.
-func (o *InjectOS) Remaining() int { return len(o.cur.recs) - o.Injected }
+func (o *injectOS) Remaining() int { return len(o.cur.recs) - o.Injected }
 
-// InjectSignals re-delivers recorded asynchronous signals at the exact
+// injectSignals re-delivers recorded asynchronous signals at the exact
 // retired-instruction counts the recording pinned them to.
-type InjectSignals struct {
+type injectSignals struct {
 	cur      cursors[dplog.SignalRecord]
 	Injected int
 }
 
-// NewInjectSignals builds an injector over an epoch's signal records,
-// read in place like NewInjectOS's.
-func NewInjectSignals(recs []dplog.SignalRecord) *InjectSignals {
+// newInjectSignals builds an injector over an epoch's signal records,
+// read in place like newInjectOS's.
+func newInjectSignals(recs []dplog.SignalRecord) *injectSignals {
 	tid := func(r *dplog.SignalRecord) int { return r.Tid }
-	return &InjectSignals{cur: cursors[dplog.SignalRecord]{recs: recs, tid: tid}}
+	return &injectSignals{cur: cursors[dplog.SignalRecord]{recs: recs, tid: tid}}
 }
 
 // Pending implements the machine's PendingSignal hook.
-func (s *InjectSignals) Pending(t *vm.Thread) (vm.Word, bool) {
+func (s *injectSignals) Pending(t *vm.Thread) (vm.Word, bool) {
 	r := s.cur.head(t.ID)
 	if r == nil || r.Retired != t.Retired {
 		return 0, false
@@ -181,4 +181,4 @@ func (s *InjectSignals) Pending(t *vm.Thread) (vm.Word, bool) {
 }
 
 // Remaining returns the number of recorded signals not yet delivered.
-func (s *InjectSignals) Remaining() int { return len(s.cur.recs) - s.Injected }
+func (s *injectSignals) Remaining() int { return len(s.cur.recs) - s.Injected }

@@ -12,9 +12,6 @@ import (
 	"doubleplay/internal/vm"
 )
 
-// ErrDiverged wraps sched.ErrDiverged for callers of this package.
-var ErrDiverged = sched.ErrDiverged
-
 // Boundary is one epoch boundary captured from the thread-parallel run: an
 // architectural checkpoint, a frozen snapshot of the simulated world, and
 // the simulated time at which the checkpoint was taken.
@@ -119,12 +116,12 @@ func Run(spec RunSpec) (*RunResult, error) {
 		Signals:   spec.Signals,
 	}, true, spec.Quantum, spec.Costs)
 	if spec.DisableEnforcement {
-		m.Hooks.MayAcquire = nil // the gate still watches the order, see Gate.OnSync
+		m.Hooks.MayAcquire = nil // the gate still watches the order, see gate.OnSync
 	}
 	if spec.OnSync != nil {
-		gate := m.Hooks.OnSync
+		gated := m.Hooks.OnSync
 		m.Hooks.OnSync = func(ev vm.SyncEvent) {
-			gate(ev)
+			gated(ev)
 			spec.OnSync(ev)
 		}
 	}
@@ -140,7 +137,7 @@ func Run(spec RunSpec) (*RunResult, error) {
 		// The run reached its targets; it must also have consumed exactly
 		// the recorded constraint streams.
 		if left := x.Leftover(); left != nil {
-			err = fmt.Errorf("%w: %v", ErrDiverged, left)
+			err = fmt.Errorf("%w: %v", sched.ErrDiverged, left)
 		}
 	}
 	res := &RunResult{

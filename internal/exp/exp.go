@@ -2,8 +2,8 @@
 // paper's tables and figures once, in the order they are printed; each
 // entry runs its experiment and returns the tables cmd/dpbench prints and
 // the headline metrics the repository benchmarks gate (BENCH_*.json).
-// Experiments whose shape a test asserts (Overhead, LogSize, ReplaySpeed,
-// Divergence, SpareSweep, Ablation, VerifySkip) also export their rows.
+// Experiments whose shape a test asserts (overhead, logSize, replaySpeed,
+// divergence, spareSweep, ablation, verifySkip) also return their rows.
 // EXPERIMENTS.md records a reference run.
 package exp
 
@@ -26,7 +26,7 @@ type Config struct {
 	Costs       *vm.CostModel
 
 	// Workloads, when non-empty, overrides the default benchmark list
-	// (EvalSet) for every experiment — used by quick runs and tests.
+	// (evalSet) for every experiment — used by quick runs and tests.
 	Workloads []string
 
 	// Seeds is how many seeds the divergence experiment records each racy
@@ -91,12 +91,12 @@ func (c Config) norm() Config {
 	return c
 }
 
-// EvalSet is the benchmark list used by the overhead/log/replay
+// evalSet is the benchmark list used by the overhead/log/replay
 // experiments: the paper's client, server, and scientific programs.
-var EvalSet = suiteWhere(func(w *workloads.Workload) bool { return w.Kind != "micro" })
+var evalSet = suiteWhere(func(w *workloads.Workload) bool { return w.Kind != "micro" })
 
-// RacySet is the list used by the divergence experiments.
-var RacySet = suiteWhere(func(w *workloads.Workload) bool { return w.Racy })
+// racySet is the list used by the divergence experiments.
+var racySet = suiteWhere(func(w *workloads.Workload) bool { return w.Racy })
 
 // suiteWhere names the suite's workloads that keep accepts, in
 // presentation order.

@@ -13,7 +13,7 @@ func quickCfg() Config {
 }
 
 func TestOverheadRowsSane(t *testing.T) {
-	rows := Overhead(quickCfg(), 2, 2)
+	rows := overhead(quickCfg(), 2, 2)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -28,15 +28,15 @@ func TestOverheadRowsSane(t *testing.T) {
 			t.Fatalf("race-free workload diverged: %+v", r)
 		}
 	}
-	if m := MeanOverhead(rows); m <= 0 || m > 3 {
+	if m := meanOverhead(rows); m <= 0 || m > 3 {
 		t.Fatalf("mean overhead %f", m)
 	}
 }
 
 func TestUtilizedCostsMoreThanSpare(t *testing.T) {
 	cfg := quickCfg()
-	spare := MeanOverhead(Overhead(cfg, 2, 2))
-	util := MeanOverhead(Overhead(cfg, 2, 0))
+	spare := meanOverhead(overhead(cfg, 2, 2))
+	util := meanOverhead(overhead(cfg, 2, 0))
 	if util <= spare {
 		t.Fatalf("utilized (%f) not costlier than spare (%f)", util, spare)
 	}
@@ -49,15 +49,15 @@ func TestUtilizedCostsMoreThanSpare(t *testing.T) {
 
 func TestFourThreadsCostMoreThanTwo(t *testing.T) {
 	cfg := quickCfg()
-	two := MeanOverhead(Overhead(cfg, 2, 2))
-	four := MeanOverhead(Overhead(cfg, 4, 4))
+	two := meanOverhead(overhead(cfg, 2, 2))
+	four := meanOverhead(overhead(cfg, 4, 4))
 	if four <= two {
 		t.Fatalf("4-thread overhead (%f) not above 2-thread (%f)", four, two)
 	}
 }
 
 func TestLogSizeRowsSane(t *testing.T) {
-	rows := LogSize(quickCfg())
+	rows := logSize(quickCfg())
 	for _, r := range rows {
 		if r.DPBytes <= 0 || r.CrewBytes <= 0 || r.UniBytes <= 0 {
 			t.Fatalf("empty logs: %+v", r)
@@ -79,7 +79,7 @@ func TestLogSizeRowsSane(t *testing.T) {
 }
 
 func TestReplaySpeedShape(t *testing.T) {
-	rows := ReplaySpeed(quickCfg(), 4)
+	rows := replaySpeed(quickCfg(), 4)
 	for _, r := range rows {
 		if r.SeqRatio < 1.5 {
 			t.Fatalf("sequential replay implausibly fast for a compute workload: %+v", r)
@@ -94,8 +94,8 @@ func TestReplaySpeedShape(t *testing.T) {
 }
 
 func TestDivergenceExperimentRecovers(t *testing.T) {
-	rows := Divergence(Config{Seed: 13, Seeds: 3})
-	if len(rows) != len(RacySet) {
+	rows := divergence(Config{Seed: 13, Seeds: 3})
+	if len(rows) != len(racySet) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
@@ -110,7 +110,7 @@ func TestDivergenceExperimentRecovers(t *testing.T) {
 
 func TestSpareSweepMonotoneAboveW(t *testing.T) {
 	cfg := Config{Seed: 13}
-	rows := SpareSweep(cfg)
+	rows := spareSweep(cfg)
 	byWl := map[string]map[int]float64{}
 	for _, r := range rows {
 		if byWl[r.Workload] == nil {
@@ -132,8 +132,8 @@ func TestSpareSweepMonotoneAboveW(t *testing.T) {
 
 func TestAblationShowsGateValue(t *testing.T) {
 	cfg := Config{Seed: 13, Workloads: []string{"kvdb", "fft"}}
-	rows := Ablation(cfg)
-	var kvdb, fft AblationRow
+	rows := ablation(cfg)
+	var kvdb, fft ablationRow
 	for _, r := range rows {
 		switch r.Workload {
 		case "kvdb":
@@ -210,14 +210,14 @@ func TestTableFormatting(t *testing.T) {
 
 func TestVerifySkipStudy(t *testing.T) {
 	cfg := Config{Seed: 13, Workloads: []string{"sigping", "racey", "kvdb"}}
-	rows := VerifySkip(cfg, 2, 2)
+	rows := verifySkip(cfg, 2, 2)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byName := map[string]VerifySkipRow{}
+	byName := map[string]verifySkipRow{}
 	for _, r := range rows {
 		byName[r.Workload] = r
-		// VerifySkip itself panics on the soundness cross-checks; here we
+		// verifySkip itself panics on the soundness cross-checks; here we
 		// check the reported numbers are coherent.
 		if r.Skipped != 0 && r.Skipped != r.Epochs {
 			t.Fatalf("partial skip is impossible by construction: %+v", r)

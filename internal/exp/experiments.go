@@ -54,7 +54,7 @@ func runTable1(cfg Config) (Report, error) {
 	t := Table{Title: "T1: benchmark characteristics",
 		Headers: []string{"workload", "kind", "threads", "instrs", "sync ops", "syscalls", "pages", "epochs", "native cyc"}}
 	var instrs float64
-	for _, name := range cfg.subset(EvalSet) {
+	for _, name := range cfg.subset(evalSet) {
 		wl := workloads.Get(name)
 		for _, workers := range []int{2, 4} {
 			nat := native(name, workers, cfg)
@@ -71,8 +71,8 @@ func runTable1(cfg Config) (Report, error) {
 
 // --- F1/F2/F3: logging overhead ----------------------------------------------
 
-// OverheadRow is one bar of the logging-overhead figures.
-type OverheadRow struct {
+// overheadRow is one bar of the logging-overhead figures.
+type overheadRow struct {
 	Workload    string
 	Workers     int
 	Spares      int
@@ -82,16 +82,16 @@ type OverheadRow struct {
 	Divergences int
 }
 
-// Overhead measures recording overhead for every evaluation workload at the
+// overhead measures recording overhead for every evaluation workload at the
 // given worker count with the given spare cores (F1: workers=2, F2:
 // workers=4; F3 uses spares=0).
-func Overhead(cfg Config, workers, spares int) []OverheadRow {
+func overhead(cfg Config, workers, spares int) []overheadRow {
 	cfg = cfg.norm()
-	var rows []OverheadRow
-	for _, name := range cfg.subset(EvalSet) {
+	var rows []overheadRow
+	for _, name := range cfg.subset(evalSet) {
 		nat := native(name, workers, cfg)
 		res, _ := record(name, workers, spares, cfg, nil)
-		rows = append(rows, OverheadRow{
+		rows = append(rows, overheadRow{
 			Workload:    name,
 			Workers:     workers,
 			Spares:      spares,
@@ -104,21 +104,21 @@ func Overhead(cfg Config, workers, spares int) []OverheadRow {
 	return rows
 }
 
-// MeanOverhead averages the overhead column.
-func MeanOverhead(rows []OverheadRow) float64 {
-	return avg(rows, func(r OverheadRow) float64 { return r.Overhead })
+// meanOverhead averages the overhead column.
+func meanOverhead(rows []overheadRow) float64 {
+	return avg(rows, func(r overheadRow) float64 { return r.Overhead })
 }
 
 // overheadTable runs one overhead figure and returns it with its mean, in
 // percent.
 func overheadTable(cfg Config, title string, workers, spares int) (Table, float64) {
-	rows := Overhead(cfg, workers, spares)
+	rows := overhead(cfg, workers, spares)
 	t := table(title, []string{"workload", "threads", "spares", "native cyc", "record cyc", "overhead", "divergences"},
-		rows, func(r OverheadRow) []string {
+		rows, func(r overheadRow) []string {
 			return []string{r.Workload, fmt.Sprint(r.Workers), fmt.Sprint(r.Spares),
 				fmt.Sprint(r.NativeCyc), fmt.Sprint(r.RecordCyc), pct(r.Overhead), fmt.Sprint(r.Divergences)}
 		})
-	mean := MeanOverhead(rows)
+	mean := meanOverhead(rows)
 	t.Rows = append(t.Rows, []string{"AVERAGE", "", "", "", "", pct(mean), ""})
 	return t, mean * 100
 }
@@ -138,11 +138,11 @@ func runUtilized(cfg Config) (Report, error) {
 
 // --- T2: log sizes -------------------------------------------------------------
 
-// LogSizeRow compares DoublePlay's replay log with the CREW ownership log,
+// logSizeRow compares DoublePlay's replay log with the CREW ownership log,
 // and measures the v6 on-disk container: sectioned size with and without
 // per-section compression, plus the read locality the section index buys
 // (bytes touched seeking one epoch vs scanning all of them).
-type LogSizeRow struct {
+type logSizeRow struct {
 	Workload  string
 	Retired   int64
 	DPBytes   int
@@ -196,12 +196,12 @@ func seekCost(name string, data []byte) (seek, scan int64) {
 	return seek, cr.n
 }
 
-// LogSize measures log sizes at 4 worker threads.
-func LogSize(cfg Config) []LogSizeRow {
+// logSize measures log sizes at 4 worker threads.
+func logSize(cfg Config) []logSizeRow {
 	cfg = cfg.norm()
 	const workers = 4
-	var rows []LogSizeRow
-	for _, name := range cfg.subset(EvalSet) {
+	var rows []logSizeRow
+	for _, name := range cfg.subset(evalSet) {
 		res, _ := record(name, workers, workers, cfg, nil)
 		_, bt := build(name, workers, cfg)
 		crew, err := baseline.RunCREW(bt.Prog, bt.World, workers, cfg.Seed, cfg.Costs, nil)
@@ -217,7 +217,7 @@ func LogSize(cfg Config) []LogSizeRow {
 		comp := dplog.MarshalBytes(res.Recording)
 		seekB, scanB := seekCost(name, comp)
 		m := float64(res.Stats.Retired) / 1e6
-		rows = append(rows, LogSizeRow{
+		rows = append(rows, logSizeRow{
 			Workload:  name,
 			Retired:   res.Stats.Retired,
 			DPBytes:   res.Stats.ReplayBytes,
@@ -236,12 +236,12 @@ func LogSize(cfg Config) []LogSizeRow {
 }
 
 func runLogSize(cfg Config) (Report, error) {
-	rows := LogSize(cfg)
+	rows := logSize(cfg)
 	return Report{
 		Tables: []Table{table("T2: log size, DoublePlay vs CREW order logging (4 threads)",
 			[]string{"workload", "instrs", "dp bytes", "dp B/Minstr", "crew bytes", "crew B/Minstr",
 				"crew faults", "uni bytes", "v6 raw", "v6 file", "seek B", "scan B"},
-			rows, func(r LogSizeRow) []string {
+			rows, func(r logSizeRow) []string {
 				return []string{r.Workload, fmt.Sprint(r.Retired), fmt.Sprint(r.DPBytes),
 					fmt.Sprintf("%.0f", r.DPPerM), fmt.Sprint(r.CrewBytes), fmt.Sprintf("%.0f", r.CrewPerM),
 					fmt.Sprint(r.CrewTrans), fmt.Sprint(r.UniBytes),
@@ -249,19 +249,19 @@ func runLogSize(cfg Config) (Report, error) {
 					fmt.Sprint(r.SeekBytes), fmt.Sprint(r.ScanBytes)}
 			})},
 		Metrics: []Metric{
-			{"dp_B/Minstr", avg(rows, func(r LogSizeRow) float64 { return r.DPPerM })},
-			{"crew_B/Minstr", avg(rows, func(r LogSizeRow) float64 { return r.CrewPerM })},
-			{"file_B/Minstr", avg(rows, func(r LogSizeRow) float64 { return float64(r.CompBytes) / (float64(r.Retired) / 1e6) })},
-			{"seek_B", avg(rows, func(r LogSizeRow) float64 { return float64(r.SeekBytes) })},
-			{"scan_B", avg(rows, func(r LogSizeRow) float64 { return float64(r.ScanBytes) })},
+			{"dp_B/Minstr", avg(rows, func(r logSizeRow) float64 { return r.DPPerM })},
+			{"crew_B/Minstr", avg(rows, func(r logSizeRow) float64 { return r.CrewPerM })},
+			{"file_B/Minstr", avg(rows, func(r logSizeRow) float64 { return float64(r.CompBytes) / (float64(r.Retired) / 1e6) })},
+			{"seek_B", avg(rows, func(r logSizeRow) float64 { return float64(r.SeekBytes) })},
+			{"scan_B", avg(rows, func(r logSizeRow) float64 { return float64(r.ScanBytes) })},
 		},
 	}, nil
 }
 
 // --- F4: replay speed -----------------------------------------------------------
 
-// ReplayRow is one bar of the replay-speed figure.
-type ReplayRow struct {
+// replayRow is one bar of the replay-speed figure.
+type replayRow struct {
 	Workload  string
 	Workers   int
 	NativeCyc int64
@@ -271,11 +271,11 @@ type ReplayRow struct {
 	ParRatio  float64
 }
 
-// ReplaySpeed measures sequential vs epoch-parallel replay time.
-func ReplaySpeed(cfg Config, workers int) []ReplayRow {
+// replaySpeed measures sequential vs epoch-parallel replay time.
+func replaySpeed(cfg Config, workers int) []replayRow {
 	cfg = cfg.norm()
-	var rows []ReplayRow
-	for _, name := range cfg.subset(EvalSet) {
+	var rows []replayRow
+	for _, name := range cfg.subset(evalSet) {
 		nat := native(name, workers, cfg)
 		res, bt := record(name, workers, workers, cfg, nil)
 		seq, err := replaySeq(bt.Prog, res.Recording, cfg.Costs)
@@ -287,7 +287,7 @@ func ReplaySpeed(cfg Config, workers int) []ReplayRow {
 		if err != nil {
 			panic(fmt.Sprintf("exp: par replay %s: %v", name, err))
 		}
-		rows = append(rows, ReplayRow{
+		rows = append(rows, replayRow{
 			Workload:  name,
 			Workers:   workers,
 			NativeCyc: nat.Cycles,
@@ -304,16 +304,16 @@ func ReplaySpeed(cfg Config, workers int) []ReplayRow {
 // headline.
 func runReplaySpeed(cfg Config) (rep Report, err error) {
 	for _, workers := range []int{2, 4} {
-		rows := ReplaySpeed(cfg, workers)
+		rows := replaySpeed(cfg, workers)
 		rep.Tables = append(rep.Tables, table(fmt.Sprintf("F4: replay time normalized to native (%d threads)", workers),
 			[]string{"workload", "threads", "native cyc", "seq cyc", "seq/native", "par cyc", "par/native"},
-			rows, func(r ReplayRow) []string {
+			rows, func(r replayRow) []string {
 				return []string{r.Workload, fmt.Sprint(r.Workers), fmt.Sprint(r.NativeCyc),
 					fmt.Sprint(r.SeqCyc), ratio(r.SeqRatio), fmt.Sprint(r.ParCyc), ratio(r.ParRatio)}
 			}))
 		rep.Metrics = []Metric{
-			{"seq_x", avg(rows, func(r ReplayRow) float64 { return r.SeqRatio })},
-			{"par_x", avg(rows, func(r ReplayRow) float64 { return r.ParRatio })},
+			{"seq_x", avg(rows, func(r replayRow) float64 { return r.SeqRatio })},
+			{"par_x", avg(rows, func(r replayRow) float64 { return r.ParRatio })},
 		}
 	}
 	return rep, nil
@@ -321,11 +321,11 @@ func runReplaySpeed(cfg Config) (rep Report, err error) {
 
 // --- F5: epoch-length sensitivity -----------------------------------------------
 
-// EpochSweepLens are the swept epoch lengths.
-var EpochSweepLens = []int64{12_500, 25_000, 50_000, 100_000, 200_000, 400_000}
+// epochSweepLens are the swept epoch lengths.
+var epochSweepLens = []int64{12_500, 25_000, 50_000, 100_000, 200_000, 400_000}
 
-// EpochSweepSet is the workload subset used for the sweep.
-var EpochSweepSet = []string{"pbzip", "ocean", "webserve"}
+// epochSweepSet is the workload subset used for the sweep.
+var epochSweepSet = []string{"pbzip", "ocean", "webserve"}
 
 // runEpochSweep measures overhead as a function of epoch length (4
 // threads); the headline is the best and the worst point of the U.
@@ -335,9 +335,9 @@ func runEpochSweep(cfg Config) (Report, error) {
 	t := Table{Title: "F5: overhead vs epoch length (4 threads)",
 		Headers: []string{"workload", "epoch cycles", "epochs", "overhead", "divergences"}}
 	best, worst := math.Inf(1), math.Inf(-1)
-	for _, name := range EpochSweepSet {
+	for _, name := range epochSweepSet {
 		nat := native(name, workers, cfg)
-		for _, el := range EpochSweepLens {
+		for _, el := range epochSweepLens {
 			c := cfg
 			c.EpochCycles = el
 			res, _ := record(name, workers, workers, c, nil)
@@ -352,8 +352,8 @@ func runEpochSweep(cfg Config) (Report, error) {
 
 // --- T3: divergence and forward recovery ----------------------------------------
 
-// DivergenceRow summarises racy-workload behaviour across seeds.
-type DivergenceRow struct {
+// divergenceRow summarises racy-workload behaviour across seeds.
+type divergenceRow struct {
 	Workload        string
 	Seeds           int
 	Epochs          int
@@ -365,15 +365,15 @@ type DivergenceRow struct {
 	SquashedCyc     int64
 }
 
-// Divergence records each racy workload under cfg.Seeds seeds, verifying
+// divergence records each racy workload under cfg.Seeds seeds, verifying
 // that every recovered log still replays, and runs the happens-before
 // detector to attribute the divergences to data races.
-func Divergence(cfg Config) []DivergenceRow {
+func divergence(cfg Config) []divergenceRow {
 	cfg = cfg.norm()
 	const workers = 4
-	var rows []DivergenceRow
-	for _, name := range RacySet {
-		row := DivergenceRow{Workload: name, Seeds: cfg.Seeds}
+	var rows []divergenceRow
+	for _, name := range racySet {
+		row := divergenceRow{Workload: name, Seeds: cfg.Seeds}
 		for s := 0; s < cfg.Seeds; s++ {
 			c := cfg
 			c.Seed = cfg.Seed + int64(s)*101
@@ -403,7 +403,7 @@ func Divergence(cfg Config) []DivergenceRow {
 }
 
 func runDivergence(cfg Config) (Report, error) {
-	rows := Divergence(cfg)
+	rows := divergence(cfg)
 	var div, epochs, replays, seeds int
 	for _, r := range rows {
 		div += r.Divergences
@@ -414,7 +414,7 @@ func runDivergence(cfg Config) (Report, error) {
 	rep := Report{
 		Tables: []Table{table("T3: divergence and forward recovery on racy programs (4 threads)",
 			[]string{"workload", "seeds", "epochs", "divergences", "adopt-recov", "rerun-recov", "replays ok", "racy addrs", "squashed cyc"},
-			rows, func(r DivergenceRow) []string {
+			rows, func(r divergenceRow) []string {
 				return []string{r.Workload, fmt.Sprint(r.Seeds), fmt.Sprint(r.Epochs),
 					fmt.Sprint(r.Divergences), fmt.Sprint(r.HashRecoveries), fmt.Sprint(r.RerunRecoveries),
 					fmt.Sprintf("%d/%d", r.ReplaysOK, r.Seeds), fmt.Sprint(r.RacyAddrs), fmt.Sprint(r.SquashedCyc)}
@@ -429,26 +429,26 @@ func runDivergence(cfg Config) (Report, error) {
 
 // --- F6: spare-core sweep ---------------------------------------------------------
 
-// SpareRow is one point of the spare-core scalability figure.
-type SpareRow struct {
+// spareRow is one point of the spare-core scalability figure.
+type spareRow struct {
 	Workload string
 	Spares   int
 	Overhead float64
 }
 
-// SpareSweepSet is the workload subset for the spare-core sweep.
-var SpareSweepSet = []string{"pbzip", "fft", "kvdb"}
+// spareSweepSet is the workload subset for the spare-core sweep.
+var spareSweepSet = []string{"pbzip", "fft", "kvdb"}
 
-// SpareSweep measures overhead vs available spare cores (4 threads).
-func SpareSweep(cfg Config) []SpareRow {
+// spareSweep measures overhead vs available spare cores (4 threads).
+func spareSweep(cfg Config) []spareRow {
 	cfg = cfg.norm()
 	const workers = 4
-	var rows []SpareRow
-	for _, name := range SpareSweepSet {
+	var rows []spareRow
+	for _, name := range spareSweepSet {
 		nat := native(name, workers, cfg)
 		for _, spares := range []int{0, 1, 2, 3, 4, 6, 8} {
 			res, _ := record(name, workers, spares, cfg, nil)
-			rows = append(rows, SpareRow{Workload: name, Spares: spares, Overhead: over(res, nat)})
+			rows = append(rows, spareRow{Workload: name, Spares: spares, Overhead: over(res, nat)})
 		}
 	}
 	return rows
@@ -458,19 +458,19 @@ func SpareSweep(cfg Config) []SpareRow {
 // the mean overhead at 0, 1, 2 and W (= 4) spares; beyond W the curve is
 // flat (EXPERIMENTS.md note 3).
 func runSpareSweep(cfg Config) (Report, error) {
-	rows := SpareSweep(cfg)
+	rows := spareSweep(cfg)
 	rep := Report{Tables: []Table{table("F6: overhead vs spare cores (4 threads)",
 		[]string{"workload", "spares", "overhead"},
-		rows, func(r SpareRow) []string { return []string{r.Workload, fmt.Sprint(r.Spares), pct(r.Overhead)} })}}
+		rows, func(r spareRow) []string { return []string{r.Workload, fmt.Sprint(r.Spares), pct(r.Overhead)} })}}
 	for _, spares := range []int{0, 1, 2, 4} {
-		var at []SpareRow
+		var at []spareRow
 		for _, r := range rows {
 			if r.Spares == spares {
 				at = append(at, r)
 			}
 		}
 		rep.Metrics = append(rep.Metrics, Metric{fmt.Sprintf("spares%d_%%", spares),
-			avg(at, func(r SpareRow) float64 { return r.Overhead }) * 100})
+			avg(at, func(r spareRow) float64 { return r.Overhead }) * 100})
 	}
 	return rep, nil
 }
@@ -485,7 +485,7 @@ func runUniBaseline(cfg Config) (rep Report, err error) {
 		t := Table{Title: fmt.Sprintf("T4: uniprocessor R/R baseline vs DoublePlay (%d threads)", workers),
 			Headers: []string{"workload", "threads", "native cyc", "uni cyc", "uni slowdown", "dp cyc", "dp overhead"}}
 		var slow, dp float64
-		for _, name := range cfg.subset(EvalSet) {
+		for _, name := range cfg.subset(evalSet) {
 			nat := native(name, workers, cfg)
 			_, bt := build(name, workers, cfg)
 			uni, err := baseline.RunUniprocessor(bt.Prog, bt.World, cfg.Costs, nil)
@@ -508,24 +508,24 @@ func runUniBaseline(cfg Config) (rep Report, err error) {
 
 // --- Ablation: sync-order enforcement ------------------------------------------------
 
-// AblationRow compares divergence counts with and without the gate.
-type AblationRow struct {
+// ablationRow compares divergence counts with and without the gate.
+type ablationRow struct {
 	Workload    string
 	DivWithGate int
 	DivNoGate   int
 }
 
-// Ablation disables sync-order enforcement during epoch-parallel runs: any
+// ablation disables sync-order enforcement during epoch-parallel runs: any
 // lock-acquisition race then surfaces as a divergence, demonstrating why
 // the gate is load-bearing (DESIGN.md decision 1).
-func Ablation(cfg Config) []AblationRow {
+func ablation(cfg Config) []ablationRow {
 	cfg = cfg.norm()
 	const workers = 4
-	var rows []AblationRow
-	for _, name := range cfg.subset(EvalSet) {
+	var rows []ablationRow
+	for _, name := range cfg.subset(evalSet) {
 		res, _ := record(name, workers, workers, cfg, nil)
 		noGate, _ := record(name, workers, workers, cfg, func(o *core.Options) { o.DisableSyncEnforcement = true })
-		rows = append(rows, AblationRow{
+		rows = append(rows, ablationRow{
 			Workload:    name,
 			DivWithGate: res.Stats.Divergences,
 			DivNoGate:   noGate.Stats.Divergences,
@@ -535,7 +535,7 @@ func Ablation(cfg Config) []AblationRow {
 }
 
 func runAblation(cfg Config) (Report, error) {
-	rows := Ablation(cfg)
+	rows := ablation(cfg)
 	withGate, noGate := 0, 0
 	for _, r := range rows {
 		withGate += r.DivWithGate
@@ -544,7 +544,7 @@ func runAblation(cfg Config) (Report, error) {
 	rep := Report{
 		Tables: []Table{table("Ablation: divergences with vs without sync-order enforcement (4 threads)",
 			[]string{"workload", "with gate", "without gate"},
-			rows, func(r AblationRow) []string {
+			rows, func(r ablationRow) []string {
 				return []string{r.Workload, fmt.Sprint(r.DivWithGate), fmt.Sprint(r.DivNoGate)}
 			})},
 		Metrics: []Metric{{"divergences_without_gate", float64(noGate)}},
@@ -557,8 +557,8 @@ func runAblation(cfg Config) (Report, error) {
 
 // --- Ablation: adaptive epoch growth -------------------------------------------
 
-// AdaptiveSet is the workload subset for the adaptive-epoch ablation.
-var AdaptiveSet = []string{"pbzip", "ocean", "webserve"}
+// adaptiveSet is the workload subset for the adaptive-epoch ablation.
+var adaptiveSet = []string{"pbzip", "ocean", "webserve"}
 
 // runAdaptive contrasts fixed 25k-cycle epochs against epochs that start
 // at 6.25k cycles and grow 1.5x per verified epoch: early divergences are
@@ -570,7 +570,7 @@ func runAdaptive(cfg Config) (Report, error) {
 	t := Table{Title: "Ablation: fixed vs adaptive (growing) epoch length (4 threads)",
 		Headers: []string{"workload", "fixed epochs", "fixed overhead", "grown epochs", "grown overhead", "first epoch cyc"}}
 	var fixedSum, grownSum float64
-	for _, name := range cfg.subset(AdaptiveSet) {
+	for _, name := range cfg.subset(adaptiveSet) {
 		nat := native(name, workers, cfg)
 		fixed, _ := record(name, workers, workers, cfg, nil)
 		// Start at a quarter of the steady-state epoch length and grow back
@@ -602,7 +602,7 @@ func runAdaptiveSpares(cfg Config) (Report, error) {
 	t := Table{Title: "Extension: adaptive spare-slot controller (4 threads, start 1, bounds [1,4])",
 		Headers: []string{"workload", "pinned@1", "adaptive", "pinned@4", "grows", "shrinks", "final"}}
 	var lo, ad, hi float64
-	for _, name := range cfg.subset(SpareSweepSet) {
+	for _, name := range cfg.subset(spareSweepSet) {
 		nat := native(name, workers, cfg)
 		pin1, _ := record(name, workers, 1, cfg, nil)
 		pinW, _ := record(name, workers, workers, cfg, nil)
@@ -622,8 +622,8 @@ func runAdaptiveSpares(cfg Config) (Report, error) {
 
 // --- Extension study: sparse checkpoints vs replay speed ------------------------
 
-// SparseReplaySet is the workload subset for the sparse-replay study.
-var SparseReplaySet = []string{"ocean", "pbzip"}
+// sparseReplaySet is the workload subset for the sparse-replay study.
+var sparseReplaySet = []string{"ocean", "pbzip"}
 
 // runSparseReplay measures, for several thinning strides, how much
 // checkpoint state must be retained and how long segment-parallel replay
@@ -634,7 +634,7 @@ func runSparseReplay(cfg Config) (Report, error) {
 	t := Table{Title: "Extension: checkpoint retention vs segment-parallel replay speed (4 cores)",
 		Headers: []string{"workload", "stride", "checkpoints", "retained pages", "replay cyc"}}
 	kept := map[int]int64{} // Σ retained pages by stride label
-	for _, name := range cfg.subset(SparseReplaySet) {
+	for _, name := range cfg.subset(sparseReplaySet) {
 		res, bt := record(name, workers, workers, cfg, nil)
 		for _, stride := range []int{1, 2, 4, 8, 1 << 20} {
 			sparse := replay.Thin(res.Boundaries, stride)
@@ -661,9 +661,9 @@ func runSparseReplay(cfg Config) (Report, error) {
 
 // --- Extension: certified verify-skip ----------------------------------------
 
-// VerifySkipRow compares one workload's recording overhead under full
+// verifySkipRow compares one workload's recording overhead under full
 // verification vs the certified skip, alongside its certificate status.
-type VerifySkipRow struct {
+type verifySkipRow struct {
 	Workload   string
 	CertStatus string
 	Skipped    int // epochs committed without the epoch-parallel pass
@@ -675,16 +675,16 @@ type VerifySkipRow struct {
 	CertOver   float64
 }
 
-// VerifySkip runs every workload of the suite under both verification
+// verifySkip runs every workload of the suite under both verification
 // policies and reports the certificate decision and the overhead each
 // policy pays. It also enforces the soundness cross-checks end to end: a
 // workload with known races must never skip verification, and a certified
 // recording must replay sequentially to the same final state as its fully
 // verified twin.
-func VerifySkip(cfg Config, workers, spares int) []VerifySkipRow {
+func verifySkip(cfg Config, workers, spares int) []verifySkipRow {
 	cfg = cfg.norm()
 	names := cfg.subset(workloads.Names())
-	var rows []VerifySkipRow
+	var rows []verifySkipRow
 	for _, name := range names {
 		wl, _ := build(name, workers, cfg)
 		nat := native(name, workers, cfg)
@@ -703,7 +703,7 @@ func VerifySkip(cfg Config, workers, spares int) []VerifySkipRow {
 				panic(fmt.Sprintf("exp: certified %s replayed to a different state than its verified twin", name))
 			}
 		}
-		rows = append(rows, VerifySkipRow{
+		rows = append(rows, verifySkipRow{
 			Workload:   name,
 			CertStatus: st.CertStatus,
 			Skipped:    st.VerifySkipped,
@@ -723,20 +723,20 @@ func VerifySkip(cfg Config, workers, spares int) []VerifySkipRow {
 // certified workloads alone — the population the optimisation helps.
 func runVerifySkip(cfg Config) (Report, error) {
 	const workers, spares = 2, 2
-	rows := VerifySkip(cfg, workers, spares)
-	var skipped []VerifySkipRow
+	rows := verifySkip(cfg, workers, spares)
+	var skipped []verifySkipRow
 	for _, r := range rows {
 		if r.Skipped > 0 {
 			skipped = append(skipped, r)
 		}
 	}
-	always := func(r VerifySkipRow) float64 { return r.AlwaysOver }
-	cert := func(r VerifySkipRow) float64 { return r.CertOver }
+	always := func(r verifySkipRow) float64 { return r.AlwaysOver }
+	cert := func(r verifySkipRow) float64 { return r.CertOver }
 	rep := Report{
 		Tables: []Table{table(fmt.Sprintf("Extension: certified verify-skip (%d threads, %d spares)", workers, spares),
 			[]string{"workload", "certificate", "skipped", "native cyc", "always cyc", "certified cyc",
 				"overhead always", "overhead certified"},
-			rows, func(r VerifySkipRow) []string {
+			rows, func(r verifySkipRow) []string {
 				return []string{r.Workload, r.CertStatus,
 					fmt.Sprintf("%d/%d", r.Skipped, r.Epochs),
 					fmt.Sprint(r.NativeCyc), fmt.Sprint(r.AlwaysCyc), fmt.Sprint(r.CertCyc),

@@ -34,8 +34,8 @@ import (
 	"doubleplay/internal/vm"
 )
 
-// Word aliases the guest word type.
-type Word = vm.Word
+// word aliases the guest word type.
+type word = vm.Word
 
 // Guest is one generated program and what is needed to run it.
 type Guest struct {
@@ -60,9 +60,9 @@ type Guest struct {
 // PRNG seed and the one input file the program may read.
 func (g *Guest) World() *simos.World {
 	w := simos.NewWorld(g.worldSeed)
-	data := make([]Word, 40)
+	data := make([]word, 40)
 	for i := range data {
-		data[i] = Word(i)*2654435761 ^ g.worldSeed
+		data[i] = word(i)*2654435761 ^ g.worldSeed
 	}
 	w.AddFile(inputFile, data)
 	return w
@@ -73,7 +73,7 @@ const (
 
 	// Each thread owns the words [privBase + k<<privShift, +1<<privShift):
 	// thread-private, so unordered accesses to them are not races.
-	privBase  Word = 1 << 24
+	privBase  word = 1 << 24
 	privShift      = 20
 
 	barrierID = 7
@@ -116,7 +116,7 @@ func (d *dice) n(k int) int {
 func (d *dice) chance(percent int) bool { return d.n(100) < percent }
 
 // word returns an operand value biased towards the interesting ones.
-func (d *dice) word() Word {
+func (d *dice) word() word {
 	switch d.n(10) {
 	case 0:
 		return 0
@@ -125,29 +125,29 @@ func (d *dice) word() Word {
 	case 2:
 		return -1
 	case 3:
-		return 64 + Word(d.n(200)) // a shift count the machine must mask
+		return 64 + word(d.n(200)) // a shift count the machine must mask
 	case 4:
 		return math.MinInt64
 	case 5:
 		return math.MaxInt64
 	case 6:
-		return Word(d.rng.Uint64())
+		return word(d.rng.Uint64())
 	default:
-		return Word(d.n(256)) - 16
+		return word(d.n(256)) - 16
 	}
 }
 
 // privOffset returns an offset into a thread's private region: next to
 // the region's first page boundary, on one of four pages that share a
 // slot of mem's 64-entry direct-mapped page cache, or plain small.
-func (d *dice) privOffset() Word {
+func (d *dice) privOffset() word {
 	switch d.n(3) {
 	case 0:
-		return mem.PageWords - 2 + Word(d.n(4))
+		return mem.PageWords - 2 + word(d.n(4))
 	case 1:
-		return Word(d.n(4))*64*mem.PageWords + Word(d.n(8))
+		return word(d.n(4))*64*mem.PageWords + word(d.n(8))
 	default:
-		return Word(d.n(16))
+		return word(d.n(16))
 	}
 }
 
@@ -158,7 +158,7 @@ type gen struct {
 	leaves []string // leaf i may call leaves[i+1:]
 	weight []int    // weight[i] is leaf i's estimated cost
 
-	locked, atoms, racy, out Word
+	locked, atoms, racy, out word
 
 	racePercent int // how many of the would-be races are emitted as such
 }
@@ -275,7 +275,7 @@ func (g *gen) worker() {
 	for n := g.d.n(3); n > 0; n-- {
 		id, count := f.Reg(), f.Reg()
 		f.Movi(id, barrierID)
-		f.Movi(count, Word(g.g.Workers))
+		f.Movi(count, word(g.g.Workers))
 		f.Barrier(id, count)
 		f.block(0, 1+g.d.n(4))
 	}
@@ -291,7 +291,7 @@ func (g *gen) main() {
 	f := g.newFn("main", 0)
 	w := g.g.Workers
 	self := f.Reg()
-	f.Movi(self, Word(w))
+	f.Movi(self, word(w))
 	f.privFor(self)
 	f.initTemps(self)
 	f.sync = true
@@ -299,7 +299,7 @@ func (g *gen) main() {
 
 	tids, arg := f.Regs(w), f.Reg()
 	for k := 0; k < w; k++ {
-		f.Movi(arg, Word(k))
+		f.Movi(arg, word(k))
 		f.Spawn(tids[k], "worker", arg)
 	}
 	f.block(0, 1+g.d.n(4)) // concurrently with the workers
@@ -310,12 +310,12 @@ func (g *gen) main() {
 	// Everything the workers shared is main's to read after the joins.
 	sum := f.t[0]
 	for _, base := range []struct {
-		addr Word
+		addr word
 		n    int
 	}{{g.locked, numLocked}, {g.atoms, numAtoms}, {g.racy, 1}, {g.out, w + 1}} {
 		f.Movi(f.addr, base.addr)
 		for i := 0; i < base.n; i++ {
-			f.Ld(f.v, f.addr, Word(i))
+			f.Ld(f.v, f.addr, word(i))
 			f.Xor(sum, sum, f.v)
 		}
 	}
@@ -341,13 +341,13 @@ var (
 		(*asm.Func).Xor, (*asm.Func).Shl, (*asm.Func).Shr,
 		(*asm.Func).Slt, (*asm.Func).Sle, (*asm.Func).Seq, (*asm.Func).Sne,
 	}
-	immOps = []func(f *asm.Func, d, a asm.Reg, v Word){
+	immOps = []func(f *asm.Func, d, a asm.Reg, v word){
 		(*asm.Func).Addi, (*asm.Func).Muli, (*asm.Func).Andi, (*asm.Func).Ori, (*asm.Func).Xori,
 		(*asm.Func).Shli, (*asm.Func).Shri,
 		(*asm.Func).Slti, (*asm.Func).Slei, (*asm.Func).Seqi, (*asm.Func).Snei,
 	}
 	divOps    = []func(f *asm.Func, d, a, b asm.Reg){(*asm.Func).Div, (*asm.Func).Mod}
-	divImmOps = []func(f *asm.Func, d, a asm.Reg, v Word){(*asm.Func).Divi, (*asm.Func).Modi}
+	divImmOps = []func(f *asm.Func, d, a asm.Reg, v word){(*asm.Func).Divi, (*asm.Func).Modi}
 )
 
 // spend charges n instructions per trip of the enclosing loops and
@@ -488,7 +488,7 @@ func (f *fn) loop(depth int) {
 	trip := 1 + d.n(12)
 	f.Movi(i, 0)
 	f.mult *= trip
-	f.ForLtImm(i, Word(trip), func() { f.block(depth+1, 1+d.n(4)) })
+	f.ForLtImm(i, word(trip), func() { f.block(depth+1, 1+d.n(4)) })
 	f.mult /= trip
 }
 
@@ -512,7 +512,7 @@ func (f *fn) call() {
 			depth = 600 // faults at the frame limit, so costs no more than that
 			f.g.g.MayFault = true
 		}
-		f.Movi(f.c, Word(depth))
+		f.Movi(f.c, word(depth))
 		f.Call("rec", f.c, f.priv)
 	}
 	f.Mov(dst, asm.RetReg)
@@ -520,7 +520,7 @@ func (f *fn) call() {
 
 // critical updates one shared word under its lock.
 func (f *fn) critical() {
-	j := Word(f.g.d.n(numLocked))
+	j := word(f.g.d.n(numLocked))
 	f.Movi(f.c, lockBase+j)
 	f.Movi(f.addr, f.g.locked+j)
 	f.LockR(f.c)
@@ -532,7 +532,7 @@ func (f *fn) critical() {
 
 func (f *fn) atomic() {
 	d := f.g.d
-	f.Movi(f.addr, f.g.atoms+Word(d.n(numAtoms)))
+	f.Movi(f.addr, f.g.atoms+word(d.n(numAtoms)))
 	if d.chance(50) {
 		f.Fadd(f.tmp(), f.addr, f.tmp())
 	} else {
@@ -551,12 +551,12 @@ func (f *fn) syscall() {
 	case 2:
 		f.Sys(simos.SysYield)
 	case 3:
-		f.Movi(f.c, Word(1+d.n(64)))
+		f.Movi(f.c, word(1+d.n(64)))
 		f.Sys(simos.SysAlloc, f.c)
 		f.St(asm.RetReg, 0, f.tmp()) // the allocation is this thread's alone
 	case 4:
 		f.Addi(f.v, f.priv, d.privOffset())
-		f.Movi(f.c, Word(d.n(6)))
+		f.Movi(f.c, word(d.n(6)))
 		f.Sys(simos.SysPrint, f.v, f.c)
 	default:
 		// Open the input file and read it across a private page edge: a
@@ -565,15 +565,15 @@ func (f *fn) syscall() {
 		name := simos.EncodeString(inputFile)
 		for i, ch := range name {
 			f.Movi(f.c, ch)
-			f.St(f.priv, 64+Word(i), f.c)
+			f.St(f.priv, 64+word(i), f.c)
 		}
 		f.Addi(f.v, f.priv, 64)
-		f.Movi(f.c, Word(len(name)))
+		f.Movi(f.c, word(len(name)))
 		f.Sys(simos.SysOpen, f.v, f.c)
 		fd := f.addr
 		f.Mov(fd, asm.RetReg)
 		f.Addi(f.v, f.priv, mem.PageWords-3)
-		f.Movi(f.c, Word(1+d.n(12)))
+		f.Movi(f.c, word(1+d.n(12)))
 		f.Sys(simos.SysRead, fd, f.v, f.c)
 		f.Mov(dst, asm.RetReg)
 		f.Sys(simos.SysClose, fd)

@@ -15,17 +15,17 @@ import (
 	"doubleplay/internal/vm"
 )
 
-// VC is a vector clock indexed by thread id.
-type VC []uint64
+// vclock is a vector clock indexed by thread id.
+type vclock []uint64
 
-func (v VC) get(i int) uint64 {
+func (v vclock) get(i int) uint64 {
 	if i < len(v) {
 		return v[i]
 	}
 	return 0
 }
 
-func (v *VC) set(i int, val uint64) {
+func (v *vclock) set(i int, val uint64) {
 	for len(*v) <= i {
 		*v = append(*v, 0)
 	}
@@ -33,7 +33,7 @@ func (v *VC) set(i int, val uint64) {
 }
 
 // join folds other into v element-wise (pointwise max).
-func (v *VC) join(other VC) {
+func (v *vclock) join(other vclock) {
 	for i, c := range other {
 		if c > v.get(i) {
 			v.set(i, c)
@@ -42,13 +42,13 @@ func (v *VC) join(other VC) {
 }
 
 // hb reports whether the epoch (tid, clk) happened before the clock v.
-func hb(tid int, clk uint64, v VC) bool { return clk <= v.get(tid) }
+func hb(tid int, clk uint64, v vclock) bool { return clk <= v.get(tid) }
 
 // access is the shadow state of one memory word.
 type access struct {
 	writeTid int
 	writeClk uint64
-	readVC   VC
+	readVC   vclock
 }
 
 // Report is one detected race.
@@ -68,9 +68,9 @@ func (r Report) String() string {
 // observers). It assumes events arrive in a single total order, which holds
 // for any uniprocessor execution.
 type Detector struct {
-	threads map[int]*VC
-	objs    map[vm.SyncObj]*VC
-	exits   map[int]VC
+	threads map[int]*vclock
+	objs    map[vm.SyncObj]*vclock
+	exits   map[int]vclock
 	shadow  map[vm.Word]*access
 
 	races   map[vm.Word]Report
@@ -84,29 +84,29 @@ func NewDetector(maxRaces int) *Detector {
 		maxRaces = 1024
 	}
 	return &Detector{
-		threads: make(map[int]*VC),
-		objs:    make(map[vm.SyncObj]*VC),
-		exits:   make(map[int]VC),
+		threads: make(map[int]*vclock),
+		objs:    make(map[vm.SyncObj]*vclock),
+		exits:   make(map[int]vclock),
 		shadow:  make(map[vm.Word]*access),
 		races:   make(map[vm.Word]Report),
 		maxRace: maxRaces,
 	}
 }
 
-func (d *Detector) clock(tid int) *VC {
+func (d *Detector) clock(tid int) *vclock {
 	c := d.threads[tid]
 	if c == nil {
-		c = &VC{}
+		c = &vclock{}
 		c.set(tid, 1)
 		d.threads[tid] = c
 	}
 	return c
 }
 
-func (d *Detector) objClock(obj vm.SyncObj) *VC {
+func (d *Detector) objClock(obj vm.SyncObj) *vclock {
 	c := d.objs[obj]
 	if c == nil {
-		c = &VC{}
+		c = &vclock{}
 		d.objs[obj] = c
 	}
 	return c
@@ -136,7 +136,7 @@ func (d *Detector) OnSync(ev vm.SyncEvent) {
 		child.join(*t)
 		d.tick(ev.Tid)
 	case vm.SyncExit:
-		d.exits[ev.Tid] = append(VC(nil), (*t)...)
+		d.exits[ev.Tid] = append(vclock(nil), (*t)...)
 	case vm.SyncJoin:
 		if exit, ok := d.exits[ev.Child]; ok {
 			t.join(exit)

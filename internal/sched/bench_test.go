@@ -80,11 +80,11 @@ func BenchmarkParallel(b *testing.B) {
 }
 
 // BenchmarkUniFollow is replay mode: every epoch of a recording followed
-// from its checkpoint with syscall results and signals injected — the
-// loop sequential replay, epoch-parallel replay and the recorder's
-// epoch-parallel run all sit on. Signals are polled as replay.NewStepper
-// polls them, only in epochs that carry one; sigping is the guest whose
-// epochs do, so the polled path keeps a number.
+// from its checkpoint by epoch.Follow, its schedule, syscall results and
+// signals injected — the loop sequential replay, epoch-parallel replay and
+// the recorder's epoch-parallel run all sit on. Signals are polled as
+// replay.NewStepper polls them, only in epochs that carry one; sigping is
+// the guest whose epochs do, so the polled path keeps a number.
 func BenchmarkUniFollow(b *testing.B) {
 	for _, name := range append(benchGuests, "sigping") {
 		b.Run(name, func(b *testing.B) {
@@ -99,12 +99,7 @@ func BenchmarkUniFollow(b *testing.B) {
 				for k, ep := range res.Recording.Epochs {
 					b.StopTimer()
 					m := res.Boundaries[k].CP.Restore(bt.Prog, nil, nil)
-					m.OS = epoch.NewInjectOS(ep.Syscalls)
-					if len(ep.Signals) > 0 {
-						m.Hooks.PendingSignal = epoch.NewInjectSignals(ep.Signals).Pending
-					}
-					u := sched.NewUni(m)
-					u.Follow, u.Targets = ep.Schedule, ep.Targets
+					u := epoch.Follow(m, ep, false, 0, nil).Uni
 					b.StartTimer()
 					if err := u.Run(); err != nil {
 						b.Fatal(err)

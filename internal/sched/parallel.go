@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"doubleplay/internal/dplog"
 	"doubleplay/internal/trace"
 	"doubleplay/internal/vm"
 )
@@ -398,6 +397,3 @@ func (p *Parallel) anyRunnable() bool {
 	}
 	return false
 }
-
-// Slice re-exports the timeslice record type for convenience.
-type Slice = dplog.Slice

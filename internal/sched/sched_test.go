@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"doubleplay/internal/asm"
+	"doubleplay/internal/dplog"
 	"doubleplay/internal/sched"
 	"doubleplay/internal/vm"
 )
@@ -336,7 +337,7 @@ func TestUniCorruptLogDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	corrupt := append([]sched.Slice(nil), u1.Log...)
+	corrupt := append([]dplog.Slice(nil), u1.Log...)
 	corrupt[len(corrupt)/2].N += 3 // claim extra instructions mid-log
 
 	m2 := vm.NewMachine(prog, nil, nil)

@@ -16,7 +16,7 @@ import (
 	"doubleplay/internal/dplog"
 )
 
-func (s *Server) handleEpochRange(w http.ResponseWriter, r *http.Request, j *Job) {
+func (s *Server) handleEpochRange(w http.ResponseWriter, r *http.Request, j *job) {
 	lo, hi, err := dplog.ParseEpochRange(r.PathValue("range"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad epoch range %q: %v", r.PathValue("range"), err)

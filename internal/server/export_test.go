@@ -17,7 +17,7 @@ func (s *Server) StateGaugeDrift() string {
 	for _, j := range s.jobs {
 		scan[j.State]++
 	}
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
+	for _, st := range []State{stateQueued, stateRunning, StateDone, stateFailed, stateCanceled} {
 		if got := int(s.reg.Gauge("serve.jobs", trace.Label("state", string(st)))); got != scan[st] {
 			return fmt.Sprintf("serve.jobs{state=%s} = %d, the job table holds %d (scan %v)", st, got, scan[st], scan)
 		}

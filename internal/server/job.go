@@ -35,16 +35,16 @@ const (
 	// KindReplay replays a stored recording referenced by job id, in
 	// sequential, parallel, or sparse mode.
 	KindReplay Kind = "replay"
-	// KindVerify records and then replays in memory, checking every
+	// kindVerify records and then replays in memory, checking every
 	// boundary hash and the guest self-check — the service form of
 	// `doubleplay verify`.
-	KindVerify Kind = "verify"
-	// KindDebugDiff runs divergence forensics over two stored recordings
+	kindVerify Kind = "verify"
+	// kindDebugDiff runs divergence forensics over two stored recordings
 	// referenced by job id: bisect for the first epoch boundary at which
 	// their states diverge (or diff one specific boundary) and store the
 	// word-level state diff as the diff.json artifact — the service form
 	// of `dpdebug bisect`/`dpdebug diff`.
-	KindDebugDiff Kind = "debug_diff"
+	kindDebugDiff Kind = "debug_diff"
 )
 
 // State is a job's position in its lifecycle. Transitions are strictly
@@ -54,22 +54,22 @@ const (
 type State string
 
 const (
-	StateQueued   State = "queued"
-	StateRunning  State = "running"
+	stateQueued   State = "queued"
+	stateRunning  State = "running"
 	StateDone     State = "done"
-	StateFailed   State = "failed"
-	StateCanceled State = "canceled"
+	stateFailed   State = "failed"
+	stateCanceled State = "canceled"
 )
 
 // Terminal reports whether a state is final.
 func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
+	return s == StateDone || s == stateFailed || s == stateCanceled
 }
 
 // ReplayMode selects a replay job's strategy.
 const (
 	ModeSequential = "sequential"
-	ModeParallel   = "parallel"
+	modeParallel   = "parallel"
 	ModeSparse     = "sparse"
 )
 
@@ -164,14 +164,14 @@ func (sp *Spec) Normalize() {
 	if sp.Growth < 1 {
 		sp.Growth = 1
 	}
-	if sp.Mode == "" && (sp.Kind == KindReplay || sp.Kind == KindVerify) {
+	if sp.Mode == "" && (sp.Kind == KindReplay || sp.Kind == kindVerify) {
 		sp.Mode = ModeSequential
 	}
 	if sp.Priority == "" {
 		if sp.Kind == KindRecord {
-			sp.Priority = LaneBatch
+			sp.Priority = laneBatch
 		} else {
-			sp.Priority = LaneInteractive
+			sp.Priority = laneInteractive
 		}
 	}
 }
@@ -181,7 +181,7 @@ func (sp *Spec) Normalize() {
 // checked again when the replay actually runs).
 func (sp *Spec) Validate(jobExists func(id string) bool) error {
 	switch sp.Kind {
-	case KindRecord, KindVerify:
+	case KindRecord, kindVerify:
 		if sp.Workload == "" {
 			return fmt.Errorf("%s job requires a workload", sp.Kind)
 		}
@@ -198,7 +198,7 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 		if sp.Workload != "" && workloads.Get(sp.Workload) == nil {
 			return fmt.Errorf("unknown workload %q", sp.Workload)
 		}
-	case KindDebugDiff:
+	case kindDebugDiff:
 		if sp.RecordingJob == "" || sp.RecordingJobB == "" {
 			return fmt.Errorf("debug_diff job requires recording_job and recording_job_b (ids of finished record jobs)")
 		}
@@ -218,7 +218,7 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 		return fmt.Errorf("unknown job kind %q (want record, replay, verify, or debug_diff)", sp.Kind)
 	}
 	switch sp.Mode {
-	case "", ModeSequential, ModeParallel, ModeSparse:
+	case "", ModeSequential, modeParallel, ModeSparse:
 	default:
 		return fmt.Errorf("unknown replay mode %q (want sequential, parallel, or sparse)", sp.Mode)
 	}
@@ -237,11 +237,25 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 	if sp.MinSpares > 0 && sp.MaxSpares > 0 && sp.MaxSpares < sp.MinSpares {
 		return fmt.Errorf("max_spares must be >= min_spares")
 	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"workers", sp.Workers, workloads.MaxWorkers},
+		{"spares", sp.Spares, workloads.MaxWorkers},
+		{"min_spares", sp.MinSpares, workloads.MaxWorkers},
+		{"max_spares", sp.MaxSpares, workloads.MaxWorkers},
+		{"scale", sp.Scale, workloads.MaxScale},
+	} {
+		if f.v > f.max {
+			return fmt.Errorf("%s %d is over the limit of %d", f.name, f.v, f.max)
+		}
+	}
 	if _, err := core.ParseVerifyPolicy(sp.VerifyPolicy); err != nil {
 		return fmt.Errorf("verify_policy %q: want always or certified", sp.VerifyPolicy)
 	}
 	switch sp.Priority {
-	case "", LaneInteractive, LaneBatch:
+	case "", laneInteractive, laneBatch:
 	default:
 		return fmt.Errorf("unknown priority %q (want interactive or batch)", sp.Priority)
 	}
@@ -252,7 +266,7 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 // sequential, 1 every epoch start (parallel), Stride for sparse.
 func (sp *Spec) planStride() int {
 	switch sp.Mode {
-	case ModeParallel:
+	case modeParallel:
 		return 1
 	case ModeSparse:
 		return sp.Stride
@@ -287,9 +301,9 @@ type ResultSummary struct {
 	FirstDivergence *int `json:"first_divergence,omitempty"`
 }
 
-// Job is one unit of work and its full lifecycle record. The server's
+// job is one unit of work and its full lifecycle record. The server's
 // mutex guards every mutable field.
-type Job struct {
+type job struct {
 	ID       string
 	Seq      int
 	Spec     Spec
@@ -321,7 +335,7 @@ type Info struct {
 }
 
 // info snapshots a job for the API; the caller holds the server mutex.
-func (j *Job) info() Info {
+func (j *job) info() Info {
 	in := Info{
 		ID:      j.ID,
 		Kind:    j.Spec.Kind,
@@ -344,11 +358,11 @@ func (j *Job) info() Info {
 	}
 	base := "/jobs/" + j.ID
 	in.Links = map[string]string{"self": base, "trace": base + "/trace", "stats": base + "/stats"}
-	if j.Spec.Kind != KindReplay && j.Spec.Kind != KindDebugDiff {
+	if j.Spec.Kind != KindReplay && j.Spec.Kind != kindDebugDiff {
 		in.Links["recording"] = base + "/recording"
 		in.Links["pin"] = base + "/pin"
 	}
-	if j.Spec.Kind == KindDebugDiff {
+	if j.Spec.Kind == kindDebugDiff {
 		in.Links["diff"] = base + "/diff"
 	}
 	if j.Spec.GuestProfile {

@@ -16,13 +16,13 @@ var ErrQueueClosed = errors.New("server: job queue closed")
 // someone is waiting on the result) overtake batch jobs (recording
 // campaigns) at the queue head; within a lane order stays FIFO.
 const (
-	LaneInteractive = "interactive"
-	LaneBatch       = "batch"
+	laneInteractive = "interactive"
+	laneBatch       = "batch"
 )
 
 // laneIndex maps a normalized Spec.Priority to its lane slot.
 func laneIndex(priority string) int {
-	if priority == LaneBatch {
+	if priority == laneBatch {
 		return 1
 	}
 	return 0
@@ -35,17 +35,17 @@ func laneIndex(priority string) int {
 // jobs per worker slot.
 const starvationBound = 4
 
-// Queue is a bounded two-lane priority queue of jobs feeding the worker
+// queue is a bounded two-lane priority queue of jobs feeding the worker
 // pool. Push rejects instead of blocking — backpressure is the point —
 // while Pop blocks until a job arrives or the queue closes. Pop prefers
 // the interactive lane but is starvation-bounded (see starvationBound);
 // each lane is FIFO. Closing wakes every waiting worker; jobs still
 // queued at close time are returned by Drain so the server can mark
 // them canceled.
-type Queue struct {
+type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	lanes  [2][]*Job // [interactive, batch]
+	lanes  [2][]*job // [interactive, batch]
 	max    int       // bound on total queued jobs across lanes
 	closed bool
 
@@ -55,20 +55,20 @@ type Queue struct {
 	interactiveStreak int
 }
 
-// NewQueue returns an empty queue holding at most max jobs in total;
+// newQueue returns an empty queue holding at most max jobs in total;
 // max <= 0 selects an effectively unbounded queue.
-func NewQueue(max int) *Queue {
+func newQueue(max int) *queue {
 	if max <= 0 {
 		max = 1 << 30
 	}
-	q := &Queue{max: max}
+	q := &queue{max: max}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
 // Push appends a job to its priority lane, failing fast when full or
 // closed.
-func (q *Queue) Push(j *Job) error {
+func (q *queue) Push(j *job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -85,7 +85,7 @@ func (q *Queue) Push(j *Job) error {
 
 // Pop removes the next job, blocking until one is available. ok is
 // false once the queue is closed and empty.
-func (q *Queue) Pop() (j *Job, ok bool) {
+func (q *queue) Pop() (j *job, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.lanes[0]) == 0 && len(q.lanes[1]) == 0 && !q.closed {
@@ -110,7 +110,7 @@ func (q *Queue) Pop() (j *Job, ok bool) {
 
 // popLane removes the head of lane i; the caller holds q.mu and has
 // checked the lane is non-empty.
-func (q *Queue) popLane(i int) *Job {
+func (q *queue) popLane(i int) *job {
 	j := q.lanes[i][0]
 	q.lanes[i] = q.lanes[i][1:]
 	if i == 1 {
@@ -122,7 +122,7 @@ func (q *Queue) popLane(i int) *Job {
 // Remove deletes a queued job by id from whichever lane holds it
 // (cancellation before a worker takes it), reporting whether it was
 // present.
-func (q *Queue) Remove(id string) bool {
+func (q *queue) Remove(id string) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for l := range q.lanes {
@@ -137,15 +137,14 @@ func (q *Queue) Remove(id string) bool {
 }
 
 // Len returns the current queue depth across both lanes.
-func (q *Queue) Len() int {
+func (q *queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.lanes[0]) + len(q.lanes[1])
 }
 
-// LaneLen returns one lane's depth; lane is LaneInteractive or
-// LaneBatch.
-func (q *Queue) LaneLen(lane string) int {
+// LaneLen returns one lane's depth; lane is laneInteractive or laneBatch.
+func (q *queue) LaneLen(lane string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.lanes[laneIndex(lane)])
@@ -153,7 +152,7 @@ func (q *Queue) LaneLen(lane string) int {
 
 // Close stops the queue: subsequent Push fails, and blocked Pops return
 // once the remaining items are consumed. Close is idempotent.
-func (q *Queue) Close() {
+func (q *queue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
@@ -163,7 +162,7 @@ func (q *Queue) Close() {
 // Drain removes and returns every queued job from both lanes — used at
 // shutdown to mark never-started jobs canceled. Callers should Close
 // first so no worker races the drain.
-func (q *Queue) Drain() []*Job {
+func (q *queue) Drain() []*job {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	out := append(q.lanes[0], q.lanes[1]...)

@@ -365,9 +365,9 @@ func (s *Server) runJob(ctx context.Context, id string, sp Spec, sum *ResultSumm
 		err = rerr
 	case KindReplay:
 		err = s.replayJob(ctx, id, &sp, jt.sink, sum)
-	case KindVerify:
+	case kindVerify:
 		err = s.verifyJob(ctx, id, sp, jt.sink, sum)
-	case KindDebugDiff:
+	case kindDebugDiff:
 		err = s.debugDiffJob(ctx, id, &sp, sum)
 	default:
 		err = fmt.Errorf("unknown job kind %q", sp.Kind)

@@ -73,13 +73,13 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	store *store.Store
-	queue *Queue
+	queue *queue
 	reg   *trace.Registry
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
+	jobs     map[string]*job
 	byState  map[State]int // jobs per state, adjusted at each transition
-	order    []*Job        // submission order, for GET /jobs
+	order    []*job        // submission order, for GET /jobs
 	seq      int
 	busy     int
 	draining bool
@@ -97,9 +97,9 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		store:   st,
-		queue:   NewQueue(cfg.QueueDepth),
+		queue:   newQueue(cfg.QueueDepth),
 		reg:     cfg.Registry,
-		jobs:    make(map[string]*Job),
+		jobs:    make(map[string]*job),
 		byState: make(map[State]int),
 	}
 	s.publishQueueGauges()
@@ -114,7 +114,7 @@ func (s *Server) Store() *store.Store { return s.store }
 // publishQueueGauges republishes the total and per-lane queue depths.
 func (s *Server) publishQueueGauges() {
 	s.reg.Set("serve.queue_depth", float64(s.queue.Len()))
-	for _, lane := range []string{LaneInteractive, LaneBatch} {
+	for _, lane := range []string{laneInteractive, laneBatch} {
 		s.reg.Set("queue.lane_depth", float64(s.queue.LaneLen(lane)), trace.Label("lane", lane))
 	}
 }
@@ -155,11 +155,11 @@ func (s *Server) Submit(sp Spec) (Info, error) {
 		return Info{}, ErrDraining
 	}
 	s.seq++
-	j := &Job{
+	j := &job{
 		ID:      jobID(sp, s.seq),
 		Seq:     s.seq,
 		Spec:    sp,
-		State:   StateQueued,
+		State:   stateQueued,
 		Created: time.Now(),
 	}
 	if err := s.queue.Push(j); err != nil {
@@ -167,7 +167,7 @@ func (s *Server) Submit(sp Spec) (Info, error) {
 		return Info{}, err
 	}
 	s.jobs[j.ID] = j
-	s.byState[StateQueued]++
+	s.byState[stateQueued]++
 	s.order = append(s.order, j)
 	s.reg.Add("serve.jobs_submitted", 1, trace.Label("kind", string(sp.Kind)))
 	s.publishQueueGauges()
@@ -176,7 +176,7 @@ func (s *Server) Submit(sp Spec) (Info, error) {
 }
 
 // getJob looks a job up by id.
-func (s *Server) getJob(id string) (*Job, bool) {
+func (s *Server) getJob(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -185,21 +185,21 @@ func (s *Server) getJob(id string) (*Job, bool) {
 
 // jobStateScale snapshots the fields loadRecording needs from a source
 // job without holding the lock across the whole replay setup.
-func (s *Server) jobStateScale(j *Job) (State, int) {
+func (s *Server) jobStateScale(j *job) (State, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return j.State, j.Spec.Scale
 }
 
 // jobInfo snapshots a job's API view.
-func (s *Server) jobInfo(j *Job) Info {
+func (s *Server) jobInfo(j *job) Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return j.info()
 }
 
 // jobState reads a job's current state.
-func (s *Server) jobState(j *Job) State {
+func (s *Server) jobState(j *job) State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return j.State
@@ -208,7 +208,7 @@ func (s *Server) jobState(j *Job) State {
 // setStateLocked moves a registered job to st and keeps the per-state
 // counts in step — the jobs map only grows, so the gauges are published
 // from counts rather than from a scan of it. The caller holds s.mu.
-func (s *Server) setStateLocked(j *Job, st State) {
+func (s *Server) setStateLocked(j *job, st State) {
 	s.byState[j.State]--
 	s.byState[st]++
 	j.State = st
@@ -217,7 +217,7 @@ func (s *Server) setStateLocked(j *Job, st State) {
 // stateGaugesLocked republishes the jobs-by-state gauges; the caller
 // holds s.mu.
 func (s *Server) stateGaugesLocked() {
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
+	for _, st := range []State{stateQueued, stateRunning, StateDone, stateFailed, stateCanceled} {
 		s.reg.Set("serve.jobs", float64(s.byState[st]), trace.Label("state", string(st)))
 	}
 }
@@ -233,11 +233,11 @@ func (s *Server) worker() {
 		s.publishQueueGauges()
 
 		s.mu.Lock()
-		if j.State != StateQueued { // canceled while queued
+		if j.State != stateQueued { // canceled while queued
 			s.mu.Unlock()
 			continue
 		}
-		s.setStateLocked(j, StateRunning)
+		s.setStateLocked(j, stateRunning)
 		j.Started = time.Now()
 		sp := j.Spec
 		timeout := time.Duration(sp.TimeoutMS) * time.Millisecond
@@ -265,7 +265,7 @@ func (s *Server) worker() {
 // msg as its error, stamps Finished, counts the outcome, refreshes the state
 // gauges and returns the job.json manifest. The caller holds s.mu and
 // writes the manifest with writeManifest once it has released it.
-func (s *Server) endLocked(j *Job, st State, msg string) []byte {
+func (s *Server) endLocked(j *job, st State, msg string) []byte {
 	s.setStateLocked(j, st)
 	j.Finished = time.Now()
 	j.Error = msg
@@ -288,7 +288,7 @@ func (s *Server) writeManifest(id string, manifest []byte) {
 // finish moves a job that ran to its terminal state, publishes the
 // (possibly defaulted) spec and result, writes the job.json manifest, and
 // updates the pool metrics.
-func (s *Server) finish(j *Job, sp Spec, sum *ResultSummary, err error, ctx context.Context) {
+func (s *Server) finish(j *job, sp Spec, sum *ResultSummary, err error, ctx context.Context) {
 	s.mu.Lock()
 	j.Spec = sp
 	j.Result = sum
@@ -296,11 +296,11 @@ func (s *Server) finish(j *Job, sp Spec, sum *ResultSummary, err error, ctx cont
 	switch {
 	case err == nil:
 	case j.cancelRequested:
-		st, msg = StateCanceled, shortErr(err)
+		st, msg = stateCanceled, shortErr(err)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded):
-		st, msg = StateFailed, fmt.Sprintf("timed out: %s", shortErr(err))
+		st, msg = stateFailed, fmt.Sprintf("timed out: %s", shortErr(err))
 	default:
-		st, msg = StateFailed, shortErr(err)
+		st, msg = stateFailed, shortErr(err)
 	}
 	s.busy--
 	s.reg.Set("serve.workers_busy", float64(s.busy))
@@ -325,10 +325,10 @@ func (s *Server) Cancel(id string) (Info, bool) {
 		return Info{}, false
 	}
 	switch j.State {
-	case StateQueued:
+	case stateQueued:
 		if s.queue.Remove(id) {
 			s.publishQueueGauges()
-			manifest := s.endLocked(j, StateCanceled, "canceled before start")
+			manifest := s.endLocked(j, stateCanceled, "canceled before start")
 			info := j.info()
 			s.mu.Unlock()
 			s.writeManifest(j.ID, manifest)
@@ -337,7 +337,7 @@ func (s *Server) Cancel(id string) (Info, bool) {
 		// A worker grabbed it between our state read and the Remove; fall
 		// through to the running path.
 		fallthrough
-	case StateRunning:
+	case stateRunning:
 		j.cancelRequested = true
 		if j.cancel != nil {
 			j.cancel()
@@ -368,8 +368,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	manifests := make([][]byte, len(dropped))
 	s.mu.Lock()
 	for i, j := range dropped {
-		if j.State == StateQueued {
-			manifests[i] = s.endLocked(j, StateCanceled, "server draining")
+		if j.State == stateQueued {
+			manifests[i] = s.endLocked(j, stateCanceled, "server draining")
 		}
 	}
 	s.publishQueueGauges()
@@ -400,7 +400,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// at epoch boundaries, so the workers exit promptly.
 	s.mu.Lock()
 	for _, j := range s.jobs {
-		if j.State == StateRunning && j.cancel != nil {
+		if j.State == stateRunning && j.cancel != nil {
 			j.cancelRequested = true
 			j.cancel()
 		}
@@ -562,7 +562,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // withJob resolves the route's {id} for h and answers 404 itself when no
 // such job is registered.
-func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *Job)) http.HandlerFunc {
+func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *job)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j, ok := s.getJob(r.PathValue("id"))
 		if !ok {
@@ -573,7 +573,7 @@ func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *Job)) http.
 	}
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, j *Job) {
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, j *job) {
 	writeJSON(w, http.StatusOK, s.jobInfo(j))
 }
 
@@ -596,7 +596,7 @@ type artifact struct {
 	file, ctype string
 	// absent, when set, returns why a job with this spec never has the
 	// file (404), or "" when it does or will.
-	absent func(j *Job) string
+	absent func(j *job) string
 	// pending, when set, is what becomes of the file while the job is
 	// not terminal; the request is refused with 409 until then.
 	pending string
@@ -607,7 +607,7 @@ var artifacts = map[string]artifact{
 		pending: "the trace streams until the job finishes"},
 	"stats": {file: "stats.json", ctype: "application/json"},
 	"profile": {file: "profile.pb", ctype: "application/octet-stream",
-		absent: func(j *Job) string {
+		absent: func(j *job) string {
 			if j.Spec.GuestProfile {
 				return ""
 			}
@@ -615,8 +615,8 @@ var artifacts = map[string]artifact{
 		},
 		pending: "the profile is written when the job finishes"},
 	"diff": {file: "diff.json", ctype: "application/json",
-		absent: func(j *Job) string {
-			if j.Spec.Kind == KindDebugDiff {
+		absent: func(j *job) string {
+			if j.Spec.Kind == kindDebugDiff {
 				return ""
 			}
 			return fmt.Sprintf("job %s is a %s job, not debug_diff", j.ID, j.Spec.Kind)
@@ -624,8 +624,8 @@ var artifacts = map[string]artifact{
 		pending: "the diff is written when the job finishes"},
 }
 
-func (a artifact) serve(s *Server) func(http.ResponseWriter, *http.Request, *Job) {
-	return func(w http.ResponseWriter, r *http.Request, j *Job) {
+func (a artifact) serve(s *Server) func(http.ResponseWriter, *http.Request, *job) {
+	return func(w http.ResponseWriter, r *http.Request, j *job) {
 		if a.absent != nil {
 			if why := a.absent(j); why != "" {
 				writeErr(w, http.StatusNotFound, "%s", why)
@@ -643,7 +643,7 @@ func (a artifact) serve(s *Server) func(http.ResponseWriter, *http.Request, *Job
 	}
 }
 
-func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request, j *Job) {
+func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request, j *job) {
 	// Stream through the store's lazy handle: the recording inflates block
 	// by block instead of materializing in the heap.
 	h, err := s.store.OpenRecordingByJob(j.ID)
@@ -661,7 +661,7 @@ func (s *Server) handleRecording(w http.ResponseWriter, r *http.Request, j *Job)
 // handlePin marks a job's recording as protected from retention GC.
 // Pinning is durable (a marker in the job's artifact directory) and
 // idempotent.
-func (s *Server) handlePin(w http.ResponseWriter, r *http.Request, j *Job) {
+func (s *Server) handlePin(w http.ResponseWriter, r *http.Request, j *job) {
 	if err := s.store.Pin(j.ID); err != nil {
 		writeErr(w, http.StatusInternalServerError, "pinning job %s: %v", j.ID, err)
 		return
@@ -669,7 +669,7 @@ func (s *Server) handlePin(w http.ResponseWriter, r *http.Request, j *Job) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "pinned": true})
 }
 
-func (s *Server) handleUnpin(w http.ResponseWriter, r *http.Request, j *Job) {
+func (s *Server) handleUnpin(w http.ResponseWriter, r *http.Request, j *job) {
 	if err := s.store.Unpin(j.ID); err != nil {
 		writeErr(w, http.StatusInternalServerError, "unpinning job %s: %v", j.ID, err)
 		return

@@ -337,6 +337,23 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("submit %v: got %d, want 400", spec, code)
 		}
 	}
+	// Over the workloads' bounds a builder panics out of registers (37
+	// workers), a pipeline floods its trace (2^50 spares) or a build
+	// allocates gigabytes (scale 2000): each is refused at submit, naming
+	// the field, and the daemon goes on serving.
+	for field, spec := range map[string]map[string]any{
+		"workers":    {"kind": "record", "workload": "aget", "workers": 37},
+		"spares":     {"kind": "record", "workload": "fft", "spares": 1 << 50},
+		"scale":      {"kind": "record", "workload": "pbzip", "scale": 2000},
+		"min_spares": {"kind": "record", "workload": "pbzip", "adaptive": true, "min_spares": 33},
+		"max_spares": {"kind": "record", "workload": "pbzip", "adaptive": true, "max_spares": 33},
+	} {
+		code, v := doJSON(t, "POST", ts.URL+"/jobs", spec)
+		if msg, _ := v["error"].(string); code != http.StatusBadRequest || !strings.HasPrefix(msg, field+" ") {
+			t.Errorf("submit %v: got %d %q, want 400 naming %s", spec, code, msg, field)
+		}
+	}
+	waitDone(t, ts, submit(t, ts, fastSpec()))
 	// The trace is written in emission order, with nothing to tune: the
 	// window and downsampling fields are refused by name.
 	for _, field := range []string{"trace_window", "trace_min_span", "trace_counter_stride"} {

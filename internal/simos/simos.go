@@ -41,9 +41,9 @@ const (
 	SysYield    Word = 16 // () -> 0; scheduling hint, no effect on state
 )
 
-// File is an immutable virtual file. Contents never change after setup, so
+// file is an immutable virtual file. Contents never change after setup, so
 // world snapshots share them.
-type File struct {
+type file struct {
 	Name string
 	Data []Word
 }
@@ -55,15 +55,15 @@ type Request struct {
 	Data    []Word
 }
 
-// ConnScript is an immutable scripted inbound connection.
-type ConnScript struct {
+// connScript is an immutable scripted inbound connection.
+type connScript struct {
 	ArriveAt int64
 	Requests []Request
 }
 
 // connState is the mutable per-connection cursor.
 type connState struct {
-	script  *ConnScript
+	script  *connScript
 	reqIdx  int
 	readPos int
 	open    bool
@@ -76,7 +76,7 @@ func (c *connState) clone() *connState {
 
 // fdState is one open file descriptor.
 type fdState struct {
-	file *File
+	file *file
 	pos  int
 	open bool
 }
@@ -87,11 +87,11 @@ type fdState struct {
 // exact.
 type World struct {
 	// Immutable after setup.
-	files     map[string]*File
-	scripts   []*ConnScript
+	files     map[string]*file
+	scripts   []*connScript
 	fetchSrc  []Word
 	fetchLat  int64
-	sigScript map[int][]SignalSpec
+	sigScript map[int][]signalSpec
 
 	// Mutable execution state.
 	fds          []fdState
@@ -105,23 +105,23 @@ type World struct {
 	sigCursor    map[int]int   // tid -> next undelivered signal
 }
 
-// SignalSpec schedules one asynchronous signal: Sig becomes deliverable to
+// signalSpec schedules one asynchronous signal: Sig becomes deliverable to
 // its thread once simulated time reaches At.
-type SignalSpec struct {
+type signalSpec struct {
 	At  int64
 	Sig Word
 }
 
-// HeapBase is where SysAlloc allocations start; workloads place static data
+// heapBase is where SysAlloc allocations start; workloads place static data
 // well below it.
-const HeapBase Word = 1 << 30
+const heapBase Word = 1 << 30
 
 // NewWorld returns an empty world with the given PRNG seed.
 func NewWorld(seed int64) *World {
 	return &World{
-		files:        make(map[string]*File),
-		sigScript:    make(map[int][]SignalSpec),
-		brk:          HeapBase,
+		files:        make(map[string]*file),
+		sigScript:    make(map[int][]signalSpec),
+		brk:          heapBase,
 		rng:          uint64(seed)*2862933555777941757 + 3037000493,
 		pendingFetch: make(map[int]int64),
 		sigCursor:    make(map[int]int),
@@ -131,7 +131,7 @@ func NewWorld(seed int64) *World {
 // AddSignal schedules sig for delivery to thread tid once time reaches at.
 // Signals for the same thread must be added in ascending time order.
 func (w *World) AddSignal(at int64, tid int, sig Word) {
-	w.sigScript[tid] = append(w.sigScript[tid], SignalSpec{At: at, Sig: sig})
+	w.sigScript[tid] = append(w.sigScript[tid], signalSpec{At: at, Sig: sig})
 }
 
 // NextSignal pops the next deliverable signal for tid at time now, if any.
@@ -161,12 +161,12 @@ func (w *World) SignalCount() int {
 
 // AddFile registers an immutable file.
 func (w *World) AddFile(name string, data []Word) {
-	w.files[name] = &File{Name: name, Data: data}
+	w.files[name] = &file{Name: name, Data: data}
 }
 
 // AddConn schedules an inbound connection for the listener.
 func (w *World) AddConn(arriveAt int64, reqs []Request) {
-	w.scripts = append(w.scripts, &ConnScript{ArriveAt: arriveAt, Requests: reqs})
+	w.scripts = append(w.scripts, &connScript{ArriveAt: arriveAt, Requests: reqs})
 }
 
 // SetFetchSource installs the remote resource SysFetch serves, with a fixed

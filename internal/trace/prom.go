@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// PromNamespace prefixes every exported Prometheus metric name.
-const PromNamespace = "doubleplay"
+// promNamespace prefixes every exported Prometheus metric name.
+const promNamespace = "doubleplay"
 
 // promSeries is one registry key decomposed for the text format.
 type promSeries struct {
@@ -22,7 +22,7 @@ type promSeries struct {
 // "doubleplay_record_cow_pages".
 func promName(name string) string {
 	var b strings.Builder
-	b.WriteString(PromNamespace)
+	b.WriteString(promNamespace)
 	b.WriteByte('_')
 	for i := 0; i < len(name); i++ {
 		c := name[i]

@@ -13,11 +13,11 @@ type ObjKind uint8
 const (
 	ObjLock    ObjKind = iota // mutex, identified by guest word
 	ObjAtomic                 // atomic memory word, identified by address
-	ObjSpawn                  // the global thread-creation order
-	ObjBarrier                // barrier, identified by guest word
+	objSpawn                  // the global thread-creation order
+	objBarrier                // barrier, identified by guest word
 )
 
-var objKindNames = [...]string{ObjLock: "lock", ObjAtomic: "atomic", ObjSpawn: "spawn", ObjBarrier: "barrier"}
+var objKindNames = [...]string{ObjLock: "lock", ObjAtomic: "atomic", objSpawn: "spawn", objBarrier: "barrier"}
 
 func (k ObjKind) String() string {
 	if int(k) < len(objKindNames) {
@@ -262,14 +262,14 @@ func (m *Machine) wake(status Status, obj Word) {
 	}
 }
 
-func (m *Machine) wakeJoiners(tid int) { m.wake(BlockedJoin, Word(tid)) }
+func (m *Machine) wakeJoiners(tid int) { m.wake(blockedJoin, Word(tid)) }
 
 // wakeOrderBlocked releases every thread held back by sync-order
 // enforcement; called after each retired sync event so gated threads
 // re-poll the gate.
 func (m *Machine) wakeOrderBlocked() {
 	for _, t := range m.Threads {
-		if t.Status == BlockedOrder {
+		if t.Status == blockedOrder {
 			t.Status = Runnable
 		}
 	}
@@ -290,7 +290,7 @@ func (m *Machine) mayAcquire(t *Thread, obj SyncObj) bool {
 	if m.Hooks.MayAcquire(obj, t.ID) {
 		return true
 	}
-	t.Status = BlockedOrder
+	t.Status = blockedOrder
 	t.waitObj = 0
 	return false
 }
@@ -541,7 +541,7 @@ func (m *Machine) step(t *Thread) StepResult {
 				m.fault(t, fmt.Sprintf("recursive lock %d", id))
 				return StepResult{}
 			}
-			t.Status = BlockedLock
+			t.Status = blockedLock
 			t.waitObj = id
 			return StepResult{}
 		}
@@ -560,7 +560,7 @@ func (m *Machine) step(t *Thread) StepResult {
 		}
 		delete(m.Locks, id)
 		res := retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{ObjLock, id}, Kind: SyncRelease})
-		m.wake(BlockedLock, id)
+		m.wake(blockedLock, id)
 		return res
 	case OpBarArrive:
 		id, count := r[in.B], r[in.C]
@@ -578,18 +578,18 @@ func (m *Machine) step(t *Thread) StepResult {
 		if b.Arrived >= count {
 			b.Arrived = 0
 			b.Gen++
-			m.wake(BlockedBarrier, id)
+			m.wake(blockedBarrier, id)
 		}
-		return retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{ObjBarrier, id}, Kind: SyncBarArrive, Child: int(r[in.A])})
+		return retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{objBarrier, id}, Kind: SyncBarArrive, Child: int(r[in.A])})
 	case OpBarWait:
 		id, want := r[in.B], r[in.A]
 		b := m.Barriers[id]
 		if b == nil || b.Gen < want {
-			t.Status = BlockedBarrier
+			t.Status = blockedBarrier
 			t.waitObj = id
 			return StepResult{}
 		}
-		return retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{ObjBarrier, id}, Kind: SyncBarPass, Child: int(want)})
+		return retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{objBarrier, id}, Kind: SyncBarPass, Child: int(want)})
 	case OpCas:
 		addr := r[in.B]
 		obj := SyncObj{ObjAtomic, addr}
@@ -626,7 +626,7 @@ func (m *Machine) step(t *Thread) StepResult {
 			m.fault(t, fmt.Sprintf("spawn of bad function %d", fn))
 			return StepResult{}
 		}
-		obj := SyncObj{ObjSpawn, 0}
+		obj := SyncObj{objSpawn, 0}
 		if !m.mayAcquire(t, obj) {
 			return StepResult{}
 		}
@@ -645,14 +645,14 @@ func (m *Machine) step(t *Thread) StepResult {
 			return StepResult{}
 		}
 		switch child.Status {
-		case Exited:
+		case exited:
 			r[in.A] = child.ExitVal
-			return retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{ObjSpawn, 0}, Kind: SyncJoin, Child: tid})
+			return retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{objSpawn, 0}, Kind: SyncJoin, Child: tid})
 		case Faulted:
 			m.fault(t, fmt.Sprintf("join on faulted tid %d: %s", tid, child.Fault))
 			return StepResult{}
 		default:
-			t.Status = BlockedJoin
+			t.Status = blockedJoin
 			t.waitObj = Word(tid)
 			return StepResult{}
 		}
@@ -703,10 +703,10 @@ func (m *Machine) step(t *Thread) StepResult {
 		return retire()
 	case OpHalt:
 		t.ExitVal = r[in.A]
-		t.Status = Exited
+		t.Status = exited
 		t.Retired++
 		m.liveCount--
-		m.emitSync(SyncEvent{Tid: t.ID, Obj: SyncObj{ObjSpawn, 0}, Kind: SyncExit})
+		m.emitSync(SyncEvent{Tid: t.ID, Obj: SyncObj{objSpawn, 0}, Kind: SyncExit})
 		m.wakeJoiners(t.ID)
 		return StepResult{Retired: true, Cost: cost}
 	default:

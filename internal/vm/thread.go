@@ -13,19 +13,19 @@ type Status uint8
 
 const (
 	Runnable Status = iota
-	BlockedLock
-	BlockedBarrier
-	BlockedJoin
+	blockedLock
+	blockedBarrier
+	blockedJoin
 	BlockedSys
-	BlockedOrder // held back by sync-order enforcement during epoch-parallel runs
-	Exited
+	blockedOrder // held back by sync-order enforcement during epoch-parallel runs
+	exited
 	Faulted
 )
 
 var statusNames = [...]string{
-	Runnable: "runnable", BlockedLock: "blocked-lock", BlockedBarrier: "blocked-barrier",
-	BlockedJoin: "blocked-join", BlockedSys: "blocked-sys", BlockedOrder: "blocked-order",
-	Exited: "exited", Faulted: "faulted",
+	Runnable: "runnable", blockedLock: "blocked-lock", blockedBarrier: "blocked-barrier",
+	blockedJoin: "blocked-join", BlockedSys: "blocked-sys", blockedOrder: "blocked-order",
+	exited: "exited", Faulted: "faulted",
 }
 
 func (s Status) String() string {
@@ -38,14 +38,14 @@ func (s Status) String() string {
 // Blocked reports whether the status is any of the waiting states.
 func (s Status) Blocked() bool {
 	switch s {
-	case BlockedLock, BlockedBarrier, BlockedJoin, BlockedSys, BlockedOrder:
+	case blockedLock, blockedBarrier, blockedJoin, BlockedSys, blockedOrder:
 		return true
 	}
 	return false
 }
 
 // Live reports whether the thread can still make progress eventually.
-func (s Status) Live() bool { return s != Exited && s != Faulted }
+func (s Status) Live() bool { return s != exited && s != Faulted }
 
 // Frame is a saved caller context pushed by CALL, or an interrupted context
 // pushed by asynchronous signal delivery. Returning from a signal frame
@@ -151,7 +151,7 @@ func (t *Thread) stateHash(h uint64) uint64 {
 	h = mix64(h, uint64(t.SigHandler+1))
 	h = mix64(h, t.SigRetired)
 	switch t.Status {
-	case Exited:
+	case exited:
 		h = mix64(h, 0xE^uint64(t.ExitVal))
 	case Faulted:
 		h = mix64(h, 0xF)

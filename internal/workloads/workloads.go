@@ -26,6 +26,16 @@ type Params struct {
 	Seed    int64 // drives input generation
 }
 
+// MaxWorkers and MaxScale bound the Params a user may ask for, through the
+// CLI or a daemon job spec. Every workload builds at MaxWorkers
+// (TestBuildAtMaxWorkers), while some builders run out of guest registers
+// from 37 workers on. At MaxScale pbzip, the largest input, allocates
+// about 160 MB to build.
+const (
+	MaxWorkers = 32
+	MaxScale   = 64
+)
+
 func (p Params) norm() Params {
 	if p.Workers <= 0 {
 		p.Workers = 2

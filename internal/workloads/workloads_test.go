@@ -8,6 +8,17 @@ import (
 	"doubleplay/internal/replay"
 )
 
+// TestBuildAtMaxWorkers builds every workload at the largest worker count
+// the CLI and the daemon accept; a builder that runs out of guest
+// registers panics.
+func TestBuildAtMaxWorkers(t *testing.T) {
+	for _, wl := range All() {
+		if bt := wl.Build(Params{Workers: MaxWorkers, Seed: 3}); bt.Prog == nil {
+			t.Errorf("%s: no program", wl.Name)
+		}
+	}
+}
+
 // TestNativeSelfChecks runs every workload natively and asserts the guest's
 // own verification passed.
 func TestNativeSelfChecks(t *testing.T) {
