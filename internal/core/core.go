@@ -227,7 +227,12 @@ type Stats struct {
 
 // Result is a completed recording.
 type Result struct {
-	Recording  *dplog.Recording
+	Recording *dplog.Recording
+	// Raw is Recording encoded uncompressed, the bytes
+	// dplog.MarshalBytesWith(Recording, dplog.EncodeOptions{}) returns: the
+	// same walk that sized the log made it, so a caller that stores the log
+	// does not encode it again.
+	Raw        []byte
 	Boundaries []*epoch.Boundary // epoch-start checkpoints, for parallel replay
 	Stats      Stats
 	FinalHash  uint64
@@ -873,9 +878,9 @@ func (r *recorder) finish() *Result {
 	r.m.Mem.Release()
 	stats.ThreadParallelCycles = r.par.WallTime()
 	stats.CompletionCycles = r.pl.completion(r.par.WallTime())
+	var raw []byte
 	profile.WithPhase(r.opt.Context, "commit", func() {
-		stats.ReplayBytes, stats.FullBytes = rec.Sizes()
-		stats.FileBytes = len(dplog.MarshalBytes(rec))
+		raw, stats.ReplayBytes, stats.FullBytes, stats.FileBytes = rec.Encode()
 	})
 	stats.ActiveSpares = r.opt.SpareCPUs
 	if r.ctl != nil {
@@ -915,6 +920,7 @@ func (r *recorder) finish() *Result {
 
 	out := &Result{
 		Recording:   rec,
+		Raw:         raw,
 		Boundaries:  r.boundaries,
 		Stats:       *stats,
 		FinalHash:   rec.FinalHash,

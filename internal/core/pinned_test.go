@@ -60,7 +60,8 @@ func pinRows() []pinRow {
 // a divergence that resets them, the utilized pipeline, race detection and
 // profiling. A change to the recorder's structure must leave every line of
 // testdata/record.golden as it is; only a change meant to move a recording
-// rewrites it, with -update.
+// rewrites it, with -update. Every row's log must also be the one the
+// encoders Record's single walk replaced would write (checkEncodedOnce).
 func TestRecordPinned(t *testing.T) {
 	var got bytes.Buffer
 	var adopted, reruns, skipped, decisions, grown int
@@ -77,6 +78,7 @@ func TestRecordPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
+		checkEncodedOnce(t, r.name, res)
 		var bounds bytes.Buffer
 		for _, b := range res.Boundaries {
 			binary.Write(&bounds, binary.LittleEndian, [3]int64{int64(b.Index), b.Cycle, int64(b.Hash)})
@@ -144,5 +146,23 @@ func TestRecordPinned(t *testing.T) {
 	}
 	if len(gl) != len(wl) {
 		t.Fatalf("record table has %d lines, golden %d", len(gl), len(wl))
+	}
+}
+
+// checkEncodedOnce holds the log Record encodes once, while it sizes it, to
+// the encoders that walk replaced: Raw is MarshalBytesWith's uncompressed
+// file byte for byte, ReplayBytes and FullBytes are what Sizes counts, and
+// FileBytes is the length of MarshalBytes.
+func checkEncodedOnce(t *testing.T, name string, res *Result) {
+	t.Helper()
+	rec, st := res.Recording, res.Stats
+	replay, full := rec.Sizes()
+	switch {
+	case !bytes.Equal(res.Raw, dplog.MarshalBytesWith(rec, dplog.EncodeOptions{})):
+		t.Errorf("%s: Raw differs from MarshalBytesWith's uncompressed file", name)
+	case st.ReplayBytes != replay || st.FullBytes != full:
+		t.Errorf("%s: ReplayBytes, FullBytes = %d, %d; Sizes says %d, %d", name, st.ReplayBytes, st.FullBytes, replay, full)
+	case st.FileBytes != len(dplog.MarshalBytes(rec)):
+		t.Errorf("%s: FileBytes = %d; MarshalBytes is %d bytes", name, st.FileBytes, len(dplog.MarshalBytes(rec)))
 	}
 }

@@ -152,7 +152,7 @@ func BenchmarkInflate(b *testing.B) {
 		for _, impl := range []struct {
 			name    string
 			inflate func([]byte, int64) ([]byte, error)
-		}{{in.name, dplog.Inflate}, {in.name + "/flate", dplog.FlateInflate}} {
+		}{{in.name, func(b []byte, n int64) ([]byte, error) { return dplog.Inflate(nil, b, n) }}, {in.name + "/flate", dplog.FlateInflate}} {
 			b.Run(impl.name, func(b *testing.B) {
 				var total int64
 				for _, d := range in.set {

@@ -1,9 +1,11 @@
 package dplog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"sync"
 )
 
 // The on-disk format is a fixed header followed by format-version-specific
@@ -179,12 +181,18 @@ func (e *encoder) syscall(r *SyscallRecord) {
 
 // encodeEpochBody appends one epoch's complete section payload to dst: the
 // replay part followed by the sync-order part, exactly the v5 per-epoch
-// layout.
-func encodeEpochBody(dst []byte, ep *EpochLog) []byte {
+// layout. replay is how many of its bytes ReplaySize counts: the replay
+// part, or all of it for a certified epoch, whose sync order is its replay
+// log.
+func encodeEpochBody(dst []byte, ep *EpochLog) (body []byte, replay int) {
 	e := encoder{b: dst}
 	e.epochReplayPart(ep)
+	replay = len(e.b) - len(dst)
 	e.epochSyncPart(ep)
-	return e.b
+	if ep.Certified {
+		replay = len(e.b) - len(dst)
+	}
+	return e.b, replay
 }
 
 // EncodeOptions tune the v6 encoder.
@@ -216,14 +224,65 @@ func MarshalBytes(r *Recording) []byte {
 // MarshalBytesWith encodes the recording into a byte slice with explicit
 // encoding options.
 func MarshalBytesWith(r *Recording, opt EncodeOptions) []byte {
-	var enc encoder
-	enc.header(headerOf(r), len(r.Epochs))
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	out, _, _, _ := e.file(r, opt.Compress, nil)
+	return out
+}
+
+// Encode returns the file MarshalBytesWith(r, EncodeOptions{}) returns, the
+// counts Sizes reports and the length of MarshalBytes(r), from one walk:
+// each epoch body is encoded once, framed as it is into the file, and
+// deflated and framed into scratch only to be measured. A recorder that
+// keeps the raw file and reports the compressed one's size encodes once.
+func (r *Recording) Encode() (raw []byte, replay, full, compressed int) {
+	e, m := encoders.Get().(*encoder), encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	defer encoders.Put(m)
+	return e.file(r, false, m)
+}
+
+// encoders pools the per-section scratch of whole-file encodes.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// file encodes r as a v6 file, each section DEFLATE-compressed when compress
+// is set, and returns it with the counts Sizes reports. Each section is
+// framed in e's scratch and kept as a copy of its exact length until the
+// file's length is known, so the file is allocated once, at that length.
+// With m non-nil every section is also framed compressed in m's scratch,
+// and compressed is the length the file would have with compress set.
+func (e *encoder) file(r *Recording, compress bool, m *encoder) (out []byte, replay, full, compressed int) {
+	e.b = e.b[:0]
+	e.header(headerOf(r), len(r.Epochs))
+	parts := make([][]byte, 0, len(r.Epochs)+2)
+	parts = append(parts, bytes.Clone(e.b))
+	off := int64(len(e.b))
+	replay, full, compressed = len(e.b), len(e.b), len(e.b)
 	entries := make([]SectionInfo, 0, len(r.Epochs))
+	var zentries []SectionInfo
 	for _, ep := range r.Epochs {
-		entries = append(entries, enc.section(ep, opt.Compress))
+		var n int
+		e.body, n = encodeEpochBody(e.body[:0], ep)
+		replay += n
+		full += len(e.body)
+		e.b = e.b[:0]
+		s := e.section(ep, e.body, compress)
+		s.Offset, off = off, off+int64(len(e.b))
+		entries = append(entries, s)
+		parts = append(parts, bytes.Clone(e.b))
+		if m != nil {
+			m.b = m.b[:0]
+			s := m.section(ep, e.body, true)
+			s.Offset, compressed = int64(compressed), compressed+len(m.b)
+			zentries = append(zentries, s)
+		}
 	}
-	enc.indexAndFooter(int64(len(enc.b)), entries)
-	return enc.b
+	e.b = e.b[:0]
+	e.indexAndFooter(off, entries)
+	if m != nil {
+		compressed += len(encodeIndex(zentries)) + footerLen
+	}
+	return bytes.Join(append(parts, e.b), nil), replay, full, compressed
 }
 
 // offsetWriter tracks the file offset of everything written through it,

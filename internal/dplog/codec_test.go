@@ -73,6 +73,10 @@ func randomRecording(rng *rand.Rand) *Recording {
 	return rec
 }
 
+// TestQuickMarshalRoundTrip decodes random recordings back from their
+// encoding, and holds Encode's one walk to the encoders it stands in for:
+// the raw file MarshalBytesWith writes without compression, byte for
+// byte, the counts of Sizes and the length of MarshalBytes.
 func TestQuickMarshalRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -81,6 +85,12 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 		got, err := UnmarshalBytes(data)
 		if err != nil {
 			t.Logf("unmarshal: %v", err)
+			return false
+		}
+		raw, replay, full, compressed := rec.Encode()
+		if wantReplay, wantFull := rec.Sizes(); !bytes.Equal(raw, MarshalBytesWith(rec, EncodeOptions{})) ||
+			replay != wantReplay || full != wantFull || compressed != len(data) {
+			t.Logf("Encode disagrees with MarshalBytesWith, Sizes or MarshalBytes")
 			return false
 		}
 		return reflect.DeepEqual(normalize(rec), normalize(got))

@@ -160,7 +160,7 @@ func TestUnmarshalIsTheReader(t *testing.T) {
 // epoch bodies disagree with one another in each way the format forbids.
 func TestFrameCrossChecks(t *testing.T) {
 	rec := fixtureRecording()
-	body := func(i int) []byte { return encodeEpochBody(nil, rec.Epochs[i]) }
+	body := func(i int) []byte { b, _ := encodeEpochBody(nil, rec.Epochs[i]); return b }
 	h := headerOf(rec)
 	h.Sections = 1
 	deflated := Deflate(nil, body(0))

@@ -200,15 +200,10 @@ func (r *Recording) Sizes() (replay, full int) {
 	e.header(headerOf(r), len(r.Epochs))
 	replay, full = len(e.b), len(e.b)
 	for _, ep := range r.Epochs {
-		e.b = e.b[:0] // one epoch's worth of buffer, not the file's
-		e.epochReplayPart(ep)
-		n := len(e.b)
-		e.epochSyncPart(ep)
-		if ep.Certified {
-			n = len(e.b)
-		}
+		var n int
+		e.body, n = encodeEpochBody(e.body[:0], ep) // one epoch's worth of buffer, not the file's
 		replay += n
-		full += len(e.b)
+		full += len(e.body)
 	}
 	return replay, full
 }

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -37,18 +38,35 @@ func flateInflate(b []byte, n int64) ([]byte, error) {
 }
 
 // checkInflate holds Inflate to the reference on one input: same verdict,
-// and on acceptance the same n bytes.
+// and on acceptance the same n bytes. It inflates twice, into no
+// destination and into a dirty one whose capacity is drawn from the input:
+// the verdict and bytes must not depend on which, a destination with room
+// must be the one filled, and no byte of it past n may change.
 func checkInflate(t testing.TB, name string, b []byte, n int64) {
 	t.Helper()
 	want, werr := flateInflate(b, n)
-	got, err := Inflate(b, n)
-	switch {
-	case (err == nil) != (werr == nil):
-		t.Fatalf("%s (n=%d): Inflate err %v, compress/flate err %v", name, n, err, werr)
-	case err == nil && (int64(len(got)) != n || !bytes.Equal(got, want)):
-		t.Fatalf("%s (n=%d): Inflate and compress/flate disagree on the bytes", name, n)
-	case err != nil && got != nil:
-		t.Fatalf("%s (n=%d): Inflate returned bytes with an error", name, n)
+	rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(b)) ^ n))
+	dirty := make([]byte, rng.Intn(2*int(min(max(n, 0), 1<<17))+64))
+	rng.Read(dirty)
+	before := bytes.Clone(dirty)
+	for _, dst := range [][]byte{nil, dirty[:0]} {
+		got, err := Inflate(dst, b, n)
+		switch {
+		case (err == nil) != (werr == nil):
+			t.Fatalf("%s (n=%d, cap %d): Inflate err %v, compress/flate err %v", name, n, cap(dst), err, werr)
+		case err == nil && (int64(len(got)) != n || !bytes.Equal(got, want)):
+			t.Fatalf("%s (n=%d, cap %d): Inflate and compress/flate disagree on the bytes", name, n, cap(dst))
+		case err != nil && got != nil:
+			t.Fatalf("%s (n=%d, cap %d): Inflate returned bytes with an error", name, n, cap(dst))
+		case err == nil && n > 0 && int64(cap(dst)) >= n && &got[0] != &dirty[0]:
+			t.Fatalf("%s (n=%d, cap %d): Inflate did not fill a destination with room", name, n, cap(dst))
+		}
+	}
+	switch keep := max(n, 0); {
+	case int64(len(dirty)) < keep && !bytes.Equal(dirty, before):
+		t.Fatalf("%s (n=%d, cap %d): Inflate wrote into a destination without room", name, n, len(dirty))
+	case int64(len(dirty)) >= keep && !bytes.Equal(dirty[keep:], before[keep:]):
+		t.Fatalf("%s (n=%d, cap %d): Inflate wrote past n", name, n, len(dirty))
 	}
 }
 

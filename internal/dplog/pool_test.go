@@ -3,6 +3,7 @@ package dplog
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -62,23 +63,23 @@ func TestInflateRecoversAfterCorruptStream(t *testing.T) {
 		bad[i] ^= 0xff
 	}
 	for round := 0; round < 4; round++ {
-		if out, err := Inflate(bad, int64(len(raw))); err == nil && bytes.Equal(out, raw) {
+		if out, err := Inflate(nil, bad, int64(len(raw))); err == nil && bytes.Equal(out, raw) {
 			t.Fatal("corrupt stream inflated to the original bytes")
 		}
-		if _, err := Inflate(z[:len(z)/2], int64(len(raw))); err == nil {
+		if _, err := Inflate(nil, z[:len(z)/2], int64(len(raw))); err == nil {
 			t.Fatal("truncated stream inflated without error")
 		}
-		if _, err := Inflate(z, int64(len(raw))-1); err == nil {
+		if _, err := Inflate(nil, z, int64(len(raw))-1); err == nil {
 			t.Fatal("stream longer than its bound inflated without error")
 		}
-		if _, err := Inflate(append(z[:len(z):len(z)], 0), int64(len(raw))); err == nil {
+		if _, err := Inflate(nil, append(z[:len(z):len(z)], 0), int64(len(raw))); err == nil {
 			t.Fatal("stream with a byte after its final block inflated without error")
 		}
 		// Refused before the buffer is made: making it would end the test.
-		if _, err := Inflate(z, 1<<40); err == nil {
+		if _, err := Inflate(nil, z, 1<<40); err == nil {
 			t.Fatal("a length no stream of this size can reach inflated without error")
 		}
-		out, err := Inflate(z, int64(len(raw)))
+		out, err := Inflate(nil, z, int64(len(raw)))
 		if err != nil {
 			t.Fatalf("round %d: good stream after a failed one: %v", round, err)
 		}
@@ -112,5 +113,41 @@ func BenchmarkMarshal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MarshalBytes(rec)
+	}
+}
+
+// TestUnmarshalBufferReuse overwrites the pooled buffer Unmarshal read its
+// input into, once the call has returned it, and requires the recording it
+// decoded to stay equal to the original: nothing decoded aliases that
+// buffer, which is what lets it go back to the pool.
+func TestUnmarshalBufferReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20; i++ {
+		rec := randomRecording(rng)
+		data := MarshalBytesWith(rec, EncodeOptions{Compress: i%2 == 0})
+		// Under -race the pool drops a share of what it is given: draw until
+		// the buffer that comes back is the one this Unmarshal used.
+		for try := 0; ; try++ {
+			got, err := Unmarshal(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := readBufs.Get().(*bytes.Buffer)
+			if !bytes.Equal(buf.Bytes(), data) {
+				if try == 100 {
+					t.Fatal("the pool never gave back the buffer Unmarshal read into")
+				}
+				continue
+			}
+			b := buf.Bytes()[:buf.Cap()]
+			for j := range b {
+				b[j] = ^b[j]
+			}
+			readBufs.Put(buf)
+			if !reflect.DeepEqual(normalize(got), normalize(rec)) {
+				t.Fatalf("recording %d: overwriting Unmarshal's read buffer changed the recording it returned", i)
+			}
+			break
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Reader is a seekable view of an encoded recording.
@@ -325,7 +326,9 @@ func UnmarshalBytes(b []byte) (*Recording, error) {
 
 // Unmarshal reads rd to its end and decodes the recording it holds.
 func Unmarshal(rd io.Reader) (*Recording, error) {
-	var buf bytes.Buffer
+	buf := readBufs.Get().(*bytes.Buffer)
+	defer readBufs.Put(buf) // nothing the decode returns aliases it
+	buf.Reset()
 	if l, ok := rd.(interface{ Len() int }); ok {
 		buf.Grow(l.Len() + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
 	}
@@ -334,6 +337,9 @@ func Unmarshal(rd io.Reader) (*Recording, error) {
 	}
 	return UnmarshalBytes(buf.Bytes())
 }
+
+// readBufs pools Unmarshal's copies of its input.
+var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // WriteRange writes a standalone log containing exactly epochs lo..hi
 // inclusive (by id), reusing the source header's metadata. Sections are

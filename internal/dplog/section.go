@@ -100,18 +100,19 @@ func Deflate(dst, b []byte) []byte {
 }
 
 // Inflate decompresses a DEFLATE stream whose raw length the caller
-// already knows (a section's Raw, an object block's raw size) into a new
-// buffer of exactly that size; inflater.inflate has the rules.
-func Inflate(b []byte, n int64) ([]byte, error) {
+// already knows (a section's Raw, an object block's raw size) into dst
+// resized to exactly that size, a new buffer when dst's capacity is short;
+// inflater.inflate has the rules. Nothing of dst past n is written.
+func Inflate(dst, b []byte, n int64) ([]byte, error) {
 	z := inflaters.Get().(*inflater)
 	defer inflaters.Put(z)
-	return z.inflate(nil, b, n)
+	return z.inflate(dst, b, n)
 }
 
-// section appends ep as one section frame and returns its index entry.
-func (e *encoder) section(ep *EpochLog, compress bool) SectionInfo {
-	e.body = encodeEpochBody(e.body[:0], ep)
-	body, stored, off := e.body, e.body, int64(len(e.b))
+// section appends ep's section frame, over body, its encoded payload, and
+// returns its index entry, whose Offset the caller sets.
+func (e *encoder) section(ep *EpochLog, body []byte, compress bool) SectionInfo {
+	stored := body
 	var flags uint64
 	if ep.Certified {
 		flags |= sectionCertified
@@ -132,7 +133,6 @@ func (e *encoder) section(ep *EpochLog, compress bool) SectionInfo {
 	e.b = append(e.b, stored...)
 	return SectionInfo{
 		Epoch:  ep.Index,
-		Offset: off,
 		Stored: int64(len(stored)),
 		Raw:    int64(len(body)),
 		Flags:  flags,

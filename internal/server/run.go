@@ -126,10 +126,11 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink trace.Reco
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// Marshal without whole-section compression: the store compresses each
-	// recording at rest in 64 KiB blocks, which shrinks it further than
-	// per-section DEFLATE does (DESIGN.md, "A recording is one object").
-	data := dplog.MarshalBytesWith(res.Recording, dplog.EncodeOptions{Compress: false})
+	// Store the log without whole-section compression, as Record encoded
+	// it: the store compresses each recording at rest in 64 KiB blocks,
+	// which shrinks it further than per-section DEFLATE does (DESIGN.md, "A
+	// recording is one object").
+	data := res.Raw
 	digest, err := s.putRecording(id, data)
 	if errors.Is(err, store.ErrNoRecording) {
 		// A GC ran between the put and the ref and collected the still

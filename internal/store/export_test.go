@@ -5,11 +5,11 @@ import "doubleplay/internal/trace"
 // ObjectBlock is the raw size of a recording object's blocks.
 const ObjectBlock = objectBlock
 
-// EncodeObject and DecodeObject expose the recording-object codec.
-var (
-	EncodeObject = encodeObject
-	DecodeObject = decodeObject
-)
+// DecodeObject exposes the recording-object decoder.
+var DecodeObject = decodeObject
+
+// EncodeObject renders raw as a recording object in a buffer of its own.
+func EncodeObject(raw []byte) []byte { return encodeObject(nil, raw) }
 
 // FS and File are the store's file-system seam.
 type (

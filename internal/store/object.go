@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
+	"sync"
 
 	"doubleplay/internal/dplog"
 )
@@ -54,23 +56,40 @@ type objectHeader struct {
 // blockRaw is block i's raw length.
 func (h *objectHeader) blockRaw(i int) int64 { return min(objectBlock, h.raw-int64(i)*objectBlock) }
 
-// inflate recovers block i's raw bytes from its stored bytes.
-func (h *objectHeader) inflate(i int, stored []byte) ([]byte, error) {
+// inflate recovers block i's raw bytes from its stored bytes: stored itself
+// for a block stored raw, else inflated into dst.
+func (h *objectHeader) inflate(i int, dst, stored []byte) ([]byte, error) {
 	if h.table[i]&deflated == 0 {
 		return stored, nil
 	}
-	raw, err := dplog.Inflate(stored, h.blockRaw(i))
+	raw, err := dplog.Inflate(dst, stored, h.blockRaw(i))
 	if err != nil {
 		return nil, fmt.Errorf("store: block %d: %w", i, err)
 	}
 	return raw, nil
 }
 
-// encodeObject renders a recording as an object.
-func encodeObject(raw []byte) []byte {
+// blocks pools the buffers a Handle reads stored blocks into and inflates
+// blocks into, each objectBlock long: room for any block, stored or raw.
+var blocks = sync.Pool{New: func() any { return new([objectBlock]byte) }}
+
+// newBlock returns a pooled block buffer of length n.
+func newBlock(n int64) []byte { return blocks.Get().(*[objectBlock]byte)[:n] }
+
+// freeBlock gives a buffer newBlock returned back to the pool. Whoever
+// frees it must hold the only reference to it.
+func freeBlock(b []byte) { blocks.Put((*[objectBlock]byte)(b[:objectBlock])) }
+
+// objectBufs pools the buffers puts encode objects into; a buffer goes back
+// once its object is written.
+var objectBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeObject renders a recording as an object, in dst's memory when it
+// has the room.
+func encodeObject(dst, raw []byte) []byte {
 	count := (len(raw) + objectBlock - 1) / objectBlock
 	hlen := objectFixed + 4*count + 4
-	buf := make([]byte, hlen, hlen+len(raw)) // no block outgrows its raw bytes
+	buf := slices.Grow(dst[:0], hlen+len(raw))[:hlen] // no block outgrows its raw bytes
 	for i := 0; i < count; i++ {
 		b := raw[i*objectBlock : min((i+1)*objectBlock, len(raw))]
 		start, entry := len(buf), uint32(0)
@@ -151,7 +170,7 @@ func decodeObject(data []byte) ([]byte, error) {
 	}
 	var raw []byte // not h.raw's worth up front: the header is input too
 	for i := range h.table {
-		b, err := h.inflate(i, data[h.off[i]:h.off[i+1]])
+		b, err := h.inflate(i, nil, data[h.off[i]:h.off[i+1]])
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ type Handle struct {
 	hdr *objectHeader
 
 	mu    sync.Mutex
-	cache map[int][]byte // inflated blocks by index
+	cache map[int][]byte // raw blocks by index, in pooled buffers; nil once closed
 }
 
 // OpenRecording opens the recording stored under digest for random
@@ -53,9 +53,12 @@ func (s *Store) OpenRecordingByJob(id string) (*Handle, error) {
 // Size returns the recording's byte length.
 func (h *Handle) Size() int64 { return h.hdr.raw }
 
-// Close releases the handle's file and cache.
+// Close releases the handle's file and gives its cached blocks back.
 func (h *Handle) Close() error {
 	h.mu.Lock()
+	for _, raw := range h.cache {
+		freeBlock(raw)
+	}
 	h.cache = nil
 	h.mu.Unlock()
 	return h.f.Close()
@@ -77,43 +80,64 @@ func (h *Handle) ReadAt(p []byte, off int64) (int, error) {
 	n := 0
 	for n < len(p) {
 		pos := off + int64(n)
-		i := int(pos / objectBlock)
-		raw, err := h.block(i)
+		m, err := h.readBlock(p[n:], int(pos/objectBlock), pos%objectBlock)
 		if err != nil {
 			return n, err
 		}
-		n += copy(p[n:], raw[pos%objectBlock:])
+		n += m
 	}
 	return n, eof
 }
 
-// block returns block i's raw bytes, from the cache or inflated from the
-// file into it; when the cache is full, any one block makes room.
-func (h *Handle) block(i int) ([]byte, error) {
+// readBlock copies block i's raw bytes from off on into p, from the cache
+// or from the file, and returns how many it copied. A cached block is
+// copied under h.mu: once the lock is let go, an eviction or a Close may
+// give its buffer to another reader. A block read from the file is this
+// reader's alone until it is cached; when the cache is full, any one block
+// makes room for it.
+func (h *Handle) readBlock(p []byte, i int, off int64) (int, error) {
 	h.mu.Lock()
-	raw, ok := h.cache[i]
+	if raw, ok := h.cache[i]; ok {
+		n := copy(p, raw[off:])
+		h.mu.Unlock()
+		return n, nil
+	}
 	h.mu.Unlock()
-	if ok {
-		return raw, nil
-	}
-	stored := make([]byte, h.hdr.off[i+1]-h.hdr.off[i])
-	if _, err := h.f.ReadAt(stored, h.hdr.off[i]); err != nil {
-		return nil, fmt.Errorf("store: block %d: %w", i, err)
-	}
-	raw, err := h.hdr.inflate(i, stored)
+	raw, err := h.load(i)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
+	n := copy(p, raw[off:])
 	h.mu.Lock()
-	for old := range h.cache {
+	defer h.mu.Unlock()
+	if _, dup := h.cache[i]; dup || h.cache == nil { // another reader cached it first, or the handle closed
+		freeBlock(raw)
+		return n, nil
+	}
+	for old, b := range h.cache {
 		if len(h.cache) < handleCacheBlocks {
 			break
 		}
 		delete(h.cache, old)
+		freeBlock(b)
 	}
-	if h.cache != nil {
-		h.cache[i] = raw
+	h.cache[i] = raw
+	return n, nil
+}
+
+// load reads block i from the file and returns its raw bytes in a pooled
+// buffer: the read buffer itself for a block stored raw, else a second
+// one it is inflated into, and the read buffer goes back.
+func (h *Handle) load(i int) ([]byte, error) {
+	stored := newBlock(h.hdr.off[i+1] - h.hdr.off[i])
+	if _, err := h.f.ReadAt(stored, h.hdr.off[i]); err != nil {
+		freeBlock(stored)
+		return nil, fmt.Errorf("store: block %d: %w", i, err)
 	}
-	h.mu.Unlock()
-	return raw, nil
+	if h.hdr.table[i]&deflated == 0 {
+		return stored, nil
+	}
+	raw, err := h.hdr.inflate(i, newBlock(0), stored)
+	freeBlock(stored)
+	return raw, err
 }

@@ -26,6 +26,21 @@
 // Open and every real GC recount them with the Stats walk, so a put costs
 // what it writes, not what the store holds. Open refuses a root in the
 // retired chunk layout (a manifests/ directory): see internal/upgrade.
+//
+// Buffers go back (DESIGN.md, key decision 16). A Handle's block buffers
+// come from one pool of 64 KiB arrays, and each has one owner at a time.
+// A block read from the file belongs to the reading goroutine until that
+// goroutine puts it in the handle's cache; from then on it belongs to the
+// cache, and goes back to the pool when it is evicted or the handle is
+// closed, never otherwise. A block the reader does not cache, because
+// another read cached it first or the handle closed, the reader gives
+// back itself. A block kept raw in the object is its own read
+// buffer, so it is given back once, by whoever owns it last; a deflated
+// block's read buffer goes back as soon as the block is inflated out of
+// it. Nothing outside h.mu may touch a cached block: a read copies out of
+// it under the lock, because once the lock is let go an eviction or a Close
+// may hand the buffer to another read. A put's object is encoded into a
+// pooled buffer, which goes back once the object is written.
 package store
 
 import (
@@ -204,7 +219,10 @@ func verify(data []byte) error {
 // putObject writes a verified recording's object and counts it in the
 // totals; the caller holds s.mu.
 func (s *Store) putObject(digest string, data []byte) error {
-	obj := encodeObject(data)
+	buf := objectBufs.Get().(*[]byte)
+	defer objectBufs.Put(buf)
+	obj := encodeObject(*buf, data)
+	*buf = obj
 	if err := writeFileAtomic(s.fs, s.objectPath(digest), obj); err != nil {
 		return fmt.Errorf("store: recording: %w", err)
 	}

@@ -257,7 +257,7 @@ func decodeChunk(data []byte, n int64) ([]byte, error) {
 	case len(data) > 0 && data[0] == 0 && int64(len(data)-1) == n:
 		return data[1:], nil
 	case len(data) > 0 && data[0] == 1:
-		return dplog.Inflate(data[1:], n)
+		return dplog.Inflate(nil, data[1:], n)
 	}
 	return nil, fmt.Errorf("upgrade: chunk file of %d bytes does not hold %d", len(data), n)
 }
