@@ -2,35 +2,60 @@ package server
 
 import (
 	"fmt"
-	"time"
 
 	"doubleplay/internal/trace"
 )
 
-// StateGaugeDrift compares the serve.jobs{state} gauges with a fresh scan
-// of the job table, both read under the server mutex, and describes the
-// first difference ("" when they agree).
+// StateGaugeDrift compares the serve.jobs{state}, serve.queue_depth,
+// queue.lane_depth{lane} and serve.workers_busy gauges, and the queue
+// itself, with a fresh scan of the job table, all read under the server
+// mutex, and describes the first difference ("" when they agree).
 func (s *Server) StateGaugeDrift() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	scan := map[State]int{}
+	var lanes [2]int // queued jobs per lane
 	for _, j := range s.jobs {
 		scan[j.State]++
+		if j.State == stateQueued {
+			lanes[laneIndex(j.Spec.Priority)]++
+		}
 	}
 	for _, st := range []State{stateQueued, stateRunning, StateDone, stateFailed, stateCanceled} {
 		if got := int(s.reg.Gauge("serve.jobs", trace.Label("state", string(st)))); got != scan[st] {
 			return fmt.Sprintf("serve.jobs{state=%s} = %d, the job table holds %d (scan %v)", st, got, scan[st], scan)
 		}
 	}
+	if got := int(s.reg.Gauge("serve.queue_depth")); got != scan[stateQueued] {
+		return fmt.Sprintf("serve.queue_depth = %d, the job table holds %d queued", got, scan[stateQueued])
+	}
+	for i, lane := range []string{laneInteractive, laneBatch} {
+		if got := int(s.reg.Gauge("queue.lane_depth", trace.Label("lane", lane))); got != lanes[i] {
+			return fmt.Sprintf("queue.lane_depth{lane=%s} = %d, the job table holds %d queued there", lane, got, lanes[i])
+		}
+		for _, j := range s.queue.lanes[i] {
+			if j.State != stateQueued || laneIndex(j.Spec.Priority) != i {
+				return fmt.Sprintf("the %s lane holds job %s, state %s, priority %q", lane, j.ID, j.State, j.Spec.Priority)
+			}
+		}
+		if len(s.queue.lanes[i]) != lanes[i] {
+			return fmt.Sprintf("the %s lane holds %d jobs, the job table %d queued there", lane, len(s.queue.lanes[i]), lanes[i])
+		}
+	}
+	if got := int(s.reg.Gauge("serve.workers_busy")); got != scan[stateRunning] {
+		return fmt.Sprintf("serve.workers_busy = %d, the job table holds %d running", got, scan[stateRunning])
+	}
 	return ""
 }
 
-// WaitJob polls a job's state every 100µs until it is terminal and
-// returns its view, for callers that submit through Submit, not HTTP.
+// WaitJob blocks until a job is terminal, waking at each job transition,
+// and returns its view, for callers that submit through Submit, not HTTP.
 func (s *Server) WaitJob(id string) Info {
-	j, _ := s.getJob(id)
-	for !s.jobState(j).Terminal() {
-		time.Sleep(100 * time.Microsecond)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	for !j.State.Terminal() {
+		s.changed.Wait()
 	}
-	return s.jobInfo(j)
+	return j.info()
 }

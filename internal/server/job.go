@@ -314,8 +314,9 @@ type job struct {
 	Finished time.Time
 	Result   *ResultSummary
 
-	// cancel aborts the running job's context; cancelRequested
-	// distinguishes an explicit DELETE from a timeout.
+	// cancel aborts the running job's context, and is set whenever State
+	// is running; cancelRequested distinguishes an explicit DELETE from a
+	// timeout.
 	cancel          func()
 	cancelRequested bool
 }

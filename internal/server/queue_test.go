@@ -2,10 +2,7 @@ package server
 
 // Tests of the daemon's two-lane priority queue.
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // queuedJob builds a job in the given priority lane (empty means the
 // interactive default lane).
@@ -28,11 +25,14 @@ func TestQueueFIFOWithinLaneAndBounds(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	if j, ok := q.Pop(); !ok || j.ID != "a" {
-		t.Fatalf("Pop = %v %v, want a", j, ok)
+	if j := q.Pop(); j == nil || j.ID != "a" {
+		t.Fatalf("Pop = %v, want a", j)
 	}
-	if j, ok := q.Pop(); !ok || j.ID != "b" {
-		t.Fatalf("Pop = %v %v, want b", j, ok)
+	if j := q.Pop(); j == nil || j.ID != "b" {
+		t.Fatalf("Pop = %v, want b", j)
+	}
+	if j := q.Pop(); j != nil {
+		t.Fatalf("Pop on an empty queue = %v, want nil", j)
 	}
 }
 
@@ -42,16 +42,15 @@ func TestQueueInteractiveOvertakesBatch(t *testing.T) {
 	q.Push(queuedJob("batch2", laneBatch))
 	q.Push(queuedJob("int1", laneInteractive))
 	q.Push(queuedJob("int2", laneInteractive))
-	if q.LaneLen(laneInteractive) != 2 || q.LaneLen(laneBatch) != 2 {
-		t.Fatalf("lane depths %d/%d", q.LaneLen(laneInteractive), q.LaneLen(laneBatch))
+	if len(q.lanes[0]) != 2 || len(q.lanes[1]) != 2 {
+		t.Fatalf("lane depths %d/%d", len(q.lanes[0]), len(q.lanes[1]))
 	}
 	// Interactive jobs pop first despite arriving later; each lane stays
 	// FIFO.
 	want := []string{"int1", "int2", "batch1", "batch2"}
 	for _, id := range want {
-		j, ok := q.Pop()
-		if !ok || j.ID != id {
-			t.Fatalf("Pop = %v %v, want %s", j, ok, id)
+		if j := q.Pop(); j == nil || j.ID != id {
+			t.Fatalf("Pop = %v, want %s", j, id)
 		}
 	}
 }
@@ -66,8 +65,8 @@ func TestQueueStarvationBound(t *testing.T) {
 	// jobs run before the batch job gets a turn.
 	batchAt := -1
 	for i := 0; i < 11; i++ {
-		j, ok := q.Pop()
-		if !ok {
+		j := q.Pop()
+		if j == nil {
 			t.Fatalf("queue drained early at %d", i)
 		}
 		if j.ID == "batch" {
@@ -80,48 +79,25 @@ func TestQueueStarvationBound(t *testing.T) {
 	}
 }
 
-func TestQueueRemoveAcrossLanesAndClose(t *testing.T) {
+// TestQueueRemoveAcrossLanes: Remove takes a job out of whichever lane
+// holds it and leaves the rest in order; removing a job no longer queued
+// changes nothing. Closing and draining the queue are the server's
+// (TestShutdownIdlePool, TestDrainLeavesJobManifests).
+func TestQueueRemoveAcrossLanes(t *testing.T) {
 	q := newQueue(8)
-	q.Push(queuedJob("a", laneInteractive))
-	q.Push(queuedJob("b", laneBatch))
-	if !q.Remove("a") || !q.Remove("b") {
-		t.Fatalf("Remove across lanes failed")
+	a, b := queuedJob("a", laneInteractive), queuedJob("b", laneBatch)
+	for _, j := range []*job{queuedJob("i", laneInteractive), a, b, queuedJob("c", laneBatch)} {
+		q.Push(j)
 	}
-	if q.Remove("a") {
-		t.Fatalf("Remove(a) twice = true")
+	q.Remove(a)
+	q.Remove(b)
+	q.Remove(a)
+	if q.Len() != 2 {
+		t.Fatalf("Len after removing a and b = %d, want 2", q.Len())
 	}
-
-	// A Pop blocked on an empty queue wakes when the queue closes.
-	q2 := newQueue(4)
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := q2.Pop()
-		done <- ok
-	}()
-	time.Sleep(20 * time.Millisecond)
-	q2.Close()
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatalf("Pop on closed empty queue returned ok")
+	for _, id := range []string{"i", "c"} {
+		if j := q.Pop(); j == nil || j.ID != id {
+			t.Fatalf("Pop = %v, want %s", j, id)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("Pop did not wake on Close")
-	}
-	if err := q2.Push(queuedJob("x", "")); err != ErrQueueClosed {
-		t.Fatalf("Push after Close: %v, want ErrQueueClosed", err)
-	}
-
-	// Drain hands back what never ran, from both lanes.
-	q3 := newQueue(8)
-	q3.Push(queuedJob("i", laneInteractive))
-	q3.Push(queuedJob("b", laneBatch))
-	q3.Close()
-	left := q3.Drain()
-	if len(left) != 2 {
-		t.Fatalf("Drain = %v", left)
-	}
-	if q3.Len() != 0 {
-		t.Fatalf("Len after Drain = %d", q3.Len())
 	}
 }

@@ -73,15 +73,18 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	store *store.Store
-	queue *queue
 	reg   *trace.Registry
 
+	// mu guards the job table and the queue together; changed is
+	// broadcast at every job transition and when draining begins, and idle
+	// workers wait on it for queued work.
 	mu       sync.Mutex
+	changed  *sync.Cond
+	queue    *queue
 	jobs     map[string]*job
 	byState  map[State]int // jobs per state, adjusted at each transition
 	order    []*job        // submission order, for GET /jobs
 	seq      int
-	busy     int
 	draining bool
 
 	wg sync.WaitGroup // worker goroutines
@@ -102,22 +105,14 @@ func New(cfg Config) (*Server, error) {
 		jobs:    make(map[string]*job),
 		byState: make(map[State]int),
 	}
-	s.publishQueueGauges()
-	s.reg.Set("serve.workers_busy", 0)
+	s.changed = sync.NewCond(&s.mu)
+	s.publishLocked()
 	s.reg.Set("serve.workers_total", float64(cfg.Workers))
 	return s, nil
 }
 
 // Store exposes the artifact store (tests and the CLI peek at it).
 func (s *Server) Store() *store.Store { return s.store }
-
-// publishQueueGauges republishes the total and per-lane queue depths.
-func (s *Server) publishQueueGauges() {
-	s.reg.Set("serve.queue_depth", float64(s.queue.Len()))
-	for _, lane := range []string{laneInteractive, laneBatch} {
-		s.reg.Set("queue.lane_depth", float64(s.queue.LaneLen(lane)), trace.Label("lane", lane))
-	}
-}
 
 // Registry exposes the metrics registry the daemon reports into.
 func (s *Server) Registry() *trace.Registry { return s.reg }
@@ -159,7 +154,6 @@ func (s *Server) Submit(sp Spec) (Info, error) {
 		ID:      jobID(sp, s.seq),
 		Seq:     s.seq,
 		Spec:    sp,
-		State:   stateQueued,
 		Created: time.Now(),
 	}
 	if err := s.queue.Push(j); err != nil {
@@ -167,11 +161,9 @@ func (s *Server) Submit(sp Spec) (Info, error) {
 		return Info{}, err
 	}
 	s.jobs[j.ID] = j
-	s.byState[stateQueued]++
 	s.order = append(s.order, j)
 	s.reg.Add("serve.jobs_submitted", 1, trace.Label("kind", string(sp.Kind)))
-	s.publishQueueGauges()
-	s.stateGaugesLocked()
+	s.setStateLocked(j, stateQueued)
 	return j.info(), nil
 }
 
@@ -205,40 +197,50 @@ func (s *Server) jobState(j *job) State {
 	return j.State
 }
 
-// setStateLocked moves a registered job to st and keeps the per-state
-// counts in step — the jobs map only grows, so the gauges are published
-// from counts rather than from a scan of it. The caller holds s.mu.
+// setStateLocked is the one place a job changes state: a new job (zero
+// State) enters queued, and every later move goes through here too. It
+// keeps the per-state counts in step — the jobs map only grows, so the
+// gauges are published from counts rather than from a scan of it —
+// republishes every queue and job gauge, and wakes everything waiting on
+// s.changed. A job leaving queued has already been taken out of the queue.
+// The caller holds s.mu.
 func (s *Server) setStateLocked(j *job, st State) {
-	s.byState[j.State]--
+	if j.State != "" {
+		s.byState[j.State]--
+	}
 	s.byState[st]++
 	j.State = st
+	s.publishLocked()
+	s.changed.Broadcast()
 }
 
-// stateGaugesLocked republishes the jobs-by-state gauges; the caller
-// holds s.mu.
-func (s *Server) stateGaugesLocked() {
+// publishLocked republishes the queue depths, the busy-worker count and
+// the jobs-by-state gauges; the caller holds s.mu.
+func (s *Server) publishLocked() {
+	s.reg.Set("serve.queue_depth", float64(s.queue.Len()))
+	for i, lane := range []string{laneInteractive, laneBatch} {
+		s.reg.Set("queue.lane_depth", float64(len(s.queue.lanes[i])), trace.Label("lane", lane))
+	}
+	s.reg.Set("serve.workers_busy", float64(s.byState[stateRunning]))
 	for _, st := range []State{stateQueued, stateRunning, StateDone, stateFailed, stateCanceled} {
 		s.reg.Set("serve.jobs", float64(s.byState[st]), trace.Label("state", string(st)))
 	}
 }
 
 // worker is one pool goroutine: pop, run, publish, repeat until the
-// queue closes.
+// server drains.
 func (s *Server) worker() {
+	s.mu.Lock()
 	for {
-		j, ok := s.queue.Pop()
-		if !ok {
-			return
-		}
-		s.publishQueueGauges()
-
-		s.mu.Lock()
-		if j.State != stateQueued { // canceled while queued
-			s.mu.Unlock()
+		j := s.queue.Pop()
+		if j == nil {
+			if s.draining {
+				s.mu.Unlock()
+				return
+			}
+			s.changed.Wait()
 			continue
 		}
-		s.setStateLocked(j, stateRunning)
-		j.Started = time.Now()
 		sp := j.Spec
 		timeout := time.Duration(sp.TimeoutMS) * time.Millisecond
 		if timeout <= 0 {
@@ -249,28 +251,27 @@ func (s *Server) worker() {
 			ctx, cancel = context.WithTimeout(context.Background(), timeout)
 		}
 		j.cancel = cancel
-		s.busy++
-		s.reg.Set("serve.workers_busy", float64(s.busy))
-		s.stateGaugesLocked()
+		j.Started = time.Now()
+		s.setStateLocked(j, stateRunning)
 		s.mu.Unlock()
 
 		sum := &ResultSummary{}
 		spOut, err := s.runJob(ctx, j.ID, sp, sum)
 		cancel()
 		s.finish(j, spOut, sum, err, ctx)
+		s.mu.Lock()
 	}
 }
 
 // endLocked is the one place a job turns terminal: it moves j to st with
-// msg as its error, stamps Finished, counts the outcome, refreshes the state
-// gauges and returns the job.json manifest. The caller holds s.mu and
-// writes the manifest with writeManifest once it has released it.
+// msg as its error, stamps Finished, counts the outcome and returns the
+// job.json manifest. The caller holds s.mu and writes the manifest with
+// writeManifest once it has released it.
 func (s *Server) endLocked(j *job, st State, msg string) []byte {
-	s.setStateLocked(j, st)
 	j.Finished = time.Now()
 	j.Error = msg
+	s.setStateLocked(j, st)
 	s.reg.Add("serve.jobs_completed", 1, trace.Label("outcome", string(st)))
-	s.stateGaugesLocked()
 	b, err := json.MarshalIndent(j.info(), "", "  ")
 	if err != nil {
 		return nil
@@ -302,8 +303,6 @@ func (s *Server) finish(j *job, sp Spec, sum *ResultSummary, err error, ctx cont
 	default:
 		st, msg = stateFailed, shortErr(err)
 	}
-	s.busy--
-	s.reg.Set("serve.workers_busy", float64(s.busy))
 	manifest := s.endLocked(j, st, msg)
 	kind := trace.Label("kind", string(j.Spec.Kind))
 	s.reg.Observe("serve.job_queue_ms", j.Started.Sub(j.Created).Milliseconds(), kind)
@@ -324,27 +323,18 @@ func (s *Server) Cancel(id string) (Info, bool) {
 		s.mu.Unlock()
 		return Info{}, false
 	}
+	var manifest []byte
 	switch j.State {
 	case stateQueued:
-		if s.queue.Remove(id) {
-			s.publishQueueGauges()
-			manifest := s.endLocked(j, stateCanceled, "canceled before start")
-			info := j.info()
-			s.mu.Unlock()
-			s.writeManifest(j.ID, manifest)
-			return info, true
-		}
-		// A worker grabbed it between our state read and the Remove; fall
-		// through to the running path.
-		fallthrough
+		s.queue.Remove(j)
+		manifest = s.endLocked(j, stateCanceled, "canceled before start")
 	case stateRunning:
 		j.cancelRequested = true
-		if j.cancel != nil {
-			j.cancel()
-		}
+		j.cancel()
 	}
 	info := j.info()
 	s.mu.Unlock()
+	s.writeManifest(j.ID, manifest)
 	return info, true
 }
 
@@ -361,21 +351,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
-	s.mu.Unlock()
-
-	s.queue.Close()
-	dropped := s.queue.Drain()
-	manifests := make([][]byte, len(dropped))
-	s.mu.Lock()
-	for i, j := range dropped {
-		if j.State == stateQueued {
-			manifests[i] = s.endLocked(j, stateCanceled, "server draining")
-		}
+	manifests := map[string][]byte{}
+	for j := s.queue.Pop(); j != nil; j = s.queue.Pop() {
+		manifests[j.ID] = s.endLocked(j, stateCanceled, "server draining")
 	}
-	s.publishQueueGauges()
+	s.changed.Broadcast() // idle workers see the drain and exit
 	s.mu.Unlock()
-	for i, j := range dropped {
-		s.writeManifest(j.ID, manifests[i])
+	for id, manifest := range manifests {
+		s.writeManifest(id, manifest)
 	}
 
 	done := make(chan struct{})
@@ -400,7 +383,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// at epoch boundaries, so the workers exit promptly.
 	s.mu.Lock()
 	for _, j := range s.jobs {
-		if j.State == stateRunning && j.cancel != nil {
+		if j.State == stateRunning {
 			j.cancelRequested = true
 			j.cancel()
 		}
@@ -543,7 +526,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, ErrDraining), errors.Is(err, ErrQueueClosed):
+	case errors.Is(err, ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -726,14 +709,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining {
 		status = "draining"
 	}
-	n := len(s.jobs)
-	busy := s.busy
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	body := map[string]any{
 		"status":      status,
-		"jobs":        n,
+		"jobs":        len(s.jobs),
 		"workers":     s.cfg.Workers,
-		"busy":        busy,
+		"busy":        s.byState[stateRunning],
 		"queue_depth": s.queue.Len(),
-	})
+	}
+	s.mu.Unlock()
+	writeJSON(w, http.StatusOK, body)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -449,6 +450,38 @@ func TestCancelQueuedJob(t *testing.T) {
 	waitState(t, ts, running, terminal)
 }
 
+// TestCancelRacesWorkerPop cancels a job just as the one idle worker takes
+// it, 400 times over: submit a racey recording, spin 0–39 µs, cancel. The
+// cancel answers canceled (the job never started and never runs) or running
+// (it ends canceled or done); it never answers queued, which would leave an
+// acknowledged cancel for a job that then runs to done.
+func TestCancelRacesWorkerPop(t *testing.T) {
+	s, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	rng := rand.New(rand.NewSource(40))
+	for round := 0; round < 400; round++ {
+		info, err := s.Submit(server.Spec{Kind: server.KindRecord, Workload: "racey", Seed: int64(round)})
+		if err != nil {
+			t.Fatalf("round %d: Submit: %v", round, err)
+		}
+		for spin, start := time.Duration(rng.Intn(40))*time.Microsecond, time.Now(); time.Since(start) < spin; {
+		}
+		got, _ := s.Cancel(info.ID)
+		end := s.WaitJob(info.ID)
+		switch got.State {
+		case "canceled":
+			if got.Started != nil || end.Started != nil || end.State != "canceled" {
+				t.Fatalf("round %d: cancel answered canceled, then the job started at %v and ended %s", round, end.Started, end.State)
+			}
+		case "running", server.StateDone: // done: it finished before the cancel arrived
+		default:
+			t.Fatalf("round %d: cancel answered %s; the job then ended %s", round, got.State, end.State)
+		}
+		if d := s.StateGaugeDrift(); d != "" {
+			t.Fatalf("round %d: %s", round, d)
+		}
+	}
+}
+
 func TestJobTimeout(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Workers: 1})
 	spec := slowSpec()
@@ -490,6 +523,35 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	// The finished job's artifacts survived the drain.
 	fetchTrace(t, ts, running)
+}
+
+// TestShutdownIdlePool: a drain with nothing queued or running wakes every
+// idle worker and returns at once, and the daemon then refuses work — Submit
+// with ErrDraining, POST /jobs with 503 — and reports itself draining.
+func TestShutdownIdlePool(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Workers: 4, DrainTimeout: 60 * time.Second})
+	done := make(chan error, 1)
+	go func() { done <- s.Shutdown(context.Background()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("idle drain still waiting after 30s — the workers did not exit")
+	}
+	if _, err := s.Submit(server.Spec{Kind: server.KindRecord, Workload: "pbzip"}); !errors.Is(err, server.ErrDraining) {
+		t.Fatalf("Submit after Shutdown: %v, want ErrDraining", err)
+	}
+	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", fastSpec()); code != http.StatusServiceUnavailable {
+		t.Fatalf("POST /jobs after Shutdown: got %d, want 503", code)
+	}
+	if _, v := doJSON(t, "GET", ts.URL+"/healthz", nil); v["status"] != "draining" || v["busy"] != 0.0 || v["queue_depth"] != 0.0 {
+		t.Fatalf("healthz after Shutdown: %v", v)
+	}
+	if d := s.StateGaugeDrift(); d != "" {
+		t.Fatal(d)
+	}
 }
 
 func TestDrainCancelsStragglers(t *testing.T) {
