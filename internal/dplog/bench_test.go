@@ -66,21 +66,32 @@ func BenchmarkReaderRecording(b *testing.B) {
 
 // BenchmarkEpochAt fetches one section per iteration, cycling through the
 // file, from a reader opened once: the sparse-replay and debugger path.
+// Under bytes.Reader the reader is opened over an io.ReaderAt, the path a
+// store Handle takes, so each section's frame is read into a buffer.
 func BenchmarkEpochAt(b *testing.B) {
-	benchLogs(b, func(b *testing.B, data []byte) {
-		rd, err := dplog.OpenReaderBytes(data)
-		if err != nil {
+	benchLogs(b, func(b *testing.B, data []byte) { benchEpochAt(b, data, dplog.OpenReaderBytes) })
+	b.Run("bytes.Reader", func(b *testing.B) {
+		benchLogs(b, func(b *testing.B, data []byte) {
+			benchEpochAt(b, data, func(d []byte) (*dplog.Reader, error) {
+				return dplog.OpenReader(bytes.NewReader(d), int64(len(d)))
+			})
+		})
+	})
+}
+
+func benchEpochAt(b *testing.B, data []byte, open func([]byte) (*dplog.Reader, error)) {
+	rd, err := open(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := rd.NumSections()
+	b.SetBytes(int64(len(data) / n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sinkEpoch, err = rd.EpochAt(i % n); err != nil {
 			b.Fatal(err)
 		}
-		n := rd.NumSections()
-		b.SetBytes(int64(len(data) / n))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if sinkEpoch, err = rd.EpochAt(i % n); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkChunks enumerates the dedup spans of an opened log: the

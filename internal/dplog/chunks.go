@@ -96,7 +96,7 @@ func (r *Reader) Chunks() ([]Chunk, error) {
 	}
 	var ep EpochLog // decoded into over and over; only the offsets are kept
 	for i, info := range r.index {
-		frame, payload, err := r.section(i)
+		frame, payload, err := r.section(nil, i)
 		if err != nil {
 			return nil, err
 		}

@@ -66,7 +66,7 @@ func framesOf(t *testing.T, data []byte) (Header, [][]byte, []SectionInfo) {
 	}
 	var frames [][]byte
 	for i := range rd.index {
-		_, f, _, err := rd.frame(rd.index[i].Offset, &rd.index[i])
+		_, f, _, err := rd.frame(nil, rd.index[i].Offset, &rd.index[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestFrameCrossChecks(t *testing.T) {
 		t.Fatalf("padded frame head: err=%v recovered=%v sections=%d, want a recovered reader that stops at it",
 			err, rd.Recovered(), rd.NumSections())
 	}
-	if _, _, _, err := rd.frame(rd.bodyOff, nil); err == nil || !strings.Contains(err.Error(), "not minimally encoded") {
+	if _, _, _, err := rd.frame(nil, rd.bodyOff, nil); err == nil || !strings.Contains(err.Error(), "not minimally encoded") {
 		t.Fatalf("padded frame head: frame err = %v", err)
 	}
 

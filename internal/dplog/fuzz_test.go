@@ -10,7 +10,9 @@ import (
 
 // FuzzUnmarshal drives the reader with arbitrary bytes. It must never
 // panic; whole-file decode must be the reader's own decode and must fail
-// exactly when the reader fell back to recovery or Verify fails; and whatever decodes
+// exactly when the reader fell back to recovery or Verify fails; a reader
+// over an io.ReaderAt, which fetches into pooled buffers, must agree with
+// the in-memory one in every verdict and recording; and whatever decodes
 // must survive a re-encode round trip and a one-epoch extraction.
 func FuzzUnmarshal(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
@@ -27,6 +29,10 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, uerr := UnmarshalBytes(data)
 		rd, err := OpenReaderBytes(data)
+		at, aerr := OpenReader(bytes.NewReader(data), int64(len(data)))
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("open from memory err %v, through a ReaderAt err %v", err, aerr)
+		}
 		if err != nil {
 			if uerr == nil {
 				t.Fatal("UnmarshalBytes decoded a file the reader cannot open")
@@ -34,6 +40,15 @@ func FuzzUnmarshal(f *testing.F) {
 			return
 		}
 		full, rerr := rd.Recording()
+		fullAt, raerr := at.Recording()
+		switch {
+		case at.Recovered() != rd.Recovered():
+			t.Fatalf("recovered from memory %v, through a ReaderAt %v", rd.Recovered(), at.Recovered())
+		case (raerr == nil) != (rerr == nil) || !reflect.DeepEqual(fullAt, full):
+			t.Fatalf("Recording through a ReaderAt (err %v) differs from the in-memory one (err %v)", raerr, rerr)
+		case (at.Verify() == nil) != (rd.Verify() == nil):
+			t.Fatal("Verify through a ReaderAt disagrees with the in-memory one")
+		}
 		switch {
 		case rd.Recovered() && uerr == nil:
 			t.Fatal("UnmarshalBytes accepted a file the reader had to recover")

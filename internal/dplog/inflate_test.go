@@ -332,7 +332,7 @@ func goldenSections(t testing.TB) []inflateCase {
 			t.Fatal(err)
 		}
 		for i, info := range rd.index {
-			if _, payload, err := rd.section(i); err != nil {
+			if _, payload, err := rd.section(nil, i); err != nil {
 				t.Fatal(err)
 			} else if info.Compressed() {
 				cases = append(cases, inflateCase{fmt.Sprintf("%s section %d", filepath.Base(f), i), payload, info.Raw, true})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -148,6 +149,71 @@ func TestUnmarshalBufferReuse(t *testing.T) {
 				t.Fatalf("recording %d: overwriting Unmarshal's read buffer changed the recording it returned", i)
 			}
 			break
+		}
+	}
+}
+
+// TestWarmDecodeAllocatesNothing requires the two decodes that throw away
+// what they read to allocate nothing once their pools and buffers are
+// warm: Verify, on a reader over memory and over an io.ReaderAt, and
+// DecodeAt through an io.ReaderAt into an EpochLog that has already held
+// every section. The section frames, header prefix, footer and index a
+// ReaderAt-backed reader fetches go into pooled buffers, and Verify
+// decodes into a pooled EpochLog.
+func TestWarmDecodeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	// AllocsPerRun measures at GOMAXPROCS 1, and a sync.Pool drops what it
+	// holds when GOMAXPROCS changes: set it first, so the warm-up passes
+	// fill the pools the measured passes draw from. A pass can outgrow an
+	// array that holds arrays (a syscall's writes), which the next pass
+	// then grows again, so each warm-up is a few passes.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rec, rng := bigRecording(t, 8), rand.New(rand.NewSource(5))
+	for _, ep := range rec.Epochs { // syscalls and their write data too
+		for len(ep.Syscalls) < 8 {
+			for _, e := range randomRecording(rng).Epochs {
+				ep.Syscalls = append(ep.Syscalls, e.Syscalls...)
+			}
+		}
+	}
+	for _, compress := range []bool{false, true} {
+		data := MarshalBytesWith(rec, EncodeOptions{Compress: compress})
+		mem, err := OpenReaderBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, err := OpenReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, rd := range map[string]*Reader{"memory": mem, "ReaderAt": at} {
+			verify := func() {
+				if err := rd.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 4 {
+				verify()
+			}
+			if n := testing.AllocsPerRun(20, verify); n != 0 {
+				t.Errorf("compress=%v, %s: a warm Verify allocates %v times", compress, name, n)
+			}
+		}
+		var ep EpochLog
+		decodeAll := func() {
+			for pos := range at.NumSections() {
+				if err := at.DecodeAt(pos, &ep); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for range 4 {
+			decodeAll()
+		}
+		if n := testing.AllocsPerRun(20, decodeAll); n != 0 {
+			t.Errorf("compress=%v: DecodeAt through a ReaderAt into a warm EpochLog allocates %v times per pass", compress, n)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -56,10 +57,12 @@ func OpenReaderBytes(b []byte) (*Reader, error) {
 }
 
 func open(r *Reader) (*Reader, error) {
+	buf := fetchBufs.Get().(*[]byte)
+	defer fetchBufs.Put(buf)
 	// The header's length is known only once it is parsed: fetch a prefix,
 	// and a wider one while the parse runs off its end.
 	for n := int64(256); ; n *= 8 {
-		b, err := r.fetch(0, min(n, r.size))
+		b, err := r.fetch(buf, 0, min(n, r.size))
 		if err != nil {
 			return nil, err
 		}
@@ -73,19 +76,26 @@ func open(r *Reader) (*Reader, error) {
 			return nil, c.err
 		}
 	}
-	if r.damage = r.loadIndex(); r.damage != nil {
-		r.recoverScan()
+	if r.damage = r.loadIndex(buf); r.damage != nil {
+		r.recoverScan(buf)
 	}
 	return r, nil
 }
 
 // fetch returns file bytes [off, off+n), which the caller has checked to
-// lie inside the file.
-func (r *Reader) fetch(off, n int64) ([]byte, error) {
+// lie inside the file. An in-memory file hands out a sub-slice of itself.
+// Otherwise the bytes are read into *dst, grown to n when it is shorter,
+// or into a new buffer when dst is nil: a caller that keeps what it
+// fetched passes nil.
+func (r *Reader) fetch(dst *[]byte, off, n int64) ([]byte, error) {
 	if r.src == nil {
 		return r.mem[off : off+n], nil
 	}
-	b := make([]byte, n)
+	if dst == nil {
+		dst = new([]byte)
+	}
+	b := slices.Grow((*dst)[:0], int(n))[:n]
+	*dst = b
 	if m, err := r.src.ReadAt(b, off); m < len(b) {
 		if err == nil || err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -99,12 +109,13 @@ func (r *Reader) fetch(off, n int64) ([]byte, error) {
 // and validates both, including that the index describes the file
 // exactly: entries in file order, the first section starting where the
 // header ends, each next one where the previous frame ends, the last one
-// ending where the index starts (docs/FORMAT.md §4).
-func (r *Reader) loadIndex() error {
+// ending where the index starts (docs/FORMAT.md §4). The footer and the
+// index are fetched into buf, one after the other.
+func (r *Reader) loadIndex(buf *[]byte) error {
 	if r.size < r.bodyOff+footerLen {
 		return errors.New("file too short for a footer")
 	}
-	foot, err := r.fetch(r.size-footerLen, footerLen)
+	foot, err := r.fetch(buf, r.size-footerLen, footerLen)
 	if err != nil {
 		return err
 	}
@@ -115,11 +126,12 @@ func (r *Reader) loadIndex() error {
 	if idxOff < r.bodyOff || idxOff > r.size-footerLen {
 		return fmt.Errorf("footer index offset %d out of range", idxOff)
 	}
-	idx, err := r.fetch(idxOff, r.size-footerLen-idxOff)
+	crc := binary.LittleEndian.Uint32(foot[8:12])
+	idx, err := r.fetch(buf, idxOff, r.size-footerLen-idxOff)
 	if err != nil {
 		return err
 	}
-	if got := crc32.ChecksumIEEE(idx); got != binary.LittleEndian.Uint32(foot[8:12]) {
+	if got := crc32.ChecksumIEEE(idx); got != crc {
 		return errors.New("index CRC mismatch")
 	}
 	c := cursor{b: idx}
@@ -152,11 +164,12 @@ func (r *Reader) loadIndex() error {
 // recoverScan rebuilds the section index by walking frames forward from
 // the end of the header, keeping every section whose frame parses and
 // whose payload CRC checks, and stopping at the first damage. This is
-// the truncated-log path: everything up to the cut survives.
-func (r *Reader) recoverScan() {
+// the truncated-log path: everything up to the cut survives. Each frame
+// is fetched into buf.
+func (r *Reader) recoverScan(buf *[]byte) {
 	r.byID = make(map[int]int)
 	for off := r.bodyOff; ; {
-		info, frame, _, err := r.frame(off, nil)
+		info, frame, _, err := r.frame(buf, off, nil)
 		if err != nil {
 			return
 		}
@@ -174,13 +187,13 @@ func (r *Reader) recoverScan() {
 // tile the file, and the frame must then agree with the entry field for
 // field. The recovery scan has no entry: it reads the head first, and the
 // length the head declares is checked against the file before a buffer
-// of that size exists.
-func (r *Reader) frame(off int64, want *SectionInfo) (info SectionInfo, frame, payload []byte, err error) {
+// of that size exists. The frame is fetched into dst (see fetch).
+func (r *Reader) frame(dst *[]byte, off int64, want *SectionInfo) (info SectionInfo, frame, payload []byte, err error) {
 	n := min(maxFrameHead, r.size-off)
 	if want != nil {
 		n = frameLen(*want)
 	}
-	if frame, err = r.fetch(off, n); err != nil {
+	if frame, err = r.fetch(dst, off, n); err != nil {
 		return info, nil, nil, err
 	}
 	c := cursor{b: frame}
@@ -198,7 +211,7 @@ func (r *Reader) frame(off int64, want *SectionInfo) (info SectionInfo, frame, p
 		return info, nil, nil, io.ErrUnexpectedEOF
 	}
 	if want == nil {
-		if frame, err = r.fetch(off, total); err != nil {
+		if frame, err = r.fetch(dst, off, total); err != nil {
 			return info, nil, nil, err
 		}
 	}
@@ -210,9 +223,9 @@ func (r *Reader) frame(off int64, want *SectionInfo) (info SectionInfo, frame, p
 }
 
 // section is frame for the index entry at position pos.
-func (r *Reader) section(pos int) (frame, payload []byte, err error) {
+func (r *Reader) section(dst *[]byte, pos int) (frame, payload []byte, err error) {
 	info := &r.index[pos]
-	if _, frame, payload, err = r.frame(info.Offset, info); err != nil {
+	if _, frame, payload, err = r.frame(dst, info.Offset, info); err != nil {
 		err = fmt.Errorf("dplog: epoch %d: %w", info.Epoch, err)
 	}
 	return frame, payload, err
@@ -258,7 +271,9 @@ func (r *Reader) DecodeAt(pos int, ep *EpochLog) error {
 	if pos < 0 || pos >= len(r.index) {
 		return fmt.Errorf("%w: section position %d of %d", ErrNoEpoch, pos, len(r.index))
 	}
-	_, payload, err := r.section(pos)
+	buf := fetchBufs.Get().(*[]byte)
+	defer fetchBufs.Put(buf) // once the payload is decoded, which copies what it keeps
+	_, payload, err := r.section(buf, pos)
 	if err != nil {
 		return err
 	}
@@ -295,20 +310,35 @@ func (r *Reader) Recording() (*Recording, error) {
 
 // Verify succeeds exactly when UnmarshalBytes would: the index is the
 // file's own, not a recovery scan's, and every section's frame, CRC and
-// body decode. It keeps none of the epochs, so a caller that only needs to
-// know the log is intact pays for one reused EpochLog, not the recording.
+// body decode. It keeps none of the epochs: it decodes them all into one
+// pooled EpochLog, so a caller that only needs to know the log is intact
+// pays for neither the recording nor, once the pool is warm, a buffer.
 func (r *Reader) Verify() error {
 	if r.damage != nil {
 		return fmt.Errorf("dplog: truncated or corrupt log: %w", r.damage)
 	}
-	var ep EpochLog
+	ep := verifyBufs.Get().(*EpochLog)
+	defer verifyBufs.Put(ep)
 	for pos := range r.index {
-		if err := r.DecodeAt(pos, &ep); err != nil {
+		if err := r.DecodeAt(pos, ep); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// verifyBufs are the EpochLogs Verify decodes into. Nothing outside Verify
+// sees one, so each goes back when Verify returns.
+var verifyBufs = sync.Pool{New: func() any { return new(EpochLog) }}
+
+// fetchBufs pools the buffers a ReaderAt-backed reader fetches bytes into
+// when the call that fetched them keeps none: what open reads (header
+// prefix, footer, index, or the recovery scan's frames) and the section
+// frame DecodeAt decodes. Nothing a decode returns aliases the bytes it
+// read (DESIGN.md decision 13), so each buffer goes back when that call
+// returns. WriteRange keeps its frames until it writes them, and Chunks
+// is not a hot path: both fetch into new buffers.
+var fetchBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // UnmarshalBytes decodes a whole recording from a byte slice: a reader
 // over it, every section in file order. Where OpenReader salvages what it
@@ -356,7 +386,7 @@ func (r *Reader) WriteRange(w io.Writer, lo, hi int) error {
 		if !ok {
 			return fmt.Errorf("%w: epoch %d", ErrNoEpoch, id)
 		}
-		frame, _, err := r.section(pos)
+		frame, _, err := r.section(nil, pos)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -123,4 +125,28 @@ func TestHandleRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	all.Wait()
+}
+
+// TestOpenObjectAllocs pins what opening an object and decoding its header
+// allocates once the prefix pool is warm: seven allocations, os.Open's
+// path and two file structs, Stat's result, then the decoded header and
+// its two tables. The 4 KiB prefix the header is read through is pooled.
+func TestOpenObjectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	path := filepath.Join(t.TempDir(), "object")
+	if err := os.WriteFile(path, encodeObject(nil, mixedRecording()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		f, _, err := openObject(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	})
+	if n != 7 {
+		t.Fatalf("openObject allocates %v times per call, want 7", n)
+	}
 }

@@ -202,7 +202,9 @@ func readHeader(f *os.File) (*objectHeader, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, min(info.Size(), 4096))
+	prefix := prefixes.Get().(*[4096]byte)
+	defer prefixes.Put(prefix) // decodeHeader keeps nothing of it
+	b := prefix[:min(info.Size(), 4096)]
 	if _, err := f.ReadAt(b, 0); err != nil {
 		return nil, err
 	}
@@ -214,3 +216,6 @@ func readHeader(f *os.File) (*objectHeader, error) {
 	}
 	return decodeHeader(b, info.Size())
 }
+
+// prefixes pools readHeader's 4 KiB prefixes.
+var prefixes = sync.Pool{New: func() any { return new([4096]byte) }}

@@ -41,6 +41,13 @@
 // it under the lock, because once the lock is let go an eviction or a Close
 // may hand the buffer to another read. A put's object is encoded into a
 // pooled buffer, which goes back once the object is written.
+//
+// What a decode reads and keeps nothing of goes back when the decode
+// returns (DESIGN.md, key decision 13): an object open's 4 KiB header
+// prefix, the EpochLog a put's Verify decodes into, and the header prefix,
+// footer, index and section frames a dplog reader over a Handle reads.
+// Only a range extraction (WriteRange), which keeps its frames until it
+// writes them, reads into new buffers.
 package store
 
 import (
