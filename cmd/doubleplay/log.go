@@ -4,7 +4,7 @@ package main
 //
 //	doubleplay log inspect -log pbzip.dplog            # header, section table, index health
 //	doubleplay log inspect -log pbzip.dplog -epoch 3   # one section's frame + boundary info
-//	doubleplay log upgrade -log old.dplog [-o new]     # rewrite v4/v5 (or repair v6) in place; the only reader of v4/v5
+//	doubleplay log upgrade -log bad.dplog [-o new]     # rewrite a damaged log's index in place
 //	doubleplay log extract -log a.dplog -epochs 3..5 -o sub.dplog
 //
 // Unlike `doubleplay inspect` (which decodes every epoch and needs the
@@ -22,7 +22,8 @@ import (
 
 // openLog opens path as a random-access log reader. The file stays open
 // for the life of the process — the reader fetches section bytes lazily.
-// A retired v4/v5 file does not open: the error names `log upgrade`.
+// A retired v4/v5 file does not open: the error names the last build
+// that converts it.
 func openLog(path string) *dplog.Reader {
 	f, err := os.Open(path)
 	check(err)
@@ -139,8 +140,8 @@ func logInspectEpoch(rd *dplog.Reader, epoch int) {
 		len(ep.Syscalls), len(ep.Signals), len(ep.SyncOrder))
 }
 
-// logUpgrade rewrites a retired v4/v5 log (or repairs a damaged v6 one)
-// as the current sectioned format. With -o it writes there; otherwise it
+// logUpgrade repairs a damaged log: it rewrites the sections that survive
+// behind a fresh index. With -o it writes there; otherwise it
 // replaces the input atomically via a temp file in the same directory.
 func logUpgrade(path, out string) {
 	data, err := os.ReadFile(path)

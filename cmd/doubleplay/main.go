@@ -14,7 +14,7 @@
 //	doubleplay serve   -listen :8421 -pprof         # job daemon + /debug/pprof
 //	doubleplay inspect -log pbzip.dplog
 //	doubleplay log inspect -log pbzip.dplog         # section table + index health
-//	doubleplay log upgrade -log old.dplog           # migrate v4/v5 logs to v6 in place
+//	doubleplay log upgrade -log bad.dplog           # rewrite a damaged log's index in place
 //	doubleplay log extract -log pbzip.dplog -epochs 3..5 -o sub.dplog
 //	doubleplay disasm  -w fft
 //	doubleplay races   -w webserve-racy -workers 4  # happens-before race report
@@ -65,7 +65,7 @@ func main() {
 	// The `store` group nests the same way.
 	if cmd == "store" {
 		if len(args) == 0 {
-			usageErr("store requires a subcommand: stats, gc, fsck, upgrade")
+			usageErr("store requires a subcommand: stats, gc, fsck")
 		}
 		cmd, args = "store "+args[0], args[1:]
 	}
@@ -79,7 +79,7 @@ func main() {
 		seed       = fs.Int64("seed", 11, "input/timing seed")
 		epochLen   = fs.Int64("epoch", core.DefaultEpochCycles, "epoch length in cycles")
 		logPath    = fs.String("log", "", "recording file to read")
-		outPath    = fs.String("o", "", "recording file to write (store upgrade: the new store root)")
+		outPath    = fs.String("o", "", "recording file to write")
 		epochRange = fs.String("epochs", "", "log extract: epoch range, n or n..m")
 		parallel   = fs.Bool("parallel", false, "replay epochs in parallel (verify-time only)")
 		stride     = fs.Int("stride", 0, "also verify sparse segment-parallel replay with this checkpoint stride")
@@ -371,9 +371,6 @@ func main() {
 	case "store fsck":
 		storeFsck(*dataDir, *jsonOut)
 
-	case "store upgrade":
-		storeUpgrade(*dataDir, *outPath)
-
 	default:
 		usageErr(fmt.Sprintf("unknown command %q", cmd))
 	}
@@ -538,7 +535,7 @@ commands:
   log      .dplog file tooling (see docs/FORMAT.md):
              log inspect -log f.dplog [-epoch N]  header, section table, index health
                                                   (-epoch: one section's frame + boundary info)
-             log upgrade -log f.dplog [-o out]    migrate v4/v5 or repair v6, in place by default
+             log upgrade -log f.dplog [-o out]    repair a damaged index, in place by default
              log extract -log f.dplog -epochs n..m -o out
   disasm   disassemble a workload's guest program
   races    run the happens-before detector over a workload
@@ -546,6 +543,5 @@ commands:
   store    daemon artifact-store tooling (offline; -data selects the store):
              store stats -data ./dpdata [-json]   recordings and space accounting
              store gc -data ./dpdata [-max-age 720h] [-max-bytes N] [-dry-run]
-             store fsck -data ./dpdata [-json]    full integrity walk (exit 1 on damage)
-             store upgrade -data ./old -o ./new   convert a chunk-layout store into a new root`)
+             store fsck -data ./dpdata [-json]    full integrity walk (exit 1 on damage)`)
 }

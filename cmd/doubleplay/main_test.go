@@ -65,18 +65,28 @@ func TestCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// log upgrade rewrites its input in place: work on a copy.
-	v5, err := os.ReadFile(filepath.Join("..", "..", "internal", "dplog", "testdata", "v5.dplog"))
-	if err != nil {
-		t.Fatal(err)
+	// A retired v5 log, which every command refuses, and a v6 log cut
+	// inside its footer, which log upgrade repairs in place.
+	for name, fixture := range map[string]string{"legacy.dplog": "v5.dplog", "cut.dplog": "v6_raw.dplog"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "internal", "dplog", "testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "cut.dplog" {
+			data = data[:len(data)-1]
+		}
+		if err := os.WriteFile(path(name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(path("legacy.dplog"), v5, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A store in the retired chunk layout, which only store upgrade reads.
+	logRefusal := "commit 965294b, the last build that converts one"
+	// A store in the retired chunk layout: a manifests/ directory is what
+	// marks one.
 	chunkStore := path("chunkstore")
-	copyTree(t, filepath.Join("..", "..", "internal", "upgrade", "testdata", "v2store"), chunkStore)
-	refusal := "doubleplay store upgrade -data " + chunkStore
+	if err := os.MkdirAll(filepath.Join(chunkStore, "manifests"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	refusal := chunkStore + " is in the retired chunk layout; `doubleplay store upgrade` of commit 965294b"
 
 	for _, tc := range []struct {
 		name   string
@@ -176,19 +186,19 @@ func TestCLI(t *testing.T) {
 			match(`epochs 1\.\.2 .* \(2 sections\)`)},
 		{"the range is a standalone log", []string{"log", "inspect", "-log", path("sub.dplog")}, 0, "",
 			match(`(?m)^sections: +2$`, `(?m)^index: +ok`)},
-		{"log inspect refuses a v5 log", []string{"log", "inspect", "-log", path("legacy.dplog")}, 1, "doubleplay log upgrade", nil},
-		{"log upgrade rewrites it in place", []string{"log", "upgrade", "-log", path("legacy.dplog")}, 0, "",
-			match(`dplog v6`)},
-		{"the upgraded log inspects as v6", []string{"log", "inspect", "-log", path("legacy.dplog")}, 0, "",
+		{"log inspect refuses a v5 log", []string{"log", "inspect", "-log", path("legacy.dplog")}, 1, logRefusal, nil},
+		{"log upgrade refuses it too", []string{"log", "upgrade", "-log", path("legacy.dplog")}, 1, logRefusal, nil},
+		{"log inspect salvages a cut log", []string{"log", "inspect", "-log", path("cut.dplog")}, 0, "",
+			match(`(?m)^index: +RECOVERED .* 3 sections salvaged`)},
+		{"log upgrade rewrites it in place", []string{"log", "upgrade", "-log", path("cut.dplog")}, 0, "",
+			match(`dplog v6, 3 sections`)},
+		{"the upgraded log inspects as v6", []string{"log", "inspect", "-log", path("cut.dplog")}, 0, "",
 			match(`dplog v6`, `(?m)^index: +ok`)},
 		{"store fsck refuses a chunk-layout store", []string{"store", "fsck", "-data", chunkStore}, 1, refusal, nil},
 		{"store stats refuses it", []string{"store", "stats", "-data", chunkStore}, 1, refusal, nil},
 		{"store gc refuses it", []string{"store", "gc", "-data", chunkStore}, 1, refusal, nil},
 		{"serve refuses it", []string{"serve", "-listen", "127.0.0.1:0", "-data", chunkStore}, 1, refusal, nil},
-		{"store upgrade converts it into a new root", []string{"store", "upgrade", "-data", chunkStore, "-o", path("upstore")}, 0, "",
-			match(`(?m)^upgrade: 2 recordings put, 2 job files copied -> `)},
-		{"the new root fscks clean", []string{"store", "fsck", "-data", path("upstore")}, 0, "",
-			match(`(?m)^fsck: 1 refs, 2 recording objects checked$`, `(?m)^fsck: ok$`)},
+		{"store upgrade is no command", []string{"store", "upgrade", "-data", chunkStore}, 2, `unknown command "store upgrade"`, nil},
 		{"verify checks the guest profile under every plan",
 			[]string{"verify", "-w", "fft", "-workers", "2", "-parallel", "-guest-profile", path("v.pb")}, 0, "",
 			match(`(?m)^parallel replay: +OK`, `(?m)^guest profile: +OK`, `(?m)^guest self-check: +OK`)},
@@ -207,27 +217,5 @@ func TestCLI(t *testing.T) {
 				tc.check(t, stdout)
 			}
 		})
-	}
-}
-
-// copyTree copies a testdata directory somewhere a test may write.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	err := filepath.WalkDir(src, func(path string, de os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(src, path)
-		if de.IsDir() {
-			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dst, rel), data, 0o644)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

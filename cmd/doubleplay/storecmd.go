@@ -7,14 +7,12 @@ package main
 //	doubleplay store stats -data ./dpdata [-json]     # recordings and space accounting
 //	doubleplay store gc -data ./dpdata -max-age 720h  # retention sweep (honours pins)
 //	doubleplay store fsck -data ./dpdata              # full integrity walk
-//	doubleplay store upgrade -data ./old -o ./new     # convert a chunk-layout store
 //
-// All four run against the store on disk and are safe to use while a
+// All three run against the store on disk and are safe to use while a
 // daemon is down (post-drain maintenance) — gc and fsck take the same
-// on-disk layout the daemon's /admin endpoints operate on; only upgrade
-// reads the retired chunk layout. Exit codes follow the global convention:
-// fsck exits 1 when it finds damage, upgrade when a recording does not
-// convert, gc and stats only on I/O errors.
+// on-disk layout the daemon's /admin endpoints operate on. Exit codes
+// follow the global convention: fsck exits 1 when it finds damage, gc and
+// stats only on I/O errors.
 
 import (
 	"encoding/json"
@@ -23,7 +21,6 @@ import (
 	"time"
 
 	"doubleplay/internal/store"
-	"doubleplay/internal/upgrade"
 )
 
 // openStore opens the artifact store rooted at dir without a metrics
@@ -96,14 +93,4 @@ func storeFsck(dir string, jsonOut bool) {
 	if !jsonOut {
 		fmt.Println("fsck: ok")
 	}
-}
-
-// storeUpgrade converts the chunk-layout store at dir into a new root out.
-func storeUpgrade(dir, out string) {
-	if out == "" {
-		usageErr("store upgrade requires -o <new store root>")
-	}
-	put, copied, err := upgrade.Store(dir, out)
-	fmt.Printf("upgrade: %d recordings put, %d job files copied -> %s\n", put, copied, out)
-	check(err)
 }

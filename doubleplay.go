@@ -199,7 +199,7 @@ func SaveRecording(w io.Writer, rec *Recording) error { return dplog.Marshal(w, 
 // LoadRecording reads r to its end and decodes the recording
 // SaveRecording wrote there. Only the current format (docs/FORMAT.md)
 // loads; a retired v4/v5 file fails with an error wrapping
-// dplog.ErrBadVersion and goes through UpgradeRecording first.
+// dplog.ErrBadVersion.
 func LoadRecording(r io.Reader) (*Recording, error) { return dplog.Unmarshal(r) }
 
 // LogReader is a random-access view of a stored recording: the v6 log
@@ -218,8 +218,7 @@ type LogSection = dplog.SectionInfo
 
 // OpenRecording opens an encoded recording for random access without
 // decoding its epochs. A damaged file opens Recovered, holding the
-// sections that survive; a retired v4/v5 file does not open (see
-// UpgradeRecording).
+// sections that survive; a retired v4/v5 file does not open.
 func OpenRecording(data []byte) (*LogReader, error) { return dplog.OpenReaderBytes(data) }
 
 // OpenRecordingAt is OpenRecording over an io.ReaderAt (e.g. an *os.File),
@@ -228,11 +227,11 @@ func OpenRecordingAt(r io.ReaderAt, size int64) (*LogReader, error) {
 	return dplog.OpenReader(r, size)
 }
 
-// UpgradeRecording migrates an encoded recording to the current sectioned
-// format: retired v4/v5 logs — which nothing else reads any more — are
-// re-encoded, and v6 logs with a damaged index are repaired from their
-// recoverable sections. It returns the
-// (possibly unchanged) bytes and whether a rewrite happened.
+// UpgradeRecording repairs an encoded recording's index: a log with a
+// damaged index is rewritten from its recoverable sections, and an intact
+// one passes through. It returns the (possibly unchanged) bytes and
+// whether a rewrite happened; a retired v4/v5 log is refused as every
+// reader refuses it.
 func UpgradeRecording(data []byte) ([]byte, bool, error) { return dplog.Upgrade(data) }
 
 // Workloads lists the builtin benchmark names in presentation order.

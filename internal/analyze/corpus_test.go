@@ -199,10 +199,11 @@ func TestCertificateSound(t *testing.T) {
 // hash; a certified epoch that misses its end state fails with
 // replay.ErrCertViolated, which would make the certificate unsound.
 //
-// A recording in which a guest thread faulted is left out and counted: a
-// fault is not a retirement, so no log can yet say where it happened, and
-// such a recording does not replay whatever the certificate says (ROADMAP
-// item 1(a)).
+// A program whose thread faults does not record: a fault is not a
+// retirement, so no log can yet say where it happened (ROADMAP item 1(a)),
+// and Record fails with core.ErrGuestFault. It may fail so only when
+// core.RunNative of the same program faults too; a race-free program
+// faults on every schedule or on none, so that check holds on any.
 func TestCertifiedReplayClean(t *testing.T) {
 	var certified, faulted, epochs int
 	for _, p := range corpus() {
@@ -213,6 +214,14 @@ func TestCertifiedReplayClean(t *testing.T) {
 		res, err := core.Record(p.prog, p.world(), core.Options{
 			SpareCPUs: 2, Seed: 1, EpochCycles: 2000, VerifyPolicy: core.VerifyCertified,
 		})
+		if errors.Is(err, core.ErrGuestFault) {
+			native, nerr := core.RunNative(p.prog, p.world(), 2, 1, nil)
+			if nerr != nil || len(native.Faults) == 0 {
+				t.Fatalf("%s: record: %v, yet a native run faults nowhere (%v)", p.name, err, nerr)
+			}
+			faulted++
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: record: %v", p.name, err)
 		}
@@ -220,9 +229,7 @@ func TestCertifiedReplayClean(t *testing.T) {
 			t.Fatalf("%s: %d of %d epochs skipped verification (fallback %q)", p.name, st.VerifySkipped, st.Epochs, st.VerifyFallback)
 		}
 		if res.Stats.GuestFaults > 0 {
-			faulted++
-			t.Logf("%s: left out, %d guest faults recorded", p.name, res.Stats.GuestFaults)
-			continue
+			t.Fatalf("%s: a certified recording holds %d guest faults", p.name, res.Stats.GuestFaults)
 		}
 		epochs += res.Stats.Epochs
 		src := replay.FromRecording(res.Recording)
@@ -258,7 +265,8 @@ func TestCertifiedReplayClean(t *testing.T) {
 	if certified == faulted {
 		t.Fatal("no certified program records without a fault; no certified recording is replayed")
 	}
-	t.Logf("%d of %d certified programs, %d epochs, recorded and replayed by every plan", certified-faulted, certified, epochs)
+	t.Logf("%d of %d certified programs, %d epochs, recorded and replayed by every plan; %d fault natively and fail with ErrGuestFault",
+		certified-faulted, certified, epochs, faulted)
 }
 
 // FuzzCertifySound points the soundness and determinism checks at

@@ -3,6 +3,7 @@ package dplog
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 )
 
@@ -114,7 +115,11 @@ func TestChunksSplitUncompressedSections(t *testing.T) {
 
 func TestChunksRefusesLegacyAndRecovered(t *testing.T) {
 	// A retired flat stream never gets as far as a reader to chunk.
-	if _, err := OpenReaderBytes(encodeLegacy(legacyFixture(5), 5)); !errors.Is(err, ErrBadVersion) {
+	legacy, err := os.ReadFile(goldenPath("v5.dplog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenReaderBytes(legacy); !errors.Is(err, ErrBadVersion) {
 		t.Fatalf("legacy open err = %v, want ErrBadVersion", err)
 	}
 

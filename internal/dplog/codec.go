@@ -17,13 +17,10 @@ import (
 // record costs a couple of bytes, as it would in any careful
 // implementation.
 
-// Version history: v4 is the pre-certification format; v5 adds the
-// recording's scheduling quantum to the header and a per-epoch flags
-// varint (bit 0: certified); v6 wraps each epoch in a framed, optionally
+// Version history: v4 and v5 were flat streams of epoch bodies with no
+// framing or index; v6 wraps each epoch in a framed, optionally
 // DEFLATE-compressed section behind an offset index. The encoder writes
-// v6 and the readers (Unmarshal, OpenReader) accept only v6; the retired
-// flat layouts are decoded by Upgrade alone (legacy.go), and the appendix
-// of docs/FORMAT.md specifies them.
+// v6 and every reader accepts only v6 (docs/FORMAT.md, "Support policy").
 
 // FormatVersion is the log format version the encoder writes.
 const FormatVersion = formatVersion
@@ -31,12 +28,14 @@ const FormatVersion = formatVersion
 const (
 	magic         = "DPLG"
 	formatVersion = 6
-	minVersion    = 4
+	// lastConverter is the last commit whose build converts a retired
+	// v4/v5 log to v6 (`doubleplay log upgrade`); refusals name it.
+	lastConverter = "965294b"
 
 	epochFlagCertified = 1 << 0
 
-	// maxEpochs bounds the per-file section count (and the retired
-	// layouts' epoch count) against hostile headers.
+	// maxEpochs bounds the per-file section count against hostile
+	// headers.
 	maxEpochs = 1 << 24
 )
 
@@ -180,8 +179,8 @@ func (e *encoder) syscall(r *SyscallRecord) {
 }
 
 // encodeEpochBody appends one epoch's complete section payload to dst: the
-// replay part followed by the sync-order part, exactly the v5 per-epoch
-// layout. replay is how many of its bytes ReplaySize counts: the replay
+// replay part followed by the sync-order part (docs/FORMAT.md §3.1).
+// replay is how many of its bytes ReplaySize counts: the replay
 // part, or all of it for a certified epoch, whose sync order is its replay
 // log.
 func encodeEpochBody(dst []byte, ep *EpochLog) (body []byte, replay int) {

@@ -210,63 +210,6 @@ func TestSizesAndCounts(t *testing.T) {
 	}
 }
 
-// TestV4StreamDecodes pins backward compatibility: a pre-certification
-// v4 stream (no header quantum, no per-epoch flags) must still load
-// through Upgrade — and only through it — with Quantum zero and no epoch
-// certified.
-func TestV4StreamDecodes(t *testing.T) {
-	e := encoder{b: []byte(magic)}
-	e.u(4)
-	e.str("legacy")
-	e.u(2)     // workers
-	e.i(7)     // seed
-	e.u(1)     // epochs
-	e.u(0xabc) // final hash
-	e.u(0xdef) // output hash
-	e.u(3)     // epoch index (no flags varint in v4)
-	e.u(0x11)  // start hash
-	e.u(0x22)  // end hash
-	e.u(0x33)  // commit hash
-	e.u(1)     // targets
-	e.u(40)    //   target[0]
-	e.u(1)     // slices
-	e.u(0)     //   tid
-	e.u(40)    //   n
-	e.u(0)     // syscalls
-	e.u(0)     // signals
-	e.u(1)     // sync ops
-	e.u(1)     //   tid
-	e.u(0)     //   kind
-	e.i(9)     //   id
-	if _, err := UnmarshalBytes(e.b); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v4 stream straight into the reader: %v, want ErrBadVersion", err)
-	}
-	up, changed, err := Upgrade(e.b)
-	if err != nil || !changed {
-		t.Fatalf("Upgrade(v4): changed=%v err=%v", changed, err)
-	}
-	rec, err := UnmarshalBytes(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Program != "legacy" || rec.Quantum != 0 {
-		t.Fatalf("header: %+v", rec)
-	}
-	ep := rec.Epochs[0]
-	if ep.Certified || ep.Index != 3 || ep.StartHash != 0x11 || len(ep.SyncOrder) != 1 {
-		t.Fatalf("epoch: %+v", ep)
-	}
-	// And a version below the window is rejected.
-	old := MarshalBytes(&Recording{Program: "x"})
-	old[4] = 3
-	if _, err := UnmarshalBytes(old); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v3 accepted: %v", err)
-	}
-	if _, _, err := Upgrade(old); !errors.Is(err, ErrBadVersion) || strings.Contains(err.Error(), "log upgrade") {
-		t.Fatalf("Upgrade(v3) = %v, want a plain ErrBadVersion", err)
-	}
-}
-
 func TestSyscallRecordMatches(t *testing.T) {
 	r := &SyscallRecord{Tid: 1, Num: 5, Args: [6]vm.Word{1, 2, 3, 4, 5, 6}}
 	if !r.Matches(1, 5, [6]vm.Word{1, 2, 3, 4, 5, 6}) {

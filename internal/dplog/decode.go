@@ -137,18 +137,19 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// header decodes the magic, version and fixed header fields. Versions
-// below minVer are refused: minVer is formatVersion for every reader, and
-// minVersion only for Upgrade, the one place a retired layout still loads.
-func (c *cursor) header(minVer uint64) Header {
+// header decodes the magic, version and fixed header fields. Every
+// version but the current one is refused; a retired flat layout (v4, v5)
+// is named with the last build that converts it.
+func (c *cursor) header() Header {
 	if string(c.take(len(magic))) != magic && c.err == nil {
 		c.fail(ErrBadMagic)
 	}
 	ver := c.u()
-	if c.err == nil && (ver < minVer || ver > formatVersion) {
+	if c.err == nil && ver != formatVersion {
 		err := fmt.Errorf("%w: %d", ErrBadVersion, ver)
-		if ver >= minVersion && ver < formatVersion {
-			err = fmt.Errorf("%w (a retired flat layout: run `doubleplay log upgrade` to rewrite it as v%d)", err, formatVersion)
+		if ver == 4 || ver == 5 {
+			err = fmt.Errorf("%w (a retired flat layout; `doubleplay log upgrade` of commit %s, the last build that converts one, rewrites it as v%d)",
+				err, lastConverter, formatVersion)
 		}
 		c.fail(err)
 	}
@@ -163,9 +164,7 @@ func (c *cursor) header(minVer uint64) Header {
 	h.Sections = int(nsec)
 	h.FinalHash = c.u()
 	h.OutputHash = c.u()
-	if ver >= 5 {
-		h.Quantum = c.i()
-	}
+	h.Quantum = c.i()
 	return h
 }
 
@@ -230,12 +229,10 @@ func (c *cursor) indexEntries() []SectionInfo {
 // epochBody decodes one epoch body (docs/FORMAT.md §3.1) into ep and
 // reports where, in c.b, the metadata group ends (after the schedule) and
 // the syscall group ends (before the signals) — the two points Chunks
-// splits a raw section at. It is the only walker of the body layout: v6
-// section payloads and the retired flat layouts differ only in whether
-// the per-epoch flags varint is there (v4 predates it).
-func (c *cursor) epochBody(ep *EpochLog, hasFlags bool) (metaEnd, sysEnd int) {
+// splits a raw section at. It is the only walker of the body layout.
+func (c *cursor) epochBody(ep *EpochLog) (metaEnd, sysEnd int) {
 	ep.Index = int(c.u())
-	ep.Certified = hasFlags && c.u()&epochFlagCertified != 0
+	ep.Certified = c.u()&epochFlagCertified != 0
 	ep.StartHash, ep.EndHash, ep.CommitHash = c.u(), c.u(), c.u()
 	ep.Targets = resize(ep.Targets, c.count("target", 1<<20, 1))
 	if ep.Targets == nil {
@@ -299,7 +296,7 @@ func decodePayload(ep *EpochLog, info SectionInfo, payload []byte) (metaEnd, sys
 		z.body = body
 	}
 	c := cursor{b: body}
-	metaEnd, sysEnd = c.epochBody(ep, true)
+	metaEnd, sysEnd = c.epochBody(ep)
 	switch {
 	case c.err != nil:
 		err = c.err

@@ -308,7 +308,7 @@ func TestFormatLimits(t *testing.T) {
 	}
 	for _, b := range bodies {
 		c := cursor{b: cat(b.body, pad)}
-		c.epochBody(new(EpochLog), true)
+		c.epochBody(new(EpochLog))
 		if c.err == nil || !strings.Contains(c.err.Error(), "too large") {
 			t.Fatalf("%s: body walker err = %v, want a too-large refusal", b.name, c.err)
 		}

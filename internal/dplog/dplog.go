@@ -9,7 +9,7 @@
 // touching epochs 0..N-1, and a truncated log recovers every intact
 // section. docs/FORMAT.md is the normative byte-level specification. The
 // read side is one decoder (decode.go) under one file-level reader
-// (reader.go); the retired v4/v5 flat streams load through Upgrade only.
+// (reader.go), and it reads v6 alone.
 //
 // The central point of the paper is visible in these types: because every
 // epoch executes on a single processor, the information needed to replay it

@@ -85,20 +85,20 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzUpgrade drives the one remaining decoder of the retired flat
-// layouts (and the repair path) with arbitrary bytes: it must never
-// panic, and whatever it emits must open as an intact current-format
-// log that a second Upgrade leaves alone.
+// FuzzUpgrade drives the index repair with arbitrary bytes: it must never
+// panic, and whatever it emits must open as an intact current-format log
+// that a second Upgrade leaves alone. The seeds are v6 logs cut inside a
+// section, inside the index and inside the footer, and intact ones.
 func FuzzUpgrade(f *testing.F) {
-	f.Add(encodeLegacy(legacyFixture(4), 4))
-	f.Add(encodeLegacy(legacyFixture(5), 5))
+	fixture := MarshalBytes(fixtureRecording())
+	f.Add(fixture)
+	f.Add(fixture[:len(fixture)-footerLen-2])
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 3; i++ {
-		rec := randomRecording(rng)
-		f.Add(encodeLegacy(rec, 5))
-		data := MarshalBytes(rec)
+		data := MarshalBytes(randomRecording(rng))
 		f.Add(data)
 		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-footerLen/2])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		up, changed, err := Upgrade(data)

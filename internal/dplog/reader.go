@@ -4,8 +4,7 @@ package dplog
 // trailing section index, then fetches and decodes individual epoch
 // sections on demand. Decoding a whole file (Unmarshal) is the same thing
 // over a buffer that holds all of it. Only the current format opens; a
-// retired v4/v5 flat stream is refused with ErrBadVersion and goes
-// through Upgrade first.
+// retired v4/v5 flat stream is refused with ErrBadVersion.
 
 import (
 	"bytes"
@@ -67,7 +66,7 @@ func open(r *Reader) (*Reader, error) {
 			return nil, err
 		}
 		c := cursor{b: b}
-		r.hdr = c.header(formatVersion)
+		r.hdr = c.header()
 		if c.err == nil {
 			r.bodyOff = int64(c.pos)
 			break
@@ -407,30 +406,20 @@ func (r *Reader) WriteRange(w io.Writer, lo, hi int) error {
 	return ow.err
 }
 
-// Upgrade rewrites any decodable log as the current sectioned format.
-// It returns the (possibly unchanged) encoding and whether a rewrite
-// happened: current-format intact logs pass through verbatim, retired
-// v4/v5 flat streams are re-encoded, and recovered logs are rewritten
-// with only their surviving sections (repairing the index).
+// Upgrade repairs a log's index. It returns the (possibly unchanged)
+// encoding and whether a rewrite happened: an intact log passes through
+// verbatim, and a recovered one is rewritten with only its surviving
+// sections behind a fresh index. A retired v4/v5 stream is refused with
+// ErrBadVersion, as every reader refuses it.
 func Upgrade(data []byte) ([]byte, bool, error) {
-	c := cursor{b: data}
-	h := c.header(minVersion)
-	if c.err != nil {
-		return nil, false, c.err
+	rd, err := OpenReaderBytes(data)
+	if err != nil {
+		return nil, false, err
 	}
-	var rec *Recording
-	var err error
-	if h.Version < formatVersion {
-		rec, err = c.flatEpochs(h)
-	} else {
-		var rd *Reader
-		if rd, err = OpenReaderBytes(data); err == nil {
-			if !rd.Recovered() {
-				return data, false, nil
-			}
-			rec, err = rd.Recording()
-		}
+	if !rd.Recovered() {
+		return data, false, nil
 	}
+	rec, err := rd.Recording()
 	if err != nil {
 		return nil, false, err
 	}

@@ -33,13 +33,10 @@ import (
 // one, with the error decoding into fresh EpochLogs gives.
 func TestDecodeAtReuse(t *testing.T) {
 	logs := map[string][]byte{}
-	for _, name := range []string{"v4.dplog", "v5.dplog", "v6_comp.dplog", "v6_raw.dplog"} {
+	for _, name := range []string{"v6_comp.dplog", "v6_raw.dplog"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
-		}
-		if data, _, err = dplog.Upgrade(data); err != nil {
-			t.Fatalf("%s: %v", name, err)
 		}
 		logs[name] = data
 	}

@@ -34,7 +34,7 @@ func getRecording(t *testing.T, url string) (int, []byte, string) {
 }
 
 func TestStorageTierPinGCAndStats(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
 
 	// Two recordings of the same workload at different seeds: two objects,
 	// each smaller on disk than its raw bytes.
@@ -43,8 +43,8 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 	}
 	idA := submit(t, ts, spec(11))
 	idB := submit(t, ts, spec(12))
-	waitDone(t, ts, idA)
-	waitDone(t, ts, idB)
+	waitDone(t, s, ts, idA)
+	waitDone(t, s, ts, idB)
 
 	codeA, dataA, digA := getRecording(t, ts.URL+"/jobs/"+idA+"/recording")
 	codeB, dataB, _ := getRecording(t, ts.URL+"/jobs/"+idB+"/recording")
@@ -89,7 +89,7 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 
 	// A survivor still replays by id after the sweep.
 	repID := submit(t, ts, map[string]any{"kind": "replay", "recording_job": idA, "mode": "sequential"})
-	waitDone(t, ts, repID)
+	waitDone(t, s, ts, repID)
 
 	// Epoch-range extraction reads through the store's handle.
 	resp, err := http.Get(ts.URL + "/recordings/" + idA + "/epochs/0..1")
@@ -154,7 +154,7 @@ func gcLoop(t *testing.T, ts *httptest.Server, stop <-chan struct{}, until func(
 
 // recordBatch submits n record jobs at distinct seeds and waits for all of
 // them to end, returning the ids of the done ones and the other infos.
-func recordBatch(t *testing.T, ts *httptest.Server, firstSeed, n int) (done []string, notDone []map[string]any) {
+func recordBatch(t *testing.T, s *server.Server, ts *httptest.Server, firstSeed, n int) (done []string, notDone []map[string]any) {
 	t.Helper()
 	var ids []string
 	for i := 0; i < n; i++ {
@@ -163,7 +163,7 @@ func recordBatch(t *testing.T, ts *httptest.Server, firstSeed, n int) (done []st
 		ids = append(ids, submit(t, ts, spec))
 	}
 	for _, id := range ids {
-		if v := waitState(t, ts, id, terminal); v["state"] == "done" {
+		if v := waitState(t, s, ts, id, terminal); v["state"] == "done" {
 			done = append(done, id)
 		} else {
 			notDone = append(notDone, v)
@@ -183,7 +183,7 @@ func replayAll(t *testing.T, s *server.Server, ts *httptest.Server, ids []string
 		if code, _, _ := getRecording(t, ts.URL+"/jobs/"+id+"/recording"); code != http.StatusOK {
 			t.Fatalf("done job %s: GET recording: %d", id, code)
 		}
-		waitDone(t, ts, submit(t, ts, map[string]any{"kind": "replay", "recording_job": id, "mode": "sequential"}))
+		waitDone(t, s, ts, submit(t, ts, map[string]any{"kind": "replay", "recording_job": id, "mode": "sequential"}))
 	}
 }
 
@@ -196,7 +196,7 @@ func TestGCLoopNeverDanglesARef(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 32})
 	stop := make(chan struct{})
 	wait := gcLoop(t, ts, stop, func(map[string]any) bool { return false })
-	done, notDone := recordBatch(t, ts, 20, 12)
+	done, notDone := recordBatch(t, s, ts, 20, 12)
 	close(stop)
 	wait()
 	for _, v := range notDone {
@@ -227,7 +227,7 @@ func TestRecordJobPutsAgainAfterGC(t *testing.T) {
 	wait := func() { wait1(); wait2() }
 	var all []string
 	for batch := 0; batch < 30 && !hit.Load(); batch++ {
-		done, notDone := recordBatch(t, ts, 100+6*batch, 6)
+		done, notDone := recordBatch(t, s, ts, 100+6*batch, 6)
 		for _, v := range notDone {
 			t.Errorf("job %v: state %v, error %v", v["id"], v["state"], v["error"])
 		}

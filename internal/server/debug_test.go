@@ -37,21 +37,21 @@ func fetchDiff(t *testing.T, ts *httptest.Server, id string) map[string]any {
 // divergent epoch, re-diff that exact boundary, and check the
 // no-divergence and wrong-kind paths.
 func TestDebugDiffJob(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 16})
+	s, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 16})
 
 	// The racy workload ignores its seed when building, so both
 	// recordings start from identical states; the seeds only jitter the
 	// recorded schedules, which is exactly what makes the races resolve
 	// differently.
 	recA := submit(t, ts, map[string]any{"kind": "record", "workload": "racey", "workers": 2, "seed": 1})
-	waitDone(t, ts, recA)
+	waitDone(t, s, ts, recA)
 	recB := submit(t, ts, map[string]any{"kind": "record", "workload": "racey", "workers": 2, "seed": 4})
-	waitDone(t, ts, recB)
+	waitDone(t, s, ts, recB)
 
 	id := submit(t, ts, map[string]any{
 		"kind": "debug_diff", "recording_job": recA, "recording_job_b": recB,
 	})
-	v := waitDone(t, ts, id)
+	v := waitDone(t, s, ts, id)
 
 	links, _ := v["links"].(map[string]any)
 	if links["diff"] == nil {
@@ -89,7 +89,7 @@ func TestDebugDiffJob(t *testing.T) {
 		"kind": "debug_diff", "recording_job": recA, "recording_job_b": recB,
 		"epoch": int(first),
 	})
-	vAt := waitDone(t, ts, idAt)
+	vAt := waitDone(t, s, ts, idAt)
 	resAt, _ := vAt["result"].(map[string]any)
 	if got, _ := resAt["first_divergence"].(float64); got != first {
 		t.Fatalf("epoch-pinned diff first_divergence = %v, want %v", resAt["first_divergence"], first)
@@ -99,7 +99,7 @@ func TestDebugDiffJob(t *testing.T) {
 	idSame := submit(t, ts, map[string]any{
 		"kind": "debug_diff", "recording_job": recA, "recording_job_b": recA,
 	})
-	vSame := waitDone(t, ts, idSame)
+	vSame := waitDone(t, s, ts, idSame)
 	resSame, _ := vSame["result"].(map[string]any)
 	if resSame["first_divergence"] != nil {
 		t.Fatalf("self-diff reports divergence: %v", resSame)

@@ -13,9 +13,9 @@ import (
 // standalone dplog holding exactly the requested sections, byte-identical
 // to the stored recording's.
 func TestEpochRangeEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	s, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
 	recID := submit(t, ts, fastSpec())
-	waitDone(t, ts, recID)
+	waitDone(t, s, ts, recID)
 
 	get := func(path string) (int, http.Header, []byte) {
 		t.Helper()

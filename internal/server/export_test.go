@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"time"
 
 	"doubleplay/internal/trace"
 )
@@ -48,14 +49,34 @@ func (s *Server) StateGaugeDrift() string {
 	return ""
 }
 
-// WaitJob blocks until a job is terminal, waking at each job transition,
-// and returns its view, for callers that submit through Submit, not HTTP.
-func (s *Server) WaitJob(id string) Info {
+// WaitState blocks until job id's state satisfies pred, waking at each
+// job transition, and reports false once d has passed without it.
+func (s *Server) WaitState(id string, pred func(State) bool, d time.Duration) bool {
+	deadline := time.Now().Add(d)
+	wake := time.AfterFunc(d, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.changed.Broadcast()
+	})
+	defer wake.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j := s.jobs[id]
-	for !j.State.Terminal() {
+	for {
+		if j := s.jobs[id]; j != nil && pred(j.State) {
+			return true
+		}
+		if !time.Now().Before(deadline) {
+			return false
+		}
 		s.changed.Wait()
 	}
-	return j.info()
+}
+
+// WaitJob blocks until a job is terminal and returns its view, for
+// callers that submit through Submit, not HTTP.
+func (s *Server) WaitJob(id string) Info {
+	s.WaitState(id, State.Terminal, time.Hour)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id].info()
 }

@@ -17,12 +17,12 @@ import (
 // http.duration_ms observation per request, the replay's slice-loop
 // counter, and an exposition promlint accepts.
 func TestHTTPRequestMetrics(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
 
 	recID := submit(t, ts, fastSpec())
-	waitDone(t, ts, recID)
+	waitDone(t, s, ts, recID)
 	repID := submit(t, ts, map[string]any{"kind": "replay", "recording_job": recID, "mode": "sequential"})
-	waitDone(t, ts, repID)
+	waitDone(t, s, ts, repID)
 	for i := 0; i < 3; i++ {
 		if code, _ := doJSON(t, "GET", ts.URL+"/jobs/"+repID+"/stats", nil); code != http.StatusOK {
 			t.Fatalf("GET stats: %d", code)

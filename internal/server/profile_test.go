@@ -30,7 +30,7 @@ func fetchProfile(t *testing.T, ts *httptest.Server, id string) []byte {
 }
 
 func TestGuestProfileArtifactLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
 
 	// A profiled record job: the artifact appears only once the job is
 	// terminal — before that the endpoint tells the client to come back.
@@ -40,7 +40,7 @@ func TestGuestProfileArtifactLifecycle(t *testing.T) {
 	if code, _ := doJSON(t, "GET", ts.URL+"/jobs/"+recID+"/profile", nil); code != http.StatusConflict {
 		t.Fatalf("GET profile before terminal: %d, want 409", code)
 	}
-	recInfo := waitDone(t, ts, recID)
+	recInfo := waitDone(t, s, ts, recID)
 
 	links, _ := recInfo["links"].(map[string]any)
 	if links == nil || links["profile"] == nil {
@@ -73,7 +73,7 @@ func TestGuestProfileArtifactLifecycle(t *testing.T) {
 			spec[k] = v
 		}
 		repID := submit(t, ts, spec)
-		waitDone(t, ts, repID)
+		waitDone(t, s, ts, repID)
 		if repData := fetchProfile(t, ts, repID); !bytes.Equal(repData, recData) {
 			t.Fatalf("replay %v profile differs from record profile", mode)
 		}
@@ -81,12 +81,12 @@ func TestGuestProfileArtifactLifecycle(t *testing.T) {
 }
 
 func TestGuestProfileVerifyJobChecksIdentity(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1})
 	id := submit(t, ts, map[string]any{
 		"kind": "verify", "workload": "fft", "workers": 2,
 		"mode": "parallel", "guest_profile": true,
 	})
-	v := waitDone(t, ts, id) // fails if replay profile != record profile
+	v := waitDone(t, s, ts, id) // fails if replay profile != record profile
 	res := v["result"].(map[string]any)
 	if n, _ := res["guest_stacks"].(float64); n <= 0 {
 		t.Fatalf("verify result guest_stacks = %v, want > 0", res["guest_stacks"])
@@ -101,9 +101,9 @@ func TestGuestProfileVerifyJobChecksIdentity(t *testing.T) {
 }
 
 func TestGuestProfileAbsentWithoutFlag(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1})
 	id := submit(t, ts, fastSpec())
-	v := waitDone(t, ts, id)
+	v := waitDone(t, s, ts, id)
 	if links, _ := v["links"].(map[string]any); links["profile"] != nil {
 		t.Fatalf("unprofiled job advertises a profile link: %v", links)
 	}

@@ -22,10 +22,10 @@ import (
 // thin them, and replay from them. stats.json must carry the same
 // replay.Result, and trace.json and profile.pb the same bytes.
 func TestStoredReplayMatchesCheckpointPlan(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
 	const workers, seed = 2, 11
 	recID := submit(t, ts, map[string]any{"kind": "record", "workload": "kvdb", "workers": workers, "seed": seed})
-	waitDone(t, ts, recID)
+	waitDone(t, s, ts, recID)
 	get := func(id, artifact string) []byte {
 		t.Helper()
 		code, data, _ := getRecording(t, ts.URL+"/jobs/"+id+"/"+artifact)
@@ -56,7 +56,7 @@ func TestStoredReplayMatchesCheckpointPlan(t *testing.T) {
 			id := submit(t, ts, map[string]any{
 				"kind": "replay", "recording_job": recID, "mode": tc.mode, "stride": tc.stride, "guest_profile": true,
 			})
-			waitDone(t, ts, id)
+			waitDone(t, s, ts, id)
 
 			var trBuf bytes.Buffer
 			sink := trace.NewStreamSink(&trBuf, 0)

@@ -104,31 +104,28 @@ func submit(t *testing.T, ts *httptest.Server, spec map[string]any) string {
 	return id
 }
 
-// waitState polls a job until pred is satisfied or the deadline passes.
-func waitState(t *testing.T, ts *httptest.Server, id string, pred func(state string) bool) map[string]any {
+// waitState blocks until a job's state satisfies pred, waking at each job
+// transition, and then reads the job once over HTTP. The job may have
+// moved on by the time it is read; a terminal state never does.
+func waitState(t *testing.T, s *server.Server, ts *httptest.Server, id string, pred func(state string) bool) map[string]any {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		code, v := doJSON(t, "GET", ts.URL+"/jobs/"+id, nil)
-		if code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s: %d %v", id, code, v)
-		}
-		if st, _ := v["state"].(string); pred(st) {
-			return v
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !s.WaitState(id, func(st server.State) bool { return pred(string(st)) }, 60*time.Second) {
+		t.Fatalf("job %s: state predicate not reached in time", id)
 	}
-	t.Fatalf("job %s: state predicate not reached in time", id)
-	return nil
+	code, v := doJSON(t, "GET", ts.URL+"/jobs/"+id, nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /jobs/%s: %d %v", id, code, v)
+	}
+	return v
 }
 
 func terminal(st string) bool {
 	return st == "done" || st == "failed" || st == "canceled"
 }
 
-func waitDone(t *testing.T, ts *httptest.Server, id string) map[string]any {
+func waitDone(t *testing.T, s *server.Server, ts *httptest.Server, id string) map[string]any {
 	t.Helper()
-	v := waitState(t, ts, id, terminal)
+	v := waitState(t, s, ts, id, terminal)
 	if st := v["state"]; st != "done" {
 		t.Fatalf("job %s: state %v (error %v), want done", id, st, v["error"])
 	}
@@ -167,10 +164,10 @@ func fetchTrace(t *testing.T, ts *httptest.Server, id string) []trace.Event {
 }
 
 func TestEndToEndRecordThenReplayByID(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 8})
 
 	recID := submit(t, ts, fastSpec())
-	recInfo := waitDone(t, ts, recID)
+	recInfo := waitDone(t, s, ts, recID)
 	recHash := finalHash(t, recInfo)
 	res := recInfo["result"].(map[string]any)
 	if res["epochs"].(float64) <= 0 {
@@ -230,7 +227,7 @@ func TestEndToEndRecordThenReplayByID(t *testing.T) {
 			spec[k] = v
 		}
 		repID := submit(t, ts, spec)
-		repInfo := waitDone(t, ts, repID)
+		repInfo := waitDone(t, s, ts, repID)
 		if got := finalHash(t, repInfo); got != recHash {
 			t.Fatalf("replay %v final hash %s != recorded %s", mode, got, recHash)
 		}
@@ -261,7 +258,7 @@ func TestEndToEndRecordThenReplayByID(t *testing.T) {
 // TestVerifyJob: a verify job replays from the recorder's checkpoints in
 // the mode it names, so its trace holds that plan's track.
 func TestVerifyJob(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1})
 	for _, tc := range []struct {
 		spec  map[string]any
 		track string
@@ -270,7 +267,7 @@ func TestVerifyJob(t *testing.T) {
 		{map[string]any{"kind": "verify", "workload": "kvdb", "workers": 2, "mode": "sparse", "stride": 2}, "replay kvdb (sparse segments)"},
 	} {
 		id := submit(t, ts, tc.spec)
-		v := waitDone(t, ts, id)
+		v := waitDone(t, s, ts, id)
 		finalHash(t, v)
 		if code, _ := doJSON(t, "GET", ts.URL+"/jobs/"+id+"/stats", nil); code != http.StatusOK {
 			t.Fatalf("GET stats: %d", code)
@@ -286,14 +283,14 @@ func TestVerifyJob(t *testing.T) {
 }
 
 func TestCertifiedVerifyPolicyJob(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1})
 
 	// sigping is certified race-free: the recorder must skip every epoch
 	// and the stored recording must still replay by id.
 	id := submit(t, ts, map[string]any{
 		"kind": "record", "workload": "sigping", "workers": 2, "verify_policy": "certified",
 	})
-	v := waitDone(t, ts, id)
+	v := waitDone(t, s, ts, id)
 	res := v["result"].(map[string]any)
 	if res["cert_status"] != "race-free" {
 		t.Fatalf("cert_status = %v", res["cert_status"])
@@ -303,14 +300,14 @@ func TestCertifiedVerifyPolicyJob(t *testing.T) {
 		t.Fatalf("verify_skipped = %v of %v epochs", skipped, epochs)
 	}
 	rid := submit(t, ts, map[string]any{"kind": "replay", "recording_job": id})
-	waitDone(t, ts, rid)
+	waitDone(t, s, ts, rid)
 
 	// A racy workload under the same policy must fall back to full
 	// verification.
 	id = submit(t, ts, map[string]any{
 		"kind": "record", "workload": "racey", "workers": 2, "verify_policy": "certified",
 	})
-	v = waitDone(t, ts, id)
+	v = waitDone(t, s, ts, id)
 	res = v["result"].(map[string]any)
 	if res["cert_status"] != "possibly-racy" {
 		t.Fatalf("racey cert_status = %v", res["cert_status"])
@@ -321,7 +318,7 @@ func TestCertifiedVerifyPolicyJob(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1})
 	cases := []map[string]any{
 		{"kind": "record"},                                                    // no workload
 		{"kind": "record", "workload": "nope"},                                // unknown workload
@@ -354,7 +351,7 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("submit %v: got %d %q, want 400 naming %s", spec, code, msg, field)
 		}
 	}
-	waitDone(t, ts, submit(t, ts, fastSpec()))
+	waitDone(t, s, ts, submit(t, ts, fastSpec()))
 	// The trace is written in emission order, with nothing to tune: the
 	// window and downsampling fields are refused by name.
 	for _, field := range []string{"trace_window", "trace_min_span", "trace_counter_stride"} {
@@ -374,10 +371,10 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestQueueFullBackpressure(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1})
 
 	running := submit(t, ts, slowSpec())
-	waitState(t, ts, running, func(st string) bool { return st == "running" })
+	waitState(t, s, ts, running, func(st string) bool { return st == "running" })
 
 	queued := submit(t, ts, fastSpec()) // fills the queue
 	req, _ := http.NewRequest("POST", ts.URL+"/jobs", bytes.NewReader(mustJSON(t, fastSpec())))
@@ -395,15 +392,15 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 
 	// Once the pool catches up, submissions are accepted again.
-	waitDone(t, ts, running)
-	waitDone(t, ts, queued)
-	waitDone(t, ts, submit(t, ts, fastSpec()))
+	waitDone(t, s, ts, running)
+	waitDone(t, s, ts, queued)
+	waitDone(t, s, ts, submit(t, ts, fastSpec()))
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1})
 	id := submit(t, ts, slowSpec())
-	waitState(t, ts, id, func(st string) bool { return st == "running" })
+	waitState(t, s, ts, id, func(st string) bool { return st == "running" })
 
 	// While running, the trace is still streaming: 409.
 	resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
@@ -420,7 +417,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("DELETE running job: got %d, want 202", code)
 	}
-	v := waitState(t, ts, id, terminal)
+	v := waitState(t, s, ts, id, terminal)
 	if v["state"] != "canceled" {
 		t.Fatalf("canceled job state = %v (error %v)", v["state"], v["error"])
 	}
@@ -437,9 +434,9 @@ func TestCancelRunningJob(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	s, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
 	running := submit(t, ts, slowSpec())
-	waitState(t, ts, running, func(st string) bool { return st == "running" })
+	waitState(t, s, ts, running, func(st string) bool { return st == "running" })
 	queued := submit(t, ts, fastSpec())
 
 	code, v := doJSON(t, "DELETE", ts.URL+"/jobs/"+queued, nil)
@@ -447,7 +444,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatalf("DELETE queued job: got %d %v, want immediate canceled", code, v["state"])
 	}
 	doJSON(t, "DELETE", ts.URL+"/jobs/"+running, nil)
-	waitState(t, ts, running, terminal)
+	waitState(t, s, ts, running, terminal)
 }
 
 // TestCancelRacesWorkerPop cancels a job just as the one idle worker takes
@@ -483,11 +480,11 @@ func TestCancelRacesWorkerPop(t *testing.T) {
 }
 
 func TestJobTimeout(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 1})
+	s, ts := newTestServer(t, server.Config{Workers: 1})
 	spec := slowSpec()
 	spec["timeout_ms"] = 100
 	id := submit(t, ts, spec)
-	v := waitState(t, ts, id, terminal)
+	v := waitState(t, s, ts, id, terminal)
 	if v["state"] != "failed" {
 		t.Fatalf("timed-out job state = %v, want failed", v["state"])
 	}
@@ -501,7 +498,7 @@ func TestGracefulDrain(t *testing.T) {
 		Workers: 1, QueueDepth: 4, DrainTimeout: 60 * time.Second,
 	})
 	running := submit(t, ts, slowSpec())
-	waitState(t, ts, running, func(st string) bool { return st == "running" })
+	waitState(t, s, ts, running, func(st string) bool { return st == "running" })
 	queued := submit(t, ts, fastSpec())
 
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -559,7 +556,7 @@ func TestDrainCancelsStragglers(t *testing.T) {
 		Workers: 1, DrainTimeout: 50 * time.Millisecond,
 	})
 	id := submit(t, ts, slowSpec())
-	waitState(t, ts, id, func(st string) bool { return st == "running" })
+	waitState(t, s, ts, id, func(st string) bool { return st == "running" })
 
 	start := time.Now()
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -585,7 +582,7 @@ func TestDrainLeavesJobManifests(t *testing.T) {
 		DataDir: dir, Workers: 1, QueueDepth: 4, DrainTimeout: 50 * time.Millisecond,
 	})
 	running := submit(t, ts, slowSpec())
-	waitState(t, ts, running, func(st string) bool { return st == "running" })
+	waitState(t, s, ts, running, func(st string) bool { return st == "running" })
 	canceled := submit(t, ts, fastSpec())
 	drained := submit(t, ts, fastSpec())
 	doJSON(t, "DELETE", ts.URL+"/jobs/"+canceled, nil)
@@ -607,7 +604,7 @@ func TestDrainLeavesJobManifests(t *testing.T) {
 }
 
 func TestMetricsConcurrentScrapes(t *testing.T) {
-	_, ts := newTestServer(t, server.Config{Workers: 2})
+	s, ts := newTestServer(t, server.Config{Workers: 2})
 	id := submit(t, ts, slowSpec())
 
 	var wg sync.WaitGroup
@@ -644,7 +641,7 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	waitDone(t, ts, id)
+	waitDone(t, s, ts, id)
 
 	// The scrape after completion carries the pool series.
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -708,7 +705,7 @@ func TestStateGaugesMatchScan(t *testing.T) {
 				cancelJob(id)
 			}
 			slow = nil
-			waitState(t, ts, ids[rng.Intn(len(ids))], terminal)
+			waitState(t, s, ts, ids[rng.Intn(len(ids))], terminal)
 			check("finish")
 		}
 	}

@@ -25,7 +25,8 @@
 // The store.* gauges are running totals: every put adds what it wrote, and
 // Open and every real GC recount them with the Stats walk, so a put costs
 // what it writes, not what the store holds. Open refuses a root in the
-// retired chunk layout (a manifests/ directory): see internal/upgrade.
+// retired chunk layout (a manifests/ directory), naming the last build
+// that converts one.
 //
 // Buffers go back (DESIGN.md, key decision 16). A Handle's block buffers
 // come from one pool of 64 KiB arrays, and each has one owner at a time.
@@ -97,7 +98,7 @@ func Open(root string, reg *trace.Registry) (*Store, error) {
 
 func open(root string, reg *trace.Registry, fsys fsys) (*Store, error) {
 	if _, err := os.Stat(filepath.Join(root, "manifests")); err == nil {
-		return nil, fmt.Errorf("store: %s is in the retired chunk layout; convert it into a new root with `doubleplay store upgrade -data %s -o <new root>`", root, root)
+		return nil, fmt.Errorf("store: %s is in the retired chunk layout; `doubleplay store upgrade` of commit 965294b, the last build that converts one, writes it into a new root", root)
 	}
 	s := &Store{root: root, reg: reg, fs: fsys}
 	for _, dir := range []string{filepath.Join(root, objects), filepath.Join(root, "jobs")} {

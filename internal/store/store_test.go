@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -416,4 +417,34 @@ func flip(b []byte, i int) []byte {
 	out := bytes.Clone(b)
 	out[i] ^= 0x40
 	return out
+}
+
+// TestOpenRefusesChunkLayout: Open of a root in the retired chunk layout —
+// a manifests/ directory beside chunks/ and jobs/ — fails with an error
+// that names the last build that converts one, and leaves the tree as it
+// was: nothing created, nothing removed.
+func TestOpenRefusesChunkLayout(t *testing.T) {
+	root := t.TempDir()
+	man := filepath.Join(root, "manifests", "ab", "sha256-ab00")
+	if err := os.MkdirAll(filepath.Dir(man), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(man, []byte("DPMF"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree := func() []string {
+		var paths []string
+		filepath.WalkDir(root, func(path string, _ os.DirEntry, err error) error {
+			paths = append(paths, path)
+			return err
+		})
+		return paths
+	}
+	before := tree()
+	if _, err := store.Open(root, nil); err == nil || !strings.Contains(err.Error(), "commit 965294b, the last build that converts") {
+		t.Fatalf("Open = %v, want a refusal naming the last converting build", err)
+	}
+	if after := tree(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused Open changed the tree:\nbefore %v\nafter  %v", before, after)
+	}
 }
