@@ -186,6 +186,12 @@ func TestCLI(t *testing.T) {
 			match(`epochs 1\.\.2 .* \(2 sections\)`)},
 		{"the range is a standalone log", []string{"log", "inspect", "-log", path("sub.dplog")}, 0, "",
 			match(`(?m)^sections: +2$`, `(?m)^index: +ok`)},
+		{"log extract cuts the corpus kvdb log to epochs 0..3",
+			[]string{"log", "extract", "-log", filepath.Join("..", "..", "testdata", "logs", "kvdb.dplog"), "-epochs", "0..3", "-o", path("kvdb03.dplog")}, 0, "",
+			match(`epochs 0\.\.3 .* \(4 sections\)`)},
+		{"the range replays to the end of its epoch 3",
+			[]string{"replay", "-w", "kvdb", "-workers", "2", "-scale", "1", "-seed", "11", "-log", path("kvdb03.dplog")}, 0, "",
+			match(`replayed 4 epochs in \d+ simulated cycles; final hash 61b2a03959c293c5 verified`)},
 		{"log inspect refuses a v5 log", []string{"log", "inspect", "-log", path("legacy.dplog")}, 1, logRefusal, nil},
 		{"log upgrade refuses it too", []string{"log", "upgrade", "-log", path("legacy.dplog")}, 1, logRefusal, nil},
 		{"log inspect salvages a cut log", []string{"log", "inspect", "-log", path("cut.dplog")}, 0, "",

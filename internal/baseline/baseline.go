@@ -61,11 +61,11 @@ type CrewResult struct {
 // "crew.transitions" counter sample per logged ownership transition, and a
 // closing "baseline.crew.done" instant. Tracing only reads the simulated
 // clocks; traced and untraced runs produce bit-identical results.
-func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *vm.CostModel, tr trace.Recorder) (*CrewResult, error) {
+func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *vm.CostModel, tr *trace.Sink) (*CrewResult, error) {
 	if costs == nil {
 		costs = vm.DefaultCosts()
 	}
-	traced := trace.Enabled(tr)
+	traced := tr.Enabled()
 	var pid int64
 	if traced {
 		pid = tr.AllocPid(fmt.Sprintf("baseline crew %s cpus=%d", prog.Name, cpus))
@@ -87,7 +87,7 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 		logBytes += 6
 		if traced {
 			tr.Instant("crew.fault", m.Now, pid, int64(tid),
-				map[string]any{"page": int64(page), "write": write})
+				[]trace.Arg{trace.Int("page", int64(page)), trace.Bool("write", write)})
 			tr.Counter("crew.transitions", m.Now, pid, transitions)
 		}
 	}
@@ -146,7 +146,7 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 			tr.NameThread(pid, int64(t.ID), fmt.Sprintf("thread %d", t.ID))
 		}
 		tr.Instant("baseline.crew.done", par.WallTime(), pid, 0,
-			map[string]any{"transitions": transitions, "retired": par.Retired()})
+			[]trace.Arg{trace.Int("transitions", transitions), trace.Int("retired", par.Retired())})
 	}
 	inputBytes := (&dplog.Recording{Epochs: []*dplog.EpochLog{live.Take()}}).ReplaySize()
 	return &CrewResult{
@@ -185,11 +185,11 @@ type UniResult struct {
 // timeslice on a single "cpu0" track plus a closing "baseline.uni.done"
 // instant. Tracing only reads the scheduler clock; traced and untraced runs
 // produce bit-identical results.
-func RunUniprocessor(prog *vm.Program, world *simos.World, costs *vm.CostModel, tr trace.Recorder) (*UniResult, error) {
+func RunUniprocessor(prog *vm.Program, world *simos.World, costs *vm.CostModel, tr *trace.Sink) (*UniResult, error) {
 	if costs == nil {
 		costs = vm.DefaultCosts()
 	}
-	traced := trace.Enabled(tr)
+	traced := tr.Enabled()
 	var pid int64
 	if traced {
 		pid = tr.AllocPid("baseline uni " + prog.Name)
@@ -205,7 +205,7 @@ func RunUniprocessor(prog *vm.Program, world *simos.World, costs *vm.CostModel, 
 	}
 	if traced {
 		tr.Instant("baseline.uni.done", uni.Cycles, pid, 0,
-			map[string]any{"slices": len(ep.Schedule), "syscalls": len(ep.Syscalls)})
+			[]trace.Arg{trace.Int("slices", len(ep.Schedule)), trace.Int("syscalls", len(ep.Syscalls))})
 	}
 
 	rec := &dplog.Recording{Program: prog.Name, Epochs: []*dplog.EpochLog{ep}}

@@ -80,7 +80,7 @@ func TestUniprocessorTracingBitIdentical(t *testing.T) {
 }
 
 // TestBaselinesStreamable runs both baselines against a streaming sink,
-// checking the Recorder interface end to end outside the recorder proper.
+// checking the streaming sink end to end outside the recorder proper.
 func TestBaselinesStreamable(t *testing.T) {
 	var buf writeCounter
 	stream := trace.NewStreamSink(&buf, 0)

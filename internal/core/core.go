@@ -399,7 +399,7 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 type recorder struct {
 	prog       *vm.Program
 	opt        Options
-	tr         trace.Recorder
+	tr         *trace.Sink
 	reg        *trace.Registry
 	wl         string // workload label for metrics
 	pidRec     int64
@@ -463,12 +463,10 @@ type verifier struct {
 
 // newRecorder sets up a recording up to its first boundary, and its verifier.
 func newRecorder(prog *vm.Program, world *simos.World, opt Options) (*recorder, verifier) {
-	// A nil Trace becomes the canonical disabled sink (a typed-nil *Sink,
-	// whose methods are nil-safe no-ops), so tr.Enabled() is always safe.
-	r := &recorder{prog: prog, opt: opt, tr: opt.Trace, reg: opt.Metrics, epochLen: opt.EpochCycles}
-	if r.tr == nil {
-		r.tr = (*trace.Sink)(nil)
-	}
+	// A nil Trace, like a nil *trace.Sink in it, is the disabled sink:
+	// *trace.Sink is the only Recorder.
+	r := &recorder{prog: prog, opt: opt, reg: opt.Metrics, epochLen: opt.EpochCycles}
+	r.tr, _ = opt.Trace.(*trace.Sink)
 	tr := r.tr
 	if r.reg != nil {
 		r.wl = trace.Label("workload", prog.Name)
@@ -515,14 +513,15 @@ func newRecorder(prog *vm.Program, world *simos.World, opt Options) (*recorder, 
 			tr.NameThread(r.pidRec, 1, "epoch work (shared cores)")
 		}
 		if r.ctl != nil {
-			tr.Instant("ctl.enable", 0, r.pidRec, 0, map[string]any{
-				"min": r.ctl.lo, "max": r.ctl.hi, "active": r.ctl.active,
+			tr.Instant("ctl.enable", 0, r.pidRec, 0, []trace.Arg{
+				trace.Int("min", r.ctl.lo), trace.Int("max", r.ctl.hi), trace.Int("active", r.ctl.active),
 			})
 			tr.Counter("ctl.active", 0, r.pidRec, int64(r.ctl.active))
 		}
 		if r.cert != nil {
-			tr.Instant("certify", 0, r.pidRec, 0, map[string]any{
-				"status": string(r.cert.Status), "skip": certified, "fallback": r.stats.VerifyFallback,
+			tr.Instant("certify", 0, r.pidRec, 0, []trace.Arg{
+				trace.String("status", string(r.cert.Status)), trace.Bool("skip", certified),
+				trace.String("fallback", r.stats.VerifyFallback),
 			})
 		}
 	}
@@ -547,7 +546,7 @@ func newRecorder(prog *vm.Program, world *simos.World, opt Options) (*recorder, 
 	r.boundaries = []*epoch.Boundary{epoch.Capture(0, 0, r.m, world)}
 	if tr.Enabled() {
 		tr.Instant("checkpoint.create", 0, r.pidRec, 0,
-			map[string]any{"epoch": 0, "pages": r.boundaries[0].MappedPages})
+			[]trace.Arg{trace.Int("epoch", 0), trace.Int("pages", r.boundaries[0].MappedPages)})
 	}
 	r.rec = &dplog.Recording{Program: prog.Name, Workers: opt.Workers, Seed: opt.Seed, Quantum: opt.Quantum}
 	r.pl = newPipeline(slots, active, opt.RecordCPUs)
@@ -618,12 +617,12 @@ func (r *recorder) produce() (pending, error) {
 	if tr := r.tr; tr.Enabled() {
 		// The thread-parallel execution of epoch i, and the log-append running
 		// totals at its boundary. Every produced epoch is committed.
-		tr.Span("epoch", p.start.Cycle, b.Cycle-p.start.Cycle, r.pidRec, 0, map[string]any{
-			"epoch": p.i, "syscalls": len(ep.Syscalls), "syncops": len(ep.SyncOrder),
-			"signals": len(ep.Signals),
+		tr.Span("epoch", p.start.Cycle, b.Cycle-p.start.Cycle, r.pidRec, 0, []trace.Arg{
+			trace.Int("epoch", p.i), trace.Int("syscalls", len(ep.Syscalls)),
+			trace.Int("syncops", len(ep.SyncOrder)), trace.Int("signals", len(ep.Signals)),
 		})
 		tr.Instant("checkpoint.create", b.Cycle, r.pidRec, 0,
-			map[string]any{"epoch": p.i + 1, "pages": mapped, "cow_pages": cow})
+			[]trace.Arg{trace.Int("epoch", p.i+1), trace.Int("pages", mapped), trace.Int("cow_pages", cow)})
 		tr.Counter("log.syscalls", b.Cycle, r.pidRec, int64(r.stats.Syscalls))
 		tr.Counter("log.syncops", b.Cycle, r.pidRec, int64(r.stats.SyncEvents))
 		tr.Counter("log.signals", b.Cycle, r.pidRec, int64(r.stats.Signals))
@@ -694,8 +693,9 @@ func (r *recorder) commit(p pending, v verdict) error {
 		pm = r.pl.schedule(p.start.Cycle, b.Cycle, v.dur)
 		commitCyc, tid = pm.finish, slotTid(pm.slot)
 		if tr.Enabled() {
-			tr.Span("epoch.verify", pm.start, pm.finish-pm.start, r.pidRec, tid, map[string]any{
-				"epoch": p.i, "slot": pm.slot, "cycles": v.dur, "verified": v.kind == verdictVerified,
+			tr.Span("epoch.verify", pm.start, pm.finish-pm.start, r.pidRec, tid, []trace.Arg{
+				trace.Int("epoch", p.i), trace.Int("slot", pm.slot), trace.Int("cycles", v.dur),
+				trace.Bool("verified", v.kind == verdictVerified),
 			})
 			if pm.slot >= 0 {
 				tr.Splice(v.epbuf, pm.start, r.pidRec, tid)
@@ -714,7 +714,7 @@ func (r *recorder) commit(p pending, v verdict) error {
 		r.stats.VerifySkipped++
 		if tr.Enabled() {
 			tr.Instant("epoch.verify.skipped", b.Cycle, r.pidRec, 0,
-				map[string]any{"epoch": p.i, "cert": r.stats.CertStatus})
+				[]trace.Arg{trace.Int("epoch", p.i), trace.String("cert", r.stats.CertStatus)})
 		}
 		if r.reg != nil {
 			r.reg.Add("record.verify_skipped", 1, r.wl)
@@ -735,7 +735,7 @@ func (r *recorder) commit(p pending, v verdict) error {
 	} else {
 		if tr.Enabled() {
 			tr.Instant("epoch.commit", commitCyc, r.pidRec, tid,
-				map[string]any{"epoch": p.i, "lag": commitCyc - b.Cycle})
+				[]trace.Arg{trace.Int("epoch", p.i), trace.Int("lag", commitCyc-b.Cycle)})
 		}
 		if r.opt.EpochGrowth > 1 { // a clean epoch lets the next one grow
 			r.epochLen = min(int64(float64(r.epochLen)*r.opt.EpochGrowth), r.opt.EpochCyclesMax)
@@ -820,27 +820,31 @@ func (r *recorder) recover(p pending, v verdict, pm placement) (*dplog.EpochLog,
 	case !tr.Enabled():
 	case v.kind == verdictAdopt:
 		tr.Instant("divergence", detect, pid, 0,
-			map[string]any{"epoch": p.i, "kind": "state", "pages": len(info.Pages)})
-		tr.Instant("recovery.adopt", detect, pid, 0, map[string]any{"epoch": p.i})
+			[]trace.Arg{trace.Int("epoch", p.i), trace.String("kind", "state"),
+				trace.Int("pages", len(info.Pages))})
+		tr.Instant("recovery.adopt", detect, pid, 0, []trace.Arg{trace.Int("epoch", p.i)})
 		tr.Instant("epoch.commit", detect, pid, slotTid(pm.slot),
-			map[string]any{"epoch": p.i, "lag": detect - b.Cycle})
+			[]trace.Arg{trace.Int("epoch", p.i), trace.Int("lag", detect-b.Cycle)})
 		tr.Instant("checkpoint.create", detect, pid, 0,
-			map[string]any{"epoch": nb.Index, "pages": nb.MappedPages, "reason": "recovery.adopt"})
+			[]trace.Arg{trace.Int("epoch", nb.Index), trace.Int("pages", nb.MappedPages),
+				trace.String("reason", "recovery.adopt")})
 		tr.Instant("checkpoint.restore", detect, pid, 0,
-			map[string]any{"epoch": nb.Index, "reason": "recovery.adopt"})
+			[]trace.Arg{trace.Int("epoch", nb.Index), trace.String("reason", "recovery.adopt")})
 	default:
 		tr.Instant("divergence", detect, pid, 0,
-			map[string]any{"epoch": p.i, "kind": "input", "reason": info.Reason})
+			[]trace.Arg{trace.Int("epoch", p.i), trace.String("kind", "input"),
+				trace.String("reason", info.Reason)})
 		tr.Instant("checkpoint.restore", detect, pid, 0,
-			map[string]any{"epoch": p.i, "reason": "recovery.rerun"})
-		tr.Span("recovery.rerun", detect, rcycles, pid, 0, map[string]any{"epoch": p.i})
+			[]trace.Arg{trace.Int("epoch", p.i), trace.String("reason", "recovery.rerun")})
+		tr.Span("recovery.rerun", detect, rcycles, pid, 0, []trace.Arg{trace.Int("epoch", p.i)})
 		tr.Splice(rrbuf, detect, pid, 0)
 		tr.Instant("checkpoint.create", commitCyc, pid, 0,
-			map[string]any{"epoch": nb.Index, "pages": nb.MappedPages, "reason": "recovery.rerun"})
+			[]trace.Arg{trace.Int("epoch", nb.Index), trace.Int("pages", nb.MappedPages),
+				trace.String("reason", "recovery.rerun")})
 		tr.Instant("epoch.commit", commitCyc, pid, 0,
-			map[string]any{"epoch": p.i, "lag": commitCyc - b.Cycle})
+			[]trace.Arg{trace.Int("epoch", p.i), trace.Int("lag", commitCyc-b.Cycle)})
 		tr.Instant("checkpoint.restore", commitCyc, pid, 0,
-			map[string]any{"epoch": nb.Index, "reason": "resume"})
+			[]trace.Arg{trace.Int("epoch", nb.Index), trace.String("reason", "resume")})
 	}
 	// nb replaced b, and the squashed run past b is dropped.
 	b.CP.Release()
@@ -863,8 +867,8 @@ func (r *recorder) steer(i int, lag int64, waited bool, commitCyc int64) {
 		if dec < 0 {
 			name = "ctl.shrink"
 		}
-		r.tr.Instant(name, commitCyc, r.pidRec, 0, map[string]any{
-			"epoch": i, "active": r.ctl.active, "lag": lag,
+		r.tr.Instant(name, commitCyc, r.pidRec, 0, []trace.Arg{
+			trace.Int("epoch", i), trace.Int("active", r.ctl.active), trace.Int("lag", lag),
 		})
 		r.tr.Counter("ctl.active", commitCyc, r.pidRec, int64(r.ctl.active))
 	}
@@ -911,9 +915,9 @@ func (r *recorder) finish() *Result {
 	}
 
 	if r.tr.Enabled() {
-		r.tr.Instant("record.done", stats.CompletionCycles, r.pidRec, 0, map[string]any{
-			"epochs": stats.Epochs, "divergences": stats.Divergences,
-			"syscalls": stats.Syscalls, "replay_bytes": stats.ReplayBytes,
+		r.tr.Instant("record.done", stats.CompletionCycles, r.pidRec, 0, []trace.Arg{
+			trace.Int("epochs", stats.Epochs), trace.Int("divergences", stats.Divergences),
+			trace.Int("syscalls", stats.Syscalls), trace.Int("replay_bytes", stats.ReplayBytes),
 		})
 	}
 	if reg != nil {

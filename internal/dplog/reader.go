@@ -326,8 +326,9 @@ func (r *Reader) Verify() error {
 	return nil
 }
 
-// verifyBufs are the EpochLogs Verify decodes into. Nothing outside Verify
-// sees one, so each goes back when Verify returns.
+// verifyBufs are the EpochLogs Verify, and WriteRange for a range's last
+// epoch, decode into. Nothing outside the call sees one, so each goes back
+// before it returns.
 var verifyBufs = sync.Pool{New: func() any { return new(EpochLog) }}
 
 // fetchBufs pools the buffers a ReaderAt-backed reader fetches bytes into
@@ -373,11 +374,15 @@ var readBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // WriteRange writes a standalone log containing exactly epochs lo..hi
 // inclusive (by id), reusing the source header's metadata. Sections are
 // copied verbatim — same bytes, same flags, same CRC — so a remote
-// replayer gets exactly what the recorder wrote.
+// replayer gets exactly what the recorder wrote. A range that stops short
+// of the recording's last epoch ends where epoch hi ends: its header's
+// final and output hashes are that epoch's end and commit hashes, as in a
+// recording cut after it, so a range from epoch 0 replays to its end.
 func (r *Reader) WriteRange(w io.Writer, lo, hi int) error {
 	if lo > hi {
 		return fmt.Errorf("dplog: bad epoch range %d..%d", lo, hi)
 	}
+	hdr := r.hdr
 	frames := make([][]byte, 0, hi-lo+1)
 	entries := make([]SectionInfo, 0, hi-lo+1)
 	for id := lo; id <= hi; id++ {
@@ -385,16 +390,25 @@ func (r *Reader) WriteRange(w io.Writer, lo, hi int) error {
 		if !ok {
 			return fmt.Errorf("%w: epoch %d", ErrNoEpoch, id)
 		}
-		frame, _, err := r.section(nil, pos)
+		frame, payload, err := r.section(nil, pos)
 		if err != nil {
 			return err
+		}
+		if id == hi && (r.damage != nil || pos < len(r.index)-1) {
+			ep := verifyBufs.Get().(*EpochLog)
+			_, _, err := decodePayload(ep, r.index[pos], payload)
+			hdr.FinalHash, hdr.OutputHash = ep.EndHash, ep.CommitHash
+			verifyBufs.Put(ep)
+			if err != nil {
+				return fmt.Errorf("dplog: epoch %d: %w", id, err)
+			}
 		}
 		frames = append(frames, frame)
 		entries = append(entries, r.index[pos])
 	}
 	ow := &offsetWriter{w: w}
 	var enc encoder
-	enc.header(r.hdr, len(frames))
+	enc.header(hdr, len(frames))
 	ow.Write(enc.b)
 	for i, frame := range frames {
 		entries[i].Offset = ow.n

@@ -13,26 +13,6 @@ import (
 	"doubleplay/internal/trace"
 )
 
-// argInt extracts an integer-valued arg, tolerating the float64 that
-// encoding/json produces for every JSON number.
-func argInt(args map[string]any, key string) (int64, bool) {
-	v, ok := args[key]
-	if !ok {
-		return 0, false
-	}
-	switch n := v.(type) {
-	case float64:
-		return int64(n), true
-	case int64:
-		return n, true
-	case int:
-		return int64(n), true
-	case uint64:
-		return int64(n), true
-	}
-	return 0, false
-}
-
 // TrackStats summarizes one (pid, tid) track.
 type TrackStats struct {
 	Pid, Tid    int64
@@ -73,7 +53,7 @@ func Stats(events []trace.Event) *Report {
 	}
 	for _, ev := range events {
 		if ev.Ph == trace.PhaseMeta {
-			if name, ok := ev.Args["name"].(string); ok {
+			if name, ok := ev.Str("name"); ok {
 				switch ev.Name {
 				case "process_name":
 					procName[ev.Pid] = name
@@ -164,7 +144,7 @@ type epochInfo struct {
 func epochs(events []trace.Event) []epochInfo {
 	byIdx := make(map[int64]*epochInfo)
 	for _, ev := range events {
-		idx, ok := argInt(ev.Args, "epoch")
+		idx, ok := ev.Int("epoch")
 		if !ok {
 			continue
 		}
@@ -177,10 +157,10 @@ func epochs(events []trace.Event) []epochInfo {
 			}
 			e.Start = ev.Ts
 			e.Cycles = ev.Dur
-			if n, ok := argInt(ev.Args, "syscalls"); ok {
+			if n, ok := ev.Int("syscalls"); ok {
 				e.Syscalls = n
 			}
-			if n, ok := argInt(ev.Args, "syncops"); ok {
+			if n, ok := ev.Int("syncops"); ok {
 				e.SyncOps = n
 			}
 		case ev.Name == "divergence" && ev.Ph == trace.PhaseInstant:
@@ -560,7 +540,7 @@ func Lag(events []trace.Event) []*LagReport {
 	for _, ev := range events {
 		switch {
 		case ev.Ph == trace.PhaseMeta:
-			if name, ok := ev.Args["name"].(string); ok {
+			if name, ok := ev.Str("name"); ok {
 				switch ev.Name {
 				case "process_name":
 					procName[ev.Pid] = name
@@ -587,8 +567,8 @@ func Lag(events []trace.Event) []*LagReport {
 			}
 			sa.haveSpan = true
 		case ev.Name == "epoch.commit" && ev.Ph == trace.PhaseInstant:
-			idx, okIdx := argInt(ev.Args, "epoch")
-			lag, okLag := argInt(ev.Args, "lag")
+			idx, okIdx := ev.Int("epoch")
+			lag, okLag := ev.Int("lag")
 			if !okIdx || !okLag {
 				continue
 			}
@@ -601,19 +581,19 @@ func Lag(events []trace.Event) []*LagReport {
 		case ev.Name == "ctl.enable" && ev.Ph == trace.PhaseInstant:
 			a := get(ev.Pid)
 			a.rep.Adaptive = true
-			if n, ok := argInt(ev.Args, "min"); ok {
+			if n, ok := ev.Int("min"); ok {
 				a.rep.CtlMin = n
 			}
-			if n, ok := argInt(ev.Args, "max"); ok {
+			if n, ok := ev.Int("max"); ok {
 				a.rep.CtlMax = n
 			}
 		case (ev.Name == "ctl.grow" || ev.Name == "ctl.shrink") && ev.Ph == trace.PhaseInstant:
 			a := get(ev.Pid)
 			a.rep.Adaptive = true
 			d := CtlDecision{Ts: ev.Ts, Grow: ev.Name == "ctl.grow"}
-			d.Epoch, _ = argInt(ev.Args, "epoch")
-			d.Active, _ = argInt(ev.Args, "active")
-			d.Lag, _ = argInt(ev.Args, "lag")
+			d.Epoch, _ = ev.Int("epoch")
+			d.Active, _ = ev.Int("active")
+			d.Lag, _ = ev.Int("lag")
 			if d.Grow {
 				a.rep.Grows++
 			} else {
@@ -623,7 +603,7 @@ func Lag(events []trace.Event) []*LagReport {
 		case ev.Name == "ctl.active" && ev.Ph == trace.PhaseCounter:
 			a := get(ev.Pid)
 			a.rep.Adaptive = true
-			if n, ok := argInt(ev.Args, "value"); ok && ev.Ts >= a.activeTs {
+			if n, ok := ev.Int("value"); ok && ev.Ts >= a.activeTs {
 				a.rep.ActiveSpares = n
 				a.activeTs = ev.Ts
 			}

@@ -11,18 +11,18 @@ import (
 // epochSpan builds one recording-style epoch span.
 func epochSpan(idx int64, ts, dur int64, pid int64) trace.Event {
 	return trace.Event{Name: "epoch", Ph: trace.PhaseComplete, Ts: ts, Dur: dur, Pid: pid,
-		Args: map[string]any{"epoch": float64(idx), "syscalls": float64(2 + idx)}}
+		Args: []trace.Arg{trace.Int("epoch", idx), trace.Int("syscalls", 2+idx)}}
 }
 
 func TestStatsSynthetic(t *testing.T) {
 	evs := []trace.Event{
-		{Name: "process_name", Ph: trace.PhaseMeta, Pid: 1, Args: map[string]any{"name": "record x"}},
-		{Name: "thread_name", Ph: trace.PhaseMeta, Pid: 1, Tid: 0, Args: map[string]any{"name": "epochs"}},
+		{Name: "process_name", Ph: trace.PhaseMeta, Pid: 1, Args: []trace.Arg{trace.String("name", "record x")}},
+		{Name: "thread_name", Ph: trace.PhaseMeta, Pid: 1, Tid: 0, Args: []trace.Arg{trace.String("name", "epochs")}},
 		epochSpan(0, 0, 100, 1),
 		epochSpan(1, 100, 150, 1),
 		{Name: "sync", Ph: trace.PhaseInstant, Ts: 42, Pid: 1, Tid: 0},
 		{Name: "log.syscalls", Ph: trace.PhaseCounter, Ts: 100, Pid: 1, Tid: 0,
-			Args: map[string]any{"value": float64(7)}},
+			Args: []trace.Arg{trace.Int("value", 7)}},
 		{Name: "slice", Ph: trace.PhaseComplete, Ts: 10, Dur: 20, Pid: 2, Tid: 3},
 	}
 	rep := Stats(evs)
@@ -59,7 +59,7 @@ func TestEpochsExtraction(t *testing.T) {
 		epochSpan(1, 100, 150, 1),
 		epochSpan(0, 0, 100, 1),
 		{Name: "divergence", Ph: trace.PhaseInstant, Ts: 260, Pid: 1,
-			Args: map[string]any{"epoch": float64(1), "kind": "state"}},
+			Args: []trace.Arg{trace.Int("epoch", 1), trace.String("kind", "state")}},
 		{Name: "sync", Ph: trace.PhaseInstant, Ts: 1, Pid: 2, Tid: 0}, // no epoch arg: ignored
 	}
 	eps := epochs(evs)
@@ -176,7 +176,7 @@ func lagTrace() []trace.Event {
 	for i := 0; i < n; i++ {
 		bStart := int64(i) * 100
 		bEnd := bStart + 100
-		s.Span("epoch", bStart, 100, pid, 0, map[string]any{"epoch": i})
+		s.Span("epoch", bStart, 100, pid, 0, []trace.Arg{trace.Int("epoch", i)})
 		c := 0
 		if slotFree[1] < slotFree[0] {
 			c = 1
@@ -191,13 +191,13 @@ func lagTrace() []trace.Event {
 		}
 		slotFree[c] = fin
 		tid := int64(1 + c)
-		s.Span("epoch.verify", start, fin-start, pid, tid, map[string]any{"epoch": i, "slot": c})
-		s.Instant("epoch.commit", fin, pid, tid, map[string]any{"epoch": i, "lag": fin - bEnd})
+		s.Span("epoch.verify", start, fin-start, pid, tid, []trace.Arg{trace.Int("epoch", i), trace.Int("slot", c)})
+		s.Instant("epoch.commit", fin, pid, tid, []trace.Arg{trace.Int("epoch", i), trace.Int("lag", fin-bEnd)})
 		if fin > lastCommit {
 			lastCommit = fin
 		}
 	}
-	s.Instant("record.done", lastCommit, pid, 0, map[string]any{"epochs": n})
+	s.Instant("record.done", lastCommit, pid, 0, []trace.Arg{trace.Int("epochs", n)})
 	return s.Events()
 }
 
@@ -262,8 +262,8 @@ func TestLagKeepingUpAndNoCommits(t *testing.T) {
 	pid := s.AllocPid("record flat")
 	for i := 0; i < 4; i++ {
 		bStart := int64(i) * 100
-		s.Span("epoch", bStart, 100, pid, 0, map[string]any{"epoch": i})
-		s.Instant("epoch.commit", bStart+150, pid, 1, map[string]any{"epoch": i, "lag": 50})
+		s.Span("epoch", bStart, 100, pid, 0, []trace.Arg{trace.Int("epoch", i)})
+		s.Instant("epoch.commit", bStart+150, pid, 1, []trace.Arg{trace.Int("epoch", i), trace.Int("lag", 50)})
 	}
 	reps := Lag(s.Events())
 	if len(reps) != 1 {
@@ -288,16 +288,16 @@ func TestLagKeepingUpAndNoCommits(t *testing.T) {
 func TestLagControllerNarration(t *testing.T) {
 	s := trace.NewSink()
 	pid := s.AllocPid("record adaptive")
-	s.Instant("ctl.enable", 0, pid, 0, map[string]any{"min": 1, "max": 4, "active": 1})
+	s.Instant("ctl.enable", 0, pid, 0, []trace.Arg{trace.Int("min", 1), trace.Int("max", 4), trace.Int("active", 1)})
 	s.Counter("ctl.active", 0, pid, 1)
 	for i := 0; i < 6; i++ {
 		bStart := int64(i) * 100
-		s.Span("epoch", bStart, 100, pid, 0, map[string]any{"epoch": i})
-		s.Instant("epoch.commit", bStart+200, pid, 1, map[string]any{"epoch": i, "lag": 100})
+		s.Span("epoch", bStart, 100, pid, 0, []trace.Arg{trace.Int("epoch", i)})
+		s.Instant("epoch.commit", bStart+200, pid, 1, []trace.Arg{trace.Int("epoch", i), trace.Int("lag", 100)})
 	}
-	s.Instant("ctl.grow", 500, pid, 0, map[string]any{"epoch": 3, "active": 2, "lag": 100})
+	s.Instant("ctl.grow", 500, pid, 0, []trace.Arg{trace.Int("epoch", 3), trace.Int("active", 2), trace.Int("lag", 100)})
 	s.Counter("ctl.active", 500, pid, 2)
-	s.Instant("ctl.shrink", 900, pid, 0, map[string]any{"epoch": 5, "active": 1, "lag": 40})
+	s.Instant("ctl.shrink", 900, pid, 0, []trace.Arg{trace.Int("epoch", 5), trace.Int("active", 1), trace.Int("lag", 40)})
 	s.Counter("ctl.active", 900, pid, 1)
 	reps := Lag(s.Events())
 	if len(reps) != 1 {

@@ -20,18 +20,17 @@ import (
 // "sync" or "signal" instant at the machine's clock, on pid with the
 // guest thread as tid.
 type LiveLog struct {
-	m      *vm.Machine
-	os     *simos.OS
-	tr     trace.Recorder
-	traced bool
-	pid    int64
-	ep     *dplog.EpochLog // the current epoch: Syscalls, SyncOrder, Signals
+	m   *vm.Machine
+	os  *simos.OS
+	tr  *trace.Sink
+	pid int64
+	ep  *dplog.EpochLog // the current epoch: Syscalls, SyncOrder, Signals
 }
 
 // NewLiveLog returns a log that narrates its appends to tr (nil or
 // disabled: silently) on process pid.
-func NewLiveLog(tr trace.Recorder, pid int64) *LiveLog {
-	return &LiveLog{tr: tr, traced: trace.Enabled(tr), pid: pid, ep: new(dplog.EpochLog)}
+func NewLiveLog(tr *trace.Sink, pid int64) *LiveLog {
+	return &LiveLog{tr: tr, pid: pid, ep: new(dplog.EpochLog)}
 }
 
 // Attach makes m a logging machine over w: the log becomes m's syscall
@@ -70,8 +69,8 @@ func (l *LiveLog) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.W
 		l.ep.Syscalls = append(l.ep.Syscalls, dplog.SyscallRecord{
 			Tid: t.ID, Num: num, Args: args, Ret: res.Ret, Writes: res.Writes,
 		})
-		if l.traced {
-			l.tr.Instant("syscall", m.Now, l.pid, int64(t.ID), map[string]any{"num": num})
+		if l.tr.Enabled() {
+			l.tr.Instant("syscall", m.Now, l.pid, int64(t.ID), []trace.Arg{trace.Int("num", num)})
 		}
 	}
 	return res
@@ -82,9 +81,9 @@ func (l *LiveLog) onSync(ev vm.SyncEvent) {
 		return
 	}
 	l.ep.SyncOrder = append(l.ep.SyncOrder, dplog.SyncRecord{Tid: ev.Tid, Kind: ev.Obj.Kind, ID: ev.Obj.ID})
-	if l.traced {
+	if l.tr.Enabled() {
 		l.tr.Instant("sync", l.m.Now, l.pid, int64(ev.Tid),
-			map[string]any{"kind": ev.Obj.Kind.String(), "id": ev.Obj.ID})
+			[]trace.Arg{trace.String("kind", ev.Obj.Kind.String()), trace.Int("id", ev.Obj.ID)})
 	}
 }
 
@@ -94,9 +93,9 @@ func (l *LiveLog) pendingSignal(t *vm.Thread) (vm.Word, bool) {
 	sig, ok := l.os.W.NextSignal(t.ID, l.m.Now)
 	if ok {
 		l.ep.Signals = append(l.ep.Signals, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-		if l.traced {
+		if l.tr.Enabled() {
 			l.tr.Instant("signal", l.m.Now, l.pid, int64(t.ID),
-				map[string]any{"sig": sig, "retired": t.Retired})
+				[]trace.Arg{trace.Int("sig", sig), trace.Uint("retired", t.Retired)})
 		}
 	}
 	return sig, ok

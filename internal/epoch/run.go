@@ -84,7 +84,7 @@ type RunSpec struct {
 	// with epoch-local timestamps (cycle 0 = epoch start on the virtual
 	// CPU). Callers splice the buffer to the epoch's pipeline-assigned
 	// position; see trace.Sink.Splice.
-	Trace trace.Recorder
+	Trace *trace.Sink
 
 	// Profile, when set, is attached to the epoch's machine and observes
 	// every retired instruction; callers snapshot it after the run.

@@ -76,18 +76,18 @@ func (s readerSource) FinalHash() uint64 { return s.rd.Header().FinalHash }
 // NewStepper directly.
 
 // Sequential is Run with no boundaries over a decoded recording.
-func Sequential(prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
+func Sequential(prog *vm.Program, rec *dplog.Recording, costs *vm.CostModel, sink *trace.Sink) (*Result, error) {
 	return Run(context.TODO(), prog, recSource{rec}, Options{Costs: costs, Trace: sink})
 }
 
 // SequentialReader is Run with no boundaries over a seekable log.
-func SequentialReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
+func SequentialReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, costs *vm.CostModel, sink *trace.Sink) (*Result, error) {
 	return Run(ctx, prog, readerSource{rd}, Options{Costs: costs, Trace: sink})
 }
 
 // ParallelSparseReader is Run from a thinned boundary set over a
 // seekable log.
-func ParallelSparseReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink trace.Recorder) (*Result, error) {
+func ParallelSparseReader(ctx context.Context, prog *vm.Program, rd *dplog.Reader, sparse []*epoch.Boundary, cpus int, costs *vm.CostModel, sink *trace.Sink) (*Result, error) {
 	return Run(ctx, prog, readerSource{rd}, Options{Boundaries: sparse, CPUs: cpus, Costs: costs, Trace: sink})
 }
 

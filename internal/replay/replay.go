@@ -85,7 +85,7 @@ type Options struct {
 	// packed position on a track per modelled core — bare "replay.epoch"
 	// spans when every segment is one epoch, "replay.segment" spans
 	// wrapping them otherwise.
-	Trace trace.Recorder
+	Trace *trace.Sink
 	// Profile, when non-nil, accumulates the guest profile of the
 	// replayed execution. Each segment profiles its own machine and the
 	// profiles merge after the fan-out; merging is commutative over
@@ -182,7 +182,7 @@ func (r *replayer) canceled(pos int) error {
 // epoch, timestamped from the segment's start on (pid, 0), with the
 // epoch's timeslices nested inside; atStart, when non-nil, sees the
 // machine at each verified epoch start.
-func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out trace.Recorder, pid int64,
+func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out *trace.Sink, pid int64,
 	atStart func(m *vm.Machine, ep *dplog.EpochLog, cycles int64)) (cycles int64, _ *vm.Machine, err error) {
 	if err := r.canceled(sg.lo); err != nil {
 		return 0, nil, err
@@ -198,7 +198,7 @@ func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out 
 	if gp != nil {
 		gp.Attach(m)
 	}
-	tracing := trace.Enabled(out)
+	tracing := out.Enabled()
 	buf := epochBufs.Get().(*dplog.EpochLog)
 	defer epochBufs.Put(buf)
 	for pos := sg.lo; pos < sg.hi; pos++ {
@@ -226,9 +226,10 @@ func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out 
 		}
 		r.loopInstrs.Add(loop)
 		if tracing {
-			args := map[string]any{"epoch": ep.Index, "slices": len(ep.Schedule)}
-			if r.sequential {
-				args["syscalls"] = len(ep.Syscalls)
+			args := []trace.Arg{trace.Int("epoch", ep.Index), trace.Int("slices", len(ep.Schedule)),
+				trace.Int("syscalls", len(ep.Syscalls))}
+			if !r.sequential {
+				args = args[:2]
 			}
 			out.Span("replay.epoch", cycles, c, pid, 0, args)
 			out.Splice(slices, cycles, pid, 0)
@@ -282,7 +283,7 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 		return nil, err
 	}
 	cpus := max(opt.CPUs, 1)
-	sink, tracing := opt.Trace, trace.Enabled(opt.Trace)
+	sink, tracing := opt.Trace, opt.Trace.Enabled()
 	var pid int64
 	if tracing && r.sequential {
 		pid = sink.AllocPid("replay " + src.Program() + " (sequential)")
@@ -364,7 +365,7 @@ func Run(ctx context.Context, prog *vm.Program, src Source, opt Options) (*Resul
 			s := slots[i]
 			if wrap {
 				sink.Span("replay.segment", s.start, s.fin-s.start, pid, int64(s.core),
-					map[string]any{"start_epoch": sg.lo, "epochs": sg.hi - sg.lo})
+					[]trace.Arg{trace.Int("start_epoch", sg.lo), trace.Int("epochs", sg.hi-sg.lo)})
 			}
 			sink.Splice(bufs[i], s.start, pid, int64(s.core))
 		}

@@ -3,7 +3,7 @@
 // thread-parallel execution) and a deterministic uniprocessor timeslicing
 // scheduler (the epoch-parallel execution and replay).
 //
-// Both schedulers take an optional trace.Recorder: Parallel emits one "run"
+// Both schedulers take an optional *trace.Sink: Parallel emits one "run"
 // span per thread↔CPU binding and Uni one "slice" span per timeslice.
 // Tracing reads the schedulers' clocks but never advances them, so traced
 // and untraced runs retire identical schedules and cycle counts.
@@ -47,9 +47,8 @@ type Parallel struct {
 	// Trace, when set, receives one span per thread↔CPU binding (named
 	// TraceSpan, default "run"), homed on (TracePid, guest tid) with the
 	// CPU index in args — the thread-parallel occupancy timeline. Tracing
-	// never alters any clock. Both the buffered and the streaming sink
-	// satisfy the interface; leaving the field nil disables tracing.
-	Trace     trace.Recorder
+	// never alters any clock; leaving the field nil disables it.
+	Trace     *trace.Sink
 	TracePid  int64
 	TraceSpan string
 
@@ -232,13 +231,13 @@ func (p *Parallel) bind(ci int, t *vm.Thread) {
 // unbind releases CPU ci's thread.
 func (p *Parallel) unbind(ci int) {
 	cpu := &p.cpus[ci]
-	if trace.Enabled(p.Trace) && cpu.th != nil && cpu.clock > cpu.bindTs {
+	if p.Trace.Enabled() && cpu.th != nil && cpu.clock > cpu.bindTs {
 		name := p.TraceSpan
 		if name == "" {
 			name = "run"
 		}
 		p.Trace.Span(name, cpu.bindTs, cpu.clock-cpu.bindTs,
-			p.TracePid, int64(cpu.th.ID), map[string]any{"cpu": ci})
+			p.TracePid, int64(cpu.th.ID), []trace.Arg{trace.Int("cpu", ci)})
 	}
 	if cpu.th != nil {
 		p.nBound--

@@ -58,7 +58,7 @@ type Uni struct {
 	// Cycles clock and homed on tid 0 of TracePid. Callers that know
 	// the run's global position splice a buffer instead (see
 	// trace.Sink.Splice). Tracing never alters Cycles.
-	Trace     trace.Recorder
+	Trace     *trace.Sink
 	TracePid  int64
 	TraceSpan string
 
@@ -242,9 +242,9 @@ func (u *Uni) advanceFree(n uint64) (bool, error) {
 			return false, err
 		}
 		if retired > 0 {
-			if trace.Enabled(u.Trace) {
+			if u.Trace.Enabled() {
 				u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, 0,
-					map[string]any{"tid": u.cur.ID, "retired": uint64(retired)})
+					[]trace.Arg{trace.Int("tid", u.cur.ID), trace.Uint("retired", uint64(retired))})
 			}
 			u.appendSlice(u.cur.ID, uint64(retired))
 		}
@@ -447,9 +447,9 @@ func (u *Uni) advanceFollow(n uint64) (bool, error) {
 			return false, fmt.Errorf("%w: slice %d: thread %d retired %d, slice says %d",
 				ErrDiverged, i, s.Tid, retired, s.N)
 		}
-		if trace.Enabled(u.Trace) {
+		if u.Trace.Enabled() {
 			u.Trace.Span(u.sliceSpan(), u.sliceStart, u.Cycles-u.sliceStart, u.TracePid, 0,
-				map[string]any{"tid": s.Tid, "retired": retired})
+				[]trace.Arg{trace.Int("tid", s.Tid), trace.Uint("retired", retired)})
 		}
 		u.Switches++
 		u.Cycles += u.M.Cost.TimesliceSwitch

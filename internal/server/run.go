@@ -93,7 +93,7 @@ func (s *Server) writeProfile(id string, prof *profile.Profile, sum *ResultSumma
 // stores the recording, and fills the summary. When the spec asks for
 // a guest profile, the recording's profile is returned for the caller to
 // store (verify jobs first compare it against the replay's).
-func (s *Server) record(ctx context.Context, id string, sp Spec, sink trace.Recorder, sum *ResultSummary) (*core.Result, *workloads.Built, *profile.Profile, error) {
+func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sink, sum *ResultSummary) (*core.Result, *workloads.Built, *profile.Profile, error) {
 	bt, err := buildWorkload(sp)
 	if err != nil {
 		return nil, nil, nil, err
@@ -208,7 +208,7 @@ func (s *Server) loadRecording(sp *Spec) (*dplog.Reader, io.Closer, error) {
 // modes price and narrate the plan of every epoch start or every
 // Stride-th from it (replay.Options.Stride) without rebuilding a
 // checkpoint.
-func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink trace.Recorder, sum *ResultSummary) error {
+func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink *trace.Sink, sum *ResultSummary) error {
 	rd, closer, err := s.loadRecording(sp)
 	if err != nil {
 		return err
@@ -310,7 +310,7 @@ func (s *Server) debugDiffJob(ctx context.Context, id string, sp *Spec, sum *Res
 // verifyJob is the in-memory round trip: record, replay sequentially
 // (and from the recorder's checkpoints, all of them or every Stride-th,
 // when mode asks), and run the guest self-check.
-func (s *Server) verifyJob(ctx context.Context, id string, sp Spec, sink trace.Recorder, sum *ResultSummary) error {
+func (s *Server) verifyJob(ctx context.Context, id string, sp Spec, sink *trace.Sink, sum *ResultSummary) error {
 	res, bt, gprof, err := s.record(ctx, id, sp, sink, sum)
 	if err != nil {
 		return err

@@ -274,7 +274,8 @@ func TestVerifyJob(t *testing.T) {
 		}
 		found := false
 		for _, ev := range fetchTrace(t, ts, id) {
-			found = found || ev.Name == "process_name" && ev.Args["name"] == tc.track
+			name, _ := ev.Str("name")
+			found = found || ev.Name == "process_name" && name == tc.track
 		}
 		if !found {
 			t.Errorf("%v: trace has no %q track", tc.spec["mode"], tc.track)

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -63,12 +64,12 @@ func TestStreamSinkBoundedAndMultisetEqual(t *testing.T) {
 		switch i % 3 {
 		case 0:
 			ev = Event{Name: "span", Ph: PhaseComplete, Ts: ts, Dur: 5,
-				Pid: 1, Tid: int64(i % 4), Args: map[string]any{"i": i}}
+				Pid: 1, Tid: int64(i % 4), Args: []Arg{Int("i", i)}}
 		case 1:
 			ev = Event{Name: "inst", Ph: PhaseInstant, Ts: ts, Pid: 1, Tid: 0}
 		case 2:
 			ev = Event{Name: "ctr", Ph: PhaseCounter, Ts: ts, Pid: 1,
-				Args: map[string]any{"value": int64(i)}}
+				Args: []Arg{Int("value", i)}}
 		}
 		stream.Emit(ev)
 		kept.Emit(ev)
@@ -92,7 +93,7 @@ func TestStreamSinkBoundedAndMultisetEqual(t *testing.T) {
 // exemption.
 func TestStreamSinkSpliceMatchesSink(t *testing.T) {
 	child := NewSink()
-	child.Span("slice", 0, 100, 0, 0, map[string]any{"tid": 1})
+	child.Span("slice", 0, 100, 0, 0, []Arg{Int("tid", 1)})
 	child.Instant("sync", 50, 0, 3, nil)
 	child.Counter("log.bytes", 75, 0, 1234)
 	child.NameThread(0, 0, "w")
@@ -149,7 +150,7 @@ func TestStreamSinkConcurrentEmit(t *testing.T) {
 			defer wg.Done()
 			pid := stream.AllocPid("g")
 			for i := 0; i < each; i++ {
-				stream.Span("slice", int64(i), 1, pid, 0, map[string]any{"i": i})
+				stream.Span("slice", int64(i), 1, pid, 0, []Arg{Int("i", i)})
 			}
 		}()
 	}
@@ -219,10 +220,38 @@ func TestStreamSinkAllocPid(t *testing.T) {
 	names := map[int64]string{}
 	for _, ev := range parsed {
 		if ev.Name == "process_name" {
-			names[ev.Pid], _ = ev.Args["name"].(string)
+			names[ev.Pid], _ = ev.Str("name")
 		}
 	}
 	if names[p1] != "first" || names[p2] != "second" {
 		t.Fatalf("process names %v", names)
+	}
+}
+
+// TestStreamedEmitAllocatesNothing: a streamed span, instant or counter,
+// with up to four arguments built at the call the way emitters build them,
+// costs no allocation — the arguments stay on the caller's stack and the
+// encoder reuses its buffer.
+func TestStreamedEmitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := NewStreamSink(io.Discard, 0)
+	pid := s.AllocPid("guard")
+	var ts int64
+	allocs := testing.AllocsPerRun(1000, func() {
+		ts++
+		s.Span("slice", ts, 2, pid, 0, nil)
+		s.Span("run", ts, 2, pid, 1, []Arg{Int("cpu", 3)})
+		s.Span("slice", ts, 2, pid, 0, []Arg{Int("tid", 2), Uint("retired", uint64(ts))})
+		s.Instant("sync", ts, pid, 2, []Arg{String("kind", "mutex"), Int("id", ts), Bool("gated", true)})
+		s.Instant("checkpoint.create", ts, pid, 0, []Arg{Int("epoch", ts), Int("pages", 12), Int("cow_pages", -1), String("reason", "recovery.adopt")})
+		s.Counter("log.syscalls", ts, pid, ts)
+	})
+	if allocs != 0 {
+		t.Fatalf("streamed emits allocate %.1f per run of six events", allocs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

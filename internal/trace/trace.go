@@ -9,7 +9,8 @@
 // collecting one cannot perturb the cycle accounting the evaluation
 // reports. A nil *Sink is valid everywhere and disables collection: every
 // method is a nil-safe no-op, and hot paths guard argument construction
-// behind Enabled() so the disabled path allocates nothing.
+// behind Enabled(). A streaming sink allocates nothing per event either:
+// arguments are a typed list ([Arg]) that stays on the emitter's stack.
 //
 // Traces are Chrome trace_event JSON, written in emission order either as
 // the run goes ([NewStreamSink]) or afterwards from kept events
@@ -24,12 +25,15 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -51,39 +55,88 @@ type Event struct {
 	Dur  int64 // PhaseComplete only
 	Pid  int64
 	Tid  int64
-	Args map[string]any
+	// Args are written with their keys sorted; where a key repeats, the
+	// last one counts. A kept event's Args belong to its sink: read them,
+	// never write them.
+	Args []Arg
 }
 
-// Recorder is what everything that narrates a timeline — the recorder,
-// the schedulers, replay, the baselines — takes. [*Sink] is its only
-// implementation; the interface stays because the benchmark harness
-// type-asserts an interface-typed core.Options.Trace back to a sink.
-type Recorder interface {
-	// Enabled reports whether events are being collected; hot paths check
-	// it before building argument maps.
-	Enabled() bool
-	// Emit appends one event verbatim.
-	Emit(ev Event)
-	// Span emits a complete event covering [ts, ts+dur).
-	Span(name string, ts, dur, pid, tid int64, args map[string]any)
-	// Instant emits a point event at ts.
-	Instant(name string, ts, pid, tid int64, args map[string]any)
-	// Counter emits a sampled counter value.
-	Counter(name string, ts, pid int64, value int64)
-	// AllocPid reserves a fresh process id and names its track group.
-	AllocPid(name string) int64
-	// NameThread names one track within a process.
-	NameThread(pid, tid int64, name string)
-	// Splice appends a child buffer's events, shifted by shift cycles and
-	// re-homed onto (pid, tid); see [Sink.Splice] for the exact semantics.
-	Splice(child *Sink, shift, pid, tid int64)
+// Arg is one named event argument: a signed or unsigned integer, a bool or
+// a string, made by [Int], [Uint], [Bool] or [String]. An argument list is
+// a plain slice, and no sink holds on to the one it is given — a streaming
+// sink encodes it where it is, a keeping one copies it into a slab it owns
+// — so an emitter's literal stays on the emitter's stack.
+type Arg struct {
+	Key  string
+	kind argKind
+	num  uint64 // kindInt as two's complement, kindUint, kindBool as 0 or 1
+	str  string // kindString
 }
 
-// Enabled reports whether r is a live recorder. Unlike calling r.Enabled()
-// directly it tolerates both a nil interface value and a typed-nil
-// implementation, so callers holding a Recorder field that may never have
-// been set can guard hot paths safely.
-func Enabled(r Recorder) bool { return r != nil && r.Enabled() }
+type argKind uint8
+
+const (
+	kindInt argKind = iota
+	kindUint
+	kindBool
+	kindString
+)
+
+// Int is a signed integer argument.
+func Int[T ~int | ~int64](key string, v T) Arg {
+	return Arg{Key: key, kind: kindInt, num: uint64(v)}
+}
+
+// Uint is an unsigned integer argument.
+func Uint(key string, v uint64) Arg { return Arg{Key: key, kind: kindUint, num: v} }
+
+// Bool is a boolean argument.
+func Bool(key string, v bool) Arg {
+	a := Arg{Key: key, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
+
+// String is a string argument.
+func String(key, v string) Arg { return Arg{Key: key, kind: kindString, str: v} }
+
+// arg returns the last argument of ev named key.
+func (ev *Event) arg(key string) (Arg, bool) {
+	for i := len(ev.Args) - 1; i >= 0; i-- {
+		if ev.Args[i].Key == key {
+			return ev.Args[i], true
+		}
+	}
+	return Arg{}, false
+}
+
+// Int returns the integer argument named key: an [Int], or a [Uint] that
+// fits an int64.
+func (ev *Event) Int(key string) (int64, bool) {
+	a, ok := ev.arg(key)
+	if ok && (a.kind == kindInt || a.kind == kindUint && a.num <= math.MaxInt64) {
+		return int64(a.num), true
+	}
+	return 0, false
+}
+
+// Str returns the string argument named key.
+func (ev *Event) Str(key string) (string, bool) {
+	a, ok := ev.arg(key)
+	return a.str, ok && a.kind == kindString
+}
+
+// Recorder is the type of core.Options.Trace, and [*Sink] its only
+// implementation: the field stays an interface because the benchmark
+// harness type-asserts it back to a sink. Everything below the options
+// holds the *Sink itself. The compiler sees into its methods, as it cannot
+// into an interface's, and so keeps an argument list built for a call on
+// the caller's stack.
+type Recorder interface{ sink() *Sink }
+
+func (s *Sink) sink() *Sink { return s }
 
 // Sink collects events in emission order. A sink made by [NewSink] keeps
 // them in memory; one made by [NewStreamSink] writes each through to its
@@ -95,6 +148,7 @@ type Sink struct {
 	nextPid int64
 	n       int           // events emitted
 	events  []Event       // kept events; nil on a streaming sink
+	slab    []Arg         // a keeping sink's current chunk of kept arguments
 	w       *bufio.Writer // a streaming sink's destination; nil on a keeping one
 	enc     []byte        // a streaming sink's encoding buffer
 	closed  bool
@@ -127,8 +181,8 @@ func NewStreamSink(w io.Writer, _ int) *Sink {
 	return &Sink{nextPid: 1, w: bw}
 }
 
-// Enabled reports whether events are being collected. Hot paths must check
-// it before building argument maps, so the nil sink costs no allocation.
+// Enabled reports whether events are being collected. Hot paths check it
+// before computing arguments, so the nil sink costs nothing.
 func (s *Sink) Enabled() bool { return s != nil }
 
 // Emit appends one event verbatim.
@@ -136,14 +190,21 @@ func (s *Sink) Emit(ev Event) {
 	if s == nil {
 		return
 	}
+	s.add(ev, ev.Args)
+}
+
+// add emits ev with args as its arguments, in place of ev.Args. The two
+// travel apart so that args, unlike an event a keeping sink stores, never
+// reaches the heap.
+func (s *Sink) add(ev Event, args []Arg) {
 	s.mu.Lock()
-	s.addLocked(ev)
+	s.addLocked(ev, args)
 	s.mu.Unlock()
 }
 
 // addLocked keeps ev, or writes it to the stream after the events before
 // it. Once a write has failed, events are counted but not written.
-func (s *Sink) addLocked(ev Event) {
+func (s *Sink) addLocked(ev Event, args []Arg) {
 	if s.closed {
 		if s.err == nil {
 			s.err = errors.New("trace: emit on closed sink")
@@ -152,7 +213,7 @@ func (s *Sink) addLocked(ev Event) {
 	}
 	s.n++
 	if s.w == nil {
-		s.events = append(s.events, ev)
+		s.keepLocked(ev, args)
 		return
 	}
 	if s.err != nil {
@@ -162,25 +223,46 @@ func (s *Sink) addLocked(ev Event) {
 	if s.n > 1 {
 		s.enc = append(s.enc, ',')
 	}
-	if s.enc, s.err = appendEvent(s.enc, ev); s.err == nil {
-		_, s.err = s.w.Write(s.enc)
+	s.enc = appendEvent(s.enc, &ev, args)
+	_, s.err = s.w.Write(s.enc)
+}
+
+// Slab chunks start small, for the child sinks that hold one epoch, and
+// double up to a bound, for sinks that keep a whole run.
+const (
+	minSlab = 16
+	maxSlab = 4096
+)
+
+// keepLocked stores ev with a copy of args carved from the slab. A full
+// chunk is left to the events that point into it, and a new one begun.
+func (s *Sink) keepLocked(ev Event, args []Arg) {
+	ev.Args = nil
+	if len(args) > 0 {
+		if cap(s.slab)-len(s.slab) < len(args) {
+			s.slab = make([]Arg, 0, max(len(args), min(2*cap(s.slab), maxSlab), minSlab))
+		}
+		n := len(s.slab)
+		s.slab = append(s.slab, args...)
+		ev.Args = s.slab[n:len(s.slab):len(s.slab)]
 	}
+	s.events = append(s.events, ev)
 }
 
 // Span emits a complete event covering [ts, ts+dur).
-func (s *Sink) Span(name string, ts, dur, pid, tid int64, args map[string]any) {
+func (s *Sink) Span(name string, ts, dur, pid, tid int64, args []Arg) {
 	if s == nil {
 		return
 	}
-	s.Emit(Event{Name: name, Ph: PhaseComplete, Ts: ts, Dur: dur, Pid: pid, Tid: tid, Args: args})
+	s.add(Event{Name: name, Ph: PhaseComplete, Ts: ts, Dur: dur, Pid: pid, Tid: tid}, args)
 }
 
 // Instant emits a point event at ts.
-func (s *Sink) Instant(name string, ts, pid, tid int64, args map[string]any) {
+func (s *Sink) Instant(name string, ts, pid, tid int64, args []Arg) {
 	if s == nil {
 		return
 	}
-	s.Emit(Event{Name: name, Ph: PhaseInstant, Ts: ts, Pid: pid, Tid: tid, Args: args})
+	s.add(Event{Name: name, Ph: PhaseInstant, Ts: ts, Pid: pid, Tid: tid}, args)
 }
 
 // Counter emits a sampled counter value; viewers render the series named
@@ -189,7 +271,7 @@ func (s *Sink) Counter(name string, ts, pid int64, value int64) {
 	if s == nil {
 		return
 	}
-	s.Emit(Event{Name: name, Ph: PhaseCounter, Ts: ts, Pid: pid, Args: map[string]any{"value": value}})
+	s.add(Event{Name: name, Ph: PhaseCounter, Ts: ts, Pid: pid}, []Arg{Int("value", value)})
 }
 
 // AllocPid reserves a fresh process id and names its track group. Distinct
@@ -202,7 +284,7 @@ func (s *Sink) AllocPid(name string) int64 {
 	s.mu.Lock()
 	pid := s.nextPid
 	s.nextPid++
-	s.addLocked(Event{Name: "process_name", Ph: PhaseMeta, Pid: pid, Args: map[string]any{"name": name}})
+	s.addLocked(Event{Name: "process_name", Ph: PhaseMeta, Pid: pid}, []Arg{String("name", name)})
 	s.mu.Unlock()
 	return pid
 }
@@ -212,7 +294,7 @@ func (s *Sink) NameThread(pid, tid int64, name string) {
 	if s == nil {
 		return
 	}
-	s.Emit(Event{Name: "thread_name", Ph: PhaseMeta, Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
+	s.add(Event{Name: "thread_name", Ph: PhaseMeta, Pid: pid, Tid: tid}, []Arg{String("name", name)})
 }
 
 // Splice appends every event of child, shifting timestamps by shift cycles
@@ -225,7 +307,7 @@ func (s *Sink) Splice(child *Sink, shift, pid, tid int64) {
 	if s == nil || child == nil {
 		return
 	}
-	evs := child.Events()
+	evs := child.kept()
 	s.mu.Lock()
 	for _, ev := range evs {
 		ev.Ts += shift
@@ -233,7 +315,7 @@ func (s *Sink) Splice(child *Sink, shift, pid, tid int64) {
 		if ev.Ph != PhaseCounter && ev.Ph != PhaseMeta {
 			ev.Tid = tid
 		}
-		s.addLocked(ev)
+		s.addLocked(ev, ev.Args)
 	}
 	s.mu.Unlock()
 }
@@ -249,76 +331,39 @@ func (s *Sink) Len() int {
 	return s.n
 }
 
+// kept returns the kept events without copying them. A kept event is never
+// written again, and later ones land past the returned length, so the
+// slice stays valid after the lock is released.
+func (s *Sink) kept() []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.events[:len(s.events):len(s.events)]
+}
+
 // Events returns a snapshot of the kept events in emission order; a
 // streaming sink keeps none.
 func (s *Sink) Events() []Event {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	return out
+	return slices.Clone(s.kept())
 }
 
-// jsonEvent is the wire form of one Chrome trace_event record.
-type jsonEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  *int64         `json:"dur,omitempty"`
-	Pid  int64          `json:"pid"`
-	Tid  int64          `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// jsonTrace is the container object Perfetto and chrome://tracing load.
-type jsonTrace struct {
-	TraceEvents     []jsonEvent `json:"traceEvents"`
-	DisplayTimeUnit string      `json:"displayTimeUnit"`
-}
-
-// toJSONEvent converts one event to its wire form.
-func toJSONEvent(ev Event) jsonEvent {
-	je := jsonEvent{Name: ev.Name, Ph: string(ev.Ph), Ts: ev.Ts, Pid: ev.Pid, Tid: ev.Tid, Args: ev.Args}
-	if ev.Ph == PhaseComplete {
-		d := ev.Dur
-		je.Dur = &d
+// appendEvent appends the wire form of ev, with args as its arguments, to
+// dst: byte for byte what encoding/json writes for the same record, args
+// as a map. Every trace document is written through here. Names, keys and
+// string values that JSON copies through unescaped are appended as they
+// are; any other string goes through json.Marshal.
+func appendEvent(dst []byte, ev *Event, args []Arg) []byte {
+	out := append(dst, `{"name":`...)
+	out = appendString(out, ev.Name)
+	out = append(out, `,"ph":`...)
+	if plainByte(ev.Ph) {
+		out = append(out, '"', ev.Ph, '"')
+	} else {
+		out = appendString(out, string(rune(ev.Ph)))
 	}
-	if ev.Ph == PhaseInstant {
-		je.S = "t" // thread-scoped instant
-	}
-	return je
-}
-
-// appendEvent appends ev's wire form to dst: byte for byte what
-// json.Marshal(toJSONEvent(ev)) returns, which is also what it falls back
-// to for any event the direct encoder does not cover. Every trace document
-// is written through here.
-func appendEvent(dst []byte, ev Event) ([]byte, error) {
-	if out, ok := appendPlainEvent(dst, ev); ok {
-		return out, nil
-	}
-	b, err := json.Marshal(toJSONEvent(ev))
-	return append(dst, b...), err
-}
-
-// appendPlainEvent encodes the events the emitters actually produce —
-// names, keys and string values that JSON copies through unescaped, args
-// of type int, int64, uint64, bool or string — without reflection or a
-// per-event allocation. It reports false, with dst's contents unchanged,
-// for anything else.
-func appendPlainEvent(dst []byte, ev Event) ([]byte, bool) {
-	if !plain(ev.Name) || !plainByte(ev.Ph) {
-		return dst, false
-	}
-	out := append(dst, `{"name":"`...)
-	out = append(out, ev.Name...)
-	out = append(out, `","ph":"`...)
-	out = append(out, ev.Ph)
-	out = append(out, `","ts":`...)
+	out = append(out, `,"ts":`...)
 	out = strconv.AppendInt(out, ev.Ts, 10)
 	if ev.Ph == PhaseComplete {
 		out = append(out, `,"dur":`...)
@@ -331,45 +376,56 @@ func appendPlainEvent(dst []byte, ev Event) ([]byte, bool) {
 	if ev.Ph == PhaseInstant {
 		out = append(out, `,"s":"t"`...)
 	}
-	if len(ev.Args) > 0 {
-		var buf [8]string
-		keys := buf[:0]
-		for k := range ev.Args {
-			if !plain(k) {
-				return dst, false
-			}
-			keys = append(keys, k)
+	if len(args) > 0 {
+		var buf [8]int
+		order := buf[:0]
+		for i := range args {
+			order = append(order, i)
 		}
-		slices.Sort(keys)
-		sep := `,"args":{"`
-		for _, k := range keys {
-			out = append(out, sep...)
-			out = append(out, k...)
-			out = append(out, `":`...)
-			switch v := ev.Args[k].(type) {
-			case int:
-				out = strconv.AppendInt(out, int64(v), 10)
-			case int64:
-				out = strconv.AppendInt(out, v, 10)
-			case uint64:
-				out = strconv.AppendUint(out, v, 10)
-			case bool:
-				out = strconv.AppendBool(out, v)
-			case string:
-				if !plain(v) {
-					return dst, false
-				}
-				out = append(out, '"')
-				out = append(out, v...)
-				out = append(out, '"')
-			default:
-				return dst, false
+		// Insertion sort: stable, so of a repeated key the last is last,
+		// and allocation-free for the few arguments an event carries.
+		for i := 1; i < len(order); i++ {
+			for j := i; j > 0 && args[order[j]].Key < args[order[j-1]].Key; j-- {
+				order[j], order[j-1] = order[j-1], order[j]
 			}
-			sep = `,"`
+		}
+		sep := `,"args":{`
+		for i, k := range order {
+			a := &args[k]
+			if i+1 < len(order) && args[order[i+1]].Key == a.Key {
+				continue // a map keeps the last value
+			}
+			out = append(out, sep...)
+			out = appendString(out, a.Key)
+			out = append(out, ':')
+			switch a.kind {
+			case kindInt:
+				out = strconv.AppendInt(out, int64(a.num), 10)
+			case kindUint:
+				out = strconv.AppendUint(out, a.num, 10)
+			case kindBool:
+				out = strconv.AppendBool(out, a.num != 0)
+			default:
+				out = appendString(out, a.str)
+			}
+			sep = `,`
 		}
 		out = append(out, '}')
 	}
-	return append(out, '}'), true
+	return append(out, '}')
+}
+
+// appendString appends s as a JSON string: between quotes as it is, or as
+// json.Marshal escapes it. The copy handed to json.Marshal keeps s's bytes
+// from escaping, and with them the arguments of every emitter.
+func appendString(dst []byte, s string) []byte {
+	if plain(s) {
+		dst = append(dst, '"')
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
+	b, _ := json.Marshal(strings.Clone(s)) // a string always marshals
+	return append(dst, b...)
 }
 
 // plain reports whether encoding/json writes s between quotes as it is.
@@ -416,17 +472,71 @@ func (s *Sink) Close() error {
 // byte. The trace_event format does not require sorting.
 func (s *Sink) WriteJSON(w io.Writer) error {
 	out := NewStreamSink(w, 0)
-	for _, ev := range s.Events() {
-		out.Emit(ev)
+	if s != nil {
+		for _, ev := range s.kept() {
+			out.add(ev, ev.Args)
+		}
 	}
 	return out.Close()
 }
 
-// ParseJSON reads a trace document back into events, preserving
-// order. It exists for tests and offline tooling; numeric args come back as
-// float64 per encoding/json.
+// jsonEvent is the wire form of one Chrome trace_event record, as
+// ParseJSON reads it.
+type jsonEvent struct {
+	Name string   `json:"name"`
+	Ph   string   `json:"ph"`
+	Ts   int64    `json:"ts"`
+	Dur  *int64   `json:"dur"`
+	Pid  int64    `json:"pid"`
+	Tid  int64    `json:"tid"`
+	Args jsonArgs `json:"args"`
+}
+
+// jsonArgs reads an args object into arguments in the order of its keys.
+type jsonArgs []Arg
+
+// UnmarshalJSON makes an integer an Int, or a Uint past the int64 range;
+// true and false a Bool; a string a String. No sink writes any other value,
+// so any other is an error.
+func (a *jsonArgs) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	if tok, _ := dec.Token(); tok != json.Delim('{') {
+		return fmt.Errorf("args %.20s are not an object", b)
+	}
+	for dec.More() { // the outer decoder has checked the syntax
+		tok, _ := dec.Token()
+		key := tok.(string)
+		tok, _ = dec.Token()
+		switch v := tok.(type) {
+		case json.Number:
+			if n, err := strconv.ParseInt(string(v), 10, 64); err == nil {
+				*a = append(*a, Int(key, n))
+			} else if u, err := strconv.ParseUint(string(v), 10, 64); err == nil {
+				*a = append(*a, Uint(key, u))
+			} else {
+				return fmt.Errorf("arg %q: %s is not a 64-bit integer", key, v)
+			}
+		case bool:
+			*a = append(*a, Bool(key, v))
+		case string:
+			*a = append(*a, String(key, v))
+		default:
+			return fmt.Errorf("arg %q is neither an integer, a bool nor a string", key)
+		}
+	}
+	return nil
+}
+
+// ParseJSON reads a trace document back into events, preserving the order
+// of the events and of each one's args.
 func ParseJSON(r io.Reader) ([]Event, error) {
-	var jt jsonTrace
+	var jt struct {
+		TraceEvents []jsonEvent `json:"traceEvents"`
+	}
 	if err := json.NewDecoder(r).Decode(&jt); err != nil {
 		return nil, fmt.Errorf("trace: parse: %w", err)
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,7 +34,7 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 	// lets every scheduler call site run untraced at zero cost.
 	allocs := testing.AllocsPerRun(100, func() {
 		if s.Enabled() {
-			s.Span("slice", 0, 1, 0, 0, map[string]any{"tid": 1})
+			s.Span("slice", 0, 1, 0, 0, []Arg{Int("tid", 1)})
 		}
 	})
 	if allocs != 0 {
@@ -47,10 +49,10 @@ func TestJSONRoundTripPreservesOrderAndFields(t *testing.T) {
 		t.Fatalf("first pid = %d", pid)
 	}
 	s.NameThread(pid, 0, "epochs")
-	s.Span("epoch", 100, 50, pid, 0, map[string]any{"epoch": 0})
-	s.Instant("divergence", 125, pid, 0, map[string]any{"kind": "state"})
+	s.Span("epoch", 100, 50, pid, 0, []Arg{Int("epoch", 0)})
+	s.Instant("divergence", 125, pid, 0, []Arg{Int("epoch", -1), String("kind", "state"), Bool("skip", true), Uint("retired", math.MaxUint64)})
 	s.Counter("log.syscalls", 150, pid, 7)
-	s.Span("epoch", 150, 60, pid, 0, map[string]any{"epoch": 1})
+	s.Span("epoch", 150, 60, pid, 0, []Arg{String("why", "a<b\n"), Bool("adopt", false), Int("epoch", int64(math.MinInt64))})
 
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
@@ -71,6 +73,18 @@ func TestJSONRoundTripPreservesOrderAndFields(t *testing.T) {
 			got[i].Pid != want[i].Pid || got[i].Tid != want[i].Tid {
 			t.Fatalf("event %d: got %+v, want %+v", i, got[i], want[i])
 		}
+		// The wire holds args in key order and an integer without its
+		// signedness: a Uint within the int64 range reads back as an Int.
+		args := slices.Clone(want[i].Args)
+		slices.SortFunc(args, func(a, b Arg) int { return strings.Compare(a.Key, b.Key) })
+		if len(got[i].Args) != len(args) {
+			t.Fatalf("event %d: args %+v, want %+v", i, got[i].Args, args)
+		}
+		for k, a := range args {
+			if g := got[i].Args[k]; g.Key != a.Key || g.value() != a.value() {
+				t.Fatalf("event %d: arg %d is %+v, want %+v", i, k, g, a)
+			}
+		}
 	}
 	// Span durations and instant scope must survive the wire format.
 	if got[2].Dur != 50 {
@@ -82,11 +96,35 @@ func TestJSONRoundTripPreservesOrderAndFields(t *testing.T) {
 	if !strings.Contains(wire, `"displayTimeUnit":"ms"`) {
 		t.Fatal("missing displayTimeUnit")
 	}
+	if name, ok := got[0].Str("name"); !ok || name != "record test" {
+		t.Fatalf("process name %q, %v", name, ok)
+	}
+	if n, ok := got[3].Int("epoch"); !ok || n != -1 {
+		t.Fatalf("divergence epoch %d, %v", n, ok)
+	}
+	if _, ok := got[3].Int("retired"); ok {
+		t.Fatal("a uint64 past the int64 range read as an int64")
+	}
+	// And what was parsed writes the same document again.
+	again := NewSink()
+	for _, ev := range got {
+		again.Emit(ev)
+	}
+	if w2 := writeJSON(t, again); string(w2) != wire {
+		t.Fatalf("re-written:\n%s\nwant:\n%s", w2, wire)
+	}
+	// No sink writes a value that is not an integer, a bool or a string.
+	for _, bad := range []string{`1.5`, `null`, `{}`, `[1]`, `1e3`, `18446744073709551616`} {
+		doc := `{"traceEvents":[{"name":"x","ph":"i","ts":0,"pid":0,"tid":0,"args":{"a":` + bad + `}}]}`
+		if _, err := ParseJSON(strings.NewReader(doc)); err == nil {
+			t.Errorf("args value %s parsed", bad)
+		}
+	}
 }
 
 func TestSpliceShiftsAndRehomes(t *testing.T) {
 	child := NewSink()
-	child.Span("slice", 10, 5, 0, 0, map[string]any{"tid": 2})
+	child.Span("slice", 10, 5, 0, 0, []Arg{Int("tid", 2)})
 	child.Instant("signal", 12, 0, 0, nil)
 	child.Counter("n", 14, 0, 3)
 
