@@ -7,6 +7,7 @@ package asm
 
 import (
 	"fmt"
+	"slices"
 
 	"doubleplay/internal/vm"
 )
@@ -447,7 +448,9 @@ func (b *Builder) Build() (*vm.Program, error) {
 		entryName = b.funcs[0].name
 	}
 
-	prog := &vm.Program{Name: b.name, Data: append([]Word(nil), b.data...), DataBase: b.dataBase}
+	// The data segment is handed over, not copied: the builder only ever
+	// appends to it, and clipped to its length it cannot see those appends.
+	prog := &vm.Program{Name: b.name, Data: slices.Clip(b.data), DataBase: b.dataBase}
 	fnIndex := make(map[string]int, len(b.funcs))
 	base := make([]int, len(b.funcs))
 	for i, f := range b.funcs {

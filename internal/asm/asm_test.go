@@ -1,6 +1,7 @@
 package asm_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +129,38 @@ func TestDataSegmentLayout(t *testing.T) {
 	}
 	if b.DataLen() != 3+5+2 {
 		t.Fatalf("DataLen = %d", b.DataLen())
+	}
+}
+
+// TestBuildHandsOverItsDataSegment holds Build, which hands the builder's
+// data segment to the program instead of copying it, to what a copy
+// gives: a program's Data stays as built while the builder appends more,
+// and appending to one program's Data reaches neither the builder nor
+// another program.
+func TestBuildHandsOverItsDataSegment(t *testing.T) {
+	b := asm.NewBuilder("t")
+	b.Words(1, 2, 3)
+	b.Zeros(2)
+	b.Func("main", 0).HaltImm(0)
+	p1, p2 := b.MustBuild(), b.MustBuild()
+	built := []vm.Word{1, 2, 3, 0, 0}
+	b.Words(7) // into the spare capacity the builds saw, if they shared it
+	grown := append(p1.Data, 99)
+	b.Zeros(3)
+	b.Words(9)
+	p3 := b.MustBuild()
+	for _, c := range []struct {
+		name      string
+		got, want []vm.Word
+	}{
+		{"first build", p1.Data, built},
+		{"second build", p2.Data, built},
+		{"first build appended to", grown, append(slices.Clone(built), 99)},
+		{"build after the appends", p3.Data, []vm.Word{1, 2, 3, 0, 0, 7, 0, 0, 0, 9}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s: Data = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -443,7 +443,9 @@ const (
 )
 
 // verdict is verify's result: the epoch-parallel run (nil when certified)
-// with its trace, profile and cost, and the divergence or failure.
+// with its trace, profile and cost, and the divergence or failure. The
+// run's machine and trace buffer are the verifier slot's, valid until the
+// next verify.
 type verdict struct {
 	kind  verdictKind
 	res   *epoch.RunResult
@@ -454,11 +456,19 @@ type verdict struct {
 }
 
 // verifier is everything verify reads besides the epoch: the RunSpec
-// fields every epoch shares, and what every epoch's verification does.
+// fields every epoch shares, what every epoch's verification does, and
+// the slot it runs on (DESIGN.md, key decision 19).
 type verifier struct {
 	spec                        epoch.RunSpec
 	ctx                         context.Context
 	certified, traced, profiled bool
+
+	// slot is the spare CPU that verifies every epoch, and epbuf, when
+	// traced, its timeslice buffer: verifier state kept across epochs, one
+	// epoch's until the next verify empties the buffer and reloads the
+	// machine. Commit reads both and releases the machine's memory.
+	slot  *epoch.Slot
+	epbuf *trace.Sink
 }
 
 // newRecorder sets up a recording up to its first boundary, and its verifier.
@@ -554,6 +564,10 @@ func newRecorder(prog *vm.Program, world *simos.World, opt Options) (*recorder, 
 		spec: epoch.RunSpec{Prog: prog, Quantum: opt.Quantum, Costs: opt.Costs,
 			DisableEnforcement: opt.DisableSyncEnforcement},
 		ctx: opt.Context, certified: certified, traced: tr.Enabled(), profiled: opt.Profile != nil,
+		slot: new(epoch.Slot),
+	}
+	if vs.traced {
+		vs.epbuf = trace.NewSink()
 	}
 	if opt.DetectRaces {
 		r.det = race.NewDetector(0)
@@ -632,21 +646,20 @@ func (r *recorder) produce() (pending, error) {
 }
 
 // verify runs the epoch-parallel execution of p's log from its start
-// boundary, constrained and injected, and compares its end state with the
-// thread-parallel run's; a certified epoch is not run. It reads only vs and
-// p and writes no recorder state (stats, pipeline, trace, metrics,
-// controller, guest profile, divergences): commit acts on the verdict. The
-// one exception is the race detector behind vs.spec's hooks under
-// DetectRaces, which observes the run as it goes.
+// boundary, constrained and injected, on vs's slot, and compares its end
+// state with the thread-parallel run's; a certified epoch is not run. It
+// reads only vs and p and writes no recorder state (stats, pipeline,
+// trace, metrics, controller, guest profile, divergences): commit acts on
+// the verdict. The slot it runs on is verifier state. The one exception
+// is the race detector behind vs.spec's hooks under DetectRaces, which
+// observes the run as it goes.
 func verify(vs verifier, p pending) verdict {
 	if vs.certified {
 		return verdict{kind: verdictCertified}
 	}
 	// Traced timeslices stay epoch-local until commit places the epoch.
-	var v verdict
-	if vs.traced {
-		v.epbuf = trace.NewSink()
-	}
+	v := verdict{epbuf: vs.epbuf}
+	v.epbuf.Reset()
 	spec := vs.spec
 	spec.Start, spec.Targets, spec.Trace = p.start, p.ep.Targets, v.epbuf
 	spec.SyncOrder, spec.Syscalls, spec.Signals = p.ep.SyncOrder, p.ep.Syscalls, p.ep.Signals
@@ -654,7 +667,7 @@ func verify(vs verifier, p pending) verdict {
 		spec.Profile = profile.New(spec.Prog)
 	}
 	var err error
-	profile.WithPhase(vs.ctx, "verify", func() { v.res, err = epoch.Run(spec) })
+	profile.WithPhase(vs.ctx, "verify", func() { v.res, err = vs.slot.Run(spec) })
 	v.dur = v.res.Cycles + spec.Costs.ComparePage*p.mapped // run, then compare the end states
 	switch {
 	case err == nil && v.res.EndHash == p.end.Hash:

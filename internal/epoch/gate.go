@@ -3,7 +3,8 @@
 // epoch, each wired in one place — LiveLog, which runs a machine against a
 // live world and logs syscall results, sync order and signal positions,
 // and Exec, which feeds one epoch's log back into a machine on a single
-// simulated CPU. Run, the recorder's epoch-parallel pass, is an Exec.
+// simulated CPU. Slot.Run, the recorder's epoch-parallel pass, is an Exec
+// on a machine the slot keeps from one epoch to the next.
 //
 // The runner optionally narrates its timeslices into a trace.Sink
 // (RunSpec.Trace) with epoch-local timestamps; the recorder splices that

@@ -104,11 +104,37 @@ type RunResult struct {
 	EndHash     uint64
 }
 
-// Run executes one epoch. A nil error means the epoch ran to its targets
-// under the recorded constraints; the caller still must compare EndHash
-// against the next boundary to detect data-race divergence.
+// Slot is one spare CPU of the epoch-parallel pass: the machine its
+// epochs run on, kept from one epoch to the next. Each run reloads it from
+// the epoch's start checkpoint (vm.Machine.Reload) instead of restoring a
+// new machine, so a slot that has run an epoch of a recording runs the
+// next without building the CPU again. The zero Slot is ready to use; a
+// slot runs one epoch at a time.
+type Slot struct {
+	m *vm.Machine
+}
+
+// Run executes one epoch; its free function form makes a new slot for
+// the run. A nil error means the epoch ran to its targets under the
+// recorded constraints; the caller still must compare EndHash against the
+// next boundary to detect data-race divergence.
 func Run(spec RunSpec) (*RunResult, error) {
-	m := spec.Start.CP.Restore(spec.Prog, nil, spec.Costs)
+	return new(Slot).Run(spec)
+}
+
+// Run executes one epoch on the slot's machine. The result's M is that
+// machine: it is valid until the slot's next run, which releases its
+// memory if the caller has not. A caller done with M sooner may release
+// M.Mem itself, as the recorder does at commit, and the pages go back at
+// once.
+func (s *Slot) Run(spec RunSpec) (*RunResult, error) {
+	if s.m == nil {
+		s.m = spec.Start.CP.Restore(spec.Prog, nil, spec.Costs)
+	} else {
+		s.m.Mem.Release() // a no-op when the caller released it
+		s.m.Reload(spec.Start.CP, spec.Prog, nil, spec.Costs)
+	}
+	m := s.m
 	x := Follow(m, &dplog.EpochLog{
 		Targets:   spec.Targets,
 		SyncOrder: spec.SyncOrder,

@@ -23,6 +23,8 @@
 // releases it. Forgetting to release costs only the reuse — the garbage
 // collector still reclaims the page — but using a memory or snapshot after
 // releasing it panics rather than read words another execution owns.
+// Reload makes a released memory a restore of a snapshot again, in the
+// page map it had, and its owner owns it anew.
 package mem
 
 import (
@@ -152,6 +154,9 @@ type Stats struct {
 type Memory struct {
 	pages map[Word]*page // nil once released
 	stats Stats
+
+	// spare is the page map Release emptied, kept for the next Reload.
+	spare map[Word]*page
 
 	// cache is a direct-mapped table of recently touched pages, slotted by
 	// the low bits of the page index: each guest thread's access stream is
@@ -362,12 +367,38 @@ func (m *Memory) Clone() *Memory {
 }
 
 // Release drops m's reference on every page it maps, recycling the pages
-// no one else holds. Reading m afterwards panics; releasing it again does
-// nothing.
+// no one else holds. Reading m afterwards panics until a Reload; releasing
+// it again does nothing. The emptied page map is kept for that Reload.
 func (m *Memory) Release() {
+	if m.pages == nil {
+		return
+	}
 	unrefAll(m.pages)
-	m.pages = nil
+	clear(m.pages)
+	m.pages, m.spare = nil, m.pages
 	m.cache = [cacheSlots]cacheSlot{}
+}
+
+// Reload makes m, which must be released, a restore of s: its contents
+// equal the snapshot's, pages are shared copy-on-write and Stats start
+// from zero. It fills the page map Release emptied, so reloading a memory
+// that last held about as many pages allocates nothing.
+// Snapshot.Restore is Reload of a new memory.
+func (m *Memory) Reload(s *Snapshot) {
+	s.checkLive("Restore")
+	if m.pages != nil {
+		panic("mem: Reload of unreleased memory")
+	}
+	pages := m.spare
+	if pages == nil {
+		pages = make(map[Word]*page, len(s.pages))
+	}
+	for idx, p := range s.pages {
+		p.refs.Add(1)
+		pages[idx] = p
+	}
+	m.pages, m.spare = pages, nil
+	m.stats = Stats{}
 }
 
 // DiffPages returns the indices of pages whose content differs between m and
@@ -417,13 +448,9 @@ func (s *Snapshot) checkLive(op string) {
 // Restore returns a writable memory whose initial contents equal the
 // snapshot. Pages are shared copy-on-write.
 func (s *Snapshot) Restore() *Memory {
-	s.checkLive("Restore")
-	pages := make(map[Word]*page, len(s.pages))
-	for idx, p := range s.pages {
-		p.refs.Add(1)
-		pages[idx] = p
-	}
-	return &Memory{pages: pages}
+	m := new(Memory) // released: it maps nothing yet
+	m.Reload(s)
+	return m
 }
 
 // Hash returns the order-independent content hash of the snapshot.

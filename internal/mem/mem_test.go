@@ -166,6 +166,20 @@ func TestRestoreAfterReleasePanics(t *testing.T) {
 	snap.Restore()
 }
 
+// TestReloadOfLiveMemoryPanics holds Reload to released memories: one
+// that still maps pages would drop its references unreleased.
+func TestReloadOfLiveMemoryPanics(t *testing.T) {
+	m := New()
+	m.Store(0, 1)
+	snap := m.Snapshot()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reload of an unreleased memory did not panic")
+		}
+	}()
+	m.Reload(snap)
+}
+
 // TestReleasedPanics holds every other read of a released snapshot, and a
 // read of a released memory that misses its (emptied) page cache, to a
 // panic as TestRestoreAfterReleasePanics does Restore: the pages they
@@ -347,6 +361,9 @@ func FuzzPageRefs(f *testing.F) {
 	// two pages, snapshot, restore, release the snapshot, then both memories write both pages
 	f.Add([]byte{0, 0, 0, 0, 0, 6, 0, 0, 1, 0, 0, 6, 0, 0, 0, 0, 16, 0, 0, 0, 0, 18, 0, 0, 0, 0, 0, 20, 0,
 		1, 0, 0, 0, 0, 2, 1, 0, 1, 0, 0, 3, 0, 0, 1, 0, 0, 4})
+	// store, snapshot, clone, release the clone, reload it from the snapshot, write and read it
+	f.Add([]byte{0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 15, 0, 0, 0, 0, 17, 0, 0, 0, 0, 19, 1, 0, 0, 0, 0, 21, 0, 0,
+		1, 1, 0, 2, 0, 5, 1, 0, 0, 0, 9})
 	f.Add([]byte("clone a memory, release the original, write through the clone"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkPageRefs(t, min(len(data)/4, 4000), func(n int) int {
@@ -363,8 +380,9 @@ func FuzzPageRefs(f *testing.F) {
 // checkPageRefs is a differential test of the page cache and the page
 // reference counts: a family of memories and snapshots sharing pages
 // copy-on-write, driven through ops steps of
-// Store/Load/Peek/Snapshot/Restore/Clone and both Releases, each choice
-// made by pick(n) in [0, n). Every page index is drawn from a few that
+// Store/Load/Peek/Snapshot/Restore/Clone, both Releases and the Reload of
+// a released memory from a snapshot, each choice made by pick(n) in
+// [0, n). Every page index is drawn from a few that
 // collide in the cache (equal modulo its size), so slots are evicted and
 // refilled constantly and a slot left pointing at a page its memory has
 // since replaced would be read. The model is a plain word map per holder
@@ -417,6 +435,7 @@ func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 	}
 	mems := []*live{{m: New(), h: &holder{words: map[Word]Word{}, pages: map[Word]int{}}}}
 	var snaps []frozen
+	var released []*Memory // waiting to be reloaded
 	addr := func() Word {
 		idx := Word(pick(2)) + cacheSlots*Word(pick(5))
 		return idx<<PageShift + Word(pick(3))
@@ -444,7 +463,7 @@ func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 	for op := 0; op < ops; op++ {
 		l := mems[pick(len(mems))]
 		a := addr()
-		switch r := pick(21); {
+		switch r := pick(22); {
 		case r < 9:
 			store(l, a, Word(pick(7)-1))
 		case r < 13:
@@ -470,7 +489,17 @@ func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 			k := pick(len(mems))
 			dropHolder(mems[k].h)
 			mems[k].m.Release()
+			if len(released) < 3 {
+				released = append(released, mems[k].m)
+			}
 			mems = append(mems[:k], mems[k+1:]...)
+		case r == 21 && len(released) > 0 && len(snaps) > 0 && len(mems) < 5:
+			// A released memory reloaded from a snapshot is that snapshot's
+			// restore, in the page map it kept, with Stats from zero.
+			k, f := pick(len(released)), snaps[pick(len(snaps))]
+			released[k].Reload(f.s)
+			mems = append(mems, &live{m: released[k], h: cloneHolder(f.h)})
+			released = append(released[:k], released[k+1:]...)
 		case len(snaps) > 0:
 			k := pick(len(snaps))
 			dropHolder(snaps[k].h)

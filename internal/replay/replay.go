@@ -198,7 +198,12 @@ func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out 
 	if gp != nil {
 		gp.Attach(m)
 	}
-	tracing := out.Enabled()
+	// One timeslice buffer serves every epoch: emptied before each, and
+	// spliced into out after.
+	var slices *trace.Sink
+	if out.Enabled() {
+		slices = trace.NewSink()
+	}
 	buf := epochBufs.Get().(*dplog.EpochLog)
 	defer epochBufs.Put(buf)
 	for pos := sg.lo; pos < sg.hi; pos++ {
@@ -216,16 +221,13 @@ func (r *replayer) segment(sg segment, m *vm.Machine, gp *profile.Profiler, out 
 		if atStart != nil {
 			atStart(m, ep, cycles)
 		}
-		var slices *trace.Sink
-		if tracing {
-			slices = trace.NewSink()
-		}
+		slices.Reset()
 		c, loop, err := runEpoch(m, ep, r.src.Quantum(), r.costs, slices)
 		if err != nil {
 			return 0, nil, err
 		}
 		r.loopInstrs.Add(loop)
-		if tracing {
+		if slices != nil {
 			args := []trace.Arg{trace.Int("epoch", ep.Index), trace.Int("slices", len(ep.Schedule)),
 				trace.Int("syscalls", len(ep.Syscalls))}
 			if !r.sequential {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -253,5 +254,51 @@ func TestStreamedEmitAllocatesNothing(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetBufferRefillsInPlace holds Reset, which the recorder's
+// verifier and sequential replay call to reuse one child buffer per epoch:
+// a reset buffer holds exactly what a new one would after the same
+// emits, and splices the same events into its parent. Refilled with no
+// more than it held before, it allocates nothing.
+func TestResetBufferRefillsInPlace(t *testing.T) {
+	fill := func(s *Sink, n int64) {
+		for i := int64(0); i < n; i++ {
+			s.Span("slice", i, 2, 0, 0, []Arg{Int("tid", i), Uint("retired", uint64(i))})
+			s.Instant("sync", i, 0, 0, []Arg{String("kind", "mutex")})
+		}
+	}
+	reused := NewSink()
+	fill(reused, 40)
+	reused.Reset()
+	if n := reused.Len(); n != 0 {
+		t.Fatalf("Len after Reset = %d", n)
+	}
+	fill(reused, 7)
+	fresh := NewSink()
+	fill(fresh, 7)
+	if got, want := reused.Events(), fresh.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset buffer holds %v, a new one %v", got, want)
+	}
+	var a, b bytes.Buffer
+	for _, c := range []struct {
+		child *Sink
+		out   *bytes.Buffer
+	}{{reused, &a}, {fresh, &b}} {
+		parent := NewStreamSink(c.out, 0)
+		parent.Splice(c.child, 100, 1, 2)
+		if err := parent.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.String() != b.String() {
+		t.Fatalf("spliced reset buffer wrote %s, a new one %s", a.String(), b.String())
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	if n := testing.AllocsPerRun(100, func() { reused.Reset(); fill(reused, 40) }); n != 0 {
+		t.Fatalf("refilling a reset buffer made %v allocations", n)
 	}
 }

@@ -331,9 +331,27 @@ func (s *Sink) Len() int {
 	return s.n
 }
 
-// kept returns the kept events without copying them. A kept event is never
-// written again, and later ones land past the returned length, so the
-// slice stays valid after the lock is released.
+// Reset empties a keeping sink so it can buffer again: the events it
+// kept are dropped and the next ones are stored in the space they took,
+// so a child buffer reset before each epoch stops allocating once it has
+// held the largest. Events returned before share their Args with the sink
+// and must not be read after. A streaming sink, whose events are already
+// written, ignores Reset.
+func (s *Sink) Reset() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if s.w == nil {
+		s.nextPid, s.n = 1, 0
+		s.events, s.slab = s.events[:0], s.slab[:0]
+	}
+	s.mu.Unlock()
+}
+
+// kept returns the kept events without copying them. A kept event is not
+// written again until Reset, and later ones land past the returned
+// length, so the slice stays valid after the lock is released.
 func (s *Sink) kept() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()

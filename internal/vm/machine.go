@@ -2,7 +2,8 @@ package vm
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"doubleplay/internal/mem"
 )
@@ -175,9 +176,11 @@ type Machine struct {
 	liveCount  int
 	faultCount int
 
-	// costTab is Cost.instrCost flattened per opcode; built once per
-	// machine so the step hot path indexes instead of switching.
+	// costTab is Cost.instrCost flattened per opcode, so the step hot
+	// path indexes instead of switching; tabCost is the model it was built
+	// from, so a reload under an unchanged model keeps it.
 	costTab [256]int64
+	tabCost CostModel
 }
 
 // maxFrames bounds a thread's call stack; a call or signal delivery that
@@ -209,7 +212,7 @@ func NewMachine(prog *Program, os SyscallHandler, cost *CostModel) *Machine {
 		Cost:     cost,
 		Barriers: make(map[Word]*BarrierState),
 	}
-	m.costTab = cost.table()
+	m.costTab, m.tabCost = cost.table(), *cost
 	m.Mem.StoreRange(prog.DataBase, prog.Data)
 	m.Mem.ResetStats()
 	main := &Thread{ID: 0, PC: prog.Funcs[prog.Entry].Entry, SigHandler: -1}
@@ -802,24 +805,52 @@ func (cp *Checkpoint) Hash() uint64 {
 // Restore builds a fresh machine from the checkpoint. The new machine
 // shares memory pages copy-on-write with the checkpoint and any other
 // machine restored from it, so concurrent epoch executions are independent.
+// It is Reload of a machine that has nothing to reuse.
 func (cp *Checkpoint) Restore(prog *Program, os SyscallHandler, cost *CostModel) *Machine {
+	m := &Machine{
+		Mem:      new(mem.Memory), // released: it maps nothing
+		Locks:    make(map[Word]int, len(cp.Locks)),
+		Barriers: make(map[Word]*BarrierState, len(cp.Barriers)),
+	}
+	m.Reload(cp, prog, os, cost)
+	return m
+}
+
+// Reload makes m, a machine NewMachine or Restore built whose memory has
+// since been released, the machine Restore would build from cp:
+// architectural state from the checkpoint, no hooks, Now zero and nothing
+// diverged. It reuses what m already holds — its
+// Thread structs and their frame capacity, its lock and barrier maps, its
+// page map, and its cost table when cost equals the model it was built
+// from — so a machine reloaded epoch after epoch allocates nothing once
+// it has held as many threads, locks, barriers and pages as cp. Threads
+// of m's earlier run are overwritten in place.
+func (m *Machine) Reload(cp *Checkpoint, prog *Program, os SyscallHandler, cost *CostModel) {
 	if cost == nil {
 		cost = DefaultCosts()
 	}
-	m := &Machine{
-		Prog:     prog,
-		Mem:      cp.MemSnap.Restore(),
-		Threads:  make([]*Thread, len(cp.Threads)),
-		Locks:    make(map[Word]int, len(cp.Locks)),
-		Barriers: make(map[Word]*BarrierState, len(cp.Barriers)),
-		OS:       os,
-		Cost:     cost,
-		nextTID:  cp.NextTID,
+	m.Mem.Reload(cp.MemSnap)
+	m.Prog, m.OS, m.Hooks, m.Cost = prog, os, Hooks{}, cost
+	m.Now, m.Diverged = 0, ""
+	if *cost != m.tabCost {
+		m.costTab, m.tabCost = cost.table(), *cost
 	}
-	m.costTab = cost.table()
+	m.nextTID, m.liveCount, m.faultCount = cp.NextTID, 0, 0
+
+	// Thread structs past len(m.Threads) but within its capacity are ones
+	// an earlier run had; reuse them too.
+	ts := m.Threads[:cap(m.Threads)]
+	for len(ts) < len(cp.Threads) {
+		ts = append(ts, nil)
+	}
+	m.Threads = ts[:len(cp.Threads)]
 	for i, t := range cp.Threads {
-		c := t.clone()
-		m.Threads[i] = c
+		c := m.Threads[i]
+		if c == nil {
+			c = new(Thread)
+			m.Threads[i] = c
+		}
+		t.copyInto(c)
 		if c.Status.Live() {
 			m.liveCount++
 		}
@@ -827,27 +858,39 @@ func (cp *Checkpoint) Restore(prog *Program, os SyscallHandler, cost *CostModel)
 			m.faultCount++
 		}
 	}
-	for k, v := range cp.Locks {
-		m.Locks[k] = v
-	}
+
+	clear(m.Locks)
+	maps.Copy(m.Locks, cp.Locks)
+	maps.DeleteFunc(m.Barriers, func(k Word, _ *BarrierState) bool {
+		_, keep := cp.Barriers[k]
+		return !keep
+	})
 	for k, v := range cp.Barriers {
-		b := v
-		m.Barriers[k] = &b
+		b := m.Barriers[k]
+		if b == nil {
+			b = new(BarrierState)
+			m.Barriers[k] = b
+		}
+		*b = v
 	}
-	m.Mem.ResetStats()
-	return m
 }
 
 // StateHash returns the machine's current architectural state hash.
 func (m *Machine) StateHash() uint64 {
-	bars := make(map[Word]BarrierState, len(m.Barriers))
-	for k, v := range m.Barriers {
-		bars[k] = *v
-	}
-	return stateHash(m.Mem.Hash(), m.Threads, m.Locks, bars, m.nextTID)
+	return stateHash(m.Mem.Hash(), m.Threads, m.Locks, m.Barriers, m.nextTID)
 }
 
-func stateHash(memHash uint64, threads []*Thread, locks map[Word]int, barriers map[Word]BarrierState, nextTID int) uint64 {
+// barrier is a barrier's state as a checkpoint holds it, or as a machine
+// does.
+type barrier interface{ state() BarrierState }
+
+func (b BarrierState) state() BarrierState { return b }
+
+// stateHashIDs is how many lock or barrier ids stateHash sorts without
+// allocating.
+const stateHashIDs = 32
+
+func stateHash[B barrier](memHash uint64, threads []*Thread, locks map[Word]int, barriers map[Word]B, nextTID int) uint64 {
 	h := memHash
 	h = mix64(h, uint64(nextTID))
 	h = mix64(h, uint64(len(threads)))
@@ -855,25 +898,25 @@ func stateHash(memHash uint64, threads []*Thread, locks map[Word]int, barriers m
 		h = t.stateHash(h)
 	}
 	// Map iteration order is randomised; fold in sorted order.
-	ids := make([]Word, 0, len(locks))
+	var buf [stateHashIDs]Word
+	ids := buf[:0]
 	for id := range locks {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		h = mix64(h, uint64(id)*0x9e37+uint64(locks[id])+1)
 	}
 	ids = ids[:0]
-	for id := range barriers {
-		b := barriers[id]
-		if b.Gen == 0 && b.Arrived == 0 {
+	for id, b := range barriers {
+		if b.state() == (BarrierState{}) {
 			continue // untouched barriers hash like absent ones
 		}
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
-		b := barriers[id]
+		b := barriers[id].state()
 		h = mix64(h, uint64(id)*0x517c+uint64(b.Gen)*31+uint64(b.Arrived)+3)
 	}
 	return h

@@ -123,10 +123,17 @@ func (t *Thread) popFrame(ret Word) int {
 
 // clone returns an independent deep copy of the thread.
 func (t *Thread) clone() *Thread {
-	c := *t
-	c.Frames = make([]Frame, len(t.Frames))
-	copy(c.Frames, t.Frames)
-	return &c
+	c := new(Thread)
+	t.copyInto(c)
+	return c
+}
+
+// copyInto makes c an independent deep copy of t, keeping c's frame
+// storage when it is large enough.
+func (t *Thread) copyInto(c *Thread) {
+	frames := c.Frames[:0]
+	*c = *t
+	c.Frames = append(frames, t.Frames...)
 }
 
 // stateHash folds the thread's architectural state (registers, PC, frames,
