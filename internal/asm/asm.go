@@ -39,10 +39,19 @@ type Builder struct {
 	name     string
 	funcs    []*Func
 	byName   map[string]*Func
-	data     []Word
+	data     []piece // the data segment's non-zero stretches, in order
+	dataLen  int     // the data segment's length in words
 	dataBase Word
 	entry    string
 	errs     []error
+}
+
+// piece is a stretch of the data segment at word offset at: vals, or a
+// string's characters one per word. The words no piece covers are zero.
+type piece struct {
+	at   int
+	vals []Word
+	str  string
 }
 
 // NewBuilder starts a program named name.
@@ -59,31 +68,35 @@ func (b *Builder) errf(format string, args ...any) {
 	b.errs = append(b.errs, fmt.Errorf(format, args...))
 }
 
-// Words appends values to the data segment and returns their guest address.
+// Words appends values to the data segment and returns their guest
+// address. Words keeps vals, without copying it, until Build copies it into
+// the program: the caller must not change vals before then.
 func (b *Builder) Words(vals ...Word) Word {
-	addr := b.dataBase + Word(len(b.data))
-	b.data = append(b.data, vals...)
+	addr := b.dataBase + Word(b.dataLen)
+	if slices.ContainsFunc(vals, func(v Word) bool { return v != 0 }) {
+		b.data = append(b.data, piece{at: b.dataLen, vals: vals})
+	}
+	b.dataLen += len(vals)
 	return addr
 }
 
 // Zeros reserves n zeroed words in the data segment.
 func (b *Builder) Zeros(n int) Word {
-	addr := b.dataBase + Word(len(b.data))
-	b.data = append(b.data, make([]Word, n)...)
+	addr := b.dataBase + Word(b.dataLen)
+	b.dataLen += n
 	return addr
 }
 
 // Str stores a string one character per word and returns (address, length).
 func (b *Builder) Str(s string) (Word, Word) {
-	addr := b.dataBase + Word(len(b.data))
-	for i := 0; i < len(s); i++ {
-		b.data = append(b.data, Word(s[i]))
-	}
+	addr := b.dataBase + Word(b.dataLen)
+	b.data = append(b.data, piece{at: b.dataLen, str: s})
+	b.dataLen += len(s)
 	return addr, Word(len(s))
 }
 
 // DataLen returns the current data segment length in words.
-func (b *Builder) DataLen() int { return len(b.data) }
+func (b *Builder) DataLen() int { return b.dataLen }
 
 // Func begins a function with nargs arguments (available as Arg(0..n-1)).
 func (b *Builder) Func(name string, nargs int) *Func {
@@ -448,9 +461,17 @@ func (b *Builder) Build() (*vm.Program, error) {
 		entryName = b.funcs[0].name
 	}
 
-	// The data segment is handed over, not copied: the builder only ever
-	// appends to it, and clipped to its length it cannot see those appends.
-	prog := &vm.Program{Name: b.name, Data: slices.Clip(b.data), DataBase: b.dataBase}
+	// The data segment is allocated once, at its final length.
+	prog := &vm.Program{Name: b.name, DataBase: b.dataBase}
+	if b.dataLen > 0 {
+		prog.Data = make([]Word, b.dataLen)
+		for _, p := range b.data {
+			copy(prog.Data[p.at:], p.vals)
+			for i := 0; i < len(p.str); i++ {
+				prog.Data[p.at+i] = Word(p.str[i])
+			}
+		}
+	}
 	fnIndex := make(map[string]int, len(b.funcs))
 	base := make([]int, len(b.funcs))
 	for i, f := range b.funcs {

@@ -132,8 +132,8 @@ func TestDataSegmentLayout(t *testing.T) {
 	}
 }
 
-// TestBuildHandsOverItsDataSegment holds Build, which hands the builder's
-// data segment to the program instead of copying it, to what a copy
+// TestBuildHandsOverItsDataSegment holds Build, which allocates each
+// program's data segment anew from the builder's pieces, to what a copy
 // gives: a program's Data stays as built while the builder appends more,
 // and appending to one program's Data reaches neither the builder nor
 // another program.
@@ -161,6 +161,49 @@ func TestBuildHandsOverItsDataSegment(t *testing.T) {
 		if !slices.Equal(c.got, c.want) {
 			t.Errorf("%s: Data = %v, want %v", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestBuildAllocatesItsDataSegmentOnce: zeros, and Words of zero values,
+// only lengthen the segment — a builder that takes 64 of them allocates
+// no more than one that takes none — and Build allocates the segment at
+// its exact length, one segment per build. The all-zero argument list is
+// made outside the measured calls: Words keeps its argument, so a
+// literal list is the caller's allocation.
+func TestBuildAllocatesItsDataSegmentOnce(t *testing.T) {
+	zero := make([]vm.Word, 2)
+	fill := func(add func(*asm.Builder)) func() {
+		return func() {
+			b := asm.NewBuilder("t")
+			for i := 0; i < 64; i++ {
+				add(b)
+			}
+		}
+	}
+	empty := testing.AllocsPerRun(100, fill(func(*asm.Builder) {}))
+	for name, add := range map[string]func(*asm.Builder){
+		"Zeros(1<<16)": func(b *asm.Builder) { b.Zeros(1 << 16) },
+		"Words(0, 0)":  func(b *asm.Builder) { b.Words(zero...) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fill(add)); allocs != empty && !raceEnabled {
+			t.Errorf("64 × %s: %v allocations, an empty builder's %v", name, allocs, empty)
+		}
+	}
+	b := asm.NewBuilder("t")
+	b.Zeros(1 << 16)
+	b.Words(zero...)
+	b.Words(5, 6)
+	b.Func("main", 0).HaltImm(0)
+	p1, p2 := b.MustBuild(), b.MustBuild()
+	if n := b.DataLen(); len(p1.Data) != n || cap(p1.Data) != n {
+		t.Fatalf("Data len %d cap %d, want both %d", len(p1.Data), cap(p1.Data), n)
+	}
+	if !slices.Equal(p1.Data, p2.Data) || p1.Data[len(p1.Data)-1] != 6 {
+		t.Fatalf("two builds differ, or lost the last words: %v", p1.Data[len(p1.Data)-2:])
+	}
+	p1.Data[0] = 1
+	if p2.Data[0] != 0 {
+		t.Fatal("two builds share one data segment")
 	}
 }
 

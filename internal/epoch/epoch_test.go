@@ -1,6 +1,8 @@
 package epoch_test
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,14 +14,40 @@ import (
 	"doubleplay/internal/vm"
 )
 
+// gates returns a gate built fresh from order, and one that held and
+// half-consumed an unrelated epoch's order on the same objects and more,
+// then was reset to order, as a slot's gate is from epoch to epoch.
+func gates(order []dplog.SyncRecord) map[string]*epoch.Gate {
+	used := epoch.NewGate([]dplog.SyncRecord{
+		{Tid: 0, Kind: vm.ObjLock, ID: 7},
+		{Tid: 3, Kind: vm.ObjAtomic, ID: 100},
+		{Tid: 3, Kind: vm.ObjLock, ID: 8},
+		{Tid: 1, Kind: vm.ObjLock, ID: 7},
+	})
+	used.OnSync(vm.SyncEvent{Tid: 0, Obj: vm.SyncObj{Kind: vm.ObjLock, ID: 7}, Kind: vm.SyncAcquire})
+	used.OnSync(vm.SyncEvent{Tid: 2, Obj: vm.SyncObj{Kind: vm.ObjLock, ID: 8}, Kind: vm.SyncAcquire})
+	used.Reset(order)
+	return map[string]*epoch.Gate{"fresh": epoch.NewGate(order), "reset": used}
+}
+
 func TestGateEnforcesRecordedOrder(t *testing.T) {
-	lock := vm.SyncObj{Kind: vm.ObjLock, ID: 7}
-	atom := vm.SyncObj{Kind: vm.ObjAtomic, ID: 100}
-	g := epoch.NewGate([]dplog.SyncRecord{
+	for name, g := range gates([]dplog.SyncRecord{
 		{Tid: 1, Kind: vm.ObjLock, ID: 7},
 		{Tid: 0, Kind: vm.ObjLock, ID: 7},
 		{Tid: 2, Kind: vm.ObjAtomic, ID: 100},
-	})
+	}) {
+		t.Run(name, func(t *testing.T) { gateEnforcesRecordedOrder(t, g) })
+	}
+}
+
+func gateEnforcesRecordedOrder(t *testing.T, g *epoch.Gate) {
+	lock := vm.SyncObj{Kind: vm.ObjLock, ID: 7}
+	atom := vm.SyncObj{Kind: vm.ObjAtomic, ID: 100}
+	// Lock 8 is in the reset gate's earlier order only; its head there
+	// would name this order's third record, tid 2's.
+	if g.MayAcquire(vm.SyncObj{Kind: vm.ObjLock, ID: 8}, 2) {
+		t.Fatal("an object with no recorded operation allows acquires")
+	}
 	if g.MayAcquire(lock, 0) {
 		t.Fatal("tid 0 allowed ahead of tid 1")
 	}
@@ -52,11 +80,12 @@ func TestGateEnforcesRecordedOrder(t *testing.T) {
 
 func TestGateRecordsViolationWhenUnenforced(t *testing.T) {
 	lock := vm.SyncObj{Kind: vm.ObjLock, ID: 7}
-	g := epoch.NewGate([]dplog.SyncRecord{{Tid: 1, Kind: vm.ObjLock, ID: 7}})
-	// Simulates the ablation: the event fires without MayAcquire approval.
-	g.OnSync(vm.SyncEvent{Tid: 0, Obj: lock, Kind: vm.SyncAcquire})
-	if g.Err() == "" {
-		t.Fatal("out-of-order acquire not recorded")
+	for name, g := range gates([]dplog.SyncRecord{{Tid: 1, Kind: vm.ObjLock, ID: 7}}) {
+		// Simulates the ablation: the event fires without MayAcquire approval.
+		g.OnSync(vm.SyncEvent{Tid: 0, Obj: lock, Kind: vm.SyncAcquire})
+		if g.Err() == "" || g.Remaining() != 1 {
+			t.Fatalf("%s: out-of-order acquire not recorded (err %q, remaining %d)", name, g.Err(), g.Remaining())
+		}
 	}
 }
 
@@ -132,18 +161,32 @@ func buildEpochProgram(iters int) *vm.Program {
 // pieces an epoch run needs.
 func recordOneEpoch(t *testing.T, prog *vm.Program, until int64) (*epoch.Boundary, *epoch.Boundary, []dplog.SyncRecord, []dplog.SyscallRecord) {
 	t.Helper()
+	bs, eps := recordEpochs(t, prog, until)
+	return bs[0], bs[1], eps[0].SyncOrder, eps[0].Syscalls
+}
+
+// recordEpochs runs the thread-parallel pass up to each of ends in turn
+// and returns the boundaries there, the first at cycle 0, and each
+// epoch's log with its targets.
+func recordEpochs(t *testing.T, prog *vm.Program, ends ...int64) ([]*epoch.Boundary, []*dplog.EpochLog) {
+	t.Helper()
 	world := simos.NewWorld(1)
 	live := epoch.NewLiveLog(nil, 0)
 	m := vm.NewMachine(prog, nil, nil)
 	live.Attach(m, world)
 	par := sched.NewParallel(m, 2, 1)
-	start := epoch.Capture(0, 0, m, world)
-	if err := par.RunUntil(until); err != nil {
-		t.Fatal(err)
+	bs := []*epoch.Boundary{epoch.Capture(0, 0, m, world)}
+	var eps []*dplog.EpochLog
+	for _, until := range ends {
+		if err := par.RunUntil(until); err != nil {
+			t.Fatal(err)
+		}
+		bs = append(bs, epoch.Capture(len(bs), par.Now(), m, world))
+		ep := live.Take()
+		ep.Targets = bs[len(bs)-1].Targets()
+		eps = append(eps, ep)
 	}
-	end := epoch.Capture(1, par.Now(), m, world)
-	ep := live.Take()
-	return start, end, ep.SyncOrder, ep.Syscalls
+	return bs, eps
 }
 
 func TestRunEpochMatchesThreadParallelState(t *testing.T) {
@@ -255,5 +298,115 @@ func TestLeftoverIsADivergence(t *testing.T) {
 		case tc.want != "" && (!epoch.IsDivergence(err) || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("leftover %s: err = %v, want a divergence saying %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestSlotRunsLikeAFreshSlot runs a sequence of different epochs on one
+// slot, whose machine, schedule scratch and gate carry over from run to
+// run, and holds each result to a fresh slot's: the schedule, the counts,
+// the end hash, and the error — the leftover proof's, and the gate's own
+// under DisableEnforcement.
+func TestSlotRunsLikeAFreshSlot(t *testing.T) {
+	prog := buildEpochProgram(300)
+	bs, eps := recordEpochs(t, prog, 6000, 12000)
+	spec := func(k int, unenforced bool) epoch.RunSpec {
+		return epoch.RunSpec{Prog: prog, Start: bs[k], Targets: eps[k].Targets, SyncOrder: eps[k].SyncOrder,
+			Syscalls: eps[k].Syscalls, Costs: vm.DefaultCosts(), DisableEnforcement: unenforced}
+	}
+	phantom := spec(1, false)
+	phantom.SyncOrder = append(phantom.SyncOrder[:len(phantom.SyncOrder):len(phantom.SyncOrder)],
+		dplog.SyncRecord{Tid: 1, Kind: vm.ObjLock, ID: 999})
+	gateErrs := 0
+	slot := new(epoch.Slot)
+	for i, sp := range []epoch.RunSpec{spec(0, false), spec(1, false), phantom, spec(0, true), spec(1, true), spec(0, false)} {
+		fresh := new(epoch.Slot)
+		got, gotErr := slot.Run(sp)
+		want, wantErr := fresh.Run(sp)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || slot.GateErr() != fresh.GateErr() {
+			t.Fatalf("run %d: err %v, gate %q; a fresh slot's %v, %q", i, gotErr, slot.GateErr(), wantErr, fresh.GateErr())
+		}
+		if slot.GateErr() != "" {
+			gateErrs++
+		}
+		if !slices.Equal(got.Schedule, want.Schedule) || len(got.Schedule) == 0 {
+			t.Fatalf("run %d: schedule %v, a fresh slot's %v", i, got.Schedule, want.Schedule)
+		}
+		if got.Enforced != want.Enforced || got.Injected != want.Injected ||
+			got.Cycles != want.Cycles || got.EndHash != want.EndHash {
+			t.Fatalf("run %d: %+v, a fresh slot's %+v", i, got, want)
+		}
+	}
+	if gateErrs == 0 {
+		t.Fatal("no unenforced run broke the recorded order; the gate error went untested")
+	}
+}
+
+// TestKeptLogsAreCopies: the schedule a slot's run returns, and the
+// streams LiveLog.Take hands over, are copies at their exact length out
+// of scratch the next epoch reuses, so a later epoch overwrites none of
+// them and an append to one reaches no other epoch's.
+func TestKeptLogsAreCopies(t *testing.T) {
+	prog := buildEpochProgram(300)
+	bs, eps := recordEpochs(t, prog, 6000, 12000)
+	_, clean := recordEpochs(t, prog, 6000, 12000)
+	for _, ep := range eps {
+		if len(ep.SyncOrder) == 0 || cap(ep.SyncOrder) != len(ep.SyncOrder) || cap(ep.Syscalls) != len(ep.Syscalls) {
+			t.Fatalf("streams of %d sync ops, %d syscalls not at their exact length", len(ep.SyncOrder), len(ep.Syscalls))
+		}
+	}
+	_ = append(eps[0].SyncOrder, dplog.SyncRecord{Tid: 9, Kind: vm.ObjLock, ID: 999})
+	for k := range eps {
+		if !slices.Equal(eps[k].SyncOrder, clean[k].SyncOrder) {
+			t.Fatalf("epoch %d's taken sync order differs from a clean recording's", k)
+		}
+	}
+
+	slot := new(epoch.Slot)
+	run := func(slot *epoch.Slot, k int) *epoch.RunResult {
+		res, err := slot.Run(epoch.RunSpec{Prog: prog, Start: bs[k], Targets: eps[k].Targets,
+			SyncOrder: eps[k].SyncOrder, Syscalls: eps[k].Syscalls, Costs: vm.DefaultCosts()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run(slot, 0)
+	kept := slices.Clone(first.Schedule)
+	if cap(first.Schedule) != len(first.Schedule) {
+		t.Fatalf("schedule of %d slices has cap %d", len(first.Schedule), cap(first.Schedule))
+	}
+	second := run(slot, 1)
+	_ = append(first.Schedule, dplog.Slice{Tid: 9, N: 1})
+	if !slices.Equal(first.Schedule, kept) {
+		t.Fatal("the next epoch's run overwrote a returned schedule")
+	}
+	if fresh := run(new(epoch.Slot), 1); !slices.Equal(second.Schedule, fresh.Schedule) {
+		t.Fatal("an append to one returned schedule reached the next epoch's")
+	}
+}
+
+// TestWarmSlotRunAllocations pins what a warm slot allocates per epoch.
+// Of what the epoch keeps, that is the RunResult and the schedule's copy;
+// the rest is the Exec that follows the epoch and its scheduler, the
+// gate's two hook values, and the injector's per-thread cursors grown for
+// tids 1 and 2 (three appends). The machine, the schedule scratch and the
+// gate's links and heads are the slot's own and cost nothing once warm.
+func TestWarmSlotRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	prog := buildEpochProgram(300)
+	bs, eps := recordEpochs(t, prog, 6000, 12000)
+	// The second epoch: the first spawns the guest's threads.
+	spec := epoch.RunSpec{Prog: prog, Start: bs[1], Targets: eps[1].Targets,
+		SyncOrder: eps[1].SyncOrder, Syscalls: eps[1].Syscalls, Costs: vm.DefaultCosts()}
+	slot := new(epoch.Slot)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := slot.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2+7 {
+		t.Fatalf("a warm slot's run allocates %v times, want 9", allocs)
 	}
 }

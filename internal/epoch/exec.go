@@ -38,6 +38,16 @@ type Exec struct {
 // gated selects ep.SyncOrder as the constraint, otherwise ep.Schedule;
 // quantum (zero: the default) is the free run's timeslice.
 func Follow(m *vm.Machine, ep *dplog.EpochLog, gated bool, quantum int64, costs *vm.CostModel) *Exec {
+	var g *gate
+	if gated {
+		g = new(gate)
+	}
+	return follow(m, ep, g, quantum, costs)
+}
+
+// follow is Follow gated by g, which it resets to ep.SyncOrder, or
+// scheduled when g is nil.
+func follow(m *vm.Machine, ep *dplog.EpochLog, g *gate, quantum int64, costs *vm.CostModel) *Exec {
 	x := &Exec{
 		Uni:   sched.NewUni(m),
 		inj:   *newInjectOS(ep.Syscalls),
@@ -55,9 +65,10 @@ func Follow(m *vm.Machine, ep *dplog.EpochLog, gated bool, quantum int64, costs 
 	if quantum > 0 {
 		x.Uni.Quantum = quantum
 	}
-	if gated {
-		x.gate = newGate(ep.SyncOrder)
-		m.Hooks.MayAcquire, m.Hooks.OnSync = x.gate.MayAcquire, x.gate.OnSync
+	if g != nil {
+		g.reset(ep.SyncOrder)
+		x.gate = g
+		m.Hooks.MayAcquire, m.Hooks.OnSync = g.MayAcquire, g.OnSync
 	} else {
 		x.Uni.Follow = ep.Schedule
 		if x.Uni.Follow == nil {

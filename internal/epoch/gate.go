@@ -14,6 +14,7 @@ package epoch
 
 import (
 	"fmt"
+	"slices"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/vm"
@@ -25,28 +26,44 @@ import (
 // resolve identically in the epoch-parallel execution, so only true data
 // races can make the two executions diverge — the property DoublePlay's
 // divergence rate depends on.
+//
+// The gate reads the epoch's sync order in place, as the injectors'
+// cursors read theirs: next links each record to the next one on the same
+// object, and head names each object's next record to retire. Both are
+// kept by a reused gate (a Slot's), which reset refills for every epoch.
 type gate struct {
-	queues map[vm.SyncObj][]int
-	used   int
-	err    string
+	order []dplog.SyncRecord
+	next  []int              // next[i]-1 follows order[i] on its object; 0: none
+	head  map[vm.SyncObj]int // head[obj]-1 is obj's next record; 0: none left
+	used  int
+	err   string
 }
 
-// newGate builds a gate from an epoch's recorded sync order.
-func newGate(order []dplog.SyncRecord) *gate {
-	g := &gate{queues: make(map[vm.SyncObj][]int)}
-	for _, r := range order {
-		obj := vm.SyncObj{Kind: r.Kind, ID: r.ID}
-		g.queues[obj] = append(g.queues[obj], r.Tid)
+// reset points g at an epoch's recorded sync order, linking its records
+// per object in one backward pass. The previous epoch's objects are
+// deleted rather than the map cleared, so the work stays linear in the
+// records however many objects an earlier epoch had.
+func (g *gate) reset(order []dplog.SyncRecord) {
+	if g.head == nil {
+		g.head = make(map[vm.SyncObj]int)
 	}
-	return g
+	for _, r := range g.order {
+		delete(g.head, vm.SyncObj{Kind: r.Kind, ID: r.ID})
+	}
+	g.order, g.used, g.err = order, 0, ""
+	g.next = slices.Grow(g.next[:0], len(order))[:len(order)]
+	for i := len(order) - 1; i >= 0; i-- {
+		obj := vm.SyncObj{Kind: order[i].Kind, ID: order[i].ID}
+		g.next[i], g.head[obj] = g.head[obj], i+1
+	}
 }
 
 // MayAcquire reports whether tid is next in the recorded order for obj.
 // An operation with no recorded counterpart is refused forever; the runner
 // detects the resulting stall as a divergence.
 func (g *gate) MayAcquire(obj vm.SyncObj, tid int) bool {
-	q := g.queues[obj]
-	return len(q) > 0 && q[0] == tid
+	h := g.head[obj]
+	return h > 0 && g.order[h-1].Tid == tid
 }
 
 // OnSync consumes the head of the object's queue when a gated operation
@@ -55,25 +72,19 @@ func (g *gate) OnSync(ev vm.SyncEvent) {
 	if !ev.Gated() {
 		return
 	}
-	q := g.queues[ev.Obj]
-	if len(q) == 0 || q[0] != ev.Tid {
+	h := g.head[ev.Obj]
+	if h == 0 || g.order[h-1].Tid != ev.Tid {
 		// MayAcquire prevents this unless enforcement is disabled (the
 		// ablation configuration); record it so Remaining()/Err() report it.
 		g.err = fmt.Sprintf("sync op %s by tid %d not next in recorded order", ev.Obj, ev.Tid)
 		return
 	}
-	g.queues[ev.Obj] = q[1:]
+	g.head[ev.Obj] = g.next[h-1]
 	g.used++
 }
 
 // Remaining returns the number of recorded operations not yet performed.
-func (g *gate) Remaining() int {
-	n := 0
-	for _, q := range g.queues {
-		n += len(q)
-	}
-	return n
-}
+func (g *gate) Remaining() int { return len(g.order) - g.used }
 
 // Used returns the number of enforced operations consumed.
 func (g *gate) Used() int { return g.used }

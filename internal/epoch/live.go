@@ -24,13 +24,13 @@ type LiveLog struct {
 	os  *simos.OS
 	tr  *trace.Sink
 	pid int64
-	ep  *dplog.EpochLog // the current epoch: Syscalls, SyncOrder, Signals
+	ep  dplog.EpochLog // the current epoch's scratch: Syscalls, SyncOrder, Signals
 }
 
 // NewLiveLog returns a log that narrates its appends to tr (nil or
 // disabled: silently) on process pid.
 func NewLiveLog(tr *trace.Sink, pid int64) *LiveLog {
-	return &LiveLog{tr: tr, pid: pid, ep: new(dplog.EpochLog)}
+	return &LiveLog{tr: tr, pid: pid}
 }
 
 // Attach makes m a logging machine over w: the log becomes m's syscall
@@ -54,10 +54,14 @@ func (l *LiveLog) World() *simos.World { return l.os.W }
 
 // Take hands over what has been logged since the last Take — one epoch's
 // three streams, at a boundary, in an epoch log the caller completes —
-// and starts the next epoch's empty.
+// and starts the next epoch's empty. Each stream is copied out of the
+// log's scratch at its exact length (nil when empty), and the scratch is
+// kept for the next epoch.
 func (l *LiveLog) Take() *dplog.EpochLog {
-	ep := l.ep
-	l.ep = new(dplog.EpochLog)
+	ep := &dplog.EpochLog{
+		Syscalls: exact(l.ep.Syscalls), SyncOrder: exact(l.ep.SyncOrder), Signals: exact(l.ep.Signals),
+	}
+	l.ep.Syscalls, l.ep.SyncOrder, l.ep.Signals = l.ep.Syscalls[:0], l.ep.SyncOrder[:0], l.ep.Signals[:0]
 	return ep
 }
 

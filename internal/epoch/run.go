@@ -108,10 +108,14 @@ type RunResult struct {
 // epochs run on, kept from one epoch to the next. Each run reloads it from
 // the epoch's start checkpoint (vm.Machine.Reload) instead of restoring a
 // new machine, so a slot that has run an epoch of a recording runs the
-// next without building the CPU again. The zero Slot is ready to use; a
-// slot runs one epoch at a time.
+// next without building the CPU again. The slot also keeps the run's
+// scratch: the timeslice log, which a run hands over as a copy of exact
+// length, and the sync-order gate, reset for every epoch. The zero Slot
+// is ready to use; a slot runs one epoch at a time.
 type Slot struct {
-	m *vm.Machine
+	m     *vm.Machine
+	sched []dplog.Slice
+	gate  gate
 }
 
 // Run executes one epoch; its free function form makes a new slot for
@@ -135,30 +139,31 @@ func (s *Slot) Run(spec RunSpec) (*RunResult, error) {
 		s.m.Reload(spec.Start.CP, spec.Prog, nil, spec.Costs)
 	}
 	m := s.m
-	x := Follow(m, &dplog.EpochLog{
+	x := follow(m, &dplog.EpochLog{
 		Targets:   spec.Targets,
 		SyncOrder: spec.SyncOrder,
 		Syscalls:  spec.Syscalls,
 		Signals:   spec.Signals,
-	}, true, spec.Quantum, spec.Costs)
+	}, &s.gate, spec.Quantum, spec.Costs)
 	if spec.DisableEnforcement {
 		m.Hooks.MayAcquire = nil // the gate still watches the order, see gate.OnSync
 	}
-	if spec.OnSync != nil {
+	if observe := spec.OnSync; observe != nil { // a copy, so spec stays off the heap
 		gated := m.Hooks.OnSync
 		m.Hooks.OnSync = func(ev vm.SyncEvent) {
 			gated(ev)
-			spec.OnSync(ev)
+			observe(ev)
 		}
 	}
 	m.Hooks.OnMemAccess = spec.OnMemAccess
 	if spec.Profile != nil {
 		spec.Profile.Attach(m)
 	}
-	x.Uni.LogSchedule = true
+	x.Uni.LogSchedule, x.Uni.Log = true, s.sched[:0]
 	x.Uni.Trace = spec.Trace
 
 	err := x.Uni.Run()
+	s.sched = x.Uni.Log
 	if err == nil {
 		// The run reached its targets; it must also have consumed exactly
 		// the recorded constraint streams.
@@ -168,7 +173,7 @@ func (s *Slot) Run(spec RunSpec) (*RunResult, error) {
 	}
 	res := &RunResult{
 		M:           m,
-		Schedule:    x.Uni.Log,
+		Schedule:    exact(s.sched),
 		Cycles:      x.Cycles(),
 		Injected:    x.Injected(),
 		Enforced:    x.Enforced(),
@@ -178,6 +183,17 @@ func (s *Slot) Run(spec RunSpec) (*RunResult, error) {
 		res.EndHash = m.StateHash()
 	}
 	return res, err
+}
+
+// exact returns a copy of s at its exact length, or nil when s is empty:
+// what a recording keeps of a log built in scratch.
+func exact[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make(S, len(s))
+	copy(out, s)
+	return out
 }
 
 // IsDivergence reports whether err indicates the execution departed from

@@ -51,7 +51,7 @@ func buildFFT(p Params) *Built {
 		rev[i] = Word(r)
 	}
 	// tw[s*?]: for stage s (len = 2<<s), twiddles w^j for j < len/2.
-	var tw []Word
+	tw := make([]Word, 0, n-1) // 1 + 2 + ... + n/2 words
 	twOff := make([]Word, logn)
 	for s := 0; s < logn; s++ {
 		length := 2 << s
