@@ -198,6 +198,9 @@ func main() {
 		fmt.Println("metrics:")
 		reg.Render(os.Stdout)
 	}
+	// The workload flags' build parameters; replay and disasm build the
+	// program alone, since neither runs against a world.
+	params := workloads.Params{Workers: *workers, Scale: *scale, Seed: *seed}
 
 	switch cmd {
 	case "list":
@@ -210,7 +213,7 @@ func main() {
 		}
 
 	case "record":
-		bt := mustBuild(*wlName, *workers, *scale, *seed)
+		bt := mustWorkload(*wlName).Build(params)
 		var gprof *profile.Profile
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
@@ -234,7 +237,7 @@ func main() {
 		if *logPath == "" {
 			usageErr("replay requires -log (or use 'verify' for an in-memory round trip)")
 		}
-		bt := mustBuild(*wlName, *workers, *scale, *seed)
+		prog := mustWorkload(*wlName).Program(params)
 		data, err := os.ReadFile(*logPath)
 		check(err)
 		rec, err := dplog.UnmarshalBytes(data)
@@ -243,7 +246,7 @@ func main() {
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(rec),
+		rep, err := replay.Run(context.Background(), prog, replay.FromRecording(rec),
 			replay.Options{Trace: sink, Profile: gprof})
 		check(err)
 		fmt.Printf("replayed %d epochs in %d simulated cycles; final hash %016x verified\n",
@@ -252,7 +255,7 @@ func main() {
 		flushTrace()
 
 	case "verify":
-		bt := mustBuild(*wlName, *workers, *scale, *seed)
+		bt := mustWorkload(*wlName).Build(params)
 		var recProf *profile.Profile
 		if *guestProf != "" {
 			recProf = profile.NewProfile("")
@@ -343,11 +346,10 @@ func main() {
 		logExtract(*logPath, *outPath, *epochRange)
 
 	case "disasm":
-		bt := mustBuild(*wlName, *workers, *scale, *seed)
-		fmt.Print(asm.Disassemble(bt.Prog))
+		fmt.Print(asm.Disassemble(mustWorkload(*wlName).Program(params)))
 
 	case "races":
-		bt := mustBuild(*wlName, *workers, *scale, *seed)
+		bt := mustWorkload(*wlName).Build(params)
 		reports, err := race.Find(bt.Prog, bt.World)
 		check(err)
 		if len(reports) == 0 {
@@ -425,7 +427,7 @@ func serve(listen, dataDir string, pool, queueDepth int, jobTimeout, drainTimeou
 	fmt.Fprintln(os.Stderr, "doubleplay: drained")
 }
 
-func mustBuild(name string, workers, scale int, seed int64) *workloads.Built {
+func mustWorkload(name string) *workloads.Workload {
 	if name == "" {
 		usageErr("missing -w <workload>; see 'doubleplay list'")
 	}
@@ -433,7 +435,7 @@ func mustBuild(name string, workers, scale int, seed int64) *workloads.Built {
 	if wl == nil {
 		usageErr(fmt.Sprintf("unknown workload %q; see 'doubleplay list'", name))
 	}
-	return wl.Build(workloads.Params{Workers: workers, Scale: scale, Seed: seed})
+	return wl
 }
 
 func mustRecord(bt *workloads.Built, workers, spares int, epochLen, seed int64, growth float64, detect bool, adaptive bool, minSpares, maxSpares int, policy core.VerifyPolicy, sink *trace.Sink, reg *trace.Registry, gprof *profile.Profile) *core.Result {

@@ -233,6 +233,7 @@ func TestServe(t *testing.T) {
 	// Pin one kvdb recording and age everything out: the pin survives
 	// intact and still replays, the other two are reclaimed.
 	call("POST", "/jobs/"+kvA+"/pin", "", http.StatusOK, nil)
+	backdateRefs(t, data, racey, kvA, kvB)
 	var gc store.GCReport
 	call("POST", "/admin/gc", `{"max_age_ms": 1}`, http.StatusOK, &gc)
 	if gc.ChunksRemoved != 2 {
@@ -277,5 +278,22 @@ func TestServe(t *testing.T) {
 	offlineJSON(&dry, "store", "gc", "-dry-run")
 	if !fsck.OK() || fsck.StaleTemps != 0 || stats.Recordings != 1 || dry.ChunksRemoved != 0 {
 		t.Fatalf("drained store: fsck %+v, stats %+v, gc -dry-run %+v", fsck, stats, dry)
+	}
+}
+
+// backdateRefs sets the mtime of each job's recording ref an hour back, so
+// a retention GC with a one-millisecond max age takes every unpinned one:
+// a ref published within the millisecond before the GC would be kept.
+func backdateRefs(t *testing.T, root string, ids ...string) {
+	t.Helper()
+	st, err := store.Open(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour)
+	for _, id := range ids {
+		if err := os.Chtimes(st.JobArtifact(id, "recording.ref"), old, old); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -97,8 +97,8 @@ func openSession(path, wlName string, workers, scale int, seed int64) *debug.Ses
 	if wl == nil {
 		fatalIO("%s: unknown workload %q (override with -w)", path, wlName)
 	}
-	bt := wl.Build(workloads.Params{Workers: workers, Scale: scale, Seed: seed})
-	s, err := debug.New(bt.Prog, replay.FromReader(rd), nil)
+	prog := wl.Program(workloads.Params{Workers: workers, Scale: scale, Seed: seed})
+	s, err := debug.New(prog, replay.FromReader(rd), nil)
 	if err != nil {
 		fatalAssert("%s: %v", path, err)
 	}

@@ -166,8 +166,7 @@ func runCertify(names []string, params workloads.Params, jsonOut bool) int {
 			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloads.Names())
 			return 2
 		}
-		bt := w.Build(params)
-		cert := analyze.Run(bt.Prog).Cert
+		cert := analyze.Run(w.Program(params)).Cert
 		if jsonOut {
 			certs = append(certs, cert)
 		} else {

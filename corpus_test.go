@@ -186,7 +186,7 @@ func corpusFacts(spec corpusSpec, data []byte) (string, error) {
 	if wl == nil {
 		return "", fmt.Errorf("no workload %q", spec.Workload)
 	}
-	prog := wl.Build(workloads.Params{Workers: spec.Workers, Scale: spec.Scale, Seed: spec.Seed}).Prog
+	prog := wl.Program(workloads.Params{Workers: spec.Workers, Scale: spec.Scale, Seed: spec.Seed})
 	rec, err := dplog.UnmarshalBytes(data)
 	if err != nil {
 		return "", err

@@ -5,15 +5,13 @@ package server_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"os"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"doubleplay/internal/server"
 	"doubleplay/internal/store"
@@ -68,9 +66,17 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 		t.Fatalf("nothing compressed at rest: stored %d >= logical %d", stored, logical)
 	}
 
-	// Pin A, then age everything out: A survives, B is collected.
+	// Pin A, then age everything out: A survives, B is collected. Both refs
+	// are back-dated first, because a ref published within the millisecond
+	// before the GC is not older than its one-millisecond max age.
 	if code, v := doJSON(t, "POST", ts.URL+"/jobs/"+idA+"/pin", nil); code != http.StatusOK || v["pinned"] != true {
 		t.Fatalf("POST pin: %d %v", code, v)
+	}
+	old := time.Now().Add(-time.Hour)
+	for _, id := range []string{idA, idB} {
+		if err := os.Chtimes(s.Store().JobArtifact(id, "recording.ref"), old, old); err != nil {
+			t.Fatal(err)
+		}
 	}
 	code, rep := doJSON(t, "POST", ts.URL+"/admin/gc", map[string]any{"max_age_ms": 1})
 	if code != http.StatusOK {
@@ -119,9 +125,9 @@ func TestStorageTierPinGCAndStats(t *testing.T) {
 	}
 }
 
-// gcLoop posts unbounded-policy collections back to back until stop is
-// closed or until(report) says enough, and returns when the loop has ended.
-func gcLoop(t *testing.T, ts *httptest.Server, stop <-chan struct{}, until func(rep map[string]any) bool) (wait func()) {
+// gcLoop runs unbounded-policy collections on the server's store back to
+// back until stop is closed, and returns when the loop has ended.
+func gcLoop(t *testing.T, s *server.Server, stop <-chan struct{}) (wait func()) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -132,19 +138,8 @@ func gcLoop(t *testing.T, ts *httptest.Server, stop <-chan struct{}, until func(
 				return
 			default:
 			}
-			resp, err := http.Post(ts.URL+"/admin/gc", "application/json", nil)
-			if err != nil {
-				t.Errorf("POST /admin/gc: %v", err)
-				return
-			}
-			var rep map[string]any
-			err = json.NewDecoder(resp.Body).Decode(&rep)
-			resp.Body.Close()
-			if err != nil {
-				t.Errorf("POST /admin/gc: %v", err)
-				return
-			}
-			if until(rep) {
+			if _, err := s.Store().GC(store.Policy{}); err != nil {
+				t.Errorf("gc: %v", err)
 				return
 			}
 		}
@@ -188,55 +183,20 @@ func replayAll(t *testing.T, s *server.Server, ts *httptest.Server, ids []string
 }
 
 // TestGCLoopNeverDanglesARef collects without pause while record jobs store
-// their recordings. A GC that lands between a job's put and its ref sweeps
-// the recording; under a collector this eager the second put is swept too
-// and the job fails — what it must never do is finish done with a ref to
-// nothing. Every done job replays by id, every other one says why.
+// their recordings, from two loops, so a collection is always queued on the
+// store mutex when a put lets it go. A job's recording and its ref are one
+// store operation, so no collection lands between them: every job finishes
+// done, and every one serves its recording and replays by id.
 func TestGCLoopNeverDanglesARef(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 32})
 	stop := make(chan struct{})
-	wait := gcLoop(t, ts, stop, func(map[string]any) bool { return false })
-	done, notDone := recordBatch(t, s, ts, 20, 12)
+	wait1, wait2 := gcLoop(t, s, stop), gcLoop(t, s, stop)
+	done, notDone := recordBatch(t, s, ts, 20, 24)
 	close(stop)
-	wait()
+	wait1()
+	wait2()
 	for _, v := range notDone {
-		if !strings.Contains(fmt.Sprint(v["error"]), "no recording stored") {
-			t.Errorf("job %v: state %v, error %v", v["id"], v["state"], v["error"])
-		}
+		t.Errorf("job %v: state %v, error %v", v["id"], v["state"], v["error"])
 	}
 	replayAll(t, s, ts, done)
-}
-
-// TestRecordJobPutsAgainAfterGC lets a collection land between a put and
-// its ref — the loops stop at the first report that swept a recording,
-// which can only have been one not yet referenced — and then every job must
-// still finish done: the one that lost its recording stores it a second
-// time. Two loops keep a collection queued on the store mutex, so that one
-// is first in line when a put releases it.
-func TestRecordJobPutsAgainAfterGC(t *testing.T) {
-	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 32})
-	var hit atomic.Bool
-	stop := make(chan struct{})
-	until := func(rep map[string]any) bool {
-		if rep["recordings_removed"].(float64) > 0 {
-			hit.Store(true)
-		}
-		return hit.Load()
-	}
-	wait1, wait2 := gcLoop(t, ts, stop, until), gcLoop(t, ts, stop, until)
-	wait := func() { wait1(); wait2() }
-	var all []string
-	for batch := 0; batch < 30 && !hit.Load(); batch++ {
-		done, notDone := recordBatch(t, s, ts, 100+6*batch, 6)
-		for _, v := range notDone {
-			t.Errorf("job %v: state %v, error %v", v["id"], v["state"], v["error"])
-		}
-		all = append(all, done...)
-	}
-	close(stop)
-	wait()
-	if !hit.Load() {
-		t.Skip("no collection landed between a put and its ref in 180 jobs")
-	}
-	replayAll(t, s, ts, all)
 }

@@ -52,11 +52,14 @@ func benchServer(b *testing.B) *server.Server {
 }
 
 // BenchmarkReplayJob measures the daemon's replay by id in process: one
-// stored recording of webserve at four workers, as serve-session records
-// it, replayed as a sequential and as a stride-4 job, each timed from
-// Submit to the job turning done on a one-worker pool. An op is one whole job — queueing, opening the stored object,
-// decoding its sections, replaying, and writing the job's trace, stats
-// and manifest — and allocs/op count every goroutine's.
+// stored recording of each of serve-session's programs at four workers,
+// replayed as a sequential and as a stride-4 job, each timed from Submit to
+// the job turning done on a one-worker pool. An op is one whole job —
+// queueing, opening the stored object, decoding its sections, building the
+// program, replaying, and writing the job's trace, stats and manifest — and
+// allocs/op count every goroutine's. Its B/op is the layer's side of
+// serve-session's alloc_mb_per_op: pfscan and aget, whose worlds are the
+// largest, show what a replay job no longer builds.
 func BenchmarkReplayJob(b *testing.B) {
 	s := benchServer(b)
 	run := func(b *testing.B, sp server.Spec) {
@@ -68,26 +71,28 @@ func BenchmarkReplayJob(b *testing.B) {
 			b.Fatalf("%s job %s: %s", sp.Kind, info.State, info.Error)
 		}
 	}
-	rec, err := s.Submit(server.Spec{Kind: server.KindRecord, Workload: "webserve", Workers: 4, Spares: 4, Seed: 11})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if info := s.WaitJob(rec.ID); info.State != server.StateDone {
-		b.Fatalf("record job %s: %s", info.State, info.Error)
-	}
-	for _, c := range []struct {
-		name   string
-		mode   string
-		stride int
-	}{
-		{"sequential", "sequential", 0},
-		{"stride4", "sparse", 4},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				run(b, server.Spec{Kind: server.KindReplay, RecordingJob: rec.ID, Mode: c.mode, Stride: c.stride})
-			}
-		})
+	for _, prog := range []string{"pfscan", "aget", "webserve", "kvdb"} {
+		rec, err := s.Submit(server.Spec{Kind: server.KindRecord, Workload: prog, Workers: 4, Spares: 4, Seed: 11})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info := s.WaitJob(rec.ID); info.State != server.StateDone {
+			b.Fatalf("record job %s: %s", info.State, info.Error)
+		}
+		for _, c := range []struct {
+			name   string
+			mode   string
+			stride int
+		}{
+			{"sequential", "sequential", 0},
+			{"stride4", "sparse", 4},
+		} {
+			b.Run(prog+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					run(b, server.Spec{Kind: server.KindReplay, RecordingJob: rec.ID, Mode: c.mode, Stride: c.stride})
+				}
+			})
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,7 +13,6 @@ import (
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
-	"doubleplay/internal/store"
 	"doubleplay/internal/trace"
 	"doubleplay/internal/workloads"
 )
@@ -57,13 +55,16 @@ func (t *jobTrace) close(sum *ResultSummary) error {
 	return err
 }
 
-// buildWorkload instantiates the spec's benchmark.
-func buildWorkload(sp Spec) (*workloads.Built, error) {
+// specWorkload resolves the spec's benchmark and the parameters it is
+// built at. A job that records builds it with its world (Build); a job
+// that replays builds the program alone (Program), because every syscall
+// result it needs is in the log.
+func specWorkload(sp Spec) (*workloads.Workload, workloads.Params, error) {
 	wl := workloads.Get(sp.Workload)
 	if wl == nil {
-		return nil, fmt.Errorf("unknown workload %q", sp.Workload)
+		return nil, workloads.Params{}, fmt.Errorf("unknown workload %q", sp.Workload)
 	}
-	return wl.Build(workloads.Params{Workers: sp.Workers, Scale: sp.Scale, Seed: sp.Seed}), nil
+	return wl, workloads.Params{Workers: sp.Workers, Scale: sp.Scale, Seed: sp.Seed}, nil
 }
 
 // writeStats stores the job's stats.json artifact.
@@ -94,10 +95,11 @@ func (s *Server) writeProfile(id string, prof *profile.Profile, sum *ResultSumma
 // a guest profile, the recording's profile is returned for the caller to
 // store (verify jobs first compare it against the replay's).
 func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sink, sum *ResultSummary) (*core.Result, *workloads.Built, *profile.Profile, error) {
-	bt, err := buildWorkload(sp)
+	wl, p, err := specWorkload(sp)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	bt := wl.Build(p)
 	policy, err := core.ParseVerifyPolicy(sp.VerifyPolicy)
 	if err != nil {
 		return nil, nil, nil, err
@@ -130,13 +132,7 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sin
 	// it: the store compresses each recording at rest in 64 KiB blocks,
 	// which shrinks it further than per-section DEFLATE does (DESIGN.md, "A
 	// recording is one object").
-	data := res.Raw
-	digest, err := s.putRecording(id, data)
-	if errors.Is(err, store.ErrNoRecording) {
-		// A GC ran between the put and the ref and collected the still
-		// unreferenced recording; store it again.
-		digest, err = s.putRecording(id, data)
-	}
+	digest, err := s.store.PutJobRecording(id, res.Raw)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -150,15 +146,6 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sin
 	sum.CertStatus = res.Stats.CertStatus
 	sum.VerifySkipped = res.Stats.VerifySkipped
 	return res, bt, gprof, nil
-}
-
-// putRecording stores a job's recording and publishes its ref.
-func (s *Server) putRecording(id string, data []byte) (string, error) {
-	digest, err := s.store.PutRecording(data)
-	if err != nil {
-		return "", err
-	}
-	return digest, s.store.SetRecordingRef(id, digest)
 }
 
 // loadRecording resolves a replay job's source recording as a seekable
@@ -214,7 +201,7 @@ func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink *trace
 		return err
 	}
 	defer closer.Close()
-	bt, err := buildWorkload(*sp)
+	wl, p, err := specWorkload(*sp)
 	if err != nil {
 		return err
 	}
@@ -223,7 +210,7 @@ func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink *trace
 	if sp.GuestProfile {
 		opt.Profile = profile.NewProfile("")
 	}
-	rep, err := replay.Run(ctx, bt.Prog, src, opt)
+	rep, err := replay.Run(ctx, wl.Program(p), src, opt)
 	if err != nil {
 		return err
 	}
@@ -247,12 +234,12 @@ func (s *Server) debugSession(ctx context.Context, sp *Spec) (*debug.Session, io
 	if err != nil {
 		return nil, nil, err
 	}
-	bt, err := buildWorkload(*sp)
+	wl, p, err := specWorkload(*sp)
 	if err != nil {
 		closer.Close()
 		return nil, nil, err
 	}
-	sess, err := debug.New(bt.Prog, replay.FromReader(rd), nil)
+	sess, err := debug.New(wl.Program(p), replay.FromReader(rd), nil)
 	if err != nil {
 		closer.Close()
 		return nil, nil, fmt.Errorf("recording of job %s: %w", sp.RecordingJob, err)

@@ -143,10 +143,11 @@ func checkReopens(t *testing.T, dir, what string) {
 }
 
 // TestCrashAtEveryStep kills a run of every mutating operation — puts,
-// refs, a pin and an unpin, an age GC and a size GC — at each of its calls
-// to the file system.
+// refs, a job's put and ref in one call, a pin and an unpin, an age GC and
+// a size GC — at each of its calls to the file system.
 func TestCrashAtEveryStep(t *testing.T) {
 	a, b, c := encode(testRecording(1, 3)), encode(testRecording(2, 60)), encode(testRecording(3, 2))
+	d := encode(testRecording(4, 5))
 	putRef := func(s *store.Store, job string, data []byte) error {
 		d, err := s.PutRecording(data)
 		if err == nil {
@@ -166,6 +167,7 @@ func TestCrashAtEveryStep(t *testing.T) {
 				_, err := s.GC(store.Policy{MaxAge: time.Hour})
 				return err
 			},
+			func() error { _, err := s.PutJobRecording("jobD", d); return err },
 			func() error { return s.Unpin("jobA") },
 			func() error { return putRef(s, "jobC", c) },
 			func() error { _, err := s.GC(store.Policy{MaxBytes: int64(len(c))}); return err },

@@ -17,10 +17,12 @@
 // Every object, ref and pin lands by a temp file renamed into place, and GC
 // removes refs before objects, so a crash can strand an orphan object or a
 // temp file (the next GC reclaims both) but never a dangling ref. A
-// recording is an orphan until a ref names it, and a GC between
-// PutRecording and SetRecordingRef sweeps it; SetRecordingRef therefore
-// takes the store mutex and refuses (ErrNoRecording) a digest that no longer
-// resolves, and the caller puts the recording again.
+// recording is an orphan until a ref names it, and a GC sweeps orphans, so
+// a job stores its recording with PutJobRecording, which writes the object
+// and then the ref in one hold of the store mutex: no GC comes between
+// them. The separate PutRecording and SetRecordingRef leave that gap;
+// SetRecordingRef refuses (ErrNoRecording) a digest that no longer
+// resolves, so even there a ref never dangles.
 //
 // The store.* gauges are running totals: every put adds what it wrote, and
 // Open and every real GC recount them with the Stats walk, so a put costs
@@ -69,7 +71,7 @@ import (
 
 // ErrNoRecording is SetRecordingRef's refusal: the digest resolves to no
 // stored recording, because it was never put or because a GC collected it
-// before any ref named it. Put the recording again and retry.
+// before any ref named it.
 var ErrNoRecording = errors.New("store: no recording stored under digest")
 
 // objects is the namespace directory of the recording objects.
@@ -202,6 +204,24 @@ func writeFileAtomic(fsys fsys, path string, data []byte) error {
 func (s *Store) PutRecording(data []byte) (digest string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.putRecording(data)
+}
+
+// PutJobRecording stores data as PutRecording does and publishes it as job
+// id's recording, in one hold of the store mutex, so no GC can sweep the
+// object before its ref names it. The object lands before the ref: a crash
+// between them strands an orphan, which the next GC reclaims.
+func (s *Store) PutJobRecording(id string, data []byte) (digest string, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if digest, err = s.putRecording(data); err != nil {
+		return "", err
+	}
+	return digest, s.writeRef(id, digest)
+}
+
+// putRecording is PutRecording with s.mu held.
+func (s *Store) putRecording(data []byte) (digest string, err error) {
 	digest = Digest(data)
 	if _, err := os.Stat(s.objectPath(digest)); err == nil {
 		return digest, nil
@@ -284,6 +304,12 @@ func (s *Store) SetRecordingRef(id, digest string) error {
 	if !s.HasRecording(digest) {
 		return fmt.Errorf("%w %s", ErrNoRecording, digest)
 	}
+	return s.writeRef(id, digest)
+}
+
+// writeRef publishes digest as job id's recording; the caller holds s.mu
+// and has made sure the recording is stored.
+func (s *Store) writeRef(id, digest string) error {
 	path := s.JobArtifact(id, "recording.ref")
 	if err := writeFileAtomic(s.fs, path, []byte(digest+"\n")); err != nil {
 		return fmt.Errorf("store: ref: %w", err)

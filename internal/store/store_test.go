@@ -341,8 +341,8 @@ func tree(t *testing.T, root string) []string {
 }
 
 // TestPutRecordingRefusesNonRecordings: a recording is stored one way, as
-// the object of an intact v6 log. Anything else is refused with an error
-// and leaves the store — the accounting, the gauges' totals and the
+// the object of an intact v6 log. Anything else is refused with an error,
+// by PutRecording and PutJobRecording alike, and leaves the store — the accounting, the gauges' totals and the
 // directory tree — exactly as it was.
 func TestPutRecordingRefusesNonRecordings(t *testing.T) {
 	s := open(t)
@@ -365,6 +365,9 @@ func TestPutRecordingRefusesNonRecordings(t *testing.T) {
 		d, err := s.PutRecording(data)
 		if err == nil || d != "" {
 			t.Fatalf("%s: PutRecording = %q, %v; want a refusal", name, d, err)
+		}
+		if d, err := s.PutJobRecording("jobB", data); err == nil || d != "" {
+			t.Fatalf("%s: PutJobRecording = %q, %v; want a refusal", name, d, err)
 		}
 		if s.HasRecording(store.Digest(data)) {
 			t.Fatalf("%s: refused bytes resolve to a recording", name)
@@ -410,6 +413,15 @@ func TestRecordingRefRoundTrip(t *testing.T) {
 	}
 	if !s.HasRecording(d) {
 		t.Fatal("HasRecording(d) = false")
+	}
+	// One call stores a recording and names it as a job's.
+	data2 := encode(testRecording(5, 2))
+	d2, err := s.PutJobRecording("job2", data2)
+	if err != nil || d2 != store.Digest(data2) || s.RecordingRef("job2") != d2 {
+		t.Fatalf("PutJobRecording = %q, %v; ref %q", d2, err, s.RecordingRef("job2"))
+	}
+	if back, err := readRecording(s, "job2"); err != nil || !bytes.Equal(back, data2) {
+		t.Fatalf("ReadRecording of job2: %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // --- pbzip -------------------------------------------------------------------
 
-func buildPbzip(p Params) *Built {
+func buildPbzip(p Params, world *simos.World) *Built {
 	p = p.norm()
 	nblocks := 80 + 80*p.Scale
 	const blockW = 480
@@ -130,33 +130,42 @@ func buildPbzip(p Params) *Built {
 			m.Slti(c, ln, 2)
 			m.IfNz(c, func() { m.Movi(allok, 0) })
 		})
-		return finish(b, m, allok, okCell, simos.NewWorld(p.Seed))
+		return finish(b, m, allok, okCell, world)
 	}
 }
 
 // --- pfscan ------------------------------------------------------------------
 
-func buildPfscan(p Params) *Built {
+func buildPfscan(p Params, world *simos.World) *Built {
 	p = p.norm()
 	nfiles := 32 + 32*p.Scale
-	fileW := 2400
+	const fileW = 2400
 	const pattern = 42
 	const chunk = 200
 
+	// The program embeds the pattern count, so a build without a world
+	// draws the files all the same and keeps none of them.
 	rng := newRNG(p.Seed + 7)
-	world := simos.NewWorld(p.Seed)
 	expected := 0
 	names := make([]string, nfiles)
 	for fi := 0; fi < nfiles; fi++ {
-		data := make([]Word, fileW)
-		for i := range data {
-			data[i] = rng.word(64)
-			if data[i] == pattern {
+		var data []Word
+		if world != nil {
+			data = make([]Word, fileW)
+		}
+		for i := 0; i < fileW; i++ {
+			v := rng.word(64)
+			if v == pattern {
 				expected++
+			}
+			if data != nil {
+				data[i] = v
 			}
 		}
 		names[fi] = fmt.Sprintf("f%03d", fi)
-		world.AddFile(names[fi], data)
+		if world != nil {
+			world.AddFile(names[fi], data)
+		}
 	}
 
 	b := asm.NewBuilder("pfscan")
@@ -240,21 +249,30 @@ func buildPfscan(p Params) *Built {
 
 // --- aget --------------------------------------------------------------------
 
-func buildAget(p Params) *Built {
+func buildAget(p Params, world *simos.World) *Built {
 	p = p.norm()
 	srcW := 60000 * p.Scale
 	const chunk = 160
 	const latency = 250
 
+	// The program embeds the source's checksum, so a build without a world
+	// draws the source all the same and keeps none of it.
 	rng := newRNG(p.Seed + 13)
-	src := make([]Word, srcW)
-	var expect Word
-	for i := range src {
-		src[i] = rng.word(1 << 20)
-		expect += src[i] * Word(i%97+1)
+	var src []Word
+	if world != nil {
+		src = make([]Word, srcW)
 	}
-	world := simos.NewWorld(p.Seed)
-	world.SetFetchSource(src, latency)
+	var expect Word
+	for i := 0; i < srcW; i++ {
+		v := rng.word(1 << 20)
+		expect += v * Word(i%97+1)
+		if src != nil {
+			src[i] = v
+		}
+	}
+	if world != nil {
+		world.SetFetchSource(src, latency)
+	}
 
 	b := asm.NewBuilder("aget")
 	dstCell := b.Words(0)

@@ -27,7 +27,7 @@ func modpow(b, e, m int64) int64 {
 // buildFFT runs the transform twice: NTT(NTT(a))[k] == n * a[(n-k) mod n],
 // an exact identity over the ring, so the guest can verify its own result
 // with no floating point and no host mirror.
-func buildFFT(p Params) *Built {
+func buildFFT(p Params, world *simos.World) *Built {
 	p = p.norm()
 	logn := 11 + (p.Scale-1)%3 // n = 2048 by default
 	n := 1 << logn
@@ -178,6 +178,6 @@ func buildFFT(p Params) *Built {
 		failA := m.Const(failCell)
 		m.Ld(f, failA, 0)
 		m.Seqi(ok, f, 0)
-		return finish(b, m, ok, okCell, simos.NewWorld(p.Seed))
+		return finish(b, m, ok, okCell, world)
 	}
 }

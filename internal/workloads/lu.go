@@ -8,7 +8,7 @@ import (
 // buildLU factors an n x n matrix mod p in place (no pivoting — a random
 // matrix over a large prime field is nonsingular with overwhelming
 // probability) and verifies by reconstructing A = L*U exactly.
-func buildLU(p Params) *Built {
+func buildLU(p Params, world *simos.World) *Built {
 	p = p.norm()
 	n := 40 + 4*p.Scale
 
@@ -175,6 +175,6 @@ func buildLU(p Params) *Built {
 		failA := m.Const(failCell)
 		m.Ld(f, failA, 0)
 		m.Seqi(ok, f, 0)
-		return finish(b, m, ok, okCell, simos.NewWorld(p.Seed))
+		return finish(b, m, ok, okCell, world)
 	}
 }

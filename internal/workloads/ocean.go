@@ -9,7 +9,7 @@ import (
 // grid interior with double buffering. Integer division makes the
 // computation exact, so the host mirrors it and embeds the expected
 // checksum for the guest's self-check.
-func buildOcean(p Params) *Built {
+func buildOcean(p Params, world *simos.World) *Built {
 	p = p.norm()
 	g := 40 + 8*p.Scale // grid side
 	iters := 24
@@ -120,6 +120,6 @@ func buildOcean(p Params) *Built {
 		})
 		m.Seqi(c, sum, expect)
 		failed(m, m.Reg(), c, failCell)
-		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
+		return finish(b, m, c, okCell, world)
 	}
 }

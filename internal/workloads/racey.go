@@ -10,7 +10,7 @@ import (
 // the workload behind the divergence/forward-recovery experiments. It has
 // no meaningful self-check (the result is inherently nondeterministic);
 // the OK cell reports only that all threads finished.
-func buildRacey(p Params) *Built {
+func buildRacey(p Params, world *simos.World) *Built {
 	p = p.norm()
 	iters := 2500 * p.Scale
 	const cells = 64
@@ -75,7 +75,7 @@ func buildRacey(p Params) *Built {
 		doneA := m.Const(doneCtr)
 		m.Ld(got, doneA, 0)
 		m.Seqi(c, got, Word(p.Workers))
-		bt := finish(b, m, c, okCell, simos.NewWorld(p.Seed))
+		bt := finish(b, m, c, okCell, world)
 		bt.RacyAddrs = []Word{counter, arr, arr + cells - 1}
 		return bt
 	}

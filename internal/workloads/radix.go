@@ -9,7 +9,7 @@ import (
 // per-worker histogram over its input segment; worker 0 computes global
 // (digit, worker) offsets; workers scatter their segments stably. The guest
 // verifies sortedness and a permutation checksum.
-func buildRadix(p Params) *Built {
+func buildRadix(p Params, world *simos.World) *Built {
 	p = p.norm()
 	nElems := 10000 * p.Scale
 	const radix = 256
@@ -162,6 +162,6 @@ func buildRadix(p Params) *Built {
 		m.Movi(c, 0)
 		m.Seqi(c, sum, checksum)
 		failed(m, f, c, failCell)
-		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
+		return finish(b, m, c, okCell, world)
 	}
 }

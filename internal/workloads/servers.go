@@ -9,39 +9,19 @@ import (
 
 // --- webserve ----------------------------------------------------------------
 
-func buildWebserve(p Params, racy bool) *Built {
+func buildWebserve(p Params, world *simos.World, racy bool) *Built {
 	p = p.norm()
 	nfiles := 8
 	nconns := 40 + 40*p.Scale
 	reqsPerConn := 6
 	totalReqs := nconns * reqsPerConn
 
-	rng := newRNG(p.Seed + 21)
-	world := simos.NewWorld(p.Seed)
 	names := make([]string, nfiles)
-	sizes := make([]int, nfiles)
-	for fi := 0; fi < nfiles; fi++ {
-		sz := 80 + rng.intn(240)
-		data := make([]Word, sz)
-		for i := range data {
-			data[i] = rng.word(1 << 16)
-		}
+	for fi := range names {
 		names[fi] = fmt.Sprintf("doc%d", fi)
-		sizes[fi] = sz
-		world.AddFile(names[fi], data)
 	}
-	// Scripted clients: staggered arrivals, each issuing several requests
-	// with think time between them.
-	at := int64(400)
-	for c := 0; c < nconns; c++ {
-		reqs := make([]simos.Request, reqsPerConn)
-		rt := at
-		for r := range reqs {
-			reqs[r] = simos.Request{AvailAt: rt, Data: []Word{Word(rng.intn(nfiles))}}
-			rt += int64(150 + rng.intn(250))
-		}
-		world.AddConn(at, reqs)
-		at += int64(150 + rng.intn(300))
+	if world != nil {
+		fillWebserveWorld(world, p.Seed, names, nconns, reqsPerConn)
 	}
 
 	b := asm.NewBuilder("webserve")
@@ -176,9 +156,34 @@ func buildWebserve(p Params, racy bool) *Built {
 	}
 }
 
+// fillWebserveWorld adds webserve's documents under names and its scripted
+// clients to world: staggered arrivals, each issuing several requests with
+// think time between them.
+func fillWebserveWorld(world *simos.World, seed int64, names []string, nconns, reqsPerConn int) {
+	rng := newRNG(seed + 21)
+	for _, nm := range names {
+		data := make([]Word, 80+rng.intn(240))
+		for i := range data {
+			data[i] = rng.word(1 << 16)
+		}
+		world.AddFile(nm, data)
+	}
+	at := int64(400)
+	for c := 0; c < nconns; c++ {
+		reqs := make([]simos.Request, reqsPerConn)
+		rt := at
+		for r := range reqs {
+			reqs[r] = simos.Request{AvailAt: rt, Data: []Word{Word(rng.intn(len(names)))}}
+			rt += int64(150 + rng.intn(250))
+		}
+		world.AddConn(at, reqs)
+		at += int64(150 + rng.intn(300))
+	}
+}
+
 // --- kvdb --------------------------------------------------------------------
 
-func buildKvdb(p Params) *Built {
+func buildKvdb(p Params, world *simos.World) *Built {
 	p = p.norm()
 	const (
 		buckets  = 24
@@ -316,6 +321,6 @@ func buildKvdb(p Params) *Built {
 		m.Ld(want, expA, 0)
 		m.Seq(c, sum, want)
 		failed(m, f, c, fail)
-		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
+		return finish(b, m, c, okCell, world)
 	}
 }

@@ -17,7 +17,7 @@ func TestRegistryMetadata(t *testing.T) {
 	}
 	kinds := map[string]int{}
 	for i, w := range all {
-		if w.Desc == "" || w.Kind == "" || w.Build == nil {
+		if w.Desc == "" || w.Kind == "" || w.build == nil {
 			t.Fatalf("incomplete workload %q", w.Name)
 		}
 		kinds[w.Kind]++

@@ -9,7 +9,7 @@ import (
 // "spring" forces. Positions and velocities stay exact integers (shifts and
 // masks only), so the host mirrors the computation and embeds the expected
 // checksum.
-func buildWater(p Params) *Built {
+func buildWater(p Params, world *simos.World) *Built {
 	p = p.norm()
 	n := 48 + 48*p.Scale
 	steps := 10
@@ -127,6 +127,6 @@ func buildWater(p Params) *Built {
 			m.Add(sum, sum, v)
 		})
 		m.Seqi(c, sum, expect)
-		return finish(b, m, c, okCell, simos.NewWorld(p.Seed))
+		return finish(b, m, c, okCell, world)
 	}
 }

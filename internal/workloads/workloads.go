@@ -75,11 +75,27 @@ func (bt *Built) CheckOK(peek func(Word) Word) error {
 
 // Workload is one guest of the suite.
 type Workload struct {
-	Name  string
-	Kind  string // "client", "server", "scientific", "micro"
-	Desc  string
-	Racy  bool // contains intentional data races
-	Build func(p Params) *Built
+	Name string
+	Kind string // "client", "server", "scientific", "micro"
+	Desc string
+	Racy bool // contains intentional data races
+	// build assembles the guest for p and fills world with its inputs. A
+	// nil world asks for the program alone: the builder draws every input
+	// the program embeds, so code and data come out the same, and keeps
+	// nothing that only the world would hold.
+	build func(p Params, world *simos.World) *Built
+}
+
+// Build instantiates the guest with the world it runs against.
+func (w *Workload) Build(p Params) *Built {
+	return w.build(p, simos.NewWorld(p.norm().Seed))
+}
+
+// Program builds the guest's program alone, byte for byte the program Build
+// returns, without its world. A replay takes every syscall result from its
+// log and never reads a world, so every replay-only caller builds this.
+func (w *Workload) Program(p Params) *vm.Program {
+	return w.build(p, nil).Prog
 }
 
 // suite lists every guest once, in the paper's presentation order: clients,
@@ -89,7 +105,7 @@ var suite = []Workload{
 	{"pfscan", "client", "parallel file scanner: work-queue of files read through the VFS, counting pattern occurrences", false, buildPfscan},
 	{"aget", "client", "parallel range downloader: workers fetch disjoint ranges of a remote resource over a latency-bound link", false, buildAget},
 	{"webserve", "server", "threaded web server: worker pool accepts scripted connections, serves files from the VFS, lock-protected stats", false,
-		func(p Params) *Built { return buildWebserve(p, false) }},
+		func(p Params, w *simos.World) *Built { return buildWebserve(p, w, false) }},
 	{"kvdb", "server", "transactional KV store: lock-striped hash table, per-thread transaction mix, batched WAL commits", false, buildKvdb},
 	{"fft", "scientific", "SPLASH-style FFT: parallel iterative number-theoretic transform with a barrier per stage; exact self-inverse check", false, buildFFT},
 	{"lu", "scientific", "SPLASH-style LU: in-place factorisation over GF(p) with row-interleaved workers, a barrier per pivot, and exact L*U reconstruction check", false, buildLU},
@@ -98,7 +114,7 @@ var suite = []Workload{
 	{"water", "scientific", "SPLASH-style water: O(n^2) pairwise force evaluation and integration over particles, two barriers per timestep; checked against a host-mirrored result", false, buildWater},
 	{"racey", "micro", "intentional data races: unlocked read-modify-write on hot counters and scattered array cells, mixed with locked work", true, buildRacey},
 	{"webserve-racy", "micro", "webserve with an unsynchronised hit counter: a low-rate data race on a hot cell", true,
-		func(p Params) *Built { return buildWebserve(p, true) }},
+		func(p Params, w *simos.World) *Built { return buildWebserve(p, w, true) }},
 	{"sigping", "micro", "asynchronous signals interrupt compute workers: handlers bill per-signal work against a known script; exercises signal logging and exact-point redelivery", false, buildSigping},
 }
 
