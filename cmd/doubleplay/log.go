@@ -7,10 +7,10 @@ package main
 //	doubleplay log upgrade -log bad.dplog [-o new]     # rewrite a damaged log's index in place
 //	doubleplay log extract -log a.dplog -epochs 3..5 -o sub.dplog
 //
-// Unlike `doubleplay inspect` (which decodes every epoch and needs the
-// payload to be intact), `log inspect` works off the section index, so it
-// also diagnoses truncated or damaged files. docs/FORMAT.md documents the
-// byte layout these tools read.
+// `log inspect` works off the section index and decodes each section on
+// its own, so it also diagnoses truncated or damaged files: a body that
+// does not decode prints its error in that section's row. docs/FORMAT.md
+// documents the byte layout these tools read.
 
 import (
 	"fmt"
@@ -36,10 +36,10 @@ func openLog(path string) *dplog.Reader {
 	return rd
 }
 
-// logInspect prints a log's header, per-section table, and index health
-// without decoding epochs it does not have to. epoch >= 0 selects one
-// section: its frame and decoded boundary info print instead of the
-// whole table.
+// logInspect prints a log's header, per-section table, and index health;
+// each row decodes its section and counts what that epoch logged. epoch
+// >= 0 selects one section: its frame and decoded boundary info print
+// instead of the whole table.
 func logInspect(path string, epoch int) {
 	st, err := os.Stat(path)
 	check(err)
@@ -79,9 +79,12 @@ func logInspect(path string, epoch int) {
 		if flags == "" {
 			flags = "-"
 		}
-		body := "ok"
-		if _, err := rd.EpochAt(i); err != nil {
+		var body string
+		if ep, err := rd.EpochAt(i); err != nil {
 			body = "ERROR: " + err.Error()
+		} else {
+			body = fmt.Sprintf("%d slices, %d syscalls, %d signals, %d sync ops",
+				len(ep.Schedule), len(ep.Syscalls), len(ep.Signals), len(ep.SyncOrder))
 		}
 		fmt.Printf("  %5d %9d %8d %8d %6.2f  %-5s %s\n",
 			s.Epoch, s.Offset, s.Stored, s.Raw, float64(s.Stored)/float64(max(s.Raw, 1)), flags, body)

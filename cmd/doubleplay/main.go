@@ -12,7 +12,6 @@
 //	doubleplay verify  -w pbzip -workers 4          # record + both replays in memory
 //	doubleplay verify  -w pbzip -guest-profile p.pb # + replay-vs-record profile identity
 //	doubleplay serve   -listen :8421 -pprof         # job daemon + /debug/pprof
-//	doubleplay inspect -log pbzip.dplog
 //	doubleplay log inspect -log pbzip.dplog         # section table + index health
 //	doubleplay log upgrade -log bad.dplog           # rewrite a damaged log's index in place
 //	doubleplay log extract -log pbzip.dplog -epochs 3..5 -o sub.dplog
@@ -26,7 +25,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -40,7 +38,6 @@ import (
 	"doubleplay/internal/asm"
 	"doubleplay/internal/core"
 	"doubleplay/internal/dplog"
-	"doubleplay/internal/epoch"
 	"doubleplay/internal/profile"
 	"doubleplay/internal/race"
 	"doubleplay/internal/replay"
@@ -133,8 +130,7 @@ func main() {
 	if (*minSpares != 0 || *maxSpares != 0) && !*adaptive {
 		usageErr("-min-spares/-max-spares require -adaptive")
 	}
-	policy, err := core.ParseVerifyPolicy(*verifyPol)
-	if err != nil {
+	if _, err := core.ParseVerifyPolicy(*verifyPol); err != nil {
 		usageErr(err.Error())
 	}
 	// Host profiling brackets the whole command; the deferred Stop flushes
@@ -201,6 +197,14 @@ func main() {
 	// The workload flags' build parameters; replay and disasm build the
 	// program alone, since neither runs against a world.
 	params := workloads.Params{Workers: *workers, Scale: *scale, Seed: *seed}
+	// What record and verify run, described as a daemon job is.
+	spec := func() server.Spec {
+		return server.Spec{
+			Workload: mustWorkload(*wlName).Name, Workers: *workers, Spares: *spares, Scale: *scale, Seed: *seed,
+			EpochCycles: *epochLen, Growth: *growth, DetectRaces: *detect, VerifyPolicy: *verifyPol,
+			Adaptive: *adaptive, MinSpares: *minSpares, MaxSpares: *maxSpares,
+		}
+	}
 
 	switch cmd {
 	case "list":
@@ -213,12 +217,12 @@ func main() {
 		}
 
 	case "record":
-		bt := mustWorkload(*wlName).Build(params)
 		var gprof *profile.Profile
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		res := mustRecord(bt, *workers, *spares, *epochLen, *seed, *growth, *detect, *adaptive, *minSpares, *maxSpares, policy, sink, reg, gprof)
+		res, _, err := server.Record(context.Background(), spec(), sink, reg, gprof)
+		check(err)
 		printStats(*wlName, res)
 		printRaces(res)
 		if *outPath != "" {
@@ -255,69 +259,42 @@ func main() {
 		flushTrace()
 
 	case "verify":
-		bt := mustWorkload(*wlName).Build(params)
 		var recProf *profile.Profile
 		if *guestProf != "" {
 			recProf = profile.NewProfile("")
 		}
-		res := mustRecord(bt, *workers, *spares, *epochLen, *seed, *growth, *detect, *adaptive, *minSpares, *maxSpares, policy, sink, reg, recProf)
+		res, bt, err := server.Record(context.Background(), spec(), sink, reg, recProf)
+		check(err)
 		printStats(*wlName, res)
 		printRaces(res)
-		// Each replay plan regenerates the guest profile independently;
-		// all of them must byte-match what the recorder gathered.
-		var recProfBytes []byte
-		if recProf != nil {
-			recProfBytes = recProf.MarshalPprof()
-		}
-		replayFrom := func(plan string, bs []*epoch.Boundary) *replay.Result {
-			var p *profile.Profile
-			if recProf != nil {
-				p = profile.NewProfile("")
-			}
-			rep, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
-				replay.Options{Boundaries: bs, CPUs: *workers, Trace: sink, Profile: p})
-			check(err)
-			if p != nil && !bytes.Equal(recProfBytes, p.MarshalPprof()) {
-				fatal(fmt.Sprintf("guest profile: %s replay profile differs from record profile", plan))
-			}
-			return rep
-		}
-		fmt.Printf("sequential replay: OK (%d cycles)\n", replayFrom("sequential", nil).Cycles)
+		var strides []int
 		if *parallel {
-			fmt.Printf("parallel replay:   OK (%d cycles on %d cores)\n",
-				replayFrom("parallel", res.Boundaries).Cycles, *workers)
+			strides = append(strides, 1)
 		}
 		if *stride > 1 {
-			sparse := replay.Thin(res.Boundaries, *stride)
-			fmt.Printf("sparse replay:     OK (stride %d, %d of %d checkpoints kept, %d cycles)\n",
-				*stride, len(sparse), len(res.Recording.Epochs)+1, replayFrom("sparse", sparse).Cycles)
+			strides = append(strides, *stride)
 		}
+		reps, err := server.Verify(context.Background(), bt, res, *workers, strides, sink, recProf)
+		for i, rep := range reps {
+			switch {
+			case i == 0:
+				fmt.Printf("sequential replay: OK (%d cycles)\n", rep.Cycles)
+			case strides[i-1] == 1:
+				fmt.Printf("parallel replay:   OK (%d cycles on %d cores)\n", rep.Cycles, *workers)
+			default:
+				fmt.Printf("sparse replay:     OK (stride %d, %d of %d checkpoints kept, %d cycles)\n",
+					*stride, len(replay.Thin(res.Boundaries, *stride)), len(res.Recording.Epochs)+1, rep.Cycles)
+			}
+		}
+		check(err)
 		if recProf != nil {
 			fmt.Printf("guest profile:     OK (replay regenerates the record profile bit-identically, %d stacks)\n",
 				recProf.NumSamples())
-		}
-		last := res.Boundaries[len(res.Boundaries)-1]
-		if err := bt.CheckOK(last.CP.MemSnap.Peek); err != nil {
-			fatal(err.Error())
 		}
 		fmt.Println("guest self-check:  OK")
 		writeGuestProfile(recProf)
 		flushTrace()
 		flushMetrics()
-
-	case "inspect":
-		if *logPath == "" {
-			usageErr("inspect requires -log")
-		}
-		data, err := os.ReadFile(*logPath)
-		check(err)
-		rec, err := dplog.UnmarshalBytes(data)
-		check(err)
-		fmt.Println(rec)
-		for _, ep := range rec.Epochs {
-			fmt.Printf("  epoch %3d: %4d slices, %4d syscalls, %2d signals, %4d sync ops, %d threads, end %016x commit %016x\n",
-				ep.Index, len(ep.Schedule), len(ep.Syscalls), len(ep.Signals), len(ep.SyncOrder), len(ep.Targets), ep.EndHash, ep.CommitHash)
-		}
 
 	case "log inspect":
 		if *logPath == "" {
@@ -438,27 +415,6 @@ func mustWorkload(name string) *workloads.Workload {
 	return wl
 }
 
-func mustRecord(bt *workloads.Built, workers, spares int, epochLen, seed int64, growth float64, detect bool, adaptive bool, minSpares, maxSpares int, policy core.VerifyPolicy, sink *trace.Sink, reg *trace.Registry, gprof *profile.Profile) *core.Result {
-	res, err := core.Record(bt.Prog, bt.World, core.Options{
-		Workers:           workers,
-		RecordCPUs:        workers,
-		SpareCPUs:         spares,
-		EpochCycles:       epochLen,
-		Seed:              seed,
-		EpochGrowth:       growth,
-		DetectRaces:       detect,
-		Adaptive:          adaptive,
-		AdaptiveMinSpares: minSpares,
-		AdaptiveMaxSpares: maxSpares,
-		VerifyPolicy:      policy,
-		Trace:             sink,
-		Metrics:           reg,
-		Profile:           gprof,
-	})
-	check(err)
-	return res
-}
-
 func printRaces(res *core.Result) {
 	if res.Races == nil {
 		return
@@ -533,9 +489,8 @@ commands:
   record   record a workload (optionally -o file.dplog)
   replay   replay a recording from -log against a rebuilt workload
   verify   record + replay in memory, checking every hash and the guest self-check
-  inspect  print a recording's per-epoch log structure (decodes every epoch)
   log      .dplog file tooling (see docs/FORMAT.md):
-             log inspect -log f.dplog [-epoch N]  header, section table, index health
+             log inspect -log f.dplog [-epoch N]  header, sections with each epoch's counts, index health
                                                   (-epoch: one section's frame + boundary info)
              log upgrade -log f.dplog [-o out]    repair a damaged index, in place by default
              log extract -log f.dplog -epochs n..m -o out

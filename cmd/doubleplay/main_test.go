@@ -170,7 +170,8 @@ func TestCLI(t *testing.T) {
 		{"workers over the limit", []string{"record", "-w", "aget", "-workers", "37"}, 2, "-workers 37 is over the limit of 32", nil},
 		{"log inspect reads the section table", []string{"log", "inspect", "-log", path("a.dplog")}, 0, "",
 			func(t *testing.T, stdout string) {
-				match(`dplog v6`, `(?m)^sections: +[1-9]`, `(?m)^index: +ok`, `(?m)^ +total +\d+ +\d+ +\d+\.\d+$`)(t, stdout)
+				match(`dplog v6`, `(?m)^sections: +[1-9]`, `(?m)^index: +ok`, `(?m)^ +total +\d+ +\d+ +\d+\.\d+$`,
+					`(?m)^ +0 .* [1-9]\d* slices, \d+ syscalls, \d+ signals, [1-9]\d* sync ops$`)(t, stdout)
 				if strings.Contains(stdout, "ERROR") {
 					t.Errorf("damaged section bodies:\n%s", stdout)
 				}
@@ -206,8 +207,8 @@ func TestCLI(t *testing.T) {
 		{"serve refuses it", []string{"serve", "-listen", "127.0.0.1:0", "-data", chunkStore}, 1, refusal, nil},
 		{"store upgrade is no command", []string{"store", "upgrade", "-data", chunkStore}, 2, `unknown command "store upgrade"`, nil},
 		{"verify checks the guest profile under every plan",
-			[]string{"verify", "-w", "fft", "-workers", "2", "-parallel", "-guest-profile", path("v.pb")}, 0, "",
-			match(`(?m)^parallel replay: +OK`, `(?m)^guest profile: +OK`, `(?m)^guest self-check: +OK`)},
+			[]string{"verify", "-w", "fft", "-workers", "2", "-parallel", "-stride", "2", "-guest-profile", path("v.pb")}, 0, "",
+			match(`(?m)^parallel replay: +OK`, `(?m)^sparse replay: +OK`, `(?m)^guest profile: +OK`, `(?m)^guest self-check: +OK`)},
 		{"races names the racy address", []string{"races", "-w", "webserve-racy"}, 0, "",
 			match(`(?m)^1 racy addresses:\n  race on \d+: `)},
 	} {

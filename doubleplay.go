@@ -320,15 +320,6 @@ func ParseVerifyPolicy(s string) (VerifyPolicy, error) { return core.ParseVerify
 // an ordinary divergence.
 var ErrCertViolated = replay.ErrCertViolated
 
-// RecordContext is Record with cooperative cancellation: the recording
-// stops at the first epoch boundary after ctx is done and returns an
-// error wrapping ctx.Err(). Simulated state is never left half-committed,
-// so cancellation latency is bounded by one epoch.
-func RecordContext(ctx context.Context, prog *Program, world *World, opt RecordOptions) (*RecordResult, error) {
-	opt.Context = ctx
-	return core.Record(prog, world, opt)
-}
-
 // RecordingCheckpoints rebuilds the epoch-start checkpoints of a stored
 // recording by replaying it once sequentially — recordings persist only
 // the logs, and parallel replay needs a starting state per epoch. The

@@ -36,8 +36,8 @@ const (
 	// sequential, parallel, or sparse mode.
 	KindReplay Kind = "replay"
 	// kindVerify records and then replays in memory, checking every
-	// boundary hash and the guest self-check — the service form of
-	// `doubleplay verify`.
+	// boundary hash and the guest self-check: Record, then Verify, the
+	// code `doubleplay verify` runs.
 	kindVerify Kind = "verify"
 	// kindDebugDiff runs divergence forensics over two stored recordings
 	// referenced by job id: bisect for the first epoch boundary at which

@@ -80,23 +80,32 @@ func TestGuestProfileArtifactLifecycle(t *testing.T) {
 	}
 }
 
+// TestGuestProfileVerifyJobChecksIdentity: a verify job fails unless every
+// replay it makes, the sequential one and the one its mode selects,
+// regenerates the recording's guest profile byte for byte.
 func TestGuestProfileVerifyJobChecksIdentity(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{Workers: 1})
-	id := submit(t, ts, map[string]any{
-		"kind": "verify", "workload": "fft", "workers": 2,
-		"mode": "parallel", "guest_profile": true,
-	})
-	v := waitDone(t, s, ts, id) // fails if replay profile != record profile
-	res := v["result"].(map[string]any)
-	if n, _ := res["guest_stacks"].(float64); n <= 0 {
-		t.Fatalf("verify result guest_stacks = %v, want > 0", res["guest_stacks"])
-	}
-	prof, err := profile.ParsePprof(fetchProfile(t, ts, id))
-	if err != nil {
-		t.Fatalf("verify profile does not parse: %v", err)
-	}
-	if prof.Name != "fft" {
-		t.Fatalf("profile program = %q, want fft", prof.Name)
+	for _, mode := range []map[string]any{
+		{"mode": "parallel"},
+		{"mode": "sparse", "stride": 2},
+	} {
+		spec := map[string]any{"kind": "verify", "workload": "fft", "workers": 2, "guest_profile": true}
+		for k, v := range mode {
+			spec[k] = v
+		}
+		id := submit(t, ts, spec)
+		v := waitDone(t, s, ts, id) // fails if a replay profile != record profile
+		res := v["result"].(map[string]any)
+		if n, _ := res["guest_stacks"].(float64); n <= 0 {
+			t.Fatalf("%v: verify result guest_stacks = %v, want > 0", mode, res["guest_stacks"])
+		}
+		prof, err := profile.ParsePprof(fetchProfile(t, ts, id))
+		if err != nil {
+			t.Fatalf("%v: verify profile does not parse: %v", mode, err)
+		}
+		if prof.Name != "fft" {
+			t.Fatalf("%v: profile program = %q, want fft", mode, prof.Name)
+		}
 	}
 }
 

@@ -90,24 +90,21 @@ func (s *Server) writeProfile(id string, prof *profile.Profile, sum *ResultSumma
 	return s.store.WriteJobArtifact(id, "profile.pb", prof.MarshalPprof())
 }
 
-// record runs the recording half shared by record and verify jobs,
-// stores the recording, and fills the summary. When the spec asks for
-// a guest profile, the recording's profile is returned for the caller to
-// store (verify jobs first compare it against the replay's).
-func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sink, sum *ResultSummary) (*core.Result, *workloads.Built, *profile.Profile, error) {
+// Record builds sp's workload with its world and records it: the one
+// place a Spec becomes core.Options, for the daemon's record and verify
+// jobs and for `doubleplay record` and `verify`. Zero fields take
+// Normalize's defaults. prof, when non-nil, gathers the guest profile.
+func Record(ctx context.Context, sp Spec, sink *trace.Sink, reg *trace.Registry, prof *profile.Profile) (*core.Result, *workloads.Built, error) {
+	sp.Normalize()
 	wl, p, err := specWorkload(sp)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	bt := wl.Build(p)
 	policy, err := core.ParseVerifyPolicy(sp.VerifyPolicy)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	var gprof *profile.Profile
-	if sp.GuestProfile {
-		gprof = profile.NewProfile("")
-	}
+	bt := wl.Build(p)
 	res, err := core.Record(bt.Prog, bt.World, core.Options{
 		Workers:           sp.Workers,
 		RecordCPUs:        sp.Workers,
@@ -121,10 +118,23 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sin
 		AdaptiveMinSpares: sp.MinSpares,
 		AdaptiveMaxSpares: sp.MaxSpares,
 		Trace:             sink,
-		Metrics:           s.reg,
+		Metrics:           reg,
 		Context:           ctx,
-		Profile:           gprof,
+		Profile:           prof,
 	})
+	return res, bt, err
+}
+
+// record runs the recording half shared by record and verify jobs,
+// stores the recording, and fills the summary. When the spec asks for
+// a guest profile, the recording's profile is returned for the caller to
+// store (verify jobs first compare it against the replays').
+func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sink, sum *ResultSummary) (*core.Result, *workloads.Built, *profile.Profile, error) {
+	var gprof *profile.Profile
+	if sp.GuestProfile {
+		gprof = profile.NewProfile("")
+	}
+	res, bt, err := Record(ctx, sp, sink, s.reg, gprof)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -294,35 +304,60 @@ func (s *Server) debugDiffJob(ctx context.Context, id string, sp *Spec, sum *Res
 	return s.writeStats(id, res)
 }
 
-// verifyJob is the in-memory round trip: record, replay sequentially
-// (and from the recorder's checkpoints, all of them or every Stride-th,
-// when mode asks), and run the guest self-check.
+// Verify is the round trip after Record: a sequential replay of res,
+// then one replay per stride from the recorder's checkpoints (1: every
+// checkpoint, n: every n-th), each on cpus cores and each regenerating
+// recProf, when non-nil, byte for byte; the guest self-check runs last.
+// It returns the replays' results in that order, those that passed when
+// one fails.
+func Verify(ctx context.Context, bt *workloads.Built, res *core.Result, cpus int, strides []int, sink *trace.Sink, recProf *profile.Profile) ([]*replay.Result, error) {
+	var want []byte
+	if recProf != nil {
+		want = recProf.MarshalPprof()
+	}
+	src := replay.FromRecording(res.Recording)
+	var reps []*replay.Result
+	for _, stride := range append([]int{0}, strides...) {
+		plan, opt := "sequential", replay.Options{CPUs: cpus, Trace: sink}
+		if stride > 0 {
+			plan, opt.Boundaries = "sparse", replay.Thin(res.Boundaries, stride)
+			if stride == 1 {
+				plan = "parallel"
+			}
+		}
+		if recProf != nil {
+			opt.Profile = profile.NewProfile("")
+		}
+		rep, err := replay.Run(ctx, bt.Prog, src, opt)
+		if err != nil {
+			return reps, fmt.Errorf("%s replay: %w", plan, err)
+		}
+		if recProf != nil && !bytes.Equal(want, opt.Profile.MarshalPprof()) {
+			return reps, fmt.Errorf("guest profile: %s replay profile differs from record profile", plan)
+		}
+		reps = append(reps, rep)
+	}
+	last := res.Boundaries[len(res.Boundaries)-1]
+	if err := bt.CheckOK(last.CP.MemSnap.Peek); err != nil {
+		return reps, fmt.Errorf("guest self-check: %w", err)
+	}
+	return reps, nil
+}
+
+// verifyJob is the in-memory round trip: record, then Verify
+// sequentially and by the plan mode asks for.
 func (s *Server) verifyJob(ctx context.Context, id string, sp Spec, sink *trace.Sink, sum *ResultSummary) error {
 	res, bt, gprof, err := s.record(ctx, id, sp, sink, sum)
 	if err != nil {
 		return err
 	}
 	defer res.ReleaseCheckpoints()
-	var repProf *profile.Profile
-	if gprof != nil {
-		repProf = profile.NewProfile("")
-	}
-	src := replay.FromRecording(res.Recording)
-	if _, err := replay.Run(ctx, bt.Prog, src, replay.Options{Trace: sink, Profile: repProf}); err != nil {
-		return fmt.Errorf("sequential replay: %w", err)
-	}
-	if gprof != nil && !bytes.Equal(gprof.MarshalPprof(), repProf.MarshalPprof()) {
-		return fmt.Errorf("guest profile: replay profile differs from record profile")
-	}
+	var strides []int
 	if stride := sp.planStride(); stride > 0 {
-		opt := replay.Options{Boundaries: replay.Thin(res.Boundaries, stride), CPUs: sp.Workers, Trace: sink}
-		if _, err := replay.Run(ctx, bt.Prog, src, opt); err != nil {
-			return fmt.Errorf("%s replay: %w", sp.Mode, err)
-		}
+		strides = []int{stride}
 	}
-	last := res.Boundaries[len(res.Boundaries)-1]
-	if err := bt.CheckOK(last.CP.MemSnap.Peek); err != nil {
-		return fmt.Errorf("guest self-check: %w", err)
+	if _, err := Verify(ctx, bt, res, sp.Workers, strides, sink, gprof); err != nil {
+		return err
 	}
 	if err := s.writeProfile(id, gprof, sum); err != nil {
 		return err
