@@ -102,6 +102,51 @@ func BenchmarkPutPresent(b *testing.B) {
 	}
 }
 
+// BenchmarkPinPresent pins a job that is already pinned: a stat, and
+// whatever the store adds to that.
+func BenchmarkPinPresent(b *testing.B) {
+	for _, preload := range []int{0, 512} {
+		b.Run(fmt.Sprintf("preload=%d", preload), func(b *testing.B) {
+			s := benchStore(b, preload)
+			if err := s.Pin("job"); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Pin("job"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRefPresent sets a job's ref again to the digest it already
+// names: a stat of the object, a read of the ref and a stamp of its mtime,
+// and whatever the store adds to that.
+func BenchmarkRefPresent(b *testing.B) {
+	for _, preload := range []int{0, 512} {
+		b.Run(fmt.Sprintf("preload=%d", preload), func(b *testing.B) {
+			s := benchStore(b, preload)
+			d, err := s.PutRecording(encode(testRecording(1_000_000, 6)))
+			if err == nil {
+				err = s.SetRecordingRef("job", d)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.SetRecordingRef("job", d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkHandleRead reads a whole recording back through the lazy handle:
 // cold opens a handle per iteration, so every block is read and inflated;
 // warm re-reads through one handle whose inflated-block cache is full.

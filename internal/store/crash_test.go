@@ -62,6 +62,13 @@ func (f *faultFS) Remove(name string) error {
 	return f.FS.Remove(name)
 }
 
+func (f *faultFS) Chtimes(name string, atime, mtime time.Time) error {
+	if f.dead() {
+		return errKilled
+	}
+	return f.FS.Chtimes(name, atime, mtime)
+}
+
 // faultFile is a file written through a faultFS.
 type faultFile struct {
 	store.File
@@ -144,7 +151,8 @@ func checkReopens(t *testing.T, dir, what string) {
 
 // TestCrashAtEveryStep kills a run of every mutating operation — puts,
 // refs, a job's put and ref in one call, a pin and an unpin, an age GC and
-// a size GC — at each of its calls to the file system.
+// a size GC, and a repeat of a pin, a ref and a job's put that finds its
+// bytes already on disk — at each of its calls to the file system.
 func TestCrashAtEveryStep(t *testing.T) {
 	a, b, c := encode(testRecording(1, 3)), encode(testRecording(2, 60)), encode(testRecording(3, 2))
 	d := encode(testRecording(4, 5))
@@ -168,6 +176,9 @@ func TestCrashAtEveryStep(t *testing.T) {
 				return err
 			},
 			func() error { _, err := s.PutJobRecording("jobD", d); return err },
+			func() error { _, err := s.PutJobRecording("jobD", d); return err },
+			func() error { return s.Pin("jobA") },
+			func() error { return putRef(s, "jobA", a) },
 			func() error { return s.Unpin("jobA") },
 			func() error { return putRef(s, "jobC", c) },
 			func() error { _, err := s.GC(store.Policy{MaxBytes: int64(len(c))}); return err },

@@ -16,7 +16,12 @@
 //
 // Every object, ref and pin lands by a temp file renamed into place, and GC
 // removes refs before objects, so a crash can strand an orphan object or a
-// temp file (the next GC reclaims both) but never a dangling ref. A
+// temp file (the next GC reclaims both) but never a dangling ref. A write
+// of what is already on disk touches no file: a recording already stored
+// costs a digest and a stat, a pin already there a stat, and a ref that
+// already names the digest a read and an mtime stamp (DESIGN.md, key
+// decision 23). Replacing a file by a rename can wait on the disk for the
+// replaced file's writeback, so rewriting identical bytes is not free. A
 // recording is an orphan until a ref names it, and a GC sweeps orphans, so
 // a job stores its recording with PutJobRecording, which writes the object
 // and then the ref in one hold of the store mutex: no GC comes between
@@ -136,12 +141,14 @@ func (s *Store) objectPath(digest string) string {
 }
 
 // fsys is the store's one seam onto the file system: every create, write,
-// close, rename and remove that changes what it holds goes through it, so a
-// test can fail or cut short any one of them. Reads and mkdirs go to os.
+// close, rename, remove and mtime stamp that changes what it holds goes
+// through it, so a test can fail or cut short any one of them. Reads and
+// mkdirs go to os.
 type fsys interface {
 	CreateTemp(dir, pattern string) (file, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
+	Chtimes(name string, atime, mtime time.Time) error
 }
 
 // file is a file being written.
@@ -163,6 +170,9 @@ func (osFS) CreateTemp(dir, pattern string) (file, error) {
 }
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error             { return os.Remove(name) }
+func (osFS) Chtimes(name string, atime, mtime time.Time) error {
+	return os.Chtimes(name, atime, mtime)
+}
 
 // tempPrefix starts the name of a write in flight, which a crash strands.
 const tempPrefix = ".tmp-"
@@ -308,18 +318,22 @@ func (s *Store) SetRecordingRef(id, digest string) error {
 }
 
 // writeRef publishes digest as job id's recording; the caller holds s.mu
-// and has made sure the recording is stored.
+// and has made sure the recording is stored. A ref that already names
+// digest is not written again, only stamped.
 func (s *Store) writeRef(id, digest string) error {
-	path := s.JobArtifact(id, "recording.ref")
-	if err := writeFileAtomic(s.fs, path, []byte(digest+"\n")); err != nil {
-		return fmt.Errorf("store: ref: %w", err)
+	path, ref := s.JobArtifact(id, "recording.ref"), digest+"\n"
+	if old, err := os.ReadFile(path); err != nil || string(old) != ref {
+		if err := writeFileAtomic(s.fs, path, []byte(ref)); err != nil {
+			return fmt.Errorf("store: ref: %w", err)
+		}
 	}
 	// Retention evicts oldest-first by the ref's mtime, which the kernel
 	// stamps from its tick clock (4 ms at HZ=250): two refs published
 	// within one tick would tie and be evicted in no particular order.
-	// Stamp the ref from the full-resolution clock instead.
+	// Stamp the ref from the full-resolution clock instead, also when it
+	// was already there: publishing it again makes it the newest.
 	now := time.Now()
-	return os.Chtimes(path, now, now)
+	return s.fs.Chtimes(path, now, now)
 }
 
 // RecordingRef resolves a job's recording digest, or "" when the job has
@@ -332,11 +346,16 @@ func (s *Store) RecordingRef(id string) string {
 	return ""
 }
 
-// Pin protects a job's recording from GC until Unpin.
+// Pin protects a job's recording from GC until Unpin. Pinning a pinned job
+// costs a stat: only the pin's name is ever read, never its bytes.
 func (s *Store) Pin(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.fs, s.JobArtifact(id, "pinned"), []byte("pinned\n"))
+	path := s.JobArtifact(id, "pinned")
+	if _, err := os.Stat(path); err == nil {
+		return nil
+	}
+	return writeFileAtomic(s.fs, path, []byte("pinned\n"))
 }
 
 // Unpin removes a job's pin; missing pins are a no-op.

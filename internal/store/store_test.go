@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/store"
@@ -422,6 +423,114 @@ func TestRecordingRefRoundTrip(t *testing.T) {
 	}
 	if back, err := readRecording(s, "job2"); err != nil || !bytes.Equal(back, data2) {
 		t.Fatalf("ReadRecording of job2: %v", err)
+	}
+}
+
+// countFS is the real file system, counting the calls that change it.
+type countFS struct {
+	store.FS
+	calls map[string]int
+}
+
+func (c *countFS) CreateTemp(dir, pattern string) (store.File, error) {
+	c.calls["CreateTemp"]++
+	return c.FS.CreateTemp(dir, pattern)
+}
+
+func (c *countFS) Rename(oldpath, newpath string) error {
+	c.calls["Rename"]++
+	return c.FS.Rename(oldpath, newpath)
+}
+
+func (c *countFS) Remove(name string) error {
+	c.calls["Remove"]++
+	return c.FS.Remove(name)
+}
+
+func (c *countFS) Chtimes(name string, atime, mtime time.Time) error {
+	c.calls["Chtimes"]++
+	return c.FS.Chtimes(name, atime, mtime)
+}
+
+// TestRepeatedWritesTouchNothing: a put, a ref or a pin that would land
+// bytes already on disk creates, renames and removes no file; a ref set
+// again is only stamped, which makes it the newest for retention. A ref
+// set to another digest is still written.
+func TestRepeatedWritesTouchNothing(t *testing.T) {
+	cfs := &countFS{FS: store.OSFS, calls: map[string]int{}}
+	s, err := store.OpenFS(t.TempDir(), nil, cfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := encode(testRecording(1, 3)), encode(testRecording(2, 3))
+	da := put(t, s, "jobA", a)
+	if _, err := s.PutJobRecording("jobB", b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Pin("jobA"); err != nil {
+		t.Fatal(err)
+	}
+	refA, err := os.ReadFile(s.JobArtifact("jobA", "recording.ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	clear(cfs.calls)
+	if d, err := s.PutRecording(a); err != nil || d != da {
+		t.Fatalf("re-put: %s, %v", d, err)
+	}
+	if _, err := s.PutJobRecording("jobB", b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRecordingRef("jobA", da); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Pin("jobA"); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"Chtimes": 2}; !reflect.DeepEqual(cfs.calls, want) {
+		t.Fatalf("repeats made calls %v, want %v", cfs.calls, want)
+	}
+	if got, err := os.ReadFile(s.JobArtifact("jobA", "recording.ref")); err != nil || !bytes.Equal(got, refA) {
+		t.Fatalf("ref after its repeat: %q, %v; want %q", got, err, refA)
+	}
+
+	// Set to another digest, a ref is written again.
+	clear(cfs.calls)
+	db := store.Digest(b)
+	if err := s.SetRecordingRef("jobA", db); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{"CreateTemp": 1, "Rename": 1, "Chtimes": 1}; !reflect.DeepEqual(cfs.calls, want) {
+		t.Fatalf("a new digest made calls %v, want %v", cfs.calls, want)
+	}
+	if got := s.RecordingRef("jobA"); got != db {
+		t.Fatalf("ref after a new digest: %q, want %q", got, db)
+	}
+
+	// A back-dated ref set again to its own digest is the newest: a budget
+	// that keeps one recording keeps it.
+	if err := s.Unpin("jobA"); err != nil {
+		t.Fatal(err)
+	}
+	put(t, s, "jobC", a)
+	for i, job := range []string{"jobC", "jobB", "jobA"} {
+		old := time.Now().Add(time.Duration(-1-i) * time.Hour) // jobC newest
+		if err := os.Chtimes(s.JobArtifact(job, "recording.ref"), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetRecordingRef("jobA", db); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GC(store.Policy{MaxBytes: int64(max(len(a), len(b)))}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.RecordingRef("jobA"); got != db {
+		t.Fatalf("the re-set ref was evicted: ref %q", got)
+	}
+	if s.RecordingRef("jobC") != "" || s.HasRecording(da) {
+		t.Fatal("an older ref survived a budget of one recording")
 	}
 }
 
