@@ -221,7 +221,7 @@ func main() {
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		res, _, err := server.Record(context.Background(), spec(), sink, reg, gprof)
+		res, _, err := server.Record(context.Background(), spec(), nil, sink, reg, gprof)
 		check(err)
 		printStats(*wlName, res)
 		printRaces(res)
@@ -263,10 +263,6 @@ func main() {
 		if *guestProf != "" {
 			recProf = profile.NewProfile("")
 		}
-		res, bt, err := server.Record(context.Background(), spec(), sink, reg, recProf)
-		check(err)
-		printStats(*wlName, res)
-		printRaces(res)
 		var strides []int
 		if *parallel {
 			strides = append(strides, 1)
@@ -274,6 +270,10 @@ func main() {
 		if *stride > 1 {
 			strides = append(strides, *stride)
 		}
+		res, bt, err := server.Record(context.Background(), spec(), strides, sink, reg, recProf)
+		check(err)
+		printStats(*wlName, res)
+		printRaces(res)
 		reps, err := server.Verify(context.Background(), bt, res, *workers, strides, sink, recProf)
 		for i, rep := range reps {
 			switch {

@@ -331,8 +331,8 @@ func RecordingCheckpoints(ctx context.Context, prog *Program, rec *Recording) ([
 	return replay.CheckpointsFrom(ctx, prog, replay.FromRecording(rec), nil)
 }
 
-// ThinCheckpoints keeps every stride-th boundary (always including the
-// first and last), the sparse set segment-parallel replay starts from.
+// ThinCheckpoints keeps every boundary whose epoch index is a multiple of
+// stride, and the last: the sparse set segment-parallel replay starts from.
 func ThinCheckpoints(bs []*Boundary, stride int) []*Boundary { return replay.Thin(bs, stride) }
 
 // JobServer is the record/replay daemon behind `doubleplay serve`: a

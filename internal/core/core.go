@@ -110,6 +110,14 @@ type Options struct {
 	// MaxEpochs bounds the recording as a safety net.
 	MaxEpochs int
 
+	// KeepBoundaries selects the boundaries Result.Boundaries returns. The
+	// zero value keeps every boundary. n ≥ 1 keeps every n-th and the
+	// final one, exactly the set replay.Thin(all, n) would pick, and a
+	// negative value keeps the final boundary only. A boundary not kept
+	// releases its checkpoint when its epoch commits, so what a recording
+	// holds grows with the boundaries it keeps, not with its epoch count.
+	KeepBoundaries int
+
 	// Context, when non-nil, cancels the recording cooperatively: the
 	// control loop checks it at every epoch boundary and returns
 	// [ErrCanceled] (wrapping ctx.Err()) once it is done. Epoch
@@ -232,8 +240,12 @@ type Result struct {
 	// dplog.MarshalBytesWith(Recording, dplog.EncodeOptions{}) returns: the
 	// same walk that sized the log made it, so a caller that stores the log
 	// does not encode it again.
-	Raw        []byte
-	Boundaries []*epoch.Boundary // epoch-start checkpoints, for parallel replay
+	Raw []byte
+	// Boundaries are the epoch-start checkpoints Options.KeepBoundaries
+	// kept, in epoch order and always ending with the final boundary, for
+	// parallel replay and the guest's self-check. None holds a World: a
+	// boundary's world is dropped when it leaves the recorder's window.
+	Boundaries []*epoch.Boundary
 	Stats      Stats
 	FinalHash  uint64
 	OutputHash uint64
@@ -264,11 +276,11 @@ type DivergenceInfo struct {
 	Pages []vm.Word
 }
 
-// ReleaseCheckpoints drops the retained epoch-start checkpoints' hold on
-// shared memory pages and hands every page no other holder maps back for
-// reuse by the next page a memory materialises or copies. Call it when
-// parallel replay is no longer needed; the Recording itself remains valid
-// for sequential replay.
+// ReleaseCheckpoints drops the kept boundaries' hold on shared memory
+// pages and hands every page no other holder maps back for reuse by the
+// next page a memory materialises or copies; the recorder already released
+// the boundaries it did not keep. Call it when parallel replay is no longer
+// needed; the Recording itself remains valid for sequential replay.
 func (r *Result) ReleaseCheckpoints() {
 	for _, b := range r.Boundaries {
 		b.CP.Release()
@@ -396,6 +408,10 @@ func Record(prog *vm.Program, world *simos.World, opt Options) (*Result, error) 
 }
 
 // recorder is the state one recording's produce and commit steps share.
+// Its boundaries are a window: last, the latest boundary, and while an
+// epoch is pending its start too. Only the window's boundaries hold a
+// World; a boundary leaves it when its epoch commits (DESIGN.md, key
+// decision 24).
 type recorder struct {
 	prog       *vm.Program
 	opt        Options
@@ -407,7 +423,8 @@ type recorder struct {
 	m          *vm.Machine
 	par        *sched.Parallel
 	liveProf   *profile.Profiler
-	boundaries []*epoch.Boundary
+	last       *epoch.Boundary   // the latest boundary: the next epoch's start
+	boundaries []*epoch.Boundary // the committed ones Options.KeepBoundaries keeps
 	rec        *dplog.Recording
 	pl         *pipeline
 	ctl        *controller
@@ -553,10 +570,10 @@ func newRecorder(prog *vm.Program, world *simos.World, opt Options) (*recorder, 
 	r.par.Trace = tr
 	r.par.TracePid = pidGuest
 
-	r.boundaries = []*epoch.Boundary{epoch.Capture(0, 0, r.m, world)}
+	r.last = epoch.Capture(0, 0, r.m, world)
 	if tr.Enabled() {
 		tr.Instant("checkpoint.create", 0, r.pidRec, 0,
-			[]trace.Arg{trace.Int("epoch", 0), trace.Int("pages", r.boundaries[0].MappedPages)})
+			[]trace.Arg{trace.Int("epoch", 0), trace.Int("pages", r.last.MappedPages)})
 	}
 	r.rec = &dplog.Recording{Program: prog.Name, Workers: opt.Workers, Seed: opt.Seed, Quantum: opt.Quantum}
 	r.pl = newPipeline(slots, active, opt.RecordCPUs)
@@ -582,10 +599,10 @@ func (r *recorder) produce() (pending, error) {
 	if ctx := r.opt.Context; ctx != nil && ctx.Err() != nil {
 		return pending{}, fmt.Errorf("%w after %d epochs: %w", ErrCanceled, len(r.rec.Epochs), ctx.Err())
 	}
-	if len(r.boundaries) > r.opt.MaxEpochs {
+	if r.last.Index >= r.opt.MaxEpochs {
 		return pending{}, fmt.Errorf("%w: exceeded %d; runaway guest?", ErrTooManyEpochs, r.opt.MaxEpochs)
 	}
-	next := r.boundaries[len(r.boundaries)-1].Cycle + r.epochLen
+	next := r.last.Cycle + r.epochLen
 	var runErr error
 	profile.WithPhase(r.opt.Context, "record", func() { runErr = r.par.RunUntil(next) })
 	if runErr != nil {
@@ -607,10 +624,9 @@ func (r *recorder) produce() (pending, error) {
 	r.stats.CheckpointPages += mapped
 	r.stats.CowPages += cow
 
-	b := epoch.Capture(len(r.boundaries), r.par.Now(), r.m, r.live.World())
-	r.boundaries = append(r.boundaries, b)
-	p := pending{i: len(r.boundaries) - 2, end: b, ep: ep, mapped: mapped, cow: cow}
-	p.start = r.boundaries[p.i]
+	p := pending{i: r.last.Index, start: r.last, ep: ep, mapped: mapped, cow: cow}
+	b := epoch.Capture(p.i+1, r.par.Now(), r.m, r.live.World())
+	p.end, r.last = b, b
 
 	// A fault retires nothing, so no log can say where it happened. Under
 	// verification the adopted state leaves it out and the resumed run
@@ -759,6 +775,7 @@ func (r *recorder) commit(p pending, v verdict) error {
 		v.res.M.Mem.Release()
 	}
 	r.rec.Epochs = append(r.rec.Epochs, ep)
+	r.retire(p.start)
 	if r.ctl != nil {
 		r.steer(p.i, commitCyc-b.Cycle, pm.waited, commitCyc)
 	}
@@ -773,6 +790,17 @@ func (r *recorder) commit(p pending, v verdict) error {
 		}
 	}
 	return nil
+}
+
+// retire takes a committed epoch's start boundary out of the window: its
+// world goes, and its checkpoint is kept or released.
+func (r *recorder) retire(b *epoch.Boundary) {
+	b.World = nil
+	if k := r.opt.KeepBoundaries; k == 0 || k > 0 && b.Index%k == 0 {
+		r.boundaries = append(r.boundaries, b)
+	} else {
+		b.CP.Release()
+	}
 }
 
 // recover is forward recovery: the epoch-parallel state becomes the truth
@@ -827,7 +855,7 @@ func (r *recorder) recover(p pending, v verdict, pm placement) (*dplog.EpochLog,
 	commitCyc := detect + rcycles
 	r.stats.SquashedCycles += max(0, commitCyc-b.Cycle)
 	nb.Cycle = commitCyc
-	r.boundaries[len(r.boundaries)-1] = nb
+	r.last = nb
 	pid := r.pidRec
 	switch {
 	case !tr.Enabled():
@@ -862,7 +890,7 @@ func (r *recorder) recover(p pending, v verdict, pm placement) (*dplog.EpochLog,
 	// nb replaced b, and the squashed run past b is dropped.
 	b.CP.Release()
 	r.m.Mem.Release()
-	r.m = resumeFrom(r.par, r.live, r.prog, nb, r.opt.Costs, r.opt.Seed, len(r.boundaries))
+	r.m = resumeFrom(r.par, r.live, r.prog, nb, r.opt.Costs, r.opt.Seed, nb.Index+1)
 	return ep, commitCyc, nil
 }
 
@@ -902,9 +930,11 @@ func (r *recorder) finish() *Result {
 		r.opt.Profile.Merge(r.liveProf.Snapshot())
 	}
 	rec := r.rec
-	last := r.boundaries[len(r.boundaries)-1]
+	last := r.last
 	rec.FinalHash = last.Hash
 	rec.OutputHash = last.World.OutputHash()
+	last.World = nil
+	r.boundaries = append(r.boundaries, last)
 
 	stats.Epochs = len(rec.Epochs)
 	stats.Retired = int64(sum(last.Targets()))

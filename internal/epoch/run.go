@@ -13,12 +13,21 @@ import (
 )
 
 // Boundary is one epoch boundary captured from the thread-parallel run: an
-// architectural checkpoint, a frozen snapshot of the simulated world, and
-// the simulated time at which the checkpoint was taken.
+// architectural checkpoint, a frozen snapshot of the simulated world while
+// a recorder still needs one, and the simulated time at which the
+// checkpoint was taken.
 type Boundary struct {
 	Index int
 	Cycle int64
 	CP    *vm.Checkpoint
+
+	// World is the simulated world at the boundary, and a recording's
+	// in-flight window is the only place it lives: the latest boundary,
+	// and while an epoch is pending that epoch's start, whose world forward
+	// recovery re-runs against. The recorder drops it when the boundary's
+	// epoch commits. A boundary a recording returns, like one Snapshot
+	// takes or replay rebuilds, has none: replay injects every syscall
+	// result from the log.
 	World *simos.World
 	Hash  uint64
 

@@ -429,16 +429,18 @@ func CheckpointsFrom(ctx context.Context, prog *vm.Program, src Source, costs *v
 	return out, nil
 }
 
-// Thin returns every stride-th boundary, always keeping the first and
-// last, of the live checkpoints (core.Result.Boundaries) or of the set
-// [CheckpointsFrom] reconstructs, for memory-bounded sparse replay.
+// Thin returns the boundaries whose epoch index is a multiple of stride,
+// always keeping the last, of the live checkpoints (core.Result.Boundaries)
+// or of the set [CheckpointsFrom] reconstructs, for memory-bounded sparse
+// replay. It selects by index, so a set already thinned by stride, as
+// core.Options.KeepBoundaries keeps it, comes back unchanged.
 func Thin(bs []*epoch.Boundary, stride int) []*epoch.Boundary {
 	if stride <= 1 {
 		return bs
 	}
 	var out []*epoch.Boundary
 	for i, b := range bs {
-		if i%stride == 0 || i == len(bs)-1 {
+		if b.Index%stride == 0 || i == len(bs)-1 {
 			out = append(out, b)
 		}
 	}

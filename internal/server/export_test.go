@@ -1,9 +1,11 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"time"
 
+	"doubleplay/internal/core"
 	"doubleplay/internal/trace"
 )
 
@@ -79,4 +81,13 @@ func (s *Server) WaitJob(id string) Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id].info()
+}
+
+// JobRecording records sp the way a job of its kind does, storing the
+// recording as job id's, and returns the result with the boundaries the
+// job keeps.
+func (s *Server) JobRecording(ctx context.Context, id string, sp Spec) (*core.Result, error) {
+	sp.Normalize()
+	res, _, _, err := s.record(ctx, id, sp, nil, new(ResultSummary))
+	return res, err
 }

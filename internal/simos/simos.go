@@ -13,7 +13,9 @@
 package simos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"doubleplay/internal/vm"
 )
@@ -61,30 +63,29 @@ type connScript struct {
 	Requests []Request
 }
 
-// connState is the mutable per-connection cursor.
+// connState is the read cursor of an accepted connection with requests
+// left. A connection whose script is exhausted has no state: every recv on
+// it reads EOF.
 type connState struct {
+	fd      Word
 	script  *connScript
 	reqIdx  int
 	readPos int
-	open    bool
-}
-
-func (c *connState) clone() *connState {
-	d := *c
-	return &d
 }
 
 // fdState is one open file descriptor.
 type fdState struct {
+	fd   Word
 	file *file
 	pos  int
-	open bool
 }
 
 // World is the complete simulated environment. Immutable parts (file
 // contents, connection scripts, the fetch source) are shared across clones;
-// mutable parts are deep-copied, so Clone is cheap and epoch rollback is
-// exact.
+// mutable parts are copied. A world keeps only state that can still change
+// — open fds and connections with requests left — so Clone costs the live
+// state, not the fds a run has closed or the clients it has served, and
+// epoch rollback is exact.
 type World struct {
 	// Immutable after setup.
 	files     map[string]*file
@@ -94,9 +95,10 @@ type World struct {
 	sigScript map[int][]signalSpec
 
 	// Mutable execution state.
-	fds          []fdState
-	conns        []*connState
-	accepted     int // number of scripts already accepted
+	fds          []fdState   // open fds, by ascending number
+	nfds         Word        // fds ever opened; the next fd's number
+	conns        []connState // connections with requests left, by ascending fd
+	accepted     int         // number of scripts already accepted
 	brk          Word
 	rng          uint64
 	outHash      uint64
@@ -176,7 +178,7 @@ func (w *World) SetFetchSource(data []Word, latency int64) {
 	w.fetchLat = latency
 }
 
-// Clone deep-copies the mutable state, sharing immutable blobs.
+// Clone copies the mutable state, sharing immutable blobs.
 func (w *World) Clone() *World {
 	c := &World{
 		files:     w.files,
@@ -185,8 +187,9 @@ func (w *World) Clone() *World {
 		fetchLat:  w.fetchLat,
 		sigScript: w.sigScript,
 
-		fds:          append([]fdState(nil), w.fds...),
-		conns:        make([]*connState, len(w.conns)),
+		fds:          slices.Clone(w.fds),
+		nfds:         w.nfds,
+		conns:        slices.Clone(w.conns),
 		accepted:     w.accepted,
 		brk:          w.brk,
 		rng:          w.rng,
@@ -194,9 +197,6 @@ func (w *World) Clone() *World {
 		outWords:     w.outWords,
 		pendingFetch: make(map[int]int64, len(w.pendingFetch)),
 		sigCursor:    make(map[int]int, len(w.sigCursor)),
-	}
-	for i, cs := range w.conns {
-		c.conns[i] = cs.clone()
 	}
 	for k, v := range w.pendingFetch {
 		c.pendingFetch[k] = v
@@ -288,15 +288,17 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 		if !ok {
 			return vm.SysResult{Ret: -1}
 		}
-		w.fds = append(w.fds, fdState{file: f, open: true})
-		return vm.SysResult{Ret: Word(len(w.fds) - 1)}
+		w.fds = append(w.fds, fdState{fd: w.nfds, file: f})
+		w.nfds++
+		return vm.SysResult{Ret: w.nfds - 1}
 
 	case SysRead:
 		fd, bufAddr, n := args[0], args[1], args[2]
-		s, err := w.fd(fd)
+		i, err := w.fd(fd)
 		if err != "" {
 			return vm.SysResult{Fault: err}
 		}
+		s := &w.fds[i]
 		if n < 0 {
 			return vm.SysResult{Fault: "read with negative length"}
 		}
@@ -315,19 +317,19 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 		}
 
 	case SysClose:
-		s, err := w.fd(args[0])
+		i, err := w.fd(args[0])
 		if err != "" {
 			return vm.SysResult{Fault: err}
 		}
-		s.open = false
+		w.fds = slices.Delete(w.fds, i, i+1)
 		return vm.SysResult{Ret: 0}
 
 	case SysFileSize:
-		s, err := w.fd(args[0])
+		i, err := w.fd(args[0])
 		if err != "" {
 			return vm.SysResult{Fault: err}
 		}
-		return vm.SysResult{Ret: Word(len(s.file.Data))}
+		return vm.SysResult{Ret: Word(len(w.fds[i].file.Data))}
 
 	case SysListen:
 		return vm.SysResult{Ret: 0}
@@ -340,22 +342,26 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 		if next.ArriveAt > m.Now {
 			return vm.SysResult{Block: true}
 		}
-		w.conns = append(w.conns, &connState{script: next, open: true})
+		fd := Word(w.accepted)
+		if len(next.Requests) > 0 {
+			w.conns = append(w.conns, connState{fd: fd, script: next})
+		}
 		w.accepted++
-		return vm.SysResult{Ret: Word(len(w.conns) - 1)}
+		return vm.SysResult{Ret: fd}
 
 	case SysRecv:
 		cfd, bufAddr, max := args[0], args[1], args[2]
-		c, err := w.conn(cfd)
+		i, err := w.conn(cfd)
 		if err != "" {
 			return vm.SysResult{Fault: err}
 		}
 		if max <= 0 {
 			return vm.SysResult{Fault: "recv with non-positive max"}
 		}
-		if c.reqIdx >= len(c.script.Requests) {
+		if i < 0 {
 			return vm.SysResult{Ret: 0} // connection EOF
 		}
+		c := &w.conns[i]
 		req := &c.script.Requests[c.reqIdx]
 		if req.AvailAt > m.Now {
 			return vm.SysResult{Block: true}
@@ -370,6 +376,9 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 		if c.readPos == len(req.Data) {
 			c.reqIdx++
 			c.readPos = 0
+			if c.reqIdx == len(c.script.Requests) {
+				w.conns = slices.Delete(w.conns, i, i+1)
+			}
 		}
 		return vm.SysResult{
 			Ret:    Word(n),
@@ -408,26 +417,30 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 	}
 }
 
-func (w *World) fd(fd Word) (*fdState, string) {
-	if fd < 0 || fd >= Word(len(w.fds)) {
-		return nil, fmt.Sprintf("bad fd %d", fd)
+// fd returns the index in w.fds of open fd, or the fault a syscall on it
+// takes.
+func (w *World) fd(fd Word) (int, string) {
+	if fd < 0 || fd >= w.nfds {
+		return 0, fmt.Sprintf("bad fd %d", fd)
 	}
-	s := &w.fds[fd]
-	if !s.open {
-		return nil, fmt.Sprintf("fd %d is closed", fd)
+	i, ok := slices.BinarySearchFunc(w.fds, fd, func(s fdState, fd Word) int { return cmp.Compare(s.fd, fd) })
+	if !ok {
+		return 0, fmt.Sprintf("fd %d is closed", fd)
 	}
-	return s, ""
+	return i, ""
 }
 
-func (w *World) conn(cfd Word) (*connState, string) {
-	if cfd < 0 || cfd >= Word(len(w.conns)) {
-		return nil, fmt.Sprintf("bad connection fd %d", cfd)
+// conn returns the index in w.conns of accepted connection cfd, -1 when
+// its script is exhausted, or the fault a syscall on it takes.
+func (w *World) conn(cfd Word) (int, string) {
+	if cfd < 0 || cfd >= Word(w.accepted) {
+		return 0, fmt.Sprintf("bad connection fd %d", cfd)
 	}
-	c := w.conns[cfd]
-	if !c.open {
-		return nil, fmt.Sprintf("connection %d is closed", cfd)
+	i, ok := slices.BinarySearchFunc(w.conns, cfd, func(c connState, fd Word) int { return cmp.Compare(c.fd, fd) })
+	if !ok {
+		return -1, ""
 	}
-	return c, ""
+	return i, ""
 }
 
 // decodeString reads a guest string stored one character per word.

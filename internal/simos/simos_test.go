@@ -1,6 +1,8 @@
 package simos_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"doubleplay/internal/asm"
@@ -300,5 +302,108 @@ func TestUnknownSyscallFaults(t *testing.T) {
 	}
 	if m.FaultCount() != 1 {
 		t.Fatal("unknown syscall did not fault")
+	}
+}
+
+// host issues syscalls straight to a world's OS from a bare machine whose
+// memory holds the file name "f" at nameAddr.
+type host struct {
+	m  *vm.Machine
+	os *simos.OS
+}
+
+const nameAddr vm.Word = 1 << 20
+
+func newHost(w *simos.World) host {
+	b := asm.NewBuilder("t")
+	b.Func("main", 0).HaltImm(0)
+	m := vm.NewMachine(b.MustBuild(), nil, nil)
+	m.Mem.Store(nameAddr, 'f')
+	return host{m: m, os: simos.NewOS(w)}
+}
+
+func (h host) sys(num vm.Word, args ...vm.Word) vm.SysResult {
+	var a [6]vm.Word
+	copy(a[:], args)
+	return h.os.Syscall(h.m, h.m.Threads[0], num, a)
+}
+
+// cloneBytes is what one Clone of w allocates, averaged over many.
+func cloneBytes(w *simos.World) uint64 {
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		w.Clone()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / n
+}
+
+// TestCloneCopiesLiveStateOnly holds World.Clone to the state that can
+// still change: its cost does not grow with fds a run has closed or
+// connections whose script it has read to the end, a clone does not see
+// what the original does afterwards, and the faults a guest takes on a bad
+// or closed fd read as they always have.
+func TestCloneCopiesLiveStateOnly(t *testing.T) {
+	const pairs, served = 1000, 1000
+	w := simos.NewWorld(1)
+	w.AddFile("f", []vm.Word{1, 2, 3})
+	w.AddConn(0, []simos.Request{{Data: []vm.Word{7}}, {Data: []vm.Word{8}}})
+	for i := 0; i < served+1; i++ {
+		w.AddConn(0, []simos.Request{{Data: []vm.Word{9}}})
+	}
+	h := newHost(w)
+	live := h.sys(simos.SysAccept, 0).Ret
+	fd := h.sys(simos.SysOpen, nameAddr, 1).Ret
+	base := cloneBytes(w)
+
+	for i := 0; i < pairs; i++ {
+		h.sys(simos.SysClose, h.sys(simos.SysOpen, nameAddr, 1).Ret)
+	}
+	for i := 0; i < served; i++ {
+		c := h.sys(simos.SysAccept, 0).Ret
+		h.sys(simos.SysRecv, c, 0, 4)
+		if r := h.sys(simos.SysRecv, c, 0, 4); r.Ret != 0 || r.Fault != "" {
+			t.Fatalf("recv on served connection %d = %+v, want EOF", c, r)
+		}
+	}
+	if got := cloneBytes(w); got > base+base/10 {
+		t.Fatalf("a clone allocates %d bytes after %d open/close pairs and %d served connections, %d before",
+			got, pairs, served, base)
+	}
+
+	// The original reads, closes, receives and accepts after the clone;
+	// the clone sees none of it.
+	c := w.Clone()
+	h.sys(simos.SysRead, fd, 0, 1)
+	h.sys(simos.SysClose, fd)
+	h.sys(simos.SysRecv, live, 0, 4)
+	next := h.sys(simos.SysAccept, 0).Ret
+	hc := newHost(c)
+	if r := hc.sys(simos.SysRead, fd, 0, 1); r.Fault != "" || r.Writes[0].Data[0] != 1 {
+		t.Fatalf("clone read of fd %d = %+v, want word 1", fd, r)
+	}
+	if r := hc.sys(simos.SysRecv, live, 0, 4); r.Fault != "" || r.Writes[0].Data[0] != 7 {
+		t.Fatalf("clone recv on connection %d = %+v, want word 7", live, r)
+	}
+	if got := hc.sys(simos.SysAccept, 0).Ret; got != next {
+		t.Fatalf("clone accept = %d, original's = %d", got, next)
+	}
+
+	for _, tc := range []struct {
+		num, arg vm.Word
+		want     string
+	}{
+		{simos.SysRead, -1, "bad fd -1"},
+		{simos.SysRead, fd + pairs + 1, fmt.Sprintf("bad fd %d", fd+pairs+1)},
+		{simos.SysRead, fd, fmt.Sprintf("fd %d is closed", fd)},
+		{simos.SysClose, fd + 1, fmt.Sprintf("fd %d is closed", fd+1)},
+		{simos.SysFileSize, fd + pairs, fmt.Sprintf("fd %d is closed", fd+pairs)},
+		{simos.SysRecv, next + 1, fmt.Sprintf("bad connection fd %d", next+1)},
+	} {
+		if got := h.sys(tc.num, tc.arg, 0, 1).Fault; got != tc.want {
+			t.Errorf("syscall %d on %d faults %q, want %q", tc.num, tc.arg, got, tc.want)
+		}
 	}
 }
