@@ -54,11 +54,14 @@ func BenchmarkUniFree(b *testing.B) {
 // compute kernels, a racy program whose threads share words (windows abort
 // and back off), and two syscall-heavy servers (windows cut short by
 // events; webserve's are the shortest). window% is the share of
-// instructions retired inside windows, instrs/window their mean number.
+// instructions retired inside windows, instrs/window their mean number, and
+// exec/commit how many instructions RunWindow executed for each one a
+// window committed: what windows that are abandoned, cut short or charged a
+// slow retirement run again.
 func BenchmarkParallel(b *testing.B) {
 	for _, name := range []string{"fft", "water", "racey", "kvdb", "webserve"} {
 		b.Run(name, func(b *testing.B) {
-			var instrs, inWindows, windows int64
+			var instrs, inWindows, windows, executed int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				bt := buildGuest(b, name)
@@ -71,10 +74,12 @@ func BenchmarkParallel(b *testing.B) {
 				instrs += p.Retired()
 				inWindows += p.WindowRetired
 				windows += p.Windows
+				executed += p.WindowExecuted
 			}
 			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
 			b.ReportMetric(100*float64(inWindows)/float64(instrs), "window%")
 			b.ReportMetric(float64(inWindows)/float64(max(windows, 1)), "instrs/window")
+			b.ReportMetric(float64(executed)/float64(max(inWindows, 1)), "exec/commit")
 		})
 	}
 }

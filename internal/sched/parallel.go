@@ -69,11 +69,14 @@ type Parallel struct {
 	// carried: instructions retired inside committed windows, windows
 	// committed, windows an event cut short after some CPU had run past it
 	// (that CPU ran again, shorter), and windows abandoned to the strict
-	// loop because two CPUs touched an address one of them wrote.
+	// loop because two CPUs touched an address one of them wrote. What they
+	// cost: the instructions RunWindow executed, committed or not, which
+	// counts every run again after a cut, a slow retirement or a conflict.
 	WindowRetired        int64
 	Windows              int64
 	WindowEventAborts    int64
 	WindowConflictAborts int64
+	WindowExecuted       int64
 
 	win     []winCPU
 	conf    []confEntry

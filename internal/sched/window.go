@@ -22,11 +22,17 @@ import (
 // DESIGN.md key decision 8 has the invariants and the tests that pin them.
 
 const (
-	// maxWindowSpan caps a window's length in cycles, which caps what each
-	// CPU buffers: at the default two cycles per memory access a window
-	// cannot reach vm.WindowCap accesses on one CPU. A window's start
-	// cycles are one uint64, so it is at most 64.
-	maxWindowSpan = 2 * vm.WindowCap
+	// maxWindowSpan caps a window's length in cycles. A longer window
+	// spreads its fixed cost (a register-file snapshot per CPU, the
+	// conflict check, placement, the commit) over more instructions, and a
+	// CPU that an event or a slow retirement cuts short runs more of it
+	// again; 48 measured ahead of 32 (EXPERIMENTS.md "ISSUE 52"). A
+	// window's start cycles are one uint64, so it is at most 64. At the
+	// default two cycles per memory access a CPU fills one of its
+	// vm.WindowCap-entry lists only if two thirds of its cycles are loads,
+	// or stores; that ends the window like an event, and no guest of the
+	// suite does it (its window counts are those of 32-entry lists).
+	maxWindowSpan = 48
 	// minWindowSpan is the shortest stretch worth a window's fixed cost
 	// (a register-file snapshot per CPU and the conflict check).
 	minWindowSpan = 3
@@ -158,6 +164,7 @@ func (p *Parallel) window(limit int64) (committed, ranOut bool) {
 		if keep := uint64(bits.OnesCount64(w.at)); cpu.th != nil && keep < w.retired {
 			w.Undo(cpu.th)
 			w.retired, w.cycles, w.last = p.M.RunWindow(cpu.th, &w.Window, keep, end-cpu.clock)
+			p.WindowExecuted += int64(w.retired)
 		}
 	}
 
@@ -196,6 +203,7 @@ func (p *Parallel) runCPU(ci int, end int64) (s int64, stopped bool) {
 	// The retirement that brings sliceN to Quantum unbinds the thread.
 	n := max(p.Quantum-cpu.sliceN-1, 0)
 	w.retired, w.cycles, w.last = p.M.RunWindow(cpu.th, &w.Window, uint64(n), budget)
+	p.WindowExecuted += int64(w.retired)
 	return cpu.clock + w.cycles, w.cycles < budget
 }
 
@@ -230,12 +238,17 @@ func (p *Parallel) place(span int64) (total uint64) {
 	}
 }
 
+// nthStep is nth's first step: the largest power of two below
+// maxWindowSpan, so that the halving steps can reach every cycle of a
+// window.
+var nthStep = uint(1) << (bits.Len(maxWindowSpan-1) - 1)
+
 // nth returns the start cycle of retirement k, counted from zero in (start
 // cycle, CPU index) order, and the CPU it falls to.
 func (p *Parallel) nth(k uint64) (uint, *winCPU) {
 	var t uint        // the last cycle before which no more than k start…
 	var before uint64 // …and how many do
-	for step := uint(maxWindowSpan / 2); step > 0; step >>= 1 {
+	for step := nthStep; step > 0; step >>= 1 {
 		if n := p.startsBefore(t + step); n <= k {
 			t, before = t+step, n
 		}

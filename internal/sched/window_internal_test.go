@@ -54,9 +54,10 @@ func sameSchedule(p, q *Parallel) error {
 // has them; no CPU's slice reaches the quantum inside it; none opens while
 // an idle CPU has a thread to dispatch; and an attempt that does not commit
 // leaves every thread, every clock, the jitter and guest memory exactly as
-// it found them. The guests are a compute kernel, a syscall-heavy server
-// with fewer threads than CPUs at times, and a racy program whose windows
-// conflict.
+// it found them. A committed window counts at least what it retired as
+// executed (Parallel.WindowExecuted). The guests are a compute kernel, a
+// syscall-heavy server with fewer threads than CPUs at times, and a racy
+// program whose windows conflict.
 func TestWindowInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		guest   string
@@ -89,7 +90,7 @@ func TestWindowInvariants(t *testing.T) {
 				jitter, gap, extra, retired, hash := p.jitter, p.jitterGap, p.jitterExtra, p.retired, m.Mem.Hash()
 				pages, stats := m.Mem.PageCount(), m.Mem.Stats()
 				mustRefuse := p.nBound < len(p.cpus) && p.dispatchable()
-				conflicts := p.WindowConflictAborts
+				conflicts, executed := p.WindowConflictAborts, p.WindowExecuted
 				lo := int64(math.MaxInt64)
 				for _, cpu := range cpus {
 					if cpu.th != nil {
@@ -107,6 +108,9 @@ func TestWindowInvariants(t *testing.T) {
 					}
 					if n == 0 {
 						t.Fatal("an empty window reported as committed")
+					}
+					if p.WindowExecuted-executed < n {
+						t.Fatalf("a window committed %d instructions and counted %d executed", n, p.WindowExecuted-executed)
 					}
 					for ci := range p.cpus {
 						cpu, w := &p.cpus[ci], &p.win[ci]

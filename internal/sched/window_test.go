@@ -54,10 +54,14 @@ func TestParallelWindowShare(t *testing.T) {
 		t.Run(wl.Name, func(t *testing.T) {
 			p, hash := run(t, wl, nil)
 			share := float64(p.WindowRetired) / float64(p.Retired())
-			t.Logf("%d of %d instructions in %d windows (%.1f%%); %d cut short by an event, %d abandoned on a conflict",
-				p.WindowRetired, p.Retired(), p.Windows, 100*share, p.WindowEventAborts, p.WindowConflictAborts)
+			t.Logf("%d of %d instructions in %d windows (%.1f%%); %d cut short by an event, %d abandoned on a conflict; %d executed",
+				p.WindowRetired, p.Retired(), p.Windows, 100*share, p.WindowEventAborts, p.WindowConflictAborts, p.WindowExecuted)
 			if share < minWindowShare(wl.Name) || p.WindowRetired > p.Retired() {
 				t.Errorf("window share %.4f, want [%.2f, 1]", share, minWindowShare(wl.Name))
+			}
+			// Every committed instruction was executed once at least.
+			if p.WindowExecuted < p.WindowRetired {
+				t.Errorf("%d instructions executed in windows, %d committed", p.WindowExecuted, p.WindowRetired)
 			}
 			// Conflicting accesses of a race-free guest are ordered through
 			// sync operations, and every one of those ends a window.
@@ -66,7 +70,7 @@ func TestParallelWindowShare(t *testing.T) {
 			}
 			for hook, arm := range noop {
 				q, h := run(t, wl, arm)
-				if q.WindowRetired != 0 || q.Windows != 0 || q.WindowEventAborts != 0 || q.WindowConflictAborts != 0 {
+				if q.WindowRetired != 0 || q.Windows != 0 || q.WindowEventAborts != 0 || q.WindowConflictAborts != 0 || q.WindowExecuted != 0 {
 					t.Fatalf("%s armed: %d instructions in %d windows, %d + %d abandoned",
 						hook, q.WindowRetired, q.Windows, q.WindowEventAborts, q.WindowConflictAborts)
 				}
