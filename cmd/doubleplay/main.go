@@ -8,7 +8,7 @@
 //	doubleplay record  -w pbzip -trace t.json -listen :9090  # streamed trace + live /metrics
 //	doubleplay record  -w pbzip -adaptive -min-spares 1 -max-spares 4  # feedback-controlled spares
 //	doubleplay record  -w pbzip -guest-profile p.pb  # deterministic guest cycle profile
-//	doubleplay replay  -w pbzip -workers 4 -log pbzip.dplog [-parallel]
+//	doubleplay replay  -log pbzip.dplog             # workload, workers, seed from the log
 //	doubleplay verify  -w pbzip -workers 4          # record + both replays in memory
 //	doubleplay verify  -w pbzip -guest-profile p.pb # + replay-vs-record profile identity
 //	doubleplay serve   -listen :8421 -pprof         # job daemon + /debug/pprof
@@ -110,6 +110,8 @@ func main() {
 		dryRun   = fs.Bool("dry-run", false, "store gc: report what would be collected without deleting")
 	)
 	fs.Parse(args)
+	set := map[string]bool{} // the flags given on the command line
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *spares == 0 {
 		*spares = *workers
 	}
@@ -194,8 +196,7 @@ func main() {
 		fmt.Println("metrics:")
 		reg.Render(os.Stdout)
 	}
-	// The workload flags' build parameters; replay and disasm build the
-	// program alone, since neither runs against a world.
+	// The workload flags' build parameters, for disasm and races.
 	params := workloads.Params{Workers: *workers, Scale: *scale, Seed: *seed}
 	// What record and verify run, described as a daemon job is.
 	spec := func() server.Spec {
@@ -241,16 +242,28 @@ func main() {
 		if *logPath == "" {
 			usageErr("replay requires -log (or use 'verify' for an in-memory round trip)")
 		}
-		prog := mustWorkload(*wlName).Program(params)
 		data, err := os.ReadFile(*logPath)
 		check(err)
-		rec, err := dplog.UnmarshalBytes(data)
+		rd, err := dplog.OpenReaderBytes(data)
 		check(err)
+		// The log names the workload, workers and seed; a flag the user
+		// set must agree with it.
+		asked := workloads.Params{Scale: *scale}
+		if set["workers"] {
+			asked.Workers = *workers
+		}
+		if set["seed"] {
+			asked.Seed = *seed
+		}
+		wl, p, err := workloads.ForLog(rd.Header(), *wlName, asked)
+		if err != nil {
+			usageErr(fmt.Sprintf("%s: %v", *logPath, err))
+		}
 		var gprof *profile.Profile
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		rep, err := replay.Run(context.Background(), prog, replay.FromRecording(rec),
+		rep, err := replay.Run(context.Background(), wl.Program(p), replay.FromReader(rd),
 			replay.Options{Trace: sink, Profile: gprof})
 		check(err)
 		fmt.Printf("replayed %d epochs in %d simulated cycles; final hash %016x verified\n",
@@ -303,11 +316,9 @@ func main() {
 		// -epoch doubles as the section selector here (elsewhere it is the
 		// epoch length in cycles); only an explicit flag selects a section.
 		sel := -1
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "epoch" {
-				sel = int(*epochLen)
-			}
-		})
+		if set["epoch"] {
+			sel = int(*epochLen)
+		}
 		logInspect(*logPath, sel)
 
 	case "log upgrade":
@@ -487,7 +498,8 @@ func usage() {
 commands:
   list     show the builtin benchmark suite
   record   record a workload (optionally -o file.dplog)
-  replay   replay a recording from -log against a rebuilt workload
+  replay   replay a recording from -log against the workload its header names
+           (-w, -workers and -seed may be given but must agree with it)
   verify   record + replay in memory, checking every hash and the guest self-check
   log      .dplog file tooling (see docs/FORMAT.md):
              log inspect -log f.dplog [-epoch N]  header, sections with each epoch's counts, index health

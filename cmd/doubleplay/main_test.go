@@ -141,6 +141,18 @@ func TestCLI(t *testing.T) {
 			match(`(?m)^  controller: [1-9]\d* grows, \d+ shrinks, [2-4] active spares`)},
 		{"the adaptive log replays with every hash verified", append([]string{"replay", "-log", path("ad.dplog")}, adaptive...), 0, "",
 			match(finalHash.String())},
+		// docs/OBSERVABILITY.md's pair, as written there: the log names the
+		// workers, so replay needs no -workers.
+		{"record four workers", []string{"record", "-w", "pbzip", "-workers", "4", "-guest-profile", path("p4.pb"), "-o", path("pb4.dplog")}, 0, "", nil},
+		{"replay takes the workers from the log",
+			[]string{"replay", "-w", "pbzip", "-log", path("pb4.dplog"), "-guest-profile", path("q4.pb")}, 0, "",
+			func(t *testing.T, _ string) { sameFile(t, "p4.pb", "q4.pb") }},
+		{"replay -log alone takes the workload too", []string{"replay", "-log", path("pb4.dplog")}, 0, "",
+			match(finalHash.String())},
+		{"a flag that disagrees with the log is a usage error", []string{"replay", "-workers", "3", "-log", path("pb4.dplog")}, 2,
+			"workers 3 disagrees with the log's 4", nil},
+		{"flags that agree are accepted", []string{"replay", "-w", "pbzip", "-workers", "4", "-seed", "11", "-log", path("pb4.dplog")}, 0, "",
+			match(finalHash.String())},
 		{"certified race-free sigping skips verification",
 			append([]string{"record", "-verify-policy", "certified", "-guest-profile", path("certrec.pb"), "-o", path("cert.dplog")}, sigping...), 0, "",
 			match(`(?m)^  certificate: race-free; verification skipped for all \d+ epochs`)},

@@ -6,14 +6,15 @@
 //
 // Usage:
 //
-//	dpdebug repl   -log a.dplog [-w name] [-workers N] [-scale N] [-seed S] [-watch addr]...
-//	dpdebug bisect -a a.dplog -b b.dplog [-w name] [-workers N] [-scale N] [-seed S] [-json]
-//	dpdebug diff   -a a.dplog -b b.dplog -epoch N [-w name] [-workers N] [-scale N] [-seed S] [-json]
+//	dpdebug repl   -log a.dplog [-scale N] [-watch addr]...
+//	dpdebug bisect -a a.dplog -b b.dplog [-scale N] [-json]
+//	dpdebug diff   -a a.dplog -b b.dplog -epoch N [-scale N] [-json]
 //
-// The workload is rebuilt from the log header (program, workers, seed);
-// pass -w/-workers/-seed only to override, -scale when the recording
-// was made with a non-default problem size. Sessions seek sections out of
-// the log; internal/debug's tests hold them to the fully decoded recording.
+// The workload is rebuilt as the log header names it (program, workers,
+// seed); pass -scale when the recording was made with a non-default
+// problem size, since the header does not carry it. Sessions seek sections
+// out of the log; internal/debug's tests hold them to the fully decoded
+// recording.
 //
 // Exit codes follow the doubleplay/dptrace convention:
 //
@@ -42,9 +43,9 @@ import (
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  dpdebug repl   -log a.dplog [-w name] [-workers N] [-scale N] [-seed S] [-watch addr]...
-  dpdebug bisect -a a.dplog -b b.dplog [-w name] [-workers N] [-scale N] [-seed S] [-json]
-  dpdebug diff   -a a.dplog -b b.dplog -epoch N [-w name] [-workers N] [-scale N] [-seed S] [-json]
+  dpdebug repl   -log a.dplog [-scale N] [-watch addr]...
+  dpdebug bisect -a a.dplog -b b.dplog [-scale N] [-json]
+  dpdebug diff   -a a.dplog -b b.dplog -epoch N [-scale N] [-json]
 `)
 	os.Exit(1)
 }
@@ -72,9 +73,9 @@ func (w *watchList) Set(s string) error {
 	return nil
 }
 
-// openSession opens path as a debug session, rebuilding the workload
-// from the log header with flag overrides.
-func openSession(path, wlName string, workers, scale int, seed int64) *debug.Session {
+// openSession opens path as a debug session, rebuilding the workload its
+// header names at the given scale.
+func openSession(path string, scale int) *debug.Session {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalIO("%v", err)
@@ -83,22 +84,11 @@ func openSession(path, wlName string, workers, scale int, seed int64) *debug.Ses
 	if err != nil {
 		fatalIO("%s: %v", path, err)
 	}
-	h := rd.Header()
-	if wlName == "" {
-		wlName = h.Program
+	wl, p, err := workloads.ForLog(rd.Header(), "", workloads.Params{Scale: scale})
+	if err != nil {
+		fatalIO("%s: %v", path, err)
 	}
-	if workers == 0 {
-		workers = h.Workers
-	}
-	if seed == 0 {
-		seed = h.Seed
-	}
-	wl := workloads.Get(wlName)
-	if wl == nil {
-		fatalIO("%s: unknown workload %q (override with -w)", path, wlName)
-	}
-	prog := wl.Program(workloads.Params{Workers: workers, Scale: scale, Seed: seed})
-	s, err := debug.New(prog, replay.FromReader(rd), nil)
+	s, err := debug.New(wl.Program(p), replay.FromReader(rd), nil)
 	if err != nil {
 		fatalAssert("%s: %v", path, err)
 	}
@@ -116,10 +106,7 @@ func main() {
 		logPath = fs.String("log", "", "recording to debug (repl)")
 		pathA   = fs.String("a", "", "first recording (bisect/diff)")
 		pathB   = fs.String("b", "", "second recording (bisect/diff)")
-		wlName  = fs.String("w", "", "workload override (default: log header)")
-		workers = fs.Int("workers", 0, "worker override (default: log header)")
 		scale   = fs.Int("scale", 1, "problem size multiplier the recording was made with")
-		seed    = fs.Int64("seed", 0, "seed override (default: log header)")
 		asJSON  = fs.Bool("json", false, "machine-readable output (bisect/diff)")
 		epochN  = fs.Int("epoch", -1, "boundary to diff (diff)")
 		watches watchList
@@ -135,7 +122,7 @@ func main() {
 		if *logPath == "" {
 			usage()
 		}
-		s := openSession(*logPath, *wlName, *workers, *scale, *seed)
+		s := openSession(*logPath, *scale)
 		for _, a := range watches {
 			s.AddWatch(a)
 		}
@@ -147,8 +134,8 @@ func main() {
 		if cmd == "diff" && *epochN < 0 {
 			usage()
 		}
-		sa := openSession(*pathA, *wlName, *workers, *scale, *seed)
-		sb := openSession(*pathB, *wlName, *workers, *scale, *seed)
+		sa := openSession(*pathA, *scale)
+		sb := openSession(*pathB, *scale)
 		var res *debug.BisectResult
 		var err error
 		if cmd == "bisect" {

@@ -145,10 +145,7 @@ func FuzzParallelWindows(f *testing.F) {
 // TestParallelWindowsMatchStrict is FuzzParallelWindows over a fixed range
 // of seeds, so the oracle runs in every `go test`.
 func TestParallelWindowsMatchStrict(t *testing.T) {
-	n := 400
-	if testing.Short() {
-		n = 40
-	}
+	const n = 400
 	var sum windowTotals
 	for i := 0; i < n; i++ {
 		data := binary.LittleEndian.AppendUint64(nil, uint64(i)*0x9e3779b97f4a7c15+1)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"doubleplay/internal/server"
@@ -106,6 +107,18 @@ func TestDebugDiffJob(t *testing.T) {
 	}
 	if d := fetchDiff(t, ts, idSame); d["diverged"] != false {
 		t.Fatalf("self-diff diff.json diverged = %v, want false", d["diverged"])
+	}
+
+	// Each recording names its own program, and a pair of different
+	// programs is refused rather than bisected.
+	recK := submit(t, ts, map[string]any{"kind": "record", "workload": "kvdb", "workers": 2, "seed": 1})
+	waitDone(t, s, ts, recK)
+	vMixed := waitState(t, s, ts, submit(t, ts, map[string]any{
+		"kind": "debug_diff", "recording_job": recA, "recording_job_b": recK,
+	}), terminal)
+	if msg, _ := vMixed["error"].(string); vMixed["state"] != "failed" ||
+		!strings.Contains(msg, "runs racey at 2 workers, scale 1 but recording_job_b "+recK+" runs kvdb at 2 workers, scale 1") {
+		t.Fatalf("debug_diff of racey and kvdb: state %v, error %q", vMixed["state"], msg)
 	}
 
 	// The diff endpoint is specific to debug_diff jobs.

@@ -79,8 +79,9 @@ type Spec struct {
 	Kind Kind `json:"kind"`
 
 	// Workload names a builtin benchmark. Required for record and verify
-	// jobs; replay jobs default it (and Workers, Scale, Seed) from the
-	// referenced recording's header.
+	// jobs. Replay and debug_diff jobs take it, Workers and Seed from the
+	// recording's header and Scale from the job that recorded it; a field
+	// set here that disagrees fails the job.
 	Workload string `json:"workload,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
 	Spares   int    `json:"spares,omitempty"`
@@ -147,19 +148,23 @@ type Spec struct {
 	GuestProfile bool `json:"guest_profile,omitempty"`
 }
 
-// Normalize fills defaults in place.
+// Normalize fills defaults in place. A replay or debug_diff job takes its
+// workers, scale and seed from the recording it reads (loadRecording), so
+// those stay as the client set them.
 func (sp *Spec) Normalize() {
-	if sp.Workers <= 0 {
-		sp.Workers = 2
+	if sp.Kind != KindReplay && sp.Kind != kindDebugDiff {
+		if sp.Workers <= 0 {
+			sp.Workers = 2
+		}
+		if sp.Scale <= 0 {
+			sp.Scale = 1
+		}
+		if sp.Seed == 0 {
+			sp.Seed = 11
+		}
 	}
 	if sp.Spares <= 0 {
 		sp.Spares = sp.Workers
-	}
-	if sp.Scale <= 0 {
-		sp.Scale = 1
-	}
-	if sp.Seed == 0 {
-		sp.Seed = 11
 	}
 	if sp.Growth < 1 {
 		sp.Growth = 1

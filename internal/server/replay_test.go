@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 
 	"doubleplay/internal/dplog"
@@ -85,5 +86,51 @@ func TestStoredReplayMatchesCheckpointPlan(t *testing.T) {
 				t.Errorf("profile.pb differs from the library plan's profile")
 			}
 		})
+	}
+}
+
+// TestReplaySpecAgreesWithRecording holds replay jobs to the one rule for
+// a replay's parameters: the recording's header names the workload,
+// workers and seed and its record job the scale, so a minimal spec
+// replays it and reports what it replayed, a spec that repeats them is
+// accepted, and a spec field that disagrees fails the job naming the
+// field and both values.
+func TestReplaySpecAgreesWithRecording(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 16})
+	recID := submit(t, ts, map[string]any{"kind": "record", "workload": "racey", "workers": 2, "seed": 11})
+	recHash := finalHash(t, waitDone(t, s, ts, recID))
+
+	for _, tc := range []struct {
+		fields map[string]any
+		err    string // substring; empty for a job that must finish
+	}{
+		{map[string]any{}, ""},
+		{map[string]any{"workload": "racey", "workers": 2, "seed": 11, "scale": 1}, ""},
+		{map[string]any{"workload": "kvdb"}, "workload kvdb disagrees with the log's racey"},
+		{map[string]any{"workers": 3}, "workers 3 disagrees with the log's 2"},
+		{map[string]any{"seed": 12}, "seed 12 disagrees with the log's 11"},
+		{map[string]any{"scale": 2}, fmt.Sprintf("scale 2 disagrees with recording_job %s's 1", recID)},
+	} {
+		spec := map[string]any{"kind": "replay", "recording_job": recID}
+		for k, v := range tc.fields {
+			spec[k] = v
+		}
+		v := waitState(t, s, ts, submit(t, ts, spec), terminal)
+		if tc.err != "" {
+			if msg, _ := v["error"].(string); v["state"] != "failed" || !strings.Contains(msg, tc.err) {
+				t.Errorf("%v: state %v, error %q; want failed with %q", tc.fields, v["state"], msg, tc.err)
+			}
+			continue
+		}
+		if v["state"] != "done" {
+			t.Fatalf("%v: state %v (error %v), want done", tc.fields, v["state"], v["error"])
+		}
+		if got := finalHash(t, v); got != recHash {
+			t.Errorf("%v: final hash %s, recorded %s", tc.fields, got, recHash)
+		}
+		sp := v["spec"].(map[string]any)
+		if sp["workload"] != "racey" || sp["workers"] != 2.0 || sp["seed"] != 11.0 || sp["scale"] != 1.0 {
+			t.Errorf("%v: the job reports it replayed %v", tc.fields, sp)
+		}
 	}
 }

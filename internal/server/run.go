@@ -14,6 +14,7 @@ import (
 	"doubleplay/internal/profile"
 	"doubleplay/internal/replay"
 	"doubleplay/internal/trace"
+	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
 )
 
@@ -55,18 +56,6 @@ func (t *jobTrace) close(sum *ResultSummary) error {
 	return err
 }
 
-// specWorkload resolves the spec's benchmark and the parameters it is
-// built at. A job that records builds it with its world (Build); a job
-// that replays builds the program alone (Program), because every syscall
-// result it needs is in the log.
-func specWorkload(sp Spec) (*workloads.Workload, workloads.Params, error) {
-	wl := workloads.Get(sp.Workload)
-	if wl == nil {
-		return nil, workloads.Params{}, fmt.Errorf("unknown workload %q", sp.Workload)
-	}
-	return wl, workloads.Params{Workers: sp.Workers, Scale: sp.Scale, Seed: sp.Seed}, nil
-}
-
 // writeStats stores the job's stats.json artifact.
 func (s *Server) writeStats(id string, v any) error {
 	var buf bytes.Buffer
@@ -98,15 +87,15 @@ func (s *Server) writeProfile(id string, prof *profile.Profile, sum *ResultSumma
 // empty. prof, when non-nil, gathers the guest profile.
 func Record(ctx context.Context, sp Spec, strides []int, sink *trace.Sink, reg *trace.Registry, prof *profile.Profile) (*core.Result, *workloads.Built, error) {
 	sp.Normalize()
-	wl, p, err := specWorkload(sp)
-	if err != nil {
-		return nil, nil, err
+	wl := workloads.Get(sp.Workload)
+	if wl == nil {
+		return nil, nil, fmt.Errorf("unknown workload %q", sp.Workload)
 	}
 	policy, err := core.ParseVerifyPolicy(sp.VerifyPolicy)
 	if err != nil {
 		return nil, nil, err
 	}
-	bt := wl.Build(p)
+	bt := wl.Build(workloads.Params{Workers: sp.Workers, Scale: sp.Scale, Seed: sp.Seed})
 	res, err := core.Record(bt.Prog, bt.World, core.Options{
 		Workers:           sp.Workers,
 		RecordCPUs:        sp.Workers,
@@ -186,45 +175,43 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sin
 	return res, bt, gprof, nil
 }
 
-// loadRecording resolves a replay job's source recording as a seekable
-// log reader over the store's lazy handle — strided reads inflate only
-// the blocks they touch rather than materializing the whole log — and
-// defaults the spec's workload parameters from its
-// header so a minimal {"kind":"replay","recording_job":...} body
-// replays faithfully. The returned closer releases the handle; callers
-// must keep it open for as long as the reader is in use.
-func (s *Server) loadRecording(sp *Spec) (*dplog.Reader, io.Closer, error) {
-	src, ok := s.getJob(sp.RecordingJob)
+// loadRecording opens job id's stored recording as a seekable log reader
+// over the store's lazy handle, so strided reads inflate only the blocks
+// they touch, and resolves the program it replays against. The header
+// names the workload, workers and seed (workloads.ForLog) and the source
+// job names the scale; sp's non-zero workload, workers, seed and scale
+// must agree with them. sp takes the resolved values, so a minimal
+// {"kind":"replay","recording_job":...} body replays faithfully and the
+// job reports what it replayed. The returned closer releases the handle;
+// callers must keep it open for as long as the reader is in use.
+func (s *Server) loadRecording(sp *Spec, id string) (*dplog.Reader, io.Closer, *vm.Program, error) {
+	src, ok := s.getJob(id)
 	if !ok {
-		return nil, nil, fmt.Errorf("recording_job %q is not a known job", sp.RecordingJob)
+		return nil, nil, nil, fmt.Errorf("recording_job %q is not a known job", id)
 	}
 	srcState, srcScale := s.jobStateScale(src)
 	if srcState != StateDone {
-		return nil, nil, fmt.Errorf("recording_job %s is %s, not done — submit replays after the recording finishes", sp.RecordingJob, srcState)
+		return nil, nil, nil, fmt.Errorf("recording_job %s is %s, not done — submit replays after the recording finishes", id, srcState)
 	}
-	hd, err := s.store.OpenRecordingByJob(sp.RecordingJob)
+	if sp.Scale != 0 && sp.Scale != srcScale {
+		return nil, nil, nil, fmt.Errorf("scale %d disagrees with recording_job %s's %d", sp.Scale, id, srcScale)
+	}
+	hd, err := s.store.OpenRecordingByJob(id)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	rd, err := dplog.OpenReader(hd, hd.Size())
 	if err != nil {
 		hd.Close()
-		return nil, nil, fmt.Errorf("corrupt recording artifact for job %s: %w", sp.RecordingJob, err)
+		return nil, nil, nil, fmt.Errorf("corrupt recording artifact for job %s: %w", id, err)
 	}
-	h := rd.Header()
-	if sp.Workload == "" {
-		sp.Workload = h.Program
+	wl, p, err := workloads.ForLog(rd.Header(), sp.Workload, workloads.Params{Workers: sp.Workers, Scale: srcScale, Seed: sp.Seed})
+	if err != nil {
+		hd.Close()
+		return nil, nil, nil, fmt.Errorf("recording of job %s: %w", id, err)
 	}
-	if h.Workers > 0 {
-		sp.Workers = h.Workers
-	}
-	if h.Seed != 0 {
-		sp.Seed = h.Seed
-	}
-	if srcScale > 0 {
-		sp.Scale = srcScale
-	}
-	return rd, hd, nil
+	sp.Workload, sp.Workers, sp.Scale, sp.Seed = wl.Name, p.Workers, p.Scale, p.Seed
+	return rd, hd, wl.Program(p), nil
 }
 
 // replayJob replays a stored recording in the requested mode, seeking
@@ -234,21 +221,16 @@ func (s *Server) loadRecording(sp *Spec) (*dplog.Reader, io.Closer, error) {
 // Stride-th from it (replay.Options.Stride) without rebuilding a
 // checkpoint.
 func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink *trace.Sink, sum *ResultSummary) error {
-	rd, closer, err := s.loadRecording(sp)
+	rd, closer, prog, err := s.loadRecording(sp, sp.RecordingJob)
 	if err != nil {
 		return err
 	}
 	defer closer.Close()
-	wl, p, err := specWorkload(*sp)
-	if err != nil {
-		return err
-	}
-	src := replay.FromReader(rd)
 	opt := replay.Options{Stride: sp.planStride(), CPUs: sp.Workers, Trace: sink}
 	if sp.GuestProfile {
 		opt.Profile = profile.NewProfile("")
 	}
-	rep, err := replay.Run(ctx, wl.Program(p), src, opt)
+	rep, err := replay.Run(ctx, prog, replay.FromReader(rd), opt)
 	if err != nil {
 		return err
 	}
@@ -262,25 +244,19 @@ func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink *trace
 	return s.writeStats(id, rep)
 }
 
-// debugSession opens a time-travel session over one referenced
-// recording, defaulting the given spec copy's workload parameters from
-// that recording's header (each recording carries its own seed). The
-// returned closer releases the underlying store handle and must stay
-// open for the session's lifetime.
-func (s *Server) debugSession(ctx context.Context, sp *Spec) (*debug.Session, io.Closer, error) {
-	rd, closer, err := s.loadRecording(sp)
+// debugSession opens a time-travel session over job id's recording,
+// resolved into sp as loadRecording resolves it. The returned closer
+// releases the underlying store handle and must stay open for the
+// session's lifetime.
+func (s *Server) debugSession(ctx context.Context, sp *Spec, id string) (*debug.Session, io.Closer, error) {
+	rd, closer, prog, err := s.loadRecording(sp, id)
 	if err != nil {
 		return nil, nil, err
 	}
-	wl, p, err := specWorkload(*sp)
+	sess, err := debug.New(prog, replay.FromReader(rd), nil)
 	if err != nil {
 		closer.Close()
-		return nil, nil, err
-	}
-	sess, err := debug.New(wl.Program(p), replay.FromReader(rd), nil)
-	if err != nil {
-		closer.Close()
-		return nil, nil, fmt.Errorf("recording of job %s: %w", sp.RecordingJob, err)
+		return nil, nil, fmt.Errorf("recording of job %s: %w", id, err)
 	}
 	sess.SetContext(ctx)
 	return sess, closer, nil
@@ -288,20 +264,25 @@ func (s *Server) debugSession(ctx context.Context, sp *Spec) (*debug.Session, io
 
 // debugDiffJob runs divergence forensics over two stored recordings:
 // bisect for the first divergent epoch boundary (or diff the one the
-// spec names) and store the word-level state diff as diff.json.
+// spec names) and store the word-level state diff as diff.json. Each
+// recording resolves from its own header; the two may differ in seed
+// alone, since a bisect over two programs compares nothing.
 func (s *Server) debugDiffJob(ctx context.Context, id string, sp *Spec, sum *ResultSummary) error {
-	sa, ca, err := s.debugSession(ctx, sp)
+	spB := *sp
+	sa, ca, err := s.debugSession(ctx, sp, sp.RecordingJob)
 	if err != nil {
 		return err
 	}
 	defer ca.Close()
-	spB := *sp
-	spB.RecordingJob = sp.RecordingJobB
-	sb, cb, err := s.debugSession(ctx, &spB)
+	sb, cb, err := s.debugSession(ctx, &spB, sp.RecordingJobB)
 	if err != nil {
 		return err
 	}
 	defer cb.Close()
+	if sp.Workload != spB.Workload || sp.Workers != spB.Workers || sp.Scale != spB.Scale {
+		return fmt.Errorf("recording_job %s runs %s at %d workers, scale %d but recording_job_b %s runs %s at %d workers, scale %d",
+			sp.RecordingJob, sp.Workload, sp.Workers, sp.Scale, sp.RecordingJobB, spB.Workload, spB.Workers, spB.Scale)
+	}
 	var res *debug.BisectResult
 	if sp.Epoch > 0 {
 		res, err = debug.CompareAt(sa, sb, sp.Epoch)

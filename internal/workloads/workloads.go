@@ -9,9 +9,11 @@
 package workloads
 
 import (
+	"cmp"
 	"fmt"
 
 	"doubleplay/internal/asm"
+	"doubleplay/internal/dplog"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
 )
@@ -96,6 +98,45 @@ func (w *Workload) Build(p Params) *Built {
 // log and never reads a world, so every replay-only caller builds this.
 func (w *Workload) Program(p Params) *vm.Program {
 	return w.build(p, nil).Prog
+}
+
+// ForLog resolves the workload and parameters a log replays against. It is
+// the one rule for every replay entry point: the header names the program,
+// workers and seed, and a caller's non-zero name or value that disagrees
+// with it is an error naming the field and both values. A field the header
+// leaves zero takes the caller's. p.Scale stays the caller's, because the
+// header does not carry it. The parameters returned are those the program
+// is built at, defaults filled in.
+func ForLog(h dplog.Header, name string, p Params) (*Workload, Params, error) {
+	if err := cmp.Or(
+		fromLog("workload", &name, h.Program),
+		fromLog("workers", &p.Workers, h.Workers),
+		fromLog("seed", &p.Seed, h.Seed),
+	); err != nil {
+		return nil, Params{}, err
+	}
+	if name == "" {
+		return nil, Params{}, fmt.Errorf("the log names no workload")
+	}
+	wl := Get(name)
+	if wl == nil {
+		return nil, Params{}, fmt.Errorf("unknown workload %q", name)
+	}
+	return wl, p.norm(), nil
+}
+
+// fromLog sets *v to the header's value logged unless that is zero, and
+// fails when the caller's non-zero *v disagrees with it.
+func fromLog[T comparable](field string, v *T, logged T) error {
+	var zero T
+	switch {
+	case logged == zero:
+	case *v != zero && *v != logged:
+		return fmt.Errorf("%s %v disagrees with the log's %v", field, *v, logged)
+	default:
+		*v = logged
+	}
+	return nil
 }
 
 // suite lists every guest once, in the paper's presentation order: clients,

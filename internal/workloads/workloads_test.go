@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"cmp"
 	"context"
 	"testing"
 
 	"doubleplay/internal/core"
+	"doubleplay/internal/dplog"
 	"doubleplay/internal/replay"
 )
 
@@ -99,4 +101,43 @@ func sizeSuffix(workers int) string {
 		return "/w2"
 	}
 	return "/w4"
+}
+
+// TestForLog holds the one rule every replay entry resolves a log's
+// workload by: the header names the program, workers and seed, a caller's
+// non-zero value may only agree, a field the header leaves zero is the
+// caller's, and the scale is always the caller's.
+func TestForLog(t *testing.T) {
+	h := dplog.Header{Program: "pbzip", Workers: 4, Seed: 11}
+	for _, tc := range []struct {
+		name string
+		h    dplog.Header
+		wl   string
+		p    Params
+		want Params
+		err  string
+	}{
+		{"the header alone", h, "", Params{}, Params{Workers: 4, Scale: 1, Seed: 11}, ""},
+		{"agreeing values", h, "pbzip", Params{Workers: 4, Seed: 11}, Params{Workers: 4, Scale: 1, Seed: 11}, ""},
+		{"the scale is the caller's", h, "", Params{Scale: 3}, Params{Workers: 4, Scale: 3, Seed: 11}, ""},
+		{"a header without seed", dplog.Header{Program: "pbzip", Workers: 4}, "", Params{Seed: 5}, Params{Workers: 4, Scale: 1, Seed: 5}, ""},
+		{"a header without program", dplog.Header{Workers: 4}, "kvdb", Params{}, Params{Workers: 4, Scale: 1, Seed: 1}, ""},
+		{"another workload", h, "kvdb", Params{}, Params{}, "workload kvdb disagrees with the log's pbzip"},
+		{"other workers", h, "", Params{Workers: 3}, Params{}, "workers 3 disagrees with the log's 4"},
+		{"another seed", h, "", Params{Seed: 12}, Params{}, "seed 12 disagrees with the log's 11"},
+		{"no program anywhere", dplog.Header{Workers: 4}, "", Params{}, Params{}, "the log names no workload"},
+		{"an unknown program", dplog.Header{Program: "nosuch"}, "", Params{}, Params{}, `unknown workload "nosuch"`},
+	} {
+		wl, p, err := ForLog(tc.h, tc.wl, tc.p)
+		switch {
+		case tc.err != "":
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("%s: error %v, want %q", tc.name, err, tc.err)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case p != tc.want || wl.Name != cmp.Or(tc.h.Program, tc.wl):
+			t.Errorf("%s: %s %+v, want %+v", tc.name, wl.Name, p, tc.want)
+		}
+	}
 }
