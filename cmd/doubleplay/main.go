@@ -9,6 +9,7 @@
 //	doubleplay record  -w pbzip -adaptive -min-spares 1 -max-spares 4  # feedback-controlled spares
 //	doubleplay record  -w pbzip -guest-profile p.pb  # deterministic guest cycle profile
 //	doubleplay replay  -log pbzip.dplog             # workload, workers, seed from the log
+//	doubleplay replay  -log pbzip.dplog -stride 4   # the plan: [-parallel | -stride N]
 //	doubleplay verify  -w pbzip -workers 4          # record + both replays in memory
 //	doubleplay verify  -w pbzip -guest-profile p.pb # + replay-vs-record profile identity
 //	doubleplay serve   -listen :8421 -pprof         # job daemon + /debug/pprof
@@ -21,7 +22,8 @@
 //
 // Exit codes are uniform across subcommands: 0 success, 1 runtime failure
 // (divergence, I/O error, failed self-check), 2 invocation error (unknown
-// command, bad flags, missing arguments — always with usage on stderr).
+// command, bad flags, a flag the command does not read, missing arguments
+// — always with usage on stderr).
 package main
 
 import (
@@ -32,6 +34,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
 
@@ -78,8 +82,8 @@ func main() {
 		logPath    = fs.String("log", "", "recording file to read")
 		outPath    = fs.String("o", "", "recording file to write")
 		epochRange = fs.String("epochs", "", "log extract: epoch range, n or n..m")
-		parallel   = fs.Bool("parallel", false, "replay epochs in parallel (verify-time only)")
-		stride     = fs.Int("stride", 0, "also verify sparse segment-parallel replay with this checkpoint stride")
+		parallel   = fs.Bool("parallel", false, "replay every epoch in parallel (replay: the plan; verify: one more replay)")
+		stride     = fs.Int("stride", 0, "sparse replay from every N-th checkpoint, N >= 2 (replay: the plan; verify: one more replay)")
 		detect     = fs.Bool("detect-races", false, "run the happens-before detector during recording")
 		verifyPol  = fs.String("verify-policy", "always", "epoch verification policy: always, or certified (skip the epoch-parallel pass when the static certificate proves the guest race-free)")
 		growth     = fs.Float64("growth", 1, "adaptive epoch growth factor (>1 enables)")
@@ -110,8 +114,17 @@ func main() {
 		dryRun   = fs.Bool("dry-run", false, "store gc: report what would be collected without deleting")
 	)
 	fs.Parse(args)
+	known, ok := reads[cmd]
+	if !ok {
+		usageErr(fmt.Sprintf("unknown command %q", cmd))
+	}
 	set := map[string]bool{} // the flags given on the command line
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if !slices.Contains(strings.Fields(known+" cpuprofile memprofile"), f.Name) {
+			usageErr(fmt.Sprintf("%s does not read -%s", cmd, f.Name))
+		}
+	})
 	if *spares == 0 {
 		*spares = *workers
 	}
@@ -247,24 +260,32 @@ func main() {
 		rd, err := dplog.OpenReaderBytes(data)
 		check(err)
 		// The log names the workload, workers and seed; a flag the user
-		// set must agree with it.
-		asked := workloads.Params{Scale: *scale}
+		// set must agree with it. -parallel and -stride select the plan
+		// as a replay job's mode and stride do.
+		sp := server.Spec{Workload: *wlName, Scale: *scale}
 		if set["workers"] {
-			asked.Workers = *workers
+			sp.Workers = *workers
 		}
 		if set["seed"] {
-			asked.Seed = *seed
+			sp.Seed = *seed
 		}
-		wl, p, err := workloads.ForLog(rd.Header(), *wlName, asked)
+		switch {
+		case *parallel && set["stride"]:
+			usageErr("replay takes -parallel or -stride N, not both")
+		case *parallel:
+			sp.Mode = "parallel"
+		case set["stride"]:
+			sp.Mode, sp.Stride = server.ModeSparse, *stride
+		}
+		l, err := server.OpenLog(*logPath, rd, &sp)
 		if err != nil {
-			usageErr(fmt.Sprintf("%s: %v", *logPath, err))
+			usageErr(err.Error())
 		}
 		var gprof *profile.Profile
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		rep, err := replay.Run(context.Background(), wl.Program(p), replay.FromReader(rd),
-			replay.Options{Trace: sink, Profile: gprof})
+		rep, err := l.Replay(context.Background(), sink, gprof)
 		check(err)
 		fmt.Printf("replayed %d epochs in %d simulated cycles; final hash %016x verified\n",
 			rep.Epochs, rep.Cycles, rep.FinalHash)
@@ -280,7 +301,10 @@ func main() {
 		if *parallel {
 			strides = append(strides, 1)
 		}
-		if *stride > 1 {
+		if set["stride"] {
+			if *stride < 2 {
+				usageErr("sparse replay requires stride >= 2")
+			}
 			strides = append(strides, *stride)
 		}
 		res, bt, err := server.Record(context.Background(), spec(), strides, sink, reg, recProf)
@@ -361,9 +385,29 @@ func main() {
 	case "store fsck":
 		storeFsck(*dataDir, *jsonOut)
 
-	default:
-		usageErr(fmt.Sprintf("unknown command %q", cmd))
 	}
+}
+
+// recordFlags describe a recording; record and verify read them.
+const recordFlags = "w workers spares scale seed epoch growth detect-races verify-policy adaptive min-spares max-spares trace metrics prom listen guest-profile"
+
+// reads names the flags each command reads, besides -cpuprofile and
+// -memprofile, which every command reads. A command line that sets any
+// other flag is a usage error.
+var reads = map[string]string{
+	"list":        "",
+	"record":      recordFlags + " o",
+	"replay":      "log w workers scale seed parallel stride trace guest-profile",
+	"verify":      recordFlags + " parallel stride",
+	"log inspect": "log epoch",
+	"log upgrade": "log o",
+	"log extract": "log epochs o",
+	"disasm":      "w workers scale seed",
+	"races":       "w workers scale seed",
+	"serve":       "listen pprof data pool queue job-timeout drain-timeout addr-file",
+	"store stats": "data json",
+	"store gc":    "data max-age max-bytes dry-run json",
+	"store fsck":  "data json",
 }
 
 // serve runs the record/replay job daemon until SIGINT/SIGTERM, then
@@ -493,14 +537,16 @@ func usageErr(msg string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: doubleplay <command> [flags]
+	fmt.Fprintln(os.Stderr, `usage: doubleplay <command> [flags]   (a flag the command does not read is refused)
 
 commands:
   list     show the builtin benchmark suite
   record   record a workload (optionally -o file.dplog)
-  replay   replay a recording from -log against the workload its header names
-           (-w, -workers and -seed may be given but must agree with it)
+  replay   replay -log f [-parallel | -stride N]: replay a recording against the
+           workload its header names (-w, -workers and -seed must agree with it),
+           sequentially, by the parallel plan or from every N-th checkpoint
   verify   record + replay in memory, checking every hash and the guest self-check
+           (-parallel and -stride N each add a replay by that plan)
   log      .dplog file tooling (see docs/FORMAT.md):
              log inspect -log f.dplog [-epoch N]  header, sections with each epoch's counts, index health
                                                   (-epoch: one section's frame + boundary info)

@@ -58,6 +58,19 @@ func TestCLI(t *testing.T) {
 	traceLine := regexp.MustCompile(`(?m)^trace: (\d+) events streamed -> `)
 	finalHash := regexp.MustCompile(`final hash ([0-9a-f]{16}) verified`)
 	var certHash string // the final hash the certified sigping log replays to
+	// The cycles verify prices each plan of the default kvdb spec at, which
+	// replay -log of the same recording must print.
+	planCycles := map[string]string{}
+	verifyLine := regexp.MustCompile(`(?m)^(parallel|sparse) replay: +OK \(.*?(\d+) cycles`)
+	replayCycles := regexp.MustCompile(`(?m)^replayed \d+ epochs in (\d+) simulated cycles`)
+	samePlan := func(plan string) func(*testing.T, string) {
+		return func(t *testing.T, stdout string) {
+			m := replayCycles.FindStringSubmatch(stdout)
+			if m == nil || planCycles[plan] == "" || m[1] != planCycles[plan] {
+				t.Fatalf("verify prices the %s plan at %q cycles; stdout:\n%s", plan, planCycles[plan], stdout)
+			}
+		}
+	}
 	record := []string{"record", "-w", "racey", "-workers", "2", "-seed", "11"}
 	sigping := []string{"-w", "sigping", "-workers", "2", "-seed", "11"}
 	adaptive := []string{"-w", "pbzip", "-workers", "4", "-seed", "11"}
@@ -153,6 +166,27 @@ func TestCLI(t *testing.T) {
 			"workers 3 disagrees with the log's 4", nil},
 		{"flags that agree are accepted", []string{"replay", "-w", "pbzip", "-workers", "4", "-seed", "11", "-log", path("pb4.dplog")}, 0, "",
 			match(finalHash.String())},
+		// One plan rule: replay -log runs the plan a replay job's mode and
+		// stride select, priced as verify prices it.
+		{"verify prices the parallel and sparse plans", []string{"verify", "-w", "kvdb", "-parallel", "-stride", "3"}, 0, "",
+			func(t *testing.T, stdout string) {
+				for _, m := range verifyLine.FindAllStringSubmatch(stdout, -1) {
+					planCycles[m[1]] = m[2]
+				}
+				if len(planCycles) != 2 {
+					t.Fatalf("no parallel and sparse lines in:\n%s", stdout)
+				}
+			}},
+		{"record kvdb", []string{"record", "-w", "kvdb", "-o", path("kv.dplog")}, 0, "", nil},
+		{"replay -parallel runs the parallel plan", []string{"replay", "-parallel", "-log", path("kv.dplog")}, 0, "", samePlan("parallel")},
+		{"replay -stride 3 runs the sparse plan", []string{"replay", "-stride", "3", "-log", path("kv.dplog")}, 0, "", samePlan("sparse")},
+		{"replay takes one plan", []string{"replay", "-parallel", "-stride", "3", "-log", path("kv.dplog")}, 2,
+			"replay takes -parallel or -stride N, not both", nil},
+		{"a sparse replay needs stride 2", []string{"replay", "-stride", "1", "-log", path("kv.dplog")}, 2,
+			"sparse replay requires stride >= 2", nil},
+		{"so does verify's", []string{"verify", "-w", "kvdb", "-stride", "1"}, 2, "sparse replay requires stride >= 2", nil},
+		{"a flag the command does not read is refused", []string{"record", "-w", "kvdb", "-stride", "2"}, 2,
+			"record does not read -stride", nil},
 		{"certified race-free sigping skips verification",
 			append([]string{"record", "-verify-policy", "certified", "-guest-profile", path("certrec.pb"), "-o", path("cert.dplog")}, sigping...), 0, "",
 			match(`(?m)^  certificate: race-free; verification skipped for all \d+ epochs`)},

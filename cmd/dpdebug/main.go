@@ -11,21 +11,24 @@
 //	dpdebug diff   -a a.dplog -b b.dplog -epoch N [-scale N] [-json]
 //
 // The workload is rebuilt as the log header names it (program, workers,
-// seed); pass -scale when the recording was made with a non-default
-// problem size, since the header does not carry it. Sessions seek sections
-// out of the log; internal/debug's tests hold them to the fully decoded
-// recording.
+// seed; server.OpenLog, as every replay front end does); pass -scale when
+// the recording was made with a non-default problem size, since the header
+// does not carry it. bisect and diff refuse two recordings whose program,
+// workers or scale differ. Sessions seek sections out of the log;
+// internal/debug's tests hold them to the fully decoded recording.
 //
 // Exit codes follow the doubleplay/dptrace convention:
 //
 //	0  ok (repl quit; bisect/diff found no divergence)
 //	1  usage or I/O error
-//	2  debug assertion failure (recording and program disagree)
+//	2  debug assertion failure (recording and program disagree, or the two
+//	   recordings of bisect/diff run different programs)
 //	3  divergence found (bisect/diff)
 package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -37,8 +40,8 @@ import (
 	"doubleplay/internal/debug"
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/replay"
+	"doubleplay/internal/server"
 	"doubleplay/internal/vm"
-	"doubleplay/internal/workloads"
 )
 
 func usage() {
@@ -73,9 +76,9 @@ func (w *watchList) Set(s string) error {
 	return nil
 }
 
-// openSession opens path as a debug session, rebuilding the workload its
-// header names at the given scale.
-func openSession(path string, scale int) *debug.Session {
+// openLog opens path as a log resolved against the workload its header
+// names at the given scale (server.OpenLog).
+func openLog(path string, scale int) *server.Log {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalIO("%v", err)
@@ -84,15 +87,11 @@ func openSession(path string, scale int) *debug.Session {
 	if err != nil {
 		fatalIO("%s: %v", path, err)
 	}
-	wl, p, err := workloads.ForLog(rd.Header(), "", workloads.Params{Scale: scale})
+	l, err := server.OpenLog(path, rd, &server.Spec{Scale: scale})
 	if err != nil {
-		fatalIO("%s: %v", path, err)
+		fatalIO("%v", err)
 	}
-	s, err := debug.New(wl.Program(p), replay.FromReader(rd), nil)
-	if err != nil {
-		fatalAssert("%s: %v", path, err)
-	}
-	return s
+	return l
 }
 
 func main() {
@@ -122,7 +121,10 @@ func main() {
 		if *logPath == "" {
 			usage()
 		}
-		s := openSession(*logPath, *scale)
+		s, err := openLog(*logPath, *scale).Session(context.Background())
+		if err != nil {
+			fatalAssert("%v", err)
+		}
 		for _, a := range watches {
 			s.AddWatch(a)
 		}
@@ -134,15 +136,11 @@ func main() {
 		if cmd == "diff" && *epochN < 0 {
 			usage()
 		}
-		sa := openSession(*pathA, *scale)
-		sb := openSession(*pathB, *scale)
-		var res *debug.BisectResult
-		var err error
+		epoch := *epochN
 		if cmd == "bisect" {
-			res, err = debug.Bisect(sa, sb)
-		} else {
-			res, err = debug.CompareAt(sa, sb, *epochN)
+			epoch = -1
 		}
+		res, err := openLog(*pathA, *scale).Diff(context.Background(), openLog(*pathB, *scale), epoch)
 		if err != nil {
 			fatalAssert("%v", err)
 		}

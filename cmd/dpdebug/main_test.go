@@ -23,6 +23,7 @@ func TestCLI(t *testing.T) {
 			t.Fatalf("record -seed %s: exit %d: %s", seed, code, stderr)
 		}
 	}
+	kvdb := filepath.Join("..", "..", "testdata", "logs", "kvdb.dplog")
 	has := func(subs ...string) func(*testing.T, string) {
 		return func(t *testing.T, stdout string) {
 			for _, s := range subs {
@@ -55,6 +56,15 @@ func TestCLI(t *testing.T) {
 		// that could only agree with it is no option (a usage error).
 		{"-workers is not a flag", []string{"diff", "-a", ra, "-b", ra, "-epoch", "1", "-workers", "3"}, "", 1,
 			"flag provided but not defined: -workers", nil},
+		// One pair rule with the daemon's debug_diff job: two programs are
+		// refused before either session opens.
+		{"a pair of two programs is refused", []string{"bisect", "-a", ra, "-b", kvdb}, "", 2,
+			ra + " runs racey at 2 workers, scale 1 but " + kvdb + " runs kvdb at 2 workers, scale 1",
+			func(t *testing.T, stdout string) {
+				if stdout != "" {
+					t.Errorf("a refused pair printed a report:\n%s", stdout)
+				}
+			}},
 		{"diff needs -epoch", []string{"diff", "-a", ra, "-b", rb}, "", 1, "usage:", nil},
 		{"missing recording", []string{"bisect", "-a", filepath.Join(dir, "nosuch.dplog"), "-b", ra}, "", 1,
 			"no such file", nil},

@@ -149,8 +149,8 @@ type Spec struct {
 }
 
 // Normalize fills defaults in place. A replay or debug_diff job takes its
-// workers, scale and seed from the recording it reads (loadRecording), so
-// those stay as the client set them.
+// workers, scale and seed from the recording it reads (OpenLog), so those
+// stay as the client set them.
 func (sp *Spec) Normalize() {
 	if sp.Kind != KindReplay && sp.Kind != kindDebugDiff {
 		if sp.Workers <= 0 {
@@ -222,13 +222,8 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 	default:
 		return fmt.Errorf("unknown job kind %q (want record, replay, verify, or debug_diff)", sp.Kind)
 	}
-	switch sp.Mode {
-	case "", ModeSequential, modeParallel, ModeSparse:
-	default:
-		return fmt.Errorf("unknown replay mode %q (want sequential, parallel, or sparse)", sp.Mode)
-	}
-	if sp.Mode == ModeSparse && sp.Stride < 2 {
-		return fmt.Errorf("sparse replay requires stride >= 2")
+	if _, err := sp.plan(); err != nil {
+		return err
 	}
 	if sp.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0")
@@ -267,16 +262,22 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 	return nil
 }
 
-// planStride is the replay.Options.Stride of the plan Mode selects: 0
-// sequential, 1 every epoch start (parallel), Stride for sparse.
-func (sp *Spec) planStride() int {
+// plan is the replay.Options.Stride of the plan Mode selects: 0
+// sequential, 1 every epoch start (parallel), Stride for sparse. It fails
+// for a Mode and Stride that describe no plan.
+func (sp *Spec) plan() (int, error) {
 	switch sp.Mode {
+	case "", ModeSequential:
+		return 0, nil
 	case modeParallel:
-		return 1
+		return 1, nil
 	case ModeSparse:
-		return sp.Stride
+		if sp.Stride < 2 {
+			return 0, fmt.Errorf("sparse replay requires stride >= 2")
+		}
+		return sp.Stride, nil
 	}
-	return 0
+	return 0, fmt.Errorf("unknown replay mode %q (want sequential, parallel, or sparse)", sp.Mode)
 }
 
 // ResultSummary is the outcome a finished job reports inline (the full

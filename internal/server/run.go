@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -134,7 +135,7 @@ func keepBoundaries(strides []int) int {
 // verifyStrides are the strides a job verifies with besides sequential
 // replay: none for a record job, and the plan's for a verify job.
 func (sp *Spec) verifyStrides() []int {
-	if stride := sp.planStride(); sp.Kind == kindVerify && stride > 0 {
+	if stride, _ := sp.plan(); sp.Kind == kindVerify && stride > 0 {
 		return []int{stride}
 	}
 	return nil
@@ -175,66 +176,128 @@ func (s *Server) record(ctx context.Context, id string, sp Spec, sink *trace.Sin
 	return res, bt, gprof, nil
 }
 
-// loadRecording opens job id's stored recording as a seekable log reader
-// over the store's lazy handle, so strided reads inflate only the blocks
-// they touch, and resolves the program it replays against. The header
-// names the workload, workers and seed (workloads.ForLog) and the source
-// job names the scale; sp's non-zero workload, workers, seed and scale
-// must agree with them. sp takes the resolved values, so a minimal
-// {"kind":"replay","recording_job":...} body replays faithfully and the
-// job reports what it replayed. The returned closer releases the handle;
-// callers must keep it open for as long as the reader is in use.
-func (s *Server) loadRecording(sp *Spec, id string) (*dplog.Reader, io.Closer, *vm.Program, error) {
+// Log is a recording opened for replay against the spec it was resolved
+// with: the one place a log meets a spec, for the daemon's replay and
+// debug_diff jobs, `doubleplay replay -log` and `dpdebug` (DESIGN.md
+// decision 25).
+type Log struct {
+	name   string // a path, or "recording_job <id>"
+	rd     *dplog.Reader
+	sp     Spec
+	stride int // replay.Options.Stride of sp's plan
+	prog   *vm.Program
+}
+
+// OpenLog checks sp's replay plan and resolves the program rd's header
+// names against it (workloads.ForLog); sp takes the resolved workload,
+// workers, scale and seed. rd must stay readable while the Log is in use.
+func OpenLog(name string, rd *dplog.Reader, sp *Spec) (*Log, error) {
+	stride, err := sp.plan()
+	if err != nil {
+		return nil, err
+	}
+	wl, p, err := workloads.ForLog(rd.Header(), sp.Workload, workloads.Params{Workers: sp.Workers, Scale: sp.Scale, Seed: sp.Seed})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	sp.Workload, sp.Workers, sp.Scale, sp.Seed = wl.Name, p.Workers, p.Scale, p.Seed
+	return &Log{name: name, rd: rd, sp: *sp, stride: stride, prog: wl.Program(p)}, nil
+}
+
+// Replay replays the log by the plan its spec's mode selects, on as many
+// cores as the recording had workers. A log holds no checkpoints, so every
+// plan is one sequential pass that prices and narrates the plan
+// (replay.Options.Stride). prof, when non-nil, gathers the guest profile.
+func (l *Log) Replay(ctx context.Context, sink *trace.Sink, prof *profile.Profile) (*replay.Result, error) {
+	return replay.Run(ctx, l.prog, replay.FromReader(l.rd),
+		replay.Options{Stride: l.stride, CPUs: l.sp.Workers, Trace: sink, Profile: prof})
+}
+
+// Session opens a time-travel session over the log, canceled with ctx.
+func (l *Log) Session(ctx context.Context) (*debug.Session, error) {
+	s, err := debug.New(l.prog, replay.FromReader(l.rd), nil)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", l.name, err)
+	}
+	s.SetContext(ctx)
+	return s, nil
+}
+
+// Diff bisects the log against b for the first divergent epoch boundary
+// when epoch < 0, and diffs boundary epoch otherwise. A pair whose
+// program, workers or scale differ is refused first: a bisect over two
+// programs compares nothing.
+func (l *Log) Diff(ctx context.Context, b *Log, epoch int) (*debug.BisectResult, error) {
+	if x, y := l.sp, b.sp; x.Workload != y.Workload || x.Workers != y.Workers || x.Scale != y.Scale {
+		return nil, fmt.Errorf("%s runs %s at %d workers, scale %d but %s runs %s at %d workers, scale %d",
+			l.name, x.Workload, x.Workers, x.Scale, b.name, y.Workload, y.Workers, y.Scale)
+	}
+	sa, err := l.Session(ctx)
+	if err != nil {
+		return nil, err
+	}
+	sb, err := b.Session(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if epoch < 0 {
+		return debug.Bisect(sa, sb)
+	}
+	return debug.CompareAt(sa, sb, epoch)
+}
+
+// loadRecording opens the recording of job id, which spec field field
+// names, over the store's lazy handle, so strided reads inflate only the
+// blocks they touch, and resolves it against sp (OpenLog) at the scale
+// the source job recorded at. The returned closer releases the handle
+// and must stay open while the Log is in use.
+func (s *Server) loadRecording(sp *Spec, field, id string) (*Log, io.Closer, error) {
 	src, ok := s.getJob(id)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("recording_job %q is not a known job", id)
+		return nil, nil, fmt.Errorf("%s %q is not a known job", field, id)
 	}
 	srcState, srcScale := s.jobStateScale(src)
 	if srcState != StateDone {
-		return nil, nil, nil, fmt.Errorf("recording_job %s is %s, not done — submit replays after the recording finishes", id, srcState)
+		return nil, nil, fmt.Errorf("%s %s is %s, not done — submit replays after the recording finishes", field, id, srcState)
 	}
 	if sp.Scale != 0 && sp.Scale != srcScale {
-		return nil, nil, nil, fmt.Errorf("scale %d disagrees with recording_job %s's %d", sp.Scale, id, srcScale)
+		return nil, nil, fmt.Errorf("scale %d disagrees with %s %s's %d", sp.Scale, field, id, srcScale)
 	}
+	sp.Scale = srcScale
 	hd, err := s.store.OpenRecordingByJob(id)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	rd, err := dplog.OpenReader(hd, hd.Size())
 	if err != nil {
 		hd.Close()
-		return nil, nil, nil, fmt.Errorf("corrupt recording artifact for job %s: %w", id, err)
+		return nil, nil, fmt.Errorf("corrupt recording artifact for job %s: %w", id, err)
 	}
-	wl, p, err := workloads.ForLog(rd.Header(), sp.Workload, workloads.Params{Workers: sp.Workers, Scale: srcScale, Seed: sp.Seed})
+	l, err := OpenLog(field+" "+id, rd, sp)
 	if err != nil {
 		hd.Close()
-		return nil, nil, nil, fmt.Errorf("recording of job %s: %w", id, err)
+		return nil, nil, err
 	}
-	sp.Workload, sp.Workers, sp.Scale, sp.Seed = wl.Name, p.Workers, p.Scale, p.Seed
-	return rd, hd, wl.Program(p), nil
+	return l, hd, nil
 }
 
-// replayJob replays a stored recording in the requested mode, seeking
-// epoch sections straight out of the artifact. The artifact carries only
-// the logs, so every mode is one sequential pass: parallel and sparse
-// modes price and narrate the plan of every epoch start or every
-// Stride-th from it (replay.Options.Stride) without rebuilding a
-// checkpoint.
+// replayJob replays a stored recording in the requested mode (Log.Replay)
+// and stores its stats and profile.
 func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink *trace.Sink, sum *ResultSummary) error {
-	rd, closer, prog, err := s.loadRecording(sp, sp.RecordingJob)
+	l, closer, err := s.loadRecording(sp, "recording_job", sp.RecordingJob)
 	if err != nil {
 		return err
 	}
 	defer closer.Close()
-	opt := replay.Options{Stride: sp.planStride(), CPUs: sp.Workers, Trace: sink}
+	var prof *profile.Profile
 	if sp.GuestProfile {
-		opt.Profile = profile.NewProfile("")
+		prof = profile.NewProfile("")
 	}
-	rep, err := replay.Run(ctx, prog, replay.FromReader(rd), opt)
+	rep, err := l.Replay(ctx, sink, prof)
 	if err != nil {
 		return err
 	}
-	if err := s.writeProfile(id, opt.Profile, sum); err != nil {
+	if err := s.writeProfile(id, prof, sum); err != nil {
 		return err
 	}
 	sum.Epochs = rep.Epochs
@@ -244,51 +307,22 @@ func (s *Server) replayJob(ctx context.Context, id string, sp *Spec, sink *trace
 	return s.writeStats(id, rep)
 }
 
-// debugSession opens a time-travel session over job id's recording,
-// resolved into sp as loadRecording resolves it. The returned closer
-// releases the underlying store handle and must stay open for the
-// session's lifetime.
-func (s *Server) debugSession(ctx context.Context, sp *Spec, id string) (*debug.Session, io.Closer, error) {
-	rd, closer, prog, err := s.loadRecording(sp, id)
-	if err != nil {
-		return nil, nil, err
-	}
-	sess, err := debug.New(prog, replay.FromReader(rd), nil)
-	if err != nil {
-		closer.Close()
-		return nil, nil, fmt.Errorf("recording of job %s: %w", id, err)
-	}
-	sess.SetContext(ctx)
-	return sess, closer, nil
-}
-
-// debugDiffJob runs divergence forensics over two stored recordings:
-// bisect for the first divergent epoch boundary (or diff the one the
-// spec names) and store the word-level state diff as diff.json. Each
-// recording resolves from its own header; the two may differ in seed
-// alone, since a bisect over two programs compares nothing.
+// debugDiffJob runs divergence forensics over two stored recordings, each
+// resolved from its own header (Log.Diff), and stores the word-level state
+// diff as diff.json. A zero Epoch, the field omitted, bisects.
 func (s *Server) debugDiffJob(ctx context.Context, id string, sp *Spec, sum *ResultSummary) error {
 	spB := *sp
-	sa, ca, err := s.debugSession(ctx, sp, sp.RecordingJob)
+	a, ca, err := s.loadRecording(sp, "recording_job", sp.RecordingJob)
 	if err != nil {
 		return err
 	}
 	defer ca.Close()
-	sb, cb, err := s.debugSession(ctx, &spB, sp.RecordingJobB)
+	b, cb, err := s.loadRecording(&spB, "recording_job_b", sp.RecordingJobB)
 	if err != nil {
 		return err
 	}
 	defer cb.Close()
-	if sp.Workload != spB.Workload || sp.Workers != spB.Workers || sp.Scale != spB.Scale {
-		return fmt.Errorf("recording_job %s runs %s at %d workers, scale %d but recording_job_b %s runs %s at %d workers, scale %d",
-			sp.RecordingJob, sp.Workload, sp.Workers, sp.Scale, sp.RecordingJobB, spB.Workload, spB.Workers, spB.Scale)
-	}
-	var res *debug.BisectResult
-	if sp.Epoch > 0 {
-		res, err = debug.CompareAt(sa, sb, sp.Epoch)
-	} else {
-		res, err = debug.Bisect(sa, sb)
-	}
+	res, err := a.Diff(ctx, b, cmp.Or(sp.Epoch, -1))
 	if err != nil {
 		return err
 	}
@@ -301,10 +335,8 @@ func (s *Server) debugDiffJob(ctx context.Context, id string, sp *Spec, sum *Res
 	if err := s.store.WriteJobArtifact(id, "diff.json", buf.Bytes()); err != nil {
 		return err
 	}
-	sum.Epochs = sa.NumEpochs()
-	if fh, herr := sa.BoundaryHash(sa.NumEpochs()); herr == nil {
-		sum.FinalHash = fmt.Sprintf("%016x", fh)
-	}
+	sum.Epochs = res.EpochsA
+	sum.FinalHash = fmt.Sprintf("%016x", a.rd.Header().FinalHash)
 	if res.Diverged {
 		e := res.Epoch
 		sum.FirstDivergence = &e
