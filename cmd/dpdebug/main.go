@@ -14,7 +14,8 @@
 // seed; server.OpenLog, as every replay front end does); pass -scale when
 // the recording was made with a non-default problem size, since the header
 // does not carry it. bisect and diff refuse two recordings whose program,
-// workers or scale differ. Sessions seek sections out of the log;
+// workers or scale differ. A flag the command does not read is a usage
+// error. Sessions seek sections out of the log;
 // internal/debug's tests hold them to the fully decoded recording.
 //
 // Exit codes follow the doubleplay/dptrace convention:
@@ -34,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -115,6 +117,16 @@ func main() {
 	if fs.NArg() != 0 {
 		usage()
 	}
+	known, ok := reads[cmd]
+	if !ok {
+		usage()
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if !slices.Contains(strings.Fields(known), f.Name) {
+			fmt.Fprintf(os.Stderr, "dpdebug: %s does not read -%s\n", cmd, f.Name)
+			usage()
+		}
+	})
 
 	switch cmd {
 	case "repl":
@@ -136,11 +148,8 @@ func main() {
 		if cmd == "diff" && *epochN < 0 {
 			usage()
 		}
-		epoch := *epochN
-		if cmd == "bisect" {
-			epoch = -1
-		}
-		res, err := openLog(*pathA, *scale).Diff(context.Background(), openLog(*pathB, *scale), epoch)
+		// bisect cannot set -epoch, so it passes the default, -1: bisect.
+		res, err := openLog(*pathA, *scale).Diff(context.Background(), openLog(*pathB, *scale), *epochN)
 		if err != nil {
 			fatalAssert("%v", err)
 		}
@@ -156,9 +165,15 @@ func main() {
 		if res.Diverged {
 			os.Exit(3)
 		}
-	default:
-		usage()
 	}
+}
+
+// reads names the flags each command reads. A command line that sets any
+// other flag is a usage error.
+var reads = map[string]string{
+	"repl":   "log scale watch",
+	"bisect": "a b scale json",
+	"diff":   "a b epoch scale json",
 }
 
 // renderBisect prints the human-readable divergence report.

@@ -66,6 +66,13 @@ func TestCLI(t *testing.T) {
 				}
 			}},
 		{"diff needs -epoch", []string{"diff", "-a", ra, "-b", rb}, "", 1, "usage:", nil},
+		// A flag only another command reads is refused, not ignored.
+		{"bisect does not read -epoch", []string{"bisect", "-a", ra, "-b", rb, "-epoch", "3"}, "", 1,
+			"dpdebug: bisect does not read -epoch", nil},
+		{"diff does not read -watch", []string{"diff", "-a", ra, "-b", rb, "-epoch", "1", "-watch", "5"}, "", 1,
+			"dpdebug: diff does not read -watch", nil},
+		{"repl does not read -json", []string{"repl", "-log", ra, "-json"}, "", 1,
+			"dpdebug: repl does not read -json", nil},
 		{"missing recording", []string{"bisect", "-a", filepath.Join(dir, "nosuch.dplog"), "-b", ra}, "", 1,
 			"no such file", nil},
 		{"repl steps, reverse-steps and stops on a watchpoint", []string{"repl", "-log", ra},

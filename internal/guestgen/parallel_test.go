@@ -35,10 +35,11 @@ type parConfig struct {
 	chunked bool // RunUntil in chunks with AddCost between, else one Run
 }
 
-// runParallel drives g under cfg. strict forces the per-instruction path
-// the way any observer of plain instructions does, by arming a no-op
-// OnRetire. A chunked run stops every 1…20,000 cycles, so limits land
-// inside windows, and snapshots memory at every stop as the recorder's
+// runParallel drives g under cfg. strict forces every instruction through
+// Step, the reference, the way any observer of plain instructions does, by
+// arming a no-op OnRetire: no window, and no RunSlice in the strict loop.
+// A chunked run stops every 1…20,000 cycles, so limits land inside
+// windows, and snapshots memory at every stop as the recorder's
 // checkpoints do, so stores find shared pages to copy.
 func runParallel(t *testing.T, g *guestgen.Guest, cfg parConfig, strict bool) (parOutcome, *sched.Parallel) {
 	t.Helper()

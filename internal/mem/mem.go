@@ -29,6 +29,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -125,7 +126,7 @@ func unrefAll(pages map[Word]*page) {
 	}
 }
 
-const fnvPrime = 1099511628211
+const fnvBasis, fnvPrime = 14695981039346656037, 1099511628211 // FNV-1a, 64 bits
 
 // fnvPow[k] is fnvPrime to the power k: what k zero bytes in a row do to an
 // FNV-1a hash, since xoring in a zero leaves only the multiply.
@@ -137,30 +138,73 @@ var fnvPow = func() (pow [9]uint64) {
 	return pow
 }()
 
-// contentHash returns the FNV-1a hash of the page body, bytes in
-// little-endian order, caching the result. Guest words are mostly small, so
-// each word's zero high bytes are folded into one multiply.
+// fold returns FNV-1a hash h continued over w's eight bytes in
+// little-endian order. Guest words are mostly small, so the zero high bytes
+// are folded into one multiply.
+func fold(h uint64, w Word) uint64 {
+	x := uint64(w)
+	n := 8 - bits.LeadingZeros64(x)>>3 // bytes up to the highest non-zero one
+	for i := 0; i < n; i++ {
+		h ^= x & 0xff
+		h *= fnvPrime
+		x >>= 8
+	}
+	return h * fnvPow[8-n]
+}
+
+// contentHash returns the FNV-1a hash of the page body, caching the result.
 // Only the owner of a writable memory calls this, so the cache fields need
 // no synchronisation beyond the sharing discipline (shared pages are
 // immutable, and their cached hash was computed before they became shared or
 // is recomputed identically by each sharer).
 func (p *page) contentHash() uint64 {
-	if p.hashOK {
-		return p.hash
-	}
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, w := range p.data {
-		x := uint64(w)
-		n := 8 - bits.LeadingZeros64(x)>>3 // bytes up to the highest non-zero one
-		for i := 0; i < n; i++ {
-			h ^= x & 0xff
-			h *= fnvPrime
-			x >>= 8
+	if !p.hashOK {
+		h := uint64(fnvBasis)
+		for _, w := range p.data {
+			h = fold(h, w)
 		}
-		h *= fnvPow[8-n]
+		p.hash, p.hashOK = h, true
 	}
-	p.hash = h
-	p.hashOK = true
+	return p.hash
+}
+
+// contentHash4 is contentHash of four pages at once, as four independent
+// chains in one loop, so their multiplies overlap instead of queueing.
+func contentHash4(g *[4]*page) {
+	h0, h1, h2, h3 := uint64(fnvBasis), uint64(fnvBasis), uint64(fnvBasis), uint64(fnvBasis)
+	d0, d1, d2, d3 := &g[0].data, &g[1].data, &g[2].data, &g[3].data
+	for i := range d0 {
+		h0, h1, h2, h3 = fold(h0, d0[i]), fold(h1, d1[i]), fold(h2, d2[i]), fold(h3, d3[i])
+	}
+	for k, h := range [4]uint64{h0, h1, h2, h3} {
+		g[k].hash, g[k].hashOK = h, true
+	}
+}
+
+// hashPages returns the order-independent content hash of a page map.
+// Pages whose hash is not cached are hashed four at a time.
+func hashPages(pages map[Word]*page) (h uint64) {
+	var idxs [4]Word
+	var group [4]*page
+	n := 0
+	for idx, p := range pages {
+		if p.hashOK {
+			h ^= mix(idx, p.hash)
+			continue
+		}
+		idxs[n], group[n] = idx, p
+		if n++; n < len(group) {
+			continue
+		}
+		contentHash4(&group)
+		for k, q := range group {
+			h ^= mix(idxs[k], q.hash)
+		}
+		n = 0
+	}
+	for k, q := range group[:n] {
+		h ^= mix(idxs[k], q.contentHash())
+	}
 	return h
 }
 
@@ -196,18 +240,31 @@ type Memory struct {
 	// page-local, and with one slot per stream most Load/Store calls skip
 	// the map lookup even when several threads interleave. A filled slot
 	// always equals m.pages[slot.idx] — writablePage, the one place a
-	// mapping is created or replaced, refreshes the slot as it does so.
+	// mapping is created or replaced, refreshes the slot as it does so. An
+	// empty slot holds noPage, so a hit is the one compare s.idx == idx.
 	cache [cacheSlots]cacheSlot
 }
 
 // cacheSlots is the size of the page cache; a power of two.
 const cacheSlots = 64
 
-// cacheSlot caches one m.pages entry; page is nil while the slot is empty.
+// noPage is the index an empty cache slot holds: no 64-bit address shifted
+// right by PageShift reaches it.
+const noPage = math.MinInt64
+
+// cacheSlot caches one m.pages entry, or holds idx == noPage.
 type cacheSlot struct {
 	idx  Word
 	page *page
 }
+
+// emptyCache is a page cache whose every slot is empty.
+var emptyCache = func() (c [cacheSlots]cacheSlot) {
+	for i := range c {
+		c[i].idx = noPage
+	}
+	return c
+}()
 
 // slot returns the cache slot page index idx maps to, and the page mapped
 // at idx if that is what the slot holds (else nil).
@@ -219,9 +276,35 @@ func (m *Memory) slot(idx Word) (*cacheSlot, *page) {
 	return s, nil
 }
 
+// LoadHit returns the word at addr if the page cache holds its page, and
+// false otherwise, when Load must serve it. It is small enough to inline
+// into the interpreter's loops, which call Load only on a miss.
+func (m *Memory) LoadHit(addr Word) (Word, bool) {
+	s := &m.cache[addr>>PageShift&(cacheSlots-1)]
+	if s.idx != addr>>PageShift {
+		return 0, false
+	}
+	return s.page.data[addr&pageMask], true
+}
+
+// StoreHit is Store if the page cache holds addr's page and nothing shares
+// it; otherwise it does nothing and reports false, and Store must write.
+// Sharing is read from the page on every call: a Snapshot or Clone shares
+// a cached page without touching the cache.
+func (m *Memory) StoreHit(addr, val Word) bool {
+	s := &m.cache[addr>>PageShift&(cacheSlots-1)]
+	if s.idx != addr>>PageShift || s.page.refs.Load() != 1 {
+		return false
+	}
+	if w := &s.page.data[addr&pageMask]; *w != val {
+		*w, s.page.hashOK = val, false
+	}
+	return true
+}
+
 // New returns an empty memory in which every address reads zero.
 func New() *Memory {
-	return &Memory{pages: make(map[Word]*page)}
+	return &Memory{pages: make(map[Word]*page), cache: emptyCache}
 }
 
 // Load returns the word at addr.
@@ -353,22 +436,16 @@ func (m *Memory) PageCount() int { return len(m.pages) }
 // Hash returns an order-independent hash of the full memory image.
 // Semantically equal memories (same value at every address) hash equally
 // regardless of paging history: all-zero pages contribute nothing.
-func (m *Memory) Hash() uint64 {
-	var h uint64
-	for idx, p := range m.pages {
-		ch := p.contentHash()
-		if ch == zeroPageHash {
-			continue
-		}
-		h ^= mix(uint64(idx), ch)
-	}
-	return h
-}
+func (m *Memory) Hash() uint64 { return hashPages(m.pages) }
 
 // mix combines a page index with its content hash into a single word with
-// good avalanche behaviour, so that xor-combining across pages is safe.
-func mix(idx, content uint64) uint64 {
-	x := idx*0x9e3779b97f4a7c15 ^ content
+// good avalanche behaviour, so that xor-combining across pages is safe. An
+// all-zero page mixes to zero: it contributes nothing.
+func mix(idx Word, content uint64) uint64 {
+	if content == zeroPageHash {
+		return 0
+	}
+	x := uint64(idx)*0x9e3779b97f4a7c15 ^ content
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -391,12 +468,8 @@ func (m *Memory) Snapshot() *Snapshot {
 // Clone returns an independent writable memory with the same contents,
 // sharing pages copy-on-write with m.
 func (m *Memory) Clone() *Memory {
-	pages := make(map[Word]*page, len(m.pages))
-	for idx, p := range m.pages {
-		p.refs.Add(1)
-		pages[idx] = p
-	}
-	return &Memory{pages: pages}
+	// The snapshot's page references become the clone's.
+	return &Memory{pages: m.Snapshot().pages, cache: emptyCache}
 }
 
 // Release drops m's reference on every page it maps, recycling the pages
@@ -409,7 +482,7 @@ func (m *Memory) Release() {
 	unrefAll(m.pages)
 	clear(m.pages)
 	m.pages, m.spare = nil, m.pages
-	m.cache = [cacheSlots]cacheSlot{}
+	m.cache = emptyCache
 }
 
 // Reload makes m, which must be released, a restore of s: its contents
@@ -432,6 +505,7 @@ func (m *Memory) Reload(s *Snapshot) {
 	}
 	m.pages, m.spare = pages, nil
 	m.stats = Stats{}
+	m.cache = emptyCache
 }
 
 // DiffPages returns the indices of pages whose content differs between m and
@@ -489,15 +563,7 @@ func (s *Snapshot) Restore() *Memory {
 // Hash returns the order-independent content hash of the snapshot.
 func (s *Snapshot) Hash() uint64 {
 	s.checkLive("Hash")
-	var h uint64
-	for idx, p := range s.pages {
-		ch := p.contentHash()
-		if ch == zeroPageHash {
-			continue
-		}
-		h ^= mix(uint64(idx), ch)
-	}
-	return h
+	return hashPages(s.pages)
 }
 
 // Peek reads a word from the snapshot.

@@ -414,10 +414,11 @@ func FuzzPageRefs(f *testing.F) {
 // copy-on-write, driven through ops steps of
 // Store/Load/Peek/Snapshot/Restore/Clone, both Releases and the Reload of
 // a released memory from a snapshot, each choice made by pick(n) in
-// [0, n). Every page index is drawn from a few that
-// collide in the cache (equal modulo its size), so slots are evicted and
-// refilled constantly and a slot left pointing at a page its memory has
-// since replaced would be read. The model is a plain word map per holder
+// [0, n). Every page index is drawn from ten that share two cache slots
+// (equal modulo its size), -1 and 0 among them, so slots are evicted and
+// refilled constantly, a slot left pointing at a page its memory has
+// since replaced would be read, and so would an empty slot that a real
+// index matches. The model is a plain word map per holder
 // plus a reference count per page identity. It predicts PagesNew and
 // PagesCopied exactly — the cache may change how a page is found, never
 // which pages are copied, and a write to a page every other holder has
@@ -426,6 +427,11 @@ func FuzzPageRefs(f *testing.F) {
 // come back from the pool as the next ones materialised or copied, so
 // every survivor must still read its model after every step: a page
 // recycled while still mapped, or handed out dirty, would show there.
+// Every other load and store tries the inline LoadHit or StoreHit first,
+// as the interpreter does, and Load or Store only on a miss: a hit is
+// reported exactly when the cache slot holds the page (and for a store,
+// when no other holder maps it), so a shared page is never written in
+// place. A released memory's hits miss, and its Load still panics.
 func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 	type holder struct {
 		words map[Word]Word // model contents
@@ -469,13 +475,22 @@ func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 	var snaps []frozen
 	var released []*Memory // waiting to be reloaded
 	addr := func() Word {
-		idx := Word(pick(2)) + cacheSlots*Word(pick(5))
+		idx := Word(pick(2)) - 1 + cacheSlots*Word(pick(5)-2)
 		return idx<<PageShift + Word(pick(3))
 	}
+	cached := func(m *Memory, a Word) bool { return m.cache[a>>PageShift&(cacheSlots-1)].idx == a>>PageShift }
+	hits := false // whether this step's load or store tries the hit first
 	store := func(l *live, a, v Word) {
-		l.m.Store(a, v)
 		idx := a >> PageShift
 		id, ok := l.h.pages[idx]
+		want := cached(l.m, a) && ok && refs[id] == 1
+		if !hits {
+			l.m.Store(a, v)
+		} else if hit := l.m.StoreHit(a, v); hit != want {
+			t.Fatalf("StoreHit(%d) hit %v; slot holds the page %v, page private %v", a, hit, cached(l.m, a), want)
+		} else if !hit {
+			l.m.Store(a, v)
+		}
 		switch {
 		case !ok && v == 0:
 			return // stays sparse
@@ -495,12 +510,22 @@ func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 	for op := 0; op < ops; op++ {
 		l := mems[pick(len(mems))]
 		a := addr()
+		hits = op%2 == 0
 		switch r := pick(22); {
 		case r < 9:
 			store(l, a, Word(pick(7)-1))
 		case r < 13:
-			if got := l.m.Load(a); got != l.h.words[a] {
-				t.Fatalf("op %d: Load(%d) = %d, model %d", op, a, got, l.h.words[a])
+			got, hit := Word(0), false
+			if hits {
+				if got, hit = l.m.LoadHit(a); hit != cached(l.m, a) {
+					t.Fatalf("op %d: LoadHit(%d) hit %v; slot holds the page %v", op, a, hit, cached(l.m, a))
+				}
+			}
+			if !hit {
+				got = l.m.Load(a)
+			}
+			if got != l.h.words[a] {
+				t.Fatalf("op %d: Load(%d) = %d (hit %v), model %d", op, a, got, hit, l.h.words[a])
 			}
 		case r < 15:
 			if got := l.m.Peek(a); got != l.h.words[a] {
@@ -521,6 +546,17 @@ func checkPageRefs(t testing.TB, ops int, pick func(n int) int) {
 			k := pick(len(mems))
 			dropHolder(mems[k].h)
 			mems[k].m.Release()
+			if _, hit := mems[k].m.LoadHit(a); hit || mems[k].m.StoreHit(a, 1) {
+				t.Fatalf("op %d: a released memory's cache hit %d", op, a)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("op %d: Load(%d) of a released memory did not panic", op, a)
+					}
+				}()
+				mems[k].m.Load(a)
+			}()
 			if len(released) < 3 {
 				released = append(released, mems[k].m)
 			}
@@ -630,7 +666,7 @@ func bytewiseHash(p *page) uint64 {
 
 // TestContentHashMatchesBytewise holds the page hash — and with it every
 // state hash in every recording — to byte-serial FNV-1a, whatever the
-// words' widths.
+// words' widths, one page at a time and four at a time.
 func TestContentHashMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fill := func(f func(i int) Word) *page {
@@ -667,6 +703,33 @@ func TestContentHashMatchesBytewise(t *testing.T) {
 	}
 	if zeroPageHash != bytewiseHash(newPage()) {
 		t.Errorf("zeroPageHash %016x is not the hash of a zero page", zeroPageHash)
+	}
+	// A page map's hash takes stale pages four at a time and the rest one
+	// by one; either way each page gets its own hash, and the map's is the
+	// xor of every page's mixed with its index (an all-zero page's mixes
+	// to nothing).
+	for n := range 10 {
+		pages := map[Word]*page{}
+		var want uint64
+		for k := range n {
+			p := newPage()
+			if k != 3 {
+				p = fill(func(i int) Word { return Word(rng.Uint64() >> (8 * rng.Intn(8))) })
+			}
+			idx := Word(k*cacheSlots) - 5
+			pages[idx] = p
+			if ch := bytewiseHash(p); ch != zeroPageHash {
+				want ^= mix(idx, ch)
+			}
+		}
+		if got := hashPages(pages); got != want {
+			t.Errorf("%d stale pages: hashPages %016x, xor of mixed byte-serial hashes %016x", n, got, want)
+		}
+		for idx, p := range pages {
+			if !p.hashOK || p.hash != bytewiseHash(p) {
+				t.Errorf("%d stale pages: page %d cached hash %016x (valid %v), byte-serial FNV-1a %016x", n, idx, p.hash, p.hashOK, bytewiseHash(p))
+			}
+		}
 	}
 }
 

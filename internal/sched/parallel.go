@@ -269,7 +269,8 @@ func (p *Parallel) RunUntil(limit int64) error {
 		if now >= limit {
 			return nil
 		}
-		if now >= p.noWindowBefore && !m.Hooks.ObservesPlain() {
+		unobserved := !m.Hooks.ObservesPlain()
+		if now >= p.noWindowBefore && unobserved {
 			if committed, ranOut := p.window(limit); committed {
 				// Every clock is now at or past the window's end. If every
 				// CPU ran it out the next one can open right there; if
@@ -319,10 +320,19 @@ func (p *Parallel) RunUntil(limit int64) error {
 					return fmt.Errorf("%w\n%s", ErrDeadlock, m.DescribeState())
 				}
 				idleStreak = 0
-				res := m.Step(t)
-				if res.Retired {
+				// Unobserved, m.RunSlice(t, 1) retires a plain instruction
+				// for the cost Step would charge, without Step's overhead.
+				retired, cost := false, int64(0)
+				if unobserved {
+					n, c := m.RunSlice(t, 1)
+					retired, cost = n == 1, c
+				}
+				if !retired {
+					res := m.Step(t)
+					retired, cost = res.Retired, res.Cost
+				}
+				if retired {
 					p.retired++
-					cost := res.Cost
 					// Timing jitter: occasional slow memory access. This is the
 					// hardware nondeterminism that makes racy programs produce
 					// different interleavings under different seeds.

@@ -81,7 +81,7 @@ func TestWindowInvariants(t *testing.T) {
 			}
 			m, p := start()
 			ref, strict := start()
-			ref.Hooks.OnRetire = func(*vm.Thread, int, int64) {}
+			ref.Hooks.OnRetire = func(*vm.Thread, int, int64) {} // every instruction through Step, the reference
 			rng := rand.New(rand.NewSource(5))
 			var commits, refusals, aborts, slow int
 			for !m.Done() {

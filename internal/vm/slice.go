@@ -141,14 +141,27 @@ loop:
 			}
 			next = t.popFrame(r[a])
 
+		// A page-cache hit is taken inline; Load and Store serve a miss.
 		case OpLd:
-			r[a] = mem.Load(r[b] + in.Imm)
+			v, hit := mem.LoadHit(r[b] + in.Imm)
+			if !hit {
+				v = mem.Load(r[b] + in.Imm)
+			}
+			r[a] = v
 		case OpSt:
-			mem.Store(r[b]+in.Imm, r[a])
+			if !mem.StoreHit(r[b]+in.Imm, r[a]) {
+				mem.Store(r[b]+in.Imm, r[a])
+			}
 		case OpLdx:
-			r[a] = mem.Load(r[b] + r[c])
+			v, hit := mem.LoadHit(r[b] + r[c])
+			if !hit {
+				v = mem.Load(r[b] + r[c])
+			}
+			r[a] = v
 		case OpStx:
-			mem.Store(r[b]+r[c], r[a])
+			if !mem.StoreHit(r[b]+r[c], r[a]) {
+				mem.Store(r[b]+r[c], r[a])
+			}
 
 		case OpTid:
 			r[a] = Word(t.ID)

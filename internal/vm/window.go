@@ -85,6 +85,20 @@ func (w *Window) Commit(m *Machine) {
 	}
 }
 
+// loadHit is load's common case, small enough to inline into RunWindow: a
+// load of an address no buffered store can forward to, with room on the
+// load list, from a page the page cache holds. It reports false, having
+// done nothing, in every other case, which load serves.
+func (w *Window) loadHit(m *Machine, addr Word) (Word, bool) {
+	if w.sig>>(uint64(addr)&63)&1 == 0 && len(w.Loads) < cap(w.Loads) {
+		if v, hit := m.Mem.LoadHit(addr); hit {
+			w.Loads = append(w.Loads, addr)
+			return v, true
+		}
+	}
+	return 0, false
+}
+
 // load returns the word a load of addr sees inside the window — the
 // youngest buffered store to addr, else guest memory — and false if the
 // load list is full.
@@ -277,9 +291,11 @@ loop:
 			next = t.popFrame(r[a])
 
 		case OpLd:
-			v, ok := w.load(m, r[b]+in.Imm)
+			v, ok := w.loadHit(m, r[b]+in.Imm)
 			if !ok {
-				break loop
+				if v, ok = w.load(m, r[b]+in.Imm); !ok {
+					break loop
+				}
 			}
 			r[a] = v
 		case OpSt:
@@ -287,9 +303,11 @@ loop:
 				break loop
 			}
 		case OpLdx:
-			v, ok := w.load(m, r[b]+r[c])
+			v, ok := w.loadHit(m, r[b]+r[c])
 			if !ok {
-				break loop
+				if v, ok = w.load(m, r[b]+r[c]); !ok {
+					break loop
+				}
 			}
 			r[a] = v
 		case OpStx:
