@@ -35,10 +35,10 @@ func TestCLI(t *testing.T) {
 			t.Fatalf("doubleplay %v: exit %d: %s", argv, code, stderr)
 		}
 	}
-	empty := trace.NewSink()
-	empty.Span("run", 0, 10, empty.AllocPid("guest only"), 0, nil)
 	var js bytes.Buffer
-	if err := empty.WriteJSON(&js); err != nil {
+	empty := trace.NewStreamSink(&js, 0)
+	empty.Span("run", 0, 10, empty.AllocPid("guest only"), 0, nil)
+	if err := empty.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for name, data := range map[string]string{

@@ -220,14 +220,14 @@ func corpusFacts(spec corpusSpec, data []byte) (string, error) {
 			{"sparse", replay.Options{Boundaries: replay.Thin(bs, 3), CPUs: 2}},
 			{"stride", replay.Options{Stride: 3, CPUs: 2}},
 		} {
-			sink, gp := trace.NewSink(), profile.NewProfile(prog.Name)
+			var js bytes.Buffer
+			sink, gp := trace.NewStreamSink(&js, 0), profile.NewProfile(prog.Name)
 			p.opt.Trace, p.opt.Profile = sink, gp
 			res, err := replay.Run(ctx, prog, src, p.opt)
 			if err != nil {
 				return "", fmt.Errorf("%s replay: %w", p.name, err)
 			}
-			var js bytes.Buffer
-			if err := sink.WriteJSON(&js); err != nil {
+			if err := sink.Close(); err != nil {
 				return "", err
 			}
 			fmt.Fprintf(&facts, "plan %s cycles=%d final=%016x trace=%x\n", p.name, res.Cycles, res.FinalHash, sha256.Sum256(js.Bytes()))

@@ -101,15 +101,11 @@ type CostModel = vm.CostModel
 
 // TraceSink collects timeline events from recordings and replays, in
 // emission order; set RecordOptions.Trace (or ReplayOptions.Trace). A sink
-// from [NewTraceSink] keeps its events for its WriteJSON method; one from
-// [NewStreamSink] writes them as they happen. Either way the file is the
-// same Chrome trace_event JSON, viewable at https://ui.perfetto.dev; see
-// docs/OBSERVABILITY.md for the event schema. A nil *TraceSink is valid
-// everywhere and disables tracing at zero cost.
+// from [NewStreamSink] writes them as they happen, as Chrome trace_event
+// JSON, viewable at https://ui.perfetto.dev; see docs/OBSERVABILITY.md for
+// the event schema. A nil *TraceSink is valid everywhere and disables
+// tracing at zero cost.
 type TraceSink = trace.Sink
-
-// NewTraceSink returns an empty, enabled trace sink that keeps its events.
-func NewTraceSink() *TraceSink { return trace.NewSink() }
 
 // NewStreamSink returns a trace sink that writes each event to w as it is
 // emitted and keeps none. Close it to finish the JSON document.
@@ -128,10 +124,6 @@ type GuestProfile = profile.Profile
 // NewGuestProfile returns an empty guest profile to accumulate into.
 func NewGuestProfile() *GuestProfile { return profile.NewProfile("") }
 
-// ParseGuestProfile decodes a pprof-encoded guest profile (the bytes
-// WritePprof produced, or any spec-conforming profile.proto message).
-func ParseGuestProfile(data []byte) (*GuestProfile, error) { return profile.ParsePprof(data) }
-
 // MetricsRegistry aggregates counters, gauges, and latency histograms
 // across recordings; set RecordOptions.Metrics and print with Render.
 type MetricsRegistry = trace.Registry
@@ -147,11 +139,6 @@ type BuiltWorkload = workloads.Built
 
 // NewProgram starts building a guest program.
 func NewProgram(name string) *Builder { return asm.NewBuilder(name) }
-
-// InstallStdlib adds the guest runtime library (std.memcpy, std.memset,
-// std.memcmp, std.sum, std.max, std.fill_lcg, std.checksum, std.bsearch)
-// to a program under construction; call before Build.
-func InstallStdlib(b *Builder) { asm.InstallStdlib(b) }
 
 // NewWorld returns an empty simulated environment with the given seed.
 func NewWorld(seed int64) *World { return simos.NewWorld(seed) }
@@ -201,38 +188,6 @@ func SaveRecording(w io.Writer, rec *Recording) error { return dplog.Marshal(w, 
 // loads; a retired v4/v5 file fails with an error wrapping
 // dplog.ErrBadVersion.
 func LoadRecording(r io.Reader) (*Recording, error) { return dplog.Unmarshal(r) }
-
-// LogReader is a random-access view of a stored recording: the v6 log
-// format keeps one self-contained section per epoch behind a trailing
-// offset index, so a reader can seek straight to epoch N without
-// decoding — or even touching — the epochs before it. Readers are safe
-// for concurrent use. See docs/FORMAT.md for the byte layout.
-type LogReader = dplog.Reader
-
-// LogHeader is a stored recording's run metadata.
-type LogHeader = dplog.Header
-
-// LogSection describes one epoch section of an opened log: its epoch id,
-// byte offset, stored and uncompressed sizes, flags, and checksum.
-type LogSection = dplog.SectionInfo
-
-// OpenRecording opens an encoded recording for random access without
-// decoding its epochs. A damaged file opens Recovered, holding the
-// sections that survive; a retired v4/v5 file does not open.
-func OpenRecording(data []byte) (*LogReader, error) { return dplog.OpenReaderBytes(data) }
-
-// OpenRecordingAt is OpenRecording over an io.ReaderAt (e.g. an *os.File),
-// reading only the header, the index, and the sections actually seeked.
-func OpenRecordingAt(r io.ReaderAt, size int64) (*LogReader, error) {
-	return dplog.OpenReader(r, size)
-}
-
-// UpgradeRecording repairs an encoded recording's index: a log with a
-// damaged index is rewritten from its recoverable sections, and an intact
-// one passes through. It returns the (possibly unchanged) bytes and
-// whether a rewrite happened; a retired v4/v5 log is refused as every
-// reader refuses it.
-func UpgradeRecording(data []byte) ([]byte, bool, error) { return dplog.Upgrade(data) }
 
 // Workloads lists the builtin benchmark names in presentation order.
 func Workloads() []string { return workloads.Names() }
@@ -311,9 +266,6 @@ const (
 	VerifyAlways    = core.VerifyAlways
 	VerifyCertified = core.VerifyCertified
 )
-
-// ParseVerifyPolicy maps "always"/"certified" (or "") to a policy.
-func ParseVerifyPolicy(s string) (VerifyPolicy, error) { return core.ParseVerifyPolicy(s) }
 
 // ErrCertViolated reports a certified epoch whose replay did not
 // reproduce the recorded state — a soundness bug in the certificate, not

@@ -95,9 +95,6 @@ func (b *Builder) Str(s string) (Word, Word) {
 	return addr, Word(len(s))
 }
 
-// DataLen returns the current data segment length in words.
-func (b *Builder) DataLen() int { return b.dataLen }
-
 // Func begins a function with nargs arguments (available as Arg(0..n-1)).
 func (b *Builder) Func(name string, nargs int) *Func {
 	if _, dup := b.byName[name]; dup {
@@ -141,9 +138,6 @@ type Func struct {
 	nlabels int
 	closed  bool
 }
-
-// Name returns the function's name.
-func (f *Func) Name() string { return f.name }
 
 // Arg returns the register holding argument i.
 func (f *Func) Arg(i int) Reg {

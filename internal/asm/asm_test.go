@@ -127,8 +127,8 @@ func TestDataSegmentLayout(t *testing.T) {
 	if got := runMain(t, b); got != 124 {
 		t.Fatalf("got %d, want 124", got)
 	}
-	if b.DataLen() != 3+5+2 {
-		t.Fatalf("DataLen = %d", b.DataLen())
+	if n := len(b.MustBuild().Data); n != 3+5+2 {
+		t.Fatalf("data segment of %d words", n)
 	}
 }
 
@@ -195,7 +195,7 @@ func TestBuildAllocatesItsDataSegmentOnce(t *testing.T) {
 	b.Words(5, 6)
 	b.Func("main", 0).HaltImm(0)
 	p1, p2 := b.MustBuild(), b.MustBuild()
-	if n := b.DataLen(); len(p1.Data) != n || cap(p1.Data) != n {
+	if n := 1<<16 + len(zero) + 2; len(p1.Data) != n || cap(p1.Data) != n {
 		t.Fatalf("Data len %d cap %d, want both %d", len(p1.Data), cap(p1.Data), n)
 	}
 	if !slices.Equal(p1.Data, p2.Data) || p1.Data[len(p1.Data)-1] != 6 {

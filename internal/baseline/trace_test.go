@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -18,6 +19,24 @@ func rebuild(t *testing.T, name string, workers int) *workloads.Built {
 	return wl.Build(workloads.Params{Workers: workers, Scale: 1, Seed: 11})
 }
 
+// eventNames closes sink, a stream into out, and tallies the events it
+// wrote by name.
+func eventNames(t *testing.T, sink *trace.Sink, out *bytes.Buffer) map[string]int {
+	t.Helper()
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := trace.ParseJSON(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]int{}
+	for _, ev := range evs {
+		names[ev.Name]++
+	}
+	return names
+}
+
 // TestCrewTracingBitIdentical extends the recorder's traced-vs-untraced
 // guard to the CREW baseline: tracing only reads clocks, so every reported
 // number must be bit-identical with and without a live sink.
@@ -27,7 +46,8 @@ func TestCrewTracingBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := trace.NewSink()
+	var out bytes.Buffer
+	sink := trace.NewStreamSink(&out, 0)
 	bt2 := rebuild(t, "ocean", 4)
 	traced, err := baseline.RunCREW(bt2.Prog, bt2.World, 4, 23, nil, sink)
 	if err != nil {
@@ -39,10 +59,7 @@ func TestCrewTracingBitIdentical(t *testing.T) {
 	if sink.Len() == 0 {
 		t.Fatal("traced run produced no events")
 	}
-	names := map[string]int{}
-	for _, ev := range sink.Events() {
-		names[ev.Name]++
-	}
+	names := eventNames(t, sink, &out)
 	for _, want := range []string{"baseline.crew.run", "crew.fault", "crew.transitions", "baseline.crew.done"} {
 		if names[want] == 0 {
 			t.Errorf("no %q events; saw %v", want, names)
@@ -61,7 +78,8 @@ func TestUniprocessorTracingBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := trace.NewSink()
+	var out bytes.Buffer
+	sink := trace.NewStreamSink(&out, 0)
 	bt2 := rebuild(t, "fft", 4)
 	traced, err := baseline.RunUniprocessor(bt2.Prog, bt2.World, nil, sink)
 	if err != nil {
@@ -70,10 +88,7 @@ func TestUniprocessorTracingBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("tracing perturbed the uniprocessor baseline:\nplain  %+v\ntraced %+v", plain, traced)
 	}
-	names := map[string]int{}
-	for _, ev := range sink.Events() {
-		names[ev.Name]++
-	}
+	names := eventNames(t, sink, &out)
 	if names["baseline.uni.slice"] == 0 || names["baseline.uni.done"] != 1 {
 		t.Fatalf("unexpected uni trace vocabulary: %v", names)
 	}

@@ -146,7 +146,8 @@ func withoutController(evs []trace.Event) []trace.Event {
 // same seed.
 func TestAdaptivePinnedMatchesFixed(t *testing.T) {
 	for _, name := range []string{"pbzip", "racey"} {
-		fixedSink, pinnedSink := trace.NewSink(), trace.NewSink()
+		fixedSink, fixedEvents := streamSink(t)
+		pinnedSink, pinnedEvents := streamSink(t)
 		fixed := goldenRecord(t, goldenRun{name: name, workers: 2}, fixedSink, nil)
 		pinned, bt := adaptiveRecord(t, name, 2, 2, 2, 2, pinnedSink)
 		if pinned.Stats.SpareGrows != 0 || pinned.Stats.SpareShrinks != 0 {
@@ -160,7 +161,7 @@ func TestAdaptivePinnedMatchesFixed(t *testing.T) {
 		if fixed.FinalHash != pinned.FinalHash || fixed.OutputHash != pinned.OutputHash {
 			t.Errorf("%s: pinned adaptive hashes differ from fixed", name)
 		}
-		if f, p := fixedSink.Events(), withoutController(pinnedSink.Events()); len(f) == 0 || !reflect.DeepEqual(f, p) {
+		if f, p := fixedEvents(), withoutController(pinnedEvents()); len(f) == 0 || !reflect.DeepEqual(f, p) {
 			t.Errorf("%s: pinned adaptive trace differs from fixed (%d and %d events)", name, len(f), len(p))
 		}
 		rep, err := replay.Sequential(bt.Prog, pinned.Recording, nil, nil)
@@ -187,7 +188,7 @@ func TestAdaptiveGrowsUnderFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := trace.NewSink()
+	sink, events := streamSink(t)
 	res, _ := adaptiveRecord(t, "pbzip", 4, 1, 1, 4, sink)
 	if res.Stats.SpareGrows == 0 {
 		t.Fatal("controller never grew on a filling pipeline")
@@ -202,7 +203,7 @@ func TestAdaptiveGrowsUnderFill(t *testing.T) {
 	// The controller narrates every decision: one ctl.enable, one ctl.grow
 	// per grow decision, and a ctl.active sample per decision plus the
 	// initial one.
-	evs := sink.Events()
+	evs := events()
 	if n := countEvents(evs, "ctl.enable", trace.PhaseInstant); n != 1 {
 		t.Errorf("ctl.enable instants = %d, want 1", n)
 	}
@@ -249,7 +250,8 @@ func TestAdaptiveRecordingReplaysBitIdentically(t *testing.T) {
 // TestAdaptiveRecordingIsDeterministic re-records the same workload, seed,
 // and bounds and requires bit-identical stats, hashes and trace.
 func TestAdaptiveRecordingIsDeterministic(t *testing.T) {
-	sa, sb := trace.NewSink(), trace.NewSink()
+	sa, ea := streamSink(t)
+	sb, eb := streamSink(t)
 	a, _ := adaptiveRecord(t, "pbzip", 4, 1, 1, 4, sa)
 	b, _ := adaptiveRecord(t, "pbzip", 4, 1, 1, 4, sb)
 	if !reflect.DeepEqual(a.Stats, b.Stats) {
@@ -261,7 +263,7 @@ func TestAdaptiveRecordingIsDeterministic(t *testing.T) {
 	if a.Stats.SpareGrows == 0 {
 		t.Error("the controller never fired, so the runs test nothing")
 	}
-	if ea, eb := sa.Events(), sb.Events(); len(ea) == 0 || !reflect.DeepEqual(ea, eb) {
+	if ea, eb := ea(), eb(); len(ea) == 0 || !reflect.DeepEqual(ea, eb) {
 		t.Errorf("adaptive traces differ across identical runs (%d and %d events)", len(ea), len(eb))
 	}
 }

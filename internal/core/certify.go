@@ -32,16 +32,6 @@ const (
 	VerifyCertified
 )
 
-func (p VerifyPolicy) String() string {
-	switch p {
-	case VerifyAlways:
-		return "always"
-	case VerifyCertified:
-		return "certified"
-	}
-	return fmt.Sprintf("verify-policy(%d)", int(p))
-}
-
 // ParseVerifyPolicy maps the CLI/server spelling of a policy ("always",
 // "certified"; "" means always) to its value.
 func ParseVerifyPolicy(s string) (VerifyPolicy, error) {

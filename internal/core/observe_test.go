@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 
 	"doubleplay/internal/replay"
@@ -87,6 +89,24 @@ func TestTracingDoesNotPerturbCycles(t *testing.T) {
 	}
 }
 
+// streamSink returns a streaming sink over a buffer, and a function that
+// closes it and reads back the events it wrote.
+func streamSink(t *testing.T) (*trace.Sink, func() []trace.Event) {
+	var buf bytes.Buffer
+	s := trace.NewStreamSink(&buf, 0)
+	return s, func() []trace.Event {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := trace.ParseJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+}
+
 // countEvents tallies events by (name, phase).
 func countEvents(evs []trace.Event, name string, ph byte) int {
 	n := 0
@@ -102,13 +122,13 @@ func countEvents(evs []trace.Event, name string, ph byte) int {
 // checks the event stream against the recorder's own accounting.
 func TestTraceConsistentWithStats(t *testing.T) {
 	g := goldenRun{name: "pbzip", workers: 2}
-	sink := trace.NewSink()
+	sink, events := streamSink(t)
 	res := goldenRecord(t, g, sink, nil)
 	s := res.Stats
 	if s.Divergences != 0 {
 		t.Fatalf("pbzip diverged (%d); the exact-count assertions below assume a clean run", s.Divergences)
 	}
-	evs := sink.Events()
+	evs := events()
 
 	// One "epoch" span per recorded epoch, one commit each, and the initial
 	// checkpoint plus one per boundary.
@@ -163,17 +183,9 @@ func TestTraceConsistentWithStats(t *testing.T) {
 		t.Errorf("epoch spans end at %d, past the thread-parallel wall time %d", prevEnd, s.ThreadParallelCycles)
 	}
 
-	// The JSON export round-trips every event.
-	var buf bytes.Buffer
-	if err := sink.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := trace.ParseJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) != len(evs) {
-		t.Errorf("JSON round trip: %d events, emitted %d", len(parsed), len(evs))
+	// The JSON document holds every event emitted.
+	if len(evs) != sink.Len() {
+		t.Errorf("JSON round trip: %d events, emitted %d", len(evs), sink.Len())
 	}
 }
 
@@ -181,13 +193,13 @@ func TestTraceConsistentWithStats(t *testing.T) {
 // divergence and its forward recovery shows up on the timeline.
 func TestTraceRecordsDivergences(t *testing.T) {
 	g := goldenRun{name: "racey", workers: 2}
-	sink := trace.NewSink()
+	sink, events := streamSink(t)
 	res := goldenRecord(t, g, sink, nil)
 	s := res.Stats
 	if s.Divergences == 0 {
 		t.Fatal("racey did not diverge; the recovery-tracing assertions need one")
 	}
-	evs := sink.Events()
+	evs := events()
 	if n := countEvents(evs, "divergence", trace.PhaseInstant); n != s.Divergences {
 		t.Errorf("divergence instants = %d, Stats.Divergences = %d", n, s.Divergences)
 	}
@@ -210,12 +222,12 @@ func TestReplayTraceMatchesEpochs(t *testing.T) {
 	wl := workloads.Get(g.name)
 	bt := wl.Build(workloads.Params{Workers: g.workers, Scale: 1, Seed: 11})
 
-	sink := trace.NewSink()
+	sink, events := streamSink(t)
 	rep, err := replay.Sequential(bt.Prog, res.Recording, nil, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := sink.Events()
+	evs := events()
 	if n := countEvents(evs, "replay.epoch", trace.PhaseComplete); n != rep.Epochs {
 		t.Errorf("replay.epoch spans = %d, replayed %d epochs", n, rep.Epochs)
 	}
@@ -234,7 +246,7 @@ func TestReplayTraceMatchesEpochs(t *testing.T) {
 	}
 
 	// Parallel replay: one span per epoch, makespan equals the last span end.
-	psink := trace.NewSink()
+	psink, pevents := streamSink(t)
 	par, err := replay.Run(context.Background(), bt.Prog, replay.FromRecording(res.Recording),
 		replay.Options{Boundaries: res.Boundaries, CPUs: g.workers, Trace: psink})
 	if err != nil {
@@ -242,7 +254,7 @@ func TestReplayTraceMatchesEpochs(t *testing.T) {
 	}
 	var maxEnd int64
 	n := 0
-	for _, ev := range psink.Events() {
+	for _, ev := range pevents() {
 		if ev.Name != "replay.epoch" || ev.Ph != trace.PhaseComplete {
 			continue
 		}
@@ -268,11 +280,23 @@ func TestRecordWindowCounters(t *testing.T) {
 	for _, name := range []string{"fft", "racey", "sigping"} {
 		reg := trace.NewRegistry()
 		res := goldenRecord(t, goldenRun{name: name, workers: 4}, nil, reg)
-		wl := trace.Label("workload", name)
-		instrs := reg.Counter("record.window_instrs", wl)
-		windows := reg.Counter("record.windows", wl)
-		event := reg.Counter("record.window_aborts", wl, trace.Label("reason", "event"))
-		conflict := reg.Counter("record.window_aborts", wl, trace.Label("reason", "conflict"))
+		var prom bytes.Buffer
+		if err := reg.WritePrometheus(&prom); err != nil {
+			t.Fatal(err)
+		}
+		counter := func(series string) int64 {
+			for _, line := range strings.Split(prom.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, series+" "); ok {
+					n, _ := strconv.ParseInt(v, 10, 64)
+					return n
+				}
+			}
+			return 0 // never incremented
+		}
+		instrs := counter(`doubleplay_record_window_instrs{workload="` + name + `"}`)
+		windows := counter(`doubleplay_record_windows{workload="` + name + `"}`)
+		event := counter(`doubleplay_record_window_aborts{workload="` + name + `",reason="event"}`)
+		conflict := counter(`doubleplay_record_window_aborts{workload="` + name + `",reason="conflict"}`)
 		t.Logf("%s: %d of %d instructions in %d windows, %d event aborts, %d conflict aborts", name, instrs, res.Stats.Retired, windows, event, conflict)
 		if instrs > 0 != (windows > 0) || instrs < windows {
 			t.Errorf("%s: %d instructions in %d windows", name, instrs, windows)

@@ -67,7 +67,8 @@ func TestRecordPinned(t *testing.T) {
 	var adopted, reruns, skipped, decisions, grown int
 	for _, r := range pinRows() {
 		bt := workloads.Get(r.wl).Build(workloads.Params{Workers: r.workers, Scale: 1, Seed: r.seed})
-		sink, reg := trace.NewSink(), trace.NewRegistry()
+		var js, metrics bytes.Buffer
+		sink, reg := trace.NewStreamSink(&js, 0), trace.NewRegistry()
 		opt := r.opt
 		opt.Workers, opt.RecordCPUs, opt.Seed = r.workers, r.workers, r.seed
 		opt.Trace, opt.Metrics = sink, reg
@@ -83,8 +84,7 @@ func TestRecordPinned(t *testing.T) {
 		for _, b := range res.Boundaries {
 			binary.Write(&bounds, binary.LittleEndian, [3]int64{int64(b.Index), b.Cycle, int64(b.Hash)})
 		}
-		var js, metrics bytes.Buffer
-		if err := sink.WriteJSON(&js); err != nil {
+		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := reg.WritePrometheus(&metrics); err != nil {

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,9 +13,10 @@ import (
 )
 
 // TestStreamedRecordingMatchesBuffered: for every golden recording, the
-// file a streaming sink writes as the recording runs is byte for byte
-// WriteJSON of a sink that kept the same recording's events, and streaming
-// leaves Stats bit-identical.
+// file a streaming sink writes as the recording runs holds the events a
+// sink that kept the same recording's events splices into a stream, event
+// for event once re-homed onto the splice's track, and streaming leaves
+// Stats bit-identical.
 func TestStreamedRecordingMatchesBuffered(t *testing.T) {
 	runs := goldenRuns
 	if testing.Short() {
@@ -24,25 +25,27 @@ func TestStreamedRecordingMatchesBuffered(t *testing.T) {
 	for _, g := range runs {
 		kept := trace.NewSink()
 		keptRes := goldenRecord(t, g, kept, nil)
-		var want bytes.Buffer
-		if err := kept.WriteJSON(&want); err != nil {
-			t.Fatal(err)
-		}
+		out, spliced := streamSink(t)
+		out.Splice(kept, 0, 1, 0)
+		want := spliced()
 
-		var streamed bytes.Buffer
-		stream := trace.NewStreamSink(&streamed, 0)
+		stream, events := streamSink(t)
 		res := goldenRecord(t, g, stream, nil)
-		if err := stream.Close(); err != nil {
-			t.Fatalf("%s/%d: close stream: %v", g.name, g.workers, err)
+		got := events()
+		for i := range got {
+			got[i].Pid = 1
+			if got[i].Ph != trace.PhaseCounter && got[i].Ph != trace.PhaseMeta {
+				got[i].Tid = 0
+			}
 		}
 
 		if keptRes.Stats != res.Stats {
 			t.Errorf("%s/%d: streaming perturbed Stats:\nkept     %+v\nstreamed %+v",
 				g.name, g.workers, keptRes.Stats, res.Stats)
 		}
-		if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
-			t.Errorf("%s/%d: streamed file (%d bytes, %d events) differs from WriteJSON (%d bytes, %d events)",
-				g.name, g.workers, streamed.Len(), stream.Len(), want.Len(), kept.Len())
+		if len(got) == 0 || len(got) != stream.Len() || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s/%d: streamed file (%d of %d events) differs from the kept sink spliced (%d events)",
+				g.name, g.workers, len(got), stream.Len(), len(want))
 		}
 	}
 }

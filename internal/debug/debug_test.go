@@ -198,7 +198,7 @@ func TestReverseStepAcrossEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tot > 0 {
-			for st.Steps() < tot-1 {
+			for step := uint64(0); step < tot-1; step++ {
 				if _, err := st.Step(); err != nil {
 					t.Fatal(err)
 				}

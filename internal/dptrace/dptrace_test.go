@@ -160,12 +160,30 @@ func TestPromlintCatchesProblems(t *testing.T) {
 	}
 }
 
+// streamSink returns a streaming sink over a buffer, and a function that
+// closes it and reads back the events it wrote.
+func streamSink(t *testing.T) (*trace.Sink, func() []trace.Event) {
+	var buf bytes.Buffer
+	s := trace.NewStreamSink(&buf, 0)
+	return s, func() []trace.Event {
+		t.Helper()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := trace.ParseJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+}
+
 // lagTrace builds a synthetic recording timeline shaped like the F6
 // worked example: boundaries arrive every 100 cycles, each verify takes
 // 250 cycles on one of two pipeline slots, so commit lag climbs linearly
 // and a drain tail follows the last boundary.
-func lagTrace() []trace.Event {
-	s := trace.NewSink()
+func lagTrace(t *testing.T) []trace.Event {
+	s, events := streamSink(t)
 	pid := s.AllocPid("record synth")
 	s.NameThread(pid, 0, "epochs + recovery")
 	s.NameThread(pid, 1, "pipeline slot 0")
@@ -198,11 +216,11 @@ func lagTrace() []trace.Event {
 		}
 	}
 	s.Instant("record.done", lastCommit, pid, 0, []trace.Arg{trace.Int("epochs", n)})
-	return s.Events()
+	return events()
 }
 
 func TestLagFillingPipeline(t *testing.T) {
-	reps := Lag(lagTrace())
+	reps := Lag(lagTrace(t))
 	if len(reps) != 1 {
 		t.Fatalf("got %d reports, want 1", len(reps))
 	}
@@ -258,14 +276,14 @@ func TestLagFillingPipeline(t *testing.T) {
 }
 
 func TestLagKeepingUpAndNoCommits(t *testing.T) {
-	s := trace.NewSink()
+	s, events := streamSink(t)
 	pid := s.AllocPid("record flat")
 	for i := 0; i < 4; i++ {
 		bStart := int64(i) * 100
 		s.Span("epoch", bStart, 100, pid, 0, []trace.Arg{trace.Int("epoch", i)})
 		s.Instant("epoch.commit", bStart+150, pid, 1, []trace.Arg{trace.Int("epoch", i), trace.Int("lag", 50)})
 	}
-	reps := Lag(s.Events())
+	reps := Lag(events())
 	if len(reps) != 1 {
 		t.Fatalf("got %d reports, want 1", len(reps))
 	}
@@ -277,16 +295,16 @@ func TestLagKeepingUpAndNoCommits(t *testing.T) {
 		t.Fatalf("Done = %d, want 450", reps[0].Done)
 	}
 	// A guest-only process (no commits) yields no report.
-	g := trace.NewSink()
+	g, gevents := streamSink(t)
 	gp := g.AllocPid("guest only")
 	g.Span("run", 0, 10, gp, 0, nil)
-	if got := Lag(g.Events()); len(got) != 0 {
+	if got := Lag(gevents()); len(got) != 0 {
 		t.Fatalf("guest-only trace produced %d reports", len(got))
 	}
 }
 
 func TestLagControllerNarration(t *testing.T) {
-	s := trace.NewSink()
+	s, events := streamSink(t)
 	pid := s.AllocPid("record adaptive")
 	s.Instant("ctl.enable", 0, pid, 0, []trace.Arg{trace.Int("min", 1), trace.Int("max", 4), trace.Int("active", 1)})
 	s.Counter("ctl.active", 0, pid, 1)
@@ -299,7 +317,7 @@ func TestLagControllerNarration(t *testing.T) {
 	s.Counter("ctl.active", 500, pid, 2)
 	s.Instant("ctl.shrink", 900, pid, 0, []trace.Arg{trace.Int("epoch", 5), trace.Int("active", 1), trace.Int("lag", 40)})
 	s.Counter("ctl.active", 900, pid, 1)
-	reps := Lag(s.Events())
+	reps := Lag(events())
 	if len(reps) != 1 {
 		t.Fatalf("got %d reports, want 1", len(reps))
 	}
@@ -331,7 +349,7 @@ func TestLagControllerNarration(t *testing.T) {
 	}
 
 	// A fixed-spares trace must not claim a controller.
-	if fixed := Lag(lagTrace()); fixed[0].Adaptive {
+	if fixed := Lag(lagTrace(t)); fixed[0].Adaptive {
 		t.Fatal("fixed-spares trace reported Adaptive")
 	}
 }

@@ -414,15 +414,6 @@ func (m *Memory) StoreRange(addr Word, vals []Word) {
 
 func nonZero(w Word) bool { return w != 0 }
 
-// LoadRange reads n consecutive words starting at addr.
-func (m *Memory) LoadRange(addr Word, n int) []Word {
-	out := make([]Word, n)
-	for i := range out {
-		out[i] = m.Load(addr + Word(i))
-	}
-	return out
-}
-
 // Stats returns the accumulated copy-on-write counters.
 func (m *Memory) Stats() Stats { return m.stats }
 
@@ -574,12 +565,6 @@ func (s *Snapshot) Peek(addr Word) Word {
 		return 0
 	}
 	return p.data[addr&pageMask]
-}
-
-// PageCount reports the number of pages retained by the snapshot.
-func (s *Snapshot) PageCount() int {
-	s.checkLive("PageCount")
-	return len(s.pages)
 }
 
 // Release drops the snapshot's page references so future writes by sharers

@@ -77,10 +77,10 @@ func TestStepperFollowsWhatRunLogged(t *testing.T) {
 					gated++
 				}
 			}
-			for !st.Done() {
+			for step := 0; !st.Done(); step++ {
 				ev, err := st.Step()
 				if err != nil {
-					t.Fatalf("%s epoch %d step %d: %v", c.name, i, st.Steps(), err)
+					t.Fatalf("%s epoch %d step %d: %v", c.name, i, step, err)
 				}
 				if ev.Signal {
 					delivered++

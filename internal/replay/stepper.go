@@ -73,10 +73,6 @@ func NewStepper(m *vm.Machine, ep *dplog.EpochLog, quantum int64, costs *vm.Cost
 // Done reports whether the epoch has fully (and verifiably) replayed.
 func (s *Stepper) Done() bool { return s.done }
 
-// Steps returns the number of instructions retired so far. Signal
-// deliveries count: they retire, exactly as in the recorded schedule.
-func (s *Stepper) Steps() uint64 { return s.uni.Retired() }
-
 // LoopRetired returns how many of those instructions retired inside the
 // scheduler's slice loop rather than by individual machine steps.
 func (s *Stepper) LoopRetired() uint64 { return s.uni.LoopRetired }

@@ -12,24 +12,26 @@ import (
 	"doubleplay/internal/workloads"
 )
 
-// stepAll steps st to the end of its epoch and holds every event Step
+// stepAll steps st to the end of its epoch, holds every event Step
 // reports — which it reads off the scheduler, not off the machine — to what
-// the machine's own retire hook saw.
-func stepAll(t *testing.T, m *vm.Machine, st *replay.Stepper) {
+// the machine's own retire hook saw, and returns the number of steps.
+func stepAll(t *testing.T, m *vm.Machine, st *replay.Stepper) uint64 {
 	t.Helper()
 	var tid, pc int
 	m.Hooks.OnRetire = func(th *vm.Thread, p int, _ int64) { tid, pc = th.ID, p }
 	defer func() { m.Hooks.OnRetire = nil }()
-	for !st.Done() {
+	var steps uint64
+	for ; !st.Done(); steps++ {
 		ev, err := st.Step()
 		if err != nil {
-			t.Fatalf("epoch %d step %d: %v", st.Epoch().Index, st.Steps(), err)
+			t.Fatalf("epoch %d step %d: %v", st.Epoch().Index, steps, err)
 		}
 		if ev.Tid != tid || ev.PC != pc {
 			t.Fatalf("epoch %d step %d: Step reports thread %d at pc %d, thread %d retired at pc %d",
-				st.Epoch().Index, st.Steps(), ev.Tid, ev.PC, tid, pc)
+				st.Epoch().Index, steps, ev.Tid, ev.PC, tid, pc)
 		}
 	}
+	return steps
 }
 
 // TestStepperMatchesSequential steps entire recordings one instruction
@@ -55,9 +57,8 @@ func TestStepperMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("epoch %d: %v", ep.Index, err)
 				}
-				stepAll(t, m, st)
+				steps += stepAll(t, m, st)
 				cycles += st.Cycles()
-				steps += st.Steps()
 			}
 			if h := m.StateHash(); h != rec.FinalHash {
 				t.Fatalf("stepped final hash %016x != recorded %016x", h, rec.FinalHash)
@@ -91,9 +92,9 @@ func TestStepperMatchesOneEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: %v", i, err)
 		}
-		for !st.Done() {
+		for step := 0; !st.Done(); step++ {
 			if _, err := st.Step(); err != nil {
-				t.Fatalf("epoch %d step %d: %v", i, st.Steps(), err)
+				t.Fatalf("epoch %d step %d: %v", i, step, err)
 			}
 		}
 		if st.Cycles() != one.Cycles {

@@ -3,19 +3,39 @@ package server
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"doubleplay/internal/core"
-	"doubleplay/internal/trace"
 )
 
+// PromValue is the value of series, a metric name with its rendered
+// labels, in the Prometheus text out: 0 when no line shows it, what a
+// gauge never set reads.
+func PromValue(out, series string) float64 {
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, _ := strconv.ParseFloat(v, 64)
+			return f
+		}
+	}
+	return 0
+}
+
 // StateGaugeDrift compares the serve.jobs{state}, serve.queue_depth,
-// queue.lane_depth{lane} and serve.workers_busy gauges, and the queue
-// itself, with a fresh scan of the job table, all read under the server
-// mutex, and describes the first difference ("" when they agree).
+// queue.lane_depth{lane} and serve.workers_busy gauges, as WritePrometheus
+// renders them, and the queue itself, with a fresh scan of the job table,
+// all read under the server mutex, and describes the first difference (""
+// when they agree).
 func (s *Server) StateGaugeDrift() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var prom strings.Builder
+	if err := s.reg.WritePrometheus(&prom); err != nil {
+		return err.Error()
+	}
+	gauge := func(series string) int { return int(PromValue(prom.String(), series)) }
 	scan := map[State]int{}
 	var lanes [2]int // queued jobs per lane
 	for _, j := range s.jobs {
@@ -25,15 +45,15 @@ func (s *Server) StateGaugeDrift() string {
 		}
 	}
 	for _, st := range []State{stateQueued, stateRunning, StateDone, stateFailed, stateCanceled} {
-		if got := int(s.reg.Gauge("serve.jobs", trace.Label("state", string(st)))); got != scan[st] {
+		if got := gauge(`doubleplay_serve_jobs{state="` + string(st) + `"}`); got != scan[st] {
 			return fmt.Sprintf("serve.jobs{state=%s} = %d, the job table holds %d (scan %v)", st, got, scan[st], scan)
 		}
 	}
-	if got := int(s.reg.Gauge("serve.queue_depth")); got != scan[stateQueued] {
+	if got := gauge("doubleplay_serve_queue_depth"); got != scan[stateQueued] {
 		return fmt.Sprintf("serve.queue_depth = %d, the job table holds %d queued", got, scan[stateQueued])
 	}
 	for i, lane := range []string{laneInteractive, laneBatch} {
-		if got := int(s.reg.Gauge("queue.lane_depth", trace.Label("lane", lane))); got != lanes[i] {
+		if got := gauge(`doubleplay_queue_lane_depth{lane="` + lane + `"}`); got != lanes[i] {
 			return fmt.Sprintf("queue.lane_depth{lane=%s} = %d, the job table holds %d queued there", lane, got, lanes[i])
 		}
 		for _, j := range s.queue.lanes[i] {
@@ -45,7 +65,7 @@ func (s *Server) StateGaugeDrift() string {
 			return fmt.Sprintf("the %s lane holds %d jobs, the job table %d queued there", lane, len(s.queue.lanes[i]), lanes[i])
 		}
 	}
-	if got := int(s.reg.Gauge("serve.workers_busy")); got != scan[stateRunning] {
+	if got := gauge("doubleplay_serve_workers_busy"); got != scan[stateRunning] {
 		return fmt.Sprintf("serve.workers_busy = %d, the job table holds %d running", got, scan[stateRunning])
 	}
 	return ""

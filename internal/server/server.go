@@ -114,9 +114,6 @@ func New(cfg Config) (*Server, error) {
 // Store exposes the artifact store (tests and the CLI peek at it).
 func (s *Server) Store() *store.Store { return s.store }
 
-// Registry exposes the metrics registry the daemon reports into.
-func (s *Server) Registry() *trace.Registry { return s.reg }
-
 // Start launches the worker pool.
 func (s *Server) Start() {
 	for i := 0; i < s.cfg.Workers; i++ {

@@ -669,7 +669,8 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 // serve.jobs{state} gauges — published from per-state counts adjusted at
 // each transition — with a fresh scan of the job table.
 func TestStateGaugesMatchScan(t *testing.T) {
-	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 64, DrainTimeout: 50 * time.Millisecond})
+	reg := trace.NewRegistry()
+	s, ts := newTestServer(t, server.Config{Workers: 2, QueueDepth: 64, DrainTimeout: 50 * time.Millisecond, Registry: reg})
 	check := func(after string) {
 		t.Helper()
 		if d := s.StateGaugeDrift(); d != "" {
@@ -719,15 +720,22 @@ func TestStateGaugesMatchScan(t *testing.T) {
 	defer cancel()
 	_ = s.Shutdown(ctx) // a drain that had to cancel stragglers reports it; the gauges are the test
 	check("drain")
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	jobs := func(st string) float64 {
+		return server.PromValue(prom.String(), `doubleplay_serve_jobs{state="`+st+`"}`)
+	}
 	var total float64
 	for _, st := range []string{"queued", "running", "done", "failed", "canceled"} {
-		total += s.Registry().Gauge("serve.jobs", trace.Label("state", st))
+		total += jobs(st)
 	}
 	if int(total) != len(ids) {
 		t.Fatalf("gauges sum to %v jobs, %d were submitted", total, len(ids))
 	}
 	for _, st := range []string{"queued", "running"} {
-		if n := s.Registry().Gauge("serve.jobs", trace.Label("state", st)); n != 0 {
+		if n := jobs(st); n != 0 {
 			t.Fatalf("%v jobs still %s after drain", n, st)
 		}
 	}

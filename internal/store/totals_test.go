@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,19 +15,32 @@ import (
 	"doubleplay/internal/trace"
 )
 
-// gaugesEqualStats asserts that the three published store.* gauges equal
-// what the Stats walk finds on disk at this moment, as do the totals behind
-// them.
+// gaugesEqualStats asserts that the three published store.* gauges, as
+// WritePrometheus renders them, equal what the Stats walk finds on disk at
+// this moment, as do the totals behind them.
 func gaugesEqualStats(t *testing.T, s *store.Store, reg *trace.Registry, step string) {
 	t.Helper()
 	want, err := s.Stats()
 	if err != nil {
 		t.Fatalf("%s: Stats: %v", step, err)
 	}
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(name string) int64 {
+		for _, line := range strings.Split(prom.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, _ := strconv.ParseFloat(v, 64)
+				return int64(f)
+			}
+		}
+		return 0 // never set
+	}
 	got := store.StatsReport{
-		Recordings:   int(reg.Gauge("store.recordings")),
-		LogicalBytes: int64(reg.Gauge("store.logical_bytes")),
-		StoredBytes:  int64(reg.Gauge("store.stored_bytes")),
+		Recordings:   int(gauge("doubleplay_store_recordings")),
+		LogicalBytes: gauge("doubleplay_store_logical_bytes"),
+		StoredBytes:  gauge("doubleplay_store_stored_bytes"),
 	}
 	if got != *want || s.Totals() != *want {
 		t.Fatalf("%s: gauges drifted from the walk\n gauges %+v\n totals %+v\n  stats %+v", step, got, s.Totals(), *want)

@@ -132,17 +132,17 @@ func FuzzAppendEvent(f *testing.F) {
 	})
 }
 
-// TestWriteJSONMatchesEncoder: the buffered document is still what
-// json.Encoder writes for the container struct.
+// TestWriteJSONMatchesEncoder: a keeping sink's events spliced into a
+// streaming one make the document json.Encoder writes for the container
+// struct, with each event re-homed onto the splice's track.
 func TestWriteJSONMatchesEncoder(t *testing.T) {
 	for _, n := range []int{0, 1, 3} {
-		s := NewSink()
+		child := NewSink()
 		wire := []wireEvent{}
 		for i := 0; i < n; i++ {
-			s.Span("slice", int64(i), 10, 1, int64(i), []Arg{String("why", "a<b"), Int("tid", i)})
-		}
-		for _, ev := range s.Events() {
-			wire = append(wire, toWire(ev))
+			args := []Arg{String("why", "a<b"), Int("tid", i)}
+			child.Span("slice", int64(i), 10, 0, int64(i), args)
+			wire = append(wire, toWire(Event{Name: "slice", Ph: PhaseComplete, Ts: int64(i) + 5, Dur: 10, Pid: 1, Tid: 7, Args: args}))
 		}
 		var want, got bytes.Buffer
 		doc := struct {
@@ -152,11 +152,13 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 		if err := json.NewEncoder(&want).Encode(doc); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteJSON(&got); err != nil {
+		s := NewStreamSink(&got, 0)
+		s.Splice(child, 5, 1, 7)
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
-			t.Fatalf("%d events:\nWriteJSON    %s\njson.Encoder %s", n, got.String(), want.String())
+			t.Fatalf("%d events:\nSplice       %s\njson.Encoder %s", n, got.String(), want.String())
 		}
 	}
 }

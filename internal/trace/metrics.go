@@ -79,41 +79,6 @@ func (r *Registry) Observe(name string, v int64, labels ...string) {
 	r.mu.Unlock()
 }
 
-// Counter returns a counter's current value (0 if never incremented).
-func (r *Registry) Counter(name string, labels ...string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[metricKey(name, labels)]
-}
-
-// Gauge returns a gauge's last value (0 if never set).
-func (r *Registry) Gauge(name string, labels ...string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[metricKey(name, labels)]
-}
-
-// Hist returns a snapshot of a histogram, or nil if it has no samples.
-func (r *Registry) Hist(name string, labels ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[metricKey(name, labels)]
-	if h == nil {
-		return nil
-	}
-	cp := *h
-	return &cp
-}
-
 // Histogram buckets samples by bit length: bucket i holds samples v with
 // bits.Len64(v) == i, i.e. exponentially wider buckets. Quantiles are
 // therefore approximate (bucket upper bound), which is enough to read off

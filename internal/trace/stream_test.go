@@ -16,11 +16,16 @@ func lcg(state *uint64) uint64 {
 	return *state >> 33
 }
 
-// writeJSON is s.WriteJSON into a fresh buffer.
+// writeJSON streams the events s kept into a fresh document, each as it
+// was emitted.
 func writeJSON(t *testing.T, s *Sink) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	out := NewStreamSink(&buf, 0)
+	for _, ev := range s.kept() {
+		out.add(ev, ev.Args)
+	}
+	if err := out.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -31,7 +36,6 @@ func TestStreamSinkNilSafe(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("nil StreamSink reports enabled")
 	}
-	s.Emit(Event{Name: "x"})
 	s.Span("a", 0, 1, 1, 1, nil)
 	s.Instant("b", 0, 1, 1, nil)
 	s.Counter("c", 0, 1, 2)
@@ -50,8 +54,8 @@ func TestStreamSinkNilSafe(t *testing.T) {
 
 // TestStreamSinkBoundedAndMultisetEqual: with heavily out-of-order
 // emission, a streaming sink holds no event in memory, and what it writes
-// is byte for byte what WriteJSON writes for a sink that kept the same
-// emission.
+// is byte for byte the document of the events a keeping sink kept from the
+// same emission.
 func TestStreamSinkBoundedAndMultisetEqual(t *testing.T) {
 	const n = 500
 	var out bytes.Buffer
@@ -72,10 +76,10 @@ func TestStreamSinkBoundedAndMultisetEqual(t *testing.T) {
 			ev = Event{Name: "ctr", Ph: PhaseCounter, Ts: ts, Pid: 1,
 				Args: []Arg{Int("value", i)}}
 		}
-		stream.Emit(ev)
-		kept.Emit(ev)
+		stream.add(ev, ev.Args)
+		kept.add(ev, ev.Args)
 	}
-	if got := len(stream.Events()); got != 0 {
+	if got := len(stream.kept()); got != 0 {
 		t.Fatalf("streaming sink kept %d events", got)
 	}
 	if err := stream.Close(); err != nil {
@@ -85,7 +89,7 @@ func TestStreamSinkBoundedAndMultisetEqual(t *testing.T) {
 		t.Fatalf("Len: streamed %d, kept %d, emitted %d", stream.Len(), kept.Len(), n)
 	}
 	if want := writeJSON(t, kept); !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("stream differs from WriteJSON:\nstream    %.300s\nWriteJSON %.300s", out.Bytes(), want)
+		t.Fatalf("stream differs from kept:\nstream %.300s\nkept   %.300s", out.Bytes(), want)
 	}
 }
 
@@ -278,7 +282,7 @@ func TestResetBufferRefillsInPlace(t *testing.T) {
 	fill(reused, 7)
 	fresh := NewSink()
 	fill(fresh, 7)
-	if got, want := reused.Events(), fresh.Events(); !reflect.DeepEqual(got, want) {
+	if got, want := reused.kept(), fresh.kept(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reset buffer holds %v, a new one %v", got, want)
 	}
 	var a, b bytes.Buffer

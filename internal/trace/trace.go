@@ -12,9 +12,11 @@
 // behind Enabled(). A streaming sink allocates nothing per event either:
 // arguments are a typed list ([Arg]) that stays on the emitter's stack.
 //
-// Traces are Chrome trace_event JSON, written in emission order either as
-// the run goes ([NewStreamSink]) or afterwards from kept events
-// ([Sink.WriteJSON]), byte for byte the same document. They load directly
+// Traces are Chrome trace_event JSON, written in emission order as the run
+// goes ([NewStreamSink]); a keeping sink ([NewSink]) buffers events until
+// [Sink.Splice] writes them into another sink, which a streaming sink
+// encodes byte for byte as if they had been emitted there. [ParseJSON]
+// reads a document back into events. Traces load directly
 // into Perfetto (https://ui.perfetto.dev) or chrome://tracing; one trace
 // microsecond equals one simulated cycle. The metrics [Registry] renders
 // as aligned text ([Registry.Render]) or the Prometheus text format
@@ -31,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -185,14 +186,6 @@ func NewStreamSink(w io.Writer, _ int) *Sink {
 // before computing arguments, so the nil sink costs nothing.
 func (s *Sink) Enabled() bool { return s != nil }
 
-// Emit appends one event verbatim.
-func (s *Sink) Emit(ev Event) {
-	if s == nil {
-		return
-	}
-	s.add(ev, ev.Args)
-}
-
 // add emits ev with args as its arguments, in place of ev.Args. The two
 // travel apart so that args, unlike an event a keeping sink stores, never
 // reaches the heap.
@@ -334,9 +327,8 @@ func (s *Sink) Len() int {
 // Reset empties a keeping sink so it can buffer again: the events it
 // kept are dropped and the next ones are stored in the space they took,
 // so a child buffer reset before each epoch stops allocating once it has
-// held the largest. Events returned before share their Args with the sink
-// and must not be read after. A streaming sink, whose events are already
-// written, ignores Reset.
+// held the largest. A streaming sink, whose events are already written,
+// ignores Reset.
 func (s *Sink) Reset() {
 	if s == nil {
 		return
@@ -356,15 +348,6 @@ func (s *Sink) kept() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.events[:len(s.events):len(s.events)]
-}
-
-// Events returns a snapshot of the kept events in emission order; a
-// streaming sink keeps none.
-func (s *Sink) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	return slices.Clone(s.kept())
 }
 
 // appendEvent appends the wire form of ev, with args as its arguments, to
@@ -483,19 +466,6 @@ func (s *Sink) Close() error {
 		s.err = err
 	}
 	return s.err
-}
-
-// WriteJSON writes the kept events to w the way a streaming sink would
-// have written them as they were emitted: the same document, byte for
-// byte. The trace_event format does not require sorting.
-func (s *Sink) WriteJSON(w io.Writer) error {
-	out := NewStreamSink(w, 0)
-	if s != nil {
-		for _, ev := range s.kept() {
-			out.add(ev, ev.Args)
-		}
-	}
-	return out.Close()
 }
 
 // jsonEvent is the wire form of one Chrome trace_event record, as

@@ -14,21 +14,13 @@ func TestNilSinkIsSafeAndFree(t *testing.T) {
 		t.Fatal("nil sink reports enabled")
 	}
 	// Every method must be a no-op on nil.
-	s.Emit(Event{Name: "x"})
 	s.Span("a", 0, 1, 0, 0, nil)
 	s.Instant("b", 0, 0, 0, nil)
 	s.Counter("c", 0, 0, 1)
 	s.NameThread(0, 0, "t")
 	s.Splice(NewSink(), 0, 0, 0)
-	if s.AllocPid("p") != 0 || s.Len() != 0 || s.Events() != nil {
+	if s.AllocPid("p") != 0 || s.Len() != 0 || s.Close() != nil {
 		t.Fatal("nil sink leaked state")
-	}
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if evs, err := ParseJSON(&buf); err != nil || len(evs) != 0 {
-		t.Fatalf("nil sink JSON: %v, %d events", err, len(evs))
 	}
 	// The disabled hot path must not allocate: this is the invariant that
 	// lets every scheduler call site run untraced at zero cost.
@@ -54,16 +46,12 @@ func TestJSONRoundTripPreservesOrderAndFields(t *testing.T) {
 	s.Counter("log.syscalls", 150, pid, 7)
 	s.Span("epoch", 150, 60, pid, 0, []Arg{String("why", "a<b\n"), Bool("adopt", false), Int("epoch", int64(math.MinInt64))})
 
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.String()
+	wire := string(writeJSON(t, s))
 	got, err := ParseJSON(strings.NewReader(wire))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := s.Events()
+	want := s.kept()
 	if len(got) != len(want) {
 		t.Fatalf("round trip: %d events, want %d", len(got), len(want))
 	}
@@ -108,7 +96,7 @@ func TestJSONRoundTripPreservesOrderAndFields(t *testing.T) {
 	// And what was parsed writes the same document again.
 	again := NewSink()
 	for _, ev := range got {
-		again.Emit(ev)
+		again.add(ev, ev.Args)
 	}
 	if w2 := writeJSON(t, again); string(w2) != wire {
 		t.Fatalf("re-written:\n%s\nwant:\n%s", w2, wire)
@@ -128,11 +116,18 @@ func TestSpliceShiftsAndRehomes(t *testing.T) {
 	child.Instant("signal", 12, 0, 0, nil)
 	child.Counter("n", 14, 0, 3)
 
-	parent := NewSink()
+	var buf bytes.Buffer
+	parent := NewStreamSink(&buf, 0)
 	pid := parent.AllocPid("p")
 	parent.Splice(child, 1000, pid, 7)
-
-	evs := parent.Events()[1:] // skip the process_name meta
+	if err := parent.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := ParseJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs = evs[1:] // skip the process_name meta
 	if evs[0].Ts != 1010 || evs[0].Pid != pid || evs[0].Tid != 7 {
 		t.Fatalf("spliced span: %+v", evs[0])
 	}
@@ -154,24 +149,19 @@ func TestRegistryAggregates(t *testing.T) {
 	for _, v := range []int64{100, 200, 400, 800} {
 		r.Observe("epoch.cycles", v, wl)
 	}
-	if got := r.Counter("record.epochs", wl); got != 42 {
-		t.Fatalf("counter = %d", got)
+	var prom bytes.Buffer
+	if err := r.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
 	}
-	if got := r.Gauge("record.completion_cycles", wl); got != 1150271 {
-		t.Fatalf("gauge = %g", got)
-	}
-	h := r.Hist("epoch.cycles", wl)
-	if h == nil || h.Count != 4 || h.Sum != 1500 || h.Min != 100 || h.Max != 800 {
-		t.Fatalf("hist = %+v", h)
-	}
-	if h.Mean() != 375 {
-		t.Fatalf("mean = %g", h.Mean())
-	}
-	if q := h.Quantile(1); q != 800 {
-		t.Fatalf("p100 = %d", q)
-	}
-	if q := h.Quantile(0); q < 100 || q > 127 {
-		t.Fatalf("p0 = %d, want bucket bound of 100", q)
+	for _, want := range []string{
+		`doubleplay_record_epochs{workload="pbzip"} 42`,
+		`doubleplay_record_completion_cycles{workload="pbzip"} 1.150271e+06`,
+		`doubleplay_epoch_cycles_sum{workload="pbzip"} 1500`,
+		`doubleplay_epoch_cycles_count{workload="pbzip"} 4`,
+	} {
+		if !hasLine(prom.String(), want) {
+			t.Fatalf("WritePrometheus has no line %q in:\n%s", want, prom.String())
+		}
 	}
 
 	var buf bytes.Buffer
@@ -181,12 +171,28 @@ func TestRegistryAggregates(t *testing.T) {
 		"counter  record.epochs{workload=pbzip}",
 		"gauge    record.completion_cycles{workload=pbzip}",
 		"hist     epoch.cycles{workload=pbzip}",
-		"count=4",
+		"count=4 sum=1500 min=100 mean=375 p50<=255 p90<=511 max=800",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q in:\n%s", want, out)
 		}
 	}
+
+	var h Histogram
+	for _, v := range []int64{100, 200, 400, 800} {
+		h.observe(v)
+	}
+	if q := h.Quantile(1); q != 800 {
+		t.Fatalf("p100 = %d", q)
+	}
+	if q := h.Quantile(0); q < 100 || q > 127 {
+		t.Fatalf("p0 = %d, want bucket bound of 100", q)
+	}
+}
+
+// hasLine reports whether text holds line as one whole line.
+func hasLine(text, line string) bool {
+	return slices.Contains(strings.Split(text, "\n"), line)
 }
 
 func TestNilRegistryIsSafe(t *testing.T) {
@@ -194,8 +200,9 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Add("a", 1)
 	r.Set("b", 2)
 	r.Observe("c", 3)
-	if r.Counter("a") != 0 || r.Gauge("b") != 0 || r.Hist("c") != nil {
-		t.Fatal("nil registry leaked state")
+	var buf bytes.Buffer
+	r.Render(&buf)
+	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
+		t.Fatalf("nil registry wrote %q, %v", buf.String(), err)
 	}
-	r.Render(&bytes.Buffer{})
 }

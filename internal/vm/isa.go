@@ -223,16 +223,6 @@ type Program struct {
 	DataBase Word
 }
 
-// FuncByName returns the index of the named function, or -1.
-func (p *Program) FuncByName(name string) int {
-	for i, f := range p.Funcs {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // FuncSpan returns the body of function i: the code range [start, end)
 // from its entry up to the next greater entry, or the end of the code
 // segment. Functions that share an entry share a body.
