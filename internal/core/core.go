@@ -190,7 +190,7 @@ type Stats struct {
 	Syscalls    int   // syscalls logged
 	Signals     int   // asynchronous deliveries logged
 	Slices      int   // timeslices in the replay schedule
-	GuestFaults int
+	GuestFaults int   // threads that ended faulted
 
 	Divergences     int // epochs whose executions disagreed
 	HashRecoveries  int // recovered by adopting the epoch-parallel state
@@ -433,10 +433,6 @@ type recorder struct {
 	stats      Stats
 	divInfo    []DivergenceInfo
 	epochLen   int64
-	// dropped are the threads whose fault the last adopted state left out:
-	// they faulted in the thread-parallel run, and the epoch-parallel run
-	// stopped on the instruction that faults.
-	dropped []*vm.Thread
 }
 
 // pending is a produced epoch awaiting commit: its index, boundaries and
@@ -627,17 +623,6 @@ func (r *recorder) produce() (pending, error) {
 	p := pending{i: r.last.Index, start: r.last, ep: ep, mapped: mapped, cow: cow}
 	b := epoch.Capture(p.i+1, r.par.Now(), r.m, r.live.World())
 	p.end, r.last = b, b
-
-	// A fault retires nothing, so no log can say where it happened. Under
-	// verification the adopted state leaves it out and the resumed run
-	// faults again on the same instruction: stop there rather than adopt
-	// the same state epoch after epoch.
-	for _, d := range r.dropped {
-		if t := b.CP.Threads[d.ID]; t.Status == vm.Faulted && t.Retired == d.Retired {
-			return pending{}, guestFault(p.i, t)
-		}
-	}
-	r.dropped = nil
 	ep.Index, ep.Targets, ep.StartHash = p.i, b.Targets(), p.start.Hash
 	ep.CommitHash = b.World.OutputHash()
 	r.stats.SyncEvents += len(ep.SyncOrder)
@@ -734,11 +719,7 @@ func (r *recorder) commit(p pending, v verdict) error {
 	switch v.kind {
 	case verdictCertified:
 		// The logged thread-parallel execution IS the verified one; replay
-		// free-runs it under the SyncOrder gate (replay.ErrCertViolated),
-		// which stops a thread at its target, short of a fault.
-		if t := faultedIn(p); t != nil {
-			return guestFault(p.i, t)
-		}
+		// free-runs it under the SyncOrder gate (replay.ErrCertViolated).
 		ep.EndHash, ep.Certified = b.Hash, true
 		r.stats.VerifySkipped++
 		if tr.Enabled() {
@@ -825,9 +806,6 @@ func (r *recorder) recover(p pending, v verdict, pm placement) (*dplog.EpochLog,
 		tp.Release()
 		nb = epoch.Snapshot(b.Index, 0, v.res.M, v.res.EndHash)
 		nb.World = b.World
-		if t := faultedIn(p); t != nil && nb.CP.Threads[t.ID].Status != vm.Faulted {
-			r.dropped = append(r.dropped, t)
-		}
 	} else {
 		// The epoch-parallel run departed before the boundary (syscall or
 		// sync-order mismatch). Roll the world back to the epoch start —
@@ -1086,31 +1064,6 @@ func RunNative(prog *vm.Program, world *simos.World, cpus int, seed int64, costs
 		Faults:     m.Faults(),
 	}, nil
 }
-
-// faultedIn returns a thread that faulted during epoch p — faulted at its
-// end boundary, and live or not yet spawned at its start — or nil.
-func faultedIn(p pending) *vm.Thread {
-	for i, t := range p.end.CP.Threads {
-		if t.Status == vm.Faulted && (i >= len(p.start.CP.Threads) || p.start.CP.Threads[i].Status != vm.Faulted) {
-			return t
-		}
-	}
-	return nil
-}
-
-// guestFault is the error for thread t's fault in epoch i.
-func guestFault(i int, t *vm.Thread) error {
-	return fmt.Errorf("%w: epoch %d, tid %d @pc %d after %d retired: %s", ErrGuestFault, i, t.ID, t.PC, t.Retired, t.Fault)
-}
-
-// ErrGuestFault reports a guest thread fault the log cannot place. A fault
-// retires nothing, so no epoch log can say where it happened, and a
-// recording that holds one would not replay. Record returns it at the
-// first certified epoch in which a thread faulted, or, under verification,
-// when the run resumed from an adopted state faults the same thread again
-// at the same retired count. The message names the epoch, the thread, its
-// pc and the fault.
-var ErrGuestFault = errors.New("core: guest fault the log cannot place")
 
 // ErrTooManyEpochs is returned when MaxEpochs is exceeded.
 var ErrTooManyEpochs = errors.New("core: too many epochs")

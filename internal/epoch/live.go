@@ -69,7 +69,7 @@ func (l *LiveLog) Take() *dplog.EpochLog {
 // a retired one is appended with its result.
 func (l *LiveLog) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
 	res := l.os.Syscall(m, t, num, args)
-	if !res.Block && res.Fault == "" {
+	if !res.Block {
 		l.ep.Syscalls = append(l.ep.Syscalls, dplog.SyscallRecord{
 			Tid: t.ID, Num: num, Args: args, Ret: res.Ret, Writes: res.Writes,
 		})

@@ -39,7 +39,8 @@ func (p *tape) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word
 		return res
 	}
 	if p.next >= len(p.results) {
-		return vm.SysResult{Fault: "tape exhausted"}
+		m.Diverged = "tape exhausted"
+		return vm.SysResult{Block: true}
 	}
 	p.next++
 	return p.results[p.next-1]
@@ -114,8 +115,10 @@ func diffThreads(t *testing.T, got, want []*vm.Thread) {
 }
 
 // check is the differential oracle over one generated guest. It returns
-// the guest and whether one of its threads faulted in the reference run.
-func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted bool) {
+// the guest, whether one of its threads faulted in the reference run and,
+// for a disciplined guest, which it records, how many threads its
+// recording ended with faulted.
+func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted bool, recordedFaults int) {
 	g = guestgen.Generate(data)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	quantum := int64(1 + rng.Intn(400))
@@ -136,19 +139,13 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 		}
 	}
 
-	// A fault is not a retirement, so neither a timeslice count nor a
-	// per-thread target can say "and then the thread faulted": a followed
-	// schedule stops one attempt short of it, and the recorder cannot
-	// commit an epoch a thread faulted in (ROADMAP, open item 1). Faulting
-	// guests are therefore compared in logging mode only.
 	for _, th := range want.Threads {
-		if th.Status == vm.Faulted {
-			return g, true
-		}
+		faulted = faulted || th.Status == vm.Faulted
 	}
 
 	// Replay mode: the logged schedule followed with the logged syscall
-	// results, reference against loop, whole and paused.
+	// results, reference against loop, whole and paused. A fault retires,
+	// so a slice and a target that count it end the thread there.
 	targets := make([]uint64, len(want.Threads))
 	for i, th := range want.Threads {
 		targets[i] = th.Retired
@@ -163,8 +160,8 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 		diff(t, fmt.Sprintf("follow mode, chunked %v", chunks != nil), got, wantF)
 	}
 
-	if !g.Disciplined || g.MayFault {
-		return g, false // under the recorder's schedule a thread might fault after all
+	if !g.Disciplined {
+		return g, faulted, 0
 	}
 	// Race-free by construction: the recorder must never see a divergence,
 	// and every way of replaying the log must reproduce every boundary
@@ -222,7 +219,7 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 	if h := m.StateHash(); h != res.FinalHash {
 		t.Fatalf("stepped replay: final hash %016x, recorded %016x", h, res.FinalHash)
 	}
-	return g, false
+	return g, faulted, res.Stats.GuestFaults
 }
 
 // replayTraced replays src under opt with a trace and a guest profile and
@@ -259,25 +256,31 @@ func TestGeneratedGuests(t *testing.T) {
 	if testing.Short() {
 		n = 25
 	}
-	var racy, faults, recorded int
+	var racy, faults, recorded, recordedFaulting int
 	for i := 0; i < n; i++ {
 		data := binary.LittleEndian.AppendUint64(nil, uint64(i)*0x9e3779b97f4a7c15+1)
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			g, faulted := check(t, data, uint64(i))
-			switch {
-			case faulted:
+			g, faulted, recordedFaults := check(t, data, uint64(i))
+			if faulted {
 				faults++
-			case !g.Disciplined:
+			}
+			if !g.Disciplined {
 				racy++
-			case !g.MayFault:
-				recorded++
+				return
+			}
+			recorded++
+			if recordedFaults > 0 {
+				recordedFaulting++
 			}
 		})
 	}
 	// The generator must keep producing both kinds of program and both
-	// kinds of ending, or the oracle is looking at less than it claims.
-	if racy == 0 || faults == 0 || recorded < n/4 {
-		t.Fatalf("of %d guests: %d faulted, %d fault-free but racy, %d recorded and replayed", n, faults, racy, recorded)
+	// kinds of ending, and some recording must hold a fault, or the oracle
+	// is looking at less than it claims.
+	msg := fmt.Sprintf("of %d guests: %d faulted, %d racy, %d recorded and replayed (%d of them with a fault)",
+		n, faults, racy, recorded, recordedFaulting)
+	if racy == 0 || faults == 0 || recorded < n/4 || recordedFaulting == 0 {
+		t.Fatal(msg)
 	}
-	t.Logf("of %d guests: %d faulted, %d fault-free but racy, %d recorded and replayed", n, faults, racy, recorded)
+	t.Log(msg)
 }

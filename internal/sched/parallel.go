@@ -356,10 +356,6 @@ func (p *Parallel) RunUntil(limit int64) error {
 					}
 					p.sysPoll[t.ID] = cpu.clock + sysPollInterval
 				}
-				if t.Status == vm.Faulted {
-					p.unbind(ci)
-					continue
-				}
 				// Release the CPU; a tiny charge models the failed attempt.
 				cpu.clock += 1
 				p.unbind(ci)

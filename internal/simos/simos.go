@@ -14,7 +14,6 @@ package simos
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"doubleplay/internal/vm"
@@ -23,22 +22,24 @@ import (
 // Word aliases the guest word type.
 type Word = vm.Word
 
-// Syscall numbers.
+// Syscall numbers. A call the OS cannot service — an unknown number, a bad
+// or closed descriptor, an out-of-range length — returns -1 and changes
+// nothing; no syscall faults the thread.
 const (
-	SysPrint    Word = 1  // (addr, n) -> n; hashes n words into the output commit
-	SysAlloc    Word = 2  // (nwords) -> addr; bump allocation
+	SysPrint    Word = 1  // (addr, n) -> n; hashes n words into the output commit; -1 for n outside [0, 2^24]
+	SysAlloc    Word = 2  // (nwords) -> addr; bump allocation; -1 for nwords outside [0, 2^26]
 	SysTime     Word = 3  // () -> current simulated cycle
 	SysRand     Word = 4  // () -> pseudorandom non-negative word
-	SysOpen     Word = 5  // (nameAddr, nameLen) -> fd, or -1
-	SysRead     Word = 6  // (fd, bufAddr, n) -> words read (0 at EOF)
-	SysWrite    Word = 7  // (fd, bufAddr, n) -> n; hashes into the output commit
-	SysClose    Word = 8  // (fd) -> 0
-	SysFileSize Word = 9  // (fd) -> size in words
+	SysOpen     Word = 5  // (nameAddr, nameLen) -> fd; -1 for a missing file or nameLen outside [0, 4096]
+	SysRead     Word = 6  // (fd, bufAddr, n) -> words read (0 at EOF); -1 for a bad fd or n < 0
+	SysWrite    Word = 7  // (fd, bufAddr, n) -> n; hashes into the output commit; -1 as SysPrint
+	SysClose    Word = 8  // (fd) -> 0; -1 for a bad fd
+	SysFileSize Word = 9  // (fd) -> size in words; -1 for a bad fd
 	SysListen   Word = 10 // () -> listener fd
 	SysAccept   Word = 11 // (lfd) -> conn fd; blocks until a client arrives; -1 when script exhausted
-	SysRecv     Word = 12 // (cfd, bufAddr, max) -> words received; blocks; 0 at connection EOF
-	SysSend     Word = 13 // (cfd, addr, n) -> n; hashes into the output commit
-	SysFetch    Word = 14 // (off, n, bufAddr) -> words fetched from the remote source after latency
+	SysRecv     Word = 12 // (cfd, bufAddr, max) -> words received; blocks; 0 at connection EOF; -1 for a bad cfd or max <= 0
+	SysSend     Word = 13 // (cfd, addr, n) -> n; hashes into the output commit; -1 as SysPrint
+	SysFetch    Word = 14 // (off, n, bufAddr) -> words fetched from the remote source after latency; -1 for off or n out of range
 	SysFetchLen Word = 15 // () -> remote source length in words
 	SysYield    Word = 16 // () -> 0; scheduling hint, no effect on state
 )
@@ -251,7 +252,7 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 			addr, n = args[1], args[2]
 		}
 		if n < 0 || n > 1<<24 {
-			return vm.SysResult{Fault: fmt.Sprintf("output syscall with bad length %d", n)}
+			return vm.SysResult{Ret: -1}
 		}
 		words := make([]Word, n)
 		for i := range words {
@@ -263,7 +264,7 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 	case SysAlloc:
 		n := args[0]
 		if n < 0 || n > 1<<26 {
-			return vm.SysResult{Fault: fmt.Sprintf("alloc of %d words", n)}
+			return vm.SysResult{Ret: -1}
 		}
 		addr := w.brk
 		w.brk += n
@@ -281,7 +282,7 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 	case SysOpen:
 		nameAddr, nameLen := args[0], args[1]
 		if nameLen < 0 || nameLen > 4096 {
-			return vm.SysResult{Fault: fmt.Sprintf("open with name length %d", nameLen)}
+			return vm.SysResult{Ret: -1}
 		}
 		name := decodeString(m, nameAddr, nameLen)
 		f, ok := w.files[name]
@@ -294,14 +295,11 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 
 	case SysRead:
 		fd, bufAddr, n := args[0], args[1], args[2]
-		i, err := w.fd(fd)
-		if err != "" {
-			return vm.SysResult{Fault: err}
+		i, ok := w.fd(fd)
+		if !ok || n < 0 {
+			return vm.SysResult{Ret: -1}
 		}
 		s := &w.fds[i]
-		if n < 0 {
-			return vm.SysResult{Fault: "read with negative length"}
-		}
 		avail := len(s.file.Data) - s.pos
 		if avail <= 0 {
 			return vm.SysResult{Ret: 0}
@@ -317,17 +315,17 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 		}
 
 	case SysClose:
-		i, err := w.fd(args[0])
-		if err != "" {
-			return vm.SysResult{Fault: err}
+		i, ok := w.fd(args[0])
+		if !ok {
+			return vm.SysResult{Ret: -1}
 		}
 		w.fds = slices.Delete(w.fds, i, i+1)
 		return vm.SysResult{Ret: 0}
 
 	case SysFileSize:
-		i, err := w.fd(args[0])
-		if err != "" {
-			return vm.SysResult{Fault: err}
+		i, ok := w.fd(args[0])
+		if !ok {
+			return vm.SysResult{Ret: -1}
 		}
 		return vm.SysResult{Ret: Word(len(w.fds[i].file.Data))}
 
@@ -351,12 +349,9 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 
 	case SysRecv:
 		cfd, bufAddr, max := args[0], args[1], args[2]
-		i, err := w.conn(cfd)
-		if err != "" {
-			return vm.SysResult{Fault: err}
-		}
-		if max <= 0 {
-			return vm.SysResult{Fault: "recv with non-positive max"}
+		i, ok := w.conn(cfd)
+		if !ok || max <= 0 {
+			return vm.SysResult{Ret: -1}
 		}
 		if i < 0 {
 			return vm.SysResult{Ret: 0} // connection EOF
@@ -388,7 +383,7 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 	case SysFetch:
 		off, n, bufAddr := args[0], args[1], args[2]
 		if off < 0 || n < 0 || off > Word(len(w.fetchSrc)) {
-			return vm.SysResult{Fault: fmt.Sprintf("fetch out of range: off=%d n=%d", off, n)}
+			return vm.SysResult{Ret: -1}
 		}
 		ready, pending := w.pendingFetch[t.ID]
 		if !pending {
@@ -413,34 +408,29 @@ func (o *OS) Syscall(m *vm.Machine, t *vm.Thread, num Word, args [6]Word) vm.Sys
 		return vm.SysResult{Ret: Word(len(w.fetchSrc))}
 
 	default:
-		return vm.SysResult{Fault: fmt.Sprintf("unknown syscall %d", num)}
+		return vm.SysResult{Ret: -1}
 	}
 }
 
-// fd returns the index in w.fds of open fd, or the fault a syscall on it
-// takes.
-func (w *World) fd(fd Word) (int, string) {
+// fd returns the index in w.fds of open fd, and false when fd is not open.
+func (w *World) fd(fd Word) (int, bool) {
 	if fd < 0 || fd >= w.nfds {
-		return 0, fmt.Sprintf("bad fd %d", fd)
+		return 0, false
 	}
-	i, ok := slices.BinarySearchFunc(w.fds, fd, func(s fdState, fd Word) int { return cmp.Compare(s.fd, fd) })
-	if !ok {
-		return 0, fmt.Sprintf("fd %d is closed", fd)
-	}
-	return i, ""
+	return slices.BinarySearchFunc(w.fds, fd, func(s fdState, fd Word) int { return cmp.Compare(s.fd, fd) })
 }
 
 // conn returns the index in w.conns of accepted connection cfd, -1 when
-// its script is exhausted, or the fault a syscall on it takes.
-func (w *World) conn(cfd Word) (int, string) {
+// its script is exhausted, and false when cfd was never accepted.
+func (w *World) conn(cfd Word) (int, bool) {
 	if cfd < 0 || cfd >= Word(w.accepted) {
-		return 0, fmt.Sprintf("bad connection fd %d", cfd)
+		return 0, false
 	}
 	i, ok := slices.BinarySearchFunc(w.conns, cfd, func(c connState, fd Word) int { return cmp.Compare(c.fd, fd) })
 	if !ok {
-		return -1, ""
+		return -1, true
 	}
-	return i, ""
+	return i, true
 }
 
 // decodeString reads a guest string stored one character per word.

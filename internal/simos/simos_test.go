@@ -1,7 +1,6 @@
 package simos_test
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -78,26 +77,23 @@ func TestOpenMissingFileReturnsMinusOne(t *testing.T) {
 	}
 }
 
-func TestUseClosedFdFaults(t *testing.T) {
+// A syscall the OS cannot service is an error the guest reads, not a
+// fault: the thread gets -1 and runs on.
+func TestUseClosedFdReturnsMinusOne(t *testing.T) {
 	w := simos.NewWorld(1)
 	w.AddFile("f", []vm.Word{1})
-	b := asm.NewBuilder("t")
-	f := b.Func("main", 0)
-	nameAddr, nameLen := b.Str("f")
-	na, nl := f.Const(nameAddr), f.Const(nameLen)
-	fd := f.Reg()
-	f.Sys(simos.SysOpen, na, nl)
-	f.Mov(fd, asm.RetReg)
-	f.Sys(simos.SysClose, fd)
-	f.Sys(simos.SysFileSize, fd)
-	f.HaltImm(0)
-	m := vm.NewMachine(b.MustBuild(), simos.NewOS(w), nil)
-	u := sched.NewUni(m)
-	if err := u.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.FaultCount() != 1 {
-		t.Fatal("use of closed fd did not fault")
+	m := runWith(t, w, func(f *asm.Func, b *asm.Builder) {
+		nameAddr, nameLen := b.Str("f")
+		na, nl := f.Const(nameAddr), f.Const(nameLen)
+		fd := f.Reg()
+		f.Sys(simos.SysOpen, na, nl)
+		f.Mov(fd, asm.RetReg)
+		f.Sys(simos.SysClose, fd)
+		f.Sys(simos.SysFileSize, fd)
+		f.Halt(asm.RetReg)
+	})
+	if th := m.Threads[0]; m.FaultCount() != 0 || th.ExitVal != -1 {
+		t.Fatalf("file size of a closed fd: exit %d, %v; want -1 and no fault", th.ExitVal, m.Faults())
 	}
 }
 
@@ -289,19 +285,13 @@ func TestEncodeString(t *testing.T) {
 	}
 }
 
-func TestUnknownSyscallFaults(t *testing.T) {
-	w := simos.NewWorld(1)
-	b := asm.NewBuilder("t")
-	f := b.Func("main", 0)
-	f.Sys(9999)
-	f.HaltImm(0)
-	m := vm.NewMachine(b.MustBuild(), simos.NewOS(w), nil)
-	u := sched.NewUni(m)
-	if err := u.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.FaultCount() != 1 {
-		t.Fatal("unknown syscall did not fault")
+func TestUnknownSyscallReturnsMinusOne(t *testing.T) {
+	m := runWith(t, simos.NewWorld(1), func(f *asm.Func, b *asm.Builder) {
+		f.Sys(9999)
+		f.Halt(asm.RetReg)
+	})
+	if th := m.Threads[0]; m.FaultCount() != 0 || th.ExitVal != -1 {
+		t.Fatalf("unknown syscall: exit %d, %v; want -1 and no fault", th.ExitVal, m.Faults())
 	}
 }
 
@@ -343,8 +333,8 @@ func cloneBytes(w *simos.World) uint64 {
 // TestCloneCopiesLiveStateOnly holds World.Clone to the state that can
 // still change: its cost does not grow with fds a run has closed or
 // connections whose script it has read to the end, a clone does not see
-// what the original does afterwards, and the faults a guest takes on a bad
-// or closed fd read as they always have.
+// what the original does afterwards, and a call on a bad or closed fd
+// still returns -1 and writes nothing.
 func TestCloneCopiesLiveStateOnly(t *testing.T) {
 	const pairs, served = 1000, 1000
 	w := simos.NewWorld(1)
@@ -364,7 +354,7 @@ func TestCloneCopiesLiveStateOnly(t *testing.T) {
 	for i := 0; i < served; i++ {
 		c := h.sys(simos.SysAccept, 0).Ret
 		h.sys(simos.SysRecv, c, 0, 4)
-		if r := h.sys(simos.SysRecv, c, 0, 4); r.Ret != 0 || r.Fault != "" {
+		if r := h.sys(simos.SysRecv, c, 0, 4); r.Ret != 0 || r.Writes != nil {
 			t.Fatalf("recv on served connection %d = %+v, want EOF", c, r)
 		}
 	}
@@ -381,10 +371,10 @@ func TestCloneCopiesLiveStateOnly(t *testing.T) {
 	h.sys(simos.SysRecv, live, 0, 4)
 	next := h.sys(simos.SysAccept, 0).Ret
 	hc := newHost(c)
-	if r := hc.sys(simos.SysRead, fd, 0, 1); r.Fault != "" || r.Writes[0].Data[0] != 1 {
+	if r := hc.sys(simos.SysRead, fd, 0, 1); r.Ret != 1 || r.Writes[0].Data[0] != 1 {
 		t.Fatalf("clone read of fd %d = %+v, want word 1", fd, r)
 	}
-	if r := hc.sys(simos.SysRecv, live, 0, 4); r.Fault != "" || r.Writes[0].Data[0] != 7 {
+	if r := hc.sys(simos.SysRecv, live, 0, 4); r.Ret != 1 || r.Writes[0].Data[0] != 7 {
 		t.Fatalf("clone recv on connection %d = %+v, want word 7", live, r)
 	}
 	if got := hc.sys(simos.SysAccept, 0).Ret; got != next {
@@ -392,18 +382,18 @@ func TestCloneCopiesLiveStateOnly(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
+		name     string
 		num, arg vm.Word
-		want     string
 	}{
-		{simos.SysRead, -1, "bad fd -1"},
-		{simos.SysRead, fd + pairs + 1, fmt.Sprintf("bad fd %d", fd+pairs+1)},
-		{simos.SysRead, fd, fmt.Sprintf("fd %d is closed", fd)},
-		{simos.SysClose, fd + 1, fmt.Sprintf("fd %d is closed", fd+1)},
-		{simos.SysFileSize, fd + pairs, fmt.Sprintf("fd %d is closed", fd+pairs)},
-		{simos.SysRecv, next + 1, fmt.Sprintf("bad connection fd %d", next+1)},
+		{"read of fd -1", simos.SysRead, -1},
+		{"read of an fd never opened", simos.SysRead, fd + pairs + 1},
+		{"read of a closed fd", simos.SysRead, fd},
+		{"close of a closed fd", simos.SysClose, fd + 1},
+		{"size of a closed fd", simos.SysFileSize, fd + pairs},
+		{"recv on a connection never accepted", simos.SysRecv, next + 1},
 	} {
-		if got := h.sys(tc.num, tc.arg, 0, 1).Fault; got != tc.want {
-			t.Errorf("syscall %d on %d faults %q, want %q", tc.num, tc.arg, got, tc.want)
+		if r := h.sys(tc.num, tc.arg, 0, 1); r.Ret != -1 || r.Writes != nil || r.Block {
+			t.Errorf("%s (fd %d) = %+v, want -1", tc.name, tc.arg, r)
 		}
 	}
 }

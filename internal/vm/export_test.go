@@ -14,6 +14,9 @@ const BlockedLock = blockedLock
 // RaceEnabled tells the external allocation guards to skip.
 const RaceEnabled = raceEnabled
 
+// MaxFrames is the deepest call stack a thread may hold.
+const MaxFrames = maxFrames
+
 // DiffMachines describes the first difference between two machines,
 // field by field — unexported ones, every hook and every thread field
 // included — or returns "" when there is none. Memory compares by its

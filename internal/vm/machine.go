@@ -95,7 +95,6 @@ type SysResult struct {
 	Ret    Word
 	Block  bool       // retry later; nothing retired
 	Writes []MemWrite // applied to guest memory on retire
-	Fault  string     // non-empty: guest fault (bad syscall, bad args)
 	Cost   Word       // extra cycles beyond the base syscall cost (data movement)
 }
 
@@ -133,7 +132,8 @@ type Hooks struct {
 	// OnRetire observes every retired instruction: pc is the program
 	// counter the instruction retired at (for a delivered signal, the pc it
 	// interrupted) and cost is the instruction's static per-opcode charge
-	// (Sync for signal delivery). The static charge — rather than the
+	// (Sync for signal delivery, zero for a fetch outside the code
+	// segment, which faults). The static charge — rather than the
 	// dynamic StepResult cost — keeps the stream a pure function of the
 	// retired-instruction sequence, identical between live and injected
 	// execution; profilers depend on that.
@@ -247,12 +247,17 @@ func (m *Machine) Faults() []string {
 	return out
 }
 
-func (m *Machine) fault(t *Thread, msg string) {
+// fault ends t at its current instruction, which retires at no charge: a
+// fault is the thread's last retirement, as a halt is, so a retired count
+// that includes it says "and then the thread faulted" to every later run.
+func (m *Machine) fault(t *Thread, msg string) StepResult {
 	t.Status = Faulted
 	t.Fault = msg
+	t.Retired++
 	m.liveCount--
 	m.faultCount++
 	m.wakeJoiners(t.ID)
+	return StepResult{Retired: true}
 }
 
 // wake transitions every live thread blocked on (status, obj) back to
@@ -325,11 +330,12 @@ func (m *Machine) Step(t *Thread) StepResult {
 	pc0, sig0 := t.PC, t.SigRetired
 	res := m.step(t)
 	if res.Retired {
-		// pc0 indexes valid code: an out-of-range pc faults without
-		// retiring, so Retired implies the fetch at pc0 succeeded.
-		cost := m.costTab[m.Prog.Code[pc0].Op]
-		if t.SigRetired != sig0 {
+		var cost int64 // a fetch outside the code segment faults for nothing
+		switch {
+		case t.SigRetired != sig0:
 			cost = m.Cost.Sync // signal delivery, not the instruction at pc0
+		case uint(pc0) < uint(len(m.Prog.Code)):
+			cost = m.costTab[m.Prog.Code[pc0].Op]
 		}
 		m.Hooks.OnRetire(t, pc0, cost)
 	}
@@ -341,8 +347,7 @@ func (m *Machine) step(t *Thread) StepResult {
 		panic(fmt.Sprintf("vm: Step on dead thread %d (%s)", t.ID, t.Status))
 	}
 	if t.PC < 0 || t.PC >= len(m.Prog.Code) {
-		m.fault(t, fmt.Sprintf("pc out of range: %d", t.PC))
-		return StepResult{}
+		return m.fault(t, fmt.Sprintf("pc out of range: %d", t.PC))
 	}
 	if m.Hooks.PendingSignal != nil {
 		if sig, ok := m.Hooks.PendingSignal(t); ok {
@@ -386,15 +391,13 @@ func (m *Machine) step(t *Thread) StepResult {
 		return retire()
 	case OpDiv:
 		if r[in.C] == 0 {
-			m.fault(t, "divide by zero")
-			return StepResult{}
+			return m.fault(t, "divide by zero")
 		}
 		r[in.A] = r[in.B] / r[in.C]
 		return retire()
 	case OpMod:
 		if r[in.C] == 0 {
-			m.fault(t, "modulo by zero")
-			return StepResult{}
+			return m.fault(t, "modulo by zero")
 		}
 		r[in.A] = r[in.B] % r[in.C]
 		return retire()
@@ -421,15 +424,13 @@ func (m *Machine) step(t *Thread) StepResult {
 		return retire()
 	case OpDivi:
 		if in.Imm == 0 {
-			m.fault(t, "divide by zero immediate")
-			return StepResult{}
+			return m.fault(t, "divide by zero immediate")
 		}
 		r[in.A] = r[in.B] / in.Imm
 		return retire()
 	case OpModi:
 		if in.Imm == 0 {
-			m.fault(t, "modulo by zero immediate")
-			return StepResult{}
+			return m.fault(t, "modulo by zero immediate")
 		}
 		r[in.A] = r[in.B] % in.Imm
 		return retire()
@@ -503,12 +504,10 @@ func (m *Machine) step(t *Thread) StepResult {
 	case OpCall:
 		fn := int(in.Imm)
 		if fn < 0 || fn >= len(m.Prog.Funcs) {
-			m.fault(t, fmt.Sprintf("call to bad function %d", fn))
-			return StepResult{}
+			return m.fault(t, fmt.Sprintf("call to bad function %d", fn))
 		}
 		if len(t.Frames) >= maxFrames {
-			m.fault(t, "call stack overflow")
-			return StepResult{}
+			return m.fault(t, "call stack overflow")
 		}
 		t.pushCall(t.PC + 1)
 		t.PC = m.Prog.Funcs[fn].Entry
@@ -516,8 +515,7 @@ func (m *Machine) step(t *Thread) StepResult {
 		return StepResult{Retired: true, Cost: cost}
 	case OpRet:
 		if len(t.Frames) == 0 {
-			m.fault(t, "return with empty call stack")
-			return StepResult{}
+			return m.fault(t, "return with empty call stack")
 		}
 		t.PC = t.popFrame(r[in.A])
 		t.Retired++
@@ -541,8 +539,7 @@ func (m *Machine) step(t *Thread) StepResult {
 		holder, held := m.Locks[id]
 		if held {
 			if holder == t.ID {
-				m.fault(t, fmt.Sprintf("recursive lock %d", id))
-				return StepResult{}
+				return m.fault(t, fmt.Sprintf("recursive lock %d", id))
 			}
 			t.Status = blockedLock
 			t.waitObj = id
@@ -558,8 +555,7 @@ func (m *Machine) step(t *Thread) StepResult {
 		id := r[in.A]
 		holder, held := m.Locks[id]
 		if !held || holder != t.ID {
-			m.fault(t, fmt.Sprintf("unlock of lock %d not held by tid %d", id, t.ID))
-			return StepResult{}
+			return m.fault(t, fmt.Sprintf("unlock of lock %d not held by tid %d", id, t.ID))
 		}
 		delete(m.Locks, id)
 		res := retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{ObjLock, id}, Kind: SyncRelease})
@@ -568,8 +564,7 @@ func (m *Machine) step(t *Thread) StepResult {
 	case OpBarArrive:
 		id, count := r[in.B], r[in.C]
 		if count <= 0 {
-			m.fault(t, fmt.Sprintf("barrier %d with count %d", id, count))
-			return StepResult{}
+			return m.fault(t, fmt.Sprintf("barrier %d with count %d", id, count))
 		}
 		b := m.Barriers[id]
 		if b == nil {
@@ -626,8 +621,7 @@ func (m *Machine) step(t *Thread) StepResult {
 	case OpSpawn:
 		fn := int(in.Imm)
 		if fn < 0 || fn >= len(m.Prog.Funcs) {
-			m.fault(t, fmt.Sprintf("spawn of bad function %d", fn))
-			return StepResult{}
+			return m.fault(t, fmt.Sprintf("spawn of bad function %d", fn))
 		}
 		obj := SyncObj{objSpawn, 0}
 		if !m.mayAcquire(t, obj) {
@@ -644,16 +638,14 @@ func (m *Machine) step(t *Thread) StepResult {
 		tid := int(r[in.A])
 		child := m.Thread(tid)
 		if child == nil || child == t {
-			m.fault(t, fmt.Sprintf("join on bad tid %d", tid))
-			return StepResult{}
+			return m.fault(t, fmt.Sprintf("join on bad tid %d", tid))
 		}
 		switch child.Status {
 		case exited:
 			r[in.A] = child.ExitVal
 			return retireSync(SyncEvent{Tid: t.ID, Obj: SyncObj{objSpawn, 0}, Kind: SyncJoin, Child: tid})
 		case Faulted:
-			m.fault(t, fmt.Sprintf("join on faulted tid %d: %s", tid, child.Fault))
-			return StepResult{}
+			return m.fault(t, fmt.Sprintf("join on faulted tid %d: %s", tid, child.Fault))
 		default:
 			t.Status = blockedJoin
 			t.waitObj = Word(tid)
@@ -664,10 +656,6 @@ func (m *Machine) step(t *Thread) StepResult {
 		var args [6]Word
 		copy(args[:], r[ArgStageBase:ArgStageBase+MaxArgs])
 		res := m.OS.Syscall(m, t, in.Imm, args)
-		if res.Fault != "" {
-			m.fault(t, res.Fault)
-			return StepResult{}
-		}
 		if res.Block {
 			t.Status = BlockedSys
 			t.waitObj = 0
@@ -699,8 +687,7 @@ func (m *Machine) step(t *Thread) StepResult {
 	case OpSigH:
 		fn := int(in.Imm)
 		if fn < 0 || fn >= len(m.Prog.Funcs) {
-			m.fault(t, fmt.Sprintf("sig.handler with bad function %d", fn))
-			return StepResult{}
+			return m.fault(t, fmt.Sprintf("sig.handler with bad function %d", fn))
 		}
 		t.SigHandler = fn
 		return retire()
@@ -713,8 +700,7 @@ func (m *Machine) step(t *Thread) StepResult {
 		m.wakeJoiners(t.ID)
 		return StepResult{Retired: true, Cost: cost}
 	default:
-		m.fault(t, fmt.Sprintf("illegal opcode %d", in.Op))
-		return StepResult{}
+		return m.fault(t, fmt.Sprintf("illegal opcode %d", in.Op))
 	}
 }
 
@@ -723,16 +709,17 @@ func (m *Machine) step(t *Thread) StepResult {
 // number as its argument. Delivery retires (like an implicit instruction),
 // so it occupies one position in the thread's retired-instruction stream
 // and appears in timeslice accounting. A thread with no handler absorbs
-// the signal (still retiring the delivery, so record and replay agree).
+// the signal (still retiring the delivery, so record and replay agree); a
+// delivery that would overflow the call stack faults the thread, and that
+// retires too.
 func (m *Machine) deliverSignal(t *Thread, sig Word) StepResult {
-	t.Retired++
 	t.SigRetired++
+	if t.SigHandler >= 0 && len(t.Frames) >= maxFrames {
+		return m.fault(t, "signal delivery overflowed the call stack")
+	}
+	t.Retired++
 	if t.SigHandler < 0 {
 		return StepResult{Retired: true, Cost: m.Cost.Sync}
-	}
-	if len(t.Frames) >= maxFrames {
-		m.fault(t, "signal delivery overflowed the call stack")
-		return StepResult{}
 	}
 	t.Frames = append(t.Frames, Frame{RetPC: t.PC, Regs: t.Regs, Signal: true})
 	var fresh [NumRegs]Word

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"testing"
 
 	"doubleplay/internal/asm"
@@ -279,5 +280,62 @@ func TestSigHandlerBadFunctionFaults(t *testing.T) {
 	m.Step(m.Threads[0])
 	if m.FaultCount() != 1 {
 		t.Fatal("bad handler index did not fault")
+	}
+}
+
+// TestFaultRetires: a fault is the faulting thread's last retirement.
+// Step reports it retired at no cost, the thread's retired count — and,
+// for a signal delivered into a full call stack, its signal count —
+// advances by one, and OnRetire sees it once, at the static charge of the
+// instruction (Sync for the delivery, nothing for a fetch outside the
+// code).
+func TestFaultRetires(t *testing.T) {
+	prog := &vm.Program{
+		Name:  "faults",
+		Funcs: []vm.FuncInfo{{Name: "main", Entry: 0}, {Name: "handler", Entry: 2}},
+		Code: []vm.Instr{
+			{Op: vm.OpDiv, A: 1, B: 2, C: 3}, // r3 is zero
+			{Op: vm.OpHalt},
+			{Op: vm.OpRet},
+		},
+	}
+	costs := vm.DefaultCosts()
+	for _, tc := range []struct {
+		name   string
+		setup  func(m *vm.Machine, th *vm.Thread)
+		fault  string
+		pc     int    // where the fault leaves the thread, and OnRetire's pc
+		sigs   uint64 // signal deliveries the fault retires
+		charge int64  // OnRetire's static charge
+	}{
+		{"divide by zero", func(*vm.Machine, *vm.Thread) {}, "divide by zero", 0, 0, costs.Instr},
+		{"pc out of range", func(_ *vm.Machine, th *vm.Thread) { th.PC = len(prog.Code) },
+			"pc out of range: 3", len(prog.Code), 0, 0},
+		{"signal into a full call stack", func(m *vm.Machine, th *vm.Thread) {
+			th.SigHandler = 1
+			th.Frames = make([]vm.Frame, vm.MaxFrames)
+			m.Hooks.PendingSignal = func(*vm.Thread) (vm.Word, bool) { return 5, true }
+		}, "signal delivery overflowed the call stack", 0, 1, costs.Sync},
+	} {
+		m := vm.NewMachine(prog, nil, costs)
+		th := m.Threads[0]
+		tc.setup(m, th)
+		var retires []string
+		m.Hooks.OnRetire = func(t *vm.Thread, pc int, cost int64) {
+			retires = append(retires, fmt.Sprintf("tid %d pc %d cost %d", t.ID, pc, cost))
+		}
+		res := m.Step(th)
+		if res != (vm.StepResult{Retired: true}) || th.Retired != 1 || th.SigRetired != tc.sigs {
+			t.Errorf("%s: Step = %+v, thread retired %d, signals %d; want a free retirement, 1 and %d",
+				tc.name, res, th.Retired, th.SigRetired, tc.sigs)
+		}
+		if th.Status != vm.Faulted || th.Fault != tc.fault || th.PC != tc.pc || !m.Done() || m.FaultCount() != 1 {
+			t.Errorf("%s: thread %s at pc %d (%q), machine done %v with %d faults; want faulted at pc %d (%q)",
+				tc.name, th.Status, th.PC, th.Fault, m.Done(), m.FaultCount(), tc.pc, tc.fault)
+		}
+		want := fmt.Sprintf("tid 0 pc %d cost %d", tc.pc, tc.charge)
+		if len(retires) != 1 || retires[0] != want {
+			t.Errorf("%s: OnRetire saw %q, want %q", tc.name, retires, want)
+		}
 	}
 }
