@@ -74,9 +74,9 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
 		wlName     = fs.String("w", "", "workload name (see 'doubleplay list')")
-		workers    = fs.Int("workers", 2, "guest worker threads")
+		workers    = fs.Int("workers", 2, fmt.Sprintf("guest worker threads, at most %d", workloads.MaxWorkers))
 		spares     = fs.Int("spares", 0, "spare cores for the epoch pipeline (default: workers)")
-		scale      = fs.Int("scale", 1, "problem size multiplier")
+		scale      = fs.Int("scale", 1, fmt.Sprintf("problem size multiplier, at most %d", workloads.MaxScale))
 		seed       = fs.Int64("seed", 11, "input/timing seed")
 		epochLen   = fs.Int64("epoch", core.DefaultEpochCycles, "epoch length in cycles")
 		logPath    = fs.String("log", "", "recording file to read")
@@ -125,27 +125,24 @@ func main() {
 			usageErr(fmt.Sprintf("%s does not read -%s", cmd, f.Name))
 		}
 	})
-	if *spares == 0 {
-		*spares = *workers
-	}
-	for _, f := range []struct {
-		name   string
-		v, max int
-	}{
-		{"-workers", *workers, workloads.MaxWorkers},
-		{"-spares", *spares, workloads.MaxWorkers},
-		{"-min-spares", *minSpares, workloads.MaxWorkers},
-		{"-max-spares", *maxSpares, workloads.MaxWorkers},
-		{"-scale", *scale, workloads.MaxScale},
-	} {
-		if f.v > f.max {
-			usageErr(fmt.Sprintf("%s %d is over the limit of %d", f.name, f.v, f.max))
+	// What record and verify run, described and refused as a daemon job
+	// is, and what disasm and races build: refused before any file is made.
+	params := workloads.Params{Workers: *workers, Scale: *scale, Seed: *seed}
+	var sp server.Spec
+	var err error
+	switch cmd {
+	case "record", "verify":
+		sp = server.Spec{
+			Kind: server.KindRecord, Workload: mustWorkload(*wlName).Name,
+			Workers: *workers, Spares: *spares, Scale: *scale, Seed: *seed,
+			EpochCycles: *epochLen, Growth: *growth, DetectRaces: *detect, VerifyPolicy: *verifyPol,
+			Adaptive: *adaptive, MinSpares: *minSpares, MaxSpares: *maxSpares,
 		}
+		err = sp.Validate(nil)
+	case "disasm", "races":
+		err = params.Check()
 	}
-	if (*minSpares != 0 || *maxSpares != 0) && !*adaptive {
-		usageErr("-min-spares/-max-spares require -adaptive")
-	}
-	if _, err := core.ParseVerifyPolicy(*verifyPol); err != nil {
+	if err != nil {
 		usageErr(err.Error())
 	}
 	// Host profiling brackets the whole command; the deferred Stop flushes
@@ -209,16 +206,6 @@ func main() {
 		fmt.Println("metrics:")
 		reg.Render(os.Stdout)
 	}
-	// The workload flags' build parameters, for disasm and races.
-	params := workloads.Params{Workers: *workers, Scale: *scale, Seed: *seed}
-	// What record and verify run, described as a daemon job is.
-	spec := func() server.Spec {
-		return server.Spec{
-			Workload: mustWorkload(*wlName).Name, Workers: *workers, Spares: *spares, Scale: *scale, Seed: *seed,
-			EpochCycles: *epochLen, Growth: *growth, DetectRaces: *detect, VerifyPolicy: *verifyPol,
-			Adaptive: *adaptive, MinSpares: *minSpares, MaxSpares: *maxSpares,
-		}
-	}
 
 	switch cmd {
 	case "list":
@@ -235,7 +222,7 @@ func main() {
 		if *guestProf != "" {
 			gprof = profile.NewProfile("")
 		}
-		res, _, err := server.Record(context.Background(), spec(), nil, sink, reg, gprof)
+		res, _, err := server.Record(context.Background(), sp, nil, sink, reg, gprof)
 		check(err)
 		printStats(*wlName, res)
 		printRaces(res)
@@ -307,7 +294,7 @@ func main() {
 			}
 			strides = append(strides, *stride)
 		}
-		res, bt, err := server.Record(context.Background(), spec(), strides, sink, reg, recProf)
+		res, bt, err := server.Record(context.Background(), sp, strides, sink, reg, recProf)
 		check(err)
 		printStats(*wlName, res)
 		printRaces(res)

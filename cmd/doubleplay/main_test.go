@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"doubleplay/internal/clitest"
+	"doubleplay/internal/dplog"
 	"doubleplay/internal/dptrace"
 	"doubleplay/internal/trace"
 )
@@ -93,6 +94,9 @@ func TestCLI(t *testing.T) {
 		}
 	}
 	logRefusal := "commit 965294b, the last build that converts one"
+	// The corpus racey log, its header naming more workers than any
+	// program builds at.
+	writeWide(t, filepath.Join("..", "..", "testdata", "logs", "racey.dplog"), path("wide.dplog"))
 	// A store in the retired chunk layout: a manifests/ directory is what
 	// marks one.
 	chunkStore := path("chunkstore")
@@ -213,7 +217,9 @@ func TestCLI(t *testing.T) {
 		{"certified racey keeps full verification", append(record, "-verify-policy", "certified"), 0, "",
 			match(`(?m)^  certificate: possibly-racy; full verification kept`)},
 		{"removed flag", append(record, "-trace-window", "8"), 2, "flag provided but not defined: -trace-window", nil},
-		{"workers over the limit", []string{"record", "-w", "aget", "-workers", "37"}, 2, "-workers 37 is over the limit of 32", nil},
+		{"workers over the limit", []string{"record", "-w", "aget", "-workers", "37"}, 2, "workers 37 is over the limit of 32", nil},
+		{"a log header over the worker limit is refused", []string{"replay", "-log", path("wide.dplog")}, 2,
+			"workers 5000 is over the limit of 32", nil},
 		{"log inspect reads the section table", []string{"log", "inspect", "-log", path("a.dplog")}, 0, "",
 			func(t *testing.T, stdout string) {
 				match(`dplog v6`, `(?m)^sections: +[1-9]`, `(?m)^index: +ok`, `(?m)^ +total +\d+ +\d+ +\d+\.\d+$`,
@@ -263,12 +269,29 @@ func TestCLI(t *testing.T) {
 			if code != tc.code {
 				t.Fatalf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
-			if !strings.Contains(stderr, tc.stderr) {
-				t.Errorf("stderr %q lacks %q", stderr, tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) || strings.Contains(stderr, "panic:") {
+				t.Errorf("stderr %q lacks %q or panics", stderr, tc.stderr)
 			}
 			if tc.check != nil {
 				tc.check(t, stdout)
 			}
 		})
+	}
+}
+
+// writeWide writes the log at src to dst with its header's workers set to
+// 5000.
+func writeWide(t *testing.T, src, dst string) {
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := dplog.UnmarshalBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Workers = 5000
+	if err := os.WriteFile(dst, dplog.MarshalBytes(rec), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,10 +18,12 @@
 // error. Sessions seek sections out of the log;
 // internal/debug's tests hold them to the fully decoded recording.
 //
-// Exit codes follow the doubleplay/dptrace convention:
+// Exit codes (a usage error exits 1 here, where doubleplay and dptrace
+// exit 2):
 //
 //	0  ok (repl quit; bisect/diff found no divergence)
-//	1  usage or I/O error
+//	1  usage or I/O error, or a log or -scale over the guest bounds
+//	   (workloads.Params.Check)
 //	2  debug assertion failure (recording and program disagree, or the two
 //	   recordings of bisect/diff run different programs)
 //	3  divergence found (bisect/diff)
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -63,19 +66,6 @@ func fatalIO(format string, args ...any) {
 func fatalAssert(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "dpdebug: assertion: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-// watchList collects repeated -watch flags.
-type watchList []vm.Word
-
-func (w *watchList) String() string { return fmt.Sprint(*w) }
-func (w *watchList) Set(s string) error {
-	v, err := strconv.ParseUint(s, 0, 64)
-	if err != nil {
-		return err
-	}
-	*w = append(*w, vm.Word(v))
-	return nil
 }
 
 // openLog opens path as a log resolved against the workload its header
@@ -110,9 +100,13 @@ func main() {
 		scale   = fs.Int("scale", 1, "problem size multiplier the recording was made with")
 		asJSON  = fs.Bool("json", false, "machine-readable output (bisect/diff)")
 		epochN  = fs.Int("epoch", -1, "boundary to diff (diff)")
-		watches watchList
+		watches []vm.Word
 	)
-	fs.Var(&watches, "watch", "arm a watchpoint at guest address (repeatable; repl)")
+	fs.Func("watch", "arm a watchpoint at guest address (repeatable; repl)", func(v string) error {
+		a, err := strconv.ParseUint(v, 0, 64)
+		watches = append(watches, vm.Word(a))
+		return err
+	})
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		usage()
@@ -230,13 +224,14 @@ func where(s *debug.Session) {
 	fmt.Println()
 }
 
-// printEvent prints one retired instruction.
-func printEvent(s *debug.Session, ev replay.StepEvent) {
+// printStep prints one retired instruction and the watch hits it made.
+func printStep(s *debug.Session, ev replay.StepEvent) {
 	sig := ""
 	if ev.Signal {
 		sig = " signal"
 	}
 	fmt.Printf("tid %d pc %d (%s)%s -> %s\n", ev.Tid, ev.PC, s.FuncName(ev.PC), sig, s.Position())
+	printHits(s, s.LastHits())
 }
 
 // printHits prints the watch hits of the last stop.
@@ -261,42 +256,208 @@ func motionErr(err error) bool {
 	return true
 }
 
-// parseNum parses a decimal/hex number argument.
-func parseNum(s string) (uint64, error) { return strconv.ParseUint(s, 0, 64) }
-
-// argOr returns the optional numeric argument or def.
-func argOr(args []string, def uint64) uint64 {
-	if len(args) == 0 {
-		return def
+// resume runs continue or rcontinue: motion to the next watch hit, or to
+// the recording's end it names when none comes.
+func resume(s *debug.Session, motion func() ([]debug.Hit, error), end string) {
+	hits, err := motion()
+	if motionErr(err) {
+		return
 	}
-	v, err := parseNum(args[0])
-	if err != nil {
-		fmt.Printf("bad number %q\n", args[0])
-		return def
+	if hits == nil {
+		fmt.Println(end)
 	}
-	return v
+	printHits(s, hits)
+	where(s)
 }
 
-func replHelp() {
-	fmt.Print(`commands:
-  info                 recording summary
-  where                current position, cycle, state hash
-  threads              all threads
-  run <epoch>          position at an epoch boundary
-  runc <cycle>         position at a cycle count
-  step|s [n]           retire n instructions (default 1)
-  next|n               step over calls
-  rstep|rs [n]         reverse-step n instructions
-  continue|c           run forward to the next watch hit
-  rcontinue|rc         run backward to the previous watch hit
-  watch <addr>         arm a data watchpoint (hex or decimal)
-  unwatch <addr>       disarm it
-  watches              list watchpoints
-  regs [tid]           register file (default: next thread)
-  mem <addr> [n]       dump n guest words (default 8)
-  stack [tid]          guest call stack (default: next thread)
-  quit|q               exit
-`)
+// maxCount bounds a count argument ([n]): mem allocates and prints that
+// many words, step and rstep print that many lines.
+const maxCount = 1 << 16
+
+// replCmd is one REPL command.
+type replCmd struct {
+	names string // as help shows them ("step|s"); usage lines name the first
+	alias string // a further name help does not show
+	args  string // argument list: <required> then [optional], each a number
+	help  string // help line; "" keeps the command out of help
+	// run acts on the parsed arguments; nil ends the session.
+	run func(s *debug.Session, a []uint64)
+}
+
+// replCmds is the REPL's command table, in help order. init fills it
+// because help's action prints the table itself.
+var replCmds []replCmd
+
+func init() {
+	replCmds = []replCmd{
+		{names: "info", help: "recording summary", run: func(s *debug.Session, _ []uint64) {
+			fmt.Printf("program %s: %d epochs, %d threads, position %s, cycle %d\n",
+				s.Program(), s.NumEpochs(), len(s.Threads()), s.Position(), s.Cycles())
+			fmt.Printf("watches: %d armed\n", len(s.Watches()))
+		}},
+		{names: "where", alias: "w", help: "current position, cycle, state hash", run: func(s *debug.Session, _ []uint64) { where(s) }},
+		{names: "threads", help: "all threads", run: func(s *debug.Session, _ []uint64) {
+			for _, t := range s.Threads() {
+				fmt.Printf("tid %d: pc %d (%s) %s retired %d depth %d\n",
+					t.ID, t.PC, s.FuncName(t.PC), t.Status, t.Retired, len(t.Frames))
+			}
+		}},
+		{names: "run", args: "<epoch>", help: "position at an epoch boundary", run: func(s *debug.Session, a []uint64) {
+			if !motionErr(s.RunToEpoch(int(a[0]))) {
+				where(s)
+			}
+		}},
+		{names: "runc", args: "<cycle>", help: "position at a cycle count", run: func(s *debug.Session, a []uint64) {
+			if !motionErr(s.RunToCycle(int64(a[0]))) {
+				where(s)
+			}
+		}},
+		{names: "step|s", args: "[n]", help: "retire n instructions (default 1)", run: func(s *debug.Session, a []uint64) {
+			for range opt(a, 0, 1) {
+				ev, err := s.Step()
+				if motionErr(err) {
+					break
+				}
+				printStep(s, ev)
+			}
+		}},
+		{names: "next|n", help: "step over calls", run: func(s *debug.Session, _ []uint64) {
+			if ev, err := s.StepOver(); !motionErr(err) {
+				printStep(s, ev)
+			}
+		}},
+		{names: "rstep|rs", args: "[n]", help: "reverse-step n instructions", run: func(s *debug.Session, a []uint64) {
+			for range opt(a, 0, 1) {
+				if motionErr(s.ReverseStep()) {
+					break
+				}
+			}
+			where(s)
+		}},
+		{names: "continue|c", help: "run forward to the next watch hit", run: func(s *debug.Session, _ []uint64) {
+			resume(s, s.Continue, "end of recording reached")
+		}},
+		{names: "rcontinue|rc", help: "run backward to the previous watch hit", run: func(s *debug.Session, _ []uint64) {
+			resume(s, s.ReverseContinue, "start of recording reached")
+		}},
+		{names: "watch", args: "<addr>", help: "arm a data watchpoint (hex or decimal)", run: func(s *debug.Session, a []uint64) {
+			s.AddWatch(vm.Word(a[0]))
+			fmt.Printf("watching [%#x]\n", a[0])
+		}},
+		{names: "unwatch", args: "<addr>", help: "disarm it", run: func(s *debug.Session, a []uint64) {
+			if s.RemoveWatch(vm.Word(a[0])) {
+				fmt.Printf("unwatched [%#x]\n", a[0])
+			} else {
+				fmt.Printf("no watch at [%#x]\n", a[0])
+			}
+		}},
+		{names: "watches", help: "list watchpoints", run: func(s *debug.Session, _ []uint64) {
+			for _, a := range s.Watches() {
+				fmt.Printf("[%#x] = %d\n", uint64(a), uint64(s.ReadMemory(a, 1)[0]))
+			}
+		}},
+		{names: "regs", args: "[tid]", help: "register file (default: next thread)", run: func(s *debug.Session, a []uint64) {
+			id := tid(s, a)
+			t := s.Thread(id)
+			if t == nil {
+				fmt.Printf("no thread %d\n", id)
+				return
+			}
+			fmt.Printf("tid %d pc %d (%s) %s retired %d\n", t.ID, t.PC, s.FuncName(t.PC), t.Status, t.Retired)
+			for r := 0; r < vm.NumRegs; r += 8 {
+				fmt.Printf("r%-2d:", r)
+				for k := r; k < r+8; k++ {
+					fmt.Printf(" %d", int64(t.Regs[k]))
+				}
+				fmt.Println()
+			}
+		}},
+		{names: "mem", args: "<addr> [n]", help: "dump n guest words (default 8)", run: func(s *debug.Session, a []uint64) {
+			for i, v := range s.ReadMemory(vm.Word(a[0]), int(opt(a, 1, 8))) {
+				fmt.Printf("[%#x] %d\n", a[0]+uint64(i), uint64(v))
+			}
+		}},
+		{names: "stack", args: "[tid]", help: "guest call stack (default: next thread)", run: func(s *debug.Session, a []uint64) {
+			frames, err := s.Stack(tid(s, a))
+			if err != nil {
+				fmt.Println(err)
+				return
+			}
+			for i := len(frames) - 1; i >= 0; i-- {
+				fmt.Printf("#%d %s\n", len(frames)-1-i, frames[i])
+			}
+		}},
+		{names: "hash", run: func(s *debug.Session, _ []uint64) { fmt.Printf("%016x\n", s.StateHash()) }},
+		{names: "quit|q", alias: "exit", help: "exit"},
+		{names: "help|h|?", run: func(*debug.Session, []uint64) {
+			fmt.Println("commands:")
+			for _, c := range replCmds {
+				if c.help != "" {
+					fmt.Printf("  %-20s %s\n", strings.TrimSpace(c.names+" "+c.args), c.help)
+				}
+			}
+		}},
+	}
+}
+
+// parse reads a command's arguments against its list. Each is a decimal or
+// 0x-hex number within its bound (argBound). A wrong count prints the usage
+// line and a bad required argument its "bad" line, and either refuses the
+// command; a bad optional one prints "bad number" and is left out, so the
+// command runs with its default.
+func (c *replCmd) parse(s *debug.Session, fields []string) ([]uint64, bool) {
+	list := strings.Fields(c.args)
+	if len(fields) > len(list) || len(fields) < strings.Count(c.args, "<") {
+		fmt.Println(strings.TrimSpace("usage: " + strings.Split(c.names, "|")[0] + " " + c.args))
+		return nil, false
+	}
+	a := make([]uint64, 0, len(fields))
+	for i, f := range fields {
+		noun, bound := argBound(s, list[i])
+		v, err := strconv.ParseUint(f, 0, 64)
+		switch {
+		case err != nil:
+			fmt.Printf("bad %s %q\n", noun, f)
+		case v > bound:
+			fmt.Printf("bad %s %q (at most %d)\n", noun, f, bound)
+		default:
+			a = append(a, v)
+			continue
+		}
+		return a, list[i][0] == '['
+	}
+	return a, true
+}
+
+// argBound names an argument of the table's lists as its "bad" line does,
+// and bounds it: a count by maxCount, an epoch by the recording's end, an
+// address not at all, and a cycle or thread by what an int64 holds.
+func argBound(s *debug.Session, arg string) (string, uint64) {
+	switch arg {
+	case "<addr>":
+		return "address", math.MaxUint64
+	case "<epoch>":
+		return "epoch", uint64(s.NumEpochs())
+	case "<cycle>":
+		return "cycle", math.MaxInt64
+	case "[n]":
+		return "number", maxCount
+	}
+	return "number", math.MaxInt64
+}
+
+// opt returns argument i, or def when it was not given.
+func opt(a []uint64, i int, def uint64) uint64 {
+	if i < len(a) {
+		return a[i]
+	}
+	return def
+}
+
+// tid returns the optional thread argument, or the next scheduled thread.
+func tid(s *debug.Session, a []uint64) int {
+	next, _ := s.NextTid()
+	return int(opt(a, 0, uint64(next)))
 }
 
 // repl drives the interactive (or piped) command loop.
@@ -314,184 +475,18 @@ func repl(s *debug.Session) {
 		if len(fields) == 0 {
 			continue
 		}
-		cmd, args := fields[0], fields[1:]
-		switch cmd {
-		case "quit", "q", "exit":
+		i := slices.IndexFunc(replCmds, func(c replCmd) bool {
+			return c.alias == fields[0] || slices.Contains(strings.Split(c.names, "|"), fields[0])
+		})
+		switch {
+		case i < 0:
+			fmt.Printf("unknown command %q (try help)\n", fields[0])
+		case replCmds[i].run == nil:
 			return
-		case "help", "h", "?":
-			replHelp()
-		case "info":
-			fmt.Printf("program %s: %d epochs, %d threads, position %s, cycle %d\n",
-				s.Program(), s.NumEpochs(), len(s.Threads()), s.Position(), s.Cycles())
-			fmt.Printf("watches: %d armed\n", len(s.Watches()))
-		case "where", "w":
-			where(s)
-		case "threads":
-			for _, t := range s.Threads() {
-				fmt.Printf("tid %d: pc %d (%s) %s retired %d depth %d\n",
-					t.ID, t.PC, s.FuncName(t.PC), t.Status, t.Retired, len(t.Frames))
-			}
-		case "run":
-			if len(args) != 1 {
-				fmt.Println("usage: run <epoch>")
-				continue
-			}
-			e, err := parseNum(args[0])
-			if err != nil {
-				fmt.Printf("bad epoch %q\n", args[0])
-				continue
-			}
-			if motionErr(s.RunToEpoch(int(e))) {
-				continue
-			}
-			where(s)
-		case "runc":
-			if len(args) != 1 {
-				fmt.Println("usage: runc <cycle>")
-				continue
-			}
-			c, err := parseNum(args[0])
-			if err != nil {
-				fmt.Printf("bad cycle %q\n", args[0])
-				continue
-			}
-			if motionErr(s.RunToCycle(int64(c))) {
-				continue
-			}
-			where(s)
-		case "step", "s":
-			n := argOr(args, 1)
-			for i := uint64(0); i < n; i++ {
-				ev, err := s.Step()
-				if motionErr(err) {
-					break
-				}
-				printEvent(s, ev)
-				printHits(s, s.LastHits())
-			}
-		case "next", "n":
-			ev, err := s.StepOver()
-			if motionErr(err) {
-				continue
-			}
-			printEvent(s, ev)
-			printHits(s, s.LastHits())
-		case "rstep", "rs":
-			n := argOr(args, 1)
-			for i := uint64(0); i < n; i++ {
-				if motionErr(s.ReverseStep()) {
-					break
-				}
-			}
-			where(s)
-		case "continue", "c":
-			hits, err := s.Continue()
-			if motionErr(err) {
-				continue
-			}
-			if hits == nil {
-				fmt.Println("end of recording reached")
-			}
-			printHits(s, hits)
-			where(s)
-		case "rcontinue", "rc":
-			hits, err := s.ReverseContinue()
-			if motionErr(err) {
-				continue
-			}
-			if hits == nil {
-				fmt.Println("start of recording reached")
-			}
-			printHits(s, hits)
-			where(s)
-		case "watch":
-			if len(args) != 1 {
-				fmt.Println("usage: watch <addr>")
-				continue
-			}
-			a, err := parseNum(args[0])
-			if err != nil {
-				fmt.Printf("bad address %q\n", args[0])
-				continue
-			}
-			s.AddWatch(vm.Word(a))
-			fmt.Printf("watching [%#x]\n", a)
-		case "unwatch":
-			if len(args) != 1 {
-				fmt.Println("usage: unwatch <addr>")
-				continue
-			}
-			a, err := parseNum(args[0])
-			if err != nil {
-				fmt.Printf("bad address %q\n", args[0])
-				continue
-			}
-			if s.RemoveWatch(vm.Word(a)) {
-				fmt.Printf("unwatched [%#x]\n", a)
-			} else {
-				fmt.Printf("no watch at [%#x]\n", a)
-			}
-		case "watches":
-			for _, a := range s.Watches() {
-				fmt.Printf("[%#x] = %d\n", uint64(a), uint64(s.ReadMemory(a, 1)[0]))
-			}
-		case "regs":
-			tid := defaultTid(s, args)
-			t := s.Thread(tid)
-			if t == nil {
-				fmt.Printf("no thread %d\n", tid)
-				continue
-			}
-			fmt.Printf("tid %d pc %d (%s) %s retired %d\n", t.ID, t.PC, s.FuncName(t.PC), t.Status, t.Retired)
-			for r := 0; r < vm.NumRegs; r += 8 {
-				fmt.Printf("r%-2d:", r)
-				for k := r; k < r+8; k++ {
-					fmt.Printf(" %d", int64(t.Regs[k]))
-				}
-				fmt.Println()
-			}
-		case "mem":
-			if len(args) < 1 {
-				fmt.Println("usage: mem <addr> [n]")
-				continue
-			}
-			a, err := parseNum(args[0])
-			if err != nil {
-				fmt.Printf("bad address %q\n", args[0])
-				continue
-			}
-			n := argOr(args[1:], 8)
-			for i, v := range s.ReadMemory(vm.Word(a), int(n)) {
-				fmt.Printf("[%#x] %d\n", a+uint64(i), uint64(v))
-			}
-		case "stack":
-			tid := defaultTid(s, args)
-			frames, err := s.Stack(tid)
-			if err != nil {
-				fmt.Println(err)
-				continue
-			}
-			for i := len(frames) - 1; i >= 0; i-- {
-				fmt.Printf("#%d %s\n", len(frames)-1-i, frames[i])
-			}
-		case "hash":
-			fmt.Printf("%016x\n", s.StateHash())
 		default:
-			fmt.Printf("unknown command %q (try help)\n", cmd)
+			if a, ok := replCmds[i].parse(s, fields[1:]); ok {
+				replCmds[i].run(s, a)
+			}
 		}
 	}
-}
-
-// defaultTid resolves an optional tid argument, defaulting to the next
-// scheduled thread.
-func defaultTid(s *debug.Session, args []string) int {
-	if len(args) > 0 {
-		if v, err := parseNum(args[0]); err == nil {
-			return int(v)
-		}
-	}
-	if tid, ok := s.NextTid(); ok {
-		return tid
-	}
-	return 0
 }

@@ -1,12 +1,46 @@
 package main
 
 import (
+	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"doubleplay/internal/clitest"
+	"doubleplay/internal/dplog"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata golden fixtures")
+
+// TestREPLTranscript drives one session over the corpus racey log through
+// every REPL command, every alias, an unknown command and each "bad …" and
+// "usage: …" line (testdata/repl.in), and holds its whole stdout to
+// testdata/repl.golden; -update rewrites the golden.
+func TestREPLTranscript(t *testing.T) {
+	bin := clitest.Build(t, ".")
+	in, err := os.ReadFile(filepath.Join("testdata", "repl.in"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := clitest.Run(t, bin, string(in), "repl", "-log", filepath.Join("..", "..", "testdata", "logs", "racey.dplog"))
+	if code != 0 {
+		t.Fatalf("exit code %d (stderr: %s)", code, stderr)
+	}
+	golden := filepath.Join("testdata", "repl.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(stdout), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Fatalf("stdout differs from %s:\n%s", golden, stdout)
+	}
+}
 
 // TestCLI builds dpdebug once and holds its command line to a table of
 // argv (and stdin) → exit code, stderr and a check on stdout. Two
@@ -24,6 +58,10 @@ func TestCLI(t *testing.T) {
 		}
 	}
 	kvdb := filepath.Join("..", "..", "testdata", "logs", "kvdb.dplog")
+	// The corpus racey log, its header naming more workers than any
+	// program builds at.
+	wide := filepath.Join(dir, "wide.dplog")
+	writeWide(t, filepath.Join("..", "..", "testdata", "logs", "racey.dplog"), wide)
 	has := func(subs ...string) func(*testing.T, string) {
 		return func(t *testing.T, stdout string) {
 			for _, s := range subs {
@@ -78,18 +116,44 @@ func TestCLI(t *testing.T) {
 		{"repl steps, reverse-steps and stops on a watchpoint", []string{"repl", "-log", ra},
 			"run 1\nstep 3\nrstep 2\nwatch 0x100001\ncontinue\nquit\n", 0, "",
 			has("at epoch 1 step 0 ", "watching [0x100001]", "watch hit [0x100001]")},
+		{"a log header over the worker limit is refused", []string{"repl", "-log", wide}, "quit\n", 1,
+			"workers 5000 is over the limit of 32", nil},
+		{"-scale over the limit is refused", []string{"repl", "-log", ra, "-scale", "65"}, "quit\n", 1,
+			"scale 65 is over the limit of 64", nil},
+		// A count or epoch out of bounds is one refused line, not the end
+		// of the session.
+		{"repl refuses a count and an epoch over their bounds", []string{"repl", "-log", ra},
+			"mem 0 0xffffffffffffffff\nrun 99\nwhere\nquit\n", 0, "",
+			has(`bad number "0xffffffffffffffff" (at most 65536)`, `bad epoch "99" (at most 3)`, "at epoch 0 step 0 ")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := clitest.Run(t, bin, tc.stdin, tc.argv...)
 			if code != tc.code {
 				t.Fatalf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
-			if !strings.Contains(stderr, tc.stderr) {
-				t.Errorf("stderr %q lacks %q", stderr, tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) || strings.Contains(stderr, "panic:") {
+				t.Errorf("stderr %q lacks %q or panics", stderr, tc.stderr)
 			}
 			if tc.check != nil {
 				tc.check(t, stdout)
 			}
 		})
+	}
+}
+
+// writeWide writes the log at src to dst with its header's workers set to
+// 5000.
+func writeWide(t *testing.T, src, dst string) {
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := dplog.UnmarshalBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Workers = 5000
+	if err := os.WriteFile(dst, dplog.MarshalBytes(rec), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -39,8 +39,8 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		workers = flag.Int("workers", 2, "worker threads per workload build")
-		scale   = flag.Int("scale", 1, "problem size multiplier")
+		workers = flag.Int("workers", 2, fmt.Sprintf("worker threads per workload build, at most %d", workloads.MaxWorkers))
+		scale   = flag.Int("scale", 1, fmt.Sprintf("problem size multiplier, at most %d", workloads.MaxScale))
 		seed    = flag.Int64("seed", 1, "input generation seed")
 		verbose = flag.Bool("v", false, "also print info-severity findings")
 		quiet   = flag.Bool("q", false, "print only per-program summaries")
@@ -73,24 +73,30 @@ func run() int {
 		names = workloads.Names()
 	}
 	params := workloads.Params{Workers: *workers, Scale: *scale, Seed: *seed}
+	if err := params.Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "dpvet: %v\n", err)
+		return 2
+	}
+	wls := make([]*workloads.Workload, len(names))
+	for i, name := range names {
+		if wls[i] = workloads.Get(name); wls[i] == nil {
+			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloads.Names())
+			return 2
+		}
+	}
 	if certify {
-		return runCertify(names, params, *jsonOut)
+		return runCertify(wls, params, *jsonOut)
 	}
 
 	fail := false
 	var jsonReports []map[string]any
-	for _, name := range names {
-		w := workloads.Get(name)
-		if w == nil {
-			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloads.Names())
-			return 2
-		}
+	for _, w := range wls {
 		bt := w.Build(params)
 		fs := analyze.Run(bt.Prog)
 		races := fs.Races()
 		if *jsonOut {
 			jsonReports = append(jsonReports, map[string]any{
-				"program":     name,
+				"program":     w.Name,
 				"summary":     fs.Summary(),
 				"errors":      fs.Errors(),
 				"candidates":  len(races),
@@ -98,7 +104,7 @@ func run() int {
 				"certificate": fs.Cert,
 			})
 		} else {
-			fmt.Printf("== %-14s %s\n", name, fs.Summary())
+			fmt.Printf("== %-14s %s\n", w.Name, fs.Summary())
 			if !*quiet {
 				for _, f := range fs.List {
 					if f.Sev == analyze.SevInfo && !*verbose {
@@ -132,10 +138,10 @@ func run() int {
 		}
 		switch {
 		case w.Racy && len(races) == 0:
-			crossFail(*jsonOut, "%s is marked racy but the screen found no candidates\n", name)
+			crossFail(*jsonOut, "%s is marked racy but the screen found no candidates\n", w.Name)
 			fail = true
 		case !w.Racy && len(races) > 0:
-			crossFail(*jsonOut, "%s is race-free but the screen flagged %d candidate(s)\n", name, len(races))
+			crossFail(*jsonOut, "%s is race-free but the screen flagged %d candidate(s)\n", w.Name, len(races))
 			fail = true
 		}
 		for _, addr := range bt.RacyAddrs {
@@ -157,20 +163,15 @@ func run() int {
 // runCertify prints (or emits as JSON) each workload's race-freedom
 // certificate and enforces the soundness cross-check against the Racy
 // ground truth.
-func runCertify(names []string, params workloads.Params, jsonOut bool) int {
+func runCertify(wls []*workloads.Workload, params workloads.Params, jsonOut bool) int {
 	fail := false
 	var certs []*analyze.Certificate
-	for _, name := range names {
-		w := workloads.Get(name)
-		if w == nil {
-			fmt.Fprintf(os.Stderr, "dpvet: unknown workload %q (have %v)\n", name, workloads.Names())
-			return 2
-		}
+	for _, w := range wls {
 		cert := analyze.Run(w.Program(params)).Cert
 		if jsonOut {
 			certs = append(certs, cert)
 		} else {
-			fmt.Printf("== %-14s %s\n", name, cert)
+			fmt.Printf("== %-14s %s\n", w.Name, cert)
 			for _, r := range cert.Reasons {
 				fmt.Printf("   - %s\n", r)
 			}
@@ -179,7 +180,7 @@ func runCertify(names []string, params workloads.Params, jsonOut bool) int {
 		// race-free. (The converse is fine — the certificate is allowed to
 		// be conservative about race-free programs.)
 		if w.Racy && params.Workers >= 2 && cert.RaceFree() {
-			crossFail(jsonOut, "%s is marked racy but was certified race-free — soundness bug\n", name)
+			crossFail(jsonOut, "%s is marked racy but was certified race-free — soundness bug\n", w.Name)
 			fail = true
 		}
 	}

@@ -67,6 +67,7 @@ func TestCLI(t *testing.T) {
 				}
 			}},
 		{"unknown workload", []string{"nope"}, 2, `unknown workload "nope"`, nil},
+		{"workers over the limit", []string{"-workers", "5000", "racey"}, 2, "workers 5000 is over the limit of 32", nil},
 		{"undefined flag", []string{"-nosuch"}, 2, "flag provided but not defined: -nosuch", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,8 +75,8 @@ func TestCLI(t *testing.T) {
 			if code != tc.code {
 				t.Fatalf("exit code %d, want %d (stderr: %s)", code, tc.code, stderr)
 			}
-			if !strings.Contains(stderr, tc.stderr) {
-				t.Errorf("stderr %q lacks %q", stderr, tc.stderr)
+			if !strings.Contains(stderr, tc.stderr) || strings.Contains(stderr, "panic:") {
+				t.Errorf("stderr %q lacks %q or panics", stderr, tc.stderr)
 			}
 			if tc.check != nil {
 				tc.check(t, stdout)

@@ -171,8 +171,6 @@ type protoReader struct {
 	pos int
 }
 
-func (r *protoReader) done() bool { return r.pos >= len(r.b) }
-
 func (r *protoReader) varint() (uint64, error) {
 	var v uint64
 	for shift := uint(0); ; shift += 7 {
@@ -191,69 +189,68 @@ func (r *protoReader) varint() (uint64, error) {
 	}
 }
 
-func (r *protoReader) field() (num, wire int, err error) {
-	k, err := r.varint()
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(k >> 3), int(k & 7), nil
-}
-
-func (r *protoReader) bytes() ([]byte, error) {
-	n, err := r.varint()
-	if err != nil {
-		return nil, err
-	}
+// advance moves past n bytes, failing when fewer remain.
+func (r *protoReader) advance(n uint64, what string) ([]byte, error) {
 	if n > uint64(len(r.b)-r.pos) {
-		return nil, fmt.Errorf("pprof: truncated bytes field")
+		return nil, fmt.Errorf("pprof: truncated %s", what)
 	}
 	out := r.b[r.pos : r.pos+int(n)]
 	r.pos += int(n)
 	return out, nil
 }
 
-func (r *protoReader) skip(wire int) error {
-	switch wire {
-	case 0:
-		_, err := r.varint()
-		return err
-	case 1:
-		if len(r.b)-r.pos < 8 {
-			return fmt.Errorf("pprof: truncated fixed64")
-		}
-		r.pos += 8
-		return nil
-	case 2:
-		_, err := r.bytes()
-		return err
-	case 5:
-		if len(r.b)-r.pos < 4 {
-			return fmt.Errorf("pprof: truncated fixed32")
-		}
-		r.pos += 4
-		return nil
-	default:
-		return fmt.Errorf("pprof: unsupported wire type %d", wire)
-	}
+// protoField is one field of a message: its number and wire type, and its
+// value, a varint (wire type 0) or the bytes of a length-delimited field
+// (wire type 2). Fixed-width values are skipped unread.
+type protoField struct {
+	num, wire int
+	v         uint64
+	b         []byte
 }
 
-// varints reads one repeated-varint field occurrence: packed (wire 2) or a
-// single unpacked element (wire 0).
-func (r *protoReader) varints(wire int, into []uint64) ([]uint64, error) {
-	if wire == 0 {
-		v, err := r.varint()
+// walk calls f for each field of the message b, in wire order.
+func walk(b []byte, f func(protoField) error) error {
+	r := protoReader{b: b}
+	for r.pos < len(r.b) {
+		k, err := r.varint()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return append(into, v), nil
+		fd := protoField{num: int(k >> 3), wire: int(k & 7)}
+		switch fd.wire {
+		case 0:
+			fd.v, err = r.varint()
+		case 1:
+			_, err = r.advance(8, "fixed64")
+		case 2:
+			var n uint64
+			if n, err = r.varint(); err == nil {
+				fd.b, err = r.advance(n, "bytes field")
+			}
+		case 5:
+			_, err = r.advance(4, "fixed32")
+		default:
+			err = fmt.Errorf("pprof: unsupported wire type %d", fd.wire)
+		}
+		if err == nil {
+			err = f(fd)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	body, err := r.bytes()
-	if err != nil {
-		return nil, err
+	return nil
+}
+
+// varints appends one occurrence of a repeated varint field: a single
+// unpacked element (wire type 0) or a packed run (wire type 2).
+func (fd protoField) varints(into []uint64) ([]uint64, error) {
+	if fd.wire != 2 {
+		return append(into, fd.v), nil
 	}
-	sub := protoReader{b: body}
-	for !sub.done() {
-		v, err := sub.varint()
+	r := protoReader{b: fd.b}
+	for r.pos < len(r.b) {
+		v, err := r.varint()
 		if err != nil {
 			return nil, err
 		}
@@ -274,160 +271,78 @@ func ParsePprof(data []byte) (*Profile, error) {
 		vals []uint64
 	}
 	var (
-		sampleTypes [][2]uint64 // (type, unit) string indices
+		sampleTypes []uint64 // type string indices
 		rawSamples  []rawSample
 		locFn       = make(map[uint64]uint64) // location id -> function id
 		fnNameIdx   = make(map[uint64]uint64) // function id -> name string index
 		fnFileIdx   uint64
 		strtab      []string
 	)
-	r := protoReader{b: data}
-	for !r.done() {
-		num, wire, err := r.field()
-		if err != nil {
-			return nil, err
-		}
-		switch num {
+	err := walk(data, func(top protoField) error {
+		switch top.num {
 		case profSampleType:
-			body, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
-			var vt [2]uint64
-			sub := protoReader{b: body}
-			for !sub.done() {
-				n, w, err := sub.field()
-				if err != nil {
-					return nil, err
+			var typ uint64
+			err := walk(top.b, func(fd protoField) error {
+				if fd.num == vtType {
+					typ = fd.v
 				}
-				switch n {
-				case vtType, vtUnit:
-					v, err := sub.varint()
-					if err != nil {
-						return nil, err
-					}
-					vt[n-1] = v
-				default:
-					if err := sub.skip(w); err != nil {
-						return nil, err
-					}
-				}
-			}
-			sampleTypes = append(sampleTypes, vt)
+				return nil
+			})
+			sampleTypes = append(sampleTypes, typ)
+			return err
 		case profSample:
-			body, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
 			var s rawSample
-			sub := protoReader{b: body}
-			for !sub.done() {
-				n, w, err := sub.field()
-				if err != nil {
-					return nil, err
-				}
-				switch n {
+			err := walk(top.b, func(fd protoField) (err error) {
+				switch fd.num {
 				case sampleLocationID:
-					if s.locs, err = sub.varints(w, s.locs); err != nil {
-						return nil, err
-					}
+					s.locs, err = fd.varints(s.locs)
 				case sampleValue:
-					if s.vals, err = sub.varints(w, s.vals); err != nil {
-						return nil, err
-					}
-				default:
-					if err := sub.skip(w); err != nil {
-						return nil, err
-					}
+					s.vals, err = fd.varints(s.vals)
 				}
-			}
+				return err
+			})
 			rawSamples = append(rawSamples, s)
+			return err
 		case profLocation:
-			body, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
 			var id, fn uint64
-			sub := protoReader{b: body}
-			for !sub.done() {
-				n, w, err := sub.field()
-				if err != nil {
-					return nil, err
-				}
-				switch n {
+			err := walk(top.b, func(fd protoField) error {
+				switch fd.num {
 				case locID:
-					if id, err = sub.varint(); err != nil {
-						return nil, err
-					}
+					id = fd.v
 				case locLine:
-					line, err := sub.bytes()
-					if err != nil {
-						return nil, err
-					}
-					ls := protoReader{b: line}
-					for !ls.done() {
-						ln, lw, err := ls.field()
-						if err != nil {
-							return nil, err
+					return walk(fd.b, func(ln protoField) error {
+						if ln.num == lineFunctionID && fn == 0 {
+							fn = ln.v
 						}
-						if ln == lineFunctionID && fn == 0 {
-							if fn, err = ls.varint(); err != nil {
-								return nil, err
-							}
-						} else if err := ls.skip(lw); err != nil {
-							return nil, err
-						}
-					}
-				default:
-					if err := sub.skip(w); err != nil {
-						return nil, err
-					}
+						return nil
+					})
 				}
-			}
+				return nil
+			})
 			locFn[id] = fn
+			return err
 		case profFunction:
-			body, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
 			var id, name uint64
-			sub := protoReader{b: body}
-			for !sub.done() {
-				n, w, err := sub.field()
-				if err != nil {
-					return nil, err
-				}
-				switch n {
+			err := walk(top.b, func(fd protoField) error {
+				switch fd.num {
 				case funcID:
-					if id, err = sub.varint(); err != nil {
-						return nil, err
-					}
+					id = fd.v
 				case funcName:
-					if name, err = sub.varint(); err != nil {
-						return nil, err
-					}
+					name = fd.v
 				case funcFilename:
-					if fnFileIdx, err = sub.varint(); err != nil {
-						return nil, err
-					}
-				default:
-					if err := sub.skip(w); err != nil {
-						return nil, err
-					}
+					fnFileIdx = fd.v
 				}
-			}
+				return nil
+			})
 			fnNameIdx[id] = name
+			return err
 		case profStringTable:
-			s, err := r.bytes()
-			if err != nil {
-				return nil, err
-			}
-			strtab = append(strtab, string(s))
-		default:
-			if err := r.skip(wire); err != nil {
-				return nil, err
-			}
+			strtab = append(strtab, string(top.b))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	str := func(i uint64) string {
@@ -437,8 +352,8 @@ func ParsePprof(data []byte) (*Profile, error) {
 		return ""
 	}
 	cyclesAt, instrsAt := -1, -1
-	for i, vt := range sampleTypes {
-		switch str(vt[0]) {
+	for i, typ := range sampleTypes {
+		switch str(typ) {
 		case "cycles":
 			cyclesAt = i
 		case "instructions":

@@ -11,7 +11,7 @@ import (
 )
 
 // run drives a machine round-robin until every thread terminates.
-func run(t *testing.T, m *vm.Machine) {
+func run(t testing.TB, m *vm.Machine) {
 	t.Helper()
 	for steps := 0; !m.Done(); steps++ {
 		if steps > 5_000_000 {
@@ -27,7 +27,7 @@ func run(t *testing.T, m *vm.Machine) {
 
 // buildCallers builds a program whose shape the attribution tests know:
 // main spins a little itself, then calls inner directly and via outer.
-func buildCallers(t *testing.T) *vm.Program {
+func buildCallers(t testing.TB) *vm.Program {
 	t.Helper()
 	b := asm.NewBuilder("callers")
 
@@ -73,7 +73,7 @@ func buildCallers(t *testing.T) *vm.Program {
 }
 
 // profileCallers runs the callers program under a fresh profiler.
-func profileCallers(t *testing.T) *profile.Profile {
+func profileCallers(t testing.TB) *profile.Profile {
 	t.Helper()
 	prog := buildCallers(t)
 	m := vm.NewMachine(prog, nil, nil)

@@ -237,18 +237,15 @@ func (sp *Spec) Validate(jobExists func(id string) bool) error {
 	if sp.MinSpares > 0 && sp.MaxSpares > 0 && sp.MaxSpares < sp.MinSpares {
 		return fmt.Errorf("max_spares must be >= min_spares")
 	}
+	if err := (workloads.Params{Workers: sp.Workers, Scale: sp.Scale}).Check(); err != nil {
+		return err
+	}
 	for _, f := range []struct {
-		name   string
-		v, max int
-	}{
-		{"workers", sp.Workers, workloads.MaxWorkers},
-		{"spares", sp.Spares, workloads.MaxWorkers},
-		{"min_spares", sp.MinSpares, workloads.MaxWorkers},
-		{"max_spares", sp.MaxSpares, workloads.MaxWorkers},
-		{"scale", sp.Scale, workloads.MaxScale},
-	} {
-		if f.v > f.max {
-			return fmt.Errorf("%s %d is over the limit of %d", f.name, f.v, f.max)
+		name string
+		v    int
+	}{{"spares", sp.Spares}, {"min_spares", sp.MinSpares}, {"max_spares", sp.MaxSpares}} {
+		if f.v > workloads.MaxWorkers {
+			return fmt.Errorf("%s %d is over the limit of %d", f.name, f.v, workloads.MaxWorkers)
 		}
 	}
 	if _, err := core.ParseVerifyPolicy(sp.VerifyPolicy); err != nil {

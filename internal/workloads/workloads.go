@@ -29,14 +29,27 @@ type Params struct {
 }
 
 // MaxWorkers and MaxScale bound the Params a user may ask for, through the
-// CLI or a daemon job spec. Every workload builds at MaxWorkers
-// (TestBuildAtMaxWorkers), while some builders run out of guest registers
-// from 37 workers on. At MaxScale pbzip, the largest input, allocates
-// about 160 MB to build.
+// CLI, a daemon job spec or a log header (Params.Check). Every workload
+// builds at MaxWorkers (TestBuildAtMaxWorkers), while some builders run out
+// of guest registers from 37 workers on. At MaxScale pbzip, the largest
+// input, allocates about 160 MB to build.
 const (
 	MaxWorkers = 32
 	MaxScale   = 64
 )
+
+// Check refuses Params over MaxWorkers or MaxScale, naming the field and
+// its limit. Every build whose Params come from outside input passes it
+// first.
+func (p Params) Check() error {
+	switch {
+	case p.Workers > MaxWorkers:
+		return fmt.Errorf("workers %d is over the limit of %d", p.Workers, MaxWorkers)
+	case p.Scale > MaxScale:
+		return fmt.Errorf("scale %d is over the limit of %d", p.Scale, MaxScale)
+	}
+	return nil
+}
 
 func (p Params) norm() Params {
 	if p.Workers <= 0 {
@@ -106,13 +119,16 @@ func (w *Workload) Program(p Params) *vm.Program {
 // with it is an error naming the field and both values. A field the header
 // leaves zero takes the caller's. p.Scale stays the caller's, because the
 // header does not carry it. The parameters returned are those the program
-// is built at, defaults filled in.
+// is built at, defaults filled in, and pass Check.
 func ForLog(h dplog.Header, name string, p Params) (*Workload, Params, error) {
 	if err := cmp.Or(
 		fromLog("workload", &name, h.Program),
 		fromLog("workers", &p.Workers, h.Workers),
 		fromLog("seed", &p.Seed, h.Seed),
 	); err != nil {
+		return nil, Params{}, err
+	}
+	if err := p.Check(); err != nil {
 		return nil, Params{}, err
 	}
 	if name == "" {
