@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"doubleplay/internal/clitest"
-	"doubleplay/internal/dplog"
 	"doubleplay/internal/dptrace"
 	"doubleplay/internal/trace"
 )
@@ -96,7 +95,7 @@ func TestCLI(t *testing.T) {
 	logRefusal := "commit 965294b, the last build that converts one"
 	// The corpus racey log, its header naming more workers than any
 	// program builds at.
-	writeWide(t, filepath.Join("..", "..", "testdata", "logs", "racey.dplog"), path("wide.dplog"))
+	clitest.WideLog(t, filepath.Join("..", "..", "testdata", "logs", "racey.dplog"), path("wide.dplog"))
 	// A store in the retired chunk layout: a manifests/ directory is what
 	// marks one.
 	chunkStore := path("chunkstore")
@@ -276,22 +275,5 @@ func TestCLI(t *testing.T) {
 				tc.check(t, stdout)
 			}
 		})
-	}
-}
-
-// writeWide writes the log at src to dst with its header's workers set to
-// 5000.
-func writeWide(t *testing.T, src, dst string) {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := dplog.UnmarshalBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Workers = 5000
-	if err := os.WriteFile(dst, dplog.MarshalBytes(rec), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

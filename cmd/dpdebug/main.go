@@ -36,7 +36,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 	"strconv"
@@ -248,7 +247,7 @@ func motionErr(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, debug.ErrAtStart) || errors.Is(err, debug.ErrAtEnd) {
+	if errors.Is(err, debug.ErrAtStart) || errors.Is(err, debug.ErrAtEnd) || errors.Is(err, debug.ErrNoEpoch) {
 		fmt.Println(err)
 		return true
 	}
@@ -270,9 +269,8 @@ func resume(s *debug.Session, motion func() ([]debug.Hit, error), end string) {
 	where(s)
 }
 
-// maxCount bounds a count argument ([n]): mem allocates and prints that
-// many words, step and rstep print that many lines.
-const maxCount = 1 << 16
+// maxWords bounds mem's count: ReadMemory allocates that many words.
+const maxWords = 1 << 16
 
 // replCmd is one REPL command.
 type replCmd struct {
@@ -373,7 +371,12 @@ func init() {
 			}
 		}},
 		{names: "mem", args: "<addr> [n]", help: "dump n guest words (default 8)", run: func(s *debug.Session, a []uint64) {
-			for i, v := range s.ReadMemory(vm.Word(a[0]), int(opt(a, 1, 8))) {
+			n := opt(a, 1, 8)
+			if n > maxWords {
+				fmt.Printf("bad number %d (at most %d)\n", n, maxWords)
+				return
+			}
+			for i, v := range s.ReadMemory(vm.Word(a[0]), int(n)) {
 				fmt.Printf("[%#x] %d\n", a[0]+uint64(i), uint64(v))
 			}
 		}},
@@ -400,12 +403,12 @@ func init() {
 	}
 }
 
-// parse reads a command's arguments against its list. Each is a decimal or
-// 0x-hex number within its bound (argBound). A wrong count prints the usage
-// line and a bad required argument its "bad" line, and either refuses the
-// command; a bad optional one prints "bad number" and is left out, so the
-// command runs with its default.
-func (c *replCmd) parse(s *debug.Session, fields []string) ([]uint64, bool) {
+// parse reads a command's arguments against its list, each a decimal or
+// 0x-hex number. A wrong count prints the usage line and a bad required
+// argument its "bad" line, and either refuses the command; a bad optional
+// one prints "bad number" and is left out, so the command runs with its
+// default.
+func (c *replCmd) parse(fields []string) ([]uint64, bool) {
 	list := strings.Fields(c.args)
 	if len(fields) > len(list) || len(fields) < strings.Count(c.args, "<") {
 		fmt.Println(strings.TrimSpace("usage: " + strings.Split(c.names, "|")[0] + " " + c.args))
@@ -413,37 +416,27 @@ func (c *replCmd) parse(s *debug.Session, fields []string) ([]uint64, bool) {
 	}
 	a := make([]uint64, 0, len(fields))
 	for i, f := range fields {
-		noun, bound := argBound(s, list[i])
 		v, err := strconv.ParseUint(f, 0, 64)
-		switch {
-		case err != nil:
-			fmt.Printf("bad %s %q\n", noun, f)
-		case v > bound:
-			fmt.Printf("bad %s %q (at most %d)\n", noun, f, bound)
-		default:
-			a = append(a, v)
-			continue
+		if err != nil {
+			fmt.Printf("bad %s %q\n", noun(list[i]), f)
+			return a, list[i][0] == '['
 		}
-		return a, list[i][0] == '['
+		a = append(a, v)
 	}
 	return a, true
 }
 
-// argBound names an argument of the table's lists as its "bad" line does,
-// and bounds it: a count by maxCount, an epoch by the recording's end, an
-// address not at all, and a cycle or thread by what an int64 holds.
-func argBound(s *debug.Session, arg string) (string, uint64) {
+// noun names an argument of the table's lists as its "bad" line does.
+func noun(arg string) string {
 	switch arg {
 	case "<addr>":
-		return "address", math.MaxUint64
+		return "address"
 	case "<epoch>":
-		return "epoch", uint64(s.NumEpochs())
+		return "epoch"
 	case "<cycle>":
-		return "cycle", math.MaxInt64
-	case "[n]":
-		return "number", maxCount
+		return "cycle"
 	}
-	return "number", math.MaxInt64
+	return "number"
 }
 
 // opt returns argument i, or def when it was not given.
@@ -484,7 +477,7 @@ func repl(s *debug.Session) {
 		case replCmds[i].run == nil:
 			return
 		default:
-			if a, ok := replCmds[i].parse(s, fields[1:]); ok {
+			if a, ok := replCmds[i].parse(fields[1:]); ok {
 				replCmds[i].run(s, a)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"doubleplay/internal/clitest"
-	"doubleplay/internal/dplog"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden fixtures")
@@ -61,7 +60,7 @@ func TestCLI(t *testing.T) {
 	// The corpus racey log, its header naming more workers than any
 	// program builds at.
 	wide := filepath.Join(dir, "wide.dplog")
-	writeWide(t, filepath.Join("..", "..", "testdata", "logs", "racey.dplog"), wide)
+	clitest.WideLog(t, filepath.Join("..", "..", "testdata", "logs", "racey.dplog"), wide)
 	has := func(subs ...string) func(*testing.T, string) {
 		return func(t *testing.T, stdout string) {
 			for _, s := range subs {
@@ -124,7 +123,11 @@ func TestCLI(t *testing.T) {
 		// of the session.
 		{"repl refuses a count and an epoch over their bounds", []string{"repl", "-log", ra},
 			"mem 0 0xffffffffffffffff\nrun 99\nwhere\nquit\n", 0, "",
-			has(`bad number "0xffffffffffffffff" (at most 65536)`, `bad epoch "99" (at most 3)`, "at epoch 0 step 0 ")},
+			has("bad number 18446744073709551615 (at most 65536)", "debug: no such epoch: 99 is out of range 0..3", "at epoch 0 step 0 ")},
+		// step and rstep take any count and stop at the recording's ends.
+		{"repl steps and reverse-steps by a count past either end", []string{"repl", "-log", ra},
+			"step 3\nrstep 100000\nstep 100000\nwhere\nquit\n", 0, "",
+			has("debug: already at the start of the recording", "debug: already at the end of the recording", "at epoch 3 step 0 ")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := clitest.Run(t, bin, tc.stdin, tc.argv...)
@@ -138,22 +141,5 @@ func TestCLI(t *testing.T) {
 				tc.check(t, stdout)
 			}
 		})
-	}
-}
-
-// writeWide writes the log at src to dst with its header's workers set to
-// 5000.
-func writeWide(t *testing.T, src, dst string) {
-	data, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := dplog.UnmarshalBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Workers = 5000
-	if err := os.WriteFile(dst, dplog.MarshalBytes(rec), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

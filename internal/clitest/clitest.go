@@ -5,10 +5,13 @@ package clitest
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"doubleplay/internal/dplog"
 )
 
 // Build compiles the main package in dir (relative to the test's working
@@ -43,4 +46,22 @@ func Run(t testing.TB, bin, stdin string, argv ...string) (int, string, string) 
 		return ee.ExitCode(), stdout.String(), stderr.String()
 	}
 	return 0, stdout.String(), stderr.String()
+}
+
+// WideLog writes the log at src to dst with its header's workers set to
+// 5000, over workloads.MaxWorkers: a header every replay entry must refuse.
+func WideLog(t testing.TB, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := dplog.UnmarshalBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Workers = 5000
+	if err := os.WriteFile(dst, dplog.MarshalBytes(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

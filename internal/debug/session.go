@@ -29,6 +29,9 @@ var ErrAtStart = errors.New("debug: already at the start of the recording")
 // ErrAtEnd reports a forward motion attempted past the recording's end.
 var ErrAtEnd = errors.New("debug: already at the end of the recording")
 
+// ErrNoEpoch reports an epoch boundary the recording does not have.
+var ErrNoEpoch = errors.New("debug: no such epoch")
+
 // Position is a point between instructions: Step instructions have
 // retired inside epoch Epoch. The end of epoch e and the start of epoch
 // e+1 are the same state; positions are normalized to the latter, so
@@ -431,7 +434,7 @@ func (s *Session) seek(p Position) error {
 // positioning.
 func (s *Session) RunToEpoch(e int) error {
 	if e < 0 || e > s.n {
-		return fmt.Errorf("debug: epoch %d out of range 0..%d", e, s.n)
+		return fmt.Errorf("%w: %d is out of range 0..%d", ErrNoEpoch, e, s.n)
 	}
 	return s.seek(Position{Epoch: e})
 }

@@ -40,7 +40,8 @@ const (
 
 // Check refuses Params over MaxWorkers or MaxScale, naming the field and
 // its limit. Every build whose Params come from outside input passes it
-// first.
+// first. A job's spare-worker counts are no Params; server.Spec.Validate
+// bounds them by MaxWorkers beside its call to Check.
 func (p Params) Check() error {
 	switch {
 	case p.Workers > MaxWorkers:

@@ -9,8 +9,8 @@
 # .bench_build/pairs/, and the trees are removed when the script exits. The
 # trees share the checkout's compiler cache. Pair i runs the untraced
 # benchmark/run.sh of both trees, the parent first in odd pairs and the
-# change first in even ones, with --seed 11 and --seconds from
-# BENCHMARK.json (PAIRS_SECONDS overrides it). Each run's JSON line is kept
+# change first in even ones, with --seed 11 and BENCHMARK.json's
+# run_seconds. Each run's JSON line is kept
 # in .bench_build/pairs/runs/.
 #
 # For every end-to-end metric of BENCHMARK.json it prints, in that metric's
@@ -26,7 +26,7 @@ fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 workload=$3 n=$4
-seconds="${PAIRS_SECONDS:-$(jq -r .run_seconds BENCHMARK.json)}"
+seconds=$(jq -r .run_seconds BENCHMARK.json)
 pairs="$root/.bench_build/pairs"
 runs="$pairs/runs"
 
