@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"doubleplay/internal/exp"
+	"doubleplay/internal/workloads"
 )
 
 func main() {
@@ -28,6 +29,10 @@ func main() {
 		seeds   = flag.Int("seeds", 12, "seed count for the divergence experiment")
 	)
 	flag.Parse()
+	if err := (workloads.Params{Scale: *scale}).Check(); err != nil {
+		fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range exp.Experiments {

@@ -35,6 +35,7 @@ func TestCLI(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "nosuch"}, 2, "", `unknown experiment "nosuch"`},
 		{"removed flag", []string{"-exp", "table1", "-trace", "out.json"}, 2, "", "flag provided but not defined: -trace"},
 		{"table1", []string{"-exp", "table1", "-scale", "1"}, 0, string(golden), ""},
+		{"scale over the limit", []string{"-exp", "table1", "-scale", "5000"}, 2, "", "scale 5000 is over the limit of 64"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := clitest.Run(t, bin, "", tc.argv...)

@@ -138,6 +138,7 @@ func RunCREW(prog *vm.Program, world *simos.World, cpus int, seed int64, costs *
 
 	par := sched.NewParallel(m, cpus, seed)
 	par.Trace, par.TracePid, par.TraceSpan = tr, pid, "baseline.crew.run"
+	par.Signals = live.Signals()
 	if err := par.Run(); err != nil {
 		return nil, err
 	}

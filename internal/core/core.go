@@ -565,6 +565,7 @@ func newRecorder(prog *vm.Program, world *simos.World, opt Options) (*recorder, 
 	r.par = sched.NewParallel(r.m, opt.RecordCPUs, opt.Seed)
 	r.par.Trace = tr
 	r.par.TracePid = pidGuest
+	r.par.Signals = r.live.Signals()
 
 	r.last = epoch.Capture(0, 0, r.m, world)
 	if tr.Enabled() {

@@ -273,9 +273,10 @@ func TestReplayTraceMatchesEpochs(t *testing.T) {
 
 // TestRecordWindowCounters: the recorder publishes how much of the
 // thread-parallel run sched.Parallel carried in windows, and in how many.
-// A compute kernel runs nearly all of it inside them and never conflicts;
-// a racy guest's windows are abandoned on conflicts; a guest with signals
-// is polled per instruction and opens none.
+// A compute kernel runs nearly all of it inside them and never conflicts,
+// and so does a guest with signals, whose windows end at each delivery's
+// clock (99.5 % of sigping's run measured); a racy guest's windows are
+// abandoned on conflicts.
 func TestRecordWindowCounters(t *testing.T) {
 	for _, name := range []string{"fft", "racey", "sigping"} {
 		reg := trace.NewRegistry()
@@ -311,8 +312,8 @@ func TestRecordWindowCounters(t *testing.T) {
 				t.Error("racey recorded without a window abandoned on a conflict")
 			}
 		case "sigping":
-			if instrs != 0 || event != 0 || conflict != 0 {
-				t.Errorf("sigping: %d instructions in windows, %d + %d aborts, with signals polled", instrs, event, conflict)
+			if instrs*100 < res.Stats.Retired*99 || instrs > res.Stats.Retired || conflict != 0 {
+				t.Errorf("sigping: %d of %d instructions in windows, %d conflict aborts", instrs, res.Stats.Retired, conflict)
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
 	"doubleplay/internal/replay"
-	"doubleplay/internal/sched"
 	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
 )
@@ -263,10 +262,9 @@ func TestNativeMatchesSelfCheck(t *testing.T) {
 
 // TestForwardRecoveryKeepsSignalPolling records a racy guest under a world
 // that scripts signals across the whole run. Forward recovery rebuilds the
-// thread-parallel machine from the adopted state; if the rebuilt machine
-// were not polled like the first one, every signal due after the first
-// divergence would silently never arrive. A guest with no script at all is
-// the other half: its machines are never polled, the rebuilt ones included.
+// thread-parallel machine from the adopted state; if the resumed scheduler
+// did not deliver the rolled-back world's signals like the first one,
+// every signal due after the first divergence would silently never arrive.
 func TestForwardRecoveryKeepsSignalPolling(t *testing.T) {
 	prog := racyProg(3, 2000)
 	recovered := false
@@ -303,15 +301,5 @@ func TestForwardRecoveryKeepsSignalPolling(t *testing.T) {
 	}
 	if !recovered {
 		t.Fatal("no seed diverged: forward recovery was never exercised")
-	}
-
-	world := simos.NewWorld(1)
-	live := epoch.NewLiveLog(nil, 0)
-	boot := vm.NewMachine(prog, nil, nil)
-	live.Attach(boot, world)
-	b := epoch.Capture(0, 0, boot, world)
-	m := resumeFrom(sched.NewParallel(boot, 3, 1), live, prog, b, vm.DefaultCosts(), 1, 1)
-	if boot.Hooks.PendingSignal != nil || m.Hooks.PendingSignal != nil {
-		t.Fatal("machine resumed for a guest without signals is polled for them")
 	}
 }

@@ -32,9 +32,8 @@ type Exec struct {
 }
 
 // Follow makes m — which must hold ep's start state — a follower of ep,
-// taking over its syscall handler and its PendingSignal, MayAcquire and
-// OnSync hooks from whatever an earlier epoch's Exec left there. An epoch
-// without signals is not polled, so it keeps the hook-free slice loop.
+// taking over its syscall handler and its MayAcquire and OnSync hooks from
+// whatever an earlier epoch's Exec left there; Uni delivers ep's signals.
 // gated selects ep.SyncOrder as the constraint, otherwise ep.Schedule;
 // quantum (zero: the default) is the free run's timeslice.
 func Follow(m *vm.Machine, ep *dplog.EpochLog, gated bool, quantum int64, costs *vm.CostModel) *Exec {
@@ -55,11 +54,9 @@ func follow(m *vm.Machine, ep *dplog.EpochLog, g *gate, quantum int64, costs *vm
 		costs: costs,
 	}
 	m.OS = &x.inj
-	var pending func(*vm.Thread) (vm.Word, bool)
 	if len(ep.Signals) > 0 {
-		pending = x.sigs.Pending
+		x.Uni.Signals = &x.sigs
 	}
-	m.Hooks.PendingSignal = pending
 	m.Hooks.MayAcquire, m.Hooks.OnSync = nil, nil
 	x.Uni.Targets = ep.Targets
 	if quantum > 0 {

@@ -14,6 +14,7 @@ package epoch
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"doubleplay/internal/dplog"
@@ -181,15 +182,20 @@ func newInjectSignals(recs []dplog.SignalRecord) *injectSignals {
 	return &injectSignals{cur: cursors[dplog.SignalRecord]{recs: recs, tid: tid}}
 }
 
-// Pending implements the machine's PendingSignal hook.
-func (s *injectSignals) Pending(t *vm.Thread) (vm.Word, bool) {
-	r := s.cur.head(t.ID)
-	if r == nil || r.Retired != t.Retired {
-		return 0, false
+// Next implements sched.Signals: tid's next recorded signal falls due at
+// the retired count it was delivered at.
+func (s *injectSignals) Next(tid int) (vm.Word, uint64, int64) {
+	r := s.cur.head(tid)
+	if r == nil {
+		return 0, math.MaxUint64, math.MaxInt64
 	}
-	s.cur.pop(t.ID)
+	return r.Sig, r.Retired, math.MaxInt64
+}
+
+// Took implements sched.Signals.
+func (s *injectSignals) Took(tid int, _ uint64) {
+	s.cur.pop(tid)
 	s.Injected++
-	return r.Sig, true
 }
 
 // Remaining returns the number of recorded signals not yet delivered.

@@ -1,10 +1,12 @@
 package epoch_test
 
 import (
+	"math"
 	"testing"
 
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/epoch"
+	"doubleplay/internal/sched"
 	"doubleplay/internal/vm"
 )
 
@@ -54,6 +56,18 @@ func TestInjectOSCursors(t *testing.T) {
 	}
 }
 
+// take asks sigs, as a scheduler does before a thread's next instruction,
+// whether a signal is due to thread tid with retired instructions behind
+// it, and takes it if one is.
+func take(sigs sched.Signals, tid int, retired uint64) (vm.Word, bool) {
+	sig, count, at := sigs.Next(tid)
+	if at != math.MaxInt64 || count != retired {
+		return 0, false
+	}
+	sigs.Took(tid, retired)
+	return sig, true
+}
+
 // TestInjectSignalsCursors delivers two threads' signals pinned to the
 // same retired counts, asked in either thread order, and checks that an
 // early or repeated poll delivers nothing and that a thread never recorded
@@ -81,7 +95,7 @@ func TestInjectSignalsCursors(t *testing.T) {
 		{tid: 3, retired: 8, sig: 31},
 		{tid: 1, retired: 8},
 	} {
-		sig, ok := inj.Pending(&vm.Thread{ID: c.tid, Retired: c.retired})
+		sig, ok := take(inj, c.tid, c.retired)
 		if ok != (c.sig != 0) || sig != c.sig {
 			t.Fatalf("poll %d (tid %d at %d): (%d, %v), want %d", i, c.tid, c.retired, sig, ok, c.sig)
 		}

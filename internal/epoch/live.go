@@ -1,6 +1,8 @@
 package epoch
 
 import (
+	"math"
+
 	"doubleplay/internal/dplog"
 	"doubleplay/internal/sched"
 	"doubleplay/internal/simos"
@@ -34,19 +36,25 @@ func NewLiveLog(tr *trace.Sink, pid int64) *LiveLog {
 }
 
 // Attach makes m a logging machine over w: the log becomes m's syscall
-// handler in front of a simulated OS on w, its OnSync hook, and — only
-// when w scripts any signals — its PendingSignal hook. The script is fixed
-// before the run and shared by every clone of a world, so a machine over
-// a world without signals is never polled and keeps the hook-free fast
-// paths (vm.Hooks.ObservesPlain). Attaching again, to a restored machine
-// and a cloned world, is how forward recovery hands the log over.
+// handler in front of a simulated OS on w and its OnSync hook. The
+// scheduler that runs m delivers w's signals through Signals. Attaching
+// again, to a restored machine and a cloned world, is how forward recovery
+// hands the log over.
 func (l *LiveLog) Attach(m *vm.Machine, w *simos.World) {
 	l.m, l.os = m, simos.NewOS(w)
 	m.OS = l
 	m.Hooks.OnSync = l.onSync
-	if w.SignalCount() > 0 {
-		m.Hooks.PendingSignal = l.pendingSignal
+}
+
+// Signals returns the log as the producer of the attached world's
+// signals, for the scheduler that runs the machine, or nil when the world
+// scripts none. The script is fixed before the run and shared by every
+// clone of a world, so the answer holds across a hand-over.
+func (l *LiveLog) Signals() sched.Signals {
+	if l.os.W.SignalCount() == 0 {
+		return nil
 	}
+	return l
 }
 
 // World returns the live world of the last Attach.
@@ -91,18 +99,25 @@ func (l *LiveLog) onSync(ev vm.SyncEvent) {
 	}
 }
 
-// pendingSignal delivers the world's scripted signals and logs each with
-// the exact retired-instruction position it interrupted.
-func (l *LiveLog) pendingSignal(t *vm.Thread) (vm.Word, bool) {
-	sig, ok := l.os.W.NextSignal(t.ID, l.m.Now)
-	if ok {
-		l.ep.Signals = append(l.ep.Signals, dplog.SignalRecord{Tid: t.ID, Retired: t.Retired, Sig: sig})
-		if l.tr.Enabled() {
-			l.tr.Instant("signal", l.m.Now, l.pid, int64(t.ID),
-				[]trace.Arg{trace.Int("sig", sig), trace.Uint("retired", t.Retired)})
-		}
+// Next implements sched.Signals: tid's next scripted signal falls due
+// once the clock reaches its time.
+func (l *LiveLog) Next(tid int) (vm.Word, uint64, int64) {
+	sig, at, ok := l.os.W.Signal(tid)
+	if !ok {
+		at = math.MaxInt64
 	}
-	return sig, ok
+	return sig, math.MaxUint64, at
+}
+
+// Took implements sched.Signals: the world's signal is consumed and
+// logged with the exact retired-instruction position it interrupted.
+func (l *LiveLog) Took(tid int, retired uint64) {
+	sig := l.os.W.TakeSignal(tid)
+	l.ep.Signals = append(l.ep.Signals, dplog.SignalRecord{Tid: tid, Retired: retired, Sig: sig})
+	if l.tr.Enabled() {
+		l.tr.Instant("signal", l.m.Now, l.pid, int64(tid),
+			[]trace.Arg{trace.Int("sig", sig), trace.Uint("retired", retired)})
+	}
 }
 
 // RunUni runs uni's machine free on its one CPU against w and returns the
@@ -118,7 +133,7 @@ func (l *LiveLog) RunUni(uni *sched.Uni, w *simos.World) (*dplog.EpochLog, error
 	m := uni.M
 	l.Attach(m, w)
 	m.Hooks.OnSync = nil
-	uni.LogSchedule = true
+	uni.LogSchedule, uni.Signals = true, l.Signals()
 	err := uni.Run()
 	ep := l.Take()
 	ep.Schedule = uni.Log

@@ -14,21 +14,18 @@ func TestInjectSignalsExactPoints(t *testing.T) {
 		{Tid: 1, Retired: 25, Sig: 4},
 		{Tid: 2, Retired: 10, Sig: 5},
 	})
-	th1 := &vm.Thread{ID: 1, Retired: 9}
-	if _, ok := inj.Pending(th1); ok {
+	if _, ok := take(inj, 1, 9); ok {
 		t.Fatal("delivered early")
 	}
-	th1.Retired = 10
-	sig, ok := inj.Pending(th1)
+	sig, ok := take(inj, 1, 10)
 	if !ok || sig != 3 {
 		t.Fatalf("delivery = (%d,%v), want (3,true)", sig, ok)
 	}
 	// Not redelivered at the same point.
-	if _, ok := inj.Pending(th1); ok {
+	if _, ok := take(inj, 1, 10); ok {
 		t.Fatal("redelivered")
 	}
-	th2 := &vm.Thread{ID: 2, Retired: 10}
-	if sig, ok := inj.Pending(th2); !ok || sig != 5 {
+	if sig, ok := take(inj, 2, 10); !ok || sig != 5 {
 		t.Fatal("per-thread queues entangled")
 	}
 	if inj.Remaining() != 1 || inj.Injected != 2 {

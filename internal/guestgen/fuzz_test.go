@@ -2,12 +2,14 @@ package guestgen_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"doubleplay/internal/core"
@@ -23,27 +25,16 @@ import (
 )
 
 // tape is a syscall handler that records the results of the handler it
-// wraps, in issue order, or plays a recorded tape back. One simulated CPU
-// following one schedule issues its syscalls in one order, so a flat tape
-// is all a followed Uni needs to see the inputs the logged run saw.
+// wraps, in issue order.
 type tape struct {
-	live    vm.SyscallHandler // nil: play back
+	live    vm.SyscallHandler
 	results []vm.SysResult
-	next    int
 }
 
 func (p *tape) Syscall(m *vm.Machine, t *vm.Thread, num vm.Word, args [6]vm.Word) vm.SysResult {
-	if p.live != nil {
-		res := p.live.Syscall(m, t, num, args)
-		p.results = append(p.results, res)
-		return res
-	}
-	if p.next >= len(p.results) {
-		m.Diverged = "tape exhausted"
-		return vm.SysResult{Block: true}
-	}
-	p.next++
-	return p.results[p.next-1]
+	res := p.live.Syscall(m, t, num, args)
+	p.results = append(p.results, res)
+	return res
 }
 
 // outcome is everything two executions of one program must agree on.
@@ -54,19 +45,22 @@ type outcome struct {
 	Log      []dplog.Slice
 	Threads  []*vm.Thread // PC, Regs, Frames, Retired, Status, fault text, …
 	Hash     uint64
+	// Signals is where a live run delivered each signal. A delivery
+	// without a handler changes no state but the thread's counts, so its
+	// position within a stretch of plain instructions shows only here.
+	Signals []dplog.SignalRecord
 }
 
-// runUni drives a Uni over m to completion in Advance(n) chunks drawn from
-// chunks (nil: one Run) and reports the outcome. reference forces the
+// runUni drives u to completion in Advance(n) chunks drawn from chunks
+// (nil: one Run) and reports the outcome. reference forces the
 // per-instruction path by arming a no-op OnRetire; otherwise the slice
 // loop is in play and must have been used.
-func runUni(t *testing.T, m *vm.Machine, cfg func(u *sched.Uni), chunks *rand.Rand, reference bool) (outcome, *sched.Uni) {
+func runUni(t *testing.T, u *sched.Uni, chunks *rand.Rand, reference bool) outcome {
 	t.Helper()
+	m := u.M
 	if reference {
 		m.Hooks.OnRetire = func(*vm.Thread, int, int64) {}
 	}
-	u := sched.NewUni(m)
-	cfg(u)
 	var err error
 	for done := false; !done && err == nil; {
 		n := uint64(math.MaxUint64)
@@ -86,7 +80,32 @@ func runUni(t *testing.T, m *vm.Machine, cfg func(u *sched.Uni), chunks *rand.Ra
 	if err != nil {
 		o.Err = err.Error()
 	}
-	return o, u
+	return o
+}
+
+// signalScript draws 0–4 asynchronous signals for g's threads from the
+// fuzz input's seed, each due at a cycle a run of g may or may not reach.
+// No generated program installs a handler, so a delivery changes no
+// program: it retires and costs Sync, which moves every later stop.
+func signalScript(g *guestgen.Guest, seed uint64) func() *simos.World {
+	rng := rand.New(rand.NewSource(int64(seed) ^ 0x51647a1))
+	type spec struct {
+		at  int64
+		tid int
+		sig vm.Word
+	}
+	script := make([]spec, rng.Intn(5))
+	for i := range script {
+		script[i] = spec{int64(rng.Intn(5000)), rng.Intn(g.Workers + 1), vm.Word(1 + rng.Intn(9))}
+	}
+	slices.SortFunc(script, func(a, b spec) int { return cmp.Compare(a.at, b.at) })
+	return func() *simos.World {
+		w := g.World()
+		for _, s := range script {
+			w.AddSignal(s.at, s.tid, s.sig)
+		}
+		return w
+	}
 }
 
 func diff(t *testing.T, what string, got, want outcome) {
@@ -94,9 +113,9 @@ func diff(t *testing.T, what string, got, want outcome) {
 	if reflect.DeepEqual(got, want) {
 		return
 	}
-	t.Errorf("%s: err %q/%q cycles %d/%d switches %d/%d slices %d/%d hash %016x/%016x", what,
+	t.Errorf("%s: err %q/%q cycles %d/%d switches %d/%d slices %d/%d hash %016x/%016x signals %v/%v", what,
 		got.Err, want.Err, got.Cycles, want.Cycles, got.Switches, want.Switches,
-		len(got.Log), len(want.Log), got.Hash, want.Hash)
+		len(got.Log), len(want.Log), got.Hash, want.Hash, got.Signals, want.Signals)
 	diffThreads(t, got.Threads, want.Threads)
 	t.FailNow()
 }
@@ -114,25 +133,49 @@ func diffThreads(t *testing.T, got, want []*vm.Thread) {
 	}
 }
 
-// check is the differential oracle over one generated guest. It returns
-// the guest, whether one of its threads faulted in the reference run and,
-// for a disciplined guest, which it records, how many threads its
-// recording ended with faulted.
-func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted bool, recordedFaults int) {
-	g = guestgen.Generate(data)
+// checked is what the differential oracle saw of one generated guest.
+type checked struct {
+	g *guestgen.Guest
+	// faulted: one of its threads faulted in the reference run.
+	faulted bool
+	// signals delivered in the reference run.
+	signals int
+	// recordedFaults: for a disciplined guest, which it records, how many
+	// threads its recording ended with faulted.
+	recordedFaults int
+}
+
+// check is the differential oracle over one generated guest, under a
+// world that scripts signals drawn from seed.
+func check(t *testing.T, data []byte, seed uint64) (c checked) {
+	g := guestgen.Generate(data)
+	c.g = g
+	world := signalScript(g, seed)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	quantum := int64(1 + rng.Intn(400))
 
-	// Logging mode against the live OS: the reference, the loop in one
-	// Run, and the loop under random pauses.
-	free := func(u *sched.Uni) { u.Quantum, u.LogSchedule = quantum, true }
-	rec := &tape{live: simos.NewOS(g.World())}
-	want, ref := runUni(t, vm.NewMachine(g.Prog, rec, nil), free, nil, true)
+	// Logging mode against the live world, whose signals fall due at a
+	// clock: the reference, the loop in one Run, and the loop under random
+	// pauses. The reference run's log is what replay mode follows.
+	free := func() (*sched.Uni, *epoch.LiveLog) {
+		m, l := vm.NewMachine(g.Prog, nil, nil), epoch.NewLiveLog(nil, 0)
+		l.Attach(m, world())
+		m.Hooks.OnSync = nil
+		u := sched.NewUni(m)
+		u.Quantum, u.LogSchedule, u.Signals = quantum, true, l.Signals()
+		return u, l
+	}
+	ref, live := free()
+	want := runUni(t, ref, nil, true)
 	if want.Err != "" {
 		t.Fatalf("generated guest does not run to completion: %s", want.Err)
 	}
+	ep := live.Take()
+	want.Signals = ep.Signals
 	for _, chunks := range []*rand.Rand{nil, rng} {
-		got, u := runUni(t, vm.NewMachine(g.Prog, simos.NewOS(g.World()), nil), free, chunks, false)
+		u, l := free()
+		got := runUni(t, u, chunks, false)
+		got.Signals = l.Take().Signals
 		diff(t, fmt.Sprintf("free mode, quantum %d, chunked %v", quantum, chunks != nil), got, want)
 		if u.LoopRetired == 0 || u.LoopRetired > u.Retired() {
 			t.Fatalf("free mode: %d of %d instructions in the slice loop", u.LoopRetired, u.Retired())
@@ -140,33 +183,36 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 	}
 
 	for _, th := range want.Threads {
-		faulted = faulted || th.Status == vm.Faulted
+		c.faulted = c.faulted || th.Status == vm.Faulted
 	}
+	c.signals = len(ep.Signals)
 
 	// Replay mode: the logged schedule followed with the logged syscall
-	// results, reference against loop, whole and paused. A fault retires,
-	// so a slice and a target that count it end the thread there.
-	targets := make([]uint64, len(want.Threads))
+	// results and signals, which fall due at a retired count, reference
+	// against loop, whole and paused. A fault retires, so a slice and a
+	// target that count it end the thread there.
+	ep.Schedule = ref.Log
+	ep.Targets = make([]uint64, len(want.Threads))
 	for i, th := range want.Threads {
-		targets[i] = th.Retired
+		ep.Targets[i] = th.Retired
 	}
-	follow := func(u *sched.Uni) { u.Follow, u.Targets = ref.Log, targets }
-	wantF, _ := runUni(t, vm.NewMachine(g.Prog, &tape{results: rec.results}, nil), follow, nil, true)
+	follow := func() *sched.Uni { return epoch.Follow(vm.NewMachine(g.Prog, nil, nil), ep, false, 0, nil).Uni }
+	wantF := runUni(t, follow(), nil, true)
 	if wantF.Err != "" || wantF.Hash != want.Hash {
 		t.Fatalf("followed reference: err %q, hash %016x, logged run %016x", wantF.Err, wantF.Hash, want.Hash)
 	}
 	for _, chunks := range []*rand.Rand{nil, rng} {
-		got, _ := runUni(t, vm.NewMachine(g.Prog, &tape{results: rec.results}, nil), follow, chunks, false)
+		got := runUni(t, follow(), chunks, false)
 		diff(t, fmt.Sprintf("follow mode, chunked %v", chunks != nil), got, wantF)
 	}
 
 	if !g.Disciplined {
-		return g, faulted, 0
+		return c
 	}
 	// Race-free by construction: the recorder must never see a divergence,
 	// and every way of replaying the log must reproduce every boundary
 	// hash and the final hash (replay.Run and the Stepper check them).
-	res, err := core.Record(g.Prog, g.World(), core.Options{
+	res, err := core.Record(g.Prog, world(), core.Options{
 		Workers: g.Workers, SpareCPUs: 2, Seed: int64(seed), EpochCycles: int64(500 + rng.Intn(8000)), Quantum: quantum,
 	})
 	if err != nil {
@@ -219,7 +265,8 @@ func check(t *testing.T, data []byte, seed uint64) (g *guestgen.Guest, faulted b
 	if h := m.StateHash(); h != res.FinalHash {
 		t.Fatalf("stepped replay: final hash %016x, recorded %016x", h, res.FinalHash)
 	}
-	return g, faulted, res.Stats.GuestFaults
+	c.recordedFaults = res.Stats.GuestFaults
+	return c
 }
 
 // replayTraced replays src under opt with a trace and a guest profile and
@@ -239,9 +286,10 @@ func replayTraced(t *testing.T, prog *vm.Program, src replay.Source, opt replay.
 	return rep, buf.Bytes(), opt.Profile.MarshalPprof()
 }
 
-// FuzzSliceLoop points the determinism oracle at generated programs: the
-// slice loop against the per-instruction reference under sched.Uni, and,
-// for lock-disciplined programs, record against every replay.
+// FuzzSliceLoop points the determinism oracle at generated programs under
+// worlds that script signals: the slice loop against the per-instruction
+// reference under sched.Uni, and, for lock-disciplined programs, record
+// against every replay.
 func FuzzSliceLoop(f *testing.F) {
 	for i := uint64(0); i < 8; i++ {
 		f.Add(binary.LittleEndian.AppendUint64(nil, i*0x9e3779b97f4a7c15), i)
@@ -256,30 +304,33 @@ func TestGeneratedGuests(t *testing.T) {
 	if testing.Short() {
 		n = 25
 	}
-	var racy, faults, recorded, recordedFaulting int
+	var racy, faults, signaled, recorded, recordedFaulting int
 	for i := 0; i < n; i++ {
 		data := binary.LittleEndian.AppendUint64(nil, uint64(i)*0x9e3779b97f4a7c15+1)
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			g, faulted, recordedFaults := check(t, data, uint64(i))
-			if faulted {
+			c := check(t, data, uint64(i))
+			if c.faulted {
 				faults++
 			}
-			if !g.Disciplined {
+			if c.signals > 0 {
+				signaled++
+			}
+			if !c.g.Disciplined {
 				racy++
 				return
 			}
 			recorded++
-			if recordedFaults > 0 {
+			if c.recordedFaults > 0 {
 				recordedFaulting++
 			}
 		})
 	}
 	// The generator must keep producing both kinds of program and both
-	// kinds of ending, and some recording must hold a fault, or the oracle
-	// is looking at less than it claims.
-	msg := fmt.Sprintf("of %d guests: %d faulted, %d racy, %d recorded and replayed (%d of them with a fault)",
-		n, faults, racy, recorded, recordedFaulting)
-	if racy == 0 || faults == 0 || recorded < n/4 || recordedFaulting == 0 {
+	// kinds of ending, some run must take a signal, and some recording
+	// must hold a fault, or the oracle is looking at less than it claims.
+	msg := fmt.Sprintf("of %d guests: %d faulted, %d took a signal, %d racy, %d recorded and replayed (%d of them with a fault)",
+		n, faults, signaled, racy, recorded, recordedFaulting)
+	if racy == 0 || faults == 0 || signaled == 0 || recorded < n/4 || recordedFaulting == 0 {
 		t.Fatal(msg)
 	}
 	t.Log(msg)

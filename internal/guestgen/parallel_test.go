@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"doubleplay/internal/dplog"
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/guestgen"
 	"doubleplay/internal/mem"
 	"doubleplay/internal/sched"
@@ -25,6 +27,7 @@ type parOutcome struct {
 	Touched            int64 // pages copied on write plus pages materialised
 	Sync               []vm.SyncEvent
 	Sys                []vm.SysResult
+	Signals            []dplog.SignalRecord
 }
 
 // parConfig is one way of driving a sched.Parallel over a guest.
@@ -35,23 +38,26 @@ type parConfig struct {
 	chunked bool // RunUntil in chunks with AddCost between, else one Run
 }
 
-// runParallel drives g under cfg. strict forces every instruction through
-// Step, the reference, the way any observer of plain instructions does, by
-// arming a no-op OnRetire: no window, and no RunSlice in the strict loop.
-// A chunked run stops every 1…20,000 cycles, so limits land inside
-// windows, and snapshots memory at every stop as the recorder's
-// checkpoints do, so stores find shared pages to copy.
-func runParallel(t *testing.T, g *guestgen.Guest, cfg parConfig, strict bool) (parOutcome, *sched.Parallel) {
+// runParallel drives g under cfg against w, logging w's signals as the
+// recorder does. strict forces every instruction through Step, the
+// reference, the way any observer of plain instructions does, by arming a
+// no-op OnRetire: no window, and no RunSlice in the strict loop. A chunked
+// run stops every 1…20,000 cycles, so limits land inside windows, and
+// snapshots memory at every stop as the recorder's checkpoints do, so
+// stores find shared pages to copy.
+func runParallel(t *testing.T, g *guestgen.Guest, w *simos.World, cfg parConfig, strict bool) (parOutcome, *sched.Parallel) {
 	t.Helper()
 	var o parOutcome
-	os := &tape{live: simos.NewOS(g.World())}
-	m := vm.NewMachine(g.Prog, os, nil)
+	m, live := vm.NewMachine(g.Prog, nil, nil), epoch.NewLiveLog(nil, 0)
+	live.Attach(m, w)
+	os := &tape{live: m.OS}
+	m.OS = os
 	m.Hooks.OnSync = func(ev vm.SyncEvent) { o.Sync = append(o.Sync, ev) }
 	if strict {
 		m.Hooks.OnRetire = func(*vm.Thread, int, int64) {}
 	}
 	p := sched.NewParallel(m, cfg.cpus, cfg.seed)
-	p.Quantum = cfg.quantum
+	p.Quantum, p.Signals = cfg.quantum, live.Signals()
 	var err error
 	if cfg.chunked {
 		rng := rand.New(rand.NewSource(cfg.seed ^ 0x5eed))
@@ -85,18 +91,21 @@ func runParallel(t *testing.T, g *guestgen.Guest, cfg parConfig, strict bool) (p
 	o.Touched += st.PagesCopied + st.PagesNew
 	o.Wall, o.Now, o.Retired = p.WallTime(), p.Now(), p.Retired()
 	o.Hash, o.Threads, o.Pages, o.Sys = m.StateHash(), m.Threads, m.Mem.PageCount(), os.results
+	o.Signals = live.Take().Signals
 	return o, p
 }
 
 // checkWindows is the differential oracle for sched.Parallel's windows:
 // one generated guest — racy, faulting and syscalling ones included —
-// under every CPU count, whole and in chunks, windows against the strict
-// path. What the windowed runs did is added to sum.
+// under a world that scripts signals, under every CPU count, whole and in
+// chunks, windows against the strict path. What the windowed runs did is
+// added to sum.
 func checkWindows(t *testing.T, data []byte, seed uint64, sum *windowTotals) {
 	g := guestgen.Generate(data)
 	if seed%2 == 1 {
 		g = guestgen.GenerateRacy(data) // conflicts are what windows exist to catch
 	}
+	world := signalScript(g, seed)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	for _, cpus := range []int{1, 2, 3, 5} {
 		for _, chunked := range []bool{false, true} {
@@ -104,11 +113,11 @@ func checkWindows(t *testing.T, data []byte, seed uint64, sum *windowTotals) {
 			if rng.Intn(2) == 0 {
 				cfg.quantum = int64(1 + rng.Intn(400))
 			}
-			want, ref := runParallel(t, g, cfg, true)
+			want, ref := runParallel(t, g, world(), cfg, true)
 			if ref.WindowRetired != 0 || ref.Windows != 0 {
 				t.Fatalf("%+v: strict run retired %d instructions in %d windows", cfg, ref.WindowRetired, ref.Windows)
 			}
-			got, p := runParallel(t, g, cfg, false)
+			got, p := runParallel(t, g, world(), cfg, false)
 			if p.WindowRetired > p.Retired() {
 				t.Fatalf("%+v: %d of %d instructions in windows", cfg, p.WindowRetired, p.Retired())
 			}
@@ -117,12 +126,14 @@ func checkWindows(t *testing.T, data []byte, seed uint64, sum *windowTotals) {
 			sum.windows += p.Windows
 			sum.eventAborts += p.WindowEventAborts
 			sum.conflictAborts += p.WindowConflictAborts
+			sum.signals += int64(len(want.Signals))
 			if reflect.DeepEqual(got, want) {
 				continue
 			}
-			t.Errorf("%+v (disciplined %v, may fault %v): windows / strict: err %q/%q wall %d/%d now %d/%d retired %d/%d hash %016x/%016x pages %d/%d touched %d/%d sync %d/%d sys %d/%d",
+			t.Errorf("%+v (disciplined %v, may fault %v): windows / strict: err %q/%q wall %d/%d now %d/%d retired %d/%d hash %016x/%016x pages %d/%d touched %d/%d sync %d/%d sys %d/%d signals %v/%v",
 				cfg, g.Disciplined, g.MayFault, got.Err, want.Err, got.Wall, want.Wall, got.Now, want.Now, got.Retired, want.Retired,
-				got.Hash, want.Hash, got.Pages, want.Pages, got.Touched, want.Touched, len(got.Sync), len(want.Sync), len(got.Sys), len(want.Sys))
+				got.Hash, want.Hash, got.Pages, want.Pages, got.Touched, want.Touched, len(got.Sync), len(want.Sync), len(got.Sys), len(want.Sys),
+				got.Signals, want.Signals)
 			diffThreads(t, got.Threads, want.Threads)
 			t.FailNow()
 		}
@@ -131,11 +142,12 @@ func checkWindows(t *testing.T, data []byte, seed uint64, sum *windowTotals) {
 
 // windowTotals sums the window counters of the runs an oracle made.
 type windowTotals struct {
-	retired, inWindows, windows, eventAborts, conflictAborts int64
+	retired, inWindows, windows, eventAborts, conflictAborts, signals int64
 }
 
 // FuzzParallelWindows holds sched.Parallel's windows to the strict
-// per-instruction interleaving on generated programs.
+// per-instruction interleaving on generated programs under worlds that
+// script signals.
 func FuzzParallelWindows(f *testing.F) {
 	for i := uint64(0); i < 8; i++ {
 		f.Add(binary.LittleEndian.AppendUint64(nil, i*0x9e3779b97f4a7c15), i)
@@ -152,11 +164,12 @@ func TestParallelWindowsMatchStrict(t *testing.T) {
 		data := binary.LittleEndian.AppendUint64(nil, uint64(i)*0x9e3779b97f4a7c15+1)
 		t.Run(fmt.Sprint(i), func(t *testing.T) { checkWindows(t, data, uint64(i), &sum) })
 	}
-	// Windows, and both ways of abandoning one, must actually have been in
-	// play, or the oracle compared the strict path with itself.
-	t.Logf("%d of %d instructions retired inside %d windows (%.1f%%); %d cut short by an event, %d abandoned on a conflict",
-		sum.inWindows, sum.retired, sum.windows, 100*float64(sum.inWindows)/float64(sum.retired), sum.eventAborts, sum.conflictAborts)
-	if sum.inWindows*2 < sum.retired || sum.eventAborts < int64(n) || sum.conflictAborts < int64(n) {
+	// Windows, both ways of abandoning one and signals that end them must
+	// actually have been in play, or the oracle compared the strict path
+	// with itself.
+	t.Logf("%d of %d instructions retired inside %d windows (%.1f%%); %d cut short by an event, %d abandoned on a conflict; %d signals delivered",
+		sum.inWindows, sum.retired, sum.windows, 100*float64(sum.inWindows)/float64(sum.retired), sum.eventAborts, sum.conflictAborts, sum.signals)
+	if sum.inWindows*2 < sum.retired || sum.eventAborts < int64(n) || sum.conflictAborts < int64(n) || sum.signals < int64(n) {
 		t.Fatal("the generated guests no longer exercise the windows")
 	}
 }

@@ -10,15 +10,10 @@ import (
 )
 
 // minLoopShare is the least share of a sequential replay's instructions
-// that must retire inside the scheduler's slice loop. sigping's floor is
-// lower because the epochs that carry its signals are polled per
-// instruction and take no part in the loop.
-func minLoopShare(workload string) float64 {
-	if workload == "sigping" {
-		return 0.90
-	}
-	return 0.98
-}
+// that must retire inside the scheduler's slice loop, on every workload:
+// the loop stops at a recorded signal's retired count and goes on after
+// the delivery.
+const minLoopShare = 0.98
 
 // TestSliceLoopShare makes the fast path's traffic a count: on every
 // builtin workload a hook-free sequential replay retires nearly all of its
@@ -28,10 +23,9 @@ func minLoopShare(workload string) float64 {
 // noisy timing.
 func TestSliceLoopShare(t *testing.T) {
 	noop := map[string]func(h *vm.Hooks){
-		"OnRetire":      func(h *vm.Hooks) { h.OnRetire = func(*vm.Thread, int, int64) {} },
-		"PendingSignal": func(h *vm.Hooks) { h.PendingSignal = func(*vm.Thread) (vm.Word, bool) { return 0, false } },
-		"OnMemAccess":   func(h *vm.Hooks) { h.OnMemAccess = func(int, vm.Word, bool) {} },
-		"OnMemWrite":    func(h *vm.Hooks) { h.OnMemWrite = func(int, vm.Word, vm.Word, vm.Word) {} },
+		"OnRetire":    func(h *vm.Hooks) { h.OnRetire = func(*vm.Thread, int, int64) {} },
+		"OnMemAccess": func(h *vm.Hooks) { h.OnMemAccess = func(int, vm.Word, bool) {} },
+		"OnMemWrite":  func(h *vm.Hooks) { h.OnMemWrite = func(int, vm.Word, vm.Word, vm.Word) {} },
 	}
 	for _, wl := range workloads.All() {
 		t.Run(wl.Name, func(t *testing.T) {
@@ -47,8 +41,8 @@ func TestSliceLoopShare(t *testing.T) {
 			}
 			share := float64(rep.LoopInstrs) / float64(total)
 			t.Logf("%d of %d instructions in the loop (%.2f%%)", rep.LoopInstrs, total, 100*share)
-			if share < minLoopShare(wl.Name) || rep.LoopInstrs > total {
-				t.Errorf("loop share %.4f, want [%.2f, 1]", share, minLoopShare(wl.Name))
+			if share < minLoopShare || rep.LoopInstrs > total {
+				t.Errorf("loop share %.4f, want [%.2f, 1]", share, minLoopShare)
 			}
 
 			for hook, arm := range noop {
@@ -58,11 +52,7 @@ func TestSliceLoopShare(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// NewStepper resets PendingSignal per epoch; arm after it.
-					// A signal-carrying epoch keeps its real injector.
-					if hook != "PendingSignal" || len(ep.Signals) == 0 {
-						arm(&m.Hooks)
-					}
+					arm(&m.Hooks)
 					if _, err := st.Run(); err != nil {
 						t.Fatalf("%s armed: %v", hook, err)
 					}

@@ -87,9 +87,10 @@ func BenchmarkParallel(b *testing.B) {
 // BenchmarkUniFollow is replay mode: every epoch of a recording followed
 // from its checkpoint by epoch.Follow, its schedule, syscall results and
 // signals injected — the loop sequential replay, epoch-parallel replay and
-// the recorder's epoch-parallel run all sit on. Signals are polled as
-// replay.NewStepper polls them, only in epochs that carry one; sigping is
-// the guest whose epochs do, so the polled path keeps a number.
+// the recorder's epoch-parallel run all sit on. The slice loop stops at
+// each recorded signal's retired count and the scheduler delivers it;
+// sigping is the guest whose epochs carry signals, so that stop keeps a
+// number.
 func BenchmarkUniFollow(b *testing.B) {
 	for _, name := range append(benchGuests, "sigping") {
 		b.Run(name, func(b *testing.B) {

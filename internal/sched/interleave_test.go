@@ -8,8 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"doubleplay/internal/epoch"
 	"doubleplay/internal/sched"
-	"doubleplay/internal/simos"
 	"doubleplay/internal/vm"
 	"doubleplay/internal/workloads"
 )
@@ -34,13 +34,11 @@ func runInterleave(t *testing.T, guest string, cpus int, seed int64, chunked boo
 		t.Fatalf("no workload %s", guest)
 	}
 	bt := wl.Build(workloads.Params{Workers: 3, Seed: seed})
-	m := vm.NewMachine(bt.Prog, simos.NewOS(bt.World), nil)
-	if bt.World.SignalCount() > 0 {
-		m.Hooks.PendingSignal = func(th *vm.Thread) (vm.Word, bool) {
-			return bt.World.NextSignal(th.ID, m.Now)
-		}
-	}
+	m := vm.NewMachine(bt.Prog, nil, nil)
+	live := epoch.NewLiveLog(nil, 0)
+	live.Attach(m, bt.World)
 	p := sched.NewParallel(m, cpus, seed)
+	p.Signals = live.Signals()
 	mode := "run"
 	if chunked {
 		mode = "chunked"

@@ -52,6 +52,12 @@ type Parallel struct {
 	TracePid  int64
 	TraceSpan string
 
+	// Signals, when set, produces the asynchronous signals the run
+	// delivers. Its producers name a clock (a live world's: see Signals),
+	// which ends the windows; they do not stop at a retired count. Resume
+	// keeps it.
+	Signals Signals
+
 	cpus     []pcpu
 	nBound   int     // CPUs with a bound thread
 	scanFrom int     // round-robin cursor for dispatch fairness
@@ -132,7 +138,7 @@ func (p *Parallel) start(m *vm.Machine) {
 	// A window tells its retirements apart by the cycle they start at, so
 	// every plain instruction must cost one at least; and the conflict check
 	// names CPUs in 16 bits.
-	if m.PlainCostFloor() < 1 || len(p.cpus) > 1<<16 {
+	if floor, _ := m.PlainCosts(); floor < 1 || len(p.cpus) > 1<<16 {
 		p.noWindowBefore = math.MaxInt64
 	}
 	p.drawJitter()
@@ -320,18 +326,25 @@ func (p *Parallel) RunUntil(limit int64) error {
 					return fmt.Errorf("%w\n%s", ErrDeadlock, m.DescribeState())
 				}
 				idleStreak = 0
-				// Unobserved, m.RunSlice(t, 1) retires a plain instruction
-				// for the cost Step would charge, without Step's overhead.
-				retired, cost := false, int64(0)
-				if unobserved {
-					n, c := m.RunSlice(t, 1)
-					retired, cost = n == 1, c
+				// A due signal is delivered first. Otherwise, unobserved,
+				// m.RunSlice(t, 1) retires a plain instruction for the cost
+				// Step would charge, without Step's overhead.
+				var res vm.StepResult
+				delivered := false
+				if p.Signals != nil {
+					res, delivered = deliverDue(m, p.Signals, t)
 				}
-				if !retired {
-					res := m.Step(t)
-					retired, cost = res.Retired, res.Cost
+				if !delivered {
+					if unobserved {
+						if n, c := m.RunSlice(t, 1); n == 1 {
+							res = vm.StepResult{Retired: true, Cost: c}
+						}
+					}
+					if !res.Retired {
+						res = m.Step(t)
+					}
 				}
-				if retired {
+				if cost := res.Cost; res.Retired {
 					p.retired++
 					// Timing jitter: occasional slow memory access. This is the
 					// hardware nondeterminism that makes racy programs produce

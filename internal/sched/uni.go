@@ -49,6 +49,10 @@ type Uni struct {
 	// recovery to re-execute roughly one epoch's worth of work.
 	TotalBudget uint64
 
+	// Signals, when set, produces the asynchronous signals the run
+	// delivers: a followed epoch's recorded ones or a live world's.
+	Signals Signals
+
 	// LogSchedule enables appending timeslices to Log.
 	LogSchedule bool
 	Log         []dplog.Slice
@@ -73,6 +77,10 @@ type Uni struct {
 	// than by individual Steps; Retired() includes them. It is zero whenever
 	// a hook that observes plain instructions is armed.
 	LoopRetired uint64
+
+	// plainCeil is the costliest plain instruction under M's cost model,
+	// which bounds a slice loop that must stop before a signal's clock.
+	plainCeil int64
 
 	// Loop cursors. They live here rather than in Run's locals so that
 	// Advance can pause between any two retirements and resume exactly
@@ -165,6 +173,7 @@ func (u *Uni) Advance(n uint64) (done bool, err error) {
 	if !u.started {
 		u.started = true
 		u.startRetired = u.totalRetired()
+		_, u.plainCeil = u.M.PlainCosts()
 	}
 	if u.Follow != nil {
 		return u.advanceFollow(n)
@@ -306,7 +315,11 @@ func (u *Uni) pollBlockedSys() bool {
 		}
 		// A thread that retires here is logged as a one-instruction slice
 		// and, once runnable, scheduled by the round-robin loop.
-		if res := u.M.Step(t); res.Retired {
+		res, delivered := u.deliverDue(t)
+		if !delivered {
+			res = u.M.Step(t)
+		}
+		if res.Retired {
 			u.Cycles += res.Cost
 			u.appendSlice(t.ID, 1)
 		}
@@ -318,10 +331,11 @@ func (u *Uni) pollBlockedSys() bool {
 
 // runLoop retires up to lim plain instructions of t in vm.RunSlice and
 // charges their cycles. The caller has established that no armed hook
-// observes plain instructions; whatever the loop leaves — it stops before
-// anything but a plain, non-faulting instruction — is for the caller's next
-// Step. M.Now is not maintained across the loop (nothing inside it reads
-// the clock); every Step is still preceded by M.Now = Cycles.
+// observes plain instructions, and has folded t's next signal into lim
+// (loopBound); whatever the loop leaves — it stops before anything but a
+// plain, non-faulting instruction — is for the caller's next attempt. M.Now
+// is not maintained across the loop (nothing inside it reads the clock);
+// every attempt is still preceded by M.Now = Cycles.
 func (u *Uni) runLoop(t *vm.Thread, lim uint64) uint64 {
 	k, cycles := u.M.RunSlice(t, lim)
 	u.Cycles += cycles
@@ -351,19 +365,23 @@ func (u *Uni) runSlice(t *vm.Thread, n uint64) (retired int64, paused bool, err 
 		}
 		if loop {
 			// Quantum and pause bounds are already one number; the
-			// thread's target, which canRun just found ahead, is the third.
+			// thread's target, which canRun just found ahead, is the
+			// third, and its next signal the fourth.
 			lim := uint64(stop - retired)
 			if u.Targets != nil && u.Targets[t.ID]-t.Retired < lim {
 				lim = u.Targets[t.ID] - t.Retired
 			}
-			k := u.runLoop(t, lim)
+			k := u.runLoop(t, u.loopBound(t, lim))
 			retired += int64(k)
 			if k == lim {
 				continue
 			}
 		}
 		u.M.Now = u.Cycles
-		res := u.M.Step(t)
+		res, delivered := u.deliverDue(t)
+		if !delivered {
+			res = u.M.Step(t)
+		}
 		if u.M.Diverged != "" {
 			return retired, false, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
 		}
@@ -420,7 +438,7 @@ func (u *Uni) advanceFollow(n uint64) (bool, error) {
 					ErrDiverged, i, s.Tid, t.Status, retired, s.N)
 			}
 			if loop {
-				k := u.runLoop(t, stop-retired)
+				k := u.runLoop(t, u.loopBound(t, stop-retired))
 				retired += k
 				if retired == stop {
 					break
@@ -428,7 +446,10 @@ func (u *Uni) advanceFollow(n uint64) (bool, error) {
 			}
 			before := t.Retired
 			u.M.Now = u.Cycles
-			res := u.M.Step(t)
+			res, delivered := u.deliverDue(t)
+			if !delivered {
+				res = u.M.Step(t)
+			}
 			if u.M.Diverged != "" {
 				return false, fmt.Errorf("%w: %s", ErrDiverged, u.M.Diverged)
 			}

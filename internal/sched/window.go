@@ -68,7 +68,8 @@ type confEntry struct {
 	cpu  uint16
 }
 
-// window attempts one window ending no later than limit and reports whether
+// window attempts one window ending no later than limit, nor than the
+// clock at which a bound thread's next signal falls due, and reports whether
 // it committed one that retired something, and if so whether every CPU ran
 // it out: if not, the instruction that cut it short is the strict loop's to
 // execute next. The caller has checked that no hook observes plain
@@ -83,13 +84,19 @@ func (p *Parallel) window(limit int64) (committed, ranOut bool) {
 	if bound == 0 || bound < len(cpus) && p.dispatchable() {
 		return false, false
 	}
-	lo := int64(math.MaxInt64)
+	lo, end := int64(math.MaxInt64), limit
 	for ci := range cpus {
-		if cpus[ci].th != nil {
+		if t := cpus[ci].th; t != nil {
 			lo = min(lo, cpus[ci].clock)
+			if p.Signals != nil {
+				// No instruction may start at or after a signal's clock:
+				// the strict loop delivers it there.
+				_, _, at := p.Signals.Next(t.ID)
+				end = min(end, at)
+			}
 		}
 	}
-	end := min(lo+maxWindowSpan, limit)
+	end = min(end, lo+maxWindowSpan)
 	if end-lo < minWindowSpan {
 		return false, false
 	}

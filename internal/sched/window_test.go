@@ -27,16 +27,15 @@ func minWindowShare(workload string) float64 {
 // TestParallelWindowShare makes the windows' traffic a count, as
 // TestSliceLoopShare does for the slice loop: on the compute kernels most
 // instructions of a hook-free thread-parallel run retire inside windows,
-// and arming any one hook that observes plain instructions — a pending
-// signal source included — takes the windows out entirely and changes
-// nothing else. A change that arms such a hook on the recorder's machine
-// (or stops opening windows) fails here, not in a noisy timing.
+// and arming any one hook that observes plain instructions takes the
+// windows out entirely and changes nothing else. A change that arms such a
+// hook on the recorder's machine (or stops opening windows) fails here,
+// not in a noisy timing.
 func TestParallelWindowShare(t *testing.T) {
 	noop := map[string]func(h *vm.Hooks){
-		"OnRetire":      func(h *vm.Hooks) { h.OnRetire = func(*vm.Thread, int, int64) {} },
-		"PendingSignal": func(h *vm.Hooks) { h.PendingSignal = func(*vm.Thread) (vm.Word, bool) { return 0, false } },
-		"OnMemAccess":   func(h *vm.Hooks) { h.OnMemAccess = func(int, vm.Word, bool) {} },
-		"OnMemWrite":    func(h *vm.Hooks) { h.OnMemWrite = func(int, vm.Word, vm.Word, vm.Word) {} },
+		"OnRetire":    func(h *vm.Hooks) { h.OnRetire = func(*vm.Thread, int, int64) {} },
+		"OnMemAccess": func(h *vm.Hooks) { h.OnMemAccess = func(int, vm.Word, bool) {} },
+		"OnMemWrite":  func(h *vm.Hooks) { h.OnMemWrite = func(int, vm.Word, vm.Word, vm.Word) {} },
 	}
 	run := func(t *testing.T, wl *workloads.Workload, arm func(h *vm.Hooks)) (*sched.Parallel, uint64) {
 		bt := wl.Build(workloads.Params{Workers: 4, Seed: 17})

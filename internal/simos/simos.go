@@ -137,20 +137,24 @@ func (w *World) AddSignal(at int64, tid int, sig Word) {
 	w.sigScript[tid] = append(w.sigScript[tid], signalSpec{At: at, Sig: sig})
 }
 
-// NextSignal pops the next deliverable signal for tid at time now, if any.
-// The cursor is mutable world state, so epoch rollback re-delivers exactly
-// the signals the adopted execution had not yet consumed.
-func (w *World) NextSignal(tid int, now int64) (Word, bool) {
-	q := w.sigScript[tid]
-	if len(q) == 0 {
-		return 0, false
+// Signal returns tid's next undelivered signal and the time it becomes
+// deliverable at, if tid has one left.
+func (w *World) Signal(tid int) (sig Word, at int64, ok bool) {
+	q, c := w.sigScript[tid], w.sigCursor[tid]
+	if c == len(q) {
+		return 0, 0, false
 	}
+	return q[c].Sig, q[c].At, true
+}
+
+// TakeSignal consumes and returns tid's next undelivered signal, which
+// Signal has just reported. The cursor is mutable world state, so epoch
+// rollback re-delivers exactly the signals the adopted execution had not
+// yet consumed.
+func (w *World) TakeSignal(tid int) Word {
 	c := w.sigCursor[tid]
-	if c < len(q) && q[c].At <= now {
-		w.sigCursor[tid] = c + 1
-		return q[c].Sig, true
-	}
-	return 0, false
+	w.sigCursor[tid] = c + 1
+	return w.sigScript[tid][c].Sig
 }
 
 // SignalCount reports the total scripted signals.

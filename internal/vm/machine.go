@@ -123,12 +123,6 @@ type Hooks struct {
 	// the debug layer attaches here to stop when a watched word changes.
 	// Nil-checked at every site so the non-debug hot path pays one branch.
 	OnMemWrite func(tid int, addr, old, val Word)
-	// PendingSignal is consulted before each instruction of a live thread;
-	// returning (sig, true) delivers sig at that exact point. Delivery is a
-	// retiring event, so a signal's position is fully identified by the
-	// thread's retired-instruction count — which is how the log pinpoints
-	// asynchronous delivery for replay.
-	PendingSignal func(t *Thread) (Word, bool)
 	// OnRetire observes every retired instruction: pc is the program
 	// counter the instruction retired at (for a delivered signal, the pc it
 	// interrupted) and cost is the instruction's static per-opcode charge
@@ -323,12 +317,23 @@ func (m *Machine) memStore(t *Thread, addr, val Word) {
 // Step makes thread t attempt its current instruction. Blocked threads
 // re-attempt and either proceed or remain blocked; the scheduler charges
 // cost only for retired instructions.
-func (m *Machine) Step(t *Thread) StepResult {
+func (m *Machine) Step(t *Thread) StepResult { return m.attempt(t, 0, false) }
+
+// Deliver makes live thread t, blocked or not, take signal sig before its
+// current instruction, a retiring event (deliverSignal), so the log pins
+// the delivery by t's retired count; the schedulers decide when one is
+// due. It keeps Step's precedence: a dead thread panics, and a thread
+// whose pc is outside the code faults there and takes nothing.
+func (m *Machine) Deliver(t *Thread, sig Word) StepResult { return m.attempt(t, sig, true) }
+
+// attempt is Step, or Deliver of sig when deliver is set, reported to
+// OnRetire.
+func (m *Machine) attempt(t *Thread, sig Word, deliver bool) StepResult {
 	if m.Hooks.OnRetire == nil {
-		return m.step(t)
+		return m.step(t, sig, deliver)
 	}
 	pc0, sig0 := t.PC, t.SigRetired
-	res := m.step(t)
+	res := m.step(t, sig, deliver)
 	if res.Retired {
 		var cost int64 // a fetch outside the code segment faults for nothing
 		switch {
@@ -342,17 +347,15 @@ func (m *Machine) Step(t *Thread) StepResult {
 	return res
 }
 
-func (m *Machine) step(t *Thread) StepResult {
+func (m *Machine) step(t *Thread, sig Word, deliver bool) StepResult {
 	if !t.Status.Live() {
 		panic(fmt.Sprintf("vm: Step on dead thread %d (%s)", t.ID, t.Status))
 	}
 	if t.PC < 0 || t.PC >= len(m.Prog.Code) {
 		return m.fault(t, fmt.Sprintf("pc out of range: %d", t.PC))
 	}
-	if m.Hooks.PendingSignal != nil {
-		if sig, ok := m.Hooks.PendingSignal(t); ok {
-			return m.deliverSignal(t, sig)
-		}
+	if deliver {
+		return m.deliverSignal(t, sig)
 	}
 	in := m.Prog.Code[t.PC]
 	cost := m.costTab[in.Op]

@@ -85,16 +85,14 @@ func reloadProg() *vm.Program {
 func reloadCheckpoints(t *testing.T, prog *vm.Program) (early, rich *vm.Checkpoint) {
 	t.Helper()
 	m := vm.NewMachine(prog, nil, nil)
-	m.Hooks.PendingSignal = func(th *vm.Thread) (vm.Word, bool) {
-		return 3, th.ID == 0 && th.Retired == 20
-	}
+	due := func(th *vm.Thread) (vm.Word, bool) { return 3, th.ID == 0 && th.Retired == 20 }
 	for steps := 0; rich == nil; steps++ {
 		if steps > 10_000 {
 			t.Fatalf("never reached the rich checkpoint:\n%s", m.DescribeState())
 		}
 		for _, th := range m.Threads {
 			if th.Status.Live() {
-				m.Step(th)
+				attempt(m, th, due)
 			}
 		}
 		main := m.Threads[0]
@@ -137,10 +135,9 @@ func TestReloadMatchesRestore(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m := c.ran.Restore(prog, nil, costs)
-			m.Hooks.PendingSignal = func(th *vm.Thread) (vm.Word, bool) { return 4, th.Retired == 90 }
 			m.Hooks.OnSync = func(vm.SyncEvent) {}
 			m.Hooks.OnRetire = func(*vm.Thread, int, int64) {}
-			run(t, m)
+			runSignals(t, m, func(th *vm.Thread) (vm.Word, bool) { return 4, th.Retired == 90 })
 			m.Now, m.Diverged = 12345, "diverged"
 			m.Mem.Release()
 			m.Reload(c.reloaded, prog, nil, c.cost)

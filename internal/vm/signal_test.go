@@ -8,8 +8,23 @@ import (
 	"doubleplay/internal/vm"
 )
 
+// signals says which signal, if any, a thread takes before its next
+// instruction, consuming it; a nil one delivers nothing.
+type signals func(t *vm.Thread) (vm.Word, bool)
+
+// attempt is a scheduler's attempt at t: Deliver of the signal due says t
+// takes, else Step.
+func attempt(m *vm.Machine, t *vm.Thread, due signals) vm.StepResult {
+	if due != nil {
+		if sig, ok := due(t); ok {
+			return m.Deliver(t, sig)
+		}
+	}
+	return m.Step(t)
+}
+
 // sigAt delivers the given signals at exact retired counts of thread 0.
-func sigAt(deliveries map[uint64]vm.Word) func(t *vm.Thread) (vm.Word, bool) {
+func sigAt(deliveries map[uint64]vm.Word) signals {
 	return func(t *vm.Thread) (vm.Word, bool) {
 		if sig, ok := deliveries[t.Retired]; ok && t.ID == 0 {
 			delete(deliveries, t.Retired)
@@ -51,7 +66,7 @@ func buildSignalProg(withHandler bool, iters int64) (*asm.Builder, vm.Word) {
 	return b, cell
 }
 
-func runToEnd(t *testing.T, m *vm.Machine) {
+func runToEnd(t *testing.T, m *vm.Machine, due signals) {
 	t.Helper()
 	for steps := 0; !m.Done(); steps++ {
 		if steps > 1_000_000 {
@@ -59,7 +74,7 @@ func runToEnd(t *testing.T, m *vm.Machine) {
 		}
 		for _, th := range m.Threads {
 			if th.Status.Live() {
-				m.Step(th)
+				attempt(m, th, due)
 			}
 		}
 	}
@@ -72,8 +87,7 @@ func TestSignalHandlerRunsAndStatePreserved(t *testing.T) {
 	b, _ := buildSignalProg(true, 50)
 	prog := b.MustBuild()
 	m := vm.NewMachine(prog, nil, nil)
-	m.Hooks.PendingSignal = sigAt(map[uint64]vm.Word{20: 7, 60: 11})
-	runToEnd(t, m)
+	runToEnd(t, m, sigAt(map[uint64]vm.Word{20: 7, 60: 11}))
 	// Loop must complete exactly (i == 50) and the handler billed 7+11.
 	if got := m.Threads[0].ExitVal; got != 50*1000+18 {
 		t.Fatalf("exit = %d, want 50018", got)
@@ -84,15 +98,14 @@ func TestSignalWithoutHandlerAbsorbedButRetired(t *testing.T) {
 	b, _ := buildSignalProg(false, 50)
 	prog := b.MustBuild()
 	m := vm.NewMachine(prog, nil, nil)
-	m.Hooks.PendingSignal = sigAt(map[uint64]vm.Word{20: 7})
-	runToEnd(t, m)
+	runToEnd(t, m, sigAt(map[uint64]vm.Word{20: 7}))
 	if got := m.Threads[0].ExitVal; got != 50*1000 {
 		t.Fatalf("exit = %d, want 50000", got)
 	}
 	// The absorbed delivery still occupies one retirement slot.
 	bb, _ := buildSignalProg(false, 50)
 	m2 := vm.NewMachine(bb.MustBuild(), nil, nil)
-	runToEnd(t, m2)
+	runToEnd(t, m2, nil)
 	if m.Threads[0].Retired != m2.Threads[0].Retired+1 {
 		t.Fatalf("delivery not retired: %d vs %d", m.Threads[0].Retired, m2.Threads[0].Retired)
 	}
@@ -121,8 +134,7 @@ func TestSignalPreservesR0AcrossHandler(t *testing.T) {
 	mach := vm.NewMachine(prog, nil, nil)
 	// Seed r0 by hand after handler installation, then interrupt.
 	mach.Threads[0].Regs[0] = 4242
-	mach.Hooks.PendingSignal = sigAt(map[uint64]vm.Word{10: 5})
-	runToEnd(t, mach)
+	runToEnd(t, mach, sigAt(map[uint64]vm.Word{10: 5}))
 	if got := mach.Threads[0].ExitVal; got != 4242 {
 		t.Fatalf("r0 across signal = %d, want 4242", got)
 	}
@@ -161,13 +173,12 @@ func TestSignalHandlerInheritedBySpawn(t *testing.T) {
 	b.SetEntry("main")
 	prog := b.MustBuild()
 	mach := vm.NewMachine(prog, nil, nil)
-	mach.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
+	runToEnd(t, mach, func(t *vm.Thread) (vm.Word, bool) {
 		if t.ID == 1 && t.Retired == 40 {
 			return 13, true
 		}
 		return 0, false
-	}
-	runToEnd(t, mach)
+	})
 	if got := mach.Threads[0].ExitVal; got != 13 {
 		t.Fatalf("child did not inherit handler: cell = %d", got)
 	}
@@ -212,15 +223,14 @@ func TestSignalDuringBlockedLockDeliversFirst(t *testing.T) {
 	prog := b.MustBuild()
 	mach := vm.NewMachine(prog, nil, nil)
 	delivered := false
-	mach.Hooks.PendingSignal = func(t *vm.Thread) (vm.Word, bool) {
+	runToEnd(t, mach, func(t *vm.Thread) (vm.Word, bool) {
 		// Fire once, at the worker's first step after its handler setup.
 		if t.ID == 1 && t.Retired >= 2 && !delivered {
 			delivered = true
 			return 1, true
 		}
 		return 0, false
-	}
-	runToEnd(t, mach)
+	})
 	if !delivered {
 		t.Fatal("signal never delivered")
 	}
@@ -236,11 +246,11 @@ func TestCheckpointMidHandlerRestoresExactly(t *testing.T) {
 	b, _ := buildSignalProg(true, 200)
 	prog := b.MustBuild()
 	m := vm.NewMachine(prog, nil, nil)
-	m.Hooks.PendingSignal = sigAt(map[uint64]vm.Word{50: 7})
+	due := sigAt(map[uint64]vm.Word{50: 7})
 	// Step until the handler is entered (frame depth 1 with Signal bit).
 	entered := false
 	for steps := 0; steps < 200 && !entered; steps++ {
-		m.Step(m.Threads[0])
+		attempt(m, m.Threads[0], due)
 		for _, f := range m.Threads[0].Frames {
 			if f.Signal {
 				entered = true
@@ -284,11 +294,13 @@ func TestSigHandlerBadFunctionFaults(t *testing.T) {
 }
 
 // TestFaultRetires: a fault is the faulting thread's last retirement.
-// Step reports it retired at no cost, the thread's retired count — and,
-// for a signal delivered into a full call stack, its signal count —
-// advances by one, and OnRetire sees it once, at the static charge of the
-// instruction (Sync for the delivery, nothing for a fetch outside the
-// code).
+// Step — or Deliver, which keeps Step's precedence — reports it retired at
+// no cost, the thread's retired count — and, for a signal delivered into a
+// full call stack, its signal count — advances by one, and OnRetire sees it
+// once, at the static charge of the instruction (Sync for the delivery,
+// nothing for a fetch outside the code). A signal due at a pc outside the
+// code is not taken: the fetch faults first. A dead thread takes nothing
+// either: Deliver panics on it, as Step does.
 func TestFaultRetires(t *testing.T) {
 	prog := &vm.Program{
 		Name:  "faults",
@@ -300,22 +312,23 @@ func TestFaultRetires(t *testing.T) {
 		},
 	}
 	costs := vm.DefaultCosts()
+	outside := func(_ *vm.Machine, th *vm.Thread) { th.PC = len(prog.Code) }
 	for _, tc := range []struct {
 		name   string
 		setup  func(m *vm.Machine, th *vm.Thread)
+		signal bool // Deliver a signal rather than Step
 		fault  string
 		pc     int    // where the fault leaves the thread, and OnRetire's pc
 		sigs   uint64 // signal deliveries the fault retires
 		charge int64  // OnRetire's static charge
 	}{
-		{"divide by zero", func(*vm.Machine, *vm.Thread) {}, "divide by zero", 0, 0, costs.Instr},
-		{"pc out of range", func(_ *vm.Machine, th *vm.Thread) { th.PC = len(prog.Code) },
-			"pc out of range: 3", len(prog.Code), 0, 0},
+		{"divide by zero", func(*vm.Machine, *vm.Thread) {}, false, "divide by zero", 0, 0, costs.Instr},
+		{"pc out of range", outside, false, "pc out of range: 3", len(prog.Code), 0, 0},
+		{"signal at a pc out of range", outside, true, "pc out of range: 3", len(prog.Code), 0, 0},
 		{"signal into a full call stack", func(m *vm.Machine, th *vm.Thread) {
 			th.SigHandler = 1
 			th.Frames = make([]vm.Frame, vm.MaxFrames)
-			m.Hooks.PendingSignal = func(*vm.Thread) (vm.Word, bool) { return 5, true }
-		}, "signal delivery overflowed the call stack", 0, 1, costs.Sync},
+		}, true, "signal delivery overflowed the call stack", 0, 1, costs.Sync},
 	} {
 		m := vm.NewMachine(prog, nil, costs)
 		th := m.Threads[0]
@@ -324,7 +337,11 @@ func TestFaultRetires(t *testing.T) {
 		m.Hooks.OnRetire = func(t *vm.Thread, pc int, cost int64) {
 			retires = append(retires, fmt.Sprintf("tid %d pc %d cost %d", t.ID, pc, cost))
 		}
-		res := m.Step(th)
+		due := signals(nil)
+		if tc.signal {
+			due = func(*vm.Thread) (vm.Word, bool) { return 5, true }
+		}
+		res := attempt(m, th, due)
 		if res != (vm.StepResult{Retired: true}) || th.Retired != 1 || th.SigRetired != tc.sigs {
 			t.Errorf("%s: Step = %+v, thread retired %d, signals %d; want a free retirement, 1 and %d",
 				tc.name, res, th.Retired, th.SigRetired, tc.sigs)
@@ -337,5 +354,13 @@ func TestFaultRetires(t *testing.T) {
 		if len(retires) != 1 || retires[0] != want {
 			t.Errorf("%s: OnRetire saw %q, want %q", tc.name, retires, want)
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Deliver to the dead thread did not panic", tc.name)
+				}
+			}()
+			m.Deliver(th, 5)
+		}()
 	}
 }

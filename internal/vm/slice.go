@@ -2,12 +2,12 @@ package vm
 
 // ObservesPlain reports whether an armed hook must see the plain
 // instructions (ALU, branches, calls, loads and stores) one at a time:
-// OnRetire and PendingSignal fire at every instruction, OnMemAccess and
-// OnMemWrite at every load and store. MayAcquire and OnSync do not count —
-// they fire only at sync operations, which RunSlice never executes. A
-// scheduler asks once per timeslice and uses RunSlice only on false.
+// OnRetire fires at every instruction, OnMemAccess and OnMemWrite at every
+// load and store. MayAcquire and OnSync do not count — they fire only at
+// sync operations, which RunSlice never executes. A scheduler asks once
+// per timeslice and uses RunSlice only on false.
 func (h *Hooks) ObservesPlain() bool {
-	return h.OnRetire != nil || h.PendingSignal != nil || h.OnMemAccess != nil || h.OnMemWrite != nil
+	return h.OnRetire != nil || h.OnMemAccess != nil || h.OnMemWrite != nil
 }
 
 // RunSlice retires up to n consecutive plain instructions of thread t and

@@ -13,7 +13,10 @@ import (
 // run drives a machine round-robin until every thread terminates, failing
 // the test on deadlock/livelock. Blocked threads are re-attempted every
 // round, matching the schedulers' retry semantics.
-func run(t *testing.T, m *vm.Machine) {
+func run(t *testing.T, m *vm.Machine) { runSignals(t, m, nil) }
+
+// runSignals is run delivering the signals due names (see attempt).
+func runSignals(t *testing.T, m *vm.Machine, due signals) {
 	t.Helper()
 	idle := 0
 	for steps := 0; !m.Done(); steps++ {
@@ -23,7 +26,7 @@ func run(t *testing.T, m *vm.Machine) {
 		progressed := false
 		for _, th := range m.Threads {
 			if th.Status.Live() {
-				if res := m.Step(th); res.Retired {
+				if res := attempt(m, th, due); res.Retired {
 					progressed = true
 				}
 			}

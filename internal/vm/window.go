@@ -132,17 +132,19 @@ func (w *Window) store(addr, val Word) bool {
 // registers, frames and data memory.
 func (op Opcode) plain() bool { return op <= OpStx || op == OpTid }
 
-// PlainCostFloor returns what the cheapest plain instruction costs under
-// m's cost model. A scheduler that bounds a batch of plain instructions by
-// the cycles it spans relies on this being at least one.
-func (m *Machine) PlainCostFloor() int64 {
-	floor := m.costTab[OpNop]
+// PlainCosts returns what the cheapest and the costliest plain instruction
+// cost under m's cost model. A scheduler that bounds a batch of plain
+// instructions by the cycles it spans relies on the floor being at least
+// one; one that must stop a batch before a clock bounds its length by the
+// ceiling.
+func (m *Machine) PlainCosts() (floor, ceil int64) {
+	floor, ceil = m.costTab[OpNop], m.costTab[OpNop]
 	for op := OpNop; op <= OpTid; op++ {
 		if op.plain() {
-			floor = min(floor, m.costTab[op])
+			floor, ceil = min(floor, m.costTab[op]), max(ceil, m.costTab[op])
 		}
 	}
-	return floor
+	return floor, ceil
 }
 
 // RunWindow is RunSlice on a cycle budget with guest memory held read-only:
